@@ -227,7 +227,10 @@ impl QueryCache {
     /// Total stored rows across all views — the resident footprint the
     /// `max_rows` limit bounds.
     pub fn view_rows(&self) -> usize {
-        self.views.values().map(|v| v.mat.mem_stats().total_rows).sum()
+        // A view's external relations are empty placeholders between
+        // syncs, so its own rows are all it stores — and counting them
+        // touches no index (eviction asks after every view build).
+        self.views.values().map(|v| v.mat.own_rows().1).sum()
     }
 
     /// Total words held by the views (tuples, indexes, justifications);
@@ -505,8 +508,8 @@ impl QueryCache {
             self.templates.insert(tkey.clone(), t);
         }
         // Instantiate: clone the prototype, point its goal at the
-        // concrete query, seed the bound constants, run to fixpoint with
-        // the base swapped in.
+        // concrete query, seed the bound constants, run the batch
+        // fixpoint with the base swapped in.
         let t = self.templates.get(&tkey)?.as_ref()?;
         let mut mat = t.prototype.clone();
         mat.set_goal(Atom::new(t.goal_pred, goal.args.clone()));
@@ -517,7 +520,7 @@ impl QueryCache {
         let links = t.links.clone();
         let seed_pred = t.seed_pred;
         mat.swap_external(base, &links);
-        mat.insert_facts(seed_pred, std::slice::from_ref(&seed));
+        mat.fill_view(seed_pred, &seed);
         mat.swap_external(base, &links);
         let view = CachedView {
             mat,
@@ -878,6 +881,162 @@ mod tests {
             view_words * 4 < base_words,
             "view footprint {view_words} should be well under base {base_words}"
         );
+    }
+
+    const SRC_S7: &str = "?- p(c, Y).\n\
+                          p(X, Y) :- b1(X, X1), b2(X1, Y).\n\
+                          p(X, Y) :- b1(X, X1), p(X1, Y1), b2(Y1, Y).";
+
+    /// Section 7's layered structure: a `b1`-chain of `layers` edges
+    /// from `c` into a `b2`-chain of `layers` edges, plus `noise`
+    /// disconnected `b1`/`b2` pairs.
+    fn layered(p: &mut Program, layers: usize, noise: usize) -> Database {
+        let b1 = p.symbols.get_predicate("b1").unwrap();
+        let b2 = p.symbols.get_predicate("b2").unwrap();
+        let mut db = Database::new();
+        let mut prev = p.symbols.constant("c");
+        for (pred, tag) in [(b1, "u"), (b2, "d")] {
+            for i in 1..=layers {
+                let c = p.symbols.constant(&format!("{tag}{i}"));
+                db.insert(pred, vec![prev, c]);
+                prev = c;
+            }
+        }
+        for i in 0..noise {
+            let a = p.symbols.constant(&format!("xa{i}"));
+            let b = p.symbols.constant(&format!("xb{i}"));
+            db.insert(b1, vec![a, b]);
+            db.insert(b2, vec![b, a]);
+        }
+        db
+    }
+
+    /// The view path of the delta-first plans: catching a view up with
+    /// an EDB insert costs the same whatever the size of the base EDB it
+    /// shares (the same noise-scaling oracle as the base store's, in
+    /// `tests/planner_props.rs`).
+    #[test]
+    fn view_sync_work_is_independent_of_the_base_edb_size() {
+        let sync_cost = |noise: usize| {
+            let mut p = parse_program(SRC_S7).unwrap();
+            let edb = layered(&mut p, 6, noise);
+            let b1 = p.symbols.get_predicate("b1").unwrap();
+            let b2 = p.symbols.get_predicate("b2").unwrap();
+            let mut base = Materialization::from_database(&p, &edb, Strategy::SemiNaive);
+            let mut cache = QueryCache::new(&p);
+            let goal = p.goal.clone();
+            assert_eq!(cache.query(&mut base, &goal).len(), 1, "p(c, d6)");
+
+            // Eight irrelevant pairs and one relevant one: `u6` is in
+            // the view's magic set, so p(u6, w2) is derived there.
+            let mut round = crate::materialize::UpdateRound::new();
+            for i in 0..8 {
+                let a = p.symbols.constant(&format!("fresh_a{i}"));
+                let b = p.symbols.constant(&format!("fresh_b{i}"));
+                round = round.insert(b1, vec![a, b]).insert(b2, vec![b, a]);
+            }
+            let u6 = p.symbols.constant("u6");
+            let (w1, w2) = (p.symbols.constant("w1"), p.symbols.constant("w2"));
+            round = round.insert(b1, vec![u6, w1]).insert(b2, vec![w1, w2]);
+            assert_eq!(base.apply(&round).inserted, 18);
+
+            let view = |cache: &QueryCache| cache.views.values().next().expect("one view").mat.stats();
+            let before = view(&cache);
+            assert_eq!(cache.query(&mut base, &goal).len(), 1);
+            assert_eq!(cache.stats().syncs, 1, "the query caught the view up");
+            let after = view(&cache);
+            (
+                after.join_probes - before.join_probes,
+                after.rule_firings - before.rule_firings,
+                after.tuples_derived - before.tuples_derived,
+            )
+        };
+        let small = sync_cost(50);
+        assert_eq!(small, sync_cost(500), "(probes, firings, derived) of one view sync");
+        assert!(small.2 >= 1, "the relevant pair reached the view");
+    }
+
+    /// Base churn that is irrelevant to a view costs the view close to
+    /// nothing where the rule joins it directly behind the magic guard:
+    /// those items run guard-first (one probe per magic row into the
+    /// delta range), not delta-first (one probe per delta row). Only
+    /// the `b2` atoms, which sit deeper in their rules, are met from
+    /// the delta's side — three probes per inserted pair.
+    #[test]
+    fn irrelevant_churn_next_to_the_guard_is_met_from_the_views_side() {
+        let sync_probes = |pairs: usize| {
+            let mut p = parse_program(SRC_S7).unwrap();
+            let edb = layered(&mut p, 6, 30);
+            let b1 = p.symbols.get_predicate("b1").unwrap();
+            let b2 = p.symbols.get_predicate("b2").unwrap();
+            let mut base = Materialization::from_database(&p, &edb, Strategy::SemiNaive);
+            let mut cache = QueryCache::new(&p);
+            let goal = p.goal.clone();
+            let answer = cache.query(&mut base, &goal).sorted();
+            let mut round = crate::materialize::UpdateRound::new();
+            for i in 0..pairs {
+                let a = p.symbols.constant(&format!("fresh_a{i}"));
+                let b = p.symbols.constant(&format!("fresh_b{i}"));
+                round = round.insert(b1, vec![a, b]).insert(b2, vec![b, a]);
+            }
+            base.apply(&round);
+            let view = |cache: &QueryCache| cache.views.values().next().expect("one view").mat.stats();
+            let before = view(&cache);
+            assert_eq!(cache.query(&mut base, &goal).sorted(), answer);
+            let after = view(&cache);
+            assert_eq!(after.tuples_derived, before.tuples_derived, "nothing was relevant");
+            after.join_probes - before.join_probes
+        };
+        // The magic set of `c` is {c, u1..u6}: seven rows, however many
+        // pairs arrive. Delta-first throughout would cost six probes
+        // per pair (the three b1 items one each) instead of three.
+        let (small, large) = (sync_probes(40), sync_probes(140));
+        assert_eq!(large - small, 3 * 100, "only the b2 items scale with the delta");
+    }
+
+    /// Every index a view will ever probe is registered when its
+    /// template is linked — and the update plans add none to the base
+    /// beyond what views always needed: on program A the first query
+    /// registers `par[0,1]` (the view's re-derivation plan), on Section
+    /// 7 `b1[0]`, `b1[0,1]` and `b2[0,1]`; everything else the view's
+    /// batch and update plans probe, the base's own plans already
+    /// maintain. Later queries register nothing.
+    #[test]
+    fn linking_a_view_registers_no_base_index_for_the_update_plans() {
+        let growth = |src: &str, edb_of: &dyn Fn(&mut Program) -> Database| {
+            let mut p = parse_program(src).unwrap();
+            let edb = edb_of(&mut p);
+            let mut base = Materialization::from_database(&p, &edb, Strategy::SemiNaive);
+            let mut cache = QueryCache::new(&p);
+            let goal = p.goal.clone();
+            let fresh = base.planner_report().index_rows;
+            cache.query(&mut base, &goal);
+            let linked = base.planner_report().index_rows;
+            // A second constant under the same template links nothing.
+            let other = match &goal.args[0] {
+                Term::Const(_) => {
+                    let mut g = goal.clone();
+                    g.args[0] = Term::Const(p.symbols.constant("elsewhere"));
+                    g
+                }
+                Term::Var(_) => unreachable!("the test programs bind the first argument"),
+            };
+            cache.query(&mut base, &other);
+            assert_eq!(base.planner_report().index_rows, linked);
+            linked - fresh
+        };
+        let par_rows = 16;
+        let a = growth(SRC, &|p| {
+            let par = p.symbols.get_predicate("par").unwrap();
+            let mut db = Database::new();
+            for e in chain(p, par_rows) {
+                db.insert(par, e);
+            }
+            db
+        });
+        assert_eq!(a, par_rows as u64, "program A: one par index");
+        let s7 = growth(SRC_S7, &|p| layered(p, 6, 40));
+        assert_eq!(s7, 3 * (6 + 40), "Section 7: two b1 indexes, one b2 index");
     }
 
     #[test]

@@ -28,12 +28,15 @@
 //!   read the result out, keeping [`eval::EvalStats`] bit-for-bit equal
 //!   to the reference engine;
 //! - [`plan`] — compiled join plans and the **cost-based join
-//!   planner**: selectivity-aware body reordering from live relation
-//!   cardinalities, staged-head existence pruning, and structural
-//!   recognition of the transitive-closure shape for the specialized
-//!   kernel. One planning entry point serves the engine, the magic-set
-//!   views and rule hot-swap; [`plan::PlannerConfig::legacy`] restores
-//!   the pre-planner behavior bit-for-bit;
+//!   planner**: one selectivity-ordered batch plan per rule, one
+//!   delta-first update plan per (rule, delta atom) so an update round
+//!   costs O(|Δ| + derivations), staged-head existence pruning, and
+//!   structural recognition of the transitive-closure shape for the
+//!   specialized kernel. Plans are static — compiled where a store is
+//!   built, a rule added or a snapshot restored; one planning entry
+//!   point serves the engine, the magic-set views and rule hot-swap;
+//!   [`plan::PlannerConfig::legacy`] restores the pre-planner behavior
+//!   bit-for-bit;
 //! - [`pool`] — a dependency-free scoped thread pool (persistent
 //!   workers, borrowing jobs, panic propagation);
 //! - [`storage`] — columnar relations (one flat `Vec<Const>` per

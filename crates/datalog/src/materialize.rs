@@ -10,10 +10,12 @@
 //! - [`Materialization::insert_facts`] appends novel EDB rows and
 //!   resumes semi-naive evaluation with those rows as the next delta —
 //!   semi-naive *is* an incremental algorithm, so an update costs work
-//!   proportional to the new derivations, not the whole closure. The
-//!   first update round treats every body atom over a grown relation
-//!   (EDB included) as a delta position, with the same
-//!   "last delta occurrence" convention the batch engine uses.
+//!   proportional to the delta and its new derivations, not the store.
+//!   The first update round treats every body atom over a grown
+//!   relation (EDB included) as a delta position and runs it through
+//!   that position's **delta-first update plan**
+//!   ([`crate::plan`]), under the "last delta occurrence" convention in
+//!   rule-text order.
 //! - [`Materialization::retract_facts`] removes EDB rows by
 //!   **delete–rederive** (DRed): tombstone the rows
 //!   ([`ColumnarRelation::tombstone`]), over-delete every derived row
@@ -57,12 +59,13 @@ use crate::eval::{self, EvalResult, EvalStats, ProvenanceResult, Strategy, OVERS
 use crate::hash::{FxHashMap, FxHashSet};
 use crate::persist::{self, Dec, Enc, PersistError};
 use crate::plan::{
-    compile_rederive, compile_rule, plan_rule, Action, HeadOp, KeyOp, Out, OrderMode,
-    PlannerConfig, RederivePlan, RulePlan, Step,
+    compile_rederive, compile_rule, plan_rule, plan_rule_deltas, Action, HeadOp, KeyOp, Out,
+    OrderMode, PlannerConfig, RederivePlan, RulePlan, Step,
 };
 use crate::pool::ThreadPool;
 use crate::storage::{shard_ranges, ColumnarRelation, IncrementalIndex, NO_ROW};
 use std::path::Path;
+use std::sync::Arc;
 
 /// Sentinel edge id: end of a reverse-dependency chain.
 const NO_EDGE: u32 = u32::MAX;
@@ -411,7 +414,27 @@ struct Counters {
     tc_rows: u64,
 }
 
-/// One parallel work item: rule `plan_i` with delta step `delta_pos`,
+/// Which body atom carries the delta in one rule-evaluation pass — and
+/// with it which plan runs and how the other atoms' snapshot ranges are
+/// chosen (`snapshot_range`).
+#[derive(Clone, Copy, Debug, Default)]
+enum Delta {
+    /// No delta: the rule's batch plan over full relations (EDB-only
+    /// rules in the first batch iteration, naive rounds, seeding an
+    /// added rule).
+    #[default]
+    Full,
+    /// A batch round: the rule's batch plan with the delta at this
+    /// **step depth**. IDB steps before it read full, after it old;
+    /// EDB relations never change in a batch and always read full.
+    Batch(usize),
+    /// An update round: the update plan of this **body position** (see
+    /// [`Materialization::plan_for`]). Every atom, EDB included,
+    /// follows the watermark convention in rule-text order.
+    Update(usize),
+}
+
+/// One parallel work item: rule `rule` with delta atom `delta`,
 /// the **first join step** restricted to the row subrange `range`,
 /// staging into its own buffer. `lead` marks the shard whose `pre`
 /// (depth-0) probe count is accounted. Tasks are recycled across
@@ -419,8 +442,8 @@ struct Counters {
 /// capacity instead of reallocating every iteration.
 #[derive(Default)]
 struct ShardTask {
-    plan_i: usize,
-    delta_pos: usize,
+    rule: usize,
+    delta: Delta,
     range: (usize, usize),
     lead: bool,
     counters: Counters,
@@ -527,8 +550,8 @@ pub struct RoundReport {
 /// Runtime planner observability (see
 /// [`Materialization::planner_report`]): how often the specialized
 /// transitive-closure kernel ran, how much work it absorbed, and how
-/// often cardinality drift forced a re-plan. Runtime-only — reset by
-/// restore, never part of [`EvalStats`].
+/// large the join indexes are. Runtime-only — reset by restore, never
+/// part of [`EvalStats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PlannerReport {
     /// Kernel invocations (one per `(rule, delta, shard)` evaluation of
@@ -536,8 +559,10 @@ pub struct PlannerReport {
     pub tc_hits: u64,
     /// Full body instantiations enumerated inside the kernel.
     pub tc_rows: u64,
-    /// Cardinality-drift re-plans since construction (plans are
-    /// recompiled only at update-round boundaries; row ids never move).
+    /// Always 0: plans are static (one batch plan per rule, one update
+    /// plan per `(rule, delta atom)`, compiled where the store is
+    /// built). The field outlives the adaptive planner it counted for
+    /// because external tooling reads it.
     pub replans: u64,
     /// Distinct keys across all join indexes
     /// ([`crate::storage::IncrementalIndex::num_keys`]).
@@ -582,7 +607,24 @@ pub(crate) struct ExtLinks {
 pub struct Materialization {
     rels: Vec<ColumnarRelation>,
     idxs: Vec<IncrementalIndex>,
-    plans: Vec<RulePlan>,
+    /// Per rule slot: the **batch plan** — one cardinality-ordered body
+    /// order, run by the initial fixpoint and by added-rule seeding.
+    /// Both plan tables are immutable once compiled and shared by `Arc`:
+    /// every cached view is a clone of its template's prototype, and
+    /// deep-copying a few dozen plans per cold query cost more than
+    /// building the view (only a rule add ever writes, through
+    /// `Arc::make_mut`).
+    plans: Arc<Vec<RulePlan>>,
+    /// Per rule slot, per body position `k`: the **update plan** with
+    /// atom `k` leading, run by update rounds for the item `(rule, k)`.
+    /// Parallel to `plans` in a maintained (justification-recording)
+    /// store and empty in a one-shot batch store, which can never be
+    /// updated and must not pay for update-only indexes; an inner vector
+    /// is empty unless the order mode is [`OrderMode::Planned`]. Where
+    /// there is no update plan the rule's batch plan serves
+    /// ([`Materialization::plan_for`]). Static: compiled by `build`,
+    /// `compile_added_rule` and `from_bytes`, never revised.
+    delta_plans: Arc<Vec<Vec<RulePlan>>>,
     /// Dense relation ids of the program's IDB predicates.
     idb_rels: Vec<usize>,
     /// Per relation: whether it is an IDB of the program.
@@ -650,17 +692,15 @@ pub struct Materialization {
     /// The planner configuration plans were compiled under (fixed at
     /// construction; persisted).
     planner: PlannerConfig,
-    /// Per relation: the live cardinality the current plans were
-    /// computed from — the drift baseline for adaptive re-planning
-    /// (persisted, so a restored store re-plans exactly when the live
-    /// store would have).
+    /// Per relation: the live cardinality at construction (after the
+    /// EDB load; 0 for relations interned later) — the tie-break basis
+    /// of the update plans. Persisted, so a restored store compiles the
+    /// same update plans whatever its relations have grown to.
     planned_card: Vec<u64>,
     /// Transitive-closure kernel invocations (runtime-only).
     tc_hits: u64,
     /// Instantiations enumerated inside the kernel (runtime-only).
     tc_rows: u64,
-    /// Cardinality-drift re-plans (runtime-only).
-    replans: u64,
 }
 
 impl Materialization {
@@ -816,12 +856,6 @@ impl Materialization {
                 .collect()
         };
 
-        // Freshly registered indexes hold no rows yet: the planner's
-        // storage layout applies cleanly.
-        for idx in &mut idxs {
-            idx.set_segmented(planner.segmented);
-        }
-
         let mut idb_flag = vec![false; rels.len()];
         for &r in &idb_rels {
             idb_flag[r] = true;
@@ -829,10 +863,11 @@ impl Materialization {
         let old_hi = vec![0; rels.len()];
         let prov = record.then(|| vec![RelJust::default(); rels.len()]);
         let rule_active = vec![true; program.rules.len()];
-        Self {
+        let mut m = Self {
             rels,
             idxs,
-            plans,
+            plans: Arc::new(plans),
+            delta_plans: Arc::default(),
             idb_rels,
             idb_flag,
             pred_of_rel,
@@ -859,8 +894,83 @@ impl Materialization {
             planned_card,
             tc_hits: 0,
             tc_rows: 0,
-            replans: 0,
+        };
+        // A recording store is a maintained one: register the update
+        // plans' indexes now, so the initial fixpoint fills them
+        // alongside the batch plans' and no update round ever has to.
+        if record {
+            m.compile_delta_plans();
         }
+        // Freshly registered indexes hold no rows yet: the planner's
+        // storage layout applies cleanly.
+        m.apply_index_layout();
+        m
+    }
+
+    /// Compiles the update plans of every rule slot that has none yet
+    /// (all of them at construction and restore, the new slot after a
+    /// rule add), registering the indexes they probe.
+    fn compile_delta_plans(&mut self) {
+        let idbs: Vec<Pred> = self.idb_rels.iter().map(|&r| self.pred_of_rel[r]).collect();
+        let rel_of_pred = &self.rel_of_pred;
+        let planned_card = &self.planned_card;
+        let mut card = |p: Pred| rel_of_pred.get(&p).map_or(0, |&r| planned_card[r]);
+        let delta_plans = Arc::make_mut(&mut self.delta_plans);
+        for rule in &self.rules[delta_plans.len()..] {
+            delta_plans.push(plan_rule_deltas(
+                rule,
+                &idbs,
+                rel_of_pred,
+                &mut self.idxs,
+                &mut self.idx_of,
+                self.planner.order,
+                &mut card,
+            ));
+        }
+    }
+
+    /// The plan that evaluates `rule` with delta atom `delta`: the
+    /// update plan of that body position where one was compiled — unless
+    /// the delta is base churn a view does better to meet from its own
+    /// side ([`Materialization::meets_external_delta_from_own_side`]) —
+    /// and the rule's batch plan otherwise. Whichever plan runs, an
+    /// update's delta atom `k` sits at step depth `plan.step_of_body[k]`
+    /// and the snapshot ranges follow rule-text order, so the choice
+    /// changes cost, never results.
+    fn plan_for(&self, rule: usize, delta: Delta) -> &RulePlan {
+        let batch = &self.plans[rule];
+        let Delta::Update(k) = delta else {
+            return batch;
+        };
+        match self.delta_plans.get(rule).and_then(|ps| ps.get(k)) {
+            Some(update) if !self.meets_external_delta_from_own_side(batch, k) => update,
+            _ => batch,
+        }
+    }
+
+    /// Whether a **view** should run the update item for body atom `k`
+    /// through the rule's batch plan instead of the delta-first one.
+    ///
+    /// The delta of an *external* relation is the base store's churn,
+    /// almost all of it irrelevant to any one bound query: leading with
+    /// it costs the view one probe per delta row whatever the query can
+    /// reach. When the batch plan joins that atom **directly behind its
+    /// lead** (in a magic program: the guard), both orders enumerate
+    /// exactly the same (lead row, delta row) pairs — the batch plan
+    /// finds them with one keyed probe per lead row into the delta
+    /// range — so the smaller side is the cheaper one, with nothing
+    /// estimated. Base stores have no external relations and always
+    /// lead with the delta.
+    fn meets_external_delta_from_own_side(&self, batch: &RulePlan, k: usize) -> bool {
+        let rel = batch.body_rels[k];
+        if !self.ext_flag.get(rel).copied().unwrap_or(false)
+            || batch.step_of_body[k] != 1
+            || batch.steps[1].key.is_empty()
+        {
+            return false;
+        }
+        let (lo, hi) = snapshot_range(&self.rels, &self.old_hi, batch, 0, Delta::Update(k));
+        hi - lo < self.rels[rel].num_rows() - self.old_hi[rel]
     }
 
     // -----------------------------------------------------------------
@@ -883,12 +993,12 @@ impl Materialization {
         self.planner
     }
 
-    /// Runtime planner observability: kernel hit counts and re-plans.
+    /// Runtime planner observability: kernel hit counts and index sizes.
     pub fn planner_report(&self) -> PlannerReport {
         PlannerReport {
             tc_hits: self.tc_hits,
             tc_rows: self.tc_rows,
-            replans: self.replans,
+            replans: 0,
             index_keys: self.idxs.iter().map(|i| i.num_keys() as u64).sum(),
             index_rows: self.idxs.iter().map(|i| i.watermark() as u64).sum(),
         }
@@ -1063,13 +1173,6 @@ impl Materialization {
         // existence probes below consult those tables.
         self.ensure_dedup();
 
-        // 0. Adaptive re-planning at the round boundary: if live
-        // cardinalities drifted past the threshold since the plans were
-        // computed, recompile them (future rounds only — existing rows,
-        // row ids and justifications are untouched; see
-        // [`Materialization::maybe_replan`]).
-        self.maybe_replan();
-
         // 1. Rule drops: deactivate, then seed over-deletion with every
         // live row justified by a dropped rule. Unlike EDB retract seeds
         // these are rescue candidates — the tuples may well survive via
@@ -1187,7 +1290,7 @@ impl Materialization {
             let mut scratch = Scratch::default();
             let mut pending = PendingTuples::default();
             for pi in first_new_plan..self.plans.len() {
-                self.eval_rule(pi, None, false, &mut scratch, &mut pending);
+                self.eval_rule(pi, Delta::Full, &mut scratch, &mut pending);
             }
             let appended =
                 Self::merge_pending(
@@ -1297,9 +1400,12 @@ impl Materialization {
                 &mut card,
             )
         };
-        self.plans.push(plan);
+        Arc::make_mut(&mut self.plans).push(plan);
         self.rules.push(rule.clone());
         self.rule_active.push(true);
+        if self.prov.is_some() {
+            self.compile_delta_plans();
+        }
         if let Some(rd) = &mut self.rederive {
             rd.push(compile_rederive(
                 slot,
@@ -1335,60 +1441,6 @@ impl Materialization {
             prov.push(RelJust::default());
         }
         r
-    }
-
-    // -----------------------------------------------------------------
-    // Adaptive re-planning
-    // -----------------------------------------------------------------
-
-    /// Re-plans at a round boundary if live cardinalities drifted past
-    /// the threshold (2x either way, with an absolute slack of 16 rows
-    /// so tiny relations never thrash). Views never re-plan: a fresh
-    /// body order could demand a new index over an *external* relation,
-    /// which must be registered through the base-store linking protocol
-    /// — their plans are fixed at instantiation instead.
-    fn maybe_replan(&mut self) {
-        if self.planner.order != OrderMode::Planned || !self.ext_flag.is_empty() {
-            return;
-        }
-        let drift = self.rels.iter().zip(&self.planned_card).any(|(rel, &old)| {
-            let new = rel.num_live() as u64;
-            new > 2 * old + 16 || old > 2 * new + 16
-        });
-        if drift {
-            self.replan();
-        }
-    }
-
-    /// Recompiles every rule plan from the current live cardinalities,
-    /// reusing the shared `(relation, mask)` index registry (orders that
-    /// need a new index register it; [`Materialization::extend_indexes`]
-    /// fills it before the next evaluation). Rows, row ids and recorded
-    /// justifications are untouched: justifications are stored in
-    /// original rule-body order, which a plan change never alters.
-    fn replan(&mut self) {
-        let idbs: Vec<Pred> = self.idb_rels.iter().map(|&r| self.pred_of_rel[r]).collect();
-        let plans: Vec<RulePlan> = {
-            let rels = &self.rels;
-            let rel_of_pred = &self.rel_of_pred;
-            let idxs = &mut self.idxs;
-            let idx_of = &mut self.idx_of;
-            let order = self.planner.order;
-            let mut card =
-                |p: Pred| rel_of_pred.get(&p).map_or(0, |&r| rels[r].num_live() as u64);
-            self.rules
-                .iter()
-                .enumerate()
-                .map(|(i, r)| {
-                    plan_rule(r, i, &idbs, rel_of_pred, idxs, idx_of, order, &mut card)
-                })
-                .collect()
-        };
-        self.plans = plans;
-        self.planned_card = self.rels.iter().map(|r| r.num_live() as u64).collect();
-        self.replans += 1;
-        self.apply_index_layout();
-        self.extend_indexes();
     }
 
     // -----------------------------------------------------------------
@@ -1726,16 +1778,16 @@ impl Materialization {
         e.u8(u8::from(self.planner.tc_kernel));
         e.u8(u8::from(self.planner.productive_firings));
         e.u8(u8::from(self.planner.segmented));
-        // Per-rule body permutation (the step depth of each original
-        // body atom): restored plans must be bit-identical to the live
-        // ones, which a cardinality re-derivation could not guarantee
-        // after drift re-plans or rule adds.
-        for p in &self.plans {
+        // Per-rule body permutation of the batch plan (the step depth of
+        // each original body atom): restored plans must be bit-identical
+        // to the live ones, which a cardinality re-derivation could not
+        // guarantee after rule adds.
+        for p in self.plans.iter() {
             let sob: Vec<u32> = p.step_of_body.iter().map(|&d| d as u32).collect();
             e.u32s(&sob);
         }
-        // The drift baseline, so a restored store re-plans exactly when
-        // the live store would have.
+        // The build-time cardinalities the update plans break ties by,
+        // so a restored store compiles exactly the live store's.
         e.u64s(&self.planned_card);
         e.usize(self.rels.len());
         for (r, rel) in self.rels.iter().enumerate() {
@@ -2064,7 +2116,8 @@ impl Materialization {
         let mut m = Self {
             rels,
             idxs,
-            plans,
+            plans: Arc::new(plans),
+            delta_plans: Arc::default(),
             idb_rels,
             idb_flag,
             pred_of_rel,
@@ -2091,10 +2144,19 @@ impl Materialization {
             planned_card,
             tc_hits: 0,
             tc_rows: 0,
-            replans: 0,
         };
         m.apply_index_layout();
         m.extend_indexes();
+        // The update plans, from the same inputs as at construction
+        // (rules, order mode, persisted build-time cardinalities). The
+        // indexes only they probe are write-path state, like the dedup
+        // tables: registered here, so that a view can link them, and
+        // filled by the first round (or view link) that needs them — a
+        // restored store that only serves reads never pays for them.
+        if m.prov.is_some() {
+            m.compile_delta_plans();
+            m.apply_index_layout();
+        }
         // A store that had ever over-deleted carried a reverse index;
         // rebuild it now (live justifications only) so the restored
         // store is behaviorally identical — same O(affected) retracts,
@@ -2305,6 +2367,21 @@ impl Materialization {
         m
     }
 
+    /// Fills a freshly instantiated view (a clone of a
+    /// [`Materialization::new_view`] prototype with the base swapped
+    /// in): stores the seed row and runs the **batch** fixpoint. A cold
+    /// view build is a batch evaluation of the magic program — the whole
+    /// shared EDB is new to the view, so the batch plans, which lead
+    /// with the small magic relation, are the right ones; the update
+    /// plans would scan every base relation once per rule to find the
+    /// handful of goal-relevant rows. Every later catch-up
+    /// ([`Materialization::sync_external`]) is an update.
+    pub(crate) fn fill_view(&mut self, seed_pred: Pred, seed: &[Const]) {
+        let rid = self.rel_of_pred[&seed_pred];
+        self.rels[rid].insert(seed);
+        self.run_batch();
+    }
+
     /// Registers (or reuses) an index over `(rel, mask)` and brings it
     /// up to the relation's current rows. Used by
     /// [`Materialization::link_external`] to give views shared access to
@@ -2513,17 +2590,17 @@ impl Materialization {
                 let plan = &self.plans[pi];
                 match strategy {
                     Strategy::Naive => {
-                        self.eval_rule(pi, None, false, &mut scratch, &mut pending);
+                        self.eval_rule(pi, Delta::Full, &mut scratch, &mut pending);
                     }
                     _ => {
                         if plan.idb_steps.is_empty() {
                             if first {
-                                self.eval_rule(pi, None, false, &mut scratch, &mut pending);
+                                self.eval_rule(pi, Delta::Full, &mut scratch, &mut pending);
                             }
                         } else if !first {
                             for di in 0..self.plans[pi].idb_steps.len() {
                                 let d = self.plans[pi].idb_steps[di];
-                                self.eval_rule(pi, Some(d), false, &mut scratch, &mut pending);
+                                self.eval_rule(pi, Delta::Batch(d), &mut scratch, &mut pending);
                             }
                         }
                     }
@@ -2587,7 +2664,7 @@ impl Materialization {
                 // exist yet); identical to the sequential engine.
                 for pi in 0..self.plans.len() {
                     if self.plans[pi].idb_steps.is_empty() {
-                        self.eval_rule(pi, None, false, &mut scratch, &mut pending);
+                        self.eval_rule(pi, Delta::Full, &mut scratch, &mut pending);
                     }
                 }
                 for r in 0..self.rels.len() {
@@ -2602,13 +2679,13 @@ impl Materialization {
                 &self.ext_flag,
             )
             } else {
-                let items: Vec<(usize, usize)> = self
+                let items: Vec<(usize, Delta)> = self
                     .plans
                     .iter()
                     .enumerate()
-                    .flat_map(|(pi, p)| p.idb_steps.iter().map(move |&d| (pi, d)))
+                    .flat_map(|(pi, p)| p.idb_steps.iter().map(move |&d| (pi, Delta::Batch(d))))
                     .collect();
-                self.parallel_round(&mut pool, threads, shards, &mut spare, &items, false)
+                self.parallel_round(&mut pool, threads, shards, &mut spare, &items)
             };
             self.stats.tuples_derived += appended;
             if self.planner.productive_firings {
@@ -2623,12 +2700,13 @@ impl Materialization {
     }
 
     /// The incremental fixpoint: resumes semi-naive evaluation from the
-    /// current watermarks. Delta candidates are **every** body step over
-    /// a relation that has grown — EDB steps included, which is how
-    /// freshly inserted facts (and DRed rescues) enter the join — under
-    /// the same "last delta occurrence" convention as the batch engine.
-    /// After the first round the EDB deltas are consumed and the loop is
-    /// ordinary semi-naive over the derived deltas.
+    /// current watermarks. Delta candidates are **every** body atom over
+    /// a relation that has grown — EDB atoms included, which is how
+    /// freshly inserted facts (and DRed rescues) enter the join — each
+    /// run through its own delta-first update plan, under the "last
+    /// delta occurrence" convention in rule-text order. After the first
+    /// round the EDB deltas are consumed and the loop is ordinary
+    /// semi-naive over the derived deltas.
     fn run_update(&mut self) {
         match self.strategy {
             Strategy::SemiNaiveParallel { threads } if threads >= 2 => {
@@ -2643,18 +2721,18 @@ impl Materialization {
         }
     }
 
-    /// The `(rule, body step)` pairs whose step relation has unconsumed
-    /// delta rows, in deterministic `(rule, step)` order. Dropped rules
-    /// never fire again.
-    fn update_items(&self) -> Vec<(usize, usize)> {
+    /// The `(rule, body atom)` pairs whose atom's relation has
+    /// unconsumed delta rows, in deterministic `(rule, body position)`
+    /// order. Dropped rules never fire again.
+    fn update_items(&self) -> Vec<(usize, Delta)> {
         let mut items = Vec::new();
         for (pi, plan) in self.plans.iter().enumerate() {
             if !self.rule_active[pi] {
                 continue;
             }
-            for (d, step) in plan.steps.iter().enumerate() {
-                if self.rels[step.rel].num_rows() > self.old_hi[step.rel] {
-                    items.push((pi, d));
+            for (k, &rel) in plan.body_rels.iter().enumerate() {
+                if self.rels[rel].num_rows() > self.old_hi[rel] {
+                    items.push((pi, Delta::Update(k)));
                 }
             }
         }
@@ -2671,8 +2749,8 @@ impl Materialization {
             }
             self.stats.iterations += 1;
             self.extend_indexes();
-            for &(pi, d) in &items {
-                self.eval_rule(pi, Some(d), true, &mut scratch, &mut pending);
+            for &(pi, delta) in &items {
+                self.eval_rule(pi, delta, &mut scratch, &mut pending);
             }
             for r in 0..self.rels.len() {
                 self.old_hi[r] = self.rels[r].num_rows();
@@ -2708,7 +2786,7 @@ impl Materialization {
             self.stats.iterations += 1;
             self.extend_indexes();
             let appended =
-                self.parallel_round(&mut pool, threads, shards, &mut spare, &items, true);
+                self.parallel_round(&mut pool, threads, shards, &mut spare, &items);
             self.stats.tuples_derived += appended;
             if self.planner.productive_firings {
                 self.stats.rule_firings += appended;
@@ -2721,21 +2799,17 @@ impl Materialization {
     }
 
     /// The row range the parallel shards partition for rule `pi` with
-    /// delta at step `d`: the delta range when the delta step is the
-    /// first body atom, the first step's **full** snapshot range
-    /// otherwise — so shards partition the pre-delta probe work instead
-    /// of duplicating it (the ROADMAP's mid-body delta item, E5's
-    /// shape). Either way the shards are top-down subranges of the
-    /// sequential engine's descending depth-0 enumeration, which is what
-    /// keeps the merge order — and hence row ids and justifications —
-    /// sequential-identical.
-    fn shard0_range(&self, pi: usize, d: usize) -> (usize, usize) {
-        let step0 = &self.plans[pi].steps[0];
-        if d == 0 {
-            (self.old_hi[step0.rel], self.rels[step0.rel].num_rows())
-        } else {
-            (0, self.rels[step0.rel].num_rows())
-        }
+    /// delta atom `delta`: the first join step's snapshot range — the
+    /// delta range when the delta leads (every update item under
+    /// [`OrderMode::Planned`]), the first step's full or old range for
+    /// a mid-body delta (batch rounds — E5's shape — and updates under
+    /// the one-order modes), so shards partition the pre-delta probe
+    /// work instead of duplicating it. Either way the shards are
+    /// top-down subranges of the sequential engine's descending depth-0
+    /// enumeration, which is what keeps the merge order — and hence row
+    /// ids and justifications — sequential-identical.
+    fn shard0_range(&self, pi: usize, delta: Delta) -> (usize, usize) {
+        snapshot_range(&self.rels, &self.old_hi, self.plan_for(pi, delta), 0, delta)
     }
 
     /// Runs one parallel iteration over `items`, returning the number of
@@ -2748,12 +2822,11 @@ impl Materialization {
         threads: usize,
         shards: usize,
         spare: &mut Vec<ShardTask>,
-        items: &[(usize, usize)],
-        update: bool,
+        items: &[(usize, Delta)],
     ) -> u64 {
         let mut tasks: Vec<ShardTask> = Vec::new();
-        for &(pi, d) in items {
-            let (slo, shi) = self.shard0_range(pi, d);
+        for &(pi, delta) in items {
+            let (slo, shi) = self.shard0_range(pi, delta);
             for (si, &(lo, hi)) in shard_ranges(slo, shi, shards).iter().enumerate() {
                 // The lead shard always runs (it accounts the depth-0
                 // probe even over an empty range, exactly like the
@@ -2763,8 +2836,8 @@ impl Materialization {
                     continue;
                 }
                 let mut t = spare.pop().unwrap_or_default();
-                t.plan_i = pi;
-                t.delta_pos = d;
+                t.rule = pi;
+                t.delta = delta;
                 t.range = (lo, hi);
                 t.lead = si == 0;
                 t.counters = Counters::default();
@@ -2774,39 +2847,18 @@ impl Materialization {
             }
         }
         {
-            let plans = &self.plans;
-            let rels = &self.rels;
-            let idxs = &self.idxs;
-            let old_hi = &self.old_hi;
-            let record = self.prov.is_some();
-            let cfg = self.planner;
+            let this = &*self;
             let pool = pool.get_or_insert_with(|| ThreadPool::new(threads));
             pool.scope(|s| {
                 for t in tasks.iter_mut() {
                     s.execute(move || {
-                        let ShardTask {
-                            plan_i,
-                            delta_pos,
-                            range,
-                            scratch,
-                            pending,
-                            counters,
-                            ..
-                        } = t;
-                        eval_rule_shard(
-                            plans,
-                            rels,
-                            idxs,
-                            old_hi,
-                            *plan_i,
-                            Some(*delta_pos),
-                            Some(*range),
-                            update,
-                            record,
-                            cfg,
-                            scratch,
-                            pending,
-                            counters,
+                        this.eval_rule_shard(
+                            t.rule,
+                            t.delta,
+                            Some(t.range),
+                            &mut t.scratch,
+                            &mut t.pending,
+                            &mut t.counters,
                         );
                     });
                 }
@@ -2848,8 +2900,8 @@ impl Materialization {
     /// for already-extended ones the call is an idempotence check —
     /// [`IncrementalIndex::set_segmented`] rejects an actual flip. Every
     /// path that registers indexes (construction, restore, rule adds,
-    /// re-plans, re-derivation compilation, view linking) runs this
-    /// before the new indexes are extended.
+    /// re-derivation compilation, view linking) runs this before the
+    /// new indexes are extended.
     fn apply_index_layout(&mut self) {
         let seg = self.planner.segmented;
         for idx in &mut self.idxs {
@@ -2968,36 +3020,63 @@ impl Materialization {
         appended
     }
 
-    /// Evaluates one rule with an optional delta position over the full
+    /// Evaluates one rule with delta atom `delta` over the full
     /// first-step range (the sequential engines' unit of work).
     fn eval_rule(
         &mut self,
-        plan_i: usize,
-        delta_pos: Option<usize>,
-        update: bool,
+        rule: usize,
+        delta: Delta,
         scratch: &mut Scratch,
         pending: &mut PendingTuples,
     ) {
         let mut counters = Counters::default();
-        eval_rule_shard(
-            &self.plans,
-            &self.rels,
-            &self.idxs,
-            &self.old_hi,
-            plan_i,
-            delta_pos,
-            None,
-            update,
-            self.prov.is_some(),
-            self.planner,
-            scratch,
-            pending,
-            &mut counters,
-        );
+        self.eval_rule_shard(rule, delta, None, scratch, pending, &mut counters);
         self.stats.join_probes += counters.pre + counters.post;
         self.stats.rule_firings += counters.firings;
         self.tc_hits += counters.tc_hits;
         self.tc_rows += counters.tc_rows;
+    }
+
+    /// Evaluates one rule with delta atom `delta`, the first join step
+    /// optionally restricted to the row subrange `shard0` (the parallel
+    /// engine's unit of work; `None` sequentially). The store is only
+    /// read, so any number of shards may run concurrently; derived rows
+    /// go to the caller's staging buffer and counters.
+    fn eval_rule_shard(
+        &self,
+        rule: usize,
+        delta: Delta,
+        shard0: Option<(usize, usize)>,
+        scratch: &mut Scratch,
+        pending: &mut PendingTuples,
+        counters: &mut Counters,
+    ) {
+        let plan = self.plan_for(rule, delta);
+        let cfg = self.planner;
+        scratch.env.resize(plan.num_slots, Const(0));
+        scratch.rows.resize(plan.steps.len(), 0);
+        if cfg.staged_filter {
+            if cfg.segmented {
+                scratch.staged.begin();
+            } else {
+                scratch.staged_legacy.clear();
+            }
+        }
+        let ctx = JoinCtx {
+            rels: &self.rels,
+            idxs: &self.idxs,
+            old_hi: &self.old_hi,
+            delta,
+            shard0,
+            rule,
+            record: self.prov.is_some(),
+            cfg,
+        };
+        if cfg.tc_kernel && plan.tc {
+            tc_kernel(plan, &ctx, scratch, pending, counters);
+        } else {
+            descend(plan, 0, &ctx, scratch, pending, counters);
+        }
     }
 
     // -----------------------------------------------------------------
@@ -3125,72 +3204,18 @@ impl Materialization {
 // The join
 // ---------------------------------------------------------------------
 
-/// Evaluates one rule with an optional delta position, the first join
-/// step optionally restricted to the row subrange `shard0` (the parallel
-/// engine's unit of work; `None` sequentially). `update` applies the
-/// watermark snapshot convention to EDB steps too (incremental rounds).
-/// Shared state is read-only, so any number of shards may run
-/// concurrently; derived rows go to the caller's staging buffer and
-/// counters.
-#[allow(clippy::too_many_arguments)]
-fn eval_rule_shard(
-    plans: &[RulePlan],
-    rels: &[ColumnarRelation],
-    idxs: &[IncrementalIndex],
-    old_hi: &[usize],
-    plan_i: usize,
-    delta_pos: Option<usize>,
-    shard0: Option<(usize, usize)>,
-    update: bool,
-    record: bool,
-    cfg: PlannerConfig,
-    scratch: &mut Scratch,
-    pending: &mut PendingTuples,
-    counters: &mut Counters,
-) {
-    let plan = &plans[plan_i];
-    scratch.env.resize(plan.num_slots, Const(0));
-    scratch.rows.resize(plan.steps.len(), 0);
-    if cfg.staged_filter {
-        if cfg.segmented {
-            scratch.staged.begin();
-        } else {
-            scratch.staged_legacy.clear();
-        }
-    }
-    let ctx = JoinCtx {
-        rels,
-        idxs,
-        old_hi,
-        delta_pos,
-        shard0,
-        update,
-        plan_i,
-        record,
-        cfg,
-    };
-    if cfg.tc_kernel && plan.tc {
-        tc_kernel(plan, &ctx, scratch, pending, counters);
-    } else {
-        descend(plan, 0, &ctx, scratch, pending, counters);
-    }
-}
-
 /// Borrowed engine state for one rule-evaluation pass.
 struct JoinCtx<'a> {
     rels: &'a [ColumnarRelation],
     idxs: &'a [IncrementalIndex],
     old_hi: &'a [usize],
-    delta_pos: Option<usize>,
+    /// The delta atom of this pass (and with it the range convention).
+    delta: Delta,
     /// Row-range restriction of the **first** join step (one shard of
     /// the parallel engine's depth-0 partition; `None` sequentially).
     shard0: Option<(usize, usize)>,
-    /// Incremental round: watermark snapshots apply to every step, EDB
-    /// included (the batch engine's EDB relations never change, so its
-    /// EDB steps always read the full relation).
-    update: bool,
-    /// Index of the plan being evaluated (= the rule index).
-    plan_i: usize,
+    /// The rule slot being evaluated (recorded in justifications).
+    rule: usize,
     /// Whether to stage justifications alongside derived tuples.
     record: bool,
     /// The planner features live for this evaluation.
@@ -3198,28 +3223,53 @@ struct JoinCtx<'a> {
 }
 
 impl JoinCtx<'_> {
-    /// Snapshot row range for one step ("last delta occurrence"
-    /// convention: steps before the delta read the full relation, the
-    /// delta step reads its delta range, steps after read `[0, old_hi)`).
-    /// Batch rounds apply it to IDB steps only; incremental rounds to
-    /// every step. A parallel shard additionally restricts the first
-    /// step to its subrange (the subranges partition exactly this range).
-    fn step_range(&self, step: &Step, depth: usize) -> (usize, usize) {
-        let rel = &self.rels[step.rel];
-        let (lo, hi) = if !(step.idb || self.update) {
-            (0, rel.num_rows())
-        } else {
-            match self.delta_pos {
-                None => (0, rel.num_rows()),
-                Some(d) if depth == d => (self.old_hi[step.rel], rel.num_rows()),
-                Some(d) if depth < d => (0, rel.num_rows()),
-                Some(_) => (0, self.old_hi[step.rel]),
-            }
-        };
+    /// The row range the step at `depth` reads: its snapshot range
+    /// ([`snapshot_range`]), which a parallel shard additionally
+    /// restricts to its subrange at the first step (the subranges
+    /// partition exactly that range).
+    fn step_range(&self, plan: &RulePlan, depth: usize) -> (usize, usize) {
         match self.shard0 {
             Some(r) if depth == 0 => r,
-            _ => (lo, hi),
+            _ => snapshot_range(self.rels, self.old_hi, plan, depth, self.delta),
         }
+    }
+}
+
+/// Snapshot row range of the step at `depth` of `plan` under the "last
+/// delta occurrence" convention: atoms before the delta atom read the
+/// full relation, the delta atom reads its delta range `[old_hi, len)`,
+/// atoms after it read the old part `[0, old_hi)` — so every new
+/// combination of rows is enumerated exactly once across a rule's delta
+/// positions.
+///
+/// "Before" is **step depth** in a batch round: every delta position of
+/// a rule shares the one batch order, so depth is a consistent total
+/// order (and EDB steps, whose relations a batch never changes, read
+/// full). In an update round it is **body position**: each delta
+/// position has its own step order, and by depth `anc(X,Z), anc(Z,Y)`
+/// with both plans delta-first would read the old part on both sides and
+/// lose every (Δ, Δ) combination. Under [`OrderMode::Original`] the two
+/// coincide.
+fn snapshot_range(
+    rels: &[ColumnarRelation],
+    old_hi: &[usize],
+    plan: &RulePlan,
+    depth: usize,
+    delta: Delta,
+) -> (usize, usize) {
+    let step = &plan.steps[depth];
+    let rows = rels[step.rel].num_rows();
+    let (pos, delta_pos) = match delta {
+        Delta::Full => return (0, rows),
+        Delta::Batch(_) if !step.idb => return (0, rows),
+        Delta::Batch(d) => (depth, d),
+        Delta::Update(k) => (plan.body_of_step[depth], k),
+    };
+    let old = old_hi[step.rel];
+    match pos.cmp(&delta_pos) {
+        std::cmp::Ordering::Less => (0, rows),
+        std::cmp::Ordering::Equal => (old, rows),
+        std::cmp::Ordering::Greater => (0, old),
     }
 }
 
@@ -3284,7 +3334,7 @@ fn stage_head(
     if ctx.record {
         // The justification, packed: this rule, then the row matched
         // for each body atom in rule-text order.
-        pending.just.push(ctx.plan_i as u32);
+        pending.just.push(ctx.rule as u32);
         for &d in plan.step_of_body.iter() {
             pending.just.push(scratch.rows[d]);
         }
@@ -3320,7 +3370,7 @@ fn descend(
     }
     let step = &plan.steps[depth];
     let rel = &ctx.rels[step.rel];
-    let (lo, hi) = ctx.step_range(step, depth);
+    let (lo, hi) = ctx.step_range(plan, depth);
 
     // The depth-0 probe is identical in every shard (`pre`, accounted
     // once from the lead shard); deeper probes are partitioned by the
@@ -3429,8 +3479,8 @@ fn tc_kernel(
     let rel0 = &ctx.rels[step0.rel];
     let rel1 = &ctx.rels[step1.rel];
     let idx1 = &ctx.idxs[step1.idx];
-    let (lo0, hi0) = ctx.step_range(step0, 0);
-    let (lo1, hi1) = ctx.step_range(step1, 1);
+    let (lo0, hi0) = ctx.step_range(plan, 0);
+    let (lo1, hi1) = ctx.step_range(plan, 1);
     // `tc_shape` guarantees exactly these shapes.
     let (Action::Bind { pos: apos, slot: aslot }, Action::Bind { pos: bpos, slot: bslot }) =
         (step0.actions[0], step0.actions[1])
@@ -3574,82 +3624,193 @@ mod tests {
         reference::evaluate(p, db, Strategy::SemiNaive).idb.sorted_models()
     }
 
-    /// The stats-staleness regression: adaptive re-planning must never
-    /// move existing rows — row ids are provenance currency
-    /// (justifications, snapshots, view links), so a re-plan may only
-    /// change *future* join orders. Interleaves churn that drives
-    /// `par` far past the 2x+16 drift threshold (forcing re-plans at
-    /// round boundaries) with retractions, snapshotting every
-    /// relation's flat row data before each round and asserting the
-    /// old prefix is bit-identical after — while the model and the
-    /// recorded justifications track the from-scratch oracle.
-    /// Compaction is disabled so any row movement could only come from
-    /// a re-plan bug, not a legitimate remap.
-    #[test]
-    fn replanning_is_row_id_stable_under_churn() {
-        let mut p = parse_program(SRC_A).unwrap();
-        let par = p.symbols.get_predicate("par").unwrap();
-        // Start tiny: the initial plan is built on near-empty
-        // cardinalities, so growth is guaranteed to look like drift.
-        let seed_edges = chain_edges(&mut p, 4);
-        let mut db = Database::new();
-        for e in &seed_edges {
-            db.insert(par, e.clone());
-        }
-        let mut m = Materialization::from_database(&p, &db, Strategy::SemiNaive);
-        m.set_compaction_policy(None);
-        assert_eq!(m.planner_report().replans, 0);
+    /// One plan's shape: step order, the `(relation, index mask)` probed
+    /// per step, kernel flag. Index *ids* are left out on purpose: they
+    /// depend on registration order, which a restore legitimately
+    /// changes.
+    type PlanShape = (Vec<usize>, Vec<(usize, Vec<usize>)>, bool);
 
-        let mut live: Vec<Tuple> = seed_edges.clone();
-        let mut tail = *seed_edges.last().unwrap().last().unwrap();
-        for round in 0..4usize {
-            let before: Vec<(usize, Vec<Const>)> = m
-                .rels
+    /// The shape of every compiled plan — per rule slot the batch plan
+    /// followed by its update plans.
+    fn plan_shapes(m: &Materialization) -> Vec<Vec<PlanShape>> {
+        let shape = |plan: &RulePlan| {
+            let steps = plan
+                .steps
                 .iter()
-                .map(|r| (r.num_rows(), r.data().to_vec()))
-                .collect();
-
-            // Extend the chain by 30 fresh nodes (~2.5x growth the
-            // first round — past `new > 2*old + 16`), then retract two
-            // of the freshly inserted edges, splitting the chain.
-            let fan: Vec<Tuple> = (0..30)
-                .map(|i| {
-                    let c = p.symbols.constant(&format!("r{round}n{i}"));
-                    let t = vec![tail, c];
-                    tail = c;
-                    t
+                .map(|s| {
+                    let mask = if s.idx == crate::plan::NO_INDEX {
+                        Vec::new()
+                    } else {
+                        m.idxs[s.idx].mask().to_vec()
+                    };
+                    (s.rel, mask)
                 })
                 .collect();
-            assert_eq!(m.insert_facts(par, &fan), fan.len());
-            live.extend(fan.iter().cloned());
-            let dropped = [fan[7].clone(), fan[19].clone()];
-            assert_eq!(m.retract_facts(par, &dropped), 2);
-            live.retain(|t| !dropped.contains(t));
+            (plan.body_of_step.to_vec(), steps, plan.tc)
+        };
+        m.plans
+            .iter()
+            .enumerate()
+            .map(|(i, batch)| {
+                std::iter::once(batch).chain(&m.delta_plans[i]).map(shape).collect()
+            })
+            .collect()
+    }
 
-            // Row-id stability: every pre-round row is still at its id
-            // with its exact data (retraction tombstones, never moves).
-            for (rel, (n, data)) in m.rels.iter().zip(&before) {
-                assert!(rel.num_rows() >= *n, "rows must only be appended");
-                assert_eq!(
-                    &rel.data()[..data.len()],
-                    &data[..],
-                    "a re-plan moved already-derived rows"
-                );
-            }
-
-            let mut mirror = Database::new();
-            for t in &live {
-                mirror.insert(par, t.clone());
-            }
-            assert_eq!(sorted_model(&m.idb_database()), spec_idb(&p, &mirror));
-            m.provenance()
-                .check(&p)
-                .expect("justifications stay valid across re-plans");
+    /// Plans are static and a pure function of persisted state: a store
+    /// restored mid-stream compiles exactly the live store's batch and
+    /// update plans (rule adds included) and from then on does
+    /// bit-identical work — same row ids, same justifications, same
+    /// counters — through inserts, retracts, rule drops and adds, and
+    /// the compactions the policy triggers along the way.
+    #[test]
+    fn delta_plans_survive_restore_and_churn() {
+        let mut p = parse_program(
+            "?- p(c, Y).\n\
+             p(X, Y) :- b1(X, X1), b2(X1, Y).\n\
+             p(X, Y) :- b1(X, X1), p(X1, Y1), b2(Y1, Y).",
+        )
+        .unwrap();
+        let b1 = p.symbols.get_predicate("b1").unwrap();
+        let b2 = p.symbols.get_predicate("b2").unwrap();
+        let pp = p.symbols.get_predicate("p").unwrap();
+        let b3 = p.symbols.predicate("b3");
+        // A b1-chain of 6 from c into a b2-chain of 6, plus side pairs.
+        let mut names = vec!["c".to_owned()];
+        names.extend((1..=12).map(|i| format!("n{i}")));
+        let node: Vec<Const> = names.iter().map(|n| p.symbols.constant(n)).collect();
+        let side: Vec<(Const, Const)> = (0..40)
+            .map(|i| {
+                (
+                    p.symbols.constant(&format!("sa{i}")),
+                    p.symbols.constant(&format!("sb{i}")),
+                )
+            })
+            .collect();
+        let mut db = Database::new();
+        for i in 0..6 {
+            db.insert(b1, vec![node[i], node[i + 1]]);
+            db.insert(b2, vec![node[6 + i], node[7 + i]]);
         }
-        assert!(
-            m.planner_report().replans > 0,
-            "churn this steep must have crossed the drift threshold"
-        );
+        for &(a, b) in &side[..8] {
+            db.insert(b1, vec![a, b]);
+            db.insert(b2, vec![b, a]);
+        }
+        let pair = |r: UpdateRound, (a, b): (Const, Const), insert: bool| {
+            if insert {
+                r.insert(b1, vec![a, b]).insert(b2, vec![b, a])
+            } else {
+                r.retract(b1, vec![a, b]).retract(b2, vec![b, a])
+            }
+        };
+        let xy = vec![Term::Var(Var(0)), Term::Var(Var(1))];
+        let added = Rule {
+            head: Atom { pred: pp, args: xy.clone() },
+            body: vec![Atom { pred: b3, args: xy }],
+        };
+        let rounds: Vec<UpdateRound> = vec![
+            // Irrelevant pairs in, the middle of the relevant chain out.
+            side[8..24].iter().fold(UpdateRound::new(), |r, &s| pair(r, s, true)),
+            UpdateRound::new().retract(b1, vec![node[3], node[4]]),
+            // A rule over a brand-new EDB predicate, fed in the same round.
+            UpdateRound::new()
+                .add_rule(added)
+                .insert(b3, vec![node[0], node[12]])
+                .insert(b1, vec![node[3], node[4]]),
+            // -- the snapshot is taken here --
+            side[..20].iter().fold(UpdateRound::new(), |r, &s| pair(r, s, false)),
+            side[24..40]
+                .iter()
+                .fold(UpdateRound::new().retract(b2, vec![node[8], node[9]]), |r, &s| {
+                    pair(r, s, true)
+                }),
+            UpdateRound::new().drop_rule(RuleId(0)),
+            UpdateRound::new()
+                .insert(b2, vec![node[8], node[9]])
+                .insert(b3, vec![node[1], node[2]]),
+        ];
+
+        let mut live = Materialization::from_database(&p, &db, Strategy::SemiNaive);
+        // Low enough that retracting the side pairs compacts the store.
+        live.set_compaction_policy(Some(CompactionPolicy { min_dead_rows: 8, dead_percent: 20 }));
+        for round in &rounds[..3] {
+            live.apply(round);
+        }
+        let mut restored = Materialization::from_bytes(&live.to_bytes()).unwrap();
+        assert_eq!(plan_shapes(&restored), plan_shapes(&live));
+        // Every rule slot — the added one too — has one update plan per
+        // body atom, led by that atom.
+        for (i, rule) in live.rules.iter().enumerate() {
+            let leads: Vec<usize> =
+                live.delta_plans[i].iter().map(|pl| pl.body_of_step[0]).collect();
+            assert_eq!(leads, (0..rule.body.len()).collect::<Vec<_>>());
+        }
+        for round in &rounds[3..] {
+            assert_eq!(live.apply(round), restored.apply(round));
+            for (a, b) in live.rels.iter().zip(&restored.rels) {
+                assert_eq!(a.data(), b.data(), "row ids diverged");
+            }
+            assert_eq!(live.provenance(), restored.provenance());
+            assert_eq!(live.stats(), restored.stats(), "restored store did different work");
+            assert_eq!(plan_shapes(&restored), plan_shapes(&live));
+        }
+        assert!(live.compactions() > 0, "the stream was meant to cross the policy");
+        assert_eq!(live.to_bytes(), restored.to_bytes());
+        // And the stream ended where a from-scratch evaluation of the
+        // edited program over the edited database does.
+        let mut edited = p.clone();
+        edited.rules.push(live.rules[2].clone());
+        edited.rules.remove(0);
+        let mut mirror = Database::new();
+        for (pred, name) in [(b1, "b1"), (b2, "b2"), (b3, "b3")] {
+            for row in live.database().relation(pred).expect(name).iter() {
+                mirror.insert(pred, row.to_vec());
+            }
+        }
+        assert_eq!(sorted_model(&live.idb_database()), spec_idb(&edited, &mirror));
+    }
+
+    /// The (Δ, Δ) case. With one step order per delta position, "before
+    /// the delta reads full, after it reads old" has to mean *rule-text*
+    /// position: by step depth, both delta-first plans of
+    /// `anc(X,Z), anc(Z,Y)` would read the old part on the other side
+    /// and every combination of two new rows would be lost. Loading a
+    /// whole chain in one round makes every longer path exactly such a
+    /// combination.
+    #[test]
+    fn delta_delta_combinations_are_not_lost() {
+        let mut p = parse_program(
+            "?- anc(john, Y).\n\
+             anc(X, Y) :- par(X, Y).\n\
+             anc(X, Y) :- anc(X, Z), anc(Z, Y).",
+        )
+        .unwrap();
+        let par = p.symbols.get_predicate("par").unwrap();
+        let edges = chain_edges(&mut p, 9);
+        let mut mirror = Database::new();
+        for e in &edges {
+            mirror.insert(par, e.clone());
+        }
+        let want = spec_idb(&p, &mirror);
+        let run = |strategy: Strategy| {
+            let mut m = Materialization::new(&p, strategy);
+            m.insert_facts(par, &edges[..5]);
+            m.insert_facts(par, &edges[5..]);
+            m
+        };
+        let seq = run(Strategy::SemiNaive);
+        assert_eq!(sorted_model(&seq.idb_database()), want);
+        assert_eq!(seq.answer().len(), 9);
+        seq.provenance().check(&p).expect("valid");
+        for strategy in [
+            Strategy::SemiNaiveParallel { threads: 2 },
+            Strategy::SemiNaiveSharded { threads: 2, shards: 7 },
+        ] {
+            let m = run(strategy);
+            assert_eq!(sorted_model(&m.idb_database()), want, "{strategy:?}");
+            assert_eq!(m.provenance(), seq.provenance(), "{strategy:?}");
+            assert_eq!(m.stats(), seq.stats(), "{strategy:?}");
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! No external dependencies: the codec is a hand-rolled little-endian
 //! writer/reader pair, the checksum is FNV-1a 64.
 //!
-//! # File format (version 1)
+//! # File format (version 3)
 //!
 //! All integers are little-endian. The file is one self-delimiting
 //! container:
@@ -14,7 +14,7 @@
 //! | offset        | bytes | contents                                      |
 //! |---------------|-------|-----------------------------------------------|
 //! | `0`           | 8     | magic `b"SPROPMAT"`                           |
-//! | `8`           | 4     | format version (`u32`, currently 1)           |
+//! | `8`           | 4     | format version (`u32`, currently 3)           |
 //! | `12`          | 8     | total file length (`u64`, magic → checksum)   |
 //! | `20`          | n     | payload sections (below)                      |
 //! | `len - 8`     | 8     | checksum of bytes `[0, len - 8)` (`fnv1a64`,
@@ -45,30 +45,41 @@
 //! 7. **Convergence profile** — count + `u64` per productive iteration.
 //! 8. **Compaction policy** — presence `u8`, then `min_dead_rows u64`,
 //!    `dead_percent u32`.
-//! 9. **Relations** — count, then per dense relation id: predicate
-//!    `u32`, IDB flag `u8`, arity `u64`, row count `u64`, watermark
-//!    `u64`, the flat row-major tuple data (`rows × arity` × `u32`),
-//!    tombstone bitset (word count + `u64` words), tombstoned-row count
-//!    `u64`, relation epoch `u64`, and the death-epoch tags as count +
-//!    `(row u32, epoch u64)` pairs sorted by row id (deterministic
-//!    bytes).
-//! 10. **Justifications** — presence `u8`, then per relation its packed
+//! 9. **Planner** (since version 2) — order mode tag `u8` (0 original,
+//!    1 planned, 2 shuffled + its `u64` seed), five feature flags `u8`
+//!    (staged filter, suffix prune, kernel, productive firings, and —
+//!    since version 3 — the segmented storage layout), then per rule
+//!    slot the batch plan's body permutation (count + `u32` step depth
+//!    of each body atom), then the per-relation build-time
+//!    cardinalities (count + `u64`s) the update plans break ties by.
+//! 10. **Relations** — count, then per dense relation id: predicate
+//!     `u32`, IDB flag `u8`, arity `u64`, row count `u64`, watermark
+//!     `u64`, the flat row-major tuple data (`rows × arity` × `u32`),
+//!     tombstone bitset (word count + `u64` words), tombstoned-row
+//!     count `u64`, relation epoch `u64`, and the death-epoch tags as
+//!     count + `(row u32, epoch u64)` pairs sorted by row id
+//!     (deterministic bytes).
+//! 11. **Justifications** — presence `u8`, then per relation its packed
 //!     store: offsets (count + `u32`s) and buffer (count + `u32`s).
 //!
 //! Deliberately **not** serialized (rebuilt on restore): the dedup
 //! tables (probe-history-dependent slot layout; write-path state, so
 //! the rebuild is deferred to the first mutating round after restore),
 //! the join indexes and index registry (re-hashed from the rows,
-//! frozen posting segments included), compiled rule and re-derivation
-//! plans (recompiled from the rules), and the reverse dependency index
-//! (lazy). Restore therefore returns at the exact persisted fixpoint
-//! without any re-evaluation: the expensive state is the rows and
-//! justifications, which round-trip bit-for-bit.
+//! frozen posting segments included — the batch plans' at restore, the
+//! ones only update plans probe at the first round or view link that
+//! needs them), compiled batch, update and
+//! re-derivation plans (recompiled from the rules, the persisted body
+//! permutations and the persisted cardinalities), and the reverse
+//! dependency index (lazy). Restore therefore returns at the exact
+//! persisted fixpoint without any re-evaluation: the expensive state is
+//! the rows and justifications, which round-trip bit-for-bit.
 
 use std::fmt;
 use std::fs;
 use std::io::{self, Read, Write};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The 8-byte magic prefix of every snapshot file.
 pub(crate) const MAGIC: [u8; 8] = *b"SPROPMAT";
@@ -388,10 +399,18 @@ pub(crate) fn open(bytes: &[u8]) -> Result<Dec<'_>, PersistError> {
 /// temporary file in the same directory, is flushed to disk, and is
 /// `rename`d over the destination — so a crash mid-write leaves either
 /// the previous snapshot or no file, never a torn one (POSIX rename is
-/// atomic within a filesystem).
+/// atomic within a filesystem). The temporary name is unique per
+/// writer (process id + a process-wide counter), so concurrent savers to
+/// one destination each rename a complete image of their own instead of
+/// tearing a shared `<path>.tmp`; the last rename wins.
 pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    static WRITERS: AtomicU64 = AtomicU64::new(0);
     let mut tmp_name = path.as_os_str().to_os_string();
-    tmp_name.push(".tmp");
+    tmp_name.push(format!(
+        ".{}.{}.tmp",
+        std::process::id(),
+        WRITERS.fetch_add(1, Ordering::Relaxed)
+    ));
     let tmp = std::path::PathBuf::from(tmp_name);
     let res = (|| {
         let mut f = fs::File::create(&tmp)?;
@@ -493,11 +512,30 @@ mod tests {
 
         // A simulated crash mid-write (torn temp file never renamed)
         // leaves the previous snapshot intact and readable.
-        let mut tmp_name = path.as_os_str().to_os_string();
-        tmp_name.push(".tmp");
-        fs::write(std::path::PathBuf::from(tmp_name), &first[..5]).unwrap();
+        fs::write(dir.join("snap.bin.0.0.tmp"), &first[..5]).unwrap();
         assert_eq!(read_file(&path).unwrap(), second);
         open(&read_file(&path).unwrap()).expect("previous snapshot still valid");
+
+        // Completed writes leave no temp file behind, and two writers
+        // to one destination never share a temp name.
+        let leftovers: Vec<_> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .filter(|n| n != "snap.bin" && n != "snap.bin.0.0.tmp")
+            .collect();
+        assert!(leftovers.is_empty(), "{leftovers:?}");
+        std::thread::scope(|s| {
+            for img in [&first, &second] {
+                let path = &path;
+                s.spawn(move || {
+                    for _ in 0..50 {
+                        write_atomic(path, img).unwrap();
+                    }
+                });
+            }
+        });
+        let last = read_file(&path).unwrap();
+        assert!(last == first || last == second, "a concurrent save tore the file");
 
         let _ = fs::remove_dir_all(&dir);
     }

@@ -14,14 +14,36 @@
 //! - **Selectivity-aware body reordering** (`body_order`): join steps
 //!   are ordered greedily, preferring atoms with the most bound
 //!   positions (constants + variables bound by earlier steps), breaking
-//!   ties toward the smaller live relation and then the original
-//!   position. Cardinalities come from the live store
-//!   ([`crate::storage::ColumnarRelation::num_live`]); the reference
-//!   engine computes the same order from the input database, so work
-//!   counters stay bit-for-bit comparable. Plans are immutable per
-//!   round: the materialization re-plans only at update-round
-//!   boundaries, when the cardinalities drift past a threshold — and a
-//!   re-plan never touches existing rows or justifications.
+//!   ties toward the smaller relation and then the original position.
+//!   This is the **batch plan**, one per rule: in a batch fixpoint a
+//!   whole relation passes through as delta, so leading with the small
+//!   (magic) relation is right. Cardinalities are the row counts after
+//!   the EDB load ([`crate::storage::ColumnarRelation::num_live`]); the
+//!   reference engine computes the same order from the input database,
+//!   so work counters stay bit-for-bit comparable.
+//! - **Delta-first update plans** (`delta_plans`): a maintained store
+//!   additionally compiles, for every rule, one plan per body position
+//!   `k` with atom `k` **leading** and the remaining atoms in the same
+//!   greedy order. An update round runs its `(rule, k)` items through
+//!   these, so the delta — a handful of rows — is scanned at depth 0
+//!   and everything else is probed keyed: a round costs O(|Δ| +
+//!   derivations), never a scan of the store. Snapshot ranges of an
+//!   update plan follow **rule-text order** (atom `j < k` reads the
+//!   full relation, `j > k` its old part — `RulePlan::body_of_step`),
+//!   because with a different step order per `k` a by-depth rule would
+//!   count a (Δ, Δ) combination twice or not at all.
+//!   [`OrderMode::Original`] and [`OrderMode::Shuffled`] keep their one
+//!   order per rule and run updates through it with the delta mid-body.
+//!   One run-time choice sits on top, in a magic-set *view* only: base
+//!   churn that the batch plan joins directly behind its lead (the
+//!   magic guard) is met from whichever of the two sides is smaller —
+//!   both enumerate the same pairs, so nothing is estimated
+//!   (`Materialization::plan_for`).
+//!   All plans are **static**: compiled where the store is built (or a
+//!   rule is added, or a snapshot restored — from the persisted
+//!   build-time cardinalities, so a restored store does identical
+//!   work) and never revised; every index an update will ever probe is
+//!   registered up front and filled by the initial fixpoint.
 //! - **Staged-head existence ordering**: `RulePlan::head_ready_depth`
 //!   marks the first join depth at which every head position is bound;
 //!   when that is before the last step, the join probes the head
@@ -199,6 +221,9 @@ pub(crate) struct RulePlan {
     /// `k`. Staging permutes the per-depth matched rows through this
     /// map so justifications are always recorded in rule-text order.
     pub(crate) step_of_body: Box<[usize]>,
+    /// The inverse: `body_of_step[d]` = the original body atom run at
+    /// step depth `d`. Update rounds key their snapshot ranges on it.
+    pub(crate) body_of_step: Box<[usize]>,
     /// First join depth at which every head position is bound (0 =
     /// before any step; `steps.len()` = only at full instantiation).
     pub(crate) head_ready_depth: usize,
@@ -245,42 +270,51 @@ pub(crate) struct RederivePlan {
 /// atom with the most bound argument positions (constants plus
 /// variables bound by already-chosen atoms), breaking ties toward the
 /// smaller relation cardinality and then the earlier textual position.
+/// With `lead = Some(k)` the first pick is forced to atom `k` (the
+/// delta atom of an update plan) and the greedy choice orders the rest.
 ///
-/// Pure and deterministic in `(rule, card)` — the engine calls it with
-/// live row counts, the reference evaluator with database sizes, and
-/// both get the same permutation because IDB relations count 0 at
-/// compile time on both sides.
-pub(crate) fn order_body(rule: &Rule, card: &mut dyn FnMut(Pred) -> u64) -> Vec<usize> {
+/// Pure and deterministic in `(rule, lead, card)` — the engine calls it
+/// with build-time row counts, the reference evaluator with database
+/// sizes, and both get the same permutation because IDB relations count
+/// 0 at compile time on both sides.
+pub(crate) fn order_body(
+    rule: &Rule,
+    lead: Option<usize>,
+    card: &mut dyn FnMut(Pred) -> u64,
+) -> Vec<usize> {
     let n = rule.body.len();
     let mut chosen = vec![false; n];
     let mut bound: Vec<Var> = Vec::new();
     let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let mut best: Option<(usize, usize, u64)> = None;
-        for (ai, atom) in rule.body.iter().enumerate() {
-            if chosen[ai] {
-                continue;
+    for pick in 0..n {
+        let forced = lead.filter(|_| pick == 0);
+        let ai = forced.unwrap_or_else(|| {
+            let mut best: Option<(usize, usize, u64)> = None;
+            for (ai, atom) in rule.body.iter().enumerate() {
+                if chosen[ai] {
+                    continue;
+                }
+                let b = atom
+                    .args
+                    .iter()
+                    .filter(|t| match t {
+                        Term::Const(_) => true,
+                        Term::Var(v) => bound.contains(v),
+                    })
+                    .count();
+                let c = card(atom.pred);
+                // Strict comparisons: first-seen (lowest textual
+                // position) wins ties.
+                let better = match best {
+                    None => true,
+                    Some((_, bb, bc)) => b > bb || (b == bb && c < bc),
+                };
+                if better {
+                    best = Some((ai, b, c));
+                }
             }
-            let b = atom
-                .args
-                .iter()
-                .filter(|t| match t {
-                    Term::Const(_) => true,
-                    Term::Var(v) => bound.contains(v),
-                })
-                .count();
-            let c = card(atom.pred);
-            // Strict comparisons: first-seen (lowest textual position)
-            // wins ties.
-            let better = match best {
-                None => true,
-                Some((_, bb, bc)) => b > bb || (b == bb && c < bc),
-            };
-            if better {
-                best = Some((ai, b, c));
-            }
-        }
-        let (ai, _, _) = best.expect("nonempty body");
+            best.expect("nonempty body").0
+        });
         chosen[ai] = true;
         for t in &rule.body[ai].args {
             if let Term::Var(v) = t {
@@ -323,7 +357,7 @@ pub(crate) fn body_order(
 ) -> Vec<usize> {
     match mode {
         OrderMode::Original => (0..rule.body.len()).collect(),
-        OrderMode::Planned => order_body(rule, card),
+        OrderMode::Planned => order_body(rule, None, card),
         OrderMode::Shuffled(seed) => shuffled_order(rule.body.len(), seed, rule_idx),
     }
 }
@@ -518,6 +552,7 @@ pub(crate) fn compile_rule(
         idb_steps: idb_steps.into_boxed_slice(),
         body_rels,
         step_of_body: step_of_body.into_boxed_slice(),
+        body_of_step: order.into(),
         head_ready_depth: hrd,
         tc,
     }
@@ -539,6 +574,32 @@ pub(crate) fn plan_rule(
 ) -> RulePlan {
     let order = body_order(rule, rule_idx, mode, card);
     compile_rule(rule, idbs, rel_of_pred, idxs, idx_of, &order)
+}
+
+/// Compiles the **update plans** of one rule: one per body position `k`,
+/// atom `k` leading and the rest in greedy order (ties by `card`, the
+/// store's persisted build-time cardinalities, then textual position).
+/// Empty unless the mode is [`OrderMode::Planned`]: the other modes keep
+/// one order per rule, and an update runs the rule's own plan with the
+/// delta wherever that order puts it.
+pub(crate) fn plan_rule_deltas(
+    rule: &Rule,
+    idbs: &[Pred],
+    rel_of_pred: &FxHashMap<Pred, usize>,
+    idxs: &mut Vec<IncrementalIndex>,
+    idx_of: &mut FxHashMap<(usize, Vec<usize>), usize>,
+    mode: OrderMode,
+    card: &mut dyn FnMut(Pred) -> u64,
+) -> Vec<RulePlan> {
+    if mode != OrderMode::Planned {
+        return Vec::new();
+    }
+    (0..rule.body.len())
+        .map(|k| {
+            let order = order_body(rule, Some(k), card);
+            compile_rule(rule, idbs, rel_of_pred, idxs, idx_of, &order)
+        })
+        .collect()
 }
 
 /// Compiles one rule for goal-directed re-derivation: head variables are
@@ -625,15 +686,98 @@ mod tests {
         rel_of
     }
 
-    #[test]
-    fn planned_order_keeps_delta_first_on_tc() {
-        // anc is IDB (card 0), par is EDB (card 100): the recursive atom
-        // stays first — the standard semi-naive delta-front shape.
-        let rs = rules(
-            "?- anc(john, Y).\nanc(X, Y) :- par(X, Y).\nanc(X, Y) :- anc(X, Z), par(Z, Y).",
+    /// Programs A, B, C of Example 1.1 (left-linear, right-linear,
+    /// nonlinear ancestor) and the Section 7 program.
+    const SRC_A: &str =
+        "?- anc(john, Y).\nanc(X, Y) :- par(X, Y).\nanc(X, Y) :- anc(X, Z), par(Z, Y).";
+    const SRC_B: &str =
+        "?- anc(john, Y).\nanc(X, Y) :- par(X, Y).\nanc(X, Y) :- par(X, Z), anc(Z, Y).";
+    const SRC_C: &str =
+        "?- anc(john, Y).\nanc(X, Y) :- par(X, Y).\nanc(X, Y) :- anc(X, Z), anc(Z, Y).";
+    const SRC_S7: &str = "?- p(c, Y).\np(X, Y) :- b1(X, X1), b2(X1, Y).\n\
+                          p(X, Y) :- b1(X, X1), p(X1, Y1), b2(Y1, Y).";
+
+    /// `(relation, mask)` of registered indexes.
+    type IndexKeys = Vec<(usize, Vec<usize>)>;
+
+    /// The update plans of rule 1 of `src`, with EDB relations counted
+    /// large and the IDB empty (what `build` sees after the EDB load),
+    /// plus the `(relation, mask)` of every index they registered.
+    fn delta_plans_of(
+        src: &str,
+        mode: OrderMode,
+    ) -> (crate::ast::Program, Vec<RulePlan>, IndexKeys) {
+        let p = parse_program(src).unwrap();
+        let rel_of = rel_table(&p);
+        let idbs = [p.rules[1].head.pred];
+        let mut idxs = Vec::new();
+        let mut idx_of = FxHashMap::default();
+        let plans = plan_rule_deltas(
+            &p.rules[1],
+            &idbs,
+            &rel_of,
+            &mut idxs,
+            &mut idx_of,
+            mode,
+            &mut |pr: Pred| if idbs.contains(&pr) { 0 } else { 1000 },
         );
-        let mut card = |p: Pred| if p.0 == rs[1].body[1].pred.0 { 100 } else { 0 };
-        assert_eq!(order_body(&rs[1], &mut card), vec![0, 1]);
+        let registered = idxs.iter().map(|i| (i.rel(), i.mask().to_vec())).collect();
+        (p, plans, registered)
+    }
+
+    #[test]
+    fn every_delta_atom_leads_its_update_plan() {
+        for src in [SRC_A, SRC_B, SRC_C, SRC_S7] {
+            let (p, plans, _) = delta_plans_of(src, OrderMode::Planned);
+            assert_eq!(plans.len(), p.rules[1].body.len(), "{src}");
+            for (k, plan) in plans.iter().enumerate() {
+                assert_eq!(plan.body_of_step[0], k, "atom {k} leads: {src}");
+                assert_eq!(plan.step_of_body[k], 0, "{src}");
+                // Everything behind the delta is probed keyed: the
+                // update never scans a relation it was not handed.
+                for step in &plan.steps[1..] {
+                    assert!(!step.key.is_empty(), "unkeyed step behind the delta: {src}");
+                }
+                // step_of_body and body_of_step are inverse permutations.
+                for (d, &b) in plan.body_of_step.iter().enumerate() {
+                    assert_eq!(plan.step_of_body[b], d, "{src}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn section_7_update_plans_order_the_rest_by_boundness() {
+        let (p, plans, registered) = delta_plans_of(SRC_S7, OrderMode::Planned);
+        let orders: Vec<&[usize]> = plans.iter().map(|pl| &*pl.body_of_step).collect();
+        // b1 leads: p is bound on X1, then b2 on Y1. p leads: b1 and b2
+        // tie on one bound column and equal size, textual order decides.
+        // b2 leads: p is bound on Y1, then b1 on X1.
+        assert_eq!(orders, [&[0, 1, 2][..], &[1, 0, 2], &[2, 1, 0]]);
+        // The b2-led plan is the one that needs p indexed on column 1.
+        let rel_of = rel_table(&p);
+        let p_rel = rel_of[&p.rules[1].head.pred];
+        assert!(registered.contains(&(p_rel, vec![1])), "{registered:?}");
+        assert!(registered.contains(&(p_rel, vec![0])), "{registered:?}");
+    }
+
+    #[test]
+    fn tc_kernel_is_recognised_on_both_update_plans() {
+        for src in [SRC_A, SRC_B, SRC_C] {
+            let (_, plans, _) = delta_plans_of(src, OrderMode::Planned);
+            assert_eq!(plans.len(), 2);
+            for (k, plan) in plans.iter().enumerate() {
+                assert!(plan.tc, "delta atom {k}: {src}");
+            }
+        }
+    }
+
+    #[test]
+    fn one_order_modes_compile_no_update_plans() {
+        for mode in [OrderMode::Original, OrderMode::Shuffled(7)] {
+            let (_, plans, registered) = delta_plans_of(SRC_S7, mode);
+            assert!(plans.is_empty() && registered.is_empty(), "{mode:?}");
+        }
     }
 
     #[test]
@@ -645,7 +789,7 @@ mod tests {
         );
         let par = rs[1].body[0].pred;
         let mut card = |p: Pred| if p == par { 100 } else { 0 };
-        assert_eq!(order_body(&rs[1], &mut card), vec![1, 0]);
+        assert_eq!(order_body(&rs[1], None, &mut card), vec![1, 0]);
     }
 
     #[test]
@@ -656,7 +800,7 @@ mod tests {
             "?- out(Y).\nout(Y) :- reach(X), e(X, Y), e(root, Y).",
         );
         let mut card = |_: Pred| 10u64;
-        let order = order_body(&rs[0], &mut card);
+        let order = order_body(&rs[0], None, &mut card);
         assert_eq!(order[0], 2, "constant-bound atom first: {order:?}");
     }
 

@@ -19,6 +19,22 @@ use selprop_datalog::eval::Strategy;
 use selprop_datalog::{
     parse_program, Materialization, PersistError, Program, RuleId, Server,
 };
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// A fresh directory per call: the tests of this file run on parallel
+/// threads of one process, so a name made of the process id alone is
+/// shared — and one test's clean-up used to delete it under another.
+fn scratch_dir(tag: &str) -> PathBuf {
+    static CALLS: AtomicU64 = AtomicU64::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "selprop-{tag}-{}-{}",
+        std::process::id(),
+        CALLS.fetch_add(1, Ordering::Relaxed)
+    ));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
 
 const SRC: &str = "?- anc(john, Y).\n\
                    anc(X, Y) :- par(X, Y).\n\
@@ -50,8 +66,7 @@ fn interesting_snapshot() -> Vec<u8> {
     let pin = server.snapshot();
     server.retract_facts(par, &edges[6..8]);
     assert!(server.drop_rule(RuleId(1)));
-    let dir = std::env::temp_dir().join(format!("selprop-fault-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = scratch_dir("fault");
     let path = dir.join("interesting.snap");
     server.save(&path).unwrap();
     let bytes = std::fs::read(&path).unwrap();
@@ -180,8 +195,7 @@ fn sampled_faults_on_a_large_closure_snapshot() {
 
 #[test]
 fn crash_before_rename_preserves_the_previous_snapshot() {
-    let dir = std::env::temp_dir().join(format!("selprop-crash-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = scratch_dir("crash");
     let path = dir.join("store.snap");
 
     let mut p = parse_program(SRC).unwrap();
