@@ -462,7 +462,8 @@ fn models_equal(label: &str, got: &Database, want: &Database) -> Result<(), Stri
 /// closure as a live update, compare its latency against a full
 /// recompute, then retract them and verify the pre-insert store is
 /// restored — **cross-checked against a from-scratch evaluation (and
-/// the reference engine) both times**. Any drift propagates as `Err`
+/// the reference engine) both times** — at no more than four times the
+/// insert's probes. Any drift, or a dearer retract, propagates as `Err`
 /// (→ process exit 2).
 fn incremental_rows(rows: &mut Vec<Row>, smoke: bool) -> Result<(), String> {
     const SRC_A: &str =
@@ -557,6 +558,16 @@ fn incremental_rows(rows: &mut Vec<Row>, smoke: bool) -> Result<(), String> {
         ));
     }
     let retract_stats = diff_stats(m.stats(), pre_insert_stats);
+    // The rescue plans enter a body through its fan-in, so taking the
+    // edges out costs the order of putting them in. A plan that walks
+    // `anc(x, _)` per over-deleted row reads 12x here.
+    if retract_stats.join_probes > 4 * insert_stats.join_probes {
+        return Err(format!(
+            "incremental/{config}: retract({new_edges}) spent {} probes, more than 4x the {} of \
+             insert({new_edges})",
+            retract_stats.join_probes, insert_stats.join_probes
+        ));
+    }
     // Cross-check "both times": from-scratch storage engine AND the
     // reference engine on the restored database.
     let scratch0 = evaluate(&p, &db, Strategy::SemiNaive);

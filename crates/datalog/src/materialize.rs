@@ -21,8 +21,9 @@
 //!   ([`ColumnarRelation::tombstone`]), over-delete every derived row
 //!   whose recorded justification transitively uses a deleted row, then
 //!   re-derive survivors from the remaining store (a goal-directed
-//!   per-tuple check against lazily compiled re-derivation plans) and
-//!   propagate the rescues through the normal insert machinery.
+//!   per-tuple check against lazily compiled, selectivity-ordered
+//!   re-derivation plans) and propagate the rescues through the normal
+//!   insert machinery.
 //! - [`Materialization::apply`] batches a whole mixed round — EDB
 //!   inserts, retracts, **rule adds** and **rule drops** — into one
 //!   DRed pass (a single walk of the persistent reverse-dependency
@@ -60,7 +61,7 @@ use crate::hash::{FxHashMap, FxHashSet};
 use crate::persist::{self, Dec, Enc, PersistError};
 use crate::plan::{
     compile_rederive, compile_rule, plan_rule, plan_rule_deltas, Action, HeadOp, KeyOp, Out,
-    OrderMode, PlannerConfig, RederivePlan, RulePlan, Step,
+    OrderMode, PlannerConfig, RederivePlan, RulePlan, Step, NO_INDEX,
 };
 use crate::pool::ThreadPool;
 use crate::storage::{shard_ranges, ColumnarRelation, IncrementalIndex, NO_ROW};
@@ -907,11 +908,16 @@ impl Materialization {
         m
     }
 
+    /// The program's IDB predicates, as the plan compilers take them.
+    fn idb_preds(&self) -> Vec<Pred> {
+        self.idb_rels.iter().map(|&r| self.pred_of_rel[r]).collect()
+    }
+
     /// Compiles the update plans of every rule slot that has none yet
     /// (all of them at construction and restore, the new slot after a
     /// rule add), registering the indexes they probe.
     fn compile_delta_plans(&mut self) {
-        let idbs: Vec<Pred> = self.idb_rels.iter().map(|&r| self.pred_of_rel[r]).collect();
+        let idbs = self.idb_preds();
         let rel_of_pred = &self.rel_of_pred;
         let planned_card = &self.planned_card;
         let mut card = |p: Pred| rel_of_pred.get(&p).map_or(0, |&r| planned_card[r]);
@@ -1157,7 +1163,12 @@ impl Materialization {
     ///    evaluation pass each over the settled store.
     /// 6. Over-deleted candidates are **rescued** by goal-directed
     ///    one-step re-derivation against the surviving active rules
-    ///    (added rules participate, dropped rules don't).
+    ///    (added rules participate, dropped rules don't). Each rule's
+    ///    rescue plan binds the head from the candidate and enters the
+    ///    body through the atom with the smallest fan-in — `par(Z, y)`,
+    ///    not `anc(x, Z)` — testing fully bound atoms against the dedup
+    ///    tables ([`crate::plan`]), so the phase costs O(candidates ×
+    ///    fan-in): the order of the insert round that derived the rows.
     /// 7. One semi-naive resume propagates every delta — inserted,
     ///    seeded and rescued rows — to the new fixpoint.
     ///
@@ -1236,36 +1247,9 @@ impl Materialization {
             }
         }
 
-        // Over-delete: reverse-dependency closure over the recorded
-        // justifications. The first over-deleting round builds the
-        // persistent [`RevIndex`] (one full pass over the packed
-        // justification buffers — counted by `csr_builds`); every later
-        // round just walks the chains of the seeds' closure, so the
-        // over-deletion cost is O(affected rows), not O(total rows).
-        // Chains may hold stale edges to rows that died in earlier
-        // rounds (or to rows whose head re-inserted at a fresh id);
-        // `tombstone` of a dead row is a no-op, so they are skipped.
-        if !worklist.is_empty() {
-            self.ensure_rev_index();
-            // Take the index out while tombstoning through `self.rels`
-            // (no edges are added during over-deletion).
-            let rev = self.rev.take().expect("just ensured");
-            let mut i = 0;
-            while i < worklist.len() {
-                let (drel, drow) = worklist[i];
-                i += 1;
-                let mut e = rev.chain(drel as usize, drow);
-                while e != NO_EDGE {
-                    let RevEdge { hrel, hrow, next } = rev.edges[e as usize];
-                    if self.rels[hrel as usize].tombstone(hrow as usize) {
-                        worklist.push((hrel, hrow));
-                        candidates.push((hrel, hrow));
-                    }
-                    e = next;
-                }
-            }
-            self.rev = Some(rev);
-        }
+        // Over-delete everything whose recorded justification
+        // transitively uses a seed; the casualties are rescue candidates.
+        self.over_delete(worklist, &mut candidates);
 
         // 4. EDB inserts: novel rows land above the watermarks (the
         // fixpoint's row counts), i.e. in the delta ranges.
@@ -1311,34 +1295,7 @@ impl Materialization {
         // store (inserted and seeded rows included). The watermarks
         // still sit at the old fixpoint, so every rescued insert lands
         // in the delta range and phase 7 propagates it.
-        if !candidates.is_empty() {
-            self.ensure_rederive_plans();
-            self.extend_indexes();
-            let mut scratch = Scratch::default();
-            for &(crel, crow) in &candidates {
-                let tuple = self.rels[crel as usize].row(crow as usize).to_vec();
-                let mut probes = 0u64;
-                let found = self.rederive_row(crel as usize, &tuple, &mut scratch, &mut probes);
-                self.stats.join_probes += probes;
-                if let Some((rule, body_rows)) = found {
-                    self.rels[crel as usize].insert(&tuple);
-                    self.stats.rule_firings += 1;
-                    self.stats.tuples_derived += 1;
-                    self.prov.as_mut().expect("recording on")[crel as usize]
-                        .push(rule, &body_rows);
-                    if let Some(rev) = self.rev.as_mut() {
-                        let hrow = (self.rels[crel as usize].num_rows() - 1) as u32;
-                        for (k, &brow) in body_rows.iter().enumerate() {
-                            let brel = self.plans[rule as usize].body_rels[k];
-                            if self.ext_flag.get(brel).copied().unwrap_or(false) {
-                                continue;
-                            }
-                            rev.add(brel, brow, crel, hrow);
-                        }
-                    }
-                }
-            }
-        }
+        self.rescue(&candidates);
 
         // 7. Propagate every delta — inserted, seeded and rescued rows —
         // through the normal update machinery to the new fixpoint.
@@ -1382,7 +1339,7 @@ impl Materialization {
                 }
             }
         }
-        let idbs: Vec<Pred> = self.idb_rels.iter().map(|&r| self.pred_of_rel[r]).collect();
+        let idbs = self.idb_preds();
         let slot = self.plans.len();
         let plan = {
             let rels = &self.rels;
@@ -1406,14 +1363,8 @@ impl Materialization {
         if self.prov.is_some() {
             self.compile_delta_plans();
         }
-        if let Some(rd) = &mut self.rederive {
-            rd.push(compile_rederive(
-                slot,
-                rule,
-                &self.rel_of_pred,
-                &mut self.idxs,
-                &mut self.idx_of,
-            ));
+        if self.rederive.is_some() {
+            self.ensure_rederive_plans();
         }
         self.apply_index_layout();
     }
@@ -2494,60 +2445,12 @@ impl Materialization {
                     }
                 }
             }
-            if !seeds.is_empty() {
-                let mut worklist: Vec<(u32, u32)> = Vec::new();
-                let mut candidates: Vec<(u32, u32)> = Vec::new();
-                for &(srel, srow) in &seeds {
-                    if self.rels[srel as usize].tombstone(srow as usize) {
-                        worklist.push((srel, srow));
-                        candidates.push((srel, srow));
-                    }
-                }
-                self.ensure_rev_index();
-                let rev = self.rev.take().expect("just ensured");
-                let mut i = 0;
-                while i < worklist.len() {
-                    let (drel, drow) = worklist[i];
-                    i += 1;
-                    let mut e = rev.chain(drel as usize, drow);
-                    while e != NO_EDGE {
-                        let RevEdge { hrel, hrow, next } = rev.edges[e as usize];
-                        if self.rels[hrel as usize].tombstone(hrow as usize) {
-                            worklist.push((hrel, hrow));
-                            candidates.push((hrel, hrow));
-                        }
-                        e = next;
-                    }
-                }
-                self.rev = Some(rev);
-
-                self.extend_indexes();
-                let mut scratch = Scratch::default();
-                for &(crel, crow) in &candidates {
-                    let tuple = self.rels[crel as usize].row(crow as usize).to_vec();
-                    let mut probes = 0u64;
-                    let found =
-                        self.rederive_row(crel as usize, &tuple, &mut scratch, &mut probes);
-                    self.stats.join_probes += probes;
-                    if let Some((rule, body_rows)) = found {
-                        self.rels[crel as usize].insert(&tuple);
-                        self.stats.rule_firings += 1;
-                        self.stats.tuples_derived += 1;
-                        self.prov.as_mut().expect("recording on")[crel as usize]
-                            .push(rule, &body_rows);
-                        if let Some(rev) = self.rev.as_mut() {
-                            let hrow = (self.rels[crel as usize].num_rows() - 1) as u32;
-                            for (k, &brow) in body_rows.iter().enumerate() {
-                                let brel = self.plans[rule as usize].body_rels[k];
-                                if self.ext_flag.get(brel).copied().unwrap_or(false) {
-                                    continue;
-                                }
-                                rev.add(brel, brow, crel, hrow);
-                            }
-                        }
-                    }
-                }
+            for &(srel, srow) in &seeds {
+                self.rels[srel as usize].tombstone(srow as usize);
             }
+            let mut candidates = seeds.clone();
+            self.over_delete(seeds, &mut candidates);
+            self.rescue(&candidates);
         }
         self.run_update();
         self.version = self.version.wrapping_add(1);
@@ -3083,34 +2986,139 @@ impl Materialization {
     // Re-derivation (the DRed rescue phase)
     // -----------------------------------------------------------------
 
+    /// Compiles the re-derivation plan of every rule slot that has none
+    /// yet: all of them on the first call (the first retracting round
+    /// of a base store, construction of a view), the new slot after a
+    /// rule add. Orders come from the persisted build-time
+    /// cardinalities, so a restored store compiles the plans — and
+    /// registers the indexes — of the live one.
     fn ensure_rederive_plans(&mut self) {
-        if self.rederive.is_some() {
-            return;
+        let done = self.rederive.as_ref().map_or(0, Vec::len);
+        if self.rederive.is_some() && done == self.rules.len() {
+            return; // the common case: called at the head of every rescue
         }
-        let plans = self
-            .rules
-            .iter()
-            .enumerate()
-            .map(|(ri, r)| {
-                compile_rederive(ri, r, &self.rel_of_pred, &mut self.idxs, &mut self.idx_of)
-            })
-            .collect();
-        self.rederive = Some(plans);
+        let idbs = self.idb_preds();
+        let rel_of_pred = &self.rel_of_pred;
+        let planned_card = &self.planned_card;
+        let mut card = |p: Pred| rel_of_pred.get(&p).map_or(0, |&r| planned_card[r]);
+        let plans = self.rederive.get_or_insert_with(Vec::new);
+        for (ri, rule) in self.rules.iter().enumerate().skip(done) {
+            plans.push(compile_rederive(
+                ri,
+                rule,
+                &idbs,
+                rel_of_pred,
+                &mut self.idxs,
+                &mut self.idx_of,
+                self.planner.order,
+                &mut card,
+            ));
+        }
         self.apply_index_layout();
     }
 
+    /// DRed over-deletion: tombstones the reverse-dependency closure of
+    /// the (already tombstoned) `worklist` rows over the recorded
+    /// justifications, appending every row it kills to `candidates`.
+    /// The first over-deleting round builds the persistent [`RevIndex`]
+    /// (one full pass over the packed justification buffers — counted by
+    /// `csr_builds`); every later round just walks the chains of the
+    /// seeds' closure, so the cost is O(affected rows), not O(total
+    /// rows). Chains may hold stale edges to rows that died in earlier
+    /// rounds (or to rows whose head re-inserted at a fresh id);
+    /// `tombstone` of a dead row is a no-op, so they are skipped.
+    fn over_delete(&mut self, mut worklist: Vec<(u32, u32)>, candidates: &mut Vec<(u32, u32)>) {
+        if worklist.is_empty() {
+            return;
+        }
+        self.ensure_rev_index();
+        // Take the index out while tombstoning through `self.rels` (no
+        // edges are added during over-deletion).
+        let rev = self.rev.take().expect("just ensured");
+        let mut i = 0;
+        while i < worklist.len() {
+            let (drel, drow) = worklist[i];
+            i += 1;
+            let mut e = rev.chain(drel as usize, drow);
+            while e != NO_EDGE {
+                let RevEdge { hrel, hrow, next } = rev.edges[e as usize];
+                if self.rels[hrel as usize].tombstone(hrow as usize) {
+                    worklist.push((hrel, hrow));
+                    candidates.push((hrel, hrow));
+                }
+                e = next;
+            }
+        }
+        self.rev = Some(rev);
+    }
+
+    /// DRed rescue: every over-deleted candidate that one active rule
+    /// still derives from the live store is re-appended (a fresh row id
+    /// in the delta range) with the derivation found as its recorded
+    /// justification. Each candidate is checked against the rows that
+    /// were live when the pass began (`frontier`): an index cannot see
+    /// the rows this pass appends — the indexes are extended once, up
+    /// front — and a dedup-table step must not either, or which
+    /// candidates are rescued here (and with it every later row id)
+    /// would depend on the step kinds the planner chose. Whatever this
+    /// pass misses, the resume derives from the rescued rows.
+    fn rescue(&mut self, candidates: &[(u32, u32)]) {
+        if candidates.is_empty() {
+            return;
+        }
+        // The full-key steps read the dedup tables; a restored store
+        // (or a view handed a restored base) may not have rebuilt them.
+        self.ensure_dedup();
+        self.ensure_rederive_plans();
+        self.extend_indexes();
+        let frontier = self.frontiers();
+        let mut scratch = Scratch::default();
+        let mut probes = 0u64;
+        for &(crel, crow) in candidates {
+            let (crel, crow) = (crel as usize, crow as usize);
+            let tuple = self.rels[crel].row(crow);
+            let Some(rule) = self.rederive_row(crel, tuple, &frontier, &mut scratch, &mut probes)
+            else {
+                continue;
+            };
+            scratch.head.clear();
+            scratch.head.extend_from_slice(tuple);
+            let rel = &mut self.rels[crel];
+            // An added rule's seeding pass may have derived the tuple
+            // again already; a second row would be a second fact.
+            if !rel.insert(&scratch.head) {
+                continue;
+            }
+            let hrow = (rel.num_rows() - 1) as u32;
+            self.stats.rule_firings += 1;
+            self.stats.tuples_derived += 1;
+            let plan = &self.plans[rule as usize];
+            let body_rows = &scratch.rows[..plan.body_rels.len()];
+            self.prov.as_mut().expect("recording on")[crel].push(rule, body_rows);
+            if let Some(rev) = self.rev.as_mut() {
+                for (&brel, &brow) in plan.body_rels.iter().zip(body_rows) {
+                    if !self.ext_flag.get(brel).copied().unwrap_or(false) {
+                        rev.add(brel, brow, crel as u32, hrow);
+                    }
+                }
+            }
+        }
+        self.stats.join_probes += probes;
+    }
+
     /// Checks whether `tuple` (of relation `rel`) is derivable in one
-    /// rule application from the current live store; returns the rule
-    /// and body row ids of the first derivation found. Goal-directed:
-    /// the head binds the rule slots up front, so the body join is
-    /// keyed on them.
+    /// rule application from the live rows below `frontier`; returns the
+    /// rule of the first derivation found and leaves its body row ids,
+    /// in rule-text order, in `scratch.rows`. Goal-directed: the head
+    /// binds the rule slots up front, so the body join is keyed on them.
     fn rederive_row(
         &self,
         rel: usize,
         tuple: &[Const],
+        frontier: &[usize],
         scratch: &mut Scratch,
         probes: &mut u64,
-    ) -> Option<(u32, Vec<u32>)> {
+    ) -> Option<u32> {
         let plans = self.rederive.as_ref().expect("compiled before rescue");
         'plans: for plan in plans
             .iter()
@@ -3135,15 +3143,8 @@ impl Materialization {
             }
             scratch.rows.clear();
             scratch.rows.resize(plan.steps.len(), 0);
-            if rederive_descend(
-                &plan.steps,
-                0,
-                &self.rels,
-                &self.idxs,
-                scratch,
-                probes,
-            ) {
-                return Some((plan.rule, scratch.rows[..plan.steps.len()].to_vec()));
+            if rederive_descend(plan, 0, &self.rels, &self.idxs, frontier, scratch, probes) {
+                return Some(plan.rule);
             }
         }
         None
@@ -3523,25 +3524,28 @@ fn tc_kernel(
 }
 
 /// Backtracking search for **one** body instantiation of a re-derivation
-/// plan over the full live store; row ids land in `scratch.rows`.
-/// Returns on the first success. Body depths are small (rule body
-/// length), so recursion is fine here.
+/// plan over the live rows below `frontier`; the row matched for body
+/// atom `k` lands in `scratch.rows[k]` whatever depth ran it. Returns on
+/// the first success. Body depths are small (rule body length), so
+/// recursion is fine here.
 fn rederive_descend(
-    steps: &[Step],
+    plan: &RederivePlan,
     depth: usize,
     rels: &[ColumnarRelation],
     idxs: &[IncrementalIndex],
+    frontier: &[usize],
     scratch: &mut Scratch,
     probes: &mut u64,
 ) -> bool {
-    if depth == steps.len() {
+    if depth == plan.steps.len() {
         return true;
     }
-    let step = &steps[depth];
+    let step = &plan.steps[depth];
     let rel = &rels[step.rel];
+    let hi = frontier[step.rel];
     *probes += 1;
 
-    let try_row = |r: usize, scratch: &mut Scratch| -> bool {
+    let mut try_row = |r: usize, scratch: &mut Scratch| -> bool {
         if !rel.is_live(r) {
             return false;
         }
@@ -3555,18 +3559,12 @@ fn rederive_descend(
                 }
             }
         }
-        scratch.rows[depth] = r as u32;
-        true
+        scratch.rows[plan.body_of_step[depth]] = r as u32;
+        rederive_descend(plan, depth + 1, rels, idxs, frontier, scratch, probes)
     };
 
     if step.key.is_empty() {
-        for r in (0..rel.num_rows()).rev() {
-            if try_row(r, scratch) && rederive_descend(steps, depth + 1, rels, idxs, scratch, probes)
-            {
-                return true;
-            }
-        }
-        return false;
+        return (0..hi).rev().any(|r| try_row(r, scratch));
     }
     scratch.key.clear();
     for op in step.key.iter() {
@@ -3577,19 +3575,23 @@ fn rederive_descend(
     }
     // The key is only needed for the probe itself; deeper levels are
     // free to reuse the buffer.
+    if step.idx == NO_INDEX {
+        // Every position is bound: the key is the tuple, and the dedup
+        // table holds its one live row, if any.
+        let r = rel.find_row(&scratch.key) as usize;
+        return r < hi && try_row(r, scratch);
+    }
     let idx = &idxs[step.idx];
-    let mut cur = idx.probe_range(rel, &scratch.key, 0, rel.num_rows());
+    let mut cur = idx.probe_range(rel, &scratch.key, 0, hi);
     loop {
         let row = idx.next_match(&mut cur);
         if row == NO_ROW {
-            break;
+            return false;
         }
-        let r = row as usize;
-        if try_row(r, scratch) && rederive_descend(steps, depth + 1, rels, idxs, scratch, probes) {
+        if try_row(row as usize, scratch) {
             return true;
         }
     }
-    false
 }
 
 #[cfg(test)]
@@ -4411,6 +4413,272 @@ mod tests {
         let r = m.apply(&UpdateRound::new().retract_all(par, &edges[3..6]));
         assert_eq!(r.retracted, 2, "edges[5] is already gone");
         m.provenance().check(&p).expect("valid after no-op retracts");
+    }
+
+    // -----------------------------------------------------------------
+    // Rescue plans
+    // -----------------------------------------------------------------
+
+    const SRC_B: &str = "?- anc(john, Y).\n\
+                         anc(X, Y) :- par(X, Y).\n\
+                         anc(X, Y) :- par(X, Z), anc(Z, Y).";
+    const SRC_C: &str = "?- anc(john, Y).\n\
+                         anc(X, Y) :- par(X, Y).\n\
+                         anc(X, Y) :- anc(X, Z), anc(Z, Y).";
+    const SRC_S7: &str = "?- p(john, Y).\n\
+                          p(X, Y) :- b1(X, X1), b2(X1, Y).\n\
+                          p(X, Y) :- b1(X, X1), p(X1, Y1), b2(Y1, Y).";
+    /// Program A's magic program, the magic predicate derived so that
+    /// it is an IDB like a view's.
+    const SRC_MAGIC_A: &str = "?- anc_bf(john, Y).\n\
+                               m(X) :- seed(X).\n\
+                               anc_bf(X, Y) :- m(X), par(X, Y).\n\
+                               anc_bf(X, Y) :- m(X), anc_bf(X, Z), par(Z, Y).";
+
+    /// One rescue plan's shape: the body atom run at each step, and per
+    /// step the mask of the index it probes — `None` for a step answered
+    /// by the dedup table.
+    type RescueShape = (Vec<usize>, Vec<Option<Vec<usize>>>);
+
+    fn rescue_shapes(m: &mut Materialization) -> Vec<RescueShape> {
+        m.ensure_rederive_plans();
+        let mask_of = |s: &Step| {
+            assert!(!s.key.is_empty(), "every rescue step of these programs is keyed");
+            (s.idx != NO_INDEX).then(|| m.idxs[s.idx].mask().to_vec())
+        };
+        let plans = m.rederive.as_ref().unwrap().iter();
+        plans.map(|p| (p.body_of_step.to_vec(), p.steps.iter().map(mask_of).collect())).collect()
+    }
+
+    /// The complete DAG on `john, n1, .. n4` under every binary EDB
+    /// predicate of `p` (and `john` under a unary one): every derived
+    /// tuple has several derivations, so retractions rescue.
+    fn dense_db(p: &mut Program) -> Database {
+        let mut names = vec!["john".to_owned()];
+        names.extend((1..5).map(|i| format!("n{i}")));
+        let node: Vec<Const> = names.iter().map(|n| p.symbols.constant(n)).collect();
+        let arities: FxHashMap<Pred, usize> = p
+            .rules
+            .iter()
+            .flat_map(|r| &r.body)
+            .map(|a| (a.pred, a.arity()))
+            .collect();
+        let mut db = Database::new();
+        for pred in p.edb_predicates() {
+            if arities[&pred] == 1 {
+                db.insert(pred, vec![node[0]]);
+                continue;
+            }
+            for i in 0..node.len() {
+                for j in i + 1..node.len() {
+                    db.insert(pred, vec![node[i], node[j]]);
+                }
+            }
+        }
+        db
+    }
+
+    /// The recursive rule of programs A, B, C, of Section 7 and of a
+    /// magic program is rescued through its smallest fan-in — the EDB
+    /// atom keyed on the bound head variable, never `anc(x, _)` — with
+    /// every fully bound atom a dedup-table lookup; and the rows a rescue
+    /// records are a positional instantiation of the rule text whatever
+    /// order found them.
+    #[test]
+    fn rescue_plans_enter_through_the_fan_in_and_record_in_rule_text_order() {
+        let some = |m: &[usize]| Some(m.to_vec());
+        let cases: [(&str, RescueShape); 5] = [
+            // anc(X,Z), par(Z,Y): par(Z, y) first, anc(x, z) is a lookup.
+            (SRC_A, (vec![1, 0], vec![some(&[1]), None])),
+            // par(X,Z), anc(Z,Y): par(x, Z), then the lookup.
+            (SRC_B, (vec![0, 1], vec![some(&[0]), None])),
+            // anc(X,Z), anc(Z,Y): nothing to choose between; text order.
+            (SRC_C, (vec![0, 1], vec![some(&[0]), None])),
+            // b1(X,X1), p(X1,Y1), b2(Y1,Y): both EDB atoms before the
+            // IDB atom they bind completely.
+            (SRC_S7, (vec![0, 2, 1], vec![some(&[0]), some(&[1]), None])),
+            // m(X), anc_bf(X,Z), par(Z,Y): the guard is a lookup, then
+            // as program A.
+            (SRC_MAGIC_A, (vec![0, 2, 1], vec![None, some(&[1]), None])),
+        ];
+        for (src, expected) in cases {
+            let mut p = parse_program(src).unwrap();
+            let db = dense_db(&mut p);
+            let mut m = Materialization::from_database(&p, &db, Strategy::SemiNaive);
+            let shapes = rescue_shapes(&mut m);
+            assert_eq!(shapes.last().unwrap(), &expected, "{src}");
+            // The exit rules test their one (or last) atom in the table.
+            assert_eq!(shapes[shapes.len() - 2].1.last().unwrap(), &None, "{src}");
+
+            // Retract the binary EDB facts one at a time, in a scrambled
+            // order: while other edges still stand, most casualties
+            // have a derivation left and are rescued.
+            let mut facts: Vec<(Pred, Tuple)> = db
+                .iter()
+                .filter(|(_, r)| r.arity() == 2)
+                .flat_map(|(pred, r)| r.sorted().into_iter().map(move |t| (pred, t)))
+                .collect();
+            facts.sort_by_key(|(pred, t)| (t[0].0 * 31 + t[1].0 * 17 + pred.0 * 7) % 13);
+            let mut mirror = db.clone();
+            let mut reappended = 0;
+            for (pred, t) in facts {
+                let before: Vec<usize> = m.frontiers();
+                assert_eq!(m.retract_facts(pred, std::slice::from_ref(&t)), 1);
+                mirror.remove(pred, &t);
+                assert_eq!(sorted_model(&m.idb_database()), spec_idb(&p, &mirror), "{src}");
+                m.provenance().check(&p).unwrap_or_else(|e| panic!("{src}: {e}"));
+                reappended +=
+                    m.frontiers().iter().zip(&before).map(|(a, b)| a - b).sum::<usize>();
+            }
+            assert!(reappended > 0, "no retraction rescued anything: {src}");
+        }
+    }
+
+    /// The rescue of `anc(a, d)` after its recorded support `par(b, d)`
+    /// goes: found as `par(c, d)` then `anc(a, c)`, recorded as
+    /// `anc(a, c), par(c, d)`.
+    #[test]
+    fn rescued_justification_reads_in_rule_text_order() {
+        let mut p = parse_program(SRC_A).unwrap();
+        let par = p.symbols.get_predicate("par").unwrap();
+        let anc = p.symbols.get_predicate("anc").unwrap();
+        let [a, b, c, d] = ["a", "b", "c", "d"].map(|n| p.symbols.constant(n));
+        let mut db = Database::new();
+        for e in [[a, b], [a, c], [b, d], [c, d]] {
+            db.insert(par, e.to_vec());
+        }
+        let mut m = Materialization::from_database(&p, &db, Strategy::SemiNaive);
+        let ga = |pred, x, y| crate::derivation::GroundAtom { pred, args: vec![x, y] };
+        let anc_ad = ga(anc, a, d);
+        let via = |m: &Materialization| m.provenance().justification(&anc_ad).unwrap();
+        let through_b = via(&m).1 == [ga(anc, a, b), ga(par, b, d)];
+        let (first, second) = if through_b { (b, c) } else { (c, b) };
+        assert_eq!(m.retract_facts(par, &[vec![first, d]]), 1);
+        assert_eq!(via(&m), (1, vec![ga(anc, a, second), ga(par, second, d)]));
+        m.provenance().check(&p).expect("valid after the rescue");
+    }
+
+    /// A tuple whose only other derivation runs through a row tombstoned
+    /// in the same round is not rescued: the dedup table a full-key step
+    /// reads holds live rows only — also with the tombstones tagged for
+    /// a pinned epoch, and in the first round of a restored store, whose
+    /// tables are rebuilt on that first write.
+    #[test]
+    fn a_dedup_step_never_rescues_through_a_row_that_died_this_round() {
+        let mut p = parse_program(SRC_A).unwrap();
+        let par = p.symbols.get_predicate("par").unwrap();
+        let anc = p.symbols.get_predicate("anc").unwrap();
+        let edges = chain_edges(&mut p, 2);
+        let mut db = Database::new();
+        for e in &edges {
+            db.insert(par, e.clone());
+        }
+        let fresh = Materialization::from_database(&p, &db, Strategy::SemiNaive);
+        let pinned = {
+            let mut m = fresh.clone();
+            m.set_epoch(3);
+            m
+        };
+        let restored = Materialization::from_bytes(&fresh.to_bytes()).unwrap();
+        let mut mirror = db.clone();
+        mirror.remove(par, &edges[0]);
+        for (what, mut m) in [("fresh", fresh), ("pinned", pinned), ("restored", restored)] {
+            // anc(john, c2) is over-deleted with anc(john, c1); its other
+            // derivation — par(Z, c2), then anc(john, c1) in the table —
+            // needs exactly that dead row.
+            assert_eq!(m.retract_facts(par, &edges[..1]), 1, "{what}");
+            assert_eq!(rescue_shapes(&mut m)[1].1, [Some(vec![1]), None], "{what}");
+            assert_eq!(sorted_model(&m.idb_database()), spec_idb(&p, &mirror), "{what}");
+            assert_eq!(m.num_facts(anc), 1, "{what}: only anc(c1, c2) is left");
+            assert_eq!(m.tagged_tombstones() > 0, what == "pinned");
+            m.provenance().check(&p).expect("valid");
+        }
+    }
+
+    /// [`OrderMode::Original`] keeps the rescue plans it always had:
+    /// textual order, every keyed step through an index — full-key steps
+    /// included — so [`PlannerConfig::legacy`] stays the A/B baseline.
+    #[test]
+    fn original_order_keeps_the_textual_rescue_plans() {
+        let some = |m: &[usize]| Some(m.to_vec());
+        let cases = [
+            (SRC_A, vec![vec![some(&[0, 1])], vec![some(&[0]), some(&[0, 1])]]),
+            (
+                SRC_S7,
+                vec![
+                    vec![some(&[0]), some(&[0, 1])],
+                    vec![some(&[0]), some(&[0]), some(&[0, 1])],
+                ],
+            ),
+        ];
+        for (src, expected) in cases {
+            for cfg in [
+                PlannerConfig::legacy(),
+                PlannerConfig { order: OrderMode::Shuffled(7), ..PlannerConfig::default() },
+            ] {
+                let mut p = parse_program(src).unwrap();
+                let db = dense_db(&mut p);
+                let mut m = Materialization::from_database_with(&p, &db, Strategy::SemiNaive, cfg);
+                let shapes = rescue_shapes(&mut m);
+                for (shape, masks) in shapes.iter().zip(&expected) {
+                    assert_eq!(shape.0, (0..masks.len()).collect::<Vec<_>>(), "{src}");
+                    assert_eq!(&shape.1, masks, "{src}");
+                }
+            }
+        }
+    }
+
+    /// The base-side twin of the cache's link test: the first retracting
+    /// round of a program-A store registers `par[1]` and nothing else —
+    /// no `anc[0]`, which would index the whole closure for the rescue
+    /// alone.
+    #[test]
+    fn the_first_retraction_registers_one_edb_index() {
+        let mut p = parse_program(SRC_A).unwrap();
+        let par = p.symbols.get_predicate("par").unwrap();
+        let edges = chain_edges(&mut p, 16);
+        let mut db = Database::new();
+        for e in &edges {
+            db.insert(par, e.clone());
+        }
+        let mut m = Materialization::from_database(&p, &db, Strategy::SemiNaive);
+        let before = m.planner_report().index_rows;
+        assert_eq!(m.retract_facts(par, &edges[15..]), 1);
+        assert_eq!(m.planner_report().index_rows - before, edges.len() as u64);
+    }
+
+    /// A round that adds a rule deriving a tuple it also over-deletes:
+    /// the seeding pass re-derives the tuple before the rescue reaches
+    /// it, and the rescue must not record a second row for it.
+    #[test]
+    fn a_candidate_the_seeding_pass_rederived_is_not_rescued_twice() {
+        let mut p = parse_program(SRC_A).unwrap();
+        let par = p.symbols.get_predicate("par").unwrap();
+        let anc = p.symbols.get_predicate("anc").unwrap();
+        let alt = p.symbols.predicate("alt");
+        let edges = chain_edges(&mut p, 3);
+        let mut db = Database::new();
+        for e in &edges {
+            db.insert(par, e.clone());
+        }
+        let mut m = Materialization::from_database(&p, &db, Strategy::SemiNaive);
+        let xy = vec![Term::Var(Var(0)), Term::Var(Var(1))];
+        let added = Rule {
+            head: Atom { pred: anc, args: xy.clone() },
+            body: vec![Atom { pred: alt, args: xy }],
+        };
+        p.rules.push(added.clone());
+        m.apply(
+            &UpdateRound::new()
+                .add_rule(added)
+                .insert(alt, edges[0].clone())
+                .retract(par, edges[0].clone()),
+        );
+        let mut mirror = db.clone();
+        mirror.remove(par, &edges[0]);
+        mirror.insert(alt, edges[0].clone());
+        assert_eq!(sorted_model(&m.idb_database()), spec_idb(&p, &mirror));
+        m.provenance().check(&p).expect("one justification per row");
     }
 
     // -----------------------------------------------------------------

@@ -44,6 +44,12 @@
 //!   build-time cardinalities, so a restored store does identical
 //!   work) and never revised; every index an update will ever probe is
 //!   registered up front and filled by the initial fixpoint.
+//! - **Selectivity-ordered rescue plans** (`compile_rederive`): the DRed
+//!   rescue of an over-deleted row runs the rule body with the head
+//!   bound, entering through the atom with the smallest fan-in
+//!   (`rederive_order`) and answering fully bound atoms from the dedup
+//!   table instead of an index, so a retract round costs what the insert
+//!   round that derived the rows cost.
 //! - **Staged-head existence ordering**: `RulePlan::head_ready_depth`
 //!   marks the first join depth at which every head position is bound;
 //!   when that is before the last step, the join probes the head
@@ -196,8 +202,10 @@ pub(crate) enum Out {
 #[derive(Clone, Debug)]
 pub(crate) struct Step {
     pub(crate) rel: usize,
-    /// Index id, or [`NO_INDEX`] for unkeyed steps (empty mask): those
-    /// scan their row range directly and register no index at all.
+    /// Index id, or [`NO_INDEX`] for steps that register no index at
+    /// all: unkeyed steps (empty mask), which scan their row range
+    /// directly, and the full-key steps of a re-derivation plan, which
+    /// ask the relation's dedup table.
     pub(crate) idx: usize,
     /// Whether the predicate is an IDB of the program (reads snapshots).
     pub(crate) idb: bool,
@@ -246,12 +254,19 @@ pub(crate) enum HeadOp {
 
 /// A rule compiled for goal-directed re-derivation checks (DRed rescue
 /// phase): the head is *input*, so every head slot is bound from depth 0
-/// and the body step masks include them. Body steps stay in **original
-/// rule order** — with every head variable pre-bound the textual order
-/// is already keyed, and the rescued rows double as the justification,
-/// which must be positional. Compiled lazily on the first retraction;
-/// the extra `(relation, mask)` indexes it registers are extended
-/// incrementally like all others.
+/// and the body step masks include them. Under [`OrderMode::Planned`]
+/// the steps run in **selectivity order** ([`rederive_order`]): a bound
+/// head variable keys every atom it occurs in, but an atom keyed on it
+/// may still match its whole fan-out (`anc(x, _)` has one row per
+/// descendant of `x`), so the rescue enters the body through the atom
+/// with the smallest fan-in, and an atom whose every position is bound
+/// is a membership test answered by the relation's own dedup table —
+/// that step registers no index at all. The other modes keep the textual
+/// order and probe an index at every keyed step. Whatever order the
+/// steps run in, the matched rows are the rescued row's justification
+/// and are recorded positionally (`body_of_step`). Compiled lazily on
+/// the first retraction (eagerly in a view); the `(relation, mask)`
+/// indexes it registers are extended incrementally like all others.
 #[derive(Clone, Debug)]
 pub(crate) struct RederivePlan {
     /// The rule index (recorded as the rescued row's justification).
@@ -259,12 +274,69 @@ pub(crate) struct RederivePlan {
     pub(crate) head_rel: usize,
     pub(crate) head: Box<[HeadOp]>,
     pub(crate) steps: Box<[Step]>,
+    /// `body_of_step[d]` = the original body atom run at step depth
+    /// `d`: the matched row of step `d` is stored at that position, so
+    /// the justification reads in rule-text order.
+    pub(crate) body_of_step: Box<[usize]>,
     pub(crate) num_slots: usize,
 }
 
 // ---------------------------------------------------------------------
 // Ordering
 // ---------------------------------------------------------------------
+
+/// The greedy loop both planners share: repeatedly pick the unchosen
+/// atom with the smallest `rank(atom, bound positions)` — constants and
+/// variables in `bound` (the head variables of a re-derivation, plus
+/// whatever the atoms chosen so far bind) count as bound — the earlier
+/// textual position winning ties. With `lead = Some(k)` the first pick is
+/// forced to atom `k`.
+fn greedy_order<K: Ord>(
+    rule: &Rule,
+    lead: Option<usize>,
+    mut bound: Vec<Var>,
+    rank: &mut dyn FnMut(&Atom, usize) -> K,
+) -> Vec<usize> {
+    let n = rule.body.len();
+    let mut chosen = vec![false; n];
+    let mut out = Vec::with_capacity(n);
+    for pick in 0..n {
+        let forced = lead.filter(|_| pick == 0);
+        let ai = forced.unwrap_or_else(|| {
+            let mut best: Option<(usize, K)> = None;
+            for (ai, atom) in rule.body.iter().enumerate() {
+                if chosen[ai] {
+                    continue;
+                }
+                let b = atom
+                    .args
+                    .iter()
+                    .filter(|t| match t {
+                        Term::Const(_) => true,
+                        Term::Var(v) => bound.contains(v),
+                    })
+                    .count();
+                let k = rank(atom, b);
+                // Strict comparison: first-seen (lowest textual
+                // position) wins ties.
+                if best.as_ref().is_none_or(|(_, bk)| k < *bk) {
+                    best = Some((ai, k));
+                }
+            }
+            best.expect("nonempty body").0
+        });
+        chosen[ai] = true;
+        for t in &rule.body[ai].args {
+            if let Term::Var(v) = t {
+                if !bound.contains(v) {
+                    bound.push(*v);
+                }
+            }
+        }
+        out.push(ai);
+    }
+    out
+}
 
 /// Greedy selectivity-aware body order: repeatedly pick the unchosen
 /// atom with the most bound argument positions (constants plus
@@ -282,50 +354,43 @@ pub(crate) fn order_body(
     lead: Option<usize>,
     card: &mut dyn FnMut(Pred) -> u64,
 ) -> Vec<usize> {
-    let n = rule.body.len();
-    let mut chosen = vec![false; n];
-    let mut bound: Vec<Var> = Vec::new();
-    let mut out = Vec::with_capacity(n);
-    for pick in 0..n {
-        let forced = lead.filter(|_| pick == 0);
-        let ai = forced.unwrap_or_else(|| {
-            let mut best: Option<(usize, usize, u64)> = None;
-            for (ai, atom) in rule.body.iter().enumerate() {
-                if chosen[ai] {
-                    continue;
-                }
-                let b = atom
-                    .args
-                    .iter()
-                    .filter(|t| match t {
-                        Term::Const(_) => true,
-                        Term::Var(v) => bound.contains(v),
-                    })
-                    .count();
-                let c = card(atom.pred);
-                // Strict comparisons: first-seen (lowest textual
-                // position) wins ties.
-                let better = match best {
-                    None => true,
-                    Some((_, bb, bc)) => b > bb || (b == bb && c < bc),
-                };
-                if better {
-                    best = Some((ai, b, c));
-                }
-            }
-            best.expect("nonempty body").0
-        });
-        chosen[ai] = true;
-        for t in &rule.body[ai].args {
-            if let Term::Var(v) = t {
-                if !bound.contains(v) {
-                    bound.push(*v);
-                }
-            }
-        }
-        out.push(ai);
-    }
-    out
+    greedy_order(rule, lead, Vec::new(), &mut |atom, b| {
+        (std::cmp::Reverse(b), card(atom.pred))
+    })
+}
+
+/// The body order of a **re-derivation plan**: the head variables are
+/// bound before the first step, and each pick takes
+///
+/// 1. an atom whose every position is bound — a membership test — else
+/// 2. an atom with a bound position over an unkeyed one (ranked above
+///    the next rule: an unkeyed EDB atom is a scan of the store),
+/// 3. an EDB atom over an IDB atom — the derived relation of a
+///    recursive rule is the closure of the stored one, so keyed on the
+///    same variable it matches at least as many rows,
+/// 4. fewer unbound positions,
+/// 5. the smaller `card` — the store's persisted build-time
+///    cardinalities, never live row counts: those grow with unrelated
+///    rows, and a restored store must compile the plans of the live one,
+/// 6. the earlier textual position.
+pub(crate) fn rederive_order(
+    rule: &Rule,
+    idbs: &[Pred],
+    card: &mut dyn FnMut(Pred) -> u64,
+) -> Vec<usize> {
+    let head_vars = rule
+        .head
+        .args
+        .iter()
+        .filter_map(|t| match t {
+            Term::Var(v) => Some(*v),
+            Term::Const(_) => None,
+        })
+        .collect();
+    greedy_order(rule, None, head_vars, &mut |atom, b| {
+        let unbound = atom.args.len() - b;
+        (unbound != 0, b == 0, idbs.contains(&atom.pred), unbound, card(atom.pred))
+    })
 }
 
 fn xorshift(s: &mut u64) -> u64 {
@@ -369,13 +434,17 @@ pub(crate) fn body_order(
 /// Compiles one body atom against the slot state: the index mask (bound
 /// positions), probe key ops and bind/check actions, registering the
 /// `(relation, mask)` index it probes. `bound_slots` is updated with the
-/// slots this atom binds.
+/// slots this atom binds. With `dedup_full_key`, a step whose key covers
+/// every argument position registers nothing: its key *is* the tuple,
+/// and the caller looks it up in the relation's dedup table.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn compile_step(
     atom: &Atom,
     rel: usize,
     slots: &mut FxHashMap<Var, usize>,
     bound_slots: &mut Vec<bool>,
     idb: bool,
+    dedup_full_key: bool,
     idxs: &mut Vec<IncrementalIndex>,
     idx_of: &mut FxHashMap<(usize, Vec<usize>), usize>,
 ) -> Step {
@@ -417,7 +486,7 @@ pub(crate) fn compile_step(
     }
     // Unkeyed steps scan their snapshot range directly — an empty-mask
     // index would never be extended or probed, so none is registered.
-    let idx = if mask.is_empty() {
+    let idx = if mask.is_empty() || (dedup_full_key && mask.len() == atom.args.len()) {
         NO_INDEX
     } else {
         *idx_of.entry((rel, mask.clone())).or_insert_with(|| {
@@ -528,6 +597,7 @@ pub(crate) fn compile_rule(
             &mut slots,
             &mut bound_slots,
             idb,
+            false,
             idxs,
             idx_of,
         ));
@@ -604,14 +674,27 @@ pub(crate) fn plan_rule_deltas(
 
 /// Compiles one rule for goal-directed re-derivation: head variables are
 /// slots bound from depth 0 (the candidate tuple is the input), so the
-/// body step masks include them and the join is keyed on the head.
+/// body step masks include them and the join is keyed on the head. The
+/// steps run in [`rederive_order`] under [`OrderMode::Planned`] — full-key
+/// steps answered by the dedup table — and in textual order, every keyed
+/// step through an index, under the other modes.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn compile_rederive(
     rule_i: usize,
     rule: &Rule,
+    idbs: &[Pred],
     rel_of_pred: &FxHashMap<Pred, usize>,
     idxs: &mut Vec<IncrementalIndex>,
     idx_of: &mut FxHashMap<(usize, Vec<usize>), usize>,
+    mode: OrderMode,
+    card: &mut dyn FnMut(Pred) -> u64,
 ) -> RederivePlan {
+    let planned = mode == OrderMode::Planned;
+    let order: Vec<usize> = if planned {
+        rederive_order(rule, idbs, card)
+    } else {
+        (0..rule.body.len()).collect()
+    };
     let mut slots: FxHashMap<Var, usize> = FxHashMap::default();
     let mut bound_slots: Vec<bool> = Vec::new();
     let head = rule
@@ -635,10 +718,10 @@ pub(crate) fn compile_rederive(
             }
         })
         .collect();
-    let steps = rule
-        .body
+    let steps = order
         .iter()
-        .map(|atom| {
+        .map(|&ai| {
+            let atom = &rule.body[ai];
             // `idb` is irrelevant here (re-derivation always reads the
             // full live store); pass false so snapshots never apply.
             compile_step(
@@ -647,6 +730,7 @@ pub(crate) fn compile_rederive(
                 &mut slots,
                 &mut bound_slots,
                 false,
+                planned,
                 idxs,
                 idx_of,
             )
@@ -657,6 +741,7 @@ pub(crate) fn compile_rederive(
         head_rel: rel_of_pred[&rule.head.pred],
         head,
         steps,
+        body_of_step: order.into(),
         num_slots: slots.len(),
     }
 }
@@ -802,6 +887,24 @@ mod tests {
         let mut card = |_: Pred| 10u64;
         let order = order_body(&rs[0], None, &mut card);
         assert_eq!(order[0], 2, "constant-bound atom first: {order:?}");
+    }
+
+    /// "Is stored" must not outrank "is keyed": with the head of
+    /// `p1(X, Y)` bound, `e1(A, B)` is the only EDB atom and the only
+    /// one with nothing bound — leading with it scans the relation.
+    #[test]
+    fn rescue_order_takes_a_keyed_idb_atom_before_an_unkeyed_edb_atom() {
+        let p = parse_program(
+            "?- p1(c, Y).\np0(X, Y) :- e0(X, Y).\np1(X, Y) :- p0(X, A), e1(A, B), p0(B, Y).",
+        )
+        .unwrap();
+        let idbs = p.idb_predicates();
+        // p0(x, A) keys e1 on A; e1 then binds all of p0(B, y).
+        assert_eq!(rederive_order(&p.rules[1], &idbs, &mut |_| 0), vec![0, 1, 2]);
+        // Were e1 the smaller relation it would still wait its turn.
+        let e1 = p.rules[1].body[1].pred;
+        let mut card = |pr: Pred| if pr == e1 { 1 } else { 1000 };
+        assert_eq!(rederive_order(&p.rules[1], &idbs, &mut card)[0], 0);
     }
 
     #[test]

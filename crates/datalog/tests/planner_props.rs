@@ -9,9 +9,11 @@
 //! the engine, so the counter parity contract (`EvalStats` bit-for-bit)
 //! is exercised per order, not just for the default plan.
 //!
-//! The last property is a **complexity oracle** for the delta-first
+//! Two properties are **complexity oracles**. For the delta-first
 //! update plans: the work an update round costs must not depend on how
-//! much unrelated data the store holds.
+//! much unrelated data the store holds. For the rescue plans of a
+//! retracting round: it must not depend on the fan-out of the
+//! candidates' bound first argument either.
 
 use proptest::prelude::*;
 use selprop_datalog::ast::Program;
@@ -88,6 +90,25 @@ fn chain_program(picks: &[(u8, Vec<u8>)]) -> Program {
     parse_program(&src).unwrap()
 }
 
+/// A random **left-linear** chain program over the same predicates:
+/// every picked rule is `h(X0, Xn) :- i(X0, X1), e(X1, X2), …` — one IDB
+/// atom, then EDB atoms only. Bound on both ends, such a body can be
+/// walked backwards from `Xn` through stored relations alone.
+fn left_linear_program(picks: &[(u8, u8, Vec<u8>)]) -> Program {
+    let mut src =
+        String::from("?- p(c0, Y).\np(X0, X1) :- e0(X0, X1).\nq(X0, X1) :- e1(X0, X1).\n");
+    for (head, first, tail) in picks {
+        let idb = |i: u8| ["p", "q"][i as usize % 2];
+        let mut atoms = vec![format!("{}(X0, X1)", idb(*first))];
+        for (i, &e) in tail.iter().enumerate() {
+            atoms.push(format!("e{}(X{}, X{})", e % 3, i + 1, i + 2));
+        }
+        let (head, last) = (idb(*head), tail.len() + 1);
+        src.push_str(&format!("{head}(X0, X{last}) :- {}.\n", atoms.join(", ")));
+    }
+    parse_program(&src).unwrap()
+}
+
 /// What one round cost and left behind.
 #[derive(Debug, PartialEq)]
 struct RoundOutcome {
@@ -158,6 +179,60 @@ proptest! {
             round_outcome(&p, &noisy, &round),
             "the round's work changed with the noise"
         );
+    }
+
+    /// Rescue work scales with the fan-in of the over-deleted rows, not
+    /// with the fan-out of their first argument. One edge `(a, b)` of a
+    /// random DAG is retracted (and, in half the cases, re-inserted in
+    /// the same round, so that every casualty is rescued); the same
+    /// round is applied to the store plus `k` fresh successors under
+    /// every node up to `a` — every first argument a candidate can have
+    /// — in every EDB relation. No path to a fresh node crosses the
+    /// edge, so the casualties are the same, and the round must spend
+    /// **exactly** the same probes and firings: a rescue that enumerates
+    /// `p(x, _)` to re-derive `p(x, y)` pays per successor and fails
+    /// this.
+    #[test]
+    fn rescue_work_is_independent_of_the_fan_out_of_the_bound_argument(
+        picks in proptest::collection::vec(
+            (0u8..2, 0u8..2, proptest::collection::vec(0u8..3, 1..3)),
+            1..4,
+        ),
+        edges in proptest::collection::vec((0usize..3, 0usize..5, 0usize..5), 1..20),
+        cut in 0usize..20,
+        reinsert in 0u8..2,
+    ) {
+        let mut p = left_linear_program(&picks);
+        let edb: Vec<Pred> = (0..3).map(|i| p.symbols.predicate(&format!("e{i}"))).collect();
+        let node: Vec<_> = (0..6).map(|i| p.symbols.constant(&format!("c{i}"))).collect();
+        // Edges point from a lower to a higher node.
+        let dag: Vec<(usize, usize, usize)> =
+            edges.iter().map(|&(e, a, d)| (e, a, a + 1 + d % (5 - a))).collect();
+        let mut db = Database::new();
+        for &(e, a, b) in &dag {
+            db.insert(edb[e], vec![node[a], node[b]]);
+        }
+        let (e, a, b) = dag[cut % dag.len()];
+        let mut round = UpdateRound::new().retract(edb[e], vec![node[a], node[b]]);
+        if reinsert == 1 {
+            round = round.insert(edb[e], vec![node[a], node[b]]);
+        }
+
+        let mut fanned = db.clone();
+        for (j, &e) in edb.iter().enumerate() {
+            for (x, &from) in node.iter().enumerate().take(a + 1) {
+                for i in 0..8 {
+                    let z = p.symbols.constant(&format!("z{j}x{x}n{i}"));
+                    fanned.insert(e, vec![from, z]);
+                }
+            }
+        }
+
+        let cost = |db: &Database| {
+            let o = round_outcome(&p, db, &round);
+            (o.probes, o.firings, o.report)
+        };
+        prop_assert_eq!(cost(&db), cost(&fanned), "the round's work changed with the fan-out");
     }
 
     /// Engine vs reference under each order strategy: bit-identical

@@ -2,14 +2,17 @@
 //! serving shapes: what a round costs is a function of the delta and of
 //! what it derives — never of the size of the store it lands in.
 //!
-//! The randomized counterpart (same round, store with and without 10×
-//! unrelated facts, identical counters) lives in
-//! `crates/datalog/tests/planner_props.rs`; these two use the workload
-//! generators of `selprop_core`, which that crate cannot see.
+//! The randomized counterparts (same round, store with and without 10×
+//! unrelated facts — or, for retractions, extra fan-out under the
+//! candidates' bound argument — identical counters) live in
+//! `crates/datalog/tests/planner_props.rs`; these use the workload
+//! generators of `selprop_core`, which that crate cannot see. The first
+//! two are about insert rounds, the last two about the DRed rescue of a
+//! retract round.
 
 use selprop_core::workload;
 use selprop_datalog::eval::{EvalStats, Strategy};
-use selprop_datalog::{parse_program, Materialization, UpdateRound};
+use selprop_datalog::{parse_program, GroundAtom, Materialization, UpdateRound};
 
 const SECTION_7: &str = "?- p(c, Y).\n\
                          p(X, Y) :- b1(X, X1), b2(X1, Y).\n\
@@ -84,6 +87,85 @@ fn leaf_inserts_cost_a_bounded_number_of_probes_per_appended_row() {
         assert!(
             probes <= 4 * appended,
             "layered_dag({layers}, {width}): {probes} probes for {appended} appended rows"
+        );
+    }
+}
+
+/// Program A over a random forest: retracting a leaf hung directly under
+/// the root over-deletes `anc(john, leaf)` and fails to rescue it in a
+/// handful of probes — through `par(Z, leaf)`, which is empty — however
+/// many descendants `john` has. Entering the recursive rule through
+/// `anc(john, Z)` instead walks all of them.
+#[test]
+fn a_leaf_retract_under_the_root_costs_the_same_at_every_store_size() {
+    let round_cost = |n: usize| {
+        let mut p = parse_program(PROGRAM_A).unwrap();
+        let mut db = workload::random_forest(&mut p, "par", "john", n, 7);
+        let par = p.symbols.get_predicate("par").unwrap();
+        let leaf = vec![p.symbols.constant("john"), p.symbols.constant("leaf")];
+        db.insert(par, leaf.clone());
+        let mut m = Materialization::from_database(&p, &db, Strategy::SemiNaive);
+        let before = m.stats();
+        assert_eq!(m.retract_facts(par, &[leaf]), 1);
+        spent(before, m.stats())
+    };
+    let small = round_cost(1_000);
+    assert_eq!(small, round_cost(10_000), "(probes, firings, derived) at n = 10^3 vs 10^4");
+    assert!(small.0 <= 8, "{} probes to give up on one candidate", small.0);
+    assert_eq!(small.2, 0, "nothing is rescued");
+}
+
+/// Program A over a layered DAG with four leaves per last-rank node,
+/// each hung under two of them. For a quarter of the leaves, retracting
+/// the edge `anc(john, leaf)` is recorded through over-deletes every
+/// `anc` row recorded through it and rescues all but one through the
+/// other parent, at no more than 6 probes per row killed or re-appended:
+/// each candidate asks `par(Z, leaf)` for the surviving parent and the
+/// dedup table for `anc(x, parent)`. A walk over `anc(x, _)` visits the
+/// other leaves under `x` first — the untouched three quarters.
+#[test]
+fn rescuing_through_the_other_parent_costs_a_bounded_number_of_probes_per_row() {
+    for (layers, width) in [(6usize, 4usize), (12, 8)] {
+        let mut p = parse_program(PROGRAM_A).unwrap();
+        let mut db = workload::layered_dag(&mut p, "par", "john", layers, width);
+        let par = p.symbols.get_predicate("par").unwrap();
+        let anc = p.symbols.get_predicate("anc").unwrap();
+        let john = p.symbols.constant("john");
+        let leaves: Vec<_> = (0..4 * width)
+            .map(|i| {
+                let leaf = p.symbols.constant(&format!("leaf{i}"));
+                for parent in [i % width, (i + 1) % width] {
+                    let parent = p.symbols.constant(&format!("l{layers}_{parent}"));
+                    db.insert(par, vec![parent, leaf]);
+                }
+                leaf
+            })
+            .collect();
+        let mut m = Materialization::from_database(&p, &db, Strategy::SemiNaive);
+        m.set_compaction_policy(None);
+        // The edge anc(john, leaf) is recorded through.
+        let prov = m.provenance();
+        let round = leaves[..width].iter().fold(UpdateRound::new(), |round, &leaf| {
+            let (_, body) = prov
+                .justification(&GroundAtom { pred: anc, args: vec![john, leaf] })
+                .expect("john reaches every leaf");
+            round.retract(par, body[1].args.clone())
+        });
+        let (mem, before) = (m.mem_stats(), m.stats());
+        assert_eq!(m.apply(&round).retracted, width);
+        let (probes, _, _) = spent(before, m.stats());
+        let after = m.mem_stats();
+        let reappended = after.total_rows - mem.total_rows;
+        let killed = (after.total_rows - after.live_rows) - (mem.total_rows - mem.live_rows);
+        // Per leaf the edge itself and the cut parent's own row are gone
+        // for good; every other casualty comes back through the other
+        // parent.
+        assert!(reappended > 0);
+        assert_eq!(killed, reappended + 2 * width);
+        assert!(
+            probes as usize <= 6 * (killed + reappended),
+            "layered_dag({layers}, {width}): {probes} probes for {killed} rows killed, \
+             {reappended} re-appended"
         );
     }
 }
