@@ -19,11 +19,6 @@
 //!
 //! - `--smoke`: tiny configs only, output to a temp path — exercises the
 //!   full pipeline (including thread rows) in seconds;
-//! - `--planner-only`: runs just the join-planner A/B group (combine
-//!   with `--smoke` for the CI-sized variant) and exits 2 on any drift
-//!   or gate violation, without touching `BENCH_eval.json`;
-//! - `--storage-only`: ditto for the storage-layout A/B group
-//!   (segmented postings vs chains-only);
 //! - `--corrupt-cross-check`: deliberately corrupts one reference
 //!   counter before the comparison, proving the failure path really
 //!   propagates to a nonzero exit.
@@ -31,17 +26,16 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use selprop_bench::{strategy_from_env, THREAD_SWEEP};
+use selprop_bench::THREAD_SWEEP;
 use selprop_core::workload;
 use selprop_datalog::db::{Database, Tuple};
 use selprop_datalog::eval::{
-    answer, answer_cfg, apply_goal, evaluate, evaluate_cfg, evaluate_with_provenance, EvalStats,
-    Strategy,
+    answer, apply_goal, evaluate, evaluate_with_provenance, EvalStats, Strategy,
 };
 use selprop_datalog::magic::magic_transform;
 use selprop_datalog::parser::parse_program;
 use selprop_datalog::{
-    reference, CompactionPolicy, Materialization, PlannerConfig, Program, Server, UpdateRound,
+    reference, CompactionPolicy, Materialization, Program, Server, UpdateRound,
 };
 
 struct Row {
@@ -1206,256 +1200,6 @@ fn query_cache_rows(smoke: bool) -> Result<Vec<DurRow>, String> {
     Ok(out)
 }
 
-/// Per-op stats: the counter delta between two cumulative readings of a
-/// materialization's lifetime stats.
-/// The join-planner group: an A/B of [`PlannerConfig::default`]
-/// (selectivity-planned body order, staged-head pruning, productive
-/// firing counting, TC kernel) against [`PlannerConfig::legacy`] (the
-/// pre-planner engine, bit-for-bit) on the two 10⁶-tuple headline
-/// workloads. Each side is cross-checked against the reference
-/// evaluator *under the same config*, and the two sides' models are
-/// checked against each other. Gates (non-smoke): firings per distinct
-/// tuple on the E1 closure must drop ≥3x under the planner, and the
-/// planner must not regress wall time on either workload. Any
-/// violation propagates as `Err` (→ process exit 2).
-fn planner_rows(smoke: bool) -> Result<Vec<DurRow>, String> {
-    const SRC_A: &str =
-        "?- anc(john, Y).\nanc(X, Y) :- par(X, Y).\nanc(X, Y) :- anc(X, Z), par(Z, Y).";
-    const SRC_E5: &str = "?- p(c, Y).\n\
-                          p(X, Y) :- b1(X, X1), b2(X1, Y).\n\
-                          p(X, Y) :- b1(X, X1), p(X1, Y1), b2(Y1, Y).";
-    let runs = if smoke { 1 } else { 2 };
-    let mut out = Vec::new();
-
-    let mut cases: Vec<(String, Program, Database, bool)> = Vec::new();
-    {
-        let (layers, width) = if smoke { (6, 4) } else { (72, 20) };
-        let mut p = parse_program(SRC_A).unwrap();
-        let db = workload::layered_dag(&mut p, "par", "john", layers, width);
-        cases.push((format!("e1/A/layered_dag({layers},{width})"), p, db, true));
-    }
-    {
-        let (layers, noise) = if smoke { (8, 40) } else { (20, 1_000_000) };
-        let mut p = parse_program(SRC_E5).unwrap();
-        let db = workload::layered_b1_b2(&mut p, "c", layers, noise);
-        cases.push((format!("e5/original/{layers}x{noise}"), p, db, false));
-    }
-
-    for (config, p, db, e1_firings_gate) in cases {
-        // The engine side follows `SELPROP_THREADS` (CI runs this group
-        // sequentially and at 4 threads); the reference side is always
-        // sequential — the parallel engine is specified to be
-        // counter-identical, so the cross-check holds either way.
-        let strat = strategy_from_env();
-        let side = |tag: &str,
-                        cfg: PlannerConfig|
-         -> Result<(f64, EvalStats, Database), String> {
-            let label = format!("planner/{config}/{tag}");
-            let (wall_ms, result) = timed(runs, || evaluate_cfg(&p, &db, strat, cfg));
-            let spec = reference::evaluate_cfg(&p, &db, Strategy::SemiNaive, cfg);
-            if result.stats != spec.stats {
-                return Err(format!(
-                    "{label}: counter drift vs reference\n  got:  {:?}\n  want: {:?}",
-                    result.stats, spec.stats
-                ));
-            }
-            models_equal(&label, &result.idb, &spec.idb)?;
-            Ok((wall_ms, result.stats, result.idb))
-        };
-        let (off_wall, off, off_model) = side("off", PlannerConfig::legacy())?;
-        let (on_wall, on, on_model) = side("on", PlannerConfig::default())?;
-        models_equal(&format!("planner/{config}/on-vs-off"), &on_model, &off_model)?;
-
-        // TC-kernel observability: one instrumented build under the
-        // default config (`evaluate_cfg` does not expose the report).
-        let m = Materialization::from_database_with(&p, &db, Strategy::SemiNaive, PlannerConfig::default());
-        let report = m.planner_report();
-
-        let off_fpd = off.rule_firings as f64 / off.tuples_derived as f64;
-        let on_fpd = on.rule_firings as f64 / on.tuples_derived as f64;
-        let reduction = off_fpd / on_fpd;
-        println!(
-            "plan {config:<34} firings/distinct off={off_fpd:>6.2} on={on_fpd:>6.2} ({reduction:>5.1}x) probes off={:<9} on={:<9} tc_hits={} wall off={off_wall:>8.2}ms on={on_wall:>8.2}ms",
-            off.join_probes, on.join_probes, report.tc_hits,
-        );
-        out.push(DurRow {
-            config,
-            metrics: vec![
-                ("firings_off", off.rule_firings as f64),
-                ("firings_on", on.rule_firings as f64),
-                ("probes_off", off.join_probes as f64),
-                ("probes_on", on.join_probes as f64),
-                ("tuples_derived", on.tuples_derived as f64),
-                ("firings_per_distinct_off", off_fpd),
-                ("firings_per_distinct_on", on_fpd),
-                ("firings_reduction", reduction),
-                ("wall_ms_off", off_wall),
-                ("wall_ms_on", on_wall),
-                ("tc_kernel_hits", report.tc_hits as f64),
-                ("tc_kernel_rows", report.tc_rows as f64),
-                ("index_keys", report.index_keys as f64),
-                ("index_rows", report.index_rows as f64),
-            ],
-        });
-        let gated = &out.last().expect("just pushed").config;
-        if !smoke {
-            if e1_firings_gate && reduction < 3.0 {
-                return Err(format!(
-                    "planner/{gated}: firings-per-distinct reduction {reduction:.2}x below the 3x gate (off {off_fpd:.2}, on {on_fpd:.2})"
-                ));
-            }
-            if on_wall > off_wall * 1.25 {
-                return Err(format!(
-                    "planner/{gated}: wall-time regression ({on_wall:.1}ms planned vs {off_wall:.1}ms legacy)"
-                ));
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// The storage-layout group: an A/B of the segmented posting layout
-/// ([`PlannerConfig::default`], layout B) against the chains-only
-/// layout (`segmented: false`, layout A — the pre-segment engine's
-/// storage, kept selectable exactly for this baseline) on the two
-/// 10⁶-tuple headline workloads. Both sides are cross-checked against
-/// the reference evaluator under their own config; the sides are then
-/// checked against each other and against [`PlannerConfig::legacy`]
-/// for model identity, and a [`Materialization`] build per side checks
-/// row ids + justifications bit-for-bit via [`Materialization::provenance`]
-/// (provenance stores row data in row-id order, so equality covers
-/// enumeration order too). Gates (non-smoke): the counters must be
-/// *identical* between layouts (the segment fold may not change what
-/// the engine does, only where rows live), and the segmented layout
-/// must be ≥1.3x faster on wall clock. Any violation propagates as
-/// `Err` (→ process exit 2).
-fn storage_rows(smoke: bool) -> Result<Vec<DurRow>, String> {
-    const SRC_A: &str =
-        "?- anc(john, Y).\nanc(X, Y) :- par(X, Y).\nanc(X, Y) :- anc(X, Z), par(Z, Y).";
-    const SRC_E5: &str = "?- p(c, Y).\n\
-                          p(X, Y) :- b1(X, X1), b2(X1, Y).\n\
-                          p(X, Y) :- b1(X, X1), p(X1, Y1), b2(Y1, Y).";
-    let runs = if smoke { 1 } else { 3 };
-    let mut out = Vec::new();
-
-    let mut cases: Vec<(String, Program, Database)> = Vec::new();
-    {
-        let (layers, width) = if smoke { (6, 4) } else { (72, 20) };
-        let mut p = parse_program(SRC_A).unwrap();
-        let db = workload::layered_dag(&mut p, "par", "john", layers, width);
-        cases.push((format!("e1/A/layered_dag({layers},{width})"), p, db));
-    }
-    {
-        let (layers, noise) = if smoke { (8, 40) } else { (20, 1_000_000) };
-        let mut p = parse_program(SRC_E5).unwrap();
-        let db = workload::layered_b1_b2(&mut p, "c", layers, noise);
-        cases.push((format!("e5/original/{layers}x{noise}"), p, db));
-    }
-
-    for (config, p, db) in cases {
-        // The engine side follows `SELPROP_THREADS` (CI runs this group
-        // sequentially and at 4 threads); the reference side is always
-        // sequential.
-        let strat = strategy_from_env();
-        let seg_cfg = PlannerConfig::default();
-        let chain_cfg = PlannerConfig { segmented: false, ..PlannerConfig::default() };
-        let side = |tag: &str, cfg: PlannerConfig| -> Result<(f64, EvalStats, Database), String> {
-            let label = format!("storage/{config}/{tag}");
-            // Timed: the fixpoint proper (`answer_cfg` skips the
-            // O(model) `Database` conversion, which would dilute a
-            // constant-factor storage win identically on both sides).
-            let (wall_ms, (answers, stats)) = timed(runs, || {
-                let (ans, stats) = answer_cfg(&p, &db, strat, cfg);
-                (ans.len(), stats)
-            });
-            // Untimed: the model read-out and the reference cross-check.
-            let result = evaluate_cfg(&p, &db, strat, cfg);
-            if result.stats != stats {
-                return Err(format!(
-                    "{label}: counter drift between answer and model read-outs\n  got:  {stats:?}\n  want: {:?}",
-                    result.stats
-                ));
-            }
-            let spec = reference::evaluate_cfg(&p, &db, Strategy::SemiNaive, cfg);
-            if result.stats != spec.stats {
-                return Err(format!(
-                    "{label}: counter drift vs reference\n  got:  {:?}\n  want: {:?}",
-                    result.stats, spec.stats
-                ));
-            }
-            models_equal(&label, &result.idb, &spec.idb)?;
-            let want_answers = spec
-                .idb
-                .relation(p.goal.pred)
-                .map(|rel| apply_goal(&p.goal, rel).len())
-                .unwrap_or(0);
-            if answers != want_answers {
-                return Err(format!(
-                    "{label}: answer drift (got {answers}, want {want_answers})"
-                ));
-            }
-            Ok((wall_ms, stats, result.idb))
-        };
-        let (chain_wall, chain_stats, chain_model) = side("chains", chain_cfg)?;
-        let (seg_wall, seg_stats, seg_model) = side("segmented", seg_cfg)?;
-        if seg_stats != chain_stats {
-            return Err(format!(
-                "storage/{config}: counter drift between layouts\n  segmented: {seg_stats:?}\n  chains:    {chain_stats:?}"
-            ));
-        }
-        models_equal(&format!("storage/{config}/seg-vs-chains"), &seg_model, &chain_model)?;
-        let (_, legacy_result) = timed(1, || evaluate_cfg(&p, &db, strat, PlannerConfig::legacy()));
-        models_equal(&format!("storage/{config}/seg-vs-legacy"), &seg_model, &legacy_result.idb)?;
-
-        // Row-id + justification identity: provenance stores rows in
-        // row-id order with their recorded justifications, so equality
-        // here is the bit-for-bit layout oracle.
-        let ma = Materialization::from_database_with(&p, &db, Strategy::SemiNaive, seg_cfg);
-        let mb = Materialization::from_database_with(&p, &db, Strategy::SemiNaive, chain_cfg);
-        let (pa, pb) = (ma.provenance(), mb.provenance());
-        if pa != pb {
-            return Err(format!(
-                "storage/{config}: row-id/justification drift between layouts"
-            ));
-        }
-        pa.check(&p)
-            .map_err(|e| format!("storage/{config}: provenance check: {e}"))?;
-        let (sa, sb) = (ma.mem_stats(), mb.mem_stats());
-        if sb.seg_words != 0 {
-            return Err(format!(
-                "storage/{config}: chains-only layout reports {} segment words",
-                sb.seg_words
-            ));
-        }
-
-        let speedup = chain_wall / seg_wall;
-        println!(
-            "stor {config:<34} wall chains={chain_wall:>8.2}ms segmented={seg_wall:>8.2}ms ({speedup:>5.2}x) probes={:<9} seg_words={} index_words={}",
-            seg_stats.join_probes, sa.seg_words, sa.index_words,
-        );
-        out.push(DurRow {
-            config,
-            metrics: vec![
-                ("wall_ms_chains", chain_wall),
-                ("wall_ms_segmented", seg_wall),
-                ("layout_speedup", speedup),
-                ("tuples_derived", seg_stats.tuples_derived as f64),
-                ("join_probes", seg_stats.join_probes as f64),
-                ("seg_words", sa.seg_words as f64),
-                ("index_words_segmented", sa.index_words as f64),
-                ("index_words_chains", sb.index_words as f64),
-            ],
-        });
-        let gated = &out.last().expect("just pushed").config;
-        if !smoke && speedup < 1.3 {
-            return Err(format!(
-                "storage/{gated}: layout speedup {speedup:.2}x below the 1.3x gate ({chain_wall:.1}ms chains vs {seg_wall:.1}ms segmented)"
-            ));
-        }
-    }
-    Ok(out)
-}
-
 /// Detected CPU resources: logical count from `available_parallelism`
 /// and the affinity mask from `/proc/self/status` (`Cpus_allowed_list`),
 /// so the long-standing "thread rows measured on a 1-CPU box" caveat is
@@ -1472,6 +1216,8 @@ fn cpu_info() -> (usize, String) {
     (count, affinity)
 }
 
+/// Per-op stats: the counter delta between two cumulative readings of a
+/// materialization's lifetime stats.
 fn diff_stats(after: EvalStats, before: EvalStats) -> EvalStats {
     EvalStats {
         iterations: after.iterations - before.iterations,
@@ -1481,13 +1227,7 @@ fn diff_stats(after: EvalStats, before: EvalStats) -> EvalStats {
     }
 }
 
-fn render_json(
-    rows: &[Row],
-    durability: &[DurRow],
-    query_cache: &[DurRow],
-    planner: &[DurRow],
-    storage: &[DurRow],
-) -> String {
+fn render_json(rows: &[Row], durability: &[DurRow], query_cache: &[DurRow]) -> String {
     let (cpus, affinity) = cpu_info();
     let mut json = format!(
         "{{\n  \"generated_by\": \"cargo run --release -p selprop-bench --bin record\",\n  \"engine\": \"columnar-watermark\",\n  \"machine\": {{\"cpus\": {cpus}, \"cpus_allowed_list\": \"{affinity}\"}},\n  \"experiments\": [\n"
@@ -1512,12 +1252,7 @@ fn render_json(
         let _ = write!(json, "}}{}", if i + 1 == rows.len() { "" } else { "," });
         json.push('\n');
     }
-    for (section, group) in [
-        ("durability", durability),
-        ("query_cache", query_cache),
-        ("planner", planner),
-        ("storage", storage),
-    ] {
+    for (section, group) in [("durability", durability), ("query_cache", query_cache)] {
         let _ = write!(json, "  ],\n  \"{section}\": [\n");
         for (i, r) in group.iter().enumerate() {
             let _ = write!(json, "    {{\"config\": \"{}\"", r.config);
@@ -1553,9 +1288,7 @@ fn record(smoke: bool) -> Result<String, String> {
     server_rows(&mut rows, smoke)?;
     let durability = durability_rows(smoke)?;
     let query_cache = query_cache_rows(smoke)?;
-    let planner = planner_rows(smoke)?;
-    let storage = storage_rows(smoke)?;
-    let json = render_json(&rows, &durability, &query_cache, &planner, &storage);
+    let json = render_json(&rows, &durability, &query_cache);
     let path = if smoke {
         // Per-process name: concurrent smoke runs must not race on one file.
         std::env::temp_dir()
@@ -1585,30 +1318,6 @@ fn main() {
         }
     }
     let smoke = args.iter().any(|a| a == "--smoke");
-    if args.iter().any(|a| a == "--planner-only") {
-        match planner_rows(smoke) {
-            Ok(_) => {
-                println!("\nplanner group OK");
-                return;
-            }
-            Err(e) => {
-                eprintln!("cross-check mismatch: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
-    if args.iter().any(|a| a == "--storage-only") {
-        match storage_rows(smoke) {
-            Ok(_) => {
-                println!("\nstorage group OK");
-                return;
-            }
-            Err(e) => {
-                eprintln!("cross-check mismatch: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
     match record(smoke) {
         Ok(path) => println!("\nwrote {path}"),
         Err(e) => {

@@ -32,7 +32,7 @@ use crate::ast::{Atom, Const, Program, Term, Var};
 use crate::db::{Database, Relation};
 use crate::derivation::Provenance;
 use crate::materialize::Materialization;
-use crate::plan::PlannerConfig;
+use crate::plan::OrderMode;
 
 /// First-join-step shards per worker thread in
 /// [`Strategy::SemiNaiveParallel`] (`shards = OVERSHARD × threads`):
@@ -135,20 +135,19 @@ pub struct EvalResult {
 /// [`Materialization::from_database`] directly to keep the state and
 /// absorb updates instead of recomputing.
 pub fn evaluate(program: &Program, db: &Database, strategy: Strategy) -> EvalResult {
-    Materialization::batch(program, db, strategy, false).into_result()
+    evaluate_cfg(program, db, strategy, OrderMode::Planned)
 }
 
-/// [`evaluate`] under an explicit [`PlannerConfig`] — the hook the
-/// planner property suites and the A/B benchmarks use to force body
-/// orders ([`crate::plan::OrderMode::Shuffled`]) or restore the legacy
-/// engine ([`PlannerConfig::legacy`]).
+/// [`evaluate`] under an explicit [`OrderMode`] — the hook the planner
+/// property suites use to force adversarial body orders
+/// ([`OrderMode::Shuffled`]).
 pub fn evaluate_cfg(
     program: &Program,
     db: &Database,
     strategy: Strategy,
-    cfg: PlannerConfig,
+    order: OrderMode,
 ) -> EvalResult {
-    Materialization::batch_with(program, db, strategy, false, cfg).into_result()
+    Materialization::batch(program, db, strategy, false, order).into_result()
 }
 
 /// Evaluates and applies the goal: the answer relation (arity = number of
@@ -158,22 +157,7 @@ pub fn evaluate_cfg(
 /// [`Database`]: the goal's selection/projection runs directly over the
 /// columnar rows of the goal predicate.
 pub fn answer(program: &Program, db: &Database, strategy: Strategy) -> (Relation, EvalStats) {
-    let m = Materialization::batch(program, db, strategy, false);
-    (m.goal_answer(&program.goal), m.stats())
-}
-
-/// [`answer`] under an explicit [`PlannerConfig`]: the storage-layout
-/// A/B benchmark times this — the fixpoint proper, without the
-/// O(model) [`Database`] conversion of [`evaluate_cfg`], so a
-/// constant-factor storage win is not diluted by an identical
-/// conversion cost on both sides.
-pub fn answer_cfg(
-    program: &Program,
-    db: &Database,
-    strategy: Strategy,
-    cfg: PlannerConfig,
-) -> (Relation, EvalStats) {
-    let m = Materialization::batch_with(program, db, strategy, false, cfg);
+    let m = Materialization::batch(program, db, strategy, false, OrderMode::Planned);
     (m.goal_answer(&program.goal), m.stats())
 }
 
@@ -211,21 +195,21 @@ pub fn evaluate_with_provenance(
     db: &Database,
     strategy: Strategy,
 ) -> ProvenanceResult {
-    Materialization::batch(program, db, strategy, true).into_provenance_result()
+    evaluate_with_provenance_cfg(program, db, strategy, OrderMode::Planned)
 }
 
-/// [`evaluate_with_provenance`] under an explicit [`PlannerConfig`]:
+/// [`evaluate_with_provenance`] under an explicit [`OrderMode`]:
 /// whatever the body order, the recorded justifications stay positional
 /// instantiations of the rule text (the staging permutes matched rows
 /// back to rule-body order), so [`Provenance::check`] must pass for
-/// every configuration.
+/// every order.
 pub fn evaluate_with_provenance_cfg(
     program: &Program,
     db: &Database,
     strategy: Strategy,
-    cfg: PlannerConfig,
+    order: OrderMode,
 ) -> ProvenanceResult {
-    Materialization::batch_with(program, db, strategy, true, cfg).into_provenance_result()
+    Materialization::batch(program, db, strategy, true, order).into_provenance_result()
 }
 
 // ---------------------------------------------------------------------
@@ -318,7 +302,7 @@ pub(crate) fn seminaive_profile(program: &Program, db: &Database, strategy: Stra
         Strategy::Naive => Strategy::SemiNaive,
         s => s,
     };
-    Materialization::batch(program, db, strategy, false)
+    Materialization::batch(program, db, strategy, false, OrderMode::Planned)
         .profile()
         .to_vec()
 }
@@ -367,42 +351,9 @@ mod tests {
         let (a2, s2) = answer(&p, &db, Strategy::SemiNaive);
         assert_eq!(a1.sorted(), a2.sorted());
         // Semi-naive does strictly less join work on a chain. (Firings
-        // are productive by default — tuples actually added — so both
-        // strategies fire identically; probes measure the revisits.)
+        // are productive — tuples actually added — so both strategies
+        // fire identically; probes measure the revisits.)
         assert!(s2.join_probes < s1.join_probes, "{s2:?} vs {s1:?}");
-    }
-
-    #[test]
-    fn segmented_and_chain_layouts_are_observationally_identical() {
-        // The storage-layout A/B contract at the eval surface: the
-        // segmented layer (frozen postings, raw-key tables, batched
-        // merge) and the chains-only baseline compute the same answers,
-        // the same counters and bit-for-bit identical provenance (row
-        // ids + justifications) under every strategy.
-        let chains = PlannerConfig {
-            segmented: false,
-            ..PlannerConfig::default()
-        };
-        for strategy in [
-            Strategy::SemiNaive,
-            Strategy::SemiNaiveParallel { threads: 2 },
-            Strategy::SemiNaiveParallel { threads: 4 },
-        ] {
-            let mut p = program_a();
-            let db = chain_db(&mut p, 70); // deep enough to freeze segments
-            let (a_seg, s_seg) = answer_cfg(&p, &db, strategy, PlannerConfig::default());
-            let (a_chn, s_chn) = answer_cfg(&p, &db, strategy, chains);
-            assert_eq!(a_seg.sorted(), a_chn.sorted(), "{strategy:?}: answer drift");
-            assert_eq!(s_seg, s_chn, "{strategy:?}: EvalStats drift");
-            let p_seg = evaluate_with_provenance_cfg(&p, &db, strategy, PlannerConfig::default());
-            let p_chn = evaluate_with_provenance_cfg(&p, &db, strategy, chains);
-            assert_eq!(p_seg.stats, p_chn.stats, "{strategy:?}: recorded-stats drift");
-            assert!(
-                p_seg.provenance == p_chn.provenance,
-                "{strategy:?}: row-id/justification drift between layouts"
-            );
-            p_seg.provenance.check(&p).expect("segmented provenance valid");
-        }
     }
 
     #[test]

@@ -34,9 +34,9 @@
 //!   structural recognition of the transitive-closure shape for the
 //!   specialized kernel. Plans are static — compiled where a store is
 //!   built, a rule added or a snapshot restored; one planning entry
-//!   point serves the engine, the magic-set views and rule hot-swap;
-//!   [`plan::PlannerConfig::legacy`] restores the pre-planner behavior
-//!   bit-for-bit;
+//!   point serves the engine, the magic-set views and rule hot-swap.
+//!   The one setting is the body order, [`plan::OrderMode`], whose
+//!   `Shuffled` value is the order-independence test hook;
 //! - [`pool`] — a dependency-free scoped thread pool (persistent
 //!   workers, borrowing jobs, panic propagation);
 //! - [`storage`] — columnar relations (one flat `Vec<Const>` per
@@ -118,5 +118,5 @@ pub use materialize::{
 };
 pub use parser::parse_program;
 pub use persist::PersistError;
-pub use plan::{OrderMode, PlannerConfig};
+pub use plan::OrderMode;
 pub use server::{Server, Snapshot};

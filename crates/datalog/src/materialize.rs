@@ -57,11 +57,11 @@ use crate::ast::{Atom, Const, Pred, Program, Rule, Term, Var};
 use crate::db::{Database, Relation, Tuple};
 use crate::derivation::Provenance;
 use crate::eval::{self, EvalResult, EvalStats, ProvenanceResult, Strategy, OVERSHARD};
-use crate::hash::{FxHashMap, FxHashSet};
+use crate::hash::FxHashMap;
 use crate::persist::{self, Dec, Enc, PersistError};
 use crate::plan::{
     compile_rederive, compile_rule, plan_rule, plan_rule_deltas, Action, HeadOp, KeyOp, Out,
-    OrderMode, PlannerConfig, RederivePlan, RulePlan, Step, NO_INDEX,
+    OrderMode, RederivePlan, RulePlan, Step, NO_INDEX,
 };
 use crate::pool::ThreadPool;
 use crate::storage::{shard_ranges, ColumnarRelation, IncrementalIndex, NO_ROW};
@@ -222,15 +222,11 @@ struct Scratch {
     /// Maintained unconditionally (one word store per matched row); read
     /// only when provenance recording is on.
     rows: Vec<u32>,
-    /// Per-shard staged-head filter ([`PlannerConfig::staged_filter`]):
-    /// head tuples already staged by this `(rule, delta, shard)`
-    /// evaluation. Reset at every evaluation entry; purely suppresses
-    /// duplicate staging, never affects counters or merge order.
+    /// Per-shard staged-head filter: head tuples already staged by this
+    /// `(rule, delta, shard)` evaluation. Reset at every evaluation
+    /// entry; purely suppresses duplicate staging — the merge would drop
+    /// the copies anyway — and never affects counters or merge order.
     staged: StagedSet,
-    /// The pre-change staged-head filter (an owning set, one clone per
-    /// staged head), used instead of `staged` under the chains-only
-    /// storage baseline (`PlannerConfig::segmented == false`).
-    staged_legacy: FxHashSet<Vec<Const>>,
 }
 
 /// One slot of a [`StagedSet`]: live iff its generation matches the
@@ -248,8 +244,7 @@ struct StagedSlot {
 /// [`PendingTuples::data`] buffer by offset (one `(rule, delta, shard)`
 /// evaluation stages heads of a single relation, so one arity governs
 /// every entry) and carry the staged copy's memoized row hash — so the
-/// filter re-hashes nothing and clones nothing, where the previous
-/// `HashSet<Vec<Const>>` allocated one `Vec` per staged head.
+/// filter re-hashes nothing and clones nothing.
 /// Generation stamping makes the per-evaluation reset O(1).
 #[derive(Default)]
 struct StagedSet {
@@ -407,7 +402,6 @@ impl RelJust {
 struct Counters {
     pre: u64,
     post: u64,
-    firings: u64,
     /// Transitive-closure kernel invocations (observability only; never
     /// part of [`EvalStats`]).
     tc_hits: u64,
@@ -621,7 +615,7 @@ pub struct Materialization {
     /// Parallel to `plans` in a maintained (justification-recording)
     /// store and empty in a one-shot batch store, which can never be
     /// updated and must not pay for update-only indexes; an inner vector
-    /// is empty unless the order mode is [`OrderMode::Planned`]. Where
+    /// is empty under [`OrderMode::Shuffled`]. Where
     /// there is no update plan the rule's batch plan serves
     /// ([`Materialization::plan_for`]). Static: compiled by `build`,
     /// `compile_added_rule` and `from_bytes`, never revised.
@@ -690,9 +684,9 @@ pub struct Materialization {
     /// (their per-row edge chains would cost O(base) memory per view);
     /// deletion seeds for them come from the justification scan instead.
     ext_flag: Vec<bool>,
-    /// The planner configuration plans were compiled under (fixed at
+    /// The body-order mode plans were compiled under (fixed at
     /// construction; persisted).
-    planner: PlannerConfig,
+    order: OrderMode,
     /// Per relation: the live cardinality at construction (after the
     /// EDB load; 0 for relations interned later) — the tie-break basis
     /// of the update plans. Persisted, so a restored store compiles the
@@ -717,19 +711,19 @@ impl Materialization {
     /// [`crate::eval::evaluate`] — then stands ready to absorb updates.
     /// Justifications are recorded, so retraction is available.
     pub fn from_database(program: &Program, db: &Database, strategy: Strategy) -> Self {
-        Self::batch(program, db, strategy, true)
+        Self::batch(program, db, strategy, true, OrderMode::Planned)
     }
 
     /// [`Materialization::from_database`] under an explicit
-    /// [`PlannerConfig`] — the A/B handle: [`PlannerConfig::legacy`]
-    /// reproduces the pre-planner engine bit-for-bit, counters included.
+    /// [`OrderMode`] — the order-independence test hook
+    /// ([`OrderMode::Shuffled`]).
     pub fn from_database_with(
         program: &Program,
         db: &Database,
         strategy: Strategy,
-        planner: PlannerConfig,
+        order: OrderMode,
     ) -> Self {
-        Self::batch_with(program, db, strategy, true, planner)
+        Self::batch(program, db, strategy, true, order)
     }
 
     /// The batch entry point the thin `eval` wrappers use: `record`
@@ -740,19 +734,10 @@ impl Materialization {
         db: &Database,
         strategy: Strategy,
         record: bool,
+        order: OrderMode,
     ) -> Self {
-        Self::batch_with(program, db, strategy, record, PlannerConfig::default())
-    }
-
-    pub(crate) fn batch_with(
-        program: &Program,
-        db: &Database,
-        strategy: Strategy,
-        record: bool,
-        planner: PlannerConfig,
-    ) -> Self {
-        let mut m = Self::build(program, db, strategy, record, planner);
-        m.run_batch();
+        let mut m = Self::build(program, db, strategy, record, order);
+        m.run_fixpoint(true);
         m
     }
 
@@ -761,7 +746,7 @@ impl Materialization {
         db: &Database,
         strategy: Strategy,
         record: bool,
-        planner: PlannerConfig,
+        order: OrderMode,
     ) -> Self {
         let idbs = program.idb_predicates();
 
@@ -813,13 +798,10 @@ impl Materialization {
                 continue;
             }
             if let Some(&rid) = rel_of_pred.get(&p) {
-                if planner.segmented {
-                    // The input size is known up front: size the dedup
-                    // table once instead of growing it through every
-                    // doubling (the chains-only baseline keeps the
-                    // pre-change incremental growth).
-                    rels[rid].reserve_rows(r.len());
-                }
+                // The input size is known up front: size the dedup
+                // table once instead of growing it through every
+                // doubling.
+                rels[rid].reserve_rows(r.len());
                 for t in r.iter() {
                     rels[rid].insert(t);
                 }
@@ -850,7 +832,7 @@ impl Materialization {
                         rel_of_pred_ref,
                         &mut idxs,
                         &mut idx_of,
-                        planner.order,
+                        order,
                         &mut card,
                     )
                 })
@@ -891,7 +873,7 @@ impl Materialization {
             version: 0,
             edb_retracts: 0,
             ext_flag: Vec::new(),
-            planner,
+            order,
             planned_card,
             tc_hits: 0,
             tc_rows: 0,
@@ -902,9 +884,6 @@ impl Materialization {
         if record {
             m.compile_delta_plans();
         }
-        // Freshly registered indexes hold no rows yet: the planner's
-        // storage layout applies cleanly.
-        m.apply_index_layout();
         m
     }
 
@@ -929,7 +908,7 @@ impl Materialization {
                 rel_of_pred,
                 &mut self.idxs,
                 &mut self.idx_of,
-                self.planner.order,
+                self.order,
                 &mut card,
             ));
         }
@@ -994,9 +973,9 @@ impl Materialization {
         self.strategy
     }
 
-    /// The planner configuration this store's plans were compiled under.
-    pub fn planner_config(&self) -> PlannerConfig {
-        self.planner
+    /// The body-order mode this store's plans were compiled under.
+    pub fn planner_config(&self) -> OrderMode {
+        self.order
     }
 
     /// Runtime planner observability: kernel hit counts and index sizes.
@@ -1276,19 +1255,9 @@ impl Materialization {
             for pi in first_new_plan..self.plans.len() {
                 self.eval_rule(pi, Delta::Full, &mut scratch, &mut pending);
             }
-            let appended =
-                Self::merge_pending(
-                &mut self.rels,
-                &mut pending,
-                self.prov.as_mut(),
-                self.rev.as_mut(),
-                &self.plans,
-                &self.ext_flag,
-            );
+            let appended = self.merge_pending(&mut pending);
             self.stats.tuples_derived += appended;
-            if self.planner.productive_firings {
-                self.stats.rule_firings += appended;
-            }
+            self.stats.rule_firings += appended;
         }
 
         // 6. Rescue: re-derive over-deleted survivors from the remaining
@@ -1299,7 +1268,7 @@ impl Materialization {
 
         // 7. Propagate every delta — inserted, seeded and rescued rows —
         // through the normal update machinery to the new fixpoint.
-        self.run_update();
+        self.run_fixpoint(false);
 
         // Plain (non-serving) stores compact themselves at fixpoint when
         // the policy trips. In epoch mode (`epoch > 0`) the server owns
@@ -1353,7 +1322,7 @@ impl Materialization {
                 rel_of_pred,
                 &mut self.idxs,
                 &mut self.idx_of,
-                self.planner.order,
+                self.order,
                 &mut card,
             )
         };
@@ -1366,7 +1335,6 @@ impl Materialization {
         if self.rederive.is_some() {
             self.ensure_rederive_plans();
         }
-        self.apply_index_layout();
     }
 
     /// Interns a relation for a predicate first seen in an added rule.
@@ -1716,19 +1684,13 @@ impl Materialization {
                 e.u32(p.dead_percent);
             }
         }
-        match self.planner.order {
-            OrderMode::Original => e.u8(0),
+        match self.order {
             OrderMode::Planned => e.u8(1),
             OrderMode::Shuffled(seed) => {
                 e.u8(2);
                 e.u64(seed);
             }
         }
-        e.u8(u8::from(self.planner.staged_filter));
-        e.u8(u8::from(self.planner.suffix_prune));
-        e.u8(u8::from(self.planner.tc_kernel));
-        e.u8(u8::from(self.planner.productive_firings));
-        e.u8(u8::from(self.planner.segmented));
         // Per-rule body permutation of the batch plan (the step depth of
         // each original body atom): restored plans must be bit-identical
         // to the live ones, which a cardinality re-derivation could not
@@ -1857,18 +1819,10 @@ impl Materialization {
             }),
             _ => return Err(PersistError::Corrupt("unknown policy tag")),
         };
-        let planner = PlannerConfig {
-            order: match d.u8()? {
-                0 => OrderMode::Original,
-                1 => OrderMode::Planned,
-                2 => OrderMode::Shuffled(d.u64()?),
-                _ => return Err(PersistError::Corrupt("unknown order-mode tag")),
-            },
-            staged_filter: d.u8()? != 0,
-            suffix_prune: d.u8()? != 0,
-            tc_kernel: d.u8()? != 0,
-            productive_firings: d.u8()? != 0,
-            segmented: d.u8()? != 0,
+        let order = match d.u8()? {
+            1 => OrderMode::Planned,
+            2 => OrderMode::Shuffled(d.u64()?),
+            _ => return Err(PersistError::Corrupt("unknown order-mode tag")),
         };
         // Per-rule body permutations: inverted back into evaluation
         // order and fed straight to `compile_rule`, so the restored
@@ -2091,12 +2045,11 @@ impl Materialization {
             version: 0,
             edb_retracts: 0,
             ext_flag: Vec::new(),
-            planner,
+            order,
             planned_card,
             tc_hits: 0,
             tc_rows: 0,
         };
-        m.apply_index_layout();
         m.extend_indexes();
         // The update plans, from the same inputs as at construction
         // (rules, order mode, persisted build-time cardinalities). The
@@ -2106,7 +2059,6 @@ impl Materialization {
         // restored store that only serves reads never pays for them.
         if m.prov.is_some() {
             m.compile_delta_plans();
-            m.apply_index_layout();
         }
         // A store that had ever over-deleted carried a reverse index;
         // rebuild it now (live justifications only) so the restored
@@ -2311,8 +2263,8 @@ impl Materialization {
     /// base-store row ids, which row-remapping compaction of either side
     /// would corrupt; the cache drops and rebuilds dead-heavy views
     /// instead).
-    pub(crate) fn new_view(program: &Program, planner: PlannerConfig) -> Self {
-        let mut m = Self::build(program, &Database::new(), Strategy::SemiNaive, true, planner);
+    pub(crate) fn new_view(program: &Program, order: OrderMode) -> Self {
+        let mut m = Self::build(program, &Database::new(), Strategy::SemiNaive, true, order);
         m.ensure_rederive_plans();
         m.policy = None;
         m
@@ -2330,7 +2282,7 @@ impl Materialization {
     pub(crate) fn fill_view(&mut self, seed_pred: Pred, seed: &[Const]) {
         let rid = self.rel_of_pred[&seed_pred];
         self.rels[rid].insert(seed);
-        self.run_batch();
+        self.run_fixpoint(true);
     }
 
     /// Registers (or reuses) an index over `(rel, mask)` and brings it
@@ -2338,17 +2290,11 @@ impl Materialization {
     /// [`Materialization::link_external`] to give views shared access to
     /// base-store indexes.
     pub(crate) fn ensure_index(&mut self, rel: usize, mask: Vec<usize>) -> usize {
-        let id = match self.idx_of.get(&(rel, mask.clone())) {
-            Some(&i) => i,
-            None => {
-                let i = self.idxs.len();
-                let mut idx = IncrementalIndex::new(rel, mask.clone());
-                idx.set_segmented(self.planner.segmented);
-                self.idxs.push(idx);
-                self.idx_of.insert((rel, mask), i);
-                i
-            }
-        };
+        let idxs = &mut self.idxs;
+        let id = *self.idx_of.entry((rel, mask.clone())).or_insert_with(|| {
+            idxs.push(IncrementalIndex::new(rel, mask));
+            idxs.len() - 1
+        });
         self.idxs[id].extend(&self.rels[rel]);
         id
     }
@@ -2452,181 +2398,123 @@ impl Materialization {
             self.over_delete(seeds, &mut candidates);
             self.rescue(&candidates);
         }
-        self.run_update();
+        self.run_fixpoint(false);
         self.version = self.version.wrapping_add(1);
     }
 
     // -----------------------------------------------------------------
-    // Fixpoint loops
+    // The fixpoint loop
     // -----------------------------------------------------------------
 
-    /// The batch fixpoint (initial construction): identical code path —
-    /// and identical [`EvalStats`] — to the pre-materialization engine.
-    /// On exit every watermark is normalized to the store length, so
-    /// updates resume from "everything is old".
-    fn run_batch(&mut self) {
-        match self.strategy {
+    /// Runs rounds to fixpoint. A round extends the indexes over the
+    /// rows the last merge made visible, evaluates its items against
+    /// the frozen store, advances the watermarks and merges what was
+    /// staged — the next round's delta. The loop ends on a round that
+    /// appends nothing, so on exit every watermark sits at the store
+    /// length: the next update resumes from "everything is old".
+    ///
+    /// A **build** (construction, a cold view fill) evaluates
+    /// [`Materialization::batch_items`] and always counts its first
+    /// round; an **update** evaluates
+    /// [`Materialization::update_items`] — delta-driven whatever the
+    /// strategy — and stops, uncounted, once there are none.
+    ///
+    /// Items run inline when the strategy is one shard on one thread,
+    /// sharded on a pool otherwise ([`Materialization::eval_sharded`]);
+    /// the staged rows merge in the inline staging order either way, so
+    /// row ids, justifications and [`EvalStats`] are identical at every
+    /// thread and shard count.
+    fn run_fixpoint(&mut self, build: bool) {
+        let (threads, shards) = match self.strategy {
             Strategy::SemiNaiveParallel { threads } if threads >= 2 => {
-                self.run_batch_parallel(threads, OVERSHARD * threads);
+                (threads, OVERSHARD * threads)
             }
             Strategy::SemiNaiveSharded { threads, shards } if threads >= 2 || shards >= 2 => {
-                self.run_batch_parallel(threads.max(1), shards.max(1));
+                (threads.max(1), shards.max(1))
             }
-            // `threads <= 1` degenerates to the sequential code path,
-            // byte-for-byte: same loop, same buffers, same row ids.
-            s => self.run_batch_sequential(s.sequential_spec()),
-        }
-        for r in 0..self.rels.len() {
-            self.old_hi[r] = self.rels[r].num_rows();
-        }
-    }
-
-    fn run_batch_sequential(&mut self, strategy: Strategy) {
+            _ => (1, 1),
+        };
+        // Spawned by the first sharded round and dropped with this call:
+        // the spawn cost amortizes over the rounds of one fixpoint. For
+        // sub-millisecond workloads the sequential strategy is the right
+        // tool; the counters are identical.
+        let mut pool: Option<ThreadPool> = None;
+        // Recycled task slots: merged-out staging buffers and scratch
+        // space return here and are reused next round.
+        let mut spare: Vec<ShardTask> = Vec::new();
         let mut scratch = Scratch::default();
         let mut pending = PendingTuples::default();
-        let mut first = true;
+        let mut seed = build;
         loop {
+            let items = if build {
+                self.batch_items(seed)
+            } else {
+                self.update_items()
+            };
+            if !build && items.is_empty() {
+                break;
+            }
             self.stats.iterations += 1;
             self.extend_indexes();
 
-            for pi in 0..self.plans.len() {
-                let plan = &self.plans[pi];
-                match strategy {
-                    Strategy::Naive => {
-                        self.eval_rule(pi, Delta::Full, &mut scratch, &mut pending);
-                    }
-                    _ => {
-                        if plan.idb_steps.is_empty() {
-                            if first {
-                                self.eval_rule(pi, Delta::Full, &mut scratch, &mut pending);
-                            }
-                        } else if !first {
-                            for di in 0..self.plans[pi].idb_steps.len() {
-                                let d = self.plans[pi].idb_steps[di];
-                                self.eval_rule(pi, Delta::Batch(d), &mut scratch, &mut pending);
-                            }
-                        }
-                    }
+            // The seed round of a build runs inline at every strategy:
+            // its rules may have empty bodies (no first step to shard),
+            // and a fixpoint that converges on it never pays for threads.
+            let mut tasks = if seed || (threads, shards) == (1, 1) {
+                for &(pi, delta) in &items {
+                    self.eval_rule(pi, delta, &mut scratch, &mut pending);
                 }
-            }
+                Vec::new()
+            } else {
+                self.eval_sharded(&mut pool, threads, shards, &mut spare, &items)
+            };
 
             // Merge: advance the watermarks to the current length, then
-            // append this iteration's new tuples — they become the delta.
+            // append this round's new tuples — they become the delta.
             for r in 0..self.rels.len() {
                 self.old_hi[r] = self.rels[r].num_rows();
             }
-            let appended =
-                Self::merge_pending(
-                &mut self.rels,
-                &mut pending,
-                self.prov.as_mut(),
-                self.rev.as_mut(),
-                &self.plans,
-                &self.ext_flag,
-            );
-            self.stats.tuples_derived += appended;
-            if self.planner.productive_firings {
-                self.stats.rule_firings += appended;
+            let mut appended = self.merge_pending(&mut pending);
+            for t in &mut tasks {
+                appended += self.merge_pending(&mut t.pending);
             }
+            spare.append(&mut tasks);
+            self.stats.tuples_derived += appended;
+            self.stats.rule_firings += appended;
             if appended == 0 {
                 break;
             }
             self.profile.push(appended);
-            first = false;
+            seed = false;
         }
     }
 
-    /// The sharded batch fixpoint. Per iteration, every
-    /// `(rule, delta step)` pair becomes [`ShardTask`]s that partition
-    /// the **first join step's** row range (see
-    /// [`Materialization::shard0_range`]); the merge applies the staged
-    /// buffers in `(rule, delta, shard)` order, which — because shards
-    /// are top-down subranges of the first step's descending enumeration
-    /// — is exactly the sequential engine's staging order, so row ids,
-    /// justifications and [`EvalStats`] are identical at every thread
-    /// and shard count.
-    fn run_batch_parallel(&mut self, threads: usize, shards: usize) {
-        // Spawned on the first delta iteration (a fixpoint that converges
-        // on the seed rules never pays for threads) and dropped with this
-        // call: the spawn cost amortizes over the iterations of one
-        // evaluation. For sub-millisecond workloads the sequential
-        // strategy is the right tool; the counters are identical.
-        let mut pool: Option<ThreadPool> = None;
-        let mut scratch = Scratch::default();
-        let mut pending = PendingTuples::default();
-        // Recycled task slots: merged-out staging buffers and scratch
-        // space return here and are reused next iteration.
-        let mut spare: Vec<ShardTask> = Vec::new();
-        let mut first = true;
-        loop {
-            self.stats.iterations += 1;
-            self.extend_indexes();
-
-            let appended = if first {
-                // First iteration: only EDB-only rules fire (no deltas
-                // exist yet); identical to the sequential engine.
-                for pi in 0..self.plans.len() {
-                    if self.plans[pi].idb_steps.is_empty() {
-                        self.eval_rule(pi, Delta::Full, &mut scratch, &mut pending);
-                    }
-                }
-                for r in 0..self.rels.len() {
-                    self.old_hi[r] = self.rels[r].num_rows();
-                }
-                Self::merge_pending(
-                &mut self.rels,
-                &mut pending,
-                self.prov.as_mut(),
-                self.rev.as_mut(),
-                &self.plans,
-                &self.ext_flag,
-            )
-            } else {
-                let items: Vec<(usize, Delta)> = self
-                    .plans
-                    .iter()
-                    .enumerate()
-                    .flat_map(|(pi, p)| p.idb_steps.iter().map(move |&d| (pi, Delta::Batch(d))))
-                    .collect();
-                self.parallel_round(&mut pool, threads, shards, &mut spare, &items)
-            };
-            self.stats.tuples_derived += appended;
-            if self.planner.productive_firings {
-                self.stats.rule_firings += appended;
+    /// The items of one build round. The seed round fires the rules
+    /// without IDB atoms over the loaded EDB; every later round runs
+    /// each `(rule, IDB step)` pair with that step as the delta. Under
+    /// [`Strategy::Naive`] every round recomputes every rule in full.
+    fn batch_items(&self, seed: bool) -> Vec<(usize, Delta)> {
+        let mut items = Vec::new();
+        for (pi, plan) in self.plans.iter().enumerate() {
+            if self.strategy == Strategy::Naive || (seed && plan.idb_steps.is_empty()) {
+                items.push((pi, Delta::Full));
+            } else if !seed {
+                items.extend(plan.idb_steps.iter().map(|&d| (pi, Delta::Batch(d))));
             }
-            if appended == 0 {
-                break;
-            }
-            self.profile.push(appended);
-            first = false;
         }
+        items
     }
 
-    /// The incremental fixpoint: resumes semi-naive evaluation from the
-    /// current watermarks. Delta candidates are **every** body atom over
-    /// a relation that has grown — EDB atoms included, which is how
-    /// freshly inserted facts (and DRed rescues) enter the join — each
-    /// run through its own delta-first update plan, under the "last
-    /// delta occurrence" convention in rule-text order. After the first
-    /// round the EDB deltas are consumed and the loop is ordinary
-    /// semi-naive over the derived deltas.
-    fn run_update(&mut self) {
-        match self.strategy {
-            Strategy::SemiNaiveParallel { threads } if threads >= 2 => {
-                self.run_update_parallel(threads, OVERSHARD * threads);
-            }
-            Strategy::SemiNaiveSharded { threads, shards } if threads >= 2 || shards >= 2 => {
-                self.run_update_parallel(threads.max(1), shards.max(1));
-            }
-            // Updates are delta-driven by nature; a Naive-strategy
-            // materialization updates through the same machinery.
-            _ => self.run_update_sequential(),
-        }
-    }
-
-    /// The `(rule, body atom)` pairs whose atom's relation has
-    /// unconsumed delta rows, in deterministic `(rule, body position)`
-    /// order. Dropped rules never fire again.
+    /// The items of one update round: the `(rule, body atom)` pairs
+    /// whose atom's relation has unconsumed delta rows, in deterministic
+    /// `(rule, body position)` order. Delta candidates are **every**
+    /// body atom over a relation that has grown — EDB atoms included,
+    /// which is how freshly inserted facts (and DRed rescues) enter the
+    /// join — each run through its own delta-first update plan, under
+    /// the "last delta occurrence" convention in rule-text order. After
+    /// the first round the EDB deltas are consumed and the loop is
+    /// ordinary semi-naive over the derived deltas. Dropped rules never
+    /// fire again.
     fn update_items(&self) -> Vec<(usize, Delta)> {
         let mut items = Vec::new();
         for (pi, plan) in self.plans.iter().enumerate() {
@@ -2642,94 +2530,32 @@ impl Materialization {
         items
     }
 
-    fn run_update_sequential(&mut self) {
-        let mut scratch = Scratch::default();
-        let mut pending = PendingTuples::default();
-        loop {
-            let items = self.update_items();
-            if items.is_empty() {
-                break;
-            }
-            self.stats.iterations += 1;
-            self.extend_indexes();
-            for &(pi, delta) in &items {
-                self.eval_rule(pi, delta, &mut scratch, &mut pending);
-            }
-            for r in 0..self.rels.len() {
-                self.old_hi[r] = self.rels[r].num_rows();
-            }
-            let appended =
-                Self::merge_pending(
-                &mut self.rels,
-                &mut pending,
-                self.prov.as_mut(),
-                self.rev.as_mut(),
-                &self.plans,
-                &self.ext_flag,
-            );
-            self.stats.tuples_derived += appended;
-            if self.planner.productive_firings {
-                self.stats.rule_firings += appended;
-            }
-            if appended == 0 {
-                break;
-            }
-            self.profile.push(appended);
-        }
-    }
-
-    fn run_update_parallel(&mut self, threads: usize, shards: usize) {
-        let mut pool: Option<ThreadPool> = None;
-        let mut spare: Vec<ShardTask> = Vec::new();
-        loop {
-            let items = self.update_items();
-            if items.is_empty() {
-                break;
-            }
-            self.stats.iterations += 1;
-            self.extend_indexes();
-            let appended =
-                self.parallel_round(&mut pool, threads, shards, &mut spare, &items);
-            self.stats.tuples_derived += appended;
-            if self.planner.productive_firings {
-                self.stats.rule_firings += appended;
-            }
-            if appended == 0 {
-                break;
-            }
-            self.profile.push(appended);
-        }
-    }
-
-    /// The row range the parallel shards partition for rule `pi` with
-    /// delta atom `delta`: the first join step's snapshot range — the
-    /// delta range when the delta leads (every update item under
-    /// [`OrderMode::Planned`]), the first step's full or old range for
-    /// a mid-body delta (batch rounds — E5's shape — and updates under
-    /// the one-order modes), so shards partition the pre-delta probe
-    /// work instead of duplicating it. Either way the shards are
+    /// Evaluates one round's `items` sharded: every item becomes
+    /// [`ShardTask`]s that partition its first join step's snapshot
+    /// range — the delta range when the delta leads (every update item
+    /// under [`OrderMode::Planned`]), the first step's full or old range
+    /// for a mid-body delta (batch rounds — E5's shape — and updates
+    /// under [`OrderMode::Shuffled`]), so shards partition the pre-delta
+    /// probe work instead of duplicating it. The tasks run on the pool;
+    /// counters are accounted from the lead shard's `pre` and every
+    /// shard's `post`. Returns the tasks — their staged rows still
+    /// unmerged — in `(rule, delta, shard top-down)` order: shards are
     /// top-down subranges of the sequential engine's descending depth-0
-    /// enumeration, which is what keeps the merge order — and hence row
-    /// ids and justifications — sequential-identical.
-    fn shard0_range(&self, pi: usize, delta: Delta) -> (usize, usize) {
-        snapshot_range(&self.rels, &self.old_hi, self.plan_for(pi, delta), 0, delta)
-    }
-
-    /// Runs one parallel iteration over `items`, returning the number of
-    /// rows appended. Builds shard tasks, executes them on the pool,
-    /// accounts counters (lead-shard `pre`, summed `post`), advances the
-    /// watermarks and merges in deterministic task order.
-    fn parallel_round(
+    /// enumeration, so this is the sequential staging order, and the
+    /// first staged copy of a row, whose justification the merge keeps,
+    /// is the one the sequential engine finds.
+    fn eval_sharded(
         &mut self,
         pool: &mut Option<ThreadPool>,
         threads: usize,
         shards: usize,
         spare: &mut Vec<ShardTask>,
         items: &[(usize, Delta)],
-    ) -> u64 {
+    ) -> Vec<ShardTask> {
         let mut tasks: Vec<ShardTask> = Vec::new();
         for &(pi, delta) in items {
-            let (slo, shi) = self.shard0_range(pi, delta);
+            let plan = self.plan_for(pi, delta);
+            let (slo, shi) = snapshot_range(&self.rels, &self.old_hi, plan, 0, delta);
             for (si, &(lo, hi)) in shard_ranges(slo, shi, shards).iter().enumerate() {
                 // The lead shard always runs (it accounts the depth-0
                 // probe even over an empty range, exactly like the
@@ -2772,50 +2598,12 @@ impl Materialization {
                 self.stats.join_probes += t.counters.pre;
             }
             self.stats.join_probes += t.counters.post;
-            self.stats.rule_firings += t.counters.firings;
             self.tc_hits += t.counters.tc_hits;
             self.tc_rows += t.counters.tc_rows;
         }
-        for r in 0..self.rels.len() {
-            self.old_hi[r] = self.rels[r].num_rows();
-        }
-        // Deterministic merge: staged buffers in task order = (rule,
-        // delta step, shard top-down) = the sequential staging order, so
-        // the first staged copy of a row — whose justification the merge
-        // keeps — is the same one the sequential engine finds.
-        let mut appended = 0u64;
-        for t in &mut tasks {
-            appended += Self::merge_pending(
-                &mut self.rels,
-                &mut t.pending,
-                self.prov.as_mut(),
-                self.rev.as_mut(),
-                &self.plans,
-                &self.ext_flag,
-            );
-        }
-        spare.append(&mut tasks);
-        appended
+        tasks
     }
 
-    /// Applies the planner's index storage layout to every registered
-    /// index. Only newly registered (still row-less) indexes can change;
-    /// for already-extended ones the call is an idempotence check —
-    /// [`IncrementalIndex::set_segmented`] rejects an actual flip. Every
-    /// path that registers indexes (construction, restore, rule adds,
-    /// re-derivation compilation, view linking) runs this before the
-    /// new indexes are extended.
-    fn apply_index_layout(&mut self) {
-        let seg = self.planner.segmented;
-        for idx in &mut self.idxs {
-            idx.set_segmented(seg);
-        }
-    }
-
-    /// Extends the per-`(relation, mask)` indexes over the rows that
-    /// became visible at the last merge (incremental: only the delta
-    /// rows are hashed). Unkeyed steps have no index at all
-    /// ([`NO_INDEX`]): the join scans their row range directly.
     /// Rebuilds any dedup table a restore left stale
     /// ([`ColumnarRelation::ensure_slots`]). Called at the head of every
     /// mutating entry point (all single mutators funnel through
@@ -2826,11 +2614,11 @@ impl Materialization {
         }
     }
 
+    /// Extends the per-`(relation, mask)` indexes over the rows that
+    /// became visible at the last merge (incremental: only the delta
+    /// rows are hashed). Unkeyed steps have no index at all
+    /// ([`NO_INDEX`]): the join scans their row range directly.
     fn extend_indexes(&mut self) {
-        debug_assert!(
-            self.idxs.iter().all(|i| i.is_segmented() == self.planner.segmented),
-            "an index registration path skipped apply_index_layout"
-        );
         for idx in &mut self.idxs {
             idx.extend(&self.rels[idx.rel()]);
         }
@@ -2843,47 +2631,26 @@ impl Materialization {
     /// appended to the head relation's justification store, and — once
     /// the reverse-dependency index exists — one reverse edge per body
     /// position is appended so later retracts stay O(affected).
-    fn merge_pending(
-        rels: &mut [ColumnarRelation],
-        pending: &mut PendingTuples,
-        prov: Option<&mut Vec<RelJust>>,
-        mut rev: Option<&mut RevIndex>,
-        plans: &[RulePlan],
-        ext_flag: &[bool],
-    ) -> u64 {
-        // Staging under the cache-conscious layout memoizes one hash per
-        // tuple (`pending.hash`); the chains-only baseline leaves the
-        // buffer empty and re-hashes at insert, as the pre-change merge
-        // did.
-        let batched = pending.hash.len() == pending.rels.len();
+    fn merge_pending(&mut self, pending: &mut PendingTuples) -> u64 {
+        let Self { rels, prov, rev, plans, ext_flag, .. } = self;
         // Pre-size each target's dedup table from the staged count (an
         // upper bound on what actually appends), so the batch never
         // rehashes mid-merge; per-insert growth stays as the backstop.
-        // The baseline keeps the pre-change incremental growth.
-        if batched {
-            let mut counts: FxHashMap<u32, usize> = FxHashMap::default();
-            for &rid in &pending.rels {
-                *counts.entry(rid).or_insert(0) += 1;
-            }
-            for (&rid, &n) in &counts {
-                rels[rid as usize].reserve_rows(n);
-            }
+        let mut counts: FxHashMap<u32, usize> = FxHashMap::default();
+        for &rid in &pending.rels {
+            *counts.entry(rid).or_insert(0) += 1;
         }
-        let insert = |rel: &mut ColumnarRelation, row: &[Const], k: usize, hash: &[u64]| {
-            if batched {
-                rel.insert_hashed(row, hash[k])
-            } else {
-                rel.insert(row)
-            }
-        };
+        for (&rid, &n) in &counts {
+            rels[rid as usize].reserve_rows(n);
+        }
         let mut appended = 0u64;
         let mut off = 0;
         match prov {
             None => {
-                for (k, &rid) in pending.rels.iter().enumerate() {
+                for (&rid, &hash) in pending.rels.iter().zip(&pending.hash) {
                     let rel = &mut rels[rid as usize];
                     let ar = rel.arity();
-                    if insert(rel, &pending.data[off..off + ar], k, &pending.hash) {
+                    if rel.insert_hashed(&pending.data[off..off + ar], hash) {
                         appended += 1;
                     }
                     off += ar;
@@ -2891,16 +2658,16 @@ impl Materialization {
             }
             Some(prov) => {
                 let mut joff = 0;
-                for (k, &rid) in pending.rels.iter().enumerate() {
+                for (&rid, &hash) in pending.rels.iter().zip(&pending.hash) {
                     let rel = &mut rels[rid as usize];
                     let ar = rel.arity();
                     let rule = pending.just[joff];
                     let blen = plans[rule as usize].body_rels.len();
-                    if insert(rel, &pending.data[off..off + ar], k, &pending.hash) {
+                    if rel.insert_hashed(&pending.data[off..off + ar], hash) {
                         appended += 1;
                         let body = &pending.just[joff + 1..joff + 1 + blen];
                         prov[rid as usize].push(rule, body);
-                        if let Some(rev) = rev.as_deref_mut() {
+                        if let Some(rev) = rev.as_mut() {
                             let hrow = (rel.num_rows() - 1) as u32;
                             for (kb, &brow) in body.iter().enumerate() {
                                 let brel = plans[rule as usize].body_rels[kb];
@@ -2935,7 +2702,6 @@ impl Materialization {
         let mut counters = Counters::default();
         self.eval_rule_shard(rule, delta, None, scratch, pending, &mut counters);
         self.stats.join_probes += counters.pre + counters.post;
-        self.stats.rule_firings += counters.firings;
         self.tc_hits += counters.tc_hits;
         self.tc_rows += counters.tc_rows;
     }
@@ -2955,16 +2721,9 @@ impl Materialization {
         counters: &mut Counters,
     ) {
         let plan = self.plan_for(rule, delta);
-        let cfg = self.planner;
         scratch.env.resize(plan.num_slots, Const(0));
         scratch.rows.resize(plan.steps.len(), 0);
-        if cfg.staged_filter {
-            if cfg.segmented {
-                scratch.staged.begin();
-            } else {
-                scratch.staged_legacy.clear();
-            }
-        }
+        scratch.staged.begin();
         let ctx = JoinCtx {
             rels: &self.rels,
             idxs: &self.idxs,
@@ -2973,9 +2732,8 @@ impl Materialization {
             shard0,
             rule,
             record: self.prov.is_some(),
-            cfg,
         };
-        if cfg.tc_kernel && plan.tc {
+        if plan.tc {
             tc_kernel(plan, &ctx, scratch, pending, counters);
         } else {
             descend(plan, 0, &ctx, scratch, pending, counters);
@@ -3010,11 +2768,10 @@ impl Materialization {
                 rel_of_pred,
                 &mut self.idxs,
                 &mut self.idx_of,
-                self.planner.order,
+                self.order,
                 &mut card,
             ));
         }
-        self.apply_index_layout();
     }
 
     /// DRed over-deletion: tombstones the reverse-dependency closure of
@@ -3219,8 +2976,6 @@ struct JoinCtx<'a> {
     rule: usize,
     /// Whether to stage justifications alongside derived tuples.
     record: bool,
-    /// The planner features live for this evaluation.
-    cfg: PlannerConfig,
 }
 
 impl JoinCtx<'_> {
@@ -3249,8 +3004,7 @@ impl JoinCtx<'_> {
 /// full). In an update round it is **body position**: each delta
 /// position has its own step order, and by depth `anc(X,Z), anc(Z,Y)`
 /// with both plans delta-first would read the old part on both sides and
-/// lose every (Δ, Δ) combination. Under [`OrderMode::Original`] the two
-/// coincide.
+/// lose every (Δ, Δ) combination.
 fn snapshot_range(
     rels: &[ColumnarRelation],
     old_hi: &[usize],
@@ -3295,43 +3049,22 @@ fn stage_head(
     ctx: &JoinCtx<'_>,
     scratch: &mut Scratch,
     pending: &mut PendingTuples,
-    counters: &mut Counters,
 ) {
-    if !ctx.cfg.productive_firings {
-        counters.firings += 1;
-    }
     build_head(plan, scratch);
-    if ctx.cfg.segmented {
-        // One hash serves the existence probe, the staged filter, and —
-        // via the staging buffer — the merge's insert.
-        let hash = ColumnarRelation::hash_row(&scratch.head);
-        // Only buffer tuples not already in the relation (the merge
-        // dedups again; this keeps the pending buffer small).
-        if ctx.rels[plan.head_rel].contains_hashed(&scratch.head, hash) {
-            return;
-        }
-        if ctx.cfg.staged_filter
-            && !scratch.staged.insert_if_new(&scratch.head, hash, &pending.data)
-        {
-            return;
-        }
-        pending.data.extend_from_slice(&scratch.head);
-        pending.rels.push(plan.head_rel as u32);
-        pending.hash.push(hash);
-    } else {
-        // The pre-change staging path, kept selectable as the storage
-        // A/B baseline: the existence probe, the staged filter and the
-        // merge each hash on their own, and the filter clones every
-        // staged head into an owning set.
-        if ctx.rels[plan.head_rel].contains(&scratch.head) {
-            return;
-        }
-        if ctx.cfg.staged_filter && !scratch.staged_legacy.insert(scratch.head.clone()) {
-            return;
-        }
-        pending.data.extend_from_slice(&scratch.head);
-        pending.rels.push(plan.head_rel as u32);
+    // One hash serves the existence probe, the staged filter, and — via
+    // the staging buffer — the merge's insert.
+    let hash = ColumnarRelation::hash_row(&scratch.head);
+    // Only buffer tuples not already in the relation (the merge dedups
+    // again; this keeps the pending buffer small).
+    if ctx.rels[plan.head_rel].contains_hashed(&scratch.head, hash) {
+        return;
     }
+    if !scratch.staged.insert_if_new(&scratch.head, hash, &pending.data) {
+        return;
+    }
+    pending.data.extend_from_slice(&scratch.head);
+    pending.rels.push(plan.head_rel as u32);
+    pending.hash.push(hash);
     if ctx.record {
         // The justification, packed: this rule, then the row matched
         // for each body atom in rule-text order.
@@ -3355,7 +3088,7 @@ fn descend(
     counters: &mut Counters,
 ) {
     if depth == plan.steps.len() {
-        stage_head(plan, ctx, scratch, pending, counters);
+        stage_head(plan, ctx, scratch, pending);
         return;
     }
     // Staged-head suffix pruning: once every head position is bound,
@@ -3363,7 +3096,7 @@ fn descend(
     // never stage anything — kill the whole remaining join suffix
     // before probing it. The check reads only frozen rows, so probe
     // counts stay identical at every thread and shard count.
-    if ctx.cfg.suffix_prune && depth == plan.head_ready_depth {
+    if depth == plan.head_ready_depth {
         build_head(plan, scratch);
         if ctx.rels[plan.head_rel].contains(&scratch.head) {
             return;
@@ -3517,7 +3250,7 @@ fn tc_kernel(
                 scratch.env[cslot] = rel1.value(rr, cpos);
                 scratch.rows[1] = rr as u32;
                 counters.tc_rows += 1;
-                stage_head(plan, ctx, scratch, pending, counters);
+                stage_head(plan, ctx, scratch, pending);
             }
         }
     }
@@ -4595,9 +4328,9 @@ mod tests {
         }
     }
 
-    /// [`OrderMode::Original`] keeps the rescue plans it always had:
-    /// textual order, every keyed step through an index — full-key steps
-    /// included — so [`PlannerConfig::legacy`] stays the A/B baseline.
+    /// [`OrderMode::Shuffled`], the one-order-per-rule mode, rescues in
+    /// the original (textual) body order, every keyed step through an
+    /// index — full-key steps included.
     #[test]
     fn original_order_keeps_the_textual_rescue_plans() {
         let some = |m: &[usize]| Some(m.to_vec());
@@ -4612,18 +4345,14 @@ mod tests {
             ),
         ];
         for (src, expected) in cases {
-            for cfg in [
-                PlannerConfig::legacy(),
-                PlannerConfig { order: OrderMode::Shuffled(7), ..PlannerConfig::default() },
-            ] {
-                let mut p = parse_program(src).unwrap();
-                let db = dense_db(&mut p);
-                let mut m = Materialization::from_database_with(&p, &db, Strategy::SemiNaive, cfg);
-                let shapes = rescue_shapes(&mut m);
-                for (shape, masks) in shapes.iter().zip(&expected) {
-                    assert_eq!(shape.0, (0..masks.len()).collect::<Vec<_>>(), "{src}");
-                    assert_eq!(&shape.1, masks, "{src}");
-                }
+            let mut p = parse_program(src).unwrap();
+            let db = dense_db(&mut p);
+            let order = OrderMode::Shuffled(7);
+            let mut m = Materialization::from_database_with(&p, &db, Strategy::SemiNaive, order);
+            let shapes = rescue_shapes(&mut m);
+            for (shape, masks) in shapes.iter().zip(&expected) {
+                assert_eq!(shape.0, (0..masks.len()).collect::<Vec<_>>(), "{src}");
+                assert_eq!(&shape.1, masks, "{src}");
             }
         }
     }

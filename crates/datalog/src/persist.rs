@@ -6,7 +6,7 @@
 //! No external dependencies: the codec is a hand-rolled little-endian
 //! writer/reader pair, the checksum is FNV-1a 64.
 //!
-//! # File format (version 3)
+//! # File format (version 4)
 //!
 //! All integers are little-endian. The file is one self-delimiting
 //! container:
@@ -14,7 +14,7 @@
 //! | offset        | bytes | contents                                      |
 //! |---------------|-------|-----------------------------------------------|
 //! | `0`           | 8     | magic `b"SPROPMAT"`                           |
-//! | `8`           | 4     | format version (`u32`, currently 3)           |
+//! | `8`           | 4     | format version (`u32`, currently 4)           |
 //! | `12`          | 8     | total file length (`u64`, magic → checksum)   |
 //! | `20`          | n     | payload sections (below)                      |
 //! | `len - 8`     | 8     | checksum of bytes `[0, len - 8)` (`fnv1a64`,
@@ -45,13 +45,14 @@
 //! 7. **Convergence profile** — count + `u64` per productive iteration.
 //! 8. **Compaction policy** — presence `u8`, then `min_dead_rows u64`,
 //!    `dead_percent u32`.
-//! 9. **Planner** (since version 2) — order mode tag `u8` (0 original,
-//!    1 planned, 2 shuffled + its `u64` seed), five feature flags `u8`
-//!    (staged filter, suffix prune, kernel, productive firings, and —
-//!    since version 3 — the segmented storage layout), then per rule
-//!    slot the batch plan's body permutation (count + `u32` step depth
-//!    of each body atom), then the per-relation build-time
-//!    cardinalities (count + `u64`s) the update plans break ties by.
+//! 9. **Planner** — order mode tag `u8` (1 planned, 2 shuffled + its
+//!    `u64` seed), then per rule slot the batch plan's body permutation
+//!    (count + `u32` step depth of each body atom), then the
+//!    per-relation build-time cardinalities (count + `u64`s) the update
+//!    plans break ties by. (Versions 2 and 3 also carried an order tag
+//!    0 and five engine feature flags here; the engine they selected is
+//!    gone, and those files are refused with
+//!    [`PersistError::BadVersion`].)
 //! 10. **Relations** — count, then per dense relation id: predicate
 //!     `u32`, IDB flag `u8`, arity `u64`, row count `u64`, watermark
 //!     `u64`, the flat row-major tuple data (`rows × arity` × `u32`),
@@ -85,10 +86,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub(crate) const MAGIC: [u8; 8] = *b"SPROPMAT";
 /// The current format version. Bumped to 2 when the planner
 /// configuration, per-rule body orders and the cardinality snapshot
-/// joined the payload; bumped to 3 when the storage-layout flag
-/// (segmented postings vs chains-only) joined the planner bytes. The
-/// segments themselves are derived state and are rebuilt on restore.
-pub(crate) const VERSION: u32 = 3;
+/// joined the payload; to 3 when a storage-layout flag joined the
+/// planner bytes; to 4 when the planner bytes shrank to the order tag,
+/// so that an older file is refused instead of mis-parsed.
+pub(crate) const VERSION: u32 = 4;
 /// Container overhead before the payload: magic + version + length.
 const HEADER_LEN: usize = 8 + 4 + 8;
 /// Trailing checksum bytes.

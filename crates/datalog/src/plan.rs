@@ -32,8 +32,8 @@
 //!   full relation, `j > k` its old part — `RulePlan::body_of_step`),
 //!   because with a different step order per `k` a by-depth rule would
 //!   count a (Δ, Δ) combination twice or not at all.
-//!   [`OrderMode::Original`] and [`OrderMode::Shuffled`] keep their one
-//!   order per rule and run updates through it with the delta mid-body.
+//!   [`OrderMode::Shuffled`] keeps its one order per rule and runs
+//!   updates through it with the delta mid-body.
 //!   One run-time choice sits on top, in a magic-set *view* only: base
 //!   churn that the batch plan joins directly behind its lead (the
 //!   magic guard) is met from whichever of the two sides is smaller —
@@ -56,7 +56,9 @@
 //!   relation's dedup table there and prunes the entire remaining
 //!   suffix for heads that already exist. A per-shard staged-head
 //!   filter additionally suppresses re-staging duplicates within a
-//!   round.
+//!   round. `rule_firings` therefore counts **productive** firings —
+//!   head tuples actually added, at merge time — which are shard- and
+//!   order-invariant where completed body instantiations are not.
 //! - **Transitive-closure kernel recognition** (`RulePlan::tc`): the
 //!   binary-recursive shape `tc(x,z) :- tc(x,y), e(y,z)` (and its
 //!   right-linear / nonlinear variants) is detected structurally so the
@@ -80,11 +82,11 @@ use crate::storage::IncrementalIndex;
 /// directly, so no [`IncrementalIndex`] exists for them.
 pub(crate) const NO_INDEX: usize = usize::MAX;
 
-/// How the planner orders rule bodies.
+/// How the planner orders rule bodies: the one setting of a
+/// [`crate::materialize::Materialization`] (mirrored by the reference
+/// evaluator), fixed at construction and persisted.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OrderMode {
-    /// Keep the textual body order (the pre-planner behavior).
-    Original,
     /// Greedy selectivity-aware ordering (`body_order`).
     Planned,
     /// A deterministic pseudo-random permutation per rule, derived from
@@ -92,70 +94,6 @@ pub enum OrderMode {
     /// property tests can drive the engine through adversarial orders
     /// and still compare models and provenance exactly.
     Shuffled(u64),
-}
-
-/// Planner configuration carried by a
-/// [`crate::materialize::Materialization`] (and mirrored by the
-/// reference evaluator): which optimizations are live. The default is
-/// everything on; [`PlannerConfig::legacy`] reproduces the pre-planner
-/// engine bit-for-bit, counters included.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PlannerConfig {
-    /// Join-order strategy.
-    pub order: OrderMode,
-    /// Per-shard staged-head filter: within one `(rule, delta, shard)`
-    /// evaluation, a head tuple is staged at most once. Pure
-    /// deduplication — the merge would drop the copies anyway; this
-    /// drops them before they are buffered.
-    pub staged_filter: bool,
-    /// Prune the join suffix at `RulePlan::head_ready_depth` when the
-    /// fully-bound head already exists in the (frozen) head relation.
-    pub suffix_prune: bool,
-    /// Run recognized transitive-closure rules through the specialized
-    /// kernel.
-    pub tc_kernel: bool,
-    /// Count `rule_firings` at merge time as **productive** firings
-    /// (head tuples actually added), instead of once per completed body
-    /// instantiation. With the planner killing redundant instantiations
-    /// early, completed-instantiation counts are no longer the work
-    /// measure; productive firings are shard- and order-invariant.
-    pub productive_firings: bool,
-    /// Cache-conscious storage layer: fold cold chain portions into
-    /// frozen posting segments, key single-column index tables by the
-    /// raw constant, and run the memoized-hash batched staged merge
-    /// (`IncrementalIndex::set_segmented`). Enumeration order, row ids,
-    /// counters and justifications are identical either way; `false`
-    /// keeps the pre-change chains-only storage as the A/B baseline.
-    pub segmented: bool,
-}
-
-impl Default for PlannerConfig {
-    fn default() -> Self {
-        Self {
-            order: OrderMode::Planned,
-            staged_filter: true,
-            suffix_prune: true,
-            tc_kernel: true,
-            productive_firings: true,
-            segmented: true,
-        }
-    }
-}
-
-impl PlannerConfig {
-    /// The pre-planner engine: textual body order, no staged filter, no
-    /// suffix pruning, no kernel, firings counted per instantiation,
-    /// chains-only index storage.
-    pub fn legacy() -> Self {
-        Self {
-            order: OrderMode::Original,
-            staged_filter: false,
-            suffix_prune: false,
-            tc_kernel: false,
-            productive_firings: false,
-            segmented: false,
-        }
-    }
 }
 
 /// A key component of a join step: where the bound value comes from.
@@ -261,8 +199,8 @@ pub(crate) enum HeadOp {
 /// descendant of `x`), so the rescue enters the body through the atom
 /// with the smallest fan-in, and an atom whose every position is bound
 /// is a membership test answered by the relation's own dedup table —
-/// that step registers no index at all. The other modes keep the textual
-/// order and probe an index at every keyed step. Whatever order the
+/// that step registers no index at all. [`OrderMode::Shuffled`] keeps the
+/// textual order and probes an index at every keyed step. Whatever order the
 /// steps run in, the matched rows are the rescued row's justification
 /// and are recorded positionally (`body_of_step`). Compiled lazily on
 /// the first retraction (eagerly in a view); the `(relation, mask)`
@@ -412,7 +350,7 @@ pub(crate) fn shuffled_order(n: usize, seed: u64, rule_idx: usize) -> Vec<usize>
     v
 }
 
-/// The body permutation for one rule under a planner configuration:
+/// The body permutation for one rule under an order mode:
 /// `order[d]` is the original body-atom index run at step depth `d`.
 pub(crate) fn body_order(
     rule: &Rule,
@@ -421,7 +359,6 @@ pub(crate) fn body_order(
     card: &mut dyn FnMut(Pred) -> u64,
 ) -> Vec<usize> {
     match mode {
-        OrderMode::Original => (0..rule.body.len()).collect(),
         OrderMode::Planned => order_body(rule, None, card),
         OrderMode::Shuffled(seed) => shuffled_order(rule.body.len(), seed, rule_idx),
     }
@@ -629,7 +566,7 @@ pub(crate) fn compile_rule(
 }
 
 /// Plans and compiles one rule: computes the body order for the
-/// configuration (from the live cardinality function) and compiles the
+/// mode (from the live cardinality function) and compiles the
 /// steps in that order. The single entry point every consumer uses.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn plan_rule(
@@ -649,9 +586,9 @@ pub(crate) fn plan_rule(
 /// Compiles the **update plans** of one rule: one per body position `k`,
 /// atom `k` leading and the rest in greedy order (ties by `card`, the
 /// store's persisted build-time cardinalities, then textual position).
-/// Empty unless the mode is [`OrderMode::Planned`]: the other modes keep
-/// one order per rule, and an update runs the rule's own plan with the
-/// delta wherever that order puts it.
+/// Empty under [`OrderMode::Shuffled`], which keeps one order per rule:
+/// an update runs the rule's own plan with the delta wherever that order
+/// puts it.
 pub(crate) fn plan_rule_deltas(
     rule: &Rule,
     idbs: &[Pred],
@@ -677,7 +614,7 @@ pub(crate) fn plan_rule_deltas(
 /// body step masks include them and the join is keyed on the head. The
 /// steps run in [`rederive_order`] under [`OrderMode::Planned`] — full-key
 /// steps answered by the dedup table — and in textual order, every keyed
-/// step through an index, under the other modes.
+/// step through an index, under [`OrderMode::Shuffled`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn compile_rederive(
     rule_i: usize,
@@ -859,10 +796,8 @@ mod tests {
 
     #[test]
     fn one_order_modes_compile_no_update_plans() {
-        for mode in [OrderMode::Original, OrderMode::Shuffled(7)] {
-            let (_, plans, registered) = delta_plans_of(SRC_S7, mode);
-            assert!(plans.is_empty() && registered.is_empty(), "{mode:?}");
-        }
+        let (_, plans, registered) = delta_plans_of(SRC_S7, OrderMode::Shuffled(7));
+        assert!(plans.is_empty() && registered.is_empty());
     }
 
     #[test]

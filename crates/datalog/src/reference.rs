@@ -19,32 +19,32 @@ use crate::ast::{Const, Pred, Program, Rule, Term, Var};
 use crate::db::{Database, Tuple};
 use crate::derivation::{DerivationTree, GroundAtom};
 use crate::eval::{apply_goal, EvalResult, EvalStats, Strategy};
-use crate::plan::{body_order, PlannerConfig};
+use crate::plan::{body_order, OrderMode};
 
-/// Evaluates `program` on `db` with the reference engine under the
-/// default planner configuration (the storage engine's default).
+/// Evaluates `program` on `db` with the reference engine under
+/// [`OrderMode::Planned`] (the storage engine's order).
 ///
 /// [`Strategy::SemiNaiveParallel`] is evaluated as sequential semi-naive
 /// ([`Strategy::sequential_spec`]): the parallel engine's contract is to
 /// match that specification's counters bit-for-bit, so the reference for
 /// both is the same run.
 pub fn evaluate(program: &Program, db: &Database, strategy: Strategy) -> EvalResult {
-    evaluate_cfg(program, db, strategy, PlannerConfig::default())
+    evaluate_cfg(program, db, strategy, OrderMode::Planned)
 }
 
-/// Evaluates under an explicit planner configuration. The reference
-/// mirrors every counter-visible planner decision — body order (from
-/// database cardinalities, which equal the engine's live counts at
-/// compile time), suffix pruning at the head-ready depth, and
-/// merge-time productive firings — so [`EvalStats`] stay bit-for-bit
-/// comparable to the storage engine under the same configuration.
+/// Evaluates under an explicit body-order mode. The reference mirrors
+/// every counter-visible planner decision — body order (from database
+/// cardinalities, which equal the engine's live counts at compile
+/// time), suffix pruning at the head-ready depth, and merge-time
+/// productive firings — so [`EvalStats`] stay bit-for-bit comparable to
+/// the storage engine under the same order.
 pub fn evaluate_cfg(
     program: &Program,
     db: &Database,
     strategy: Strategy,
-    cfg: PlannerConfig,
+    order: OrderMode,
 ) -> EvalResult {
-    Evaluator::new(program, db, cfg).run(strategy.sequential_spec())
+    Evaluator::new(program, db, order).run(strategy.sequential_spec())
 }
 
 /// Evaluates and applies the goal with the reference engine.
@@ -213,11 +213,10 @@ struct Evaluator<'a> {
     edb: HashMap<Pred, Vec<Tuple>>,
     arity: HashMap<Pred, usize>,
     stats: EvalStats,
-    cfg: PlannerConfig,
 }
 
 impl<'a> Evaluator<'a> {
-    fn new(program: &'a Program, db: &Database, cfg: PlannerConfig) -> Self {
+    fn new(program: &'a Program, db: &Database, order: OrderMode) -> Self {
         let idbs = program.idb_predicates();
         // Cardinalities at compile time: database sizes for EDB
         // predicates, 0 for IDBs — exactly the engine's live row counts
@@ -234,7 +233,7 @@ impl<'a> Evaluator<'a> {
             .rules
             .iter()
             .enumerate()
-            .map(|(i, r)| compile_rule(r, &idbs, &body_order(r, i, cfg.order, &mut card)))
+            .map(|(i, r)| compile_rule(r, &idbs, &body_order(r, i, order, &mut card)))
             .collect();
         let mut edb: HashMap<Pred, Vec<Tuple>> = HashMap::new();
         let mut arity: HashMap<Pred, usize> = HashMap::new();
@@ -254,7 +253,6 @@ impl<'a> Evaluator<'a> {
             edb,
             arity,
             stats: EvalStats::default(),
-            cfg,
         }
     }
 
@@ -349,9 +347,7 @@ impl<'a> Evaluator<'a> {
                 // Productive firings are counted at the merge — the
                 // tuples that actually entered the model — mirroring the
                 // engine's merge-time accounting.
-                if self.cfg.productive_firings {
-                    self.stats.rule_firings += added.len() as u64;
-                }
+                self.stats.rule_firings += added.len() as u64;
                 if !added.is_empty() {
                     any = true;
                 }
@@ -406,16 +402,11 @@ impl<'a> Evaluator<'a> {
             delta,
             full_set,
             delta_pos,
-            cfg: self.cfg,
         };
         let mut env: Vec<Option<Const>> = vec![None; rule.num_slots];
         let mut probes = 0u64;
-        let mut firings = 0u64;
-        descend(
-            rule, 0, &mut env, &ctx, indexes, &mut probes, &mut firings, &mut emit,
-        );
+        descend(rule, 0, &mut env, &ctx, indexes, &mut probes, &mut emit);
         self.stats.join_probes += probes;
-        self.stats.rule_firings += firings;
     }
 }
 
@@ -428,7 +419,6 @@ struct JoinCtx<'b> {
     /// The frozen model, for the suffix-prune existence check.
     full_set: &'b HashMap<Pred, HashSet<Tuple>>,
     delta_pos: Option<usize>,
-    cfg: PlannerConfig,
 }
 
 impl<'b> JoinCtx<'b> {
@@ -460,7 +450,6 @@ impl<'b> JoinCtx<'b> {
 }
 
 /// Recursive backtracking join over the body atoms.
-#[allow(clippy::too_many_arguments)]
 fn descend(
     rule: &CompiledRule,
     pos: usize,
@@ -468,7 +457,6 @@ fn descend(
     ctx: &JoinCtx<'_>,
     indexes: &mut HashMap<(Pred, Source, Vec<usize>), Index>,
     probes: &mut u64,
-    firings: &mut u64,
     emit: &mut dyn FnMut(Pred, Tuple),
 ) {
     if pos == rule.body.len() {
@@ -480,9 +468,6 @@ fn descend(
                 Pat::Slot(s) => env[*s].expect("safe rule binds head slots"),
             })
             .collect();
-        if !ctx.cfg.productive_firings {
-            *firings += 1;
-        }
         emit(rule.head_pred, t);
         return;
     }
@@ -490,7 +475,7 @@ fn descend(
     // exists in the frozen model, the remaining joins can only
     // re-derive it. The check precedes this depth's probe, exactly
     // like the engine.
-    if ctx.cfg.suffix_prune && pos == rule.head_ready {
+    if pos == rule.head_ready {
         let t: Tuple = rule
             .head_pattern
             .iter()
@@ -557,7 +542,7 @@ fn descend(
             }
         }
         if ok {
-            descend(rule, pos + 1, env, ctx, indexes, probes, firings, emit);
+            descend(rule, pos + 1, env, ctx, indexes, probes, emit);
         }
         for s in bound_here {
             env[s] = None;

@@ -43,8 +43,7 @@
 //!   two key-table layouts are interchangeable.
 //!
 //! Both traversal shapes hide behind the [`Posting`] cursor, so the join
-//! machinery is layout-independent; the chains-only layout remains
-//! available (`IncrementalIndex::set_segmented`) as the A/B baseline.
+//! machinery never sees where a row is stored.
 
 use crate::ast::Const;
 use crate::hash::{hash_ids, FxHashMap};
@@ -593,8 +592,8 @@ struct KeyRec {
 /// A traversal cursor over one key's posting list, bounded to a snapshot
 /// row range `[lo, hi)`: first the hot chain (newest-first), then the
 /// frozen segment (descending, pre-clipped by binary search). Row ids
-/// come out strictly decreasing — exactly the order the chains-only
-/// layout enumerates. Obtain via [`IncrementalIndex::probe_range`],
+/// come out strictly decreasing — a descending scan of the range for
+/// the rows with this key. Obtain via [`IncrementalIndex::probe_range`],
 /// advance with [`IncrementalIndex::next_match`].
 #[derive(Clone, Copy, Debug)]
 pub struct Posting {
@@ -642,20 +641,11 @@ pub struct IncrementalIndex {
     frozen: usize,
     /// Rows `[0, watermark)` are indexed.
     watermark: usize,
-    /// Layout switch: `false` keeps every row chained forever (the
-    /// pre-segment layout, kept as the A/B baseline).
-    segmented: bool,
-    /// `mask.len() == 1` **and** the cache-conscious layout is on:
-    /// key-table entries hold raw key values instead of representative
-    /// rows. Gated with `segmented` so the A/B baseline is the
-    /// pre-segment engine's storage, bit for bit.
-    single: bool,
 }
 
 impl IncrementalIndex {
     /// Creates an empty index for relation id `rel` over `mask`.
     pub fn new(rel: usize, mask: Vec<usize>) -> Self {
-        let single = mask.len() == 1;
         Self {
             rel,
             mask: mask.into_boxed_slice(),
@@ -665,8 +655,6 @@ impl IncrementalIndex {
             pool: Vec::new(),
             frozen: 0,
             watermark: 0,
-            segmented: true,
-            single,
         }
     }
 
@@ -683,28 +671,6 @@ impl IncrementalIndex {
     /// it describes must be the same on both sides.
     pub(crate) fn set_rel(&mut self, rel: usize) {
         self.rel = rel;
-    }
-
-    /// Selects the storage layout: segmented (default) or chains-only
-    /// (the A/B baseline the `record` storage group and the layout
-    /// proptests compare against). Must be called before any rows are
-    /// indexed — the layouts enumerate identically but are not
-    /// convertible in place.
-    pub(crate) fn set_segmented(&mut self, on: bool) {
-        if self.segmented != on {
-            assert_eq!(self.watermark, 0, "index layout is fixed once rows are indexed");
-            self.segmented = on;
-            // The raw-value key table is part of the cache-conscious
-            // layout; the A/B baseline keys every table by
-            // representative rows, as the pre-segment engine did.
-            self.single = self.mask.len() == 1 && on;
-        }
-    }
-
-    /// Whether this index folds cold chains into posting segments.
-    #[inline]
-    pub(crate) fn is_segmented(&self) -> bool {
-        self.segmented
     }
 
     /// The indexed column positions.
@@ -761,14 +727,14 @@ impl IncrementalIndex {
             self.add_row(rel, r);
         }
         self.watermark = upto;
-        if self.segmented && self.watermark - self.frozen >= SEG_MIN_HOT.max(self.frozen) {
+        if self.watermark - self.frozen >= SEG_MIN_HOT.max(self.frozen) {
             self.freeze();
         }
     }
 
     fn add_row(&mut self, rel: &ColumnarRelation, r: usize) {
         let m = self.slots.len() - 1;
-        if self.single {
+        if self.mask.len() == 1 {
             let v = rel.value(r, self.mask[0]).0;
             let mut i = (Self::hash1(v) as usize) & m;
             loop {
@@ -813,7 +779,7 @@ impl IncrementalIndex {
         self.slots = vec![NO_KEY; cap];
         let m = cap - 1;
         for (id, krec) in self.krecs.iter().enumerate() {
-            let h = if self.single {
+            let h = if self.mask.len() == 1 {
                 Self::hash1(krec.key)
             } else {
                 self.key_hash(rel, krec.key as usize)
@@ -877,7 +843,7 @@ impl IncrementalIndex {
     /// Advance with [`IncrementalIndex::next_match`]. No allocation.
     pub fn probe_range(&self, rel: &ColumnarRelation, key: &[Const], lo: usize, hi: usize) -> Posting {
         debug_assert_eq!(key.len(), self.mask.len());
-        if self.single {
+        if self.mask.len() == 1 {
             return self.probe1_range(rel, key[0], lo, hi);
         }
         if self.slots.is_empty() {
@@ -901,14 +867,14 @@ impl IncrementalIndex {
 
     /// The single-column fast path of [`IncrementalIndex::probe_range`]:
     /// hashes and compares one raw key value, with no key slice and no
-    /// relation access. Only valid when `mask().len() == 1`; under the
-    /// chains-only A/B baseline (no raw-value key table) it falls back
-    /// to the general representative-row probe.
-    pub fn probe1_range(&self, rel: &ColumnarRelation, key: Const, lo: usize, hi: usize) -> Posting {
-        debug_assert_eq!(self.mask.len(), 1, "probe1_range requires a single-column mask");
-        if !self.single {
-            return self.probe_range(rel, &[key], lo, hi);
-        }
+    /// relation access (`_rel` only mirrors `probe_range`'s signature).
+    ///
+    /// # Panics
+    ///
+    /// Unless `mask().len() == 1`: a multi-column key table holds
+    /// representative rows, which one raw value cannot be compared with.
+    pub fn probe1_range(&self, _rel: &ColumnarRelation, key: Const, lo: usize, hi: usize) -> Posting {
+        assert_eq!(self.mask.len(), 1, "probe1_range requires a single-column mask");
         if self.slots.is_empty() {
             return Posting::EMPTY;
         }
@@ -948,7 +914,7 @@ impl IncrementalIndex {
     }
 
     /// Forgets every indexed row (chains, segments, key table,
-    /// watermark); the layout choice survives. The next
+    /// watermark). The next
     /// [`IncrementalIndex::extend`] re-indexes the relation from row 0 —
     /// used after compaction renumbers the rows.
     pub fn reset(&mut self) {
@@ -1382,30 +1348,28 @@ mod tests {
         assert_eq!(rows, (0..20u32).rev().collect::<Vec<_>>());
     }
 
-    /// Both layouts, every key, every snapshot window: identical
-    /// enumeration. This is the unit-level statement of the contract the
-    /// engine-level layout proptests rely on.
+    /// Every key, every snapshot window: a posting — hot chain, then
+    /// frozen segment — is the brute-force descending scan of `[lo, hi)`
+    /// for the rows whose mask projection is the key.
     #[test]
     fn segmented_and_chained_layouts_enumerate_identically() {
         for mask in [vec![0usize], vec![1], vec![0, 1]] {
-            let mut rel = ColumnarRelation::new(2);
-            let mut seg = IncrementalIndex::new(0, mask.clone());
-            let mut chains = IncrementalIndex::new(0, mask.clone());
-            chains.set_segmented(false);
+            let mut rel = ColumnarRelation::new(3);
+            let mut idx = IncrementalIndex::new(0, mask.clone());
             // Interleave extensions (some tiny, some spanning several
             // freeze thresholds) so segments and hot chains coexist.
             let mut n = 0u32;
             for batch in [3usize, 90, 7, 400, 1, 150] {
                 for _ in 0..batch {
-                    // ~11 distinct keys on column 0, ~7 on column 1
-                    rel.insert(&[c(n % 11), c(n % 7)]);
+                    // ~11 distinct keys on column 0, ~7 on column 1;
+                    // column 2 keeps the rows distinct (insert dedups)
+                    rel.insert(&[c(n % 11), c(n % 7), c(n)]);
                     n += 1;
                 }
-                seg.extend(&rel);
-                chains.extend(&rel);
+                idx.extend(&rel);
             }
-            assert!(seg.seg_pool_words() > 0, "mask {mask:?}: segments built");
-            assert_eq!(chains.seg_pool_words(), 0, "chains-only layout has no pool");
+            assert!(idx.seg_pool_words() > 0, "mask {mask:?}: segments built");
+            assert!(!idx.next.is_empty(), "mask {mask:?}: hot chains left");
             let keys: Vec<Vec<Const>> = match mask.len() {
                 1 => (0..12u32).map(|k| vec![c(k)]).collect(),
                 _ => (0..12u32).flat_map(|a| (0..8u32).map(move |b| vec![c(a), c(b)])).collect(),
@@ -1413,9 +1377,14 @@ mod tests {
             let rows = rel.num_rows();
             for key in &keys {
                 for (lo, hi) in [(0, rows), (0, 97), (97, rows), (200, 450), (rows, rows)] {
+                    let scan: Vec<u32> = (lo..hi)
+                        .rev()
+                        .filter(|&r| mask.iter().zip(key).all(|(&p, &k)| rel.value(r, p) == k))
+                        .map(|r| r as u32)
+                        .collect();
                     assert_eq!(
-                        collect_range(&seg, &rel, key, lo, hi),
-                        collect_range(&chains, &rel, key, lo, hi),
+                        collect_range(&idx, &rel, key, lo, hi),
+                        scan,
                         "mask {mask:?} key {key:?} range [{lo}, {hi})"
                     );
                 }
@@ -1483,19 +1452,16 @@ mod tests {
         assert!(collect(&idx, &rel, &[c(99)]).is_empty());
     }
 
+    /// A multi-column key table holds representative rows: probing it
+    /// with one raw value must fail loudly, in release builds too.
     #[test]
-    fn layout_switch_is_rejected_once_rows_are_indexed() {
-        let mut rel = ColumnarRelation::new(1);
-        rel.insert(&[c(1)]);
-        let mut idx = IncrementalIndex::new(0, vec![0]);
-        idx.set_segmented(false);
-        idx.set_segmented(false); // idempotent before and after rows
+    #[should_panic(expected = "single-column mask")]
+    fn probe1_range_rejects_a_multi_column_index() {
+        let mut rel = ColumnarRelation::new(2);
+        rel.insert(&[c(1), c(2)]);
+        let mut idx = IncrementalIndex::new(0, vec![0, 1]);
         idx.extend(&rel);
-        idx.set_segmented(false); // same value: still fine
-        let flip = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            idx.set_segmented(true);
-        }));
-        assert!(flip.is_err(), "layout flip after indexing must panic");
+        idx.probe1_range(&rel, c(1), 0, 1);
     }
 
     #[test]
@@ -1511,7 +1477,7 @@ mod tests {
         idx.reset();
         assert_eq!(idx.seg_pool_words(), 0);
         assert_eq!(idx.footprint_words(), 0);
-        // Layout survives reset; re-extending re-freezes.
+        // Re-extending re-freezes.
         idx.extend(&rel);
         assert!(idx.seg_pool_words() > 0);
     }

@@ -143,6 +143,46 @@ fn corrupted_header_fields_report_their_specific_error() {
     ));
 }
 
+/// The container checksum as `persist`'s module docs specify it:
+/// eight-lane interleaved FNV-1a 64, lane `i` seeded with byte `i` of
+/// the length, the lanes folded by one more FNV step each.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let step = |h: u64, b: u8| (h ^ u64::from(b)).wrapping_mul(PRIME);
+    let mut lanes = [OFFSET; 8];
+    let seeded = (bytes.len() as u64).to_le_bytes();
+    for (i, &b) in seeded.iter().chain(bytes).enumerate() {
+        lanes[i % 8] = step(lanes[i % 8], b);
+    }
+    lanes.iter().fold(OFFSET, |h, &lane| (h ^ lane).wrapping_mul(PRIME))
+}
+
+/// `bytes` with its version field set to `version` and the trailing
+/// checksum recomputed: a container whose framing is valid throughout.
+fn restamped(bytes: &[u8], version: u32) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    out[8..12].copy_from_slice(&version.to_le_bytes());
+    let body = out.len() - 8;
+    let check = fnv1a64(&out[..body]);
+    out[body..].copy_from_slice(&check.to_le_bytes());
+    out
+}
+
+/// Version 4 dropped bytes from the middle of the payload. A version-3
+/// file — intact framing, valid checksum — must be refused by its
+/// version, never handed to the version-4 decoder to be mis-parsed.
+#[test]
+fn a_version_3_container_is_refused_not_misparsed() {
+    let bytes = interesting_snapshot();
+    let current = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
+    assert_eq!(restamped(&bytes, current), bytes, "the helper reproduces the container checksum");
+    assert!(matches!(
+        Materialization::from_bytes(&restamped(&bytes, 3)),
+        Err(PersistError::BadVersion(3))
+    ));
+}
+
 #[test]
 fn sampled_faults_on_a_large_closure_snapshot() {
     // A 100-edge chain closes to 5050 ancestor pairs — a snapshot in the
