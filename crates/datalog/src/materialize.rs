@@ -68,6 +68,9 @@ use crate::storage::{shard_ranges, ColumnarRelation, IncrementalIndex, NO_ROW};
 use std::path::Path;
 use std::sync::Arc;
 
+mod template;
+pub(crate) use template::{ExtLinks, ExtRetracts};
+
 /// Sentinel edge id: end of a reverse-dependency chain.
 const NO_EDGE: u32 = u32::MAX;
 
@@ -95,11 +98,24 @@ struct RevEdge {
 /// justifications.
 #[derive(Clone, Debug, Default)]
 struct RevIndex {
-    /// Per relation, per row: the newest edge of the row's chain
-    /// ([`NO_EDGE`] = no dependents recorded).
-    head: Vec<Vec<u32>>,
+    /// Per relation: the newest edge of each row's chain.
+    head: Vec<Chains>,
     /// The flat edge pool all chains thread through.
     edges: Vec<RevEdge>,
+}
+
+/// The chain heads of one relation's rows ([`NO_EDGE`] / absent = no
+/// dependents recorded).
+#[derive(Clone, Debug)]
+enum Chains {
+    /// One slot per row: the store's own relations, most of whose rows
+    /// have dependents.
+    Dense(Vec<u32>),
+    /// Keyed by row id: the *external* relations of a template store
+    /// (`materialize/template.rs`), of which a store's justifications
+    /// mention a sliver — a dense vector would be sized by the base
+    /// relation.
+    Sparse(FxHashMap<u32, u32>),
 }
 
 impl RevIndex {
@@ -107,33 +123,48 @@ impl RevIndex {
     /// row `(brel, brow)`.
     fn add(&mut self, brel: usize, brow: u32, hrel: u32, hrow: u32) {
         if self.head.len() <= brel {
-            self.head.resize(brel + 1, Vec::new());
+            self.head.resize(brel + 1, Chains::Dense(Vec::new()));
         }
-        let chain = &mut self.head[brel];
-        if chain.len() <= brow as usize {
-            chain.resize(brow as usize + 1, NO_EDGE);
-        }
+        let slot = match &mut self.head[brel] {
+            Chains::Dense(chain) => {
+                if chain.len() <= brow as usize {
+                    chain.resize(brow as usize + 1, NO_EDGE);
+                }
+                &mut chain[brow as usize]
+            }
+            Chains::Sparse(chain) => chain.entry(brow).or_insert(NO_EDGE),
+        };
         let id = u32::try_from(self.edges.len()).expect("reverse-index edge overflow");
         self.edges.push(RevEdge {
             hrel,
             hrow,
-            next: chain[brow as usize],
+            next: *slot,
         });
-        chain[brow as usize] = id;
+        *slot = id;
     }
 
     /// The newest edge id of `(brel, brow)`'s chain.
     fn chain(&self, brel: usize, brow: u32) -> u32 {
-        self.head
-            .get(brel)
-            .and_then(|c| c.get(brow as usize))
-            .copied()
-            .unwrap_or(NO_EDGE)
+        match self.head.get(brel) {
+            Some(Chains::Dense(chain)) => chain.get(brow as usize).copied(),
+            Some(Chains::Sparse(chain)) => chain.get(&brow).copied(),
+            None => None,
+        }
+        .unwrap_or(NO_EDGE)
     }
 
-    /// Words held (memory accounting).
+    /// Words held (memory accounting; a sparse entry is a key and a
+    /// head).
     fn footprint_words(&self) -> usize {
-        self.edges.len() * 3 + self.head.iter().map(Vec::len).sum::<usize>()
+        let heads: usize = self
+            .head
+            .iter()
+            .map(|c| match c {
+                Chains::Dense(chain) => chain.len(),
+                Chains::Sparse(chain) => 2 * chain.len(),
+            })
+            .sum();
+        self.edges.len() * 3 + heads
     }
 }
 
@@ -567,19 +598,6 @@ pub struct PlannerReport {
     pub index_rows: u64,
 }
 
-/// The slot pairing between a shared-EDB view and its base store,
-/// computed once per magic template by
-/// [`Materialization::link_external`] and replayed by every
-/// [`Materialization::swap_external`] round trip.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct ExtLinks {
-    /// `(view rel id, base rel id)` per external relation.
-    rels: Vec<(usize, usize)>,
-    /// `(view idx slot, base idx slot, view rel id, base rel id)` per
-    /// shared index over an external relation.
-    idxs: Vec<(usize, usize, usize, usize)>,
-}
-
 /// A program materialized to its minimum model, kept at fixpoint across
 /// EDB updates. See the module docs for the update algorithms; see
 /// [`crate::eval`] for the batch entry points built on top of this, and
@@ -604,11 +622,9 @@ pub struct Materialization {
     idxs: Vec<IncrementalIndex>,
     /// Per rule slot: the **batch plan** — one cardinality-ordered body
     /// order, run by the initial fixpoint and by added-rule seeding.
-    /// Both plan tables are immutable once compiled and shared by `Arc`:
-    /// every cached view is a clone of its template's prototype, and
-    /// deep-copying a few dozen plans per cold query cost more than
-    /// building the view (only a rule add ever writes, through
-    /// `Arc::make_mut`).
+    /// Both plan tables are immutable once compiled and sit behind an
+    /// `Arc`, so cloning a store never deep-copies them (only a rule
+    /// add ever writes, through `Arc::make_mut`).
     plans: Arc<Vec<RulePlan>>,
     /// Per rule slot, per body position `k`: the **update plan** with
     /// atom `k` leading, run by update rounds for the item `(rule, k)`.
@@ -674,15 +690,21 @@ pub struct Materialization {
     /// links into this store are stale.
     version: u64,
     /// Cumulative count of EDB rows actually retracted (runtime-only).
-    /// Lets the query cache skip the delete-rederive scan on insert-only
-    /// churn.
+    /// Lets the query cache skip the deletion pass on insert-only churn.
     edb_retracts: u64,
+    /// The EDB rows the last [`Materialization::apply`] tombstoned, as
+    /// `(relation, row)` (runtime-only): what a template store one
+    /// round behind seeds its own over-deletion from.
+    last_retracted: Vec<(u32, u32)>,
+    /// Rows a deletion pass has read to find its casualties: reverse
+    /// edges walked, plus live rows examined by a template store's
+    /// justification scan (runtime-only observability).
+    dred_reads: u64,
     /// Per relation: `true` if the relation is *external* — owned by a
     /// base store and only swapped in for maintenance rounds (see
     /// [`Materialization::link_external`]). Empty in ordinary stores.
-    /// External rows are never recorded in the reverse-dependency index
-    /// (their per-row edge chains would cost O(base) memory per view);
-    /// deletion seeds for them come from the justification scan instead.
+    /// The reverse-dependency index keys the chains of external rows
+    /// sparsely ([`Chains::Sparse`]).
     ext_flag: Vec<bool>,
     /// The body-order mode plans were compiled under (fixed at
     /// construction; persisted).
@@ -736,17 +758,21 @@ impl Materialization {
         record: bool,
         order: OrderMode,
     ) -> Self {
-        let mut m = Self::build(program, db, strategy, record, order);
+        let mut m = Self::build(program, db, strategy, record, order, None);
         m.run_fixpoint(true);
         m
     }
 
+    /// `order_by[i]` is the rule the planner orders rule `i`'s body by
+    /// (see [`plan_rule`]) — `None`, the program's own rules, except in
+    /// [`Materialization::new_view`].
     fn build(
         program: &Program,
         db: &Database,
         strategy: Strategy,
         record: bool,
         order: OrderMode,
+        order_by: Option<&[Rule]>,
     ) -> Self {
         let idbs = program.idb_predicates();
 
@@ -827,6 +853,7 @@ impl Materialization {
                 .map(|(i, r)| {
                     plan_rule(
                         r,
+                        order_by.map_or(r, |o| &o[i]),
                         i,
                         &idbs,
                         rel_of_pred_ref,
@@ -872,6 +899,8 @@ impl Materialization {
             compactions: 0,
             version: 0,
             edb_retracts: 0,
+            last_retracted: Vec::new(),
+            dred_reads: 0,
             ext_flag: Vec::new(),
             order,
             planned_card,
@@ -882,7 +911,7 @@ impl Materialization {
         // plans' indexes now, so the initial fixpoint fills them
         // alongside the batch plans' and no update round ever has to.
         if record {
-            m.compile_delta_plans();
+            m.compile_delta_plans(order_by);
         }
         m
     }
@@ -894,16 +923,18 @@ impl Materialization {
 
     /// Compiles the update plans of every rule slot that has none yet
     /// (all of them at construction and restore, the new slot after a
-    /// rule add), registering the indexes they probe.
-    fn compile_delta_plans(&mut self) {
+    /// rule add), registering the indexes they probe. `order_by` as in
+    /// [`Materialization::build`].
+    fn compile_delta_plans(&mut self, order_by: Option<&[Rule]>) {
         let idbs = self.idb_preds();
         let rel_of_pred = &self.rel_of_pred;
         let planned_card = &self.planned_card;
         let mut card = |p: Pred| rel_of_pred.get(&p).map_or(0, |&r| planned_card[r]);
         let delta_plans = Arc::make_mut(&mut self.delta_plans);
-        for rule in &self.rules[delta_plans.len()..] {
+        for (i, rule) in self.rules.iter().enumerate().skip(delta_plans.len()) {
             delta_plans.push(plan_rule_deltas(
                 rule,
+                order_by.map_or(rule, |o| &o[i]),
                 &idbs,
                 rel_of_pred,
                 &mut self.idxs,
@@ -915,47 +946,17 @@ impl Materialization {
     }
 
     /// The plan that evaluates `rule` with delta atom `delta`: the
-    /// update plan of that body position where one was compiled — unless
-    /// the delta is base churn a view does better to meet from its own
-    /// side ([`Materialization::meets_external_delta_from_own_side`]) —
-    /// and the rule's batch plan otherwise. Whichever plan runs, an
-    /// update's delta atom `k` sits at step depth `plan.step_of_body[k]`
-    /// and the snapshot ranges follow rule-text order, so the choice
-    /// changes cost, never results.
+    /// update plan of that body position where one was compiled, the
+    /// rule's batch plan otherwise. Whichever plan runs, an update's
+    /// delta atom `k` sits at step depth `plan.step_of_body[k]` and the
+    /// snapshot ranges follow rule-text order, so the choice changes
+    /// cost, never results.
     fn plan_for(&self, rule: usize, delta: Delta) -> &RulePlan {
-        let batch = &self.plans[rule];
-        let Delta::Update(k) = delta else {
-            return batch;
+        let update = match delta {
+            Delta::Update(k) => self.delta_plans.get(rule).and_then(|ps| ps.get(k)),
+            _ => None,
         };
-        match self.delta_plans.get(rule).and_then(|ps| ps.get(k)) {
-            Some(update) if !self.meets_external_delta_from_own_side(batch, k) => update,
-            _ => batch,
-        }
-    }
-
-    /// Whether a **view** should run the update item for body atom `k`
-    /// through the rule's batch plan instead of the delta-first one.
-    ///
-    /// The delta of an *external* relation is the base store's churn,
-    /// almost all of it irrelevant to any one bound query: leading with
-    /// it costs the view one probe per delta row whatever the query can
-    /// reach. When the batch plan joins that atom **directly behind its
-    /// lead** (in a magic program: the guard), both orders enumerate
-    /// exactly the same (lead row, delta row) pairs — the batch plan
-    /// finds them with one keyed probe per lead row into the delta
-    /// range — so the smaller side is the cheaper one, with nothing
-    /// estimated. Base stores have no external relations and always
-    /// lead with the delta.
-    fn meets_external_delta_from_own_side(&self, batch: &RulePlan, k: usize) -> bool {
-        let rel = batch.body_rels[k];
-        if !self.ext_flag.get(rel).copied().unwrap_or(false)
-            || batch.step_of_body[k] != 1
-            || batch.steps[1].key.is_empty()
-        {
-            return false;
-        }
-        let (lo, hi) = snapshot_range(&self.rels, &self.old_hi, batch, 0, Delta::Update(k));
-        hi - lo < self.rels[rel].num_rows() - self.old_hi[rel]
+        update.unwrap_or(&self.plans[rule])
     }
 
     // -----------------------------------------------------------------
@@ -1021,6 +1022,23 @@ impl Materialization {
     /// distinct variables (no intermediate `Database`).
     pub fn answer(&self) -> Relation {
         self.goal_answer(&self.goal)
+    }
+
+    /// Applies `goal` over the rows of its predicate — of any tracked
+    /// relation, or (`idb_only`) of the program's IDB relations alone,
+    /// as the batch entry points read a model — live now, or as of the
+    /// snapshot `pin = (per-relation frontier, epoch)`, to which
+    /// relations interned after the pin are invisible.
+    fn select(&self, goal: &Atom, idb_only: bool, pin: Option<(&[usize], u64)>) -> Relation {
+        let (ops, nvars) = eval::goal_plan(goal);
+        let rid = self.rel_of_pred.get(&goal.pred).filter(|&&r| !idb_only || self.idb_flag[r]);
+        match (rid, pin) {
+            (Some(&r), None) => eval::select_project(&ops, nvars, self.rels[r].rows_iter()),
+            (Some(&r), Some((frontier, epoch))) if r < frontier.len() => {
+                eval::select_project(&ops, nvars, self.rels[r].rows_iter_at(frontier[r], epoch))
+            }
+            _ => Relation::new(nvars),
+        }
     }
 
     /// Number of live facts stored for `pred` (EDB or IDB), 0 if the
@@ -1210,7 +1228,9 @@ impl Materialization {
             }
         }
 
-        // 3. EDB retract seeds (deliberate removals: not rescuable).
+        // 3. EDB retract seeds (deliberate removals: not rescuable),
+        // kept for the template stores that catch up with this round.
+        self.last_retracted.clear();
         for (pred, t) in &round.retracts {
             let Some(&rid) = self.rel_of_pred.get(pred) else {
                 continue;
@@ -1222,6 +1242,7 @@ impl Materialization {
             let r = self.rels[rid].find_row(t);
             if r != NO_ROW && self.rels[rid].tombstone(r as usize) {
                 worklist.push((rid as u32, r));
+                self.last_retracted.push((rid as u32, r));
                 report.retracted += 1;
             }
         }
@@ -1317,6 +1338,7 @@ impl Materialization {
                 |p: Pred| rel_of_pred.get(&p).map_or(0, |&r| rels[r].num_live() as u64);
             plan_rule(
                 rule,
+                rule,
                 slot,
                 &idbs,
                 rel_of_pred,
@@ -1330,10 +1352,10 @@ impl Materialization {
         self.rules.push(rule.clone());
         self.rule_active.push(true);
         if self.prov.is_some() {
-            self.compile_delta_plans();
+            self.compile_delta_plans(None);
         }
         if self.rederive.is_some() {
-            self.ensure_rederive_plans();
+            self.ensure_rederive_plans(None);
         }
     }
 
@@ -1409,18 +1431,15 @@ impl Materialization {
             .as_ref()
             .expect("Materialization always records justifications");
         let mut rev = RevIndex {
-            // External relations get no edge chains (their dense per-row
-            // heads would cost O(base store) per view); deletion seeds
-            // for external rows come from the justification scan.
             head: self
                 .rels
                 .iter()
                 .enumerate()
                 .map(|(i, r)| {
-                    if self.ext_flag.get(i).copied().unwrap_or(false) {
-                        Vec::new()
+                    if self.is_external(i) {
+                        Chains::Sparse(FxHashMap::default())
                     } else {
-                        vec![NO_EDGE; r.num_rows()]
+                        Chains::Dense(vec![NO_EDGE; r.num_rows()])
                     }
                 })
                 .collect(),
@@ -1434,9 +1453,6 @@ impl Materialization {
                 let (rule, body) = prov[hrel].entry(hrow);
                 for (k, &brow) in body.iter().enumerate() {
                     let brel = self.plans[rule as usize].body_rels[k];
-                    if self.ext_flag.get(brel).copied().unwrap_or(false) {
-                        continue;
-                    }
                     rev.add(brel, brow, hrel as u32, hrow as u32);
                 }
             }
@@ -1569,9 +1585,14 @@ impl Materialization {
         }
 
         // The store sits at a fixpoint (compaction runs between rounds),
-        // so every watermark re-pins at the new row count.
-        for r in 0..self.rels.len() {
-            self.old_hi[r] = self.rels[r].num_rows();
+        // so the watermark of every rebuilt relation re-pins at its new
+        // row count. (The others already sit at theirs — except a
+        // template store's external placeholders, whose watermarks are
+        // positions in the base's relations and must stay.)
+        for (r, remap) in remaps.iter().enumerate() {
+            if remap.is_some() {
+                self.old_hi[r] = self.rels[r].num_rows();
+            }
         }
 
         // The reverse index embeds row ids on both sides; rebuild it
@@ -1581,6 +1602,8 @@ impl Materialization {
             self.rev = Some(self.build_rev_index());
         }
 
+        // Row ids moved: what the last round retracted names nothing now.
+        self.last_retracted.clear();
         self.compactions += 1;
         reclaimed
     }
@@ -2044,6 +2067,8 @@ impl Materialization {
             compactions,
             version: 0,
             edb_retracts: 0,
+            last_retracted: Vec::new(),
+            dred_reads: 0,
             ext_flag: Vec::new(),
             order,
             planned_card,
@@ -2058,7 +2083,7 @@ impl Materialization {
         // filled by the first round (or view link) that needs them — a
         // restored store that only serves reads never pays for them.
         if m.prov.is_some() {
-            m.compile_delta_plans();
+            m.compile_delta_plans(None);
         }
         // A store that had ever over-deleted carried a reverse index;
         // rebuild it now (live justifications only) so the restored
@@ -2159,15 +2184,7 @@ impl Materialization {
 
     /// [`Materialization::answer`] as of a pinned snapshot.
     pub(crate) fn answer_at(&self, frontier: &[usize], epoch: u64) -> Relation {
-        let (ops, nvars) = eval::goal_plan(&self.goal);
-        match self.rel_of_pred.get(&self.goal.pred) {
-            Some(&rid) if self.idb_flag[rid] && rid < frontier.len() => eval::select_project(
-                &ops,
-                nvars,
-                self.rels[rid].rows_iter_at(frontier[rid], epoch),
-            ),
-            _ => Relation::new(nvars),
-        }
+        self.select(&self.goal, true, Some((frontier, epoch)))
     }
 
     /// [`Materialization::num_facts`] as of a pinned snapshot.
@@ -2181,18 +2198,8 @@ impl Materialization {
     }
 
     // -----------------------------------------------------------------
-    // Shared-EDB views (the query cache's storage layer)
-    //
-    // A *view* is an ordinary `Materialization` of a magic template
-    // whose non-IDB relations are marked **external**: they belong to a
-    // base store, and the view holds empty placeholders for them. For
-    // every maintenance round the base's relation objects — and the
-    // shared incremental indexes over them — are `mem::swap`ped into the
-    // view's slots, the standard update machinery runs (the view's
-    // `old_hi` watermarks over external slots persist between rounds, so
-    // base rows appended since the last sync are exactly the delta), and
-    // everything is swapped back. The view therefore stores only its
-    // *derived* rows; base EDB rows are never copied.
+    // What the query cache reads off a base store (its own template
+    // stores are in `materialize/template.rs`)
     // -----------------------------------------------------------------
 
     /// Update-round counter (bumped once per [`Materialization::apply`];
@@ -2207,199 +2214,30 @@ impl Materialization {
         self.edb_retracts
     }
 
+    /// Rows the deletion passes of this store have read so far to find
+    /// what to over-delete (runtime-only): one per reverse edge walked,
+    /// one per live row a template store's justification scan examined.
+    /// A pass that reads only what it kills is O(affected).
+    pub fn dred_reads(&self) -> u64 {
+        self.dred_reads
+    }
+
     /// Applies an arbitrary goal atom over the current live rows of its
     /// predicate — EDB or IDB. Unlike [`Materialization::answer`] this
     /// is not tied to the program's own goal; an untracked predicate
     /// yields the empty relation.
     pub fn answer_goal(&self, goal: &Atom) -> Relation {
-        let (ops, nvars) = eval::goal_plan(goal);
-        match self.rel_of_pred.get(&goal.pred) {
-            Some(&rid) => eval::select_project(&ops, nvars, self.rels[rid].rows_iter()),
-            None => Relation::new(nvars),
-        }
+        self.select(goal, false, None)
     }
 
     /// [`Materialization::answer_goal`] as of a pinned snapshot.
     pub(crate) fn answer_goal_at(&self, goal: &Atom, frontier: &[usize], epoch: u64) -> Relation {
-        let (ops, nvars) = eval::goal_plan(goal);
-        match self.rel_of_pred.get(&goal.pred) {
-            Some(&rid) if rid < frontier.len() => eval::select_project(
-                &ops,
-                nvars,
-                self.rels[rid].rows_iter_at(frontier[rid], epoch),
-            ),
-            _ => Relation::new(nvars),
-        }
+        self.select(goal, false, Some((frontier, epoch)))
     }
 
-    /// Replaces the goal this store answers (used when a cloned template
-    /// prototype is instantiated for one concrete bound query).
-    pub(crate) fn set_goal(&mut self, goal: Atom) {
-        self.goal = goal;
-    }
-
-    /// Live and total stored rows over the store's *own* (non-external)
-    /// relations — the view-eviction signal.
-    pub(crate) fn own_rows(&self) -> (usize, usize) {
-        let mut live = 0;
-        let mut total = 0;
-        for (r, rel) in self.rels.iter().enumerate() {
-            if self.ext_flag.get(r).copied().unwrap_or(false) {
-                continue;
-            }
-            live += rel.num_live();
-            total += rel.num_rows();
-        }
-        (live, total)
-    }
-
-    /// Builds an empty view for a magic-template program: semi-naive,
-    /// justification recording on, re-derivation plans compiled
-    /// **eagerly** — every index the view will ever probe must exist
-    /// before [`Materialization::link_external`] maps index slots, or a
-    /// later lazy compile would register a private index over an
-    /// external relation and fill it with the whole base store — and
-    /// automatic compaction off (a view's recorded justifications hold
-    /// base-store row ids, which row-remapping compaction of either side
-    /// would corrupt; the cache drops and rebuilds dead-heavy views
-    /// instead).
-    pub(crate) fn new_view(program: &Program, order: OrderMode) -> Self {
-        let mut m = Self::build(program, &Database::new(), Strategy::SemiNaive, true, order);
-        m.ensure_rederive_plans();
-        m.policy = None;
-        m
-    }
-
-    /// Fills a freshly instantiated view (a clone of a
-    /// [`Materialization::new_view`] prototype with the base swapped
-    /// in): stores the seed row and runs the **batch** fixpoint. A cold
-    /// view build is a batch evaluation of the magic program — the whole
-    /// shared EDB is new to the view, so the batch plans, which lead
-    /// with the small magic relation, are the right ones; the update
-    /// plans would scan every base relation once per rule to find the
-    /// handful of goal-relevant rows. Every later catch-up
-    /// ([`Materialization::sync_external`]) is an update.
-    pub(crate) fn fill_view(&mut self, seed_pred: Pred, seed: &[Const]) {
-        let rid = self.rel_of_pred[&seed_pred];
-        self.rels[rid].insert(seed);
-        self.run_fixpoint(true);
-    }
-
-    /// Registers (or reuses) an index over `(rel, mask)` and brings it
-    /// up to the relation's current rows. Used by
-    /// [`Materialization::link_external`] to give views shared access to
-    /// base-store indexes.
-    pub(crate) fn ensure_index(&mut self, rel: usize, mask: Vec<usize>) -> usize {
-        let idxs = &mut self.idxs;
-        let id = *self.idx_of.entry((rel, mask.clone())).or_insert_with(|| {
-            idxs.push(IncrementalIndex::new(rel, mask));
-            idxs.len() - 1
-        });
-        self.idxs[id].extend(&self.rels[rel]);
-        id
-    }
-
-    /// Marks every non-IDB relation of this view that `base` also stores
-    /// as external and computes the slot pairing for
-    /// [`Materialization::swap_external`]. Relations the base does not
-    /// track (notably the template's seed predicate) stay view-owned.
-    pub(crate) fn link_external(&mut self, base: &mut Materialization) -> Result<ExtLinks, String> {
-        let mut links = ExtLinks::default();
-        let mut ext = vec![false; self.rels.len()];
-        let mut base_of_rel = vec![usize::MAX; self.rels.len()];
-        for vr in 0..self.rels.len() {
-            if self.idb_flag[vr] {
-                continue;
-            }
-            let pred = self.pred_of_rel[vr];
-            let Some(&br) = base.rel_of_pred.get(&pred) else {
-                continue;
-            };
-            if base.idb_flag[br] {
-                return Err(
-                    "view treats a base IDB predicate as external EDB (program mismatch)"
-                        .to_owned(),
-                );
-            }
-            if self.rels[vr].arity() != base.rels[br].arity() {
-                return Err("view/base arity mismatch on shared relation".to_owned());
-            }
-            ext[vr] = true;
-            base_of_rel[vr] = br;
-            links.rels.push((vr, br));
-        }
-        for vi in 0..self.idxs.len() {
-            let vr = self.idxs[vi].rel();
-            if !ext[vr] {
-                continue;
-            }
-            let bi = base.ensure_index(base_of_rel[vr], self.idxs[vi].mask().to_vec());
-            links.idxs.push((vi, bi, vr, base_of_rel[vr]));
-        }
-        self.ext_flag = ext;
-        Ok(links)
-    }
-
-    /// Swaps the base's external relation objects (and the shared
-    /// indexes over them) into this view's slots — or back out again;
-    /// the operation is an involution. The caller must hold both stores
-    /// exclusively and must pair every swap-in with a swap-out before
-    /// the base is used again.
-    pub(crate) fn swap_external(&mut self, base: &mut Materialization, links: &ExtLinks) {
-        for &(vr, br) in &links.rels {
-            std::mem::swap(&mut self.rels[vr], &mut base.rels[br]);
-        }
-        for &(vi, bi, vr, br) in &links.idxs {
-            std::mem::swap(&mut self.idxs[vi], &mut base.idxs[bi]);
-            // Each side numbers the shared relation differently; fix the
-            // id so `extend_indexes` reads the right slot.
-            self.idxs[vi].set_rel(vr);
-            base.idxs[bi].set_rel(br);
-        }
-    }
-
-    /// Catches a view up with its (swapped-in) external relations:
-    /// delete-rederive for base rows that died since the last sync, then
-    /// one semi-naive resume over the appended base rows (the external
-    /// `old_hi` watermarks make them exactly the delta).
-    ///
-    /// `check_retracts` gates the deletion pass: external rows are
-    /// tombstoned in place by the base, so a justification scan of the
-    /// view's derived rows finds every casualty; the cascade and rescue
-    /// then mirror [`Materialization::apply`]'s phases over the view's
-    /// own reverse index (external rows carry no reverse chains — see
-    /// `ext_flag`).
-    pub(crate) fn sync_external(&mut self, check_retracts: bool) {
-        if check_retracts {
-            let prov = self
-                .prov
-                .as_ref()
-                .expect("views record justifications");
-            let mut seeds: Vec<(u32, u32)> = Vec::new();
-            for &hrel in &self.idb_rels {
-                for hrow in 0..self.rels[hrel].num_rows() {
-                    if !self.rels[hrel].is_live(hrow) {
-                        continue;
-                    }
-                    let (rule, body) = prov[hrel].entry(hrow);
-                    let dead = body.iter().enumerate().any(|(k, &brow)| {
-                        let brel = self.plans[rule as usize].body_rels[k];
-                        !self.rels[brel].is_live(brow as usize)
-                    });
-                    if dead {
-                        seeds.push((hrel as u32, hrow as u32));
-                    }
-                }
-            }
-            for &(srel, srow) in &seeds {
-                self.rels[srel as usize].tombstone(srow as usize);
-            }
-            let mut candidates = seeds.clone();
-            self.over_delete(seeds, &mut candidates);
-            self.rescue(&candidates);
-        }
-        self.run_fixpoint(false);
-        self.version = self.version.wrapping_add(1);
+    /// Whether relation `rel` is an external placeholder.
+    fn is_external(&self, rel: usize) -> bool {
+        self.ext_flag.get(rel).copied().unwrap_or(false)
     }
 
     // -----------------------------------------------------------------
@@ -2413,7 +2251,7 @@ impl Materialization {
     /// appends nothing, so on exit every watermark sits at the store
     /// length: the next update resumes from "everything is old".
     ///
-    /// A **build** (construction, a cold view fill) evaluates
+    /// A **build** (construction) evaluates
     /// [`Materialization::batch_items`] and always counts its first
     /// round; an **update** evaluates
     /// [`Materialization::update_items`] — delta-driven whatever the
@@ -2632,7 +2470,7 @@ impl Materialization {
     /// the reverse-dependency index exists — one reverse edge per body
     /// position is appended so later retracts stay O(affected).
     fn merge_pending(&mut self, pending: &mut PendingTuples) -> u64 {
-        let Self { rels, prov, rev, plans, ext_flag, .. } = self;
+        let Self { rels, prov, rev, plans, .. } = self;
         // Pre-size each target's dedup table from the staged count (an
         // upper bound on what actually appends), so the batch never
         // rehashes mid-merge; per-insert growth stays as the backstop.
@@ -2670,11 +2508,7 @@ impl Materialization {
                         if let Some(rev) = rev.as_mut() {
                             let hrow = (rel.num_rows() - 1) as u32;
                             for (kb, &brow) in body.iter().enumerate() {
-                                let brel = plans[rule as usize].body_rels[kb];
-                                if ext_flag.get(brel).copied().unwrap_or(false) {
-                                    continue;
-                                }
-                                rev.add(brel, brow, rid, hrow);
+                                rev.add(plans[rule as usize].body_rels[kb], brow, rid, hrow);
                             }
                         }
                     }
@@ -2746,11 +2580,12 @@ impl Materialization {
 
     /// Compiles the re-derivation plan of every rule slot that has none
     /// yet: all of them on the first call (the first retracting round
-    /// of a base store, construction of a view), the new slot after a
-    /// rule add. Orders come from the persisted build-time
+    /// of a base store, construction of a template store), the new slot
+    /// after a rule add. Orders come from the persisted build-time
     /// cardinalities, so a restored store compiles the plans — and
-    /// registers the indexes — of the live one.
-    fn ensure_rederive_plans(&mut self) {
+    /// registers the indexes — of the live one. `order_by` as in
+    /// [`Materialization::build`] (`None`: the store's own rules).
+    fn ensure_rederive_plans(&mut self, order_by: Option<&[Rule]>) {
         let done = self.rederive.as_ref().map_or(0, Vec::len);
         if self.rederive.is_some() && done == self.rules.len() {
             return; // the common case: called at the head of every rescue
@@ -2764,6 +2599,7 @@ impl Materialization {
             plans.push(compile_rederive(
                 ri,
                 rule,
+                order_by.map_or(rule, |o| &o[ri]),
                 &idbs,
                 rel_of_pred,
                 &mut self.idxs,
@@ -2799,6 +2635,7 @@ impl Materialization {
             let mut e = rev.chain(drel as usize, drow);
             while e != NO_EDGE {
                 let RevEdge { hrel, hrow, next } = rev.edges[e as usize];
+                self.dred_reads += 1;
                 if self.rels[hrel as usize].tombstone(hrow as usize) {
                     worklist.push((hrel, hrow));
                     candidates.push((hrel, hrow));
@@ -2824,9 +2661,10 @@ impl Materialization {
             return;
         }
         // The full-key steps read the dedup tables; a restored store
-        // (or a view handed a restored base) may not have rebuilt them.
+        // (or a template store handed a restored base) may not have
+        // rebuilt them.
         self.ensure_dedup();
-        self.ensure_rederive_plans();
+        self.ensure_rederive_plans(None);
         self.extend_indexes();
         let frontier = self.frontiers();
         let mut scratch = Scratch::default();
@@ -2854,9 +2692,7 @@ impl Materialization {
             self.prov.as_mut().expect("recording on")[crel].push(rule, body_rows);
             if let Some(rev) = self.rev.as_mut() {
                 for (&brel, &brow) in plan.body_rels.iter().zip(body_rows) {
-                    if !self.ext_flag.get(brel).copied().unwrap_or(false) {
-                        rev.add(brel, brow, crel as u32, hrow);
-                    }
+                    rev.add(brel, brow, crel as u32, hrow);
                 }
             }
         }
@@ -2914,13 +2750,7 @@ impl Materialization {
     /// Applies a goal directly over the columnar rows of the goal
     /// predicate (no intermediate `Database`).
     pub(crate) fn goal_answer(&self, goal: &Atom) -> Relation {
-        let (ops, nvars) = eval::goal_plan(goal);
-        match self.rel_of_pred.get(&goal.pred) {
-            Some(&rid) if self.idb_flag[rid] => {
-                eval::select_project(&ops, nvars, self.rels[rid].rows_iter())
-            }
-            _ => Relation::new(nvars),
-        }
+        self.select(goal, true, None)
     }
 
     /// Per-iteration appended-fact counts (the convergence profile).
@@ -4174,7 +4004,7 @@ mod tests {
     type RescueShape = (Vec<usize>, Vec<Option<Vec<usize>>>);
 
     fn rescue_shapes(m: &mut Materialization) -> Vec<RescueShape> {
-        m.ensure_rederive_plans();
+        m.ensure_rederive_plans(None);
         let mask_of = |s: &Step| {
             assert!(!s.key.is_empty(), "every rescue step of these programs is keyed");
             (s.idx != NO_INDEX).then(|| m.idxs[s.idx].mask().to_vec())

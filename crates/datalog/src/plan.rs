@@ -34,11 +34,6 @@
 //!   count a (Δ, Δ) combination twice or not at all.
 //!   [`OrderMode::Shuffled`] keeps its one order per rule and runs
 //!   updates through it with the delta mid-body.
-//!   One run-time choice sits on top, in a magic-set *view* only: base
-//!   churn that the batch plan joins directly behind its lead (the
-//!   magic guard) is met from whichever of the two sides is smaller —
-//!   both enumerate the same pairs, so nothing is estimated
-//!   (`Materialization::plan_for`).
 //!   All plans are **static**: compiled where the store is built (or a
 //!   rule is added, or a snapshot restored — from the persisted
 //!   build-time cardinalities, so a restored store does identical
@@ -568,9 +563,21 @@ pub(crate) fn compile_rule(
 /// Plans and compiles one rule: computes the body order for the
 /// mode (from the live cardinality function) and compiles the
 /// steps in that order. The single entry point every consumer uses.
+///
+/// The order is computed from `order_by` — `rule` itself everywhere but
+/// in a template store ([`crate::cache`]), whose rules are those of a
+/// magic template with a tag column prepended to the template's own
+/// atoms. There `order_by` is the untagged rule: the tag is bound as
+/// soon as any own atom has run, and counted as a bound position it
+/// would tip every own-versus-EDB tie the planner's way — `m(T, X)` on
+/// its tag alone, a walk over a view's whole magic set, ahead of
+/// `b1(X, X1)` keyed on `X1`. Ordered by the untagged rule, a template
+/// store runs the template's plans with one more key column, and
+/// registers exactly the template's indexes over the shared EDB.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn plan_rule(
     rule: &Rule,
+    order_by: &Rule,
     rule_idx: usize,
     idbs: &[Pred],
     rel_of_pred: &FxHashMap<Pred, usize>,
@@ -579,7 +586,7 @@ pub(crate) fn plan_rule(
     mode: OrderMode,
     card: &mut dyn FnMut(Pred) -> u64,
 ) -> RulePlan {
-    let order = body_order(rule, rule_idx, mode, card);
+    let order = body_order(order_by, rule_idx, mode, card);
     compile_rule(rule, idbs, rel_of_pred, idxs, idx_of, &order)
 }
 
@@ -588,9 +595,11 @@ pub(crate) fn plan_rule(
 /// store's persisted build-time cardinalities, then textual position).
 /// Empty under [`OrderMode::Shuffled`], which keeps one order per rule:
 /// an update runs the rule's own plan with the delta wherever that order
-/// puts it.
+/// puts it. `order_by` as in [`plan_rule`].
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn plan_rule_deltas(
     rule: &Rule,
+    order_by: &Rule,
     idbs: &[Pred],
     rel_of_pred: &FxHashMap<Pred, usize>,
     idxs: &mut Vec<IncrementalIndex>,
@@ -603,7 +612,7 @@ pub(crate) fn plan_rule_deltas(
     }
     (0..rule.body.len())
         .map(|k| {
-            let order = order_body(rule, Some(k), card);
+            let order = order_body(order_by, Some(k), card);
             compile_rule(rule, idbs, rel_of_pred, idxs, idx_of, &order)
         })
         .collect()
@@ -614,11 +623,13 @@ pub(crate) fn plan_rule_deltas(
 /// body step masks include them and the join is keyed on the head. The
 /// steps run in [`rederive_order`] under [`OrderMode::Planned`] — full-key
 /// steps answered by the dedup table — and in textual order, every keyed
-/// step through an index, under [`OrderMode::Shuffled`].
+/// step through an index, under [`OrderMode::Shuffled`]. `order_by` as
+/// in [`plan_rule`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn compile_rederive(
     rule_i: usize,
     rule: &Rule,
+    order_by: &Rule,
     idbs: &[Pred],
     rel_of_pred: &FxHashMap<Pred, usize>,
     idxs: &mut Vec<IncrementalIndex>,
@@ -628,7 +639,7 @@ pub(crate) fn compile_rederive(
 ) -> RederivePlan {
     let planned = mode == OrderMode::Planned;
     let order: Vec<usize> = if planned {
-        rederive_order(rule, idbs, card)
+        rederive_order(order_by, idbs, card)
     } else {
         (0..rule.body.len()).collect()
     };
@@ -735,6 +746,7 @@ mod tests {
         let mut idxs = Vec::new();
         let mut idx_of = FxHashMap::default();
         let plans = plan_rule_deltas(
+            &p.rules[1],
             &p.rules[1],
             &idbs,
             &rel_of,
@@ -871,6 +883,7 @@ mod tests {
             let mut idx_of = FxHashMap::default();
             let plan = plan_rule(
                 &p.rules[1],
+                &p.rules[1],
                 1,
                 &idbs,
                 &rel_of,
@@ -885,6 +898,7 @@ mod tests {
             let mut idxs2 = Vec::new();
             let mut idx_of2 = FxHashMap::default();
             let base = plan_rule(
+                &p.rules[0],
                 &p.rules[0],
                 0,
                 &idbs,
@@ -911,6 +925,7 @@ mod tests {
         let mut idxs = Vec::new();
         let mut idx_of = FxHashMap::default();
         let plan = plan_rule(
+            &p.rules[1],
             &p.rules[1],
             1,
             &idbs,

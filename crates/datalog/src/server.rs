@@ -50,7 +50,10 @@
 //! exists it is only *queued* (`compact_pending`) — the drain after the
 //! last unpin runs it. A compaction also remaps the base row ids cached
 //! views reference, so the cache drops its views at the next
-//! validation and rebuilds on demand (templates survive).
+//! validation and rebuilds on demand (templates survive). The cache's
+//! own template stores shed their dead rows in the same drain, under
+//! the same condition: a pinned snapshot reads views by row frontier
+//! too.
 //!
 //! Lock order is `state → epochs` everywhere that takes both (the
 //! unpinning path takes `epochs` first but only ever *tries* the state
@@ -66,7 +69,7 @@ use std::path::Path;
 use std::sync::{Arc, Mutex, RwLock};
 
 use crate::ast::{Atom, Pred, Program, Rule};
-use crate::cache::{CacheConfig, CacheStats, QueryCache, ViewPin};
+use crate::cache::{CacheConfig, CacheStats, QueryCache, ViewPins};
 use crate::db::{Database, Relation, Tuple};
 use crate::derivation::Provenance;
 use crate::eval::{EvalStats, Strategy};
@@ -132,9 +135,9 @@ impl EpochTable {
 
     /// Applies all deferred maintenance to a write-locked state:
     /// reclaims every unobservable tombstone tag (in the base store and
-    /// every cached view) and runs (or queues) the policy-triggered
-    /// compaction. Callers must hold the epochs lock for the
-    /// *remainder* of their write-lock tenure — the state guard is
+    /// the cache's template stores) and runs (or queues) the
+    /// policy-triggered compaction. Callers must hold the epochs lock
+    /// for the *remainder* of their write-lock tenure — the state guard is
     /// dropped inside the critical section — so no horizon recorded by
     /// a contending unpin can slip between the drain and the release.
     fn drain(&mut self, state: &mut ServerState) {
@@ -147,6 +150,7 @@ impl EpochTable {
                 state.store.compact();
             }
             self.compact_pending = false;
+            state.cache.compact();
         } else if state.store.needs_compaction() {
             self.compact_pending = true;
         }
@@ -173,7 +177,7 @@ impl Server {
     /// The query cache is armed from the start.
     pub fn from_database(program: &Program, db: &Database, strategy: Strategy) -> Self {
         let store = Materialization::from_database(program, db, strategy);
-        let cache = QueryCache::new(program);
+        let cache = QueryCache::serving(program, None);
         Self {
             shared: Arc::new(Shared {
                 state: RwLock::new(ServerState { store, cache }),
@@ -232,7 +236,7 @@ impl Server {
     /// correctness.
     pub fn enable_query_cache(&self, program: &Program) {
         let mut state = self.shared.state.write().expect("state lock poisoned");
-        state.cache = QueryCache::new(program);
+        state.cache = QueryCache::serving(program, Some(&state.cache));
     }
 
     /// Whether bound queries can currently be cached (`false` on a
@@ -324,11 +328,20 @@ impl Server {
     /// Writer calls are serialized by the write lock; each applied
     /// round increments the published epoch by one.
     pub fn apply(&self, round: &UpdateRound) -> RoundReport {
+        self.apply_locked(round).0
+    }
+
+    /// [`Server::apply`], also returning the id the round's first added
+    /// rule was given (later ones follow consecutively) — read under
+    /// the same write lock the round runs under, so concurrent callers
+    /// never see each other's slots.
+    fn apply_locked(&self, round: &UpdateRound) -> (RoundReport, RuleId) {
         let mut state = self.shared.state.write().expect("state lock poisoned");
         let next = {
             let epochs = self.shared.epochs.lock().expect("epoch lock poisoned");
             epochs.current + 1
         };
+        let first_added = RuleId(state.store.num_rule_slots() as u32);
         let report = {
             let ServerState { store, cache } = &mut *state;
             // Tombstones of this round are tagged `next`: dead at
@@ -337,14 +350,14 @@ impl Server {
             let report = store.apply(round);
             // Mirror the round's rule changes into the cache (its
             // templates are compiled against the rule set), then catch
-            // every surviving view up with the new fixpoint.
+            // every template store up with the new fixpoint.
             for rule in &round.rule_adds {
                 cache.note_rule_added(rule);
             }
             for &id in &round.rule_drops {
                 cache.note_rule_dropped(id);
             }
-            cache.sync_all(store, next);
+            cache.sync_all(store);
             report
         };
         // Publish, then drain deferred maintenance (tag reclamation and
@@ -357,7 +370,7 @@ impl Server {
         epochs.current = next;
         epochs.drain(&mut state);
         drop(state);
-        report
+        (report, first_added)
     }
 
     /// Convenience single-phase rounds (each one applied round).
@@ -372,12 +385,7 @@ impl Server {
 
     /// Adds one rule as a round of its own; returns its stable id.
     pub fn add_rule(&self, rule: Rule) -> RuleId {
-        let id = {
-            let state = self.shared.state.read().expect("state lock poisoned");
-            RuleId(state.store.num_rule_slots() as u32)
-        };
-        self.apply(&UpdateRound::new().add_rule(rule));
-        id
+        self.apply_locked(&UpdateRound::new().add_rule(rule)).1
     }
 
     /// Drops one rule as a round of its own; returns whether it was
@@ -490,11 +498,12 @@ pub struct Snapshot {
     /// Per-relation row counts at pin time: rows at or above the
     /// frontier (and whole relations interned later) are invisible.
     frontier: Vec<usize>,
-    /// Cached-view pins: key, instance and row frontier per view live
-    /// at pin time. [`Snapshot::query`] answers from a pinned view
-    /// while it survives, and falls back to filtering the pinned base
-    /// state when it doesn't — same fixpoint, identical answers.
-    views: Vec<ViewPin>,
+    /// Cached-view pins: which views were live at pin time, and one row
+    /// frontier per template store. [`Snapshot::query`] answers from a
+    /// pinned view while it survives, and falls back to filtering the
+    /// pinned base state when it doesn't — same fixpoint, identical
+    /// answers.
+    views: ViewPins,
 }
 
 impl Snapshot {
@@ -716,6 +725,51 @@ mod tests {
         assert_eq!(id, RuleId(2));
         assert_eq!(server.snapshot().num_facts(anc), 10);
         assert_eq!(pinned.num_facts(anc), 10);
+    }
+
+    /// `add_rule` takes its id under the write lock its round runs
+    /// under: two threads adding rules at once are never handed the
+    /// same id, nor each other's — dropping by the returned id removes
+    /// exactly the caller's rule.
+    #[test]
+    fn concurrent_add_rule_calls_get_their_own_ids() {
+        const PER_THREAD: usize = 24;
+        let mut p = parse_program(SRC).unwrap();
+        let par = p.symbols.get_predicate("par").unwrap();
+        let edges = chain(&mut p, 2);
+        let (x, y) = (p.symbols.variable("X"), p.symbols.variable("Y"));
+        // One head predicate per added rule: h_t_i(X, Y) :- par(X, Y).
+        let heads: Vec<Vec<Pred>> = (0..2)
+            .map(|t| (0..PER_THREAD).map(|i| p.symbols.predicate(&format!("h_{t}_{i}"))).collect())
+            .collect();
+        let server = Server::new(&p, Strategy::SemiNaive);
+        server.insert_facts(par, &edges);
+        let rule_for = move |head: Pred| {
+            let args = vec![Term::Var(x), Term::Var(y)];
+            Rule::new(Atom::new(head, args.clone()), vec![Atom::new(par, args)])
+        };
+        let adders: Vec<_> = heads
+            .iter()
+            .cloned()
+            .map(|mine| {
+                let server = server.clone();
+                std::thread::spawn(move || {
+                    mine.iter().map(|&h| (h, server.add_rule(rule_for(h)))).collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        let added: Vec<(Pred, RuleId)> =
+            adders.into_iter().flat_map(|t| t.join().expect("adder thread")).collect();
+
+        let mut ids: Vec<RuleId> = added.iter().map(|&(_, id)| id).collect();
+        ids.sort();
+        ids.dedup();
+        assert_eq!(ids.len(), 2 * PER_THREAD, "every call got an id of its own");
+        for &(head, id) in &added {
+            assert_eq!(server.snapshot().num_facts(head), 2);
+            assert!(server.drop_rule(id));
+            assert_eq!(server.snapshot().num_facts(head), 0, "the id named the caller's rule");
+        }
     }
 
     #[test]

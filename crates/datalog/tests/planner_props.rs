@@ -9,11 +9,13 @@
 //! engine, so the counter parity contract (`EvalStats` bit-for-bit) is
 //! exercised per order, not just for the planned one.
 //!
-//! Two properties are **complexity oracles**. For the delta-first
+//! Three properties are **complexity oracles**. For the delta-first
 //! update plans: the work an update round costs must not depend on how
 //! much unrelated data the store holds. For the rescue plans of a
 //! retracting round: it must not depend on the fan-out of the
-//! candidates' bound first argument either.
+//! candidates' bound first argument either. For the query cache's
+//! tagged template stores: what a round costs the cache must not depend
+//! on how many live views the round does not touch.
 
 use proptest::prelude::*;
 use selprop_datalog::ast::Program;
@@ -23,7 +25,10 @@ use selprop_datalog::eval::{
 };
 use selprop_datalog::magic::magic_transform;
 use selprop_datalog::parser::parse_program;
-use selprop_datalog::{reference, Materialization, OrderMode, Pred, RoundReport, UpdateRound};
+use selprop_datalog::{
+    reference, Atom, CacheConfig, Materialization, OrderMode, Pred, QueryCache, RoundReport, Term,
+    UpdateRound,
+};
 
 /// Random edge lists over `n` nodes.
 fn arb_edges(n: usize, max_edges: usize) -> impl Strategy<Value = Vec<(u8, u8)>> {
@@ -223,6 +228,114 @@ proptest! {
             (o.probes, o.firings, o.report)
         };
         prop_assert_eq!(cost(&db), cost(&fanned), "the round's work changed with the fan-out");
+    }
+
+    /// View maintenance scales with the views a round touches, not the
+    /// views that exist. A random chain program, a random bound goal,
+    /// one insert round and one retract round over the goal's nodes;
+    /// beside the goal's view, `k` more views of the same template, each
+    /// rooted on an island of its own that no round fact mentions. The
+    /// rounds must cost the cache **exactly** the same probes, firings
+    /// and derivations — and read the same rows to find what to
+    /// over-delete — at `k` = 0, 8 and 64: an update plan led by a base
+    /// row probes the template store's shared indexes once and meets
+    /// the rows that join it, in however many other views' postings it
+    /// does not look. One store per view pays per view and fails this.
+    /// (Goals bind their first argument: a chain body passes bindings
+    /// left to right, so the magic set of `p(a, Y)` is what `a` reaches.
+    /// Under `p(X, b)` the first body atom is called all-free, every
+    /// view holds the whole model, and no round leaves any untouched.)
+    #[test]
+    fn view_maintenance_is_independent_of_the_untouched_live_views(
+        picks in proptest::collection::vec((0u8..2, proptest::collection::vec(0u8..5, 2..4)), 1..4),
+        edges in proptest::collection::vec((0u8..3, 0u8..6, 0u8..6), 1..16),
+        inserts in proptest::collection::vec((0u8..3, 0u8..6, 0u8..6), 1..6),
+        retract_every in 1usize..4,
+        goal_pick in (0u8..2, 0u8..2, 0u8..6, 0u8..6),
+    ) {
+        const ISLANDS: usize = 64;
+        let mut p = chain_program(&picks);
+        let edb: Vec<Pred> = (0..3).map(|i| p.symbols.predicate(&format!("e{i}"))).collect();
+        let node: Vec<_> = (0..6).map(|i| p.symbols.constant(&format!("c{i}"))).collect();
+        let qy = p.symbols.variable("QY");
+        let (gpred, both, ga, gb) = goal_pick;
+        let gpred = p.symbols.get_predicate(["p", "q"][gpred as usize]).unwrap();
+        // bf or bb over the given pair of constants.
+        let goal_over = |a, b| {
+            let second = if both == 1 { Term::Const(b) } else { Term::Var(qy) };
+            Atom::new(gpred, vec![Term::Const(a), second])
+        };
+        let goal = goal_over(node[ga as usize], node[gb as usize]);
+
+        let mut db = Database::new();
+        for &(e, a, b) in &edges {
+            db.insert(edb[e as usize], vec![node[a as usize], node[b as usize]]);
+        }
+        // Island `j`: a two-edge path in every EDB relation, and a goal
+        // of the same pattern from its first node to its last.
+        let island_goals: Vec<Atom> = (0..ISLANDS)
+            .map(|j| {
+                let w: Vec<_> =
+                    (0..3).map(|i| p.symbols.constant(&format!("w{j}_{i}"))).collect();
+                for &e in &edb {
+                    db.insert(e, vec![w[0], w[1]]);
+                    db.insert(e, vec![w[1], w[2]]);
+                }
+                goal_over(w[0], w[2])
+            })
+            .collect();
+        let mut insert_round = UpdateRound::new();
+        for &(e, a, b) in &inserts {
+            insert_round =
+                insert_round.insert(edb[e as usize], vec![node[a as usize], node[b as usize]]);
+        }
+        let mut retract_round = UpdateRound::new();
+        for &(e, a, b) in edges.iter().step_by(retract_every) {
+            retract_round =
+                retract_round.retract(edb[e as usize], vec![node[a as usize], node[b as usize]]);
+        }
+
+        let costs = |k: usize| {
+            let mut base = Materialization::from_database(&p, &db, EvalStrategy::SemiNaive);
+            base.set_compaction_policy(None);
+            let mut cache =
+                QueryCache::with_config(&p, CacheConfig { max_views: 2 * ISLANDS, max_rows: 1 << 22 });
+            cache.query(&mut base, &goal);
+            for g in &island_goals[..k] {
+                cache.query(&mut base, g);
+            }
+            assert_eq!(cache.stats().views, k + 1);
+            let mut out = Vec::new();
+            for round in [&insert_round, &retract_round] {
+                base.apply(round);
+                let (before, reads) = (cache.eval_stats(), cache.retract_reads());
+                let answer = cache.query(&mut base, &goal).sorted();
+                let after = cache.eval_stats();
+                out.push((
+                    after.join_probes - before.join_probes,
+                    after.rule_firings - before.rule_firings,
+                    after.tuples_derived - before.tuples_derived,
+                    cache.retract_reads() - reads,
+                    answer,
+                ));
+            }
+            assert_eq!(cache.stats().syncs, 2, "one sync per round for the whole template");
+            // The untouched views are still there and still right.
+            for g in &island_goals[..k] {
+                let got = cache.lookup(&base, g).expect("synced").sorted();
+                assert_eq!(got, base.answer_goal(g).sorted());
+            }
+            out
+        };
+        let alone = costs(0);
+        prop_assert_eq!(&costs(8), &alone, "8 untouched views changed the rounds' cost");
+        prop_assert_eq!(&costs(ISLANDS), &alone, "64 untouched views changed the rounds' cost");
+        // And the answers are the base model's.
+        let mut base = Materialization::from_database(&p, &db, EvalStrategy::SemiNaive);
+        base.apply(&insert_round);
+        prop_assert_eq!(&alone[0].4, &base.answer_goal(&goal).sorted());
+        base.apply(&retract_round);
+        prop_assert_eq!(&alone[1].4, &base.answer_goal(&goal).sorted());
     }
 
     /// Engine vs reference under each order strategy: bit-identical

@@ -1,8 +1,8 @@
 //! Incrementally-maintained magic-set query views, served through the
 //! epoch server: `Server::query` answers bound goals from a
-//! [`selprop_datalog::QueryCache`] of small magic-transformed
-//! materializations that share the base store's EDB rows and are kept
-//! at fixpoint as update rounds stream in.
+//! [`selprop_datalog::QueryCache`] — one magic-template store per
+//! binding pattern, sharing the base store's EDB rows, in which each
+//! cached view is a tag — kept at fixpoint as update rounds stream in.
 //!
 //! ```bash
 //! cargo run --example query_cache

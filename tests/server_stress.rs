@@ -15,16 +15,24 @@
 //!
 //! The acceptance bar is ≥1000 such reads across the strategy × reader
 //! sweep; the run prints its tally and asserts it.
+//!
+//! The last test does the same for **bound queries through the view
+//! cache**: the writer interleaves rounds with cached queries under a
+//! view budget that keeps changing, readers pin snapshots, let the
+//! churn run on, and ask the pinned epoch — and every answer, current
+//! or pinned, equals the from-scratch magic evaluation of that epoch.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
 
 use selprop_datalog::db::Tuple;
-use selprop_datalog::eval::Strategy;
+use selprop_datalog::eval::{answer, Strategy};
+use selprop_datalog::magic::magic_transform;
 use selprop_datalog::reference;
 use selprop_datalog::{
-    parse_program, CompactionPolicy, Database, Pred, Program, RuleId, Server, UpdateRound,
+    parse_program, Atom, CacheConfig, CompactionPolicy, Database, Pred, Program, RuleId, Server,
+    Snapshot, Term, UpdateRound,
 };
 
 const ROUNDS: usize = 24;
@@ -295,4 +303,192 @@ fn compaction_under_pinned_readers_stays_prefix_consistent() {
         "acceptance bar: ≥1000 randomized reads under compacting churn (got {total})"
     );
     println!("total consistent reads across compacting strategies: {total}");
+}
+
+/// Bound queries under churn, on two kinds of thread. The writer applies
+/// a random stream of rounds over a ten-node graph (edge inserts and
+/// retracts, the recursive rule dropped a third of the way in and
+/// re-added at two thirds), asks cached bound queries between rounds —
+/// building, evicting and rebuilding views as it cycles the view budget
+/// through 64, 2, 1 and 0 views and a 40-row cap — and so keeps tripping
+/// base compactions (aggressive policy) and template-store compactions
+/// (dropped views' rows), both of which wait for the readers' pins.
+/// Readers pin a snapshot, keep it while later rounds land, and query
+/// it: from the pinned view while that survives, off the pinned base
+/// rows once it was evicted or rebuilt. Every answer — `Server::query`
+/// at the writer's known epoch, `Snapshot::query` at the pinned one —
+/// must equal the batch magic evaluation of that epoch's rules over that
+/// epoch's facts.
+#[test]
+fn cached_and_pinned_queries_match_the_oracle_under_churn() {
+    const NODES: usize = 10;
+    const STREAM: usize = 96;
+    let mut p = parse_program(
+        "?- anc(c0, Y).\n\
+         anc(X, Y) :- par(X, Y).\n\
+         anc(X, Y) :- anc(X, Z), par(Z, Y).",
+    )
+    .expect("valid program");
+    let par = p.symbols.get_predicate("par").unwrap();
+    let anc = p.symbols.get_predicate("anc").unwrap();
+    let node: Vec<_> = (0..NODES).map(|i| p.symbols.constant(&format!("c{i}"))).collect();
+    let (qx, qy) = (p.symbols.variable("QX"), p.symbols.variable("QY"));
+    let mut p_minus = p.clone();
+    p_minus.rules.truncate(1);
+    // Two binding patterns, one template each.
+    let goals: Vec<Atom> = node
+        .iter()
+        .flat_map(|&c| {
+            [
+                Atom::new(anc, vec![Term::Const(c), Term::Var(qy)]),
+                Atom::new(anc, vec![Term::Var(qx), Term::Const(c)]),
+            ]
+        })
+        .collect();
+    let oracle = |program: &Program, edb: &Database| -> Vec<Vec<Tuple>> {
+        goals
+            .iter()
+            .map(|g| {
+                let mut pg = program.clone();
+                pg.goal = g.clone();
+                let magic = magic_transform(&pg).expect("bound goal");
+                answer(&magic.program, edb, Strategy::SemiNaive).0.sorted()
+            })
+            .collect()
+    };
+
+    // The stream and, per applied-round prefix, every goal's answer.
+    let mut rng = Rng(0x7A66_ED01);
+    let mut present = [false; NODES * NODES];
+    let mut mirror = Database::new();
+    let mut closure_active = true;
+    let mut rounds = Vec::new();
+    let mut expected = vec![oracle(&p, &mirror)];
+    for r in 0..STREAM {
+        let mut round = UpdateRound::new();
+        if r == STREAM / 3 {
+            round = round.drop_rule(RuleId(1));
+            closure_active = false;
+        } else if r == 2 * STREAM / 3 {
+            round = round.add_rule(p.rules[1].clone());
+            closure_active = true;
+        }
+        let mut touched = Vec::new();
+        for _ in 0..1 + rng.below(4) {
+            let (a, b) = (rng.below(NODES), rng.below(NODES));
+            // Once per round: a tuple both retracted and inserted in one
+            // round ends up present, whatever order they were drawn in.
+            if touched.contains(&(a, b)) {
+                continue;
+            }
+            touched.push((a, b));
+            let edge: Tuple = vec![node[a], node[b]];
+            // Grow early, churn later.
+            if present[a * NODES + b] && (r > 8 || rng.below(2) == 0) {
+                present[a * NODES + b] = false;
+                mirror.remove(par, &edge);
+                round = round.retract(par, edge);
+            } else if !present[a * NODES + b] {
+                present[a * NODES + b] = true;
+                mirror.insert(par, edge.clone());
+                round = round.insert(par, edge);
+            }
+        }
+        rounds.push(round);
+        expected.push(oracle(if closure_active { &p } else { &p_minus }, &mirror));
+    }
+    let expected = Arc::new(expected);
+    let goals = Arc::new(goals);
+
+    let server = Server::new(&p, Strategy::SemiNaive);
+    server.set_compaction_policy(Some(CompactionPolicy { min_dead_rows: 4, dead_percent: 10 }));
+    let writer_done = Arc::new(AtomicBool::new(false));
+    let readers: Vec<_> = (0..2u64)
+        .map(|t| {
+            let server = server.clone();
+            let (expected, goals) = (Arc::clone(&expected), Arc::clone(&goals));
+            let writer_done = Arc::clone(&writer_done);
+            thread::spawn(move || {
+                let mut rng = Rng(0xBEEF_0001 + t);
+                // Up to three snapshots pinned at once; the oldest is
+                // queried after the rounds that landed meanwhile.
+                let mut held: std::collections::VecDeque<Snapshot> = Default::default();
+                let (mut reads, mut stale) = (0usize, 0usize);
+                while !writer_done.load(Ordering::Acquire) || reads < 200 {
+                    held.push_back(server.snapshot());
+                    if held.len() < 3 {
+                        continue;
+                    }
+                    let snap = held.pop_front().expect("three held");
+                    let e = snap.epoch() as usize;
+                    stale += usize::from(server.current_epoch() as usize > e);
+                    for _ in 0..4 {
+                        let g = rng.below(goals.len());
+                        assert_eq!(
+                            snap.query(&goals[g]).sorted(),
+                            expected[e][g],
+                            "pinned answer of goal {g} at epoch {e}"
+                        );
+                        reads += 1;
+                    }
+                    // Now and then let go of everything, so that the
+                    // deferred compactions find a moment without pins.
+                    if reads % 64 == 0 {
+                        held.clear();
+                    }
+                }
+                (reads, stale)
+            })
+        })
+        .collect();
+
+    let budgets = [
+        CacheConfig { max_views: 64, max_rows: 1 << 22 },
+        CacheConfig { max_views: 2, max_rows: 1 << 22 },
+        CacheConfig { max_views: 1, max_rows: 1 << 22 },
+        CacheConfig { max_views: 64, max_rows: 40 },
+        CacheConfig { max_views: 0, max_rows: 1 << 22 },
+    ];
+    let mut wrng = Rng(0x57A7_E001);
+    for (i, round) in rounds.iter().enumerate() {
+        server.apply(round);
+        if i % 5 == 0 {
+            server.set_cache_config(budgets[(i / 5) % budgets.len()]);
+        }
+        for _ in 0..12 {
+            let g = wrng.below(goals.len());
+            assert_eq!(
+                server.query(&goals[g]).sorted(),
+                expected[i + 1][g],
+                "cached answer of goal {g} after round {i}"
+            );
+        }
+    }
+    writer_done.store(true, Ordering::Release);
+    let (reads, stale) = readers
+        .into_iter()
+        .map(|r| r.join().expect("reader thread panicked"))
+        .fold((0, 0), |(a, b), (c, d)| (a + c, b + d));
+    assert!(reads >= 400, "{reads} pinned reads");
+
+    // Idle, unpinned: the drains have run every queued compaction, and
+    // the cache did what its counters say.
+    let s = server.cache_stats();
+    assert!(server.compactions() >= 1);
+    assert!(s.misses > s.views as u64 && s.evictions > 0, "{s:?}");
+    // The rule drop, the re-add, and any base compaction that found a
+    // moment without pins while views were live; two patterns per era.
+    assert!(s.invalidations >= 2, "{s:?}");
+    assert!(s.template_compiles >= 6 && s.template_compiles <= 2 * (s.invalidations + 1), "{s:?}");
+    server.set_cache_config(budgets[0]);
+    for round in 0..2 {
+        for (g, goal) in goals.iter().enumerate() {
+            assert_eq!(server.query(goal).sorted(), expected[STREAM][g]);
+        }
+        // The last unpin drains over the idle store; the second sweep
+        // reads whatever that compacted.
+        drop(server.snapshot());
+        assert_eq!(server.cache_stats().views, goals.len(), "sweep {round}");
+    }
+    println!("{reads} pinned reads ({stale} of snapshots behind the writer), {s:?}");
 }

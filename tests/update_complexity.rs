@@ -7,12 +7,15 @@
 //! candidates' bound argument — identical counters) live in
 //! `crates/datalog/tests/planner_props.rs`; these use the workload
 //! generators of `selprop_core`, which that crate cannot see. The first
-//! two are about insert rounds, the last two about the DRed rescue of a
-//! retract round.
+//! two are about insert rounds, the next two about the DRed rescue of a
+//! retract round, the last about what a round costs the query cache:
+//! a function of the delta, not of the number of live views.
 
 use selprop_core::workload;
 use selprop_datalog::eval::{EvalStats, Strategy};
-use selprop_datalog::{parse_program, GroundAtom, Materialization, UpdateRound};
+use selprop_datalog::{
+    parse_program, Atom, CacheConfig, GroundAtom, Materialization, QueryCache, Term, UpdateRound,
+};
 
 const SECTION_7: &str = "?- p(c, Y).\n\
                          p(X, Y) :- b1(X, X1), b2(X1, Y).\n\
@@ -168,4 +171,73 @@ fn rescuing_through_the_other_parent_costs_a_bounded_number_of_probes_per_row() 
              {reappended} re-appended"
         );
     }
+}
+
+/// `noise_serve`'s shape: Section 7's program over `layered_b1_b2(20,
+/// n)`, views on the root, along the `b1`-chain and in the noise. A
+/// round of 64 fresh `b1`/`b2` pairs — relevant to no view — costs the
+/// cache `5 + 6·64` probes: one per update item for the delta scan it
+/// leads with (three items read `b1`, two `b2`), and per pair three
+/// `b1` rows probed into the magic set, the `b2` row of the exit rule
+/// through `b1[X1]` to the magic set (two), the `b2` row of the
+/// recursive rule into `p_bf[Y1]`. That is a function of 64 alone — at
+/// 1, 32 and 128 live views — and retracting the pairs again reads no
+/// view row at all: none was recorded through them.
+#[test]
+fn a_noise_round_costs_the_cache_the_same_at_1_32_and_128_live_views() {
+    let costs = |views: usize| {
+        let mut p = parse_program(SECTION_7).unwrap();
+        let db = workload::layered_b1_b2(&mut p, "c", 20, 400);
+        let b1 = p.symbols.get_predicate("b1").unwrap();
+        let b2 = p.symbols.get_predicate("b2").unwrap();
+        let mut base = Materialization::from_database(&p, &db, Strategy::SemiNaive);
+        base.set_compaction_policy(None);
+        let mut cache = QueryCache::with_config(&p, CacheConfig { max_views: 128, max_rows: 1 << 22 });
+        let roots = std::iter::once("c".to_owned())
+            .chain((1..=20).map(|i| format!("u{i}")))
+            .chain((0..107).map(|i| format!("xa{i}")));
+        let goals: Vec<Atom> = roots
+            .take(views)
+            .map(|name| {
+                let mut g = p.goal.clone();
+                g.args[0] = Term::Const(p.symbols.constant(&name));
+                g
+            })
+            .collect();
+        let answers: Vec<_> = goals.iter().map(|g| cache.query(&mut base, g).sorted()).collect();
+        assert_eq!(cache.stats().views, views);
+
+        let pairs: Vec<_> = (0..64)
+            .map(|i| {
+                let a = p.symbols.constant(&format!("fresh_a{i}"));
+                let b = p.symbols.constant(&format!("fresh_b{i}"));
+                (vec![a, b], vec![b, a])
+            })
+            .collect();
+        let insert = pairs.iter().fold(UpdateRound::new(), |r, (ab, ba)| {
+            r.insert(b1, ab.clone()).insert(b2, ba.clone())
+        });
+        let retract = pairs.iter().fold(UpdateRound::new(), |r, (ab, ba)| {
+            r.retract(b1, ab.clone()).retract(b2, ba.clone())
+        });
+        let mut out = Vec::new();
+        for round in [&insert, &retract] {
+            base.apply(round);
+            let (before, reads, rows) =
+                (cache.eval_stats(), cache.retract_reads(), cache.view_rows());
+            // The first query syncs the template; the rest are hits.
+            for (g, answer) in goals.iter().zip(&answers) {
+                assert_eq!(&cache.query(&mut base, g).sorted(), answer);
+            }
+            assert_eq!(cache.view_rows(), rows, "no view gained or lost a row");
+            out.push((spent(before, cache.eval_stats()), cache.retract_reads() - reads));
+        }
+        assert_eq!(cache.stats().syncs, 2);
+        out
+    };
+    let one = costs(1);
+    assert_eq!(one[0], ((5 + 6 * 64, 0, 0), 0), "insert round: (probes, firings, derived), reads");
+    assert_eq!(one[1], ((0, 0, 0), 0), "retract round");
+    assert_eq!(costs(32), one);
+    assert_eq!(costs(128), one);
 }
