@@ -779,9 +779,8 @@ mod tests {
         let seq = evaluate_with_provenance(&p, &db, Strategy::SemiNaive);
         for strategy in [
             Strategy::SemiNaiveParallel { threads: 2 },
+            Strategy::SemiNaiveParallel { threads: 3 },
             Strategy::SemiNaiveParallel { threads: 4 },
-            Strategy::SemiNaiveSharded { threads: 2, shards: 7 },
-            Strategy::SemiNaiveSharded { threads: 1, shards: 5 },
         ] {
             let par = evaluate_with_provenance(&p, &db, strategy);
             assert_eq!(par.stats, seq.stats, "{strategy:?}");

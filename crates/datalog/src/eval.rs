@@ -12,9 +12,9 @@
 //!
 //! # Engine architecture
 //!
-//! Since the incremental-materialization refactor, **batch evaluation is
-//! a special case of the persistent engine**: [`evaluate`], [`answer`]
-//! and [`evaluate_with_provenance`] are thin wrappers that build a
+//! **Batch evaluation is a special case of the persistent engine**:
+//! [`evaluate`], [`answer`] and [`evaluate_with_provenance`] are thin
+//! wrappers that build a
 //! [`crate::materialize::Materialization`], bulk-load the database, run
 //! one fixpoint and read the result out. The join machinery — flat
 //! columnar [`crate::storage`], watermark snapshots, compiled rule
@@ -22,11 +22,13 @@
 //! [`crate::materialize`]; what this module owns is the strategy/stat
 //! vocabulary and the goal selection/projection.
 //!
-//! The original tuple-at-a-time evaluator is preserved verbatim in
-//! [`crate::reference`] as the executable specification; the
-//! `engine_equiv` property suite asserts both produce identical models
-//! *and identical counters*, so every number in EXPERIMENTS.md is stable
-//! across engine rewrites.
+//! The executable specification is [`crate::reference`]: a
+//! tuple-at-a-time evaluator over hash-set relations that shares no
+//! join, storage or fixpoint code with the engine, and mirrors the two
+//! things that decide a counter — the planner's body order and the
+//! staged-head suffix pruning. The `engine_equiv` property suite asserts
+//! both produce identical models *and identical counters*, so every
+//! number in EXPERIMENTS.md is stable across engine rewrites.
 
 use crate::ast::{Atom, Const, Program, Term, Var};
 use crate::db::{Database, Relation};
@@ -35,16 +37,15 @@ use crate::materialize::Materialization;
 use crate::plan::OrderMode;
 
 /// First-join-step shards per worker thread in
-/// [`Strategy::SemiNaiveParallel`] (`shards = OVERSHARD × threads`):
-/// each `(rule, delta step)` work item partitions its first body atom's
-/// row range into this many contiguous slices per thread. Oversharding
-/// keeps the pool busy when per-shard work is skewed: a worker that
-/// finishes a cheap shard pulls the next one instead of idling until
-/// the slowest shard finishes. The deterministic `(rule, delta, shard)`
-/// merge order and the lead-shard depth-0 probe accounting are
-/// shard-count-independent, so [`EvalStats`] stays bit-for-bit
-/// identical at any factor. [`Strategy::SemiNaiveSharded`] pins an
-/// explicit shard count instead.
+/// [`Strategy::SemiNaiveParallel`] (`shards = OVERSHARD × threads`, the
+/// only shard count the engine runs): each `(rule, delta step)` work
+/// item partitions its first body atom's row range into this many
+/// contiguous slices per thread. Oversharding keeps the pool busy when
+/// per-shard work is skewed: a worker that finishes a cheap shard pulls
+/// the next one instead of idling until the slowest shard finishes. The
+/// deterministic `(rule, delta, shard)` merge order and the lead-shard
+/// depth-0 probe accounting are shard-count-independent, so
+/// [`EvalStats`] stays bit-for-bit identical at any thread count.
 pub const OVERSHARD: usize = 4;
 
 /// Evaluation strategy.
@@ -68,19 +69,6 @@ pub enum Strategy {
         /// Worker-thread count (`0` and `1` both mean sequential).
         threads: usize,
     },
-    /// [`Strategy::SemiNaiveParallel`] with an explicit shard count
-    /// instead of the default [`OVERSHARD`]` × threads`. Used by the
-    /// shard-sweep benchmarks and the equivalence suite; the merge
-    /// order `(rule, delta, shard)` stays deterministic for any
-    /// `(threads, shards)` pair. `threads <= 1 && shards <= 1`
-    /// degenerates to the sequential code path.
-    SemiNaiveSharded {
-        /// Worker-thread count.
-        threads: usize,
-        /// Number of contiguous first-step subranges per
-        /// `(rule, delta)` work item.
-        shards: usize,
-    },
 }
 
 impl Strategy {
@@ -90,9 +78,7 @@ impl Strategy {
     /// semi-naive, so the reference engine evaluates it as such.
     pub fn sequential_spec(self) -> Strategy {
         match self {
-            Strategy::SemiNaiveParallel { .. } | Strategy::SemiNaiveSharded { .. } => {
-                Strategy::SemiNaive
-            }
+            Strategy::SemiNaiveParallel { .. } => Strategy::SemiNaive,
             s => s,
         }
     }

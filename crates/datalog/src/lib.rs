@@ -16,10 +16,14 @@
 //!   [`materialize::Materialization::insert_facts`] resumes semi-naive
 //!   evaluation with the new rows as the delta (no recompute), and
 //!   [`materialize::Materialization::retract_facts`] removes facts by
-//!   delete–rederive over the recorded justifications. The join
-//!   machinery (flat columnar storage, watermark snapshots, compiled
-//!   rule plans, depth-0-sharded parallel rounds over the in-tree
-//!   [`pool`]) lives here;
+//!   delete–rederive over the recorded justifications. `materialize.rs`
+//!   is the store and its round; each phase of a round is a file under
+//!   `materialize/`, named for the `materialize.*` (and `eval.*`)
+//!   per-layer metrics of `BENCHMARK.json` it answers to: `join.rs`
+//!   (one rule pass), `fixpoint.rs` (rounds, depth-0-sharded over the
+//!   in-tree [`pool`], and the merge), `dred.rs` (over-delete and
+//!   rescue), `compact.rs`, `codec.rs` (the snapshot payload) and
+//!   `template.rs` (the query cache's view stores);
 //! - [`eval`] — minimum-model semantics via instrumented **naive**,
 //!   **semi-naive**, and **parallel semi-naive** bottom-up fixpoints
 //!   (work counters power the experiment harness). Batch evaluation is
@@ -36,13 +40,14 @@
 //!   built, a rule added or a snapshot restored; one planning entry
 //!   point serves the engine, the magic-set views and rule hot-swap.
 //!   The one setting is the body order, [`plan::OrderMode`], whose
-//!   `Shuffled` value is the order-independence test hook;
+//!   `Shuffled` value is the order-independence test hook
+//!   (`BENCHMARK.json`: `plan.*`);
 //! - [`pool`] — a dependency-free scoped thread pool (persistent
 //!   workers, borrowing jobs, panic propagation);
 //! - [`storage`] — columnar relations (one flat `Vec<Const>` per
 //!   predicate, rows deduplicated by an [`hash::FxHasher`] row table)
-//!   and the incremental join indexes;
-//! - [`mod@reference`] — the original tuple-at-a-time evaluator, kept as the
+//!   and the incremental join indexes (`BENCHMARK.json`: `storage.*`);
+//! - [`mod@reference`] — a tuple-at-a-time evaluator, kept as the
 //!   executable specification: the storage engine must reproduce its
 //!   [`eval::EvalStats`] bit-for-bit; also hosts the naive provenance
 //!   fixpoint ([`reference::Provenance`]), the spec for the engine's
@@ -66,9 +71,10 @@
 //!   that share the base store's EDB rows and are kept at fixpoint
 //!   incrementally as the base churns — so a bound query pays the
 //!   magic-pruned cost once and near-zero afterwards;
-//! - [`persist`] — **durability**: a versioned, length-prefixed,
-//!   checksummed snapshot format (in-tree binary codec, FNV-1a 64) with
-//!   atomic writes; [`materialize::Materialization::save`] /
+//! - [`persist`] — **durability**: the versioned, length-prefixed,
+//!   checksummed snapshot container (FNV-1a 64, atomic writes;
+//!   `BENCHMARK.json`: `persist.*`) around the payload that
+//!   `materialize/codec.rs` writes; [`materialize::Materialization::save`] /
 //!   [`materialize::Materialization::restore`] round-trip the complete
 //!   materialized state bit-for-bit, so a store (or a whole
 //!   [`server::Server`]) comes back at its persisted fixpoint without

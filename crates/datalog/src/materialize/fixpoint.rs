@@ -1,0 +1,270 @@
+//! The fixpoint loop behind both a build and an update: rounds of join
+//! passes over the frozen store, each followed by one deterministic
+//! merge. The two differ only in the items a round evaluates (batch
+//! plans against delta-first update plans). `BENCHMARK.json`:
+//! `eval.iterations.*`, `eval.rule_firings.*`, `eval.tuples_derived.*`,
+//! `eval.par2_speedup`, `materialize.rows_appended_per_round`.
+
+use super::join::{snapshot_range, Counters, Delta, PendingTuples, Scratch, ShardTask};
+use super::Materialization;
+use crate::eval::{Strategy, OVERSHARD};
+use crate::hash::FxHashMap;
+use crate::pool::ThreadPool;
+use crate::storage::shard_ranges;
+
+impl Materialization {
+    /// Runs rounds to fixpoint. A round extends the indexes over the
+    /// rows the last merge made visible, evaluates its items against
+    /// the frozen store, advances the watermarks and merges what was
+    /// staged — the next round's delta. The loop ends on a round that
+    /// appends nothing, so on exit every watermark sits at the store
+    /// length: the next update resumes from "everything is old".
+    ///
+    /// A **build** (construction) evaluates
+    /// [`Materialization::batch_items`] and always counts its first
+    /// round; an **update** evaluates
+    /// [`Materialization::update_items`] — delta-driven whatever the
+    /// strategy — and stops, uncounted, once there are none.
+    ///
+    /// Items run inline under the sequential strategies, sharded on a
+    /// pool otherwise ([`Materialization::eval_sharded`]); the staged
+    /// rows merge in the inline staging order either way, so row ids,
+    /// justifications and [`crate::eval::EvalStats`] are identical at
+    /// every thread count.
+    pub(super) fn run_fixpoint(&mut self, build: bool) {
+        let threads = match self.strategy {
+            Strategy::SemiNaiveParallel { threads } if threads >= 2 => threads,
+            _ => 1,
+        };
+        // Spawned by the first sharded round and dropped with this call:
+        // the spawn cost amortizes over the rounds of one fixpoint. For
+        // sub-millisecond workloads the sequential strategy is the right
+        // tool; the counters are identical.
+        let mut pool: Option<ThreadPool> = None;
+        // Recycled task slots: merged-out staging buffers and scratch
+        // space return here and are reused next round.
+        let mut spare: Vec<ShardTask> = Vec::new();
+        let mut scratch = Scratch::default();
+        let mut pending = PendingTuples::default();
+        let mut seed = build;
+        loop {
+            let items = if build {
+                self.batch_items(seed)
+            } else {
+                self.update_items()
+            };
+            if !build && items.is_empty() {
+                break;
+            }
+            self.stats.iterations += 1;
+            self.extend_indexes();
+
+            // The seed round of a build runs inline at every strategy:
+            // its rules may have empty bodies (no first step to shard),
+            // and a fixpoint that converges on it never pays for threads.
+            let mut tasks = if seed || threads == 1 {
+                for &(pi, delta) in &items {
+                    self.eval_rule(pi, delta, &mut scratch, &mut pending);
+                }
+                Vec::new()
+            } else {
+                self.eval_sharded(&mut pool, threads, &mut spare, &items)
+            };
+
+            // Merge: advance the watermarks to the current length, then
+            // append this round's new tuples — they become the delta.
+            for r in 0..self.rels.len() {
+                self.old_hi[r] = self.rels[r].num_rows();
+            }
+            let mut appended = self.merge_pending(&mut pending);
+            for t in &mut tasks {
+                appended += self.merge_pending(&mut t.pending);
+            }
+            spare.append(&mut tasks);
+            self.stats.tuples_derived += appended;
+            self.stats.rule_firings += appended;
+            if appended == 0 {
+                break;
+            }
+            self.profile.push(appended);
+            seed = false;
+        }
+    }
+
+    /// The items of one build round. The seed round fires the rules
+    /// without IDB atoms over the loaded EDB; every later round runs
+    /// each `(rule, IDB step)` pair with that step as the delta. Under
+    /// [`Strategy::Naive`] every round recomputes every rule in full.
+    fn batch_items(&self, seed: bool) -> Vec<(usize, Delta)> {
+        let mut items = Vec::new();
+        for (pi, plan) in self.plans.iter().enumerate() {
+            if self.strategy == Strategy::Naive || (seed && plan.idb_steps.is_empty()) {
+                items.push((pi, Delta::Full));
+            } else if !seed {
+                items.extend(plan.idb_steps.iter().map(|&d| (pi, Delta::Batch(d))));
+            }
+        }
+        items
+    }
+
+    /// The items of one update round: the `(rule, body atom)` pairs
+    /// whose atom's relation has unconsumed delta rows, in deterministic
+    /// `(rule, body position)` order. Delta candidates are **every**
+    /// body atom over a relation that has grown — EDB atoms included,
+    /// which is how freshly inserted facts (and DRed rescues) enter the
+    /// join — each run through its own delta-first update plan, under
+    /// the "last delta occurrence" convention in rule-text order. After
+    /// the first round the EDB deltas are consumed and the loop is
+    /// ordinary semi-naive over the derived deltas. Dropped rules never
+    /// fire again.
+    fn update_items(&self) -> Vec<(usize, Delta)> {
+        let mut items = Vec::new();
+        for (pi, plan) in self.plans.iter().enumerate() {
+            if !self.rule_active[pi] {
+                continue;
+            }
+            for (k, &rel) in plan.body_rels.iter().enumerate() {
+                if self.rels[rel].num_rows() > self.old_hi[rel] {
+                    items.push((pi, Delta::Update(k)));
+                }
+            }
+        }
+        items
+    }
+
+    /// Evaluates one round's `items` sharded: every item becomes
+    /// [`ShardTask`]s that partition its first join step's snapshot
+    /// range — the delta range when the delta leads (every update item
+    /// under `OrderMode::Planned`), the first step's full or old range
+    /// for a mid-body delta (batch rounds — E5's shape — and updates
+    /// under `OrderMode::Shuffled`), so shards partition the pre-delta
+    /// probe work instead of duplicating it. The tasks run on the pool;
+    /// counters are accounted from the lead shard's `pre` and every
+    /// shard's `post`. Returns the tasks — their staged rows still
+    /// unmerged — in `(rule, delta, shard top-down)` order: shards are
+    /// top-down subranges of the sequential engine's descending depth-0
+    /// enumeration, so this is the sequential staging order, and the
+    /// first staged copy of a row, whose justification the merge keeps,
+    /// is the one the sequential engine finds.
+    fn eval_sharded(
+        &mut self,
+        pool: &mut Option<ThreadPool>,
+        threads: usize,
+        spare: &mut Vec<ShardTask>,
+        items: &[(usize, Delta)],
+    ) -> Vec<ShardTask> {
+        let shards = OVERSHARD * threads;
+        let mut tasks: Vec<ShardTask> = Vec::new();
+        for &(pi, delta) in items {
+            let plan = self.plan_for(pi, delta);
+            let (slo, shi) = snapshot_range(&self.rels, &self.old_hi, plan, 0, delta);
+            for (si, &(lo, hi)) in shard_ranges(slo, shi, shards).iter().enumerate() {
+                // The lead shard always runs (it accounts the depth-0
+                // probe even over an empty range, exactly like the
+                // sequential engine); empty trailing shards contribute
+                // nothing.
+                if si > 0 && lo == hi {
+                    continue;
+                }
+                let mut t = spare.pop().unwrap_or_default();
+                t.rule = pi;
+                t.delta = delta;
+                t.range = (lo, hi);
+                t.lead = si == 0;
+                t.counters = Counters::default();
+                // t.pending was cleared by the last merge; t.scratch
+                // keeps its capacity.
+                tasks.push(t);
+            }
+        }
+        {
+            let this = &*self;
+            let pool = pool.get_or_insert_with(|| ThreadPool::new(threads));
+            pool.scope(|s| {
+                for t in tasks.iter_mut() {
+                    s.execute(move || {
+                        this.eval_rule_shard(
+                            t.rule,
+                            t.delta,
+                            Some(t.range),
+                            &mut t.scratch,
+                            &mut t.pending,
+                            &mut t.counters,
+                        );
+                    });
+                }
+            });
+        }
+        for t in &tasks {
+            if t.lead {
+                self.stats.join_probes += t.counters.pre;
+            }
+            self.stats.join_probes += t.counters.post;
+            self.tc_hits += t.counters.tc_hits;
+            self.tc_rows += t.counters.tc_rows;
+        }
+        tasks
+    }
+
+    /// Merges one staging buffer into the relations, deduplicating;
+    /// returns how many rows were actually appended. With provenance
+    /// recording on, the staged justification of each tuple that
+    /// actually inserts (the first staged copy in merge order) is
+    /// appended to the head relation's justification store, and — once
+    /// the reverse-dependency index exists — one reverse edge per body
+    /// position is appended so later retracts stay O(affected).
+    pub(super) fn merge_pending(&mut self, pending: &mut PendingTuples) -> u64 {
+        let Self { rels, prov, rev, plans, .. } = self;
+        // Pre-size each target's dedup table from the staged count (an
+        // upper bound on what actually appends), so the batch never
+        // rehashes mid-merge; per-insert growth stays as the backstop.
+        let mut counts: FxHashMap<u32, usize> = FxHashMap::default();
+        for &rid in &pending.rels {
+            *counts.entry(rid).or_insert(0) += 1;
+        }
+        for (&rid, &n) in &counts {
+            rels[rid as usize].reserve_rows(n);
+        }
+        let mut appended = 0u64;
+        let mut off = 0;
+        match prov {
+            None => {
+                for (&rid, &hash) in pending.rels.iter().zip(&pending.hash) {
+                    let rel = &mut rels[rid as usize];
+                    let ar = rel.arity();
+                    if rel.insert_hashed(&pending.data[off..off + ar], hash) {
+                        appended += 1;
+                    }
+                    off += ar;
+                }
+            }
+            Some(prov) => {
+                let mut joff = 0;
+                for (&rid, &hash) in pending.rels.iter().zip(&pending.hash) {
+                    let rel = &mut rels[rid as usize];
+                    let ar = rel.arity();
+                    let rule = pending.just[joff];
+                    let blen = plans[rule as usize].body_rels.len();
+                    if rel.insert_hashed(&pending.data[off..off + ar], hash) {
+                        appended += 1;
+                        let body = &pending.just[joff + 1..joff + 1 + blen];
+                        prov[rid as usize].push(rule, body);
+                        if let Some(rev) = rev.as_mut() {
+                            let hrow = (rel.num_rows() - 1) as u32;
+                            for (kb, &brow) in body.iter().enumerate() {
+                                rev.add(plans[rule as usize].body_rels[kb], brow, rid, hrow);
+                            }
+                        }
+                    }
+                    off += ar;
+                    joff += 1 + blen;
+                }
+                pending.just.clear();
+            }
+        }
+        pending.data.clear();
+        pending.rels.clear();
+        pending.hash.clear();
+        appended
+    }
+}

@@ -1,0 +1,1180 @@
+use super::*;
+use crate::ast::{Const, Term, Var};
+use crate::parser::parse_program;
+use crate::persist::PersistError;
+use crate::plan::{Step, NO_INDEX};
+use crate::reference;
+
+const SRC_A: &str = "?- anc(john, Y).\n\
+                     anc(X, Y) :- par(X, Y).\n\
+                     anc(X, Y) :- anc(X, Z), par(Z, Y).";
+
+fn chain_edges(p: &mut Program, n: usize) -> Vec<Tuple> {
+    let mut prev = p.symbols.constant("john");
+    (1..=n)
+        .map(|i| {
+            let c = p.symbols.constant(&format!("c{i}"));
+            let t = vec![prev, c];
+            prev = c;
+            t
+        })
+        .collect()
+}
+
+/// The from-scratch executable spec: reference engine on the mirror.
+fn spec_idb(p: &Program, db: &Database) -> Vec<(Pred, Vec<Tuple>)> {
+    reference::evaluate(p, db, Strategy::SemiNaive).idb.sorted_models()
+}
+
+/// One plan's shape: step order, the `(relation, index mask)` probed
+/// per step, kernel flag. Index *ids* are left out on purpose: they
+/// depend on registration order, which a restore legitimately
+/// changes.
+type PlanShape = (Vec<usize>, Vec<(usize, Vec<usize>)>, bool);
+
+/// The shape of every compiled plan — per rule slot the batch plan
+/// followed by its update plans.
+fn plan_shapes(m: &Materialization) -> Vec<Vec<PlanShape>> {
+    let shape = |plan: &RulePlan| {
+        let steps = plan
+            .steps
+            .iter()
+            .map(|s| {
+                let mask = if s.idx == crate::plan::NO_INDEX {
+                    Vec::new()
+                } else {
+                    m.idxs[s.idx].mask().to_vec()
+                };
+                (s.rel, mask)
+            })
+            .collect();
+        (plan.body_of_step.to_vec(), steps, plan.tc)
+    };
+    m.plans
+        .iter()
+        .enumerate()
+        .map(|(i, batch)| {
+            std::iter::once(batch).chain(&m.delta_plans[i]).map(shape).collect()
+        })
+        .collect()
+}
+
+/// Plans are static and a pure function of persisted state: a store
+/// restored mid-stream compiles exactly the live store's batch and
+/// update plans (rule adds included) and from then on does
+/// bit-identical work — same row ids, same justifications, same
+/// counters — through inserts, retracts, rule drops and adds, and
+/// the compactions the policy triggers along the way.
+#[test]
+fn delta_plans_survive_restore_and_churn() {
+    let mut p = parse_program(
+        "?- p(c, Y).\n\
+         p(X, Y) :- b1(X, X1), b2(X1, Y).\n\
+         p(X, Y) :- b1(X, X1), p(X1, Y1), b2(Y1, Y).",
+    )
+    .unwrap();
+    let b1 = p.symbols.get_predicate("b1").unwrap();
+    let b2 = p.symbols.get_predicate("b2").unwrap();
+    let pp = p.symbols.get_predicate("p").unwrap();
+    let b3 = p.symbols.predicate("b3");
+    // A b1-chain of 6 from c into a b2-chain of 6, plus side pairs.
+    let mut names = vec!["c".to_owned()];
+    names.extend((1..=12).map(|i| format!("n{i}")));
+    let node: Vec<Const> = names.iter().map(|n| p.symbols.constant(n)).collect();
+    let side: Vec<(Const, Const)> = (0..40)
+        .map(|i| {
+            (
+                p.symbols.constant(&format!("sa{i}")),
+                p.symbols.constant(&format!("sb{i}")),
+            )
+        })
+        .collect();
+    let mut db = Database::new();
+    for i in 0..6 {
+        db.insert(b1, vec![node[i], node[i + 1]]);
+        db.insert(b2, vec![node[6 + i], node[7 + i]]);
+    }
+    for &(a, b) in &side[..8] {
+        db.insert(b1, vec![a, b]);
+        db.insert(b2, vec![b, a]);
+    }
+    let pair = |r: UpdateRound, (a, b): (Const, Const), insert: bool| {
+        if insert {
+            r.insert(b1, vec![a, b]).insert(b2, vec![b, a])
+        } else {
+            r.retract(b1, vec![a, b]).retract(b2, vec![b, a])
+        }
+    };
+    let xy = vec![Term::Var(Var(0)), Term::Var(Var(1))];
+    let added = Rule {
+        head: Atom { pred: pp, args: xy.clone() },
+        body: vec![Atom { pred: b3, args: xy }],
+    };
+    let rounds: Vec<UpdateRound> = vec![
+        // Irrelevant pairs in, the middle of the relevant chain out.
+        side[8..24].iter().fold(UpdateRound::new(), |r, &s| pair(r, s, true)),
+        UpdateRound::new().retract(b1, vec![node[3], node[4]]),
+        // A rule over a brand-new EDB predicate, fed in the same round.
+        UpdateRound::new()
+            .add_rule(added)
+            .insert(b3, vec![node[0], node[12]])
+            .insert(b1, vec![node[3], node[4]]),
+        // -- the snapshot is taken here --
+        side[..20].iter().fold(UpdateRound::new(), |r, &s| pair(r, s, false)),
+        side[24..40]
+            .iter()
+            .fold(UpdateRound::new().retract(b2, vec![node[8], node[9]]), |r, &s| {
+                pair(r, s, true)
+            }),
+        UpdateRound::new().drop_rule(RuleId(0)),
+        UpdateRound::new()
+            .insert(b2, vec![node[8], node[9]])
+            .insert(b3, vec![node[1], node[2]]),
+    ];
+
+    let mut live = Materialization::from_database(&p, &db, Strategy::SemiNaive);
+    // Low enough that retracting the side pairs compacts the store.
+    live.set_compaction_policy(Some(CompactionPolicy { min_dead_rows: 8, dead_percent: 20 }));
+    for round in &rounds[..3] {
+        live.apply(round);
+    }
+    let mut restored = Materialization::from_bytes(&live.to_bytes()).unwrap();
+    assert_eq!(plan_shapes(&restored), plan_shapes(&live));
+    // Every rule slot — the added one too — has one update plan per
+    // body atom, led by that atom.
+    for (i, rule) in live.rules.iter().enumerate() {
+        let leads: Vec<usize> =
+            live.delta_plans[i].iter().map(|pl| pl.body_of_step[0]).collect();
+        assert_eq!(leads, (0..rule.body.len()).collect::<Vec<_>>());
+    }
+    for round in &rounds[3..] {
+        assert_eq!(live.apply(round), restored.apply(round));
+        for (a, b) in live.rels.iter().zip(&restored.rels) {
+            assert_eq!(a.data(), b.data(), "row ids diverged");
+        }
+        assert_eq!(live.provenance(), restored.provenance());
+        assert_eq!(live.stats(), restored.stats(), "restored store did different work");
+        assert_eq!(plan_shapes(&restored), plan_shapes(&live));
+    }
+    assert!(live.compactions() > 0, "the stream was meant to cross the policy");
+    assert_eq!(live.to_bytes(), restored.to_bytes());
+    // And the stream ended where a from-scratch evaluation of the
+    // edited program over the edited database does.
+    let mut edited = p.clone();
+    edited.rules.push(live.rules[2].clone());
+    edited.rules.remove(0);
+    let mut mirror = Database::new();
+    for (pred, name) in [(b1, "b1"), (b2, "b2"), (b3, "b3")] {
+        for row in live.database().relation(pred).expect(name).iter() {
+            mirror.insert(pred, row.to_vec());
+        }
+    }
+    assert_eq!(live.idb_database().sorted_models(), spec_idb(&edited, &mirror));
+}
+
+/// The (Δ, Δ) case. With one step order per delta position, "before
+/// the delta reads full, after it reads old" has to mean *rule-text*
+/// position: by step depth, both delta-first plans of
+/// `anc(X,Z), anc(Z,Y)` would read the old part on the other side
+/// and every combination of two new rows would be lost. Loading a
+/// whole chain in one round makes every longer path exactly such a
+/// combination.
+#[test]
+fn delta_delta_combinations_are_not_lost() {
+    let mut p = parse_program(
+        "?- anc(john, Y).\n\
+         anc(X, Y) :- par(X, Y).\n\
+         anc(X, Y) :- anc(X, Z), anc(Z, Y).",
+    )
+    .unwrap();
+    let par = p.symbols.get_predicate("par").unwrap();
+    let edges = chain_edges(&mut p, 9);
+    let mut mirror = Database::new();
+    for e in &edges {
+        mirror.insert(par, e.clone());
+    }
+    let want = spec_idb(&p, &mirror);
+    let run = |strategy: Strategy| {
+        let mut m = Materialization::new(&p, strategy);
+        m.insert_facts(par, &edges[..5]);
+        m.insert_facts(par, &edges[5..]);
+        m
+    };
+    let seq = run(Strategy::SemiNaive);
+    assert_eq!(seq.idb_database().sorted_models(), want);
+    assert_eq!(seq.answer().len(), 9);
+    seq.provenance().check(&p).expect("valid");
+    for threads in [2, 3] {
+        let strategy = Strategy::SemiNaiveParallel { threads };
+        let m = run(strategy);
+        assert_eq!(m.idb_database().sorted_models(), want, "{strategy:?}");
+        assert_eq!(m.provenance(), seq.provenance(), "{strategy:?}");
+        assert_eq!(m.stats(), seq.stats(), "{strategy:?}");
+    }
+}
+
+#[test]
+fn insert_resumes_instead_of_recomputing() {
+    let mut p = parse_program(SRC_A).unwrap();
+    let par = p.symbols.get_predicate("par").unwrap();
+    let edges = chain_edges(&mut p, 6);
+    let mut db = Database::new();
+    for e in &edges[..3] {
+        db.insert(par, e.clone());
+    }
+    let mut m = Materialization::from_database(&p, &db, Strategy::SemiNaive);
+    assert_eq!(m.answer().len(), 3);
+    let before = m.stats();
+
+    // Absorb the rest of the chain one edge at a time, and total up
+    // what a non-incremental system would pay: a full recompute
+    // after every update.
+    let mut mirror = db.clone();
+    let mut recompute_work = 0u64;
+    for e in &edges[3..] {
+        assert_eq!(m.insert_facts(par, std::slice::from_ref(e)), 1);
+        mirror.insert(par, e.clone());
+        assert_eq!(m.idb_database().sorted_models(), spec_idb(&p, &mirror));
+        recompute_work += crate::eval::evaluate(&p, &mirror, Strategy::SemiNaive)
+            .stats
+            .work();
+    }
+    assert_eq!(m.answer().len(), 6);
+    // The updates resumed from the fixpoint instead of recomputing.
+    let update_work = m.stats().work() - before.work();
+    assert!(
+        update_work < recompute_work,
+        "update cost {update_work} should undercut per-update recomputes {recompute_work}"
+    );
+    // Duplicate inserts are no-ops.
+    assert_eq!(m.insert_facts(par, &edges), 0);
+    m.provenance().check(&p).expect("justifications stay valid");
+}
+
+#[test]
+fn insert_on_idb_or_unknown_predicates_is_a_noop() {
+    let mut p = parse_program(SRC_A).unwrap();
+    let par = p.symbols.get_predicate("par").unwrap();
+    let anc = p.symbols.get_predicate("anc").unwrap();
+    let stranger = p.symbols.predicate("unrelated");
+    let a = p.symbols.constant("a");
+    let b = p.symbols.constant("b");
+    let mut m = Materialization::new(&p, Strategy::SemiNaive);
+    assert_eq!(m.insert_facts(anc, &[vec![a, b]]), 0, "IDB facts ignored");
+    assert_eq!(m.insert_facts(stranger, &[vec![a, b]]), 0, "untracked pred");
+    assert_eq!(m.retract_facts(anc, &[vec![a, b]]), 0);
+    assert_eq!(m.retract_facts(stranger, &[vec![a, b]]), 0);
+    assert_eq!(m.num_facts(anc), 0);
+    assert_eq!(m.insert_facts(par, &[vec![a, b]]), 1);
+    assert_eq!(m.num_facts(anc), 1);
+    assert_eq!(m.num_facts(par), 1);
+}
+
+#[test]
+fn retract_cascades_through_derived_facts() {
+    let mut p = parse_program(SRC_A).unwrap();
+    let par = p.symbols.get_predicate("par").unwrap();
+    let edges = chain_edges(&mut p, 5);
+    let mut db = Database::new();
+    for e in &edges {
+        db.insert(par, e.clone());
+    }
+    let mut m = Materialization::from_database(&p, &db, Strategy::SemiNaive);
+    assert_eq!(m.answer().len(), 5);
+    // Cut the chain in the middle: everything past c2 is gone.
+    assert_eq!(m.retract_facts(par, std::slice::from_ref(&edges[2])), 1);
+    let mut mirror = db.clone();
+    mirror.remove(par, &edges[2]);
+    assert_eq!(m.idb_database().sorted_models(), spec_idb(&p, &mirror));
+    assert_eq!(m.answer().len(), 2);
+    m.provenance().check(&p).expect("surviving justifications valid");
+    // Retracting an absent fact is a no-op.
+    assert_eq!(m.retract_facts(par, std::slice::from_ref(&edges[2])), 0);
+}
+
+#[test]
+fn retract_rescues_facts_with_alternative_derivations() {
+    // The classic DRed diamond: p(a) holds via e(a) AND via f(a).
+    // Its recorded justification uses e(a); retracting e(a) must
+    // over-delete p(a) and then rescue it through f(a), with the
+    // new justification recorded.
+    let mut p = parse_program(
+        "?- p(Y).\n\
+         p(X) :- e(X).\n\
+         p(X) :- f(X).\n\
+         q(X) :- p(X), g(X).",
+    )
+    .unwrap();
+    let e = p.symbols.get_predicate("e").unwrap();
+    let f = p.symbols.get_predicate("f").unwrap();
+    let g = p.symbols.get_predicate("g").unwrap();
+    let pp = p.symbols.get_predicate("p").unwrap();
+    let q = p.symbols.get_predicate("q").unwrap();
+    let a = p.symbols.constant("a");
+    let mut db = Database::new();
+    db.insert(e, vec![a]);
+    db.insert(f, vec![a]);
+    db.insert(g, vec![a]);
+    let mut m = Materialization::from_database(&p, &db, Strategy::SemiNaive);
+    let prov = m.provenance();
+    let pa = crate::derivation::GroundAtom { pred: pp, args: vec![a] };
+    assert_eq!(prov.justification(&pa).map(|(r, _)| r), Some(0), "via e");
+
+    assert_eq!(m.retract_facts(e, &[vec![a]]), 1);
+    let mut mirror = db.clone();
+    mirror.remove(e, &[a]);
+    assert_eq!(m.idb_database().sorted_models(), spec_idb(&p, &mirror));
+    let idb = m.idb_database();
+    assert!(idb.relation(pp).unwrap().contains(&[a]), "p(a) rescued");
+    assert!(idb.relation(q).unwrap().contains(&[a]), "q(a) survives too");
+    let prov = m.provenance();
+    prov.check(&p).expect("rescued justification is valid");
+    assert_eq!(prov.justification(&pa).map(|(r, _)| r), Some(1), "now via f");
+
+    // Retract the second support: now everything goes.
+    assert_eq!(m.retract_facts(f, &[vec![a]]), 1);
+    mirror.remove(f, &[a]);
+    assert_eq!(m.idb_database().sorted_models(), spec_idb(&p, &mirror));
+    assert_eq!(m.num_facts(pp), 0);
+    assert_eq!(m.num_facts(q), 0);
+}
+
+#[test]
+fn insert_then_retract_restores_the_store() {
+    let mut p = parse_program(SRC_A).unwrap();
+    let par = p.symbols.get_predicate("par").unwrap();
+    let edges = chain_edges(&mut p, 8);
+    let mut db = Database::new();
+    for e in &edges[..4] {
+        db.insert(par, e.clone());
+    }
+    let mut m = Materialization::from_database(&p, &db, Strategy::SemiNaive);
+    let snapshot = m.database().sorted_models();
+    m.insert_facts(par, &edges[4..]);
+    assert_ne!(m.database().sorted_models(), snapshot);
+    m.retract_facts(par, &edges[4..]);
+    assert_eq!(
+        m.database().sorted_models(),
+        snapshot,
+        "retracting the inserted rows restores the pre-insert store"
+    );
+    m.provenance().check(&p).expect("valid after the round trip");
+}
+
+#[test]
+fn update_sequences_are_strategy_independent() {
+    // The same op sequence under every strategy yields the same
+    // store — and, because shards merge in sequential order, the
+    // same provenance bit-for-bit for the semi-naive family.
+    let mut p = parse_program(SRC_A).unwrap();
+    let par = p.symbols.get_predicate("par").unwrap();
+    let edges = chain_edges(&mut p, 9);
+    let mut db = Database::new();
+    for e in &edges[..5] {
+        db.insert(par, e.clone());
+    }
+    let run = |strategy: Strategy| {
+        let mut m = Materialization::from_database(&p, &db, strategy);
+        m.insert_facts(par, &edges[5..]);
+        m.retract_facts(par, &edges[2..4]);
+        m.insert_facts(par, &edges[2..3]);
+        m
+    };
+    let seq = run(Strategy::SemiNaive);
+    let seq_model = seq.database().sorted_models();
+    let seq_prov = seq.provenance();
+    for strategy in [
+        Strategy::Naive,
+        Strategy::SemiNaiveParallel { threads: 2 },
+        Strategy::SemiNaiveParallel { threads: 3 },
+        Strategy::SemiNaiveParallel { threads: 4 },
+    ] {
+        let m = run(strategy);
+        assert_eq!(m.database().sorted_models(), seq_model, "{strategy:?}");
+        m.provenance().check(&p).expect("valid under every strategy");
+        if strategy != Strategy::Naive {
+            assert_eq!(
+                m.provenance(),
+                seq_prov,
+                "{strategy:?}: provenance thread/shard independent"
+            );
+            assert_eq!(m.stats(), seq.stats(), "{strategy:?} counters");
+        }
+    }
+}
+
+#[test]
+fn batch_wrappers_are_the_materialization_special_case() {
+    let mut p = parse_program(SRC_A).unwrap();
+    let par = p.symbols.get_predicate("par").unwrap();
+    let edges = chain_edges(&mut p, 7);
+    let mut db = Database::new();
+    for e in &edges {
+        db.insert(par, e.clone());
+    }
+    let wrapped = crate::eval::evaluate(&p, &db, Strategy::SemiNaive);
+    let m = Materialization::from_database(&p, &db, Strategy::SemiNaive);
+    assert_eq!(m.stats(), wrapped.stats, "recording changes no counter");
+    assert_eq!(m.idb_database().sorted_models(), wrapped.idb.sorted_models());
+    let (ans, _) = crate::eval::answer(&p, &db, Strategy::SemiNaive);
+    assert_eq!(m.answer().sorted(), ans.sorted());
+}
+
+#[test]
+fn one_csr_build_per_apply_round() {
+    // The reverse-dependency index is built lazily exactly once —
+    // on the first round with any over-deletion work — and then
+    // maintained incrementally: later retracting rounds (batched or
+    // single-fact) never rebuild it.
+    let mut p = parse_program(SRC_A).unwrap();
+    let par = p.symbols.get_predicate("par").unwrap();
+    let edges = chain_edges(&mut p, 10);
+    let mut db = Database::new();
+    for e in &edges {
+        db.insert(par, e.clone());
+    }
+    let mut m = Materialization::from_database(&p, &db, Strategy::SemiNaive);
+    assert_eq!(m.csr_builds(), 0, "construction never over-deletes");
+
+    let round = UpdateRound::new()
+        .retract_all(par, &edges[6..])
+        .drop_rule(RuleId(1));
+    let report = m.apply(&round);
+    assert_eq!(report.retracted, 4);
+    assert_eq!(report.rules_dropped, 1);
+    assert_eq!(m.csr_builds(), 1, "one build for the whole mixed round");
+
+    // Insert-only and empty rounds never build the index.
+    m.apply(&UpdateRound::new().insert(par, edges[6].clone()));
+    m.apply(&UpdateRound::new());
+    assert_eq!(m.csr_builds(), 1);
+
+    // A later retracting round reuses the maintained index.
+    m.apply(&UpdateRound::new().retract(par, edges[6].clone()));
+    assert_eq!(m.csr_builds(), 1, "incremental maintenance, no rebuild");
+
+    // The single-fact path also pays exactly one lazy build, on the
+    // first retract call — O(affected) from then on.
+    let mut m2 = Materialization::from_database(&p, &db, Strategy::SemiNaive);
+    for e in &edges[6..] {
+        m2.retract_facts(par, std::slice::from_ref(e));
+    }
+    assert_eq!(m2.csr_builds(), 1);
+}
+
+#[test]
+fn batched_mixed_round_matches_sequential_calls() {
+    let mut p = parse_program(SRC_A).unwrap();
+    let par = p.symbols.get_predicate("par").unwrap();
+    let edges = chain_edges(&mut p, 10);
+    let mut db = Database::new();
+    for e in &edges[..6] {
+        db.insert(par, e.clone());
+    }
+    let mut batched = Materialization::from_database(&p, &db, Strategy::SemiNaive);
+    let report = batched.apply(
+        &UpdateRound::new()
+            .retract_all(par, &edges[2..4])
+            .insert_all(par, &edges[6..]),
+    );
+    assert_eq!(report.inserted, 4);
+    assert_eq!(report.retracted, 2);
+
+    let mut sequential = Materialization::from_database(&p, &db, Strategy::SemiNaive);
+    for e in &edges[6..] {
+        sequential.insert_facts(par, std::slice::from_ref(e));
+    }
+    for e in &edges[2..4] {
+        sequential.retract_facts(par, std::slice::from_ref(e));
+    }
+    assert_eq!(
+        batched.database().sorted_models(),
+        sequential.database().sorted_models(),
+        "one mixed round ≡ any order of the single-fact calls"
+    );
+    // And both match the from-scratch spec of the edited database.
+    let mut mirror = db.clone();
+    for e in &edges[6..] {
+        mirror.insert(par, e.clone());
+    }
+    for e in &edges[2..4] {
+        mirror.remove(par, e);
+    }
+    assert_eq!(batched.idb_database().sorted_models(), spec_idb(&p, &mirror));
+    batched.provenance().check(&p).expect("valid after a mixed round");
+}
+
+#[test]
+fn drop_rule_overdeletes_and_rescues_via_surviving_rules() {
+    // The DRed diamond again, but cutting a *rule* instead of a
+    // fact: p(a) is justified via rule 0 (p :- e); dropping rule 0
+    // must rescue p(a) through rule 1 (p :- f) and keep q(a).
+    let mut p = parse_program(
+        "?- p(Y).\n\
+         p(X) :- e(X).\n\
+         p(X) :- f(X).\n\
+         q(X) :- p(X), g(X).",
+    )
+    .unwrap();
+    let e = p.symbols.get_predicate("e").unwrap();
+    let f = p.symbols.get_predicate("f").unwrap();
+    let g = p.symbols.get_predicate("g").unwrap();
+    let pp = p.symbols.get_predicate("p").unwrap();
+    let q = p.symbols.get_predicate("q").unwrap();
+    let a = p.symbols.constant("a");
+    let mut db = Database::new();
+    db.insert(e, vec![a]);
+    db.insert(f, vec![a]);
+    db.insert(g, vec![a]);
+    let mut m = Materialization::from_database(&p, &db, Strategy::SemiNaive);
+    assert!(m.is_rule_active(RuleId(0)));
+
+    assert!(m.drop_rule(RuleId(0)));
+    assert!(!m.is_rule_active(RuleId(0)));
+    assert!(!m.drop_rule(RuleId(0)), "double drop is a no-op");
+    assert_eq!(m.num_facts(pp), 1, "p(a) rescued via rule 1");
+    assert_eq!(m.num_facts(q), 1, "q(a) survives");
+    let prov = m.provenance();
+    // Check against the full original program: rule slots align.
+    prov.check(&p).expect("rescued justification valid");
+    let pa = crate::derivation::GroundAtom { pred: pp, args: vec![a] };
+    assert_eq!(prov.justification(&pa).map(|(r, _)| r), Some(1), "via f now");
+
+    // The edited program is the spec: dropping the last support of
+    // p kills everything derived.
+    assert!(m.drop_rule(RuleId(1)));
+    assert_eq!(m.num_facts(pp), 0);
+    assert_eq!(m.num_facts(q), 0);
+    // e/f/g facts are untouched.
+    assert_eq!(m.num_facts(e), 1);
+}
+
+#[test]
+fn add_rule_seeds_from_existing_rows() {
+    let mut p = parse_program(SRC_A).unwrap();
+    let par = p.symbols.get_predicate("par").unwrap();
+    let anc = p.symbols.get_predicate("anc").unwrap();
+    let edges = chain_edges(&mut p, 5);
+    let mut db = Database::new();
+    for e in &edges {
+        db.insert(par, e.clone());
+    }
+    let mut m = Materialization::from_database(&p, &db, Strategy::SemiNaive);
+    assert_eq!(m.num_rule_slots(), 2);
+
+    // Hot-add: sib(X, Y) :- par(Z, X), par(Z, Y) over a new IDB.
+    let extra = parse_program(
+        "?- sib(X, Y).\n\
+         sib(X, Y) :- par(Z, X), par(Z, Y).",
+    )
+    .unwrap();
+    // Predicate/constant ids are interned per-Symbols; rebuild the
+    // rule against p's symbol table for a like-for-like comparison.
+    let mut p_plus = p.clone();
+    let sib = p_plus.symbols.predicate("sib");
+    let rule = {
+        let mut r = extra.rules[0].clone();
+        r.head.pred = sib;
+        for (a, src) in r.body.iter_mut().zip(&extra.rules[0].body) {
+            assert_eq!(extra.symbols.pred_name(src.pred), "par");
+            a.pred = par;
+        }
+        r
+    };
+    p_plus.rules.push(rule.clone());
+
+    let id = m.add_rule(rule);
+    assert_eq!(id, RuleId(2));
+    assert!(m.is_rule_active(id));
+    assert_eq!(m.active_rules().len(), 3);
+    // Chain graph: each parent has one child, so sib is the diagonal.
+    assert_eq!(m.num_facts(sib), 5, "seeded from the existing rows");
+    assert_eq!(
+        m.idb_database().sorted_models(),
+        spec_idb(&p_plus, &{
+            let mut mirror = Database::new();
+            for e in &edges {
+                mirror.insert(par, e.clone());
+            }
+            mirror
+        }),
+        "incrementally seeded ≡ from-scratch on the edited program"
+    );
+    m.provenance().check(&p_plus).expect("seeded justifications valid");
+
+    // New facts keep flowing through the added rule.
+    let john = p.symbols.get_constant("john").unwrap();
+    let x = p_plus.symbols.constant("x");
+    m.insert_facts(par, &[vec![john, x]]);
+    assert_eq!(m.num_facts(sib), 5 + 3, "sib(c1,x), sib(x,c1) and sib(x,x)");
+    let _ = anc;
+}
+
+#[test]
+#[should_panic(expected = "head must not be a stored EDB relation")]
+fn add_rule_rejects_edb_heads() {
+    let p = parse_program(SRC_A).unwrap();
+    let mut m = Materialization::new(&p, Strategy::SemiNaive);
+    // par is a stored EDB relation: deriving into it would break the
+    // fixed IDB/EDB partition. par(X, Y) :- anc(X, Y).
+    let par = p.symbols.get_predicate("par").unwrap();
+    let anc = p.symbols.get_predicate("anc").unwrap();
+    let args = vec![Term::Var(Var(0)), Term::Var(Var(1))];
+    m.add_rule(Rule {
+        head: Atom { pred: par, args: args.clone() },
+        body: vec![Atom { pred: anc, args }],
+    });
+}
+
+#[test]
+fn apply_round_with_new_predicates_tracks_them() {
+    // An added rule may introduce brand-new body predicates; the
+    // same round can already insert facts for them.
+    let mut p = parse_program(SRC_A).unwrap();
+    let par = p.symbols.get_predicate("par").unwrap();
+    let edges = chain_edges(&mut p, 3);
+    let mut db = Database::new();
+    for e in &edges {
+        db.insert(par, e.clone());
+    }
+    let mut m = Materialization::from_database(&p, &db, Strategy::SemiNaive);
+
+    let mut p_plus = p.clone();
+    let anc = p_plus.symbols.get_predicate("anc").unwrap();
+    let step = p_plus.symbols.predicate("step");
+    let rule = Rule {
+        head: Atom {
+            pred: anc,
+            args: vec![Term::Var(Var(90)), Term::Var(Var(91))],
+        },
+        body: vec![Atom {
+            pred: step,
+            args: vec![Term::Var(Var(90)), Term::Var(Var(91))],
+        }],
+    };
+    p_plus.rules.push(rule.clone());
+    let a = p_plus.symbols.constant("zz1");
+    let b = p_plus.symbols.constant("zz2");
+    let report = m.apply(
+        &UpdateRound::new()
+            .add_rule(rule)
+            .insert(step, vec![a, b]),
+    );
+    assert_eq!(report.rules_added, 1);
+    assert_eq!(report.inserted, 1, "the new EDB predicate is tracked");
+    let mut mirror = db.clone();
+    mirror.insert(step, vec![a, b]);
+    assert_eq!(m.idb_database().sorted_models(), spec_idb(&p_plus, &mirror));
+    m.provenance().check(&p_plus).expect("valid");
+}
+
+#[test]
+fn empty_materialization_fires_seed_rules() {
+    // Magic-style seed rules (empty body) fire during the initial
+    // fixpoint of an empty materialization; stream inserts build on
+    // them.
+    let mut p = parse_program(
+        "?- reach(Y).\n\
+         seed(c).\n\
+         reach(Y) :- seed(X), e(X, Y).\n\
+         reach(Y) :- reach(X), e(X, Y).",
+    )
+    .unwrap();
+    let e = p.symbols.get_predicate("e").unwrap();
+    let seed = p.symbols.get_predicate("seed").unwrap();
+    let c = p.symbols.get_constant("c").unwrap();
+    let d = p.symbols.constant("d");
+    let mut m = Materialization::new(&p, Strategy::SemiNaive);
+    assert_eq!(m.num_facts(seed), 1, "seed(c) fired on the empty store");
+    assert_eq!(m.insert_facts(e, &[vec![c, d]]), 1);
+    assert_eq!(m.answer().len(), 1);
+    m.provenance().check(&p).expect("valid");
+}
+
+// -----------------------------------------------------------------
+// Compaction
+// -----------------------------------------------------------------
+
+#[test]
+fn compact_preserves_model_provenance_and_update_behavior() {
+    let mut p = parse_program(SRC_A).unwrap();
+    let par = p.symbols.get_predicate("par").unwrap();
+    let edges = chain_edges(&mut p, 12);
+    let mut db = Database::new();
+    for e in &edges {
+        db.insert(par, e.clone());
+    }
+    let mut m = Materialization::from_database(&p, &db, Strategy::SemiNaive);
+    m.set_compaction_policy(None); // manual compaction for this test
+
+    // Churn: cut the chain tail, then reattach a shorter one.
+    m.retract_facts(par, &edges[8..]);
+    let mut mirror = db.clone();
+    for e in &edges[8..] {
+        mirror.remove(par, e);
+    }
+    assert_eq!(m.idb_database().sorted_models(), spec_idb(&p, &mirror));
+
+    let stats_before = m.stats();
+    let mem_before = m.mem_stats();
+    assert!(mem_before.total_rows > mem_before.live_rows, "churn left tombstones");
+
+    let reclaimed = m.compact();
+    assert!(reclaimed > 0);
+    assert_eq!(m.compactions(), 1);
+    let mem_after = m.mem_stats();
+    assert_eq!(mem_after.total_rows, mem_after.live_rows, "no dead rows survive");
+    assert!(mem_after.row_words() < mem_before.row_words());
+
+    // Results, counters and provenance are untouched.
+    assert_eq!(m.stats(), stats_before, "compaction does no evaluation work");
+    assert_eq!(m.idb_database().sorted_models(), spec_idb(&p, &mirror));
+    m.provenance().check(&p).expect("remapped justifications stay valid");
+
+    // A second compact is a no-op.
+    assert_eq!(m.compact(), 0);
+    assert_eq!(m.compactions(), 1);
+
+    // Updates keep working against the renumbered store: retract
+    // deeper (exercising the rebuilt reverse index), then insert.
+    m.retract_facts(par, &edges[4..8]);
+    for e in &edges[4..8] {
+        mirror.remove(par, e);
+    }
+    assert_eq!(m.insert_facts(par, &edges[4..6]), 2);
+    for e in &edges[4..6] {
+        mirror.insert(par, e.clone());
+    }
+    assert_eq!(m.idb_database().sorted_models(), spec_idb(&p, &mirror));
+    m.provenance().check(&p).expect("post-compact churn provenance valid");
+}
+
+#[test]
+fn policy_triggers_automatic_compaction() {
+    let mut p = parse_program(SRC_A).unwrap();
+    let par = p.symbols.get_predicate("par").unwrap();
+    let edges = chain_edges(&mut p, 40);
+    let mut db = Database::new();
+    for e in &edges {
+        db.insert(par, e.clone());
+    }
+    let mut m = Materialization::from_database(&p, &db, Strategy::SemiNaive);
+    m.set_compaction_policy(Some(CompactionPolicy {
+        min_dead_rows: 8,
+        dead_percent: 10,
+    }));
+    // Cutting the chain at edge 20 tombstones half the closure: far
+    // past the 10% threshold, so the apply round compacts itself.
+    m.retract_facts(par, std::slice::from_ref(&edges[20]));
+    assert!(m.compactions() >= 1, "policy breach compacts automatically");
+    let mem = m.mem_stats();
+    assert_eq!(mem.total_rows, mem.live_rows);
+
+    let mut mirror = db.clone();
+    mirror.remove(par, &edges[20]);
+    assert_eq!(m.idb_database().sorted_models(), spec_idb(&p, &mirror));
+}
+
+#[test]
+fn retract_is_a_counted_no_op_on_absent_and_double_retracts() {
+    let mut p = parse_program(SRC_A).unwrap();
+    let par = p.symbols.get_predicate("par").unwrap();
+    let edges = chain_edges(&mut p, 6);
+    let never = {
+        let x = p.symbols.constant("x");
+        let y = p.symbols.constant("y");
+        vec![x, y]
+    };
+    let mut db = Database::new();
+    for e in &edges {
+        db.insert(par, e.clone());
+    }
+    let mut m = Materialization::from_database(&p, &db, Strategy::SemiNaive);
+    let baseline = m.database().sorted_models();
+
+    // Never-inserted fact: count 0, store untouched.
+    assert_eq!(m.retract_facts(par, std::slice::from_ref(&never)), 0);
+    assert_eq!(m.database().sorted_models(), baseline);
+
+    // Real retract counts once; the immediate double-retract counts 0.
+    assert_eq!(m.retract_facts(par, std::slice::from_ref(&edges[5])), 1);
+    assert_eq!(m.retract_facts(par, std::slice::from_ref(&edges[5])), 0);
+    let mut mirror = db.clone();
+    mirror.remove(par, &edges[5]);
+    assert_eq!(m.idb_database().sorted_models(), spec_idb(&p, &mirror));
+
+    // Retract-after-compact: the row is gone entirely, still a
+    // clean counted no-op.
+    assert!(m.compact() > 0);
+    assert_eq!(m.retract_facts(par, std::slice::from_ref(&edges[5])), 0);
+    // And a mixed round counts only the rows actually removed.
+    let r = m.apply(&UpdateRound::new().retract_all(par, &edges[3..6]));
+    assert_eq!(r.retracted, 2, "edges[5] is already gone");
+    m.provenance().check(&p).expect("valid after no-op retracts");
+}
+
+// -----------------------------------------------------------------
+// Rescue plans
+// -----------------------------------------------------------------
+
+const SRC_B: &str = "?- anc(john, Y).\n\
+                     anc(X, Y) :- par(X, Y).\n\
+                     anc(X, Y) :- par(X, Z), anc(Z, Y).";
+const SRC_C: &str = "?- anc(john, Y).\n\
+                     anc(X, Y) :- par(X, Y).\n\
+                     anc(X, Y) :- anc(X, Z), anc(Z, Y).";
+const SRC_S7: &str = "?- p(john, Y).\n\
+                      p(X, Y) :- b1(X, X1), b2(X1, Y).\n\
+                      p(X, Y) :- b1(X, X1), p(X1, Y1), b2(Y1, Y).";
+/// Program A's magic program, the magic predicate derived so that
+/// it is an IDB like a view's.
+const SRC_MAGIC_A: &str = "?- anc_bf(john, Y).\n\
+                           m(X) :- seed(X).\n\
+                           anc_bf(X, Y) :- m(X), par(X, Y).\n\
+                           anc_bf(X, Y) :- m(X), anc_bf(X, Z), par(Z, Y).";
+
+/// One rescue plan's shape: the body atom run at each step, and per
+/// step the mask of the index it probes — `None` for a step answered
+/// by the dedup table.
+type RescueShape = (Vec<usize>, Vec<Option<Vec<usize>>>);
+
+fn rescue_shapes(m: &mut Materialization) -> Vec<RescueShape> {
+    m.ensure_rederive_plans(None);
+    let mask_of = |s: &Step| {
+        assert!(!s.key.is_empty(), "every rescue step of these programs is keyed");
+        (s.idx != NO_INDEX).then(|| m.idxs[s.idx].mask().to_vec())
+    };
+    let plans = m.rederive.as_ref().unwrap().iter();
+    plans.map(|p| (p.body_of_step.to_vec(), p.steps.iter().map(mask_of).collect())).collect()
+}
+
+/// The complete DAG on `john, n1, .. n4` under every binary EDB
+/// predicate of `p` (and `john` under a unary one): every derived
+/// tuple has several derivations, so retractions rescue.
+fn dense_db(p: &mut Program) -> Database {
+    let mut names = vec!["john".to_owned()];
+    names.extend((1..5).map(|i| format!("n{i}")));
+    let node: Vec<Const> = names.iter().map(|n| p.symbols.constant(n)).collect();
+    let arities: FxHashMap<Pred, usize> = p
+        .rules
+        .iter()
+        .flat_map(|r| &r.body)
+        .map(|a| (a.pred, a.arity()))
+        .collect();
+    let mut db = Database::new();
+    for pred in p.edb_predicates() {
+        if arities[&pred] == 1 {
+            db.insert(pred, vec![node[0]]);
+            continue;
+        }
+        for i in 0..node.len() {
+            for j in i + 1..node.len() {
+                db.insert(pred, vec![node[i], node[j]]);
+            }
+        }
+    }
+    db
+}
+
+/// The recursive rule of programs A, B, C, of Section 7 and of a
+/// magic program is rescued through its smallest fan-in — the EDB
+/// atom keyed on the bound head variable, never `anc(x, _)` — with
+/// every fully bound atom a dedup-table lookup; and the rows a rescue
+/// records are a positional instantiation of the rule text whatever
+/// order found them.
+#[test]
+fn rescue_plans_enter_through_the_fan_in_and_record_in_rule_text_order() {
+    let some = |m: &[usize]| Some(m.to_vec());
+    let cases: [(&str, RescueShape); 5] = [
+        // anc(X,Z), par(Z,Y): par(Z, y) first, anc(x, z) is a lookup.
+        (SRC_A, (vec![1, 0], vec![some(&[1]), None])),
+        // par(X,Z), anc(Z,Y): par(x, Z), then the lookup.
+        (SRC_B, (vec![0, 1], vec![some(&[0]), None])),
+        // anc(X,Z), anc(Z,Y): nothing to choose between; text order.
+        (SRC_C, (vec![0, 1], vec![some(&[0]), None])),
+        // b1(X,X1), p(X1,Y1), b2(Y1,Y): both EDB atoms before the
+        // IDB atom they bind completely.
+        (SRC_S7, (vec![0, 2, 1], vec![some(&[0]), some(&[1]), None])),
+        // m(X), anc_bf(X,Z), par(Z,Y): the guard is a lookup, then
+        // as program A.
+        (SRC_MAGIC_A, (vec![0, 2, 1], vec![None, some(&[1]), None])),
+    ];
+    for (src, expected) in cases {
+        let mut p = parse_program(src).unwrap();
+        let db = dense_db(&mut p);
+        let mut m = Materialization::from_database(&p, &db, Strategy::SemiNaive);
+        let shapes = rescue_shapes(&mut m);
+        assert_eq!(shapes.last().unwrap(), &expected, "{src}");
+        // The exit rules test their one (or last) atom in the table.
+        assert_eq!(shapes[shapes.len() - 2].1.last().unwrap(), &None, "{src}");
+
+        // Retract the binary EDB facts one at a time, in a scrambled
+        // order: while other edges still stand, most casualties
+        // have a derivation left and are rescued.
+        let mut facts: Vec<(Pred, Tuple)> = db
+            .iter()
+            .filter(|(_, r)| r.arity() == 2)
+            .flat_map(|(pred, r)| r.sorted().into_iter().map(move |t| (pred, t)))
+            .collect();
+        facts.sort_by_key(|(pred, t)| (t[0].0 * 31 + t[1].0 * 17 + pred.0 * 7) % 13);
+        let mut mirror = db.clone();
+        let mut reappended = 0;
+        for (pred, t) in facts {
+            let before: Vec<usize> = m.frontiers();
+            assert_eq!(m.retract_facts(pred, std::slice::from_ref(&t)), 1);
+            mirror.remove(pred, &t);
+            assert_eq!(m.idb_database().sorted_models(), spec_idb(&p, &mirror), "{src}");
+            m.provenance().check(&p).unwrap_or_else(|e| panic!("{src}: {e}"));
+            reappended +=
+                m.frontiers().iter().zip(&before).map(|(a, b)| a - b).sum::<usize>();
+        }
+        assert!(reappended > 0, "no retraction rescued anything: {src}");
+    }
+}
+
+/// The rescue of `anc(a, d)` after its recorded support `par(b, d)`
+/// goes: found as `par(c, d)` then `anc(a, c)`, recorded as
+/// `anc(a, c), par(c, d)`.
+#[test]
+fn rescued_justification_reads_in_rule_text_order() {
+    let mut p = parse_program(SRC_A).unwrap();
+    let par = p.symbols.get_predicate("par").unwrap();
+    let anc = p.symbols.get_predicate("anc").unwrap();
+    let [a, b, c, d] = ["a", "b", "c", "d"].map(|n| p.symbols.constant(n));
+    let mut db = Database::new();
+    for e in [[a, b], [a, c], [b, d], [c, d]] {
+        db.insert(par, e.to_vec());
+    }
+    let mut m = Materialization::from_database(&p, &db, Strategy::SemiNaive);
+    let ga = |pred, x, y| crate::derivation::GroundAtom { pred, args: vec![x, y] };
+    let anc_ad = ga(anc, a, d);
+    let via = |m: &Materialization| m.provenance().justification(&anc_ad).unwrap();
+    let through_b = via(&m).1 == [ga(anc, a, b), ga(par, b, d)];
+    let (first, second) = if through_b { (b, c) } else { (c, b) };
+    assert_eq!(m.retract_facts(par, &[vec![first, d]]), 1);
+    assert_eq!(via(&m), (1, vec![ga(anc, a, second), ga(par, second, d)]));
+    m.provenance().check(&p).expect("valid after the rescue");
+}
+
+/// A tuple whose only other derivation runs through a row tombstoned
+/// in the same round is not rescued: the dedup table a full-key step
+/// reads holds live rows only — also with the tombstones tagged for
+/// a pinned epoch, and in the first round of a restored store, whose
+/// tables are rebuilt on that first write.
+#[test]
+fn a_dedup_step_never_rescues_through_a_row_that_died_this_round() {
+    let mut p = parse_program(SRC_A).unwrap();
+    let par = p.symbols.get_predicate("par").unwrap();
+    let anc = p.symbols.get_predicate("anc").unwrap();
+    let edges = chain_edges(&mut p, 2);
+    let mut db = Database::new();
+    for e in &edges {
+        db.insert(par, e.clone());
+    }
+    let fresh = Materialization::from_database(&p, &db, Strategy::SemiNaive);
+    let pinned = {
+        let mut m = fresh.clone();
+        m.set_epoch(3);
+        m
+    };
+    let restored = Materialization::from_bytes(&fresh.to_bytes()).unwrap();
+    let mut mirror = db.clone();
+    mirror.remove(par, &edges[0]);
+    for (what, mut m) in [("fresh", fresh), ("pinned", pinned), ("restored", restored)] {
+        // anc(john, c2) is over-deleted with anc(john, c1); its other
+        // derivation — par(Z, c2), then anc(john, c1) in the table —
+        // needs exactly that dead row.
+        assert_eq!(m.retract_facts(par, &edges[..1]), 1, "{what}");
+        assert_eq!(rescue_shapes(&mut m)[1].1, [Some(vec![1]), None], "{what}");
+        assert_eq!(m.idb_database().sorted_models(), spec_idb(&p, &mirror), "{what}");
+        assert_eq!(m.num_facts(anc), 1, "{what}: only anc(c1, c2) is left");
+        assert_eq!(m.tagged_tombstones() > 0, what == "pinned");
+        m.provenance().check(&p).expect("valid");
+    }
+}
+
+/// [`OrderMode::Shuffled`], the one-order-per-rule mode, rescues in
+/// the original (textual) body order, every keyed step through an
+/// index — full-key steps included.
+#[test]
+fn original_order_keeps_the_textual_rescue_plans() {
+    let some = |m: &[usize]| Some(m.to_vec());
+    let cases = [
+        (SRC_A, vec![vec![some(&[0, 1])], vec![some(&[0]), some(&[0, 1])]]),
+        (
+            SRC_S7,
+            vec![
+                vec![some(&[0]), some(&[0, 1])],
+                vec![some(&[0]), some(&[0]), some(&[0, 1])],
+            ],
+        ),
+    ];
+    for (src, expected) in cases {
+        let mut p = parse_program(src).unwrap();
+        let db = dense_db(&mut p);
+        let order = OrderMode::Shuffled(7);
+        let mut m = Materialization::from_database_with(&p, &db, Strategy::SemiNaive, order);
+        let shapes = rescue_shapes(&mut m);
+        for (shape, masks) in shapes.iter().zip(&expected) {
+            assert_eq!(shape.0, (0..masks.len()).collect::<Vec<_>>(), "{src}");
+            assert_eq!(&shape.1, masks, "{src}");
+        }
+    }
+}
+
+/// The base-side twin of the cache's link test: the first retracting
+/// round of a program-A store registers `par[1]` and nothing else —
+/// no `anc[0]`, which would index the whole closure for the rescue
+/// alone.
+#[test]
+fn the_first_retraction_registers_one_edb_index() {
+    let mut p = parse_program(SRC_A).unwrap();
+    let par = p.symbols.get_predicate("par").unwrap();
+    let edges = chain_edges(&mut p, 16);
+    let mut db = Database::new();
+    for e in &edges {
+        db.insert(par, e.clone());
+    }
+    let mut m = Materialization::from_database(&p, &db, Strategy::SemiNaive);
+    let before = m.planner_report().index_rows;
+    assert_eq!(m.retract_facts(par, &edges[15..]), 1);
+    assert_eq!(m.planner_report().index_rows - before, edges.len() as u64);
+}
+
+/// A round that adds a rule deriving a tuple it also over-deletes:
+/// the seeding pass re-derives the tuple before the rescue reaches
+/// it, and the rescue must not record a second row for it.
+#[test]
+fn a_candidate_the_seeding_pass_rederived_is_not_rescued_twice() {
+    let mut p = parse_program(SRC_A).unwrap();
+    let par = p.symbols.get_predicate("par").unwrap();
+    let anc = p.symbols.get_predicate("anc").unwrap();
+    let alt = p.symbols.predicate("alt");
+    let edges = chain_edges(&mut p, 3);
+    let mut db = Database::new();
+    for e in &edges {
+        db.insert(par, e.clone());
+    }
+    let mut m = Materialization::from_database(&p, &db, Strategy::SemiNaive);
+    let xy = vec![Term::Var(Var(0)), Term::Var(Var(1))];
+    let added = Rule {
+        head: Atom { pred: anc, args: xy.clone() },
+        body: vec![Atom { pred: alt, args: xy }],
+    };
+    p.rules.push(added.clone());
+    m.apply(
+        &UpdateRound::new()
+            .add_rule(added)
+            .insert(alt, edges[0].clone())
+            .retract(par, edges[0].clone()),
+    );
+    let mut mirror = db.clone();
+    mirror.remove(par, &edges[0]);
+    mirror.insert(alt, edges[0].clone());
+    assert_eq!(m.idb_database().sorted_models(), spec_idb(&p, &mirror));
+    m.provenance().check(&p).expect("one justification per row");
+}
+
+// -----------------------------------------------------------------
+// Snapshot / restore
+// -----------------------------------------------------------------
+
+#[test]
+fn snapshot_round_trip_is_bit_for_bit_and_update_equivalent() {
+    let mut p = parse_program(SRC_A).unwrap();
+    let par = p.symbols.get_predicate("par").unwrap();
+    let edges = chain_edges(&mut p, 14);
+    let mut db = Database::new();
+    for e in &edges {
+        db.insert(par, e.clone());
+    }
+    let mut m = Materialization::from_database(&p, &db, Strategy::SemiNaive);
+    m.set_compaction_policy(None);
+    // Leave interesting state behind: tombstones (live dead bitset +
+    // stale justifications), a dropped rule slot, a convergence
+    // profile, nonzero counters.
+    m.retract_facts(par, &edges[10..12]);
+
+    let bytes = m.to_bytes();
+    let m2 = Materialization::from_bytes(&bytes).expect("intact snapshot restores");
+    assert_eq!(m2.to_bytes(), bytes, "serialize(restore(x)) == x, bit for bit");
+    assert_eq!(m2.stats(), m.stats());
+    assert_eq!(m2.strategy(), m.strategy());
+    assert_eq!(m2.csr_builds(), m.csr_builds());
+    assert_eq!(m2.database().sorted_models(), m.database().sorted_models());
+    assert_eq!(m2.answer().sorted(), m.answer().sorted());
+    m2.provenance().check(&p).expect("restored justifications valid");
+
+    // The same mixed round lands identically on both stores.
+    let round = UpdateRound::new()
+        .retract_all(par, &edges[4..6])
+        .insert_all(par, &edges[10..12]);
+    let mut m2 = m2;
+    let ra = m.apply(&round);
+    let rb = m2.apply(&round);
+    assert_eq!(ra, rb);
+    assert_eq!(m.stats(), m2.stats(), "identical work on both stores");
+    assert_eq!(m.database().sorted_models(), m2.database().sorted_models());
+    assert_eq!(m.to_bytes(), m2.to_bytes(), "stores stay bit-identical after the round");
+}
+
+#[test]
+fn snapshot_round_trips_rule_slots_and_epoch_state() {
+    let mut p = parse_program(SRC_A).unwrap();
+    let par = p.symbols.get_predicate("par").unwrap();
+    let edges = chain_edges(&mut p, 8);
+    let mut db = Database::new();
+    for e in &edges {
+        db.insert(par, e.clone());
+    }
+    let mut m = Materialization::from_database(&p, &db, Strategy::SemiNaive);
+    // Epoch mode with a live tombstone tag, plus a dropped rule.
+    m.set_epoch(3);
+    m.apply(&UpdateRound::new().retract(par, edges[6].clone()));
+    m.apply(&UpdateRound::new().drop_rule(RuleId(1)));
+
+    let bytes = m.to_bytes();
+    let m2 = Materialization::from_bytes(&bytes).unwrap();
+    assert_eq!(m2.to_bytes(), bytes);
+    assert!(!m2.is_rule_active(RuleId(1)));
+    assert!(m2.is_rule_active(RuleId(0)));
+    assert_eq!(m2.num_rule_slots(), 2, "dropped slots persist");
+    // The pinned-epoch view survives: a reader pinned at epoch 3
+    // still sees rows tombstoned at epoch > 3.
+    let f = m2.frontiers();
+    assert_eq!(
+        m.database_at(&f, 3).sorted_models(),
+        m2.database_at(&f, 3).sorted_models()
+    );
+}
+
+#[test]
+fn save_restore_via_file_is_atomic_and_faithful() {
+    let dir = std::env::temp_dir().join(format!("selprop-mat-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("store.snap");
+
+    let mut p = parse_program(SRC_A).unwrap();
+    let par = p.symbols.get_predicate("par").unwrap();
+    let edges = chain_edges(&mut p, 10);
+    let mut db = Database::new();
+    for e in &edges {
+        db.insert(par, e.clone());
+    }
+    let mut m = Materialization::from_database(&p, &db, Strategy::SemiNaive);
+    m.save(&path).expect("save");
+    let m2 = Materialization::restore(&path).expect("restore");
+    assert_eq!(m2.to_bytes(), m.to_bytes());
+
+    // Overwrite with new state; the file is replaced atomically.
+    m.retract_facts(par, &edges[8..]);
+    m.save(&path).expect("second save");
+    let m3 = Materialization::restore(&path).expect("restore updated");
+    assert_eq!(m3.to_bytes(), m.to_bytes());
+
+    assert!(matches!(
+        Materialization::restore(dir.join("missing.snap")),
+        Err(PersistError::Io(_))
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+}

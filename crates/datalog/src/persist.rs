@@ -16,7 +16,7 @@
 //! | `0`           | 8     | magic `b"SPROPMAT"`                           |
 //! | `8`           | 4     | format version (`u32`, currently 4)           |
 //! | `12`          | 8     | total file length (`u64`, magic → checksum)   |
-//! | `20`          | n     | payload sections (below)                      |
+//! | `20`          | n     | payload (below)                               |
 //! | `len - 8`     | 8     | checksum of bytes `[0, len - 8)` (`fnv1a64`,
 //!                           eight-lane interleaved FNV-1a 64)             |
 //!
@@ -28,53 +28,14 @@
 //! verifies magic, version, length and checksum **before** parsing a
 //! single payload byte — a corrupt file can never reach the decoder.
 //!
-//! ## Payload sections, in order
+//! ## Payload
 //!
-//! 1. **Strategy** — tag `u8` (0 naive, 1 semi-naive, 2 parallel,
-//!    3 sharded) plus `threads`/`shards` as `u64` where applicable.
-//! 2. **Goal atom** — predicate `u32`, argument count `u64`, then per
-//!    term a tag `u8` (0 constant, 1 variable) and its `u32` id.
-//! 3. **Rules** — count, then every rule slot ever allocated (dropped
-//!    ones included — justifications index rule slots) as head atom +
-//!    body atoms.
-//! 4. **Rule activity** — one `u8` per slot (0 = dropped).
-//! 5. **Counters** — serving epoch, reverse-index builds, compactions
-//!    (`u64` each).
-//! 6. **EvalStats** — iterations, rule firings, tuples derived, join
-//!    probes (`u64` each).
-//! 7. **Convergence profile** — count + `u64` per productive iteration.
-//! 8. **Compaction policy** — presence `u8`, then `min_dead_rows u64`,
-//!    `dead_percent u32`.
-//! 9. **Planner** — order mode tag `u8` (1 planned, 2 shuffled + its
-//!    `u64` seed), then per rule slot the batch plan's body permutation
-//!    (count + `u32` step depth of each body atom), then the
-//!    per-relation build-time cardinalities (count + `u64`s) the update
-//!    plans break ties by. (Versions 2 and 3 also carried an order tag
-//!    0 and five engine feature flags here; the engine they selected is
-//!    gone, and those files are refused with
-//!    [`PersistError::BadVersion`].)
-//! 10. **Relations** — count, then per dense relation id: predicate
-//!     `u32`, IDB flag `u8`, arity `u64`, row count `u64`, watermark
-//!     `u64`, the flat row-major tuple data (`rows × arity` × `u32`),
-//!     tombstone bitset (word count + `u64` words), tombstoned-row
-//!     count `u64`, relation epoch `u64`, and the death-epoch tags as
-//!     count + `(row u32, epoch u64)` pairs sorted by row id
-//!     (deterministic bytes).
-//! 11. **Justifications** — presence `u8`, then per relation its packed
-//!     store: offsets (count + `u32`s) and buffer (count + `u32`s).
-//!
-//! Deliberately **not** serialized (rebuilt on restore): the dedup
-//! tables (probe-history-dependent slot layout; write-path state, so
-//! the rebuild is deferred to the first mutating round after restore),
-//! the join indexes and index registry (re-hashed from the rows,
-//! frozen posting segments included — the batch plans' at restore, the
-//! ones only update plans probe at the first round or view link that
-//! needs them), compiled batch, update and
-//! re-derivation plans (recompiled from the rules, the persisted body
-//! permutations and the persisted cardinalities), and the reverse
-//! dependency index (lazy). Restore therefore returns at the exact
-//! persisted fixpoint without any re-evaluation: the expensive state is
-//! the rows and justifications, which round-trip bit-for-bit.
+//! Eleven sections, from the strategy tag (0 naive, 1 semi-naive,
+//! 2 parallel) to the packed justifications, specified where they are
+//! written and parsed:
+//! [`Materialization::to_bytes`](crate::materialize::Materialization::to_bytes).
+//! This module is the container around them: the framing above, the
+//! `Enc`/`Dec` primitives, and the atomic write.
 
 use std::fmt;
 use std::fs;

@@ -1,13 +1,11 @@
 //! Compiled join plans and the **cost-based join planner**.
 //!
-//! Extracted from `materialize.rs`: the plan vocabulary (`KeyOp`,
-//! `Action`, `Out`, `Step`, `RulePlan`, `HeadOp`,
-//! `RederivePlan`) and the compilers (`compile_rule`,
-//! `compile_step`, `compile_rederive`) used to be private to the
-//! materialization layer. They now live here, behind one planning entry
-//! point (`plan_rule`) that every consumer — batch evaluation,
-//! incremental rounds, magic-set views, rule hot-swap — compiles
-//! through.
+//! The plan vocabulary (`KeyOp`, `Action`, `Out`, `Step`, `RulePlan`,
+//! `HeadOp`, `RederivePlan`) and the compilers (`compile_rule`,
+//! `compile_step`, `compile_rederive`), behind one planning entry point
+//! (`plan_rule`) that every consumer — batch evaluation, incremental
+//! rounds, magic-set views, rule hot-swap — compiles through.
+//! `BENCHMARK.json` reads this layer as `plan.*`.
 //!
 //! What the planner adds on top of the mechanical compilation:
 //!

@@ -725,6 +725,36 @@ mod tests {
         assert_eq!(id, RuleId(2));
         assert_eq!(server.snapshot().num_facts(anc), 10);
         assert_eq!(pinned.num_facts(anc), 10);
+
+        // The four row dumps — live or pinned, whole store or IDB only —
+        // over a store holding the drop's tombstones (tagged: `pinned`
+        // still reads them) and `sib`, interned after the pin.
+        let sib = p.symbols.predicate("sib");
+        let xy = vec![Term::Var(p.symbols.variable("X")), Term::Var(p.symbols.variable("Y"))];
+        let sib_rule = Rule::new(Atom::new(sib, xy.clone()), vec![Atom::new(par, xy)]);
+        server.add_rule(sib_rule.clone());
+        let mut db = Database::new();
+        for e in &edges {
+            db.insert(par, e.clone());
+        }
+        let before = Materialization::from_database(&p, &db, Strategy::SemiNaive);
+        p.rules.push(sib_rule);
+        let after = Materialization::from_database(&p, &db, Strategy::SemiNaive);
+        assert_eq!(pinned.database().sorted_models(), before.database().sorted_models());
+        assert_eq!(pinned.idb_database().sorted_models(), before.idb_database().sorted_models());
+        assert!(pinned.database().relation(sib).is_none(), "interned after the pin");
+        let now = server.snapshot();
+        assert_eq!(now.database().sorted_models(), after.database().sorted_models());
+        assert_eq!(now.idb_database().sorted_models(), after.idb_database().sorted_models());
+        assert_eq!(now.idb_database().relation(sib).map(Relation::len), Some(4));
+        assert!(now.idb_database().relation(par).is_none(), "IDB only");
+        let state = server.shared.state.read().expect("state lock poisoned");
+        assert!(state.store.mem_stats().total_rows > state.store.mem_stats().live_rows);
+        assert_eq!(state.store.database().sorted_models(), after.database().sorted_models());
+        assert_eq!(
+            state.store.idb_database().sorted_models(),
+            after.idb_database().sorted_models()
+        );
     }
 
     /// `add_rule` takes its id under the write lock its round runs
