@@ -25,6 +25,7 @@
 //!   Theorem 3.3 "if" direction walks to build monadic programs;
 //! - [`dot`] — Graphviz export for auditing certificate automata.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod alphabet;

@@ -5,6 +5,8 @@
 //! machine-independent numbers EXPERIMENTS.md records — and then lets
 //! Criterion measure wall time on the same configurations.
 
+#![forbid(unsafe_code)]
+
 use selprop_datalog::db::Database;
 use selprop_datalog::eval::{answer, EvalStats, Strategy};
 use selprop_datalog::Program;

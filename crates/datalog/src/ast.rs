@@ -125,6 +125,11 @@ impl Symbols {
         self.preds.names.len()
     }
 
+    /// Number of interned variables.
+    pub fn num_variables(&self) -> usize {
+        self.vars.names.len()
+    }
+
     /// Makes a fresh constant that does not collide with existing names.
     pub fn fresh_constant(&mut self, hint: &str) -> Const {
         let mut name = hint.to_owned();

@@ -69,8 +69,17 @@
 //! and restores remap or forget row ids that the template stores'
 //! justifications and index links reference, so they empty the stores
 //! (the compiled templates survive a compaction — they hold no row
-//! ids); an unannounced rule change disables the cache entirely (every
-//! query then routes direct, which is always correct).
+//! ids).
+//!
+//! The cache keeps no copy of the rules. A template is compiled from
+//! the rules the base store holds at that moment, and every entry point
+//! that may write compares the store's (rule slots, active rules) pair
+//! with the one it last saw: slots are never reused and a dropped rule
+//! never returns, so the pair moves with every rule change, whoever
+//! made it. A moved pair drops the templates — the next bound query
+//! recompiles — and re-reads the IDB predicates routing goes by. The
+//! program a cache is created with supplies the symbol names (and the
+//! IDB list until the store has been looked at).
 //!
 //! # Dead rows
 //!
@@ -85,12 +94,12 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::ast::{Atom, Const, Pred, Program, Rule, Term};
+use crate::ast::{Atom, Const, Pred, Program, Rule, Symbols, Term};
 use crate::db::Relation;
 use crate::eval::EvalStats;
 use crate::hash::FxHashMap;
 use crate::magic::{magic_template, MagicTemplate};
-use crate::materialize::{ExtLinks, ExtRetracts, Materialization, RuleId};
+use crate::materialize::{ExtLinks, ExtRetracts, Materialization};
 
 /// Eviction configuration for [`QueryCache`].
 #[derive(Clone, Copy, Debug)]
@@ -129,8 +138,8 @@ pub struct CacheStats {
     pub direct: u64,
     /// Views dropped by LRU/size pressure.
     pub evictions: u64,
-    /// Times base-store shape changes (compaction, restore, unannounced
-    /// rule changes) cleared the live views.
+    /// Times base-store shape changes (compaction, restore, rule
+    /// changes) cleared the live views.
     pub invalidations: u64,
     /// Magic templates compiled — one per (predicate, binding pattern),
     /// however many constant vectors instantiate it (the memoization
@@ -286,13 +295,17 @@ fn tag_template(tpl: &mut MagicTemplate) {
 /// against a different store is a logic error (detected only when the
 /// stores' shapes diverge).
 pub struct QueryCache {
-    /// The base store's program mirror (rules in slot order, dropped
-    /// ones included). `None` = disabled: every query routes direct.
-    program: Option<Program>,
-    /// Mirror of the base's rule-slot activity, for detecting rule
-    /// changes that didn't come through [`QueryCache::note_rule_added`] /
-    /// [`QueryCache::note_rule_dropped`].
-    active_mirror: Vec<bool>,
+    /// The names the base store's rules are written in; templates are
+    /// compiled over a padded copy
+    /// ([`Materialization::active_program`]). `None` = disabled: every
+    /// query routes direct.
+    symbols: Option<Symbols>,
+    /// The base's IDB predicates — the goals that can get a view.
+    /// Re-read from the store whenever `seen_rules` moves.
+    idb: Vec<Pred>,
+    /// The base's (rule slots, active rules) at the last validation;
+    /// `(0, 0)` before the first.
+    seen_rules: (usize, usize),
     /// One template per (predicate, binding pattern); `None` caches
     /// "this pattern has no usable template" (e.g. transform failure).
     templates: FxHashMap<TemplateKey, Option<Template>>,
@@ -317,17 +330,24 @@ pub struct QueryCache {
 }
 
 impl QueryCache {
-    /// A cache for a base store materializing `program`, with default
-    /// eviction limits.
+    /// A cache for a base store whose rules are written over
+    /// `program`'s symbol table, with default eviction limits. The rules
+    /// themselves are read from the store (see the module docs,
+    /// "Coherence"): `program` need not list them all, or only them.
     pub fn new(program: &Program) -> Self {
         Self::with_config(program, CacheConfig::default())
     }
 
     /// A cache with explicit eviction limits.
     pub fn with_config(program: &Program, config: CacheConfig) -> Self {
+        Self::over(Some(program.symbols.clone()), program.idb_predicates(), config)
+    }
+
+    fn over(symbols: Option<Symbols>, idb: Vec<Pred>, config: CacheConfig) -> Self {
         Self {
-            active_mirror: vec![true; program.rules.len()],
-            program: Some(program.clone()),
+            symbols,
+            idb,
+            seen_rules: (0, 0),
             templates: FxHashMap::default(),
             views: FxHashMap::default(),
             config,
@@ -346,19 +366,12 @@ impl QueryCache {
         }
     }
 
-    /// A permanently-direct cache, for base stores whose program is not
-    /// known (e.g. restored from a snapshot, which persists rules but
-    /// not the full symbol table semantics the transform needs). Every
+    /// A permanently-direct cache, for base stores whose symbol names
+    /// are not known (e.g. restored from a snapshot, which persists the
+    /// rules by id and no name table for the transform to extend). Every
     /// query filters the base model — correct, never cached.
     pub fn disabled() -> Self {
-        let empty = Program {
-            rules: Vec::new(),
-            goal: Atom::new(Pred(0), Vec::new()),
-            symbols: crate::ast::Symbols::new(),
-        };
-        let mut c = Self::with_config(&empty, CacheConfig::default());
-        c.program = None;
-        c
+        Self::over(None, Vec::new(), CacheConfig::default())
     }
 
     /// A cache for the serving layer: template-store compaction is left
@@ -373,10 +386,10 @@ impl QueryCache {
         c
     }
 
-    /// Whether queries can be cached at all (`false` after
-    /// [`QueryCache::disabled`] or an unannounced rule change).
+    /// Whether queries can be cached at all (`false` only for
+    /// [`QueryCache::disabled`]).
     pub fn is_enabled(&self) -> bool {
-        self.program.is_some()
+        self.symbols.is_some()
     }
 
     /// Current counters (see [`CacheStats`]).
@@ -559,60 +572,24 @@ impl QueryCache {
         base.answer_goal_at(goal, base_frontier, epoch)
     }
 
-    /// Tells the cache a rule was added to the base store. The mirror
-    /// program grows so future templates see it; existing templates and
-    /// views are built for the old program and are cleared.
-    pub fn note_rule_added(&mut self, rule: &Rule) {
-        let Some(p) = &mut self.program else {
-            return;
-        };
-        // Pred ids in `rule` come from the caller's symbol table, which
-        // extends the one the mirror was built with; pad the mirror's
-        // table so rendering and adornment stay in range (the placeholder
-        // names only show up in generated predicate names).
-        let max_id = std::iter::once(rule.head.pred)
-            .chain(rule.body.iter().map(|a| a.pred))
-            .map(|p| p.0 as usize)
-            .max()
-            .unwrap_or(0);
-        while p.symbols.num_predicates() <= max_id {
-            p.symbols.fresh_predicate("q");
-        }
-        p.rules.push(rule.clone());
-        self.active_mirror.push(true);
-        self.clear_views();
-    }
-
-    /// Tells the cache a rule was dropped from the base store.
-    pub fn note_rule_dropped(&mut self, id: RuleId) {
-        if self.program.is_none() {
-            return;
-        }
-        let i = id.0 as usize;
-        if i < self.active_mirror.len() && self.active_mirror[i] {
-            self.active_mirror[i] = false;
-            self.clear_views();
-        }
-    }
-
     // -----------------------------------------------------------------
     // Internals
     // -----------------------------------------------------------------
 
     /// Reconciles cached state with the base store's observable shape.
-    /// Tiers: an unannounced rule change disables the cache outright; a
-    /// version that went *backwards* means a different (e.g. restored)
-    /// store whose row ids and index slots we never saw — clear
-    /// everything; a compaction remapped base row ids that the template
-    /// stores' justifications reference — drop the views and empty the
-    /// stores (the compiled templates survive: they hold no row ids).
+    /// Tiers: a rule change (module docs, "Coherence") makes every
+    /// template stale — drop them and re-read the IDB list; a version
+    /// that went *backwards* means a different (e.g. restored) store
+    /// whose row ids and index slots we never saw — clear everything; a
+    /// compaction remapped base row ids that the template stores'
+    /// justifications reference — drop the views and empty the stores
+    /// (the compiled templates survive: they hold no row ids).
     fn validate(&mut self, base: &Materialization) {
-        if self.program.is_some() {
-            let slots = self.active_mirror.len();
-            let slots_ok = base.num_rule_slots() == slots
-                && (0..slots).all(|i| base.is_rule_active(RuleId(i as u32)) == self.active_mirror[i]);
-            if !slots_ok {
-                self.program = None;
+        if self.symbols.is_some() {
+            let rules = base.rule_shape();
+            if rules != self.seen_rules {
+                self.seen_rules = rules;
+                self.idb = base.idb_preds();
                 self.clear_views();
             } else if base.version() < self.seen_version {
                 self.clear_views();
@@ -646,8 +623,7 @@ impl QueryCache {
     /// enumeration), more than 64 arguments, disabled cache — filters
     /// the base model directly.
     fn route(&self, goal: &Atom) -> Route {
-        let routable = self.program.as_ref().is_some_and(|p| p.is_idb(goal.pred));
-        if !routable || goal.arity() > 64 {
+        if !self.idb.contains(&goal.pred) || goal.arity() > 64 {
             return Route::Direct;
         }
         let mut bound = 0u64;
@@ -719,27 +695,15 @@ impl QueryCache {
     }
 
     /// Compiles the tagged magic template for one (predicate, binding
-    /// pattern) — the memoized unit — and builds its empty store. The
-    /// template program uses only the mirror's *active* rules, so
-    /// dropped rules stop contributing the moment the drop is noted.
+    /// pattern) — the memoized unit — from the rules the base store
+    /// holds now, and builds its empty store.
     fn build_template(
         &self,
         (pred, bound): TemplateKey,
         arity: usize,
         base: &mut Materialization,
     ) -> Option<Template> {
-        let p = self.program.as_ref()?;
-        let active = Program {
-            rules: p
-                .rules
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| self.active_mirror.get(i).copied().unwrap_or(true))
-                .map(|(_, r)| r.clone())
-                .collect(),
-            goal: p.goal.clone(),
-            symbols: p.symbols.clone(),
-        };
+        let active = base.active_program(self.symbols.clone()?, pred);
         let adn = (0..arity).map(|i| bound >> i & 1 == 1).collect();
         let mut tpl = magic_template(&active, pred, &adn).ok()?;
         let untagged = tpl.program.rules.clone();
@@ -987,7 +951,7 @@ mod tests {
     }
 
     #[test]
-    fn unannounced_rule_change_disables_the_cache() {
+    fn unannounced_rule_change_recompiles_the_template() {
         let mut p = parse_program(SRC).unwrap();
         let par = p.symbols.get_predicate("par").unwrap();
         let edges = chain(&mut p, 5);
@@ -999,19 +963,29 @@ mod tests {
         let mut cache = QueryCache::new(&p);
         let goal = p.goal.clone();
         assert_eq!(cache.query(&mut base, &goal).len(), 5);
-        assert!(cache.is_enabled());
 
-        // A rule added behind the cache's back (not via note_rule_added):
-        // the slot mirror no longer matches, so the cache shuts off —
-        // and keeps answering exactly, just uncached.
-        base.add_rule(p.rules[0].clone());
-        assert_eq!(
-            cache.query(&mut base, &goal).sorted(),
-            base.answer().sorted()
+        // Nobody tells the cache about rule changes: it sees the store's
+        // rule slots move and compiles the template again, once, against
+        // the rules the store holds now. `up` is `anc` backwards, in
+        // variables only this copy of the symbol table has interned.
+        let anc = p.symbols.get_predicate("anc").unwrap();
+        let [s, t, u] = ["S", "T", "U"].map(|n| Term::Var(p.symbols.variable(n)));
+        let up = Rule::new(
+            Atom::new(anc, vec![s, t]),
+            vec![Atom::new(par, vec![u, s]), Atom::new(anc, vec![u, t])],
         );
-        assert!(!cache.is_enabled());
-        assert_eq!(cache.stats().views, 0);
-        assert!(cache.stats().invalidations >= 1);
+        let id = base.add_rule(up);
+        for _ in 0..2 {
+            assert_eq!(cache.query(&mut base, &goal).sorted(), base.answer().sorted());
+        }
+        assert!(cache.is_enabled());
+        let st = cache.stats();
+        assert_eq!((st.template_compiles, st.misses, st.invalidations, st.views), (2, 2, 1, 1));
+
+        // The same for drops: only the direct parent is left.
+        assert!(base.drop_rule(id) && base.drop_rule(crate::materialize::RuleId(1)));
+        assert_eq!(cache.query(&mut base, &goal).len(), 1);
+        assert_eq!(cache.stats().template_compiles, 3);
     }
 
     #[test]

@@ -40,8 +40,8 @@ use crate::plan::OrderMode;
 /// [`Strategy::SemiNaiveParallel`] (`shards = OVERSHARD × threads`, the
 /// only shard count the engine runs): each `(rule, delta step)` work
 /// item partitions its first body atom's row range into this many
-/// contiguous slices per thread. Oversharding keeps the pool busy when
-/// per-shard work is skewed: a worker that finishes a cheap shard pulls
+/// contiguous slices per thread. Oversharding keeps the threads busy
+/// when per-shard work is skewed: one that finishes a cheap shard pulls
 /// the next one instead of idling until the slowest shard finishes. The
 /// deterministic `(rule, delta, shard)` merge order and the lead-shard
 /// depth-0 probe accounting are shard-count-independent, so
@@ -57,16 +57,17 @@ pub enum Strategy {
     /// last-iteration fact).
     SemiNaive,
     /// Semi-naive evaluation with each `(rule, delta step)`'s **first
-    /// join step** range-sharded across a scoped thread pool
-    /// ([`crate::pool`]). Counter-identical to [`Strategy::SemiNaive`]
-    /// by construction — and, because top-down shards of the first
-    /// step's descending enumeration concatenate back into exactly the
-    /// sequential staging order, row-id- and justification-identical
-    /// too. The range is oversharded ([`OVERSHARD`]` × threads` shards)
-    /// for load balance. `threads <= 1` degenerates to the sequential
-    /// code path.
+    /// join step** range-sharded over the threads of one
+    /// [`std::thread::scope`] per round — never more threads than the
+    /// round has shards, so a one-row delta runs inline.
+    /// Counter-identical to [`Strategy::SemiNaive`] by construction —
+    /// and, because top-down shards of the first step's descending
+    /// enumeration concatenate back into exactly the sequential staging
+    /// order, row-id- and justification-identical too. The range is
+    /// oversharded ([`OVERSHARD`]` × threads` shards) for load balance.
+    /// `threads <= 1` degenerates to the sequential code path.
     SemiNaiveParallel {
-        /// Worker-thread count (`0` and `1` both mean sequential).
+        /// Threads per round, the caller's among them (`0`, `1`: sequential).
         threads: usize,
     },
 }
@@ -89,7 +90,8 @@ impl Strategy {
 pub struct EvalStats {
     /// Number of fixpoint iterations until convergence.
     pub iterations: usize,
-    /// Successful rule-head instantiations (including rederivations).
+    /// Productive firings: head rows appended at a round's merge (or
+    /// restored by a DRed rescue); re-deriving a stored row is not one.
     pub rule_firings: u64,
     /// Distinct new tuples added to IDB relations.
     pub tuples_derived: u64,

@@ -20,10 +20,10 @@
 //!   is the store and its round; each phase of a round is a file under
 //!   `materialize/`, named for the `materialize.*` (and `eval.*`)
 //!   per-layer metrics of `BENCHMARK.json` it answers to: `join.rs`
-//!   (one rule pass), `fixpoint.rs` (rounds, depth-0-sharded over the
-//!   in-tree [`pool`], and the merge), `dred.rs` (over-delete and
-//!   rescue), `compact.rs`, `codec.rs` (the snapshot payload) and
-//!   `template.rs` (the query cache's view stores);
+//!   (one rule pass), `fixpoint.rs` (rounds, depth-0-sharded over one
+//!   [`std::thread::scope`] each, and the merge), `dred.rs`
+//!   (over-delete and rescue), `compact.rs`, `codec.rs` (the snapshot
+//!   payload) and `template.rs` (the query cache's view stores);
 //! - [`eval`] — minimum-model semantics via instrumented **naive**,
 //!   **semi-naive**, and **parallel semi-naive** bottom-up fixpoints
 //!   (work counters power the experiment harness). Batch evaluation is
@@ -42,8 +42,6 @@
 //!   The one setting is the body order, [`plan::OrderMode`], whose
 //!   `Shuffled` value is the order-independence test hook
 //!   (`BENCHMARK.json`: `plan.*`);
-//! - [`pool`] — a dependency-free scoped thread pool (persistent
-//!   workers, borrowing jobs, panic propagation);
 //! - [`storage`] — columnar relations (one flat `Vec<Const>` per
 //!   predicate, rows deduplicated by an [`hash::FxHasher`] row table)
 //!   and the incremental join indexes (`BENCHMARK.json`: `storage.*`);
@@ -93,6 +91,7 @@
 //!   never a mid-round state — while unobservable epochs are reclaimed
 //!   compaction-free.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ast;
@@ -106,7 +105,6 @@ pub mod materialize;
 pub mod parser;
 pub mod persist;
 pub mod plan;
-pub mod pool;
 pub mod reference;
 pub mod server;
 pub mod storage;

@@ -546,8 +546,9 @@ impl Materialization {
         self.rule_active.push(true);
     }
 
-    /// The program's IDB predicates, as the plan compilers take them.
-    fn idb_preds(&self) -> Vec<Pred> {
+    /// The program's IDB predicates, as the plan compilers (and the
+    /// query cache's routing) take them.
+    pub(crate) fn idb_preds(&self) -> Vec<Pred> {
         self.idb_rels.iter().map(|&r| self.pred_of_rel[r]).collect()
     }
 
@@ -1014,6 +1015,14 @@ impl Materialization {
     /// Whether `id` names an active rule.
     pub fn is_rule_active(&self, id: RuleId) -> bool {
         (id.0 as usize) < self.rule_active.len() && self.rule_active[id.0 as usize]
+    }
+
+    /// `(rule slots, active rules)`. Slots are never reused and a
+    /// dropped rule never returns, so the pair moves with every rule
+    /// change: the query cache watches it instead of keeping a copy of
+    /// the rules.
+    pub(crate) fn rule_shape(&self) -> (usize, usize) {
+        (self.rule_active.len(), self.rule_active.iter().filter(|&&a| a).count())
     }
 
     /// How many times the reverse-dependency index was built **from

@@ -1,7 +1,10 @@
 //! The fixpoint loop behind both a build and an update: rounds of join
 //! passes over the frozen store, each followed by one deterministic
 //! merge. The two differ only in the items a round evaluates (batch
-//! plans against delta-first update plans). `BENCHMARK.json`:
+//! plans against delta-first update plans). Under
+//! [`Strategy::SemiNaiveParallel`] a round's join passes are sharded
+//! over one [`std::thread::scope`] — threads live for a round, and a
+//! round with a single task starts none. `BENCHMARK.json`:
 //! `eval.iterations.*`, `eval.rule_firings.*`, `eval.tuples_derived.*`,
 //! `eval.par2_speedup`, `materialize.rows_appended_per_round`.
 
@@ -9,8 +12,8 @@ use super::join::{snapshot_range, Counters, Delta, PendingTuples, Scratch, Shard
 use super::Materialization;
 use crate::eval::{Strategy, OVERSHARD};
 use crate::hash::FxHashMap;
-use crate::pool::ThreadPool;
 use crate::storage::shard_ranges;
+use std::sync::Mutex;
 
 impl Materialization {
     /// Runs rounds to fixpoint. A round extends the indexes over the
@@ -26,21 +29,16 @@ impl Materialization {
     /// [`Materialization::update_items`] — delta-driven whatever the
     /// strategy — and stops, uncounted, once there are none.
     ///
-    /// Items run inline under the sequential strategies, sharded on a
-    /// pool otherwise ([`Materialization::eval_sharded`]); the staged
-    /// rows merge in the inline staging order either way, so row ids,
-    /// justifications and [`crate::eval::EvalStats`] are identical at
-    /// every thread count.
+    /// Items run inline under the sequential strategies, sharded over
+    /// scoped threads otherwise ([`Materialization::eval_sharded`]); the
+    /// staged rows merge in the inline staging order either way, so row
+    /// ids, justifications and [`crate::eval::EvalStats`] are identical
+    /// at every thread count.
     pub(super) fn run_fixpoint(&mut self, build: bool) {
         let threads = match self.strategy {
             Strategy::SemiNaiveParallel { threads } if threads >= 2 => threads,
             _ => 1,
         };
-        // Spawned by the first sharded round and dropped with this call:
-        // the spawn cost amortizes over the rounds of one fixpoint. For
-        // sub-millisecond workloads the sequential strategy is the right
-        // tool; the counters are identical.
-        let mut pool: Option<ThreadPool> = None;
         // Recycled task slots: merged-out staging buffers and scratch
         // space return here and are reused next round.
         let mut spare: Vec<ShardTask> = Vec::new();
@@ -68,7 +66,7 @@ impl Materialization {
                 }
                 Vec::new()
             } else {
-                self.eval_sharded(&mut pool, threads, &mut spare, &items)
+                self.eval_sharded(threads, &mut spare, &items)
             };
 
             // Merge: advance the watermarks to the current length, then
@@ -138,17 +136,20 @@ impl Materialization {
     /// under `OrderMode::Planned`), the first step's full or old range
     /// for a mid-body delta (batch rounds — E5's shape — and updates
     /// under `OrderMode::Shuffled`), so shards partition the pre-delta
-    /// probe work instead of duplicating it. The tasks run on the pool;
-    /// counters are accounted from the lead shard's `pre` and every
-    /// shard's `post`. Returns the tasks — their staged rows still
-    /// unmerged — in `(rule, delta, shard top-down)` order: shards are
-    /// top-down subranges of the sequential engine's descending depth-0
-    /// enumeration, so this is the sequential staging order, and the
-    /// first staged copy of a row, whose justification the merge keeps,
-    /// is the one the sequential engine finds.
+    /// probe work instead of duplicating it. The tasks run inside one
+    /// [`std::thread::scope`]: the calling thread and at most
+    /// `threads - 1` spawned workers — never more workers than tasks, so
+    /// the one-task rounds of a deep recursion spawn nothing — each pull
+    /// the next unstarted task until none is left. Which thread ran a
+    /// task shows nowhere: counters are accounted from the lead shard's
+    /// `pre` and every shard's `post`. Returns the tasks — their staged
+    /// rows still unmerged — in `(rule, delta, shard top-down)` order:
+    /// shards are top-down subranges of the sequential engine's
+    /// descending depth-0 enumeration, so this is the sequential staging
+    /// order, and the first staged copy of a row, whose justification
+    /// the merge keeps, is the one the sequential engine finds.
     fn eval_sharded(
         &mut self,
-        pool: &mut Option<ThreadPool>,
         threads: usize,
         spare: &mut Vec<ShardTask>,
         items: &[(usize, Delta)],
@@ -179,20 +180,27 @@ impl Materialization {
         }
         {
             let this = &*self;
-            let pool = pool.get_or_insert_with(|| ThreadPool::new(threads));
-            pool.scope(|s| {
-                for t in tasks.iter_mut() {
-                    s.execute(move || {
-                        this.eval_rule_shard(
-                            t.rule,
-                            t.delta,
-                            Some(t.range),
-                            &mut t.scratch,
-                            &mut t.pending,
-                            &mut t.counters,
-                        );
-                    });
+            let workers = threads.min(tasks.len());
+            let queue = Mutex::new(tasks.iter_mut());
+            let work = || loop {
+                // The guard is a temporary of this statement: the lock is
+                // released before the task runs.
+                let next = queue.lock().expect("task queue poisoned").next();
+                let Some(t) = next else { break };
+                this.eval_rule_shard(
+                    t.rule,
+                    t.delta,
+                    Some(t.range),
+                    &mut t.scratch,
+                    &mut t.pending,
+                    &mut t.counters,
+                );
+            };
+            std::thread::scope(|s| {
+                for _ in 1..workers {
+                    s.spawn(work);
                 }
+                work();
             });
         }
         for t in &tasks {

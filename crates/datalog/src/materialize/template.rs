@@ -28,7 +28,7 @@
 //! ids the pass does not move.
 
 use super::{Materialization, RelJust};
-use crate::ast::{Atom, Const, Pred, Program, Rule};
+use crate::ast::{Atom, Const, Pred, Program, Rule, Symbols};
 use crate::db::{Database, Relation};
 use crate::eval::{self, Strategy};
 use crate::plan::OrderMode;
@@ -76,6 +76,27 @@ impl Materialization {
             }
         }
         (live, total)
+    }
+
+    /// The active rules as a [`Program`] for [`crate::magic`] to
+    /// transform, its goal a placeholder on `pred`. The name table is
+    /// `symbols` padded to cover every predicate this store tracks and
+    /// every variable those rules mention — a rule added through a
+    /// caller's copy of the table may use ids `symbols` never interned —
+    /// so each name the transform makes up (`MT`, `MB*`, `MQ*`; adorned,
+    /// magic and seed predicates) gets an id no rule and no relation of
+    /// this store already uses.
+    pub(crate) fn active_program(&self, mut symbols: Symbols, pred: Pred) -> Program {
+        let rules: Vec<Rule> = self.active_rules().into_iter().map(|(_, r)| r.clone()).collect();
+        let preds = self.pred_of_rel.iter().map(|p| p.0 as usize + 1).max().unwrap_or(0);
+        while symbols.num_predicates() < preds {
+            symbols.fresh_predicate("q");
+        }
+        let vars = rules.iter().flat_map(Rule::all_vars).map(|v| v.0 as usize + 1).max().unwrap_or(0);
+        while symbols.num_variables() < vars {
+            symbols.fresh_variable("V");
+        }
+        Program { rules, goal: Atom::new(pred, Vec::new()), symbols }
     }
 
     /// Builds an empty template store for a tagged magic template:

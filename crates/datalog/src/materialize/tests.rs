@@ -213,6 +213,31 @@ fn delta_delta_combinations_are_not_lost() {
     }
 }
 
+/// A new root over a chain closure derives one row per round: one
+/// task, fewer than the workers a round may start, so it runs inline —
+/// and still reproduces the sequential engine row id for row id.
+#[test]
+fn rounds_with_fewer_tasks_than_workers_match_sequential() {
+    let mut p = parse_program(SRC_A).unwrap();
+    let par = p.symbols.get_predicate("par").unwrap();
+    let edges = chain_edges(&mut p, 24);
+    let john = edges[0][0];
+    let roots: Vec<Tuple> = (0..6).map(|i| vec![p.symbols.constant(&format!("r{i}")), john]).collect();
+    let run = |strategy: Strategy| {
+        let mut m = Materialization::new(&p, strategy);
+        m.insert_facts(par, &edges);
+        for root in &roots {
+            m.insert_facts(par, std::slice::from_ref(root));
+        }
+        m
+    };
+    let (seq, par4) = (run(Strategy::SemiNaive), run(Strategy::SemiNaiveParallel { threads: 4 }));
+    assert!(seq.stats().iterations > 6 * 24, "a round per link, per root");
+    assert_eq!(par4.stats(), seq.stats());
+    assert_eq!(par4.database().sorted_models(), seq.database().sorted_models());
+    assert_eq!(par4.provenance(), seq.provenance());
+}
+
 #[test]
 fn insert_resumes_instead_of_recomputing() {
     let mut p = parse_program(SRC_A).unwrap();

@@ -61,12 +61,16 @@
 //! store's checksummed snapshot file at the published epoch, and
 //! [`Server::restore`] resumes serving from it — same fixpoint, same
 //! epoch counter, no re-evaluation. A restored server starts with a
-//! **disabled** cache (the snapshot format persists the store, not the
-//! source program); [`Server::enable_query_cache`] re-arms it.
+//! **disabled** cache (the snapshot format persists the store, rules
+//! included, but no symbol names for the magic transform to build its
+//! own on); [`Server::enable_query_cache`] re-arms it with a symbol
+//! table. The cache keeps no copy of the rules: it reads them from the
+//! store, so rule hot-swap — before a save or after — needs no
+//! bookkeeping here.
 
 use std::collections::BTreeMap;
 use std::path::Path;
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::ast::{Atom, Pred, Program, Rule};
 use crate::cache::{CacheConfig, CacheStats, QueryCache, ViewPins};
@@ -94,6 +98,23 @@ struct Shared {
     state: RwLock<ServerState>,
     /// The epoch table: the published epoch plus reader pin counts.
     epochs: Mutex<EpochTable>,
+}
+
+/// What a poisoned lock means is decided here and nowhere else: a
+/// thread panicked while holding it, the state behind it may be torn,
+/// and every later caller panics in turn.
+impl Shared {
+    fn read(&self) -> RwLockReadGuard<'_, ServerState> {
+        self.state.read().expect("state lock poisoned")
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, ServerState> {
+        self.state.write().expect("state lock poisoned")
+    }
+
+    fn epochs(&self) -> MutexGuard<'_, EpochTable> {
+        self.epochs.lock().expect("epoch lock poisoned")
+    }
 }
 
 /// The published epoch, the readers pinned per epoch, and the deferred
@@ -193,12 +214,7 @@ impl Server {
     /// the save dies partway. Cached views are derived state and are
     /// not persisted; a restored server rebuilds them on demand.
     pub fn save<P: AsRef<Path>>(&self, path: P) -> Result<(), PersistError> {
-        self.shared
-            .state
-            .read()
-            .expect("state lock poisoned")
-            .store
-            .save(path)
+        self.shared.read().store.save(path)
     }
 
     /// Resumes serving from a snapshot file written by [`Server::save`]
@@ -209,9 +225,10 @@ impl Server {
     /// every retained tombstone tag is reclaimed on the way in.
     ///
     /// The query cache comes back **disabled** — the snapshot persists
-    /// the store, not the source program the magic transform needs — so
-    /// every query filters the base model (correct, just uncached)
-    /// until [`Server::enable_query_cache`] re-arms it.
+    /// the store and its rules, but not the symbol names the magic
+    /// transform extends — so every query filters the base model
+    /// (correct, just uncached) until [`Server::enable_query_cache`]
+    /// re-arms it.
     pub fn restore<P: AsRef<Path>>(path: P) -> Result<Self, PersistError> {
         let mut store = Materialization::restore(path)?;
         let epoch = store.epoch();
@@ -227,60 +244,38 @@ impl Server {
         })
     }
 
-    /// Arms (or re-arms) the query cache with the program the store
-    /// materializes — the restore path's second half. Existing views
-    /// are discarded. If `program`'s rules don't match the store's live
-    /// rule slots (e.g. rules were hot-swapped before the save), the
-    /// cache detects the mismatch on first use and stays in direct
-    /// mode, so a wrong program can cost performance but never
-    /// correctness.
+    /// Arms (or re-arms) the query cache — the restore path's second
+    /// half. Existing views are discarded. Of `program` the cache keeps
+    /// the symbol table, which must be the one the store's rules were
+    /// written over (or an extension of it); the rules come from the
+    /// store, so a server saved after rule hot-swaps is served by its
+    /// own rules whatever `program.rules` lists.
     pub fn enable_query_cache(&self, program: &Program) {
-        let mut state = self.shared.state.write().expect("state lock poisoned");
+        let mut state = self.shared.write();
         state.cache = QueryCache::serving(program, Some(&state.cache));
     }
 
-    /// Whether bound queries can currently be cached (`false` on a
-    /// restored server before [`Server::enable_query_cache`], or after
-    /// the cache detected an unannounced rule change).
+    /// Whether bound queries can currently be cached (`false` only on a
+    /// restored server before [`Server::enable_query_cache`]).
     pub fn cache_enabled(&self) -> bool {
-        self.shared
-            .state
-            .read()
-            .expect("state lock poisoned")
-            .cache
-            .is_enabled()
+        self.shared.read().cache.is_enabled()
     }
 
     /// The query cache's observability counters.
     pub fn cache_stats(&self) -> CacheStats {
-        self.shared
-            .state
-            .read()
-            .expect("state lock poisoned")
-            .cache
-            .stats()
+        self.shared.read().cache.stats()
     }
 
     /// Replaces the cache's eviction limits (see [`CacheConfig`]).
     pub fn set_cache_config(&self, config: CacheConfig) {
-        self.shared
-            .state
-            .write()
-            .expect("state lock poisoned")
-            .cache
-            .set_config(config);
+        self.shared.write().cache.set_config(config);
     }
 
     /// Total words resident in cached views (tuples, indexes,
     /// justifications). Base rows are shared with the store, not
     /// copied, so this is the cache's real marginal footprint.
     pub fn cache_view_words(&self) -> usize {
-        self.shared
-            .state
-            .read()
-            .expect("state lock poisoned")
-            .cache
-            .view_words()
+        self.shared.read().cache.view_words()
     }
 
     /// Sets (or clears) the compaction policy of the underlying store.
@@ -288,9 +283,9 @@ impl Server {
     /// when no snapshot is pinned, and is queued for the last unpin
     /// otherwise — exactly like a round-triggered compaction.
     pub fn set_compaction_policy(&self, policy: Option<CompactionPolicy>) {
-        let mut state = self.shared.state.write().expect("state lock poisoned");
+        let mut state = self.shared.write();
         state.store.set_compaction_policy(policy);
-        let mut epochs = self.shared.epochs.lock().expect("epoch lock poisoned");
+        let mut epochs = self.shared.epochs();
         epochs.drain(&mut state);
         drop(state);
     }
@@ -298,23 +293,13 @@ impl Server {
     /// Number of compactions the underlying store has run (policy- or
     /// drain-triggered).
     pub fn compactions(&self) -> u64 {
-        self.shared
-            .state
-            .read()
-            .expect("state lock poisoned")
-            .store
-            .compactions()
+        self.shared.read().store.compactions()
     }
 
     /// Memory footprint counters of the underlying store (see
     /// [`Materialization::mem_stats`]).
     pub fn mem_stats(&self) -> MemStats {
-        self.shared
-            .state
-            .read()
-            .expect("state lock poisoned")
-            .store
-            .mem_stats()
+        self.shared.read().store.mem_stats()
     }
 
     /// Applies one batched [`UpdateRound`] and publishes the resulting
@@ -336,9 +321,9 @@ impl Server {
     /// the same write lock the round runs under, so concurrent callers
     /// never see each other's slots.
     fn apply_locked(&self, round: &UpdateRound) -> (RoundReport, RuleId) {
-        let mut state = self.shared.state.write().expect("state lock poisoned");
+        let mut state = self.shared.write();
         let next = {
-            let epochs = self.shared.epochs.lock().expect("epoch lock poisoned");
+            let epochs = self.shared.epochs();
             epochs.current + 1
         };
         let first_added = RuleId(state.store.num_rule_slots() as u32);
@@ -348,15 +333,9 @@ impl Server {
             // `next`, still visible to every reader pinned at `< next`.
             store.set_epoch(next);
             let report = store.apply(round);
-            // Mirror the round's rule changes into the cache (its
-            // templates are compiled against the rule set), then catch
-            // every template store up with the new fixpoint.
-            for rule in &round.rule_adds {
-                cache.note_rule_added(rule);
-            }
-            for &id in &round.rule_drops {
-                cache.note_rule_dropped(id);
-            }
+            // Catch every template store up with the new fixpoint (a
+            // round that changed the rules drops them instead: the
+            // cache reads the store's rule slots, see `crate::cache`).
             cache.sync_all(store);
             report
         };
@@ -366,7 +345,7 @@ impl Server {
         // `try_write` race against this round has either recorded its
         // horizon already (we drain it here) or is still waiting on the
         // epochs lock and will retry the idle store right after.
-        let mut epochs = self.shared.epochs.lock().expect("epoch lock poisoned");
+        let mut epochs = self.shared.epochs();
         epochs.current = next;
         epochs.drain(&mut state);
         drop(state);
@@ -405,12 +384,12 @@ impl Server {
     /// build or catch up a view takes the write lock.
     pub fn query(&self, goal: &Atom) -> Relation {
         {
-            let state = self.shared.state.read().expect("state lock poisoned");
+            let state = self.shared.read();
             if let Some(answer) = state.cache.lookup(&state.store, goal) {
                 return answer;
             }
         }
-        let mut state = self.shared.state.write().expect("state lock poisoned");
+        let mut state = self.shared.write();
         let ServerState { store, cache } = &mut *state;
         cache.query(store, goal)
     }
@@ -424,9 +403,9 @@ impl Server {
         // Hold the read lock across the pin: the writer can neither be
         // mid-round (the frontier is a published fixpoint) nor publish
         // and reclaim between reading `current` and pinning it.
-        let state = self.shared.state.read().expect("state lock poisoned");
+        let state = self.shared.read();
         let epoch = {
-            let mut epochs = self.shared.epochs.lock().expect("epoch lock poisoned");
+            let mut epochs = self.shared.epochs();
             let current = epochs.current;
             *epochs.pins.entry(current).or_insert(0) += 1;
             current
@@ -444,39 +423,24 @@ impl Server {
 
     /// The published epoch (= number of rounds applied so far).
     pub fn current_epoch(&self) -> u64 {
-        self.shared.epochs.lock().expect("epoch lock poisoned").current
+        self.shared.epochs().current
     }
 
     /// Work counters accumulated by the underlying materialization.
     pub fn stats(&self) -> EvalStats {
-        self.shared
-            .state
-            .read()
-            .expect("state lock poisoned")
-            .store
-            .stats()
+        self.shared.read().store.stats()
     }
 
     /// The goal's answer over the **current** model (an unpinned read:
     /// equivalent to `snapshot().answer()` but cheaper).
     pub fn answer(&self) -> Relation {
-        self.shared
-            .state
-            .read()
-            .expect("state lock poisoned")
-            .store
-            .answer()
+        self.shared.read().store.answer()
     }
 
     /// A provenance snapshot of the current model (O(store) clone; see
     /// [`Materialization::provenance`]).
     pub fn provenance(&self) -> Provenance {
-        self.shared
-            .state
-            .read()
-            .expect("state lock poisoned")
-            .store
-            .provenance()
+        self.shared.read().store.provenance()
     }
 }
 
@@ -514,12 +478,7 @@ impl Snapshot {
 
     /// The goal's answer relation as of the pinned state.
     pub fn answer(&self) -> Relation {
-        self.shared
-            .state
-            .read()
-            .expect("state lock poisoned")
-            .store
-            .answer_at(&self.frontier, self.epoch)
+        self.shared.read().store.answer_at(&self.frontier, self.epoch)
     }
 
     /// Answers an ad-hoc `goal` as of the pinned state. Bound goals
@@ -528,7 +487,7 @@ impl Snapshot {
     /// store at the snapshot's own frontier. Both read the same pinned
     /// fixpoint, so the route never changes the answer.
     pub fn query(&self, goal: &Atom) -> Relation {
-        let state = self.shared.state.read().expect("state lock poisoned");
+        let state = self.shared.read();
         state
             .cache
             .answer_pinned(&state.store, goal, &self.views, &self.frontier, self.epoch)
@@ -536,33 +495,18 @@ impl Snapshot {
 
     /// The IDB model as of the pinned state.
     pub fn idb_database(&self) -> Database {
-        self.shared
-            .state
-            .read()
-            .expect("state lock poisoned")
-            .store
-            .idb_database_at(&self.frontier, self.epoch)
+        self.shared.read().store.idb_database_at(&self.frontier, self.epoch)
     }
 
     /// Every tracked relation (stored EDB facts and the IDB model) as of
     /// the pinned state.
     pub fn database(&self) -> Database {
-        self.shared
-            .state
-            .read()
-            .expect("state lock poisoned")
-            .store
-            .database_at(&self.frontier, self.epoch)
+        self.shared.read().store.database_at(&self.frontier, self.epoch)
     }
 
     /// Number of facts stored for `pred` as of the pinned state.
     pub fn num_facts(&self, pred: Pred) -> usize {
-        self.shared
-            .state
-            .read()
-            .expect("state lock poisoned")
-            .store
-            .num_facts_at(pred, &self.frontier, self.epoch)
+        self.shared.read().store.num_facts_at(pred, &self.frontier, self.epoch)
     }
 }
 
@@ -576,7 +520,7 @@ impl std::fmt::Debug for Snapshot {
 
 impl Drop for Snapshot {
     fn drop(&mut self) {
-        let mut epochs = self.shared.epochs.lock().expect("epoch lock poisoned");
+        let mut epochs = self.shared.epochs();
         if let Some(n) = epochs.pins.get_mut(&self.epoch) {
             *n -= 1;
             if *n == 0 {
@@ -1095,7 +1039,77 @@ mod tests {
         let s = server.cache_stats();
         assert!(s.invalidations >= 2);
         assert_eq!(s.template_compiles, 3, "one compile per rule-set era");
-        assert!(server.cache_enabled(), "announced changes keep the cache on");
+        assert!(server.cache_enabled(), "rule changes keep the cache on");
+    }
+
+    /// A hot-swapped rule may be written in symbols only the caller's
+    /// copy of the table knows. The names a template makes up must land
+    /// on none of them — here `W` sits where the server's copy would put
+    /// the tag variable.
+    #[test]
+    fn rule_over_caller_interned_symbols_keeps_queries_exact() {
+        let mut p = parse_program(SRC).unwrap();
+        let par = p.symbols.get_predicate("par").unwrap();
+        let anc = p.symbols.get_predicate("anc").unwrap();
+        let edges = chain(&mut p, 3);
+        let server = Server::new(&p, Strategy::SemiNaive);
+        server.insert_facts(par, &edges);
+        let goal = p.goal.clone();
+        assert_eq!(server.query(&goal).len(), 3);
+
+        let hop = p.symbols.predicate("hop");
+        let [s, t, u, w] = ["S", "T", "U", "W"].map(|n| Term::Var(p.symbols.variable(n)));
+        let hops = |v: [Term; 4]| v.windows(2).map(|e| Atom::new(hop, e.to_vec())).collect();
+        let id = server.add_rule(Rule::new(Atom::new(anc, vec![s, w]), hops([s, t, u, w])));
+        let far = p.symbols.constant("far");
+        let rows = [edges[0].clone(), edges[1].clone(), vec![edges[1][1], far]];
+        server.insert_facts(hop, &rows);
+        assert_eq!(server.query(&goal).len(), 4, "anc(john, far), three hops away");
+        server.retract_facts(hop, &rows[1..2]);
+        assert_eq!(server.query(&goal).sorted(), server.answer().sorted());
+        server.insert_facts(hop, &rows[1..2]);
+        assert_eq!(server.query(&goal).sorted(), server.answer().sorted());
+        assert!(server.drop_rule(id));
+        assert_eq!(server.query(&goal).len(), 3);
+    }
+
+    /// The snapshot holds the rules the server was saved with, and the
+    /// re-armed cache reads them from there: `p` still lists the rule
+    /// that was swapped out.
+    #[test]
+    fn server_saved_after_a_rule_swap_restores_with_a_working_cache() {
+        let dir = std::env::temp_dir().join(format!("selprop-srvswap-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("server.snap");
+
+        let mut p = parse_program(SRC).unwrap();
+        let par = p.symbols.get_predicate("par").unwrap();
+        let edges = chain(&mut p, 5);
+        let server = Server::new(&p, Strategy::SemiNaive);
+        server.insert_facts(par, &edges);
+        // Swap the transitive rule for one that stops at grandchildren.
+        let anc = p.goal.pred;
+        let [x, y, z] = ["X", "Y", "Z"].map(|n| Term::Var(p.symbols.variable(n)));
+        let body = vec![Atom::new(par, vec![x, z]), Atom::new(par, vec![z, y])];
+        let mut swapped = p.clone();
+        swapped.rules[1] = Rule::new(Atom::new(anc, vec![x, y]), body);
+        assert!(server.drop_rule(RuleId(1)));
+        server.add_rule(swapped.rules[1].clone());
+        server.save(&path).unwrap();
+
+        let restored = Server::restore(&path).unwrap();
+        restored.enable_query_cache(&p);
+        let mut db = Database::new();
+        for e in &edges {
+            db.insert(par, e.clone());
+        }
+        let (scratch, _) = crate::eval::answer(&swapped, &db, Strategy::SemiNaive);
+        assert_eq!(scratch.len(), 2, "child and grandchild");
+        assert_eq!(restored.query(&p.goal).sorted(), scratch.sorted());
+        assert!(restored.cache_enabled());
+        let s = restored.cache_stats();
+        assert_eq!((s.misses, s.direct), (1, 0), "a view, built by the first query");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

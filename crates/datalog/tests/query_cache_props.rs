@@ -214,11 +214,6 @@ proptest! {
         let par = p.symbols.get_predicate("par").unwrap();
         let goal_pred = p.goal.pred;
         let pool = dedup_pool(&nodes, &raw_pool);
-        // The hot-swapped rule: the goal predicate also runs backwards.
-        let extra = Rule::new(
-            Atom::new(goal_pred, vec![Term::Var(qx), Term::Var(qy)]),
-            vec![Atom::new(par, vec![Term::Var(qy), Term::Var(qx)])],
-        );
 
         let mut present = vec![false; pool.len()];
         let mut edb = Database::new();
@@ -235,8 +230,17 @@ proptest! {
             CacheConfig { max_views: 64, max_rows: 30 },
         ][limit];
         let mut cache = QueryCache::with_config(&p, config);
+        // The hot-swapped rule: the goal predicate also runs backwards.
+        // Its variables are interned after the cache took its copy of
+        // the symbol table, the last of them where that copy would put
+        // the fourth variable a binary template makes up — the tag.
+        let [.., ex, ey] = ["EA", "EB", "EX", "EY"].map(|n| Term::Var(p.symbols.variable(n)));
+        let extra = Rule::new(
+            Atom::new(goal_pred, vec![ex, ey]),
+            vec![Atom::new(par, vec![ey, ex])],
+        );
         // The rules the oracle evaluates, and the slot of `extra` while
-        // it is in.
+        // it is in. Nobody tells the cache when it comes or goes.
         let mut current = p.clone();
         let mut extra_slot = None;
 
@@ -262,12 +266,10 @@ proptest! {
                 13 => match extra_slot.take() {
                     None => {
                         extra_slot = Some(base.add_rule(extra.clone()));
-                        cache.note_rule_added(&extra);
                         current.rules.push(extra.clone());
                     }
                     Some(id) => {
                         prop_assert!(base.drop_rule(id));
-                        cache.note_rule_dropped(id);
                         current.rules.pop();
                     }
                 },
@@ -290,7 +292,7 @@ proptest! {
                 }
             }
         }
-        prop_assert!(cache.is_enabled(), "every rule change was announced");
+        prop_assert!(cache.is_enabled(), "a rule change rebuilds, it never disables");
         let s = cache.stats();
         // One compile per pattern and rule-set era, at most.
         prop_assert!(s.template_compiles <= 2 * (s.invalidations + 1));

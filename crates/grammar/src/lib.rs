@@ -26,6 +26,7 @@
 //! - [`cnf`] — Chomsky normal form and CYK membership, the ground truth
 //!   every construction is validated against.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod analysis;

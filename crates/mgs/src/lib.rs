@@ -21,6 +21,7 @@
 //!   `P_n ⊎ C_k` or two large cycles, while the binary Program CYCLE
 //!   does.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod fixpoint;

@@ -20,6 +20,7 @@
 //!   through the EDB partition tracks, are exactly the language the
 //!   program defines on labeled line databases.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod compile;

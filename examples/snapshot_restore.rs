@@ -100,8 +100,7 @@ fn main() {
 
     // The torn temp file never restores silently...
     let err = Materialization::restore(dir.join("store.snap.tmp"))
-        .err()
-        .expect("a torn snapshot must be rejected");
+        .expect_err("a torn snapshot must be rejected");
     println!("torn temp file rejected: {err}");
 
     // ...while the completed snapshot restores the server at its

@@ -26,6 +26,7 @@
 //! ));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use selprop_automata as automata;
