@@ -81,6 +81,44 @@
 //! program a cache is created with supplies the symbol names (and the
 //! IDB list until the store has been looked at).
 //!
+//! # Answers
+//!
+//! A view's rows are engine rows; what a client gets is a [`Relation`],
+//! a hash set of boxed tuples that costs on the order of 100 ns a
+//! tuple to build and free (EXPERIMENTS.md, "Memoised answers"). A hit
+//! computes nothing, so it should build nothing either: each view
+//! **memoises** the last answer read off its rows, and since a
+//! `Relation` shares its set ([`crate::db`]), handing the memo out is a
+//! reference count. The answer of a goal that gets a view depends on
+//! the view alone — its variables are distinct, or it would have gone
+//! direct — so the memo is not keyed by goal.
+//!
+//! Validity goes by a **per-view change stamp**. A sync appends rows to
+//! the template's goal relation and kills rows of it; each such row
+//! starts with the columns of a seed row, so reading those columns off
+//! the rows the sync touched — the appended range, and the deletion
+//! pass's casualties, rescued ones included — names the views whose
+//! answers may have moved, in O(Δ) and without looking at any other
+//! view. Their stamps are bumped; a memo is current while the stamp it
+//! was read at is the view's. The stamp counts syncs, not server
+//! epochs (a standalone cache has none); the epoch of the change is
+//! recorded beside it for pinned readers: a snapshot pinned at or after
+//! a view's last change reads the live answer, memo and all, and only
+//! one pinned before it re-reads the rows at its frontier.
+//!
+//! Who does the work: the **next reader** of a changed view rebuilds
+//! its answer — the cost every hit used to pay — stores it, and drops
+//! the stale one, all under the lock it already holds for reading (the
+//! memo has its own small mutex, so readers of one stale view queue
+//! behind a single build). The **writer does neither**: dropping a
+//! memo where it goes stale would free every answer a round changes,
+//! boxed tuple by boxed tuple, with every reader locked out — tried, it
+//! made `tc_serve`'s insert rounds 30 % and its retract rounds 64 %
+//! slower (EXPERIMENTS.md). So a stale memo stays where it is, counted in [`QueryCache::view_words`], until
+//! a reader replaces it or its view goes (eviction, a rule change, a
+//! base compaction). [`QueryCache::answer_builds`] counts the answers
+//! materialised from rows; hits that it does not count were handed out.
+//!
 //! # Dead rows
 //!
 //! Dropped views and retracted derivations leave tombstoned rows
@@ -93,6 +131,7 @@
 //! waits for the last unpin, exactly like the base store's compaction.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 use crate::ast::{Atom, Const, Pred, Program, Rule, Symbols, Term};
 use crate::db::Relation;
@@ -153,9 +192,10 @@ pub struct CacheStats {
 /// argument `i` bound).
 type TemplateKey = (Pred, u64);
 
-/// A view key: predicate, binding pattern, bound constants in
-/// positional order.
-type ViewKey = (Pred, u64, Vec<Const>);
+/// The most arguments a goal that gets a view may have: a binding
+/// pattern is a `u64`, and [`QueryCache::route`] collects the bound
+/// constants into a buffer of this many.
+const MAX_ARITY: usize = 64;
 
 /// What a [`Snapshot`](crate::server::Snapshot) needs to keep answering
 /// from the views that were live when it was pinned: the tag counter at
@@ -184,6 +224,10 @@ struct Template {
     /// `base.edb_retracts()` at last sync — unchanged means the next
     /// sync can skip the deletion pass.
     synced_retracts: u64,
+    /// The live views, by their bound constants in positional order —
+    /// a seed row without its tag, and the key columns (tag dropped)
+    /// under which `goal_idx` files a view's rows.
+    views: FxHashMap<Vec<Const>, CachedView>,
 }
 
 impl Template {
@@ -209,11 +253,15 @@ impl Template {
             goal_idx,
             synced_version: base.version(),
             synced_retracts: base.edb_retracts(),
+            views: FxHashMap::default(),
         })
     }
 
     /// Brings the store to the base's current fixpoint in one sync,
-    /// storing `seed` — a new view's seed row — on the way.
+    /// storing `seed` — a new view's seed row — on the way, and stamps
+    /// the views whose answers the sync changed (module docs,
+    /// "Answers"): it reads the key of each goal-relation row it
+    /// appended or killed and touches nothing else of any view.
     fn catch_up(&mut self, base: &mut Materialization, seed: Option<&[Const]>) {
         let retracts = if self.synced_retracts == base.edb_retracts() {
             ExtRetracts::None
@@ -228,24 +276,40 @@ impl Template {
             self.store.set_epoch(base.epoch());
         }
         let seed = seed.map(|row| (self.seed_pred, row));
-        self.store.sync_external(base, &self.links, seed, retracts);
+        let rows_before = self.store.index_frontier(self.goal_idx);
+        let killed = self.store.sync_external(base, &self.links, seed, retracts);
         self.synced_version = base.version();
         self.synced_retracts = base.edb_retracts();
+        let (views, epoch) = (&mut self.views, base.epoch());
+        self.store.for_each_touched_key(self.goal_idx, rows_before, &killed, |key| {
+            // A view's answer is the rows filed under its whole seed
+            // row. Its tag also marks rows under other constants (a
+            // right-recursive template derives `anc(c2, Y)` for
+            // `anc(c0, Y)`'s view, under c0's tag), which are in no
+            // answer; and a new view's rows find nothing: it is filed
+            // after the sync that builds it, with no answer to go stale.
+            if let Some(v) = views.get_mut(&key[1..]).filter(|v| v.seed == key) {
+                v.changed += 1;
+                v.changed_epoch = epoch;
+            }
+        });
     }
 
     /// Starts the store over after a base compaction: the base row ids
     /// its justifications hold have moved. The compiled plans hold
     /// none, and the base relation and index slots the links name
-    /// survive a compaction, so only the rows go.
+    /// survive a compaction, so only the rows — and the views that
+    /// were made of them — go.
     fn reset(&mut self, base: &Materialization) {
+        self.views.clear();
         self.store.clear_rows(base, &self.links);
         self.synced_version = base.version();
         self.synced_retracts = base.edb_retracts();
     }
 
-    /// Reads `view` — one of this template's — now, or as of `pin =
-    /// (frontier, epoch)`.
-    fn answer(&self, view: &CachedView, goal: &Atom, pin: Option<(usize, u64)>) -> Relation {
+    /// Reads `view` — one of this template's — off the store's rows:
+    /// now, or as of `pin = (frontier, epoch)`.
+    fn read(&self, view: &CachedView, goal: &Atom, pin: Option<(usize, u64)>) -> Relation {
         self.store.answer_tag(self.goal_idx, &view.seed, goal, pin)
     }
 }
@@ -258,11 +322,38 @@ struct CachedView {
     seed: Vec<Const>,
     /// LRU stamp (atomic so read-path hits can touch it).
     last_used: AtomicU64,
+    /// The change stamp: bumped by every sync that appended or killed a
+    /// goal-relation row of this view ([`Template::catch_up`]). Counts
+    /// syncs, not epochs — a standalone cache has no epochs.
+    changed: u64,
+    /// `base.epoch()` at the last such sync (at the view's build before
+    /// the first): a snapshot pinned at or after it reads what a live
+    /// query reads.
+    changed_epoch: u64,
+    /// The last answer materialised from the view's rows and the
+    /// `changed` it was read at; current while the two stamps agree.
+    /// Filled and replaced by readers, under the cache's read lock or
+    /// its write lock alike — never by a sync.
+    memo: Mutex<Option<(u64, Relation)>>,
 }
 
-enum Route {
-    Direct,
-    View(ViewKey),
+impl CachedView {
+    /// Marks the view most recently used, on the cache's `clock`.
+    fn touch(&self, clock: &AtomicU64) {
+        self.last_used.store(clock.fetch_add(1, Ordering::Relaxed) + 1, Ordering::Relaxed);
+    }
+
+    fn lock_memo(&self) -> std::sync::MutexGuard<'_, Option<(u64, Relation)>> {
+        // Whoever panicked holding it left a whole (stamp, answer) pair
+        // or none behind: `Option::replace` is the only write.
+        self.memo.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Words the memoised answer holds, stale or not: per tuple its
+    /// constants, the `Vec` header and the set's slot.
+    fn memo_words(&self) -> usize {
+        self.lock_memo().as_ref().map_or(0, |(_, rel)| rel.len() * (rel.arity() + 4))
+    }
 }
 
 /// Prepends the tag variable to every atom over a predicate the
@@ -306,10 +397,10 @@ pub struct QueryCache {
     /// The base's (rule slots, active rules) at the last validation;
     /// `(0, 0)` before the first.
     seen_rules: (usize, usize),
-    /// One template per (predicate, binding pattern); `None` caches
-    /// "this pattern has no usable template" (e.g. transform failure).
+    /// One template per (predicate, binding pattern), holding its live
+    /// views; `None` caches "this pattern has no usable template" (e.g.
+    /// transform failure).
     templates: FxHashMap<TemplateKey, Option<Template>>,
-    views: FxHashMap<ViewKey, CachedView>,
     config: CacheConfig,
     /// Set by the serving layer: dead-heavy template stores are then
     /// compacted by [`QueryCache::compact`] from the server's drain, not
@@ -322,6 +413,7 @@ pub struct QueryCache {
     clock: AtomicU64,
     hits: AtomicU64,
     direct: AtomicU64,
+    answer_builds: AtomicU64,
     misses: u64,
     syncs: u64,
     evictions: u64,
@@ -349,7 +441,6 @@ impl QueryCache {
             idb,
             seen_rules: (0, 0),
             templates: FxHashMap::default(),
-            views: FxHashMap::default(),
             config,
             compaction_deferred: false,
             seen_version: 0,
@@ -358,6 +449,7 @@ impl QueryCache {
             clock: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             direct: AtomicU64::new(0),
+            answer_builds: AtomicU64::new(0),
             misses: 0,
             syncs: 0,
             evictions: 0,
@@ -374,15 +466,24 @@ impl QueryCache {
         Self::over(None, Vec::new(), CacheConfig::default())
     }
 
-    /// A cache for the serving layer: template-store compaction is left
-    /// to the server's [`QueryCache::compact`] calls (it knows when no
-    /// snapshot is pinned), and tags go on from where `previous` — the
-    /// cache this one replaces — stopped, so that a snapshot pinned
-    /// under the old cache takes no view of the new one for its own.
-    pub(crate) fn serving(program: &Program, previous: Option<&QueryCache>) -> Self {
+    /// A cache for the serving layer, over `base`: template-store
+    /// compaction is left to the server's [`QueryCache::compact`] calls
+    /// (it knows when no snapshot is pinned), and tags go on from where
+    /// `previous` — the cache this one replaces — stopped, so that a
+    /// snapshot pinned under the old cache takes no view of the new one
+    /// for its own. The store's rules are read at once: reads go through
+    /// [`QueryCache::lookup`], which cannot, and a first bound query on
+    /// a predicate `program` does not list as IDB would be routed direct
+    /// until some write made the cache look.
+    pub(crate) fn serving(
+        program: &Program,
+        previous: Option<&QueryCache>,
+        base: &Materialization,
+    ) -> Self {
         let mut c = Self::new(program);
         c.compaction_deferred = true;
         c.next_tag = previous.map_or(0, |p| p.next_tag);
+        c.validate(base);
         c
     }
 
@@ -402,8 +503,16 @@ impl QueryCache {
             evictions: self.evictions,
             invalidations: self.invalidations,
             template_compiles: self.template_compiles,
-            views: self.views.len(),
+            views: self.views().count(),
         }
+    }
+
+    /// Answers materialised from a view's rows so far, by a query or a
+    /// pinned read: what the memo spares (module docs, "Answers") is
+    /// the hits this does not count. Not a [`CacheStats`] field: it
+    /// moves with every question asked, whoever asks it.
+    pub fn answer_builds(&self) -> u64 {
+        self.answer_builds.load(Ordering::Relaxed)
     }
 
     /// Replaces the eviction limits (enforced from the next query on).
@@ -415,6 +524,10 @@ impl QueryCache {
         self.templates.values().flatten().map(|t| &t.store)
     }
 
+    fn views(&self) -> impl Iterator<Item = &CachedView> {
+        self.templates.values().flatten().flat_map(|t| t.views.values())
+    }
+
     /// Total live rows across all views — the resident footprint the
     /// `max_rows` limit bounds. (A template store's external relations
     /// are empty placeholders between syncs, so its own rows are all it
@@ -424,10 +537,13 @@ impl QueryCache {
     }
 
     /// Total words held by the template stores (tuples, indexes,
-    /// justifications, reverse index); base rows are shared, not copied,
-    /// so this is the cache's real resident cost.
+    /// justifications, reverse index) and by the views' memoised
+    /// answers, the stale ones included until a reader replaces them;
+    /// base rows are shared, not copied, so this is the cache's real
+    /// resident cost.
     pub fn view_words(&self) -> usize {
-        self.stores().map(|s| s.mem_stats().total_words()).sum()
+        let stores: usize = self.stores().map(|s| s.mem_stats().total_words()).sum();
+        stores + self.views().map(CachedView::memo_words).sum::<usize>()
     }
 
     /// The engine's work counters summed over the live template stores:
@@ -457,12 +573,13 @@ impl QueryCache {
     /// as needed), directly off the base model otherwise.
     pub fn query(&mut self, base: &mut Materialization, goal: &Atom) -> Relation {
         self.validate(base);
-        if let Route::View(key) = self.route(goal) {
-            if self.ensure_view(base, goal.arity(), &key).is_some() {
+        let mut buf = [Const(0); MAX_ARITY];
+        if let Some((tkey, consts)) = self.route(goal, &mut buf) {
+            if self.ensure_view(base, goal.arity(), tkey, consts).is_some() {
                 // Answer before evicting: under `max_views: 0` even the
                 // view just built is dropped again.
-                let (t, v) = self.view(&key).expect("just ensured");
-                let answer = t.answer(v, goal, None);
+                let (t, v) = self.view(tkey, consts).expect("just ensured");
+                let answer = self.answer(t, v, goal);
                 self.evict();
                 if !self.compaction_deferred {
                     self.compact();
@@ -476,26 +593,49 @@ impl QueryCache {
 
     /// The read-only fast path: answers without touching the base — a
     /// direct route, or a view whose template is already synced to the
-    /// base's current version. Returns `None` when the slow path
-    /// ([`QueryCache::query`], which may build or sync) is needed.
+    /// base's current version, whose answer is its memo unless a round
+    /// changed the view since (module docs, "Answers"). Returns `None`
+    /// when the slow path ([`QueryCache::query`], which may build or
+    /// sync) is needed.
     pub fn lookup(&self, base: &Materialization, goal: &Atom) -> Option<Relation> {
-        match self.route(goal) {
-            Route::Direct => {
-                self.direct.fetch_add(1, Ordering::Relaxed);
-                Some(base.answer_goal(goal))
-            }
-            Route::View(key) => {
-                let (t, v) = self.view(&key)?;
-                // A version that went backwards means a different store
-                // (e.g. restored); hand off to the slow path's validate.
-                if base.version() < self.seen_version || t.synced_version != base.version() {
-                    return None;
-                }
-                self.touch(v);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(t.answer(v, goal, None))
+        let mut buf = [Const(0); MAX_ARITY];
+        let Some((tkey, consts)) = self.route(goal, &mut buf) else {
+            self.direct.fetch_add(1, Ordering::Relaxed);
+            return Some(base.answer_goal(goal));
+        };
+        let (t, v) = self.view(tkey, consts)?;
+        // A version that went backwards means a different store (e.g.
+        // restored); hand off to the slow path's validate.
+        if base.version() < self.seen_version || t.synced_version != base.version() {
+            return None;
+        }
+        v.touch(&self.clock);
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(self.answer(t, v, goal))
+    }
+
+    /// The current answer of `view`, one of `t`'s: its memo if no sync
+    /// has changed the view since that was read, else read off the rows
+    /// and memoised in its place. Every goal routed to a view has the
+    /// same answer — its variables are distinct, so selection and
+    /// projection are fixed by the binding pattern — which is why the
+    /// memo is not keyed by goal. Concurrent readers of one stale view
+    /// queue on its memo: one builds, the rest clone.
+    fn answer(&self, t: &Template, view: &CachedView, goal: &Atom) -> Relation {
+        let mut memo = view.lock_memo();
+        if let Some((stamp, answer)) = memo.as_ref() {
+            if *stamp == view.changed {
+                return answer.clone();
             }
         }
+        let answer = t.read(view, goal, None);
+        self.answer_builds.fetch_add(1, Ordering::Relaxed);
+        let stale = memo.replace((view.changed, answer.clone()));
+        // Freeing the old answer is tuple-by-tuple work; let the next
+        // reader in first.
+        drop(memo);
+        drop(stale);
+        answer
     }
 
     /// Catches every template store up with the base — the serving
@@ -554,7 +694,9 @@ impl QueryCache {
     /// Answers `goal` as of a pinned snapshot: from its view if that
     /// was live at pin time and still is, else by filtering the base
     /// store at its pinned frontier (same fixpoint, so identical
-    /// answers).
+    /// answers). A view no round has changed since the pin is read as a
+    /// live query reads it, memo and all; one that has changed is read
+    /// off its rows at the pinned frontier.
     pub(crate) fn answer_pinned(
         &self,
         base: &Materialization,
@@ -563,10 +705,15 @@ impl QueryCache {
         base_frontier: &[usize],
         epoch: u64,
     ) -> Relation {
-        if let Route::View(key) = self.route(goal) {
-            let pinned = self.view(&key).filter(|(_, v)| v.seed[0].0 < pins.before);
-            if let (Some((t, v)), Some(&frontier)) = (pinned, pins.frontiers.get(&(key.0, key.1))) {
-                return t.answer(v, goal, Some((frontier, epoch)));
+        let mut buf = [Const(0); MAX_ARITY];
+        if let Some((tkey, consts)) = self.route(goal, &mut buf) {
+            let pinned = self.view(tkey, consts).filter(|(_, v)| v.seed[0].0 < pins.before);
+            if let (Some((t, v)), Some(&frontier)) = (pinned, pins.frontiers.get(&tkey)) {
+                if v.changed_epoch <= epoch {
+                    return self.answer(t, v, goal);
+                }
+                self.answer_builds.fetch_add(1, Ordering::Relaxed);
+                return t.read(v, goal, Some((frontier, epoch)));
             }
         }
         base.answer_goal_at(goal, base_frontier, epoch)
@@ -583,7 +730,8 @@ impl QueryCache {
     /// whose row ids and index slots we never saw — clear everything; a
     /// compaction remapped base row ids that the template stores'
     /// justifications reference — drop the views and empty the stores
-    /// (the compiled templates survive: they hold no row ids).
+    /// (the compiled templates survive: they hold no row ids). A view's
+    /// memoised answer goes with the view in every tier.
     fn validate(&mut self, base: &Materialization) {
         if self.symbols.is_some() {
             let rules = base.rule_shape();
@@ -594,9 +742,8 @@ impl QueryCache {
             } else if base.version() < self.seen_version {
                 self.clear_views();
             } else if base.compactions() != self.seen_compactions {
-                if !self.views.is_empty() {
+                if self.views().next().is_some() {
                     self.invalidations += 1;
-                    self.views.clear();
                 }
                 for t in self.templates.values_mut().flatten() {
                     t.reset(base);
@@ -607,59 +754,64 @@ impl QueryCache {
         self.seen_compactions = base.compactions();
     }
 
-    /// Forgets every view and every template.
+    /// Forgets every template, and its views with it.
     fn clear_views(&mut self) {
         if !self.templates.is_empty() {
             self.invalidations += 1;
         }
-        self.views.clear();
         self.templates.clear();
     }
 
     /// Classifies a goal. Only IDB goals with at least one bound
-    /// position, all of whose bound positions are constants, get views;
-    /// everything else — EDB/untracked predicates, all-free patterns,
-    /// repeated-variable bindings (their seed would need domain
-    /// enumeration), more than 64 arguments, disabled cache — filters
-    /// the base model directly.
-    fn route(&self, goal: &Atom) -> Route {
-        if !self.idb.contains(&goal.pred) || goal.arity() > 64 {
-            return Route::Direct;
+    /// position, all of whose bound positions are constants, get views
+    /// — `Some` of the template and, collected into `buf`, the bound
+    /// constants in positional order; everything else — EDB/untracked
+    /// predicates, all-free patterns, repeated-variable bindings (their
+    /// seed would need domain enumeration), more than [`MAX_ARITY`]
+    /// arguments, disabled cache — filters the base model directly.
+    /// Nothing is allocated: a view is looked up by the borrowed key.
+    fn route<'a>(
+        &self,
+        goal: &Atom,
+        buf: &'a mut [Const; MAX_ARITY],
+    ) -> Option<(TemplateKey, &'a [Const])> {
+        if !self.idb.contains(&goal.pred) || goal.arity() > MAX_ARITY {
+            return None;
         }
         let mut bound = 0u64;
-        let mut consts = Vec::new();
+        let mut n = 0;
         for (i, t) in goal.args.iter().enumerate() {
             match t {
                 Term::Const(c) => {
                     bound |= 1 << i;
-                    consts.push(*c);
+                    buf[n] = *c;
+                    n += 1;
                 }
                 // Bound by an earlier occurrence: no constant to seed.
-                Term::Var(_) if goal.args[..i].contains(t) => return Route::Direct,
+                Term::Var(_) if goal.args[..i].contains(t) => return None,
                 Term::Var(_) => {}
             }
         }
-        if bound == 0 {
-            return Route::Direct;
-        }
-        Route::View((goal.pred, bound, consts))
+        (bound != 0).then_some(((goal.pred, bound), &buf[..n]))
     }
 
-    fn touch(&self, view: &CachedView) {
-        view.last_used
-            .store(self.clock.fetch_add(1, Ordering::Relaxed) + 1, Ordering::Relaxed);
+    /// The view of `tkey` bound to `consts`, and the template whose
+    /// store holds it.
+    fn view(&self, tkey: TemplateKey, consts: &[Const]) -> Option<(&Template, &CachedView)> {
+        let t = self.templates.get(&tkey)?.as_ref()?;
+        Some((t, t.views.get(consts)?))
     }
 
-    /// The view under `key` and the template whose store holds it.
-    fn view(&self, key: &ViewKey) -> Option<(&Template, &CachedView)> {
-        Some((self.templates.get(&(key.0, key.1))?.as_ref()?, self.views.get(key)?))
-    }
-
-    /// Makes sure an up-to-date view exists under `key` (a goal of
-    /// `arity` arguments); `None` means the pattern has no usable
-    /// template and the caller must go direct.
-    fn ensure_view(&mut self, base: &mut Materialization, arity: usize, key: &ViewKey) -> Option<()> {
-        let tkey = (key.0, key.1);
+    /// Makes sure an up-to-date view of `tkey` (a goal of `arity`
+    /// arguments) bound to `consts` exists; `None` means the pattern
+    /// has no usable template and the caller must go direct.
+    fn ensure_view(
+        &mut self,
+        base: &mut Materialization,
+        arity: usize,
+        tkey: TemplateKey,
+        consts: &[Const],
+    ) -> Option<()> {
         if !self.templates.contains_key(&tkey) {
             let t = self.build_template(tkey, arity, base);
             if t.is_some() {
@@ -668,29 +820,32 @@ impl QueryCache {
             self.templates.insert(tkey, t);
         }
         let t = self.templates.get_mut(&tkey)?.as_mut()?;
-        if let Some(v) = self.views.get(key) {
+        if t.views.contains_key(consts) {
             if t.synced_version != base.version() {
                 t.catch_up(base, None);
                 self.syncs += 1;
             } else {
                 self.hits.fetch_add(1, Ordering::Relaxed);
             }
-            self.touch(v);
+            t.views[consts].touch(&self.clock);
             return Some(());
         }
         // A new view is a fresh tag: one seed row, and the update
         // fixpoint it sets off (which also catches a stale store up).
         let tag = Const(self.next_tag);
         self.next_tag = self.next_tag.checked_add(1).expect("view tag overflow");
-        let seed: Vec<Const> = std::iter::once(tag).chain(key.2.iter().copied()).collect();
+        let seed: Vec<Const> = std::iter::once(tag).chain(consts.iter().copied()).collect();
         t.catch_up(base, Some(&seed));
         let view = CachedView {
             seed,
             last_used: AtomicU64::new(0),
+            changed: 0,
+            changed_epoch: base.epoch(),
+            memo: Mutex::new(None),
         };
-        self.touch(&view);
+        view.touch(&self.clock);
         self.misses += 1;
-        self.views.insert(key.clone(), view);
+        t.views.insert(consts.to_vec(), view);
         Some(())
     }
 
@@ -711,12 +866,13 @@ impl QueryCache {
         Template::new(&tpl, &untagged, bound, base)
     }
 
-    /// Drops the view under `key`, tombstoning its rows.
-    fn drop_view(&mut self, key: &ViewKey) {
-        let Some(v) = self.views.remove(key) else {
+    /// Drops the view of `tkey` bound to `consts`: its rows are
+    /// tombstoned, its memoised answer goes with it.
+    fn drop_view(&mut self, tkey: TemplateKey, consts: &[Const]) {
+        let Some(Some(t)) = self.templates.get_mut(&tkey) else {
             return;
         };
-        if let Some(Some(t)) = self.templates.get_mut(&(key.0, key.1)) {
+        if let Some(v) = t.views.remove(consts) {
             t.store.drop_tag(t.seed_pred, &v.seed);
         }
     }
@@ -724,16 +880,22 @@ impl QueryCache {
     /// LRU/size eviction; the most-recently-used view survives the row
     /// budget (not `max_views: 0`).
     fn evict(&mut self) {
-        while self.views.len() > self.config.max_views
-            || (self.views.len() > 1 && self.view_rows() > self.config.max_rows)
-        {
-            let key = self
-                .views
+        loop {
+            let views = self.views().count();
+            if views <= self.config.max_views
+                && (views <= 1 || self.view_rows() <= self.config.max_rows)
+            {
+                return;
+            }
+            let (tkey, consts) = self
+                .templates
                 .iter()
-                .min_by_key(|(_, v)| v.last_used.load(Ordering::Relaxed))
-                .map(|(k, _)| k.clone())
+                .filter_map(|(&tkey, t)| Some((tkey, t.as_ref()?)))
+                .flat_map(|(tkey, t)| t.views.iter().map(move |(consts, v)| (tkey, consts, v)))
+                .min_by_key(|(_, _, v)| v.last_used.load(Ordering::Relaxed))
+                .map(|(tkey, consts, _)| (tkey, consts.clone()))
                 .expect("non-empty");
-            self.drop_view(&key);
+            self.drop_view(tkey, &consts);
             self.evictions += 1;
         }
     }
@@ -930,7 +1092,7 @@ mod tests {
         let g_c1 = goal_for(&mut p, "c1");
         let g_c2 = goal_for(&mut p, "c2");
         let baseline = cache.query(&mut base, &g_john).sorted();
-        let first_tag = cache.views.values().next().expect("john's view").seed[0];
+        let first_tag = cache.views().next().expect("john's view").seed[0];
         cache.query(&mut base, &g_c1);
         cache.query(&mut base, &g_c2); // evicts john (LRU)
         let s = cache.stats();
@@ -940,7 +1102,7 @@ mod tests {
         // Requery after eviction: rebuilt under a tag never used before,
         // identical answers.
         assert_eq!(cache.query(&mut base, &g_john).sorted(), baseline);
-        assert!(cache.views.values().all(|v| v.seed[0] != first_tag));
+        assert!(cache.views().all(|v| v.seed[0] != first_tag));
         assert_eq!(cache.query(&mut base, &g_john).sorted(), oracle(&p, &g_john, &edb));
         assert_eq!(cache.stats().template_compiles, 1, "template survived eviction");
 

@@ -3,6 +3,17 @@
 //! A database is a finite structure (Section 2.1): a vector of finite
 //! relations, one per EDB predicate. Evaluation output adds IDB relations
 //! to the same representation.
+//!
+//! [`Relation`] is the exchange format at every API boundary — what a
+//! caller loads facts into and what every evaluator, store and server
+//! answers with. It is a value, and a cheap one to pass on: the tuple
+//! set sits behind a reference count, `clone` copies no tuple, and the
+//! first write to a relation that shares its set copies the set for the
+//! writer alone. That is what lets the query cache keep the answer it
+//! gave one client and give it to the next ([`crate::cache`],
+//! "Answers").
+
+use std::sync::Arc;
 
 use crate::ast::{Const, Pred, Symbols};
 use crate::hash::{FxHashMap, FxHashSet};
@@ -17,19 +28,42 @@ pub type Tuple = Vec<Const>;
 /// is insert-bound, and SipHash dominated the profile before the swap.
 /// (The evaluator itself works on [`crate::storage::ColumnarRelation`];
 /// this type is the stable exchange format at API boundaries.)
+///
+/// The set is **shared and copy-on-write**: `clone` is a reference
+/// count, whatever the relation holds, so an answer can be kept by the
+/// cache that built it and handed to any number of clients
+/// ([`crate::cache`], "Answers"). [`Relation::insert`] and
+/// [`Relation::remove`] on a relation that shares its set copy the set
+/// first — O(len), once, after which the relation owns its copy — and
+/// cost one atomic check when it does not; no holder ever observes
+/// another's writes. Equality compares contents (and is immediate
+/// between two handles on one set).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Relation {
     arity: usize,
-    tuples: FxHashSet<Tuple>,
+    tuples: Arc<FxHashSet<Tuple>>,
 }
 
 impl Relation {
     /// Creates an empty relation of the given arity.
     pub fn new(arity: usize) -> Self {
+        Self::from_set(arity, FxHashSet::default())
+    }
+
+    /// Wraps a finished set of `arity`-tuples: what a bulk producer
+    /// calls once, instead of paying [`Relation::insert`]'s ownership
+    /// check per tuple.
+    pub(crate) fn from_set(arity: usize, tuples: FxHashSet<Tuple>) -> Self {
+        debug_assert!(tuples.iter().all(|t| t.len() == arity), "tuple arity mismatch");
         Self {
             arity,
-            tuples: FxHashSet::default(),
+            tuples: Arc::new(tuples),
         }
+    }
+
+    /// Copies `rows` (each of `arity` constants) into a new relation.
+    pub(crate) fn from_rows<'a>(arity: usize, rows: impl Iterator<Item = &'a [Const]>) -> Self {
+        Self::from_set(arity, rows.map(<[Const]>::to_vec).collect())
     }
 
     /// The arity.
@@ -40,7 +74,7 @@ impl Relation {
     /// Inserts a tuple; returns whether it was new.
     pub fn insert(&mut self, t: Tuple) -> bool {
         assert_eq!(t.len(), self.arity, "tuple arity mismatch");
-        self.tuples.insert(t)
+        Arc::make_mut(&mut self.tuples).insert(t)
     }
 
     /// Membership.
@@ -53,7 +87,7 @@ impl Relation {
     /// maintenance harnesses to keep a from-scratch reference database
     /// in step with a `Materialization`.)
     pub fn remove(&mut self, t: &[Const]) -> bool {
-        self.tuples.remove(t)
+        Arc::make_mut(&mut self.tuples).remove(t)
     }
 
     /// Number of tuples.
@@ -91,10 +125,7 @@ impl FromIterator<Tuple> for Relation {
             }
             tuples.insert(t);
         }
-        Relation {
-            arity: arity.unwrap_or(0),
-            tuples,
-        }
+        Relation::from_set(arity.unwrap_or(0), tuples)
     }
 }
 
@@ -136,6 +167,12 @@ impl Database {
         self.relations
             .entry(pred)
             .or_insert_with(|| Relation::new(arity))
+    }
+
+    /// Stores `rel` as the relation of `pred`, whole — the bulk
+    /// counterpart of [`Database::relation_mut`].
+    pub(crate) fn set_relation(&mut self, pred: Pred, rel: Relation) {
+        self.relations.insert(pred, rel);
     }
 
     /// Iterates over (predicate, relation) pairs.
@@ -236,6 +273,39 @@ mod tests {
         let john = sy.get_constant("john").unwrap();
         let mary = sy.get_constant("mary").unwrap();
         assert!(db.relation(par).unwrap().contains(&[john, mary]));
+    }
+
+    #[test]
+    fn a_clone_shares_until_either_side_writes() {
+        let mut r = Relation::new(2);
+        r.insert(vec![Const(0), Const(1)]);
+        r.insert(vec![Const(1), Const(2)]);
+        let kept = r.clone();
+        assert!(Arc::ptr_eq(&r.tuples, &kept.tuples), "clone is a reference count");
+
+        // Writes to the original copy first; the clone keeps what it had.
+        assert!(r.insert(vec![Const(2), Const(3)]));
+        assert!(r.remove(&[Const(0), Const(1)]));
+        assert_eq!(kept.sorted(), vec![vec![Const(0), Const(1)], vec![Const(1), Const(2)]]);
+        assert_eq!(r.sorted(), vec![vec![Const(1), Const(2)], vec![Const(2), Const(3)]]);
+        // ...and so do writes to a clone.
+        let mut other = kept.clone();
+        assert!(!other.remove(&[Const(7), Const(7)]));
+        assert!(other.remove(&[Const(1), Const(2)]));
+        assert_eq!(kept.len(), 2);
+        assert_ne!(other, kept);
+
+        // Equality is by content: shared, independently built, or built
+        // in bulk.
+        assert_eq!(kept, kept.clone());
+        let mut built = Relation::new(2);
+        built.insert(vec![Const(1), Const(2)]);
+        built.insert(vec![Const(0), Const(1)]);
+        assert_eq!(built, kept);
+        let bulk: Relation = kept.sorted().into_iter().collect();
+        assert_eq!(bulk, kept);
+        assert_eq!(Relation::from_rows(2, kept.iter().map(Vec::as_slice)), kept);
+        assert_ne!(Relation::new(1), Relation::new(2), "arity is part of the value");
     }
 
     #[test]

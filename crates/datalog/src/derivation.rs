@@ -35,7 +35,7 @@
 //! equivalence suite validates this module against.
 
 use crate::ast::{Pred, Program};
-use crate::db::{Database, Tuple};
+use crate::db::{Database, Relation, Tuple};
 use crate::hash::FxHashMap;
 use crate::materialize::RelJust;
 use crate::storage::{ColumnarRelation, NO_ROW};
@@ -337,10 +337,8 @@ impl Provenance {
             if !self.idb[r] {
                 continue;
             }
-            let out = idb_db.relation_mut(self.pred_of_rel[r], rel.arity());
-            for row in rel.rows_iter() {
-                out.insert(row.to_vec());
-            }
+            let rows = Relation::from_rows(rel.arity(), rel.rows_iter());
+            idb_db.set_relation(self.pred_of_rel[r], rows);
         }
         idb_db
     }

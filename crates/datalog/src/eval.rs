@@ -32,6 +32,7 @@
 
 use crate::ast::{Atom, Const, Program, Term, Var};
 use crate::db::{Database, Relation};
+use crate::hash::FxHashSet;
 use crate::derivation::Provenance;
 use crate::materialize::Materialization;
 use crate::plan::OrderMode;
@@ -240,12 +241,14 @@ pub(crate) fn goal_plan(goal: &Atom) -> (Vec<GoalOp>, usize) {
 /// Runs a compiled goal over any tuple stream: selection by constants and
 /// repeated variables, projection onto the distinct variables in
 /// first-occurrence order (the binding array *is* the output tuple).
+/// The answer is collected in a plain set and wrapped once
+/// ([`Relation`]'s `insert` would check ownership per tuple).
 pub(crate) fn select_project<'a>(
     ops: &[GoalOp],
     nvars: usize,
     rows: impl Iterator<Item = &'a [Const]>,
 ) -> Relation {
-    let mut out = Relation::new(nvars);
+    let mut out = FxHashSet::default();
     // fixed-size binding array, reused across tuples (no per-tuple map)
     let mut bind = vec![Const(0); nvars];
     'rows: for row in rows {
@@ -267,7 +270,7 @@ pub(crate) fn select_project<'a>(
         }
         out.insert(bind.clone());
     }
-    out
+    Relation::from_set(nvars, out)
 }
 
 /// Applies a goal atom as a selection + projection: keeps tuples matching

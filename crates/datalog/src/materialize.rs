@@ -643,14 +643,13 @@ impl Materialization {
             if idb_only && !self.idb_flag[r] {
                 continue;
             }
-            let dst = out.relation_mut(self.pred_of_rel[r], rel.arity());
-            let copy = |row: &[_]| {
-                dst.insert(row.to_vec());
+            let rows = match pin {
+                None => Relation::from_rows(rel.arity(), rel.rows_iter()),
+                Some((frontier, epoch)) => {
+                    Relation::from_rows(rel.arity(), rel.rows_iter_at(frontier[r], epoch))
+                }
             };
-            match pin {
-                None => rel.rows_iter().for_each(copy),
-                Some((frontier, epoch)) => rel.rows_iter_at(frontier[r], epoch).for_each(copy),
-            }
+            out.set_relation(self.pred_of_rel[r], rows);
         }
         out
     }

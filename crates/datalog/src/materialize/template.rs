@@ -231,13 +231,18 @@ impl Materialization {
     /// [`ExtRetracts`]); the cascade and rescue then mirror
     /// [`Materialization::apply`]'s phases over this store's own
     /// reverse index.
+    ///
+    /// Returns the own rows the deletion pass killed, as `(relation,
+    /// row)` — the rescued ones included: they live on under a new row
+    /// id. With the row counts from before the call that is everything
+    /// the sync changed ([`Materialization::for_each_touched_key`]).
     pub(crate) fn sync_external(
         &mut self,
         base: &mut Materialization,
         links: &ExtLinks,
         seed: Option<(Pred, &[Const])>,
         retracts: ExtRetracts,
-    ) {
+    ) -> Vec<(u32, u32)> {
         self.swap_external(base, links);
         if let Some((pred, row)) = seed {
             let rid = self.rel_of_pred[&pred];
@@ -270,6 +275,31 @@ impl Materialization {
         self.extend_indexes();
         self.version = self.version.wrapping_add(1);
         self.swap_external(base, links);
+        candidates
+    }
+
+    /// Calls `f` with the key under which index `idx` files each row a
+    /// sync touched in the relation the index covers: the rows appended
+    /// since the relation had `from` rows, and those of `killed`
+    /// ([`Materialization::sync_external`]'s return) that are its own.
+    /// O(touched rows) — this is how the cache learns which views a
+    /// round changed without looking at the others.
+    pub(crate) fn for_each_touched_key(
+        &self,
+        idx: usize,
+        from: usize,
+        killed: &[(u32, u32)],
+        mut f: impl FnMut(&[Const]),
+    ) {
+        let index = &self.idxs[idx];
+        let rel = &self.rels[index.rel()];
+        let killed = killed.iter().filter(|k| k.0 as usize == index.rel()).map(|k| k.1 as usize);
+        let mut key = Vec::with_capacity(index.mask().len());
+        for row in (from..rel.num_rows()).chain(killed) {
+            key.clear();
+            key.extend(index.mask().iter().map(|&col| rel.value(row, col)));
+            f(&key);
+        }
     }
 
     /// The deletion seeds of a store that does not know which external

@@ -28,7 +28,9 @@
 //!   cached answer always come from the same fixpoint, and a pinned
 //!   snapshot's [`Snapshot::query`] answers as of its pin (from the
 //!   pinned view when it survives, by filtering the pinned base state
-//!   otherwise — identical answers either way).
+//!   otherwise — identical answers either way). An answer is built
+//!   once per change of its view, by the first reader to ask, and
+//!   handed out by reference count until the next change.
 //!
 //! Reclamation and compaction are **deferred maintenance**: when the
 //! last reader below an epoch unpins, the new horizon is recorded in
@@ -198,7 +200,7 @@ impl Server {
     /// The query cache is armed from the start.
     pub fn from_database(program: &Program, db: &Database, strategy: Strategy) -> Self {
         let store = Materialization::from_database(program, db, strategy);
-        let cache = QueryCache::serving(program, None);
+        let cache = QueryCache::serving(program, None, &store);
         Self {
             shared: Arc::new(Shared {
                 state: RwLock::new(ServerState { store, cache }),
@@ -249,10 +251,12 @@ impl Server {
     /// the symbol table, which must be the one the store's rules were
     /// written over (or an extension of it); the rules come from the
     /// store, so a server saved after rule hot-swaps is served by its
-    /// own rules whatever `program.rules` lists.
+    /// own rules whatever `program.rules` lists — read here and now,
+    /// so the first bound query on a predicate only the store knows to
+    /// be IDB already gets a view.
     pub fn enable_query_cache(&self, program: &Program) {
         let mut state = self.shared.write();
-        state.cache = QueryCache::serving(program, Some(&state.cache));
+        state.cache = QueryCache::serving(program, Some(&state.cache), &state.store);
     }
 
     /// Whether bound queries can currently be cached (`false` only on a
@@ -266,14 +270,22 @@ impl Server {
         self.shared.read().cache.stats()
     }
 
+    /// Answers the cache has materialised from view rows
+    /// ([`QueryCache::answer_builds`]); every other cached answer was a
+    /// reference count.
+    pub fn cache_answer_builds(&self) -> u64 {
+        self.shared.read().cache.answer_builds()
+    }
+
     /// Replaces the cache's eviction limits (see [`CacheConfig`]).
     pub fn set_cache_config(&self, config: CacheConfig) {
         self.shared.write().cache.set_config(config);
     }
 
     /// Total words resident in cached views (tuples, indexes,
-    /// justifications). Base rows are shared with the store, not
-    /// copied, so this is the cache's real marginal footprint.
+    /// justifications, memoised answers). Base rows are shared with
+    /// the store, not copied, so this is the cache's real marginal
+    /// footprint.
     pub fn cache_view_words(&self) -> usize {
         self.shared.read().cache.view_words()
     }
@@ -308,7 +320,10 @@ impl Server {
     /// and unobservable tombstone tags are reclaimed on the way out.
     /// Cached views are caught up before the epoch is published, so the
     /// new epoch's base facts and cached answers come from the same
-    /// fixpoint.
+    /// fixpoint. The round marks the views whose rows it changed and
+    /// leaves their memoised answers alone — building one, or freeing
+    /// the tuples of a stale one, is reader's work (see
+    /// [`crate::cache`], "Answers").
     ///
     /// Writer calls are serialized by the write lock; each applied
     /// round increments the published epoch by one.
@@ -382,6 +397,15 @@ impl Server {
     /// The fast path (an up-to-date view, or a direct route) runs under
     /// the read lock and blocks no readers. Only a query that must
     /// build or catch up a view takes the write lock.
+    ///
+    /// A hit on a view no round has changed since it was last read is a
+    /// reference count: the view keeps its last answer, and the
+    /// [`Relation`] returned shares that answer's tuples with the cache
+    /// and with every other client that was given it. It is the
+    /// caller's to keep for as long as it likes, across any number of
+    /// rounds, and to write to — writes copy first. After a round that
+    /// did change the view, the first reader builds the new answer
+    /// (under the read lock); [`Server::apply`] never does.
     pub fn query(&self, goal: &Atom) -> Relation {
         {
             let state = self.shared.read();
@@ -485,7 +509,12 @@ impl Snapshot {
     /// whose cached view was live at pin time are answered from the
     /// view at its pinned frontier; everything else filters the base
     /// store at the snapshot's own frontier. Both read the same pinned
-    /// fixpoint, so the route never changes the answer.
+    /// fixpoint, so the route never changes the answer. A view that no
+    /// round has changed since the pin *is* at its pinned state, and is
+    /// answered the way [`Server::query`] answers it — from the view's
+    /// memoised answer, by reference count; one that has changed is
+    /// read off its rows below the pinned frontier on every call (a
+    /// snapshot keeps no answers of its own).
     pub fn query(&self, goal: &Atom) -> Relation {
         let state = self.shared.read();
         state
@@ -1109,6 +1138,39 @@ mod tests {
         assert!(restored.cache_enabled());
         let s = restored.cache_stats();
         assert_eq!((s.misses, s.direct), (1, 0), "a view, built by the first query");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Arming the cache reads the store's rules at once. `via` is IDB
+    /// only in the store — hot-swapped in before the save, absent from
+    /// `p.rules` — and the first bound query on it, with no write round
+    /// in between to make the cache look, still gets a view.
+    #[test]
+    fn a_rearmed_cache_knows_the_stores_idb_predicates_before_the_first_round() {
+        let dir = std::env::temp_dir().join(format!("selprop-srvidb-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("server.snap");
+
+        let mut p = parse_program(SRC).unwrap();
+        let par = p.symbols.get_predicate("par").unwrap();
+        let edges = chain(&mut p, 5);
+        let via = p.symbols.predicate("via");
+        let [x, y, z] = ["X", "Y", "Z"].map(|n| Term::Var(p.symbols.variable(n)));
+        let two_hops = vec![Atom::new(par, vec![x, z]), Atom::new(par, vec![z, y])];
+        let server = Server::new(&p, Strategy::SemiNaive);
+        server.insert_facts(par, &edges);
+        server.add_rule(Rule::new(Atom::new(via, vec![x, y]), two_hops));
+        server.save(&path).unwrap();
+
+        let restored = Server::restore(&path).unwrap();
+        assert!(!p.idb_predicates().contains(&via), "the program given does not list it");
+        restored.enable_query_cache(&p);
+        let goal = Atom::new(via, vec![Term::Const(edges[0][0]), y]);
+        assert_eq!(restored.query(&goal).sorted(), vec![vec![edges[1][1]]], "john's grandchild");
+        let s = restored.cache_stats();
+        assert_eq!((s.misses, s.direct, s.views), (1, 0, 1), "a view, not a scan of the model");
+        assert_eq!(restored.query(&goal).len(), 1);
+        assert_eq!(restored.cache_stats().hits, 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -8,6 +8,12 @@
 //! drops, a second binding pattern, base compactions, and view budgets
 //! small enough that template stores fill with dropped views' rows and
 //! are compacted under the live ones.
+//!
+//! A view also memoises its answer (`cache` module docs, "Answers"):
+//! the same script, with every goal asked twice after every step, shows
+//! that no memo outlives a change to its view, and the tests at the end
+//! count — through `QueryCache::answer_builds` — which answers a round
+//! makes the next reader build again: those of the views it changed.
 
 use proptest::prelude::*;
 use selprop_datalog::ast::{Atom, Const, Program, Term, Var};
@@ -297,6 +303,105 @@ proptest! {
         // One compile per pattern and rule-set era, at most.
         prop_assert!(s.template_compiles <= 2 * (s.invalidations + 1));
     }
+
+    /// A memo is never served across a change. After **every** step of
+    /// a churning script — an insert, a retract (over random graphs on
+    /// eight nodes most of them rescue rows through a second path: the
+    /// same tuple, re-appended under a new row id), the recursive rule's
+    /// mirror image added or dropped, a base compaction, and under the
+    /// small budgets an eviction and a rebuild under a fresh tag per
+    /// goal, with the template store compacted below the live views —
+    /// four goals are each asked twice: once through the write path,
+    /// which syncs, once through the read path, which must find the view
+    /// live and may only hand out the memo (it builds nothing). Both
+    /// answers equal the from-scratch magic evaluation. The cache stands
+    /// alone here, at epoch 0 throughout: the stamp cannot lean on a
+    /// server's epochs.
+    #[test]
+    fn a_memoised_answer_never_outlives_a_change(
+        idx in 0usize..3,
+        limit in 0usize..4,
+        aggressive in 0u8..2,
+        raw_pool in proptest::collection::vec((0u8..8, 0u8..8), 12..28),
+        ops in proptest::collection::vec((0u8..16, 0u8..28), 10..50),
+    ) {
+        let mut p = program(idx);
+        let (nodes, qy) = setup(&mut p, 8);
+        let qx = p.symbols.variable("QX");
+        let par = p.symbols.get_predicate("par").unwrap();
+        let goal_pred = p.goal.pred;
+        let pool = dedup_pool(&nodes, &raw_pool);
+        let goals = [
+            Atom::new(goal_pred, vec![Term::Const(nodes[0]), Term::Var(qy)]),
+            Atom::new(goal_pred, vec![Term::Const(nodes[1]), Term::Var(qy)]),
+            Atom::new(goal_pred, vec![Term::Const(nodes[2]), Term::Var(qy)]),
+            Atom::new(goal_pred, vec![Term::Var(qx), Term::Const(nodes[0])]),
+        ];
+
+        let mut present = vec![false; pool.len()];
+        let mut edb = Database::new();
+        let mut base = Materialization::from_database(&p, &edb, EvalStrategy::SemiNaive);
+        base.set_compaction_policy((aggressive == 1).then_some(CompactionPolicy {
+            min_dead_rows: 1,
+            dead_percent: 1,
+        }));
+        let config = [
+            CacheConfig { max_views: 1, max_rows: 1 << 20 },
+            CacheConfig { max_views: 2, max_rows: 1 << 20 },
+            CacheConfig { max_views: 64, max_rows: 1 << 20 },
+            CacheConfig { max_views: 64, max_rows: 30 },
+        ][limit];
+        let mut cache = QueryCache::with_config(&p, config);
+        let [ex, ey] = ["EX", "EY"].map(|n| Term::Var(p.symbols.variable(n)));
+        let extra = Rule::new(
+            Atom::new(goal_pred, vec![ex, ey]),
+            vec![Atom::new(par, vec![ey, ex])],
+        );
+        let mut current = p.clone();
+        let mut extra_slot = None;
+
+        for (kind, ei) in ops {
+            let ei = ei as usize % pool.len();
+            let edge: Tuple = vec![pool[ei].0, pool[ei].1];
+            match kind {
+                0..=6 if !present[ei] => {
+                    present[ei] = true;
+                    base.insert_facts(par, std::slice::from_ref(&edge));
+                    edb.insert(par, edge);
+                }
+                0..=13 if present[ei] => {
+                    present[ei] = false;
+                    base.retract_facts(par, std::slice::from_ref(&edge));
+                    edb.remove(par, &edge);
+                }
+                14 => match extra_slot.take() {
+                    None => {
+                        extra_slot = Some(base.add_rule(extra.clone()));
+                        current.rules.push(extra.clone());
+                    }
+                    Some(id) => {
+                        prop_assert!(base.drop_rule(id));
+                        current.rules.pop();
+                    }
+                },
+                15 => {
+                    base.compact();
+                }
+                _ => {}
+            }
+            for goal in &goals {
+                let want = oracle(&current, goal, &edb);
+                prop_assert_eq!(cache.query(&mut base, goal).sorted(), want.clone());
+                let builds = cache.answer_builds();
+                let again = cache.lookup(&base, goal).expect("just asked for: live and synced");
+                prop_assert_eq!(again.sorted(), want);
+                prop_assert_eq!(cache.answer_builds(), builds, "a hit hands out the memo");
+            }
+        }
+        if limit < 2 {
+            prop_assert!(cache.stats().evictions > 0, "four goals through two slots");
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -454,7 +559,9 @@ fn a_lagging_cache_falls_back_to_scanning_its_justifications() {
 /// One template store for 32 views of `tc_serve`'s layered DAG holds one
 /// set of own indexes, not 32: fewer words than the per-view stores it
 /// replaced held for the same views (242 880, measured at commit 752cf80
-/// on this construction), although every row is a column wider.
+/// on this construction), although every row is a column wider. (Those
+/// stores kept no answers; the memos `view_words` also counts are taken
+/// out of the comparison.)
 #[test]
 fn thirty_two_views_share_one_set_of_indexes() {
     let mut p = parse_program(PROGRAM_A).unwrap();
@@ -476,6 +583,133 @@ fn thirty_two_views_share_one_set_of_indexes() {
         let goal = goal_from(&mut p, &rank[v % 2][v / 2]);
         assert_eq!(cache.query(&mut base, &goal).len(), (layers - v % 2) * width);
     }
-    assert_eq!(cache.view_rows(), 16 * (32 + 31) * width + 2 * 32);
-    assert!(cache.view_words() < 242_880, "{} words", cache.view_words());
+    let answer_rows = 16 * (32 + 31) * width;
+    assert_eq!(cache.view_rows(), answer_rows + 2 * 32);
+    // On top of the store, each query left its answer memoised: a
+    // constant, a `Vec` header and a set slot per tuple.
+    let store_words = cache.view_words() - answer_rows * (1 + 4);
+    assert!(store_words < 242_880, "{store_words} words");
+}
+
+// ---------------------------------------------------------------------
+// Who builds an answer, and when (see the `cache` module docs, "Answers")
+// ---------------------------------------------------------------------
+
+/// Asks every goal `times` times through the read path; returns how many
+/// answers that made the cache build.
+fn hits(cache: &QueryCache, base: &Materialization, goals: &[Atom], times: usize) -> u64 {
+    let before = cache.answer_builds();
+    for _ in 0..times {
+        for g in goals {
+            cache.lookup(base, g).expect("live and synced");
+        }
+    }
+    cache.answer_builds() - before
+}
+
+/// A cold query appends rows to the store its template's other views
+/// live in, under its own tag: their memos stand. Afterwards only the
+/// new view's answer has been built.
+#[test]
+fn a_cold_query_rebuilds_no_other_view() {
+    let mut p = parse_program(PROGRAM_A).unwrap();
+    let (_, edb, mut base) = chain_store(&mut p, 12);
+    let mut cache = QueryCache::new(&p);
+    let warm: Vec<Atom> = ["c0", "c3", "c6"].iter().map(|n| goal_from(&mut p, n)).collect();
+    for g in &warm {
+        cache.query(&mut base, g);
+    }
+    assert_eq!(cache.answer_builds(), 3);
+    assert_eq!(hits(&cache, &base, &warm, 4), 0, "twelve hits, twelve reference counts");
+
+    let cold = goal_from(&mut p, "c9");
+    assert_eq!(cache.query(&mut base, &cold).sorted(), oracle(&p, &cold, &edb));
+    assert_eq!(cache.answer_builds(), 4, "the new view's answer, nobody else's");
+    assert_eq!(hits(&cache, &base, &warm, 1), 0);
+    assert_eq!(cache.stats().template_compiles, 1, "one template, one store, four tags");
+}
+
+/// N hits over V views between two rounds cost the builds of the views
+/// the first round changed — V at most, whatever N — and a round that
+/// changes no view costs none. On the chain `c0 → … → c12` with views at
+/// c0, c4 and c8: a new tail edge lengthens all three closures, cutting
+/// `c2 → c3` shortens c0's alone (and mending it restores that one), an
+/// edge between strangers reaches nobody.
+#[test]
+fn hits_between_rounds_cost_one_build_per_changed_view() {
+    let mut p = parse_program(PROGRAM_A).unwrap();
+    let par = p.symbols.get_predicate("par").unwrap();
+    let (edges, mut edb, mut base) = chain_store(&mut p, 12);
+    let mut cache = QueryCache::new(&p);
+    let goals: Vec<Atom> = ["c0", "c4", "c8"].iter().map(|n| goal_from(&mut p, n)).collect();
+    let tail = vec![edges[11][1], p.symbols.constant("tail")];
+    let strangers = vec![p.symbols.constant("x"), p.symbols.constant("y")];
+    let sync_and_check = |cache: &mut QueryCache, base: &mut Materialization, edb: &Database| {
+        for g in &goals {
+            assert_eq!(cache.query(base, g).sorted(), oracle(&p, g, edb));
+        }
+    };
+    sync_and_check(&mut cache, &mut base, &edb);
+    assert_eq!(cache.answer_builds(), 3);
+
+    base.insert_facts(par, std::slice::from_ref(&tail));
+    edb.insert(par, tail);
+    let before = cache.answer_builds();
+    sync_and_check(&mut cache, &mut base, &edb);
+    assert_eq!(cache.answer_builds() - before, 3, "every view reaches the tail");
+    assert_eq!(hits(&cache, &base, &goals, 5), 0, "fifteen hits on three fresh memos");
+
+    for mend in [false, true] {
+        if mend {
+            base.insert_facts(par, &edges[2..3]);
+            edb.insert(par, edges[2].clone());
+        } else {
+            base.retract_facts(par, &edges[2..3]);
+            edb.remove(par, &edges[2]);
+        }
+        let before = cache.answer_builds();
+        sync_and_check(&mut cache, &mut base, &edb);
+        assert_eq!(cache.answer_builds() - before, 1, "c2 -> c3 is upstream of c0's view only");
+        assert_eq!(hits(&cache, &base, &goals, 5), 0);
+    }
+
+    base.insert_facts(par, std::slice::from_ref(&strangers));
+    edb.insert(par, strangers);
+    let before = cache.answer_builds();
+    sync_and_check(&mut cache, &mut base, &edb);
+    assert_eq!(cache.answer_builds() - before, 0, "the sync ran and found no view to stamp");
+    assert_eq!(cache.stats().syncs, 4, "one per round");
+}
+
+/// A retraction that kills a row the view can still derive another way
+/// rescues it — the same tuple, appended again under a new row id, while
+/// its neighbour stays dead. The memo from before the round holds both;
+/// it must not be what the next reader gets.
+#[test]
+fn a_rescued_row_does_not_keep_a_stale_memo_alive() {
+    let mut p = parse_program(PROGRAM_A).unwrap();
+    let par = p.symbols.get_predicate("par").unwrap();
+    let [c0, a, b, d, e] = ["c0", "a", "b", "d", "e"].map(|n| p.symbols.constant(n));
+    // A diamond c0 → {a, b} → d, and e hanging off a alone.
+    let edges = [vec![c0, a], vec![c0, b], vec![a, d], vec![b, d], vec![a, e]];
+    let mut edb = Database::new();
+    for t in &edges {
+        edb.insert(par, t.clone());
+    }
+    let mut base = Materialization::from_database(&p, &edb, EvalStrategy::SemiNaive);
+    base.set_compaction_policy(None);
+    let mut cache = QueryCache::new(&p);
+    let goal = p.goal.clone();
+    assert_eq!(cache.query(&mut base, &goal).len(), 4, "a, b, d, e");
+    assert_eq!(hits(&cache, &base, std::slice::from_ref(&goal), 3), 0);
+
+    // Cut c0 → a: a and e go, d is over-deleted with them if it was
+    // recorded through a, and comes back through b.
+    base.retract_facts(par, &edges[..1]);
+    edb.remove(par, &edges[0]);
+    for _ in 0..2 {
+        assert_eq!(cache.query(&mut base, &goal).sorted(), oracle(&p, &goal, &edb));
+    }
+    assert_eq!(cache.lookup(&base, &goal).expect("synced").sorted(), vec![vec![b], vec![d]]);
+    assert_eq!(cache.answer_builds(), 2, "built, changed, built again, then handed out");
 }

@@ -16,11 +16,19 @@
 //! The acceptance bar is ≥1000 such reads across the strategy × reader
 //! sweep; the run prints its tally and asserts it.
 //!
-//! The last test does the same for **bound queries through the view
+//! The next test does the same for **bound queries through the view
 //! cache**: the writer interleaves rounds with cached queries under a
 //! view budget that keeps changing, readers pin snapshots, let the
 //! churn run on, and ask the pinned epoch — and every answer, current
 //! or pinned, equals the from-scratch magic evaluation of that epoch.
+//!
+//! The tests after it are about the **answers** themselves, which the
+//! cache memoises per view and hands out by reference count (`cache`
+//! module docs, "Answers"): readers fill memos under the read lock while
+//! the writer stamps views under the write lock, a client may keep — and
+//! write to — an answer for as long as it likes, a pinned read takes the
+//! memo exactly when no round has changed its view since the pin, and
+//! the writer itself never builds or frees an answer.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -305,24 +313,24 @@ fn compaction_under_pinned_readers_stays_prefix_consistent() {
     println!("total consistent reads across compacting strategies: {total}");
 }
 
-/// Bound queries under churn, on two kinds of thread. The writer applies
-/// a random stream of rounds over a ten-node graph (edge inserts and
-/// retracts, the recursive rule dropped a third of the way in and
-/// re-added at two thirds), asks cached bound queries between rounds —
-/// building, evicting and rebuilding views as it cycles the view budget
-/// through 64, 2, 1 and 0 views and a 40-row cap — and so keeps tripping
-/// base compactions (aggressive policy) and template-store compactions
-/// (dropped views' rows), both of which wait for the readers' pins.
-/// Readers pin a snapshot, keep it while later rounds land, and query
-/// it: from the pinned view while that survives, off the pinned base
-/// rows once it was evicted or rebuilt. Every answer — `Server::query`
-/// at the writer's known epoch, `Snapshot::query` at the pinned one —
-/// must equal the batch magic evaluation of that epoch's rules over that
-/// epoch's facts.
-#[test]
-fn cached_and_pinned_queries_match_the_oracle_under_churn() {
+/// A churn stream for the view cache and what every goal answers after
+/// each of its rounds.
+struct ViewChurn {
+    program: Program,
+    /// `anc(c, Y)` and `anc(X, c)` for each of the ten nodes: two
+    /// binding patterns, one template each.
+    goals: Vec<Atom>,
+    rounds: Vec<UpdateRound>,
+    /// `expected[e][g]`: the batch magic evaluation of goal `g` over the
+    /// rules and facts of the first `e` rounds.
+    expected: Vec<Vec<Vec<Tuple>>>,
+}
+
+/// `stream` random rounds over a ten-node graph: one to four edge
+/// inserts and retracts each (growth first, churn later), the recursive
+/// rule dropped a third of the way in and re-added at two thirds.
+fn view_churn(seed: u64, stream: usize) -> ViewChurn {
     const NODES: usize = 10;
-    const STREAM: usize = 96;
     let mut p = parse_program(
         "?- anc(c0, Y).\n\
          anc(X, Y) :- par(X, Y).\n\
@@ -335,7 +343,6 @@ fn cached_and_pinned_queries_match_the_oracle_under_churn() {
     let (qx, qy) = (p.symbols.variable("QX"), p.symbols.variable("QY"));
     let mut p_minus = p.clone();
     p_minus.rules.truncate(1);
-    // Two binding patterns, one template each.
     let goals: Vec<Atom> = node
         .iter()
         .flat_map(|&c| {
@@ -357,19 +364,18 @@ fn cached_and_pinned_queries_match_the_oracle_under_churn() {
             .collect()
     };
 
-    // The stream and, per applied-round prefix, every goal's answer.
-    let mut rng = Rng(0x7A66_ED01);
+    let mut rng = Rng(seed);
     let mut present = [false; NODES * NODES];
     let mut mirror = Database::new();
     let mut closure_active = true;
     let mut rounds = Vec::new();
     let mut expected = vec![oracle(&p, &mirror)];
-    for r in 0..STREAM {
+    for r in 0..stream {
         let mut round = UpdateRound::new();
-        if r == STREAM / 3 {
+        if r == stream / 3 {
             round = round.drop_rule(RuleId(1));
             closure_active = false;
-        } else if r == 2 * STREAM / 3 {
+        } else if r == 2 * stream / 3 {
             round = round.add_rule(p.rules[1].clone());
             closure_active = true;
         }
@@ -397,6 +403,27 @@ fn cached_and_pinned_queries_match_the_oracle_under_churn() {
         rounds.push(round);
         expected.push(oracle(if closure_active { &p } else { &p_minus }, &mirror));
     }
+    ViewChurn { program: p, goals, rounds, expected }
+}
+
+/// Bound queries under churn, on two kinds of thread. The writer applies
+/// a random stream of rounds over a ten-node graph (edge inserts and
+/// retracts, the recursive rule dropped a third of the way in and
+/// re-added at two thirds), asks cached bound queries between rounds —
+/// building, evicting and rebuilding views as it cycles the view budget
+/// through 64, 2, 1 and 0 views and a 40-row cap — and so keeps tripping
+/// base compactions (aggressive policy) and template-store compactions
+/// (dropped views' rows), both of which wait for the readers' pins.
+/// Readers pin a snapshot, keep it while later rounds land, and query
+/// it: from the pinned view while that survives, off the pinned base
+/// rows once it was evicted or rebuilt. Every answer — `Server::query`
+/// at the writer's known epoch, `Snapshot::query` at the pinned one —
+/// must equal the batch magic evaluation of that epoch's rules over that
+/// epoch's facts.
+#[test]
+fn cached_and_pinned_queries_match_the_oracle_under_churn() {
+    const STREAM: usize = 96;
+    let ViewChurn { program: p, goals, rounds, expected } = view_churn(0x7A66_ED01, STREAM);
     let expected = Arc::new(expected);
     let goals = Arc::new(goals);
 
@@ -491,4 +518,182 @@ fn cached_and_pinned_queries_match_the_oracle_under_churn() {
         assert_eq!(server.cache_stats().views, goals.len(), "sweep {round}");
     }
     println!("{reads} pinned reads ({stale} of snapshots behind the writer), {s:?}");
+}
+
+/// Readers fill memos under the read lock while the writer stamps views
+/// under the write lock, and an answer belongs to whoever holds it. Two
+/// readers ask `Server::query` between and during the writer's rounds —
+/// no budget pressure: views live on, so most answers are a memo's
+/// reference count, and every round makes the next reader of a changed
+/// view replace one — and keep up to eight answers each while the rounds
+/// go on. Every answer is one of the epochs' it was asked between; kept
+/// across rounds that changed, rebuilt or dropped its view it still
+/// equals what it was; written to, it changes for its holder alone. A
+/// pinned read right after its pin (the memo, unless a round slipped in
+/// between) answers its epoch.
+#[test]
+fn an_answer_a_client_keeps_outlives_the_rounds_that_replace_it() {
+    const STREAM: usize = 72;
+    let ViewChurn { program: mut p, goals, rounds, expected } = view_churn(0xC0FF_EE01, STREAM);
+    let (expected, goals) = (Arc::new(expected), Arc::new(goals));
+    let nobody: Tuple = vec![p.symbols.constant("nobody")];
+    let server = Server::new(&p, Strategy::SemiNaive);
+    let writer_done = Arc::new(AtomicBool::new(false));
+    // Answers given so far: the writer waits for six more before each
+    // round, so that every round finds memos to make stale and answers
+    // in the readers' hands.
+    let answered = Arc::new(AtomicUsize::new(0));
+    let readers: Vec<_> = (0..2u64)
+        .map(|t| {
+            let server = server.clone();
+            let (expected, goals) = (Arc::clone(&expected), Arc::clone(&goals));
+            let (writer_done, nobody) = (Arc::clone(&writer_done), nobody.clone());
+            let answered = Arc::clone(&answered);
+            thread::spawn(move || {
+                let mut rng = Rng(0xFEED_0001 + t);
+                let mut kept: std::collections::VecDeque<(usize, selprop_datalog::Relation, Vec<Tuple>)> =
+                    Default::default();
+                let (mut reads, mut outlived) = (0usize, 0usize);
+                while !writer_done.load(Ordering::Acquire) || reads < 300 {
+                    let g = rng.below(goals.len());
+                    let lo = server.current_epoch() as usize;
+                    let answer = server.query(&goals[g]);
+                    let hi = server.current_epoch() as usize;
+                    let rows = answer.sorted();
+                    assert!(
+                        (lo..=hi).any(|e| expected[e][g] == rows),
+                        "answer of goal {g} asked between epochs {lo} and {hi}"
+                    );
+                    kept.push_back((hi, answer, rows));
+                    reads += 1;
+                    answered.fetch_add(1, Ordering::Release);
+
+                    let snap = server.snapshot();
+                    let e = snap.epoch() as usize;
+                    assert_eq!(snap.query(&goals[g]).sorted(), expected[e][g], "pinned at {e}");
+                    drop(snap);
+
+                    if kept.len() < 8 {
+                        continue;
+                    }
+                    let (asked_at, answer, rows) = kept.pop_front().expect("eight kept");
+                    outlived += usize::from(server.current_epoch() as usize > asked_at);
+                    assert_eq!(answer.sorted(), rows, "a kept answer is what it was");
+                    // The holder's own writes copy; the cache's memo and
+                    // every other holder keep the original.
+                    let mut mine = answer.clone();
+                    assert!(mine.insert(nobody.clone()));
+                    if let Some(first) = rows.first() {
+                        assert!(mine.remove(first));
+                    }
+                    assert_eq!(answer.sorted(), rows, "a write to a clone stays in the clone");
+                }
+                (reads, outlived)
+            })
+        })
+        .collect();
+    for round in &rounds {
+        let so_far = answered.load(Ordering::Acquire);
+        while answered.load(Ordering::Acquire) < so_far + 6 {
+            thread::yield_now();
+        }
+        server.apply(round);
+    }
+    writer_done.store(true, Ordering::Release);
+    let (reads, outlived) = readers
+        .into_iter()
+        .map(|r| r.join().expect("reader thread panicked"))
+        .fold((0, 0), |(a, b), (c, d)| (a + c, b + d));
+
+    // Idle: every goal's view is live, nothing a reader wrote got back
+    // into the cache, and the memos did most of the answering.
+    for (g, goal) in goals.iter().enumerate() {
+        assert_eq!(server.query(goal).sorted(), expected[STREAM][g]);
+    }
+    let (s, builds) = (server.cache_stats(), server.cache_answer_builds());
+    assert!(builds >= goals.len() as u64 && builds < s.hits + s.misses, "{builds} builds, {s:?}");
+    println!("{reads} answers ({outlived} kept past a round), {builds} built, {s:?}");
+}
+
+/// A pinned read takes the live path — the memo — exactly when no round
+/// has changed its view since the pin, and is rebuilt from the rows below
+/// the pinned frontier when one has; either way it answers as of the pin.
+/// The writer builds nothing: the views a round changes are stale until
+/// somebody asks.
+#[test]
+fn a_pinned_read_takes_the_memo_unless_its_view_changed_since_the_pin() {
+    let mut p = parse_program(
+        "?- anc(c0, Y).\n\
+         anc(X, Y) :- par(X, Y).\n\
+         anc(X, Y) :- anc(X, Z), par(Z, Y).",
+    )
+    .expect("valid program");
+    let par = p.symbols.get_predicate("par").unwrap();
+    let node: Vec<_> = (0..=8).map(|i| p.symbols.constant(&format!("c{i}"))).collect();
+    let edges: Vec<Tuple> = node.windows(2).map(<[_]>::to_vec).collect();
+    let y = p.symbols.variable("Y");
+    let goal = |i: usize| Atom::new(p.goal.pred, vec![Term::Const(node[i]), Term::Var(y)]);
+    let (up, down) = (goal(0), goal(5));
+    let server = Server::new(&p, Strategy::SemiNaive);
+    server.insert_facts(par, &edges);
+    let built = |since: u64| server.cache_answer_builds() - since;
+
+    assert_eq!((server.query(&up).len(), server.query(&down).len()), (8, 3));
+    let pin = server.snapshot();
+    let at_pin = (server.query(&up), server.query(&down));
+    assert_eq!(server.cache_answer_builds(), 2, "two views, two answers, two hits");
+
+    // Cut c2 → c3: upstream of c0's view, not of c5's.
+    let mark = server.cache_answer_builds();
+    server.retract_facts(par, &edges[2..3]);
+    assert_eq!(built(mark), 0, "the round stamped a view and built nothing");
+    assert_eq!(pin.query(&down), at_pin.1);
+    assert_eq!(built(mark), 0, "unchanged since the pin: the memo");
+    assert_eq!(pin.query(&up), at_pin.0);
+    assert_eq!(pin.query(&up), at_pin.0);
+    assert_eq!(built(mark), 2, "changed since: read at the frontier, each time");
+    assert_eq!((at_pin.0.len(), at_pin.1.len()), (8, 3), "what the clients hold has not moved");
+
+    assert_eq!((server.query(&up).len(), server.query(&down).len()), (2, 3));
+    assert_eq!(built(mark), 3, "the live reader replaced the stale memo");
+    let later = server.snapshot();
+    assert_eq!(later.query(&up).len(), 2);
+    assert_eq!(pin.query(&up).len(), 8);
+    assert_eq!(built(mark), 4, "the later pin took the memo, the earlier one could not");
+}
+
+/// A round with V stale memos outstanding builds, patches and frees none
+/// of them: the answers are rebuilt one by one as they are asked for, and
+/// until then still count as the cache's words.
+#[test]
+fn the_writer_builds_and_frees_no_answer() {
+    const VIEWS: usize = 6;
+    let mut p = parse_program(
+        "?- anc(c0, Y).\n\
+         anc(X, Y) :- par(X, Y).\n\
+         anc(X, Y) :- anc(X, Z), par(Z, Y).",
+    )
+    .expect("valid program");
+    let par = p.symbols.get_predicate("par").unwrap();
+    let node: Vec<_> = (0..=13).map(|i| p.symbols.constant(&format!("c{i}"))).collect();
+    let edges: Vec<Tuple> = node.windows(2).map(<[_]>::to_vec).collect();
+    let y = p.symbols.variable("Y");
+    let goals: Vec<Atom> = (0..VIEWS)
+        .map(|i| Atom::new(p.goal.pred, vec![Term::Const(node[i]), Term::Var(y)]))
+        .collect();
+    let server = Server::new(&p, Strategy::SemiNaive);
+    server.insert_facts(par, &edges[..12]);
+    let held: Vec<_> = goals.iter().map(|g| server.query(g)).collect();
+    assert_eq!(server.cache_answer_builds(), VIEWS as u64);
+    let words = server.cache_view_words();
+
+    // One more edge at the tail: every view's closure grows by a tuple.
+    server.insert_facts(par, &edges[12..]);
+    assert_eq!(server.cache_answer_builds(), VIEWS as u64, "six stale memos, none rebuilt");
+    assert!(server.cache_view_words() > words, "the stale answers still count, next to the new rows");
+    for (i, g) in goals.iter().enumerate() {
+        assert_eq!(held[i].len(), 12 - i, "what a client holds is what it was given");
+        assert_eq!(server.query(g).len(), 13 - i);
+        assert_eq!(server.cache_answer_builds(), (VIEWS + i + 1) as u64, "built when asked for");
+    }
 }
