@@ -49,8 +49,6 @@ fn bench(c: &mut Criterion) {
 
     // Large-scale wall-clock configuration (>10^6 derived anc tuples);
     // opt-in via SELPROP_LARGE=1 so the default bench run stays quick.
-    // `record` (crates/bench/src/bin/record.rs) measures the same config
-    // against the reference engine and persists it in BENCH_eval.json.
     if std::env::var_os("SELPROP_LARGE").is_some() {
         let mut group = c.benchmark_group("e1_ancestor_large");
         group.sample_size(2);
@@ -63,8 +61,7 @@ fn bench(c: &mut Criterion) {
                 b.iter(|| run(&p, &db, Strategy::SemiNaive))
             });
             // Thread-scaling sweep of the sharded parallel engine on the
-            // same closure (EXPERIMENTS.md's thread table; BENCH_eval.json
-            // records the same sweep via `record`).
+            // same closure, counters asserted equal before timing.
             if name == "A" {
                 for threads in THREAD_SWEEP {
                     let strategy = Strategy::SemiNaiveParallel { threads };

@@ -67,8 +67,7 @@ fn bench(c: &mut Criterion) {
 
     // Large-scale wall-clock configuration (10^6 noise pairs, >10^6
     // derived p tuples for the untransformed program); opt-in via
-    // SELPROP_LARGE=1 — `record` persists the same config with
-    // reference-engine timings in BENCH_eval.json.
+    // SELPROP_LARGE=1.
     if std::env::var_os("SELPROP_LARGE").is_some() {
         let (layers, noise) = (20usize, 1_000_000usize);
         let mut p1 = chain.program.clone();

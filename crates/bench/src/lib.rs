@@ -1,4 +1,5 @@
-//! Shared helpers for the selprop benchmark harness.
+//! Shared helpers for the E1–E10 bench targets under `benches/` — the
+//! paper's experiments and this crate's only targets.
 //!
 //! Every bench prints, before timing, the *work-count table* for its
 //! experiment (rule firings, join probes, tuples derived) — the
@@ -26,9 +27,6 @@ pub fn row(label: &str, n: usize, answers: usize, stats: &EvalStats) {
         stats.iterations
     );
 }
-
-/// Standard small/medium/large sweep used across experiments.
-pub const SIZES: [usize; 3] = [100, 400, 1600];
 
 /// The evaluation strategy selected by the `SELPROP_THREADS` environment
 /// variable: `>= 2` picks the sharded parallel engine with that many

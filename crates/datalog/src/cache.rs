@@ -242,7 +242,7 @@ impl Template {
         bound: u64,
         base: &mut Materialization,
     ) -> Option<Self> {
-        let mut store = Materialization::new_view(&tpl.program, untagged, base.planner_config());
+        let mut store = Materialization::new_view(&tpl.program, untagged, base.order_mode());
         let goal_mask = (0..64).filter(|i| bound >> i & 1 == 1).map(|i| i + 1);
         let goal_idx = store.ensure_index(tpl.goal_pred, std::iter::once(0).chain(goal_mask).collect());
         let links = store.link_external(base).ok()?;

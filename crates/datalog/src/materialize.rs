@@ -225,7 +225,7 @@ pub struct RoundReport {
     pub inserted: usize,
     /// EDB rows actually removed (absent tuples skip).
     pub retracted: usize,
-    /// Rules compiled in (= `rule_adds.len()` unless a panic aborted).
+    /// Rules compiled in (= `rule_adds.len()`).
     pub rules_added: usize,
     /// Rules deactivated (unknown or already-dropped ids skip).
     pub rules_dropped: usize,
@@ -606,7 +606,7 @@ impl Materialization {
     }
 
     /// The body-order mode this store's plans were compiled under.
-    pub fn planner_config(&self) -> OrderMode {
+    pub fn order_mode(&self) -> OrderMode {
         self.order
     }
 
@@ -712,7 +712,8 @@ impl Materialization {
     /// the current fixpoint — no recompute. Returns the number of novel
     /// rows stored. No-op (0) for predicates the program's rule bodies
     /// do not mention, and for IDB predicates (both evaluators ignore
-    /// database facts under IDB predicates). Panics on arity mismatch.
+    /// database facts under IDB predicates). Panics on arity mismatch,
+    /// before anything is stored.
     ///
     /// A thin wrapper over [`Materialization::apply`] — one call is one
     /// single-phase round.
@@ -732,7 +733,8 @@ impl Materialization {
     /// single-phase round, O(affected rows) via the persistent
     /// reverse-dependency index (after a one-time lazy build on the
     /// first retract ever; batch mixed work into one [`UpdateRound`] to
-    /// share the fixpoint resume).
+    /// share the fixpoint resume). Panics on arity mismatch, before
+    /// anything is retracted.
     pub fn retract_facts(&mut self, pred: Pred, rows: &[Tuple]) -> usize {
         self.apply(&UpdateRound::new().retract_all(pred, rows)).retracted
     }
@@ -745,7 +747,9 @@ impl Materialization {
     ///
     /// If the rule's head predicate is a stored EDB relation of this
     /// materialization (the IDB/EDB partition is fixed at construction),
-    /// or on an arity mismatch with an existing relation.
+    /// on an arity mismatch with an existing relation, or if a head
+    /// variable does not occur in the body — in each case before the
+    /// store is touched.
     pub fn add_rule(&mut self, rule: Rule) -> RuleId {
         let id = RuleId(self.plans.len() as u32);
         self.apply(&UpdateRound::new().add_rule(rule));
@@ -801,9 +805,20 @@ impl Materialization {
     ///
     /// # Panics
     ///
-    /// On tuple/relation arity mismatches, and if an added rule's head
-    /// predicate is a stored EDB relation of this materialization.
+    /// On tuple/relation arity mismatches, and if an added rule is not
+    /// range-restricted or its head predicate is a stored EDB relation
+    /// of this materialization — **before the first mutation**: the
+    /// whole round is checked up front and the store left as it was.
     pub fn apply(&mut self, round: &UpdateRound) -> RoundReport {
+        if let Err(e) = self.check_round(round) {
+            panic!("{e}");
+        }
+        self.apply_checked(round)
+    }
+
+    /// [`Materialization::apply`] minus the check: `round` has passed
+    /// [`Materialization::check_round`] against this very store.
+    pub(crate) fn apply_checked(&mut self, round: &UpdateRound) -> RoundReport {
         let mut report = RoundReport::default();
 
         // Restore fast path: a just-restored store defers the O(rows)
@@ -868,7 +883,6 @@ impl Materialization {
             if self.idb_flag[rid] {
                 continue;
             }
-            assert_eq!(t.len(), self.rels[rid].arity(), "tuple arity mismatch");
             let r = self.rels[rid].find_row(t);
             if r != NO_ROW && self.rels[rid].tombstone(r as usize) {
                 worklist.push((rid as u32, r));
@@ -932,25 +946,58 @@ impl Materialization {
         report
     }
 
+    /// Checks a whole round before `apply` touches the store: every added
+    /// rule range-restricted, its head not a stored EDB relation, each of
+    /// its atoms at the arity the store — or an earlier atom of the
+    /// round's rules, in [`Materialization::compile_added_rule`]'s
+    /// interning order — gives the predicate; every insert and retract
+    /// tuple at the arity of the relation it will land in. One read-only
+    /// pass, no allocation on a fact-only round.
+    pub(crate) fn check_round(&self, round: &UpdateRound) -> Result<(), String> {
+        // The relations the round's rules will intern: (pred, arity, idb).
+        let mut fresh: Vec<(Pred, usize, bool)> = Vec::new();
+        let known = |fresh: &[(Pred, usize, bool)], p: Pred| match self.rel_of_pred.get(&p) {
+            Some(&r) => Some((self.rels[r].arity(), self.idb_flag[r])),
+            None => fresh.iter().find(|f| f.0 == p).map(|f| (f.1, f.2)),
+        };
+        let mismatch = |got: usize, arity: usize| {
+            Err(format!("tuple arity mismatch: {got} arguments for a relation of arity {arity}"))
+        };
+        for rule in &round.rule_adds {
+            if !rule.is_safe() {
+                return Err("added rule is unsafe: a head variable is not bound in its body".into());
+            }
+            for (k, a) in std::iter::once(&rule.head).chain(&rule.body).enumerate() {
+                match known(&fresh, a.pred) {
+                    Some((_, false)) if k == 0 => {
+                        return Err("added rule's head must not be a stored EDB relation \
+                                    (the IDB/EDB partition is fixed at construction)"
+                            .into());
+                    }
+                    Some((arity, _)) if arity != a.arity() => return mismatch(a.arity(), arity),
+                    Some(_) => {}
+                    None => fresh.push((a.pred, a.arity(), k == 0)),
+                }
+            }
+        }
+        for (pred, t) in round.retracts.iter().chain(&round.inserts) {
+            // `apply` skips facts of untracked and IDB predicates.
+            match known(&fresh, *pred) {
+                Some((arity, false)) if arity != t.len() => return mismatch(t.len(), arity),
+                _ => {}
+            }
+        }
+        Ok(())
+    }
+
     /// Compiles one added rule into a fresh plan slot, interning any
     /// brand-new predicates (head → fresh IDB relation, body → fresh
-    /// EDB relations).
+    /// EDB relations). [`Materialization::check_round`] has vouched for
+    /// the rule.
     fn compile_added_rule(&mut self, rule: &Rule) {
-        match self.rel_of_pred.get(&rule.head.pred) {
-            Some(&r) => {
-                assert!(
-                    self.idb_flag[r],
-                    "added rule's head must not be a stored EDB relation \
-                     (the IDB/EDB partition is fixed at construction)"
-                );
-                assert_eq!(self.rels[r].arity(), rule.head.arity(), "tuple arity mismatch");
-            }
-            None => self.intern_new_rel(rule.head.pred, rule.head.arity(), true),
-        }
-        for a in &rule.body {
-            match self.rel_of_pred.get(&a.pred) {
-                Some(&r) => assert_eq!(self.rels[r].arity(), a.arity(), "tuple arity mismatch"),
-                None => self.intern_new_rel(a.pred, a.arity(), false),
+        for (k, a) in std::iter::once(&rule.head).chain(&rule.body).enumerate() {
+            if !self.rel_of_pred.contains_key(&a.pred) {
+                self.intern_new_rel(a.pred, a.arity(), k == 0);
             }
         }
         self.plan_slot(rule, rule, &self.idb_preds());

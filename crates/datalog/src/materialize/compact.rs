@@ -35,7 +35,7 @@ impl Default for CompactionPolicy {
 
 /// A memory snapshot of the store's row-addressed structures, in units
 /// of one 32/64-bit word (not bytes: the point is growth *ratios* under
-/// churn, which the churn benches gate on). See
+/// churn, which the bounded-memory tests gate on). See
 /// [`Materialization::mem_stats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MemStats {
@@ -50,8 +50,8 @@ pub struct MemStats {
     /// memory gates cover the segment storage too).
     pub index_words: usize,
     /// Words held by the frozen posting pools alone (a subset of
-    /// `index_words`, reported separately so the storage benches can
-    /// show the segment share).
+    /// `index_words`, reported separately so the benchmark can show the
+    /// segment share).
     pub seg_words: usize,
     /// Words of packed justification entries (offsets + buffers).
     pub just_words: usize,
@@ -61,10 +61,10 @@ pub struct MemStats {
 }
 
 impl MemStats {
-    /// The bounded-memory gate the churn benches compare: the sum of
-    /// tuple, index and justification words — the row-addressed
-    /// structures a fresh store also carries, so peak-vs-fresh ratios
-    /// are meaningful. The reverse index is reported separately: it is
+    /// What the bounded-memory gate compares (`tests/engine_equiv.rs`,
+    /// peak under churn against a fresh store): the sum of tuple, index
+    /// and justification words — the row-addressed structures a fresh
+    /// store also carries, so peak-vs-fresh ratios are meaningful. The reverse index is reported separately: it is
     /// rebuilt live-only at each compaction, so it is bounded by the
     /// same argument, but a freshly evaluated store does not carry one.
     pub fn row_words(&self) -> usize {
@@ -214,7 +214,7 @@ impl Materialization {
 
     /// A memory snapshot of the row-addressed structures (tuple data,
     /// join indexes, justifications, reverse index), in words — what the
-    /// churn benches gate on to prove compaction bounds the store.
+    /// bounded-memory tests gate on to prove compaction bounds the store.
     pub fn mem_stats(&self) -> MemStats {
         let mut s = MemStats::default();
         for rel in &self.rels {

@@ -652,6 +652,55 @@ fn add_rule_rejects_edb_heads() {
 }
 
 #[test]
+fn a_malformed_round_panics_before_the_first_mutation() {
+    let mut p = parse_program(SRC_A).unwrap();
+    let par = p.symbols.get_predicate("par").unwrap();
+    let anc = p.symbols.get_predicate("anc").unwrap();
+    let q = p.symbols.predicate("q");
+    let edges = chain_edges(&mut p, 4);
+    let mut m = Materialization::new(&p, Strategy::SemiNaive);
+    m.insert_facts(par, &edges);
+    m.retract_facts(par, &edges[3..]); // the rescue plans are compiled
+
+    let [x, y, z] = [0, 1, 2].map(|v| Term::Var(Var(v)));
+    let atom = |pred, args: &[Term]| Atom::new(pred, args.to_vec());
+    let rule = |head, body| UpdateRound::new().add_rule(Rule::new(head, body));
+    let john = edges[0][0];
+    let bad_rounds = [
+        // Each used to drop the rule, and the first to over-delete, first.
+        UpdateRound::new()
+            .drop_rule(RuleId(1))
+            .retract(par, edges[1].clone())
+            .insert(par, vec![john]),
+        UpdateRound::new().drop_rule(RuleId(1)).retract(par, vec![john]),
+        rule(atom(anc, &[x, y]), vec![atom(par, &[x, y, y])]).drop_rule(RuleId(1)),
+        rule(atom(anc, &[x, y]), vec![atom(q, &[x, y]), atom(q, &[x])]),
+        rule(atom(anc, &[x, z]), vec![atom(par, &[x, y])]),
+        // The second rule's head is the first one's fresh EDB relation.
+        rule(atom(anc, &[x, y]), vec![atom(q, &[x, y])])
+            .add_rule(Rule::new(atom(q, &[x, y]), vec![atom(par, &[x, y])])),
+        rule(atom(anc, &[x, x]), vec![atom(q, &[x])]).retract(q, vec![john, john]),
+    ];
+    let seen = |m: &Materialization| {
+        let rules: Vec<RuleId> = m.active_rules().iter().map(|&(id, _)| id).collect();
+        (m.database().sorted_models(), rules, m.num_rule_slots(), m.version(), m.stats())
+    };
+    for (i, round) in bad_rounds.iter().enumerate() {
+        let before = seen(&m);
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| m.apply(round)));
+        assert!(outcome.is_err(), "round {i} must panic");
+        assert_eq!(seen(&m), before, "round {i} left a mark on the store");
+    }
+
+    // Facts of untracked and IDB predicates are skipped, whatever their length.
+    let skipped = UpdateRound::new().insert(q, vec![john]).insert(anc, vec![john]);
+    assert_eq!(m.apply(&skipped), RoundReport::default());
+    // And the store still takes a well-formed round.
+    assert_eq!(m.insert_facts(par, &edges[3..]), 1);
+    assert_eq!(m.num_facts(anc), 10, "the closure of the 4-chain");
+}
+
+#[test]
 fn apply_round_with_new_predicates_tracks_them() {
     // An added rule may introduce brand-new body predicates; the
     // same round can already insert facts for them.

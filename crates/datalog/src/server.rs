@@ -327,6 +327,13 @@ impl Server {
     ///
     /// Writer calls are serialized by the write lock; each applied
     /// round increments the published epoch by one.
+    ///
+    /// # Panics
+    ///
+    /// On a malformed round, as [`Materialization::apply`] does: before
+    /// anything changes and with the write lock already released, so
+    /// the store, the epoch and the cached views are as they were and
+    /// no other client notices.
     pub fn apply(&self, round: &UpdateRound) -> RoundReport {
         self.apply_locked(round).0
     }
@@ -337,6 +344,11 @@ impl Server {
     /// never see each other's slots.
     fn apply_locked(&self, round: &UpdateRound) -> (RoundReport, RuleId) {
         let mut state = self.shared.write();
+        if let Err(e) = state.store.check_round(round) {
+            // Unwinding with the guard held would poison it for everyone.
+            drop(state);
+            panic!("{e}");
+        }
         let next = {
             let epochs = self.shared.epochs();
             epochs.current + 1
@@ -347,7 +359,7 @@ impl Server {
             // Tombstones of this round are tagged `next`: dead at
             // `next`, still visible to every reader pinned at `< next`.
             store.set_epoch(next);
-            let report = store.apply(round);
+            let report = store.apply_checked(round);
             // Catch every template store up with the new fixpoint (a
             // round that changed the rules drops them instead: the
             // cache reads the store's rule slots, see `crate::cache`).
@@ -378,6 +390,7 @@ impl Server {
     }
 
     /// Adds one rule as a round of its own; returns its stable id.
+    /// Panics as [`Server::apply`] does on a rule the store rejects.
     pub fn add_rule(&self, rule: Rule) -> RuleId {
         self.apply_locked(&UpdateRound::new().add_rule(rule)).1
     }
@@ -1208,6 +1221,55 @@ mod tests {
         assert_eq!(restored.query(&goal).sorted(), restored.answer().sorted());
 
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_malformed_round_costs_its_caller_a_panic_and_nobody_else_anything() {
+        let mut p = parse_program(SRC).unwrap();
+        let par = p.symbols.get_predicate("par").unwrap();
+        let anc = p.symbols.get_predicate("anc").unwrap();
+        let edges = chain(&mut p, 6);
+        let server = Server::new(&p, Strategy::SemiNaive);
+        server.insert_facts(par, &edges);
+        let goal = p.goal.clone();
+        assert_eq!(server.query(&goal).len(), 6, "view built up front");
+
+        let [x, y] = [0, 1].map(|v| Term::Var(crate::ast::Var(v)));
+        let rule = |head, body| UpdateRound::new().add_rule(Rule::new(head, vec![body]));
+        let bad_rounds = [
+            // Phases 1 and 3 used to run before phase 4 tripped.
+            UpdateRound::new()
+                .retract(par, edges[2].clone())
+                .drop_rule(RuleId(1))
+                .insert(par, vec![edges[0][0]]),
+            rule(Atom::new(par, vec![x, y]), Atom::new(anc, vec![x, y])),
+            rule(Atom::new(anc, vec![x, y]), Atom::new(par, vec![x, y, y])),
+        ];
+        let reader = server.clone();
+        let seen = || {
+            let stats = reader.cache_stats();
+            (
+                reader.current_epoch(),
+                reader.answer(),
+                reader.snapshot().database().sorted_models(),
+                reader.query(&goal),
+                (stats.views, stats.misses, stats.invalidations),
+            )
+        };
+        for (i, round) in bad_rounds.into_iter().enumerate() {
+            let before = seen();
+            let writer = server.clone();
+            let outcome = std::thread::spawn(move || writer.apply(&round)).join();
+            assert!(outcome.is_err(), "round {i} must panic");
+            assert_eq!(seen(), before, "round {i}: same epoch, model and cached view");
+        }
+
+        // The server is open for business: the next well-formed round
+        // lands, publishes, and reaches the cached view.
+        assert_eq!(reader.retract_facts(par, &edges[2..3]), 1);
+        assert_eq!(server.current_epoch(), 2, "the initial insert, then this round");
+        assert_eq!(server.query(&goal).len(), 2, "chain cut at edge 2");
+        assert_eq!(server.query(&goal), server.answer());
     }
 
     #[test]

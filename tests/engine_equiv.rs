@@ -181,6 +181,29 @@ fn sorted_db(db: &Database) -> Vec<(Pred, Vec<Tuple>)> {
     db.sorted_models()
 }
 
+/// `m` against a from-scratch reference evaluation of `edb`: the IDB
+/// model, the goal answer, and every recorded justification a genuine
+/// rule instance over live rows.
+fn assert_matches_reference(m: &Materialization, program: &Program, edb: &Database) {
+    let spec = reference::evaluate(program, edb, Strategy::SemiNaive);
+    assert_eq!(
+        sorted_db(&m.idb_database()),
+        sorted_db(&spec.idb),
+        "IDB model must equal the from-scratch spec"
+    );
+    let (spec_ans, _) = reference::answer(program, edb, Strategy::SemiNaive);
+    assert_eq!(m.answer().sorted(), spec_ans.sorted(), "goal answers");
+    m.provenance().check(program).expect("justifications stay valid across updates");
+}
+
+/// The snapshot codec round-trips `m` bit-for-bit.
+fn assert_snapshot_round_trips(m: &Materialization) {
+    let bytes = m.to_bytes();
+    let m2 = Materialization::from_bytes(&bytes).expect("self-produced snapshot restores");
+    assert_eq!(m2.to_bytes(), bytes, "snapshot round-trip is bit-for-bit");
+    assert_eq!(sorted_db(&m2.database()), sorted_db(&m.database()));
+}
+
 /// The update-sequence contract: a [`Materialization`] driven through an
 /// interleaved insert/retract/query sequence must, after **every** op,
 /// equal a naive from-scratch re-evaluation (the reference engine) of
@@ -202,17 +225,6 @@ fn assert_update_sequence_matches_reference(
         pool.iter().map(|(p, r)| (p, r.sorted())).collect();
     pool_facts.sort_by_key(|(p, _)| p.0);
 
-    let check = |m: &Materialization, mirror: &Database| {
-        let spec = reference::evaluate(program, mirror, Strategy::SemiNaive);
-        assert_eq!(
-            sorted_db(&m.idb_database()),
-            sorted_db(&spec.idb),
-            "IDB model must equal the from-scratch spec"
-        );
-        let (spec_ans, _) = reference::answer(program, mirror, Strategy::SemiNaive);
-        assert_eq!(m.answer().sorted(), spec_ans.sorted(), "goal answers");
-    };
-
     // Op 1: insert the first half of each pool relation.
     for (pred, tuples) in &pool_facts {
         let half = &tuples[..tuples.len() / 2];
@@ -222,7 +234,7 @@ fn assert_update_sequence_matches_reference(
             mirror.insert(*pred, t.clone());
         }
     }
-    check(&m, &mirror);
+    assert_matches_reference(&m, program, &mirror);
 
     // Op 2: retract every third fact currently in the mirror (originals
     // and freshly inserted facts alike).
@@ -244,7 +256,7 @@ fn assert_update_sequence_matches_reference(
             assert!(mirror.remove(*pred, t));
         }
     }
-    check(&m, &mirror);
+    assert_matches_reference(&m, program, &mirror);
 
     // Op 3: insert the second half of the pool (plus re-insert one
     // retracted victim, exercising resurrection at a fresh row id).
@@ -259,13 +271,7 @@ fn assert_update_sequence_matches_reference(
         m.insert_facts(*pred, &victims[..1]);
         mirror.insert(*pred, victims[0].clone());
     }
-    check(&m, &mirror);
-
-    // The justifications recorded across the whole sequence are genuine
-    // rule instantiations over live rows, bottoming out in EDB leaves.
-    m.provenance()
-        .check(program)
-        .expect("justifications stay valid across updates");
+    assert_matches_reference(&m, program, &mirror);
 }
 
 /// The compaction contract: interleaved churn with an explicit
@@ -283,20 +289,6 @@ fn assert_churn_compact_churn_matches_reference(
     let mut m = Materialization::from_database(program, db0, strategy);
     m.set_compaction_policy(None); // phase 1 compacts explicitly
     let mut mirror = db0.clone();
-
-    let check = |m: &Materialization, mirror: &Database| {
-        let spec = reference::evaluate(program, mirror, Strategy::SemiNaive);
-        assert_eq!(
-            sorted_db(&m.idb_database()),
-            sorted_db(&spec.idb),
-            "IDB model must equal the from-scratch spec"
-        );
-        let (spec_ans, _) = reference::answer(program, mirror, Strategy::SemiNaive);
-        assert_eq!(m.answer().sorted(), spec_ans.sorted(), "goal answers");
-        m.provenance()
-            .check(program)
-            .expect("justifications stay valid across compactions");
-    };
 
     // Churn 1: add the whole pool, then retract every second fact.
     let mut pool_facts: Vec<(Pred, Vec<Tuple>)> =
@@ -318,7 +310,7 @@ fn assert_churn_compact_churn_matches_reference(
             mirror.remove(*pred, t);
         }
     }
-    check(&m, &mirror);
+    assert_matches_reference(&m, program, &mirror);
 
     // Explicit compaction: reclaims every tombstone, drops no live row,
     // changes nothing observable.
@@ -327,7 +319,7 @@ fn assert_churn_compact_churn_matches_reference(
     let after = m.mem_stats();
     assert_eq!(after.live_rows, after.total_rows, "no tombstones survive a compaction");
     assert_eq!(after.live_rows, before.live_rows, "no live row is lost");
-    check(&m, &mirror);
+    assert_matches_reference(&m, program, &mirror);
 
     // Churn 2 over the remapped store: resurrect the victims, then let
     // an aggressive policy trigger the second compaction on its own.
@@ -359,7 +351,7 @@ fn assert_churn_compact_churn_matches_reference(
         let stats = m.mem_stats();
         assert_eq!(stats.live_rows, stats.total_rows, "policy compaction reclaimed all");
     }
-    check(&m, &mirror);
+    assert_matches_reference(&m, program, &mirror);
 
     // Updates keep working over the twice-compacted store.
     if let Some((pred, tuples)) = all.first() {
@@ -368,15 +360,67 @@ fn assert_churn_compact_churn_matches_reference(
         for t in &back {
             mirror.insert(*pred, t.clone());
         }
-        check(&m, &mirror);
+        assert_matches_reference(&m, program, &mirror);
     }
     let _ = churned;
 
-    // And the snapshot codec round-trips the final state bit-for-bit.
-    let bytes = m.to_bytes();
-    let m2 = Materialization::from_bytes(&bytes).expect("self-produced snapshot restores");
-    assert_eq!(m2.to_bytes(), bytes, "snapshot round-trip is bit-for-bit");
-    assert_eq!(sorted_db(&m2.database()), sorted_db(&m.database()));
+    assert_snapshot_round_trips(&m);
+}
+
+/// Bounded memory under churn, and the control that gives the bound
+/// teeth: each round retracts one of the last four edges of program A's
+/// 32-edge chain and puts it back, tombstoning the closure rows above it
+/// and re-appending them under fresh row ids. Under a
+/// [`CompactionPolicy`] peak `mem_stats().row_words()` stays within 2× a
+/// freshly evaluated store of the same database; with the policy off the
+/// same loop outgrows that. Afterwards the compacted store equals the
+/// reference model and its snapshot re-encodes byte for byte —
+/// sequentially and on 2 and 4 threads.
+#[test]
+fn compaction_bounds_memory_under_churn_and_its_absence_does_not() {
+    const ROUNDS: usize = 1_200;
+    let mut p = selprop_datalog::parse_program(
+        "?- anc(john, Y).\nanc(X, Y) :- par(X, Y).\nanc(X, Y) :- anc(X, Z), par(Z, Y).",
+    )
+    .unwrap();
+    let par = p.symbols.get_predicate("par").unwrap();
+    let db = workload::chain(&mut p, "par", "john", 32);
+    let edges = db.relation(par).unwrap().sorted();
+
+    let parallel = |threads| Strategy::SemiNaiveParallel { threads };
+    for strategy in [Strategy::SemiNaive, parallel(2), parallel(4)] {
+        let fresh = Materialization::from_database(&p, &db, strategy).mem_stats().row_words();
+        let churn = |policy| {
+            let mut m = Materialization::from_database(&p, &db, strategy);
+            m.set_compaction_policy(policy);
+            let mut peak = 0;
+            for i in 0..ROUNDS {
+                let victim = &edges[edges.len() - 1 - i % 4..][..1];
+                assert_eq!(m.retract_facts(par, victim), 1, "round {i}");
+                assert_eq!(m.insert_facts(par, victim), 1, "round {i}");
+                peak = peak.max(m.mem_stats().row_words());
+            }
+            (m, peak)
+        };
+
+        let policy = CompactionPolicy { min_dead_rows: 32, dead_percent: 30 };
+        let (m, peak) = churn(Some(policy));
+        let (control, control_peak) = churn(None);
+        assert!(
+            peak <= 2 * fresh && m.compactions() > 0,
+            "{strategy:?}: peak {peak} words over {ROUNDS} rounds against {fresh} fresh \
+             ({:.2}x), {} compactions",
+            peak as f64 / fresh as f64,
+            m.compactions()
+        );
+        assert!(
+            control_peak > 2 * fresh && control.compactions() == 0,
+            "{strategy:?}: without a policy the loop must outgrow the bound, peaked at \
+             {control_peak} words against {fresh} fresh"
+        );
+        assert_matches_reference(&m, &p, &db);
+        assert_snapshot_round_trips(&m);
+    }
 }
 
 proptest! {

@@ -7,14 +7,15 @@
 //! candidates' bound argument — identical counters) live in
 //! `crates/datalog/tests/planner_props.rs`; these use the workload
 //! generators of `selprop_core`, which that crate cannot see. The first
-//! two are about insert rounds, the next two about the DRed rescue of a
-//! retract round, the last about what a round costs the query cache:
+//! two are about insert rounds, the next three about the DRed rescue of
+//! a retract round, the last about what a round costs the query cache:
 //! a function of the delta, not of the number of live views.
 
 use selprop_core::workload;
-use selprop_datalog::eval::{EvalStats, Strategy};
+use selprop_datalog::eval::{evaluate, EvalStats, Strategy};
 use selprop_datalog::{
-    parse_program, Atom, CacheConfig, GroundAtom, Materialization, QueryCache, Term, UpdateRound,
+    parse_program, reference, Atom, CacheConfig, GroundAtom, Materialization, QueryCache, Term,
+    UpdateRound,
 };
 
 const SECTION_7: &str = "?- p(c, Y).\n\
@@ -171,6 +172,48 @@ fn rescuing_through_the_other_parent_costs_a_bounded_number_of_probes_per_row() 
              {reappended} re-appended"
         );
     }
+}
+
+/// Program A over a layered DAG: a chain of 48 fresh nodes hung off the
+/// root goes in as one round and comes out as another, at no more than
+/// 4× the probes — every over-deleted `anc(x, v_j)` asks
+/// `par(Z, v_j)` for its one parent and the dedup table for
+/// `anc(x, Z)`. A rescue plan entered through `anc(x, _)` walks the
+/// descendants of `x`, and `john` has the whole DAG. Both halves are
+/// checked against from-scratch evaluation and the reference evaluator.
+#[test]
+fn retracting_a_chain_costs_at_most_four_times_the_probes_of_inserting_it() {
+    let (layers, width, n) = (12, 8, 48);
+    let mut p = parse_program(PROGRAM_A).unwrap();
+    let db = workload::layered_dag(&mut p, "par", "john", layers, width);
+    let par = p.symbols.get_predicate("par").unwrap();
+    let chain = workload::chain(&mut p, "par", "john", n).relation(par).unwrap().sorted();
+    let mut db_with = db.clone();
+    for e in &chain {
+        db_with.insert(par, e.clone());
+    }
+
+    let mut m = Materialization::from_database(&p, &db, Strategy::SemiNaive);
+    let model_is = |m: &Materialization, edb| {
+        let model = m.idb_database().sorted_models();
+        assert_eq!(model, evaluate(&p, edb, Strategy::SemiNaive).idb.sorted_models());
+        assert_eq!(model, reference::evaluate(&p, edb, Strategy::SemiNaive).idb.sorted_models());
+    };
+    let start = m.stats();
+    assert_eq!(m.insert_facts(par, &chain), n);
+    let inserted = m.stats();
+    model_is(&m, &db_with);
+    assert_eq!(m.retract_facts(par, &chain), n);
+    model_is(&m, &db);
+    assert_eq!(m.database().relation(par), db.relation(par), "the stored EDB is the input again");
+
+    let (insert, retract) = (spent(start, inserted).0, spent(inserted, m.stats()).0);
+    assert!(
+        retract <= 4 * insert,
+        "layered_dag({layers}, {width}): retract({n}) spent {retract} probes, insert({n}) \
+         {insert}: {:.2}x",
+        retract as f64 / insert as f64
+    );
 }
 
 /// `noise_serve`'s shape: Section 7's program over `layered_b1_b2(20,
