@@ -115,11 +115,6 @@ impl Symbols {
         self.preds.name(p.0)
     }
 
-    /// Number of interned constants.
-    pub fn num_constants(&self) -> usize {
-        self.consts.names.len()
-    }
-
     /// Number of interned predicates.
     pub fn num_predicates(&self) -> usize {
         self.preds.names.len()
@@ -128,17 +123,6 @@ impl Symbols {
     /// Number of interned variables.
     pub fn num_variables(&self) -> usize {
         self.vars.names.len()
-    }
-
-    /// Makes a fresh constant that does not collide with existing names.
-    pub fn fresh_constant(&mut self, hint: &str) -> Const {
-        let mut name = hint.to_owned();
-        let mut i = 0;
-        while self.consts.get(&name).is_some() {
-            name = format!("{hint}_{i}");
-            i += 1;
-        }
-        self.constant(&name)
     }
 
     /// Makes a fresh predicate that does not collide with existing names.
@@ -206,11 +190,6 @@ impl Atom {
     /// Iterates over the variables, in argument order (with repeats).
     pub fn vars(&self) -> impl Iterator<Item = Var> + '_ {
         self.args.iter().filter_map(|t| t.as_var())
-    }
-
-    /// Whether the atom has no variables.
-    pub fn is_ground(&self) -> bool {
-        self.args.iter().all(|t| matches!(t, Term::Const(_)))
     }
 }
 

@@ -1182,6 +1182,47 @@ mod tests {
         assert_eq!(s.template_compiles, 1, "template has no row ids — kept");
     }
 
+    /// The restore half of clean invalidation: a restored store starts
+    /// again at version 0 — all the cache can see of it — and every
+    /// template goes, its row-level links being into the old store.
+    #[test]
+    fn a_restored_base_clears_the_templates() {
+        let mut p = parse_program(SRC).unwrap();
+        let par = p.symbols.get_predicate("par").unwrap();
+        let edges = chain(&mut p, 12);
+        let mut edb = Database::new();
+        for e in &edges[..10] {
+            edb.insert(par, e.clone());
+        }
+        let mut base = Materialization::from_database(&p, &edb, Strategy::SemiNaive);
+        let mut cache = QueryCache::new(&p);
+        let shape = |cache: &QueryCache| {
+            let s = cache.stats();
+            (s.invalidations, s.template_compiles, s.views)
+        };
+        let goal = p.goal.clone();
+        let c3 = Term::Const(p.symbols.constant("c3"));
+        let other = Atom::new(goal.pred, vec![c3, goal.args[1]]);
+        cache.query(&mut base, &goal);
+        cache.query(&mut base, &other);
+        base.insert_facts(par, &edges[10..11]);
+        edb.insert(par, edges[10].clone());
+        assert_eq!(cache.query(&mut base, &goal).len(), 11);
+        assert_eq!(shape(&cache), (0, 1, 2), "two views of one template");
+
+        let mut restored = Materialization::from_bytes(&base.to_bytes()).unwrap();
+        assert!(base.version() > restored.version());
+        assert!(cache.lookup(&restored, &goal).is_none(), "a view of another store");
+        assert_eq!(cache.query(&mut restored, &goal).sorted(), oracle(&p, &goal, &edb));
+        assert_eq!(shape(&cache), (1, 2, 1));
+        restored.retract_facts(par, &edges[4..5]);
+        edb.remove(par, &edges[4]);
+        restored.insert_facts(par, &edges[11..12]);
+        edb.insert(par, edges[11].clone());
+        assert_eq!(cache.query(&mut restored, &goal).sorted(), oracle(&p, &goal, &edb));
+        assert_eq!(shape(&cache), (1, 2, 1), "maintained from there on");
+    }
+
     #[test]
     fn views_stay_small_relative_to_the_base() {
         let mut p = parse_program(SRC).unwrap();

@@ -129,7 +129,8 @@ pub fn evaluate(program: &Program, db: &Database, strategy: Strategy) -> EvalRes
 
 /// [`evaluate`] under an explicit [`OrderMode`] — the hook the planner
 /// property suites use to force adversarial body orders
-/// ([`OrderMode::Shuffled`]).
+/// ([`OrderMode::Shuffled`]) on a batch evaluation; a maintained store
+/// takes it through [`Materialization::from_database_with`].
 pub fn evaluate_cfg(
     program: &Program,
     db: &Database,

@@ -40,8 +40,8 @@
 //!   built, a rule added or a snapshot restored; one planning entry
 //!   point serves the engine, the magic-set views and rule hot-swap.
 //!   The one setting is the body order, [`plan::OrderMode`], whose
-//!   `Shuffled` value is the order-independence test hook
-//!   (`BENCHMARK.json`: `plan.*`);
+//!   `Shuffled` value is the order-independence test hook for every
+//!   plan a store compiles (`BENCHMARK.json`: `plan.*`);
 //! - [`storage`] — columnar relations (one flat `Vec<Const>` per
 //!   predicate, rows deduplicated by an [`hash::FxHasher`] row table)
 //!   and the incremental join indexes (`BENCHMARK.json`: `storage.*`);

@@ -65,7 +65,7 @@ use crate::db::{Database, Relation, Tuple};
 use crate::derivation::Provenance;
 use crate::eval::{self, EvalResult, EvalStats, ProvenanceResult, Strategy};
 use crate::hash::FxHashMap;
-use crate::plan::{plan_rule, plan_rule_deltas, OrderMode, RederivePlan, RulePlan};
+use crate::plan::{plan_rule, OrderMode, Purpose, RederivePlan, RulePlan};
 use crate::storage::{ColumnarRelation, IncrementalIndex, NO_ROW};
 use std::sync::Arc;
 
@@ -286,13 +286,11 @@ pub struct Materialization {
     plans: Arc<Vec<RulePlan>>,
     /// Per rule slot, per body position `k`: the **update plan** with
     /// atom `k` leading, run by update rounds for the item `(rule, k)`.
-    /// Parallel to `plans` in a maintained (justification-recording)
-    /// store and empty in a one-shot batch store, which can never be
-    /// updated and must not pay for update-only indexes; an inner vector
-    /// is empty under [`OrderMode::Shuffled`]. Where
-    /// there is no update plan the rule's batch plan serves
-    /// ([`Materialization::plan_for`]). Static: compiled by `build`,
-    /// `compile_added_rule` and `from_bytes`, never revised.
+    /// Parallel to `plans` in every store that can take an update;
+    /// empty in the one-shot batch store `eval` builds without
+    /// recording, which must not pay for update-only indexes. Static:
+    /// compiled by `build`, `compile_added_rule` and `from_bytes`,
+    /// never revised.
     delta_plans: Arc<Vec<Vec<RulePlan>>>,
     /// Dense relation ids of the program's IDB predicates.
     idb_rels: Vec<usize>,
@@ -396,7 +394,8 @@ impl Materialization {
 
     /// [`Materialization::from_database`] under an explicit
     /// [`OrderMode`] — the order-independence test hook
-    /// ([`OrderMode::Shuffled`]).
+    /// ([`OrderMode::Shuffled`]), which the store's update and rescue
+    /// plans, and those a restore recompiles, follow too.
     pub fn from_database_with(
         program: &Program,
         db: &Database,
@@ -534,6 +533,7 @@ impl Materialization {
             rule,
             order_by,
             self.plans.len(),
+            Purpose::Batch,
             idbs,
             rel_of_pred,
             &mut self.idxs,
@@ -563,31 +563,33 @@ impl Materialization {
         let mut card = |p: Pred| rel_of_pred.get(&p).map_or(0, |&r| planned_card[r]);
         let delta_plans = Arc::make_mut(&mut self.delta_plans);
         for (i, rule) in self.rules.iter().enumerate().skip(delta_plans.len()) {
-            delta_plans.push(plan_rule_deltas(
-                rule,
-                order_by.map_or(rule, |o| &o[i]),
-                &idbs,
-                rel_of_pred,
-                &mut self.idxs,
-                &mut self.idx_of,
-                self.order,
-                &mut card,
-            ));
+            let plan = |k| {
+                plan_rule(
+                    rule,
+                    order_by.map_or(rule, |o| &o[i]),
+                    i,
+                    Purpose::Delta(k),
+                    &idbs,
+                    rel_of_pred,
+                    &mut self.idxs,
+                    &mut self.idx_of,
+                    self.order,
+                    &mut card,
+                )
+            };
+            delta_plans.push((0..rule.body.len()).map(plan).collect());
         }
     }
 
-    /// The plan that evaluates `rule` with delta atom `delta`: the
-    /// update plan of that body position where one was compiled, the
-    /// rule's batch plan otherwise. Whichever plan runs, an update's
-    /// delta atom `k` sits at step depth `plan.step_of_body[k]` and the
-    /// snapshot ranges follow rule-text order, so the choice changes
-    /// cost, never results.
+    /// The plan that evaluates `rule` with delta atom `delta`. An
+    /// update's delta atom `k` sits at step depth 0 of its own plan and
+    /// the snapshot ranges follow rule-text order, so which order a
+    /// plan runs in changes cost, never results.
     fn plan_for(&self, rule: usize, delta: Delta) -> &RulePlan {
-        let update = match delta {
-            Delta::Update(k) => self.delta_plans.get(rule).and_then(|ps| ps.get(k)),
-            _ => None,
-        };
-        update.unwrap_or(&self.plans[rule])
+        match delta {
+            Delta::Update(k) => &self.delta_plans[rule][k],
+            Delta::Full | Delta::Batch(_) => &self.plans[rule],
+        }
     }
 
     // -----------------------------------------------------------------
@@ -1001,9 +1003,7 @@ impl Materialization {
             }
         }
         self.plan_slot(rule, rule, &self.idb_preds());
-        if self.prov.is_some() {
-            self.compile_delta_plans(None);
-        }
+        self.compile_delta_plans(None);
         if self.rederive.is_some() {
             self.ensure_rederive_plans(None);
         }
@@ -1026,9 +1026,6 @@ impl Materialization {
         }
         self.old_hi.push(0);
         self.planned_card.push(0);
-        if !self.ext_flag.is_empty() {
-            self.ext_flag.push(false);
-        }
         if let Some(prov) = &mut self.prov {
             prov.push(RelJust::default());
         }

@@ -498,9 +498,7 @@ impl Materialization {
         // tables: registered here, so that a view can link them, and
         // filled by the first round (or view link) that needs them — a
         // restored store that only serves reads never pays for them.
-        if m.prov.is_some() {
-            m.compile_delta_plans(None);
-        }
+        m.compile_delta_plans(None);
         // A store that had ever over-deleted carried a reverse index;
         // rebuild it now (live justifications only) so the restored
         // store is behaviorally identical — same O(affected) retracts,

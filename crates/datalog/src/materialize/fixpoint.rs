@@ -132,10 +132,9 @@ impl Materialization {
 
     /// Evaluates one round's `items` sharded: every item becomes
     /// [`ShardTask`]s that partition its first join step's snapshot
-    /// range — the delta range when the delta leads (every update item
-    /// under `OrderMode::Planned`), the first step's full or old range
-    /// for a mid-body delta (batch rounds — E5's shape — and updates
-    /// under `OrderMode::Shuffled`), so shards partition the pre-delta
+    /// range — the delta range when the delta leads (every update
+    /// item), the first step's full or old range for a mid-body delta
+    /// (batch rounds — E5's shape), so shards partition the pre-delta
     /// probe work instead of duplicating it. The tasks run inside one
     /// [`std::thread::scope`]: the calling thread and at most
     /// `threads - 1` spawned workers — never more workers than tasks, so

@@ -908,15 +908,16 @@ const SRC_MAGIC_A: &str = "?- anc_bf(john, Y).\n\
                            anc_bf(X, Y) :- m(X), anc_bf(X, Z), par(Z, Y).";
 
 /// One rescue plan's shape: the body atom run at each step, and per
-/// step the mask of the index it probes — `None` for a step answered
-/// by the dedup table.
+/// step the mask of the index it probes — empty for an unkeyed step (a
+/// scan), `None` for a step answered by the dedup table.
 type RescueShape = (Vec<usize>, Vec<Option<Vec<usize>>>);
 
 fn rescue_shapes(m: &mut Materialization) -> Vec<RescueShape> {
     m.ensure_rederive_plans(None);
-    let mask_of = |s: &Step| {
-        assert!(!s.key.is_empty(), "every rescue step of these programs is keyed");
-        (s.idx != NO_INDEX).then(|| m.idxs[s.idx].mask().to_vec())
+    let mask_of = |s: &Step| match s.idx {
+        NO_INDEX if s.key.is_empty() => Some(Vec::new()),
+        NO_INDEX => None,
+        idx => Some(m.idxs[idx].mask().to_vec()),
     };
     let plans = m.rederive.as_ref().unwrap().iter();
     plans.map(|p| (p.body_of_step.to_vec(), p.steps.iter().map(mask_of).collect())).collect()
@@ -1067,32 +1068,42 @@ fn a_dedup_step_never_rescues_through_a_row_that_died_this_round() {
     }
 }
 
-/// [`OrderMode::Shuffled`], the one-order-per-rule mode, rescues in
-/// the original (textual) body order, every keyed step through an
-/// index — full-key steps included.
+/// [`OrderMode::Shuffled`] changes orders and nothing else: a recording
+/// store holds one update plan per (rule, body atom), the delta atom
+/// leading, and its rescue plans are body permutations whose fully
+/// bound steps ask the dedup table — as under the planner.
 #[test]
-fn original_order_keeps_the_textual_rescue_plans() {
-    let some = |m: &[usize]| Some(m.to_vec());
-    let cases = [
-        (SRC_A, vec![vec![some(&[0, 1])], vec![some(&[0]), some(&[0, 1])]]),
-        (
-            SRC_S7,
-            vec![
-                vec![some(&[0]), some(&[0, 1])],
-                vec![some(&[0]), some(&[0]), some(&[0, 1])],
-            ],
-        ),
-    ];
-    for (src, expected) in cases {
+fn shuffled_order_compiles_the_plans_the_planner_does_in_another_order() {
+    for src in [SRC_A, SRC_S7] {
         let mut p = parse_program(src).unwrap();
         let db = dense_db(&mut p);
-        let order = OrderMode::Shuffled(7);
-        let mut m = Materialization::from_database_with(&p, &db, Strategy::SemiNaive, order);
-        let shapes = rescue_shapes(&mut m);
-        for (shape, masks) in shapes.iter().zip(&expected) {
-            assert_eq!(shape.0, (0..masks.len()).collect::<Vec<_>>(), "{src}");
-            assert_eq!(&shape.1, masks, "{src}");
+        let build = |seed| {
+            let order = OrderMode::Shuffled(seed);
+            Materialization::from_database_with(&p, &db, Strategy::SemiNaive, order)
+        };
+        let mut m = build(7);
+        for (rule, plans) in p.rules.iter().zip(m.delta_plans.iter()) {
+            assert_eq!(plans.len(), rule.body.len(), "{src}");
+            for (k, plan) in plans.iter().enumerate() {
+                assert_eq!(plan.body_of_step[0], k, "{src}");
+            }
         }
+        for (rule, (order, masks)) in p.rules.iter().zip(rescue_shapes(&mut m)) {
+            let mut atoms = order.clone();
+            atoms.sort_unstable();
+            assert_eq!(atoms, (0..rule.body.len()).collect::<Vec<_>>(), "{src}");
+            for (&k, mask) in order.iter().zip(&masks) {
+                assert!(mask.as_ref().is_none_or(|m| m.len() < rule.body[k].arity()), "{src}");
+            }
+            // In these chains the last atom of any order is fully bound.
+            assert_eq!(masks.last().unwrap(), &None, "{src}");
+        }
+        // The mode still shuffles behind the delta atom: bit 7 of the
+        // seed decides the first draw of a two-atom tail.
+        let tails = |m: &Materialization| -> Vec<Vec<usize>> {
+            m.delta_plans[1].iter().map(|pl| pl.body_of_step.to_vec()).collect()
+        };
+        assert_eq!(tails(&m) != tails(&build(7 | 1 << 7)), src == SRC_S7, "{src}");
     }
 }
 
@@ -1147,6 +1158,37 @@ fn a_candidate_the_seeding_pass_rederived_is_not_rescued_twice() {
     mirror.insert(alt, edges[0].clone());
     assert_eq!(m.idb_database().sorted_models(), spec_idb(&p, &mirror));
     m.provenance().check(&p).expect("one justification per row");
+}
+
+/// A body atom that shares no variable with the head or the other
+/// atoms is an unkeyed step of the rescue plan — a scan: `p(a)` loses
+/// the `r` row its justification names and is rescued through the one
+/// that is left, and dies with the last.
+#[test]
+fn a_rescue_scans_a_body_atom_nothing_binds() {
+    let mut p = parse_program("?- p(X).\np(X) :- s(X).\np(X) :- q(X), r(Y).").unwrap();
+    let [pp, q, r] = ["p", "q", "r"].map(|n| p.symbols.get_predicate(n).unwrap());
+    let [a, b1, b2] = ["a", "b1", "b2"].map(|n| p.symbols.constant(n));
+    let mut db = Database::new();
+    db.insert(q, vec![a]);
+    db.insert(r, vec![b1]);
+    db.insert(r, vec![b2]);
+    let mut m = Materialization::from_database(&p, &db, Strategy::SemiNaive);
+    assert_eq!(rescue_shapes(&mut m)[1], (vec![0, 1], vec![None, Some(Vec::new())]));
+    let p_a = crate::derivation::GroundAtom { pred: pp, args: vec![a] };
+    let named = m.provenance().justification(&p_a).unwrap().1[1].args.clone();
+    let other = vec![if named[0] == b1 { b2 } else { b1 }];
+    for (gone, left) in [(named, 1), (other, 0)] {
+        let probes = m.stats().join_probes;
+        assert_eq!(m.retract_facts(r, std::slice::from_ref(&gone)), 1);
+        db.remove(r, &gone);
+        assert!(m.stats().join_probes > probes, "the rescue ran");
+        assert_eq!(m.num_facts(pp), left);
+        assert_eq!(m.idb_database().sorted_models(), spec_idb(&p, &db));
+        let scratch = eval::evaluate(&p, &db, Strategy::SemiNaive);
+        assert_eq!(m.idb_database().sorted_models(), scratch.idb.sorted_models());
+        m.provenance().check(&p).expect("valid after the rescue");
+    }
 }
 
 // -----------------------------------------------------------------

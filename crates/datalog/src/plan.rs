@@ -9,7 +9,7 @@
 //!
 //! What the planner adds on top of the mechanical compilation:
 //!
-//! - **Selectivity-aware body reordering** (`body_order`): join steps
+//! - **Selectivity-aware body reordering** (`order_body`): join steps
 //!   are ordered greedily, preferring atoms with the most bound
 //!   positions (constants + variables bound by earlier steps), breaking
 //!   ties toward the smaller relation and then the original position.
@@ -30,8 +30,6 @@
 //!   full relation, `j > k` its old part — `RulePlan::body_of_step`),
 //!   because with a different step order per `k` a by-depth rule would
 //!   count a (Δ, Δ) combination twice or not at all.
-//!   [`OrderMode::Shuffled`] keeps its one order per rule and runs
-//!   updates through it with the delta mid-body.
 //!   All plans are **static**: compiled where the store is built (or a
 //!   rule is added, or a snapshot restored — from the persisted
 //!   build-time cardinalities, so a restored store does identical
@@ -77,16 +75,31 @@ pub(crate) const NO_INDEX: usize = usize::MAX;
 
 /// How the planner orders rule bodies: the one setting of a
 /// [`crate::materialize::Materialization`] (mirrored by the reference
-/// evaluator), fixed at construction and persisted.
+/// evaluator), fixed at construction and persisted. `body_order` reads
+/// it to pick the body permutation of every plan — batch, update,
+/// rescue — and nothing else does: both modes compile and run alike.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OrderMode {
-    /// Greedy selectivity-aware ordering (`body_order`).
+    /// Greedy selectivity-aware ordering.
     Planned,
-    /// A deterministic pseudo-random permutation per rule, derived from
+    /// A deterministic pseudo-random permutation per plan, derived from
     /// the seed. Any order is semantically valid — this mode exists so
     /// property tests can drive the engine through adversarial orders
     /// and still compare models and provenance exactly.
     Shuffled(u64),
+}
+
+/// What a body order is for: which atom, if any, must lead, and what is
+/// bound before the first step.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Purpose<'a> {
+    /// The rule's batch plan.
+    Batch,
+    /// The update plan of this body position: that atom leads.
+    Delta(usize),
+    /// The rescue plan: the head variables are bound. Carries the
+    /// program's IDB predicates ([`rederive_order`] ranks by them).
+    Rescue(&'a [Pred]),
 }
 
 /// A key component of a join step: where the bound value comes from.
@@ -185,15 +198,14 @@ pub(crate) enum HeadOp {
 
 /// A rule compiled for goal-directed re-derivation checks (DRed rescue
 /// phase): the head is *input*, so every head slot is bound from depth 0
-/// and the body step masks include them. Under [`OrderMode::Planned`]
-/// the steps run in **selectivity order** ([`rederive_order`]): a bound
+/// and the body step masks include them. The planner's order is
+/// **selectivity order** ([`rederive_order`]): a bound
 /// head variable keys every atom it occurs in, but an atom keyed on it
 /// may still match its whole fan-out (`anc(x, _)` has one row per
 /// descendant of `x`), so the rescue enters the body through the atom
-/// with the smallest fan-in, and an atom whose every position is bound
-/// is a membership test answered by the relation's own dedup table —
-/// that step registers no index at all. [`OrderMode::Shuffled`] keeps the
-/// textual order and probes an index at every keyed step. Whatever order the
+/// with the smallest fan-in. In any order, an atom whose every position
+/// is bound is a membership test answered by the relation's own dedup
+/// table — that step registers no index at all — and whatever order the
 /// steps run in, the matched rows are the rescued row's justification
 /// and are recorded positionally (`body_of_step`). Compiled lazily on
 /// the first retraction (eagerly in a view); the `(relation, mask)`
@@ -280,11 +292,7 @@ fn greedy_order<K: Ord>(
 /// with build-time row counts, the reference evaluator with database
 /// sizes, and both get the same permutation because IDB relations count
 /// 0 at compile time on both sides.
-pub(crate) fn order_body(
-    rule: &Rule,
-    lead: Option<usize>,
-    card: &mut dyn FnMut(Pred) -> u64,
-) -> Vec<usize> {
+fn order_body(rule: &Rule, lead: Option<usize>, card: &mut dyn FnMut(Pred) -> u64) -> Vec<usize> {
     greedy_order(rule, lead, Vec::new(), &mut |atom, b| {
         (std::cmp::Reverse(b), card(atom.pred))
     })
@@ -304,11 +312,7 @@ pub(crate) fn order_body(
 ///    cardinalities, never live row counts: those grow with unrelated
 ///    rows, and a restored store must compile the plans of the live one,
 /// 6. the earlier textual position.
-pub(crate) fn rederive_order(
-    rule: &Rule,
-    idbs: &[Pred],
-    card: &mut dyn FnMut(Pred) -> u64,
-) -> Vec<usize> {
+fn rederive_order(rule: &Rule, idbs: &[Pred], card: &mut dyn FnMut(Pred) -> u64) -> Vec<usize> {
     let head_vars = rule
         .head
         .args
@@ -324,37 +328,53 @@ pub(crate) fn rederive_order(
     })
 }
 
-fn xorshift(s: &mut u64) -> u64 {
-    *s ^= *s << 13;
-    *s ^= *s >> 7;
-    *s ^= *s << 17;
-    *s
-}
-
-/// A deterministic Fisher–Yates permutation of `0..n` from
-/// `(seed, rule_idx)` — the [`OrderMode::Shuffled`] order.
-pub(crate) fn shuffled_order(n: usize, seed: u64, rule_idx: usize) -> Vec<usize> {
-    let mut s = (seed ^ (rule_idx as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)) | 1;
-    let mut v: Vec<usize> = (0..n).collect();
-    for i in (1..n).rev() {
-        let j = (xorshift(&mut s) % (i as u64 + 1)) as usize;
-        v.swap(i, j);
+/// A deterministic Fisher–Yates shuffle (xorshift64) of `atoms` from
+/// `(seed, rule_idx, salt)`. Salt 0 gives the batch permutations the
+/// reference evaluator mirrors.
+fn shuffle(atoms: &mut [usize], seed: u64, rule_idx: usize, salt: usize) {
+    let mut s = (seed
+        ^ (rule_idx as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        ^ (salt as u64).wrapping_mul(0xD1B5_4A32_D192_ED03))
+        | 1;
+    for i in (1..atoms.len()).rev() {
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        atoms.swap(i, (s % (i as u64 + 1)) as usize);
     }
-    v
 }
 
-/// The body permutation for one rule under an order mode:
-/// `order[d]` is the original body-atom index run at step depth `d`.
+/// The body permutation of one plan: `order[d]` is the original
+/// body-atom index run at step depth `d`. The one place the mode is
+/// read: [`OrderMode::Planned`] ranks the atoms the `purpose` leaves
+/// free, [`OrderMode::Shuffled`] permutes them — the whole body of a
+/// batch or rescue plan, the tail behind the leading atom of an update
+/// plan — from `(seed, rule_idx, purpose)`.
 pub(crate) fn body_order(
     rule: &Rule,
     rule_idx: usize,
+    purpose: Purpose,
     mode: OrderMode,
     card: &mut dyn FnMut(Pred) -> u64,
 ) -> Vec<usize> {
-    match mode {
-        OrderMode::Planned => order_body(rule, None, card),
-        OrderMode::Shuffled(seed) => shuffled_order(rule.body.len(), seed, rule_idx),
+    let OrderMode::Shuffled(seed) = mode else {
+        return match purpose {
+            Purpose::Batch => order_body(rule, None, card),
+            Purpose::Delta(k) => order_body(rule, Some(k), card),
+            Purpose::Rescue(idbs) => rederive_order(rule, idbs, card),
+        };
+    };
+    let n = rule.body.len();
+    let mut order: Vec<usize> = (0..n).collect();
+    match purpose {
+        Purpose::Batch => shuffle(&mut order, seed, rule_idx, 0),
+        Purpose::Delta(k) => {
+            order[..=k].rotate_right(1);
+            shuffle(&mut order[1..], seed, rule_idx, k + 1);
+        }
+        Purpose::Rescue(_) => shuffle(&mut order, seed, rule_idx, n + 1),
     }
+    order
 }
 
 // ---------------------------------------------------------------------
@@ -558,9 +578,12 @@ pub(crate) fn compile_rule(
     }
 }
 
-/// Plans and compiles one rule: computes the body order for the
-/// mode (from the live cardinality function) and compiles the
-/// steps in that order. The single entry point every consumer uses.
+/// Plans and compiles one rule for `purpose` — its batch plan, or the
+/// **update plan** of one body position, that atom leading and the rest
+/// behind it (the planner's greedy order breaks ties by `card`, for an
+/// update plan the store's persisted build-time cardinalities, then by
+/// textual position): computes the body order for the mode and compiles
+/// the steps in that order. The single entry point every consumer uses.
 ///
 /// The order is computed from `order_by` — `rule` itself everywhere but
 /// in a template store ([`crate::cache`]), whose rules are those of a
@@ -577,6 +600,7 @@ pub(crate) fn plan_rule(
     rule: &Rule,
     order_by: &Rule,
     rule_idx: usize,
+    purpose: Purpose,
     idbs: &[Pred],
     rel_of_pred: &FxHashMap<Pred, usize>,
     idxs: &mut Vec<IncrementalIndex>,
@@ -584,45 +608,15 @@ pub(crate) fn plan_rule(
     mode: OrderMode,
     card: &mut dyn FnMut(Pred) -> u64,
 ) -> RulePlan {
-    let order = body_order(order_by, rule_idx, mode, card);
+    let order = body_order(order_by, rule_idx, purpose, mode, card);
     compile_rule(rule, idbs, rel_of_pred, idxs, idx_of, &order)
-}
-
-/// Compiles the **update plans** of one rule: one per body position `k`,
-/// atom `k` leading and the rest in greedy order (ties by `card`, the
-/// store's persisted build-time cardinalities, then textual position).
-/// Empty under [`OrderMode::Shuffled`], which keeps one order per rule:
-/// an update runs the rule's own plan with the delta wherever that order
-/// puts it. `order_by` as in [`plan_rule`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn plan_rule_deltas(
-    rule: &Rule,
-    order_by: &Rule,
-    idbs: &[Pred],
-    rel_of_pred: &FxHashMap<Pred, usize>,
-    idxs: &mut Vec<IncrementalIndex>,
-    idx_of: &mut FxHashMap<(usize, Vec<usize>), usize>,
-    mode: OrderMode,
-    card: &mut dyn FnMut(Pred) -> u64,
-) -> Vec<RulePlan> {
-    if mode != OrderMode::Planned {
-        return Vec::new();
-    }
-    (0..rule.body.len())
-        .map(|k| {
-            let order = order_body(order_by, Some(k), card);
-            compile_rule(rule, idbs, rel_of_pred, idxs, idx_of, &order)
-        })
-        .collect()
 }
 
 /// Compiles one rule for goal-directed re-derivation: head variables are
 /// slots bound from depth 0 (the candidate tuple is the input), so the
-/// body step masks include them and the join is keyed on the head. The
-/// steps run in [`rederive_order`] under [`OrderMode::Planned`] — full-key
-/// steps answered by the dedup table — and in textual order, every keyed
-/// step through an index, under [`OrderMode::Shuffled`]. `order_by` as
-/// in [`plan_rule`].
+/// body step masks include them and the join is keyed on the head; a
+/// full-key step is answered by the dedup table. `order_by` as in
+/// [`plan_rule`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn compile_rederive(
     rule_i: usize,
@@ -635,12 +629,7 @@ pub(crate) fn compile_rederive(
     mode: OrderMode,
     card: &mut dyn FnMut(Pred) -> u64,
 ) -> RederivePlan {
-    let planned = mode == OrderMode::Planned;
-    let order: Vec<usize> = if planned {
-        rederive_order(order_by, idbs, card)
-    } else {
-        (0..rule.body.len()).collect()
-    };
+    let order = body_order(order_by, rule_i, Purpose::Rescue(idbs), mode, card);
     let mut slots: FxHashMap<Var, usize> = FxHashMap::default();
     let mut bound_slots: Vec<bool> = Vec::new();
     let head = rule
@@ -676,7 +665,7 @@ pub(crate) fn compile_rederive(
                 &mut slots,
                 &mut bound_slots,
                 false,
-                planned,
+                true,
                 idxs,
                 idx_of,
             )
@@ -743,16 +732,23 @@ mod tests {
         let idbs = [p.rules[1].head.pred];
         let mut idxs = Vec::new();
         let mut idx_of = FxHashMap::default();
-        let plans = plan_rule_deltas(
-            &p.rules[1],
-            &p.rules[1],
-            &idbs,
-            &rel_of,
-            &mut idxs,
-            &mut idx_of,
-            mode,
-            &mut |pr: Pred| if idbs.contains(&pr) { 0 } else { 1000 },
-        );
+        let mut card = |pr: Pred| if idbs.contains(&pr) { 0 } else { 1000 };
+        let plans = (0..p.rules[1].body.len())
+            .map(|k| {
+                plan_rule(
+                    &p.rules[1],
+                    &p.rules[1],
+                    1,
+                    Purpose::Delta(k),
+                    &idbs,
+                    &rel_of,
+                    &mut idxs,
+                    &mut idx_of,
+                    mode,
+                    &mut card,
+                )
+            })
+            .collect();
         let registered = idxs.iter().map(|i| (i.rel(), i.mask().to_vec())).collect();
         (p, plans, registered)
     }
@@ -804,10 +800,24 @@ mod tests {
         }
     }
 
+    /// The delta atom leads under every mode; what `Shuffled` permutes
+    /// is the tail behind it.
     #[test]
-    fn one_order_modes_compile_no_update_plans() {
-        let (_, plans, registered) = delta_plans_of(SRC_S7, OrderMode::Shuffled(7));
-        assert!(plans.is_empty() && registered.is_empty());
+    fn shuffled_update_plans_lead_with_the_delta_atom() {
+        let orders = |seed: u64| -> Vec<Vec<usize>> {
+            let (_, plans, _) = delta_plans_of(SRC_S7, OrderMode::Shuffled(seed));
+            plans.iter().map(|pl| pl.body_of_step.to_vec()).collect()
+        };
+        let seven = orders(7);
+        assert_eq!(seven.len(), 3, "one update plan per body atom");
+        for (k, order) in seven.iter().enumerate() {
+            assert_eq!(order[0], k, "atom {k} leads");
+            let mut sorted = order.clone();
+            sorted.sort_unstable();
+            assert_eq!(sorted, [0, 1, 2], "a permutation");
+        }
+        // (The first draw of a two-atom tail reads bit 7 of the seed.)
+        assert_ne!(orders(7 | 1 << 7), seven, "the mode still shuffles");
     }
 
     #[test]
@@ -856,9 +866,13 @@ mod tests {
     fn shuffled_order_is_a_deterministic_permutation() {
         for n in 1..6usize {
             for seed in [1u64, 7, 99] {
-                let a = shuffled_order(n, seed, 3);
-                let b = shuffled_order(n, seed, 3);
-                assert_eq!(a, b, "deterministic");
+                let shuffled = || {
+                    let mut v: Vec<usize> = (0..n).collect();
+                    shuffle(&mut v, seed, 3, 0);
+                    v
+                };
+                let a = shuffled();
+                assert_eq!(a, shuffled(), "deterministic");
                 let mut s = a.clone();
                 s.sort_unstable();
                 assert_eq!(s, (0..n).collect::<Vec<_>>(), "a permutation");
@@ -883,6 +897,7 @@ mod tests {
                 &p.rules[1],
                 &p.rules[1],
                 1,
+                Purpose::Batch,
                 &idbs,
                 &rel_of,
                 &mut idxs,
@@ -899,6 +914,7 @@ mod tests {
                 &p.rules[0],
                 &p.rules[0],
                 0,
+                Purpose::Batch,
                 &idbs,
                 &rel_of,
                 &mut idxs2,
@@ -926,6 +942,7 @@ mod tests {
             &p.rules[1],
             &p.rules[1],
             1,
+            Purpose::Batch,
             &idbs,
             &rel_of,
             &mut idxs,

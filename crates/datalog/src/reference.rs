@@ -19,7 +19,7 @@ use crate::ast::{Const, Pred, Program, Rule, Term, Var};
 use crate::db::{Database, Tuple};
 use crate::derivation::{DerivationTree, GroundAtom};
 use crate::eval::{apply_goal, EvalResult, EvalStats, Strategy};
-use crate::plan::{body_order, OrderMode};
+use crate::plan::{body_order, OrderMode, Purpose};
 
 /// Evaluates `program` on `db` with the reference engine under
 /// [`OrderMode::Planned`] (the storage engine's order).
@@ -233,7 +233,9 @@ impl<'a> Evaluator<'a> {
             .rules
             .iter()
             .enumerate()
-            .map(|(i, r)| compile_rule(r, &idbs, &body_order(r, i, order, &mut card)))
+            .map(|(i, r)| {
+                compile_rule(r, &idbs, &body_order(r, i, Purpose::Batch, order, &mut card))
+            })
             .collect();
         let mut edb: HashMap<Pred, Vec<Tuple>> = HashMap::new();
         let mut arity: HashMap<Pred, usize> = HashMap::new();

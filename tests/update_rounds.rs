@@ -9,11 +9,19 @@
 //!   leave exactly the store that the equivalent single-fact
 //!   `insert_facts`/`retract_facts` calls leave in a seed-shuffled
 //!   order — sorted-relation equality on the full database plus
-//!   [`Provenance::check`] — across strategies × threads ∈ {1, 2, 4}.
+//!   [`Provenance::check`] — across strategies × threads ∈ {1, 2, 4};
+//!   a second round then undoes the first.
 //! - **Hot-swap ≡ from-scratch on the edited program.** Dropping a
 //!   random subset of rules at fixpoint must leave the model of the
 //!   program-without-those-rules; re-adding them must restore the
-//!   original model — both against from-scratch reference evaluation.
+//!   original model — both against from-scratch evaluation by both
+//!   engines.
+//!
+//! Every case runs under the planner's body orders and under
+//! [`OrderMode::Shuffled`] with the case's seed, and passes the store
+//! through a snapshot between its two rounds: the update plans, the
+//! rescue plans and the plans a restore recompiles must compute the
+//! same model in any order.
 //!
 //! [`Provenance::check`]: selprop_datalog::Provenance::check
 
@@ -21,9 +29,11 @@ use proptest::prelude::*;
 use selprop_core::gallery::gallery;
 use selprop_core::workload;
 use selprop_datalog::db::Tuple;
-use selprop_datalog::eval::Strategy;
+use selprop_datalog::eval::{evaluate, Strategy};
 use selprop_datalog::reference;
-use selprop_datalog::{Database, Materialization, Pred, Program, RuleId, Term, UpdateRound};
+use selprop_datalog::{
+    Database, Materialization, OrderMode, Pred, Program, RuleId, Term, UpdateRound,
+};
 
 /// The goal's bound constant if any (workload root), else "c".
 fn root_of(program: &Program) -> String {
@@ -62,6 +72,33 @@ fn nonempty_sorted(db: &Database) -> Vec<(Pred, Vec<Tuple>)> {
     db.sorted_models().into_iter().filter(|(_, rows)| !rows.is_empty()).collect()
 }
 
+/// The order modes every case runs under.
+fn modes(seed: u64) -> [OrderMode; 2] {
+    [OrderMode::Planned, OrderMode::Shuffled(seed)]
+}
+
+/// `m` through a snapshot, which must re-encode to the bytes it was
+/// read from. What comes back runs update and rescue plans it compiled
+/// itself.
+fn restored(m: &Materialization) -> Materialization {
+    let bytes = m.to_bytes();
+    let back = Materialization::from_bytes(&bytes).expect("an intact snapshot restores");
+    assert_eq!(back.to_bytes(), bytes, "to_bytes(from_bytes(x)) == x");
+    back
+}
+
+/// `m` holds `db` and the model both engines compute for `program`
+/// over it from scratch.
+fn assert_at_fixpoint_over(m: &Materialization, program: &Program, db: &Database, what: &str) {
+    let spec = reference::evaluate(program, db, Strategy::SemiNaive);
+    let scratch = evaluate(program, db, Strategy::SemiNaive);
+    assert_eq!(nonempty_sorted(&scratch.idb), nonempty_sorted(&spec.idb), "{what}: the engines");
+    let mut want = nonempty_sorted(db);
+    want.extend(nonempty_sorted(&spec.idb));
+    want.sort_by_key(|(p, _)| p.0);
+    assert_eq!(nonempty_sorted(&m.database()), want, "{what}: maintained ≡ from-scratch");
+}
+
 /// A deterministic Fisher–Yates shuffle (xorshift64*), so "any
 /// sequential order" is driven by the proptest seed.
 fn shuffle<T>(items: &mut [T], mut seed: u64) {
@@ -82,14 +119,17 @@ enum Op {
 }
 
 /// Batched mixed round vs a seed-shuffled order of the equivalent
-/// single-fact calls: identical stores, identical report counts, valid
-/// justifications on both sides.
+/// single-fact calls (restored from a snapshot halfway): identical
+/// stores, identical report counts, valid justifications on both sides.
+/// Then the batched store, restored, takes the inverse round back to
+/// `db0`.
 fn assert_batch_matches_sequential(
     program: &Program,
     db0: &Database,
     pool: &Database,
     order_seed: u64,
     strategy: Strategy,
+    order: OrderMode,
 ) {
     // Inserts: pool facts genuinely absent from db0. Retracts: every
     // third stored fact. Disjoint by construction, so any interleaving
@@ -113,15 +153,17 @@ fn assert_batch_matches_sequential(
         }
     }
 
-    let mut round = UpdateRound::new();
+    let (mut round, mut undo) = (UpdateRound::new(), UpdateRound::new());
     for (p, t) in &inserts {
         round = round.insert(*p, t.clone());
+        undo = undo.retract(*p, t.clone());
     }
     for (p, t) in &retracts {
         round = round.retract(*p, t.clone());
+        undo = undo.insert(*p, t.clone());
     }
 
-    let mut batched = Materialization::from_database(program, db0, strategy);
+    let mut batched = Materialization::from_database_with(program, db0, strategy, order);
     let report = batched.apply(&round);
     assert_eq!(report.inserted, inserts.len(), "every insert was novel");
     assert_eq!(report.retracted, retracts.len(), "every retract was stored");
@@ -132,8 +174,11 @@ fn assert_batch_matches_sequential(
         .chain(retracts.iter().map(|(p, t)| Op::Retract(*p, t.clone())))
         .collect();
     shuffle(&mut ops, order_seed);
-    let mut sequential = Materialization::from_database(program, db0, strategy);
-    for op in &ops {
+    let mut sequential = Materialization::from_database_with(program, db0, strategy, order);
+    for (i, op) in ops.iter().enumerate() {
+        if i == ops.len() / 2 {
+            sequential = restored(&sequential);
+        }
         match op {
             Op::Insert(p, t) => {
                 assert_eq!(sequential.insert_facts(*p, std::slice::from_ref(t)), 1);
@@ -161,27 +206,32 @@ fn assert_batch_matches_sequential(
     for (p, t) in &inserts {
         mirror.insert(*p, t.clone());
     }
-    let spec = reference::evaluate(program, &mirror, Strategy::SemiNaive);
-    assert_eq!(
-        nonempty_sorted(&batched.idb_database()),
-        nonempty_sorted(&spec.idb),
-        "batched round ≡ from-scratch on the mutated database"
-    );
+    assert_at_fixpoint_over(&batched, program, &mirror, "the mutated database");
+
+    // And the inverse round, on what a snapshot of the store restores
+    // to, leaves the model of `db0`.
+    let mut batched = restored(&batched);
+    let report = batched.apply(&undo);
+    assert_eq!((report.inserted, report.retracted), (retracts.len(), inserts.len()));
+    assert_at_fixpoint_over(&batched, program, db0, "the round undone");
+    batched.provenance().check(program).expect("justifications valid after the second round");
 }
 
 /// Rule hot-swap vs from-scratch: drop a random subset at fixpoint,
-/// compare against the edited program; re-add, compare against the
-/// original (and validate justifications across the whole swap).
+/// compare against the edited program; re-add — to what a snapshot of
+/// the store restores to — compare against the original (and validate
+/// justifications across the whole swap).
 fn assert_hot_swap_matches_reference(
     program: &Program,
     db: &Database,
     drop_mask: u32,
     strategy: Strategy,
+    order: OrderMode,
 ) {
     let dropped: Vec<usize> = (0..program.rules.len())
         .filter(|i| drop_mask & (1 << (i % 32)) != 0)
         .collect();
-    let mut m = Materialization::from_database(program, db, strategy);
+    let mut m = Materialization::from_database_with(program, db, strategy, order);
 
     // Drop the subset in one round.
     let mut round = UpdateRound::new();
@@ -203,26 +253,17 @@ fn assert_hot_swap_matches_reference(
         .filter(|(i, _)| !dropped.contains(i))
         .map(|(_, r)| r.clone())
         .collect();
-    let spec_minus = reference::evaluate(&p_minus, db, Strategy::SemiNaive);
-    assert_eq!(
-        nonempty_sorted(&m.idb_database()),
-        nonempty_sorted(&spec_minus.idb),
-        "after drops: incrementally maintained ≡ from-scratch on the edited program"
-    );
+    assert_at_fixpoint_over(&m, &p_minus, db, "after drops, the edited program");
 
     // Re-add the dropped rules (fresh slots, in original order).
+    let mut m = restored(&m);
     let mut p_check = program.clone(); // rule slots 0..n, re-adds appended
     for &i in &dropped {
         let id = m.add_rule(program.rules[i].clone());
         assert!(m.is_rule_active(id));
         p_check.rules.push(program.rules[i].clone());
     }
-    let spec_full = reference::evaluate(program, db, Strategy::SemiNaive);
-    assert_eq!(
-        nonempty_sorted(&m.idb_database()),
-        nonempty_sorted(&spec_full.idb),
-        "after re-adds: the original model is restored"
-    );
+    assert_at_fixpoint_over(&m, program, db, "after re-adds, the original program");
     let (spec_ans, _) = reference::answer(program, db, Strategy::SemiNaive);
     assert_eq!(m.answer().sorted(), spec_ans.sorted(), "goal answers restored");
     // Justifications may now name re-added slots; `p_check` lists every
@@ -253,7 +294,9 @@ proptest! {
         let mut program = entry.chain().program;
         let db0 = build_db(&mut program, shape, n, seed);
         let pool = build_db(&mut program, shape.wrapping_add(1), n, seed ^ 0x9e37);
-        assert_batch_matches_sequential(&program, &db0, &pool, order_seed, strategy);
+        for order in modes(order_seed) {
+            assert_batch_matches_sequential(&program, &db0, &pool, order_seed, strategy, order);
+        }
     }
 
     #[test]
@@ -278,7 +321,9 @@ proptest! {
         let mut program = magic.program;
         let db0 = build_db(&mut program, 0, n, seed);
         let pool = build_db(&mut program, 0, n, seed ^ 0x517c);
-        assert_batch_matches_sequential(&program, &db0, &pool, order_seed, strategy);
+        for order in modes(order_seed) {
+            assert_batch_matches_sequential(&program, &db0, &pool, order_seed, strategy, order);
+        }
     }
 
     #[test]
@@ -299,7 +344,9 @@ proptest! {
         let entry = &entries[which % entries.len()];
         let mut program = entry.chain().program;
         let db = build_db(&mut program, shape, n, seed);
-        assert_hot_swap_matches_reference(&program, &db, drop_mask, strategy);
+        for order in modes(seed ^ u64::from(drop_mask)) {
+            assert_hot_swap_matches_reference(&program, &db, drop_mask, strategy, order);
+        }
     }
 
     #[test]
@@ -319,6 +366,8 @@ proptest! {
         };
         let mut program = magic.program;
         let db = build_db(&mut program, 0, n, seed);
-        assert_hot_swap_matches_reference(&program, &db, drop_mask, Strategy::SemiNaive);
+        for order in modes(seed ^ u64::from(drop_mask)) {
+            assert_hot_swap_matches_reference(&program, &db, drop_mask, Strategy::SemiNaive, order);
+        }
     }
 }
