@@ -46,7 +46,7 @@ pub fn ig_truncation(chain: &ChainProgram, depth: usize) -> (ChainProgram, IgTru
     };
     let mut chain = chain.clone();
     let edbs = chain.edbs();
-    let grammar_alphabet = chain.grammar().alphabet.clone();
+    let grammar_alphabet = chain.grammar().alphabet;
     let pred_of: HashMap<Symbol, Pred> = grammar_alphabet
         .symbols()
         .map(|s| {

@@ -217,7 +217,7 @@ pub fn propagate_with(
             // 4. unary alphabet ⇒ regular (Parikh), decidable within the
             // size cap of the periodic-length-set construction.
             if let Some(u) = selprop_grammar::unary::unary_regularity(&grammar) {
-                let dfa = u.dfa.clone();
+                let dfa = u.dfa;
                 let program = monadic_rewrite(chain, &dfa)?;
                 return Ok(Propagation::Propagated {
                     program,

@@ -6,8 +6,10 @@
 //! as a finite set of rules plus a distinguished **goal** atom whose
 //! predicate heads some rule.
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// An interned constant (`c, c1, ...` in the paper; `john` in Example 1.1).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -37,21 +39,41 @@ impl fmt::Debug for Pred {
     }
 }
 
+thread_local! {
+    /// Names deep-copied on this thread so far (see [`Symbols::names_copied`]).
+    static NAMES_COPIED: Cell<usize> = const { Cell::new(0) };
+}
+
 /// Interning table for one symbol space.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 struct Space {
     names: Vec<String>,
     index: HashMap<String, u32>,
 }
 
+/// The one place a name table is deep-copied — `Arc::make_mut` on a
+/// shared space calls it — so the one place the copy counter is bumped.
+impl Clone for Space {
+    fn clone(&self) -> Self {
+        NAMES_COPIED.with(|n| n.set(n.get() + self.names.len()));
+        Self {
+            names: self.names.clone(),
+            index: self.index.clone(),
+        }
+    }
+}
+
 impl Space {
-    fn intern(&mut self, name: &str) -> u32 {
-        if let Some(&i) = self.index.get(name) {
+    /// Looks `name` up first: a name the table already has never unshares
+    /// it; an absent one copies a shared space once, then appends.
+    fn intern(this: &mut Arc<Self>, name: &str) -> u32 {
+        if let Some(i) = this.get(name) {
             return i;
         }
-        let i = u32::try_from(self.names.len()).expect("symbol space overflow");
-        self.names.push(name.to_owned());
-        self.index.insert(name.to_owned(), i);
+        let space = Arc::make_mut(this);
+        let i = u32::try_from(space.names.len()).expect("symbol space overflow");
+        space.names.push(name.to_owned());
+        space.index.insert(name.to_owned(), i);
         i
     }
     fn get(&self, name: &str) -> Option<u32> {
@@ -63,11 +85,21 @@ impl Space {
 }
 
 /// The three disjoint symbol spaces of a program and its databases.
+///
+/// **Sharing contract.** `clone` is O(1): each space sits behind an
+/// `Arc`, and a clone shares all three with its source. Lookups
+/// (`get_*`, `*_name`, `num_*`) and interning a name the table *already
+/// has* never copy anything. Interning a *new* name into a table that
+/// shares that space with another holder copies that one space first —
+/// the cost an eager `clone` used to pay, paid later, for one space
+/// instead of three, and at most once per holder (afterwards the space
+/// is its own). Clones are independent: a name interned into one is
+/// absent from the others, and ids never move.
 #[derive(Clone, Debug, Default)]
 pub struct Symbols {
-    consts: Space,
-    vars: Space,
-    preds: Space,
+    consts: Arc<Space>,
+    vars: Arc<Space>,
+    preds: Arc<Space>,
 }
 
 impl Symbols {
@@ -78,15 +110,15 @@ impl Symbols {
 
     /// Interns a constant name.
     pub fn constant(&mut self, name: &str) -> Const {
-        Const(self.consts.intern(name))
+        Const(Space::intern(&mut self.consts, name))
     }
     /// Interns a variable name.
     pub fn variable(&mut self, name: &str) -> Var {
-        Var(self.vars.intern(name))
+        Var(Space::intern(&mut self.vars, name))
     }
     /// Interns a predicate name.
     pub fn predicate(&mut self, name: &str) -> Pred {
-        Pred(self.preds.intern(name))
+        Pred(Space::intern(&mut self.preds, name))
     }
 
     /// Looks up a constant without interning.
@@ -123,6 +155,14 @@ impl Symbols {
     /// Number of interned variables.
     pub fn num_variables(&self) -> usize {
         self.vars.names.len()
+    }
+
+    /// How many names this thread has deep-copied so far, over all tables:
+    /// the test hook behind "no cold path copies a constant". Only
+    /// differences between two reads mean anything.
+    #[doc(hidden)]
+    pub fn names_copied() -> usize {
+        NAMES_COPIED.with(Cell::get)
     }
 
     /// Makes a fresh predicate that does not collide with existing names.
@@ -479,5 +519,32 @@ mod tests {
         let b = sy.fresh_predicate("magic");
         assert_ne!(a, b);
         assert_eq!(sy.pred_name(b), "magic_0");
+    }
+
+    #[test]
+    fn a_clone_shares_until_a_new_name_then_copies_that_space_once() {
+        let mut sy = Symbols::new();
+        for i in 0..10 {
+            sy.constant(&format!("k{i}"));
+        }
+        sy.variable("X");
+        sy.predicate("p");
+        let before = Symbols::names_copied();
+        let copied = || Symbols::names_copied() - before;
+
+        let mut twin = sy.clone();
+        assert_eq!(twin.constant("k3"), Const(3));
+        assert_eq!(twin.fresh_predicate("q"), Pred(1));
+        assert_eq!(copied(), 1, "a name it has copies nothing; a new one, its own space");
+        twin.predicate("r");
+        assert_eq!(copied(), 1, "the space is the twin's own now");
+        assert_eq!(twin.constant("k10"), Const(10));
+        assert_eq!(copied(), 11);
+
+        assert_eq!(sy.get_predicate("q"), None);
+        assert_eq!(sy.get_constant("k10"), None);
+        assert_eq!(sy.constant("mine"), Const(10));
+        assert_eq!(copied(), 11, "nobody shares the source's constants any more");
+        assert_eq!(twin.const_name(Const(10)), "k10");
     }
 }

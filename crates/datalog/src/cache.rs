@@ -386,8 +386,9 @@ fn tag_template(tpl: &mut MagicTemplate) {
 /// against a different store is a logic error (detected only when the
 /// stores' shapes diverge).
 pub struct QueryCache {
-    /// The names the base store's rules are written in; templates are
-    /// compiled over a padded copy
+    /// The names the base store's rules are written in, shared with the
+    /// program they came from ([`Symbols`] clones are reference counts);
+    /// templates are compiled over a padded clone
     /// ([`Materialization::active_program`]). `None` = disabled: every
     /// query routes direct.
     symbols: Option<Symbols>,
@@ -430,7 +431,10 @@ impl QueryCache {
         Self::with_config(program, CacheConfig::default())
     }
 
-    /// A cache with explicit eviction limits.
+    /// A cache with explicit eviction limits. It shares `program`'s
+    /// symbol table rather than copying it: the caller may go on interning
+    /// into its own `program` (that unshares the space it writes to, once;
+    /// see [`Symbols`]) and the cache never sees those names.
     pub fn with_config(program: &Program, config: CacheConfig) -> Self {
         Self::over(Some(program.symbols.clone()), program.idb_predicates(), config)
     }

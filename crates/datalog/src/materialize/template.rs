@@ -89,12 +89,18 @@ impl Materialization {
     pub(crate) fn active_program(&self, mut symbols: Symbols, pred: Pred) -> Program {
         let rules: Vec<Rule> = self.active_rules().into_iter().map(|(_, r)| r.clone()).collect();
         let preds = self.pred_of_rel.iter().map(|p| p.0 as usize + 1).max().unwrap_or(0);
+        // Pad from a running suffix: a name already taken interns to its
+        // old id, the count stays, and the next suffix is tried.
+        let mut pad = 0usize;
         while symbols.num_predicates() < preds {
-            symbols.fresh_predicate("q");
+            symbols.predicate(&format!("q_{pad}"));
+            pad += 1;
         }
         let vars = rules.iter().flat_map(Rule::all_vars).map(|v| v.0 as usize + 1).max().unwrap_or(0);
+        pad = 0;
         while symbols.num_variables() < vars {
-            symbols.fresh_variable("V");
+            symbols.variable(&format!("V_{pad}"));
+            pad += 1;
         }
         Program { rules, goal: Atom::new(pred, Vec::new()), symbols }
     }

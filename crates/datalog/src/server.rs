@@ -247,13 +247,15 @@ impl Server {
     }
 
     /// Arms (or re-arms) the query cache — the restore path's second
-    /// half. Existing views are discarded. Of `program` the cache keeps
-    /// the symbol table, which must be the one the store's rules were
-    /// written over (or an extension of it); the rules come from the
-    /// store, so a server saved after rule hot-swaps is served by its
-    /// own rules whatever `program.rules` lists — read here and now,
-    /// so the first bound query on a predicate only the store knows to
-    /// be IDB already gets a view.
+    /// half. Existing views are discarded. Of `program` the cache shares
+    /// the symbol table (a [`crate::ast::Symbols`] clone is three
+    /// reference counts, so arming costs no name), which must be the one
+    /// the store's rules were written over (or an extension of it); names
+    /// the caller interns into `program` afterwards stay the caller's
+    /// own. The rules come from the store, so a server saved after rule
+    /// hot-swaps is served by its own rules whatever `program.rules`
+    /// lists — read here and now, so the first bound query on a predicate
+    /// only the store knows to be IDB already gets a view.
     pub fn enable_query_cache(&self, program: &Program) {
         let mut state = self.shared.write();
         state.cache = QueryCache::serving(program, Some(&state.cache), &state.store);

@@ -1,9 +1,10 @@
 //! Property tests for the Datalog engine: strategy agreement, magic-set
 //! equivalence, and goal-application laws on randomized programs and
-//! databases.
+//! databases; and the independence of `Symbols` clones, which share
+//! their storage copy-on-write.
 
 use proptest::prelude::*;
-use selprop_datalog::ast::{Const, Program};
+use selprop_datalog::ast::{Const, Pred, Program, Symbols, Var};
 use selprop_datalog::db::Database;
 use selprop_datalog::eval::{answer, apply_goal, evaluate, Strategy as EvalStrategy};
 use selprop_datalog::magic::magic_transform;
@@ -118,6 +119,104 @@ proptest! {
         let (big, _) = answer(&p2, &db2, EvalStrategy::SemiNaive);
         for t in small.iter() {
             prop_assert!(big.contains(t), "monotonicity violated");
+        }
+    }
+}
+
+/// What `Symbols` must behave like: three name lists, copied eagerly.
+#[derive(Clone, Default)]
+struct EagerSymbols {
+    consts: Vec<String>,
+    vars: Vec<String>,
+    preds: Vec<String>,
+}
+
+fn model_intern(space: &mut Vec<String>, name: &str) -> u32 {
+    let at = space.iter().position(|n| n == name).unwrap_or_else(|| {
+        space.push(name.to_owned());
+        space.len() - 1
+    });
+    at as u32
+}
+
+fn model_fresh(space: &mut Vec<String>, hint: &str) -> u32 {
+    let mut name = hint.to_owned();
+    let mut i = 0;
+    while space.contains(&name) {
+        name = format!("{hint}_{i}");
+        i += 1;
+    }
+    model_intern(space, &name)
+}
+
+/// Every name→id and id→name answer of `sy` is `model`'s, over every
+/// name any live clone knows: a name interned elsewhere must be absent.
+fn check_against(sy: &Symbols, model: &EagerSymbols, universe: &[String]) -> Result<(), String> {
+    let at = |space: &[String], name: &str| space.iter().position(|n| n == name).map(|i| i as u32);
+    if sy.num_predicates() != model.preds.len() || sy.num_variables() != model.vars.len() {
+        return Err("a space changed size".to_owned());
+    }
+    for name in universe {
+        if sy.get_constant(name) != at(&model.consts, name).map(Const)
+            || sy.get_variable(name) != at(&model.vars, name).map(Var)
+            || sy.get_predicate(name) != at(&model.preds, name).map(Pred)
+        {
+            return Err(format!("name {name} resolves differently"));
+        }
+    }
+    fn ids(space: &[String]) -> impl Iterator<Item = (u32, &str)> {
+        (0..).zip(space.iter().map(String::as_str))
+    }
+    if ids(&model.consts).any(|(i, n)| sy.const_name(Const(i)) != n)
+        || ids(&model.vars).any(|(i, n)| sy.var_name(Var(i)) != n)
+        || ids(&model.preds).any(|(i, n)| sy.pred_name(Pred(i)) != n)
+    {
+        return Err("an id names something else".to_owned());
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Clones of a name table are independent, whatever the order of
+    /// clones, interns and drops: each behaves as if it had been
+    /// deep-copied when it was made.
+    #[test]
+    fn symbols_clones_are_independent(
+        ops in proptest::collection::vec((0u8..8, 0u8..8, 0u8..10), 1..60),
+    ) {
+        let mut live: Vec<(Symbols, EagerSymbols)> = vec![Default::default()];
+        for (kind, which, name) in ops {
+            let k = which as usize % live.len();
+            let name = format!("n{name}");
+            let (sy, model) = &mut live[k];
+            match kind {
+                0 | 1 => {
+                    let twin = (sy.clone(), model.clone());
+                    live.push(twin);
+                }
+                2 => prop_assert_eq!(sy.constant(&name).0, model_intern(&mut model.consts, &name)),
+                3 => prop_assert_eq!(sy.variable(&name).0, model_intern(&mut model.vars, &name)),
+                4 => prop_assert_eq!(sy.predicate(&name).0, model_intern(&mut model.preds, &name)),
+                5 => prop_assert_eq!(sy.fresh_variable(&name).0, model_fresh(&mut model.vars, &name)),
+                6 => prop_assert_eq!(sy.fresh_predicate(&name).0, model_fresh(&mut model.preds, &name)),
+                _ => {
+                    if live.len() > 1 {
+                        live.swap_remove(k);
+                    }
+                }
+            }
+            let mut universe: Vec<String> = live
+                .iter()
+                .flat_map(|(_, m)| m.consts.iter().chain(&m.vars).chain(&m.preds).cloned())
+                .collect();
+            universe.sort();
+            universe.dedup();
+            for (sy, model) in &live {
+                let verdict = check_against(sy, model, &universe);
+                prop_assert!(verdict.is_ok(), "{:?}", verdict);
+            }
         }
     }
 }

@@ -90,7 +90,7 @@ pub fn approximate(g: &Cfg) -> RegularApproximation {
 
     // Transform mixed SCCs to right-linear (the approximation step).
     let mut approximated_sccs = Vec::new();
-    let mut work = clean.clone();
+    let mut work = clean;
     loop {
         let sccs = condensation(&work);
         let mixed = sccs
@@ -118,7 +118,7 @@ pub fn approximate(g: &Cfg) -> RegularApproximation {
         .clone()
         .unwrap_or_else(|| Nfa::empty(work.alphabet.clone()));
     if eps {
-        nfa = nfa.union(&Nfa::from_word(work.alphabet.clone(), &[]));
+        nfa = nfa.union(&Nfa::from_word(work.alphabet, &[]));
     }
     RegularApproximation {
         nfa,
