@@ -30,9 +30,9 @@
 //! would recurse through 10⁵ nested nodes and overflow the stack of a
 //! default test thread).
 //!
-//! The original naive provenance fixpoint is preserved as
-//! [`crate::reference::Provenance`] — the executable specification the
-//! equivalence suite validates this module against.
+//! The specification's justifications, read off its fixpoint, are
+//! [`crate::reference::Provenance`]; the equivalence suite checks both
+//! and asserts they derive the same facts.
 
 use crate::ast::{Pred, Program};
 use crate::db::{Database, Relation, Tuple};
@@ -468,7 +468,7 @@ impl Provenance {
     /// body row ids are real rows, and every justification chain is
     /// well-founded — it bottoms out in EDB rows. This is the bridge the
     /// equivalence suite uses between this engine-recorded provenance
-    /// and the naive [`crate::reference::Provenance`] specification.
+    /// and the specification's [`crate::reference::Provenance`].
     pub fn check(&self, program: &Program) -> Result<(), String> {
         use crate::ast::Term;
         let edbs = program.edb_predicates();

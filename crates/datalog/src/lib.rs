@@ -29,8 +29,10 @@
 //!   (work counters power the experiment harness). Batch evaluation is
 //!   a special case of the incremental engine: the entry points are
 //!   thin wrappers that build a materialization, run one fixpoint and
-//!   read the result out, keeping [`eval::EvalStats`] bit-for-bit equal
-//!   to the reference engine;
+//!   read the result out. Of [`eval::EvalStats`], iterations, firings
+//!   and derived tuples equal the specification's under every strategy,
+//!   order and thread count; join probes, the plan's own, are pinned on
+//!   fixed inputs;
 //! - [`plan`] — compiled join plans and the **cost-based join
 //!   planner**: one selectivity-ordered batch plan per rule, one
 //!   delta-first update plan per (rule, delta atom) so an update round
@@ -45,11 +47,12 @@
 //! - [`storage`] — columnar relations (one flat `Vec<Const>` per
 //!   predicate, rows deduplicated by an [`hash::FxHasher`] row table)
 //!   and the incremental join indexes (`BENCHMARK.json`: `storage.*`);
-//! - [`mod@reference`] — a tuple-at-a-time evaluator, kept as the
-//!   executable specification: the storage engine must reproduce its
-//!   [`eval::EvalStats`] bit-for-bit; also hosts the naive provenance
-//!   fixpoint ([`reference::Provenance`]), the spec for the engine's
-//!   recorded justifications;
+//! - [`mod@reference`] — the executable specification: the minimum
+//!   model by textbook semi-naive iteration of the immediate-consequence
+//!   operator in rule-text order, importing nothing from the planner or
+//!   the engine. One loop yields the model, the goal answer and one
+//!   first-found justification per fact ([`reference::Provenance`], the
+//!   spec for the engine's recorded justifications);
 //! - [`derivation`] — the operational semantics: derivation trees and
 //!   convergence profiles (the executable form of boundedness,
 //!   Section 8). [`eval::evaluate_with_provenance`] records one

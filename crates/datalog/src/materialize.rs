@@ -509,8 +509,7 @@ impl Materialization {
 
         // Plan + compile rules; register one index per (relation, mask).
         // Cardinalities are the live row counts after the EDB load (IDB
-        // relations are still empty) — the reference evaluator computes
-        // the same orders from the input database.
+        // relations are still empty).
         m.planned_card = m.rels.iter().map(|r| r.num_live() as u64).collect();
         for (i, r) in program.rules.iter().enumerate() {
             m.plan_slot(r, order_by.map_or(r, |o| &o[i]), &idbs);

@@ -1,718 +1,283 @@
-//! The original tuple-at-a-time evaluator, preserved as the executable
-//! specification of the work counters.
+//! The executable specification: a program's minimum model, computed
+//! from its definition.
 //!
-//! [`crate::eval`] reimplements the fixpoint on flat columnar storage for
-//! speed; its contract is that [`EvalStats`] — iterations, rule firings,
-//! derived tuples, join probes — stay **bit-for-bit identical** to this
-//! module on every program and database, so the tables in EXPERIMENTS.md
-//! remain valid across storage rewrites. The `engine_equiv` property
-//! suite and `stats_match_reference_engine_exactly` enforce the contract.
+//! Section 2.1 of the paper defines the output of a program on a
+//! database as the least set of ground atoms that contains the database
+//! and is closed under the rules. This module computes it by iterating
+//! the **immediate-consequence operator**: each round evaluates every
+//! rule, in rule-text order, against the facts known before the round,
+//! joins the body atoms left to right through a hash lookup on the
+//! positions the earlier atoms bind, and adds the heads that are new;
+//! the first round that adds nothing ends the loop. The first
+//! instantiation found for a new fact is recorded as its justification,
+//! so [`evaluate`], [`answer`] and [`Provenance::compute`] are three
+//! read-outs of one loop.
 //!
-//! This engine allocates a `Vec<Const>` per tuple, clones `old` from
-//! `full` each iteration, and rebuilds every hash index per iteration —
-//! exactly the costs the storage engine removes. Do not use it for
-//! anything but cross-checking.
+//! The iteration is the textbook **semi-naive** one: after the first
+//! round, a rule is evaluated once per IDB body atom, that atom reading
+//! only the facts the previous round added and every other atom all
+//! facts. Round `k` still derives exactly the facts of stage `k` — a
+//! new fact of stage `k` uses one of stage `k − 1` — but no round
+//! re-joins the whole model: naive rounds did, and a 49-round closure
+//! in `tests/update_complexity.rs` took the suite's time up by 40 %.
+//! The module shares no planner, body order, index, pruning or storage
+//! code with the engine ([`crate::eval`]), so an optimizer bug cannot
+//! sit on both sides of a comparison. It allocates per tuple: use it
+//! for cross-checking only.
+//!
+//! Of [`EvalStats`] it reports the three counters the model decides —
+//! `iterations` (rounds, the final empty one included), `rule_firings`
+//! and `tuples_derived` (both the number of facts added) — which do not
+//! depend on a strategy, a body order or a thread count; the engine's
+//! are tested equal to these. `join_probes` is always 0: a probe count
+//! belongs to a plan, and the specification has none.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
-use crate::ast::{Const, Pred, Program, Rule, Term, Var};
-use crate::db::{Database, Tuple};
-use crate::derivation::{DerivationTree, GroundAtom};
-use crate::eval::{apply_goal, EvalResult, EvalStats, Strategy};
-use crate::plan::{body_order, OrderMode, Purpose};
+use crate::ast::{Atom, Const, Pred, Program, Term, Var};
+use crate::db::{Database, Relation, Tuple};
+use crate::derivation::GroundAtom;
+use crate::eval::{EvalResult, EvalStats, Strategy};
 
-/// Evaluates `program` on `db` with the reference engine under
-/// [`OrderMode::Planned`] (the storage engine's order).
-///
-/// [`Strategy::SemiNaiveParallel`] is evaluated as sequential semi-naive
-/// ([`Strategy::sequential_spec`]): the parallel engine's contract is to
-/// match that specification's counters bit-for-bit, so the reference for
-/// both is the same run.
-pub fn evaluate(program: &Program, db: &Database, strategy: Strategy) -> EvalResult {
-    evaluate_cfg(program, db, strategy, OrderMode::Planned)
+/// Why a fact holds: the rule's index and its body instantiated, in
+/// rule-text order.
+type Justification = (usize, Vec<GroundAtom>);
+
+/// A variable binding, in binding order: a rule has a handful of
+/// variables, and backtracking is a truncation.
+type Env = Vec<(Var, Const)>;
+
+/// Facts per predicate, kept sorted so that every run enumerates them —
+/// and finds each fact's first justification — in the same order.
+type Facts = HashMap<Pred, BTreeSet<Tuple>>;
+
+/// Facts of one predicate, keyed by their values at some positions.
+type Lookup<'a> = HashMap<Vec<Const>, Vec<&'a Tuple>>;
+
+/// Evaluates `program` on `db` to its minimum model. Every IDB
+/// predicate is present in the result, empty or not; its arity is the
+/// database relation's if the database has one, else the rule heads'.
+/// The strategy is accepted and ignored: every strategy computes this
+/// model with these counters.
+pub fn evaluate(program: &Program, db: &Database, _strategy: Strategy) -> EvalResult {
+    let model = fixpoint(program, db);
+    let mut idb = Database::new();
+    for (p, facts) in model.idb {
+        let head = program.rules.iter().find(|r| r.head.pred == p).map_or(0, |r| r.head.arity());
+        let rel = idb.relation_mut(p, db.relation(p).map_or(head, Relation::arity));
+        for t in facts {
+            rel.insert(t);
+        }
+    }
+    EvalResult {
+        idb,
+        stats: model.stats,
+    }
 }
 
-/// Evaluates under an explicit body-order mode. The reference mirrors
-/// every counter-visible planner decision — body order (from database
-/// cardinalities, which equal the engine's live counts at compile
-/// time), suffix pruning at the head-ready depth, and merge-time
-/// productive firings — so [`EvalStats`] stay bit-for-bit comparable to
-/// the storage engine under the same order.
-pub fn evaluate_cfg(
-    program: &Program,
-    db: &Database,
-    strategy: Strategy,
-    order: OrderMode,
-) -> EvalResult {
-    Evaluator::new(program, db, order).run(strategy.sequential_spec())
-}
-
-/// Evaluates and applies the goal with the reference engine.
-pub fn answer(
-    program: &Program,
-    db: &Database,
-    strategy: Strategy,
-) -> (crate::db::Relation, EvalStats) {
+/// Evaluates and applies the goal: the goal relation's facts that match
+/// its constants and repeated variables, projected onto its distinct
+/// variables in first-occurrence order.
+pub fn answer(program: &Program, db: &Database, strategy: Strategy) -> (Relation, EvalStats) {
     let result = evaluate(program, db, strategy);
-    let rel = result
-        .idb
-        .relation(program.goal.pred)
-        .cloned()
-        .unwrap_or_else(|| crate::db::Relation::new(program.goal.arity()));
-    (apply_goal(&program.goal, &rel), result.stats)
-}
-
-/// A term pattern compiled to dense rule-local slots.
-#[derive(Clone, Copy, Debug)]
-enum Pat {
-    /// A rule-local variable slot.
-    Slot(usize),
-    /// A constant that must match.
-    Const(Const),
-}
-
-#[derive(Clone, Debug)]
-struct CompiledAtom {
-    pred: Pred,
-    pattern: Vec<Pat>,
-    /// Argument positions that are bound when this atom is evaluated
-    /// left-to-right (constants, slots bound earlier, and repeats within
-    /// this atom).
-    bound_positions: Vec<usize>,
-}
-
-#[derive(Clone, Debug)]
-struct CompiledRule {
-    head_pred: Pred,
-    head_pattern: Vec<Pat>,
-    /// Body atoms in **planner order** (the evaluation order).
-    body: Vec<CompiledAtom>,
-    num_slots: usize,
-    /// Body positions (in planner order) whose predicate is an IDB of
-    /// the program.
-    idb_positions: Vec<usize>,
-    /// First body position at which every head slot is bound — the
-    /// suffix-prune point, mirroring `RulePlan::head_ready_depth`.
-    head_ready: usize,
-}
-
-fn compile_rule(rule: &Rule, idbs: &[Pred], order: &[usize]) -> CompiledRule {
-    let mut slots: HashMap<Var, usize> = HashMap::new();
-    let slot_of = |v: Var, slots: &mut HashMap<Var, usize>| {
-        let next = slots.len();
-        *slots.entry(v).or_insert(next)
-    };
-    let mut body = Vec::new();
-    let mut bound_slots: Vec<bool> = Vec::new();
-    for &ai in order {
-        let atom = &rule.body[ai];
-        let mut pattern = Vec::new();
-        let mut bound_positions = Vec::new();
-        let mut seen_here: Vec<usize> = Vec::new();
-        for (i, t) in atom.args.iter().enumerate() {
-            match t {
-                Term::Const(c) => {
-                    pattern.push(Pat::Const(*c));
-                    bound_positions.push(i);
-                }
-                Term::Var(v) => {
-                    let s = slot_of(*v, &mut slots);
-                    if s >= bound_slots.len() {
-                        bound_slots.resize(s + 1, false);
-                    }
-                    // Only slots bound by *earlier atoms* key the index;
-                    // a repeat within this atom (e.g. `p(X, X)`) is a
-                    // filter applied during tuple matching.
-                    if bound_slots[s] {
-                        bound_positions.push(i);
-                    }
-                    seen_here.push(s);
-                    pattern.push(Pat::Slot(s));
-                }
-            }
-        }
-        for &s in &seen_here {
-            bound_slots[s] = true;
-        }
-        body.push(CompiledAtom {
-            pred: atom.pred,
-            pattern,
-            bound_positions,
-        });
-    }
-    let head_pattern: Vec<Pat> = rule
-        .head
-        .args
-        .iter()
-        .map(|t| match t {
-            Term::Const(c) => Pat::Const(*c),
-            Term::Var(v) => Pat::Slot(*slots.get(v).expect("safe rule")),
-        })
-        .collect();
-    let idb_positions = order
-        .iter()
-        .enumerate()
-        .filter(|&(_, &ai)| idbs.contains(&rule.body[ai].pred))
-        .map(|(d, _)| d)
-        .collect();
-    let head_ready = head_ready_depth(&head_pattern, &body, slots.len());
-    CompiledRule {
-        head_pred: rule.head.pred,
-        head_pattern,
-        body,
-        num_slots: slots.len(),
-        idb_positions,
-        head_ready,
-    }
-}
-
-/// First body-position prefix after which every head slot is bound —
-/// the same computation as `plan::head_ready_depth`, over the pattern
-/// vocabulary: 0 for all-constant heads, `body.len()` when a head slot
-/// is bound only by the last atom.
-fn head_ready_depth(head_pattern: &[Pat], body: &[CompiledAtom], num_slots: usize) -> usize {
-    let need: Vec<usize> = head_pattern
-        .iter()
-        .filter_map(|p| match p {
-            Pat::Slot(s) => Some(*s),
-            Pat::Const(_) => None,
-        })
-        .collect();
-    let mut bound = vec![false; num_slots];
-    for (d, atom) in body.iter().enumerate() {
-        if need.iter().all(|&s| bound[s]) {
-            return d;
-        }
-        for p in &atom.pattern {
-            if let Pat::Slot(s) = p {
-                bound[*s] = true;
-            }
+    let goal = &program.goal;
+    let mut out = Relation::new(goal.vars().collect::<HashSet<Var>>().len());
+    for row in result.idb.relation(goal.pred).into_iter().flat_map(|r| r.iter()) {
+        // Bound in first-occurrence order, `env` is the projected tuple.
+        let mut env = Env::new();
+        if unify(&goal.args, row, &mut env) {
+            out.insert(env.into_iter().map(|(_, c)| c).collect());
         }
     }
-    body.len()
+    (out, result.stats)
 }
 
-/// Which snapshot a body atom reads from.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-enum Source {
-    /// EDB relation from the input database.
-    Edb,
-    /// Current full IDB relation.
-    Full,
-    /// IDB relation as of the previous iteration.
-    Old,
-    /// Facts derived exactly in the previous iteration.
-    Delta,
-}
-
-type Index = HashMap<Vec<Const>, Vec<u32>>;
-
-struct Evaluator<'a> {
-    program: &'a Program,
-    rules: Vec<CompiledRule>,
-    edb: HashMap<Pred, Vec<Tuple>>,
-    arity: HashMap<Pred, usize>,
+/// What the fixpoint leaves behind.
+struct Model {
+    /// The facts of every IDB predicate.
+    idb: Facts,
+    /// One first-found justification per derived fact.
+    just: HashMap<GroundAtom, Justification>,
     stats: EvalStats,
 }
 
-impl<'a> Evaluator<'a> {
-    fn new(program: &'a Program, db: &Database, order: OrderMode) -> Self {
-        let idbs = program.idb_predicates();
-        // Cardinalities at compile time: database sizes for EDB
-        // predicates, 0 for IDBs — exactly the engine's live row counts
-        // when it plans (EDB loaded, nothing derived yet), so both
-        // sides compute the same body orders.
-        let mut card = |p: Pred| {
-            if idbs.contains(&p) {
-                0
-            } else {
-                db.relation(p).map_or(0, |r| r.len() as u64)
-            }
+/// The one loop: semi-naive rounds of the immediate-consequence
+/// operator. Database facts under IDB predicates are not part of the
+/// input — both the engine and the definition's EDB/IDB split ignore
+/// them.
+fn fixpoint(program: &Program, db: &Database) -> Model {
+    let mut model = Model {
+        idb: program.idb_predicates().into_iter().map(|p| (p, BTreeSet::new())).collect(),
+        just: HashMap::new(),
+        stats: EvalStats::default(),
+    };
+    // What the previous round added; `None` before the first round.
+    let mut delta: Option<Facts> = None;
+    loop {
+        model.stats.iterations += 1;
+        // Each head new this round, with the first instantiation found.
+        let mut new: HashMap<GroundAtom, Justification> = HashMap::new();
+        let mut round = Round {
+            idb: &model.idb,
+            delta: delta.as_ref(),
+            db,
+            lookups: HashMap::new(),
         };
-        let rules = program
-            .rules
+        for (ri, rule) in program.rules.iter().enumerate() {
+            // The first round reads every fact; every later pass has
+            // one IDB atom read what the previous round added.
+            let passes: Vec<Option<usize>> = match delta {
+                None => vec![None],
+                Some(_) => (0..rule.body.len())
+                    .filter(|&i| model.idb.contains_key(&rule.body[i].pred))
+                    .map(Some)
+                    .collect(),
+            };
+            for delta_at in passes {
+                join(&rule.body, 0, delta_at, &mut Env::new(), &mut round, &mut |env| {
+                    let head = ground(&rule.head, env);
+                    if !model.idb[&head.pred].contains(&head.args) {
+                        let why = || (ri, rule.body.iter().map(|a| ground(a, env)).collect());
+                        new.entry(head).or_insert_with(why);
+                    }
+                });
+            }
+        }
+        if new.is_empty() {
+            return model;
+        }
+        model.stats.rule_firings += new.len() as u64;
+        model.stats.tuples_derived += new.len() as u64;
+        let mut added = Facts::new();
+        for (fact, why) in new {
+            model.idb.get_mut(&fact.pred).expect("heads are IDB").insert(fact.args.clone());
+            added.entry(fact.pred).or_default().insert(fact.args.clone());
+            model.just.insert(fact, why);
+        }
+        delta = Some(added);
+    }
+}
+
+/// The facts one round reads — the IDB as of the round's start, what
+/// the previous round added, the database for everything else — and
+/// the hash lookups built over them on demand, one per `(predicate,
+/// reads Δ, bound positions)`.
+struct Round<'a> {
+    idb: &'a Facts,
+    delta: Option<&'a Facts>,
+    db: &'a Database,
+    lookups: HashMap<(Pred, bool, Vec<usize>), Lookup<'a>>,
+}
+
+impl<'a> Round<'a> {
+    /// The facts of `atom`'s predicate (only the previous round's if
+    /// `from_delta`) that agree with `env` and the atom's constants on
+    /// every position those bind.
+    fn candidates(&mut self, atom: &Atom, from_delta: bool, env: &Env) -> Vec<&'a Tuple> {
+        let (bound, key): (Vec<usize>, Vec<Const>) = atom
+            .args
             .iter()
             .enumerate()
-            .map(|(i, r)| {
-                compile_rule(r, &idbs, &body_order(r, i, Purpose::Batch, order, &mut card))
+            .filter_map(|(i, t)| match t {
+                Term::Const(c) => Some((i, *c)),
+                Term::Var(v) => value_of(env, *v).map(|c| (i, c)),
             })
-            .collect();
-        let mut edb: HashMap<Pred, Vec<Tuple>> = HashMap::new();
-        let mut arity: HashMap<Pred, usize> = HashMap::new();
-        for (p, r) in db.iter() {
-            edb.insert(p, r.iter().cloned().collect());
-            arity.insert(p, r.arity());
-        }
-        for r in &program.rules {
-            arity.entry(r.head.pred).or_insert_with(|| r.head.arity());
-            for a in &r.body {
-                arity.entry(a.pred).or_insert_with(|| a.arity());
+            .unzip();
+        let (p, idb, delta, db) = (atom.pred, self.idb, self.delta, self.db);
+        let entry = self.lookups.entry((p, from_delta, bound));
+        let lookup = entry.or_insert_with_key(|(_, _, bound)| {
+            let facts: Vec<&'a Tuple> = match idb.get(&p) {
+                _ if from_delta => delta.and_then(|d| d.get(&p)).into_iter().flatten().collect(),
+                Some(set) => set.iter().collect(),
+                None => db.relation(p).into_iter().flat_map(|r| r.iter()).collect(),
+            };
+            let mut by_key = Lookup::new();
+            for t in facts {
+                by_key.entry(bound.iter().map(|&i| t[i]).collect()).or_default().push(t);
             }
-        }
-        Self {
-            program,
-            rules,
-            edb,
-            arity,
-            stats: EvalStats::default(),
-        }
-    }
-
-    fn run(mut self, strategy: Strategy) -> EvalResult {
-        let idbs = self.program.idb_predicates();
-        let mut full: HashMap<Pred, Vec<Tuple>> = idbs.iter().map(|&p| (p, Vec::new())).collect();
-        let mut full_set: HashMap<Pred, std::collections::HashSet<Tuple>> =
-            idbs.iter().map(|&p| (p, Default::default())).collect();
-        let mut old: HashMap<Pred, Vec<Tuple>> = full.clone();
-        let mut delta: HashMap<Pred, Vec<Tuple>> = full.clone();
-
-        let mut first = true;
-        loop {
-            self.stats.iterations += 1;
-            let mut new: HashMap<Pred, Vec<Tuple>> = HashMap::new();
-            let mut indexes: HashMap<(Pred, Source, Vec<usize>), Index> = HashMap::new();
-
-            let rules = std::mem::take(&mut self.rules);
-            for rule in &rules {
-                match strategy {
-                    Strategy::Naive => {
-                        self.eval_rule(
-                            rule,
-                            None,
-                            &full,
-                            &old,
-                            &delta,
-                            &full_set,
-                            &mut indexes,
-                            |pred, t| {
-                                if !full_set[&pred].contains(&t) {
-                                    new.entry(pred).or_default().push(t);
-                                }
-                            },
-                        );
-                    }
-                    _ => {
-                        if rule.idb_positions.is_empty() {
-                            if first {
-                                self.eval_rule(
-                                    rule,
-                                    None,
-                                    &full,
-                                    &old,
-                                    &delta,
-                                    &full_set,
-                                    &mut indexes,
-                                    |pred, t| {
-                                        if !full_set[&pred].contains(&t) {
-                                            new.entry(pred).or_default().push(t);
-                                        }
-                                    },
-                                );
-                            }
-                        } else if !first {
-                            for &d in &rule.idb_positions {
-                                self.eval_rule(
-                                    rule,
-                                    Some(d),
-                                    &full,
-                                    &old,
-                                    &delta,
-                                    &full_set,
-                                    &mut indexes,
-                                    |pred, t| {
-                                        if !full_set[&pred].contains(&t) {
-                                            new.entry(pred).or_default().push(t);
-                                        }
-                                    },
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-            self.rules = rules;
-
-            // merge: old ← full; delta ← new; full ← full ∪ new
-            let mut any = false;
-            for (&p, f) in &full {
-                old.insert(p, f.clone());
-            }
-            for (p, tuples) in new {
-                let set = full_set.get_mut(&p).expect("idb pred");
-                let mut added = Vec::new();
-                for t in tuples {
-                    if set.insert(t.clone()) {
-                        added.push(t);
-                    }
-                }
-                self.stats.tuples_derived += added.len() as u64;
-                // Productive firings are counted at the merge — the
-                // tuples that actually entered the model — mirroring the
-                // engine's merge-time accounting.
-                self.stats.rule_firings += added.len() as u64;
-                if !added.is_empty() {
-                    any = true;
-                }
-                full.get_mut(&p).expect("idb pred").extend(added.iter().cloned());
-                delta.insert(p, added);
-            }
-            // clear deltas of predicates that derived nothing this round
-            // (old holds the pre-merge sizes)
-            for &p in &idbs {
-                if old[&p].len() == full[&p].len() {
-                    delta.insert(p, Vec::new());
-                }
-            }
-            if !any {
-                break;
-            }
-            first = false;
-        }
-
-        let mut idb_db = Database::new();
-        for (&p, tuples) in &full {
-            let ar = *self.arity.get(&p).unwrap_or(&0);
-            let rel = idb_db.relation_mut(p, ar);
-            for t in tuples {
-                rel.insert(t.clone());
-            }
-        }
-        EvalResult {
-            idb: idb_db,
-            stats: self.stats,
-        }
-    }
-
-    /// Evaluates one rule with an optional delta position, feeding head
-    /// tuples to `emit`.
-    #[allow(clippy::too_many_arguments)]
-    fn eval_rule(
-        &mut self,
-        rule: &CompiledRule,
-        delta_pos: Option<usize>,
-        full: &HashMap<Pred, Vec<Tuple>>,
-        old: &HashMap<Pred, Vec<Tuple>>,
-        delta: &HashMap<Pred, Vec<Tuple>>,
-        full_set: &HashMap<Pred, HashSet<Tuple>>,
-        indexes: &mut HashMap<(Pred, Source, Vec<usize>), Index>,
-        mut emit: impl FnMut(Pred, Tuple),
-    ) {
-        let ctx = JoinCtx {
-            edb: &self.edb,
-            full,
-            old,
-            delta,
-            full_set,
-            delta_pos,
-        };
-        let mut env: Vec<Option<Const>> = vec![None; rule.num_slots];
-        let mut probes = 0u64;
-        descend(rule, 0, &mut env, &ctx, indexes, &mut probes, &mut emit);
-        self.stats.join_probes += probes;
+            by_key
+        });
+        lookup.get(&key).cloned().unwrap_or_default()
     }
 }
 
-/// Borrowed snapshots for one rule-evaluation pass.
-struct JoinCtx<'b> {
-    edb: &'b HashMap<Pred, Vec<Tuple>>,
-    full: &'b HashMap<Pred, Vec<Tuple>>,
-    old: &'b HashMap<Pred, Vec<Tuple>>,
-    delta: &'b HashMap<Pred, Vec<Tuple>>,
-    /// The frozen model, for the suffix-prune existence check.
-    full_set: &'b HashMap<Pred, HashSet<Tuple>>,
-    delta_pos: Option<usize>,
-}
-
-impl<'b> JoinCtx<'b> {
-    fn source_of(&self, pos: usize, atom: &CompiledAtom) -> Source {
-        if !self.full.contains_key(&atom.pred) {
-            Source::Edb
-        } else {
-            // "last delta occurrence" convention: positions before the
-            // delta read the up-to-date full relation, positions after it
-            // read the previous iteration's relation.
-            match self.delta_pos {
-                None => Source::Full,
-                Some(d) if pos == d => Source::Delta,
-                Some(d) if pos < d => Source::Full,
-                Some(_) => Source::Old,
-            }
-        }
-    }
-
-    fn tuples_of(&self, src: Source, pred: Pred) -> &'b [Tuple] {
-        let map = match src {
-            Source::Edb => self.edb,
-            Source::Full => self.full,
-            Source::Old => self.old,
-            Source::Delta => self.delta,
-        };
-        map.get(&pred).map(Vec::as_slice).unwrap_or(&[])
-    }
-}
-
-/// Recursive backtracking join over the body atoms.
-fn descend(
-    rule: &CompiledRule,
+/// Calls `emit` once per instantiation of `body[pos..]` that extends
+/// `env`, atoms matched in text order, atom `delta_at` reading Δ.
+fn join<'a>(
+    body: &[Atom],
     pos: usize,
-    env: &mut Vec<Option<Const>>,
-    ctx: &JoinCtx<'_>,
-    indexes: &mut HashMap<(Pred, Source, Vec<usize>), Index>,
-    probes: &mut u64,
-    emit: &mut dyn FnMut(Pred, Tuple),
+    delta_at: Option<usize>,
+    env: &mut Env,
+    round: &mut Round<'a>,
+    emit: &mut dyn FnMut(&Env),
 ) {
-    if pos == rule.body.len() {
-        let t: Tuple = rule
-            .head_pattern
-            .iter()
-            .map(|p| match p {
-                Pat::Const(c) => *c,
-                Pat::Slot(s) => env[*s].expect("safe rule binds head slots"),
-            })
-            .collect();
-        emit(rule.head_pred, t);
-        return;
-    }
-    // Suffix pruning: the head is fully bound here; if it already
-    // exists in the frozen model, the remaining joins can only
-    // re-derive it. The check precedes this depth's probe, exactly
-    // like the engine.
-    if pos == rule.head_ready {
-        let t: Tuple = rule
-            .head_pattern
-            .iter()
-            .map(|p| match p {
-                Pat::Const(c) => *c,
-                Pat::Slot(s) => env[*s].expect("head-ready depth binds head slots"),
-            })
-            .collect();
-        if ctx.full_set.get(&rule.head_pred).is_some_and(|s| s.contains(&t)) {
-            return;
-        }
-    }
-    let atom = &rule.body[pos];
-    let src = ctx.source_of(pos, atom);
-    let tuples = ctx.tuples_of(src, atom.pred);
-    // Build/fetch the hash index for this (pred, source, mask).
-    let key = (atom.pred, src, atom.bound_positions.clone());
-    let index = indexes.entry(key).or_insert_with(|| {
-        let mut idx: Index = HashMap::new();
-        for (ti, t) in tuples.iter().enumerate() {
-            let k: Vec<Const> = atom.bound_positions.iter().map(|&i| t[i]).collect();
-            idx.entry(k).or_default().push(ti as u32);
-        }
-        idx
-    });
-    let probe_key: Vec<Const> = atom
-        .bound_positions
-        .iter()
-        .map(|&i| match atom.pattern[i] {
-            Pat::Const(c) => c,
-            Pat::Slot(s) => env[s].expect("bound slot"),
-        })
-        .collect();
-    *probes += 1;
-    let Some(matches) = index.get(&probe_key) else {
-        return;
+    let Some(atom) = body.get(pos) else {
+        return emit(env);
     };
-    let matches = matches.clone();
-    for ti in matches {
-        let t = &tuples[ti as usize];
-        // bind free slots; record which to unbind on backtrack
-        let mut bound_here: Vec<usize> = Vec::new();
-        let mut ok = true;
-        for (i, pat) in atom.pattern.iter().enumerate() {
-            match pat {
-                Pat::Const(c) => {
-                    if t[i] != *c {
-                        ok = false;
-                        break;
-                    }
-                }
-                Pat::Slot(s) => match env[*s] {
-                    Some(c) => {
-                        if c != t[i] {
-                            ok = false;
-                            break;
-                        }
-                    }
-                    None => {
-                        env[*s] = Some(t[i]);
-                        bound_here.push(*s);
-                    }
-                },
-            }
+    for fact in round.candidates(atom, delta_at == Some(pos), env) {
+        let mark = env.len();
+        if unify(&atom.args, fact, env) {
+            join(body, pos + 1, delta_at, env, round, emit);
         }
-        if ok {
-            descend(rule, pos + 1, env, ctx, indexes, probes, emit);
-        }
-        for s in bound_here {
-            env[s] = None;
-        }
+        env.truncate(mark);
     }
 }
 
-// ---------------------------------------------------------------------
-// Naive provenance — the executable specification
-// ---------------------------------------------------------------------
+/// The value `env` binds `v` to.
+fn value_of(env: &Env, v: Var) -> Option<Const> {
+    env.iter().find(|&&(w, _)| w == v).map(|&(_, c)| c)
+}
 
-/// Provenance-tracking evaluation by naive fixpoint: for every derived
-/// IDB fact, one justification (rule index + body ground atoms).
-///
-/// This is the original tuple-at-a-time provenance from the derivation
-/// module, preserved — like the evaluator above — as the executable
-/// specification: a simple nested-loop re-matcher over cloned
-/// [`GroundAtom`]s, quadratic and clarity-first. The production path is
-/// [`crate::eval::evaluate_with_provenance`], which records row-id
-/// justifications inside the columnar join; the `engine_equiv` property
-/// suite validates both against [`Provenance::check`] /
-/// [`crate::derivation::Provenance::check`] and asserts they derive the
+/// Extends `env` so that `args` instantiates to `row`; false if a
+/// constant or an earlier binding disagrees (the caller truncates what
+/// was bound).
+fn unify(args: &[Term], row: &[Const], env: &mut Env) -> bool {
+    args.len() == row.len()
+        && args.iter().zip(row).all(|(t, &c)| match t {
+            Term::Const(k) => *k == c,
+            Term::Var(v) => match value_of(env, *v) {
+                Some(b) => b == c,
+                None => {
+                    env.push((*v, c));
+                    true
+                }
+            },
+        })
+}
+
+/// `atom` under `env`, which binds all its variables: a completed body
+/// instantiation binds every body variable, and rules are safe.
+fn ground(atom: &Atom, env: &Env) -> GroundAtom {
+    GroundAtom {
+        pred: atom.pred,
+        args: atom
+            .args
+            .iter()
+            .map(|t| match t {
+                Term::Const(c) => *c,
+                Term::Var(v) => value_of(env, *v).expect("bound by the instantiation"),
+            })
+            .collect(),
+    }
+}
+
+/// One first-found justification per derived IDB fact, read off the
+/// specification's fixpoint: the rule index and the body ground atoms,
+/// in rule-text order. The engine records its own
+/// ([`crate::eval::evaluate_with_provenance`]); the `engine_equiv`
+/// suite validates both with their `check` and asserts they derive the
 /// same facts.
 pub struct Provenance {
-    just: HashMap<GroundAtom, (usize, Vec<GroundAtom>)>,
+    just: HashMap<GroundAtom, Justification>,
     edb_preds: Vec<Pred>,
 }
 
 impl Provenance {
-    /// Runs a naive fixpoint recording first-found justifications.
+    /// Runs the fixpoint and keeps its justifications.
     pub fn compute(program: &Program, db: &Database) -> Provenance {
-        let mut just: HashMap<GroundAtom, (usize, Vec<GroundAtom>)> = HashMap::new();
-        let mut model: Vec<GroundAtom> = Vec::new();
-        let mut model_set: std::collections::HashSet<GroundAtom> = Default::default();
-        let idbs = program.idb_predicates();
-        for (p, rel) in db.iter() {
-            // Database facts for IDB predicates are ignored, exactly as
-            // in both evaluators (IDB relations start empty) — the spec
-            // must derive the same facts the engines derive.
-            if idbs.contains(&p) {
-                continue;
-            }
-            for t in rel.iter() {
-                let g = GroundAtom {
-                    pred: p,
-                    args: t.clone(),
-                };
-                if model_set.insert(g.clone()) {
-                    model.push(g);
-                }
-            }
-        }
-        loop {
-            let mut new: Vec<(GroundAtom, usize, Vec<GroundAtom>)> = Vec::new();
-            // Within-round dedup: `model_set` is frozen for the round, so
-            // without this set every rule (and every instantiation) that
-            // re-derives a head already staged this round would push a
-            // duplicate — quadratic memory on dense inputs, all dropped
-            // at the merge anyway.
-            let mut new_set: std::collections::HashSet<GroundAtom> = Default::default();
-            for (ri, rule) in program.rules.iter().enumerate() {
-                let mut env: HashMap<crate::ast::Var, Const> = HashMap::new();
-                match_body(rule, 0, &model, &mut env, &mut |env| {
-                    let head = GroundAtom {
-                        pred: rule.head.pred,
-                        args: rule
-                            .head
-                            .args
-                            .iter()
-                            .map(|t| match t {
-                                Term::Const(c) => *c,
-                                Term::Var(v) => env[v],
-                            })
-                            .collect(),
-                    };
-                    if !model_set.contains(&head) && !new_set.contains(&head) {
-                        new_set.insert(head.clone());
-                        let body = rule
-                            .body
-                            .iter()
-                            .map(|a| GroundAtom {
-                                pred: a.pred,
-                                args: a
-                                    .args
-                                    .iter()
-                                    .map(|t| match t {
-                                        Term::Const(c) => *c,
-                                        Term::Var(v) => env[v],
-                                    })
-                                    .collect(),
-                            })
-                            .collect();
-                        new.push((head, ri, body));
-                    }
-                });
-            }
-            let mut any = false;
-            for (head, ri, body) in new {
-                if model_set.insert(head.clone()) {
-                    model.push(head.clone());
-                    just.insert(head, (ri, body));
-                    any = true;
-                }
-            }
-            if !any {
-                break;
-            }
-        }
         Provenance {
-            just,
+            just: fixpoint(program, db).just,
             edb_preds: program.edb_predicates(),
-        }
-    }
-
-    /// Builds the derivation tree of a ground atom, if it was derived (or
-    /// is a database fact). Iterative, like the columnar engine's
-    /// [`crate::derivation::Provenance::tree`]: the spec must also be
-    /// callable on deep-chain proofs.
-    pub fn tree(&self, atom: &GroundAtom) -> Option<DerivationTree> {
-        if self.edb_preds.contains(&atom.pred) {
-            return Some(DerivationTree {
-                atom: atom.clone(),
-                via: None,
-            });
-        }
-        let (rule0, _) = self.just.get(atom)?;
-        struct Frame<'a> {
-            atom: &'a GroundAtom,
-            rule: usize,
-            kids: Vec<DerivationTree>,
-        }
-        let mut stack = vec![Frame {
-            atom,
-            rule: *rule0,
-            kids: Vec::new(),
-        }];
-        loop {
-            let (fatom, built) = {
-                let f = stack.last().expect("non-empty until the root completes");
-                (f.atom, f.kids.len())
-            };
-            let body = &self.just.get(fatom).expect("frames are derived atoms").1;
-            if built < body.len() {
-                let child = &body[built];
-                if self.edb_preds.contains(&child.pred) {
-                    stack.last_mut().expect("frame exists").kids.push(DerivationTree {
-                        atom: child.clone(),
-                        via: None,
-                    });
-                } else {
-                    let (crule, _) = self.just.get(child)?;
-                    stack.push(Frame {
-                        atom: child,
-                        rule: *crule,
-                        kids: Vec::new(),
-                    });
-                }
-            } else {
-                let f = stack.pop().expect("frame exists");
-                let node = DerivationTree {
-                    atom: f.atom.clone(),
-                    via: Some((f.rule, f.kids)),
-                };
-                match stack.last_mut() {
-                    None => return Some(node),
-                    Some(parent) => parent.kids.push(node),
-                }
-            }
         }
     }
 
@@ -739,46 +304,25 @@ impl Provenance {
             if rule.head.pred != head.pred || body.len() != rule.body.len() {
                 return Err(format!("{head:?}: rule shape mismatch"));
             }
-            let mut env: HashMap<Var, Const> = HashMap::new();
-            let bind = |t: &Term, c: Const, env: &mut HashMap<Var, Const>| match t {
-                Term::Const(k) => *k == c,
-                Term::Var(v) => *env.entry(*v).or_insert(c) == c,
-            };
+            let mut env = Env::new();
             for (atom, fact) in rule.body.iter().zip(body) {
-                if atom.pred != fact.pred
-                    || atom.args.len() != fact.args.len()
-                    || !atom
-                        .args
-                        .iter()
-                        .zip(&fact.args)
-                        .all(|(t, &c)| bind(t, c, &mut env))
-                {
+                if atom.pred != fact.pred || !unify(&atom.args, &fact.args, &mut env) {
                     return Err(format!("{head:?}: body is not an instantiation"));
                 }
                 if !self.edb_preds.contains(&fact.pred) && !self.just.contains_key(fact) {
                     return Err(format!("{head:?}: body fact {fact:?} unjustified"));
                 }
             }
-            if head.args.len() != rule.head.args.len()
-                || !rule
-                    .head
-                    .args
-                    .iter()
-                    .zip(&head.args)
-                    .all(|(t, &c)| bind(t, c, &mut env))
-            {
+            if !unify(&rule.head.args, &head.args, &mut env) {
                 return Err(format!("{head:?}: head is not the rule instantiation"));
             }
         }
         // Well-foundedness: every justification chain reaches EDB leaves.
-        // Body facts strictly predate their head in the naive rounds, so
+        // Body facts strictly predate their head in the fixpoint's rounds, so
         // a DFS with an on-path set detects any (impossible) cycle.
-        let mut done: std::collections::HashSet<&GroundAtom> = Default::default();
+        let mut done: HashSet<&GroundAtom> = HashSet::new();
         for root in self.just.keys() {
-            if done.contains(root) {
-                continue;
-            }
-            let mut on_path: std::collections::HashSet<&GroundAtom> = Default::default();
+            let mut on_path: HashSet<&GroundAtom> = HashSet::new();
             let mut stack: Vec<(&GroundAtom, bool)> = vec![(root, false)];
             while let Some((a, expanded)) = stack.pop() {
                 if expanded {
@@ -793,62 +337,12 @@ impl Provenance {
                     return Err(format!("{a:?}: cyclic justification"));
                 }
                 stack.push((a, true));
-                let (_, body) = &self.just[a];
-                for b in body {
+                for b in &self.just[a].1 {
                     stack.push((b, false));
                 }
             }
         }
         Ok(())
-    }
-}
-
-fn match_body(
-    rule: &crate::ast::Rule,
-    pos: usize,
-    model: &[GroundAtom],
-    env: &mut HashMap<crate::ast::Var, Const>,
-    emit: &mut dyn FnMut(&HashMap<crate::ast::Var, Const>),
-) {
-    if pos == rule.body.len() {
-        emit(env);
-        return;
-    }
-    let atom = &rule.body[pos];
-    for fact in model {
-        if fact.pred != atom.pred || fact.args.len() != atom.args.len() {
-            continue;
-        }
-        let mut bound: Vec<crate::ast::Var> = Vec::new();
-        let mut ok = true;
-        for (t, c) in atom.args.iter().zip(&fact.args) {
-            match t {
-                Term::Const(k) => {
-                    if k != c {
-                        ok = false;
-                        break;
-                    }
-                }
-                Term::Var(v) => match env.get(v) {
-                    Some(&b) => {
-                        if b != *c {
-                            ok = false;
-                            break;
-                        }
-                    }
-                    None => {
-                        env.insert(*v, *c);
-                        bound.push(*v);
-                    }
-                },
-            }
-        }
-        if ok {
-            match_body(rule, pos + 1, model, env, emit);
-        }
-        for v in bound {
-            env.remove(&v);
-        }
     }
 }
 

@@ -6,9 +6,12 @@
 //! independent under each of them — in a batch evaluation, and in a
 //! store maintained through update rounds and a snapshot.
 //!
-//! The reference evaluator is run *under the same order mode* as the
-//! engine, so the counter parity contract (`EvalStats` bit-for-bit) is
-//! exercised per order, not just for the planned one.
+//! The specification (`reference`, the minimum model by semi-naive
+//! iteration) has no body order: every order mode, strategy and thread
+//! count must reach its model, and the three counters the model decides
+//! (iterations, rule firings, tuples derived) must equal its own. Full
+//! `EvalStats`, `join_probes` included, are compared engine against
+//! engine across thread counts under each order.
 //!
 //! Three properties are **complexity oracles**. For the delta-first
 //! update plans: the work an update round costs must not depend on how
@@ -22,7 +25,7 @@ use proptest::prelude::*;
 use selprop_datalog::ast::Program;
 use selprop_datalog::db::{Database, Tuple};
 use selprop_datalog::eval::{
-    evaluate_cfg, evaluate_with_provenance_cfg, Strategy as EvalStrategy,
+    evaluate_cfg, evaluate_with_provenance_cfg, EvalStats, Strategy as EvalStrategy,
 };
 use selprop_datalog::magic::magic_transform;
 use selprop_datalog::parser::parse_program;
@@ -65,6 +68,39 @@ fn build_db(p: &mut Program, edges: &[(u8, u8)]) -> Database {
 /// permutations).
 fn configs(seed: u64) -> [OrderMode; 2] {
     [OrderMode::Planned, OrderMode::Shuffled(seed)]
+}
+
+/// The counters the model decides, whatever plan computed it.
+fn semantic(s: EvalStats) -> (usize, u64, u64) {
+    (s.iterations, s.rule_firings, s.tuples_derived)
+}
+
+/// Under both order modes, both strategies and threads {1, 2, 3}: the
+/// specification's model and semantic counters — and, within one order,
+/// the same `EvalStats` at every thread count.
+fn assert_every_order_computes_the_spec(
+    p: &Program,
+    db: &Database,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let spec = reference::evaluate(p, db, EvalStrategy::SemiNaive);
+    let model = spec.idb.sorted_models();
+    for cfg in configs(seed) {
+        let seq = evaluate_cfg(p, db, EvalStrategy::SemiNaive, cfg);
+        let strategies = [EvalStrategy::Naive, EvalStrategy::SemiNaive]
+            .into_iter()
+            .chain((1..=3).map(|threads| EvalStrategy::SemiNaiveParallel { threads }));
+        for strategy in strategies {
+            let got = evaluate_cfg(p, db, strategy, cfg);
+            let what = format!("{cfg:?} {strategy:?}");
+            prop_assert_eq!(semantic(got.stats), semantic(spec.stats), "{}", what);
+            prop_assert_eq!(&got.idb.sorted_models(), &model, "{}", what);
+            if strategy != EvalStrategy::Naive {
+                prop_assert_eq!(got.stats, seq.stats, "{}", what);
+            }
+        }
+    }
+    Ok(())
 }
 
 /// A random **chain program** over EDB `e0..e2` and IDB `p`, `q`: every
@@ -339,9 +375,9 @@ proptest! {
         prop_assert_eq!(&alone[1].4, &base.answer_goal(&goal).sorted());
     }
 
-    /// Engine vs reference under each order strategy: bit-identical
-    /// counters and equal models — and the models agree **across**
-    /// order strategies.
+    /// Engine vs specification under each order strategy, both
+    /// strategies and threads {1, 2, 3}: the spec's model and semantic
+    /// counters, and bit-identical counters across thread counts.
     #[test]
     fn every_body_order_computes_the_same_model(
         idx in 0usize..4,
@@ -350,15 +386,7 @@ proptest! {
     ) {
         let mut p = program(idx);
         let db = build_db(&mut p, &edges);
-        let mut models = Vec::new();
-        for cfg in configs(seed) {
-            let got = evaluate_cfg(&p, &db, EvalStrategy::SemiNaive, cfg);
-            let spec = reference::evaluate_cfg(&p, &db, EvalStrategy::SemiNaive, cfg);
-            prop_assert_eq!(got.stats, spec.stats);
-            prop_assert_eq!(got.idb.sorted_models(), spec.idb.sorted_models());
-            models.push(got.idb.sorted_models());
-        }
-        prop_assert_eq!(&models[0], &models[1]);
+        assert_every_order_computes_the_spec(&p, &db, seed)?;
     }
 
     /// The update-round twin: a store built under each order strategy
@@ -411,7 +439,7 @@ proptest! {
                 }
                 let got = m.idb_database().sorted_models();
                 let scratch = evaluate_cfg(&p, &db, EvalStrategy::SemiNaive, cfg);
-                let spec = reference::evaluate_cfg(&p, &db, EvalStrategy::SemiNaive, cfg);
+                let spec = reference::evaluate(&p, &db, EvalStrategy::SemiNaive);
                 prop_assert_eq!(&got, &scratch.idb.sorted_models(), "step {}", step);
                 prop_assert_eq!(&got, &spec.idb.sorted_models(), "step {}", step);
                 m.provenance().check(&p).map_err(TestCaseError::fail)?;
@@ -424,7 +452,8 @@ proptest! {
 
     /// Magic-set rewritten programs (whose rules carry magic guards in
     /// front — the order the planner most aggressively rewrites) keep
-    /// their answers under every order strategy.
+    /// their model, answers and semantic counters under every order
+    /// strategy.
     #[test]
     fn magic_programs_survive_every_body_order(
         idx in 0usize..4,
@@ -434,16 +463,7 @@ proptest! {
         let mut p = program(idx);
         let db = build_db(&mut p, &edges);
         let magic = magic_transform(&p).unwrap();
-        let want = reference::evaluate(&magic.program, &db, EvalStrategy::SemiNaive)
-            .idb
-            .sorted_models();
-        for cfg in configs(seed) {
-            let got = evaluate_cfg(&magic.program, &db, EvalStrategy::SemiNaive, cfg);
-            let spec = reference::evaluate_cfg(&magic.program, &db, EvalStrategy::SemiNaive, cfg);
-            prop_assert_eq!(got.stats, spec.stats);
-            prop_assert_eq!(&got.idb.sorted_models(), &want);
-            prop_assert_eq!(&spec.idb.sorted_models(), &want);
-        }
+        assert_every_order_computes_the_spec(&magic.program, &db, seed)?;
     }
 
     /// Provenance stays valid, thread-count independent, and
@@ -464,7 +484,7 @@ proptest! {
                 evaluate_with_provenance_cfg(&p, &db, EvalStrategy::SemiNaive, cfg);
             baseline.provenance.check(&p).map_err(TestCaseError::fail)?;
             let want = baseline.provenance.idb_database().sorted_models();
-            let spec = reference::evaluate_cfg(&p, &db, EvalStrategy::SemiNaive, cfg);
+            let spec = reference::evaluate(&p, &db, EvalStrategy::SemiNaive);
             prop_assert_eq!(&want, &spec.idb.sorted_models());
             for threads in [2usize, 4] {
                 let par = evaluate_with_provenance_cfg(
