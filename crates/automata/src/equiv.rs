@@ -175,7 +175,7 @@ mod tests {
     fn inclusion_cache_memoizes() {
         let (al, a, _) = setup();
         let d1 = Dfa::from_nfa(&Nfa::from_word(al.clone(), &[a]));
-        let d2 = Dfa::from_nfa(&Nfa::from_word(al.clone(), &[a]).star());
+        let d2 = Dfa::from_nfa(&Nfa::from_word(al, &[a]).star());
         let dfas = vec![d1, d2];
         let mut cache = InclusionCache::new();
         assert!(cache.included(&dfas, 0, 1));

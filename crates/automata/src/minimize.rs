@@ -305,7 +305,7 @@ mod tests {
     #[test]
     fn minimize_is_idempotent() {
         let (al, a, b) = ab();
-        let nfa = Nfa::from_word(al.clone(), &[a, b]).star();
+        let nfa = Nfa::from_word(al, &[a, b]).star();
         let dfa = Dfa::from_nfa(&nfa);
         let m1 = minimize(&dfa);
         let m2 = minimize(&m1);

@@ -226,7 +226,7 @@ mod tests {
     #[test]
     fn prefix_suffix_closures() {
         let (al, a, b) = setup();
-        let l = Dfa::from_nfa(&Nfa::from_word(al.clone(), &[a, b, a]));
+        let l = Dfa::from_nfa(&Nfa::from_word(al, &[a, b, a]));
         let p = prefixes(&l);
         assert!(p.accepts_word(&[]));
         assert!(p.accepts_word(&[a]));
@@ -262,7 +262,7 @@ mod tests {
         let l = Dfa::from_nfa(
             &Nfa::from_word(al.clone(), &[a]).star().concat(&Nfa::from_word(al.clone(), &[b])),
         );
-        let r = Dfa::from_nfa(&Nfa::from_word(al.clone(), &[a]).star());
+        let r = Dfa::from_nfa(&Nfa::from_word(al, &[a]).star());
         let q = left_quotient(&r, &l);
         // every suffix of a^n b obtainable: a^k b and b itself
         assert!(q.accepts_word(&[b]));

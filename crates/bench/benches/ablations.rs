@@ -1,13 +1,12 @@
 //! Ablation benches for the design choices called out in DESIGN.md §4:
 //!
-//! - **semi-naive vs naive** evaluation (the engine's delta machinery);
 //! - **Hopcroft minimization on/off** in the rewrite pipeline (monadic
 //!   rewrite size = one IDB per DFA state);
 //! - **envelope tightness**: Mohri–Nederhof envelope vs exact DFA when
 //!   both are available (strongly regular grammars).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use selprop_bench::{row, run};
+use selprop_bench::run;
 use selprop_core::chain::ChainProgram;
 use selprop_core::rewrite::monadic_rewrite;
 use selprop_core::workload;
@@ -22,27 +21,7 @@ fn bench(c: &mut Criterion) {
     )
     .unwrap();
 
-    // 1. semi-naive vs naive
-    let mut group = c.benchmark_group("ablation_eval_strategy");
-    group.sample_size(10);
-    for n in [100usize, 400] {
-        let mut p = chain.program.clone();
-        let db = workload::chain(&mut p, "par", "c", n);
-        let (_, s_naive) = run(&p, &db, Strategy::Naive);
-        let (_, s_semi) = run(&p, &db, Strategy::SemiNaive);
-        row("naive", n, 0, &s_naive);
-        row("semi-naive", n, 0, &s_semi);
-        assert!(s_semi.rule_firings < s_naive.rule_firings);
-        group.bench_with_input(BenchmarkId::new("naive", n), &n, |b, _| {
-            b.iter(|| run(&p, &db, Strategy::Naive))
-        });
-        group.bench_with_input(BenchmarkId::new("seminaive", n), &n, |b, _| {
-            b.iter(|| run(&p, &db, Strategy::SemiNaive))
-        });
-    }
-    group.finish();
-
-    // 2. minimization on/off: rewrite size
+    // 1. minimization on/off: rewrite size
     let approx = approximate(&chain.grammar());
     let raw = approx.dfa();
     let min = minimize(&raw);
@@ -75,7 +54,7 @@ fn bench(c: &mut Criterion) {
     }
     group.finish();
 
-    // 3. envelope tightness on strongly regular vs mixed grammars
+    // 2. envelope tightness on strongly regular vs mixed grammars
     println!("envelope tightness:");
     for (name, src) in [
         ("strongly_regular", "anc -> par | anc par"),

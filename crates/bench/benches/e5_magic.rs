@@ -72,7 +72,7 @@ fn bench(c: &mut Criterion) {
         let (layers, noise) = (20usize, 1_000_000usize);
         let mut p1 = chain.program.clone();
         let db1 = workload::layered_b1_b2(&mut p1, "c", layers, noise);
-        let mut p2 = magic.program.clone();
+        let mut p2 = magic.program;
         let db2 = workload::layered_b1_b2(&mut p2, "c", layers, noise);
         let (a1, s1) = run(&p1, &db1, Strategy::SemiNaive);
         let (a2, s2) = run(&p2, &db2, Strategy::SemiNaive);

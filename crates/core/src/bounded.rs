@@ -174,7 +174,7 @@ mod tests {
                 let mut orig = chain.program.clone();
                 let db = chain_db(&mut orig, 4);
                 let (want, _) = answer(&orig, &db, Strategy::SemiNaive);
-                let mut fo = fo_program.clone();
+                let mut fo = fo_program;
                 let db2 = chain_db(&mut fo, 4);
                 let (got, _) = answer(&fo, &db2, Strategy::SemiNaive);
                 // same symbol universe names: compare by name
@@ -222,7 +222,7 @@ mod tests {
         let mut p2 = bounded.program.clone();
         let mut p3 = bounded.program.clone();
         let dbs = vec![chain_db(&mut p1, 3), chain_db(&mut p2, 6), chain_db(&mut p3, 9)];
-        let mut with_syms = bounded.clone();
+        let mut with_syms = bounded;
         with_syms.program.symbols = p3.symbols; // superset of constants
         let iters = convergence_iterations(&with_syms, &dbs);
         assert!(
@@ -240,7 +240,7 @@ mod tests {
         let mut q1 = unbounded.program.clone();
         let mut q2 = unbounded.program.clone();
         let dbs2 = vec![chain_db(&mut q1, 3), chain_db(&mut q2, 8)];
-        let mut u = unbounded.clone();
+        let mut u = unbounded;
         u.program.symbols = q2.symbols;
         let iters2 = convergence_iterations(&u, &dbs2);
         assert!(iters2[1] > iters2[0], "unbounded: growing iterations, got {iters2:?}");
@@ -273,7 +273,7 @@ mod tests {
         // The FO rewrite's derivations are one rule node over EDB
         // leaves: height exactly 2, size within the decision's bound.
         if let Boundedness::Bounded { fo_program, depth_bound, .. } = boundedness(&bounded) {
-            let mut fo = fo_program.clone();
+            let mut fo = fo_program;
             let db = chain_db(&mut fo, 8);
             let prov = Provenance::compute(&fo, &db);
             assert!(prov.num_derived() > 0);
@@ -299,7 +299,7 @@ mod tests {
         let mut q1 = unbounded.program.clone();
         let mut q2 = unbounded.program.clone();
         let dbs2 = vec![chain_db(&mut q1, 4), chain_db(&mut q2, 12)];
-        let mut u = unbounded.clone();
+        let mut u = unbounded;
         u.program.symbols = q2.symbols;
         let hs2 = derivation_heights(&u, &dbs2);
         assert!(hs2[1] > hs2[0], "unbounded: growing tree height, got {hs2:?}");

@@ -294,7 +294,7 @@ mod tests {
     }
 
     fn regex_dfa(chain: &ChainProgram, text: &str) -> Dfa {
-        let mut al = chain.grammar().alphabet.clone();
+        let mut al = chain.grammar().alphabet;
         Regex::parse(text, &mut al).unwrap().to_dfa(&al)
     }
 

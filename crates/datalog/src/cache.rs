@@ -37,10 +37,10 @@
 //!
 //! What this buys is that **a round's cost follows the views it
 //! touches, not the views that exist.** Magic and adorned predicates
-//! are just more IDB relations, so the engine's delta-first update
-//! plans and DRed propagate base churn into the template store
-//! unchanged — once per template, not once per view. An inserted base
-//! row `par(z, y)` leads its update plan and probes `anc_bf[Z]` once;
+//! are just more IDB relations, so the engine's delta-first plans and
+//! DRed propagate base churn into the template store unchanged — once
+//! per template, not once per view. An inserted base row `par(z, y)`
+//! leads the plan of its atom and probes `anc_bf[Z]` once;
 //! the postings it finds are exactly the (tag, row) pairs it joins
 //! with, whether 1 or 128 views are live. A retracted base row seeds
 //! the over-deletion through its reverse-dependency chain (the store's
@@ -1324,13 +1324,13 @@ mod tests {
     }
 
     /// Every index a view will ever probe is registered when its
-    /// template is linked — and the update plans add none to the base
+    /// template is linked — and the non-lead plans add none to the base
     /// beyond what views always needed. On program A the first query
     /// registers `par[1]`: the view's re-derivation plan enters
     /// `anc(x, y)` through `par(Z, y)`, the atom with the small fan-in,
     /// and tests `anc(x, z)` and `par(x, y)` against the dedup tables,
     /// which need no index. On Section 7 it registers `b1[0]` (the
-    /// view's batch plans probe `b1` behind the magic guard) and
+    /// view's plans probe `b1` behind the magic guard) and
     /// `b2[1]` (the rescue of the recursive rule reaches `p(X1, Y1)`
     /// through `b2(Y1, y)`); `b1[1]`, which the rescue of a magic row
     /// enters through, the base's own plans already maintain, like

@@ -647,11 +647,7 @@ impl ConvergenceProfile {
     /// thread count of [`crate::eval::Strategy::SemiNaiveParallel`] can
     /// flow through. The parallel engine's per-iteration deltas are
     /// identical to the sequential engine's, so the measured profile
-    /// does not depend on the thread count (a [`Strategy::Naive`]
-    /// argument is measured as semi-naive — the profile is defined by
-    /// stages, not by the evaluation order).
-    ///
-    /// [`Strategy::Naive`]: crate::eval::Strategy::Naive
+    /// does not depend on the thread count.
     pub fn measure_with(
         program: &Program,
         db: &Database,

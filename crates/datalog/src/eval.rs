@@ -1,5 +1,5 @@
-//! Batch evaluation entry points: naive, semi-naive and parallel
-//! semi-naive fixpoints with instrumented statistics.
+//! Batch evaluation entry points: semi-naive and parallel semi-naive
+//! fixpoints with instrumented statistics.
 //!
 //! Minimum-model semantics per Section 2.1 of the paper: the output of a
 //! program on a database is the least set of ground atoms containing the
@@ -53,13 +53,13 @@ use crate::plan::OrderMode;
 /// [`EvalStats`] stays bit-for-bit identical at any thread count.
 pub const OVERSHARD: usize = 4;
 
-/// Evaluation strategy.
+/// Evaluation strategy. Both are semi-naive — each derivation uses at
+/// least one last-iteration fact — and compute the same rows, row ids,
+/// justifications and [`EvalStats`]; they differ in the threads a round
+/// runs on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Strategy {
-    /// Recompute every rule on the full relations each iteration.
-    Naive,
-    /// Delta-driven evaluation (each derivation uses at least one
-    /// last-iteration fact).
+    /// Delta-driven evaluation on the calling thread.
     SemiNaive,
     /// Semi-naive evaluation with each `(rule, delta step)`'s **first
     /// join step** range-sharded over the threads of one
@@ -168,9 +168,7 @@ pub struct ProvenanceResult {
 /// concatenating their staged rows in `(rule, delta, shard)` order *is*
 /// that sequential order. Any [`Strategy`] therefore yields the same
 /// row ids, the same justifications, and the same [`EvalStats`] as
-/// sequential semi-naive — except [`Strategy::Naive`], whose iteration
-/// structure (and hence first-found choice) is its own, but is equally
-/// deterministic.
+/// sequential semi-naive.
 pub fn evaluate_with_provenance(
     program: &Program,
     db: &Database,
@@ -277,14 +275,9 @@ pub fn apply_goal(goal: &Atom, rel: &Relation) -> Relation {
 /// (the executable form of Section 8's boundedness measure). Stage-exact:
 /// iteration `k` derives precisely the facts first derivable at stage `k`
 /// of the immediate-consequence operator, so this equals the naive
-/// round-by-round count at a fraction of the cost. Accepts any
-/// semi-naive-family strategy; the parallel engine produces the same
-/// per-stage deltas as the sequential one.
+/// round-by-round count at a fraction of the cost. The parallel engine
+/// produces the same per-stage deltas as the sequential one.
 pub(crate) fn seminaive_profile(program: &Program, db: &Database, strategy: Strategy) -> Vec<u64> {
-    let strategy = match strategy {
-        Strategy::Naive => Strategy::SemiNaive,
-        s => s,
-    };
     Materialization::batch(program, db, strategy, false, OrderMode::Planned)
         .profile()
         .to_vec()
@@ -315,28 +308,6 @@ mod tests {
              anc(X, Y) :- anc(X, Z), par(Z, Y).",
         )
         .unwrap()
-    }
-
-    #[test]
-    fn ancestor_chain_naive() {
-        let mut p = program_a();
-        let db = chain_db(&mut p, 5);
-        let (ans, stats) = answer(&p, &db, Strategy::Naive);
-        assert_eq!(ans.len(), 5);
-        assert!(stats.iterations >= 5);
-    }
-
-    #[test]
-    fn ancestor_chain_seminaive_matches_naive() {
-        let mut p = program_a();
-        let db = chain_db(&mut p, 8);
-        let (a1, s1) = answer(&p, &db, Strategy::Naive);
-        let (a2, s2) = answer(&p, &db, Strategy::SemiNaive);
-        assert_eq!(a1.sorted(), a2.sorted());
-        // Semi-naive does strictly less join work on a chain. (Firings
-        // are productive — tuples actually added — so both strategies
-        // fire identically; probes measure the revisits.)
-        assert!(s2.join_probes < s1.join_probes, "{s2:?} vs {s1:?}");
     }
 
     #[test]
@@ -478,8 +449,6 @@ mod tests {
         let (ans, stats) = answer(&p, &db, Strategy::SemiNaive);
         assert_eq!(ans.len(), 0);
         assert!(stats.iterations <= 2);
-        let (ans2, _) = answer(&p, &db, Strategy::Naive);
-        assert_eq!(ans2.len(), 0);
     }
 
     #[test]
@@ -505,60 +474,40 @@ mod tests {
     }
 
     #[test]
-    fn naive_and_seminaive_agree_on_idb_model() {
-        let mut p = program_a();
-        let db = chain_db(&mut p, 7);
-        let r1 = evaluate(&p, &db, Strategy::Naive);
-        let r2 = evaluate(&p, &db, Strategy::SemiNaive);
-        let anc = p.symbols.get_predicate("anc").unwrap();
-        assert_eq!(
-            r1.idb.relation(anc).unwrap().sorted(),
-            r2.idb.relation(anc).unwrap().sorted()
-        );
-    }
-
-    #[test]
     fn stats_on_a_nine_edge_chain_are_pinned() {
         // Literal work counters — `[iterations, rule_firings,
-        // tuples_derived, join_probes]` under Naive, then SemiNaive — on
-        // `chain_db(9)`. A change that moves one (a probe count is the
-        // plan's) edits this table and says why. The model and the
-        // three counters it decides are also the specification's.
+        // tuples_derived, join_probes]` — on `chain_db(9)`. A change that
+        // moves one (a probe count is the plan's) edits this table and
+        // says why. The model and the three counters it decides are also
+        // the specification's.
         let pinned = [
             (
                 "?- anc(john, Y).\nanc(X, Y) :- par(X, Y).\nanc(X, Y) :- anc(X, Z), par(Z, Y).",
-                [10, 45, 45, 305],
                 [10, 45, 45, 55],
             ),
             (
                 "?- anc(john, Y).\nanc(X, Y) :- par(X, Y).\nanc(X, Y) :- anc(X, Z), anc(Z, Y).",
-                [6, 45, 45, 157],
                 [6, 45, 45, 201],
             ),
             (
                 "?- p(X, X).\np(X, Y) :- par(X, Y).\np(X, Y) :- p(X, Z), par(Z, Y).",
-                [10, 45, 45, 305],
                 [10, 45, 45, 55],
             ),
         ];
-        for (src, naive, semi) in pinned {
-            for (strategy, [iterations, rule_firings, tuples_derived, join_probes]) in
-                [(Strategy::Naive, naive), (Strategy::SemiNaive, semi)]
-            {
-                let mut p = parse_program(src).unwrap();
-                let db = chain_db(&mut p, 9);
-                let want = EvalStats {
-                    iterations: iterations as usize,
-                    rule_firings,
-                    tuples_derived,
-                    join_probes,
-                };
-                let got = evaluate(&p, &db, strategy);
-                assert_eq!(got.stats, want, "{src} {strategy:?}");
-                let spec = crate::reference::evaluate(&p, &db, strategy);
-                assert_eq!(spec.stats, EvalStats { join_probes: 0, ..want }, "{src}");
-                assert_eq!(got.idb.sorted_models(), spec.idb.sorted_models(), "{src}");
-            }
+        for (src, [iterations, rule_firings, tuples_derived, join_probes]) in pinned {
+            let mut p = parse_program(src).unwrap();
+            let db = chain_db(&mut p, 9);
+            let want = EvalStats {
+                iterations: iterations as usize,
+                rule_firings,
+                tuples_derived,
+                join_probes,
+            };
+            let got = evaluate(&p, &db, Strategy::SemiNaive);
+            assert_eq!(got.stats, want, "{src}");
+            let spec = crate::reference::evaluate(&p, &db, Strategy::SemiNaive);
+            assert_eq!(spec.stats, EvalStats { join_probes: 0, ..want }, "{src}");
+            assert_eq!(got.idb.sorted_models(), spec.idb.sorted_models(), "{src}");
         }
     }
 

@@ -24,8 +24,8 @@
 //!   [`std::thread::scope`] each, and the merge), `dred.rs`
 //!   (over-delete and rescue), `compact.rs`, `codec.rs` (the snapshot
 //!   payload) and `template.rs` (the query cache's view stores);
-//! - [`eval`] — minimum-model semantics via instrumented **naive**,
-//!   **semi-naive**, and **parallel semi-naive** bottom-up fixpoints
+//! - [`eval`] — minimum-model semantics via instrumented
+//!   **semi-naive** and **parallel semi-naive** bottom-up fixpoints
 //!   (work counters power the experiment harness). Batch evaluation is
 //!   a special case of the incremental engine: the entry points are
 //!   thin wrappers that build a materialization, run one fixpoint and
@@ -34,9 +34,10 @@
 //!   order and thread count; join probes, the plan's own, are pinned on
 //!   fixed inputs;
 //! - [`plan`] — compiled join plans and the **cost-based join
-//!   planner**: one selectivity-ordered batch plan per rule, one
-//!   delta-first update plan per (rule, delta atom) so an update round
-//!   costs O(|Δ| + derivations), staged-head existence pruning, and
+//!   planner**: one plan per (rule, body atom), that atom first and
+//!   the rest selectivity-ordered, so an update round costs O(|Δ| +
+//!   derivations); a build runs each rule's lead plan, the one the
+//!   greedy order starts with; staged-head existence pruning, and
 //!   structural recognition of the transitive-closure shape for the
 //!   specialized kernel. Plans are static — compiled where a store is
 //!   built, a rule added or a snapshot restored; one planning entry

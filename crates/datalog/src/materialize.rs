@@ -11,9 +11,8 @@
 //!   proportional to the delta and its new derivations, not the store.
 //!   The first update round treats every body atom over a grown
 //!   relation (EDB included) as a delta position and runs it through
-//!   that position's **delta-first update plan**
-//!   ([`crate::plan`]), under the "last delta occurrence" convention in
-//!   rule-text order.
+//!   the rule's plan that atom leads ([`crate::plan`]), under the "last
+//!   delta occurrence" convention in rule-text order.
 //! - [`Materialization::retract_facts`] removes EDB rows by
 //!   **delete–rederive** (DRed): tombstone the rows
 //!   ([`ColumnarRelation::tombstone`]), over-delete every derived row
@@ -35,7 +34,8 @@
 //!   reused.
 //! - Batch evaluation is a *special case*: `eval::evaluate` builds a
 //!   materialization, bulk-loads the database, runs to fixpoint once and
-//!   reads the result out — same struct, same join code, same counters.
+//!   reads the result out — same struct, same round items, same join
+//!   code, same counters; a build runs each item on the rule's lead plan.
 //!
 //! A materialization always records justifications (one per derived
 //! row, exactly as [`crate::eval::evaluate_with_provenance`] does);
@@ -46,7 +46,7 @@
 //! the sequential engine's order and row ids, justifications and
 //! [`EvalStats`] are identical at every thread count.
 //!
-//! The executable specification of every update sequence is a naive
+//! The executable specification of every update sequence is a
 //! from-scratch re-evaluation ([`crate::reference`]) of the mirrored
 //! database; `tests/engine_equiv.rs` proptests random interleaved
 //! insert/retract/query sequences against it.
@@ -65,7 +65,7 @@ use crate::db::{Database, Relation, Tuple};
 use crate::derivation::Provenance;
 use crate::eval::{self, EvalResult, EvalStats, ProvenanceResult, Strategy};
 use crate::hash::FxHashMap;
-use crate::plan::{plan_rule, OrderMode, Purpose, RederivePlan, RulePlan};
+use crate::plan::{plan_rule, OrderMode, RederivePlan, RulePlan};
 use crate::storage::{ColumnarRelation, IncrementalIndex, NO_ROW};
 use std::sync::Arc;
 
@@ -77,7 +77,7 @@ mod join;
 mod template;
 pub use compact::{CompactionPolicy, MemStats};
 use dred::RevIndex;
-use join::{Delta, PendingTuples, Scratch};
+use join::{Delta, Pass, PendingTuples, Scratch};
 pub(crate) use template::{ExtLinks, ExtRetracts};
 
 /// Per-relation justification store: one packed `[rule, body row ids...]`
@@ -243,10 +243,9 @@ pub struct PlannerReport {
     pub tc_hits: u64,
     /// Full body instantiations enumerated inside the kernel.
     pub tc_rows: u64,
-    /// Always 0: plans are static (one batch plan per rule, one update
-    /// plan per `(rule, delta atom)`, compiled where the store is
-    /// built). The field outlives the adaptive planner it counted for
-    /// because external tooling reads it.
+    /// Always 0: plans are static (one per `(rule, body atom)`, compiled
+    /// where the store is built). The field outlives the adaptive planner
+    /// it counted for because external tooling reads it.
     pub replans: u64,
     /// Distinct keys across all join indexes
     /// ([`crate::storage::IncrementalIndex::num_keys`]).
@@ -271,27 +270,23 @@ pub struct PlannerReport {
 /// - [`EvalStats`] accumulate over the materialization's lifetime (the
 ///   initial fixpoint plus every update), so the *difference* between
 ///   two [`Materialization::stats`] readings is the work an update cost.
-/// - Update propagation is delta-driven (semi-naive) regardless of the
-///   construction strategy; a [`Strategy::Naive`] materialization only
-///   uses naive evaluation for its initial fixpoint.
 #[derive(Clone, Debug)]
 pub struct Materialization {
     rels: Vec<ColumnarRelation>,
     idxs: Vec<IncrementalIndex>,
-    /// Per rule slot: the **batch plan** — one cardinality-ordered body
-    /// order, run by the initial fixpoint and by added-rule seeding.
-    /// Both plan tables are immutable once compiled and sit behind an
-    /// `Arc`, so cloning a store never deep-copies them (only a rule
-    /// add ever writes, through `Arc::make_mut`).
-    plans: Arc<Vec<RulePlan>>,
-    /// Per rule slot, per body position `k`: the **update plan** with
-    /// atom `k` leading, run by update rounds for the item `(rule, k)`.
-    /// Parallel to `plans` in every store that can take an update;
-    /// empty in the one-shot batch store `eval` builds without
-    /// recording, which must not pay for update-only indexes. Static:
-    /// compiled by `build`, `compile_added_rule` and `from_bytes`,
-    /// never revised.
-    delta_plans: Arc<Vec<Vec<RulePlan>>>,
+    /// Per rule slot: its plans, `[k]` led by body atom `k` and run by
+    /// update rounds for the item `(rule, k)` — every atom's in a store
+    /// that can take an update, the lead plan alone in the one-shot
+    /// store `eval` builds without recording, which must not pay for
+    /// update-only indexes. Every plan of a slot has the same
+    /// `body_rels`, and `[0]` always exists. Static: compiled by
+    /// `compile_plans`, never revised; behind an `Arc`, so cloning a
+    /// store never deep-copies them (only a rule add ever writes,
+    /// through `Arc::make_mut`).
+    plans: Arc<Vec<Vec<RulePlan>>>,
+    /// Per rule slot: which of its plans is the **lead plan**, run by
+    /// every round of a build and by added-rule seeding.
+    lead: Vec<usize>,
     /// Dense relation ids of the program's IDB predicates.
     idb_rels: Vec<usize>,
     /// Per relation: whether it is an IDB of the program.
@@ -367,8 +362,8 @@ pub struct Materialization {
     order: OrderMode,
     /// Per relation: the live cardinality at construction (after the
     /// EDB load; 0 for relations interned later) — the tie-break basis
-    /// of the update plans. Persisted, so a restored store compiles the
-    /// same update plans whatever its relations have grown to.
+    /// of every plan. Persisted, so a restored store compiles the same
+    /// plans whatever its relations have grown to.
     planned_card: Vec<u64>,
     /// Transitive-closure kernel invocations (runtime-only).
     tc_hits: u64,
@@ -394,8 +389,8 @@ impl Materialization {
 
     /// [`Materialization::from_database`] under an explicit
     /// [`OrderMode`] — the order-independence test hook
-    /// ([`OrderMode::Shuffled`]), which the store's update and rescue
-    /// plans, and those a restore recompiles, follow too.
+    /// ([`OrderMode::Shuffled`]), which the store's plans and rescue
+    /// plans, and those a restore recompiles, follow.
     pub fn from_database_with(
         program: &Program,
         db: &Database,
@@ -436,7 +431,7 @@ impl Materialization {
             rels: Vec::new(),
             idxs: Vec::new(),
             plans: Arc::default(),
-            delta_plans: Arc::default(),
+            lead: Vec::new(),
             idb_rels: Vec::new(),
             idb_flag: Vec::new(),
             pred_of_rel: Vec::new(),
@@ -509,85 +504,46 @@ impl Materialization {
 
         // Plan + compile rules; register one index per (relation, mask).
         // Cardinalities are the live row counts after the EDB load (IDB
-        // relations are still empty).
+        // relations are still empty). A recording store is a maintained
+        // one: every plan's indexes are registered now, so the initial
+        // fixpoint fills them and no update round ever has to.
         m.planned_card = m.rels.iter().map(|r| r.num_live() as u64).collect();
-        for (i, r) in program.rules.iter().enumerate() {
-            m.plan_slot(r, order_by.map_or(r, |o| &o[i]), &idbs);
-        }
-        // A recording store is a maintained one: register the update
-        // plans' indexes now, so the initial fixpoint fills them
-        // alongside the batch plans' and no update round ever has to.
-        if record {
-            m.compile_delta_plans(order_by);
-        }
+        m.rules = program.rules.clone();
+        m.rule_active = vec![true; m.rules.len()];
+        m.compile_plans(order_by, record);
         m
     }
 
-    /// Plans `rule` into the next rule slot, its body ordered by
-    /// `order_by` (see [`plan_rule`]) under the live cardinalities.
-    fn plan_slot(&mut self, rule: &Rule, order_by: &Rule, idbs: &[Pred]) {
-        let (rels, rel_of_pred) = (&self.rels, &self.rel_of_pred);
-        let mut card = |p: Pred| rel_of_pred.get(&p).map_or(0, |&r| rels[r].num_live() as u64);
-        let plan = plan_rule(
-            rule,
-            order_by,
-            self.plans.len(),
-            Purpose::Batch,
-            idbs,
-            rel_of_pred,
-            &mut self.idxs,
-            &mut self.idx_of,
-            self.order,
-            &mut card,
-        );
-        Arc::make_mut(&mut self.plans).push(plan);
-        self.rules.push(rule.clone());
-        self.rule_active.push(true);
-    }
-
-    /// The program's IDB predicates, as the plan compilers (and the
-    /// query cache's routing) take them.
+    /// The program's IDB predicates, as the rescue-plan compiler (and
+    /// the query cache's routing) take them.
     pub(crate) fn idb_preds(&self) -> Vec<Pred> {
         self.idb_rels.iter().map(|&r| self.pred_of_rel[r]).collect()
     }
 
-    /// Compiles the update plans of every rule slot that has none yet
-    /// (all of them at construction and restore, the new slot after a
-    /// rule add), registering the indexes they probe. `order_by` as in
+    /// Compiles the plans of every rule slot that has none yet (all of
+    /// them at construction and restore, the new slot after a rule add)
+    /// under the persisted build-time cardinalities, registering the
+    /// indexes they probe: every body atom's plan, or with `every_atom`
+    /// off the lead plan alone. `order_by` as in
     /// [`Materialization::build`].
-    fn compile_delta_plans(&mut self, order_by: Option<&[Rule]>) {
-        let idbs = self.idb_preds();
-        let rel_of_pred = &self.rel_of_pred;
-        let planned_card = &self.planned_card;
+    fn compile_plans(&mut self, order_by: Option<&[Rule]>, every_atom: bool) {
+        let (rel_of_pred, planned_card) = (&self.rel_of_pred, &self.planned_card);
         let mut card = |p: Pred| rel_of_pred.get(&p).map_or(0, |&r| planned_card[r]);
-        let delta_plans = Arc::make_mut(&mut self.delta_plans);
-        for (i, rule) in self.rules.iter().enumerate().skip(delta_plans.len()) {
-            let plan = |k| {
-                plan_rule(
-                    rule,
-                    order_by.map_or(rule, |o| &o[i]),
-                    i,
-                    Purpose::Delta(k),
-                    &idbs,
-                    rel_of_pred,
-                    &mut self.idxs,
-                    &mut self.idx_of,
-                    self.order,
-                    &mut card,
-                )
-            };
-            delta_plans.push((0..rule.body.len()).map(plan).collect());
-        }
-    }
-
-    /// The plan that evaluates `rule` with delta atom `delta`. An
-    /// update's delta atom `k` sits at step depth 0 of its own plan and
-    /// the snapshot ranges follow rule-text order, so which order a
-    /// plan runs in changes cost, never results.
-    fn plan_for(&self, rule: usize, delta: Delta) -> &RulePlan {
-        match delta {
-            Delta::Update(k) => &self.delta_plans[rule][k],
-            Delta::Full | Delta::Batch(_) => &self.plans[rule],
+        let plans = Arc::make_mut(&mut self.plans);
+        for (i, rule) in self.rules.iter().enumerate().skip(plans.len()) {
+            let (lead, compiled) = plan_rule(
+                rule,
+                order_by.map_or(rule, |o| &o[i]),
+                i,
+                every_atom,
+                rel_of_pred,
+                &mut self.idxs,
+                &mut self.idx_of,
+                self.order,
+                &mut card,
+            );
+            plans.push(compiled);
+            self.lead.push(lead);
         }
     }
 
@@ -918,8 +874,9 @@ impl Materialization {
             self.extend_indexes();
             let mut scratch = Scratch::default();
             let mut pending = PendingTuples::default();
-            for pi in first_new_plan..self.plans.len() {
-                self.eval_rule(pi, Delta::Full, &mut scratch, &mut pending);
+            for rule in first_new_plan..self.plans.len() {
+                let pass = Pass { rule, plan: self.lead[rule], delta: Delta::Full };
+                self.eval_rule(pass, &mut scratch, &mut pending);
             }
             let appended = self.merge_pending(&mut pending);
             self.stats.tuples_derived += appended;
@@ -1001,8 +958,9 @@ impl Materialization {
                 self.intern_new_rel(a.pred, a.arity(), k == 0);
             }
         }
-        self.plan_slot(rule, rule, &self.idb_preds());
-        self.compile_delta_plans(None);
+        self.rules.push(rule.clone());
+        self.rule_active.push(true);
+        self.compile_plans(None, true);
         if self.rederive.is_some() {
             self.ensure_rederive_plans(None);
         }
@@ -1235,7 +1193,7 @@ impl Materialization {
     /// rule-text order — what a justification's body row ids index
     /// into, whatever order the plan runs the steps in.
     fn body_rels(&self) -> Vec<Vec<u32>> {
-        self.plans.iter().map(|p| p.body_rels.iter().map(|&r| r as u32).collect()).collect()
+        self.plans.iter().map(|p| p[0].body_rels.iter().map(|&r| r as u32).collect()).collect()
     }
 
     pub(crate) fn into_provenance_result(self) -> ProvenanceResult {

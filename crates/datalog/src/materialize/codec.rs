@@ -9,8 +9,8 @@ use crate::ast::{Atom, Const, Pred, Rule, Term, Var};
 use crate::eval::{EvalStats, Strategy};
 use crate::hash::FxHashMap;
 use crate::persist::{self, Dec, Enc, PersistError};
-use crate::plan::{compile_rule, OrderMode, RulePlan};
-use crate::storage::{ColumnarRelation, IncrementalIndex};
+use crate::plan::{OrderMode, NO_INDEX};
+use crate::storage::ColumnarRelation;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -28,10 +28,11 @@ impl Materialization {
     ///
     /// All integers are little-endian; a count or `usize` is a `u64`.
     ///
-    /// 1. **Strategy** — tag `u8`: 0 naive, 1 semi-naive, 2 parallel
-    ///    followed by its `threads` as `u64`. Any other tag is
-    ///    [`PersistError::Corrupt`] — 3 included, under which some
-    ///    version-4 files carry a strategy with an explicit shard count.
+    /// 1. **Strategy** — tag `u8`: 1 semi-naive, 2 parallel followed by
+    ///    its `threads` as `u64`. Any other tag is
+    ///    [`PersistError::Corrupt`] — 0 and 3 included, under which some
+    ///    version-4 files carry a naive strategy, and a parallel one with
+    ///    an explicit shard count.
     /// 2. **Goal atom** — predicate `u32`, argument count `u64`, then per
     ///    term a tag `u8` (0 constant, 1 variable) and its `u32` id.
     /// 3. **Rules** — count, then every rule slot ever allocated (dropped
@@ -46,10 +47,10 @@ impl Materialization {
     /// 8. **Compaction policy** — presence `u8`, then `min_dead_rows u64`,
     ///    `dead_percent u32`.
     /// 9. **Planner** — order mode tag `u8` (1 planned, 2 shuffled + its
-    ///    `u64` seed), then per rule slot the batch plan's body permutation
-    ///    (count + `u32` step depth of each body atom), then the
-    ///    per-relation build-time cardinalities (count + `u64`s) the update
-    ///    plans break ties by.
+    ///    `u64` seed), then per rule slot the lead plan's body permutation
+    ///    (count + `u32` step depth of each body atom; checked to be one on
+    ///    restore, never compiled from), then the per-relation build-time
+    ///    cardinalities (count + `u64`s) every plan breaks ties by.
     /// 10. **Relations** — count, then per dense relation id: predicate
     ///     `u32`, IDB flag `u8`, arity `u64`, row count `u64`, watermark
     ///     `u64`, the flat row-major tuple data (`rows × arity` × `u32`),
@@ -64,11 +65,11 @@ impl Materialization {
     /// tables (probe-history-dependent slot layout; write-path state, so
     /// the rebuild is deferred to the first mutating round after restore),
     /// the join indexes and index registry (re-hashed from the rows,
-    /// frozen posting segments included — the batch plans' at restore, the
-    /// ones only update plans probe at the first round or view link that
-    /// needs them), compiled batch, update and re-derivation plans
-    /// (recompiled from the rules, the persisted body permutations and
-    /// the persisted cardinalities), and the reverse dependency index
+    /// frozen posting segments included — the lead plans' at restore, the
+    /// ones only other plans probe at the first round or view link that
+    /// needs them), compiled plans and re-derivation plans (recompiled
+    /// from the rules, the order mode and the persisted cardinalities,
+    /// as construction compiled them), and the reverse dependency index
     /// (lazy). Restore therefore returns at the exact persisted fixpoint
     /// without any re-evaluation: the expensive state is the rows and
     /// justifications, which round-trip bit-for-bit.
@@ -92,7 +93,6 @@ impl Materialization {
 
         let mut e = Enc::default();
         match self.strategy {
-            Strategy::Naive => e.u8(0),
             Strategy::SemiNaive => e.u8(1),
             Strategy::SemiNaiveParallel { threads } => {
                 e.u8(2);
@@ -135,16 +135,14 @@ impl Materialization {
                 e.u64(seed);
             }
         }
-        // Per-rule body permutation of the batch plan (the step depth of
-        // each original body atom): restored plans must be bit-identical
-        // to the live ones, which a cardinality re-derivation could not
-        // guarantee after rule adds.
-        for p in self.plans.iter() {
-            let sob: Vec<u32> = p.step_of_body.iter().map(|&d| d as u32).collect();
+        // Per-rule body permutation of the lead plan (the step depth of
+        // each original body atom).
+        for (plans, &lead) in self.plans.iter().zip(&self.lead) {
+            let sob: Vec<u32> = plans[lead].step_of_body.iter().map(|&d| d as u32).collect();
             e.u32s(&sob);
         }
-        // The build-time cardinalities the update plans break ties by,
-        // so a restored store compiles exactly the live store's.
+        // The build-time cardinalities every plan breaks ties by, so a
+        // restored store compiles exactly the live store's plans.
         e.u64s(&self.planned_card);
         e.usize(self.rels.len());
         for (r, rel) in self.rels.iter().enumerate() {
@@ -213,7 +211,6 @@ impl Materialization {
 
         let mut d = persist::open(bytes)?;
         let strategy = match d.u8()? {
-            0 => Strategy::Naive,
             1 => Strategy::SemiNaive,
             2 => Strategy::SemiNaiveParallel {
                 threads: d.usize()?,
@@ -263,25 +260,21 @@ impl Materialization {
             2 => OrderMode::Shuffled(d.u64()?),
             _ => return Err(PersistError::Corrupt("unknown order-mode tag")),
         };
-        // Per-rule body permutations: inverted back into evaluation
-        // order and fed straight to `compile_rule`, so the restored
-        // plans match the persisted ones exactly regardless of what the
-        // planner would pick from today's cardinalities.
-        let mut orders: Vec<Vec<usize>> = Vec::with_capacity(nrules);
+        // Per-rule lead-plan permutations: checked, not compiled from —
+        // the plans are recompiled below from what construction
+        // compiled them from.
         for rule in &rules {
             let sob = d.u32s()?;
             if sob.len() != rule.body.len() {
                 return Err(PersistError::Corrupt("body-order length mismatch"));
             }
-            let mut ord = vec![usize::MAX; sob.len()];
-            for (k, &depth) in sob.iter().enumerate() {
+            let mut seen = vec![false; sob.len()];
+            for &depth in &sob {
                 let depth = depth as usize;
-                if depth >= ord.len() || ord[depth] != usize::MAX {
+                if depth >= seen.len() || std::mem::replace(&mut seen[depth], true) {
                     return Err(PersistError::Corrupt("body order is not a permutation"));
                 }
-                ord[depth] = k;
             }
-            orders.push(ord);
         }
         let planned_card = d.u64s()?;
 
@@ -383,7 +376,9 @@ impl Materialization {
             .collect();
 
         // Every rule must type-check against the relations before plan
-        // compilation (which asserts rather than returns).
+        // compilation (which asserts rather than returns); per rule, the
+        // relations of its body atoms in rule-text order.
+        let mut body_rels: Vec<Vec<usize>> = Vec::with_capacity(nrules);
         for rule in &rules {
             let head_rel = *rel_of_pred
                 .get(&rule.head.pred)
@@ -402,22 +397,8 @@ impl Materialization {
                     return Err(PersistError::Corrupt("rule body arity mismatch"));
                 }
             }
+            body_rels.push(rule.body.iter().map(|a| rel_of_pred[&a.pred]).collect());
         }
-
-        // Recompile the plans in slot order against the final IDB set.
-        // (Safe even for rules compiled before later-added predicates: a
-        // predicate can never transition EDB→IDB for a rule that already
-        // referenced it — `compile_added_rule` interns unknown body
-        // predicates as EDB and rejects EDB heads — so each rule sees
-        // the same IDB/EDB partition it was originally compiled under.)
-        let idbs: Vec<Pred> = idb_rels.iter().map(|&r| pred_of_rel[r]).collect();
-        let mut idxs: Vec<IncrementalIndex> = Vec::new();
-        let mut idx_of: FxHashMap<(usize, Vec<usize>), usize> = FxHashMap::default();
-        let plans: Vec<RulePlan> = rules
-            .iter()
-            .zip(&orders)
-            .map(|(r, ord)| compile_rule(r, &idbs, &rel_of_pred, &mut idxs, &mut idx_of, ord))
-            .collect();
 
         // Justification shape: parallel to the rows, entries sized by
         // their rule's body, body row ids in range. After this,
@@ -438,16 +419,14 @@ impl Materialization {
                     if lo >= hi || hi > buf.len() {
                         return Err(PersistError::Corrupt("justification entry out of bounds"));
                     }
-                    let rule = buf[lo] as usize;
-                    if rule >= plans.len() {
+                    let Some(brels) = body_rels.get(buf[lo] as usize) else {
                         return Err(PersistError::Corrupt("justification names unknown rule"));
-                    }
-                    let body_rels = &plans[rule].body_rels;
-                    if hi - lo != 1 + body_rels.len() {
+                    };
+                    if hi - lo != 1 + brels.len() {
                         return Err(PersistError::Corrupt("justification entry length mismatch"));
                     }
-                    for (k, &brow) in buf[lo + 1..hi].iter().enumerate() {
-                        if brow as usize >= rels[body_rels[k]].num_rows() {
+                    for (&brel, &brow) in brels.iter().zip(&buf[lo + 1..hi]) {
+                        if brow as usize >= rels[brel].num_rows() {
                             return Err(PersistError::Corrupt(
                                 "justification references nonexistent row",
                             ));
@@ -459,9 +438,9 @@ impl Materialization {
 
         let mut m = Self {
             rels,
-            idxs,
-            plans: Arc::new(plans),
-            delta_plans: Arc::default(),
+            idxs: Vec::new(),
+            plans: Arc::default(),
+            lead: Vec::new(),
             idb_rels,
             idb_flag,
             pred_of_rel,
@@ -473,7 +452,7 @@ impl Materialization {
             strategy,
             goal,
             rules,
-            idx_of,
+            idx_of: FxHashMap::default(),
             rederive: None,
             rule_active,
             csr_builds,
@@ -491,14 +470,19 @@ impl Materialization {
             tc_hits: 0,
             tc_rows: 0,
         };
-        m.extend_indexes();
-        // The update plans, from the same inputs as at construction
-        // (rules, order mode, persisted build-time cardinalities). The
-        // indexes only they probe are write-path state, like the dedup
+        // The plans, from the inputs construction compiled them from:
+        // rules, order mode, persisted build-time cardinalities. The lead
+        // plans' indexes are filled now, as a build filled them; those
+        // only the other plans probe are write-path state, like the dedup
         // tables: registered here, so that a view can link them, and
         // filled by the first round (or view link) that needs them — a
         // restored store that only serves reads never pays for them.
-        m.compile_delta_plans(None);
+        m.compile_plans(None, true);
+        for (plans, &lead) in m.plans.iter().zip(&m.lead) {
+            for step in plans[lead].steps.iter().filter(|s| s.idx != NO_INDEX) {
+                m.idxs[step.idx].extend(&m.rels[step.rel]);
+            }
+        }
         // A store that had ever over-deleted carried a reverse index;
         // rebuild it now (live justifications only) so the restored
         // store is behaviorally identical — same O(affected) retracts,

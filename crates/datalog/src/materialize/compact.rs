@@ -162,7 +162,7 @@ impl Materialization {
                     let (rule, body) = old.entry(hrow);
                     body_scratch.clear();
                     for (k, &brow) in body.iter().enumerate() {
-                        let brel = self.plans[rule as usize].body_rels[k];
+                        let brel = self.plans[rule as usize][0].body_rels[k];
                         let nb = match &remaps[brel] {
                             Some(m) => m[brow as usize],
                             None => brow,

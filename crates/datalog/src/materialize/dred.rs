@@ -139,7 +139,7 @@ impl Materialization {
                 }
                 let (rule, body) = prov[hrel].entry(hrow);
                 for (k, &brow) in body.iter().enumerate() {
-                    let brel = self.plans[rule as usize].body_rels[k];
+                    let brel = self.plans[rule as usize][0].body_rels[k];
                     rev.add(brel, brow, hrel as u32, hrow as u32);
                 }
             }
@@ -264,7 +264,7 @@ impl Materialization {
             let hrow = (rel.num_rows() - 1) as u32;
             self.stats.rule_firings += 1;
             self.stats.tuples_derived += 1;
-            let plan = &self.plans[rule as usize];
+            let plan = &self.plans[rule as usize][0];
             let body_rows = &scratch.rows[..plan.body_rels.len()];
             self.prov.as_mut().expect("recording on")[crel].push(rule, body_rows);
             if let Some(rev) = self.rev.as_mut() {

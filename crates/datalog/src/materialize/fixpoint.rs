@@ -1,14 +1,14 @@
 //! The fixpoint loop behind both a build and an update: rounds of join
 //! passes over the frozen store, each followed by one deterministic
-//! merge. The two differ only in the items a round evaluates (batch
-//! plans against delta-first update plans). Under
+//! merge. The two differ only in which of a rule's plans runs an item
+//! (its lead plan, or the plan its delta atom leads). Under
 //! [`Strategy::SemiNaiveParallel`] a round's join passes are sharded
 //! over one [`std::thread::scope`] — threads live for a round, and a
 //! round with a single task starts none. `BENCHMARK.json`:
 //! `eval.iterations.*`, `eval.rule_firings.*`, `eval.tuples_derived.*`,
 //! `eval.par2_speedup`, `materialize.rows_appended_per_round`.
 
-use super::join::{snapshot_range, Counters, Delta, PendingTuples, Scratch, ShardTask};
+use super::join::{snapshot_range, Counters, Delta, Pass, PendingTuples, Scratch, ShardTask};
 use super::Materialization;
 use crate::eval::{Strategy, OVERSHARD};
 use crate::hash::FxHashMap;
@@ -23,11 +23,9 @@ impl Materialization {
     /// appends nothing, so on exit every watermark sits at the store
     /// length: the next update resumes from "everything is old".
     ///
-    /// A **build** (construction) evaluates
-    /// [`Materialization::batch_items`] and always counts its first
-    /// round; an **update** evaluates
-    /// [`Materialization::update_items`] — delta-driven whatever the
-    /// strategy — and stops, uncounted, once there are none.
+    /// Both take their items from [`Materialization::round_items`]; a
+    /// **build** (construction) counts every round, an **update** stops,
+    /// uncounted, once there are none.
     ///
     /// Items run inline under the sequential strategies, sharded over
     /// scoped threads otherwise ([`Materialization::eval_sharded`]); the
@@ -44,25 +42,21 @@ impl Materialization {
         let mut spare: Vec<ShardTask> = Vec::new();
         let mut scratch = Scratch::default();
         let mut pending = PendingTuples::default();
-        let mut seed = build;
+        let mut first = build;
         loop {
-            let items = if build {
-                self.batch_items(seed)
-            } else {
-                self.update_items()
-            };
+            let items = self.round_items(build, first);
             if !build && items.is_empty() {
                 break;
             }
             self.stats.iterations += 1;
             self.extend_indexes();
 
-            // The seed round of a build runs inline at every strategy:
+            // The first round of a build runs inline at every strategy:
             // its rules may have empty bodies (no first step to shard),
             // and a fixpoint that converges on it never pays for threads.
-            let mut tasks = if seed || threads == 1 {
-                for &(pi, delta) in &items {
-                    self.eval_rule(pi, delta, &mut scratch, &mut pending);
+            let mut tasks = if first || threads == 1 {
+                for &pass in &items {
+                    self.eval_rule(pass, &mut scratch, &mut pending);
                 }
                 Vec::new()
             } else {
@@ -85,45 +79,36 @@ impl Materialization {
                 break;
             }
             self.profile.push(appended);
-            seed = false;
+            first = false;
         }
     }
 
-    /// The items of one build round. The seed round fires the rules
-    /// without IDB atoms over the loaded EDB; every later round runs
-    /// each `(rule, IDB step)` pair with that step as the delta. Under
-    /// [`Strategy::Naive`] every round recomputes every rule in full.
-    fn batch_items(&self, seed: bool) -> Vec<(usize, Delta)> {
+    /// The passes of one round, in deterministic `(rule, body position)`
+    /// order. The `first` round of a build fires every rule without IDB
+    /// atoms on its lead plan, every atom reading its whole relation.
+    /// Every other round runs each `(rule, k)` pair whose atom `k`'s
+    /// relation has unconsumed delta rows — EDB atoms included, which is
+    /// how freshly inserted facts (and DRed rescues) enter the join —
+    /// with atom `k` as the delta, under the "last delta occurrence"
+    /// convention in rule-text order: on the rule's lead plan in a
+    /// `build`, on the plan atom `k` leads in an update. After the first
+    /// round the EDB deltas are consumed and the loop is ordinary
+    /// semi-naive over the derived deltas. Dropped rules never fire
+    /// again.
+    fn round_items(&self, build: bool, first: bool) -> Vec<Pass> {
         let mut items = Vec::new();
-        for (pi, plan) in self.plans.iter().enumerate() {
-            if self.strategy == Strategy::Naive || (seed && plan.idb_steps.is_empty()) {
-                items.push((pi, Delta::Full));
-            } else if !seed {
-                items.extend(plan.idb_steps.iter().map(|&d| (pi, Delta::Batch(d))));
-            }
-        }
-        items
-    }
-
-    /// The items of one update round: the `(rule, body atom)` pairs
-    /// whose atom's relation has unconsumed delta rows, in deterministic
-    /// `(rule, body position)` order. Delta candidates are **every**
-    /// body atom over a relation that has grown — EDB atoms included,
-    /// which is how freshly inserted facts (and DRed rescues) enter the
-    /// join — each run through its own delta-first update plan, under
-    /// the "last delta occurrence" convention in rule-text order. After
-    /// the first round the EDB deltas are consumed and the loop is
-    /// ordinary semi-naive over the derived deltas. Dropped rules never
-    /// fire again.
-    fn update_items(&self) -> Vec<(usize, Delta)> {
-        let mut items = Vec::new();
-        for (pi, plan) in self.plans.iter().enumerate() {
-            if !self.rule_active[pi] {
-                continue;
-            }
-            for (k, &rel) in plan.body_rels.iter().enumerate() {
-                if self.rels[rel].num_rows() > self.old_hi[rel] {
-                    items.push((pi, Delta::Update(k)));
+        for (rule, plans) in self.plans.iter().enumerate() {
+            let (body_rels, lead) = (&plans[0].body_rels, self.lead[rule]);
+            if first {
+                if body_rels.iter().all(|&r| !self.idb_flag[r]) {
+                    items.push(Pass { rule, plan: lead, delta: Delta::Full });
+                }
+            } else if self.rule_active[rule] {
+                for (k, &rel) in body_rels.iter().enumerate() {
+                    if self.rels[rel].num_rows() > self.old_hi[rel] {
+                        let plan = if build { lead } else { k };
+                        items.push(Pass { rule, plan, delta: Delta::Atom(k) });
+                    }
                 }
             }
         }
@@ -134,9 +119,9 @@ impl Materialization {
     /// [`ShardTask`]s that partition its first join step's snapshot
     /// range — the delta range when the delta leads (every update
     /// item), the first step's full or old range for a mid-body delta
-    /// (batch rounds — E5's shape), so shards partition the pre-delta
-    /// probe work instead of duplicating it. The tasks run inside one
-    /// [`std::thread::scope`]: the calling thread and at most
+    /// (a build's lead plan — E5's shape), so shards partition the
+    /// pre-delta probe work instead of duplicating it. The tasks run
+    /// inside one [`std::thread::scope`]: the calling thread and at most
     /// `threads - 1` spawned workers — never more workers than tasks, so
     /// the one-task rounds of a deep recursion spawn nothing — each pull
     /// the next unstarted task until none is left. Which thread ran a
@@ -151,13 +136,13 @@ impl Materialization {
         &mut self,
         threads: usize,
         spare: &mut Vec<ShardTask>,
-        items: &[(usize, Delta)],
+        items: &[Pass],
     ) -> Vec<ShardTask> {
         let shards = OVERSHARD * threads;
         let mut tasks: Vec<ShardTask> = Vec::new();
-        for &(pi, delta) in items {
-            let plan = self.plan_for(pi, delta);
-            let (slo, shi) = snapshot_range(&self.rels, &self.old_hi, plan, 0, delta);
+        for &pass in items {
+            let plan = &self.plans[pass.rule][pass.plan];
+            let (slo, shi) = snapshot_range(&self.rels, &self.old_hi, plan, 0, pass.delta);
             for (si, &(lo, hi)) in shard_ranges(slo, shi, shards).iter().enumerate() {
                 // The lead shard always runs (it accounts the depth-0
                 // probe even over an empty range, exactly like the
@@ -167,8 +152,7 @@ impl Materialization {
                     continue;
                 }
                 let mut t = spare.pop().unwrap_or_default();
-                t.rule = pi;
-                t.delta = delta;
+                t.pass = pass;
                 t.range = (lo, hi);
                 t.lead = si == 0;
                 t.counters = Counters::default();
@@ -187,8 +171,7 @@ impl Materialization {
                 let next = queue.lock().expect("task queue poisoned").next();
                 let Some(t) = next else { break };
                 this.eval_rule_shard(
-                    t.rule,
-                    t.delta,
+                    t.pass,
                     Some(t.range),
                     &mut t.scratch,
                     &mut t.pending,
@@ -251,7 +234,8 @@ impl Materialization {
                     let rel = &mut rels[rid as usize];
                     let ar = rel.arity();
                     let rule = pending.just[joff];
-                    let blen = plans[rule as usize].body_rels.len();
+                    let body_rels = &plans[rule as usize][0].body_rels;
+                    let blen = body_rels.len();
                     if rel.insert_hashed(&pending.data[off..off + ar], hash) {
                         appended += 1;
                         let body = &pending.just[joff + 1..joff + 1 + blen];
@@ -259,7 +243,7 @@ impl Materialization {
                         if let Some(rev) = rev.as_mut() {
                             let hrow = (rel.num_rows() - 1) as u32;
                             for (kb, &brow) in body.iter().enumerate() {
-                                rev.add(plans[rule as usize].body_rels[kb], brow, rid, hrow);
+                                rev.add(body_rels[kb], brow, rid, hrow);
                             }
                         }
                     }

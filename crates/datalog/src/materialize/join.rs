@@ -157,36 +157,37 @@ pub(super) struct Counters {
     pub(super) tc_rows: u64,
 }
 
-/// Which body atom carries the delta in one rule-evaluation pass — and
-/// with it which plan runs and how the other atoms' snapshot ranges are
-/// chosen (`snapshot_range`).
+/// Which body atom carries the delta in one rule-evaluation pass, and
+/// with it how every atom's snapshot range is chosen (`snapshot_range`).
 #[derive(Clone, Copy, Debug, Default)]
 pub(super) enum Delta {
-    /// No delta: the rule's batch plan over full relations (EDB-only
-    /// rules in the first batch iteration, naive rounds, seeding an
-    /// added rule).
+    /// No delta: every atom reads its whole relation (the IDB-free rules
+    /// of a build's first round, seeding an added rule).
     #[default]
     Full,
-    /// A batch round: the rule's batch plan with the delta at this
-    /// **step depth**. IDB steps before it read full, after it old;
-    /// EDB relations never change in a batch and always read full.
-    Batch(usize),
-    /// An update round: the update plan of this **body position** (see
-    /// [`Materialization::plan_for`]). Every atom, EDB included,
-    /// follows the watermark convention in rule-text order.
-    Update(usize),
+    /// The delta is at this **body position**; every atom, EDB
+    /// included, follows the watermark convention in rule-text order.
+    Atom(usize),
 }
 
-/// One parallel work item: rule `rule` with delta atom `delta`,
-/// the **first join step** restricted to the row subrange `range`,
-/// staging into its own buffer. `lead` marks the shard whose `pre`
-/// (depth-0) probe count is accounted. Tasks are recycled across
-/// iterations so the staging and scratch buffers keep their grown
-/// capacity instead of reallocating every iteration.
+/// One rule-evaluation pass: rule slot `rule`, run on its plan `plan`
+/// (an index into the slot's plans) with delta `delta`.
+#[derive(Clone, Copy, Debug, Default)]
+pub(super) struct Pass {
+    pub(super) rule: usize,
+    pub(super) plan: usize,
+    pub(super) delta: Delta,
+}
+
+/// One parallel work item: the pass `pass` with the **first join step**
+/// restricted to the row subrange `range`, staging into its own buffer.
+/// `lead` marks the shard whose `pre` (depth-0) probe count is
+/// accounted. Tasks are recycled across iterations so the staging and
+/// scratch buffers keep their grown capacity instead of reallocating
+/// every iteration.
 #[derive(Default)]
 pub(super) struct ShardTask {
-    pub(super) rule: usize,
-    pub(super) delta: Delta,
+    pub(super) pass: Pass,
     pub(super) range: (usize, usize),
     pub(super) lead: bool,
     pub(super) counters: Counters,
@@ -195,37 +196,35 @@ pub(super) struct ShardTask {
 }
 
 impl Materialization {
-    /// Evaluates one rule with delta atom `delta` over the full
-    /// first-step range (the sequential engines' unit of work).
+    /// Evaluates one pass over the full first-step range (the
+    /// sequential engines' unit of work).
     pub(super) fn eval_rule(
         &mut self,
-        rule: usize,
-        delta: Delta,
+        pass: Pass,
         scratch: &mut Scratch,
         pending: &mut PendingTuples,
     ) {
         let mut counters = Counters::default();
-        self.eval_rule_shard(rule, delta, None, scratch, pending, &mut counters);
+        self.eval_rule_shard(pass, None, scratch, pending, &mut counters);
         self.stats.join_probes += counters.pre + counters.post;
         self.tc_hits += counters.tc_hits;
         self.tc_rows += counters.tc_rows;
     }
 
-    /// Evaluates one rule with delta atom `delta`, the first join step
-    /// optionally restricted to the row subrange `shard0` (the parallel
-    /// engine's unit of work; `None` sequentially). The store is only
-    /// read, so any number of shards may run concurrently; derived rows
-    /// go to the caller's staging buffer and counters.
+    /// Evaluates one pass, the first join step optionally restricted to
+    /// the row subrange `shard0` (the parallel engine's unit of work;
+    /// `None` sequentially). The store is only read, so any number of
+    /// shards may run concurrently; derived rows go to the caller's
+    /// staging buffer and counters.
     pub(super) fn eval_rule_shard(
         &self,
-        rule: usize,
-        delta: Delta,
+        pass: Pass,
         shard0: Option<(usize, usize)>,
         scratch: &mut Scratch,
         pending: &mut PendingTuples,
         counters: &mut Counters,
     ) {
-        let plan = self.plan_for(rule, delta);
+        let plan = &self.plans[pass.rule][pass.plan];
         scratch.env.resize(plan.num_slots, Const(0));
         scratch.rows.resize(plan.steps.len(), 0);
         scratch.staged.begin();
@@ -233,9 +232,9 @@ impl Materialization {
             rels: &self.rels,
             idxs: &self.idxs,
             old_hi: &self.old_hi,
-            delta,
+            delta: pass.delta,
             shard0,
-            rule,
+            rule: pass.rule,
             record: self.prov.is_some(),
         };
         if plan.tc {
@@ -282,13 +281,11 @@ impl JoinCtx<'_> {
 /// combination of rows is enumerated exactly once across a rule's delta
 /// positions.
 ///
-/// "Before" is **step depth** in a batch round: every delta position of
-/// a rule shares the one batch order, so depth is a consistent total
-/// order (and EDB steps, whose relations a batch never changes, read
-/// full). In an update round it is **body position**: each delta
-/// position has its own step order, and by depth `anc(X,Z), anc(Z,Y)`
-/// with both plans delta-first would read the old part on both sides and
-/// lose every (Δ, Δ) combination.
+/// "Before" is **body position**, whatever order the plan runs the
+/// steps in: a build runs every delta position of a rule on its lead
+/// plan, an update each on its own plan, and by step depth
+/// `anc(X,Z), anc(Z,Y)` with both plans delta-first would read the old
+/// part on both sides and lose every (Δ, Δ) combination.
 pub(super) fn snapshot_range(
     rels: &[ColumnarRelation],
     old_hi: &[usize],
@@ -298,14 +295,9 @@ pub(super) fn snapshot_range(
 ) -> (usize, usize) {
     let step = &plan.steps[depth];
     let rows = rels[step.rel].num_rows();
-    let (pos, delta_pos) = match delta {
-        Delta::Full => return (0, rows),
-        Delta::Batch(_) if !step.idb => return (0, rows),
-        Delta::Batch(d) => (depth, d),
-        Delta::Update(k) => (plan.body_of_step[depth], k),
-    };
+    let Delta::Atom(k) = delta else { return (0, rows) };
     let old = old_hi[step.rel];
-    match pos.cmp(&delta_pos) {
+    match plan.body_of_step[depth].cmp(&k) {
         std::cmp::Ordering::Less => (0, rows),
         std::cmp::Ordering::Equal => (old, rows),
         std::cmp::Ordering::Greater => (0, old),

@@ -228,9 +228,9 @@ impl Materialization {
     /// given, delete-rederives for the base rows that died since the
     /// last sync, then runs one semi-naive resume over the seed and the
     /// appended base rows (the external `old_hi` watermarks make them
-    /// exactly the delta). The cost follows what the delta joins: a base
-    /// row's update plan probes the own relations through indexes whose
-    /// postings hold the rows of every view, and meets exactly the
+    /// exactly the delta). The cost follows what the delta joins: the
+    /// plan a base row leads probes the own relations through indexes
+    /// whose postings hold the rows of every view, and meets exactly the
     /// (tag, row) pairs it combines with, however many views are live.
     ///
     /// `retracts` says where the deletion seeds come from (see
@@ -322,7 +322,7 @@ impl Materialization {
                 self.dred_reads += 1;
                 let (rule, body) = prov[hrel].entry(hrow);
                 let dead = body.iter().enumerate().any(|(k, &brow)| {
-                    let brel = self.plans[rule as usize].body_rels[k];
+                    let brel = self.plans[rule as usize][0].body_rels[k];
                     !self.rels[brel].is_live(brow as usize)
                 });
                 if dead {

@@ -32,9 +32,9 @@ fn spec_idb(p: &Program, db: &Database) -> Vec<(Pred, Vec<Tuple>)> {
 /// changes.
 type PlanShape = (Vec<usize>, Vec<(usize, Vec<usize>)>, bool);
 
-/// The shape of every compiled plan — per rule slot the batch plan
-/// followed by its update plans.
-fn plan_shapes(m: &Materialization) -> Vec<Vec<PlanShape>> {
+/// The shape of every compiled plan — per rule slot which plan leads,
+/// and its plans.
+fn plan_shapes(m: &Materialization) -> Vec<(usize, Vec<PlanShape>)> {
     let shape = |plan: &RulePlan| {
         let steps = plan
             .steps
@@ -50,23 +50,18 @@ fn plan_shapes(m: &Materialization) -> Vec<Vec<PlanShape>> {
             .collect();
         (plan.body_of_step.to_vec(), steps, plan.tc)
     };
-    m.plans
-        .iter()
-        .enumerate()
-        .map(|(i, batch)| {
-            std::iter::once(batch).chain(&m.delta_plans[i]).map(shape).collect()
-        })
-        .collect()
+    let slot = |(plans, &lead): (&Vec<RulePlan>, &usize)| (lead, plans.iter().map(shape).collect());
+    m.plans.iter().zip(&m.lead).map(slot).collect()
 }
 
 /// Plans are static and a pure function of persisted state: a store
-/// restored mid-stream compiles exactly the live store's batch and
-/// update plans (rule adds included) and from then on does
+/// restored mid-stream compiles exactly the live store's plans and
+/// leads (rule adds included) and from then on does
 /// bit-identical work — same row ids, same justifications, same
 /// counters — through inserts, retracts, rule drops and adds, and
 /// the compactions the policy triggers along the way.
 #[test]
-fn delta_plans_survive_restore_and_churn() {
+fn plans_survive_restore_and_churn() {
     let mut p = parse_program(
         "?- p(c, Y).\n\
          p(X, Y) :- b1(X, X1), b2(X1, Y).\n\
@@ -140,11 +135,10 @@ fn delta_plans_survive_restore_and_churn() {
     }
     let mut restored = Materialization::from_bytes(&live.to_bytes()).unwrap();
     assert_eq!(plan_shapes(&restored), plan_shapes(&live));
-    // Every rule slot — the added one too — has one update plan per
-    // body atom, led by that atom.
+    // Every rule slot — the added one too — has one plan per body
+    // atom, led by that atom.
     for (i, rule) in live.rules.iter().enumerate() {
-        let leads: Vec<usize> =
-            live.delta_plans[i].iter().map(|pl| pl.body_of_step[0]).collect();
+        let leads: Vec<usize> = live.plans[i].iter().map(|pl| pl.body_of_step[0]).collect();
         assert_eq!(leads, (0..rule.body.len()).collect::<Vec<_>>());
     }
     for round in &rounds[3..] {
@@ -390,7 +384,7 @@ fn insert_then_retract_restores_the_store() {
 fn update_sequences_are_strategy_independent() {
     // The same op sequence under every strategy yields the same
     // store — and, because shards merge in sequential order, the
-    // same provenance bit-for-bit for the semi-naive family.
+    // same provenance bit-for-bit.
     let mut p = parse_program(SRC_A).unwrap();
     let par = p.symbols.get_predicate("par").unwrap();
     let edges = chain_edges(&mut p, 9);
@@ -408,23 +402,13 @@ fn update_sequences_are_strategy_independent() {
     let seq = run(Strategy::SemiNaive);
     let seq_model = seq.database().sorted_models();
     let seq_prov = seq.provenance();
-    for strategy in [
-        Strategy::Naive,
-        Strategy::SemiNaiveParallel { threads: 2 },
-        Strategy::SemiNaiveParallel { threads: 3 },
-        Strategy::SemiNaiveParallel { threads: 4 },
-    ] {
+    for threads in [2, 3, 4] {
+        let strategy = Strategy::SemiNaiveParallel { threads };
         let m = run(strategy);
         assert_eq!(m.database().sorted_models(), seq_model, "{strategy:?}");
         m.provenance().check(&p).expect("valid under every strategy");
-        if strategy != Strategy::Naive {
-            assert_eq!(
-                m.provenance(),
-                seq_prov,
-                "{strategy:?}: provenance thread/shard independent"
-            );
-            assert_eq!(m.stats(), seq.stats(), "{strategy:?} counters");
-        }
+        assert_eq!(m.provenance(), seq_prov, "{strategy:?}: provenance thread/shard independent");
+        assert_eq!(m.stats(), seq.stats(), "{strategy:?} counters");
     }
 }
 
@@ -1069,9 +1053,9 @@ fn a_dedup_step_never_rescues_through_a_row_that_died_this_round() {
 }
 
 /// [`OrderMode::Shuffled`] changes orders and nothing else: a recording
-/// store holds one update plan per (rule, body atom), the delta atom
-/// leading, and its rescue plans are body permutations whose fully
-/// bound steps ask the dedup table — as under the planner.
+/// store holds one plan per (rule, body atom), that atom leading, and
+/// its rescue plans are body permutations whose fully bound steps ask
+/// the dedup table — as under the planner.
 #[test]
 fn shuffled_order_compiles_the_plans_the_planner_does_in_another_order() {
     for src in [SRC_A, SRC_S7] {
@@ -1082,7 +1066,7 @@ fn shuffled_order_compiles_the_plans_the_planner_does_in_another_order() {
             Materialization::from_database_with(&p, &db, Strategy::SemiNaive, order)
         };
         let mut m = build(7);
-        for (rule, plans) in p.rules.iter().zip(m.delta_plans.iter()) {
+        for (rule, plans) in p.rules.iter().zip(m.plans.iter()) {
             assert_eq!(plans.len(), rule.body.len(), "{src}");
             for (k, plan) in plans.iter().enumerate() {
                 assert_eq!(plan.body_of_step[0], k, "{src}");
@@ -1101,10 +1085,50 @@ fn shuffled_order_compiles_the_plans_the_planner_does_in_another_order() {
         // The mode still shuffles behind the delta atom: bit 7 of the
         // seed decides the first draw of a two-atom tail.
         let tails = |m: &Materialization| -> Vec<Vec<usize>> {
-            m.delta_plans[1].iter().map(|pl| pl.body_of_step.to_vec()).collect()
+            m.plans[1].iter().map(|pl| pl.body_of_step.to_vec()).collect()
         };
         assert_eq!(tails(&m) != tails(&build(7 | 1 << 7)), src == SRC_S7, "{src}");
     }
+}
+
+/// A one-shot store — what `evaluate` and `answer` build — compiles its
+/// rules' lead plans and registers exactly their indexes: over the
+/// Section 7 magic program, not the reverse `b1[1]` index that only the
+/// plan led by the recursive atom `p_bf(X1, Y1)` probes, and which a
+/// recording store registers. That one index over a large
+/// `b1` is what building through the delta-first plans cost every
+/// one-shot store.
+#[test]
+fn a_one_shot_store_registers_only_its_lead_plans_indexes() {
+    let p = parse_program(SRC_S7).unwrap();
+    let mut magic = crate::magic::magic_transform(&p).unwrap().program;
+    let db = dense_db(&mut magic);
+    let b1 = magic.symbols.get_predicate("b1").unwrap();
+    let registry = |m: &Materialization| {
+        let mut keys: Vec<(usize, Vec<usize>)> = m.idx_of.keys().cloned().collect();
+        keys.sort();
+        keys
+    };
+    let one_shot =
+        Materialization::batch(&magic, &db, Strategy::SemiNaive, false, OrderMode::Planned);
+    assert!(one_shot.plans.iter().all(|plans| plans.len() == 1), "lead plans only");
+    let mut lead_keys: Vec<(usize, Vec<usize>)> = one_shot
+        .plans
+        .iter()
+        .flat_map(|plans| plans[0].steps.iter().filter(|s| s.idx != NO_INDEX))
+        .map(|s| (s.rel, one_shot.idxs[s.idx].mask().to_vec()))
+        .collect();
+    lead_keys.sort();
+    lead_keys.dedup();
+    assert_eq!(registry(&one_shot), lead_keys);
+    let reverse_b1 = (one_shot.rel_of_pred[&b1], vec![1]);
+    assert!(!lead_keys.contains(&reverse_b1), "{lead_keys:?}");
+
+    let recording = Materialization::from_database(&magic, &db, Strategy::SemiNaive);
+    assert!(registry(&recording).contains(&reverse_b1));
+    assert!(lead_keys.iter().all(|k| registry(&recording).contains(k)));
+    assert_eq!(recording.idb_database().sorted_models(), one_shot.idb_database().sorted_models());
+    assert_eq!(recording.stats(), one_shot.stats(), "the same lead plans ran");
 }
 
 /// The base-side twin of the cache's link test: the first retracting

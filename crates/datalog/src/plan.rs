@@ -9,31 +9,30 @@
 //!
 //! What the planner adds on top of the mechanical compilation:
 //!
-//! - **Selectivity-aware body reordering** (`order_body`): join steps
-//!   are ordered greedily, preferring atoms with the most bound
-//!   positions (constants + variables bound by earlier steps), breaking
-//!   ties toward the smaller relation and then the original position.
-//!   This is the **batch plan**, one per rule: in a batch fixpoint a
+//! - **One plan per body atom** (`plan_rule`): a rule's plan `k` runs
+//!   atom `k` **first** and orders the rest greedily, preferring atoms
+//!   with the most bound positions (constants + variables bound by
+//!   earlier steps), breaking ties toward the smaller relation and then
+//!   the original position (`order_body`). An update round runs its
+//!   `(rule, k)` items through plan `k`, so the delta — a handful of
+//!   rows — is scanned at depth 0 and everything else is probed keyed: a
+//!   round costs O(|Δ| + derivations), never a scan of the store.
+//!   Snapshot ranges follow **rule-text order** (atom `j < k` reads the
+//!   full relation, `j > k` its old part — `RulePlan::body_of_step`), so
+//!   any plan of a rule can run any of its items.
+//! - **The lead plan is one of the rule's plans**: the plan of the atom
+//!   the greedy order picks first when nothing is bound — in a build a
 //!   whole relation passes through as delta, so leading with the small
-//!   (magic) relation is right. Cardinalities are the row counts after
-//!   the EDB load ([`crate::storage::ColumnarRelation::num_live`]), so
-//!   the same program and database always compile the same plans.
-//! - **Delta-first update plans** (`delta_plans`): a maintained store
-//!   additionally compiles, for every rule, one plan per body position
-//!   `k` with atom `k` **leading** and the remaining atoms in the same
-//!   greedy order. An update round runs its `(rule, k)` items through
-//!   these, so the delta — a handful of rows — is scanned at depth 0
-//!   and everything else is probed keyed: a round costs O(|Δ| +
-//!   derivations), never a scan of the store. Snapshot ranges of an
-//!   update plan follow **rule-text order** (atom `j < k` reads the
-//!   full relation, `j > k` its old part — `RulePlan::body_of_step`),
-//!   because with a different step order per `k` a by-depth rule would
-//!   count a (Δ, Δ) combination twice or not at all.
-//!   All plans are **static**: compiled where the store is built (or a
-//!   rule is added, or a snapshot restored — from the persisted
-//!   build-time cardinalities, so a restored store does identical
-//!   work) and never revised; every index an update will ever probe is
-//!   registered up front and filled by the initial fixpoint.
+//!   (magic) relation is right. Every round of a build runs the lead
+//!   plan; a one-shot store compiles nothing else.
+//!   Cardinalities are the row counts after the EDB load
+//!   ([`crate::storage::ColumnarRelation::num_live`]), persisted, so the
+//!   same program and database always compile the same plans. All plans
+//!   are **static**: compiled where the store is built (or a rule is
+//!   added, or a snapshot restored — from the persisted cardinalities, so
+//!   a restored store does identical work) and never revised; every index
+//!   an update will ever probe is registered up front and filled by the
+//!   initial fixpoint.
 //! - **Selectivity-ordered rescue plans** (`compile_rederive`): the DRed
 //!   rescue of an over-deleted row runs the rule body with the head
 //!   bound, entering through the atom with the smallest fan-in
@@ -75,8 +74,8 @@ pub(crate) const NO_INDEX: usize = usize::MAX;
 /// How the planner orders rule bodies: the one setting of a
 /// [`crate::materialize::Materialization`], fixed at construction and
 /// persisted. `body_order` reads it to pick the body permutation of
-/// every plan — batch, update, rescue — and nothing else does: both
-/// modes compile and run alike.
+/// every plan — a rule's plans, its lead, its rescue plan — and nothing
+/// else does: both modes compile and run alike.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OrderMode {
     /// Greedy selectivity-aware ordering.
@@ -91,11 +90,10 @@ pub enum OrderMode {
 /// What a body order is for: which atom, if any, must lead, and what is
 /// bound before the first step.
 #[derive(Clone, Copy, Debug)]
-pub(crate) enum Purpose<'a> {
-    /// The rule's batch plan.
-    Batch,
-    /// The update plan of this body position: that atom leads.
-    Delta(usize),
+enum Purpose<'a> {
+    /// The plan led by this body position; `None`: by the atom the mode
+    /// picks first (the rule's lead).
+    Lead(Option<usize>),
     /// The rescue plan: the head variables are bound. Carries the
     /// program's IDB predicates ([`rederive_order`] ranks by them).
     Rescue(&'a [Pred]),
@@ -150,8 +148,6 @@ pub(crate) struct Step {
     /// directly, and the full-key steps of a re-derivation plan, which
     /// ask the relation's dedup table.
     pub(crate) idx: usize,
-    /// Whether the predicate is an IDB of the program (reads snapshots).
-    pub(crate) idb: bool,
     pub(crate) key: Box<[KeyOp]>,
     pub(crate) actions: Box<[Action]>,
 }
@@ -163,17 +159,16 @@ pub(crate) struct RulePlan {
     pub(crate) head: Box<[Out]>,
     pub(crate) steps: Box<[Step]>,
     pub(crate) num_slots: usize,
-    /// Step positions whose predicate is an IDB (batch delta candidates).
-    pub(crate) idb_steps: Box<[usize]>,
     /// Dense relation id of each **original** body atom — the decode
-    /// order of recorded justifications, invariant under reordering.
+    /// order of recorded justifications, invariant under reordering, so
+    /// the same in every plan of a rule.
     pub(crate) body_rels: Box<[usize]>,
     /// `step_of_body[k]` = the step depth that runs original body atom
     /// `k`. Staging permutes the per-depth matched rows through this
     /// map so justifications are always recorded in rule-text order.
     pub(crate) step_of_body: Box<[usize]>,
     /// The inverse: `body_of_step[d]` = the original body atom run at
-    /// step depth `d`. Update rounds key their snapshot ranges on it.
+    /// step depth `d`. Snapshot ranges are keyed on it.
     pub(crate) body_of_step: Box<[usize]>,
     /// First join depth at which every head position is bound (0 =
     /// before any step; `steps.len()` = only at full instantiation).
@@ -284,8 +279,8 @@ fn greedy_order<K: Ord>(
 /// atom with the most bound argument positions (constants plus
 /// variables bound by already-chosen atoms), breaking ties toward the
 /// smaller relation cardinality and then the earlier textual position.
-/// With `lead = Some(k)` the first pick is forced to atom `k` (the
-/// delta atom of an update plan) and the greedy choice orders the rest.
+/// With `lead = Some(k)` the first pick is forced to atom `k` and the
+/// greedy choice orders the rest.
 ///
 /// Pure and deterministic in `(rule, lead, card)`; the engine calls it
 /// with build-time row counts, at which IDB relations count 0.
@@ -349,9 +344,10 @@ fn shuffle(atoms: &mut [usize], seed: u64, rule_idx: usize, salt: usize) {
 /// body-atom index run at step depth `d`. The one place the mode is
 /// read: [`OrderMode::Planned`] ranks the atoms the `purpose` leaves
 /// free, [`OrderMode::Shuffled`] permutes them — the whole body of a
-/// batch or rescue plan, the tail behind the leading atom of an update
-/// plan — from `(seed, rule_idx, purpose)`.
-pub(crate) fn body_order(
+/// rescue plan, the tail behind the leading atom of a rule's plan —
+/// from `(seed, rule_idx, purpose)`, and picks a rule's lead as the
+/// first atom of a seed-derived permutation.
+fn body_order(
     rule: &Rule,
     rule_idx: usize,
     purpose: Purpose,
@@ -360,16 +356,20 @@ pub(crate) fn body_order(
 ) -> Vec<usize> {
     let OrderMode::Shuffled(seed) = mode else {
         return match purpose {
-            Purpose::Batch => order_body(rule, None, card),
-            Purpose::Delta(k) => order_body(rule, Some(k), card),
+            Purpose::Lead(k) => order_body(rule, k, card),
             Purpose::Rescue(idbs) => rederive_order(rule, idbs, card),
         };
     };
     let n = rule.body.len();
     let mut order: Vec<usize> = (0..n).collect();
     match purpose {
-        Purpose::Batch => shuffle(&mut order, seed, rule_idx, 0),
-        Purpose::Delta(k) => {
+        Purpose::Lead(_) if n == 0 => {}
+        Purpose::Lead(k) => {
+            let k = k.unwrap_or_else(|| {
+                let mut pick = order.clone();
+                shuffle(&mut pick, seed, rule_idx, 0);
+                pick[0]
+            });
             order[..=k].rotate_right(1);
             shuffle(&mut order[1..], seed, rule_idx, k + 1);
         }
@@ -388,13 +388,11 @@ pub(crate) fn body_order(
 /// slots this atom binds. With `dedup_full_key`, a step whose key covers
 /// every argument position registers nothing: its key *is* the tuple,
 /// and the caller looks it up in the relation's dedup table.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn compile_step(
+fn compile_step(
     atom: &Atom,
     rel: usize,
     slots: &mut FxHashMap<Var, usize>,
     bound_slots: &mut Vec<bool>,
-    idb: bool,
     dedup_full_key: bool,
     idxs: &mut Vec<IncrementalIndex>,
     idx_of: &mut FxHashMap<(usize, Vec<usize>), usize>,
@@ -448,7 +446,6 @@ pub(crate) fn compile_step(
     Step {
         rel,
         idx,
-        idb,
         key: key.into_boxed_slice(),
         actions: actions.into_boxed_slice(),
     }
@@ -519,9 +516,8 @@ fn tc_shape(head: &[Out], steps: &[Step]) -> bool {
 ///
 /// The index masks (bound positions) determine the `join_probes`
 /// counter, which the test suites pin on fixed inputs.
-pub(crate) fn compile_rule(
+fn compile_rule(
     rule: &Rule,
-    idbs: &[Pred],
     rel_of_pred: &FxHashMap<Pred, usize>,
     idxs: &mut Vec<IncrementalIndex>,
     idx_of: &mut FxHashMap<(usize, Vec<usize>), usize>,
@@ -531,26 +527,12 @@ pub(crate) fn compile_rule(
     let mut slots: FxHashMap<Var, usize> = FxHashMap::default();
     let mut bound_slots: Vec<bool> = Vec::new();
     let mut steps = Vec::new();
-    let mut idb_steps = Vec::new();
     let mut step_of_body = vec![0usize; rule.body.len()];
     for (d, &ai) in order.iter().enumerate() {
         let atom = &rule.body[ai];
-        let rel = rel_of_pred[&atom.pred];
-        let idb = idbs.contains(&atom.pred);
-        if idb {
-            idb_steps.push(d);
-        }
         step_of_body[ai] = d;
-        steps.push(compile_step(
-            atom,
-            rel,
-            &mut slots,
-            &mut bound_slots,
-            idb,
-            false,
-            idxs,
-            idx_of,
-        ));
+        let rel = rel_of_pred[&atom.pred];
+        steps.push(compile_step(atom, rel, &mut slots, &mut bound_slots, false, idxs, idx_of));
     }
     let head: Box<[Out]> = rule
         .head
@@ -569,7 +551,6 @@ pub(crate) fn compile_rule(
         head,
         steps: steps.into_boxed_slice(),
         num_slots: slots.len(),
-        idb_steps: idb_steps.into_boxed_slice(),
         body_rels,
         step_of_body: step_of_body.into_boxed_slice(),
         body_of_step: order.into(),
@@ -578,12 +559,13 @@ pub(crate) fn compile_rule(
     }
 }
 
-/// Plans and compiles one rule for `purpose` — its batch plan, or the
-/// **update plan** of one body position, that atom leading and the rest
-/// behind it (the planner's greedy order breaks ties by `card`, for an
-/// update plan the store's persisted build-time cardinalities, then by
-/// textual position): computes the body order for the mode and compiles
-/// the steps in that order. The single entry point every consumer uses.
+/// Plans and compiles the plans of one rule — plan `k` led by body atom
+/// `k`, the rest behind it in the mode's order (the planner's greedy
+/// order breaks ties by `card`, the store's persisted build-time
+/// cardinalities, then by textual position) — one per body atom with
+/// `every_atom` (one for an empty body), else the lead plan alone.
+/// Returns which of the returned plans is the **lead plan**: led by the
+/// atom the mode picks first. The single entry point every consumer uses.
 ///
 /// The order is computed from `order_by` — `rule` itself everywhere but
 /// in a template store ([`crate::cache`]), whose rules are those of a
@@ -600,16 +582,23 @@ pub(crate) fn plan_rule(
     rule: &Rule,
     order_by: &Rule,
     rule_idx: usize,
-    purpose: Purpose,
-    idbs: &[Pred],
+    every_atom: bool,
     rel_of_pred: &FxHashMap<Pred, usize>,
     idxs: &mut Vec<IncrementalIndex>,
     idx_of: &mut FxHashMap<(usize, Vec<usize>), usize>,
     mode: OrderMode,
     card: &mut dyn FnMut(Pred) -> u64,
-) -> RulePlan {
-    let order = body_order(order_by, rule_idx, purpose, mode, card);
-    compile_rule(rule, idbs, rel_of_pred, idxs, idx_of, &order)
+) -> (usize, Vec<RulePlan>) {
+    let picked = body_order(order_by, rule_idx, Purpose::Lead(None), mode, card);
+    let lead = picked.first().copied().unwrap_or(0);
+    let leads = if every_atom { 0..rule.body.len().max(1) } else { lead..lead + 1 };
+    let plans = leads
+        .map(|k| {
+            let order = body_order(order_by, rule_idx, Purpose::Lead(Some(k)), mode, card);
+            compile_rule(rule, rel_of_pred, idxs, idx_of, &order)
+        })
+        .collect();
+    (if every_atom { lead } else { 0 }, plans)
 }
 
 /// Compiles one rule for goal-directed re-derivation: head variables are
@@ -657,18 +646,8 @@ pub(crate) fn compile_rederive(
         .iter()
         .map(|&ai| {
             let atom = &rule.body[ai];
-            // `idb` is irrelevant here (re-derivation always reads the
-            // full live store); pass false so snapshots never apply.
-            compile_step(
-                atom,
-                rel_of_pred[&atom.pred],
-                &mut slots,
-                &mut bound_slots,
-                false,
-                true,
-                idxs,
-                idx_of,
-            )
+            let rel = rel_of_pred[&atom.pred];
+            compile_step(atom, rel, &mut slots, &mut bound_slots, true, idxs, idx_of)
         })
         .collect();
     RederivePlan {
@@ -721,43 +700,33 @@ mod tests {
     /// `(relation, mask)` of registered indexes.
     type IndexKeys = Vec<(usize, Vec<usize>)>;
 
-    /// The update plans of rule 1 of `src`, with EDB relations counted
-    /// large and the IDB empty (what `build` sees after the EDB load),
-    /// plus the `(relation, mask)` of every index they registered.
-    fn delta_plans_of(
+    /// The plans of rule `rule` of `src` — every atom's, or the lead's
+    /// alone — with EDB relations counted large and the IDB empty (what
+    /// `build` sees after the EDB load): the index of the lead plan, the
+    /// plans, and the `(relation, mask)` of every index they registered.
+    fn plans_of(
         src: &str,
+        rule: usize,
         mode: OrderMode,
-    ) -> (crate::ast::Program, Vec<RulePlan>, IndexKeys) {
+        every_atom: bool,
+    ) -> (crate::ast::Program, usize, Vec<RulePlan>, IndexKeys) {
         let p = parse_program(src).unwrap();
         let rel_of = rel_table(&p);
-        let idbs = [p.rules[1].head.pred];
+        let idbs = p.idb_predicates();
         let mut idxs = Vec::new();
         let mut idx_of = FxHashMap::default();
         let mut card = |pr: Pred| if idbs.contains(&pr) { 0 } else { 1000 };
-        let plans = (0..p.rules[1].body.len())
-            .map(|k| {
-                plan_rule(
-                    &p.rules[1],
-                    &p.rules[1],
-                    1,
-                    Purpose::Delta(k),
-                    &idbs,
-                    &rel_of,
-                    &mut idxs,
-                    &mut idx_of,
-                    mode,
-                    &mut card,
-                )
-            })
-            .collect();
+        let r = &p.rules[rule];
+        let (lead, plans) =
+            plan_rule(r, r, rule, every_atom, &rel_of, &mut idxs, &mut idx_of, mode, &mut card);
         let registered = idxs.iter().map(|i| (i.rel(), i.mask().to_vec())).collect();
-        (p, plans, registered)
+        (p, lead, plans, registered)
     }
 
     #[test]
     fn every_delta_atom_leads_its_update_plan() {
         for src in [SRC_A, SRC_B, SRC_C, SRC_S7] {
-            let (p, plans, _) = delta_plans_of(src, OrderMode::Planned);
+            let (p, _, plans, _) = plans_of(src, 1, OrderMode::Planned, true);
             assert_eq!(plans.len(), p.rules[1].body.len(), "{src}");
             for (k, plan) in plans.iter().enumerate() {
                 assert_eq!(plan.body_of_step[0], k, "atom {k} leads: {src}");
@@ -777,7 +746,7 @@ mod tests {
 
     #[test]
     fn section_7_update_plans_order_the_rest_by_boundness() {
-        let (p, plans, registered) = delta_plans_of(SRC_S7, OrderMode::Planned);
+        let (p, _, plans, registered) = plans_of(SRC_S7, 1, OrderMode::Planned, true);
         let orders: Vec<&[usize]> = plans.iter().map(|pl| &*pl.body_of_step).collect();
         // b1 leads: p is bound on X1, then b2 on Y1. p leads: b1 and b2
         // tie on one bound column and equal size, textual order decides.
@@ -793,7 +762,7 @@ mod tests {
     #[test]
     fn tc_kernel_is_recognised_on_both_update_plans() {
         for src in [SRC_A, SRC_B, SRC_C] {
-            let (_, plans, _) = delta_plans_of(src, OrderMode::Planned);
+            let (_, _, plans, _) = plans_of(src, 1, OrderMode::Planned, true);
             assert_eq!(plans.len(), 2);
             for (k, plan) in plans.iter().enumerate() {
                 assert!(plan.tc, "delta atom {k}: {src}");
@@ -806,7 +775,7 @@ mod tests {
     #[test]
     fn shuffled_update_plans_lead_with_the_delta_atom() {
         let orders = |seed: u64| -> Vec<Vec<usize>> {
-            let (_, plans, _) = delta_plans_of(SRC_S7, OrderMode::Shuffled(seed));
+            let (_, _, plans, _) = plans_of(SRC_S7, 1, OrderMode::Shuffled(seed), true);
             plans.iter().map(|pl| pl.body_of_step.to_vec()).collect()
         };
         let seven = orders(7);
@@ -830,12 +799,38 @@ mod tests {
         for k in 0..3 {
             let tails: HashSet<Vec<usize>> = (0..16)
                 .map(|seed| {
-                    let (_, plans, _) = delta_plans_of(SRC_S7, OrderMode::Shuffled(seed));
+                    let (_, _, plans, _) = plans_of(SRC_S7, 1, OrderMode::Shuffled(seed), true);
                     plans[k].body_of_step[1..].to_vec()
                 })
                 .collect();
             assert_eq!(tails.len(), 2, "update plan {k}: {tails:?}");
         }
+    }
+
+    /// The lead plan is the plan of the atom the greedy order picks
+    /// first, so it runs that whole order: S7's recursive rule leads with
+    /// the empty IDB atom. A one-shot store compiles that plan alone, and
+    /// with it fewer indexes. Under `Shuffled` the seed picks the lead:
+    /// over seeds `0..16` every atom leads some build.
+    #[test]
+    fn the_lead_plan_runs_the_greedy_order() {
+        let (p, lead, plans, every) = plans_of(SRC_S7, 1, OrderMode::Planned, true);
+        let idb = p.rules[1].head.pred;
+        let mut card = |pr: Pred| if pr == idb { 0 } else { 1000 };
+        assert_eq!(lead, 1);
+        assert_eq!(plans[lead].body_of_step.to_vec(), order_body(&p.rules[1], None, &mut card));
+        let (_, only, one_shot, fewer) = plans_of(SRC_S7, 1, OrderMode::Planned, false);
+        assert_eq!((only, one_shot.len()), (0, 1));
+        assert_eq!(one_shot[0].body_of_step, plans[lead].body_of_step);
+        assert!(fewer.len() < every.len() && fewer.iter().all(|k| every.contains(k)));
+        let leads: HashSet<usize> = (0..16)
+            .map(|seed| {
+                let (_, lead, plans, _) = plans_of(SRC_S7, 1, OrderMode::Shuffled(seed), true);
+                assert_eq!(plans[lead].body_of_step[0], lead, "seed {seed}");
+                lead
+            })
+            .collect();
+        assert_eq!(leads.len(), 3, "{leads:?}");
     }
 
     #[test]
@@ -906,41 +901,13 @@ mod tests {
             "?- a(c, Y).\na(X, Y) :- e(X, Y).\na(X, Y) :- a(X, Z), a(Z, Y).",
         ];
         for src in sources {
-            let p = parse_program(src).unwrap();
-            let rel_of = rel_table(&p);
-            let idbs = [p.rules[1].head.pred];
-            let mut idxs = Vec::new();
-            let mut idx_of = FxHashMap::default();
-            let plan = plan_rule(
-                &p.rules[1],
-                &p.rules[1],
-                1,
-                Purpose::Batch,
-                &idbs,
-                &rel_of,
-                &mut idxs,
-                &mut idx_of,
-                OrderMode::Planned,
-                &mut |_| 0,
-            );
-            assert!(plan.tc, "{src}");
-            assert_eq!(plan.head_ready_depth, 2, "{src}");
+            let (_, lead, plans, _) = plans_of(src, 1, OrderMode::Planned, false);
+            assert_eq!((lead, plans.len()), (0, 1), "a one-shot store: the lead plan alone");
+            assert!(plans[0].tc, "{src}");
+            assert_eq!(plans[0].head_ready_depth, 2, "{src}");
             // The non-recursive base rule is a single step, never TC.
-            let mut idxs2 = Vec::new();
-            let mut idx_of2 = FxHashMap::default();
-            let base = plan_rule(
-                &p.rules[0],
-                &p.rules[0],
-                0,
-                Purpose::Batch,
-                &idbs,
-                &rel_of,
-                &mut idxs2,
-                &mut idx_of2,
-                OrderMode::Planned,
-                &mut |_| 0,
-            );
-            assert!(!base.tc, "{src}");
+            let (_, _, base, _) = plans_of(src, 0, OrderMode::Planned, false);
+            assert!(!base[0].tc, "{src}");
         }
     }
 
@@ -956,18 +923,13 @@ mod tests {
         let idbs = [p.rules[1].head.pred];
         let mut idxs = Vec::new();
         let mut idx_of = FxHashMap::default();
-        let plan = plan_rule(
-            &p.rules[1],
-            &p.rules[1],
-            1,
-            Purpose::Batch,
-            &idbs,
-            &rel_of,
-            &mut idxs,
-            &mut idx_of,
-            OrderMode::Planned,
-            &mut |pr: Pred| if idbs.contains(&pr) { 0 } else { 50 },
-        );
+        let mut card = |pr: Pred| if idbs.contains(&pr) { 0 } else { 50 };
+        let r = &p.rules[1];
+        let planned = OrderMode::Planned;
+        let (lead, plans) =
+            plan_rule(r, r, 1, true, &rel_of, &mut idxs, &mut idx_of, planned, &mut card);
+        let plan = &plans[lead];
+        assert_eq!(plan.body_of_step[0], 1, "the IDB atom leads");
         // body_rels is in rule-text order regardless of step order.
         let par_rel = rel_of[&p.rules[1].body[0].pred];
         let sg_rel = rel_of[&p.rules[1].body[1].pred];

@@ -124,7 +124,7 @@ mod tests {
     #[test]
     fn cycle_program_finds_cycle_nodes() {
         let p = program_cycle();
-        let mut p2 = p.clone();
+        let mut p2 = p;
         let s = FiniteStructure::path(3, "b").disjoint_union(&FiniteStructure::cycle(3, "b"));
         let (db, ids) = s.to_database(&mut p2.symbols);
         let (ans, _) = answer(&p2, &db, Strategy::SemiNaive);

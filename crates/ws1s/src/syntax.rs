@@ -209,7 +209,7 @@ mod tests {
         assert_eq!(f, Formula::In(x, w));
         let g = Formula::or(Formula::In(x, w), Formula::False);
         assert_eq!(g, Formula::In(x, w));
-        assert_eq!(Formula::and(Formula::False, g.clone()), Formula::False);
+        assert_eq!(Formula::and(Formula::False, g), Formula::False);
         let _ = g;
     }
 

@@ -21,7 +21,7 @@ fn main() {
     println!("{}", chain.program.render());
 
     let analysis = analyze(&chain).unwrap();
-    let al = chain.grammar().alphabet.clone();
+    let al = chain.grammar().alphabet;
     println!(
         "Regular envelope R(H): {}   (exact: {})",
         dfa_to_regex(&analysis.envelope).display(&al),
@@ -43,7 +43,7 @@ fn main() {
 
     // Validate the semantic reading: magic = b1*-reachability from c.
     let db = workload::layered_b1_b2(&mut chain.program, "c", 30, 100);
-    let mut al2 = al.clone();
+    let mut al2 = al;
     let b1_star = Regex::parse("b1*", &mut al2).unwrap().to_dfa(&al2);
     let (marked, reachable) = magic_extension_vs_language(&chain, &db, &b1_star).unwrap();
     assert_eq!(marked, reachable);

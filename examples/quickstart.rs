@@ -36,11 +36,11 @@ fn main() {
     println!("{}", monadic.render());
 
     // Evaluate both on a random family forest and compare work.
-    let mut original = chain.program.clone();
+    let mut original = chain.program;
     let db1 = workload::random_forest(&mut original, "par", "john", 2_000, 7);
     let (ans1, stats1) = answer(&original, &db1, Strategy::SemiNaive);
 
-    let mut rewritten = monadic.clone();
+    let mut rewritten = monadic;
     let db2 = workload::random_forest(&mut rewritten, "par", "john", 2_000, 7);
     let (ans2, stats2) = answer(&rewritten, &db2, Strategy::SemiNaive);
 

@@ -3,8 +3,8 @@
 //! (`selprop_datalog::reference`, the minimum model by semi-naive iteration),
 //! over the paper's program gallery and randomized workloads.
 //!
-//! The contract: under every strategy, body order ([`OrderMode`]) and
-//! thread count the engine computes the specification's IDB model and
+//! The contract: under every body order ([`OrderMode`]) and thread
+//! count the engine computes the specification's IDB model and
 //! goal answer, and the three counters the model decides — iterations,
 //! rule firings, tuples derived — equal the specification's. The fourth,
 //! `join_probes`, belongs to the plan: it is compared engine against
@@ -12,50 +12,16 @@
 //! values on fixed inputs (`work_counters_are_pinned_on_the_gallery`),
 //! because EXPERIMENTS.md records work counts, not wall-clock.
 
+mod common;
+
+use common::{assert_at_fixpoint_over, build_db, restored};
 use proptest::prelude::*;
 use selprop_core::gallery::gallery;
 use selprop_core::workload;
 use selprop_datalog::db::Tuple;
 use selprop_datalog::eval::{self, EvalStats, Strategy};
 use selprop_datalog::reference;
-use selprop_datalog::{
-    CompactionPolicy, Database, Materialization, OrderMode, Pred, Program, Term,
-};
-
-/// The goal's bound constant if any (workload root), else "c".
-fn root_of(program: &Program) -> String {
-    program
-        .goal
-        .args
-        .iter()
-        .find_map(|t| match t {
-            Term::Const(c) => Some(program.symbols.const_name(*c).to_owned()),
-            Term::Var(_) => None,
-        })
-        .unwrap_or_else(|| "c".to_owned())
-}
-
-/// EDB predicate names of a program, in first-occurrence order.
-fn edb_names(program: &Program) -> Vec<String> {
-    program
-        .edb_predicates()
-        .iter()
-        .map(|&p| program.symbols.pred_name(p).to_owned())
-        .collect()
-}
-
-/// Builds one of the workload-generator shapes, selected by `shape`.
-fn build_db(program: &mut Program, shape: u8, n: usize, seed: u64) -> Database {
-    let root = root_of(program);
-    let names = edb_names(program);
-    let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
-    match shape % 4 {
-        0 => workload::random_labeled_digraph(program, &name_refs, &root, n, 2 * n, seed),
-        1 => workload::random_forest(program, name_refs[0], &root, n.max(2), seed),
-        2 => workload::cycles(program, name_refs[0], &[3, n.max(1), n / 2 + 1]),
-        _ => workload::wide(program, name_refs[0], &root, n / 2, 3, n / 3 + 1),
-    }
-}
+use selprop_datalog::{CompactionPolicy, Database, Materialization, OrderMode, Pred, Program};
 
 /// Sorted `(pred, sorted tuples)` view of the IDB model, keyed by
 /// predicate id for a stable comparison.
@@ -70,22 +36,19 @@ fn semantic(s: EvalStats) -> (usize, u64, u64) {
     (s.iterations, s.rule_firings, s.tuples_derived)
 }
 
-/// The engine against the specification, under both order modes, both
-/// strategies and threads {1, 2, 3}; returns the planned semi-naive and
-/// naive counters.
-fn assert_engines_agree(program: &Program, db: &Database, seed: u64) -> (EvalStats, EvalStats) {
+/// The engine against the specification, under both order modes and
+/// threads {1, 2, 3}.
+fn assert_engines_agree(program: &Program, db: &Database, seed: u64) {
     let spec = reference::evaluate(program, db, Strategy::SemiNaive);
     let [planned, _] = [OrderMode::Planned, OrderMode::Shuffled(seed)].map(|order| {
         let run = |strategy| eval::evaluate_cfg(program, db, strategy, order);
-        let (sn, nv) = (run(Strategy::SemiNaive), run(Strategy::Naive));
-        for (what, got) in [("semi-naive", &sn), ("naive", &nv)] {
-            assert_eq!(
-                semantic(got.stats),
-                semantic(spec.stats),
-                "{order:?} {what}: the semantic counters are the spec's"
-            );
-            assert_eq!(model_of(got), model_of(&spec), "{order:?} {what}: IDB model");
-        }
+        let sn = run(Strategy::SemiNaive);
+        assert_eq!(
+            semantic(sn.stats),
+            semantic(spec.stats),
+            "{order:?}: the semantic counters are the spec's"
+        );
+        assert_eq!(model_of(&sn), model_of(&spec), "{order:?}: IDB model");
 
         // the sharded parallel engine: same minimum model, and EvalStats
         // bit-for-bit identical to the sequential engine under the same
@@ -101,7 +64,7 @@ fn assert_engines_agree(program: &Program, db: &Database, seed: u64) -> (EvalSta
             );
             assert_eq!(model_of(&par), model_of(&spec), "{order:?} parallel({threads}) IDB model");
         }
-        (sn.stats, nv.stats)
+        sn.stats
     });
 
     // the allocation-free answer path agrees with the spec's goal
@@ -109,14 +72,12 @@ fn assert_engines_agree(program: &Program, db: &Database, seed: u64) -> (EvalSta
     let (fast_ans, fast_stats) = eval::answer(program, db, Strategy::SemiNaive);
     let (ref_ans, _) = reference::answer(program, db, Strategy::SemiNaive);
     assert_eq!(fast_ans.sorted(), ref_ans.sorted(), "goal answers");
-    assert_eq!(fast_stats, planned.0);
+    assert_eq!(fast_stats, planned);
 
     let (par_ans, par_stats) =
         eval::answer(program, db, Strategy::SemiNaiveParallel { threads: 2 });
     assert_eq!(par_ans.sorted(), fast_ans.sorted(), "parallel goal answers");
     assert_eq!(par_stats, fast_stats);
-
-    planned
 }
 
 /// `[iterations, rule_firings, tuples_derived, join_probes]`.
@@ -124,31 +85,30 @@ type Counters = [u64; 4];
 
 /// Literal work counters on one fixed input per program — every gallery
 /// program, then its magic rewrite where `magic_transform` succeeds, on
-/// `build_db(shape 0, n 12, seed 1)` — under Naive, SemiNaive, and
-/// SemiNaive in `OrderMode::Shuffled(5)` (under which the staged-head prune
-/// fires). Recorded at `0cd8467` — the shuffled column with this PR's
-/// `plan::shuffle` — where the engine's counters had to equal a
+/// `build_db(shape 0, n 12, seed 1)` — under `OrderMode::Planned`, then
+/// `OrderMode::Shuffled(5)` (under which the staged-head prune fires).
+/// First recorded where the engine's counters had to equal a
 /// planner-mirroring reference bit for bit. A change that moves a probe
 /// count edits this table and says why.
-const PINNED: [(&str, bool, Counters, Counters, Counters); 18] = [
-    ("program_a", false, [9, 63, 63, 417], [9, 63, 63, 72], [9, 63, 63, 169]),
-    ("program_a", true, [6, 7, 7, 45], [6, 7, 7, 33], [6, 7, 7, 104]),
-    ("program_b", false, [9, 63, 63, 417], [9, 63, 63, 72], [9, 63, 63, 72]),
-    ("program_b", true, [10, 42, 42, 246], [10, 42, 42, 199], [10, 42, 42, 245]),
-    ("program_c", false, [5, 63, 63, 182], [5, 63, 63, 244], [5, 63, 63, 244]),
-    ("program_c", true, [12, 42, 42, 340], [12, 42, 42, 423], [12, 42, 42, 557]),
-    ("balanced", false, [3, 13, 13, 75], [3, 13, 13, 38], [3, 13, 13, 182]),
-    ("balanced", true, [8, 19, 19, 203], [8, 19, 19, 132], [8, 19, 19, 582]),
-    ("cycle_program", false, [9, 63, 63, 417], [9, 63, 63, 72], [9, 63, 63, 169]),
-    ("finite_two_words", false, [2, 15, 15, 20], [2, 15, 15, 10], [2, 15, 15, 16]),
-    ("finite_two_words", true, [3, 3, 3, 12], [3, 3, 3, 7], [3, 3, 3, 20]),
-    ("finite_diagonal", false, [2, 48, 48, 120], [2, 48, 48, 60], [2, 48, 48, 422]),
-    ("b1_b2star", false, [4, 17, 17, 48], [4, 17, 17, 21], [4, 17, 17, 46]),
-    ("b1_b2star", true, [5, 4, 4, 29], [5, 4, 4, 25], [5, 4, 4, 81]),
-    ("even_paths", false, [5, 62, 62, 735], [5, 62, 62, 215], [5, 62, 62, 611]),
-    ("even_paths", true, [4, 7, 7, 55], [4, 7, 7, 38], [4, 7, 7, 330]),
-    ("palindromic", false, [7, 51, 51, 1291], [7, 51, 51, 247], [7, 51, 51, 339]),
-    ("palindromic", true, [7, 40, 40, 510], [7, 40, 40, 305], [7, 40, 40, 1007]),
+const PINNED: [(&str, bool, Counters, Counters); 18] = [
+    ("program_a", false, [9, 63, 63, 72], [9, 63, 63, 169]),
+    ("program_a", true, [6, 7, 7, 19], [6, 7, 7, 70]),
+    ("program_b", false, [9, 63, 63, 72], [9, 63, 63, 72]),
+    ("program_b", true, [10, 42, 42, 183], [10, 42, 42, 207]),
+    ("program_c", false, [5, 63, 63, 244], [5, 63, 63, 181]),
+    ("program_c", true, [12, 42, 42, 382], [12, 42, 42, 330]),
+    ("balanced", false, [3, 13, 13, 38], [3, 13, 13, 41]),
+    ("balanced", true, [8, 19, 19, 113], [8, 19, 19, 257]),
+    ("cycle_program", false, [9, 63, 63, 72], [9, 63, 63, 169]),
+    ("finite_two_words", false, [2, 15, 15, 10], [2, 15, 15, 16]),
+    ("finite_two_words", true, [3, 3, 3, 5], [3, 3, 3, 5]),
+    ("finite_diagonal", false, [2, 48, 48, 60], [2, 48, 48, 60]),
+    ("b1_b2star", false, [4, 17, 17, 21], [4, 17, 17, 46]),
+    ("b1_b2star", true, [5, 4, 4, 14], [5, 4, 4, 56]),
+    ("even_paths", false, [5, 62, 62, 215], [5, 62, 62, 215]),
+    ("even_paths", true, [4, 7, 7, 30], [4, 7, 7, 147]),
+    ("palindromic", false, [7, 51, 51, 247], [7, 51, 51, 339]),
+    ("palindromic", true, [7, 40, 40, 293], [7, 40, 40, 453]),
 ];
 
 #[test]
@@ -161,24 +121,22 @@ fn work_counters_are_pinned_on_the_gallery() {
         runs.extend(magic.map(|m| (entry.name, true, m.program)));
     }
     assert_eq!(runs.len(), PINNED.len(), "one pinned row per program");
-    for ((name, magic, mut program), (pinned_name, pinned_magic, naive, semi, shuffled)) in
+    for ((name, magic, mut program), (pinned_name, pinned_magic, planned, shuffled)) in
         runs.into_iter().zip(PINNED)
     {
         assert_eq!((name, magic), (pinned_name, pinned_magic), "table order");
         let db = build_db(&mut program, 0, 12, 1);
-        for (strategy, order, [iterations, rule_firings, tuples_derived, join_probes]) in [
-            (Strategy::Naive, OrderMode::Planned, naive),
-            (Strategy::SemiNaive, OrderMode::Planned, semi),
-            (Strategy::SemiNaive, OrderMode::Shuffled(5), shuffled),
-        ] {
+        for (order, [iterations, rule_firings, tuples_derived, join_probes]) in
+            [(OrderMode::Planned, planned), (OrderMode::Shuffled(5), shuffled)]
+        {
             let want = EvalStats {
                 iterations: iterations as usize,
                 rule_firings,
                 tuples_derived,
                 join_probes,
             };
-            let got = eval::evaluate_cfg(&program, &db, strategy, order).stats;
-            assert_eq!(got, want, "{name} (magic: {magic}) {strategy:?} {order:?}");
+            let got = eval::evaluate_cfg(&program, &db, Strategy::SemiNaive, order).stats;
+            assert_eq!(got, want, "{name} (magic: {magic}) {order:?}");
         }
     }
 }
@@ -188,7 +146,7 @@ fn work_counters_are_pinned_on_the_gallery() {
 /// 1. recording justifications changes no counter and no model row;
 /// 2. every recorded justification is a genuine rule instantiation whose
 ///    chains bottom out in EDB rows ([`Provenance::check`]);
-/// 3. the naive spec (`reference::Provenance`) derives the same facts,
+/// 3. the specification (`reference::Provenance`) derives the same facts,
 ///    and its own justifications pass the mirror checker;
 /// 4. justifications are **bit-for-bit identical** across thread counts
 ///    {1, 2, 3, 4}.
@@ -205,7 +163,7 @@ fn assert_provenance_contract(program: &Program, db: &Database) {
         .check(program)
         .expect("engine justifications are valid rule instantiations over EDB leaves");
 
-    // the recorded derived set IS the IDB model, and matches the naive
+    // the recorded derived set IS the IDB model, and matches the
     // executable specification
     let spec = reference::Provenance::compute(program, db);
     spec.check(program).expect("spec justifications are valid");
@@ -236,47 +194,25 @@ fn assert_provenance_contract(program: &Program, db: &Database) {
             "{strategy:?}: justifications must be identical at every thread/shard count"
         );
     }
-
-    // the naive strategy records its own (round-structured) first-found
-    // choice; it must still be valid
-    let naive = eval::evaluate_with_provenance(program, db, Strategy::Naive);
-    naive
-        .provenance
-        .check(program)
-        .expect("naive-strategy justifications are valid");
 }
 
-/// Sorted `(pred, sorted tuples)` view of a Database.
-fn sorted_db(db: &Database) -> Vec<(Pred, Vec<Tuple>)> {
-    db.sorted_models()
-}
-
-/// `m` against a from-scratch reference evaluation of `edb`: the IDB
-/// model, the goal answer, and every recorded justification a genuine
+/// `m` against a from-scratch evaluation of `edb`
+/// ([`assert_at_fixpoint_over`]), its IDB model relation for relation —
+/// empty ones included — and every recorded justification a genuine
 /// rule instance over live rows.
 fn assert_matches_reference(m: &Materialization, program: &Program, edb: &Database) {
-    let spec = reference::evaluate(program, edb, Strategy::SemiNaive);
+    let spec = assert_at_fixpoint_over(m, program, edb, "from scratch");
     assert_eq!(
-        sorted_db(&m.idb_database()),
-        sorted_db(&spec.idb),
+        m.idb_database().sorted_models(),
+        spec.idb.sorted_models(),
         "IDB model must equal the from-scratch spec"
     );
-    let (spec_ans, _) = reference::answer(program, edb, Strategy::SemiNaive);
-    assert_eq!(m.answer().sorted(), spec_ans.sorted(), "goal answers");
     m.provenance().check(program).expect("justifications stay valid across updates");
-}
-
-/// The snapshot codec round-trips `m` bit-for-bit.
-fn assert_snapshot_round_trips(m: &Materialization) {
-    let bytes = m.to_bytes();
-    let m2 = Materialization::from_bytes(&bytes).expect("self-produced snapshot restores");
-    assert_eq!(m2.to_bytes(), bytes, "snapshot round-trip is bit-for-bit");
-    assert_eq!(sorted_db(&m2.database()), sorted_db(&m.database()));
 }
 
 /// The update-sequence contract: a [`Materialization`] driven through an
 /// interleaved insert/retract/query sequence must, after **every** op,
-/// equal a naive from-scratch re-evaluation (the reference engine) of
+/// equal a from-scratch re-evaluation (the reference engine) of
 /// the mirrored database — bit-for-bit relation equality on the IDB
 /// model, the stored EDB, and the goal answer — and its recorded
 /// justifications must stay valid.
@@ -434,7 +370,7 @@ fn assert_churn_compact_churn_matches_reference(
     }
     let _ = churned;
 
-    assert_snapshot_round_trips(&m);
+    restored(&m);
 }
 
 /// Bounded memory under churn, and the control that gives the bound
@@ -489,7 +425,7 @@ fn compaction_bounds_memory_under_churn_and_its_absence_does_not() {
              {control_peak} words against {fresh} fresh"
         );
         assert_matches_reference(&m, &p, &db);
-        assert_snapshot_round_trips(&m);
+        restored(&m);
     }
 }
 
@@ -507,10 +443,7 @@ proptest! {
         let entry = &entries[which % entries.len()];
         let mut program = entry.chain().program;
         let db = build_db(&mut program, shape, n, seed);
-        let (sn, nv) = assert_engines_agree(&program, &db, seed);
-        // sanity: the work proxy is consistent
-        prop_assert!(sn.work() <= nv.work() || sn.iterations <= nv.iterations,
-            "{}: semi-naive should not dominate naive in both measures", entry.name);
+        assert_engines_agree(&program, &db, seed);
     }
 
     #[test]
@@ -572,14 +505,13 @@ proptest! {
         shape in 0u8..4,
         n in 3usize..10,
         seed in 0u64..10_000,
-        strat in 0usize..6,
+        strat in 0usize..5,
     ) {
         // Random interleaved insert/retract/query sequences against the
         // from-scratch reference, across the strategy family and
         // threads ∈ {1, 2, 3, 4}.
         let strategy = [
             Strategy::SemiNaive,
-            Strategy::Naive,
             Strategy::SemiNaiveParallel { threads: 1 },
             Strategy::SemiNaiveParallel { threads: 2 },
             Strategy::SemiNaiveParallel { threads: 4 },
@@ -639,7 +571,7 @@ proptest! {
             &db0,
             Strategy::SemiNaiveParallel { threads },
         );
-        let snapshot = sorted_db(&m.database());
+        let snapshot = m.database().sorted_models();
         // Insert only facts genuinely absent from the store, so the
         // retraction of exactly those facts must restore it.
         let mut inserted: Vec<(Pred, Vec<Tuple>)> = Vec::new();
@@ -658,7 +590,7 @@ proptest! {
             prop_assert_eq!(m.retract_facts(*pred, novel), novel.len());
         }
         prop_assert_eq!(
-            sorted_db(&m.database()),
+            m.database().sorted_models(),
             snapshot,
             "insert-then-retract must restore the pre-insert store bit-for-bit"
         );
@@ -670,14 +602,13 @@ proptest! {
         shape in 0u8..4,
         n in 3usize..10,
         seed in 0u64..10_000,
-        strat in 0usize..5,
+        strat in 0usize..4,
     ) {
         // Random churn → compact → churn sequences against the
         // from-scratch reference, across the strategy family and
         // threads ∈ {1, 2, 4}.
         let strategy = [
             Strategy::SemiNaive,
-            Strategy::Naive,
             Strategy::SemiNaiveParallel { threads: 1 },
             Strategy::SemiNaiveParallel { threads: 2 },
             Strategy::SemiNaiveParallel { threads: 4 },

@@ -135,7 +135,7 @@ fn corrupted_header_fields_report_their_specific_error() {
     ));
 
     // Trailing garbage breaks the stored-length check.
-    let mut padded = bytes.clone();
+    let mut padded = bytes;
     padded.extend_from_slice(b"junk");
     assert!(matches!(
         Materialization::from_bytes(&padded),
@@ -211,14 +211,37 @@ fn a_strategy_tag_3_container_is_refused_as_corrupt() {
     ));
 }
 
+/// Strategy tag 0 was the naive strategy. It is gone, and a container
+/// carrying the tag — intact framing, the rest of the payload a
+/// semi-naive store's — is refused, not decoded as something else.
+#[test]
+fn a_strategy_tag_0_container_is_refused_as_corrupt() {
+    let mut p = parse_program(SRC).unwrap();
+    let par = p.symbols.get_predicate("par").unwrap();
+    let edges = chain_edges(&mut p, 4);
+    let mut m = Materialization::new(&p, Strategy::SemiNaive);
+    m.insert_facts(par, &edges);
+    let mut bytes = m.to_bytes();
+    assert_eq!(bytes[20], 1, "the payload opens with the strategy tag");
+    bytes[20] = 0;
+    let current = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
+    assert!(matches!(
+        Materialization::from_bytes(&restamped(&bytes, current)),
+        Err(PersistError::Corrupt("unknown strategy tag"))
+    ));
+}
+
 /// `tests/data/program_a_v4.snap` was written by the commit before the
 /// payload codec moved into `materialize/codec.rs`: program A over the
 /// chain `john → c1 → … → c4`, then `par(c3, c4)` retracted. It must
 /// restore, answer like a from-scratch build of the same store, and
-/// re-encode to the identical bytes — the codec's move changed no byte.
+/// re-encode to the identical bytes — the codec's move changed no byte,
+/// and its section 9 (the body permutations `[0]` and `[0, 1]`) is what
+/// the lead plans re-encode to.
 #[test]
 fn a_golden_version_4_snapshot_restores_and_reencodes_identically() {
     let golden = include_bytes!("data/program_a_v4.snap");
+    assert_eq!(golden[20], 1, "a semi-naive store");
     let restored = Materialization::from_bytes(golden).expect("the golden snapshot restores");
     assert_eq!(restored.to_bytes(), golden, "re-encoding changed a byte");
 

@@ -45,7 +45,7 @@ fn prop_8_2_three_way_equivalence_bounded_side() {
         workload::chain(&mut p1, "b", "c", 4),
         workload::chain(&mut p2, "b", "c", 12),
     ];
-    let mut shared = chain.clone();
+    let mut shared = chain;
     shared.program.symbols = p2.symbols;
     let iters = convergence_iterations(&shared, &dbs);
     assert_eq!(iters[0], iters[1], "bounded ⇒ constant iterations: {iters:?}");
@@ -68,7 +68,7 @@ fn prop_8_2_unbounded_side() {
         workload::chain(&mut p1, "par", "c", 4),
         workload::chain(&mut p2, "par", "c", 12),
     ];
-    let mut shared = chain.clone();
+    let mut shared = chain;
     shared.program.symbols = p2.symbols;
     let iters = convergence_iterations(&shared, &dbs);
     assert!(iters[1] > iters[0], "unbounded ⇒ growing iterations: {iters:?}");

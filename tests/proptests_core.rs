@@ -66,9 +66,9 @@ proptest! {
             return Err(TestCaseError::fail("should propagate"));
         };
         prop_assert!(program.is_monadic());
-        let mut p1 = chain.program.clone();
+        let mut p1 = chain.program;
         let db1 = workload::random_labeled_digraph(&mut p1, &["b1", "b2"], "c", 10, 24, seed);
-        let mut p2 = program.clone();
+        let mut p2 = program;
         let db2 = workload::random_labeled_digraph(&mut p2, &["b1", "b2"], "c", 10, 24, seed);
         let run = |p: &selprop_datalog::Program, db: &selprop_datalog::Database| {
             let (ans, _) = answer(p, db, EvalStrategy::SemiNaive);
@@ -88,7 +88,7 @@ proptest! {
         // or Impossible (infinite) and certificates must check out.
         let base = ChainProgram::parse(&src).unwrap();
         let p = base.goal_pred();
-        let mut program = base.program.clone();
+        let mut program = base.program;
         let x = program.symbols.variable("X");
         program.goal = selprop_datalog::Atom::new(
             p,

@@ -89,7 +89,7 @@ fn section_6_symmetry_and_blindness() {
 #[test]
 fn cycle_program_answers_exactly_cycle_nodes() {
     let p = program_cycle();
-    let mut p2 = p.clone();
+    let mut p2 = p;
     let s = FiniteStructure::path(4, "b")
         .disjoint_union(&FiniteStructure::cycle(3, "b"))
         .disjoint_union(&FiniteStructure::cycle(2, "b"));
@@ -116,8 +116,8 @@ fn section_7_quotients_and_pruning() {
     )
     .unwrap();
     let analysis = magic_chain::analyze(&chain).unwrap();
-    let al = chain.grammar().alphabet.clone();
-    let mut al2 = al.clone();
+    let al = chain.grammar().alphabet;
+    let mut al2 = al;
     let b1_star = Regex::parse("b1*", &mut al2).unwrap().to_dfa(&al2);
     for rq in &analysis.rules {
         assert!(equivalent(&rq.envelope_quotient, &b1_star));
@@ -178,7 +178,7 @@ fn magic_equals_quotient_reachability_on_random_graphs() {
          p(X, Y) :- b1(X, X1), p(X1, Y1), b2(Y1, Y).",
     )
     .unwrap();
-    let al = chain.grammar().alphabet.clone();
+    let al = chain.grammar().alphabet;
     let mut al2 = al;
     let b1_star = Regex::parse("b1*", &mut al2).unwrap().to_dfa(&al2);
     for seed in 0..5u64 {

@@ -186,7 +186,7 @@ fn rewrites_validate_on_ig_truncations() {
     let from_h = h_of_ig(&chain, 5);
     // evaluate the rewrite on the same truncation
     let (chain2, trunc) = selprop_core::inf_model::ig_truncation(&chain, 5);
-    let mut p2 = program.clone();
+    let mut p2 = program;
     // copy facts into the rewrite's symbol space by name
     let mut db2 = Database::new();
     for (pred, rel) in trunc.db.iter() {
@@ -210,7 +210,7 @@ fn rewrites_validate_on_ig_truncations() {
         .map(|t| p2.symbols.const_name(t[0]).to_owned())
         .collect();
     names2.sort();
-    let al = chain.grammar().alphabet.clone();
+    let al = chain.grammar().alphabet;
     let mut names1: Vec<String> = from_h
         .iter()
         .map(|w| {
