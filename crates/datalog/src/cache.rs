@@ -102,22 +102,44 @@
 //! view. Their stamps are bumped; a memo is current while the stamp it
 //! was read at is the view's. The stamp counts syncs, not server
 //! epochs (a standalone cache has none); the epoch of the change is
-//! recorded beside it for pinned readers: a snapshot pinned at or after
-//! a view's last change reads the live answer, memo and all, and only
-//! one pinned before it re-reads the rows at its frontier.
+//! recorded beside it for pinned readers.
+//!
+//! A memo also carries the epochs `[from, to)` over which it *is* the
+//! view's answer: `from` is the epoch of the view's last change when
+//! the memo was read, and `to` the epoch of its next one, written by the
+//! sync that bumps the stamp of a view whose memo is current — one
+//! store, through `Mutex::get_mut`, under the write lock the sync holds
+//! anyway. A snapshot pinned at or after a view's last change reads the
+//! live answer, memo and all. One pinned before it takes whichever of
+//! the view's memos covers its epoch: the stale one no reader has
+//! replaced yet, or one a reader displaced and **retained**, because a
+//! pinned epoch lay in its interval. Only when none does is the answer
+//! read off the rows at the pinned frontier; it is retained as a memo of
+//! that epoch alone, so a pin costs one build per view at most, never
+//! one per read. The epochs snapshots are pinned at reach the cache from
+//! the server's deferred-maintenance drain, which copies them in and
+//! looks at no view. Intervals of one view never overlap, so a view
+//! retains at most one memo per pinned epoch.
 //!
 //! Who does the work: the **next reader** of a changed view rebuilds
-//! its answer — the cost every hit used to pay — stores it, and drops
-//! the stale one, all under the lock it already holds for reading (the
-//! memo has its own small mutex, so readers of one stale view queue
-//! behind a single build). The **writer does neither**: dropping a
-//! memo where it goes stale would free every answer a round changes,
-//! boxed tuple by boxed tuple, with every reader locked out — tried, it
-//! made `tc_serve`'s insert rounds 30 % and its retract rounds 64 %
-//! slower (EXPERIMENTS.md). So a stale memo stays where it is, counted in [`QueryCache::view_words`], until
-//! a reader replaces it or its view goes (eviction, a rule change, a
-//! base compaction). [`QueryCache::answer_builds`] counts the answers
-//! materialised from rows; hits that it does not count were handed out.
+//! its answer — the cost every hit used to pay — stores it, retains the
+//! stale one if a pin can still ask for it, and drops the retained ones
+//! no pin can ask for any more; all under the lock it already holds for
+//! reading (the memos have their own small mutex, so readers of one
+//! stale view queue behind a single build) and the frees after letting
+//! go of the memos' lock. A hit on a view with retained memos releases
+//! them the same way. The **writer does neither**: dropping a memo
+//! where it goes stale would free every answer a round changes, boxed
+//! tuple by boxed tuple, with every reader locked out — tried, it made
+//! `tc_serve`'s insert rounds 30 % and its retract rounds 64 % slower
+//! (EXPERIMENTS.md); and releasing retained memos by walking the views
+//! in the drain, a lock each, made `batch_pipeline`'s rounds 27 % and
+//! 50 % slower. So a stale or retained memo stays where it is,
+//! counted in [`QueryCache::view_words`], until a reader replaces or
+//! releases it or its view goes (eviction, a rule change, a base
+//! compaction, a restore). [`QueryCache::answer_builds`] counts the
+//! answers materialised from rows; hits that it does not count were
+//! handed out.
 //!
 //! # Dead rows
 //!
@@ -131,7 +153,7 @@
 //! waits for the last unpin, exactly like the base store's compaction.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::ast::{Atom, Const, Pred, Program, Rule, Symbols, Term};
 use crate::db::Relation;
@@ -289,6 +311,12 @@ impl Template {
             // answer; and a new view's rows find nothing: it is filed
             // after the sync that builds it, with no answer to go stale.
             if let Some(v) = views.get_mut(&key[1..]).filter(|v| v.seed == key) {
+                // A current memo answers up to this epoch: one store, no
+                // lock (the sync holds the view exclusively).
+                let memos = v.memos.get_mut().unwrap_or_else(PoisonError::into_inner);
+                if let Some(m) = memos.current.as_mut().filter(|m| m.stamp == v.changed) {
+                    m.to = epoch;
+                }
                 v.changed += 1;
                 v.changed_epoch = epoch;
             }
@@ -328,13 +356,50 @@ struct CachedView {
     changed: u64,
     /// `base.epoch()` at the last such sync (at the view's build before
     /// the first): a snapshot pinned at or after it reads what a live
-    /// query reads.
+    /// query reads, and a memo read now answers from this epoch on.
     changed_epoch: u64,
-    /// The last answer materialised from the view's rows and the
-    /// `changed` it was read at; current while the two stamps agree.
-    /// Filled and replaced by readers, under the cache's read lock or
-    /// its write lock alike — never by a sync.
-    memo: Mutex<Option<(u64, Relation)>>,
+    /// The answers materialised from the view's rows: filled and
+    /// replaced by readers, under the cache's read lock or its write
+    /// lock alike. A sync writes one thing here, the `to` of the
+    /// current memo, through `Mutex::get_mut`.
+    memos: Mutex<Memos>,
+}
+
+/// An answer of one view and the epochs `[from, to)` over which it *is*
+/// the view's answer (module docs, "Answers").
+struct Memo {
+    /// The view's `changed` when the answer was read: it is current
+    /// while the two agree.
+    stamp: u64,
+    /// The view's `changed_epoch` when the answer was read (the pinned
+    /// epoch, for one read at a pinned frontier).
+    from: u64,
+    /// The epoch of the view's first change after the read, written by
+    /// that sync; `u64::MAX` until then.
+    to: u64,
+    answer: Relation,
+}
+
+/// A view's memos: the one live readers are served, and the displaced
+/// ones a pinned snapshot can still ask for. Their intervals are
+/// disjoint, and each retained one holds a pinned epoch (at the last
+/// time a reader replaced or released them).
+#[derive(Default)]
+struct Memos {
+    current: Option<Memo>,
+    retained: Vec<Memo>,
+}
+
+impl Memo {
+    fn covers(&self, epoch: u64) -> bool {
+        self.from <= epoch && epoch < self.to
+    }
+
+    /// Words the answer holds: per tuple its constants, the `Vec`
+    /// header and the set's slot.
+    fn words(&self) -> usize {
+        self.answer.len() * (self.answer.arity() + 4)
+    }
 }
 
 impl CachedView {
@@ -343,16 +408,17 @@ impl CachedView {
         self.last_used.store(clock.fetch_add(1, Ordering::Relaxed) + 1, Ordering::Relaxed);
     }
 
-    fn lock_memo(&self) -> std::sync::MutexGuard<'_, Option<(u64, Relation)>> {
-        // Whoever panicked holding it left a whole (stamp, answer) pair
-        // or none behind: `Option::replace` is the only write.
-        self.memo.lock().unwrap_or_else(PoisonError::into_inner)
+    fn lock_memos(&self) -> MutexGuard<'_, Memos> {
+        // Whoever panicked holding it left whole memos behind: each is
+        // moved in or out in one piece.
+        self.memos.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Words the memoised answer holds, stale or not: per tuple its
-    /// constants, the `Vec` header and the set's slot.
+    /// Words the memoised answers hold, the current one (stale or not)
+    /// and the retained ones.
     fn memo_words(&self) -> usize {
-        self.lock_memo().as_ref().map_or(0, |(_, rel)| rel.len() * (rel.arity() + 4))
+        let memos = self.lock_memos();
+        memos.current.iter().chain(&memos.retained).map(Memo::words).sum()
     }
 }
 
@@ -407,6 +473,10 @@ pub struct QueryCache {
     /// compacted by [`QueryCache::compact`] from the server's drain, not
     /// by the query that made them so (see the module docs).
     compaction_deferred: bool,
+    /// The epochs snapshots were pinned at, ascending, when the serving
+    /// layer's drain last published them (empty in a standalone cache):
+    /// a displaced memo is kept while one of them lies in its interval.
+    pinned_epochs: Vec<u64>,
     seen_version: u64,
     seen_compactions: u64,
     /// The next view's tag (cache-wide, so that tags order views by age).
@@ -447,6 +517,7 @@ impl QueryCache {
             templates: FxHashMap::default(),
             config,
             compaction_deferred: false,
+            pinned_epochs: Vec::new(),
             seen_version: 0,
             seen_compactions: 0,
             next_tag: 0,
@@ -542,7 +613,9 @@ impl QueryCache {
 
     /// Total words held by the template stores (tuples, indexes,
     /// justifications, reverse index) and by the views' memoised
-    /// answers, the stale ones included until a reader replaces them;
+    /// answers: the stale ones until a reader replaces them, and the
+    /// displaced ones a pinned snapshot can still ask for — at most one
+    /// per view and pinned epoch — until a reader finds that no pin can;
     /// base rows are shared, not copied, so this is the cache's real
     /// resident cost.
     pub fn view_words(&self) -> usize {
@@ -624,22 +697,62 @@ impl QueryCache {
     /// same answer — its variables are distinct, so selection and
     /// projection are fixed by the binding pattern — which is why the
     /// memo is not keyed by goal. Concurrent readers of one stale view
-    /// queue on its memo: one builds, the rest clone.
+    /// queue on its memo: one builds, the rest clone. Retained memos no
+    /// pin can ask for any more are released on the way.
     fn answer(&self, t: &Template, view: &CachedView, goal: &Atom) -> Relation {
-        let mut memo = view.lock_memo();
-        if let Some((stamp, answer)) = memo.as_ref() {
-            if *stamp == view.changed {
-                return answer.clone();
+        let mut memos = view.lock_memos();
+        if let Some(m) = memos.current.as_ref().filter(|m| m.stamp == view.changed) {
+            let answer = m.answer.clone();
+            if !memos.retained.is_empty() {
+                let released = self.release(&mut memos);
+                drop(memos);
+                drop(released);
             }
+            return answer;
         }
+        self.replace(t, view, goal, memos)
+    }
+
+    /// The rest of [`QueryCache::answer`] when the view's memo is stale:
+    /// reads the answer and memoises it, and retains the memo it
+    /// displaces while a pinned epoch lies in that memo's interval.
+    fn replace(
+        &self,
+        t: &Template,
+        view: &CachedView,
+        goal: &Atom,
+        mut memos: MutexGuard<'_, Memos>,
+    ) -> Relation {
         let answer = t.read(view, goal, None);
         self.answer_builds.fetch_add(1, Ordering::Relaxed);
-        let stale = memo.replace((view.changed, answer.clone()));
-        // Freeing the old answer is tuple-by-tuple work; let the next
+        let fresh = Memo {
+            stamp: view.changed,
+            from: view.changed_epoch,
+            to: u64::MAX,
+            answer: answer.clone(),
+        };
+        let mut stale = memos.current.replace(fresh);
+        if stale.as_ref().is_some_and(|m| self.pinned_in(m)) {
+            memos.retained.extend(stale.take());
+        }
+        let released = self.release(&mut memos);
+        // Freeing an old answer is tuple-by-tuple work; let the next
         // reader in first.
-        drop(memo);
-        drop(stale);
+        drop(memos);
+        drop((stale, released));
         answer
+    }
+
+    /// Whether a snapshot is pinned at an epoch `memo` answers.
+    fn pinned_in(&self, memo: &Memo) -> bool {
+        let i = self.pinned_epochs.partition_point(|&e| e < memo.from);
+        self.pinned_epochs.get(i).is_some_and(|&e| e < memo.to)
+    }
+
+    /// Takes the retained memos no pinned snapshot can ask for out of
+    /// `memos`, for the caller to drop once it has let go of the lock.
+    fn release(&self, memos: &mut Memos) -> Vec<Memo> {
+        memos.retained.extract_if(.., |m| !self.pinned_in(m)).collect()
     }
 
     /// Catches every template store up with the base — the serving
@@ -658,12 +771,16 @@ impl QueryCache {
         }
     }
 
-    /// Forwards epoch reclamation to every template store (the serving
-    /// layer's last-unpin drain).
-    pub(crate) fn reclaim_epochs(&mut self, min_epoch: u64) {
+    /// Forwards epoch reclamation to every template store, and takes
+    /// note of the epochs snapshots are pinned at, ascending (the
+    /// serving layer's drain). Nothing here looks at a view: readers
+    /// release the memos no pin can ask for any more, on their own time.
+    pub(crate) fn reclaim_epochs(&mut self, min_epoch: u64, pinned: impl Iterator<Item = u64>) {
         for t in self.templates.values_mut().flatten() {
             t.store.reclaim_epochs(min_epoch);
         }
+        self.pinned_epochs.clear();
+        self.pinned_epochs.extend(pinned);
     }
 
     /// Compacts every template store with a quarter of its rows dead
@@ -699,8 +816,10 @@ impl QueryCache {
     /// was live at pin time and still is, else by filtering the base
     /// store at its pinned frontier (same fixpoint, so identical
     /// answers). A view no round has changed since the pin is read as a
-    /// live query reads it, memo and all; one that has changed is read
-    /// off its rows at the pinned frontier.
+    /// live query reads it, memo and all. One that has changed answers
+    /// from whichever of its memos covers `epoch`; failing that, it is
+    /// read off its rows at the pinned frontier, once, and that answer
+    /// is retained as a memo of `epoch` alone.
     pub(crate) fn answer_pinned(
         &self,
         base: &Materialization,
@@ -716,8 +835,20 @@ impl QueryCache {
                 if v.changed_epoch <= epoch {
                     return self.answer(t, v, goal);
                 }
+                let mut memos = v.lock_memos();
+                let mut all = memos.current.iter().chain(&memos.retained);
+                if let Some(m) = all.find(|m| m.covers(epoch)) {
+                    return m.answer.clone();
+                }
+                let answer = t.read(v, goal, Some((frontier, epoch)));
                 self.answer_builds.fetch_add(1, Ordering::Relaxed);
-                return t.read(v, goal, Some((frontier, epoch)));
+                memos.retained.push(Memo {
+                    stamp: v.changed,
+                    from: epoch,
+                    to: epoch + 1,
+                    answer: answer.clone(),
+                });
+                return answer;
             }
         }
         base.answer_goal_at(goal, base_frontier, epoch)
@@ -845,7 +976,7 @@ impl QueryCache {
             last_used: AtomicU64::new(0),
             changed: 0,
             changed_epoch: base.epoch(),
-            memo: Mutex::new(None),
+            memos: Mutex::default(),
         };
         view.touch(&self.clock);
         self.misses += 1;

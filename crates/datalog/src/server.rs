@@ -30,7 +30,8 @@
 //!   pinned view when it survives, by filtering the pinned base state
 //!   otherwise — identical answers either way). An answer is built
 //!   once per change of its view, by the first reader to ask, and
-//!   handed out by reference count until the next change.
+//!   handed out by reference count until the next change — and after
+//!   it, to the snapshots pinned before it, for as long as they live.
 //!
 //! Reclamation and compaction are **deferred maintenance**: when the
 //! last reader below an epoch unpins, the new horizon is recorded in
@@ -158,7 +159,8 @@ impl EpochTable {
 
     /// Applies all deferred maintenance to a write-locked state:
     /// reclaims every unobservable tombstone tag (in the base store and
-    /// the cache's template stores) and runs (or queues) the
+    /// the cache's template stores), tells the cache the epochs pinned
+    /// now (the memos it may keep for them), and runs (or queues) the
     /// policy-triggered compaction. Callers must hold the epochs lock
     /// for the *remainder* of their write-lock tenure — the state guard is
     /// dropped inside the critical section — so no horizon recorded by
@@ -167,7 +169,7 @@ impl EpochTable {
         let horizon = self.reclaim_to.max(self.min_observable());
         self.reclaim_to = horizon;
         state.store.reclaim_epochs(horizon);
-        state.cache.reclaim_epochs(horizon);
+        state.cache.reclaim_epochs(horizon, self.pins.keys().copied());
         if self.pins.is_empty() {
             if self.compact_pending || state.store.needs_compaction() {
                 state.store.compact();
@@ -285,9 +287,10 @@ impl Server {
     }
 
     /// Total words resident in cached views (tuples, indexes,
-    /// justifications, memoised answers). Base rows are shared with
-    /// the store, not copied, so this is the cache's real marginal
-    /// footprint.
+    /// justifications, memoised answers — those kept for pinned
+    /// snapshots included; see [`QueryCache::view_words`]). Base rows
+    /// are shared with the store, not copied, so this is the cache's
+    /// real marginal footprint.
     pub fn cache_view_words(&self) -> usize {
         self.shared.read().cache.view_words()
     }
@@ -322,10 +325,13 @@ impl Server {
     /// and unobservable tombstone tags are reclaimed on the way out.
     /// Cached views are caught up before the epoch is published, so the
     /// new epoch's base facts and cached answers come from the same
-    /// fixpoint. The round marks the views whose rows it changed and
-    /// leaves their memoised answers alone — building one, or freeing
-    /// the tuples of a stale one, is reader's work (see
-    /// [`crate::cache`], "Answers").
+    /// fixpoint. The round marks the views whose rows it changed, and
+    /// of each one's memoised answer writes one `u64`, the epoch up to
+    /// which that answer is the view's; it leaves the answers alone —
+    /// building one, or freeing the tuples of a stale or displaced one,
+    /// is reader's work (see [`crate::cache`], "Answers"). The drain on
+    /// the way out copies the epochs snapshots are pinned at into the
+    /// cache and looks at no view.
     ///
     /// Writer calls are serialized by the write lock; each applied
     /// round increments the published epoch by one.
@@ -527,9 +533,13 @@ impl Snapshot {
     /// fixpoint, so the route never changes the answer. A view that no
     /// round has changed since the pin *is* at its pinned state, and is
     /// answered the way [`Server::query`] answers it — from the view's
-    /// memoised answer, by reference count; one that has changed is
-    /// read off its rows below the pinned frontier on every call (a
-    /// snapshot keeps no answers of its own).
+    /// memoised answer, by reference count. One that has changed is
+    /// answered, by reference count too, from the memo that covers the
+    /// pinned epoch: the view keeps the answers it displaces for as long
+    /// as a snapshot pinned inside their epochs lives. Where none does,
+    /// the first call reads the answer off the view's rows below the
+    /// pinned frontier, and the view keeps it for the calls after (see
+    /// [`crate::cache`], "Answers").
     pub fn query(&self, goal: &Atom) -> Relation {
         let state = self.shared.read();
         state

@@ -14,15 +14,24 @@
 //! that no memo outlives a change to its view, and the tests at the end
 //! count — through `QueryCache::answer_builds` — which answers a round
 //! makes the next reader build again: those of the views it changed.
+//! The last property runs such scripts through a [`Server`] with pinned
+//! snapshots, and shows that a memo is never served to a pin outside the
+//! epochs it answers.
+
+use std::collections::VecDeque;
 
 use proptest::prelude::*;
-use selprop_datalog::ast::{Atom, Const, Program, Term, Var};
+use proptest::test_runner::TestRng;
+use selprop_datalog::ast::{Atom, Const, Pred, Program, Term, Var};
 use selprop_datalog::db::{Database, Tuple};
 use selprop_datalog::eval::{answer, Strategy as EvalStrategy};
 use selprop_datalog::magic::magic_transform;
 use selprop_datalog::materialize::Materialization;
 use selprop_datalog::parser::parse_program;
-use selprop_datalog::{CacheConfig, CompactionPolicy, QueryCache, Rule};
+use selprop_datalog::{
+    reference, CacheConfig, CompactionPolicy, QueryCache, Rule, RuleId, Server, Snapshot,
+    UpdateRound,
+};
 
 /// The recursive ancestor variants of Example 1.1 plus same-generation
 /// — linear, right-linear and nonlinear recursion shapes.
@@ -712,4 +721,277 @@ fn a_rescued_row_does_not_keep_a_stale_memo_alive() {
     }
     assert_eq!(cache.lookup(&base, &goal).expect("synced").sorted(), vec![vec![b], vec![d]]);
     assert_eq!(cache.answer_builds(), 2, "built, changed, built again, then handed out");
+}
+
+// ---------------------------------------------------------------------
+// Pinned reads: a memo answers the epochs of its interval, and no other
+// ---------------------------------------------------------------------
+
+/// How [`a_pinned_read_is_served_only_a_memo_of_its_epoch`]'s pinned
+/// reads were served, where the script can tell (see there).
+#[derive(Debug, Default)]
+struct PinnedPaths {
+    reads: usize,
+    /// The view had not changed since the pin: its live memo.
+    live: usize,
+    /// It had, and a memo other than the live one covered the pin.
+    covered: usize,
+    /// It had, no memo covered the pin: read off the rows at its frontier.
+    rebuilt: usize,
+}
+
+/// A pinned snapshot and what the script knew when it took it.
+struct Pin {
+    snap: Snapshot,
+    /// Per goal: whether its view was live (queried since the last event
+    /// that drops views), and what pinned reads have built for it.
+    live: [bool; 3],
+    builds: [u64; 3],
+    /// The script's counts of view-dropping events and of rounds that
+    /// may change a goal's view, at the pin.
+    drops: u64,
+    changes: u64,
+}
+
+/// One script of [`a_pinned_read_is_served_only_a_memo_of_its_epoch`]
+/// over program `idx`: `raw_pool` draws the edges between the goals'
+/// nodes, `ops` the steps.
+fn pinned_script(
+    idx: usize,
+    raw_pool: &[(u8, u8)],
+    ops: &[(u8, u8, u8)],
+    dir: &std::path::Path,
+    paths: &mut PinnedPaths,
+) -> Result<(), TestCaseError> {
+    let mut p = program(idx);
+    let (nodes, qy) = setup(&mut p, 6);
+    let qx = p.symbols.variable("QX");
+    let par = p.symbols.get_predicate("par").unwrap();
+    let gp = p.goal.pred;
+    let pool = dedup_pool(&nodes, raw_pool);
+    // A diamond c0 → {a, b} → d, whose `a → d` the rescue rounds toggle:
+    // `(c0, d)` dies with it and comes back through `b`, re-appended.
+    let [a, b, d] = ["da", "db", "dd"].map(|n| p.symbols.constant(n));
+    let rescue: Tuple = vec![a, d];
+    // Strangers: rounds among them change no goal's view, and their own
+    // goals are what evicts the goals' views.
+    let strangers: Vec<Const> = (0..4).map(|i| p.symbols.constant(&format!("s{i}"))).collect();
+    let bound = |c: Const| Atom::new(gp, vec![Term::Const(c), Term::Var(qy)]);
+    let to_c3 = Atom::new(gp, vec![Term::Var(qx), Term::Const(nodes[3])]);
+    let goals = [bound(nodes[0]), bound(nodes[1]), to_c3];
+    let cold = [bound(strangers[0]), bound(strangers[1])];
+    let aggressive = Some(CompactionPolicy { min_dead_rows: 1, dead_percent: 1 });
+
+    let mut edb = Database::new();
+    for t in [vec![nodes[0], a], vec![nodes[0], b], rescue.clone(), vec![b, d]] {
+        edb.insert(par, t);
+    }
+    // The rules in force, for the specification; the slot of the
+    // recursive rule while it is in.
+    let mut rules = p.clone();
+    let mut recursive = Some(RuleId(1));
+    let spec = |rules: &Program, edb: &Database| -> Vec<Vec<Tuple>> {
+        goals
+            .iter()
+            .map(|g| {
+                let mut pg = rules.clone();
+                pg.goal = g.clone();
+                reference::answer(&pg, edb, EvalStrategy::SemiNaive).0.sorted()
+            })
+            .collect()
+    };
+    // `expected[e][g]`: goal `g` over the facts and rules of epoch `e`.
+    let mut expected = vec![spec(&rules, &edb)];
+    let mut server = Server::from_database(&p, &edb, EvalStrategy::SemiNaive);
+    server.set_compaction_policy(aggressive);
+
+    let mut pins: VecDeque<Pin> = VecDeque::new();
+    let (mut live, mut drops, mut changes) = ([false; 3], 0u64, 0u64);
+    // A base compaction drops the views at the cache's next validation,
+    // which the next round runs for certain; until then no query is
+    // known to leave a view behind.
+    let mut compactions = server.compactions();
+    let mut compacted = false;
+    for &(kind, x, y) in ops {
+        let (from, to) = pool[x as usize % pool.len()];
+        let hot = vec![from, to];
+        let (mut round, mut rules_changed, mut pin) = (None, false, false);
+        match kind {
+            // A pin, three times in four right after a round nobody has
+            // read yet.
+            0..=3 => {
+                if x < 24 {
+                    changes += 1;
+                    round = Some(toggle(&mut edb, par, hot));
+                }
+                pin = true;
+            }
+            4..=5 => drop(pins.pop_front()),
+            // One goal, or all three.
+            6..=10 => {
+                let e = server.current_epoch() as usize;
+                for g in (0..3).filter(|&g| x < 8 || g == x as usize % 3) {
+                    prop_assert_eq!(server.query(&goals[g]).sorted(), expected[e][g].clone());
+                    live[g] |= !compacted;
+                }
+            }
+            11..=16 => {
+                changes += 1;
+                round = Some(toggle(&mut edb, par, hot));
+            }
+            17..=18 => {
+                let edge = vec![strangers[x as usize % 4], strangers[y as usize % 4]];
+                round = Some(toggle(&mut edb, par, edge));
+            }
+            19 => {
+                changes += 1;
+                round = Some(toggle(&mut edb, par, rescue.clone()));
+            }
+            20 if y % 4 == 0 => {
+                // One or two view slots, as many stranger goals: every
+                // goal's view is evicted, and comes back under a new tag.
+                let slots = 1 + x as usize % 2;
+                server.set_cache_config(CacheConfig { max_views: slots, max_rows: 1 << 20 });
+                for g in &cold[..slots] {
+                    server.query(g);
+                }
+                server.set_cache_config(CacheConfig::default());
+                (live, drops) = ([false; 3], drops + 1);
+            }
+            21 if y % 4 == 0 => {
+                // A restart: no pin survives it, and the cache comes back
+                // empty once re-armed.
+                pins.clear();
+                let path = dir.join("pinned.snap");
+                server.save(&path).expect("save");
+                server = Server::restore(&path).expect("restore");
+                server.enable_query_cache(&p);
+                server.set_compaction_policy(aggressive);
+                (live, drops) = ([false; 3], drops + 1);
+                (compactions, compacted) = (server.compactions(), false);
+            }
+            22 if y % 4 == 0 => {
+                // The recursive rule dropped, or added back in a new slot.
+                // Either drops every template, and its views with it.
+                match recursive.take() {
+                    Some(id) => {
+                        prop_assert!(server.drop_rule(id));
+                        rules.rules.pop();
+                    }
+                    None => {
+                        recursive = Some(server.add_rule(p.rules[1].clone()));
+                        rules.rules.push(p.rules[1].clone());
+                    }
+                }
+                rules_changed = true;
+            }
+            _ => {
+                let now = server.current_epoch() as usize;
+                // The oldest pin or the newest.
+                let slot = if x < 16 { 0 } else { pins.len().saturating_sub(1) };
+                if let Some(pin) = pins.get_mut(slot) {
+                    let e = pin.snap.epoch() as usize;
+                    for (g, goal) in goals.iter().enumerate() {
+                        let before = server.cache_answer_builds();
+                        let got = pin.snap.query(goal).sorted();
+                        let built = server.cache_answer_builds() - before;
+                        let at = format!("goal {g} pinned at {e}, read at {now}");
+                        prop_assert_eq!(&got, &expected[e][g], "{}", at);
+                        pin.builds[g] += built;
+                        prop_assert!(pin.builds[g] <= 1, "goal {} pinned at {}: built twice", g, e);
+                        paths.reads += 1;
+                        // Told apart only where the script knows the read
+                        // went through the view that was live at the pin.
+                        if pin.live[g] && pin.drops == drops {
+                            let moved = expected[e][g] != expected[now][g];
+                            match (pin.changes == changes, moved, built) {
+                                (true, _, 0) => paths.live += 1,
+                                (_, true, 0) => paths.covered += 1,
+                                (_, true, 1) => paths.rebuilt += 1,
+                                _ => {}
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        if let Some(round) = &round {
+            server.apply(round);
+        }
+        if round.is_some() || rules_changed {
+            expected.push(spec(&rules, &edb));
+            if rules_changed || compacted {
+                (live, drops, compacted) = ([false; 3], drops + 1, false);
+            }
+        }
+        if server.compactions() != compactions {
+            compactions = server.compactions();
+            (live, drops, compacted) = ([false; 3], drops + 1, true);
+        }
+        if pin {
+            if pins.len() == 3 {
+                pins.pop_front();
+            }
+            let snap = server.snapshot();
+            pins.push_back(Pin { snap, live, builds: [0; 3], drops, changes });
+        }
+    }
+    Ok(())
+}
+
+/// Toggles `edge` of `pred` in `edb`, and returns the round that does the
+/// same to a store.
+fn toggle(edb: &mut Database, pred: Pred, edge: Tuple) -> UpdateRound {
+    if edb.remove(pred, &edge) {
+        UpdateRound::new().retract(pred, edge)
+    } else {
+        edb.insert(pred, edge.clone());
+        UpdateRound::new().insert(pred, edge)
+    }
+}
+
+/// A memo is never served to a pin outside the epochs it answers, and a
+/// pin costs one answer build per view at most, however often it asks.
+/// Each script runs through a [`Server`] under an aggressive compaction
+/// policy, over three goals on six nodes and a diamond. Its steps are:
+/// - pins (three at most, most of them right after a round nobody has
+///   read yet) and unpins, the last of which compacts the base store;
+/// - live queries;
+/// - rounds that toggle an edge among the goals' nodes;
+/// - rounds among strangers, which change no goal's view;
+/// - rescue rounds, which kill and re-append a goal's row;
+/// - an eviction of every goal's view under one or two view slots;
+/// - a save, restore and re-armed cache;
+/// - the recursive rule dropped or added back;
+/// - reads of every goal through the oldest or the newest pin.
+///
+/// Every answer equals the specification over its epoch's facts and
+/// rules. Where the script knows a read went through the view that was
+/// live at its pin, `Server::cache_answer_builds` tells its path apart.
+/// If no round that may change the view has landed since the pin, a read
+/// that builds nothing took the live memo. If the answer has moved
+/// since the pin, a read that builds nothing took a memo that covers
+/// the pin, and one that builds an answer read it off the rows at the
+/// pinned frontier. The suite must take each path at least 50 times.
+#[test]
+fn a_pinned_read_is_served_only_a_memo_of_its_epoch() {
+    const CASES: usize = 128;
+    let mut rng = TestRng::from_name("a_pinned_read_is_served_only_a_memo_of_its_epoch");
+    let cases = (
+        0usize..3,
+        proptest::collection::vec((0u8..6, 0u8..6), 4..14),
+        proptest::collection::vec((0u8..32, 0u8..32, 0u8..32), 60..120),
+    );
+    let dir = std::env::temp_dir().join(format!("selprop-pinned-reads-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut paths = PinnedPaths::default();
+    for case in 0..CASES {
+        let (idx, raw_pool, ops) = cases.new_value(&mut rng);
+        if let Err(e) = pinned_script(idx, &raw_pool, &ops, &dir, &mut paths) {
+            panic!("case {}/{CASES} failed: {e}", case + 1);
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    println!("{paths:?}");
+    assert!(paths.live >= 50 && paths.covered >= 50 && paths.rebuilt >= 50, "{paths:?}");
 }

@@ -26,9 +26,10 @@
 //! cache memoises per view and hands out by reference count (`cache`
 //! module docs, "Answers"): readers fill memos under the read lock while
 //! the writer stamps views under the write lock, a client may keep — and
-//! write to — an answer for as long as it likes, a pinned read takes the
-//! memo exactly when no round has changed its view since the pin, and
-//! the writer itself never builds or frees an answer.
+//! write to — an answer for as long as it likes, a pinned read takes
+//! whichever memo covers its epoch (the view keeps one per live pin and
+//! none once the pins are gone), and the writer itself never builds or
+//! frees an answer.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -615,13 +616,16 @@ fn an_answer_a_client_keeps_outlives_the_rounds_that_replace_it() {
     println!("{reads} answers ({outlived} kept past a round), {builds} built, {s:?}");
 }
 
-/// A pinned read takes the live path — the memo — exactly when no round
-/// has changed its view since the pin, and is rebuilt from the rows below
-/// the pinned frontier when one has; either way it answers as of the pin.
-/// The writer builds nothing: the views a round changes are stale until
-/// somebody asks.
+/// A pinned read answers from whichever memo covers its epoch. While no
+/// round has changed its view since the pin that is the live memo. After
+/// one has, it is the memo the round displaced, which answers up to the
+/// round's epoch and is retained while the pin lives. Only a pin taken
+/// while its view's memo was already stale finds no memo. It reads the
+/// rows below its frontier once, and that answer is retained for its
+/// epoch. The writer builds nothing: the views a round changes are stale
+/// until somebody asks.
 #[test]
-fn a_pinned_read_takes_the_memo_unless_its_view_changed_since_the_pin() {
+fn a_pinned_read_takes_the_memo_that_covers_its_epoch() {
     let mut p = parse_program(
         "?- anc(c0, Y).\n\
          anc(X, Y) :- par(X, Y).\n\
@@ -648,23 +652,44 @@ fn a_pinned_read_takes_the_memo_unless_its_view_changed_since_the_pin() {
     server.retract_facts(par, &edges[2..3]);
     assert_eq!(built(mark), 0, "the round stamped a view and built nothing");
     assert_eq!(pin.query(&down), at_pin.1);
-    assert_eq!(built(mark), 0, "unchanged since the pin: the memo");
+    assert_eq!(built(mark), 0, "unchanged since the pin: the live memo");
     assert_eq!(pin.query(&up), at_pin.0);
     assert_eq!(pin.query(&up), at_pin.0);
-    assert_eq!(built(mark), 2, "changed since: read at the frontier, each time");
+    assert_eq!(built(mark), 0, "changed since: the memo read at the pin answers up to the cut");
     assert_eq!((at_pin.0.len(), at_pin.1.len()), (8, 3), "what the clients hold has not moved");
 
     assert_eq!((server.query(&up).len(), server.query(&down).len()), (2, 3));
-    assert_eq!(built(mark), 3, "the live reader replaced the stale memo");
+    assert_eq!(built(mark), 1, "the live reader replaced the stale memo");
     let later = server.snapshot();
     assert_eq!(later.query(&up).len(), 2);
-    assert_eq!(pin.query(&up).len(), 8);
-    assert_eq!(built(mark), 4, "the later pin took the memo, the earlier one could not");
+    assert_eq!(pin.query(&up), at_pin.0);
+    assert_eq!(built(mark), 1, "the later pin took the live memo, the earlier the retained one");
+
+    // Mend the cut and pin before anyone reads `up` again: its memo is
+    // stale at the pin, covering the epochs before the mend only. Then
+    // cut c6 → c7, below both views; `down`'s memo, current at the pin,
+    // covers the epochs up to this cut.
+    server.insert_facts(par, &edges[2..3]);
+    let blind = server.snapshot();
+    server.retract_facts(par, &edges[6..7]);
+    let mark = server.cache_answer_builds();
+    assert_eq!(blind.query(&down).len(), 3);
+    assert_eq!(built(mark), 0, "`down`'s memo, stale now, covers the pin");
+    assert_eq!(blind.query(&up).len(), 8);
+    assert_eq!(built(mark), 1, "no memo covers the pin: read at the frontier, once");
+    assert_eq!(blind.query(&up).len(), 8);
+    assert_eq!(pin.query(&up), at_pin.0);
+    assert_eq!(later.query(&up).len(), 2);
+    assert_eq!(built(mark), 1, "three pins of `up`, three memos, none built again");
+    assert_eq!((server.query(&up).len(), server.query(&down).len()), (6, 1));
+    assert_eq!(built(mark), 3, "the live readers replaced both stale memos");
 }
 
 /// A round with V stale memos outstanding builds, patches and frees none
 /// of them: the answers are rebuilt one by one as they are asked for, and
-/// until then still count as the cache's words.
+/// until then still count as the cache's words. The same holds with a
+/// pin live and the memos it can ask for retained next to the current
+/// ones.
 #[test]
 fn the_writer_builds_and_frees_no_answer() {
     const VIEWS: usize = 6;
@@ -675,7 +700,7 @@ fn the_writer_builds_and_frees_no_answer() {
     )
     .expect("valid program");
     let par = p.symbols.get_predicate("par").unwrap();
-    let node: Vec<_> = (0..=13).map(|i| p.symbols.constant(&format!("c{i}"))).collect();
+    let node: Vec<_> = (0..=15).map(|i| p.symbols.constant(&format!("c{i}"))).collect();
     let edges: Vec<Tuple> = node.windows(2).map(<[_]>::to_vec).collect();
     let y = p.symbols.variable("Y");
     let goals: Vec<Atom> = (0..VIEWS)
@@ -688,7 +713,7 @@ fn the_writer_builds_and_frees_no_answer() {
     let words = server.cache_view_words();
 
     // One more edge at the tail: every view's closure grows by a tuple.
-    server.insert_facts(par, &edges[12..]);
+    server.insert_facts(par, &edges[12..13]);
     assert_eq!(server.cache_answer_builds(), VIEWS as u64, "six stale memos, none rebuilt");
     assert!(server.cache_view_words() > words, "the stale answers still count, next to the new rows");
     for (i, g) in goals.iter().enumerate() {
@@ -696,4 +721,93 @@ fn the_writer_builds_and_frees_no_answer() {
         assert_eq!(server.query(g).len(), 13 - i);
         assert_eq!(server.cache_answer_builds(), (VIEWS + i + 1) as u64, "built when asked for");
     }
+
+    // Pinned now, the memos just read answer the pin. The next round
+    // makes them stale and the readers after it displace them: retained
+    // for the pin, next to the new ones. The round after that stamps the
+    // new ones and leaves every memo where it is.
+    let pin = server.snapshot();
+    server.insert_facts(par, &edges[13..14]);
+    for (i, g) in goals.iter().enumerate() {
+        assert_eq!(server.query(g).len(), 14 - i);
+    }
+    let (builds, words) = (server.cache_answer_builds(), server.cache_view_words());
+    assert_eq!(builds, 3 * VIEWS as u64);
+    server.insert_facts(par, &edges[14..]);
+    assert_eq!(server.cache_answer_builds(), builds, "twelve memos outstanding, none rebuilt");
+    assert!(server.cache_view_words() > words, "none freed, next to the new rows");
+    for (i, g) in goals.iter().enumerate() {
+        assert_eq!(pin.query(g).len(), 13 - i);
+    }
+    assert_eq!(server.cache_answer_builds(), builds, "the pin took the retained memos");
+}
+
+/// Retention is bounded by the pins and ends with them. Two servers take
+/// the same rounds, each an edge appended to a chain that grows the
+/// answers of two views by a tuple, and a live reader reads both views
+/// after every round. One of the servers also takes a pin before every
+/// other round and keeps the last `K`. It holds exactly one memo more per
+/// view and live pin than the other: the answer at the pin, which its
+/// pinned reads take without building anything. The answers of the
+/// epochs between the pins, which no pin can ask for, are not kept.
+/// After the last unpin and one live read per view the two hold the same
+/// words.
+#[test]
+fn a_view_retains_one_memo_per_live_pin_and_none_after_the_last_unpin() {
+    const K: usize = 3;
+    const ROUNDS: usize = 12;
+    let mut p = parse_program(
+        "?- anc(c0, Y).\n\
+         anc(X, Y) :- par(X, Y).\n\
+         anc(X, Y) :- anc(X, Z), par(Z, Y).",
+    )
+    .expect("valid program");
+    let par = p.symbols.get_predicate("par").unwrap();
+    let node: Vec<_> = (0..=ROUNDS + 8).map(|i| p.symbols.constant(&format!("c{i}"))).collect();
+    let edges: Vec<Tuple> = node.windows(2).map(<[_]>::to_vec).collect();
+    let y = p.symbols.variable("Y");
+    let goals = [0, 2].map(|i| Atom::new(p.goal.pred, vec![Term::Const(node[i]), Term::Var(y)]));
+    // At epoch `e` the chain has `7 + e` edges; the view of `c{2i}` answers
+    // `7 + e - 2i` tuples, a constant, a `Vec` header and a set slot each.
+    let len = |i: usize, e: u64| 7 + e as usize - 2 * i;
+    let memo_words = |e: u64| (0..goals.len()).map(|i| len(i, e) * 5).sum::<usize>();
+    let [plain, pinned] = [(); 2].map(|()| {
+        let s = Server::new(&p, Strategy::SemiNaive);
+        s.insert_facts(par, &edges[..8]);
+        goals.iter().for_each(|g| drop(s.query(g)));
+        s
+    });
+    let mut pins = std::collections::VecDeque::new();
+    for r in 0..ROUNDS {
+        if r % 2 == 0 {
+            if pins.len() == K {
+                pins.pop_front();
+            }
+            pins.push_back(pinned.snapshot());
+        }
+        for s in [&plain, &pinned] {
+            s.insert_facts(par, &edges[8 + r..9 + r]);
+            for (i, g) in goals.iter().enumerate() {
+                assert_eq!(s.query(g).len(), len(i, s.current_epoch()));
+            }
+        }
+        let builds = pinned.cache_answer_builds();
+        for pin in &pins {
+            for (i, g) in goals.iter().enumerate() {
+                assert_eq!(pin.query(g).len(), len(i, pin.epoch()));
+            }
+        }
+        assert_eq!(pinned.cache_answer_builds(), builds, "round {r}: the pins took their memos");
+        let retained: usize = pins.iter().map(|pin| memo_words(pin.epoch())).sum();
+        assert_eq!(
+            pinned.cache_view_words(),
+            plain.cache_view_words() + retained,
+            "round {r}: one memo per view and live pin, no more"
+        );
+    }
+    drop(pins);
+    for g in &goals {
+        pinned.query(g);
+    }
+    assert_eq!(pinned.cache_view_words(), plain.cache_view_words(), "nothing retained");
 }
