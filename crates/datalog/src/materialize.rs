@@ -37,10 +37,13 @@
 //!   reads the result out — same struct, same round items, same join
 //!   code, same counters; a build runs each item on the rule's lead plan.
 //!
-//! A materialization always records justifications (one per derived
-//! row, exactly as [`crate::eval::evaluate_with_provenance`] does);
-//! that is what makes retraction possible, and it keeps
-//! [`Materialization::provenance`] valid across updates. Updates work
+//! Every store a public constructor builds, and every decoded snapshot,
+//! records justifications (one per derived row, exactly as
+//! [`crate::eval::evaluate_with_provenance`] does); that is what makes
+//! retraction possible, and it keeps [`Materialization::provenance`]
+//! valid across updates. The one store that records none is the
+//! one-shot store behind [`crate::eval::evaluate`], which is read out
+//! and dropped without ever taking an update or being saved. Updates work
 //! unchanged under the parallel strategy: shards partition the first
 //! join step's row range top-down, so the staged rows merge in exactly
 //! the sequential engine's order and row ids, justifications and
@@ -65,7 +68,7 @@ use crate::db::{Database, Relation, Tuple};
 use crate::derivation::Provenance;
 use crate::eval::{self, EvalResult, EvalStats, ProvenanceResult, Strategy};
 use crate::hash::FxHashMap;
-use crate::plan::{plan_rule, OrderMode, RederivePlan, RulePlan};
+use crate::plan::{plan_rule, OrderMode, RulePlan};
 use crate::storage::{ColumnarRelation, IncrementalIndex, NO_ROW};
 use std::sync::Arc;
 
@@ -78,7 +81,7 @@ mod template;
 pub use compact::{CompactionPolicy, MemStats};
 use dred::RevIndex;
 use join::{Delta, Pass, PendingTuples, Scratch};
-pub(crate) use template::{ExtLinks, ExtRetracts};
+pub(crate) use template::ExtLinks;
 
 /// Per-relation justification store: one packed `[rule, body row ids...]`
 /// entry per row, parallel to the relation's row ids, in **one flat
@@ -311,9 +314,9 @@ pub struct Materialization {
     /// The `(relation, mask) → index id` registry, persisted so the
     /// lazily compiled re-derivation plans share existing indexes.
     idx_of: FxHashMap<(usize, Vec<usize>), usize>,
-    /// Goal-directed per-tuple derivability checkers, compiled on the
-    /// first retraction.
-    rederive: Option<Vec<RederivePlan>>,
+    /// Per rule slot: its rescue plan, the goal-directed per-tuple
+    /// derivability check of DRed — compiled on the first retraction.
+    rederive: Option<Vec<RulePlan>>,
     /// Per rule slot: whether the rule is active. Dropped rules keep
     /// their plan (justification rule ids index plan slots) but stop
     /// firing, rescuing and appearing in update items.
@@ -341,15 +344,15 @@ pub struct Materialization {
     /// links into this store are stale.
     version: u64,
     /// Cumulative count of EDB rows actually retracted (runtime-only).
-    /// Lets the query cache skip the deletion pass on insert-only churn.
+    /// Tells the query cache whether a template store that missed rounds
+    /// missed a retraction.
     edb_retracts: u64,
     /// The EDB rows the last [`Materialization::apply`] tombstoned, as
     /// `(relation, row)` (runtime-only): what a template store one
     /// round behind seeds its own over-deletion from.
     last_retracted: Vec<(u32, u32)>,
-    /// Rows a deletion pass has read to find its casualties: reverse
-    /// edges walked, plus live rows examined by a template store's
-    /// justification scan (runtime-only observability).
+    /// Reverse edges the over-deletion passes have walked to find their
+    /// casualties (runtime-only observability).
     dred_reads: u64,
     /// Per relation: `true` if the relation is *external* — owned by a
     /// base store and only swapped in for maintenance rounds (see
@@ -1122,8 +1125,7 @@ impl Materialization {
     }
 
     /// Rows the deletion passes of this store have read so far to find
-    /// what to over-delete (runtime-only): one per reverse edge walked,
-    /// one per live row a template store's justification scan examined.
+    /// what to over-delete (runtime-only): one per reverse edge walked.
     /// A pass that reads only what it kills is O(affected).
     pub fn dred_reads(&self) -> u64 {
         self.dred_reads

@@ -58,8 +58,10 @@ impl Materialization {
     ///     count `u64`, relation epoch `u64`, and the death-epoch tags as
     ///     count + `(row u32, epoch u64)` pairs sorted by row id
     ///     (deterministic bytes).
-    /// 11. **Justifications** — presence `u8`, then per relation its packed
-    ///     store: offsets (count + `u32`s) and buffer (count + `u32`s).
+    /// 11. **Justifications** — presence `u8`, always 1 (every store that
+    ///     can be saved records them; any other value is
+    ///     [`PersistError::Corrupt`]), then per relation its packed store:
+    ///     offsets (count + `u32`s) and buffer (count + `u32`s).
     ///
     /// Deliberately **not** serialized (rebuilt on restore): the dedup
     /// tables (probe-history-dependent slot layout; write-path state, so
@@ -169,16 +171,12 @@ impl Materialization {
                 e.u64(te);
             }
         }
-        match &self.prov {
-            None => e.u8(0),
-            Some(prov) => {
-                e.u8(1);
-                for rj in prov {
-                    let (off, buf) = rj.parts();
-                    e.u32s(off);
-                    e.u32s(buf);
-                }
-            }
+        e.u8(1);
+        let prov = self.prov.as_ref().expect("a store that can be saved records justifications");
+        for rj in prov {
+            let (off, buf) = rj.parts();
+            e.u32s(off);
+            e.u32s(buf);
         }
         e.seal()
     }
@@ -351,17 +349,13 @@ impl Materialization {
             old_hi.push(hi);
         }
 
-        let prov = match d.u8()? {
-            0 => None,
-            1 => {
-                let mut ps = Vec::with_capacity(nrels);
-                for _ in 0..nrels {
-                    ps.push(RelJust::from_parts(d.u32s()?, d.u32s()?));
-                }
-                Some(ps)
-            }
-            _ => return Err(PersistError::Corrupt("unknown provenance tag")),
-        };
+        if d.u8()? != 1 {
+            return Err(PersistError::Corrupt("unknown provenance tag"));
+        }
+        let mut prov = Vec::with_capacity(nrels);
+        for _ in 0..nrels {
+            prov.push(RelJust::from_parts(d.u32s()?, d.u32s()?));
+        }
         d.finish()?;
 
         // ------------- shape validation + derived-state rebuild -------------
@@ -403,34 +397,30 @@ impl Materialization {
         // Justification shape: parallel to the rows, entries sized by
         // their rule's body, body row ids in range. After this,
         // `RelJust::entry` is panic-free for every persisted row.
-        if let Some(prov) = &prov {
-            for (r, rj) in prov.iter().enumerate() {
-                let (off, buf) = rj.parts();
-                if idb_flag[r] {
-                    if off.len() != rels[r].num_rows() {
-                        return Err(PersistError::Corrupt("justification store length mismatch"));
-                    }
-                } else if !off.is_empty() || !buf.is_empty() {
-                    return Err(PersistError::Corrupt("justifications on an EDB relation"));
+        for (r, rj) in prov.iter().enumerate() {
+            let (off, buf) = rj.parts();
+            if idb_flag[r] {
+                if off.len() != rels[r].num_rows() {
+                    return Err(PersistError::Corrupt("justification store length mismatch"));
                 }
-                for row in 0..off.len() {
-                    let lo = off[row] as usize;
-                    let hi = off.get(row + 1).map_or(buf.len(), |&o| o as usize);
-                    if lo >= hi || hi > buf.len() {
-                        return Err(PersistError::Corrupt("justification entry out of bounds"));
-                    }
-                    let Some(brels) = body_rels.get(buf[lo] as usize) else {
-                        return Err(PersistError::Corrupt("justification names unknown rule"));
-                    };
-                    if hi - lo != 1 + brels.len() {
-                        return Err(PersistError::Corrupt("justification entry length mismatch"));
-                    }
-                    for (&brel, &brow) in brels.iter().zip(&buf[lo + 1..hi]) {
-                        if brow as usize >= rels[brel].num_rows() {
-                            return Err(PersistError::Corrupt(
-                                "justification references nonexistent row",
-                            ));
-                        }
+            } else if !off.is_empty() || !buf.is_empty() {
+                return Err(PersistError::Corrupt("justifications on an EDB relation"));
+            }
+            for row in 0..off.len() {
+                let lo = off[row] as usize;
+                let hi = off.get(row + 1).map_or(buf.len(), |&o| o as usize);
+                if lo >= hi || hi > buf.len() {
+                    return Err(PersistError::Corrupt("justification entry out of bounds"));
+                }
+                let Some(brels) = body_rels.get(buf[lo] as usize) else {
+                    return Err(PersistError::Corrupt("justification names unknown rule"));
+                };
+                if hi - lo != 1 + brels.len() {
+                    return Err(PersistError::Corrupt("justification entry length mismatch"));
+                }
+                for (&brel, &brow) in brels.iter().zip(&buf[lo + 1..hi]) {
+                    if brow as usize >= rels[brel].num_rows() {
+                        return Err(PersistError::Corrupt("justification references nonexistent row"));
                     }
                 }
             }
@@ -447,7 +437,7 @@ impl Materialization {
             rel_of_pred,
             old_hi,
             profile,
-            prov,
+            prov: Some(prov),
             stats,
             strategy,
             goal,
@@ -487,7 +477,7 @@ impl Materialization {
         // rebuild it now (live justifications only) so the restored
         // store is behaviorally identical — same O(affected) retracts,
         // same counters — instead of paying a second lazy build.
-        if m.csr_builds > 0 && m.prov.is_some() {
+        if m.csr_builds > 0 {
             m.rev = Some(m.build_rev_index());
         }
         Ok(m)

@@ -1,15 +1,15 @@
 //! Delete–rederive: the reverse-dependency index over the recorded
 //! justifications, over-deletion along it, and the rescue of what
 //! another derivation still supports, through the selectivity-ordered
-//! re-derivation plans of [`crate::plan`]. `BENCHMARK.json`:
+//! rescue plans of [`crate::plan`]. `BENCHMARK.json`:
 //! `materialize.probes_per_retract_round`,
 //! `materialize.rows_killed_per_round`, `materialize.rederive_ratio`.
 
-use super::join::Scratch;
+use super::join::{build_head, Scratch};
 use super::Materialization;
 use crate::ast::{Const, Pred, Rule};
 use crate::hash::FxHashMap;
-use crate::plan::{compile_rederive, Action, HeadOp, KeyOp, RederivePlan, NO_INDEX};
+use crate::plan::{plan_rescue, Action, KeyOp, Out, RulePlan, NO_INDEX};
 use crate::storage::{ColumnarRelation, IncrementalIndex, NO_ROW};
 
 /// Sentinel edge id: end of a reverse-dependency chain.
@@ -147,10 +147,10 @@ impl Materialization {
         rev
     }
 
-    /// Compiles the re-derivation plan of every rule slot that has none
-    /// yet: all of them on the first call (the first retracting round
-    /// of a base store, construction of a template store), the new slot
-    /// after a rule add. Orders come from the persisted build-time
+    /// Compiles the rescue plan of every rule slot that has none yet: all
+    /// of them on the first call (the first retracting round of a base
+    /// store, construction of a template store), the new slot after a
+    /// rule add. Orders come from the persisted build-time
     /// cardinalities, so a restored store compiles the plans — and
     /// registers the indexes — of the live one. `order_by` as in
     /// [`Materialization::build`] (`None`: the store's own rules).
@@ -165,10 +165,10 @@ impl Materialization {
         let mut card = |p: Pred| rel_of_pred.get(&p).map_or(0, |&r| planned_card[r]);
         let plans = self.rederive.get_or_insert_with(Vec::new);
         for (ri, rule) in self.rules.iter().enumerate().skip(done) {
-            plans.push(compile_rederive(
-                ri,
+            plans.push(plan_rescue(
                 rule,
                 order_by.map_or(rule, |o| &o[ri]),
+                ri,
                 &idbs,
                 rel_of_pred,
                 &mut self.idxs,
@@ -253,8 +253,6 @@ impl Materialization {
             else {
                 continue;
             };
-            scratch.head.clear();
-            scratch.head.extend_from_slice(tuple);
             let rel = &mut self.rels[crel];
             // An added rule's seeding pass may have derived the tuple
             // again already; a second row would be a second fact.
@@ -279,8 +277,12 @@ impl Materialization {
     /// Checks whether `tuple` (of relation `rel`) is derivable in one
     /// rule application from the live rows below `frontier`; returns the
     /// rule of the first derivation found and leaves its body row ids,
-    /// in rule-text order, in `scratch.rows`. Goal-directed: the head
-    /// binds the rule slots up front, so the body join is keyed on them.
+    /// in rule-text order, in `scratch.rows`, and a copy of `tuple` in
+    /// `scratch.head`. Goal-directed: the tuple is written into the head
+    /// slots up front, so the body join is keyed on them — and it is a
+    /// candidate for the rule only if the head built back from those
+    /// slots is the tuple, which checks the head's constants and
+    /// repeated variables in one comparison.
     fn rederive_row(
         &self,
         rel: usize,
@@ -290,44 +292,38 @@ impl Materialization {
         probes: &mut u64,
     ) -> Option<u32> {
         let plans = self.rederive.as_ref().expect("compiled before rescue");
-        'plans: for plan in plans
-            .iter()
-            .filter(|p| p.head_rel == rel && self.rule_active[p.rule as usize])
-        {
+        for (rule, plan) in plans.iter().enumerate() {
+            if plan.head_rel != rel || !self.rule_active[rule] {
+                continue;
+            }
             scratch.env.clear();
             scratch.env.resize(plan.num_slots, Const(0));
-            for (i, op) in plan.head.iter().enumerate() {
-                match *op {
-                    HeadOp::Const(c) => {
-                        if tuple[i] != c {
-                            continue 'plans;
-                        }
-                    }
-                    HeadOp::First(s) => scratch.env[s] = tuple[i],
-                    HeadOp::Repeat(s) => {
-                        if scratch.env[s] != tuple[i] {
-                            continue 'plans;
-                        }
-                    }
+            for (op, &v) in plan.head.iter().zip(tuple) {
+                if let Out::Slot(s) = *op {
+                    scratch.env[s] = v;
                 }
+            }
+            build_head(plan, scratch);
+            if scratch.head != tuple {
+                continue;
             }
             scratch.rows.clear();
             scratch.rows.resize(plan.steps.len(), 0);
             if rederive_descend(plan, 0, &self.rels, &self.idxs, frontier, scratch, probes) {
-                return Some(plan.rule);
+                return Some(rule as u32);
             }
         }
         None
     }
 }
 
-/// Backtracking search for **one** body instantiation of a re-derivation
-/// plan over the live rows below `frontier`; the row matched for body
-/// atom `k` lands in `scratch.rows[k]` whatever depth ran it. Returns on
-/// the first success. Body depths are small (rule body length), so
+/// Backtracking search for **one** body instantiation of a rescue plan
+/// over the live rows below `frontier`; the row matched for body atom
+/// `k` lands in `scratch.rows[k]` whatever depth ran it. Returns on the
+/// first success. Body depths are small (rule body length), so
 /// recursion is fine here.
 fn rederive_descend(
-    plan: &RederivePlan,
+    plan: &RulePlan,
     depth: usize,
     rels: &[ColumnarRelation],
     idxs: &[IncrementalIndex],

@@ -305,7 +305,7 @@ pub(super) fn snapshot_range(
 }
 
 /// Builds the head tuple from the bound environment into `scratch.head`.
-fn build_head(plan: &RulePlan, scratch: &mut Scratch) {
+pub(super) fn build_head(plan: &RulePlan, scratch: &mut Scratch) {
     scratch.head.clear();
     for op in plan.head.iter() {
         scratch.head.push(match *op {

@@ -15,6 +15,16 @@
 //! back. The store therefore holds only *derived* rows; base EDB rows
 //! are never copied.
 //!
+//! Base deletions reach a store one way: the rows the base's last round
+//! tombstoned seed its over-deletion through their reverse chains, so a
+//! sync reads the rows it kills and no others. That needs the store to
+//! be at most one round behind, as every store of a
+//! [`crate::server::Server`] is. A store that missed a round which
+//! retracted rows cannot tell which of its rows lost their support, and
+//! is emptied and starts over ([`Materialization::clear_rows`]), as after
+//! a base compaction; one that missed insert-only rounds just catches
+//! up.
+//!
 //! Nothing here knows what a tag means. A view is created by inserting
 //! its seed row, which is an EDB insert; it is dropped by over-deleting
 //! from that row, which needs no rescue because every rule of a tagged
@@ -44,22 +54,6 @@ pub(crate) struct ExtLinks {
     /// `(template idx slot, base idx slot, template rel id, base rel id)`
     /// per shared index over an external relation.
     idxs: Vec<(usize, usize, usize, usize)>,
-}
-
-/// What a template store has to do about base retractions when it
-/// catches up ([`Materialization::sync_external`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum ExtRetracts {
-    /// The base has retracted nothing since the last sync.
-    None,
-    /// The store lags the base by exactly one round: the rows that
-    /// round tombstoned (the base's `last_retracted`) seed the
-    /// over-deletion through their reverse chains — O(affected rows).
-    LastRound,
-    /// The store lags by more (a standalone cache queried every few
-    /// rounds): which rows died in between is not recorded, so every
-    /// live justification is scanned for a dead body row.
-    Unknown,
 }
 
 impl Materialization {
@@ -185,11 +179,12 @@ impl Materialization {
         Ok(links)
     }
 
-    /// Empties a template store whose base has compacted — the base row
-    /// ids in its justifications and reverse chains have moved — and
-    /// re-pins the external watermarks at the base's new row counts.
-    /// Plans, index registrations and `links` stand: a compaction moves
-    /// rows, not relation or index slots.
+    /// Empties a template store whose rows can no longer be maintained —
+    /// its base has compacted, so the base row ids in its justifications
+    /// and reverse chains have moved, or it missed a base round that
+    /// retracted rows — and re-pins the external watermarks at the
+    /// base's current row counts. Plans, index registrations and `links`
+    /// stand: neither case moves relation or index slots.
     pub(crate) fn clear_rows(&mut self, base: &Materialization, links: &ExtLinks) {
         for rel in &mut self.rels {
             *rel = ColumnarRelation::new(rel.arity());
@@ -233,10 +228,15 @@ impl Materialization {
     /// whose postings hold the rows of every view, and meets exactly the
     /// (tag, row) pairs it combines with, however many views are live.
     ///
-    /// `retracts` says where the deletion seeds come from (see
-    /// [`ExtRetracts`]); the cascade and rescue then mirror
-    /// [`Materialization::apply`]'s phases over this store's own
-    /// reverse index.
+    /// The deletion seeds have one source: with `last_round` — the store
+    /// lags the base by exactly one round — the rows that round
+    /// tombstoned (the base's `last_retracted`), whose reverse chains
+    /// hold the own rows recorded through them; otherwise none. A store
+    /// that missed a round which retracted rows cannot be caught up, as
+    /// which rows died in between is not recorded: the caller empties it
+    /// ([`Materialization::clear_rows`]) instead. The cascade and rescue
+    /// then mirror [`Materialization::apply`]'s phases over this store's
+    /// own reverse index.
     ///
     /// Returns the own rows the deletion pass killed, as `(relation,
     /// row)` — the rescued ones included: they live on under a new row
@@ -247,31 +247,23 @@ impl Materialization {
         base: &mut Materialization,
         links: &ExtLinks,
         seed: Option<(Pred, &[Const])>,
-        retracts: ExtRetracts,
+        last_round: bool,
     ) -> Vec<(u32, u32)> {
         self.swap_external(base, links);
         if let Some((pred, row)) = seed {
             let rid = self.rel_of_pred[&pred];
             self.rels[rid].insert(row);
         }
+        // Dead already, in the base's numbering.
+        let retracted = if last_round { &base.last_retracted[..] } else { &[] };
+        let worklist = retracted
+            .iter()
+            .filter_map(|&(br, row)| {
+                let &(vr, _) = links.rels.iter().find(|&&(_, b)| b == br as usize)?;
+                Some((vr as u32, row))
+            })
+            .collect();
         let mut candidates: Vec<(u32, u32)> = Vec::new();
-        let worklist = match retracts {
-            ExtRetracts::None => Vec::new(),
-            // Dead already, in the base's numbering: their chains hold
-            // the own rows recorded through them.
-            ExtRetracts::LastRound => base
-                .last_retracted
-                .iter()
-                .filter_map(|&(br, row)| {
-                    let &(vr, _) = links.rels.iter().find(|&&(_, b)| b == br as usize)?;
-                    Some((vr as u32, row))
-                })
-                .collect(),
-            ExtRetracts::Unknown => {
-                candidates = self.tombstone_unjustified();
-                candidates.clone()
-            }
-        };
         self.over_delete(worklist, &mut candidates);
         self.rescue(&candidates);
         self.run_fixpoint(false);
@@ -306,34 +298,6 @@ impl Materialization {
             key.extend(index.mask().iter().map(|&col| rel.value(row, col)));
             f(&key);
         }
-    }
-
-    /// The deletion seeds of a store that does not know which external
-    /// rows died: every live own row whose recorded justification names
-    /// a dead body row is tombstoned and returned. O(live own rows).
-    fn tombstone_unjustified(&mut self) -> Vec<(u32, u32)> {
-        let prov = self.prov.as_ref().expect("template stores record justifications");
-        let mut seeds: Vec<(u32, u32)> = Vec::new();
-        for &hrel in &self.idb_rels {
-            for hrow in 0..self.rels[hrel].num_rows() {
-                if !self.rels[hrel].is_live(hrow) {
-                    continue;
-                }
-                self.dred_reads += 1;
-                let (rule, body) = prov[hrel].entry(hrow);
-                let dead = body.iter().enumerate().any(|(k, &brow)| {
-                    let brel = self.plans[rule as usize][0].body_rels[k];
-                    !self.rels[brel].is_live(brow as usize)
-                });
-                if dead {
-                    seeds.push((hrel as u32, hrow as u32));
-                }
-            }
-        }
-        for &(srel, srow) in &seeds {
-            self.rels[srel as usize].tombstone(srow as usize);
-        }
-        seeds
     }
 
     /// Drops a view: tombstones its seed row `seed` and everything

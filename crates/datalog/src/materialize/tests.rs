@@ -1015,6 +1015,70 @@ fn rescued_justification_reads_in_rule_text_order() {
     m.provenance().check(&p).expect("valid after the rescue");
 }
 
+/// A rescue plan binds a candidate by writing its head slots, and the
+/// rule is a candidate's only if the head built back from those slots
+/// is the tuple: that one comparison checks a repeated head variable and
+/// a head constant. `p(a, a)` and `q(a, c)` each have two derivations
+/// and lose the recorded one: both are rescued through the other. `p(d,
+/// a)` and `q(a, d)` lose their only one, `g`: `p(X, X)` would derive
+/// `p(a, a)` from the slot `a` the tuple wrote last, and `q(X, c)`
+/// `q(a, c)` from `a`, so neither may rescue them.
+#[test]
+fn a_rescue_checks_repeated_head_variables_and_head_constants() {
+    let mut p = parse_program(
+        "?- p(a, Y).\n\
+         p(X, X) :- e(X, Y), f(Y, X).\n\
+         p(X, Y) :- g(X, Y).\n\
+         q(X, c) :- h(X, Y).\n\
+         q(X, Y) :- g(X, Y).",
+    )
+    .unwrap();
+    let [e, f, g, h, pp, q] =
+        ["e", "f", "g", "h", "p", "q"].map(|n| p.symbols.get_predicate(n).unwrap());
+    let [a, b1, b2, c, d] = ["a", "b1", "b2", "c", "d"].map(|n| p.symbols.constant(n));
+    let mut db = Database::new();
+    for (pred, t) in [
+        (e, [a, b1]),
+        (e, [a, b2]),
+        (f, [b1, a]),
+        (f, [b2, a]),
+        (h, [a, b1]),
+        (h, [a, b2]),
+        (g, [d, a]),
+        (g, [a, d]),
+    ] {
+        db.insert(pred, t.to_vec());
+    }
+    let mut m = Materialization::from_database(&p, &db, Strategy::SemiNaive);
+    let ga = |pred, x, y| crate::derivation::GroundAtom { pred, args: vec![x, y] };
+    let via = |m: &Materialization, atom| m.provenance().justification(&atom).map(|(_, b)| b);
+    // The `b` each fact is recorded through, and the other one.
+    let b_of = |body: Vec<crate::derivation::GroundAtom>| body[0].args[1];
+    let other = |b| if b == b1 { b2 } else { b1 };
+    let bp = b_of(via(&m, ga(pp, a, a)).expect("p(a, a) derived"));
+    let bq = b_of(via(&m, ga(q, a, c)).expect("q(a, c) derived"));
+    let round = UpdateRound::new()
+        .retract(e, vec![a, bp])
+        .retract(h, vec![a, bq])
+        .retract(g, vec![d, a])
+        .retract(g, vec![a, d]);
+    let before = m.frontiers();
+    assert_eq!(m.apply(&round).retracted, 4);
+    let mut mirror = db.clone();
+    for (pred, t) in &round.retracts {
+        mirror.remove(*pred, t);
+    }
+    assert_eq!(m.idb_database().sorted_models(), spec_idb(&p, &mirror));
+    m.provenance().check(&p).expect("valid after the rescue");
+    assert_eq!(via(&m, ga(pp, a, a)), Some(vec![ga(e, a, other(bp)), ga(f, other(bp), a)]));
+    assert_eq!(via(&m, ga(q, a, c)), Some(vec![ga(h, a, other(bq))]));
+    for gone in [ga(pp, d, a), ga(q, a, d)] {
+        assert_eq!(via(&m, gone), None);
+    }
+    let reappended: usize = m.frontiers().iter().zip(&before).map(|(x, y)| x - y).sum();
+    assert_eq!(reappended, 2, "p(a, a) and q(a, c), rescued");
+}
+
 /// A tuple whose only other derivation runs through a row tombstoned
 /// in the same round is not rescued: the dedup table a full-key step
 /// reads holds live rows only — also with the tombstones tagged for

@@ -1,11 +1,12 @@
 //! Compiled join plans and the **cost-based join planner**.
 //!
-//! The plan vocabulary (`KeyOp`, `Action`, `Out`, `Step`, `RulePlan`,
-//! `HeadOp`, `RederivePlan`) and the compilers (`compile_rule`,
-//! `compile_step`, `compile_rederive`), behind one planning entry point
-//! (`plan_rule`) that every consumer — batch evaluation, incremental
-//! rounds, magic-set views, rule hot-swap — compiles through.
-//! `BENCHMARK.json` reads this layer as `plan.*`.
+//! The plan vocabulary (`KeyOp`, `Action`, `Out`, `Step`, `RulePlan`)
+//! and its compilers (`compile_rule`, `compile_step`), behind two
+//! planning entry points that differ only in the body order and in
+//! whether the head is input: `plan_rule`, which every consumer — batch
+//! evaluation, incremental rounds, magic-set views, rule hot-swap —
+//! compiles its rules' plans through, and `plan_rescue`, the DRed rescue
+//! plan of a rule. `BENCHMARK.json` reads this layer as `plan.*`.
 //!
 //! What the planner adds on top of the mechanical compilation:
 //!
@@ -33,12 +34,17 @@
 //!   a restored store does identical work) and never revised; every index
 //!   an update will ever probe is registered up front and filled by the
 //!   initial fixpoint.
-//! - **Selectivity-ordered rescue plans** (`compile_rederive`): the DRed
+//! - **Selectivity-ordered rescue plans** (`plan_rescue`): the DRed
 //!   rescue of an over-deleted row runs the rule body with the head
 //!   bound, entering through the atom with the smallest fan-in
 //!   (`rederive_order`) and answering fully bound atoms from the dedup
 //!   table instead of an index, so a retract round costs what the insert
-//!   round that derived the rows cost.
+//!   round that derived the rows cost. A bound head variable keys every
+//!   atom it occurs in, but an atom keyed on it may still match its whole
+//!   fan-out (`anc(x, _)` has one row per descendant of `x`), hence the
+//!   order. A rescue plan is a `RulePlan` like any other, compiled with
+//!   the head as input; it is compiled on the first retraction (eagerly
+//!   in a view), and its indexes are extended like all others.
 //! - **Staged-head existence ordering**: `RulePlan::head_ready_depth`
 //!   marks the first join depth at which every head position is bound;
 //!   when that is before the last step, the join probes the head
@@ -145,8 +151,8 @@ pub(crate) struct Step {
     pub(crate) rel: usize,
     /// Index id, or [`NO_INDEX`] for steps that register no index at
     /// all: unkeyed steps (empty mask), which scan their row range
-    /// directly, and the full-key steps of a re-derivation plan, which
-    /// ask the relation's dedup table.
+    /// directly, and the full-key steps of a rescue plan, which ask the
+    /// relation's dedup table.
     pub(crate) idx: usize,
     pub(crate) key: Box<[KeyOp]>,
     pub(crate) actions: Box<[Action]>,
@@ -176,46 +182,6 @@ pub(crate) struct RulePlan {
     /// Whether this plan has the binary-recursive transitive-closure
     /// shape the specialized kernel handles.
     pub(crate) tc: bool,
-}
-
-/// One compiled head position of a re-derivation plan: how a candidate
-/// tuple binds (or constrains) the rule-local slots before the body runs.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum HeadOp {
-    /// The tuple value must equal this constant.
-    Const(Const),
-    /// First occurrence of a head variable: bind its slot.
-    First(usize),
-    /// Repeated head variable: must match the bound slot.
-    Repeat(usize),
-}
-
-/// A rule compiled for goal-directed re-derivation checks (DRed rescue
-/// phase): the head is *input*, so every head slot is bound from depth 0
-/// and the body step masks include them. The planner's order is
-/// **selectivity order** ([`rederive_order`]): a bound
-/// head variable keys every atom it occurs in, but an atom keyed on it
-/// may still match its whole fan-out (`anc(x, _)` has one row per
-/// descendant of `x`), so the rescue enters the body through the atom
-/// with the smallest fan-in. In any order, an atom whose every position
-/// is bound is a membership test answered by the relation's own dedup
-/// table — that step registers no index at all — and whatever order the
-/// steps run in, the matched rows are the rescued row's justification
-/// and are recorded positionally (`body_of_step`). Compiled lazily on
-/// the first retraction (eagerly in a view); the `(relation, mask)`
-/// indexes it registers are extended incrementally like all others.
-#[derive(Clone, Debug)]
-pub(crate) struct RederivePlan {
-    /// The rule index (recorded as the rescued row's justification).
-    pub(crate) rule: u32,
-    pub(crate) head_rel: usize,
-    pub(crate) head: Box<[HeadOp]>,
-    pub(crate) steps: Box<[Step]>,
-    /// `body_of_step[d]` = the original body atom run at step depth
-    /// `d`: the matched row of step `d` is stored at that position, so
-    /// the justification reads in rule-text order.
-    pub(crate) body_of_step: Box<[usize]>,
-    pub(crate) num_slots: usize,
 }
 
 // ---------------------------------------------------------------------
@@ -305,16 +271,7 @@ fn order_body(rule: &Rule, lead: Option<usize>, card: &mut dyn FnMut(Pred) -> u6
 ///    rows, and a restored store must compile the plans of the live one,
 /// 6. the earlier textual position.
 fn rederive_order(rule: &Rule, idbs: &[Pred], card: &mut dyn FnMut(Pred) -> u64) -> Vec<usize> {
-    let head_vars = rule
-        .head
-        .args
-        .iter()
-        .filter_map(|t| match t {
-            Term::Var(v) => Some(*v),
-            Term::Const(_) => None,
-        })
-        .collect();
-    greedy_order(rule, None, head_vars, &mut |atom, b| {
+    greedy_order(rule, None, rule.head.vars().collect(), &mut |atom, b| {
         let unbound = atom.args.len() - b;
         (unbound != 0, b == 0, idbs.contains(&atom.pred), unbound, card(atom.pred))
     })
@@ -514,6 +471,13 @@ fn tc_shape(head: &[Out], steps: &[Step]) -> bool {
 /// Compiles one rule against the dense relation table in the given body
 /// `order`, registering the `(relation, mask)` indexes it probes.
 ///
+/// With `head_input` — a rescue plan, which checks whether a given head
+/// tuple is derivable — the head variables take the first slots, bound
+/// before the first step, so the body step masks include them and every
+/// head position is ready at depth 0; a step whose key covers every
+/// position registers no index and is answered by the relation's dedup
+/// table.
+///
 /// The index masks (bound positions) determine the `join_probes`
 /// counter, which the test suites pin on fixed inputs.
 fn compile_rule(
@@ -522,17 +486,24 @@ fn compile_rule(
     idxs: &mut Vec<IncrementalIndex>,
     idx_of: &mut FxHashMap<(usize, Vec<usize>), usize>,
     order: &[usize],
+    head_input: bool,
 ) -> RulePlan {
     debug_assert_eq!(order.len(), rule.body.len());
     let mut slots: FxHashMap<Var, usize> = FxHashMap::default();
-    let mut bound_slots: Vec<bool> = Vec::new();
+    if head_input {
+        for v in rule.head.vars() {
+            let next = slots.len();
+            slots.entry(v).or_insert(next);
+        }
+    }
+    let mut bound_slots: Vec<bool> = vec![true; slots.len()];
     let mut steps = Vec::new();
     let mut step_of_body = vec![0usize; rule.body.len()];
     for (d, &ai) in order.iter().enumerate() {
         let atom = &rule.body[ai];
         step_of_body[ai] = d;
         let rel = rel_of_pred[&atom.pred];
-        steps.push(compile_step(atom, rel, &mut slots, &mut bound_slots, false, idxs, idx_of));
+        steps.push(compile_step(atom, rel, &mut slots, &mut bound_slots, head_input, idxs, idx_of));
     }
     let head: Box<[Out]> = rule
         .head
@@ -544,7 +515,7 @@ fn compile_rule(
         })
         .collect();
     let body_rels: Box<[usize]> = rule.body.iter().map(|a| rel_of_pred[&a.pred]).collect();
-    let hrd = head_ready_depth(&head, &steps);
+    let hrd = if head_input { 0 } else { head_ready_depth(&head, &steps) };
     let tc = tc_shape(&head, &steps);
     RulePlan {
         head_rel: rel_of_pred[&rule.head.pred],
@@ -595,69 +566,31 @@ pub(crate) fn plan_rule(
     let plans = leads
         .map(|k| {
             let order = body_order(order_by, rule_idx, Purpose::Lead(Some(k)), mode, card);
-            compile_rule(rule, rel_of_pred, idxs, idx_of, &order)
+            compile_rule(rule, rel_of_pred, idxs, idx_of, &order, false)
         })
         .collect();
     (if every_atom { lead } else { 0 }, plans)
 }
 
-/// Compiles one rule for goal-directed re-derivation: head variables are
-/// slots bound from depth 0 (the candidate tuple is the input), so the
-/// body step masks include them and the join is keyed on the head; a
-/// full-key step is answered by the dedup table. `order_by` as in
+/// Plans and compiles the **rescue plan** of one rule: the plan with the
+/// head as input ([`compile_rule`]) in the rescue order, which enters the
+/// body through the atom with the smallest fan-in ([`rederive_order`];
+/// `idbs` are the program's IDB predicates). `order_by` as in
 /// [`plan_rule`].
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn compile_rederive(
-    rule_i: usize,
+pub(crate) fn plan_rescue(
     rule: &Rule,
     order_by: &Rule,
+    rule_idx: usize,
     idbs: &[Pred],
     rel_of_pred: &FxHashMap<Pred, usize>,
     idxs: &mut Vec<IncrementalIndex>,
     idx_of: &mut FxHashMap<(usize, Vec<usize>), usize>,
     mode: OrderMode,
     card: &mut dyn FnMut(Pred) -> u64,
-) -> RederivePlan {
-    let order = body_order(order_by, rule_i, Purpose::Rescue(idbs), mode, card);
-    let mut slots: FxHashMap<Var, usize> = FxHashMap::default();
-    let mut bound_slots: Vec<bool> = Vec::new();
-    let head = rule
-        .head
-        .args
-        .iter()
-        .map(|t| match t {
-            Term::Const(c) => HeadOp::Const(*c),
-            Term::Var(v) => {
-                let next = slots.len();
-                let s = *slots.entry(*v).or_insert(next);
-                if s >= bound_slots.len() {
-                    bound_slots.resize(s + 1, false);
-                }
-                if bound_slots[s] {
-                    HeadOp::Repeat(s)
-                } else {
-                    bound_slots[s] = true;
-                    HeadOp::First(s)
-                }
-            }
-        })
-        .collect();
-    let steps = order
-        .iter()
-        .map(|&ai| {
-            let atom = &rule.body[ai];
-            let rel = rel_of_pred[&atom.pred];
-            compile_step(atom, rel, &mut slots, &mut bound_slots, true, idxs, idx_of)
-        })
-        .collect();
-    RederivePlan {
-        rule: rule_i as u32,
-        head_rel: rel_of_pred[&rule.head.pred],
-        head,
-        steps,
-        body_of_step: order.into(),
-        num_slots: slots.len(),
-    }
+) -> RulePlan {
+    let order = body_order(order_by, rule_idx, Purpose::Rescue(idbs), mode, card);
+    compile_rule(rule, rel_of_pred, idxs, idx_of, &order, true)
 }
 
 #[cfg(test)]

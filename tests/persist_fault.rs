@@ -231,6 +231,39 @@ fn a_strategy_tag_0_container_is_refused_as_corrupt() {
     ));
 }
 
+/// Section 11's presence byte is always 1: every store that can be
+/// saved records justifications. A container carrying 0 there — intact
+/// framing, valid checksum — decoded to a store without them, which
+/// panicked on its first over-deleting round, inside a restored
+/// server's write lock. It is refused, by the store and by the server.
+#[test]
+fn a_provenance_tag_0_container_is_refused_as_corrupt() {
+    let p = parse_program(SRC).unwrap();
+    let bytes = Materialization::new(&p, Strategy::SemiNaive).to_bytes();
+    // The payload (before the 8-byte checksum) ends with the presence
+    // byte and, per relation (`anc`, `par`), two empty `u32` runs.
+    let tail = bytes.len() - 8 - 33;
+    assert_eq!(bytes[tail], 1);
+    assert!(bytes[tail + 1..bytes.len() - 8].iter().all(|&b| b == 0));
+    let mut forged = bytes[..tail].to_vec();
+    forged.push(0);
+    forged.extend_from_slice(&[0; 8]);
+    let current = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
+    let forged = restamped(&forged, current);
+    assert!(matches!(
+        Materialization::from_bytes(&forged),
+        Err(PersistError::Corrupt("unknown provenance tag"))
+    ));
+    let dir = scratch_dir("prov-tag");
+    let path = dir.join("forged.snap");
+    std::fs::write(&path, &forged).unwrap();
+    assert!(matches!(
+        Server::restore(&path),
+        Err(PersistError::Corrupt("unknown provenance tag"))
+    ));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// `tests/data/program_a_v4.snap` was written by the commit before the
 /// payload codec moved into `materialize/codec.rs`: program A over the
 /// chain `john → c1 → … → c4`, then `par(c3, c4)` retracted. It must
