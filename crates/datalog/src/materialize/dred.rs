@@ -17,9 +17,9 @@ const NO_EDGE: u32 = u32::MAX;
 
 /// One reverse-dependency edge: a head row whose recorded justification
 /// uses the body row owning the chain, plus the next edge of that chain.
+/// The head row's relation is recorded by runs ([`RevIndex::head_rel`]).
 #[derive(Clone, Copy, Debug)]
 struct RevEdge {
-    hrel: u32,
     hrow: u32,
     next: u32,
 }
@@ -43,6 +43,11 @@ pub(super) struct RevIndex {
     head: Vec<Chains>,
     /// The flat edge pool all chains thread through.
     edges: Vec<RevEdge>,
+    /// The edges' head relations, by runs: `(first edge, relation)`,
+    /// first edges ascending. A head row's edges are added together, and
+    /// a build or a merge adds a relation's rows together, so a run
+    /// covers many edges.
+    runs: Vec<(u32, u32)>,
 }
 
 /// The chain heads of one relation's rows ([`NO_EDGE`] / absent = no
@@ -76,12 +81,17 @@ impl RevIndex {
             Chains::Sparse(chain) => chain.entry(brow).or_insert(NO_EDGE),
         };
         let id = u32::try_from(self.edges.len()).expect("reverse-index edge overflow");
-        self.edges.push(RevEdge {
-            hrel,
-            hrow,
-            next: *slot,
-        });
+        self.edges.push(RevEdge { hrow, next: *slot });
         *slot = id;
+        if self.runs.last().is_none_or(|&(_, r)| r != hrel) {
+            self.runs.push((id, hrel));
+        }
+    }
+
+    /// The head relation of edge `e`: that of the last run starting at or
+    /// before it.
+    fn head_rel(&self, e: u32) -> u32 {
+        self.runs[self.runs.partition_point(|&(first, _)| first <= e) - 1].1
     }
 
     /// The newest edge id of `(brel, brow)`'s chain.
@@ -94,8 +104,8 @@ impl RevIndex {
         .unwrap_or(NO_EDGE)
     }
 
-    /// Words held (memory accounting; a sparse entry is a key and a
-    /// head).
+    /// Words held (memory accounting; an edge and a sparse entry are two,
+    /// a run two).
     pub(super) fn footprint_words(&self) -> usize {
         let heads: usize = self
             .head
@@ -105,7 +115,7 @@ impl RevIndex {
                 Chains::Sparse(chain) => 2 * chain.len(),
             })
             .sum();
-        self.edges.len() * 3 + heads
+        2 * (self.edges.len() + self.runs.len()) + heads
     }
 }
 
@@ -131,6 +141,7 @@ impl Materialization {
                 })
                 .collect(),
             edges: Vec::new(),
+            runs: Vec::new(),
         };
         for &hrel in &self.idb_rels {
             for hrow in 0..self.rels[hrel].num_rows() {
@@ -211,7 +222,8 @@ impl Materialization {
             i += 1;
             let mut e = rev.chain(drel as usize, drow);
             while e != NO_EDGE {
-                let RevEdge { hrel, hrow, next } = rev.edges[e as usize];
+                let RevEdge { hrow, next } = rev.edges[e as usize];
+                let hrel = rev.head_rel(e);
                 self.dred_reads += 1;
                 if self.rels[hrel as usize].tombstone(hrow as usize) {
                     worklist.push((hrel, hrow));

@@ -10,43 +10,54 @@
 //!   in-tree [`crate::hash::FxHasher`]) deduplicates rows on insert.
 //! - [`IncrementalIndex`] — a persistent hash index over one relation and
 //!   one column **mask** (the bound argument positions of a join step).
-//!   Rows with equal key are chained through a flat `next` array,
-//!   newest-first; extending the index with freshly appended rows is
-//!   incremental, so semi-naive iterations never rebuild an index.
+//!   Extending it with freshly appended rows is incremental, so
+//!   semi-naive iterations never rebuild an index.
 //! - watermarks — because relations are append-only, the semi-naive
 //!   snapshots `old ⊆ full` and the per-iteration `delta` are just row
 //!   ranges: `old = [0, old_hi)`, `delta = [old_hi, len)`, `full =
 //!   [0, len)`. No cloning, no separate set/vec duplication.
 //!
-//! The newest-first chain invariant is what makes one index serve all
-//! three snapshots: a chain's row ids are strictly decreasing, so a
+//! An index enumerates a key's rows in strictly decreasing row-id order,
+//! and that is what makes one index serve all three snapshots: a
 //! traversal takes the `delta` rows as a prefix and the `old` rows as the
 //! remaining suffix.
 //!
-//! # Cache behaviour
+//! # Layouts
 //!
-//! Two layout refinements keep the probe loop out of cache trouble
-//! without changing what it enumerates:
+//! A key's rows sit in one of three layouts, chosen per key and never
+//! visible to a probe, which enumerates the same rows in the same order
+//! from each:
 //!
-//! - **Frozen posting segments** — the cold (long-since-indexed) portion
-//!   of each key's chain is periodically folded into one contiguous,
-//!   descending run of row ids in a shared pool ([`IncrementalIndex`]
-//!   freezes when the hot chains outgrow the frozen store, so total
-//!   rebuild work stays O(rows)). A probe walks the short hot chain and
-//!   then scans its segment linearly — same rows, same order, no
-//!   pointer-chasing through the cold store. Snapshot bounds clip the
-//!   segment by binary search instead of walking past it row by row.
-//! - **Single-key fast path** — an index whose mask has exactly one
-//!   column stores raw key values in its key table: probes hash one
-//!   `u32` and compare one `u32`, never re-materializing per-row key
-//!   slices. The hash is bit-identical to the general path's, so the
-//!   two key-table layouts are interchangeable.
+//! - **Inline** — a key with one row keeps that row in its key-table
+//!   slot: no key record, no posting. Most keys of a join on a
+//!   functional column have one row, and cost one slot.
+//! - **Chained** — recently indexed rows of a key with more are chained
+//!   newest-first through a flat `next` array.
+//! - **Segmented** — the cold portion of a key's rows is one contiguous,
+//!   descending run of row ids in a shared pool. A probe walks the short
+//!   hot chain and then scans the segment linearly — no pointer-chasing
+//!   through the cold store — and snapshot bounds clip the segment by
+//!   binary search instead of walking past it row by row.
 //!
-//! Both traversal shapes hide behind the [`Posting`] cursor, so the join
-//! machinery never sees where a row is stored.
+//! An index built over rows that already exist — a first registration, a
+//! reset after compaction, a restore, a build's first round — is counted
+//! and laid out in one pass: the key table is sized once from the key
+//! count, and every key with two rows or more gets its segment directly.
+//! Rows appended later are chained, and the chains are folded into the
+//! segments when they outgrow them, so total rebuild work stays O(rows).
+//!
+//! A single-column index keeps raw key values in its key records and
+//! compares an inline slot through its row's value: probes hash one
+//! `u32` and compare one `u32`, never materializing a key slice. The hash
+//! is bit-identical to the general path's, so the two key-table kinds
+//! are interchangeable.
+//!
+//! The [`Posting`] cursor hides the layouts, so the join machinery never
+//! sees where a row is stored.
 
 use crate::ast::Const;
 use crate::hash::{hash_ids, FxHashMap};
+use std::ops::Range;
 
 /// Sentinel row id: "no row" / end of an index chain.
 pub const NO_ROW: u32 = u32::MAX;
@@ -566,6 +577,39 @@ impl ColumnarRelation {
 /// Sentinel key-record id: "no key" in an index's key table.
 const NO_KEY: u32 = u32::MAX;
 
+/// Tag bit of a key-table slot that holds its key's one row inline
+/// (`INLINE | row`) rather than a key-record id.
+const INLINE: u32 = 1 << 31;
+
+/// The row-id ceiling of an [`IncrementalIndex`]: it covers at most
+/// this many rows, so every row id is below `INLINE - 1` — an inline
+/// slot is never [`NO_KEY`] — and every row id, key-record id and pool
+/// offset, each at most the row count, is untagged and below [`NO_ROW`].
+const MAX_ROWS: usize = (INLINE - 1) as usize;
+
+/// Checks the row-id ceiling for an index over `rows` rows — once per
+/// [`IncrementalIndex::extend`], after which [`id`] is a plain cast.
+fn check_ceiling(rows: usize) {
+    assert!(rows <= MAX_ROWS, "an index covers at most {MAX_ROWS} rows, not {rows}");
+}
+
+/// A row id, key-record id or pool offset as an index stores it. Each is
+/// at most the row count, which [`check_ceiling`] bounded.
+#[inline]
+fn id(n: usize) -> u32 {
+    debug_assert!(n <= MAX_ROWS, "row-id ceiling");
+    n as u32
+}
+
+/// Rows a bulk build samples to size its key table
+/// ([`IncrementalIndex::estimate_keys`]).
+const KEY_SAMPLE: usize = 1024;
+
+/// The key-table size for `keys` keys: a power of two, at most half full.
+fn table_cap(keys: usize) -> usize {
+    (2 * keys).next_power_of_two().max(8)
+}
+
 /// Hot-chain size that triggers a freeze, and the floor under which an
 /// index never bothers building segments. Freezing when the hot chains
 /// outgrow `max(SEG_MIN_HOT, frozen)` means the frozen store at least
@@ -573,8 +617,91 @@ const NO_KEY: u32 = u32::MAX;
 /// history.
 const SEG_MIN_HOT: usize = 64;
 
-/// Per-key record of an [`IncrementalIndex`]: the hot chain head plus
-/// the key's frozen posting segment.
+/// The hash of a single-column key value — identical to [`hash_ids`]
+/// over the one-element projection, so the single-key and general key
+/// tables hash compatibly.
+#[inline]
+fn hash1(v: u32) -> u64 {
+    hash_ids([v])
+}
+
+/// The hash of row `r`'s key under `mask`.
+fn key_hash(mask: &[usize], rel: &ColumnarRelation, r: usize) -> u64 {
+    hash_ids(mask.iter().map(|&p| rel.value(r, p).0))
+}
+
+/// Whether rows `a` and `b` agree on `mask`.
+fn keys_equal(mask: &[usize], rel: &ColumnarRelation, a: usize, b: usize) -> bool {
+    mask.iter().all(|&p| rel.value(a, p) == rel.value(b, p))
+}
+
+// The key-table readers below take the table's parts rather than the
+// index, so that a build can hold the slots and records it writes apart.
+
+/// The raw key value of occupied slot `s` of a single-column key table
+/// over column `col` of the rows `data` (stride `arity`): the key
+/// record's, or the inline row's value.
+#[inline]
+fn slot_value(krecs: &[KeyRec], data: &[Const], arity: usize, col: usize, s: u32) -> u32 {
+    if s & INLINE != 0 {
+        data[(s & !INLINE) as usize * arity + col].0
+    } else {
+        krecs[s as usize].key
+    }
+}
+
+/// A row with the key of occupied slot `s` of a multi-column key table:
+/// the inline row, or the key record's representative.
+#[inline]
+fn slot_row(krecs: &[KeyRec], s: u32) -> usize {
+    (if s & INLINE != 0 { s & !INLINE } else { krecs[s as usize].key }) as usize
+}
+
+/// The key of occupied slot `s` as a [`KeyRec::key`] holds it.
+fn slot_key(mask: &[usize], krecs: &[KeyRec], rel: &ColumnarRelation, s: u32) -> u32 {
+    match *mask {
+        [col] => slot_value(krecs, rel.data(), rel.arity(), col, s),
+        _ => id(slot_row(krecs, s)),
+    }
+}
+
+/// The slot of key value `v` in a single-column key table over column
+/// `col` of the rows `data` (stride `arity`), and what it holds: where the
+/// key sits, or the empty slot it would take. An inline slot is compared
+/// through its row's value — the row a match goes on to read anyway.
+#[inline]
+fn find1(slots: &[u32], krecs: &[KeyRec], data: &[Const], arity: usize, col: usize, v: u32) -> (usize, u32) {
+    let m = slots.len() - 1;
+    let mut i = (hash1(v) as usize) & m;
+    loop {
+        let s = slots[i];
+        if s == NO_KEY || slot_value(krecs, data, arity, col, s) == v {
+            return (i, s);
+        }
+        i = (i + 1) & m;
+    }
+}
+
+/// The slot of row `r`'s key in an open-addressing key table, and what
+/// it holds: where the key sits, or the empty slot it would take.
+#[inline]
+fn find(mask: &[usize], slots: &[u32], krecs: &[KeyRec], rel: &ColumnarRelation, r: usize) -> (usize, u32) {
+    if let [col] = *mask {
+        return find1(slots, krecs, rel.data(), rel.arity(), col, rel.value(r, col).0);
+    }
+    let m = slots.len() - 1;
+    let mut i = (key_hash(mask, rel, r) as usize) & m;
+    loop {
+        let s = slots[i];
+        if s == NO_KEY || keys_equal(mask, rel, slot_row(krecs, s), r) {
+            return (i, s);
+        }
+        i = (i + 1) & m;
+    }
+}
+
+/// Per-key record of an [`IncrementalIndex`] key with two rows or more:
+/// the hot chain head plus the key's frozen posting segment.
 #[derive(Clone, Copy, Debug)]
 struct KeyRec {
     /// Single-column index: the raw key value. Otherwise: a
@@ -591,7 +718,8 @@ struct KeyRec {
 
 /// A traversal cursor over one key's posting list, bounded to a snapshot
 /// row range `[lo, hi)`: first the hot chain (newest-first), then the
-/// frozen segment (descending, pre-clipped by binary search). Row ids
+/// frozen segment (descending, pre-clipped by binary search); an inline
+/// key's one row is a chain that ends after it. Row ids
 /// come out strictly decreasing — a descending scan of the range for
 /// the rows with this key. Obtain via [`IncrementalIndex::probe_range`],
 /// advance with [`IncrementalIndex::next_match`].
@@ -613,23 +741,38 @@ impl Posting {
 /// A persistent hash index over one [`ColumnarRelation`] and one column
 /// mask, extended incrementally as the relation grows.
 ///
-/// Recently indexed rows with equal key form a chain through `next`,
-/// **newest-first** (strictly decreasing row ids). Cold rows live in
-/// frozen posting segments: contiguous descending runs in one shared
-/// `pool`, scanned linearly after the chain (see the module docs). The
-/// two stores never overlap — rows `[0, frozen)` are segmented, rows
-/// `[frozen, watermark)` are chained — and a chain row id is always
-/// greater than every segment row id of its key, so the concatenated
-/// traversal preserves the global descending order.
+/// A key's rows are inline, chained or segmented (see the module docs,
+/// "Layouts"):
+///
+/// - a key with one row keeps it in its key-table slot (`INLINE | row`);
+///   its second row promotes it to a key record, its first row moving to
+///   the chain — or, if it is below `frozen`, to a one-row segment;
+/// - a key record's recently indexed rows form a chain through `next`,
+///   **newest-first** (strictly decreasing row ids);
+/// - its cold rows are a frozen segment: a contiguous descending run in
+///   one shared `pool`, scanned linearly after the chain.
+///
+/// Chains and segments never overlap — segment rows are below `frozen`,
+/// chained rows at or above it — so a chain row id is always greater than
+/// every segment row id of its key, and the concatenated traversal
+/// preserves the global descending order.
+///
+/// [`IncrementalIndex::extend`] from an empty index counts the rows per
+/// key and lays every key record's segment out directly; a later extend
+/// chains its delta and freezes the chains once they outgrow the
+/// segments.
 #[derive(Clone, Debug)]
 pub struct IncrementalIndex {
     /// The relation this index belongs to (an id into the engine's dense
     /// relation table; opaque to this module).
     rel: usize,
     mask: Box<[usize]>,
-    /// Open-addressing key table: an id into `krecs` per distinct key.
+    /// Open-addressing key table, one slot per distinct key: an id into
+    /// `krecs`, or `INLINE | row` for a key with one row.
     slots: Vec<u32>,
-    /// One record per distinct key.
+    /// Distinct keys: the inline slots plus the key records.
+    keys: usize,
+    /// One record per key with two rows or more.
     krecs: Vec<KeyRec>,
     /// Hot chains: `next[r - frozen]` = next-older hot row with the same
     /// key, [`NO_ROW`] at chain end (the key's remaining rows, if any,
@@ -637,7 +780,7 @@ pub struct IncrementalIndex {
     next: Vec<u32>,
     /// Frozen posting pool (see [`KeyRec::seg_off`]).
     pool: Vec<u32>,
-    /// Rows `[0, frozen)` are segmented; `[frozen, watermark)` chained.
+    /// Segment rows are below `frozen`; chained rows at or above it.
     frozen: usize,
     /// Rows `[0, watermark)` are indexed.
     watermark: usize,
@@ -650,6 +793,7 @@ impl IncrementalIndex {
             rel,
             mask: mask.into_boxed_slice(),
             slots: Vec::new(),
+            keys: 0,
             krecs: Vec::new(),
             next: Vec::new(),
             pool: Vec::new(),
@@ -685,44 +829,48 @@ impl IncrementalIndex {
         self.watermark
     }
 
-    /// Number of distinct keys in the index. With
-    /// [`IncrementalIndex::watermark`], this is the planner's
-    /// selectivity surface: `watermark / num_keys` is the mean join
-    /// chain length a probe of this index walks.
+    /// Number of distinct keys in the index — key records and inline
+    /// keys alike. With [`IncrementalIndex::watermark`], this is the
+    /// planner's selectivity surface: `watermark / num_keys` is the mean
+    /// posting length a probe of this index walks.
     #[inline]
     pub fn num_keys(&self) -> usize {
-        self.krecs.len()
+        self.keys
     }
 
-    /// The hash of a single-column key value — identical to
-    /// [`hash_ids`] over the one-element projection, so the single-key
-    /// and general key tables hash compatibly.
-    #[inline]
-    fn hash1(v: u32) -> u64 {
-        hash_ids([v])
-    }
-
-    fn key_hash(&self, rel: &ColumnarRelation, r: usize) -> u64 {
-        hash_ids(self.mask.iter().map(|&p| rel.value(r, p).0))
-    }
-
-    fn keys_equal(&self, rel: &ColumnarRelation, a: usize, b: usize) -> bool {
-        self.mask.iter().all(|&p| rel.value(a, p) == rel.value(b, p))
+    /// The hash of the key in occupied slot `s`.
+    fn slot_hash(&self, rel: &ColumnarRelation, s: u32) -> u64 {
+        match *self.mask {
+            [col] => hash1(slot_value(&self.krecs, rel.data(), rel.arity(), col, s)),
+            _ => key_hash(&self.mask, rel, slot_row(&self.krecs, s)),
+        }
     }
 
     /// Indexes the rows appended to `rel` since the last call (the delta
     /// `[watermark, num_rows)`). The caller must always pass the same
-    /// relation. May freeze outgrown hot chains into segments — probes
-    /// are unaffected (same rows, same order).
+    /// relation. An empty index — new, or [`IncrementalIndex::reset`] —
+    /// is built over all of `rel` in one counted pass, with its key table
+    /// sized from the key count; otherwise the delta is chained row by
+    /// row, and outgrown hot chains may be frozen into segments. Probes
+    /// are unaffected either way (same rows, same order).
+    ///
+    /// # Panics
+    ///
+    /// If `rel` holds more rows than an index can address (`2^31 - 1`).
     pub fn extend(&mut self, rel: &ColumnarRelation) {
         let upto = rel.num_rows();
         if upto == self.watermark {
             return;
         }
+        check_ceiling(upto);
+        if self.watermark == 0 {
+            self.build(rel, upto);
+            return;
+        }
         self.next.resize(upto - self.frozen, NO_ROW);
         for r in self.watermark..upto {
-            if (self.krecs.len() + 1) * 2 > self.slots.len() {
-                self.grow(rel);
+            if (self.keys + 1) * 2 > self.slots.len() {
+                self.rehash(rel, self.slots.len() * 2);
             }
             self.add_row(rel, r);
         }
@@ -732,75 +880,192 @@ impl IncrementalIndex {
         }
     }
 
-    fn add_row(&mut self, rel: &ColumnarRelation, r: usize) {
-        let m = self.slots.len() - 1;
-        if self.mask.len() == 1 {
-            let v = rel.value(r, self.mask[0]).0;
-            let mut i = (Self::hash1(v) as usize) & m;
-            loop {
-                let id = self.slots[i];
-                if id == NO_KEY {
-                    self.slots[i] = self.krecs.len() as u32;
-                    self.krecs.push(KeyRec { key: v, head: r as u32, seg_off: 0, seg_len: 0 });
-                    return;
-                }
-                let krec = &mut self.krecs[id as usize];
-                if krec.key == v {
-                    // newest-first chaining keeps row ids strictly decreasing
-                    self.next[r - self.frozen] = krec.head;
-                    krec.head = r as u32;
-                    return;
-                }
-                i = (i + 1) & m;
+    /// Indexes rows `[0, n)` of an empty index in one counted pass. The
+    /// key table is sized once, from the key count
+    /// ([`IncrementalIndex::estimate_keys`]). The first pass counts each
+    /// key's rows ([`IncrementalIndex::count_rows`]), the segments are
+    /// laid out from the counts, and a second pass scatters the rows of
+    /// keys with two or more into them, ascending rows into descending
+    /// positions. Everything ends up frozen: no chain, no freeze copy.
+    fn build(&mut self, rel: &ColumnarRelation, n: usize) {
+        debug_assert!(self.keys == 0 && self.krecs.is_empty() && self.pool.is_empty());
+        self.slots = vec![NO_KEY; table_cap(self.estimate_keys(rel, n))];
+        let mut rec_of = Vec::new();
+        let mut r = 0;
+        while r < n {
+            // Rows enough to fill the table to half, a new key each at most.
+            let room = self.slots.len() / 2 - self.keys;
+            if room == 0 {
+                self.rehash(rel, self.slots.len() * 2);
+                continue;
+            }
+            self.count_rows(rel, r..n.min(r + room), &mut rec_of);
+            r = n.min(r + room);
+        }
+        // `head` is each segment's fill cursor, from its end down.
+        let mut end = 0;
+        for krec in &mut self.krecs {
+            krec.seg_off = end;
+            end += krec.seg_len;
+            krec.head = end;
+        }
+        self.pool = vec![0; end as usize];
+        for (r, &k) in rec_of.iter().enumerate() {
+            if k != INLINE {
+                let krec = &mut self.krecs[k as usize];
+                krec.head -= 1;
+                self.pool[krec.head as usize] = id(r);
             }
         }
-        let mut i = (self.key_hash(rel, r) as usize) & m;
-        loop {
-            let id = self.slots[i];
-            if id == NO_KEY {
-                self.slots[i] = self.krecs.len() as u32;
-                self.krecs.push(KeyRec { key: r as u32, head: r as u32, seg_off: 0, seg_len: 0 });
-                return;
+        for krec in &mut self.krecs {
+            debug_assert_eq!(krec.head, krec.seg_off, "every counted row scattered");
+            krec.head = NO_ROW;
+        }
+        if table_cap(self.keys) < self.slots.len() {
+            self.rehash(rel, table_cap(self.keys));
+        }
+        self.frozen = n;
+        self.watermark = n;
+    }
+
+    /// The counting pass of [`IncrementalIndex::build`] over `rows`, for
+    /// which the key table has room: a key's first row goes inline, its
+    /// second makes a key record that counts the rest. `rec_of[r]` is row
+    /// `r`'s key record, or `INLINE` while its key has one row (a key's
+    /// first row takes the record when its second comes). `rec_of` stays
+    /// empty until the first key record, so a build whose keys all have
+    /// one row never fills it; the first record makes it one `INLINE` per
+    /// row of `rel`, written in place from then on.
+    fn count_rows(&mut self, rel: &ColumnarRelation, rows: Range<usize>, rec_of: &mut Vec<u32>) {
+        let Self { mask, slots, keys, krecs, .. } = self;
+        let (data, arity) = (rel.data(), rel.arity());
+        let col = if let [col] = **mask { Some(col) } else { None };
+        let mut new_keys = 0;
+        for r in rows {
+            let (i, s) = match col {
+                Some(col) => find1(slots, krecs, data, arity, col, data[r * arity + col].0),
+                None => find(mask, slots, krecs, rel, r),
+            };
+            if s & INLINE == 0 {
+                krecs[s as usize].seg_len += 1;
+                rec_of[r] = s;
+            } else if s == NO_KEY {
+                slots[i] = INLINE | id(r);
+                new_keys += 1;
+            } else {
+                let k = id(krecs.len());
+                krecs.push(KeyRec { key: slot_key(mask, krecs, rel, s), head: NO_ROW, seg_off: 0, seg_len: 2 });
+                slots[i] = k;
+                if rec_of.is_empty() {
+                    // The build covers every row of `rel`.
+                    *rec_of = vec![INLINE; rel.num_rows()];
+                }
+                rec_of[(s & !INLINE) as usize] = k;
+                rec_of[r] = k;
             }
-            if self.keys_equal(rel, self.krecs[id as usize].key as usize, r) {
-                let krec = &mut self.krecs[id as usize];
+        }
+        *keys += new_keys;
+    }
+
+    /// The number of distinct keys among rows `[0, n)`, estimated from a
+    /// sample of `s` rows — one in 32, at most [`KEY_SAMPLE`] — one drawn
+    /// from each of `s` equal strata (a fixed pseudo-random draw, so that
+    /// periodic keys do not alias with the stride): the `d` distinct keys
+    /// the sample holds plus Chao's estimate of those it missed,
+    /// `f1 (f1 - 1) / (2 (f2 + 1))`, from the `f1` keys it holds once and
+    /// the `f2` it holds twice; at most `n`. A sample of distinct keys
+    /// thus asks for one key per row (up to `s² / 2` rows), one that
+    /// repeats a few keys for those few. The estimate only sizes the key
+    /// table: a low one costs [`IncrementalIndex::build`] a doubling, a
+    /// high one a final move into the table the key count asks for.
+    fn estimate_keys(&self, rel: &ColumnarRelation, n: usize) -> usize {
+        let s = (n / 32).min(KEY_SAMPLE);
+        if s < 64 {
+            return n;
+        }
+        let stratum = n / s;
+        // (a row with the key, how often the sample holds it)
+        let mut seen = vec![(NO_ROW, 0u32); (2 * s).next_power_of_two()];
+        let m = seen.len() - 1;
+        for j in 0..s {
+            let draw = ((hash_ids([id(j)]) >> 32) as usize * stratum) >> 32;
+            let r = j * stratum + draw;
+            let mut i = (key_hash(&self.mask, rel, r) as usize) & m;
+            while seen[i].0 != NO_ROW && !keys_equal(&self.mask, rel, seen[i].0 as usize, r) {
+                i = (i + 1) & m;
+            }
+            seen[i] = (id(r), seen[i].1 + 1);
+        }
+        let (mut d, mut f1, mut f2) = (0, 0, 0);
+        for &(_, c) in &seen {
+            d += usize::from(c > 0);
+            f1 += usize::from(c == 1);
+            f2 += usize::from(c == 2);
+        }
+        (d + f1 * f1.saturating_sub(1) / (2 * (f2 + 1))).min(n)
+    }
+
+    /// Gives the inline key in slot `i` a key record with chain `head`
+    /// and segment `pool[seg_off .. seg_off + seg_len]`.
+    fn promote(&mut self, rel: &ColumnarRelation, i: usize, head: u32, seg_off: usize, seg_len: usize) {
+        let key = slot_key(&self.mask, &self.krecs, rel, self.slots[i]);
+        self.slots[i] = id(self.krecs.len());
+        self.krecs.push(KeyRec { key, head, seg_off: id(seg_off), seg_len: id(seg_len) });
+    }
+
+    /// Chains row `r` under its key: a new key goes inline; a key's
+    /// second row promotes it, its first row moving to the chain or, if
+    /// already below `frozen`, to a one-row segment at the pool's end.
+    fn add_row(&mut self, rel: &ColumnarRelation, r: usize) {
+        let (i, s) = find(&self.mask, &self.slots, &self.krecs, rel, r);
+        match s {
+            NO_KEY => {
+                self.slots[i] = INLINE | id(r);
+                self.keys += 1;
+            }
+            _ if s & INLINE != 0 => {
+                let r0 = s & !INLINE;
+                if r0 as usize >= self.frozen {
+                    self.next[r - self.frozen] = r0;
+                    self.promote(rel, i, id(r), 0, 0);
+                } else {
+                    self.promote(rel, i, id(r), self.pool.len(), 1);
+                    self.pool.push(r0);
+                }
+            }
+            _ => {
+                // newest-first chaining keeps row ids strictly decreasing
+                let krec = &mut self.krecs[s as usize];
                 self.next[r - self.frozen] = krec.head;
-                krec.head = r as u32;
-                return;
+                krec.head = id(r);
             }
-            i = (i + 1) & m;
         }
     }
 
-    /// Rebuilds the key table at double capacity from the key records —
-    /// O(keys), independent of row count.
-    fn grow(&mut self, rel: &ColumnarRelation) {
-        let cap = (self.slots.len() * 2).max(8);
-        self.slots = vec![NO_KEY; cap];
-        let m = cap - 1;
-        for (id, krec) in self.krecs.iter().enumerate() {
-            let h = if self.mask.len() == 1 {
-                Self::hash1(krec.key)
-            } else {
-                self.key_hash(rel, krec.key as usize)
-            };
-            let mut i = (h as usize) & m;
+    /// Re-slots every key into a fresh table of `cap` slots — O(slots),
+    /// independent of row count.
+    fn rehash(&mut self, rel: &ColumnarRelation, cap: usize) {
+        let old = std::mem::replace(&mut self.slots, vec![NO_KEY; cap.max(8)]);
+        let m = self.slots.len() - 1;
+        for s in old.into_iter().filter(|&s| s != NO_KEY) {
+            let mut i = (self.slot_hash(rel, s) as usize) & m;
             while self.slots[i] != NO_KEY {
                 i = (i + 1) & m;
             }
-            self.slots[i] = id as u32;
+            self.slots[i] = s;
         }
     }
 
     /// Folds every hot chain into its key's frozen segment. The chain's
     /// rows (all `>= frozen`) are newer than the old segment's (all
     /// `< frozen`), so chain-then-old-segment concatenation preserves
-    /// the strictly-descending per-key order exactly.
+    /// the strictly-descending per-key order exactly. Inline keys stay
+    /// where they are.
     fn freeze(&mut self) {
         let old = std::mem::take(&mut self.pool);
         let mut pool = Vec::with_capacity(self.watermark);
         for krec in &mut self.krecs {
-            let off = pool.len() as u32;
+            let off = pool.len();
             let mut r = krec.head;
             while r != NO_ROW {
                 pool.push(r);
@@ -808,8 +1073,8 @@ impl IncrementalIndex {
             }
             let s = krec.seg_off as usize;
             pool.extend_from_slice(&old[s..s + krec.seg_len as usize]);
-            krec.seg_off = off;
-            krec.seg_len = pool.len() as u32 - off;
+            krec.seg_off = id(off);
+            krec.seg_len = id(pool.len() - off);
             krec.head = NO_ROW;
         }
         self.pool = pool;
@@ -817,11 +1082,32 @@ impl IncrementalIndex {
         self.frozen = self.watermark;
     }
 
+    /// The next-older chained row after `r`: [`NO_ROW`] at a chain's
+    /// end, and after a row below `frozen` — only an inline key's one row
+    /// is ever walked from there.
+    #[inline]
+    fn chain_next(&self, r: u32) -> u32 {
+        self.next.get((r as usize).wrapping_sub(self.frozen)).copied().unwrap_or(NO_ROW)
+    }
+
+    /// The posting cursor of occupied slot `s`, clipped to `[lo, hi)`.
+    #[inline]
+    fn slot_posting(&self, s: u32, lo: usize, hi: usize) -> Posting {
+        if s & INLINE == 0 {
+            return self.posting(&self.krecs[s as usize], lo, hi);
+        }
+        // An inline key's one row is a chain that ends after it.
+        let r = s & !INLINE;
+        debug_assert_eq!(self.chain_next(r), NO_ROW, "an inline row is never chained");
+        let chain = if (lo..hi).contains(&(r as usize)) { r } else { NO_ROW };
+        Posting { chain, ..Posting::EMPTY }
+    }
+
     /// The posting cursor of a found key record, clipped to `[lo, hi)`.
     fn posting(&self, krec: &KeyRec, lo: usize, hi: usize) -> Posting {
         let mut chain = krec.head;
         while chain != NO_ROW && chain as usize >= hi {
-            chain = self.next[chain as usize - self.frozen];
+            chain = self.chain_next(chain);
         }
         let seg = &self.pool[krec.seg_off as usize..(krec.seg_off + krec.seg_len) as usize];
         // Descending ids: binary-search the window bounds instead of
@@ -832,9 +1118,9 @@ impl IncrementalIndex {
         let end = if lo == 0 { seg.len() } else { seg.partition_point(|&r| r as usize >= lo) };
         Posting {
             chain,
-            lo: lo.min(self.watermark) as u32,
-            seg: krec.seg_off + start as u32,
-            seg_end: krec.seg_off + end as u32,
+            lo: id(lo.min(self.watermark)),
+            seg: krec.seg_off + id(start),
+            seg_end: krec.seg_off + id(end),
         }
     }
 
@@ -852,44 +1138,35 @@ impl IncrementalIndex {
         let m = self.slots.len() - 1;
         let mut i = (hash_ids(key.iter().map(|c| c.0)) as usize) & m;
         loop {
-            let id = self.slots[i];
-            if id == NO_KEY {
+            let s = self.slots[i];
+            if s == NO_KEY {
                 return Posting::EMPTY;
             }
-            let krec = &self.krecs[id as usize];
-            let rep = krec.key as usize;
+            let rep = slot_row(&self.krecs, s);
             if self.mask.iter().zip(key).all(|(&p, &k)| rel.value(rep, p) == k) {
-                return self.posting(krec, lo, hi);
+                return self.slot_posting(s, lo, hi);
             }
             i = (i + 1) & m;
         }
     }
 
     /// The single-column fast path of [`IncrementalIndex::probe_range`]:
-    /// hashes and compares one raw key value, with no key slice and no
-    /// relation access (`_rel` only mirrors `probe_range`'s signature).
+    /// hashes one raw key value, with no key slice. A key record holds
+    /// the raw value; an inline slot is compared through its row's value
+    /// in `rel` — the row a match goes on to read anyway.
     ///
     /// # Panics
     ///
     /// Unless `mask().len() == 1`: a multi-column key table holds
     /// representative rows, which one raw value cannot be compared with.
-    pub fn probe1_range(&self, _rel: &ColumnarRelation, key: Const, lo: usize, hi: usize) -> Posting {
+    pub fn probe1_range(&self, rel: &ColumnarRelation, key: Const, lo: usize, hi: usize) -> Posting {
         assert_eq!(self.mask.len(), 1, "probe1_range requires a single-column mask");
         if self.slots.is_empty() {
             return Posting::EMPTY;
         }
-        let m = self.slots.len() - 1;
-        let mut i = (Self::hash1(key.0) as usize) & m;
-        loop {
-            let id = self.slots[i];
-            if id == NO_KEY {
-                return Posting::EMPTY;
-            }
-            let krec = &self.krecs[id as usize];
-            if krec.key == key.0 {
-                return self.posting(krec, lo, hi);
-            }
-            i = (i + 1) & m;
+        match find1(&self.slots, &self.krecs, rel.data(), rel.arity(), self.mask[0], key.0) {
+            (_, NO_KEY) => Posting::EMPTY,
+            (_, s) => self.slot_posting(s, lo, hi),
         }
     }
 
@@ -900,7 +1177,7 @@ impl IncrementalIndex {
         let r = p.chain;
         if r != NO_ROW {
             if r >= p.lo {
-                p.chain = self.next[r as usize - self.frozen];
+                p.chain = self.chain_next(r);
                 return r;
             }
             p.chain = NO_ROW;
@@ -919,6 +1196,7 @@ impl IncrementalIndex {
     /// used after compaction renumbers the rows.
     pub fn reset(&mut self) {
         self.slots = Vec::new();
+        self.keys = 0;
         self.krecs = Vec::new();
         self.next = Vec::new();
         self.pool = Vec::new();
@@ -928,7 +1206,11 @@ impl IncrementalIndex {
 
     /// Words (`u32`-sized) held by the chain, key, and segment stores
     /// (the memory-accounting hook for
-    /// [`crate::materialize::Materialization::mem_stats`]).
+    /// [`crate::materialize::Materialization::mem_stats`]): the key
+    /// table (one word per slot, at most half full, sized from the key
+    /// count), four per key record and one per chained or segmented
+    /// row. An inline key costs its slot alone, so an index whose keys
+    /// each have one row holds 2–4 words per key.
     pub(crate) fn footprint_words(&self) -> usize {
         self.next.len() + self.slots.len() + self.pool.len() + 4 * self.krecs.len()
     }
@@ -942,543 +1224,4 @@ impl IncrementalIndex {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn c(v: u32) -> Const {
-        Const(v)
-    }
-
-    /// Drains a posting cursor over `[lo, hi)` into a row-id vector.
-    fn collect_range(
-        idx: &IncrementalIndex,
-        rel: &ColumnarRelation,
-        key: &[Const],
-        lo: usize,
-        hi: usize,
-    ) -> Vec<u32> {
-        let mut p = idx.probe_range(rel, key, lo, hi);
-        let mut rows = Vec::new();
-        loop {
-            let r = idx.next_match(&mut p);
-            if r == NO_ROW {
-                break;
-            }
-            rows.push(r);
-        }
-        rows
-    }
-
-    /// Full-range posting list of a key.
-    fn collect(idx: &IncrementalIndex, rel: &ColumnarRelation, key: &[Const]) -> Vec<u32> {
-        collect_range(idx, rel, key, 0, rel.num_rows())
-    }
-
-    #[test]
-    fn insert_dedup_and_membership() {
-        let mut rel = ColumnarRelation::new(2);
-        assert!(rel.insert(&[c(1), c(2)]));
-        assert!(!rel.insert(&[c(1), c(2)]));
-        assert!(rel.insert(&[c(2), c(1)]));
-        assert_eq!(rel.num_rows(), 2);
-        assert!(rel.contains(&[c(1), c(2)]));
-        assert!(!rel.contains(&[c(3), c(3)]));
-        assert_eq!(rel.row(0), &[c(1), c(2)]);
-        assert_eq!(rel.row(1), &[c(2), c(1)]);
-    }
-
-    #[test]
-    fn find_row_returns_dense_insertion_ids() {
-        let mut rel = ColumnarRelation::new(2);
-        for i in 0..100u32 {
-            rel.insert(&[c(i), c(i + 1)]);
-        }
-        for i in 0..100u32 {
-            assert_eq!(rel.find_row(&[c(i), c(i + 1)]), i);
-        }
-        assert_eq!(rel.find_row(&[c(1), c(1)]), NO_ROW);
-    }
-
-    #[test]
-    fn zero_arity_relation_holds_at_most_one_row() {
-        let mut rel = ColumnarRelation::new(0);
-        assert!(!rel.contains(&[]));
-        assert!(rel.insert(&[]));
-        assert!(!rel.insert(&[]));
-        assert_eq!(rel.num_rows(), 1);
-        assert!(rel.contains(&[]));
-        assert_eq!(rel.row(0), &[] as &[Const]);
-    }
-
-    #[test]
-    fn dedup_survives_growth() {
-        let mut rel = ColumnarRelation::new(1);
-        for i in 0..1000 {
-            assert!(rel.insert(&[c(i)]));
-        }
-        for i in 0..1000 {
-            assert!(!rel.insert(&[c(i)]));
-            assert!(rel.contains(&[c(i)]));
-        }
-        assert_eq!(rel.num_rows(), 1000);
-    }
-
-    #[test]
-    fn index_chains_are_newest_first() {
-        let mut rel = ColumnarRelation::new(2);
-        // key = column 0; three rows share key 7
-        rel.insert(&[c(7), c(0)]);
-        rel.insert(&[c(8), c(1)]);
-        rel.insert(&[c(7), c(2)]);
-        rel.insert(&[c(7), c(3)]);
-        let mut idx = IncrementalIndex::new(0, vec![0]);
-        idx.extend(&rel);
-        let rows = collect(&idx, &rel, &[c(7)]);
-        assert_eq!(rows, vec![3, 2, 0], "newest-first, strictly decreasing");
-        assert_eq!(collect(&idx, &rel, &[c(9)]), Vec::<u32>::new());
-    }
-
-    #[test]
-    fn incremental_extension_matches_full_rebuild() {
-        let mut rel = ColumnarRelation::new(2);
-        let mut incremental = IncrementalIndex::new(0, vec![1]);
-        for step in 0..10 {
-            for i in 0..50u32 {
-                rel.insert(&[c(step * 50 + i), c(i % 7)]);
-            }
-            incremental.extend(&rel);
-        }
-        let mut fresh = IncrementalIndex::new(0, vec![1]);
-        fresh.extend(&rel);
-        for k in 0..7u32 {
-            assert_eq!(
-                collect(&incremental, &rel, &[c(k)]),
-                collect(&fresh, &rel, &[c(k)]),
-                "key {k}"
-            );
-        }
-    }
-
-    #[test]
-    fn shard_ranges_partition_top_down() {
-        for (lo, hi, k) in [(0, 100, 8), (5, 6, 4), (7, 7, 3), (0, 3, 8), (10, 1000, 1)] {
-            let shards = shard_ranges(lo, hi, k);
-            assert_eq!(shards.len(), k);
-            // top-down, contiguous, exactly covering [lo, hi)
-            let mut top = hi;
-            for &(a, b) in &shards {
-                assert_eq!(b, top, "contiguous top-down");
-                assert!(a <= b);
-                top = a;
-            }
-            assert_eq!(top, lo);
-            let total: usize = shards.iter().map(|(a, b)| b - a).sum();
-            assert_eq!(total, hi - lo);
-            // balanced: sizes differ by at most one
-            let sizes: Vec<usize> = shards.iter().map(|(a, b)| b - a).collect();
-            let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
-            assert!(max - min <= 1, "{lo}..{hi} x{k}: {sizes:?}");
-        }
-    }
-
-    #[test]
-    fn tombstone_removes_membership_and_reinsert_gets_new_id() {
-        let mut rel = ColumnarRelation::new(2);
-        rel.insert(&[c(1), c(2)]);
-        rel.insert(&[c(3), c(4)]);
-        assert!(rel.tombstone(0));
-        assert!(!rel.tombstone(0), "already dead");
-        assert!(!rel.contains(&[c(1), c(2)]));
-        assert_eq!(rel.find_row(&[c(1), c(2)]), NO_ROW);
-        assert!(rel.contains(&[c(3), c(4)]));
-        assert!(!rel.is_live(0));
-        assert!(rel.is_live(1));
-        assert_eq!(rel.num_live(), 1);
-        assert_eq!(rel.num_rows(), 2, "row ids never shift");
-        // Re-insert appends a fresh id; the dead row stays dead.
-        assert!(rel.insert(&[c(1), c(2)]));
-        assert_eq!(rel.find_row(&[c(1), c(2)]), 2);
-        assert!(!rel.is_live(0));
-        assert_eq!(rel.num_live(), 2);
-        let live: Vec<_> = rel.rows_iter().collect();
-        assert_eq!(live, vec![&[c(3), c(4)][..], &[c(1), c(2)][..]]);
-    }
-
-    #[test]
-    fn tombstones_survive_growth_and_mass_churn() {
-        let mut rel = ColumnarRelation::new(1);
-        for i in 0..500u32 {
-            rel.insert(&[c(i)]);
-        }
-        for i in (0..500u32).step_by(2) {
-            assert!(rel.tombstone(i as usize));
-        }
-        // Growth rebuilds the dedup table from live rows only.
-        for i in 500..1500u32 {
-            assert!(rel.insert(&[c(i)]));
-        }
-        for i in 0..500u32 {
-            assert_eq!(rel.contains(&[c(i)]), i % 2 == 1, "{i}");
-        }
-        assert_eq!(rel.num_live(), 250 + 1000);
-        // Dead tuples re-insert at fresh ids, exactly once.
-        for i in (0..500u32).step_by(2) {
-            assert!(rel.insert(&[c(i)]));
-            assert!(!rel.insert(&[c(i)]));
-        }
-        assert_eq!(rel.num_live(), 1500);
-        assert_eq!(rel.num_rows(), 1750);
-    }
-
-    #[test]
-    fn rows_appended_after_a_tombstone_are_live() {
-        let mut rel = ColumnarRelation::new(1);
-        rel.insert(&[c(0)]);
-        rel.tombstone(0);
-        for i in 1..200u32 {
-            rel.insert(&[c(i)]);
-            assert!(rel.is_live(i as usize), "{i}");
-        }
-    }
-
-    #[test]
-    fn epoch_tags_resurrect_rows_for_pinned_readers() {
-        let mut rel = ColumnarRelation::new(1);
-        rel.insert(&[c(0)]); // row 0, alive from epoch 0
-        // Round producing epoch 1: insert row 1.
-        rel.set_epoch(1);
-        rel.insert(&[c(1)]);
-        // Round producing epoch 2: retract row 0.
-        rel.set_epoch(2);
-        rel.tombstone(0);
-        // Round producing epoch 3: re-insert the tuple (fresh row id 2).
-        rel.set_epoch(3);
-        rel.insert(&[c(0)]);
-
-        // A reader pinned at epoch 1 (frontier 2) sees rows 0 and 1: row
-        // 0 died in epoch 2 (> 1), row 2 is past the frontier.
-        let snap: Vec<Vec<Const>> =
-            rel.rows_iter_at(2, 1).map(|r| r.to_vec()).collect();
-        assert_eq!(snap, vec![vec![c(0)], vec![c(1)]]);
-        // A reader pinned at epoch 2 (frontier 2) no longer sees row 0.
-        let snap: Vec<Vec<Const>> =
-            rel.rows_iter_at(2, 2).map(|r| r.to_vec()).collect();
-        assert_eq!(snap, vec![vec![c(1)]]);
-        // A reader at the current epoch (frontier 3) sees the re-insert.
-        let snap: Vec<Vec<Const>> =
-            rel.rows_iter_at(3, 3).map(|r| r.to_vec()).collect();
-        assert_eq!(snap, vec![vec![c(1)], vec![c(0)]]);
-        // A frontier beyond the store clamps.
-        assert_eq!(rel.rows_iter_at(100, 3).count(), 2);
-    }
-
-    #[test]
-    fn reclaim_drops_only_unpinnable_tags() {
-        let mut rel = ColumnarRelation::new(1);
-        for i in 0..4u32 {
-            rel.insert(&[c(i)]);
-        }
-        rel.set_epoch(1);
-        rel.tombstone(0);
-        rel.set_epoch(2);
-        rel.tombstone(1);
-        rel.set_epoch(3);
-        rel.tombstone(2);
-        // Readers pinned at >= 1 remain: tags <= 1 are reclaimable.
-        rel.reclaim_tombstones(1);
-        // The epoch-1 death (row 0) lost its tag — dead at every epoch.
-        assert!(!rel.visible_at(0, 0), "untagged dead row is dead everywhere");
-        // Later deaths still resurrect for earlier pins.
-        assert!(rel.visible_at(1, 1), "row 1 died in epoch 2");
-        assert!(!rel.visible_at(1, 2));
-        assert!(rel.visible_at(2, 2), "row 2 died in epoch 3");
-        // Full reclamation: nothing resurrects any more.
-        rel.reclaim_tombstones(3);
-        assert!(!rel.visible_at(1, 1));
-        assert!(!rel.visible_at(2, 2));
-        assert!(rel.visible_at(3, 0), "live rows are visible at any epoch");
-    }
-
-    #[test]
-    fn plain_relations_never_populate_the_epoch_table() {
-        let mut rel = ColumnarRelation::new(1);
-        rel.insert(&[c(7)]);
-        rel.tombstone(0); // epoch mode off: no tag
-        assert!(!rel.visible_at(0, 0), "dead without a tag is just dead");
-        assert_eq!(rel.rows_iter_at(1, 0).count(), 0);
-    }
-
-    #[test]
-    fn compact_renumbers_survivors_and_rebuilds_dedup() {
-        let mut rel = ColumnarRelation::new(2);
-        for i in 0..300u32 {
-            rel.insert(&[c(i), c(i + 1)]);
-        }
-        for i in (0..300).step_by(3) {
-            rel.tombstone(i);
-        }
-        let remap = rel.compact();
-        assert_eq!(remap.len(), 300);
-        assert_eq!(rel.num_rows(), 200);
-        assert_eq!(rel.num_dead(), 0);
-        let mut expect = 0u32;
-        for (old, &new) in remap.iter().enumerate() {
-            if old % 3 == 0 {
-                assert_eq!(new, NO_ROW, "dead row {old} dropped");
-            } else {
-                assert_eq!(new, expect, "dense, order-preserving");
-                expect += 1;
-            }
-        }
-        for i in 0..300u32 {
-            let present = i % 3 != 0;
-            assert_eq!(rel.contains(&[c(i), c(i + 1)]), present, "{i}");
-            if present {
-                assert_eq!(rel.find_row(&[c(i), c(i + 1)]), remap[i as usize]);
-            }
-        }
-        // Inserts keep working after the rebuild, at dense fresh ids.
-        assert!(rel.insert(&[c(0), c(1)]));
-        assert_eq!(rel.find_row(&[c(0), c(1)]), 200);
-        assert!(!rel.insert(&[c(1), c(2)]), "survivor still deduped");
-    }
-
-    #[test]
-    fn compact_clears_epoch_tags_but_keeps_the_epoch() {
-        let mut rel = ColumnarRelation::new(1);
-        rel.insert(&[c(0)]);
-        rel.insert(&[c(1)]);
-        rel.set_epoch(5);
-        rel.tombstone(0);
-        assert_eq!(rel.tomb_tags().len(), 1);
-        let remap = rel.compact();
-        assert_eq!(remap, vec![NO_ROW, 0]);
-        assert_eq!(rel.tomb_tags().len(), 0);
-        assert_eq!(rel.current_epoch(), 5);
-        // New tombstones keep getting tagged with the preserved epoch.
-        rel.tombstone(0);
-        assert_eq!(rel.tomb_tags().get(&0), Some(&5));
-    }
-
-    #[test]
-    fn from_persist_round_trips_contents_and_liveness() {
-        let mut rel = ColumnarRelation::new(2);
-        for i in 0..100u32 {
-            rel.insert(&[c(i), c(i * 2)]);
-        }
-        rel.set_epoch(3);
-        for i in (0..100).step_by(7) {
-            rel.tombstone(i);
-        }
-        let mut rebuilt = ColumnarRelation::from_persist(
-            rel.arity(),
-            rel.data().to_vec(),
-            rel.num_rows(),
-            rel.dead_words().to_vec(),
-            rel.num_dead(),
-            rel.current_epoch(),
-            rel.tomb_tags().clone(),
-        );
-        // The dedup table comes back lazily: stale until the first
-        // mutating touch, then bit-equivalent in behavior.
-        rebuilt.ensure_slots();
-        assert_eq!(rebuilt.num_rows(), rel.num_rows());
-        assert_eq!(rebuilt.num_live(), rel.num_live());
-        for i in 0..100u32 {
-            let t = [c(i), c(i * 2)];
-            assert_eq!(rebuilt.contains(&t), rel.contains(&t), "{i}");
-            assert_eq!(rebuilt.find_row(&t), rel.find_row(&t), "{i}");
-            assert_eq!(rebuilt.is_live(i as usize), rel.is_live(i as usize));
-            assert_eq!(rebuilt.visible_at(i as usize, 2), rel.visible_at(i as usize, 2));
-        }
-    }
-
-    #[test]
-    fn stale_dedup_rebuilds_on_first_write() {
-        let mut rel = ColumnarRelation::new(2);
-        for i in 0..50u32 {
-            rel.insert(&[c(i), c(i + 1)]);
-        }
-        let mut restored = ColumnarRelation::from_persist(
-            rel.arity(),
-            rel.data().to_vec(),
-            rel.num_rows(),
-            rel.dead_words().to_vec(),
-            rel.num_dead(),
-            rel.current_epoch(),
-            rel.tomb_tags().clone(),
-        );
-        // No explicit ensure: the insert itself must rebuild first, so
-        // a duplicate of a restored row still dedups...
-        assert!(!restored.insert(&[c(3), c(4)]));
-        // ...and a novel row gets the next dense id.
-        assert!(restored.insert(&[c(99), c(100)]));
-        assert_eq!(restored.find_row(&[c(99), c(100)]), 50);
-        assert_eq!(restored.num_rows(), 51);
-    }
-
-    #[test]
-    fn index_reset_then_extend_matches_fresh() {
-        let mut rel = ColumnarRelation::new(2);
-        for i in 0..100u32 {
-            rel.insert(&[c(i % 5), c(i)]);
-        }
-        let mut idx = IncrementalIndex::new(0, vec![0]);
-        idx.extend(&rel);
-        idx.reset();
-        assert_eq!(idx.watermark(), 0);
-        idx.extend(&rel);
-        let mut fresh = IncrementalIndex::new(0, vec![0]);
-        fresh.extend(&rel);
-        for k in 0..5u32 {
-            assert_eq!(collect(&idx, &rel, &[c(k)]), collect(&fresh, &rel, &[c(k)]), "key {k}");
-        }
-    }
-
-    #[test]
-    fn empty_mask_chains_every_row() {
-        let mut rel = ColumnarRelation::new(1);
-        for i in 0..20u32 {
-            rel.insert(&[c(i)]);
-        }
-        let mut idx = IncrementalIndex::new(0, vec![]);
-        idx.extend(&rel);
-        let rows = collect(&idx, &rel, &[]);
-        assert_eq!(rows.len(), 20);
-        assert_eq!(rows, (0..20u32).rev().collect::<Vec<_>>());
-    }
-
-    /// Every key, every snapshot window: a posting — hot chain, then
-    /// frozen segment — is the brute-force descending scan of `[lo, hi)`
-    /// for the rows whose mask projection is the key.
-    #[test]
-    fn segmented_and_chained_layouts_enumerate_identically() {
-        for mask in [vec![0usize], vec![1], vec![0, 1]] {
-            let mut rel = ColumnarRelation::new(3);
-            let mut idx = IncrementalIndex::new(0, mask.clone());
-            // Interleave extensions (some tiny, some spanning several
-            // freeze thresholds) so segments and hot chains coexist.
-            let mut n = 0u32;
-            for batch in [3usize, 90, 7, 400, 1, 150] {
-                for _ in 0..batch {
-                    // ~11 distinct keys on column 0, ~7 on column 1;
-                    // column 2 keeps the rows distinct (insert dedups)
-                    rel.insert(&[c(n % 11), c(n % 7), c(n)]);
-                    n += 1;
-                }
-                idx.extend(&rel);
-            }
-            assert!(idx.seg_pool_words() > 0, "mask {mask:?}: segments built");
-            assert!(!idx.next.is_empty(), "mask {mask:?}: hot chains left");
-            let keys: Vec<Vec<Const>> = match mask.len() {
-                1 => (0..12u32).map(|k| vec![c(k)]).collect(),
-                _ => (0..12u32).flat_map(|a| (0..8u32).map(move |b| vec![c(a), c(b)])).collect(),
-            };
-            let rows = rel.num_rows();
-            for key in &keys {
-                for (lo, hi) in [(0, rows), (0, 97), (97, rows), (200, 450), (rows, rows)] {
-                    let scan: Vec<u32> = (lo..hi)
-                        .rev()
-                        .filter(|&r| mask.iter().zip(key).all(|(&p, &k)| rel.value(r, p) == k))
-                        .map(|r| r as u32)
-                        .collect();
-                    assert_eq!(
-                        collect_range(&idx, &rel, key, lo, hi),
-                        scan,
-                        "mask {mask:?} key {key:?} range [{lo}, {hi})"
-                    );
-                }
-            }
-        }
-    }
-
-    /// The freeze policy keeps amortized work linear: the frozen store
-    /// at least doubles per freeze, and everything frozen stays probed.
-    #[test]
-    fn freeze_policy_doubles_and_preserves_postings() {
-        let mut rel = ColumnarRelation::new(2);
-        let mut idx = IncrementalIndex::new(0, vec![0]);
-        let mut frozen_sizes = Vec::new();
-        let mut last_pool = 0usize;
-        for i in 0..5000u32 {
-            // distinct tuples (insert dedups), low-cardinality key column
-            rel.insert(&[c(i % 3), c(i)]);
-            idx.extend(&rel);
-            if idx.seg_pool_words() != last_pool {
-                frozen_sizes.push(idx.seg_pool_words());
-                last_pool = idx.seg_pool_words();
-            }
-        }
-        assert!(frozen_sizes.len() >= 2, "multiple freezes over 5000 rows");
-        for w in frozen_sizes.windows(2) {
-            assert!(w[1] >= 2 * w[0], "frozen store at least doubles: {frozen_sizes:?}");
-        }
-        for k in 0..3u32 {
-            let rows = collect(&idx, &rel, &[c(k)]);
-            let want: Vec<u32> = (0..5000u32).rev().filter(|r| r % 3 == k).collect();
-            assert_eq!(rows, want, "key {k}");
-        }
-    }
-
-    #[test]
-    fn single_key_fast_path_matches_general_probe() {
-        let mut rel = ColumnarRelation::new(3);
-        for i in 0..500u32 {
-            rel.insert(&[c(i % 13), c(i), c(i % 5)]);
-        }
-        let mut idx = IncrementalIndex::new(0, vec![2]);
-        idx.extend(&rel);
-        for k in 0..6u32 {
-            // probe_range delegates to probe1_range for single masks;
-            // both entry points must agree.
-            assert_eq!(
-                collect(&idx, &rel, &[c(k)]),
-                {
-                    let mut p = idx.probe1_range(&rel, c(k), 0, rel.num_rows());
-                    let mut rows = Vec::new();
-                    loop {
-                        let r = idx.next_match(&mut p);
-                        if r == NO_ROW {
-                            break;
-                        }
-                        rows.push(r);
-                    }
-                    rows
-                },
-                "key {k}"
-            );
-        }
-        assert_eq!(idx.num_keys(), 5);
-        assert!(collect(&idx, &rel, &[c(99)]).is_empty());
-    }
-
-    /// A multi-column key table holds representative rows: probing it
-    /// with one raw value must fail loudly, in release builds too.
-    #[test]
-    #[should_panic(expected = "single-column mask")]
-    fn probe1_range_rejects_a_multi_column_index() {
-        let mut rel = ColumnarRelation::new(2);
-        rel.insert(&[c(1), c(2)]);
-        let mut idx = IncrementalIndex::new(0, vec![0, 1]);
-        idx.extend(&rel);
-        idx.probe1_range(&rel, c(1), 0, 1);
-    }
-
-    #[test]
-    fn footprint_counts_segment_pool() {
-        let mut rel = ColumnarRelation::new(2);
-        for i in 0..300u32 {
-            rel.insert(&[c(i % 4), c(i)]);
-        }
-        let mut idx = IncrementalIndex::new(0, vec![0]);
-        idx.extend(&rel);
-        assert!(idx.seg_pool_words() > 0);
-        assert!(idx.footprint_words() >= idx.seg_pool_words());
-        idx.reset();
-        assert_eq!(idx.seg_pool_words(), 0);
-        assert_eq!(idx.footprint_words(), 0);
-        // Re-extending re-freezes.
-        idx.extend(&rel);
-        assert!(idx.seg_pool_words() > 0);
-    }
-}
+mod tests;

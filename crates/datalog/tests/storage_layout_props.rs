@@ -10,12 +10,16 @@
 //!
 //! Every database contains the 24-chain and three families of forward
 //! skips, so `par` holds 77 rows or more and each unrestricted closure
-//! a few hundred: the join indexes fold their hot chains into frozen
-//! posting segments several times during the build (the freeze
-//! threshold is 64 rows, then doubles), a second freeze merges a
+//! a few hundred: an index registered over existing rows is laid out in
+//! segments by one counted pass, the join indexes fold their hot chains
+//! into frozen posting segments several times during the build (the
+//! freeze threshold is 64 rows, then doubles), a second freeze merges a
 //! segment with newer chains, and every script ends by retracting
 //! through those segments, compacting — which rebuilds them from the
-//! renumbered rows — and inserting the rows back.
+//! renumbered rows in one pass — and inserting the rows back. The index
+//! layouts themselves (one-row keys inline, chains, segments, the bulk
+//! build and its promotions) are checked against a brute-force scan by
+//! `storage::tests::bulk_and_incremental_builds_equal_the_brute_force_scan`.
 
 use proptest::prelude::*;
 use selprop_datalog::ast::{Pred, Program};
