@@ -18,9 +18,9 @@
 //!   ([`ColumnarRelation::tombstone`]), over-delete every derived row
 //!   whose recorded justification transitively uses a deleted row, then
 //!   re-derive survivors from the remaining store (a goal-directed
-//!   per-tuple check against lazily compiled, selectivity-ordered
-//!   re-derivation plans) and propagate the rescues through the normal
-//!   insert machinery.
+//!   per-tuple join pass of lazily compiled, selectivity-ordered
+//!   re-derivation plans, stopping at the first derivation) and
+//!   propagate the rescues through the normal insert machinery.
 //! - [`Materialization::apply`] batches a whole mixed round — EDB
 //!   inserts, retracts, **rule adds** and **rule drops** — into one
 //!   DRed pass (a single walk of the persistent reverse-dependency
@@ -760,6 +760,9 @@ impl Materialization {
     ///    not `anc(x, Z)` — testing fully bound atoms against the dedup
     ///    tables ([`crate::plan`]), so the phase costs O(candidates ×
     ///    fan-in): the order of the insert round that derived the rows.
+    ///    The plan runs through the round's join as one pass that stops
+    ///    at its first derivation, and one merge appends what the passes
+    ///    staged, in candidate order.
     /// 7. One semi-naive resume propagates every delta — inserted,
     ///    seeded and rescued rows — to the new fixpoint.
     ///
@@ -881,9 +884,7 @@ impl Materialization {
                 let pass = Pass { rule, plan: self.lead[rule], delta: Delta::Full };
                 self.eval_rule(pass, &mut scratch, &mut pending);
             }
-            let appended = self.merge_pending(&mut pending);
-            self.stats.tuples_derived += appended;
-            self.stats.rule_firings += appended;
+            self.merge_pending(&mut pending);
         }
 
         // 6. Rescue: re-derive over-deleted survivors from the remaining

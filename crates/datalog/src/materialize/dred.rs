@@ -1,16 +1,18 @@
 //! Delete–rederive: the reverse-dependency index over the recorded
 //! justifications, over-deletion along it, and the rescue of what
-//! another derivation still supports, through the selectivity-ordered
-//! rescue plans of [`crate::plan`]. `BENCHMARK.json`:
+//! another derivation still supports. A rescue is a join pass like any
+//! other: the selectivity-ordered rescue plan of [`crate::plan`] runs
+//! through `join.rs` as one existential `(rule, candidate)` pass, and
+//! what the passes find enters the store through `fixpoint.rs`'s merge.
+//! This file probes no index and appends no row. `BENCHMARK.json`:
 //! `materialize.probes_per_retract_round`,
 //! `materialize.rows_killed_per_round`, `materialize.rederive_ratio`.
 
-use super::join::{build_head, Scratch};
+use super::join::{build_head, join, Counters, Delta, PendingTuples, Scratch};
 use super::Materialization;
 use crate::ast::{Const, Pred, Rule};
 use crate::hash::FxHashMap;
-use crate::plan::{plan_rescue, Action, KeyOp, Out, RulePlan, NO_INDEX};
-use crate::storage::{ColumnarRelation, IncrementalIndex, NO_ROW};
+use crate::plan::{plan_rescue, Out};
 
 /// Sentinel edge id: end of a reverse-dependency chain.
 const NO_EDGE: u32 = u32::MAX;
@@ -32,7 +34,8 @@ struct RevEdge {
 ///
 /// Built lazily on the first over-deleting round (one full pass, counted
 /// by [`Materialization::csr_builds`]), then maintained incrementally:
-/// every merged or rescued row appends one edge per body position.
+/// every merged row — rescued rows merge too — appends one edge per body
+/// position.
 /// Edges are never removed — a chain may point at head rows that died
 /// later; the traversal's `tombstone` call is a no-op on them, and
 /// [`Materialization::compact`] rebuilds the index from the live
@@ -210,8 +213,8 @@ impl Materialization {
         }
         // Take the index out while tombstoning through `self.rels` (no
         // edges are added during over-deletion), building it on the
-        // first over-deleting round; from then on every merge and
-        // rescue appends its edges incrementally.
+        // first over-deleting round; from then on every merge appends
+        // its edges incrementally.
         let rev = self.rev.take().unwrap_or_else(|| {
             self.csr_builds += 1;
             self.build_rev_index()
@@ -238,13 +241,15 @@ impl Materialization {
     /// DRed rescue: every over-deleted candidate that one active rule
     /// still derives from the live store is re-appended (a fresh row id
     /// in the delta range) with the derivation found as its recorded
-    /// justification. Each candidate is checked against the rows that
-    /// were live when the pass began (`frontier`): an index cannot see
-    /// the rows this pass appends — the indexes are extended once, up
-    /// front — and a dedup-table step must not either, or which
-    /// candidates are rescued here (and with it every later row id)
-    /// would depend on the step kinds the planner chose. Whatever this
-    /// pass misses, the resume derives from the rescued rows.
+    /// justification. Per candidate, each rule's rescue plan in slot
+    /// order gets the tuple in its head slots — the rule can derive it
+    /// only if the head built back from them is the tuple, which checks
+    /// head constants and repeated variables — and runs as one
+    /// existential [`join`] pass, until one finds a derivation. One merge
+    /// appends what the passes staged — not a tuple a seeding pass
+    /// derived again already — so no pass sees a row another rescued,
+    /// whatever step kinds the planner chose; the resume derives
+    /// whatever this misses from the rescued rows.
     pub(super) fn rescue(&mut self, candidates: &[(u32, u32)]) {
         if candidates.is_empty() {
             return;
@@ -255,147 +260,33 @@ impl Materialization {
         self.ensure_dedup();
         self.ensure_rederive_plans(None);
         self.extend_indexes();
-        let frontier = self.frontiers();
+        let plans = self.rederive.as_ref().expect("compiled above");
         let mut scratch = Scratch::default();
-        let mut probes = 0u64;
+        let mut pending = PendingTuples::default();
+        let mut counters = Counters::default();
         for &(crel, crow) in candidates {
-            let (crel, crow) = (crel as usize, crow as usize);
-            let tuple = self.rels[crel].row(crow);
-            let Some(rule) = self.rederive_row(crel, tuple, &frontier, &mut scratch, &mut probes)
-            else {
-                continue;
-            };
-            let rel = &mut self.rels[crel];
-            // An added rule's seeding pass may have derived the tuple
-            // again already; a second row would be a second fact.
-            if !rel.insert(&scratch.head) {
-                continue;
-            }
-            let hrow = (rel.num_rows() - 1) as u32;
-            self.stats.rule_firings += 1;
-            self.stats.tuples_derived += 1;
-            let plan = &self.plans[rule as usize][0];
-            let body_rows = &scratch.rows[..plan.body_rels.len()];
-            self.prov.as_mut().expect("recording on")[crel].push(rule, body_rows);
-            if let Some(rev) = self.rev.as_mut() {
-                for (&brel, &brow) in plan.body_rels.iter().zip(body_rows) {
-                    rev.add(brel, brow, crel as u32, hrow);
+            let tuple = self.rels[crel as usize].row(crow as usize);
+            for (rule, plan) in plans.iter().enumerate() {
+                if plan.head_rel != crel as usize || !self.rule_active[rule] {
+                    continue;
                 }
-            }
-        }
-        self.stats.join_probes += probes;
-    }
-
-    /// Checks whether `tuple` (of relation `rel`) is derivable in one
-    /// rule application from the live rows below `frontier`; returns the
-    /// rule of the first derivation found and leaves its body row ids,
-    /// in rule-text order, in `scratch.rows`, and a copy of `tuple` in
-    /// `scratch.head`. Goal-directed: the tuple is written into the head
-    /// slots up front, so the body join is keyed on them — and it is a
-    /// candidate for the rule only if the head built back from those
-    /// slots is the tuple, which checks the head's constants and
-    /// repeated variables in one comparison.
-    fn rederive_row(
-        &self,
-        rel: usize,
-        tuple: &[Const],
-        frontier: &[usize],
-        scratch: &mut Scratch,
-        probes: &mut u64,
-    ) -> Option<u32> {
-        let plans = self.rederive.as_ref().expect("compiled before rescue");
-        for (rule, plan) in plans.iter().enumerate() {
-            if plan.head_rel != rel || !self.rule_active[rule] {
-                continue;
-            }
-            scratch.env.clear();
-            scratch.env.resize(plan.num_slots, Const(0));
-            for (op, &v) in plan.head.iter().zip(tuple) {
-                if let Out::Slot(s) = *op {
-                    scratch.env[s] = v;
-                }
-            }
-            build_head(plan, scratch);
-            if scratch.head != tuple {
-                continue;
-            }
-            scratch.rows.clear();
-            scratch.rows.resize(plan.steps.len(), 0);
-            if rederive_descend(plan, 0, &self.rels, &self.idxs, frontier, scratch, probes) {
-                return Some(rule as u32);
-            }
-        }
-        None
-    }
-}
-
-/// Backtracking search for **one** body instantiation of a rescue plan
-/// over the live rows below `frontier`; the row matched for body atom
-/// `k` lands in `scratch.rows[k]` whatever depth ran it. Returns on the
-/// first success. Body depths are small (rule body length), so
-/// recursion is fine here.
-fn rederive_descend(
-    plan: &RulePlan,
-    depth: usize,
-    rels: &[ColumnarRelation],
-    idxs: &[IncrementalIndex],
-    frontier: &[usize],
-    scratch: &mut Scratch,
-    probes: &mut u64,
-) -> bool {
-    if depth == plan.steps.len() {
-        return true;
-    }
-    let step = &plan.steps[depth];
-    let rel = &rels[step.rel];
-    let hi = frontier[step.rel];
-    *probes += 1;
-
-    let mut try_row = |r: usize, scratch: &mut Scratch| -> bool {
-        if !rel.is_live(r) {
-            return false;
-        }
-        for a in step.actions.iter() {
-            match *a {
-                Action::Bind { pos, slot } => scratch.env[slot] = rel.value(r, pos),
-                Action::Check { pos, slot } => {
-                    if scratch.env[slot] != rel.value(r, pos) {
-                        return false;
+                scratch.env.resize(plan.num_slots, Const(0));
+                for (op, &v) in plan.head.iter().zip(tuple) {
+                    if let Out::Slot(s) = *op {
+                        scratch.env[s] = v;
                     }
                 }
+                build_head(plan, &mut scratch);
+                if scratch.head != tuple {
+                    continue;
+                }
+                let ctx = self.join_ctx(rule, Delta::Full, None);
+                if join(plan, &ctx, &mut scratch, &mut pending, &mut counters) {
+                    break;
+                }
             }
         }
-        scratch.rows[plan.body_of_step[depth]] = r as u32;
-        rederive_descend(plan, depth + 1, rels, idxs, frontier, scratch, probes)
-    };
-
-    if step.key.is_empty() {
-        return (0..hi).rev().any(|r| try_row(r, scratch));
-    }
-    scratch.key.clear();
-    for op in step.key.iter() {
-        scratch.key.push(match *op {
-            KeyOp::Const(c) => c,
-            KeyOp::Slot(s) => scratch.env[s],
-        });
-    }
-    // The key is only needed for the probe itself; deeper levels are
-    // free to reuse the buffer.
-    if step.idx == NO_INDEX {
-        // Every position is bound: the key is the tuple, and the dedup
-        // table holds its one live row, if any.
-        let r = rel.find_row(&scratch.key) as usize;
-        return r < hi && try_row(r, scratch);
-    }
-    let idx = &idxs[step.idx];
-    let mut cur = idx.probe_range(rel, &scratch.key, 0, hi);
-    loop {
-        let row = idx.next_match(&mut cur);
-        if row == NO_ROW {
-            return false;
-        }
-        if try_row(row as usize, scratch) {
-            return true;
-        }
+        self.stats.join_probes += counters.pre + counters.post;
+        self.merge_pending(&mut pending);
     }
 }

@@ -73,8 +73,6 @@ impl Materialization {
                 appended += self.merge_pending(&mut t.pending);
             }
             spare.append(&mut tasks);
-            self.stats.tuples_derived += appended;
-            self.stats.rule_firings += appended;
             if appended == 0 {
                 break;
             }
@@ -197,14 +195,18 @@ impl Materialization {
     }
 
     /// Merges one staging buffer into the relations, deduplicating;
-    /// returns how many rows were actually appended. With provenance
-    /// recording on, the staged justification of each tuple that
-    /// actually inserts (the first staged copy in merge order) is
+    /// returns how many rows were actually appended, each one productive
+    /// rule firing and derived tuple of [`crate::eval::EvalStats`]. With
+    /// provenance recording on, the staged justification of each tuple
+    /// that actually inserts (the first staged copy in merge order) is
     /// appended to the head relation's justification store, and — once
     /// the reverse-dependency index exists — one reverse edge per body
-    /// position is appended so later retracts stay O(affected).
+    /// position is appended so later retracts stay O(affected). Every
+    /// derived row enters the store here — a round's, an added rule's
+    /// seeding, a DRed rescue's; `compact` and `build_rev_index` only
+    /// rebuild what it appended.
     pub(super) fn merge_pending(&mut self, pending: &mut PendingTuples) -> u64 {
-        let Self { rels, prov, rev, plans, .. } = self;
+        let Self { rels, prov, rev, plans, stats, .. } = self;
         // Pre-size each target's dedup table from the staged count (an
         // upper bound on what actually appends), so the batch never
         // rehashes mid-merge; per-insert growth stays as the backstop.
@@ -256,6 +258,8 @@ impl Materialization {
         pending.data.clear();
         pending.rels.clear();
         pending.hash.clear();
+        stats.rule_firings += appended;
+        stats.tuples_derived += appended;
         appended
     }
 }

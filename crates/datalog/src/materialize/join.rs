@@ -1,12 +1,14 @@
 //! The join kernel: one `(rule, delta atom)` pass over the frozen store
 //! — the backtracking descent, or the transitive-closure kernel for
-//! recognized plans — and the buffers it stages new heads into. A pass
-//! only reads the store, so the passes of a round run concurrently.
+//! recognized plans — and the buffers it stages new heads into. A DRed
+//! rescue is such a pass too, of an existential plan over the whole
+//! store, which stops at its first full instantiation. A pass only
+//! reads the store, so the passes of a round run concurrently.
 //! `BENCHMARK.json`: `eval.join_probes.*`, `plan.tc_hits`, `plan.tc_rows`.
 
 use super::Materialization;
 use crate::ast::Const;
-use crate::plan::{Action, KeyOp, Out, RulePlan, Step};
+use crate::plan::{Action, KeyOp, Out, RulePlan, Step, NO_INDEX};
 use crate::storage::{ColumnarRelation, IncrementalIndex, NO_ROW};
 
 /// Reusable scratch buffers for one evaluation (no per-tuple allocation).
@@ -162,7 +164,7 @@ pub(super) struct Counters {
 #[derive(Clone, Copy, Debug, Default)]
 pub(super) enum Delta {
     /// No delta: every atom reads its whole relation (the IDB-free rules
-    /// of a build's first round, seeding an added rule).
+    /// of a build's first round, seeding an added rule, a rescue).
     #[default]
     Full,
     /// The delta is at this **body position**; every atom, EDB
@@ -224,29 +226,53 @@ impl Materialization {
         pending: &mut PendingTuples,
         counters: &mut Counters,
     ) {
-        let plan = &self.plans[pass.rule][pass.plan];
-        scratch.env.resize(plan.num_slots, Const(0));
-        scratch.rows.resize(plan.steps.len(), 0);
-        scratch.staged.begin();
-        let ctx = JoinCtx {
+        let ctx = self.join_ctx(pass.rule, pass.delta, shard0);
+        join(&self.plans[pass.rule][pass.plan], &ctx, scratch, pending, counters);
+    }
+
+    /// The engine state one pass of rule slot `rule` reads.
+    pub(super) fn join_ctx(
+        &self,
+        rule: usize,
+        delta: Delta,
+        shard0: Option<(usize, usize)>,
+    ) -> JoinCtx<'_> {
+        JoinCtx {
             rels: &self.rels,
             idxs: &self.idxs,
             old_hi: &self.old_hi,
-            delta: pass.delta,
+            delta,
             shard0,
-            rule: pass.rule,
+            rule,
             record: self.prov.is_some(),
-        };
-        if plan.tc {
-            tc_kernel(plan, &ctx, scratch, pending, counters);
-        } else {
-            descend(plan, 0, &ctx, scratch, pending, counters);
         }
     }
 }
 
+/// Runs one pass of `plan` under `ctx`, staging what it derives into
+/// `pending`. The slots of `scratch.env` the plan reads before binding
+/// them — a rescue plan's head slots — must be written. Returns whether
+/// an existential plan found an instantiation (and stopped there).
+pub(super) fn join(
+    plan: &RulePlan,
+    ctx: &JoinCtx<'_>,
+    scratch: &mut Scratch,
+    pending: &mut PendingTuples,
+    counters: &mut Counters,
+) -> bool {
+    scratch.env.resize(plan.num_slots, Const(0));
+    scratch.rows.resize(plan.steps.len(), 0);
+    scratch.staged.begin();
+    if plan.tc {
+        tc_kernel(plan, ctx, scratch, pending, counters);
+        false
+    } else {
+        descend(plan, 0, ctx, scratch, pending, counters)
+    }
+}
+
 /// Borrowed engine state for one rule-evaluation pass.
-struct JoinCtx<'a> {
+pub(super) struct JoinCtx<'a> {
     rels: &'a [ColumnarRelation],
     idxs: &'a [IncrementalIndex],
     old_hi: &'a [usize],
@@ -331,11 +357,12 @@ fn stage_head(
     // the staging buffer — the merge's insert.
     let hash = ColumnarRelation::hash_row(&scratch.head);
     // Only buffer tuples not already in the relation (the merge dedups
-    // again; this keeps the pending buffer small).
-    if ctx.rels[plan.head_rel].contains_hashed(&scratch.head, hash) {
-        return;
-    }
-    if !scratch.staged.insert_if_new(&scratch.head, hash, &pending.data) {
+    // again; this keeps the pending buffer small) — but an existential
+    // pass stages one head at most, and leaves that probe to the merge.
+    if !plan.existential
+        && (ctx.rels[plan.head_rel].contains_hashed(&scratch.head, hash)
+            || !scratch.staged.insert_if_new(&scratch.head, hash, &pending.data))
+    {
         return;
     }
     pending.data.extend_from_slice(&scratch.head);
@@ -355,6 +382,8 @@ fn stage_head(
 /// overwriting (`Action::Bind`); no unbinding is needed on backtrack
 /// because the plan guarantees every slot read happens at a depth after
 /// its binding depth, and the next row at the binding depth overwrites.
+/// Returns whether the search is over: an existential plan's first full
+/// instantiation ends it.
 fn descend(
     plan: &RulePlan,
     depth: usize,
@@ -362,10 +391,10 @@ fn descend(
     scratch: &mut Scratch,
     pending: &mut PendingTuples,
     counters: &mut Counters,
-) {
+) -> bool {
     if depth == plan.steps.len() {
         stage_head(plan, ctx, scratch, pending);
-        return;
+        return plan.existential;
     }
     // Staged-head suffix pruning: once every head position is bound,
     // a head that already exists in the (frozen) head relation can
@@ -375,7 +404,7 @@ fn descend(
     if depth == plan.head_ready_depth {
         build_head(plan, scratch);
         if ctx.rels[plan.head_rel].contains(&scratch.head) {
-            return;
+            return false;
         }
     }
     let step = &plan.steps[depth];
@@ -396,44 +425,59 @@ fn descend(
         // descending id order, so scan the range directly — no index
         // traversal, and (for a sharded first step) no walking through
         // other shards' rows to reach this shard's.
-        for r in (lo..hi).rev() {
-            match_row(plan, step, rel, r, depth, ctx, scratch, pending, counters);
-        }
-        return;
+        return (lo..hi)
+            .rev()
+            .any(|r| match_row(plan, step, rel, r, depth, ctx, scratch, pending, counters));
+    }
+
+    if step.idx == NO_INDEX {
+        // A full-key step: the dedup table holds the key's one live row,
+        // if any (rows staged since the range was taken are not in it).
+        fill_key(step, scratch);
+        let r = rel.find_row(&scratch.key) as usize;
+        return (lo..hi).contains(&r)
+            && match_row(plan, step, rel, r, depth, ctx, scratch, pending, counters);
     }
 
     let idx = &ctx.idxs[step.idx];
     // Single-column keys (one key op ⇔ one mask column) take the raw-
     // value fast path: no key buffer, no slice hash.
     let mut cur = if let &[op] = &*step.key {
-        let k = match op {
-            KeyOp::Const(c) => c,
-            KeyOp::Slot(s) => scratch.env[s],
-        };
-        idx.probe1_range(rel, k, lo, hi)
+        idx.probe1_range(rel, key_value(op, &scratch.env), lo, hi)
     } else {
-        scratch.key.clear();
-        for op in step.key.iter() {
-            scratch.key.push(match *op {
-                KeyOp::Const(c) => c,
-                KeyOp::Slot(s) => scratch.env[s],
-            });
-        }
+        fill_key(step, scratch);
         idx.probe_range(rel, &scratch.key, lo, hi)
     };
     loop {
         let row = idx.next_match(&mut cur);
         if row == NO_ROW {
-            break;
+            return false;
         }
-        match_row(plan, step, rel, row as usize, depth, ctx, scratch, pending, counters);
+        if match_row(plan, step, rel, row as usize, depth, ctx, scratch, pending, counters) {
+            return true;
+        }
+    }
+}
+
+/// Writes the probe key of `step` into `scratch.key`, which deeper
+/// levels are free to reuse once the probe is made.
+fn fill_key(step: &Step, scratch: &mut Scratch) {
+    scratch.key.clear();
+    scratch.key.extend(step.key.iter().map(|&op| key_value(op, &scratch.env)));
+}
+
+/// The value key op `op` stands for under the slot environment `env`.
+fn key_value(op: KeyOp, env: &[Const]) -> Const {
+    match op {
+        KeyOp::Const(c) => c,
+        KeyOp::Slot(s) => env[s],
     }
 }
 
 /// Applies one matched row's bind/check actions and, if they pass,
-/// descends to the next step. Returns whether the actions passed.
-/// Tombstoned rows never match (index chains keep addressing them, but
-/// they are no longer facts).
+/// descends to the next step. Returns whether the search is over
+/// ([`descend`]). Tombstoned rows never match (index chains keep
+/// addressing them, but they are no longer facts).
 #[allow(clippy::too_many_arguments)]
 fn match_row(
     plan: &RulePlan,
@@ -462,8 +506,7 @@ fn match_row(
     // Derivation coordinate for provenance staging (one word; cheaper
     // than branching on the recording flag here).
     scratch.rows[depth] = r as u32;
-    descend(plan, depth + 1, ctx, scratch, pending, counters);
-    true
+    descend(plan, depth + 1, ctx, scratch, pending, counters)
 }
 
 /// The specialized transitive-closure kernel: the generic recursive

@@ -43,8 +43,10 @@
 //!   atom it occurs in, but an atom keyed on it may still match its whole
 //!   fan-out (`anc(x, _)` has one row per descendant of `x`), hence the
 //!   order. A rescue plan is a `RulePlan` like any other, compiled with
-//!   the head as input; it is compiled on the first retraction (eagerly
-//!   in a view), and its indexes are extended like all others.
+//!   the head as input and run by the join like any other, which stops
+//!   at its first full instantiation (`RulePlan::existential`); it is
+//!   compiled on the first retraction (eagerly in a view), and its
+//!   indexes are extended like all others.
 //! - **Staged-head existence ordering**: `RulePlan::head_ready_depth`
 //!   marks the first join depth at which every head position is bound;
 //!   when that is before the last step, the join probes the head
@@ -151,8 +153,8 @@ pub(crate) struct Step {
     pub(crate) rel: usize,
     /// Index id, or [`NO_INDEX`] for steps that register no index at
     /// all: unkeyed steps (empty mask), which scan their row range
-    /// directly, and the full-key steps of a rescue plan, which ask the
-    /// relation's dedup table.
+    /// directly, and the full-key steps of a rescue plan, which take the
+    /// row the dedup table holds for the key if it is in their range.
     pub(crate) idx: usize,
     pub(crate) key: Box<[KeyOp]>,
     pub(crate) actions: Box<[Action]>,
@@ -177,11 +179,17 @@ pub(crate) struct RulePlan {
     /// step depth `d`. Snapshot ranges are keyed on it.
     pub(crate) body_of_step: Box<[usize]>,
     /// First join depth at which every head position is bound (0 =
-    /// before any step; `steps.len()` = only at full instantiation).
+    /// before any step; `steps.len()` = only at full instantiation),
+    /// where the join prunes a head that exists. An existential plan's
+    /// is `steps.len()`: it never prunes, so a candidate another pass
+    /// re-derived is still searched, and its probes counted.
     pub(crate) head_ready_depth: usize,
     /// Whether this plan has the binary-recursive transitive-closure
-    /// shape the specialized kernel handles.
+    /// shape the specialized kernel handles (never an existential plan).
     pub(crate) tc: bool,
+    /// Whether the plan only asks if its given head is derivable (a
+    /// rescue plan): the join stops at its first full instantiation.
+    pub(crate) existential: bool,
 }
 
 // ---------------------------------------------------------------------
@@ -473,10 +481,10 @@ fn tc_shape(head: &[Out], steps: &[Step]) -> bool {
 ///
 /// With `head_input` — a rescue plan, which checks whether a given head
 /// tuple is derivable — the head variables take the first slots, bound
-/// before the first step, so the body step masks include them and every
-/// head position is ready at depth 0; a step whose key covers every
-/// position registers no index and is answered by the relation's dedup
-/// table.
+/// before the first step, so the body step masks include them; a step
+/// whose key covers every position registers no index and is answered
+/// by the relation's dedup table. The plan is existential, never prunes
+/// on its head and never runs the kernel.
 ///
 /// The index masks (bound positions) determine the `join_probes`
 /// counter, which the test suites pin on fixed inputs.
@@ -515,8 +523,8 @@ fn compile_rule(
         })
         .collect();
     let body_rels: Box<[usize]> = rule.body.iter().map(|a| rel_of_pred[&a.pred]).collect();
-    let hrd = if head_input { 0 } else { head_ready_depth(&head, &steps) };
-    let tc = tc_shape(&head, &steps);
+    let hrd = if head_input { steps.len() } else { head_ready_depth(&head, &steps) };
+    let tc = !head_input && tc_shape(&head, &steps);
     RulePlan {
         head_rel: rel_of_pred[&rule.head.pred],
         head,
@@ -527,6 +535,7 @@ fn compile_rule(
         body_of_step: order.into(),
         head_ready_depth: hrd,
         tc,
+        existential: head_input,
     }
 }
 

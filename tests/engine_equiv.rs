@@ -21,7 +21,10 @@ use selprop_core::workload;
 use selprop_datalog::db::Tuple;
 use selprop_datalog::eval::{self, EvalStats, Strategy};
 use selprop_datalog::reference;
-use selprop_datalog::{CompactionPolicy, Database, Materialization, OrderMode, Pred, Program};
+use selprop_datalog::{
+    CompactionPolicy, Database, Materialization, OrderMode, Pred, Program, QueryCache, RuleId,
+    Term, UpdateRound,
+};
 
 /// Sorted `(pred, sorted tuples)` view of the IDB model, keyed by
 /// predicate id for a stable comparison.
@@ -139,6 +142,183 @@ fn work_counters_are_pinned_on_the_gallery() {
             assert_eq!(got, want, "{name} (magic: {magic}) {order:?}");
         }
     }
+}
+
+/// `[join_probes, rule_firings, tuples_derived, dred_reads, rows
+/// appended]` one round spent.
+type RoundCost = [u64; 5];
+
+/// The retract script on a maintained store of `program` over `db`, and
+/// what each of its rounds spent: retract every third EDB fact; drop
+/// rule 0; re-add rule 0 and retract the next third in the same round —
+/// the round whose seeding pass re-derives tuples the retraction
+/// over-deletes before the rescue reaches them. Compaction is off, so
+/// row counts only grow. The store is checked against the specification
+/// after every round.
+fn retract_script(program: &Program, db: &Database, order: OrderMode) -> [RoundCost; 3] {
+    let mut m = Materialization::from_database_with(program, db, Strategy::SemiNaive, order);
+    m.set_compaction_policy(None);
+    let facts: Vec<(Pred, Tuple)> = db
+        .sorted_models()
+        .into_iter()
+        .flat_map(|(pred, rows)| rows.into_iter().map(move |t| (pred, t)))
+        .collect();
+    let third = |k: usize| facts.iter().skip(k).step_by(3).cloned().collect::<Vec<_>>();
+    let rounds = [
+        UpdateRound { retracts: third(0), ..UpdateRound::new() },
+        UpdateRound::new().drop_rule(RuleId(0)),
+        UpdateRound { retracts: third(1), ..UpdateRound::new().add_rule(program.rules[0].clone()) },
+    ];
+    let mut without_rule_0 = program.clone();
+    without_rule_0.rules.remove(0);
+    let mut edb = db.clone();
+    rounds.map(|round| {
+        let (stats, reads, rows) = (m.stats(), m.dred_reads(), m.mem_stats().total_rows);
+        m.apply(&round);
+        for (pred, t) in &round.retracts {
+            edb.remove(*pred, t);
+        }
+        let rules = if round.rule_drops.is_empty() { program } else { &without_rule_0 };
+        assert_at_fixpoint_over(&m, rules, &edb, "retract script");
+        let after = m.stats();
+        [
+            after.join_probes - stats.join_probes,
+            after.rule_firings - stats.rule_firings,
+            after.tuples_derived - stats.tuples_derived,
+            m.dred_reads() - reads,
+            (m.mem_stats().total_rows - rows) as u64,
+        ]
+    })
+}
+
+/// What [`retract_script`] spends per round on the inputs of [`PINNED`],
+/// under `OrderMode::Planned`, then `OrderMode::Shuffled(5)`. The
+/// rescue's probes are in the first column: a change to how a rescue
+/// searches, or to which candidates it searches, moves them. A change
+/// that moves a count edits this table and says why.
+#[rustfmt::skip]
+const PINNED_RETRACT: [(&str, bool, [RoundCost; 3], [RoundCost; 3]); 18] = [
+    ("program_a", false, [[133, 6, 6, 60, 6], [68, 0, 0, 19, 0], [8, 6, 6, 25, 6]],
+        [[134, 6, 6, 60, 6], [68, 0, 0, 20, 0], [8, 6, 6, 25, 6]]),
+    ("program_a", true, [[14, 1, 1, 4, 1], [14, 0, 0, 4, 0], [2, 0, 0, 2, 0]],
+        [[18, 1, 1, 4, 1], [8, 0, 0, 4, 0], [7, 0, 0, 2, 0]]),
+    ("program_b", false, [[136, 5, 5, 53, 5], [62, 0, 0, 20, 0], [8, 6, 6, 31, 6]],
+        [[159, 5, 5, 53, 5], [27, 0, 0, 20, 0], [8, 6, 6, 31, 6]]),
+    ("program_b", true, [[95, 3, 3, 41, 3], [40, 0, 0, 16, 0], [7, 0, 0, 37, 0]],
+        [[97, 3, 3, 40, 3], [40, 0, 0, 14, 0], [12, 0, 0, 37, 0]]),
+    ("program_c", false, [[175, 6, 6, 59, 6], [27, 0, 0, 46, 0], [15, 6, 6, 7, 6]],
+        [[165, 5, 5, 58, 5], [27, 0, 0, 45, 0], [15, 6, 6, 7, 6]]),
+    ("program_c", true, [[105, 2, 2, 47, 2], [22, 0, 0, 49, 0], [2, 0, 0, 3, 0]],
+        [[111, 2, 2, 46, 2], [25, 0, 0, 50, 0], [2, 0, 0, 3, 0]]),
+    ("balanced", false, [[49, 2, 2, 13, 2], [32, 0, 0, 2, 0], [5, 1, 1, 9, 1]],
+        [[60, 2, 2, 13, 2], [43, 0, 0, 2, 0], [5, 1, 1, 9, 1]]),
+    ("balanced", true, [[44, 0, 0, 28, 0], [0, 0, 0, 0, 0], [2, 0, 0, 9, 0]],
+        [[51, 0, 0, 28, 0], [0, 0, 0, 0, 0], [4, 0, 0, 9, 0]]),
+    ("cycle_program", false, [[133, 6, 6, 60, 6], [68, 0, 0, 19, 0], [8, 6, 6, 25, 6]],
+        [[134, 6, 6, 60, 6], [68, 0, 0, 20, 0], [8, 6, 6, 25, 6]]),
+    ("finite_two_words", false, [[21, 1, 1, 9, 1], [12, 0, 0, 0, 0], [9, 2, 2, 7, 2]],
+        [[18, 1, 1, 9, 1], [8, 0, 0, 0, 0], [13, 2, 2, 7, 2]]),
+    ("finite_two_words", true, [[6, 0, 0, 3, 0], [0, 0, 0, 0, 0], [2, 0, 0, 0, 0]],
+        [[8, 0, 0, 3, 0], [0, 0, 0, 0, 0], [2, 0, 0, 0, 0]]),
+    ("finite_diagonal", false, [[144, 6, 6, 47, 6], [42, 7, 7, 0, 7], [41, 5, 5, 60, 5]],
+        [[145, 6, 6, 47, 6], [51, 7, 7, 0, 7], [50, 5, 5, 60, 5]]),
+    ("b1_b2star", false, [[23, 0, 0, 10, 0], [25, 0, 0, 5, 0], [6, 3, 3, 6, 3]],
+        [[29, 1, 1, 11, 1], [25, 0, 0, 5, 0], [6, 3, 3, 6, 3]]),
+    ("b1_b2star", true, [[15, 0, 0, 4, 0], [0, 0, 0, 0, 0], [2, 0, 0, 1, 0]],
+        [[9, 0, 0, 4, 0], [0, 0, 0, 0, 0], [3, 0, 0, 1, 0]]),
+    ("even_paths", false, [[281, 12, 12, 78, 12], [112, 0, 0, 19, 0], [10, 1, 1, 61, 1]],
+        [[293, 12, 12, 78, 12], [66, 0, 0, 19, 0], [10, 1, 1, 61, 1]]),
+    ("even_paths", true, [[36, 2, 2, 7, 2], [20, 0, 0, 3, 0], [2, 0, 0, 7, 0]],
+        [[49, 2, 2, 7, 2], [20, 0, 0, 3, 0], [8, 0, 0, 7, 0]]),
+    ("palindromic", false, [[279, 3, 3, 45, 3], [90, 0, 0, 8, 0], [41, 0, 0, 47, 0]],
+        [[326, 4, 4, 48, 4], [80, 0, 0, 8, 0], [39, 0, 0, 47, 0]]),
+    ("palindromic", true, [[183, 0, 0, 71, 0], [0, 0, 0, 0, 0], [2, 0, 0, 33, 0]],
+        [[263, 0, 0, 71, 0], [0, 0, 0, 0, 0], [2, 0, 0, 33, 0]]),
+];
+
+#[test]
+fn retract_counters_are_pinned_on_the_gallery() {
+    let mut row = 0;
+    for entry in gallery() {
+        let original = entry.chain().program;
+        let magic = selprop_datalog::magic::magic_transform(&original).ok();
+        for (is_magic, mut program) in
+            std::iter::once((false, original)).chain(magic.map(|m| (true, m.program)))
+        {
+            let (name, pinned_magic, planned, shuffled) = PINNED_RETRACT[row];
+            assert_eq!((entry.name, is_magic), (name, pinned_magic), "table order");
+            let db = build_db(&mut program, 0, 12, 1);
+            for (order, want) in [(OrderMode::Planned, planned), (OrderMode::Shuffled(5), shuffled)]
+            {
+                let got = retract_script(&program, &db, order);
+                assert_eq!(got, want, "{name} (magic: {is_magic}) {order:?}");
+            }
+            row += 1;
+        }
+    }
+    assert_eq!(row, PINNED_RETRACT.len(), "one pinned row per program");
+}
+
+/// [`cache_retract_script`]'s counts: the first round rescues inside
+/// the views' template stores, the other two start them over.
+#[test]
+fn cache_retract_counters_are_pinned_on_program_a() {
+    let want = [[64, 1, 1, 21], [-130, -22, -22, -21], [14, 2, 2, 0]];
+    assert_eq!(cache_retract_script(), want);
+}
+
+/// The retract script's rounds on a base store of program A, each
+/// followed by a query of four views (`anc(root, Y)`, `anc(v1, Y)`,
+/// `anc(v2, Y)`, `anc(v3, Y)`) that syncs them; per round, what the
+/// cache's template stores spent, `[join_probes, rule_firings,
+/// tuples_derived, retract_reads]`. A rule change drops the stores and
+/// their counts with them, so a delta may be negative.
+fn cache_retract_script() -> [[i64; 4]; 3] {
+    let entry = gallery().into_iter().find(|e| e.name == "program_a").expect("in the gallery");
+    let mut program = entry.chain().program;
+    let db = build_db(&mut program, 0, 12, 1);
+    let goals: Vec<_> = ["v1", "v2", "v3"]
+        .iter()
+        .map(|v| program.symbols.constant(v))
+        .fold(vec![program.goal.clone()], |mut goals, c| {
+            let mut g = program.goal.clone();
+            g.args[0] = Term::Const(c);
+            goals.push(g);
+            goals
+        });
+    let mut base = Materialization::from_database(&program, &db, Strategy::SemiNaive);
+    base.set_compaction_policy(None);
+    let mut cache = QueryCache::new(&program);
+    for g in &goals {
+        cache.query(&mut base, g);
+    }
+    assert_eq!(cache.stats().views, 4);
+    let facts: Vec<(Pred, Tuple)> = db
+        .sorted_models()
+        .into_iter()
+        .flat_map(|(pred, rows)| rows.into_iter().map(move |t| (pred, t)))
+        .collect();
+    let third = |k: usize| facts.iter().skip(k).step_by(3).cloned().collect::<Vec<_>>();
+    let rounds = [
+        UpdateRound { retracts: third(0), ..UpdateRound::new() },
+        UpdateRound::new().drop_rule(RuleId(0)),
+        UpdateRound { retracts: third(1), ..UpdateRound::new().add_rule(program.rules[0].clone()) },
+    ];
+    rounds.map(|round| {
+        let (before, reads) = (cache.eval_stats(), cache.retract_reads());
+        base.apply(&round);
+        for g in &goals {
+            assert_eq!(cache.query(&mut base, g).sorted(), base.answer_goal(g).sorted());
+        }
+        let after = cache.eval_stats();
+        let delta = |a: u64, b: u64| a as i64 - b as i64;
+        [
+            delta(after.join_probes, before.join_probes),
+            delta(after.rule_firings, before.rule_firings),
+            delta(after.tuples_derived, before.tuples_derived),
+            delta(cache.retract_reads(), reads),
+        ]
+    })
 }
 
 /// The provenance contract, asserted on one `(program, db)` pair:

@@ -216,6 +216,34 @@ fn retracting_a_chain_costs_at_most_four_times_the_probes_of_inserting_it() {
     );
 }
 
+/// A rescue asks whether its candidate is derivable, and stops at the
+/// first derivation. `p(a)` has `k` of them, `e(a, y_i), f(y_i)`, and
+/// loses the one it is recorded through. Its rescue probes `e` on `a`
+/// once (depth 0), skips the dead row and probes the dedup table of `f`
+/// for the next `e` row, which answers: 2 probes at every `k`. A search
+/// that went on would probe `f` once per live `e` row, `1 + (k - 1)`.
+#[test]
+fn a_rescue_stops_at_its_first_derivation() {
+    for k in [2usize, 16, 128] {
+        let mut p = parse_program("?- p(X).\np(X) :- e(X, Y), f(Y).").unwrap();
+        let [pp, e, f] = ["p", "e", "f"].map(|n| p.symbols.get_predicate(n).unwrap());
+        let a = p.symbols.constant("a");
+        let mut db = selprop_datalog::Database::new();
+        for i in 0..k {
+            let y = p.symbols.constant(&format!("y{i}"));
+            db.insert(e, vec![a, y]);
+            db.insert(f, vec![y]);
+        }
+        let mut m = Materialization::from_database(&p, &db, Strategy::SemiNaive);
+        let p_a = GroundAtom { pred: pp, args: vec![a] };
+        let recorded = m.provenance().justification(&p_a).expect("p(a) derived").1[0].clone();
+        let before = m.stats();
+        assert_eq!(m.retract_facts(e, &[recorded.args]), 1);
+        assert_eq!(spent(before, m.stats()), (2, 1, 1), "k = {k}: (probes, firings, derived)");
+        assert_eq!(m.num_facts(pp), 1, "k = {k}: p(a) is rescued");
+    }
+}
+
 /// `noise_serve`'s shape: Section 7's program over `layered_b1_b2(20,
 /// n)`, views on the root, along the `b1`-chain and in the noise. A
 /// round of 64 fresh `b1`/`b2` pairs — relevant to no view — costs the
