@@ -1480,11 +1480,11 @@ mod tests {
     }
 
     /// Every index a view will ever probe is registered when its
-    /// template is linked — and the non-lead plans add none to the base
-    /// beyond what views always needed. On program A the first query
-    /// registers `par[1]`: the view's re-derivation plan enters
-    /// `anc(x, y)` through `par(Z, y)`, the atom with the small fan-in,
-    /// and tests `anc(x, z)` and `par(x, y)` against the dedup tables,
+    /// template is linked — and the base's plans, one per body atom, add
+    /// none to the base beyond what views always needed. On program A
+    /// the first query registers `par[1]`: the view's re-derivation plan
+    /// enters `anc(x, y)` through `par(Z, y)`, the atom with the small
+    /// fan-in, and tests `anc(x, z)` and `par(x, y)` against the dedup tables,
     /// which need no index. On Section 7 it registers `b1[0]` (the
     /// view's plans probe `b1` behind the magic guard) and
     /// `b2[1]` (the rescue of the recursive rule reaches `p(X1, Y1)`

@@ -487,7 +487,7 @@ mod tests {
             ),
             (
                 "?- anc(john, Y).\nanc(X, Y) :- par(X, Y).\nanc(X, Y) :- anc(X, Z), anc(Z, Y).",
-                [6, 45, 45, 201],
+                [6, 45, 45, 101],
             ),
             (
                 "?- p(X, X).\np(X, Y) :- par(X, Y).\np(X, Y) :- p(X, Z), par(Z, Y).",

@@ -28,16 +28,17 @@
 //!   **semi-naive** and **parallel semi-naive** bottom-up fixpoints
 //!   (work counters power the experiment harness). Batch evaluation is
 //!   a special case of the incremental engine: the entry points are
-//!   thin wrappers that build a materialization, run one fixpoint and
-//!   read the result out. Of [`eval::EvalStats`], iterations, firings
+//!   thin wrappers that build a materialization, run its first round to
+//!   fixpoint and read the result out. Of [`eval::EvalStats`], iterations, firings
 //!   and derived tuples equal the specification's under every strategy,
 //!   order and thread count; join probes, the plan's own, are pinned on
 //!   fixed inputs;
 //! - [`plan`] — compiled join plans and the **cost-based join
 //!   planner**: one plan per (rule, body atom), that atom first and
 //!   the rest selectivity-ordered, so an update round costs O(|Δ| +
-//!   derivations); a build runs each rule's lead plan, the one the
-//!   greedy order starts with; staged-head existence pruning, and
+//!   derivations); a build is the first update round, whose seeding
+//!   pass enters each rule through the atom the greedy order starts
+//!   with; staged-head existence pruning, and
 //!   structural recognition of the transitive-closure shape for the
 //!   specialized kernel. Plans are static — compiled where a store is
 //!   built, a rule added or a snapshot restored; one planning entry

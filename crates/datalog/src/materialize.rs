@@ -9,10 +9,10 @@
 //!   resumes semi-naive evaluation with those rows as the next delta —
 //!   semi-naive *is* an incremental algorithm, so an update costs work
 //!   proportional to the delta and its new derivations, not the store.
-//!   The first update round treats every body atom over a grown
-//!   relation (EDB included) as a delta position and runs it through
-//!   the rule's plan that atom leads ([`crate::plan`]), under the "last
-//!   delta occurrence" convention in rule-text order.
+//!   Every round treats every body atom over a grown relation (EDB
+//!   included) as a delta position and runs it through the rule's plan
+//!   that atom leads ([`crate::plan`]), under the "last delta
+//!   occurrence" convention in rule-text order.
 //! - [`Materialization::retract_facts`] removes EDB rows by
 //!   **delete–rederive** (DRed): tombstone the rows
 //!   ([`ColumnarRelation::tombstone`]), over-delete every derived row
@@ -33,9 +33,10 @@
 //!   retraction. Rule ids ([`RuleId`]) are stable plan slots, never
 //!   reused.
 //! - Batch evaluation is a *special case*: `eval::evaluate` builds a
-//!   materialization, bulk-loads the database, runs to fixpoint once and
-//!   reads the result out — same struct, same round items, same join
-//!   code, same counters; a build runs each item on the rule's lead plan.
+//!   materialization, loads the database as settled rows, seeds every
+//!   rule as a round adds one, resumes to fixpoint and reads the result
+//!   out — same struct, same rounds, same plans, same join code, same
+//!   counters. A build is the first update round.
 //!
 //! Every store a public constructor builds, and every decoded snapshot,
 //! records justifications (one per derived row, exactly as
@@ -80,7 +81,7 @@ mod join;
 mod template;
 pub use compact::{CompactionPolicy, MemStats};
 use dred::RevIndex;
-use join::{Delta, Pass, PendingTuples, Scratch};
+use fixpoint::Staging;
 pub(crate) use template::ExtLinks;
 
 /// Per-relation justification store: one packed `[rule, body row ids...]`
@@ -277,19 +278,14 @@ pub struct PlannerReport {
 pub struct Materialization {
     rels: Vec<ColumnarRelation>,
     idxs: Vec<IncrementalIndex>,
-    /// Per rule slot: its plans, `[k]` led by body atom `k` and run by
-    /// update rounds for the item `(rule, k)` — every atom's in a store
-    /// that can take an update, the lead plan alone in the one-shot
-    /// store `eval` builds without recording, which must not pay for
-    /// update-only indexes. Every plan of a slot has the same
+    /// Per rule slot: its plans, `[k]` led by body atom `k` and run for
+    /// the item `(rule, k)` of every round, and by a seeding pass that
+    /// enters through atom `k`. Every plan of a slot has the same
     /// `body_rels`, and `[0]` always exists. Static: compiled by
     /// `compile_plans`, never revised; behind an `Arc`, so cloning a
     /// store never deep-copies them (only a rule add ever writes,
     /// through `Arc::make_mut`).
     plans: Arc<Vec<Vec<RulePlan>>>,
-    /// Per rule slot: which of its plans is the **lead plan**, run by
-    /// every round of a build and by added-rule seeding.
-    lead: Vec<usize>,
     /// Dense relation ids of the program's IDB predicates.
     idb_rels: Vec<usize>,
     /// Per relation: whether it is an IDB of the program.
@@ -383,7 +379,7 @@ impl Materialization {
     }
 
     /// Materializes `program` over `db`: bulk-loads the EDB facts and
-    /// runs the batch fixpoint once — the exact code path of
+    /// runs them to fixpoint once — the exact code path of
     /// [`crate::eval::evaluate`] — then stands ready to absorb updates.
     /// Justifications are recorded, so retraction is available.
     pub fn from_database(program: &Program, db: &Database, strategy: Strategy) -> Self {
@@ -406,6 +402,9 @@ impl Materialization {
     /// The batch entry point the thin `eval` wrappers use: `record`
     /// selects justification recording (off for plain `evaluate`, whose
     /// callers immediately read the result out and drop the state).
+    /// The build is the store's first update round: the loaded EDB is
+    /// settled, every rule is seeded as an added one is, and the resume
+    /// runs every later round exactly as an update's.
     pub(crate) fn batch(
         program: &Program,
         db: &Database,
@@ -414,7 +413,9 @@ impl Materialization {
         order: OrderMode,
     ) -> Self {
         let mut m = Self::build(program, db, strategy, record, order, None);
-        m.run_fixpoint(true);
+        let mut staging = Staging::default();
+        m.seed_rules(0, &mut staging);
+        m.run_fixpoint(&mut staging);
         m
     }
 
@@ -434,7 +435,6 @@ impl Materialization {
             rels: Vec::new(),
             idxs: Vec::new(),
             plans: Arc::default(),
-            lead: Vec::new(),
             idb_rels: Vec::new(),
             idb_flag: Vec::new(),
             pred_of_rel: Vec::new(),
@@ -487,9 +487,10 @@ impl Materialization {
             }
         }
 
-        // Load EDB facts. Facts the database holds for IDB predicates are
-        // ignored, exactly as in the reference evaluator (IDB body atoms
-        // only ever read the derived snapshots).
+        // Load EDB facts as settled rows: below the watermarks, like the
+        // facts of a store at fixpoint. Facts the database holds for IDB
+        // predicates are ignored, exactly as in the reference evaluator
+        // (IDB body atoms only ever read the derived snapshots).
         for (p, r) in db.iter() {
             if idbs.contains(&p) {
                 continue;
@@ -502,18 +503,18 @@ impl Materialization {
                 for t in r.iter() {
                     m.rels[rid].insert(t);
                 }
+                m.old_hi[rid] = m.rels[rid].num_rows();
             }
         }
 
         // Plan + compile rules; register one index per (relation, mask).
         // Cardinalities are the live row counts after the EDB load (IDB
-        // relations are still empty). A recording store is a maintained
-        // one: every plan's indexes are registered now, so the initial
-        // fixpoint fills them and no update round ever has to.
+        // relations are still empty). Every plan's indexes are registered
+        // now, and the first round that probes one fills it.
         m.planned_card = m.rels.iter().map(|r| r.num_live() as u64).collect();
         m.rules = program.rules.clone();
         m.rule_active = vec![true; m.rules.len()];
-        m.compile_plans(order_by, record);
+        m.compile_plans(order_by);
         m
     }
 
@@ -525,28 +526,24 @@ impl Materialization {
 
     /// Compiles the plans of every rule slot that has none yet (all of
     /// them at construction and restore, the new slot after a rule add)
-    /// under the persisted build-time cardinalities, registering the
-    /// indexes they probe: every body atom's plan, or with `every_atom`
-    /// off the lead plan alone. `order_by` as in
+    /// under the persisted build-time cardinalities, one per body atom,
+    /// registering the indexes they probe. `order_by` as in
     /// [`Materialization::build`].
-    fn compile_plans(&mut self, order_by: Option<&[Rule]>, every_atom: bool) {
+    fn compile_plans(&mut self, order_by: Option<&[Rule]>) {
         let (rel_of_pred, planned_card) = (&self.rel_of_pred, &self.planned_card);
         let mut card = |p: Pred| rel_of_pred.get(&p).map_or(0, |&r| planned_card[r]);
         let plans = Arc::make_mut(&mut self.plans);
         for (i, rule) in self.rules.iter().enumerate().skip(plans.len()) {
-            let (lead, compiled) = plan_rule(
+            plans.push(plan_rule(
                 rule,
                 order_by.map_or(rule, |o| &o[i]),
                 i,
-                every_atom,
                 rel_of_pred,
                 &mut self.idxs,
                 &mut self.idx_of,
                 self.order,
                 &mut card,
-            );
-            plans.push(compiled);
-            self.lead.push(lead);
+            ));
         }
     }
 
@@ -751,7 +748,9 @@ impl Materialization {
     /// 4. **Inserts** append novel EDB rows — into the delta range, the
     ///    watermarks still sit at the old fixpoint.
     /// 5. Added rules **seed** their deltas with one full-range
-    ///    evaluation pass each over the settled store.
+    ///    evaluation pass each over the settled store, entering through
+    ///    the atom the planner picks first — as every rule of a build is
+    ///    seeded.
     /// 6. Over-deleted candidates are **rescued** by goal-directed
     ///    one-step re-derivation against the surviving active rules
     ///    (added rules participate, dropped rules don't). Each rule's
@@ -876,15 +875,9 @@ impl Materialization {
         // store. The merged rows also land in the delta ranges, so the
         // final resume chains everything — a second added rule reading
         // the first one's head catches up there.
+        let mut staging = Staging::default();
         if first_new_plan < self.plans.len() {
-            self.extend_indexes();
-            let mut scratch = Scratch::default();
-            let mut pending = PendingTuples::default();
-            for rule in first_new_plan..self.plans.len() {
-                let pass = Pass { rule, plan: self.lead[rule], delta: Delta::Full };
-                self.eval_rule(pass, &mut scratch, &mut pending);
-            }
-            self.merge_pending(&mut pending);
+            self.seed_rules(first_new_plan, &mut staging);
         }
 
         // 6. Rescue: re-derive over-deleted survivors from the remaining
@@ -895,7 +888,7 @@ impl Materialization {
 
         // 7. Propagate every delta — inserted, seeded and rescued rows —
         // through the normal update machinery to the new fixpoint.
-        self.run_fixpoint(false);
+        self.run_fixpoint(&mut staging);
 
         // Plain (non-serving) stores compact themselves at fixpoint when
         // the policy trips. In epoch mode (`epoch > 0`) the server owns
@@ -964,7 +957,7 @@ impl Materialization {
         }
         self.rules.push(rule.clone());
         self.rule_active.push(true);
-        self.compile_plans(None, true);
+        self.compile_plans(None);
         if self.rederive.is_some() {
             self.ensure_rederive_plans(None);
         }

@@ -9,7 +9,7 @@ use crate::ast::{Atom, Const, Pred, Rule, Term, Var};
 use crate::eval::{EvalStats, Strategy};
 use crate::hash::FxHashMap;
 use crate::persist::{self, Dec, Enc, PersistError};
-use crate::plan::{OrderMode, NO_INDEX};
+use crate::plan::OrderMode;
 use crate::storage::ColumnarRelation;
 use std::path::Path;
 use std::sync::Arc;
@@ -47,9 +47,11 @@ impl Materialization {
     /// 8. **Compaction policy** — presence `u8`, then `min_dead_rows u64`,
     ///    `dead_percent u32`.
     /// 9. **Planner** — order mode tag `u8` (1 planned, 2 shuffled + its
-    ///    `u64` seed), then per rule slot the lead plan's body permutation
-    ///    (count + `u32` step depth of each body atom; checked to be one on
-    ///    restore, never compiled from), then the per-relation build-time
+    ///    `u64` seed), then per rule slot a body permutation (count +
+    ///    `u32` step depth of each body atom; checked to be one on
+    ///    restore, never compiled from) — written from plan `[0]`, the
+    ///    one body atom 0 leads; older files hold the greedy order there,
+    ///    and read the same — then the per-relation build-time
     ///    cardinalities (count + `u64`s) every plan breaks ties by.
     /// 10. **Relations** — count, then per dense relation id: predicate
     ///     `u32`, IDB flag `u8`, arity `u64`, row count `u64`, watermark
@@ -66,10 +68,11 @@ impl Materialization {
     /// Deliberately **not** serialized (rebuilt on restore): the dedup
     /// tables (probe-history-dependent slot layout; write-path state, so
     /// the rebuild is deferred to the first mutating round after restore),
-    /// the join indexes and index registry (re-hashed from the rows,
-    /// frozen posting segments included — the lead plans' at restore, the
-    /// ones only other plans probe at the first round or view link that
-    /// needs them), compiled plans and re-derivation plans (recompiled
+    /// the join indexes and index registry (registered at restore, and
+    /// re-hashed from the rows, frozen posting segments included, by the
+    /// first round or view link that needs them, so a restored store that
+    /// only serves reads never pays for them), compiled plans and
+    /// re-derivation plans (recompiled
     /// from the rules, the order mode and the persisted cardinalities,
     /// as construction compiled them), and the reverse dependency index
     /// (lazy). Restore therefore returns at the exact persisted fixpoint
@@ -137,10 +140,10 @@ impl Materialization {
                 e.u64(seed);
             }
         }
-        // Per-rule body permutation of the lead plan (the step depth of
-        // each original body atom).
-        for (plans, &lead) in self.plans.iter().zip(&self.lead) {
-            let sob: Vec<u32> = plans[lead].step_of_body.iter().map(|&d| d as u32).collect();
+        // Per-rule body permutation of plan 0 (the step depth of each
+        // original body atom).
+        for plans in self.plans.iter() {
+            let sob: Vec<u32> = plans[0].step_of_body.iter().map(|&d| d as u32).collect();
             e.u32s(&sob);
         }
         // The build-time cardinalities every plan breaks ties by, so a
@@ -258,9 +261,9 @@ impl Materialization {
             2 => OrderMode::Shuffled(d.u64()?),
             _ => return Err(PersistError::Corrupt("unknown order-mode tag")),
         };
-        // Per-rule lead-plan permutations: checked, not compiled from —
-        // the plans are recompiled below from what construction
-        // compiled them from.
+        // Per-rule body permutations: checked, not compiled from — the
+        // plans are recompiled below from what construction compiled
+        // them from.
         for rule in &rules {
             let sob = d.u32s()?;
             if sob.len() != rule.body.len() {
@@ -430,7 +433,6 @@ impl Materialization {
             rels,
             idxs: Vec::new(),
             plans: Arc::default(),
-            lead: Vec::new(),
             idb_rels,
             idb_flag,
             pred_of_rel,
@@ -461,18 +463,11 @@ impl Materialization {
             tc_rows: 0,
         };
         // The plans, from the inputs construction compiled them from:
-        // rules, order mode, persisted build-time cardinalities. The lead
-        // plans' indexes are filled now, as a build filled them; those
-        // only the other plans probe are write-path state, like the dedup
-        // tables: registered here, so that a view can link them, and
-        // filled by the first round (or view link) that needs them — a
-        // restored store that only serves reads never pays for them.
-        m.compile_plans(None, true);
-        for (plans, &lead) in m.plans.iter().zip(&m.lead) {
-            for step in plans[lead].steps.iter().filter(|s| s.idx != NO_INDEX) {
-                m.idxs[step.idx].extend(&m.rels[step.rel]);
-            }
-        }
+        // rules, order mode, persisted build-time cardinalities. Their
+        // indexes are write-path state, like the dedup tables: registered
+        // here, so that a view can link them, and filled by the first
+        // round (or view link) that needs them.
+        m.compile_plans(None);
         // A store that had ever over-deleted carried a reverse index;
         // rebuild it now (live justifications only) so the restored
         // store is behaviorally identical — same O(affected) retracts,

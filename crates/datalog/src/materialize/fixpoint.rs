@@ -1,7 +1,7 @@
-//! The fixpoint loop behind both a build and an update: rounds of join
-//! passes over the frozen store, each followed by one deterministic
-//! merge. The two differ only in which of a rule's plans runs an item
-//! (its lead plan, or the plan its delta atom leads). Under
+//! The fixpoint loop behind both a build and an update: a seeding round
+//! for rules that have not run yet, then rounds of join passes over the
+//! frozen store, each item on the plan its delta atom leads and each
+//! round followed by one deterministic merge. Under
 //! [`Strategy::SemiNaiveParallel`] a round's join passes are sharded
 //! over one [`std::thread::scope`] — threads live for a round, and a
 //! round with a single task starts none. `BENCHMARK.json`:
@@ -10,29 +10,61 @@
 
 use super::join::{snapshot_range, Counters, Delta, Pass, PendingTuples, Scratch, ShardTask};
 use super::Materialization;
+use crate::ast::Pred;
 use crate::eval::{Strategy, OVERSHARD};
 use crate::hash::FxHashMap;
+use crate::plan::seed_atom;
 use crate::storage::shard_ranges;
 use std::sync::Mutex;
 
+/// The scratch space and staging buffer of the passes that run inline,
+/// shared by the rounds of one build or update, its seeding round
+/// included: they keep the capacity the largest round grew them to.
+#[derive(Default)]
+pub(super) struct Staging {
+    scratch: Scratch,
+    pending: PendingTuples,
+}
+
 impl Materialization {
-    /// Runs rounds to fixpoint. A round extends the indexes over the
-    /// rows the last merge made visible, evaluates its items against
-    /// the frozen store, advances the watermarks and merges what was
-    /// staged — the next round's delta. The loop ends on a round that
-    /// appends nothing, so on exit every watermark sits at the store
-    /// length: the next update resumes from "everything is old".
-    ///
-    /// Both take their items from [`Materialization::round_items`]; a
-    /// **build** (construction) counts every round, an **update** stops,
-    /// uncounted, once there are none.
+    /// Seeds rule slots `from..` — every rule of a build, the added ones
+    /// of an update — in one counted round: one `Delta::Full` pass per
+    /// rule over the settled store on the plan of the atom [`seed_atom`]
+    /// picks from the rows the store holds now, skipped when that
+    /// relation has no live rows (an empty body runs its one plan).
+    pub(super) fn seed_rules(&mut self, from: usize, staging: &mut Staging) {
+        self.stats.iterations += 1;
+        self.extend_indexes();
+        let Staging { scratch, pending } = staging;
+        for rule in from..self.plans.len() {
+            let mut live = |p: Pred| self.rels[self.rel_of_pred[&p]].num_live() as u64;
+            let plan = match seed_atom(&self.rules[rule], &mut live) {
+                None => 0,
+                Some(k) if live(self.rules[rule].body[k].pred) == 0 => continue,
+                Some(k) => k,
+            };
+            self.eval_rule(Pass { rule, plan, delta: Delta::Full }, scratch, pending);
+        }
+        let appended = self.merge_pending(pending);
+        if appended > 0 {
+            self.profile.push(appended);
+        }
+    }
+
+    /// Runs rounds to fixpoint: while a relation holds rows above its
+    /// watermark — the delta — a round extends the indexes over them,
+    /// evaluates its items against the frozen store, advances the
+    /// watermarks and merges what was staged, the next round's delta.
+    /// The loop ends after a round that appends nothing, counted as the
+    /// specification counts it, so on exit every watermark sits at the
+    /// store length: the next update resumes from "everything is old".
     ///
     /// Items run inline under the sequential strategies, sharded over
     /// scoped threads otherwise ([`Materialization::eval_sharded`]); the
     /// staged rows merge in the inline staging order either way, so row
     /// ids, justifications and [`crate::eval::EvalStats`] are identical
     /// at every thread count.
-    pub(super) fn run_fixpoint(&mut self, build: bool) {
+    pub(super) fn run_fixpoint(&mut self, staging: &mut Staging) {
         let threads = match self.strategy {
             Strategy::SemiNaiveParallel { threads } if threads >= 2 => threads,
             _ => 1,
@@ -40,23 +72,14 @@ impl Materialization {
         // Recycled task slots: merged-out staging buffers and scratch
         // space return here and are reused next round.
         let mut spare: Vec<ShardTask> = Vec::new();
-        let mut scratch = Scratch::default();
-        let mut pending = PendingTuples::default();
-        let mut first = build;
-        loop {
-            let items = self.round_items(build, first);
-            if !build && items.is_empty() {
-                break;
-            }
+        let Staging { scratch, pending } = staging;
+        while self.rels.iter().zip(&self.old_hi).any(|(rel, &old)| rel.num_rows() > old) {
             self.stats.iterations += 1;
             self.extend_indexes();
-
-            // The first round of a build runs inline at every strategy:
-            // its rules may have empty bodies (no first step to shard),
-            // and a fixpoint that converges on it never pays for threads.
-            let mut tasks = if first || threads == 1 {
+            let items = self.round_items();
+            let mut tasks = if threads == 1 {
                 for &pass in &items {
-                    self.eval_rule(pass, &mut scratch, &mut pending);
+                    self.eval_rule(pass, scratch, pending);
                 }
                 Vec::new()
             } else {
@@ -68,45 +91,33 @@ impl Materialization {
             for r in 0..self.rels.len() {
                 self.old_hi[r] = self.rels[r].num_rows();
             }
-            let mut appended = self.merge_pending(&mut pending);
+            let mut appended = self.merge_pending(pending);
             for t in &mut tasks {
                 appended += self.merge_pending(&mut t.pending);
             }
             spare.append(&mut tasks);
-            if appended == 0 {
-                break;
+            if appended > 0 {
+                self.profile.push(appended);
             }
-            self.profile.push(appended);
-            first = false;
         }
     }
 
     /// The passes of one round, in deterministic `(rule, body position)`
-    /// order. The `first` round of a build fires every rule without IDB
-    /// atoms on its lead plan, every atom reading its whole relation.
-    /// Every other round runs each `(rule, k)` pair whose atom `k`'s
+    /// order: each `(rule, k)` pair of an active rule whose atom `k`'s
     /// relation has unconsumed delta rows — EDB atoms included, which is
     /// how freshly inserted facts (and DRed rescues) enter the join —
-    /// with atom `k` as the delta, under the "last delta occurrence"
-    /// convention in rule-text order: on the rule's lead plan in a
-    /// `build`, on the plan atom `k` leads in an update. After the first
-    /// round the EDB deltas are consumed and the loop is ordinary
-    /// semi-naive over the derived deltas. Dropped rules never fire
-    /// again.
-    fn round_items(&self, build: bool, first: bool) -> Vec<Pass> {
+    /// on the plan atom `k` leads, with atom `k` as the delta under the
+    /// "last delta occurrence" convention in rule-text order. Dropped
+    /// rules never fire again.
+    fn round_items(&self) -> Vec<Pass> {
         let mut items = Vec::new();
         for (rule, plans) in self.plans.iter().enumerate() {
-            let (body_rels, lead) = (&plans[0].body_rels, self.lead[rule]);
-            if first {
-                if body_rels.iter().all(|&r| !self.idb_flag[r]) {
-                    items.push(Pass { rule, plan: lead, delta: Delta::Full });
-                }
-            } else if self.rule_active[rule] {
-                for (k, &rel) in body_rels.iter().enumerate() {
-                    if self.rels[rel].num_rows() > self.old_hi[rel] {
-                        let plan = if build { lead } else { k };
-                        items.push(Pass { rule, plan, delta: Delta::Atom(k) });
-                    }
+            if !self.rule_active[rule] {
+                continue;
+            }
+            for (k, &rel) in plans[0].body_rels.iter().enumerate() {
+                if self.rels[rel].num_rows() > self.old_hi[rel] {
+                    items.push(Pass { rule, plan: k, delta: Delta::Atom(k) });
                 }
             }
         }
@@ -115,11 +126,9 @@ impl Materialization {
 
     /// Evaluates one round's `items` sharded: every item becomes
     /// [`ShardTask`]s that partition its first join step's snapshot
-    /// range — the delta range when the delta leads (every update
-    /// item), the first step's full or old range for a mid-body delta
-    /// (a build's lead plan — E5's shape), so shards partition the
-    /// pre-delta probe work instead of duplicating it. The tasks run
-    /// inside one [`std::thread::scope`]: the calling thread and at most
+    /// range, which is the item's delta: every item runs on the plan its
+    /// delta atom leads. The tasks run inside one
+    /// [`std::thread::scope`]: the calling thread and at most
     /// `threads - 1` spawned workers — never more workers than tasks, so
     /// the one-task rounds of a deep recursion spawn nothing — each pull
     /// the next unstarted task until none is left. Which thread ran a
@@ -202,8 +211,8 @@ impl Materialization {
     /// appended to the head relation's justification store, and — once
     /// the reverse-dependency index exists — one reverse edge per body
     /// position is appended so later retracts stay O(affected). Every
-    /// derived row enters the store here — a round's, an added rule's
-    /// seeding, a DRed rescue's; `compact` and `build_rev_index` only
+    /// derived row enters the store here — a round's, a seeding round's,
+    /// a DRed rescue's; `compact` and `build_rev_index` only
     /// rebuild what it appended.
     pub(super) fn merge_pending(&mut self, pending: &mut PendingTuples) -> u64 {
         let Self { rels, prov, rev, plans, stats, .. } = self;

@@ -163,8 +163,8 @@ pub(super) struct Counters {
 /// with it how every atom's snapshot range is chosen (`snapshot_range`).
 #[derive(Clone, Copy, Debug, Default)]
 pub(super) enum Delta {
-    /// No delta: every atom reads its whole relation (the IDB-free rules
-    /// of a build's first round, seeding an added rule, a rescue).
+    /// No delta: every atom reads its whole relation (a seeding pass —
+    /// of a build's every rule, of an added rule — and a rescue).
     #[default]
     Full,
     /// The delta is at this **body position**; every atom, EDB
@@ -308,10 +308,9 @@ impl JoinCtx<'_> {
 /// positions.
 ///
 /// "Before" is **body position**, whatever order the plan runs the
-/// steps in: a build runs every delta position of a rule on its lead
-/// plan, an update each on its own plan, and by step depth
-/// `anc(X,Z), anc(Z,Y)` with both plans delta-first would read the old
-/// part on both sides and lose every (Δ, Δ) combination.
+/// steps in: every delta position runs on the plan it leads, and by
+/// step depth `anc(X,Z), anc(Z,Y)` — both plans delta-first — would
+/// read the old part on both sides and lose every (Δ, Δ) combination.
 pub(super) fn snapshot_range(
     rels: &[ColumnarRelation],
     old_hi: &[usize],

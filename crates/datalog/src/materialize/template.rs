@@ -37,6 +37,7 @@
 //! between rounds, and a justification keeps addressing base rows by
 //! ids the pass does not move.
 
+use super::fixpoint::Staging;
 use super::{Materialization, RelJust};
 use crate::ast::{Atom, Const, Pred, Program, Rule, Symbols};
 use crate::db::{Database, Relation};
@@ -266,11 +267,9 @@ impl Materialization {
         let mut candidates: Vec<(u32, u32)> = Vec::new();
         self.over_delete(worklist, &mut candidates);
         self.rescue(&candidates);
-        self.run_fixpoint(false);
-        // The last merge of a resume is indexed by the round after it —
-        // which never runs if no rule reads what it appended; readers
-        // go through an index, so close the gap here.
-        self.extend_indexes();
+        // Readers go through an index: the resume's last round, which
+        // appends nothing, indexed every row before it.
+        self.run_fixpoint(&mut Staging::default());
         self.version = self.version.wrapping_add(1);
         self.swap_external(base, links);
         candidates

@@ -32,9 +32,8 @@ fn spec_idb(p: &Program, db: &Database) -> Vec<(Pred, Vec<Tuple>)> {
 /// changes.
 type PlanShape = (Vec<usize>, Vec<(usize, Vec<usize>)>, bool);
 
-/// The shape of every compiled plan — per rule slot which plan leads,
-/// and its plans.
-fn plan_shapes(m: &Materialization) -> Vec<(usize, Vec<PlanShape>)> {
+/// The shape of every compiled plan, per rule slot.
+fn plan_shapes(m: &Materialization) -> Vec<Vec<PlanShape>> {
     let shape = |plan: &RulePlan| {
         let steps = plan
             .steps
@@ -50,13 +49,12 @@ fn plan_shapes(m: &Materialization) -> Vec<(usize, Vec<PlanShape>)> {
             .collect();
         (plan.body_of_step.to_vec(), steps, plan.tc)
     };
-    let slot = |(plans, &lead): (&Vec<RulePlan>, &usize)| (lead, plans.iter().map(shape).collect());
-    m.plans.iter().zip(&m.lead).map(slot).collect()
+    m.plans.iter().map(|plans| plans.iter().map(shape).collect()).collect()
 }
 
 /// Plans are static and a pure function of persisted state: a store
-/// restored mid-stream compiles exactly the live store's plans and
-/// leads (rule adds included) and from then on does
+/// restored mid-stream compiles exactly the live store's plans (rule
+/// adds included) and from then on does
 /// bit-identical work — same row ids, same justifications, same
 /// counters — through inserts, retracts, rule drops and adds, and
 /// the compactions the policy triggers along the way.
@@ -1155,15 +1153,13 @@ fn shuffled_order_compiles_the_plans_the_planner_does_in_another_order() {
     }
 }
 
-/// A one-shot store — what `evaluate` and `answer` build — compiles its
-/// rules' lead plans and registers exactly their indexes: over the
-/// Section 7 magic program, not the reverse `b1[1]` index that only the
-/// plan led by the recursive atom `p_bf(X1, Y1)` probes, and which a
-/// recording store registers. That one index over a large
-/// `b1` is what building through the delta-first plans cost every
-/// one-shot store.
+/// A one-shot store — what `evaluate` and `answer` build — is built as a
+/// recording store is: over the Section 7 magic program it registers
+/// the same `(relation, mask)` set, the reverse `b1[1]` index that the
+/// plan led by the recursive atom `p_bf(X1, Y1)` probes included, runs
+/// the same plans to the same counters, and reaches the same model.
 #[test]
-fn a_one_shot_store_registers_only_its_lead_plans_indexes() {
+fn a_one_shot_store_builds_through_the_plans_a_recording_store_does() {
     let p = parse_program(SRC_S7).unwrap();
     let mut magic = crate::magic::magic_transform(&p).unwrap().program;
     let db = dense_db(&mut magic);
@@ -1175,24 +1171,11 @@ fn a_one_shot_store_registers_only_its_lead_plans_indexes() {
     };
     let one_shot =
         Materialization::batch(&magic, &db, Strategy::SemiNaive, false, OrderMode::Planned);
-    assert!(one_shot.plans.iter().all(|plans| plans.len() == 1), "lead plans only");
-    let mut lead_keys: Vec<(usize, Vec<usize>)> = one_shot
-        .plans
-        .iter()
-        .flat_map(|plans| plans[0].steps.iter().filter(|s| s.idx != NO_INDEX))
-        .map(|s| (s.rel, one_shot.idxs[s.idx].mask().to_vec()))
-        .collect();
-    lead_keys.sort();
-    lead_keys.dedup();
-    assert_eq!(registry(&one_shot), lead_keys);
-    let reverse_b1 = (one_shot.rel_of_pred[&b1], vec![1]);
-    assert!(!lead_keys.contains(&reverse_b1), "{lead_keys:?}");
-
     let recording = Materialization::from_database(&magic, &db, Strategy::SemiNaive);
-    assert!(registry(&recording).contains(&reverse_b1));
-    assert!(lead_keys.iter().all(|k| registry(&recording).contains(k)));
+    assert_eq!(registry(&one_shot), registry(&recording));
+    assert!(registry(&one_shot).contains(&(one_shot.rel_of_pred[&b1], vec![1])));
+    assert_eq!(recording.stats(), one_shot.stats(), "the same plans ran");
     assert_eq!(recording.idb_database().sorted_models(), one_shot.idb_database().sorted_models());
-    assert_eq!(recording.stats(), one_shot.stats(), "the same lead plans ran");
 }
 
 /// The base-side twin of the cache's link test: the first retracting

@@ -14,26 +14,27 @@
 //!   atom `k` **first** and orders the rest greedily, preferring atoms
 //!   with the most bound positions (constants + variables bound by
 //!   earlier steps), breaking ties toward the smaller relation and then
-//!   the original position (`order_body`). An update round runs its
-//!   `(rule, k)` items through plan `k`, so the delta — a handful of
-//!   rows — is scanned at depth 0 and everything else is probed keyed: a
-//!   round costs O(|Δ| + derivations), never a scan of the store.
+//!   the original position (`order_body`). Every round — of a build as
+//!   of an update — runs its `(rule, k)` items through plan `k`, so the
+//!   delta is scanned at depth 0 and everything else is probed keyed: an
+//!   update round costs O(|Δ| + derivations), never a scan of the store.
 //!   Snapshot ranges follow **rule-text order** (atom `j < k` reads the
 //!   full relation, `j > k` its old part — `RulePlan::body_of_step`), so
 //!   any plan of a rule can run any of its items.
-//! - **The lead plan is one of the rule's plans**: the plan of the atom
-//!   the greedy order picks first when nothing is bound — in a build a
-//!   whole relation passes through as delta, so leading with the small
-//!   (magic) relation is right. Every round of a build runs the lead
-//!   plan; a one-shot store compiles nothing else.
-//!   Cardinalities are the row counts after the EDB load
+//! - **A seeding pass enters through the atom the planner picks first**
+//!   (`seed_atom`): the first round of a build, and of a rule add, runs
+//!   each rule once over the whole settled store on the plan of that
+//!   atom — most constants, then the fewest rows the store holds when
+//!   the pass runs, then the text position — and not at all when that
+//!   relation is empty, as a magic relation is before its seed.
+//!   Plan cardinalities are the row counts after the EDB load
 //!   ([`crate::storage::ColumnarRelation::num_live`]), persisted, so the
 //!   same program and database always compile the same plans. All plans
 //!   are **static**: compiled where the store is built (or a rule is
 //!   added, or a snapshot restored — from the persisted cardinalities, so
 //!   a restored store does identical work) and never revised; every index
-//!   an update will ever probe is registered up front and filled by the
-//!   initial fixpoint.
+//!   a round will ever probe is registered up front, and filled by the
+//!   first round that needs it.
 //! - **Selectivity-ordered rescue plans** (`plan_rescue`): the DRed
 //!   rescue of an over-deleted row runs the rule body with the head
 //!   bound, entering through the atom with the smallest fan-in
@@ -82,8 +83,8 @@ pub(crate) const NO_INDEX: usize = usize::MAX;
 /// How the planner orders rule bodies: the one setting of a
 /// [`crate::materialize::Materialization`], fixed at construction and
 /// persisted. `body_order` reads it to pick the body permutation of
-/// every plan — a rule's plans, its lead, its rescue plan — and nothing
-/// else does: both modes compile and run alike.
+/// every plan — a rule's plans and its rescue plan — and nothing else
+/// does: both modes compile and run alike.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OrderMode {
     /// Greedy selectivity-aware ordering.
@@ -99,9 +100,8 @@ pub enum OrderMode {
 /// bound before the first step.
 #[derive(Clone, Copy, Debug)]
 enum Purpose<'a> {
-    /// The plan led by this body position; `None`: by the atom the mode
-    /// picks first (the rule's lead).
-    Lead(Option<usize>),
+    /// The plan led by this body position.
+    Lead(usize),
     /// The rescue plan: the head variables are bound. Carries the
     /// program's IDB predicates ([`rederive_order`] ranks by them).
     Rescue(&'a [Pred]),
@@ -310,8 +310,7 @@ fn shuffle(atoms: &mut [usize], seed: u64, rule_idx: usize, salt: usize) {
 /// read: [`OrderMode::Planned`] ranks the atoms the `purpose` leaves
 /// free, [`OrderMode::Shuffled`] permutes them — the whole body of a
 /// rescue plan, the tail behind the leading atom of a rule's plan —
-/// from `(seed, rule_idx, purpose)`, and picks a rule's lead as the
-/// first atom of a seed-derived permutation.
+/// from `(seed, rule_idx, purpose)`.
 fn body_order(
     rule: &Rule,
     rule_idx: usize,
@@ -321,7 +320,7 @@ fn body_order(
 ) -> Vec<usize> {
     let OrderMode::Shuffled(seed) = mode else {
         return match purpose {
-            Purpose::Lead(k) => order_body(rule, k, card),
+            Purpose::Lead(k) => order_body(rule, Some(k), card),
             Purpose::Rescue(idbs) => rederive_order(rule, idbs, card),
         };
     };
@@ -330,11 +329,6 @@ fn body_order(
     match purpose {
         Purpose::Lead(_) if n == 0 => {}
         Purpose::Lead(k) => {
-            let k = k.unwrap_or_else(|| {
-                let mut pick = order.clone();
-                shuffle(&mut pick, seed, rule_idx, 0);
-                pick[0]
-            });
             order[..=k].rotate_right(1);
             shuffle(&mut order[1..], seed, rule_idx, k + 1);
         }
@@ -539,13 +533,11 @@ fn compile_rule(
     }
 }
 
-/// Plans and compiles the plans of one rule — plan `k` led by body atom
-/// `k`, the rest behind it in the mode's order (the planner's greedy
-/// order breaks ties by `card`, the store's persisted build-time
-/// cardinalities, then by textual position) — one per body atom with
-/// `every_atom` (one for an empty body), else the lead plan alone.
-/// Returns which of the returned plans is the **lead plan**: led by the
-/// atom the mode picks first. The single entry point every consumer uses.
+/// Plans and compiles the plans of one rule, one per body atom (one for
+/// an empty body): plan `k` led by body atom `k`, the rest behind it in
+/// the mode's order (the planner's greedy order breaks ties by `card`,
+/// the store's persisted build-time cardinalities, then by textual
+/// position). The single entry point every consumer uses.
 ///
 /// The order is computed from `order_by` — `rule` itself everywhere but
 /// in a template store ([`crate::cache`]), whose rules are those of a
@@ -562,23 +554,28 @@ pub(crate) fn plan_rule(
     rule: &Rule,
     order_by: &Rule,
     rule_idx: usize,
-    every_atom: bool,
     rel_of_pred: &FxHashMap<Pred, usize>,
     idxs: &mut Vec<IncrementalIndex>,
     idx_of: &mut FxHashMap<(usize, Vec<usize>), usize>,
     mode: OrderMode,
     card: &mut dyn FnMut(Pred) -> u64,
-) -> (usize, Vec<RulePlan>) {
-    let picked = body_order(order_by, rule_idx, Purpose::Lead(None), mode, card);
-    let lead = picked.first().copied().unwrap_or(0);
-    let leads = if every_atom { 0..rule.body.len().max(1) } else { lead..lead + 1 };
-    let plans = leads
+) -> Vec<RulePlan> {
+    (0..rule.body.len().max(1))
         .map(|k| {
-            let order = body_order(order_by, rule_idx, Purpose::Lead(Some(k)), mode, card);
+            let order = body_order(order_by, rule_idx, Purpose::Lead(k), mode, card);
             compile_rule(rule, rel_of_pred, idxs, idx_of, &order, false)
         })
-        .collect();
-    (if every_atom { lead } else { 0 }, plans)
+        .collect()
+}
+
+/// The body atom a **seeding pass** of `rule` enters through — one pass
+/// over the whole settled store, on the plan that atom leads: the
+/// planner's first pick with nothing bound ([`order_body`]: the most
+/// constants, then the fewest `rows` — what each relation holds when the
+/// pass runs — then the earlier textual position), under every
+/// [`OrderMode`]. `None` for an empty body.
+pub(crate) fn seed_atom(rule: &Rule, rows: &mut dyn FnMut(Pred) -> u64) -> Option<usize> {
+    order_body(rule, None, rows).first().copied()
 }
 
 /// Plans and compiles the **rescue plan** of one rule: the plan with the
@@ -642,16 +639,15 @@ mod tests {
     /// `(relation, mask)` of registered indexes.
     type IndexKeys = Vec<(usize, Vec<usize>)>;
 
-    /// The plans of rule `rule` of `src` — every atom's, or the lead's
-    /// alone — with EDB relations counted large and the IDB empty (what
-    /// `build` sees after the EDB load): the index of the lead plan, the
-    /// plans, and the `(relation, mask)` of every index they registered.
+    /// The plans of rule `rule` of `src`, with EDB relations counted
+    /// large and the IDB empty (what `build` sees after the EDB load):
+    /// the plans, and the `(relation, mask)` of every index they
+    /// registered.
     fn plans_of(
         src: &str,
         rule: usize,
         mode: OrderMode,
-        every_atom: bool,
-    ) -> (crate::ast::Program, usize, Vec<RulePlan>, IndexKeys) {
+    ) -> (crate::ast::Program, Vec<RulePlan>, IndexKeys) {
         let p = parse_program(src).unwrap();
         let rel_of = rel_table(&p);
         let idbs = p.idb_predicates();
@@ -659,16 +655,15 @@ mod tests {
         let mut idx_of = FxHashMap::default();
         let mut card = |pr: Pred| if idbs.contains(&pr) { 0 } else { 1000 };
         let r = &p.rules[rule];
-        let (lead, plans) =
-            plan_rule(r, r, rule, every_atom, &rel_of, &mut idxs, &mut idx_of, mode, &mut card);
+        let plans = plan_rule(r, r, rule, &rel_of, &mut idxs, &mut idx_of, mode, &mut card);
         let registered = idxs.iter().map(|i| (i.rel(), i.mask().to_vec())).collect();
-        (p, lead, plans, registered)
+        (p, plans, registered)
     }
 
     #[test]
     fn every_delta_atom_leads_its_update_plan() {
         for src in [SRC_A, SRC_B, SRC_C, SRC_S7] {
-            let (p, _, plans, _) = plans_of(src, 1, OrderMode::Planned, true);
+            let (p, plans, _) = plans_of(src, 1, OrderMode::Planned);
             assert_eq!(plans.len(), p.rules[1].body.len(), "{src}");
             for (k, plan) in plans.iter().enumerate() {
                 assert_eq!(plan.body_of_step[0], k, "atom {k} leads: {src}");
@@ -688,7 +683,7 @@ mod tests {
 
     #[test]
     fn section_7_update_plans_order_the_rest_by_boundness() {
-        let (p, _, plans, registered) = plans_of(SRC_S7, 1, OrderMode::Planned, true);
+        let (p, plans, registered) = plans_of(SRC_S7, 1, OrderMode::Planned);
         let orders: Vec<&[usize]> = plans.iter().map(|pl| &*pl.body_of_step).collect();
         // b1 leads: p is bound on X1, then b2 on Y1. p leads: b1 and b2
         // tie on one bound column and equal size, textual order decides.
@@ -704,7 +699,7 @@ mod tests {
     #[test]
     fn tc_kernel_is_recognised_on_both_update_plans() {
         for src in [SRC_A, SRC_B, SRC_C] {
-            let (_, _, plans, _) = plans_of(src, 1, OrderMode::Planned, true);
+            let (_, plans, _) = plans_of(src, 1, OrderMode::Planned);
             assert_eq!(plans.len(), 2);
             for (k, plan) in plans.iter().enumerate() {
                 assert!(plan.tc, "delta atom {k}: {src}");
@@ -717,7 +712,7 @@ mod tests {
     #[test]
     fn shuffled_update_plans_lead_with_the_delta_atom() {
         let orders = |seed: u64| -> Vec<Vec<usize>> {
-            let (_, _, plans, _) = plans_of(SRC_S7, 1, OrderMode::Shuffled(seed), true);
+            let (_, plans, _) = plans_of(SRC_S7, 1, OrderMode::Shuffled(seed));
             plans.iter().map(|pl| pl.body_of_step.to_vec()).collect()
         };
         let seven = orders(7);
@@ -741,38 +736,12 @@ mod tests {
         for k in 0..3 {
             let tails: HashSet<Vec<usize>> = (0..16)
                 .map(|seed| {
-                    let (_, _, plans, _) = plans_of(SRC_S7, 1, OrderMode::Shuffled(seed), true);
+                    let (_, plans, _) = plans_of(SRC_S7, 1, OrderMode::Shuffled(seed));
                     plans[k].body_of_step[1..].to_vec()
                 })
                 .collect();
             assert_eq!(tails.len(), 2, "update plan {k}: {tails:?}");
         }
-    }
-
-    /// The lead plan is the plan of the atom the greedy order picks
-    /// first, so it runs that whole order: S7's recursive rule leads with
-    /// the empty IDB atom. A one-shot store compiles that plan alone, and
-    /// with it fewer indexes. Under `Shuffled` the seed picks the lead:
-    /// over seeds `0..16` every atom leads some build.
-    #[test]
-    fn the_lead_plan_runs_the_greedy_order() {
-        let (p, lead, plans, every) = plans_of(SRC_S7, 1, OrderMode::Planned, true);
-        let idb = p.rules[1].head.pred;
-        let mut card = |pr: Pred| if pr == idb { 0 } else { 1000 };
-        assert_eq!(lead, 1);
-        assert_eq!(plans[lead].body_of_step.to_vec(), order_body(&p.rules[1], None, &mut card));
-        let (_, only, one_shot, fewer) = plans_of(SRC_S7, 1, OrderMode::Planned, false);
-        assert_eq!((only, one_shot.len()), (0, 1));
-        assert_eq!(one_shot[0].body_of_step, plans[lead].body_of_step);
-        assert!(fewer.len() < every.len() && fewer.iter().all(|k| every.contains(k)));
-        let leads: HashSet<usize> = (0..16)
-            .map(|seed| {
-                let (_, lead, plans, _) = plans_of(SRC_S7, 1, OrderMode::Shuffled(seed), true);
-                assert_eq!(plans[lead].body_of_step[0], lead, "seed {seed}");
-                lead
-            })
-            .collect();
-        assert_eq!(leads.len(), 3, "{leads:?}");
     }
 
     #[test]
@@ -843,20 +812,19 @@ mod tests {
             "?- a(c, Y).\na(X, Y) :- e(X, Y).\na(X, Y) :- a(X, Z), a(Z, Y).",
         ];
         for src in sources {
-            let (_, lead, plans, _) = plans_of(src, 1, OrderMode::Planned, false);
-            assert_eq!((lead, plans.len()), (0, 1), "a one-shot store: the lead plan alone");
+            let (_, plans, _) = plans_of(src, 1, OrderMode::Planned);
             assert!(plans[0].tc, "{src}");
             assert_eq!(plans[0].head_ready_depth, 2, "{src}");
             // The non-recursive base rule is a single step, never TC.
-            let (_, _, base, _) = plans_of(src, 0, OrderMode::Planned, false);
+            let (_, base, _) = plans_of(src, 0, OrderMode::Planned);
             assert!(!base[0].tc, "{src}");
         }
     }
 
     #[test]
     fn justification_permutation_is_recorded() {
-        // sg(X,Y) :- par(X,U), sg(U,V), par(V,Y): the IDB atom moves
-        // first under Planned order; step_of_body inverts the move.
+        // sg(X,Y) :- par(X,U), sg(U,V), par(V,Y): plan 1 moves the IDB
+        // atom first; step_of_body inverts the move.
         let p = parse_program(
             "?- sg(c, Y).\nsg(X, Y) :- par(X, Y).\nsg(X, Y) :- par(X, U), sg(U, V), par(V, Y).",
         )
@@ -868,9 +836,8 @@ mod tests {
         let mut card = |pr: Pred| if idbs.contains(&pr) { 0 } else { 50 };
         let r = &p.rules[1];
         let planned = OrderMode::Planned;
-        let (lead, plans) =
-            plan_rule(r, r, 1, true, &rel_of, &mut idxs, &mut idx_of, planned, &mut card);
-        let plan = &plans[lead];
+        let plans = plan_rule(r, r, 1, &rel_of, &mut idxs, &mut idx_of, planned, &mut card);
+        let plan = &plans[1];
         assert_eq!(plan.body_of_step[0], 1, "the IDB atom leads");
         // body_rels is in rule-text order regardless of step order.
         let par_rel = rel_of[&p.rules[1].body[0].pred];

@@ -94,24 +94,24 @@ type Counters = [u64; 4];
 /// planner-mirroring reference bit for bit. A change that moves a probe
 /// count edits this table and says why.
 const PINNED: [(&str, bool, Counters, Counters); 18] = [
-    ("program_a", false, [9, 63, 63, 72], [9, 63, 63, 169]),
-    ("program_a", true, [6, 7, 7, 19], [6, 7, 7, 70]),
+    ("program_a", false, [9, 63, 63, 72], [9, 63, 63, 72]),
+    ("program_a", true, [6, 7, 7, 21], [6, 7, 7, 39]),
     ("program_b", false, [9, 63, 63, 72], [9, 63, 63, 72]),
-    ("program_b", true, [10, 42, 42, 183], [10, 42, 42, 207]),
-    ("program_c", false, [5, 63, 63, 244], [5, 63, 63, 181]),
-    ("program_c", true, [12, 42, 42, 382], [12, 42, 42, 330]),
-    ("balanced", false, [3, 13, 13, 38], [3, 13, 13, 41]),
-    ("balanced", true, [8, 19, 19, 113], [8, 19, 19, 257]),
-    ("cycle_program", false, [9, 63, 63, 72], [9, 63, 63, 169]),
-    ("finite_two_words", false, [2, 15, 15, 10], [2, 15, 15, 16]),
+    ("program_b", true, [10, 42, 42, 130], [10, 42, 42, 155]),
+    ("program_c", false, [5, 63, 63, 135], [5, 63, 63, 135]),
+    ("program_c", true, [12, 42, 42, 190], [12, 42, 42, 171]),
+    ("balanced", false, [3, 13, 13, 38], [3, 13, 13, 36]),
+    ("balanced", true, [8, 19, 19, 96], [8, 19, 19, 253]),
+    ("cycle_program", false, [9, 63, 63, 72], [9, 63, 63, 72]),
+    ("finite_two_words", false, [2, 15, 15, 10], [2, 15, 15, 10]),
     ("finite_two_words", true, [3, 3, 3, 5], [3, 3, 3, 5]),
     ("finite_diagonal", false, [2, 48, 48, 60], [2, 48, 48, 60]),
-    ("b1_b2star", false, [4, 17, 17, 21], [4, 17, 17, 46]),
-    ("b1_b2star", true, [5, 4, 4, 14], [5, 4, 4, 56]),
+    ("b1_b2star", false, [4, 17, 17, 21], [4, 17, 17, 21]),
+    ("b1_b2star", true, [5, 4, 4, 14], [5, 4, 4, 27]),
     ("even_paths", false, [5, 62, 62, 215], [5, 62, 62, 215]),
-    ("even_paths", true, [4, 7, 7, 30], [4, 7, 7, 147]),
-    ("palindromic", false, [7, 51, 51, 247], [7, 51, 51, 339]),
-    ("palindromic", true, [7, 40, 40, 293], [7, 40, 40, 453]),
+    ("even_paths", true, [4, 7, 7, 34], [4, 7, 7, 145]),
+    ("palindromic", false, [7, 51, 51, 247], [7, 51, 51, 254]),
+    ("palindromic", true, [7, 40, 40, 349], [7, 40, 40, 686]),
 ];
 
 #[test]
@@ -199,23 +199,23 @@ fn retract_script(program: &Program, db: &Database, order: OrderMode) -> [RoundC
 #[rustfmt::skip]
 const PINNED_RETRACT: [(&str, bool, [RoundCost; 3], [RoundCost; 3]); 18] = [
     ("program_a", false, [[133, 6, 6, 60, 6], [68, 0, 0, 19, 0], [8, 6, 6, 25, 6]],
-        [[134, 6, 6, 60, 6], [68, 0, 0, 20, 0], [8, 6, 6, 25, 6]]),
+        [[133, 6, 6, 60, 6], [68, 0, 0, 19, 0], [8, 6, 6, 25, 6]]),
     ("program_a", true, [[14, 1, 1, 4, 1], [14, 0, 0, 4, 0], [2, 0, 0, 2, 0]],
-        [[18, 1, 1, 4, 1], [8, 0, 0, 4, 0], [7, 0, 0, 2, 0]]),
+        [[18, 1, 1, 4, 1], [8, 0, 0, 4, 0], [2, 0, 0, 2, 0]]),
     ("program_b", false, [[136, 5, 5, 53, 5], [62, 0, 0, 20, 0], [8, 6, 6, 31, 6]],
         [[159, 5, 5, 53, 5], [27, 0, 0, 20, 0], [8, 6, 6, 31, 6]]),
-    ("program_b", true, [[95, 3, 3, 41, 3], [40, 0, 0, 16, 0], [7, 0, 0, 37, 0]],
-        [[97, 3, 3, 40, 3], [40, 0, 0, 14, 0], [12, 0, 0, 37, 0]]),
+    ("program_b", true, [[95, 3, 3, 40, 3], [40, 0, 0, 16, 0], [7, 0, 0, 37, 0]],
+        [[97, 3, 3, 40, 3], [40, 0, 0, 14, 0], [7, 0, 0, 37, 0]]),
     ("program_c", false, [[175, 6, 6, 59, 6], [27, 0, 0, 46, 0], [15, 6, 6, 7, 6]],
-        [[165, 5, 5, 58, 5], [27, 0, 0, 45, 0], [15, 6, 6, 7, 6]]),
+        [[164, 6, 6, 59, 6], [27, 0, 0, 46, 0], [15, 6, 6, 7, 6]]),
     ("program_c", true, [[105, 2, 2, 47, 2], [22, 0, 0, 49, 0], [2, 0, 0, 3, 0]],
-        [[111, 2, 2, 46, 2], [25, 0, 0, 50, 0], [2, 0, 0, 3, 0]]),
+        [[111, 2, 2, 47, 2], [25, 0, 0, 49, 0], [2, 0, 0, 3, 0]]),
     ("balanced", false, [[49, 2, 2, 13, 2], [32, 0, 0, 2, 0], [5, 1, 1, 9, 1]],
         [[60, 2, 2, 13, 2], [43, 0, 0, 2, 0], [5, 1, 1, 9, 1]]),
     ("balanced", true, [[44, 0, 0, 28, 0], [0, 0, 0, 0, 0], [2, 0, 0, 9, 0]],
-        [[51, 0, 0, 28, 0], [0, 0, 0, 0, 0], [4, 0, 0, 9, 0]]),
+        [[51, 0, 0, 28, 0], [0, 0, 0, 0, 0], [7, 0, 0, 9, 0]]),
     ("cycle_program", false, [[133, 6, 6, 60, 6], [68, 0, 0, 19, 0], [8, 6, 6, 25, 6]],
-        [[134, 6, 6, 60, 6], [68, 0, 0, 20, 0], [8, 6, 6, 25, 6]]),
+        [[133, 6, 6, 60, 6], [68, 0, 0, 19, 0], [8, 6, 6, 25, 6]]),
     ("finite_two_words", false, [[21, 1, 1, 9, 1], [12, 0, 0, 0, 0], [9, 2, 2, 7, 2]],
         [[18, 1, 1, 9, 1], [8, 0, 0, 0, 0], [13, 2, 2, 7, 2]]),
     ("finite_two_words", true, [[6, 0, 0, 3, 0], [0, 0, 0, 0, 0], [2, 0, 0, 0, 0]],
@@ -223,15 +223,15 @@ const PINNED_RETRACT: [(&str, bool, [RoundCost; 3], [RoundCost; 3]); 18] = [
     ("finite_diagonal", false, [[144, 6, 6, 47, 6], [42, 7, 7, 0, 7], [41, 5, 5, 60, 5]],
         [[145, 6, 6, 47, 6], [51, 7, 7, 0, 7], [50, 5, 5, 60, 5]]),
     ("b1_b2star", false, [[23, 0, 0, 10, 0], [25, 0, 0, 5, 0], [6, 3, 3, 6, 3]],
-        [[29, 1, 1, 11, 1], [25, 0, 0, 5, 0], [6, 3, 3, 6, 3]]),
+        [[23, 0, 0, 10, 0], [25, 0, 0, 5, 0], [6, 3, 3, 6, 3]]),
     ("b1_b2star", true, [[15, 0, 0, 4, 0], [0, 0, 0, 0, 0], [2, 0, 0, 1, 0]],
-        [[9, 0, 0, 4, 0], [0, 0, 0, 0, 0], [3, 0, 0, 1, 0]]),
+        [[9, 0, 0, 4, 0], [0, 0, 0, 0, 0], [2, 0, 0, 1, 0]]),
     ("even_paths", false, [[281, 12, 12, 78, 12], [112, 0, 0, 19, 0], [10, 1, 1, 61, 1]],
         [[293, 12, 12, 78, 12], [66, 0, 0, 19, 0], [10, 1, 1, 61, 1]]),
     ("even_paths", true, [[36, 2, 2, 7, 2], [20, 0, 0, 3, 0], [2, 0, 0, 7, 0]],
         [[49, 2, 2, 7, 2], [20, 0, 0, 3, 0], [8, 0, 0, 7, 0]]),
     ("palindromic", false, [[279, 3, 3, 45, 3], [90, 0, 0, 8, 0], [41, 0, 0, 47, 0]],
-        [[326, 4, 4, 48, 4], [80, 0, 0, 8, 0], [39, 0, 0, 47, 0]]),
+        [[313, 3, 3, 45, 3], [80, 0, 0, 8, 0], [39, 0, 0, 47, 0]]),
     ("palindromic", true, [[183, 0, 0, 71, 0], [0, 0, 0, 0, 0], [2, 0, 0, 33, 0]],
         [[263, 0, 0, 71, 0], [0, 0, 0, 0, 0], [2, 0, 0, 33, 0]]),
 ];

@@ -270,7 +270,7 @@ fn a_provenance_tag_0_container_is_refused_as_corrupt() {
 /// restore, answer like a from-scratch build of the same store, and
 /// re-encode to the identical bytes — the codec's move changed no byte,
 /// and its section 9 (the body permutations `[0]` and `[0, 1]`) is what
-/// the lead plans re-encode to.
+/// each rule's plan `[0]` re-encodes to.
 #[test]
 fn a_golden_version_4_snapshot_restores_and_reencodes_identically() {
     let golden = include_bytes!("data/program_a_v4.snap");
@@ -287,6 +287,62 @@ fn a_golden_version_4_snapshot_restores_and_reencodes_identically() {
     assert_eq!(restored.answer().sorted(), fresh.answer().sorted());
     assert_eq!(restored.answer().len(), 3, "anc(john, Y) for Y in c1, c2, c3");
     assert_eq!(restored.database().sorted_models(), fresh.database().sorted_models());
+}
+
+/// Section 9 holds one body permutation per rule, which a reader only
+/// checks to be a permutation. It is written from the rule's plan `[0]`.
+/// Files written while a build ran each rule on the plan of the atom the
+/// greedy order picks first hold that plan's permutation instead: for
+/// Section 7's recursive rule the empty IDB atom `p(X1, Y1)` first,
+/// step depths `[1, 0, 2]` where plan `[0]` writes `[0, 1, 2]`. Such a
+/// file restores to the same store and re-encodes to what the store
+/// writes now.
+#[test]
+fn a_snapshot_holding_the_greedy_body_order_restores_and_reencodes() {
+    let mut p = parse_program(
+        "?- p(c, Y).\n\
+         p(X, Y) :- b1(X, X1), b2(X1, Y).\n\
+         p(X, Y) :- b1(X, X1), p(X1, Y1), b2(Y1, Y).",
+    )
+    .unwrap();
+    let [b1, b2] = ["b1", "b2"].map(|n| p.symbols.get_predicate(n).unwrap());
+    let n: Vec<_> = ["c", "n1", "n2", "n3", "n4", "n5"].map(|c| p.symbols.constant(c)).into();
+    let mut db = selprop_datalog::Database::new();
+    for i in 0..2 {
+        db.insert(b1, vec![n[i], n[i + 1]]);
+    }
+    for i in 2..5 {
+        db.insert(b2, vec![n[i], n[i + 1]]);
+    }
+    let m = Materialization::from_database(&p, &db, Strategy::SemiNaive);
+    assert_eq!(m.answer().len(), 1, "p(c, n4)");
+    let bytes = m.to_bytes();
+
+    // The order-mode tag (1, planned), then per rule its permutation as a
+    // count and the step depth of each body atom.
+    let section_9 = |recursive: [u32; 3]| {
+        let mut s = vec![1u8];
+        s.extend(2u64.to_le_bytes());
+        s.extend([0u32, 1].iter().flat_map(|d| d.to_le_bytes()));
+        s.extend(3u64.to_le_bytes());
+        s.extend(recursive.iter().flat_map(|d| d.to_le_bytes()));
+        s
+    };
+    let written = section_9([0, 1, 2]);
+    let at: Vec<usize> = (0..bytes.len() - written.len())
+        .filter(|&i| bytes[i..i + written.len()] == written[..])
+        .collect();
+    assert_eq!(at.len(), 1, "section 9 found once");
+    let mut forged = bytes.clone();
+    forged[at[0]..at[0] + written.len()].copy_from_slice(&section_9([1, 0, 2]));
+    let current = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
+    let forged = restamped(&forged, current);
+    assert!(forged != bytes, "the greedy order is not plan [0]'s");
+
+    let back = Materialization::from_bytes(&forged).expect("the greedy order is a permutation");
+    assert_eq!(back.database().sorted_models(), m.database().sorted_models());
+    assert_eq!(back.answer().sorted(), m.answer().sorted());
+    assert_eq!(back.to_bytes(), bytes, "re-encoded from plan [0]");
 }
 
 #[test]

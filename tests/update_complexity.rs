@@ -7,15 +7,16 @@
 //! candidates' bound argument — identical counters) live in
 //! `crates/datalog/tests/planner_props.rs`; these use the workload
 //! generators of `selprop_core`, which that crate cannot see. The first
-//! two are about insert rounds, the next three about the DRed rescue of
-//! a retract round, the last about what a round costs the query cache:
-//! a function of the delta, not of the number of live views.
+//! three are about insert rounds (the third adds a rule), the next four
+//! about the DRed rescue of a retract round, the last about what a round
+//! costs the query cache: a function of the delta, not of the number of
+//! live views.
 
 use selprop_core::workload;
 use selprop_datalog::eval::{evaluate, EvalStats, Strategy};
 use selprop_datalog::{
-    parse_program, reference, Atom, CacheConfig, GroundAtom, Materialization, QueryCache, Term,
-    UpdateRound,
+    parse_program, reference, Atom, CacheConfig, GroundAtom, Materialization, QueryCache, Rule,
+    Term, UpdateRound,
 };
 
 const SECTION_7: &str = "?- p(c, Y).\n\
@@ -93,6 +94,44 @@ fn leaf_inserts_cost_a_bounded_number_of_probes_per_appended_row() {
             "layered_dag({layers}, {width}): {probes} probes for {appended} appended rows"
         );
     }
+}
+
+/// A round that adds a rule seeds it with one pass over the store,
+/// entering through the atom the planner picks first from the rows the
+/// store holds when the pass runs. Program A over the star
+/// `par(john, c_i)`, whose closure has `n` rows; one round inserts
+/// `mark(c0)` and adds `q(X) :- anc(X, Y), mark(Y)`. The pass enters
+/// through `mark`, one row, and probes `anc` on `Y`: the round costs
+/// the same at n = 1 000 and 4 000. Entered through `anc` — which ties
+/// with the new `mark` on build-time cardinality and comes first in the
+/// text — it scans the closure.
+#[test]
+fn an_added_rule_seeds_through_its_smallest_relation() {
+    let round_cost = |n: usize| {
+        let mut p = parse_program(PROGRAM_A).unwrap();
+        let [anc, par] = ["anc", "par"].map(|name| p.symbols.get_predicate(name).unwrap());
+        let john = p.symbols.constant("john");
+        let mut db = selprop_datalog::Database::new();
+        for i in 0..n {
+            db.insert(par, vec![john, p.symbols.constant(&format!("c{i}"))]);
+        }
+        let (q, mark) = (p.symbols.predicate("q"), p.symbols.predicate("mark"));
+        let [x, y] = ["X", "Y"].map(|v| Term::Var(p.symbols.variable(v)));
+        let rule = Rule::new(
+            Atom::new(q, vec![x]),
+            vec![Atom::new(anc, vec![x, y]), Atom::new(mark, vec![y])],
+        );
+        let round = UpdateRound::new().add_rule(rule).insert(mark, vec![p.symbols.constant("c0")]);
+        let mut m = Materialization::from_database(&p, &db, Strategy::SemiNaive);
+        assert_eq!(m.num_facts(anc), n);
+        let before = m.stats();
+        m.apply(&round);
+        assert_eq!(m.num_facts(q), 1, "q(john)");
+        spent(before, m.stats())
+    };
+    let small = round_cost(1_000);
+    assert_eq!(small, round_cost(4_000), "(probes, firings, derived) at n = 10^3 vs 4·10^3");
+    assert_eq!(small, (4, 1, 1), "two probes to seed, two to resume from the mark row");
 }
 
 /// Program A over a random forest: retracting a leaf hung directly under
