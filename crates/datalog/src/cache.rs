@@ -73,15 +73,21 @@
 //! templates survive a compaction or a missed round — they hold no row
 //! ids).
 //!
-//! The cache keeps no copy of the rules. A template is compiled from
-//! the rules the base store holds at that moment, and every entry point
-//! that may write compares the store's (rule slots, active rules) pair
-//! with the one it last saw: slots are never reused and a dropped rule
-//! never returns, so the pair moves with every rule change, whoever
-//! made it. A moved pair drops the templates — the next bound query
-//! recompiles — and re-reads the IDB predicates routing goes by. The
-//! program a cache is created with supplies the symbol names (and the
-//! IDB list until the store has been looked at).
+//! The cache keeps no copy of the rules, and no names. A template is
+//! compiled from the rules the base store holds at that moment, by id —
+//! the paper's template is a function of the rules and the binding
+//! pattern alone — and the predicates and variables the rewrite adds
+//! take ids past every one the store uses, from a name table of the
+//! template's own (`materialize/template.rs`). So a store restored from
+//! a snapshot, which persists its rules by id and no name, gets views
+//! like any other. Every entry point that may write compares the
+//! store's (rule slots, active rules) pair with the one it last saw:
+//! slots are never reused and a dropped rule never returns, so the pair
+//! moves with every rule change, whoever made it. A moved pair drops
+//! the templates — the next bound query recompiles — and re-reads the
+//! IDB predicates routing goes by. The program a cache is created with
+//! supplies the IDB list until the store has been looked at, and
+//! nothing else.
 //!
 //! # Answers
 //!
@@ -157,7 +163,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use crate::ast::{Atom, Const, Pred, Program, Rule, Symbols, Term};
+use crate::ast::{Atom, Const, Pred, Program, Rule, Term};
 use crate::db::Relation;
 use crate::eval::EvalStats;
 use crate::hash::FxHashMap;
@@ -197,7 +203,7 @@ pub struct CacheStats {
     /// layer's write round.
     pub syncs: u64,
     /// Queries routed to base-store filtering (all-free patterns, EDB
-    /// predicates, repeated-variable bindings, or a disabled cache).
+    /// predicates, repeated-variable bindings).
     pub direct: u64,
     /// Views dropped by LRU/size pressure.
     pub evictions: u64,
@@ -457,14 +463,10 @@ fn tag_template(tpl: &mut MagicTemplate) {
 ///
 /// A cache is bound to the base store it first queried: using it
 /// against a different store is a logic error (detected only when the
-/// stores' shapes diverge).
+/// stores' shapes diverge). `QueryCache::default()` is
+/// [`QueryCache::disabled`].
+#[derive(Default)]
 pub struct QueryCache {
-    /// The names the base store's rules are written in, shared with the
-    /// program they came from ([`Symbols`] clones are reference counts);
-    /// templates are compiled over a padded clone
-    /// ([`Materialization::active_program`]). `None` = disabled: every
-    /// query routes direct.
-    symbols: Option<Symbols>,
     /// The base's IDB predicates — the goals that can get a view.
     /// Re-read from the store whenever `seen_rules` moves.
     idb: Vec<Pred>,
@@ -500,79 +502,49 @@ pub struct QueryCache {
 }
 
 impl QueryCache {
-    /// A cache for a base store whose rules are written over
-    /// `program`'s symbol table, with default eviction limits. The rules
-    /// themselves are read from the store (see the module docs,
+    /// A cache with default eviction limits for a base store built from
+    /// `program`. The rules are read from the store (see the module docs,
     /// "Coherence"): `program` need not list them all, or only them.
     pub fn new(program: &Program) -> Self {
         Self::with_config(program, CacheConfig::default())
     }
 
-    /// A cache with explicit eviction limits. It shares `program`'s
-    /// symbol table rather than copying it: the caller may go on interning
-    /// into its own `program` (that unshares the space it writes to, once;
-    /// see [`Symbols`]) and the cache never sees those names.
+    /// A cache with explicit eviction limits. Of `program` it reads the
+    /// IDB predicates, which route goals until the cache first looks at
+    /// a store, and keeps nothing: names the caller interns into
+    /// `program` afterwards stay the caller's own.
     pub fn with_config(program: &Program, config: CacheConfig) -> Self {
-        Self::over(Some(program.symbols.clone()), program.idb_predicates(), config)
+        Self { idb: program.idb_predicates(), config, ..Self::default() }
     }
 
-    fn over(symbols: Option<Symbols>, idb: Vec<Pred>, config: CacheConfig) -> Self {
-        Self {
-            symbols,
-            idb,
-            seen_rules: (0, 0),
-            templates: FxHashMap::default(),
-            config,
-            compaction_deferred: false,
-            pinned_epochs: Vec::new(),
-            seen_version: 0,
-            seen_compactions: 0,
-            next_tag: 0,
-            clock: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            direct: AtomicU64::new(0),
-            answer_builds: AtomicU64::new(0),
-            misses: 0,
-            syncs: 0,
-            evictions: 0,
-            invalidations: 0,
-            template_compiles: 0,
-        }
-    }
-
-    /// A permanently-direct cache, for base stores whose symbol names
-    /// are not known (e.g. restored from a snapshot, which persists the
-    /// rules by id and no name table for the transform to extend). Every
-    /// query filters the base model — correct, never cached.
+    /// An empty cache with default eviction limits that has not looked
+    /// at a store yet: its first query reads the rules off the store,
+    /// and views follow as for any other cache. The name outlived the
+    /// state it named — a cache that never cached, for a store whose
+    /// names were not known — because callers still use it as a
+    /// placeholder; templates need no names any more.
     pub fn disabled() -> Self {
-        Self::over(None, Vec::new(), CacheConfig::default())
+        Self::default()
     }
 
     /// A cache for the serving layer, over `base`: template-store
     /// compaction is left to the server's [`QueryCache::compact`] calls
-    /// (it knows when no snapshot is pinned), and tags go on from where
-    /// `previous` — the cache this one replaces — stopped, so that a
-    /// snapshot pinned under the old cache takes no view of the new one
-    /// for its own. The store's rules are read at once: reads go through
-    /// [`QueryCache::lookup`], which cannot, and a first bound query on
-    /// a predicate `program` does not list as IDB would be routed direct
+    /// (it knows when no snapshot is pinned), and the store's rules are
+    /// read at once — reads go through [`QueryCache::lookup`], which
+    /// cannot, so a first bound query would otherwise be routed direct
     /// until some write made the cache look.
-    pub(crate) fn serving(
-        program: &Program,
-        previous: Option<&QueryCache>,
-        base: &Materialization,
-    ) -> Self {
-        let mut c = Self::new(program);
-        c.compaction_deferred = true;
-        c.next_tag = previous.map_or(0, |p| p.next_tag);
+    pub(crate) fn serving(base: &Materialization) -> Self {
+        let mut c = Self { compaction_deferred: true, ..Self::default() };
         c.validate(base);
         c
     }
 
-    /// Whether queries can be cached at all (`false` only for
-    /// [`QueryCache::disabled`]).
-    pub fn is_enabled(&self) -> bool {
-        self.symbols.is_some()
+    /// Drops every template and its views, as a rule change does, and
+    /// reconciles with `base`. Tags go on counting, so a snapshot pinned
+    /// before the call takes no view built after it for its own.
+    pub(crate) fn start_over(&mut self, base: &Materialization) {
+        self.clear_views();
+        self.validate(base);
     }
 
     /// Current counters (see [`CacheStats`]).
@@ -878,26 +850,24 @@ impl QueryCache {
     /// the same way. A view's memoised answer goes with the view in
     /// every tier.
     fn validate(&mut self, base: &Materialization) {
-        if self.symbols.is_some() {
-            let rules = base.rule_shape();
-            if rules != self.seen_rules {
-                self.seen_rules = rules;
-                self.idb = base.idb_preds();
-                self.clear_views();
-            } else if base.version() < self.seen_version {
-                self.clear_views();
-            } else {
-                let compacted = base.compactions() != self.seen_compactions;
-                let mut live = false;
-                for t in self.templates.values_mut().flatten() {
-                    if compacted || t.missed_a_retraction(base) {
-                        live |= !t.views.is_empty();
-                        t.reset(base);
-                    }
+        let rules = base.rule_shape();
+        if rules != self.seen_rules {
+            self.seen_rules = rules;
+            self.idb = base.idb_preds();
+            self.clear_views();
+        } else if base.version() < self.seen_version {
+            self.clear_views();
+        } else {
+            let compacted = base.compactions() != self.seen_compactions;
+            let mut live = false;
+            for t in self.templates.values_mut().flatten() {
+                if compacted || t.missed_a_retraction(base) {
+                    live |= !t.views.is_empty();
+                    t.reset(base);
                 }
-                if live {
-                    self.invalidations += 1;
-                }
+            }
+            if live {
+                self.invalidations += 1;
             }
         }
         self.seen_version = base.version();
@@ -918,7 +888,7 @@ impl QueryCache {
     /// constants in positional order; everything else — EDB/untracked
     /// predicates, all-free patterns, repeated-variable bindings (their
     /// seed would need domain enumeration), more than [`MAX_ARITY`]
-    /// arguments, disabled cache — filters the base model directly.
+    /// arguments — filters the base model directly.
     /// Nothing is allocated: a view is looked up by the borrowed key.
     fn route<'a>(
         &self,
@@ -963,7 +933,7 @@ impl QueryCache {
         consts: &[Const],
     ) -> Option<()> {
         if !self.templates.contains_key(&tkey) {
-            let t = self.build_template(tkey, arity, base);
+            let t = Self::build_template(tkey, arity, base);
             if t.is_some() {
                 self.template_compiles += 1;
             }
@@ -1003,12 +973,11 @@ impl QueryCache {
     /// pattern) — the memoized unit — from the rules the base store
     /// holds now, and builds its empty store.
     fn build_template(
-        &self,
         (pred, bound): TemplateKey,
         arity: usize,
         base: &mut Materialization,
     ) -> Option<Template> {
-        let active = base.active_program(self.symbols.clone()?, pred);
+        let active = base.active_program(pred);
         let adn = (0..arity).map(|i| bound >> i & 1 == 1).collect();
         let mut tpl = magic_template(&active, pred, &adn).ok()?;
         let untagged = tpl.program.rules.clone();
@@ -1299,7 +1268,6 @@ mod tests {
         for _ in 0..2 {
             assert_eq!(cache.query(&mut base, &goal).sorted(), base.answer().sorted());
         }
-        assert!(cache.is_enabled());
         let st = cache.stats();
         assert_eq!((st.template_compiles, st.misses, st.invalidations, st.views), (2, 2, 1, 1));
 
@@ -1529,8 +1497,11 @@ mod tests {
         assert_eq!(s7, 2 * (6 + 40), "Section 7: b1[0] and b2[1]");
     }
 
+    /// `disabled` names no state any more: the cache has seen no store
+    /// and no program, reads the rules off the store at its first query,
+    /// and serves that query from a view.
     #[test]
-    fn disabled_cache_is_permanently_direct() {
+    fn a_disabled_cache_is_an_empty_one_and_serves_views() {
         let mut p = parse_program(SRC).unwrap();
         let par = p.symbols.get_predicate("par").unwrap();
         let edges = chain(&mut p, 4);
@@ -1541,16 +1512,12 @@ mod tests {
         let mut base = Materialization::from_database(&p, &edb, Strategy::SemiNaive);
         let mut cache = QueryCache::disabled();
         let goal = p.goal.clone();
-        assert!(!cache.is_enabled());
+        assert_eq!(cache.query(&mut base, &goal).sorted(), base.answer().sorted());
         assert_eq!(
-            cache.query(&mut base, &goal).sorted(),
+            cache.lookup(&base, &goal).expect("a synced view").sorted(),
             base.answer().sorted()
         );
-        assert_eq!(
-            cache.lookup(&base, &goal).expect("direct is always ready").sorted(),
-            base.answer().sorted()
-        );
-        assert_eq!(cache.stats().views, 0);
-        assert!(cache.stats().direct >= 2);
+        let s = cache.stats();
+        assert_eq!((s.misses, s.hits, s.direct, s.views), (1, 1, 0, 1));
     }
 }

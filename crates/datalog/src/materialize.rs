@@ -296,7 +296,8 @@ pub struct Materialization {
     /// previous iteration's `old` snapshot, `[old_hi, len)` the delta.
     /// At fixpoint (between updates) `old_hi == num_rows` everywhere.
     old_hi: Vec<usize>,
-    /// New facts appended per productive iteration (convergence profile).
+    /// New facts appended per productive iteration of the build (its
+    /// convergence profile; update rounds add nothing).
     profile: Vec<u64>,
     /// Per-relation justification stores when provenance recording is
     /// on (`Some` even if a relation never derives — empty is fine).
@@ -416,22 +417,16 @@ impl Materialization {
         let mut staging = Staging::default();
         m.seed_rules(0, &mut staging);
         m.run_fixpoint(&mut staging);
+        m.profile = staging.profile;
         m
     }
 
-    /// `order_by[i]` is the rule the planner orders rule `i`'s body by
-    /// (see [`plan_rule`]) — `None`, the program's own rules, except in
-    /// [`Materialization::new_view`].
-    fn build(
-        program: &Program,
-        db: &Database,
-        strategy: Strategy,
-        record: bool,
-        order: OrderMode,
-        order_by: Option<&[Rule]>,
-    ) -> Self {
-        let idbs = program.idb_predicates();
-        let mut m = Self {
+    /// The one store every other starts from — a build's, a template
+    /// store's, a restored one's: no relation, rule, row or index, every
+    /// counter zero, the default compaction policy and no justification
+    /// store. Runtime-only fields are zero in every store by this.
+    fn empty(strategy: Strategy, goal: Atom, order: OrderMode) -> Self {
+        Self {
             rels: Vec::new(),
             idxs: Vec::new(),
             plans: Arc::default(),
@@ -441,10 +436,10 @@ impl Materialization {
             rel_of_pred: FxHashMap::default(),
             old_hi: Vec::new(),
             profile: Vec::new(),
-            prov: record.then(Vec::new),
+            prov: None,
             stats: EvalStats::default(),
             strategy,
-            goal: program.goal.clone(),
+            goal,
             rules: Vec::new(),
             idx_of: FxHashMap::default(),
             rederive: None,
@@ -463,6 +458,24 @@ impl Materialization {
             planned_card: Vec::new(),
             tc_hits: 0,
             tc_rows: 0,
+        }
+    }
+
+    /// `order_by[i]` is the rule the planner orders rule `i`'s body by
+    /// (see [`plan_rule`]) — `None`, the program's own rules, except in
+    /// [`Materialization::new_view`].
+    fn build(
+        program: &Program,
+        db: &Database,
+        strategy: Strategy,
+        record: bool,
+        order: OrderMode,
+        order_by: Option<&[Rule]>,
+    ) -> Self {
+        let idbs = program.idb_predicates();
+        let mut m = Self {
+            prov: record.then(Vec::new),
+            ..Self::empty(strategy, program.goal.clone(), order)
         };
 
         // Arity resolution mirrors the reference evaluator: database
@@ -1173,7 +1186,8 @@ impl Materialization {
         self.select(goal, true, None)
     }
 
-    /// Per-iteration appended-fact counts (the convergence profile).
+    /// Per-iteration appended-fact counts of the build (the convergence
+    /// profile).
     pub(crate) fn profile(&self) -> &[u64] {
         &self.profile
     }

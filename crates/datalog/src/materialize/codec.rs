@@ -12,7 +12,6 @@ use crate::persist::{self, Dec, Enc, PersistError};
 use crate::plan::OrderMode;
 use crate::storage::ColumnarRelation;
 use std::path::Path;
-use std::sync::Arc;
 
 impl Materialization {
     /// Serializes the complete materialized state — rows, liveness,
@@ -43,7 +42,9 @@ impl Materialization {
     ///    (`u64` each).
     /// 6. **EvalStats** — iterations, rule firings, tuples derived, join
     ///    probes (`u64` each).
-    /// 7. **Convergence profile** — count + `u64` per productive iteration.
+    /// 7. **Convergence profile** — count + `u64` per productive iteration
+    ///    of the build (files written before update rounds stopped adding
+    ///    theirs hold those too, and read the same).
     /// 8. **Compaction policy** — presence `u8`, then `min_dead_rows u64`,
     ///    `dead_percent u32`.
     /// 9. **Planner** — order mode tag `u8` (1 planned, 2 shuffled + its
@@ -325,6 +326,12 @@ impl Materialization {
             if pop != dead_rows {
                 return Err(PersistError::Corrupt("tombstone count mismatch"));
             }
+            // A 0-ary relation's rows hold no cells, so only this bounds
+            // their count by the bytes of the file (its tombstone bitset):
+            // `()` has one live row at most.
+            if arity == 0 && rows - dead_rows > 1 {
+                return Err(PersistError::Corrupt("0-ary relation with more than one live row"));
+            }
             let rel_epoch = d.u64()?;
             let ntags = d.count(12)?;
             let mut tomb_at = FxHashMap::default();
@@ -431,8 +438,6 @@ impl Materialization {
 
         let mut m = Self {
             rels,
-            idxs: Vec::new(),
-            plans: Arc::default(),
             idb_rels,
             idb_flag,
             pred_of_rel,
@@ -441,26 +446,14 @@ impl Materialization {
             profile,
             prov: Some(prov),
             stats,
-            strategy,
-            goal,
             rules,
-            idx_of: FxHashMap::default(),
-            rederive: None,
             rule_active,
             csr_builds,
             epoch,
-            rev: None,
             policy,
             compactions,
-            version: 0,
-            edb_retracts: 0,
-            last_retracted: Vec::new(),
-            dred_reads: 0,
-            ext_flag: Vec::new(),
-            order,
             planned_card,
-            tc_hits: 0,
-            tc_rows: 0,
+            ..Self::empty(strategy, goal, order)
         };
         // The plans, from the inputs construction compiled them from:
         // rules, order mode, persisted build-time cardinalities. Their

@@ -20,10 +20,13 @@ use std::sync::Mutex;
 /// The scratch space and staging buffer of the passes that run inline,
 /// shared by the rounds of one build or update, its seeding round
 /// included: they keep the capacity the largest round grew them to.
+/// Also the rows each productive round appended, in order: a build
+/// keeps them as its convergence profile, an update drops them.
 #[derive(Default)]
 pub(super) struct Staging {
     scratch: Scratch,
     pending: PendingTuples,
+    pub(super) profile: Vec<u64>,
 }
 
 impl Materialization {
@@ -35,7 +38,7 @@ impl Materialization {
     pub(super) fn seed_rules(&mut self, from: usize, staging: &mut Staging) {
         self.stats.iterations += 1;
         self.extend_indexes();
-        let Staging { scratch, pending } = staging;
+        let Staging { scratch, pending, profile } = staging;
         for rule in from..self.plans.len() {
             let mut live = |p: Pred| self.rels[self.rel_of_pred[&p]].num_live() as u64;
             let plan = match seed_atom(&self.rules[rule], &mut live) {
@@ -47,7 +50,7 @@ impl Materialization {
         }
         let appended = self.merge_pending(pending);
         if appended > 0 {
-            self.profile.push(appended);
+            profile.push(appended);
         }
     }
 
@@ -72,7 +75,7 @@ impl Materialization {
         // Recycled task slots: merged-out staging buffers and scratch
         // space return here and are reused next round.
         let mut spare: Vec<ShardTask> = Vec::new();
-        let Staging { scratch, pending } = staging;
+        let Staging { scratch, pending, profile } = staging;
         while self.rels.iter().zip(&self.old_hi).any(|(rel, &old)| rel.num_rows() > old) {
             self.stats.iterations += 1;
             self.extend_indexes();
@@ -97,7 +100,7 @@ impl Materialization {
             }
             spare.append(&mut tasks);
             if appended > 0 {
-                self.profile.push(appended);
+                profile.push(appended);
             }
         }
     }

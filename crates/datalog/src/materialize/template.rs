@@ -74,28 +74,24 @@ impl Materialization {
     }
 
     /// The active rules as a [`Program`] for [`crate::magic`] to
-    /// transform, its goal a placeholder on `pred`. The name table is
-    /// `symbols` padded to cover every predicate this store tracks and
-    /// every variable those rules mention — a rule added through a
-    /// caller's copy of the table may use ids `symbols` never interned —
-    /// so each name the transform makes up (`MT`, `MB*`, `MQ*`; adorned,
-    /// magic and seed predicates) gets an id no rule and no relation of
-    /// this store already uses.
-    pub(crate) fn active_program(&self, mut symbols: Symbols, pred: Pred) -> Program {
+    /// transform, its goal a placeholder on `pred`. A template is a
+    /// function of the rules and the binding pattern alone, so the name
+    /// table is a fresh one, padded with placeholder names to cover
+    /// every predicate this store tracks and every variable those rules
+    /// mention: each name the transform makes up (`MT`, `MB*`, `MQ*`;
+    /// adorned, magic and seed predicates) gets an id no rule and no
+    /// relation of this store already uses. Constants keep their ids and
+    /// need no name.
+    pub(crate) fn active_program(&self, pred: Pred) -> Program {
         let rules: Vec<Rule> = self.active_rules().into_iter().map(|(_, r)| r.clone()).collect();
+        let mut symbols = Symbols::new();
         let preds = self.pred_of_rel.iter().map(|p| p.0 as usize + 1).max().unwrap_or(0);
-        // Pad from a running suffix: a name already taken interns to its
-        // old id, the count stays, and the next suffix is tried.
-        let mut pad = 0usize;
-        while symbols.num_predicates() < preds {
-            symbols.predicate(&format!("q_{pad}"));
-            pad += 1;
+        for i in 0..preds {
+            symbols.predicate(&format!("q_{i}"));
         }
         let vars = rules.iter().flat_map(Rule::all_vars).map(|v| v.0 as usize + 1).max().unwrap_or(0);
-        pad = 0;
-        while symbols.num_variables() < vars {
-            symbols.variable(&format!("V_{pad}"));
-            pad += 1;
+        for i in 0..vars {
+            symbols.variable(&format!("V_{i}"));
         }
         Program { rules, goal: Atom::new(pred, Vec::new()), symbols }
     }

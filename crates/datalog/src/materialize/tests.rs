@@ -268,6 +268,31 @@ fn insert_resumes_instead_of_recomputing() {
     m.provenance().check(&p).expect("justifications stay valid");
 }
 
+/// The convergence profile is the build's: update rounds, a template
+/// store's syncs among them, add no word to it, and a snapshot carries
+/// the build's profile alone.
+#[test]
+fn update_rounds_leave_the_build_profile_alone() {
+    let mut p = parse_program(SRC_A).unwrap();
+    let par = p.symbols.get_predicate("par").unwrap();
+    let edges = chain_edges(&mut p, 8);
+    let mut db = Database::new();
+    for e in &edges[..4] {
+        db.insert(par, e.clone());
+    }
+    let mut m = Materialization::from_database(&p, &db, Strategy::SemiNaive);
+    let built = m.profile().to_vec();
+    assert_eq!(built, crate::eval::seminaive_profile(&p, &db, Strategy::SemiNaive));
+    assert_eq!(built.iter().sum::<u64>(), 4 * 5 / 2, "every anc row of the build");
+    for e in &edges[4..] {
+        assert_eq!(m.insert_facts(par, std::slice::from_ref(e)), 1);
+    }
+    m.retract_facts(par, &edges[6..7]);
+    assert_eq!(m.profile(), built);
+    let back = Materialization::from_bytes(&m.to_bytes()).unwrap();
+    assert_eq!(back.profile(), built);
+}
+
 #[test]
 fn insert_on_idb_or_unknown_predicates_is_a_noop() {
     let mut p = parse_program(SRC_A).unwrap();

@@ -34,17 +34,21 @@
 //!   it, to the snapshots pinned before it, for as long as they live.
 //!
 //! Reclamation and compaction are **deferred maintenance**: when the
-//! last reader below an epoch unpins, the new horizon is recorded in
-//! the epoch table (`reclaim_to`) and applied by whoever holds — or
-//! next takes — the store's write lock. The unpinning reader drains it
-//! itself when the store is idle (`try_write` succeeds); under write
-//! contention the horizon is *handed off*, never lost: every write-lock
-//! holder drains the table inside the epochs critical section as its
-//! very last act before releasing the store, so an unpin that loses the
-//! `try_write` race has either already recorded its horizon (the holder
-//! drains it) or is still blocked on the epochs lock and will retry the
-//! idle store right after. Dead rows stay dead either way; pinned
-//! frontiers/tags are the only per-epoch cost.
+//! last reader below an epoch unpins, the new horizon — the first
+//! pinned epoch, or the published one when nothing is pinned — is
+//! applied by whoever holds, or next takes, the store's write lock. The
+//! unpinning reader drains it itself when the store is idle
+//! (`try_write` succeeds); under write contention the horizon is
+//! *handed off*, never lost. The pin table is the ledger: the horizon
+//! never decreases (pins are taken at the published epoch, which only
+//! grows, and an unpin only raises the first pinned one), so the unpin
+//! records it by removing its pin. Every write-lock holder drains the
+//! table inside the epochs critical section as its very last act before
+//! releasing the store, so an unpin that loses the `try_write` race has
+//! either already removed its pin (the holder drains the horizon) or is
+//! still blocked on the epochs lock and will retry the idle store right
+//! after. Dead rows stay dead either way; pinned frontiers/tags are the
+//! only per-epoch cost.
 //!
 //! [`Materialization::compact`] rides the same protocol: a
 //! policy-triggered compaction (see
@@ -63,13 +67,13 @@
 //! lock, so it cannot deadlock). Durability: [`Server::save`] writes the
 //! store's checksummed snapshot file at the published epoch, and
 //! [`Server::restore`] resumes serving from it — same fixpoint, same
-//! epoch counter, no re-evaluation. A restored server starts with a
-//! **disabled** cache (the snapshot format persists the store, rules
-//! included, but no symbol names for the magic transform to build its
-//! own on); [`Server::enable_query_cache`] re-arms it with a symbol
-//! table. The cache keeps no copy of the rules: it reads them from the
-//! store, so rule hot-swap — before a save or after — needs no
-//! bookkeeping here.
+//! epoch counter, no re-evaluation. A restored server's cache is built
+//! as a new server's is, and serves bound goals from views from its
+//! first query: a template is compiled from the store's rules by id
+//! (see [`crate::cache`], "Coherence"), so the names a snapshot does not
+//! persist are never needed. The cache keeps no copy of the rules
+//! either: it reads them from the store, so rule hot-swap — before a
+//! save or after — needs no bookkeeping here.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -129,11 +133,6 @@ struct EpochTable {
     /// minimum pinned epoch — the reclamation horizon — is the first
     /// key.
     pins: BTreeMap<u64, usize>,
-    /// Highest reclamation horizon recorded but possibly not yet applied
-    /// to the store. An unpin that cannot take the write lock records
-    /// its horizon here; the current (or next) write-lock holder drains
-    /// it. Monotone.
-    reclaim_to: u64,
     /// A policy-triggered compaction queued while snapshots were pinned
     /// (compaction clears epoch tags and remaps row ids, so it must
     /// wait for the last unpin).
@@ -143,7 +142,9 @@ struct EpochTable {
 impl EpochTable {
     /// The reclamation horizon: every tombstone tag at or below this
     /// epoch is unobservable. With no pins that is the published epoch
-    /// itself (tags are never issued above it).
+    /// itself (tags are never issued above it). It never decreases (see
+    /// the module docs), so the pin table alone carries an unpin's
+    /// horizon to whoever drains next.
     fn min_observable(&self) -> u64 {
         self.pins.keys().next().copied().unwrap_or(self.current)
     }
@@ -152,7 +153,6 @@ impl EpochTable {
         EpochTable {
             current,
             pins: BTreeMap::new(),
-            reclaim_to: current,
             compact_pending: false,
         }
     }
@@ -166,8 +166,7 @@ impl EpochTable {
     /// dropped inside the critical section — so no horizon recorded by
     /// a contending unpin can slip between the drain and the release.
     fn drain(&mut self, state: &mut ServerState) {
-        let horizon = self.reclaim_to.max(self.min_observable());
-        self.reclaim_to = horizon;
+        let horizon = self.min_observable();
         state.store.reclaim_epochs(horizon);
         state.cache.reclaim_epochs(horizon, self.pins.keys().copied());
         if self.pins.is_empty() {
@@ -202,7 +201,7 @@ impl Server {
     /// The query cache is armed from the start.
     pub fn from_database(program: &Program, db: &Database, strategy: Strategy) -> Self {
         let store = Materialization::from_database(program, db, strategy);
-        let cache = QueryCache::serving(program, None, &store);
+        let cache = QueryCache::serving(&store);
         Self {
             shared: Arc::new(Shared {
                 state: RwLock::new(ServerState { store, cache }),
@@ -228,45 +227,35 @@ impl Server {
     /// the saved process left off. No reader survives a restart, so
     /// every retained tombstone tag is reclaimed on the way in.
     ///
-    /// The query cache comes back **disabled** — the snapshot persists
-    /// the store and its rules, but not the symbol names the magic
-    /// transform extends — so every query filters the base model
-    /// (correct, just uncached) until [`Server::enable_query_cache`]
-    /// re-arms it.
+    /// The query cache is built as [`Server::from_database`] builds it:
+    /// it reads the store's rules at once, so the first bound query —
+    /// on any predicate the store holds as IDB, hot-swapped ones
+    /// included — already gets a view. Views are derived state and were
+    /// not persisted; each is rebuilt by its first query.
     pub fn restore<P: AsRef<Path>>(path: P) -> Result<Self, PersistError> {
         let mut store = Materialization::restore(path)?;
         let epoch = store.epoch();
         store.reclaim_epochs(epoch);
+        let cache = QueryCache::serving(&store);
         Ok(Self {
             shared: Arc::new(Shared {
-                state: RwLock::new(ServerState {
-                    store,
-                    cache: QueryCache::disabled(),
-                }),
+                state: RwLock::new(ServerState { store, cache }),
                 epochs: Mutex::new(EpochTable::new(epoch)),
             }),
         })
     }
 
-    /// Arms (or re-arms) the query cache — the restore path's second
-    /// half. Existing views are discarded. Of `program` the cache shares
-    /// the symbol table (a [`crate::ast::Symbols`] clone is three
-    /// reference counts, so arming costs no name), which must be the one
-    /// the store's rules were written over (or an extension of it); names
-    /// the caller interns into `program` afterwards stay the caller's
-    /// own. The rules come from the store, so a server saved after rule
-    /// hot-swaps is served by its own rules whatever `program.rules`
-    /// lists — read here and now, so the first bound query on a predicate
-    /// only the store knows to be IDB already gets a view.
-    pub fn enable_query_cache(&self, program: &Program) {
+    /// Starts the query cache over: every view and template is dropped,
+    /// and the next bound query of each goal builds it again from the
+    /// store's rules. Tags go on counting, so a snapshot pinned before
+    /// the call takes no view built after it for its own. `program` is
+    /// not read — the cache needs neither its rules nor its names — and
+    /// the parameter stays for the callers written when a restored
+    /// server's cache waited for it.
+    pub fn enable_query_cache(&self, _program: &Program) {
         let mut state = self.shared.write();
-        state.cache = QueryCache::serving(program, Some(&state.cache), &state.store);
-    }
-
-    /// Whether bound queries can currently be cached (`false` only on a
-    /// restored server before [`Server::enable_query_cache`]).
-    pub fn cache_enabled(&self) -> bool {
-        self.shared.read().cache.is_enabled()
+        let ServerState { store, cache } = &mut *state;
+        cache.start_over(store);
     }
 
     /// The query cache's observability counters.
@@ -581,14 +570,11 @@ impl Drop for Snapshot {
                 epochs.pins.remove(&self.epoch);
             }
         }
-        // Record the new horizon *before* trying the state lock: if the
-        // store is busy, the ledger — not this thread — carries the
-        // reclamation (and any queued compaction) to whoever holds or
-        // next takes the write lock. Without the ledger, an unpin that
-        // lost this race leaked its tags until some unrelated later
-        // round.
-        let horizon = epochs.min_observable();
-        epochs.reclaim_to = epochs.reclaim_to.max(horizon);
+        // The pin is gone *before* the state lock is tried: if the store
+        // is busy, the pin table — not this thread — carries the new
+        // horizon (and any queued compaction) to whoever holds or next
+        // takes the write lock.
+        //
         // Opportunistic drain while still inside the epochs critical
         // section, only if the store is idle right now (`try_write`
         // never blocks, so the epochs→state order here cannot deadlock
@@ -875,13 +861,13 @@ mod tests {
 
         // A writer holds the state's write lock while the last unpin
         // happens. `Drop`'s try_write must lose this race — but the
-        // horizon is recorded in the ledger, not lost.
+        // horizon is in the pin table, not lost.
         let writer = server.shared.state.write().unwrap();
         drop(pinned);
         {
             let epochs = server.shared.epochs.lock().unwrap();
             assert!(epochs.pins.is_empty(), "unpinned despite the contention");
-            assert_eq!(epochs.reclaim_to, 2, "horizon handed off via the ledger");
+            assert_eq!(epochs.min_observable(), 2, "horizon handed off via the pin table");
         }
 
         // The write-lock holder drains on its way out — the exact
@@ -1093,7 +1079,6 @@ mod tests {
         let s = server.cache_stats();
         assert!(s.invalidations >= 2);
         assert_eq!(s.template_compiles, 3, "one compile per rule-set era");
-        assert!(server.cache_enabled(), "rule changes keep the cache on");
     }
 
     /// A hot-swapped rule may be written in symbols only the caller's
@@ -1128,8 +1113,8 @@ mod tests {
     }
 
     /// The snapshot holds the rules the server was saved with, and the
-    /// re-armed cache reads them from there: `p` still lists the rule
-    /// that was swapped out.
+    /// restored cache reads them from there: `p`, which the restored
+    /// server never sees, still lists the rule that was swapped out.
     #[test]
     fn server_saved_after_a_rule_swap_restores_with_a_working_cache() {
         let dir = std::env::temp_dir().join(format!("selprop-srvswap-{}", std::process::id()));
@@ -1152,7 +1137,6 @@ mod tests {
         server.save(&path).unwrap();
 
         let restored = Server::restore(&path).unwrap();
-        restored.enable_query_cache(&p);
         let mut db = Database::new();
         for e in &edges {
             db.insert(par, e.clone());
@@ -1160,16 +1144,15 @@ mod tests {
         let (scratch, _) = crate::eval::answer(&swapped, &db, Strategy::SemiNaive);
         assert_eq!(scratch.len(), 2, "child and grandchild");
         assert_eq!(restored.query(&p.goal).sorted(), scratch.sorted());
-        assert!(restored.cache_enabled());
         let s = restored.cache_stats();
         assert_eq!((s.misses, s.direct), (1, 0), "a view, built by the first query");
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Arming the cache reads the store's rules at once. `via` is IDB
-    /// only in the store — hot-swapped in before the save, absent from
-    /// `p.rules` — and the first bound query on it, with no write round
-    /// in between to make the cache look, still gets a view.
+    /// Starting the cache over reads the store's rules at once. `via` is
+    /// IDB only in the store — hot-swapped in before the save, absent
+    /// from `p.rules` — and the first bound query on it, with no write
+    /// round in between to make the cache look, still gets a view.
     #[test]
     fn a_rearmed_cache_knows_the_stores_idb_predicates_before_the_first_round() {
         let dir = std::env::temp_dir().join(format!("selprop-srvidb-{}", std::process::id()));
@@ -1199,8 +1182,11 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A snapshot persists rules by id and no name, and a template needs
+    /// none: the first bound query after a restore — no call in between —
+    /// builds a view, and the view stays live through churn.
     #[test]
-    fn restored_server_reenables_caching_on_request() {
+    fn a_restored_server_serves_views_from_its_first_query() {
         let dir = std::env::temp_dir().join(format!("selprop-srvqc-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("server.snap");
@@ -1214,23 +1200,16 @@ mod tests {
         assert_eq!(server.query(&goal).len(), 6, "views live before the save");
         server.save(&path).unwrap();
 
-        // Restored: cache disabled, queries still exact (direct).
         let restored = Server::restore(&path).unwrap();
-        assert!(!restored.cache_enabled());
         assert_eq!(restored.query(&goal).sorted(), restored.answer().sorted());
         let s = restored.cache_stats();
-        assert!(s.direct >= 1);
-        assert_eq!(s.views, 0, "no views while disabled");
-
-        // Re-armed with the source program: views come back and stay
-        // live through churn.
-        restored.enable_query_cache(&p);
-        assert!(restored.cache_enabled());
+        assert_eq!((s.misses, s.direct), (1, 0), "a view, built by the first query");
         assert_eq!(restored.query(&goal).len(), 6);
-        assert_eq!(restored.cache_stats().views, 1);
+        assert_eq!(restored.cache_stats().hits, 1);
         restored.retract_facts(par, &edges[2..3]);
         assert_eq!(restored.query(&goal).len(), 2, "chain cut at edge 2");
         assert_eq!(restored.query(&goal).sorted(), restored.answer().sorted());
+        assert_eq!(restored.cache_stats().misses, 1, "maintained, never rebuilt");
 
         std::fs::remove_dir_all(&dir).ok();
     }

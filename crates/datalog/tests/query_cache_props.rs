@@ -307,7 +307,6 @@ proptest! {
                 }
             }
         }
-        prop_assert!(cache.is_enabled(), "a rule change rebuilds, it never disables");
         let s = cache.stats();
         // One compile per pattern and rule-set era, at most.
         prop_assert!(s.template_compiles <= 2 * (s.invalidations + 1));
@@ -877,7 +876,7 @@ fn pinned_script(
             }
             21 if y % 4 == 0 => {
                 // A restart: no pin survives it, and the cache comes back
-                // empty once re-armed.
+                // empty, as it stays when started over.
                 pins.clear();
                 let path = dir.join("pinned.snap");
                 server.save(&path).expect("save");
@@ -978,7 +977,7 @@ fn toggle(edb: &mut Database, pred: Pred, edge: Tuple) -> UpdateRound {
 /// - rounds among strangers, which change no goal's view;
 /// - rescue rounds, which kill and re-append a goal's row;
 /// - an eviction of every goal's view under one or two view slots;
-/// - a save, restore and re-armed cache;
+/// - a save, restore and a cache started over;
 /// - the recursive rule dropped or added back;
 /// - reads of every goal through the oldest or the newest pin.
 ///

@@ -133,20 +133,20 @@ fn rewriting_and_deciding_copy_no_constant() {
     }
 }
 
-/// The client keeps interning into the `Program` it armed the server
-/// with and applies rounds over the new constants: the answers are the
-/// reference's at every round, the client pays for one copy of the
-/// constant space in all, and the server's views survive — synced, never
-/// recompiled or invalidated. (A smaller sea of noise: the reference
-/// evaluates the whole program twice a round.)
+/// The client keeps interning into the `Program` it built the server
+/// from and applies rounds over the new constants: the answers are the
+/// reference's at every round, the client copies no constant — the
+/// server and its cache hold no share of its name table — and the
+/// server's views survive — synced, never recompiled or invalidated. (A
+/// smaller sea of noise: the reference evaluates the whole program twice
+/// a round.)
 #[test]
-fn a_client_interning_after_the_handover_pays_one_copy_and_breaks_nothing() {
+fn a_client_interning_after_the_handover_copies_no_constant_and_breaks_nothing() {
     let noise = 500;
     let mut p = parse_program(SECTION_7).unwrap();
     let mut db = workload::layered_b1_b2(&mut p, "c", LAYERS, noise);
     let constants = 1 + 2 * LAYERS + 2 * noise;
     let server = Server::from_database(&p, &db, Strategy::SemiNaive);
-    server.enable_query_cache(&p);
     let b1 = p.symbols.get_predicate("b1").unwrap();
     let b2 = p.symbols.get_predicate("b2").unwrap();
     let c = p.symbols.get_constant("c").unwrap();
@@ -174,10 +174,7 @@ fn a_client_interning_after_the_handover_pays_one_copy_and_breaks_nothing() {
         );
     }
     let paid = Symbols::names_copied() - before;
-    assert!(
-        (constants..constants + small(&p)).contains(&paid),
-        "the client copied {paid} names for {constants} constants"
-    );
+    assert!(paid <= small(&p), "the client copied {paid} names ({constants} constants)");
 
     let stats = server.cache_stats();
     assert_eq!(stats.template_compiles, compiled + 1, "one more template: the second pattern's");

@@ -264,6 +264,47 @@ fn a_provenance_tag_0_container_is_refused_as_corrupt() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A relation's row count is bounded by the bytes its rows take — except
+/// a 0-ary one's, whose rows take none. A forged count there, behind a
+/// valid checksum, decoded to a store whose first read walked 2^40 rows
+/// and whose first write sized a dedup table by them. `()` has one live
+/// row at most; any other count is refused, by the store and by the
+/// server.
+#[test]
+fn a_forged_row_count_on_a_0_ary_relation_is_refused_as_corrupt() {
+    let p = parse_program("?- q(X).\nq(X) :- e(X), flag.").unwrap();
+    let [e, flag] = ["e", "flag"].map(|n| p.symbols.get_predicate(n).unwrap());
+    let mut db = selprop_datalog::Database::new();
+    db.insert(e, vec![selprop_datalog::Const(0)]);
+    db.insert(flag, Vec::new());
+    let bytes = Materialization::from_database(&p, &db, Strategy::SemiNaive).to_bytes();
+    // Section 10's entry for `flag`: predicate, EDB, arity 0, one row,
+    // watermark 1.
+    let entry: Vec<u8> = [&flag.0.to_le_bytes()[..], &[0], &0u64.to_le_bytes()]
+        .concat()
+        .into_iter()
+        .chain([1u64, 1].iter().flat_map(|n| n.to_le_bytes()))
+        .collect();
+    let at: Vec<usize> = (0..bytes.len() - entry.len())
+        .filter(|&i| bytes[i..i + entry.len()] == entry[..])
+        .collect();
+    assert_eq!(at.len(), 1, "flag's entry found once");
+    let rows_at = at[0] + 4 + 1 + 8;
+    let mut forged = bytes.clone();
+    forged[rows_at..rows_at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+    let current = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
+    let forged = restamped(&forged, current);
+    let refused = |r: Result<_, PersistError>| {
+        matches!(r, Err(PersistError::Corrupt("0-ary relation with more than one live row")))
+    };
+    assert!(refused(Materialization::from_bytes(&forged).map(|m| m.num_facts(flag))));
+    let dir = scratch_dir("nullary");
+    let path = dir.join("forged.snap");
+    std::fs::write(&path, &forged).unwrap();
+    assert!(refused(Server::restore(&path).map(|s| s.snapshot().num_facts(flag))));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// `tests/data/program_a_v4.snap` was written by the commit before the
 /// payload codec moved into `materialize/codec.rs`: program A over the
 /// chain `john → c1 → … → c4`, then `par(c3, c4)` retracted. It must
