@@ -1375,6 +1375,45 @@ mod tests {
         );
     }
 
+    /// A template store's reverse chains over base relations are sparse
+    /// from its first view and again after it starts over: its
+    /// `rev_words` follow its own rows, not the base's row ids — here
+    /// past 50 000 disconnected edges.
+    #[test]
+    fn a_template_stores_reverse_index_is_sized_by_its_own_rows() {
+        let mut p = parse_program(SRC).unwrap();
+        let par = p.symbols.get_predicate("par").unwrap();
+        let mut edb = Database::new();
+        for i in 0..50_000 {
+            let (a, b) = (p.symbols.constant(&format!("a{i}")), p.symbols.constant(&format!("b{i}")));
+            edb.insert(par, vec![a, b]);
+        }
+        let edges = chain(&mut p, 12);
+        let mut base = Materialization::from_database(&p, &edb, Strategy::SemiNaive);
+        base.insert_facts(par, &edges);
+        let goals: Vec<Atom> = ["john", "c1", "c2", "c3"]
+            .iter()
+            .map(|c| Atom::new(p.goal.pred, vec![Term::Const(p.symbols.constant(c)), p.goal.args[1]]))
+            .collect();
+        let mut cache = QueryCache::new(&p);
+        let sized_by_own_rows = |cache: &mut QueryCache, base: &mut Materialization| {
+            for g in &goals {
+                cache.query(base, g);
+            }
+            for s in cache.stores() {
+                let (words, (_, rows)) = (s.mem_stats().rev_words, s.own_rows());
+                assert!(words <= 16 * rows, "{words} reverse-index words over {rows} own rows");
+            }
+        };
+        sized_by_own_rows(&mut cache, &mut base);
+        // Two retracting rounds the cache does not see: its store starts
+        // over, and every view is built again.
+        base.retract_facts(par, &edges[10..11]);
+        base.retract_facts(par, &edges[11..12]);
+        sized_by_own_rows(&mut cache, &mut base);
+        assert_eq!(cache.stats().invalidations, 1, "the store started over");
+    }
+
     const SRC_S7: &str = "?- p(c, Y).\n\
                           p(X, Y) :- b1(X, X1), b2(X1, Y).\n\
                           p(X, Y) :- b1(X, X1), p(X1, Y1), b2(Y1, Y).";

@@ -139,6 +139,12 @@ impl RelJust {
     }
 }
 
+/// A relation or row id as the justification and reverse-index buffers
+/// hold it: checked, as they are `u32`.
+fn id32(n: usize) -> u32 {
+    u32::try_from(n).expect("relation or row id overflows u32")
+}
+
 /// Stable identifier of a rule inside a [`Materialization`]: the rule's
 /// plan slot. Slots are assigned in program order at construction, then
 /// in [`UpdateRound::add_rule`] order, and are **never reused** — a
@@ -318,18 +324,13 @@ pub struct Materialization {
     /// their plan (justification rule ids index plan slots) but stop
     /// firing, rescuing and appearing in update items.
     rule_active: Vec<bool>,
-    /// How many times the reverse-dependency index was built **from
-    /// scratch** by an over-deleting round: once on the first round with
-    /// over-deletion work, then zero — the index persists and is
-    /// extended incrementally (the regression handle for O(affected)
-    /// retracts). Compaction rebuilds are counted by
-    /// [`Materialization::compactions`] instead.
-    csr_builds: u64,
     /// The serving layer's epoch (0 = epoch mode off): forwarded to
     /// every relation so tombstones are tagged for snapshot readers.
     epoch: u64,
-    /// The persistent reverse-dependency index (lazy; see [`RevIndex`]).
-    rev: Option<RevIndex>,
+    /// The persistent reverse-dependency index, extended by every merge
+    /// of a recording store (see [`RevIndex`]; empty in the one-shot
+    /// store).
+    rev: RevIndex,
     /// Automatic compaction policy (`None` = manual
     /// [`Materialization::compact`] only).
     policy: Option<CompactionPolicy>,
@@ -444,9 +445,8 @@ impl Materialization {
             idx_of: FxHashMap::default(),
             rederive: None,
             rule_active: Vec::new(),
-            csr_builds: 0,
             epoch: 0,
-            rev: None,
+            rev: RevIndex::default(),
             policy: Some(CompactionPolicy::default()),
             compactions: 0,
             version: 0,
@@ -701,10 +701,9 @@ impl Materialization {
     ///
     /// A thin wrapper over [`Materialization::apply`] — one call is one
     /// single-phase round, O(affected rows) via the persistent
-    /// reverse-dependency index (after a one-time lazy build on the
-    /// first retract ever; batch mixed work into one [`UpdateRound`] to
-    /// share the fixpoint resume). Panics on arity mismatch, before
-    /// anything is retracted.
+    /// reverse-dependency index (batch mixed work into one
+    /// [`UpdateRound`] to share the fixpoint resume). Panics on arity
+    /// mismatch, before anything is retracted.
     pub fn retract_facts(&mut self, pred: Pred, rows: &[Tuple]) -> usize {
         self.apply(&UpdateRound::new().retract_all(pred, rows)).retracted
     }
@@ -755,9 +754,7 @@ impl Materialization {
     ///    EDB relations.
     /// 3. **Retracts** tombstone their EDB rows; the over-deletion
     ///    closure for *all* seeds (drops + retracts) walks the
-    ///    persistent reverse-dependency index — O(affected rows), with
-    ///    one lazy index build on the first over-deleting round ever
-    ///    ([`Materialization::csr_builds`]).
+    ///    persistent reverse-dependency index — O(affected rows).
     /// 4. **Inserts** append novel EDB rows — into the delta range, the
     ///    watermarks still sit at the old fixpoint.
     /// 5. Added rules **seed** their deltas with one full-range
@@ -836,7 +833,7 @@ impl Materialization {
                     if self.rels[hrel].is_live(hrow)
                         && dropped.contains(&prov[hrel].entry(hrow).0)
                     {
-                        seeds.push((hrel as u32, hrow as u32));
+                        seeds.push((id32(hrel), id32(hrow)));
                     }
                 }
             }
@@ -1033,16 +1030,6 @@ impl Materialization {
     /// the rules.
     pub(crate) fn rule_shape(&self) -> (usize, usize) {
         (self.rule_active.len(), self.rule_active.iter().filter(|&&a| a).count())
-    }
-
-    /// How many times the reverse-dependency index was built **from
-    /// scratch** by an over-deleting round: exactly once — the first
-    /// round with any over-deletion work — and zero afterwards, however
-    /// many retracts follow (the index is maintained incrementally; the
-    /// rebuild at each [`Materialization::compact`] is counted by
-    /// [`Materialization::compactions`] instead).
-    pub fn csr_builds(&self) -> u64 {
-        self.csr_builds
     }
 
     /// Moves the store into epoch mode for the serving layer: tombstones

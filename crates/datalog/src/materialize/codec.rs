@@ -21,7 +21,8 @@ impl Materialization {
     /// around the payload sections below. Derived structures whose
     /// layout is probe-history dependent (dedup tables, join indexes,
     /// compiled plans, the reverse index) are rebuilt on restore, so
-    /// `to_bytes(from_bytes(x)) == x` bit-for-bit.
+    /// `to_bytes(from_bytes(x)) == x` bit-for-bit — but for section 5's
+    /// middle word, which an older file may hold as 0 and re-encodes as 1.
     ///
     /// # Payload sections, in order
     ///
@@ -38,8 +39,9 @@ impl Materialization {
     ///    ones included — justifications index rule slots) as head atom +
     ///    body atoms.
     /// 4. **Rule activity** — one `u8` per slot (0 = dropped).
-    /// 5. **Counters** — serving epoch, reverse-index builds, compactions
-    ///    (`u64` each).
+    /// 5. **Counters** — serving epoch, the word 1 ("the reverse index is
+    ///    built"; read and ignored — older files of stores that had never
+    ///    retracted hold 0), compactions (`u64` each).
     /// 6. **EvalStats** — iterations, rule firings, tuples derived, join
     ///    probes (`u64` each).
     /// 7. **Convergence profile** — count + `u64` per productive iteration
@@ -76,9 +78,10 @@ impl Materialization {
     /// re-derivation plans (recompiled
     /// from the rules, the order mode and the persisted cardinalities,
     /// as construction compiled them), and the reverse dependency index
-    /// (lazy). Restore therefore returns at the exact persisted fixpoint
-    /// without any re-evaluation: the expensive state is the rows and
-    /// justifications, which round-trip bit-for-bit.
+    /// (rebuilt from the live justifications by every restore). Restore
+    /// therefore returns at the exact persisted fixpoint without any
+    /// re-evaluation: the expensive state is the rows and justifications,
+    /// which round-trip bit-for-bit.
     pub fn to_bytes(&self) -> Vec<u8> {
         fn atom(e: &mut Enc, a: &Atom) {
             e.u32(a.pred.0);
@@ -119,7 +122,7 @@ impl Materialization {
             e.u8(u8::from(a));
         }
         e.u64(self.epoch);
-        e.u64(self.csr_builds);
+        e.u64(1); // "the reverse index is built"
         e.u64(self.compactions);
         e.usize(self.stats.iterations);
         e.u64(self.stats.rule_firings);
@@ -187,9 +190,9 @@ impl Materialization {
 
     /// Reassembles a materialization from a snapshot image, rebuilding
     /// the derived structures (dedup tables, join indexes, compiled
-    /// plans) from the persisted rows and rules. The store comes back
-    /// **at the persisted fixpoint** — no re-evaluation — ready for
-    /// queries and further [`Materialization::apply`] rounds.
+    /// plans, the reverse index) from the persisted rows and rules. The
+    /// store comes back **at the persisted fixpoint** — no re-evaluation
+    /// — ready for queries and further [`Materialization::apply`] rounds.
     ///
     /// Container framing (magic, version, stored length, FNV-1a 64
     /// checksum) is verified before any payload byte is parsed, and the
@@ -240,7 +243,7 @@ impl Materialization {
             rule_active.push(d.u8()? != 0);
         }
         let epoch = d.u64()?;
-        let csr_builds = d.u64()?;
+        d.u64()?; // "the reverse index is built": every restore builds it
         let compactions = d.u64()?;
         let stats = EvalStats {
             iterations: d.usize()?,
@@ -335,14 +338,14 @@ impl Materialization {
             let rel_epoch = d.u64()?;
             let ntags = d.count(12)?;
             let mut tomb_at = FxHashMap::default();
-            let mut prev: Option<u32> = None;
+            let mut last_row = None;
             for _ in 0..ntags {
                 let row = d.u32()?;
                 let te = d.u64()?;
-                if prev.is_some_and(|p| row <= p) {
+                if last_row.is_some_and(|p| row <= p) {
                     return Err(PersistError::Corrupt("death-epoch tags out of order"));
                 }
-                prev = Some(row);
+                last_row = Some(row);
                 let dead_bit = dead
                     .get(row as usize >> 6)
                     .is_some_and(|w| (w >> (row & 63)) & 1 == 1);
@@ -448,7 +451,6 @@ impl Materialization {
             stats,
             rules,
             rule_active,
-            csr_builds,
             epoch,
             policy,
             compactions,
@@ -461,13 +463,7 @@ impl Materialization {
         // here, so that a view can link them, and filled by the first
         // round (or view link) that needs them.
         m.compile_plans(None);
-        // A store that had ever over-deleted carried a reverse index;
-        // rebuild it now (live justifications only) so the restored
-        // store is behaviorally identical — same O(affected) retracts,
-        // same counters — instead of paying a second lazy build.
-        if m.csr_builds > 0 {
-            m.rev = Some(m.build_rev_index());
-        }
+        m.rev = m.build_rev_index();
         Ok(m)
     }
 

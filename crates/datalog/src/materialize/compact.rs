@@ -55,25 +55,18 @@ pub struct MemStats {
     pub seg_words: usize,
     /// Words of packed justification entries (offsets + buffers).
     pub just_words: usize,
-    /// Words held by the reverse-dependency index (0 until the first
-    /// retraction builds it).
+    /// Words held by the reverse-dependency index, which every recording
+    /// store carries from construction; its stale edges stay until the
+    /// next compaction.
     pub rev_words: usize,
 }
 
 impl MemStats {
-    /// What the bounded-memory gate compares (`tests/engine_equiv.rs`,
-    /// peak under churn against a fresh store): the sum of tuple, index
-    /// and justification words — the row-addressed structures a fresh
-    /// store also carries, so peak-vs-fresh ratios are meaningful. The reverse index is reported separately: it is
-    /// rebuilt live-only at each compaction, so it is bounded by the
-    /// same argument, but a freshly evaluated store does not carry one.
-    pub fn row_words(&self) -> usize {
-        self.tuple_words + self.index_words + self.just_words
-    }
-
-    /// Every word tracked, reverse index included.
+    /// Every word tracked: tuples, indexes, justifications and the
+    /// reverse index. What the bounded-memory gate compares
+    /// (`tests/engine_equiv.rs`, peak under churn against a fresh store).
     pub fn total_words(&self) -> usize {
-        self.row_words() + self.rev_words
+        self.tuple_words + self.index_words + self.just_words + self.rev_words
     }
 }
 
@@ -200,11 +193,8 @@ impl Materialization {
         }
 
         // The reverse index embeds row ids on both sides; rebuild it
-        // live-only (also shedding stale edges). Not counted by
-        // `csr_builds` — that counter tracks lazy from-scratch builds.
-        if self.rev.is_some() {
-            self.rev = Some(self.build_rev_index());
-        }
+        // live-only (also shedding stale edges).
+        self.rev = self.build_rev_index();
 
         // Row ids moved: what the last round retracted names nothing now.
         self.last_retracted.clear();
@@ -231,9 +221,7 @@ impl Materialization {
                 s.just_words += rj.footprint_words();
             }
         }
-        if let Some(rev) = &self.rev {
-            s.rev_words = rev.footprint_words();
-        }
+        s.rev_words = self.rev.footprint_words();
         s
     }
 }

@@ -1,15 +1,17 @@
 //! Delete–rederive: the reverse-dependency index over the recorded
-//! justifications, over-deletion along it, and the rescue of what
-//! another derivation still supports. A rescue is a join pass like any
-//! other: the selectivity-ordered rescue plan of [`crate::plan`] runs
-//! through `join.rs` as one existential `(rule, candidate)` pass, and
-//! what the passes find enters the store through `fixpoint.rs`'s merge.
-//! This file probes no index and appends no row. `BENCHMARK.json`:
+//! justifications, which a recording store carries from construction,
+//! over-deletion along it, and the rescue of what another derivation
+//! still supports. A rescue is a join pass like any other: the
+//! selectivity-ordered rescue plan of [`crate::plan`] runs through
+//! `join.rs` as one existential `(rule, candidate)` pass, and what the
+//! passes find enters the store through `fixpoint.rs`'s merge, which
+//! also appends the reverse edges. This file probes no index and
+//! appends no row. `BENCHMARK.json`:
 //! `materialize.probes_per_retract_round`,
 //! `materialize.rows_killed_per_round`, `materialize.rederive_ratio`.
 
 use super::join::{build_head, join, Counters, Delta, PendingTuples, Scratch};
-use super::Materialization;
+use super::{id32, Materialization};
 use crate::ast::{Const, Pred, Rule};
 use crate::hash::FxHashMap;
 use crate::plan::{plan_rescue, Out};
@@ -32,14 +34,14 @@ struct RevEdge {
 /// over-deletion O(affected): a retraction walks the chains of the
 /// seeds' closure instead of re-scanning every live justification.
 ///
-/// Built lazily on the first over-deleting round (one full pass, counted
-/// by [`Materialization::csr_builds`]), then maintained incrementally:
-/// every merged row — rescued rows merge too — appends one edge per body
-/// position.
+/// A recording store carries it from construction: every merged row —
+/// a build's, an update's, a rescued one — appends one edge per body
+/// position. A template store's chains over external relations are set
+/// up sparse when it is linked to its base and when it starts over.
 /// Edges are never removed — a chain may point at head rows that died
 /// later; the traversal's `tombstone` call is a no-op on them, and
-/// [`Materialization::compact`] rebuilds the index from the live
-/// justifications.
+/// [`Materialization::compact`] and a restore rebuild the index from the
+/// live justifications ([`Materialization::build_rev_index`]).
 #[derive(Clone, Debug, Default)]
 pub(super) struct RevIndex {
     /// Per relation: the newest edge of each row's chain.
@@ -48,8 +50,8 @@ pub(super) struct RevIndex {
     edges: Vec<RevEdge>,
     /// The edges' head relations, by runs: `(first edge, relation)`,
     /// first edges ascending. A head row's edges are added together, and
-    /// a build or a merge adds a relation's rows together, so a run
-    /// covers many edges.
+    /// a rebuild — or one rule's pass in a merge — adds one relation's
+    /// rows together, so a run covers many edges.
     runs: Vec<(u32, u32)>,
 }
 
@@ -69,25 +71,28 @@ enum Chains {
 
 impl RevIndex {
     /// Records that head row `(hrel, hrow)`'s justification uses body
-    /// row `(brel, brow)`.
-    pub(super) fn add(&mut self, brel: usize, brow: u32, hrel: u32, hrow: u32) {
-        if self.head.len() <= brel {
-            self.head.resize(brel + 1, Chains::Dense(Vec::new()));
+    /// row `body[k]` of relation `body_rels[k]`, for every `k`.
+    pub(super) fn add_row(&mut self, hrel: u32, hrow: u32, body_rels: &[usize], body: &[u32]) {
+        let first = u32::try_from(self.edges.len()).expect("reverse-index edge overflow");
+        if !body.is_empty() && self.runs.last().is_none_or(|&(_, r)| r != hrel) {
+            self.runs.push((first, hrel));
         }
-        let slot = match &mut self.head[brel] {
-            Chains::Dense(chain) => {
-                if chain.len() <= brow as usize {
-                    chain.resize(brow as usize + 1, NO_EDGE);
-                }
-                &mut chain[brow as usize]
+        for (&brel, &brow) in body_rels.iter().zip(body) {
+            if self.head.len() <= brel {
+                self.head.resize(brel + 1, Chains::Dense(Vec::new()));
             }
-            Chains::Sparse(chain) => chain.entry(brow).or_insert(NO_EDGE),
-        };
-        let id = u32::try_from(self.edges.len()).expect("reverse-index edge overflow");
-        self.edges.push(RevEdge { hrow, next: *slot });
-        *slot = id;
-        if self.runs.last().is_none_or(|&(_, r)| r != hrel) {
-            self.runs.push((id, hrel));
+            let slot = match &mut self.head[brel] {
+                Chains::Dense(chain) => {
+                    if chain.len() <= brow as usize {
+                        chain.resize(brow as usize + 1, NO_EDGE);
+                    }
+                    &mut chain[brow as usize]
+                }
+                Chains::Sparse(chain) => chain.entry(brow).or_insert(NO_EDGE),
+            };
+            let id = u32::try_from(self.edges.len()).expect("reverse-index edge overflow");
+            self.edges.push(RevEdge { hrow, next: *slot });
+            *slot = id;
         }
     }
 
@@ -124,22 +129,20 @@ impl RevIndex {
 
 impl Materialization {
     /// Builds the reverse-dependency index from every live recorded
-    /// justification: one full pass over the packed buffers.
+    /// justification: one full pass over the packed buffers, chains
+    /// sparse over external relations.
     pub(super) fn build_rev_index(&self) -> RevIndex {
         let prov = self
             .prov
             .as_ref()
             .expect("Materialization always records justifications");
         let mut rev = RevIndex {
-            head: self
-                .rels
-                .iter()
-                .enumerate()
-                .map(|(i, r)| {
+            head: (0..self.rels.len())
+                .map(|i| {
                     if self.is_external(i) {
                         Chains::Sparse(FxHashMap::default())
                     } else {
-                        Chains::Dense(vec![NO_EDGE; r.num_rows()])
+                        Chains::Dense(Vec::new())
                     }
                 })
                 .collect(),
@@ -152,10 +155,8 @@ impl Materialization {
                     continue;
                 }
                 let (rule, body) = prov[hrel].entry(hrow);
-                for (k, &brow) in body.iter().enumerate() {
-                    let brel = self.plans[rule as usize][0].body_rels[k];
-                    rev.add(brel, brow, hrel as u32, hrow as u32);
-                }
+                let body_rels = &self.plans[rule as usize][0].body_rels;
+                rev.add_row(id32(hrel), id32(hrow), body_rels, body);
             }
         }
         rev
@@ -195,30 +196,18 @@ impl Materialization {
 
     /// DRed over-deletion: tombstones the reverse-dependency closure of
     /// the (already tombstoned) `worklist` rows over the recorded
-    /// justifications, appending every row it kills to `candidates`.
-    /// The first over-deleting round builds the persistent [`RevIndex`]
-    /// (one full pass over the packed justification buffers — counted by
-    /// `csr_builds`); every later round just walks the chains of the
-    /// seeds' closure, so the cost is O(affected rows), not O(total
-    /// rows). Chains may hold stale edges to rows that died in earlier
-    /// rounds (or to rows whose head re-inserted at a fresh id);
-    /// `tombstone` of a dead row is a no-op, so they are skipped.
+    /// justifications, appending every row it kills to `candidates`: it
+    /// walks the [`RevIndex`] chains of the seeds' closure, so the cost
+    /// is O(affected rows), not O(total rows). Chains may hold stale
+    /// edges to rows that died in earlier rounds (or to rows whose head
+    /// re-inserted at a fresh id); `tombstone` of a dead row is a no-op,
+    /// so they are skipped.
     pub(super) fn over_delete(
         &mut self,
         mut worklist: Vec<(u32, u32)>,
         candidates: &mut Vec<(u32, u32)>,
     ) {
-        if worklist.is_empty() {
-            return;
-        }
-        // Take the index out while tombstoning through `self.rels` (no
-        // edges are added during over-deletion), building it on the
-        // first over-deleting round; from then on every merge appends
-        // its edges incrementally.
-        let rev = self.rev.take().unwrap_or_else(|| {
-            self.csr_builds += 1;
-            self.build_rev_index()
-        });
+        let Self { rev, rels, dred_reads, .. } = self;
         let mut i = 0;
         while i < worklist.len() {
             let (drel, drow) = worklist[i];
@@ -227,15 +216,14 @@ impl Materialization {
             while e != NO_EDGE {
                 let RevEdge { hrow, next } = rev.edges[e as usize];
                 let hrel = rev.head_rel(e);
-                self.dred_reads += 1;
-                if self.rels[hrel as usize].tombstone(hrow as usize) {
+                *dred_reads += 1;
+                if rels[hrel as usize].tombstone(hrow as usize) {
                     worklist.push((hrel, hrow));
                     candidates.push((hrel, hrow));
                 }
                 e = next;
             }
         }
-        self.rev = Some(rev);
     }
 
     /// DRed rescue: every over-deleted candidate that one active rule

@@ -9,7 +9,7 @@
 //! `eval.par2_speedup`, `materialize.rows_appended_per_round`.
 
 use super::join::{snapshot_range, Counters, Delta, Pass, PendingTuples, Scratch, ShardTask};
-use super::Materialization;
+use super::{id32, Materialization};
 use crate::ast::Pred;
 use crate::eval::{Strategy, OVERSHARD};
 use crate::hash::FxHashMap;
@@ -211,12 +211,11 @@ impl Materialization {
     /// rule firing and derived tuple of [`crate::eval::EvalStats`]. With
     /// provenance recording on, the staged justification of each tuple
     /// that actually inserts (the first staged copy in merge order) is
-    /// appended to the head relation's justification store, and — once
-    /// the reverse-dependency index exists — one reverse edge per body
-    /// position is appended so later retracts stay O(affected). Every
-    /// derived row enters the store here — a round's, a seeding round's,
-    /// a DRed rescue's; `compact` and `build_rev_index` only
-    /// rebuild what it appended.
+    /// appended to the head relation's justification store, and one
+    /// reverse edge per body position to the reverse-dependency index,
+    /// so retracts stay O(affected). Every derived row enters the store
+    /// here — a round's, a seeding round's, a DRed rescue's; `compact`
+    /// and `build_rev_index` only rebuild what it appended.
     pub(super) fn merge_pending(&mut self, pending: &mut PendingTuples) -> u64 {
         let Self { rels, prov, rev, plans, stats, .. } = self;
         // Pre-size each target's dedup table from the staged count (an
@@ -254,12 +253,7 @@ impl Materialization {
                         appended += 1;
                         let body = &pending.just[joff + 1..joff + 1 + blen];
                         prov[rid as usize].push(rule, body);
-                        if let Some(rev) = rev.as_mut() {
-                            let hrow = (rel.num_rows() - 1) as u32;
-                            for (kb, &brow) in body.iter().enumerate() {
-                                rev.add(body_rels[kb], brow, rid, hrow);
-                            }
-                        }
+                        rev.add_row(rid, id32(rel.num_rows() - 1), body_rels, body);
                     }
                     off += ar;
                     joff += 1 + blen;

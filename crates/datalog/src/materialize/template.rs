@@ -137,7 +137,9 @@ impl Materialization {
     /// store is at fixpoint over any EDB — each of its rules has an own
     /// atom in the body — so from here on everything, the first view
     /// included, is an update. Relations the base does not track
-    /// (notably the template's seed predicate) stay store-owned.
+    /// (notably the template's seed predicate) stay store-owned. The
+    /// reverse index is set up here, its chains over external relations
+    /// sparse: dense ones would be sized by base row ids.
     pub(crate) fn link_external(&mut self, base: &mut Materialization) -> Result<ExtLinks, String> {
         let mut links = ExtLinks::default();
         let mut ext = vec![false; self.rels.len()];
@@ -173,6 +175,7 @@ impl Materialization {
             links.idxs.push((vi, bi, vr, base_of_rel[vr]));
         }
         self.ext_flag = ext;
+        self.rev = self.build_rev_index();
         Ok(links)
     }
 
@@ -180,8 +183,10 @@ impl Materialization {
     /// its base has compacted, so the base row ids in its justifications
     /// and reverse chains have moved, or it missed a base round that
     /// retracted rows — and re-pins the external watermarks at the
-    /// base's current row counts. Plans, index registrations and `links`
-    /// stand: neither case moves relation or index slots.
+    /// base's current row counts. The reverse index starts over empty,
+    /// sparse over external relations as [`Materialization::link_external`]
+    /// set it up. Plans, index registrations and `links` stand: neither
+    /// case moves relation or index slots.
     pub(crate) fn clear_rows(&mut self, base: &Materialization, links: &ExtLinks) {
         for rel in &mut self.rels {
             *rel = ColumnarRelation::new(rel.arity());
@@ -192,7 +197,7 @@ impl Materialization {
         for just in self.prov.iter_mut().flatten() {
             *just = RelJust::default();
         }
-        self.rev = None;
+        self.rev = self.build_rev_index();
         self.old_hi.fill(0);
         for &(vr, br) in &links.rels {
             self.old_hi[vr] = base.rels[br].num_rows();

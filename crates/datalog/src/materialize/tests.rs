@@ -452,12 +452,12 @@ fn batch_wrappers_are_the_materialization_special_case() {
     assert_eq!(m.answer().sorted(), ans.sorted());
 }
 
+/// The reverse-dependency index is built with the store: a build's
+/// merges append its edges, and a restore rebuilds the same index from
+/// the justifications, so the first retract round costs the same on a
+/// restored store as on the original and leaves the same state.
 #[test]
-fn one_csr_build_per_apply_round() {
-    // The reverse-dependency index is built lazily exactly once —
-    // on the first round with any over-deletion work — and then
-    // maintained incrementally: later retracting rounds (batched or
-    // single-fact) never rebuild it.
+fn a_store_carries_its_reverse_index_from_construction() {
     let mut p = parse_program(SRC_A).unwrap();
     let par = p.symbols.get_predicate("par").unwrap();
     let edges = chain_edges(&mut p, 10);
@@ -466,32 +466,22 @@ fn one_csr_build_per_apply_round() {
         db.insert(par, e.clone());
     }
     let mut m = Materialization::from_database(&p, &db, Strategy::SemiNaive);
-    assert_eq!(m.csr_builds(), 0, "construction never over-deletes");
+    let words = m.mem_stats().rev_words;
+    assert!(words > 0, "a build appends reverse edges");
+    let mut restored = Materialization::from_bytes(&m.to_bytes()).unwrap();
+    assert_eq!(restored.mem_stats().rev_words, words, "a restore rebuilds the same index");
 
-    let round = UpdateRound::new()
-        .retract_all(par, &edges[6..])
-        .drop_rule(RuleId(1));
-    let report = m.apply(&round);
-    assert_eq!(report.retracted, 4);
-    assert_eq!(report.rules_dropped, 1);
-    assert_eq!(m.csr_builds(), 1, "one build for the whole mixed round");
-
-    // Insert-only and empty rounds never build the index.
-    m.apply(&UpdateRound::new().insert(par, edges[6].clone()));
-    m.apply(&UpdateRound::new());
-    assert_eq!(m.csr_builds(), 1);
-
-    // A later retracting round reuses the maintained index.
-    m.apply(&UpdateRound::new().retract(par, edges[6].clone()));
-    assert_eq!(m.csr_builds(), 1, "incremental maintenance, no rebuild");
-
-    // The single-fact path also pays exactly one lazy build, on the
-    // first retract call — O(affected) from then on.
-    let mut m2 = Materialization::from_database(&p, &db, Strategy::SemiNaive);
-    for e in &edges[6..] {
-        m2.retract_facts(par, std::slice::from_ref(e));
-    }
-    assert_eq!(m2.csr_builds(), 1);
+    let round = UpdateRound::new().retract_all(par, &edges[6..]).drop_rule(RuleId(1));
+    let first_round = |m: &mut Materialization| {
+        let (reads, probes) = (m.dred_reads(), m.stats().join_probes);
+        m.apply(&round);
+        (m.dred_reads() - reads, m.stats().join_probes - probes)
+    };
+    let (reads, probes) = first_round(&mut m);
+    assert!(reads > 0, "the round over-deletes");
+    assert_eq!(first_round(&mut restored), (reads, probes));
+    assert_eq!(restored.database().sorted_models(), m.database().sorted_models());
+    assert_eq!(restored.to_bytes(), m.to_bytes());
 }
 
 #[test]
@@ -805,7 +795,7 @@ fn compact_preserves_model_provenance_and_update_behavior() {
     assert_eq!(m.compactions(), 1);
     let mem_after = m.mem_stats();
     assert_eq!(mem_after.total_rows, mem_after.live_rows, "no dead rows survive");
-    assert!(mem_after.row_words() < mem_before.row_words());
+    assert!(mem_after.total_words() < mem_before.total_words());
 
     // Results, counters and provenance are untouched.
     assert_eq!(m.stats(), stats_before, "compaction does no evaluation work");
@@ -1312,7 +1302,6 @@ fn snapshot_round_trip_is_bit_for_bit_and_update_equivalent() {
     assert_eq!(m2.to_bytes(), bytes, "serialize(restore(x)) == x, bit for bit");
     assert_eq!(m2.stats(), m.stats());
     assert_eq!(m2.strategy(), m.strategy());
-    assert_eq!(m2.csr_builds(), m.csr_builds());
     assert_eq!(m2.database().sorted_models(), m.database().sorted_models());
     assert_eq!(m2.answer().sorted(), m.answer().sorted());
     m2.provenance().check(&p).expect("restored justifications valid");

@@ -557,8 +557,9 @@ fn assert_churn_compact_churn_matches_reference(
 /// teeth: each round retracts one of the last four edges of program A's
 /// 32-edge chain and puts it back, tombstoning the closure rows above it
 /// and re-appending them under fresh row ids. Under a
-/// [`CompactionPolicy`] peak `mem_stats().row_words()` stays within 2× a
-/// freshly evaluated store of the same database; with the policy off the
+/// [`CompactionPolicy`] peak `mem_stats().total_words()` — the reverse
+/// index and its stale edges included — stays within 2× a freshly
+/// evaluated store of the same database; with the policy off the
 /// same loop outgrows that. Afterwards the compacted store equals the
 /// reference model and its snapshot re-encodes byte for byte —
 /// sequentially and on 2 and 4 threads.
@@ -575,7 +576,7 @@ fn compaction_bounds_memory_under_churn_and_its_absence_does_not() {
 
     let parallel = |threads| Strategy::SemiNaiveParallel { threads };
     for strategy in [Strategy::SemiNaive, parallel(2), parallel(4)] {
-        let fresh = Materialization::from_database(&p, &db, strategy).mem_stats().row_words();
+        let fresh = Materialization::from_database(&p, &db, strategy).mem_stats().total_words();
         let churn = |policy| {
             let mut m = Materialization::from_database(&p, &db, strategy);
             m.set_compaction_policy(policy);
@@ -584,7 +585,7 @@ fn compaction_bounds_memory_under_churn_and_its_absence_does_not() {
                 let victim = &edges[edges.len() - 1 - i % 4..][..1];
                 assert_eq!(m.retract_facts(par, victim), 1, "round {i}");
                 assert_eq!(m.insert_facts(par, victim), 1, "round {i}");
-                peak = peak.max(m.mem_stats().row_words());
+                peak = peak.max(m.mem_stats().total_words());
             }
             (m, peak)
         };
