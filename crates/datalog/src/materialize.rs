@@ -15,12 +15,15 @@
 //!   occurrence" convention in rule-text order.
 //! - [`Materialization::retract_facts`] removes EDB rows by
 //!   **delete–rederive** (DRed): tombstone the rows
-//!   ([`ColumnarRelation::tombstone`]), over-delete every derived row
-//!   whose recorded justification transitively uses a deleted row, then
-//!   re-derive survivors from the remaining store (a goal-directed
+//!   ([`ColumnarRelation::tombstone`]), then walk the derived rows whose
+//!   recorded justification transitively uses a deleted row. Each one
+//!   the walk reaches first asks for another derivation (a goal-directed
 //!   per-tuple join pass of lazily compiled, selectivity-ordered
-//!   re-derivation plans, stopping at the first derivation) and
-//!   propagate the rescues through the normal insert machinery.
+//!   re-derivation plans, stopping at the first derivation): one through
+//!   older rows saves it in place, and the walk goes no further there;
+//!   otherwise it dies. Rows with a derivation the age test refused are
+//!   re-derived from the remaining store after the walk, and the rescues
+//!   propagate through the normal insert machinery.
 //! - [`Materialization::apply`] batches a whole mixed round — EDB
 //!   inserts, retracts, **rule adds** and **rule drops** — into one
 //!   DRed pass (a single walk of the persistent reverse-dependency
@@ -80,7 +83,7 @@ mod fixpoint;
 mod join;
 mod template;
 pub use compact::{CompactionPolicy, MemStats};
-use dred::RevIndex;
+use dred::{MergeLog, RevIndex};
 use fixpoint::Staging;
 pub(crate) use template::ExtLinks;
 
@@ -104,6 +107,15 @@ impl RelJust {
             .push(u32::try_from(self.buf.len()).expect("justification store overflow"));
         self.buf.push(rule);
         self.buf.extend_from_slice(body);
+    }
+
+    /// Overwrites row `r`'s entry with `(rule, body)`, a body as long as
+    /// the one it replaces (a deletion walk's save).
+    fn replace(&mut self, r: usize, rule: u32, body: &[u32]) {
+        debug_assert_eq!(self.entry(r).1.len(), body.len(), "a save keeps the entry length");
+        let lo = self.off[r] as usize;
+        self.buf[lo] = rule;
+        self.buf[lo + 1..lo + 1 + body.len()].copy_from_slice(body);
     }
 
     /// The `(rule, body row ids)` entry of row `r`.
@@ -155,9 +167,9 @@ pub struct RuleId(pub u32);
 
 /// A batched update round: EDB inserts and retracts plus rule adds and
 /// drops, applied by [`Materialization::apply`] as **one** mixed batch —
-/// one over-deletion pass (a single walk of the persistent
-/// reverse-dependency index for the whole round), one rescue pass, one
-/// semi-naive resume to fixpoint.
+/// one deletion pass (a single walk of the persistent reverse-dependency
+/// index for the whole round), one rescue pass, one semi-naive resume to
+/// fixpoint.
 ///
 /// Within a round the phases are ordered: rule drops, rule adds, EDB
 /// retracts, EDB inserts, then propagation. In particular a tuple both
@@ -172,8 +184,8 @@ pub struct UpdateRound {
     /// delta-seeded from the existing rows.
     pub rule_adds: Vec<Rule>,
     /// Rules to drop at fixpoint: every row whose justification names a
-    /// dropped rule is over-deleted and then eligible for rescue through
-    /// the surviving rules.
+    /// dropped rule is deleted and then eligible for rescue through the
+    /// surviving rules.
     pub rule_drops: Vec<RuleId>,
 }
 
@@ -331,6 +343,10 @@ pub struct Materialization {
     /// of a recording store (see [`RevIndex`]; empty in the one-shot
     /// store).
     rev: RevIndex,
+    /// When each derived row entered the store: the age test of a
+    /// deletion walk's save (see [`MergeLog`]; runtime-only, so a
+    /// restored store starts with an empty log).
+    merges: MergeLog,
     /// Automatic compaction policy (`None` = manual
     /// [`Materialization::compact`] only).
     policy: Option<CompactionPolicy>,
@@ -347,10 +363,10 @@ pub struct Materialization {
     edb_retracts: u64,
     /// The EDB rows the last [`Materialization::apply`] tombstoned, as
     /// `(relation, row)` (runtime-only): what a template store one
-    /// round behind seeds its own over-deletion from.
+    /// round behind seeds its own deletion walk from.
     last_retracted: Vec<(u32, u32)>,
-    /// Reverse edges the over-deletion passes have walked to find their
-    /// casualties (runtime-only observability).
+    /// Reverse edges the deletion walks have read (runtime-only
+    /// observability).
     dred_reads: u64,
     /// Per relation: `true` if the relation is *external* — owned by a
     /// base store and only swapped in for maintenance rounds (see
@@ -447,6 +463,7 @@ impl Materialization {
             rule_active: Vec::new(),
             epoch: 0,
             rev: RevIndex::default(),
+            merges: MergeLog::default(),
             policy: Some(CompactionPolicy::default()),
             compactions: 0,
             version: 0,
@@ -547,7 +564,7 @@ impl Materialization {
         let mut card = |p: Pred| rel_of_pred.get(&p).map_or(0, |&r| planned_card[r]);
         let plans = Arc::make_mut(&mut self.plans);
         for (i, rule) in self.rules.iter().enumerate().skip(plans.len()) {
-            plans.push(plan_rule(
+            let rule_plans = plan_rule(
                 rule,
                 order_by.map_or(rule, |o| &o[i]),
                 i,
@@ -556,7 +573,9 @@ impl Materialization {
                 &mut self.idx_of,
                 self.order,
                 &mut card,
-            ));
+            );
+            self.merges.reads_across(rule_plans[0].head_rel, &rule_plans[0].body_rels, &self.idb_flag);
+            plans.push(rule_plans);
         }
     }
 
@@ -734,9 +753,9 @@ impl Materialization {
     }
 
     /// Applies one batched update round — EDB inserts and retracts plus
-    /// rule adds and drops — as a single mixed batch: **one**
-    /// over-deletion walk of the persistent reverse-dependency index,
-    /// one rescue pass, one semi-naive resume to fixpoint. Equivalent to any
+    /// rule adds and drops — as a single mixed batch: **one** deletion
+    /// walk of the persistent reverse-dependency index, one rescue pass,
+    /// one semi-naive resume to fixpoint. Equivalent to any
     /// sequential order of the corresponding single-item calls whenever
     /// the round's insert and retract sets don't overlap (a tuple both
     /// retracted and inserted in one round ends up present: retracts
@@ -745,25 +764,34 @@ impl Materialization {
     /// The phases, in order:
     ///
     /// 1. **Rule drops** deactivate their plan slots; live rows whose
-    ///    recorded justification names a dropped rule become
-    ///    over-deletion seeds *and* rescue candidates (another rule may
-    ///    still derive them).
+    ///    recorded justification names a dropped rule become deletion
+    ///    seeds *and* rescue candidates (another rule may still derive
+    ///    them).
     /// 2. **Rule adds** compile to fresh plan slots (stable
     ///    [`RuleId`]s). A brand-new head predicate becomes a fresh IDB
     ///    relation; new body predicates become fresh (empty, trackable)
     ///    EDB relations.
-    /// 3. **Retracts** tombstone their EDB rows; the over-deletion
-    ///    closure for *all* seeds (drops + retracts) walks the
-    ///    persistent reverse-dependency index — O(affected rows).
+    /// 3. **Retracts** tombstone their EDB rows; one deletion walk for
+    ///    *all* seeds (drops + retracts) follows the persistent
+    ///    reverse-dependency index — O(affected rows). A live row it
+    ///    reaches through a dying row of its current justification runs
+    ///    its rescue plans first (phase 6's passes, over the store as
+    ///    the walk has left it). A derivation as long as the recorded
+    ///    one, whose IDB rows are all older than the row, **saves** it:
+    ///    same row id, justification overwritten, and the walk does not
+    ///    descend from it. Any other derivation kills it and makes it a
+    ///    rescue candidate; none kills it for good — the walk only
+    ///    shrinks the store, and phase 7 joins what the round adds.
     /// 4. **Inserts** append novel EDB rows — into the delta range, the
     ///    watermarks still sit at the old fixpoint.
     /// 5. Added rules **seed** their deltas with one full-range
     ///    evaluation pass each over the settled store, entering through
     ///    the atom the planner picks first — as every rule of a build is
     ///    seeded.
-    /// 6. Over-deleted candidates are **rescued** by goal-directed
-    ///    one-step re-derivation against the surviving active rules
-    ///    (added rules participate, dropped rules don't). Each rule's
+    /// 6. The candidates — rule-drop seeds and the rows phase 3 refused
+    ///    to save — are **rescued** by goal-directed one-step
+    ///    re-derivation against the surviving active rules (added rules
+    ///    participate, dropped rules don't). Each rule's
     ///    rescue plan binds the head from the candidate and enters the
     ///    body through the atom with the smallest fan-in — `par(Z, y)`,
     ///    not `anc(x, Z)` — testing fully bound atoms against the dedup
@@ -773,7 +801,11 @@ impl Materialization {
     ///    at its first derivation, and one merge appends what the passes
     ///    staged, in candidate order.
     /// 7. One semi-naive resume propagates every delta — inserted,
-    ///    seeded and rescued rows — to the new fixpoint.
+    ///    seeded and rescued rows — to the new fixpoint. The reverse
+    ///    index sheds the edges saves left stale once they are a tenth
+    ///    of it, whatever the compaction policy, without moving a row
+    ///    ([`Materialization::compact`], which may run first, rebuilds
+    ///    it anyway).
     ///
     /// # Panics
     ///
@@ -798,10 +830,10 @@ impl Materialization {
         // existence probes below consult those tables.
         self.ensure_dedup();
 
-        // 1. Rule drops: deactivate, then seed over-deletion with every
-        // live row justified by a dropped rule. Unlike EDB retract seeds
-        // these are rescue candidates — the tuples may well survive via
-        // other rules.
+        // 1. Rule drops: deactivate, then seed the deletion walk with
+        // every live row justified by a dropped rule. Unlike EDB retract
+        // seeds these are rescue candidates — the tuples may well survive
+        // via other rules.
         let mut dropped: Vec<u32> = Vec::new();
         for &RuleId(id) in &round.rule_drops {
             let i = id as usize;
@@ -863,9 +895,11 @@ impl Materialization {
             }
         }
 
-        // Over-delete everything whose recorded justification
-        // transitively uses a seed; the casualties are rescue candidates.
-        self.over_delete(worklist, &mut candidates);
+        // Walk everything whose recorded justification transitively
+        // uses a seed: a row with a derivation through older rows is
+        // saved, the rest die; those with a refused derivation are
+        // rescue candidates.
+        self.over_delete(worklist, Some(&mut candidates));
 
         // 4. EDB inserts: novel rows land above the watermarks (the
         // fixpoint's row counts), i.e. in the delta ranges.
@@ -890,8 +924,8 @@ impl Materialization {
             self.seed_rules(first_new_plan, &mut staging);
         }
 
-        // 6. Rescue: re-derive over-deleted survivors from the remaining
-        // store (inserted and seeded rows included). The watermarks
+        // 6. Rescue: re-derive the candidates from the remaining store
+        // (inserted and seeded rows included). The watermarks
         // still sit at the old fixpoint, so every rescued insert lands
         // in the delta range and phase 7 propagates it.
         self.rescue(&candidates);
@@ -906,6 +940,7 @@ impl Materialization {
         if self.epoch == 0 && self.needs_compaction() {
             self.compact();
         }
+        self.shed_stale_edges();
         self.version = self.version.wrapping_add(1);
         self.edb_retracts += report.retracted as u64;
         report
@@ -1118,9 +1153,10 @@ impl Materialization {
         self.edb_retracts
     }
 
-    /// Rows the deletion passes of this store have read so far to find
-    /// what to over-delete (runtime-only): one per reverse edge walked.
-    /// A pass that reads only what it kills is O(affected).
+    /// Rows the deletion walks of this store have read so far to find
+    /// what to check or kill (runtime-only): one per reverse edge
+    /// walked. A walk that reads only what it reaches through a dying row
+    /// is O(affected).
     pub fn dred_reads(&self) -> u64 {
         self.dred_reads
     }

@@ -408,8 +408,9 @@ impl Materialization {
         }
 
         // Justification shape: parallel to the rows, entries sized by
-        // their rule's body, body row ids in range. After this,
-        // `RelJust::entry` is panic-free for every persisted row.
+        // their rule's body, body row ids in range, and below the head's
+        // in its own relation. After this, `RelJust::entry` is panic-free
+        // for every persisted row.
         for (r, rj) in prov.iter().enumerate() {
             let (off, buf) = rj.parts();
             if idb_flag[r] {
@@ -434,6 +435,15 @@ impl Materialization {
                 for (&brel, &brow) in brels.iter().zip(&buf[lo + 1..hi]) {
                     if brow as usize >= rels[brel].num_rows() {
                         return Err(PersistError::Corrupt("justification references nonexistent row"));
+                    }
+                    // A restored store keeps no merge log: a deletion
+                    // walk's age test then reads row order within a
+                    // relation, which every justification a store writes
+                    // follows.
+                    if brel == r && brow as usize >= row {
+                        return Err(PersistError::Corrupt(
+                            "justification body row not below its head row",
+                        ));
                     }
                 }
             }

@@ -56,8 +56,10 @@ pub struct MemStats {
     /// Words of packed justification entries (offsets + buffers).
     pub just_words: usize,
     /// Words held by the reverse-dependency index, which every recording
-    /// store carries from construction; its stale edges stay until the
-    /// next compaction.
+    /// store carries from construction, and by the merge log a deletion
+    /// walk's age test reads. Edges of dead rows stay until the next
+    /// compaction; those a save left stale until the round that finds
+    /// them a tenth of the index.
     pub rev_words: usize,
 }
 
@@ -185,10 +187,12 @@ impl Materialization {
         // so the watermark of every rebuilt relation re-pins at its new
         // row count. (The others already sit at theirs — except a
         // template store's external placeholders, whose watermarks are
-        // positions in the base's relations and must stay.)
+        // positions in the base's relations and must stay.) The merge
+        // log's runs start where their first surviving rows land.
         for (r, remap) in remaps.iter().enumerate() {
-            if remap.is_some() {
+            if let Some(map) = remap {
                 self.old_hi[r] = self.rels[r].num_rows();
+                self.merges.remap(r, map);
             }
         }
 
@@ -221,7 +225,7 @@ impl Materialization {
                 s.just_words += rj.footprint_words();
             }
         }
-        s.rev_words = self.rev.footprint_words();
+        s.rev_words = self.rev.footprint_words() + self.merges.footprint_words();
         s
     }
 }

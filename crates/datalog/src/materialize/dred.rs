@@ -1,12 +1,28 @@
 //! Delete–rederive: the reverse-dependency index over the recorded
 //! justifications, which a recording store carries from construction,
-//! over-deletion along it, and the rescue of what another derivation
-//! still supports. A rescue is a join pass like any other: the
+//! the deletion walk along it, and the rescue of what another derivation
+//! still supports.
+//!
+//! The walk asks before it kills (the backward/forward idea of
+//! Motik–Nenov–Piro–Horrocks, AAAI 2015): a live row it reaches through
+//! a dying row runs its rescue plans on the spot. A derivation whose IDB
+//! body rows are all older than the row ([`MergeLog`]), with a body as
+//! long as the recorded one, **saves** it:
+//! the row keeps its id, its justification is overwritten in place and
+//! the walk does not descend from it. A derivation that fails the age or
+//! length test leaves the row to be killed and rescued after the walk,
+//! as a candidate; no derivation kills it for good, since the walk only
+//! shrinks the live set and the round's resume joins whatever it adds.
+//! Age is what keeps two rows that support only each other from saving
+//! each other: every live justification points to older rows, so the
+//! recorded derivations stay well-founded.
+//!
+//! Both the check and the rescue are join passes like any other: the
 //! selectivity-ordered rescue plan of [`crate::plan`] runs through
-//! `join.rs` as one existential `(rule, candidate)` pass, and what the
-//! passes find enters the store through `fixpoint.rs`'s merge, which
-//! also appends the reverse edges. This file probes no index and
-//! appends no row. `BENCHMARK.json`:
+//! `join.rs` as one existential `(rule, row)` pass, and what a rescue
+//! finds enters the store through `fixpoint.rs`'s merge, which also
+//! appends the reverse edges and the merge log's runs. This file probes
+//! no index and appends no row. `BENCHMARK.json`:
 //! `materialize.probes_per_retract_round`,
 //! `materialize.rows_killed_per_round`, `materialize.rederive_ratio`.
 
@@ -15,9 +31,20 @@ use super::{id32, Materialization};
 use crate::ast::{Const, Pred, Rule};
 use crate::hash::FxHashMap;
 use crate::plan::{plan_rescue, Out};
+use crate::storage::NO_ROW;
 
 /// Sentinel edge id: end of a reverse-dependency chain.
 const NO_EDGE: u32 = u32::MAX;
+
+/// The reverse index is rebuilt once the edges saves left stale are at
+/// least this many…
+const SHED_MIN_STALE_EDGES: usize = 64;
+/// …and at least this share of its edges, in percent
+/// ([`Materialization::shed_stale_edges`]). A rebuild re-adds every live
+/// edge, so each stale edge pays for ten; a larger share lets stale
+/// edges swell a save-heavy store. Edges, not rows: shedding moves no
+/// row, so it is no compaction setting.
+const SHED_STALE_PERCENT: usize = 10;
 
 /// One reverse-dependency edge: a head row whose recorded justification
 /// uses the body row owning the chain, plus the next edge of that chain.
@@ -36,11 +63,18 @@ struct RevEdge {
 ///
 /// A recording store carries it from construction: every merged row —
 /// a build's, an update's, a rescued one — appends one edge per body
-/// position. A template store's chains over external relations are set
+/// position, and so does every justification a deletion walk saves a
+/// row with. A template store's chains over external relations are set
 /// up sparse when it is linked to its base and when it starts over.
-/// Edges are never removed — a chain may point at head rows that died
-/// later; the traversal's `tombstone` call is a no-op on them, and
-/// [`Materialization::compact`] and a restore rebuild the index from the
+/// Edges are never removed, so a chain may point at head rows that died
+/// later (the walk skips them) or at rows saved since, whose
+/// justification no longer uses the chain's row (the walk checks them
+/// like any row it reaches). The second kind is counted (`stale`):
+/// once it reaches [`SHED_STALE_PERCENT`] of the edges, the round's end
+/// rebuilds the index alone, whatever the compaction policy
+/// ([`Materialization::shed_stale_edges`]) — row ids do not move, so
+/// neither the cache nor a pinned reader notices.
+/// [`Materialization::compact`] and a restore rebuild it too, from the
 /// live justifications ([`Materialization::build_rev_index`]).
 #[derive(Clone, Debug, Default)]
 pub(super) struct RevIndex {
@@ -53,6 +87,9 @@ pub(super) struct RevIndex {
     /// a rebuild — or one rule's pass in a merge — adds one relation's
     /// rows together, so a run covers many edges.
     runs: Vec<(u32, u32)>,
+    /// Edges a save left behind: those of the justifications it
+    /// overwrote.
+    stale: usize,
 }
 
 /// The chain heads of one relation's rows ([`NO_EDGE`] / absent = no
@@ -127,6 +164,118 @@ impl RevIndex {
     }
 }
 
+/// When each derived row entered the store, as the age test of a save
+/// reads it: per relation, runs of `(first row, merge seq)`, first rows
+/// ascending. Every merge round — a seeding round, a fixpoint round, a
+/// rescue — opens a new seq ([`MergeLog::open`]), and `fixpoint.rs`'s
+/// merge notes the first row it appends to each relation under it. A
+/// merge round's bodies are rows of the store before it, so every
+/// recorded justification points to rows of lower seq. Rows no run
+/// covers — all of them in a restored store, which keeps no log — are
+/// seq 0. [`Materialization::compact`] remaps the runs, a template store
+/// that starts over empties them.
+///
+/// Runs are noted only once a rule reads an IDB relation other than its
+/// head's ([`MergeLog::reads_across`]): until then every IDB body row is
+/// in its head's relation, where row order alone answers the age test.
+/// Rows appended before are seq 0, as in a restored store — older than
+/// every row after, which keeps the order strict.
+#[derive(Clone, Debug, Default)]
+pub(super) struct MergeLog {
+    /// Per relation: `(first row, seq)` runs.
+    runs: Vec<Vec<(u32, u64)>>,
+    /// The seq of the current merge round: 64 bits, so a store merging
+    /// a round every nanosecond runs for centuries before it overflows.
+    seq: u64,
+    /// Whether runs are noted.
+    on: bool,
+}
+
+impl MergeLog {
+    /// Starts noting runs if the rule a plan compiles reads an IDB
+    /// relation other than its head's: `body_rels` against `head_rel`,
+    /// with `idb` the per-relation IDB flags.
+    pub(super) fn reads_across(&mut self, head_rel: usize, body_rels: &[usize], idb: &[bool]) {
+        self.on |= body_rels.iter().any(|&b| idb[b] && b != head_rel);
+    }
+
+    /// Opens the next merge round: rows appended from here on are newer
+    /// than every row before.
+    pub(super) fn open(&mut self) {
+        self.seq = self.seq.checked_add(1).expect("merge-log seq overflow");
+    }
+
+    /// Notes that `row` of relation `rel` was appended in the current
+    /// merge round (one run per relation and round: only the first row
+    /// starts one).
+    pub(super) fn note(&mut self, rel: u32, row: u32) {
+        if !self.on {
+            return;
+        }
+        let rel = rel as usize;
+        if self.runs.len() <= rel {
+            self.runs.resize_with(rel + 1, Vec::new);
+        }
+        let runs = &mut self.runs[rel];
+        if runs.last().is_none_or(|&(_, seq)| seq != self.seq) {
+            runs.push((row, self.seq));
+        }
+    }
+
+    /// The merge seq of `row` of relation `rel`.
+    pub(super) fn seq(&self, rel: usize, row: u32) -> u64 {
+        let Some(runs) = self.runs.get(rel) else { return 0 };
+        match runs.partition_point(|&(first, _)| first <= row) {
+            0 => 0,
+            i => runs[i - 1].1,
+        }
+    }
+
+    /// Whether body row `(brel, brow)` is older than head row `(hrel,
+    /// hrow)`: of an earlier merge round, or of the same relation at a
+    /// lower row id. Both imply a lower `(seq, relation, row)`, a strict
+    /// order in which every recorded justification points down.
+    fn older(&self, (brel, brow): (usize, u32), (hrel, hrow): (usize, u32)) -> bool {
+        (brel == hrel && brow < hrow) || self.seq(brel, brow) < self.seq(hrel, hrow)
+    }
+
+    /// Forgets every run: the store holds no row any more.
+    pub(super) fn clear(&mut self) {
+        self.runs.clear();
+    }
+
+    /// Renumbers relation `rel`'s runs through a compaction's
+    /// order-preserving old→new row map ([`NO_ROW`] = reclaimed): a run
+    /// starts where its first surviving row lands, and a run left
+    /// without rows goes.
+    pub(super) fn remap(&mut self, rel: usize, map: &[u32]) {
+        let Some(runs) = self.runs.get_mut(rel) else { return };
+        let mut out: Vec<(u32, u64)> = Vec::with_capacity(runs.len());
+        let (mut row, mut live) = (0usize, 0u32);
+        for &(first, seq) in runs.iter() {
+            for &to in &map[row..first as usize] {
+                live += u32::from(to != NO_ROW);
+            }
+            row = first as usize;
+            match out.last_mut() {
+                // The run before kept no row.
+                Some(last) if last.0 == live => *last = (live, seq),
+                _ => out.push((live, seq)),
+            }
+        }
+        let len = live + map[row..].iter().map(|&to| u32::from(to != NO_ROW)).sum::<u32>();
+        if out.last().is_some_and(|&(first, _)| first == len) {
+            out.pop();
+        }
+        *runs = out;
+    }
+
+    /// Words held (memory accounting; a run is two).
+    pub(super) fn footprint_words(&self) -> usize {
+        2 * self.runs.iter().map(Vec::len).sum::<usize>()
+    }
+}
+
 impl Materialization {
     /// Builds the reverse-dependency index from every live recorded
     /// justification: one full pass over the packed buffers, chains
@@ -148,6 +297,7 @@ impl Materialization {
                 .collect(),
             edges: Vec::new(),
             runs: Vec::new(),
+            stale: 0,
         };
         for &hrel in &self.idb_rels {
             for hrow in 0..self.rels[hrel].num_rows() {
@@ -194,87 +344,198 @@ impl Materialization {
         }
     }
 
-    /// DRed over-deletion: tombstones the reverse-dependency closure of
-    /// the (already tombstoned) `worklist` rows over the recorded
-    /// justifications, appending every row it kills to `candidates`: it
-    /// walks the [`RevIndex`] chains of the seeds' closure, so the cost
-    /// is O(affected rows), not O(total rows). Chains may hold stale
-    /// edges to rows that died in earlier rounds (or to rows whose head
-    /// re-inserted at a fresh id); `tombstone` of a dead row is a no-op,
-    /// so they are skipped.
+    /// Rebuilds the reverse index alone — no row moves, so the query
+    /// cache keeps its views and a pinned reader its rows — once the
+    /// edges saves left stale reach [`SHED_MIN_STALE_EDGES`] and
+    /// [`SHED_STALE_PERCENT`] of the edges. Called at the end of every
+    /// round and template sync.
+    pub(super) fn shed_stale_edges(&mut self) {
+        let (stale, edges) = (self.rev.stale, self.rev.edges.len());
+        if stale >= SHED_MIN_STALE_EDGES && stale * 100 >= SHED_STALE_PERCENT * edges {
+            self.rev = self.build_rev_index();
+        }
+    }
+
+    /// The deletion walk: takes the (already tombstoned) `worklist` rows
+    /// and walks the [`RevIndex`] chains of everything that dies, so the
+    /// cost is O(affected rows), not O(total rows). Returns the rows it
+    /// killed.
+    ///
+    /// With `candidates`, a live row reached is checked first (module
+    /// docs): saved, it stays; refused, it dies and is pushed to
+    /// `candidates` for the rescue; underivable, it dies. A row reached
+    /// through a stale edge — saved since through other rows — is
+    /// checked like any other: saved again, or killed and, if refused,
+    /// rescued, as plain DRed would. Without,
+    /// every live row reached dies: the walk of a dropped view, whose
+    /// rows have no derivation left by construction
+    /// ([`Materialization::drop_tag`]). The check's plans, indexes and
+    /// dedup tables are set up only for a walk that has seeds.
     pub(super) fn over_delete(
         &mut self,
         mut worklist: Vec<(u32, u32)>,
-        candidates: &mut Vec<(u32, u32)>,
-    ) {
-        let Self { rev, rels, dred_reads, .. } = self;
+        mut candidates: Option<&mut Vec<(u32, u32)>>,
+    ) -> Vec<(u32, u32)> {
+        let mut killed = Vec::new();
+        if worklist.is_empty() {
+            return killed;
+        }
+        if candidates.is_some() {
+            self.ready_rederive();
+        }
+        let (mut scratch, mut pending) = (Scratch::default(), PendingTuples::default());
+        let mut counters = Counters::default();
         let mut i = 0;
         while i < worklist.len() {
             let (drel, drow) = worklist[i];
             i += 1;
-            let mut e = rev.chain(drel as usize, drow);
+            let mut e = self.rev.chain(drel as usize, drow);
             while e != NO_EDGE {
-                let RevEdge { hrow, next } = rev.edges[e as usize];
-                let hrel = rev.head_rel(e);
-                *dred_reads += 1;
-                if rels[hrel as usize].tombstone(hrow as usize) {
-                    worklist.push((hrel, hrow));
-                    candidates.push((hrel, hrow));
-                }
+                let RevEdge { hrow, next } = self.rev.edges[e as usize];
+                let h = (self.rev.head_rel(e), hrow);
                 e = next;
+                self.dred_reads += 1;
+                if !self.rels[h.0 as usize].is_live(hrow as usize) {
+                    continue;
+                }
+                if let Some(candidates) = candidates.as_deref_mut() {
+                    let found = self.derive(h, &mut scratch, &mut pending, &mut counters);
+                    let saved = found && self.save_row(h, &pending.just);
+                    pending.clear();
+                    if saved {
+                        continue;
+                    }
+                    if found {
+                        candidates.push(h);
+                    }
+                }
+                self.rels[h.0 as usize].tombstone(hrow as usize);
+                worklist.push(h);
+                killed.push(h);
             }
         }
+        self.stats.join_probes += counters.pre + counters.post;
+        killed
     }
 
-    /// DRed rescue: every over-deleted candidate that one active rule
-    /// still derives from the live store is re-appended (a fresh row id
-    /// in the delta range) with the derivation found as its recorded
-    /// justification. Per candidate, each rule's rescue plan in slot
-    /// order gets the tuple in its head slots — the rule can derive it
-    /// only if the head built back from them is the tuple, which checks
-    /// head constants and repeated variables — and runs as one
-    /// existential [`join`] pass, until one finds a derivation. One merge
-    /// appends what the passes staged — not a tuple a seeding pass
-    /// derived again already — so no pass sees a row another rescued,
-    /// whatever step kinds the planner chose; the resume derives
-    /// whatever this misses from the rescued rows.
+    /// The check's verdict on the derivation `just` — `[rule, body
+    /// rows…]`, staged by [`Materialization::derive`] — found for live
+    /// row `h`: it saves `h` if its body is as long as the recorded one
+    /// and every IDB row of it is older than `h` ([`MergeLog::older`]).
+    /// A saved row's justification is overwritten in place, the edges of
+    /// its new body are added and those of the old one counted stale.
+    fn save_row(&mut self, (hrel, hrow): (u32, u32), just: &[u32]) -> bool {
+        let Self { prov, plans, idb_flag, merges, rev, .. } = self;
+        let prov = prov.as_mut().expect("Materialization always records justifications");
+        let (rule, body) = (just[0], &just[1..]);
+        let body_rels = &plans[rule as usize][0].body_rels;
+        let head = (hrel as usize, hrow);
+        let older = |(&brel, &brow): (&usize, &u32)| !idb_flag[brel] || merges.older((brel, brow), head);
+        if prov[head.0].entry(hrow as usize).1.len() != body.len()
+            || !body_rels.iter().zip(body).all(older)
+        {
+            return false;
+        }
+        prov[head.0].replace(hrow as usize, rule, body);
+        rev.add_row(hrel, hrow, body_rels, body);
+        rev.stale += body.len();
+        true
+    }
+
+    /// Sets up what [`Materialization::derive`] reads: the rescue plans,
+    /// the indexes they register, and the dedup tables their full-key
+    /// steps read, which a restored store (or a template store handed a
+    /// restored base) may not have rebuilt yet.
+    fn ready_rederive(&mut self) {
+        self.ensure_dedup();
+        self.ensure_rederive_plans(None);
+        self.extend_indexes();
+    }
+
+    /// Runs the rescue plan of every active rule over row `c`'s relation
+    /// on `c`'s tuple, in slot order, until one derives it, staging the
+    /// tuple and the derivation found into `pending`; returns whether one
+    /// did. Each plan gets the tuple in its head slots — the rule can
+    /// derive it only if the head built back from them is the tuple,
+    /// which checks head constants and repeated variables — and runs as
+    /// one existential [`join`] pass over the live store.
+    fn derive(
+        &self,
+        (crel, crow): (u32, u32),
+        scratch: &mut Scratch,
+        pending: &mut PendingTuples,
+        counters: &mut Counters,
+    ) -> bool {
+        let plans = self.rederive.as_ref().expect("compiled by the caller");
+        let tuple = self.rels[crel as usize].row(crow as usize);
+        for (rule, plan) in plans.iter().enumerate() {
+            if plan.head_rel != crel as usize || !self.rule_active[rule] {
+                continue;
+            }
+            scratch.env.resize(plan.num_slots, Const(0));
+            for (op, &v) in plan.head.iter().zip(tuple) {
+                if let Out::Slot(s) = *op {
+                    scratch.env[s] = v;
+                }
+            }
+            build_head(plan, scratch);
+            if scratch.head != tuple {
+                continue;
+            }
+            let ctx = self.join_ctx(rule, Delta::Full, None);
+            if join(plan, &ctx, scratch, pending, counters) {
+                return true;
+            }
+        }
+        false
+    }
+
+    /// DRed rescue: every candidate — a row the walk refused to save, or
+    /// one a dropped rule justified — that an active rule still derives
+    /// from the live store is re-appended (a fresh row id in the delta
+    /// range) with the derivation found as its recorded justification
+    /// ([`Materialization::derive`]). One merge appends what the passes
+    /// staged — not a tuple a seeding pass derived again already — so no
+    /// pass sees a row another rescued, whatever step kinds the planner
+    /// chose; the resume derives whatever this misses from the rescued
+    /// rows.
     pub(super) fn rescue(&mut self, candidates: &[(u32, u32)]) {
         if candidates.is_empty() {
             return;
         }
-        // The full-key steps read the dedup tables; a restored store
-        // (or a template store handed a restored base) may not have
-        // rebuilt them.
-        self.ensure_dedup();
-        self.ensure_rederive_plans(None);
-        self.extend_indexes();
-        let plans = self.rederive.as_ref().expect("compiled above");
+        self.ready_rederive();
         let mut scratch = Scratch::default();
         let mut pending = PendingTuples::default();
         let mut counters = Counters::default();
-        for &(crel, crow) in candidates {
-            let tuple = self.rels[crel as usize].row(crow as usize);
-            for (rule, plan) in plans.iter().enumerate() {
-                if plan.head_rel != crel as usize || !self.rule_active[rule] {
-                    continue;
-                }
-                scratch.env.resize(plan.num_slots, Const(0));
-                for (op, &v) in plan.head.iter().zip(tuple) {
-                    if let Out::Slot(s) = *op {
-                        scratch.env[s] = v;
-                    }
-                }
-                build_head(plan, &mut scratch);
-                if scratch.head != tuple {
-                    continue;
-                }
-                let ctx = self.join_ctx(rule, Delta::Full, None);
-                if join(plan, &ctx, &mut scratch, &mut pending, &mut counters) {
-                    break;
-                }
-            }
+        for &c in candidates {
+            self.derive(c, &mut scratch, &mut pending, &mut counters);
         }
         self.stats.join_probes += counters.pre + counters.post;
+        self.merges.open();
         self.merge_pending(&mut pending);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::MergeLog;
+
+    /// A long-running store opens a merge round per seeding round,
+    /// fixpoint round and rescue, log on or off: the seq counts past
+    /// `u32::MAX` and the age test still orders rows across the old
+    /// limit.
+    #[test]
+    fn the_merge_log_opens_rounds_past_u32_max() {
+        let mut log = MergeLog { seq: u64::from(u32::MAX) - 1, on: true, ..MergeLog::default() };
+        for row in 0..4 {
+            log.open();
+            log.note(1, row);
+        }
+        let max = u64::from(u32::MAX);
+        assert_eq!((log.seq(1, 0), log.seq(1, 3)), (max, max + 3));
+        log.note(0, 0);
+        assert!(log.older((1, 2), (0, 0)), "a row of an earlier round is older");
+        assert!(!log.older((0, 0), (1, 2)), "and not the other way round");
+        assert!(!log.older((1, 3), (0, 0)), "rows of one round are not");
     }
 }

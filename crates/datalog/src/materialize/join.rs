@@ -141,6 +141,16 @@ pub(super) struct PendingTuples {
     pub(super) just: Vec<u32>,
 }
 
+impl PendingTuples {
+    /// Empties the buffer, keeping its capacity.
+    pub(super) fn clear(&mut self) {
+        self.data.clear();
+        self.rels.clear();
+        self.hash.clear();
+        self.just.clear();
+    }
+}
+
 /// Work counters for one rule-evaluation pass, with probes split at the
 /// sharded depth. `pre` counts the depth-0 probe — work every parallel
 /// shard repeats identically (each shard probes or scans its own

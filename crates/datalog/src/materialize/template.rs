@@ -185,7 +185,7 @@ impl Materialization {
     /// retracted rows — and re-pins the external watermarks at the
     /// base's current row counts. The reverse index starts over empty,
     /// sparse over external relations as [`Materialization::link_external`]
-    /// set it up. Plans, index registrations and `links` stand: neither
+    /// set it up, and so does the merge log. Plans, index registrations and `links` stand: neither
     /// case moves relation or index slots.
     pub(crate) fn clear_rows(&mut self, base: &Materialization, links: &ExtLinks) {
         for rel in &mut self.rels {
@@ -198,6 +198,7 @@ impl Materialization {
             *just = RelJust::default();
         }
         self.rev = self.build_rev_index();
+        self.merges.clear();
         self.old_hi.fill(0);
         for &(vr, br) in &links.rels {
             self.old_hi[vr] = base.rels[br].num_rows();
@@ -238,12 +239,16 @@ impl Materialization {
     /// which rows died in between is not recorded: the caller empties it
     /// ([`Materialization::clear_rows`]) instead. The cascade and rescue
     /// then mirror [`Materialization::apply`]'s phases over this store's
-    /// own reverse index.
+    /// own reverse index, the check before each kill included: the
+    /// base's relations are EDB here, so a derivation through them needs
+    /// no age test.
     ///
-    /// Returns the own rows the deletion pass killed, as `(relation,
+    /// Returns the own rows the deletion walk killed, as `(relation,
     /// row)` — the rescued ones included: they live on under a new row
-    /// id. With the row counts from before the call that is everything
-    /// the sync changed ([`Materialization::for_each_touched_key`]).
+    /// id. A row the walk saved is not among them: it keeps its id and
+    /// its tuple, so no answer changed. With the row counts from before
+    /// the call that is everything the sync changed
+    /// ([`Materialization::for_each_touched_key`]).
     pub(crate) fn sync_external(
         &mut self,
         base: &mut Materialization,
@@ -266,14 +271,18 @@ impl Materialization {
             })
             .collect();
         let mut candidates: Vec<(u32, u32)> = Vec::new();
-        self.over_delete(worklist, &mut candidates);
+        let killed = self.over_delete(worklist, Some(&mut candidates));
         self.rescue(&candidates);
         // Readers go through an index: the resume's last round, which
         // appends nothing, indexed every row before it.
         self.run_fixpoint(&mut Staging::default());
+        // The cache compacts a template store when its rows die; a view
+        // whose rows are saved round after round kills none, so its
+        // stale edges are shed here.
+        self.shed_stale_edges();
         self.version = self.version.wrapping_add(1);
         self.swap_external(base, links);
-        candidates
+        killed
     }
 
     /// Calls `f` with the key under which index `idx` files each row a
@@ -302,13 +311,14 @@ impl Materialization {
 
     /// Drops a view: tombstones its seed row `seed` and everything
     /// recorded through it — by construction every row carrying the
-    /// seed's tag, and nothing else. No rescue pass: without the seed,
-    /// no rule derives a row with that tag.
+    /// seed's tag, and nothing else. A kill-only walk, and no rescue
+    /// pass: without the seed, no rule derives a row with that tag, and
+    /// a saved row's stale edges lead to rows of the same tag.
     pub(crate) fn drop_tag(&mut self, seed_pred: Pred, seed: &[Const]) {
         let rid = self.rel_of_pred[&seed_pred];
         let row = self.rels[rid].find_row(seed);
         if row != NO_ROW && self.rels[rid].tombstone(row as usize) {
-            self.over_delete(vec![(rid as u32, row)], &mut Vec::new());
+            self.over_delete(vec![(rid as u32, row)], None);
         }
     }
 

@@ -456,6 +456,8 @@ fn batch_wrappers_are_the_materialization_special_case() {
 /// merges append its edges, and a restore rebuilds the same index from
 /// the justifications, so the first retract round costs the same on a
 /// restored store as on the original and leaves the same state.
+/// Program A reads no IDB relation but its head's, so it keeps no merge
+/// log and `rev_words` is the index alone.
 #[test]
 fn a_store_carries_its_reverse_index_from_construction() {
     let mut p = parse_program(SRC_A).unwrap();
@@ -468,6 +470,7 @@ fn a_store_carries_its_reverse_index_from_construction() {
     let mut m = Materialization::from_database(&p, &db, Strategy::SemiNaive);
     let words = m.mem_stats().rev_words;
     assert!(words > 0, "a build appends reverse edges");
+    assert_eq!(words, m.rev.footprint_words(), "no merge log");
     let mut restored = Materialization::from_bytes(&m.to_bytes()).unwrap();
     assert_eq!(restored.mem_stats().rev_words, words, "a restore rebuilds the same index");
 
@@ -482,6 +485,87 @@ fn a_store_carries_its_reverse_index_from_construction() {
     assert_eq!(first_round(&mut restored), (reads, probes));
     assert_eq!(restored.database().sorted_models(), m.database().sorted_models());
     assert_eq!(restored.to_bytes(), m.to_bytes());
+}
+
+/// The merge log a deletion walk's age test reads: kept by a store
+/// whose rules read an IDB relation across (a magic program's
+/// `anc_bf(X, Y) :- m(X), ...`), from the build on; not persisted; and
+/// through a compaction every live row keeps its merge seq.
+#[test]
+fn the_merge_log_survives_compaction_and_is_not_persisted() {
+    let mut p = parse_program(SRC_MAGIC_A).unwrap();
+    let [par, seed] = ["par", "seed"].map(|n| p.symbols.get_predicate(n).unwrap());
+    let edges = chain_edges(&mut p, 40);
+    let mut db = Database::new();
+    for from in ["john", "c20"] {
+        db.insert(seed, vec![p.symbols.constant(from)]);
+    }
+    let mut m = Materialization::from_database(&p, &db, Strategy::SemiNaive);
+    m.set_compaction_policy(None);
+    // One edge a round: the rows of each round are a run of their own,
+    // and from c20 on the two seeds' rows interleave.
+    for e in &edges {
+        m.insert_facts(par, std::slice::from_ref(e));
+    }
+    assert!(m.merges.footprint_words() > 0, "a rule reads m across");
+    let seqs = |m: &Materialization| {
+        let mut seqs: Vec<(Pred, Tuple, u64)> = Vec::new();
+        for &r in &m.idb_rels {
+            for row in (0..m.rels[r].num_rows()).filter(|&row| m.rels[r].is_live(row)) {
+                let seq = m.merges.seq(r, row as u32);
+                seqs.push((m.pred_of_rel[r], m.rels[r].row(row).to_vec(), seq));
+            }
+        }
+        seqs.sort();
+        seqs
+    };
+    // anc_bf(john, c11..) dies, anc_bf(c20, c21..) lives on.
+    m.retract_facts(par, &edges[10..11]);
+    let before = seqs(&m);
+    assert!(before.windows(2).any(|w| w[0].2 != w[1].2), "more than one seq");
+    assert!(m.compact() > 0);
+    assert_eq!(seqs(&m), before, "compaction keeps every live row's seq");
+    let restored = Materialization::from_bytes(&m.to_bytes()).unwrap();
+    assert_eq!(restored.merges.footprint_words(), 0, "a restored store keeps no log");
+    assert_eq!(restored.mem_stats().rev_words, restored.rev.footprint_words());
+}
+
+/// Rows that support only each other die together. `p(a)` is recorded
+/// through `e(a)` and the row `r(a)` through `p(a)`; once `e(a)` goes,
+/// `r(a)` still derives `p(a)`, but `r(a)` is younger than `p(a)`, and
+/// the deletion walk refuses a derivation through a younger row: `p(a)`
+/// dies, and `r(a)` with it. `r` is `q`, another relation that only the
+/// merge log orders, and `p` itself, swapped (`p(b, a)`, younger by
+/// row id); both also on a restored store, which keeps no log. Every
+/// store is checked against the specification and its provenance.
+#[test]
+fn rows_that_support_only_each_other_die_together() {
+    let cases = [
+        "?- p(X).\np(X) :- e(X).\np(X) :- q(X).\nq(X) :- p(X).",
+        "?- p(X, Y).\np(X, Y) :- e(X, Y).\np(X, Y) :- p(Y, X).",
+    ];
+    for src in cases {
+        let mut p = parse_program(src).unwrap();
+        let e = p.symbols.get_predicate("e").unwrap();
+        let arity = p.rules[0].body[0].arity();
+        let [a, b, c] = ["a", "b", "c"].map(|n| p.symbols.constant(n));
+        let (gone, kept) = ([a, b][..arity].to_vec(), [c, b][..arity].to_vec());
+        let mut db = Database::new();
+        db.insert(e, gone.clone());
+        db.insert(e, kept);
+        let m = Materialization::from_database(&p, &db, Strategy::SemiNaive);
+        let restored = Materialization::from_bytes(&m.to_bytes()).unwrap();
+        let mut mirror = db.clone();
+        mirror.remove(e, &gone);
+        for mut m in [m, restored] {
+            let before = m.idb_database().sorted_models();
+            assert_eq!(m.retract_facts(e, std::slice::from_ref(&gone)), 1);
+            let after = m.idb_database().sorted_models();
+            assert_eq!(after, spec_idb(&p, &mirror), "{src}");
+            assert_ne!(after, before, "{src}: two rows went");
+            m.provenance().check(&p).unwrap_or_else(|e| panic!("{src}: {e}"));
+        }
+    }
 }
 
 #[test]
@@ -972,7 +1056,12 @@ fn rescue_plans_enter_through_the_fan_in_and_record_in_rule_text_order() {
         (SRC_MAGIC_A, (vec![0, 2, 1], vec![None, some(&[1]), None])),
     ];
     for (src, expected) in cases {
-        let mut p = parse_program(src).unwrap();
+        // Every rule twice: the build records each row through the first
+        // copy, and the first round drops the first copies, so every row
+        // is a rescue candidate for the second.
+        let rules = src.split_once('\n').unwrap().1;
+        let mut p = parse_program(&format!("{src}\n{rules}")).unwrap();
+        let first_copies: Vec<RuleId> = (0..p.rules.len() / 2).map(|i| RuleId(i as u32)).collect();
         let db = dense_db(&mut p);
         let mut m = Materialization::from_database(&p, &db, Strategy::SemiNaive);
         let shapes = rescue_shapes(&mut m);
@@ -981,8 +1070,10 @@ fn rescue_plans_enter_through_the_fan_in_and_record_in_rule_text_order() {
         assert_eq!(shapes[shapes.len() - 2].1.last().unwrap(), &None, "{src}");
 
         // Retract the binary EDB facts one at a time, in a scrambled
-        // order: while other edges still stand, most casualties
-        // have a derivation left and are rescued.
+        // order, the first with the drop: while other edges still stand,
+        // most rows a retraction reaches have a derivation left and are
+        // saved in place, and the rows of the dropped copies are
+        // rescued.
         let mut facts: Vec<(Pred, Tuple)> = db
             .iter()
             .filter(|(_, r)| r.arity() == 2)
@@ -991,9 +1082,13 @@ fn rescue_plans_enter_through_the_fan_in_and_record_in_rule_text_order() {
         facts.sort_by_key(|(pred, t)| (t[0].0 * 31 + t[1].0 * 17 + pred.0 * 7) % 13);
         let mut mirror = db.clone();
         let mut reappended = 0;
-        for (pred, t) in facts {
+        for (k, (pred, t)) in facts.into_iter().enumerate() {
             let before: Vec<usize> = m.frontiers();
-            assert_eq!(m.retract_facts(pred, std::slice::from_ref(&t)), 1);
+            let mut round = UpdateRound::new().retract(pred, t.clone());
+            if k == 0 {
+                round.rule_drops.clone_from(&first_copies);
+            }
+            assert_eq!(m.apply(&round).retracted, 1);
             mirror.remove(pred, &t);
             assert_eq!(m.idb_database().sorted_models(), spec_idb(&p, &mirror), "{src}");
             m.provenance().check(&p).unwrap_or_else(|e| panic!("{src}: {e}"));
@@ -1031,21 +1126,22 @@ fn rescued_justification_reads_in_rule_text_order() {
 /// A rescue plan binds a candidate by writing its head slots, and the
 /// rule is a candidate's only if the head built back from those slots
 /// is the tuple: that one comparison checks a repeated head variable and
-/// a head constant. `p(a, a)` and `q(a, c)` each have two derivations
-/// and lose the recorded one: both are rescued through the other. `p(d,
-/// a)` and `q(a, d)` lose their only one, `g`: `p(X, X)` would derive
-/// `p(a, a)` from the slot `a` the tuple wrote last, and `q(X, c)`
-/// `q(a, c)` from `a`, so neither may rescue them.
+/// a head constant. Every rule is there twice, and the round drops the
+/// first copies, so every row is a rescue candidate for the second
+/// ones. `p(a, a)` and `q(a, c)` also lose the `e`/`h` row they are
+/// recorded through: both are rescued through the other one. `p(d, a)`
+/// and `q(a, d)` have one derivation, through `g`, by the rule after a
+/// rule that must refuse them: `p(X, X)` would find `p(a, a)` from the
+/// slot `a` the tuple wrote last, and `q(X, c)` would find `q(a, c)`
+/// from `a`, and a rescue that took either as the candidate's would
+/// never try `g`.
 #[test]
 fn a_rescue_checks_repeated_head_variables_and_head_constants() {
-    let mut p = parse_program(
-        "?- p(a, Y).\n\
-         p(X, X) :- e(X, Y), f(Y, X).\n\
-         p(X, Y) :- g(X, Y).\n\
-         q(X, c) :- h(X, Y).\n\
-         q(X, Y) :- g(X, Y).",
-    )
-    .unwrap();
+    let rules = "p(X, X) :- e(X, Y), f(Y, X).\n\
+                 p(X, Y) :- g(X, Y).\n\
+                 q(X, c) :- h(X, Y).\n\
+                 q(X, Y) :- g(X, Y).";
+    let mut p = parse_program(&format!("?- p(a, Y).\n{rules}\n{rules}")).unwrap();
     let [e, f, g, h, pp, q] =
         ["e", "f", "g", "h", "p", "q"].map(|n| p.symbols.get_predicate(n).unwrap());
     let [a, b1, b2, c, d] = ["a", "b1", "b2", "c", "d"].map(|n| p.symbols.constant(n));
@@ -1070,13 +1166,10 @@ fn a_rescue_checks_repeated_head_variables_and_head_constants() {
     let other = |b| if b == b1 { b2 } else { b1 };
     let bp = b_of(via(&m, ga(pp, a, a)).expect("p(a, a) derived"));
     let bq = b_of(via(&m, ga(q, a, c)).expect("q(a, c) derived"));
-    let round = UpdateRound::new()
-        .retract(e, vec![a, bp])
-        .retract(h, vec![a, bq])
-        .retract(g, vec![d, a])
-        .retract(g, vec![a, d]);
+    let mut round = UpdateRound::new().retract(e, vec![a, bp]).retract(h, vec![a, bq]);
+    round.rule_drops = (0..4).map(RuleId).collect();
     let before = m.frontiers();
-    assert_eq!(m.apply(&round).retracted, 4);
+    assert_eq!(m.apply(&round).retracted, 2);
     let mut mirror = db.clone();
     for (pred, t) in &round.retracts {
         mirror.remove(*pred, t);
@@ -1085,11 +1178,10 @@ fn a_rescue_checks_repeated_head_variables_and_head_constants() {
     m.provenance().check(&p).expect("valid after the rescue");
     assert_eq!(via(&m, ga(pp, a, a)), Some(vec![ga(e, a, other(bp)), ga(f, other(bp), a)]));
     assert_eq!(via(&m, ga(q, a, c)), Some(vec![ga(h, a, other(bq))]));
-    for gone in [ga(pp, d, a), ga(q, a, d)] {
-        assert_eq!(via(&m, gone), None);
-    }
+    assert_eq!(via(&m, ga(pp, d, a)), Some(vec![ga(g, d, a)]));
+    assert_eq!(via(&m, ga(q, a, d)), Some(vec![ga(g, a, d)]));
     let reappended: usize = m.frontiers().iter().zip(&before).map(|(x, y)| x - y).sum();
-    assert_eq!(reappended, 2, "p(a, a) and q(a, c), rescued");
+    assert_eq!(reappended, 6, "every p and q row, rescued");
 }
 
 /// A tuple whose only other derivation runs through a row tombstoned

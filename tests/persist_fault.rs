@@ -330,6 +330,53 @@ fn a_golden_version_4_snapshot_restores_and_reencodes_identically() {
     assert_eq!(restored.database().sorted_models(), fresh.database().sorted_models());
 }
 
+/// A restored store keeps no merge log, so a deletion walk's age test
+/// reads row order within a relation, which every justification a store
+/// writes follows: a body row in the head's own relation sits below the
+/// head. The decoder refuses a file where one does not — here the golden
+/// snapshot with one recursive `anc` row's `anc` body row set to the
+/// row itself — through `from_bytes` and `Server::restore` alike.
+#[test]
+fn a_justification_through_a_later_row_of_its_own_relation_is_refused() {
+    let golden = include_bytes!("data/program_a_v4.snap");
+    let word = |at: usize| u64::from_le_bytes(golden[at..at + 8].try_into().unwrap()) as usize;
+    let u32_at = |at: usize| u32::from_le_bytes(golden[at..at + 4].try_into().unwrap());
+    // The payload ends with the justification section — per relation
+    // its offsets, then its buffer, each a length and `u32`s — and the
+    // checksum. `par` (EDB, last) stores two empty runs; `anc`'s buffer
+    // and offsets are the runs before them whose length words match.
+    let run_before = |end: usize| {
+        (0..end / 4)
+            .find(|&n| end >= 8 + 4 * n && word(end - 8 - 4 * n) == n)
+            .map(|n| (end - 4 * n, n))
+            .expect("a length-prefixed run ends here")
+    };
+    let par_end = golden.len() - 8;
+    assert_eq!((word(par_end - 16), word(par_end - 8)), (0, 0), "par records nothing");
+    let (buf_at, buf_len) = run_before(par_end - 16);
+    let (off_at, rows) = run_before(buf_at - 8);
+    let entry = |row: usize| u32_at(off_at + 4 * row) as usize;
+    let head = (0..rows)
+        .find(|&row| u32_at(buf_at + 4 * entry(row)) == 1)
+        .expect("a row recorded through the recursive rule");
+    assert!(entry(head) + 3 <= buf_len);
+    let body_at = buf_at + 4 * (entry(head) + 1);
+    assert!((u32_at(body_at) as usize) < head, "the golden file keeps the order");
+    let mut forged = golden.to_vec();
+    forged[body_at..body_at + 4].copy_from_slice(&(head as u32).to_le_bytes());
+    let current = u32::from_le_bytes(golden[8..12].try_into().unwrap());
+    let forged = restamped(&forged, current);
+    let refused = |r: Result<_, PersistError>| {
+        matches!(r, Err(PersistError::Corrupt("justification body row not below its head row")))
+    };
+    assert!(refused(Materialization::from_bytes(&forged).map(|m| m.answer())));
+    let dir = scratch_dir("own-relation-order");
+    let path = dir.join("forged.snap");
+    std::fs::write(&path, &forged).unwrap();
+    assert!(refused(Server::restore(&path).map(|s| s.answer())));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Section 9 holds one body permutation per rule, which a reader only
 /// checks to be a permutation. It is written from the rule's plan `[0]`.
 /// Files written while a build ran each rule on the plan of the atom the

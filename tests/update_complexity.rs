@@ -8,7 +8,7 @@
 //! `crates/datalog/tests/planner_props.rs`; these use the workload
 //! generators of `selprop_core`, which that crate cannot see. The first
 //! three are about insert rounds (the third adds a rule), the next four
-//! about the DRed rescue of a retract round, the last about what a round
+//! about the DRed walk and rescue of a retract round, the last about what a round
 //! costs the query cache: a function of the delta, not of the number of
 //! live views.
 
@@ -160,12 +160,14 @@ fn a_leaf_retract_under_the_root_costs_the_same_at_every_store_size() {
 
 /// Program A over a layered DAG with four leaves per last-rank node,
 /// each hung under two of them. For a quarter of the leaves, retracting
-/// the edge `anc(john, leaf)` is recorded through over-deletes every
-/// `anc` row recorded through it and rescues all but one through the
-/// other parent, at no more than 6 probes per row killed or re-appended:
-/// each candidate asks `par(Z, leaf)` for the surviving parent and the
+/// the edge `anc(john, leaf)` is recorded through reaches every `anc`
+/// row recorded through it, and the deletion walk saves all but one in
+/// place through the other parent, at no more than 6 probes per row
+/// checked: each asks `par(Z, leaf)` for the surviving parent and the
 /// dedup table for `anc(x, parent)`. A walk over `anc(x, _)` visits the
-/// other leaves under `x` first — the untouched three quarters.
+/// other leaves under `x` first — the untouched three quarters. Per
+/// leaf the edge itself and the cut parent's own row are gone for good,
+/// and nothing is re-appended.
 #[test]
 fn rescuing_through_the_other_parent_costs_a_bounded_number_of_probes_per_row() {
     for (layers, width) in [(6usize, 4usize), (12, 8)] {
@@ -200,15 +202,21 @@ fn rescuing_through_the_other_parent_costs_a_bounded_number_of_probes_per_row() 
         let after = m.mem_stats();
         let reappended = after.total_rows - mem.total_rows;
         let killed = (after.total_rows - after.live_rows) - (mem.total_rows - mem.live_rows);
-        // Per leaf the edge itself and the cut parent's own row are gone
-        // for good; every other casualty comes back through the other
-        // parent.
-        assert!(reappended > 0);
-        assert_eq!(killed, reappended + 2 * width);
+        assert_eq!((killed, reappended), (2 * width, 0));
+        // Every row the walk checked: the `width` it killed, and those
+        // it saved under another justification.
+        let now = m.provenance();
+        let rows = m.idb_database().relation(anc).expect("anc derived").sorted();
+        let saved = rows
+            .into_iter()
+            .map(|args| GroundAtom { pred: anc, args })
+            .filter(|atom| prov.justification(atom) != now.justification(atom))
+            .count();
+        assert!(saved > 0);
+        let checked = saved + width;
         assert!(
-            probes as usize <= 6 * (killed + reappended),
-            "layered_dag({layers}, {width}): {probes} probes for {killed} rows killed, \
-             {reappended} re-appended"
+            probes as usize <= 6 * checked,
+            "layered_dag({layers}, {width}): {probes} probes for {checked} rows checked"
         );
     }
 }
@@ -255,12 +263,14 @@ fn retracting_a_chain_costs_at_most_four_times_the_probes_of_inserting_it() {
     );
 }
 
-/// A rescue asks whether its candidate is derivable, and stops at the
-/// first derivation. `p(a)` has `k` of them, `e(a, y_i), f(y_i)`, and
-/// loses the one it is recorded through. Its rescue probes `e` on `a`
-/// once (depth 0), skips the dead row and probes the dedup table of `f`
-/// for the next `e` row, which answers: 2 probes at every `k`. A search
-/// that went on would probe `f` once per live `e` row, `1 + (k - 1)`.
+/// The deletion walk asks whether a row it reaches is still derivable,
+/// and stops at the first derivation. `p(a)` has `k` of them, `e(a,
+/// y_i), f(y_i)`, and loses the one it is recorded through. Its check
+/// probes `e` on `a` once (depth 0), skips the dead row and probes the
+/// dedup table of `f` for the next `e` row, which answers: 2 probes at
+/// every `k`, and `p(a)` is saved at its row id — no firing, no row
+/// appended. A search that went on would probe `f` once per live `e`
+/// row, `1 + (k - 1)`.
 #[test]
 fn a_rescue_stops_at_its_first_derivation() {
     for k in [2usize, 16, 128] {
@@ -276,10 +286,11 @@ fn a_rescue_stops_at_its_first_derivation() {
         let mut m = Materialization::from_database(&p, &db, Strategy::SemiNaive);
         let p_a = GroundAtom { pred: pp, args: vec![a] };
         let recorded = m.provenance().justification(&p_a).expect("p(a) derived").1[0].clone();
-        let before = m.stats();
+        let (before, rows) = (m.stats(), m.mem_stats().total_rows);
         assert_eq!(m.retract_facts(e, &[recorded.args]), 1);
-        assert_eq!(spent(before, m.stats()), (2, 1, 1), "k = {k}: (probes, firings, derived)");
-        assert_eq!(m.num_facts(pp), 1, "k = {k}: p(a) is rescued");
+        assert_eq!(spent(before, m.stats()), (2, 0, 0), "k = {k}: (probes, firings, derived)");
+        assert_eq!(m.num_facts(pp), 1, "k = {k}: p(a) is saved");
+        assert_eq!(m.mem_stats().total_rows, rows, "k = {k}: at its old row id");
     }
 }
 
