@@ -333,10 +333,16 @@ impl Dfa {
     }
 
     /// Enumerates all accepted words of length at most `max_len`,
-    /// in length-lexicographic order.
+    /// in length-lexicographic order. The frontier keeps only paths
+    /// through live states, so it grows with the language, not with
+    /// `|Σ|^len`.
     pub fn words_up_to(&self, max_len: usize) -> Vec<Vec<Symbol>> {
         let symbols: Vec<Symbol> = self.alphabet.symbols().collect();
+        let live = self.live_states();
         let mut out = Vec::new();
+        if !live.contains(&self.start) {
+            return out;
+        }
         // frontier of (state, word) pairs at the current length
         let mut frontier: Vec<(StateId, Vec<Symbol>)> = vec![(self.start, Vec::new())];
         if self.accepting[self.start] {
@@ -348,6 +354,9 @@ impl Dfa {
                 for &a in &symbols {
                     let r = self.step(*q, a);
                     // prune states that can never reach acceptance
+                    if !live.contains(&r) {
+                        continue;
+                    }
                     let mut w2 = w.clone();
                     w2.push(a);
                     if self.accepting[r] {
@@ -538,6 +547,8 @@ mod tests {
         let star = Dfa::from_nfa(&Nfa::from_word(al, &[a]).star());
         let words = star.words_up_to(3);
         assert_eq!(words, vec![vec![], vec![a], vec![a, a], vec![a, a, a]]);
+        // the sink reached on `b` is never expanded: 2^60 paths would be
+        assert_eq!(star.words_up_to(60).len(), 61);
     }
 
     #[test]

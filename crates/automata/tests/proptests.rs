@@ -34,6 +34,27 @@ fn arb_regex() -> impl Strategy<Value = Regex> {
     })
 }
 
+/// A random DFA over {a, b} with up to five states and a sink: every
+/// state is accepting with probability 1/3, and every transition has a
+/// chance of one in (states + 1) to enter the sink, which is never left.
+fn arb_dfa_with_sink() -> impl Strategy<Value = Dfa> {
+    (
+        1usize..=5,
+        proptest::collection::vec(0usize..6, 10),
+        proptest::collection::vec(0u8..3, 5),
+    )
+        .prop_map(|(n, targets, accept)| {
+            let sink = n;
+            let mut transitions: Vec<Vec<usize>> = (0..n)
+                .map(|q| (0..2).map(|a| targets[2 * q + a] % (n + 1)).collect())
+                .collect();
+            transitions.push(vec![sink, sink]);
+            let mut accepting: Vec<bool> = accept[..n].iter().map(|&c| c == 0).collect();
+            accepting.push(false);
+            Dfa::from_parts(alphabet(), transitions, 0, accepting)
+        })
+}
+
 /// All words over {a, b} of length ≤ n.
 fn all_words(n: usize) -> Vec<Vec<Symbol>> {
     let mut out: Vec<Vec<Symbol>> = vec![vec![]];
@@ -235,6 +256,22 @@ proptest! {
             let n = words.iter().filter(|w| w.len() == len).count() as u64;
             prop_assert_eq!(count, n);
         }
+    }
+
+    #[test]
+    fn words_up_to_prunes_sinks_without_losing_words(dfa in arb_dfa_with_sink()) {
+        const N: usize = 7;
+        let counts = dfa.count_words_by_length(N);
+        let words = dfa.words_up_to(N);
+        for (len, &count) in counts.iter().enumerate() {
+            let n = words.iter().filter(|w| w.len() == len).count() as u64;
+            prop_assert_eq!(count, n, "length {}", len);
+        }
+        let brute: Vec<Vec<Symbol>> = all_words(N)
+            .into_iter()
+            .filter(|w| dfa.accepts_word(w))
+            .collect();
+        prop_assert_eq!(words, brute);
     }
 
     #[test]

@@ -2,14 +2,16 @@
 //!
 //! Expected shape: the decidable certificates (finiteness, strong
 //! regularity, self-embedding) cost microseconds; the undecidable
-//! region's evidence gathering costs what its sampling budget says; and
+//! region's evidence gathering costs what its sampling budget says (one
+//! CYK column per trie node: prefixes × suffix-trie nodes for the Nerode
+//! bound, the envelope's live paths for the tightness check); and
 //! the trichotomy lands exactly where ground truth puts it.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use selprop_core::chain::ChainProgram;
 use selprop_core::propagate::{propagate, propagate_with, Propagation, PropagationBudget};
 
-const GALLERY: [(&str, &str, &str); 6] = [
+const GALLERY: [(&str, &str, &str); 7] = [
     ("left_linear", "propagated",
      "?- anc(c, Y).\nanc(X, Y) :- par(X, Y).\nanc(X, Y) :- anc(X, Z), par(Z, Y)."),
     ("right_linear", "propagated",
@@ -22,6 +24,11 @@ const GALLERY: [(&str, &str, &str); 6] = [
      "?- p(c, Y).\np(X, Y) :- b1(X, X1), b2(X1, Y).\np(X, Y) :- b1(X, X1), p(X1, X2), b2(X2, Y)."),
     ("diagonal_infinite", "impossible",
      "?- p(X, X).\np(X, Y) :- b(X, Y).\np(X, Y) :- p(X, Z), b(Z, Y)."),
+    // L = Σ⁺ over four letters through a self-embedding grammar: the
+    // envelope is exact, so the tightness check walks all 4 + … + 4¹⁰
+    // of its words up to the sample length.
+    ("wide_self_embedding", "unknown",
+     "?- p(c, Y).\np(X, Y) :- p(X, Z), p(Z, Y).\np(X, Y) :- e0(X, Y).\np(X, Y) :- e1(X, Y).\np(X, Y) :- e2(X, Y).\np(X, Y) :- e3(X, Y)."),
 ];
 
 fn outcome_label(p: &Propagation) -> &'static str {

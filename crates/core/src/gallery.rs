@@ -241,6 +241,32 @@ mod tests {
     }
 
     #[test]
+    fn nerode_bounds_are_pinned() {
+        use crate::propagate::nerode_lower_bound;
+        // (name, bound at budgets 3, 6, 7)
+        const PINNED: [(&str, [usize; 3]); 10] = [
+            ("program_a", [2, 2, 2]),
+            ("program_b", [2, 2, 2]),
+            ("program_c", [2, 2, 2]),
+            ("balanced", [7, 13, 15]),
+            ("cycle_program", [2, 2, 2]),
+            ("finite_two_words", [4, 4, 4]),
+            ("finite_diagonal", [4, 5, 5]),
+            ("b1_b2star", [3, 3, 3]),
+            ("even_paths", [3, 3, 3]),
+            ("palindromic", [15, 127, 255]),
+        ];
+        let entries = gallery();
+        assert_eq!(entries.len(), PINNED.len());
+        for (entry, (name, bounds)) in entries.iter().zip(PINNED) {
+            assert_eq!(entry.name, name);
+            let g = entry.chain().grammar();
+            let got = [3, 6, 7].map(|budget| nerode_lower_bound(&g, budget));
+            assert_eq!(got, bounds, "{name}");
+        }
+    }
+
+    #[test]
     fn names_are_unique() {
         let names: Vec<&str> = gallery().iter().map(|e| e.name).collect();
         let mut dedup = names.clone();

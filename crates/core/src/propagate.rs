@@ -15,9 +15,11 @@ use selprop_automata::minimize::minimize;
 use selprop_automata::Symbol;
 use selprop_datalog::ast::Program;
 use selprop_grammar::analysis::{finiteness, Finiteness, PumpWitness};
-use selprop_grammar::cnf::CnfGrammar;
+use selprop_grammar::cnf::{CnfGrammar, Recognizer};
 use selprop_grammar::regular::{approximate, is_strongly_regular};
 use selprop_grammar::self_embedding::{self_embedding, SelfEmbedding};
+use selprop_grammar::Cfg;
+use std::collections::{BTreeSet, HashSet};
 
 use crate::chain::{ChainProgram, GoalForm};
 use crate::rewrite::{monadic_rewrite, tableaux_rewrite};
@@ -135,6 +137,21 @@ impl Propagation {
 }
 
 /// Tuning knobs for the undecidable region's evidence gathering.
+///
+/// Step 5 builds one CNF of `G(H)` and walks word tries with one
+/// incremental CYK [`Recognizer`], one pushed symbol — one table column —
+/// per trie edge. Its cost model, in pushes:
+///
+/// - the Nerode bound costs prefixes × suffix-trie nodes: both are the
+///   first `min(256, Σ_{i ≤ nerode_max_len} |Σ|ⁱ)` words, so at most
+///   256 × 255 (see [`nerode_lower_bound`]);
+/// - the envelope check costs `Σ_{i ≤ envelope_sample_len} |Σ|ⁱ` over
+///   live paths, the envelope's words and their live prefixes, and stops
+///   at the first envelope word outside `L(H)`. An exact `Σ⁺` envelope
+///   over four letters at the default 10 is 1.4 M pushes; that term, not
+///   the Nerode one, is the one that grows with the alphabet.
+///
+/// A push at depth `d` fills `d` cells from at most `d` splits each.
 #[derive(Clone, Copy, Debug)]
 pub struct PropagationBudget {
     /// Maximum prefix length sampled for the Nerode lower bound.
@@ -226,12 +243,11 @@ pub fn propagate_with(
             }
             // 5. undecidable region: gather evidence.
             let envelope = minimize(&approximate(&grammar).dfa());
-            let nerode = nerode_lower_bound(&grammar, budget.nerode_max_len);
-            let cnf = CnfGrammar::from_cfg(&grammar);
-            let envelope_tight_on_sample = envelope
-                .words_up_to(budget.envelope_sample_len)
-                .iter()
-                .all(|w| cnf.accepts(w));
+            let mut rec = CnfGrammar::from_cfg(&grammar).recognizer();
+            let symbols: Vec<Symbol> = grammar.alphabet.symbols().collect();
+            let nerode = nerode_bound(&mut rec, &symbols, budget.nerode_max_len);
+            let envelope_tight_on_sample =
+                envelope_tight(&envelope, &mut rec, budget.envelope_sample_len);
             let se_name = match se {
                 SelfEmbedding::Yes { nonterminal } => Some(nonterminal),
                 SelfEmbedding::No => None,
@@ -249,54 +265,113 @@ pub fn propagate_with(
 /// Counts pairwise Myhill–Nerode-distinguishable prefixes of `L(G)` found
 /// by sampling prefixes and suffixes up to `max_len`: a lower bound on
 /// the state count of any DFA for `L(G)`.
-pub fn nerode_lower_bound(g: &selprop_grammar::Cfg, max_len: usize) -> usize {
-    let cnf = CnfGrammar::from_cfg(g);
-    // Candidate prefixes and probe suffixes: words in length-lexicographic
-    // order, capped at 256. Generated breadth-first with an early stop so
-    // the (exponential) full word set up to `max_len` is never
-    // materialized — only the capped slice the signatures actually use.
-    const CAP: usize = 256;
+///
+/// Prefixes and probe suffixes are the same words: the first 256 words
+/// of length at most `max_len` in length-lexicographic order, a
+/// prefix-closed set and so a trie. A prefix's signature is its
+/// acceptance bit over every suffix; the bound is the number of distinct
+/// signatures. One [`Recognizer`] walks the prefix trie depth first and,
+/// under each prefix, the suffix trie, pushing a symbol per trie edge:
+/// the cost is prefixes × suffix-trie nodes pushes (at most 256 × 255),
+/// each computing one CYK column of at most `2 · max_len` cells.
+pub fn nerode_lower_bound(g: &Cfg, max_len: usize) -> usize {
+    let mut rec = CnfGrammar::from_cfg(g).recognizer();
     let symbols: Vec<Symbol> = g.alphabet.symbols().collect();
-    let mut all: Vec<Vec<Symbol>> = vec![vec![]];
-    let mut level_start = 0;
-    for _ in 0..max_len {
-        if all.len() >= CAP {
-            break;
-        }
-        let level_end = all.len();
-        for wi in level_start..level_end {
-            for &s in &symbols {
-                let mut w2 = all[wi].clone();
-                w2.push(s);
-                all.push(w2);
-                if all.len() >= CAP {
-                    break;
-                }
-            }
-            if all.len() >= CAP {
+    nerode_bound(&mut rec, &symbols, max_len)
+}
+
+/// [`nerode_lower_bound`] on an empty recognizer of the grammar.
+fn nerode_bound(rec: &mut Recognizer, symbols: &[Symbol], max_len: usize) -> usize {
+    const CAP: usize = 256;
+    // children[w]: (symbol, child) for each child of word w in the trie
+    // of the first CAP words in length-lexicographic order, generated
+    // breadth first; word 0 is ε.
+    let mut children: Vec<Vec<(Symbol, usize)>> = vec![Vec::new()];
+    let mut depth = vec![0usize];
+    let mut next = 0;
+    while next < children.len() && children.len() < CAP && depth[next] < max_len {
+        for &a in symbols {
+            if children.len() == CAP {
                 break;
             }
+            let child = children.len();
+            children[next].push((a, child));
+            children.push(Vec::new());
+            depth.push(depth[next] + 1);
         }
-        level_start = level_end;
+        next += 1;
     }
-    let prefixes: Vec<&Vec<Symbol>> = all.iter().take(CAP).collect();
-    let suffixes: Vec<&Vec<Symbol>> = all.iter().take(CAP).collect();
-    // signature of a prefix = acceptance vector over probe suffixes
-    let mut signatures: Vec<Vec<bool>> = Vec::new();
-    for p in &prefixes {
-        let sig: Vec<bool> = suffixes
-            .iter()
-            .map(|s| {
-                let mut w = (*p).clone();
-                w.extend_from_slice(s);
-                cnf.accepts(&w)
-            })
-            .collect();
+    let mut signatures: HashSet<Vec<u64>> = HashSet::new();
+    let mut sig = vec![0u64; children.len().div_ceil(64)];
+    walk(&children, 0, rec, &mut |_, rec| {
+        sig.fill(0);
+        walk(&children, 0, rec, &mut |suffix, rec| {
+            if rec.accepts() {
+                sig[suffix / 64] |= 1 << (suffix % 64);
+            }
+        });
         if !signatures.contains(&sig) {
-            signatures.push(sig);
+            signatures.insert(sig.clone());
         }
-    }
+    });
     signatures.len()
+}
+
+/// Visits every word of the trie below `word` depth first, with the
+/// word's symbols pushed onto `rec` during its visit.
+fn walk(
+    children: &[Vec<(Symbol, usize)>],
+    word: usize,
+    rec: &mut Recognizer,
+    visit: &mut dyn FnMut(usize, &mut Recognizer),
+) {
+    visit(word, rec);
+    for &(a, child) in &children[word] {
+        rec.push(a);
+        walk(children, child, rec, visit);
+        rec.pop();
+    }
+}
+
+/// Whether every word of `envelope` up to `max_len` is in the language
+/// of `rec`'s grammar. Walks the envelope's live word trie depth first —
+/// the paths from the start through live states, a superset of the
+/// accepted words' prefixes — with one push per trie edge, and stops at
+/// the first accepted word the grammar rejects. The cost is the number
+/// of live paths of length at most `max_len`, `Σ |Σ|ⁱ` for an envelope
+/// whose every state is live.
+fn envelope_tight(envelope: &Dfa, rec: &mut Recognizer, max_len: usize) -> bool {
+    fn go(
+        d: &Dfa,
+        live: &BTreeSet<usize>,
+        symbols: &[Symbol],
+        q: usize,
+        left: usize,
+        rec: &mut Recognizer,
+    ) -> bool {
+        if d.is_accept(q) && !rec.accepts() {
+            return false;
+        }
+        if left == 0 {
+            return true;
+        }
+        for &a in symbols {
+            let r = d.step(q, a);
+            if live.contains(&r) {
+                rec.push(a);
+                let tight = go(d, live, symbols, r, left - 1, rec);
+                rec.pop();
+                if !tight {
+                    return false;
+                }
+            }
+        }
+        true
+    }
+    let live = envelope.live_states();
+    let symbols: Vec<Symbol> = envelope.alphabet.symbols().collect();
+    !live.contains(&envelope.start())
+        || go(envelope, &live, &symbols, envelope.start(), max_len, rec)
 }
 
 #[cfg(test)]
@@ -434,6 +509,35 @@ mod tests {
             }
             other => panic!("expected Unknown, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn wide_self_embedding_grammar_is_unknown_with_a_tight_envelope() {
+        // p -> p p | e0 | e1 | e2 | e3: L = Σ⁺ is regular, but the grammar
+        // is self-embedding over four letters, so step 5 gathers evidence.
+        // Its envelope Σ⁺ is exact, and the tightness check walks all of
+        // its 4 + 4² + … + 4¹⁰ words.
+        let chain = ChainProgram::parse(
+            "?- p(c, Y).\n\
+             p(X, Y) :- p(X, Z), p(Z, Y).\n\
+             p(X, Y) :- e0(X, Y).\n\
+             p(X, Y) :- e1(X, Y).\n\
+             p(X, Y) :- e2(X, Y).\n\
+             p(X, Y) :- e3(X, Y).",
+        )
+        .unwrap();
+        let Propagation::Unknown(ev) = propagate(&chain).unwrap() else {
+            panic!("a self-embedding grammar over four letters is undecided");
+        };
+        assert_eq!(ev.self_embedding_nonterminal.as_deref(), Some("p"));
+        assert_eq!(ev.nerode_lower_bound, 2);
+        assert!(ev.envelope_tight_on_sample);
+        let alphabet = &ev.envelope.alphabet;
+        let names: Vec<&str> = alphabet.symbols().map(|a| alphabet.name(a)).collect();
+        assert_eq!(names, ["e0", "e1", "e2", "e3"]);
+        assert_eq!(ev.envelope.transition_table(), [[1, 1, 1, 1], [1, 1, 1, 1]]);
+        assert_eq!(ev.envelope.start(), 0);
+        assert_eq!(ev.envelope.accepting(), [false, true]);
     }
 
     #[test]

@@ -78,6 +78,36 @@ proptest! {
     }
 
     #[test]
+    fn recognizer_scripts_agree_with_enumeration(
+        g in arb_cfg(),
+        script in proptest::collection::vec(0u8..7, 0..40),
+    ) {
+        // 0..=3 push a or b, 4..=5 pop, 6 clear; the word stays within
+        // the oracle's horizon (a push at the horizon pops instead)
+        const HORIZON: usize = 6;
+        let words = words_up_to(&g, HORIZON);
+        let cnf = CnfGrammar::from_cfg(&g);
+        let mut rec = cnf.recognizer();
+        let mut word: Vec<Symbol> = Vec::new();
+        prop_assert_eq!(rec.accepts(), words.contains(&word));
+        for op in script {
+            match op {
+                0..=3 if word.len() < HORIZON => {
+                    let a = Symbol(u32::from(op % 2));
+                    rec.push(a);
+                    word.push(a);
+                }
+                0..=5 => prop_assert_eq!(rec.pop(), word.pop()),
+                _ => {
+                    rec.clear();
+                    word.clear();
+                }
+            }
+            prop_assert_eq!(rec.accepts(), words.contains(&word), "on {:?}", word);
+        }
+    }
+
+    #[test]
     fn finiteness_decision_is_sound(g in arb_cfg()) {
         match finiteness(&g) {
             Finiteness::Finite(words) => {
