@@ -18,12 +18,13 @@
 //!   ([`ColumnarRelation::tombstone`]), then walk the derived rows whose
 //!   recorded justification transitively uses a deleted row. Each one
 //!   the walk reaches first asks for another derivation (a goal-directed
-//!   per-tuple join pass of lazily compiled, selectivity-ordered
-//!   re-derivation plans, stopping at the first derivation): one through
-//!   older rows saves it in place, and the walk goes no further there;
-//!   otherwise it dies. Rows with a derivation the age test refused are
-//!   re-derived from the remaining store after the walk, and the rescues
-//!   propagate through the normal insert machinery.
+//!   per-tuple join pass of selectivity-ordered re-derivation plans,
+//!   compiled with the update plans, stopping at the first derivation):
+//!   one through older rows saves it in place, and the walk goes no
+//!   further there; otherwise it dies. Rows with a derivation the age
+//!   test refused are re-derived from the remaining store after the
+//!   walk, and the rescues propagate through the normal insert
+//!   machinery.
 //! - [`Materialization::apply`] batches a whole mixed round — EDB
 //!   inserts, retracts, **rule adds** and **rule drops** — into one
 //!   DRed pass (a single walk of the persistent reverse-dependency
@@ -72,7 +73,7 @@ use crate::db::{Database, Relation, Tuple};
 use crate::derivation::Provenance;
 use crate::eval::{self, EvalResult, EvalStats, ProvenanceResult, Strategy};
 use crate::hash::FxHashMap;
-use crate::plan::{plan_rule, OrderMode, RulePlan};
+use crate::plan::{plan_rescue, plan_rule, OrderMode, RulePlan};
 use crate::storage::{ColumnarRelation, IncrementalIndex, NO_ROW};
 use std::sync::Arc;
 
@@ -324,14 +325,17 @@ pub struct Materialization {
     strategy: Strategy,
     /// The program's goal (for [`Materialization::answer`]).
     goal: Atom,
-    /// The program's rules (for lazy re-derivation-plan compilation).
+    /// The rules, one per slot (what a rule add compiles, a snapshot
+    /// saves and a restore recompiles from).
     rules: Vec<Rule>,
-    /// The `(relation, mask) → index id` registry, persisted so the
-    /// lazily compiled re-derivation plans share existing indexes.
+    /// The `(relation, mask) → index id` registry: every plan that
+    /// probes a `(relation, mask)` shares its one index.
     idx_of: FxHashMap<(usize, Vec<usize>), usize>,
     /// Per rule slot: its rescue plan, the goal-directed per-tuple
-    /// derivability check of DRed — compiled on the first retraction.
-    rederive: Option<Vec<RulePlan>>,
+    /// derivability check of DRed — compiled by `compile_plans` with the
+    /// slot's update plans in every store that records justifications,
+    /// empty in the one-shot store.
+    rederive: Vec<RulePlan>,
     /// Per rule slot: whether the rule is active. Dropped rules keep
     /// their plan (justification rule ids index plan slots) but stop
     /// firing, rescuing and appearing in update items.
@@ -459,7 +463,7 @@ impl Materialization {
             goal,
             rules: Vec::new(),
             idx_of: FxHashMap::default(),
-            rederive: None,
+            rederive: Vec::new(),
             rule_active: Vec::new(),
             epoch: 0,
             rev: RevIndex::default(),
@@ -557,23 +561,42 @@ impl Materialization {
     /// Compiles the plans of every rule slot that has none yet (all of
     /// them at construction and restore, the new slot after a rule add)
     /// under the persisted build-time cardinalities, one per body atom,
+    /// and — in a store that records justifications — its rescue plan,
     /// registering the indexes they probe. `order_by` as in
-    /// [`Materialization::build`].
+    /// [`Materialization::build`]; the rescue plan is ordered by the same
+    /// rule.
     fn compile_plans(&mut self, order_by: Option<&[Rule]>) {
+        let idbs = self.idb_preds();
+        let record = self.prov.is_some();
         let (rel_of_pred, planned_card) = (&self.rel_of_pred, &self.planned_card);
         let mut card = |p: Pred| rel_of_pred.get(&p).map_or(0, |&r| planned_card[r]);
         let plans = Arc::make_mut(&mut self.plans);
         for (i, rule) in self.rules.iter().enumerate().skip(plans.len()) {
+            let order_by = order_by.map_or(rule, |o| &o[i]);
+            let (idxs, idx_of) = (&mut self.idxs, &mut self.idx_of);
             let rule_plans = plan_rule(
                 rule,
-                order_by.map_or(rule, |o| &o[i]),
+                order_by,
                 i,
                 rel_of_pred,
-                &mut self.idxs,
-                &mut self.idx_of,
+                idxs,
+                idx_of,
                 self.order,
                 &mut card,
             );
+            if record {
+                self.rederive.push(plan_rescue(
+                    rule,
+                    order_by,
+                    i,
+                    &idbs,
+                    rel_of_pred,
+                    idxs,
+                    idx_of,
+                    self.order,
+                    &mut card,
+                ));
+            }
             self.merges.reads_across(rule_plans[0].head_rel, &rule_plans[0].body_rels, &self.idb_flag);
             plans.push(rule_plans);
         }
@@ -739,7 +762,7 @@ impl Materialization {
     /// variable does not occur in the body — in each case before the
     /// store is touched.
     pub fn add_rule(&mut self, rule: Rule) -> RuleId {
-        let id = RuleId(self.plans.len() as u32);
+        let id = RuleId(id32(self.plans.len()));
         self.apply(&UpdateRound::new().add_rule(rule));
         id
     }
@@ -768,9 +791,12 @@ impl Materialization {
     ///    seeds *and* rescue candidates (another rule may still derive
     ///    them).
     /// 2. **Rule adds** compile to fresh plan slots (stable
-    ///    [`RuleId`]s). A brand-new head predicate becomes a fresh IDB
-    ///    relation; new body predicates become fresh (empty, trackable)
-    ///    EDB relations.
+    ///    [`RuleId`]s) and rescue plans. A brand-new head predicate
+    ///    becomes a fresh IDB relation; new body predicates become fresh
+    ///    (empty, trackable) EDB relations. Every index is then brought
+    ///    up to the settled store — those a restore or the adds
+    ///    registered start empty — so the checks and rescues read it
+    ///    whole.
     /// 3. **Retracts** tombstone their EDB rows; one deletion walk for
     ///    *all* seeds (drops + retracts) follows the persistent
     ///    reverse-dependency index — O(affected rows). A live row it
@@ -851,6 +877,10 @@ impl Materialization {
             self.compile_added_rule(rule);
             report.rules_added += 1;
         }
+        // The walk's checks and the rescue read every index: fill those
+        // a restore or this round's rule adds registered (the dedup
+        // tables were rebuilt at the head).
+        self.extend_indexes();
 
         let mut worklist: Vec<(u32, u32)> = Vec::new();
         let mut candidates: Vec<(u32, u32)> = Vec::new();
@@ -889,8 +919,8 @@ impl Materialization {
             }
             let r = self.rels[rid].find_row(t);
             if r != NO_ROW && self.rels[rid].tombstone(r as usize) {
-                worklist.push((rid as u32, r));
-                self.last_retracted.push((rid as u32, r));
+                worklist.push((id32(rid), r));
+                self.last_retracted.push((id32(rid), r));
                 report.retracted += 1;
             }
         }
@@ -924,10 +954,12 @@ impl Materialization {
             self.seed_rules(first_new_plan, &mut staging);
         }
 
-        // 6. Rescue: re-derive the candidates from the remaining store
-        // (inserted and seeded rows included). The watermarks
-        // still sit at the old fixpoint, so every rescued insert lands
-        // in the delta range and phase 7 propagates it.
+        // 6. Rescue: re-derive the candidates from the remaining store.
+        // Its indexes cover the settled rows (phase 2), the dedup tables
+        // and scans phases 4 and 5's rows too; a derivation through one
+        // of those that an indexed step misses, the resume finds. The
+        // watermarks still sit at the old fixpoint, so every rescued
+        // insert lands in the delta range and phase 7 propagates it.
         self.rescue(&candidates);
 
         // 7. Propagate every delta — inserted, seeded and rescued rows —
@@ -1003,9 +1035,6 @@ impl Materialization {
         self.rules.push(rule.clone());
         self.rule_active.push(true);
         self.compile_plans(None);
-        if self.rederive.is_some() {
-            self.ensure_rederive_plans(None);
-        }
     }
 
     /// Interns a relation for a predicate the store does not track yet
@@ -1044,7 +1073,7 @@ impl Materialization {
             .iter()
             .enumerate()
             .filter(|&(i, _)| self.rule_active[i])
-            .map(|(i, r)| (RuleId(i as u32), r))
+            .map(|(i, r)| (RuleId(id32(i)), r))
             .collect()
     }
 
@@ -1226,7 +1255,7 @@ impl Materialization {
     /// rule-text order — what a justification's body row ids index
     /// into, whatever order the plan runs the steps in.
     fn body_rels(&self) -> Vec<Vec<u32>> {
-        self.plans.iter().map(|p| p[0].body_rels.iter().map(|&r| r as u32).collect()).collect()
+        self.plans.iter().map(|p| p[0].body_rels.iter().map(|&r| id32(r)).collect()).collect()
     }
 
     pub(crate) fn into_provenance_result(self) -> ProvenanceResult {

@@ -75,9 +75,9 @@ impl Materialization {
     /// re-hashed from the rows, frozen posting segments included, by the
     /// first round or view link that needs them, so a restored store that
     /// only serves reads never pays for them), compiled plans and
-    /// re-derivation plans (recompiled
-    /// from the rules, the order mode and the persisted cardinalities,
-    /// as construction compiled them), and the reverse dependency index
+    /// rescue plans (recompiled together from the rules, the order mode
+    /// and the persisted cardinalities, as construction compiled them),
+    /// and the reverse dependency index
     /// (rebuilt from the live justifications by every restore). Restore
     /// therefore returns at the exact persisted fixpoint without any
     /// re-evaluation: the expensive state is the rows and justifications,
@@ -467,11 +467,11 @@ impl Materialization {
             planned_card,
             ..Self::empty(strategy, goal, order)
         };
-        // The plans, from the inputs construction compiled them from:
-        // rules, order mode, persisted build-time cardinalities. Their
-        // indexes are write-path state, like the dedup tables: registered
-        // here, so that a view can link them, and filled by the first
-        // round (or view link) that needs them.
+        // The update and rescue plans, from the inputs construction
+        // compiled them from: rules, order mode, persisted build-time
+        // cardinalities. Their indexes are write-path state, like the
+        // dedup tables: registered here, so that a view can link them,
+        // and filled by the first round (or view link).
         m.compile_plans(None);
         m.rev = m.build_rev_index();
         Ok(m)

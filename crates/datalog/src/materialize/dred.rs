@@ -28,9 +28,9 @@
 
 use super::join::{build_head, join, Counters, Delta, PendingTuples, Scratch};
 use super::{id32, Materialization};
-use crate::ast::{Const, Pred, Rule};
+use crate::ast::Const;
 use crate::hash::FxHashMap;
-use crate::plan::{plan_rescue, Out};
+use crate::plan::Out;
 use crate::storage::NO_ROW;
 
 /// Sentinel edge id: end of a reverse-dependency chain.
@@ -312,38 +312,6 @@ impl Materialization {
         rev
     }
 
-    /// Compiles the rescue plan of every rule slot that has none yet: all
-    /// of them on the first call (the first retracting round of a base
-    /// store, construction of a template store), the new slot after a
-    /// rule add. Orders come from the persisted build-time
-    /// cardinalities, so a restored store compiles the plans — and
-    /// registers the indexes — of the live one. `order_by` as in
-    /// [`Materialization::build`] (`None`: the store's own rules).
-    pub(super) fn ensure_rederive_plans(&mut self, order_by: Option<&[Rule]>) {
-        let done = self.rederive.as_ref().map_or(0, Vec::len);
-        if self.rederive.is_some() && done == self.rules.len() {
-            return; // the common case: called at the head of every rescue
-        }
-        let idbs = self.idb_preds();
-        let rel_of_pred = &self.rel_of_pred;
-        let planned_card = &self.planned_card;
-        let mut card = |p: Pred| rel_of_pred.get(&p).map_or(0, |&r| planned_card[r]);
-        let plans = self.rederive.get_or_insert_with(Vec::new);
-        for (ri, rule) in self.rules.iter().enumerate().skip(done) {
-            plans.push(plan_rescue(
-                rule,
-                order_by.map_or(rule, |o| &o[ri]),
-                ri,
-                &idbs,
-                rel_of_pred,
-                &mut self.idxs,
-                &mut self.idx_of,
-                self.order,
-                &mut card,
-            ));
-        }
-    }
-
     /// Rebuilds the reverse index alone — no row moves, so the query
     /// cache keeps its views and a pinned reader its rows — once the
     /// edges saves left stale reach [`SHED_MIN_STALE_EDGES`] and
@@ -369,8 +337,7 @@ impl Materialization {
     /// rescued, as plain DRed would. Without,
     /// every live row reached dies: the walk of a dropped view, whose
     /// rows have no derivation left by construction
-    /// ([`Materialization::drop_tag`]). The check's plans, indexes and
-    /// dedup tables are set up only for a walk that has seeds.
+    /// ([`Materialization::drop_tag`]).
     pub(super) fn over_delete(
         &mut self,
         mut worklist: Vec<(u32, u32)>,
@@ -379,9 +346,6 @@ impl Materialization {
         let mut killed = Vec::new();
         if worklist.is_empty() {
             return killed;
-        }
-        if candidates.is_some() {
-            self.ready_rederive();
         }
         let (mut scratch, mut pending) = (Scratch::default(), PendingTuples::default());
         let mut counters = Counters::default();
@@ -442,16 +406,6 @@ impl Materialization {
         true
     }
 
-    /// Sets up what [`Materialization::derive`] reads: the rescue plans,
-    /// the indexes they register, and the dedup tables their full-key
-    /// steps read, which a restored store (or a template store handed a
-    /// restored base) may not have rebuilt yet.
-    fn ready_rederive(&mut self) {
-        self.ensure_dedup();
-        self.ensure_rederive_plans(None);
-        self.extend_indexes();
-    }
-
     /// Runs the rescue plan of every active rule over row `c`'s relation
     /// on `c`'s tuple, in slot order, until one derives it, staging the
     /// tuple and the derivation found into `pending`; returns whether one
@@ -466,9 +420,8 @@ impl Materialization {
         pending: &mut PendingTuples,
         counters: &mut Counters,
     ) -> bool {
-        let plans = self.rederive.as_ref().expect("compiled by the caller");
         let tuple = self.rels[crel as usize].row(crow as usize);
-        for (rule, plan) in plans.iter().enumerate() {
+        for (rule, plan) in self.rederive.iter().enumerate() {
             if plan.head_rel != crel as usize || !self.rule_active[rule] {
                 continue;
             }
@@ -503,7 +456,6 @@ impl Materialization {
         if candidates.is_empty() {
             return;
         }
-        self.ready_rederive();
         let mut scratch = Scratch::default();
         let mut pending = PendingTuples::default();
         let mut counters = Counters::default();

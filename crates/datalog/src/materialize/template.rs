@@ -17,7 +17,8 @@
 //!
 //! Base deletions reach a store one way: the rows the base's last round
 //! tombstoned seed its over-deletion through their reverse chains, so a
-//! sync reads the rows it kills and no others. That needs the store to
+//! sync reads only the rows recorded through a dying row — each checked,
+//! then saved or killed — and no others. That needs the store to
 //! be at most one round behind, as every store of a
 //! [`crate::server::Server`] is. A store that missed a round which
 //! retracted rows cannot tell which of its rows lost their support, and
@@ -38,7 +39,7 @@
 //! ids the pass does not move.
 
 use super::fixpoint::Staging;
-use super::{Materialization, RelJust};
+use super::{id32, Materialization, RelJust};
 use crate::ast::{Atom, Const, Pred, Program, Rule, Symbols};
 use crate::db::{Database, Relation};
 use crate::eval::{self, Strategy};
@@ -97,20 +98,18 @@ impl Materialization {
     }
 
     /// Builds an empty template store for a tagged magic template:
-    /// semi-naive, justification recording on, re-derivation plans
-    /// compiled **eagerly** — every index the store will ever probe must
-    /// exist before [`Materialization::link_external`] maps index slots,
-    /// or a later lazy compile would register a private index over an
-    /// external relation and fill it with the whole base store — and
+    /// semi-naive, justification recording on — so its rescue plans are
+    /// compiled with its update plans, as in every recording store, and
+    /// every index it will ever probe exists before
+    /// [`Materialization::link_external`] maps index slots — and
     /// automatic compaction off (the cache decides when; see
-    /// [`crate::cache`]). Bodies are ordered by the `untagged` rules —
-    /// the template as [`crate::magic::magic_template`] wrote it, rule
-    /// for rule — so the tag changes no plan's order
-    /// ([`crate::plan::plan_rule`]).
+    /// [`crate::cache`]). Bodies, rescue plans' included, are ordered by
+    /// the `untagged` rules — the template as
+    /// [`crate::magic::magic_template`] wrote it, rule for rule — so the
+    /// tag changes no plan's order ([`crate::plan::plan_rule`]).
     pub(crate) fn new_view(program: &Program, untagged: &[Rule], order: OrderMode) -> Self {
         let db = Database::new();
         let mut m = Self::build(program, &db, Strategy::SemiNaive, true, order, Some(untagged));
-        m.ensure_rederive_plans(Some(untagged));
         m.policy = None;
         m
     }
@@ -267,7 +266,7 @@ impl Materialization {
             .iter()
             .filter_map(|&(br, row)| {
                 let &(vr, _) = links.rels.iter().find(|&&(_, b)| b == br as usize)?;
-                Some((vr as u32, row))
+                Some((id32(vr), row))
             })
             .collect();
         let mut candidates: Vec<(u32, u32)> = Vec::new();
@@ -318,7 +317,7 @@ impl Materialization {
         let rid = self.rel_of_pred[&seed_pred];
         let row = self.rels[rid].find_row(seed);
         if row != NO_ROW && self.rels[rid].tombstone(row as usize) {
-            self.over_delete(vec![(rid as u32, row)], None);
+            self.over_delete(vec![(id32(rid), row)], None);
         }
     }
 

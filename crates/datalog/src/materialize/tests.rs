@@ -993,14 +993,13 @@ const SRC_MAGIC_A: &str = "?- anc_bf(john, Y).\n\
 /// scan), `None` for a step answered by the dedup table.
 type RescueShape = (Vec<usize>, Vec<Option<Vec<usize>>>);
 
-fn rescue_shapes(m: &mut Materialization) -> Vec<RescueShape> {
-    m.ensure_rederive_plans(None);
+fn rescue_shapes(m: &Materialization) -> Vec<RescueShape> {
     let mask_of = |s: &Step| match s.idx {
         NO_INDEX if s.key.is_empty() => Some(Vec::new()),
         NO_INDEX => None,
         idx => Some(m.idxs[idx].mask().to_vec()),
     };
-    let plans = m.rederive.as_ref().unwrap().iter();
+    let plans = m.rederive.iter();
     plans.map(|p| (p.body_of_step.to_vec(), p.steps.iter().map(mask_of).collect())).collect()
 }
 
@@ -1064,7 +1063,7 @@ fn rescue_plans_enter_through_the_fan_in_and_record_in_rule_text_order() {
         let first_copies: Vec<RuleId> = (0..p.rules.len() / 2).map(|i| RuleId(i as u32)).collect();
         let db = dense_db(&mut p);
         let mut m = Materialization::from_database(&p, &db, Strategy::SemiNaive);
-        let shapes = rescue_shapes(&mut m);
+        let shapes = rescue_shapes(&m);
         assert_eq!(shapes.last().unwrap(), &expected, "{src}");
         // The exit rules test their one (or last) atom in the table.
         assert_eq!(shapes[shapes.len() - 2].1.last().unwrap(), &None, "{src}");
@@ -1213,7 +1212,7 @@ fn a_dedup_step_never_rescues_through_a_row_that_died_this_round() {
         // derivation — par(Z, c2), then anc(john, c1) in the table —
         // needs exactly that dead row.
         assert_eq!(m.retract_facts(par, &edges[..1]), 1, "{what}");
-        assert_eq!(rescue_shapes(&mut m)[1].1, [Some(vec![1]), None], "{what}");
+        assert_eq!(rescue_shapes(&m)[1].1, [Some(vec![1]), None], "{what}");
         assert_eq!(m.idb_database().sorted_models(), spec_idb(&p, &mirror), "{what}");
         assert_eq!(m.num_facts(anc), 1, "{what}: only anc(c1, c2) is left");
         assert_eq!(m.tagged_tombstones() > 0, what == "pinned");
@@ -1234,14 +1233,14 @@ fn shuffled_order_compiles_the_plans_the_planner_does_in_another_order() {
             let order = OrderMode::Shuffled(seed);
             Materialization::from_database_with(&p, &db, Strategy::SemiNaive, order)
         };
-        let mut m = build(7);
+        let m = build(7);
         for (rule, plans) in p.rules.iter().zip(m.plans.iter()) {
             assert_eq!(plans.len(), rule.body.len(), "{src}");
             for (k, plan) in plans.iter().enumerate() {
                 assert_eq!(plan.body_of_step[0], k, "{src}");
             }
         }
-        for (rule, (order, masks)) in p.rules.iter().zip(rescue_shapes(&mut m)) {
+        for (rule, (order, masks)) in p.rules.iter().zip(rescue_shapes(&m)) {
             let mut atoms = order.clone();
             atoms.sort_unstable();
             assert_eq!(atoms, (0..rule.body.len()).collect::<Vec<_>>(), "{src}");
@@ -1260,37 +1259,57 @@ fn shuffled_order_compiles_the_plans_the_planner_does_in_another_order() {
     }
 }
 
+/// Sorted `(relation, mask)` keys of a store's index registry.
+fn registry(m: &Materialization) -> Vec<(usize, Vec<usize>)> {
+    let mut keys: Vec<(usize, Vec<usize>)> = m.idx_of.keys().cloned().collect();
+    keys.sort();
+    keys
+}
+
+/// The registry keys a store holds beyond `of`'s (both sorted).
+fn registry_beyond(m: &Materialization, of: &Materialization) -> Vec<(usize, Vec<usize>)> {
+    let base = registry(of);
+    registry(m).into_iter().filter(|k| !base.contains(k)).collect()
+}
+
 /// A one-shot store — what `evaluate` and `answer` build — is built as a
 /// recording store is: over the Section 7 magic program it registers
-/// the same `(relation, mask)` set, the reverse `b1[1]` index that the
-/// plan led by the recursive atom `p_bf(X1, Y1)` probes included, runs
-/// the same plans to the same counters, and reaches the same model.
+/// the recording store's `(relation, mask)` set but for the indexes the
+/// rescue plans alone probe (the one-shot store compiles none), the
+/// reverse `b1[1]` index that the plan led by the recursive atom
+/// `p_bf(X1, Y1)` probes included, runs the same plans to the same
+/// counters, and reaches the same model.
 #[test]
 fn a_one_shot_store_builds_through_the_plans_a_recording_store_does() {
     let p = parse_program(SRC_S7).unwrap();
     let mut magic = crate::magic::magic_transform(&p).unwrap().program;
     let db = dense_db(&mut magic);
-    let b1 = magic.symbols.get_predicate("b1").unwrap();
-    let registry = |m: &Materialization| {
-        let mut keys: Vec<(usize, Vec<usize>)> = m.idx_of.keys().cloned().collect();
-        keys.sort();
-        keys
-    };
+    let [b1, b2] = ["b1", "b2"].map(|n| magic.symbols.get_predicate(n).unwrap());
     let one_shot =
         Materialization::batch(&magic, &db, Strategy::SemiNaive, false, OrderMode::Planned);
     let recording = Materialization::from_database(&magic, &db, Strategy::SemiNaive);
-    assert_eq!(registry(&one_shot), registry(&recording));
+    assert!(one_shot.rederive.is_empty());
+    let mut expected = registry(&one_shot);
+    let rescue_steps = recording.rederive.iter().flat_map(|plan| &plan.steps);
+    let idxs = rescue_steps.filter(|s| s.idx != NO_INDEX).map(|s| &recording.idxs[s.idx]);
+    expected.extend(idxs.map(|idx| (idx.rel(), idx.mask().to_vec())));
+    expected.sort();
+    expected.dedup();
+    assert_eq!(registry(&recording), expected);
+    assert_eq!(registry_beyond(&recording, &one_shot), [(recording.rel_of_pred[&b2], vec![1])]);
     assert!(registry(&one_shot).contains(&(one_shot.rel_of_pred[&b1], vec![1])));
     assert_eq!(recording.stats(), one_shot.stats(), "the same plans ran");
     assert_eq!(recording.idb_database().sorted_models(), one_shot.idb_database().sorted_models());
 }
 
-/// The base-side twin of the cache's link test: the first retracting
-/// round of a program-A store registers `par[1]` and nothing else —
-/// no `anc[0]`, which would index the whole closure for the rescue
-/// alone.
+/// The base-side twin of the cache's link test: a program-A store
+/// registers `par[1]`, the index its rescue plan enters `anc(x, y)`
+/// through, at construction and nothing else for the rescue — no
+/// `anc[0]`, which would index the whole closure for the rescue alone —
+/// and the build fills it, so its first retracting round registers and
+/// fills no index.
 #[test]
-fn the_first_retraction_registers_one_edb_index() {
+fn a_store_registers_its_rescue_index_at_construction() {
     let mut p = parse_program(SRC_A).unwrap();
     let par = p.symbols.get_predicate("par").unwrap();
     let edges = chain_edges(&mut p, 16);
@@ -1298,10 +1317,33 @@ fn the_first_retraction_registers_one_edb_index() {
     for e in &edges {
         db.insert(par, e.clone());
     }
+    let one_shot = Materialization::batch(&p, &db, Strategy::SemiNaive, false, OrderMode::Planned);
     let mut m = Materialization::from_database(&p, &db, Strategy::SemiNaive);
-    let before = m.planner_report().index_rows;
+    assert_eq!(registry_beyond(&m, &one_shot), [(m.rel_of_pred[&par], vec![1])]);
+    let (keys, before) = (registry(&m), m.planner_report().index_rows);
     assert_eq!(m.retract_facts(par, &edges[15..]), 1);
-    assert_eq!(m.planner_report().index_rows - before, edges.len() as u64);
+    assert_eq!(registry(&m), keys);
+    assert_eq!(m.planner_report().index_rows - before, 0);
+}
+
+/// A restore compiles the rescue plans with the update plans, as the
+/// build did: before its first round, a restored store registers every
+/// index the live store had registered by the time it was saved — its
+/// rescue plans' `par[1]` included.
+#[test]
+fn a_restored_store_registers_what_the_live_one_had() {
+    let mut p = parse_program(SRC_A).unwrap();
+    let par = p.symbols.get_predicate("par").unwrap();
+    let edges = chain_edges(&mut p, 8);
+    let mut db = Database::new();
+    for e in &edges {
+        db.insert(par, e.clone());
+    }
+    let mut m = Materialization::from_database(&p, &db, Strategy::SemiNaive);
+    assert_eq!(m.retract_facts(par, &edges[7..]), 1);
+    let restored = Materialization::from_bytes(&m.to_bytes()).unwrap();
+    assert_eq!(registry(&restored), registry(&m));
+    assert!(registry(&restored).contains(&(restored.rel_of_pred[&par], vec![1])));
 }
 
 /// A round that adds a rule deriving a tuple it also over-deletes:
@@ -1352,7 +1394,7 @@ fn a_rescue_scans_a_body_atom_nothing_binds() {
     db.insert(r, vec![b1]);
     db.insert(r, vec![b2]);
     let mut m = Materialization::from_database(&p, &db, Strategy::SemiNaive);
-    assert_eq!(rescue_shapes(&mut m)[1], (vec![0, 1], vec![None, Some(Vec::new())]));
+    assert_eq!(rescue_shapes(&m)[1], (vec![0, 1], vec![None, Some(Vec::new())]));
     let p_a = crate::derivation::GroundAtom { pred: pp, args: vec![a] };
     let named = m.provenance().justification(&p_a).unwrap().1[1].args.clone();
     let other = vec![if named[0] == b1 { b2 } else { b1 }];

@@ -45,9 +45,10 @@
 //!   fan-out (`anc(x, _)` has one row per descendant of `x`), hence the
 //!   order. A rescue plan is a `RulePlan` like any other, compiled with
 //!   the head as input and run by the join like any other, which stops
-//!   at its first full instantiation (`RulePlan::existential`); it is
-//!   compiled on the first retraction (eagerly in a view), and its
-//!   indexes are extended like all others.
+//!   at its first full instantiation (`RulePlan::existential`); every
+//!   store that records justifications compiles it with the rule's
+//!   update plans, and its indexes are registered and extended like all
+//!   others.
 //! - **Staged-head existence ordering**: `RulePlan::head_ready_depth`
 //!   marks the first join depth at which every head position is bound;
 //!   when that is before the last step, the join probes the head
