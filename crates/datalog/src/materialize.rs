@@ -20,11 +20,12 @@
 //!   the walk reaches first asks for another derivation (a goal-directed
 //!   per-tuple join pass of selectivity-ordered re-derivation plans,
 //!   compiled with the update plans, stopping at the first derivation):
-//!   one through older rows saves it in place, and the walk goes no
-//!   further there; otherwise it dies. Rows with a derivation the age
-//!   test refused are re-derived from the remaining store after the
-//!   walk, and the rescues propagate through the normal insert
-//!   machinery.
+//!   one through rows that rank below it — EDB rows, lower rows of its
+//!   relation, rows of a lower component of the rule graph — saves it
+//!   in place, and the walk goes no further there; otherwise it dies.
+//!   Rows with a derivation the age test refused are re-derived from
+//!   the remaining store after the walk, and the rescues propagate
+//!   through the normal insert machinery.
 //! - [`Materialization::apply`] batches a whole mixed round — EDB
 //!   inserts, retracts, **rule adds** and **rule drops** — into one
 //!   DRed pass (a single walk of the persistent reverse-dependency
@@ -84,7 +85,7 @@ mod fixpoint;
 mod join;
 mod template;
 pub use compact::{CompactionPolicy, MemStats};
-use dred::{MergeLog, RevIndex};
+use dred::{components, RevIndex};
 use fixpoint::Staging;
 pub(crate) use template::ExtLinks;
 
@@ -347,10 +348,12 @@ pub struct Materialization {
     /// of a recording store (see [`RevIndex`]; empty in the one-shot
     /// store).
     rev: RevIndex,
-    /// When each derived row entered the store: the age test of a
-    /// deletion walk's save (see [`MergeLog`]; runtime-only, so a
-    /// restored store starts with an empty log).
-    merges: MergeLog,
+    /// Per relation: its strongly connected component of the rule graph
+    /// over every rule slot, the age test of a deletion walk's save (see
+    /// [`components`]). Recomputed by `compile_plans` whenever a slot is
+    /// added — slots are never reused, so the graph only grows — and so
+    /// not persisted.
+    comp: Vec<u32>,
     /// Automatic compaction policy (`None` = manual
     /// [`Materialization::compact`] only).
     policy: Option<CompactionPolicy>,
@@ -467,7 +470,7 @@ impl Materialization {
             rule_active: Vec::new(),
             epoch: 0,
             rev: RevIndex::default(),
-            merges: MergeLog::default(),
+            comp: Vec::new(),
             policy: Some(CompactionPolicy::default()),
             compactions: 0,
             version: 0,
@@ -562,7 +565,8 @@ impl Materialization {
     /// them at construction and restore, the new slot after a rule add)
     /// under the persisted build-time cardinalities, one per body atom,
     /// and — in a store that records justifications — its rescue plan,
-    /// registering the indexes they probe. `order_by` as in
+    /// registering the indexes they probe; then recomputes the rule
+    /// graph's components over every slot. `order_by` as in
     /// [`Materialization::build`]; the rescue plan is ordered by the same
     /// rule.
     fn compile_plans(&mut self, order_by: Option<&[Rule]>) {
@@ -597,9 +601,9 @@ impl Materialization {
                     &mut card,
                 ));
             }
-            self.merges.reads_across(rule_plans[0].head_rel, &rule_plans[0].body_rels, &self.idb_flag);
             plans.push(rule_plans);
         }
+        self.comp = components(self.rels.len(), &self.plans);
     }
 
     // -----------------------------------------------------------------
@@ -803,11 +807,13 @@ impl Materialization {
     ///    reaches through a dying row of its current justification runs
     ///    its rescue plans first (phase 6's passes, over the store as
     ///    the walk has left it). A derivation as long as the recorded
-    ///    one, whose IDB rows are all older than the row, **saves** it:
-    ///    same row id, justification overwritten, and the walk does not
-    ///    descend from it. Any other derivation kills it and makes it a
-    ///    rescue candidate; none kills it for good — the walk only
-    ///    shrinks the store, and phase 7 joins what the round adds.
+    ///    one, whose IDB rows are each a lower row of the row's own
+    ///    relation or a row of another strongly connected component of
+    ///    the rule graph (`dred.rs`), **saves** it: same row id,
+    ///    justification overwritten, and the walk does not descend from
+    ///    it. Any other derivation kills it and makes it a rescue
+    ///    candidate; none kills it for good — the walk only shrinks the
+    ///    store, and phase 7 joins what the round adds.
     /// 4. **Inserts** append novel EDB rows — into the delta range, the
     ///    watermarks still sit at the old fixpoint.
     /// 5. Added rules **seed** their deltas with one full-range
@@ -926,9 +932,9 @@ impl Materialization {
         }
 
         // Walk everything whose recorded justification transitively
-        // uses a seed: a row with a derivation through older rows is
-        // saved, the rest die; those with a refused derivation are
-        // rescue candidates.
+        // uses a seed: a row with a derivation through rows that rank
+        // below it is saved, the rest die; those with a refused
+        // derivation are rescue candidates.
         self.over_delete(worklist, Some(&mut candidates));
 
         // 4. EDB inserts: novel rows land above the watermarks (the

@@ -77,11 +77,11 @@ impl Materialization {
     /// only serves reads never pays for them), compiled plans and
     /// rescue plans (recompiled together from the rules, the order mode
     /// and the persisted cardinalities, as construction compiled them),
-    /// and the reverse dependency index
-    /// (rebuilt from the live justifications by every restore). Restore
-    /// therefore returns at the exact persisted fixpoint without any
-    /// re-evaluation: the expensive state is the rows and justifications,
-    /// which round-trip bit-for-bit.
+    /// the rule graph's components (recomputed with the plans), and the
+    /// reverse dependency index (rebuilt from the live justifications by
+    /// every restore). Restore therefore returns at the exact persisted
+    /// fixpoint without any re-evaluation: the expensive state is the
+    /// rows and justifications, which round-trip bit-for-bit.
     pub fn to_bytes(&self) -> Vec<u8> {
         fn atom(e: &mut Enc, a: &Atom) {
             e.u32(a.pred.0);
@@ -436,10 +436,9 @@ impl Materialization {
                     if brow as usize >= rels[brel].num_rows() {
                         return Err(PersistError::Corrupt("justification references nonexistent row"));
                     }
-                    // A restored store keeps no merge log: a deletion
-                    // walk's age test then reads row order within a
-                    // relation, which every justification a store writes
-                    // follows.
+                    // A deletion walk's age test reads row order within
+                    // a relation, which every justification a store
+                    // writes follows.
                     if brel == r && brow as usize >= row {
                         return Err(PersistError::Corrupt(
                             "justification body row not below its head row",

@@ -4,7 +4,7 @@
 //! `materialize.compactions`, `materialize.dead_rows_peak` and the
 //! `materialize.*_words` counts ([`MemStats`]).
 
-use super::{Materialization, RelJust};
+use super::{id32, Materialization, RelJust};
 use crate::storage::NO_ROW;
 
 /// When [`Materialization::apply`] triggers an automatic
@@ -56,10 +56,9 @@ pub struct MemStats {
     /// Words of packed justification entries (offsets + buffers).
     pub just_words: usize,
     /// Words held by the reverse-dependency index, which every recording
-    /// store carries from construction, and by the merge log a deletion
-    /// walk's age test reads. Edges of dead rows stay until the next
-    /// compaction; those a save left stale until the round that finds
-    /// them a tenth of the index.
+    /// store carries from construction. Edges of dead rows stay until the
+    /// next compaction; those a save left stale until the round that
+    /// finds them a tenth of the index.
     pub rev_words: usize,
 }
 
@@ -149,7 +148,7 @@ impl Materialization {
                 for hrow in 0..old.len() {
                     let new_id = match &remaps[hrel] {
                         Some(m) => m[hrow],
-                        None => hrow as u32,
+                        None => id32(hrow),
                     };
                     if new_id == NO_ROW {
                         continue;
@@ -187,12 +186,10 @@ impl Materialization {
         // so the watermark of every rebuilt relation re-pins at its new
         // row count. (The others already sit at theirs — except a
         // template store's external placeholders, whose watermarks are
-        // positions in the base's relations and must stay.) The merge
-        // log's runs start where their first surviving rows land.
+        // positions in the base's relations and must stay.)
         for (r, remap) in remaps.iter().enumerate() {
-            if let Some(map) = remap {
+            if remap.is_some() {
                 self.old_hi[r] = self.rels[r].num_rows();
-                self.merges.remap(r, map);
             }
         }
 
@@ -225,7 +222,7 @@ impl Materialization {
                 s.just_words += rj.footprint_words();
             }
         }
-        s.rev_words = self.rev.footprint_words() + self.merges.footprint_words();
+        s.rev_words = self.rev.footprint_words();
         s
     }
 }

@@ -6,32 +6,46 @@
 //! The walk asks before it kills (the backward/forward idea of
 //! Motik–Nenov–Piro–Horrocks, AAAI 2015): a live row it reaches through
 //! a dying row runs its rescue plans on the spot. A derivation whose IDB
-//! body rows are all older than the row ([`MergeLog`]), with a body as
-//! long as the recorded one, **saves** it:
+//! body rows all rank below the row, with a body as long as the recorded
+//! one, **saves** it:
 //! the row keeps its id, its justification is overwritten in place and
 //! the walk does not descend from it. A derivation that fails the age or
 //! length test leaves the row to be killed and rescued after the walk,
 //! as a candidate; no derivation kills it for good, since the walk only
 //! shrinks the live set and the round's resume joins whatever it adds.
+//!
 //! Age is what keeps two rows that support only each other from saving
-//! each other: every live justification points to older rows, so the
-//! recorded derivations stay well-founded.
+//! each other, and it is read off the rule graph ([`components`]), the
+//! dependency order of DRed (Gupta–Mumick–Subrahmanian 1993). A body
+//! row ranks below its head if it is an EDB row, a row of the head's
+//! relation at a lower row id, or a row of a relation in another
+//! strongly connected component — which, since the head's rule reads
+//! it, is a lower one that cannot read the head's relation back. Every
+//! live justification then points down in (component, birth round,
+//! relation, row): a merge's body rows are born in earlier rounds or
+//! sit in lower components, a same-relation save points to a lower row
+//! (born no later), a cross-component save to a lower component. So the
+//! recorded derivations stay well-founded. A rule add that merges
+//! components needs no special case: after it, a row born before the
+//! add can be re-saved only within its relation or into another
+//! component, so within its component it reaches only rows born before
+//! the add, which the order before the add still ranks; rows born after
+//! rank above those. A restored store recomputes the components from its
+//! rules and makes exactly the live store's decisions.
 //!
 //! Both the check and the rescue are join passes like any other: the
 //! selectivity-ordered rescue plan of [`crate::plan`] runs through
 //! `join.rs` as one existential `(rule, row)` pass, and what a rescue
 //! finds enters the store through `fixpoint.rs`'s merge, which also
-//! appends the reverse edges and the merge log's runs. This file probes
-//! no index and appends no row. `BENCHMARK.json`:
-//! `materialize.probes_per_retract_round`,
+//! appends the reverse edges. This file probes no index and appends no
+//! row. `BENCHMARK.json`: `materialize.probes_per_retract_round`,
 //! `materialize.rows_killed_per_round`, `materialize.rederive_ratio`.
 
 use super::join::{build_head, join, Counters, Delta, PendingTuples, Scratch};
 use super::{id32, Materialization};
 use crate::ast::Const;
 use crate::hash::FxHashMap;
-use crate::plan::Out;
-use crate::storage::NO_ROW;
+use crate::plan::{Out, RulePlan};
 
 /// Sentinel edge id: end of a reverse-dependency chain.
 const NO_EDGE: u32 = u32::MAX;
@@ -164,116 +178,56 @@ impl RevIndex {
     }
 }
 
-/// When each derived row entered the store, as the age test of a save
-/// reads it: per relation, runs of `(first row, merge seq)`, first rows
-/// ascending. Every merge round — a seeding round, a fixpoint round, a
-/// rescue — opens a new seq ([`MergeLog::open`]), and `fixpoint.rs`'s
-/// merge notes the first row it appends to each relation under it. A
-/// merge round's bodies are rows of the store before it, so every
-/// recorded justification points to rows of lower seq. Rows no run
-/// covers — all of them in a restored store, which keeps no log — are
-/// seq 0. [`Materialization::compact`] remaps the runs, a template store
-/// that starts over empties them.
-///
-/// Runs are noted only once a rule reads an IDB relation other than its
-/// head's ([`MergeLog::reads_across`]): until then every IDB body row is
-/// in its head's relation, where row order alone answers the age test.
-/// Rows appended before are seq 0, as in a restored store — older than
-/// every row after, which keeps the order strict.
-#[derive(Clone, Debug, Default)]
-pub(super) struct MergeLog {
-    /// Per relation: `(first row, seq)` runs.
-    runs: Vec<Vec<(u32, u64)>>,
-    /// The seq of the current merge round: 64 bits, so a store merging
-    /// a round every nanosecond runs for centuries before it overflows.
-    seq: u64,
-    /// Whether runs are noted.
-    on: bool,
-}
-
-impl MergeLog {
-    /// Starts noting runs if the rule a plan compiles reads an IDB
-    /// relation other than its head's: `body_rels` against `head_rel`,
-    /// with `idb` the per-relation IDB flags.
-    pub(super) fn reads_across(&mut self, head_rel: usize, body_rels: &[usize], idb: &[bool]) {
-        self.on |= body_rels.iter().any(|&b| idb[b] && b != head_rel);
+/// The strongly connected components of the rule graph over `n`
+/// relations — an edge from each rule slot's head relation to each of
+/// its body relations, dropped slots included — as one id per relation,
+/// numbered in Tarjan's completion order: a relation a rule reads is in
+/// the rule head's component or in a lower one. Iterative, so a long
+/// chain of relations cannot overflow the stack.
+pub(super) fn components(n: usize, plans: &[Vec<RulePlan>]) -> Vec<u32> {
+    const UNSEEN: u32 = u32::MAX;
+    let mut reads: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for plan in plans.iter().map(|p| &p[0]) {
+        reads[plan.head_rel].extend(&plan.body_rels);
     }
-
-    /// Opens the next merge round: rows appended from here on are newer
-    /// than every row before.
-    pub(super) fn open(&mut self) {
-        self.seq = self.seq.checked_add(1).expect("merge-log seq overflow");
-    }
-
-    /// Notes that `row` of relation `rel` was appended in the current
-    /// merge round (one run per relation and round: only the first row
-    /// starts one).
-    pub(super) fn note(&mut self, rel: u32, row: u32) {
-        if !self.on {
-            return;
+    let (mut index, mut low, mut comp) = (vec![UNSEEN; n], vec![0; n], vec![UNSEEN; n]);
+    let (mut open, mut calls, mut next, mut done) = (Vec::new(), Vec::new(), 0, 0);
+    for root in 0..n {
+        if index[root] != UNSEEN {
+            continue;
         }
-        let rel = rel as usize;
-        if self.runs.len() <= rel {
-            self.runs.resize_with(rel + 1, Vec::new);
-        }
-        let runs = &mut self.runs[rel];
-        if runs.last().is_none_or(|&(_, seq)| seq != self.seq) {
-            runs.push((row, self.seq));
-        }
-    }
-
-    /// The merge seq of `row` of relation `rel`.
-    pub(super) fn seq(&self, rel: usize, row: u32) -> u64 {
-        let Some(runs) = self.runs.get(rel) else { return 0 };
-        match runs.partition_point(|&(first, _)| first <= row) {
-            0 => 0,
-            i => runs[i - 1].1,
-        }
-    }
-
-    /// Whether body row `(brel, brow)` is older than head row `(hrel,
-    /// hrow)`: of an earlier merge round, or of the same relation at a
-    /// lower row id. Both imply a lower `(seq, relation, row)`, a strict
-    /// order in which every recorded justification points down.
-    fn older(&self, (brel, brow): (usize, u32), (hrel, hrow): (usize, u32)) -> bool {
-        (brel == hrel && brow < hrow) || self.seq(brel, brow) < self.seq(hrel, hrow)
-    }
-
-    /// Forgets every run: the store holds no row any more.
-    pub(super) fn clear(&mut self) {
-        self.runs.clear();
-    }
-
-    /// Renumbers relation `rel`'s runs through a compaction's
-    /// order-preserving old→new row map ([`NO_ROW`] = reclaimed): a run
-    /// starts where its first surviving row lands, and a run left
-    /// without rows goes.
-    pub(super) fn remap(&mut self, rel: usize, map: &[u32]) {
-        let Some(runs) = self.runs.get_mut(rel) else { return };
-        let mut out: Vec<(u32, u64)> = Vec::with_capacity(runs.len());
-        let (mut row, mut live) = (0usize, 0u32);
-        for &(first, seq) in runs.iter() {
-            for &to in &map[row..first as usize] {
-                live += u32::from(to != NO_ROW);
+        calls.push((root, 0));
+        while let Some(&mut (v, ref mut k)) = calls.last_mut() {
+            if index[v] == UNSEEN {
+                (index[v], low[v]) = (next, next);
+                next += 1;
+                open.push(v);
             }
-            row = first as usize;
-            match out.last_mut() {
-                // The run before kept no row.
-                Some(last) if last.0 == live => *last = (live, seq),
-                _ => out.push((live, seq)),
+            if let Some(&w) = reads[v].get(*k) {
+                *k += 1;
+                if index[w] == UNSEEN {
+                    calls.push((w, 0));
+                } else if comp[w] == UNSEEN {
+                    low[v] = low[v].min(index[w]);
+                }
+                continue;
+            }
+            calls.pop();
+            if let Some(&(u, _)) = calls.last() {
+                low[u] = low[u].min(low[v]);
+            }
+            if low[v] == index[v] {
+                while let Some(w) = open.pop() {
+                    comp[w] = done;
+                    if w == v {
+                        break;
+                    }
+                }
+                done += 1;
             }
         }
-        let len = live + map[row..].iter().map(|&to| u32::from(to != NO_ROW)).sum::<u32>();
-        if out.last().is_some_and(|&(first, _)| first == len) {
-            out.pop();
-        }
-        *runs = out;
     }
-
-    /// Words held (memory accounting; a run is two).
-    pub(super) fn footprint_words(&self) -> usize {
-        2 * self.runs.iter().map(Vec::len).sum::<usize>()
-    }
+    comp
 }
 
 impl Materialization {
@@ -385,22 +339,30 @@ impl Materialization {
     /// The check's verdict on the derivation `just` — `[rule, body
     /// rows…]`, staged by [`Materialization::derive`] — found for live
     /// row `h`: it saves `h` if its body is as long as the recorded one
-    /// and every IDB row of it is older than `h` ([`MergeLog::older`]).
-    /// A saved row's justification is overwritten in place, the edges of
-    /// its new body are added and those of the old one counted stale.
+    /// and every body row ranks below `h` in (component, birth round,
+    /// relation, row), the order every live justification points down
+    /// in (module docs): an EDB row; a row of `h`'s relation below `h`,
+    /// born no later; or a row of a relation in another component of the
+    /// rule graph — a lower one, since the rule reads it. Two rows of
+    /// one component but different relations are refused whatever their
+    /// rounds: no runtime record of rounds is kept. A saved row's
+    /// justification is overwritten in place, the edges of its new body
+    /// are added and those of the old one counted stale.
     fn save_row(&mut self, (hrel, hrow): (u32, u32), just: &[u32]) -> bool {
-        let Self { prov, plans, idb_flag, merges, rev, .. } = self;
+        let Self { prov, plans, idb_flag, comp, rev, .. } = self;
         let prov = prov.as_mut().expect("Materialization always records justifications");
         let (rule, body) = (just[0], &just[1..]);
         let body_rels = &plans[rule as usize][0].body_rels;
-        let head = (hrel as usize, hrow);
-        let older = |(&brel, &brow): (&usize, &u32)| !idb_flag[brel] || merges.older((brel, brow), head);
-        if prov[head.0].entry(hrow as usize).1.len() != body.len()
-            || !body_rels.iter().zip(body).all(older)
+        let h = hrel as usize;
+        let below = |(&brel, &brow): (&usize, &u32)| {
+            !idb_flag[brel] || (brel == h && brow < hrow) || comp[brel] != comp[h]
+        };
+        if prov[h].entry(hrow as usize).1.len() != body.len()
+            || !body_rels.iter().zip(body).all(below)
         {
             return false;
         }
-        prov[head.0].replace(hrow as usize, rule, body);
+        prov[h].replace(hrow as usize, rule, body);
         rev.add_row(hrel, hrow, body_rels, body);
         rev.stale += body.len();
         true
@@ -463,31 +425,28 @@ impl Materialization {
             self.derive(c, &mut scratch, &mut pending, &mut counters);
         }
         self.stats.join_probes += counters.pre + counters.post;
-        self.merges.open();
         self.merge_pending(&mut pending);
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::MergeLog;
+    use super::components;
+    use crate::materialize::Materialization;
+    use crate::parser::parse_program;
 
-    /// A long-running store opens a merge round per seeding round,
-    /// fixpoint round and rescue, log on or off: the seq counts past
-    /// `u32::MAX` and the age test still orders rows across the old
-    /// limit.
+    /// One id per strongly connected component, a body relation in its
+    /// head's component or a lower one: `p` and `q` read each other, `r`
+    /// reads `p`, and `e` is read by `p` and `r`.
     #[test]
-    fn the_merge_log_opens_rounds_past_u32_max() {
-        let mut log = MergeLog { seq: u64::from(u32::MAX) - 1, on: true, ..MergeLog::default() };
-        for row in 0..4 {
-            log.open();
-            log.note(1, row);
-        }
-        let max = u64::from(u32::MAX);
-        assert_eq!((log.seq(1, 0), log.seq(1, 3)), (max, max + 3));
-        log.note(0, 0);
-        assert!(log.older((1, 2), (0, 0)), "a row of an earlier round is older");
-        assert!(!log.older((0, 0), (1, 2)), "and not the other way round");
-        assert!(!log.older((1, 3), (0, 0)), "rows of one round are not");
+    fn components_follow_the_rule_graph() {
+        let src = "?- r(X).\np(X) :- e(X).\np(X) :- q(X).\nq(X) :- p(X).\nr(X) :- p(X), e(X).";
+        let p = parse_program(src).unwrap();
+        let m = Materialization::new(&p, crate::eval::Strategy::SemiNaive);
+        let comp = components(m.rels.len(), &m.plans);
+        assert_eq!(comp, m.comp, "the store keeps what the rule graph gives");
+        let c = |n: &str| comp[m.rel_of_pred[&p.symbols.get_predicate(n).unwrap()]];
+        assert_eq!(c("p"), c("q"));
+        assert!(c("e") < c("p") && c("p") < c("r"));
     }
 }

@@ -48,7 +48,6 @@ impl Materialization {
             };
             self.eval_rule(Pass { rule, plan, delta: Delta::Full }, scratch, pending);
         }
-        self.merges.open();
         let appended = self.merge_pending(pending);
         if appended > 0 {
             profile.push(appended);
@@ -95,7 +94,6 @@ impl Materialization {
             for r in 0..self.rels.len() {
                 self.old_hi[r] = self.rels[r].num_rows();
             }
-            self.merges.open();
             let mut appended = self.merge_pending(pending);
             for t in &mut tasks {
                 appended += self.merge_pending(&mut t.pending);
@@ -215,13 +213,12 @@ impl Materialization {
     /// that actually inserts (the first staged copy in merge order) is
     /// appended to the head relation's justification store, and one
     /// reverse edge per body position to the reverse-dependency index,
-    /// so retracts stay O(affected), and the row is noted in the merge
-    /// log under the merge round the caller opened. Every derived row
+    /// so retracts stay O(affected). Every derived row
     /// enters the store here — a round's, a seeding round's, a DRed
     /// rescue's; `compact` and `build_rev_index` only rebuild what it
     /// appended.
     pub(super) fn merge_pending(&mut self, pending: &mut PendingTuples) -> u64 {
-        let Self { rels, prov, rev, merges, plans, stats, .. } = self;
+        let Self { rels, prov, rev, plans, stats, .. } = self;
         // Pre-size each target's dedup table from the staged count (an
         // upper bound on what actually appends), so the batch never
         // rehashes mid-merge; per-insert growth stays as the backstop.
@@ -259,7 +256,6 @@ impl Materialization {
                         let row = id32(rel.num_rows() - 1);
                         prov[rid as usize].push(rule, body);
                         rev.add_row(rid, row, body_rels, body);
-                        merges.note(rid, row);
                     }
                     off += ar;
                     joff += 1 + blen;

@@ -184,8 +184,8 @@ impl Materialization {
     /// retracted rows — and re-pins the external watermarks at the
     /// base's current row counts. The reverse index starts over empty,
     /// sparse over external relations as [`Materialization::link_external`]
-    /// set it up, and so does the merge log. Plans, index registrations and `links` stand: neither
-    /// case moves relation or index slots.
+    /// set it up. Plans, index registrations, the rule graph's components
+    /// and `links` stand: neither case moves relation or index slots.
     pub(crate) fn clear_rows(&mut self, base: &Materialization, links: &ExtLinks) {
         for rel in &mut self.rels {
             *rel = ColumnarRelation::new(rel.arity());
@@ -197,7 +197,6 @@ impl Materialization {
             *just = RelJust::default();
         }
         self.rev = self.build_rev_index();
-        self.merges.clear();
         self.old_hi.fill(0);
         for &(vr, br) in &links.rels {
             self.old_hi[vr] = base.rels[br].num_rows();

@@ -456,8 +456,7 @@ fn batch_wrappers_are_the_materialization_special_case() {
 /// merges append its edges, and a restore rebuilds the same index from
 /// the justifications, so the first retract round costs the same on a
 /// restored store as on the original and leaves the same state.
-/// Program A reads no IDB relation but its head's, so it keeps no merge
-/// log and `rev_words` is the index alone.
+/// `rev_words` is the index alone.
 #[test]
 fn a_store_carries_its_reverse_index_from_construction() {
     let mut p = parse_program(SRC_A).unwrap();
@@ -470,7 +469,7 @@ fn a_store_carries_its_reverse_index_from_construction() {
     let mut m = Materialization::from_database(&p, &db, Strategy::SemiNaive);
     let words = m.mem_stats().rev_words;
     assert!(words > 0, "a build appends reverse edges");
-    assert_eq!(words, m.rev.footprint_words(), "no merge log");
+    assert_eq!(words, m.rev.footprint_words());
     let mut restored = Materialization::from_bytes(&m.to_bytes()).unwrap();
     assert_eq!(restored.mem_stats().rev_words, words, "a restore rebuilds the same index");
 
@@ -487,57 +486,14 @@ fn a_store_carries_its_reverse_index_from_construction() {
     assert_eq!(restored.to_bytes(), m.to_bytes());
 }
 
-/// The merge log a deletion walk's age test reads: kept by a store
-/// whose rules read an IDB relation across (a magic program's
-/// `anc_bf(X, Y) :- m(X), ...`), from the build on; not persisted; and
-/// through a compaction every live row keeps its merge seq.
-#[test]
-fn the_merge_log_survives_compaction_and_is_not_persisted() {
-    let mut p = parse_program(SRC_MAGIC_A).unwrap();
-    let [par, seed] = ["par", "seed"].map(|n| p.symbols.get_predicate(n).unwrap());
-    let edges = chain_edges(&mut p, 40);
-    let mut db = Database::new();
-    for from in ["john", "c20"] {
-        db.insert(seed, vec![p.symbols.constant(from)]);
-    }
-    let mut m = Materialization::from_database(&p, &db, Strategy::SemiNaive);
-    m.set_compaction_policy(None);
-    // One edge a round: the rows of each round are a run of their own,
-    // and from c20 on the two seeds' rows interleave.
-    for e in &edges {
-        m.insert_facts(par, std::slice::from_ref(e));
-    }
-    assert!(m.merges.footprint_words() > 0, "a rule reads m across");
-    let seqs = |m: &Materialization| {
-        let mut seqs: Vec<(Pred, Tuple, u64)> = Vec::new();
-        for &r in &m.idb_rels {
-            for row in (0..m.rels[r].num_rows()).filter(|&row| m.rels[r].is_live(row)) {
-                let seq = m.merges.seq(r, row as u32);
-                seqs.push((m.pred_of_rel[r], m.rels[r].row(row).to_vec(), seq));
-            }
-        }
-        seqs.sort();
-        seqs
-    };
-    // anc_bf(john, c11..) dies, anc_bf(c20, c21..) lives on.
-    m.retract_facts(par, &edges[10..11]);
-    let before = seqs(&m);
-    assert!(before.windows(2).any(|w| w[0].2 != w[1].2), "more than one seq");
-    assert!(m.compact() > 0);
-    assert_eq!(seqs(&m), before, "compaction keeps every live row's seq");
-    let restored = Materialization::from_bytes(&m.to_bytes()).unwrap();
-    assert_eq!(restored.merges.footprint_words(), 0, "a restored store keeps no log");
-    assert_eq!(restored.mem_stats().rev_words, restored.rev.footprint_words());
-}
-
 /// Rows that support only each other die together. `p(a)` is recorded
 /// through `e(a)` and the row `r(a)` through `p(a)`; once `e(a)` goes,
-/// `r(a)` still derives `p(a)`, but `r(a)` is younger than `p(a)`, and
-/// the deletion walk refuses a derivation through a younger row: `p(a)`
-/// dies, and `r(a)` with it. `r` is `q`, another relation that only the
-/// merge log orders, and `p` itself, swapped (`p(b, a)`, younger by
-/// row id); both also on a restored store, which keeps no log. Every
-/// store is checked against the specification and its provenance.
+/// `r(a)` still derives `p(a)`, but `r(a)` does not rank below `p(a)`,
+/// and the deletion walk refuses a derivation through such a row: `p(a)`
+/// dies, and `r(a)` with it. `r` is `q`, another relation of `p`'s
+/// component of the rule graph, and `p` itself, swapped (`p(b, a)`, a
+/// higher row id); both also on a restored store. Every store is
+/// checked against the specification and its provenance.
 #[test]
 fn rows_that_support_only_each_other_die_together() {
     let cases = [
@@ -564,6 +520,88 @@ fn rows_that_support_only_each_other_die_together() {
             assert_eq!(after, spec_idb(&p, &mirror), "{src}");
             assert_ne!(after, before, "{src}: two rows went");
             m.provenance().check(&p).unwrap_or_else(|e| panic!("{src}: {e}"));
+        }
+    }
+}
+
+/// `h(X) :- b(X). h(X) :- g(X). b(X) :- e(X).`, and `b(X) :- h(X),
+/// k(X)` or `b(X) :- h(X)` for a later rule add, over one constant `a`.
+const SRC_AGE: &str =
+    "?- h(X).\nh(X) :- b(X).\nh(X) :- g(X).\nb(X) :- e(X).\nb(X) :- h(X), k(X).\nb(X) :- h(X).";
+
+/// The store of [`SRC_AGE`]'s first three rules after `g(a)`, then
+/// `e(a)`, then the retraction of `g(a)`, with its program, the database
+/// it holds and `a`. `h(a)` is recorded through `g(a)` and derived
+/// again, through the newer row `b(a)`, when `e(a)` arrives.
+fn saved_through_a_newer_row() -> (Program, Materialization, Database, Const) {
+    let mut p = parse_program(SRC_AGE).unwrap();
+    let [g, e] = ["g", "e"].map(|n| p.symbols.get_predicate(n).unwrap());
+    let a = p.symbols.constant("a");
+    let mut first = p.clone();
+    first.rules.truncate(3);
+    let mut m = Materialization::new(&first, Strategy::SemiNaive);
+    m.insert_facts(g, &[vec![a]]);
+    m.insert_facts(e, &[vec![a]]);
+    assert_eq!(m.retract_facts(g, &[vec![a]]), 1);
+    let mut db = Database::new();
+    db.insert(e, vec![a]);
+    assert_eq!(m.idb_database().sorted_models(), spec_idb(&first, &db));
+    m.provenance().check(&first).expect("valid after the retraction");
+    (p, m, db, a)
+}
+
+/// In [`saved_through_a_newer_row`], `b` is in a lower component of the
+/// rule graph than `h`, so the retraction of `g(a)` saves `h(a)` through
+/// `b(a)` in place: same row id, nothing appended. A restored copy of
+/// that store then retracts `e(a)` exactly as the live one does.
+#[test]
+fn a_row_saved_through_a_newer_row_of_a_lower_component_keeps_its_id() {
+    let (p, mut m, _, a) = saved_through_a_newer_row();
+    let [h, e] = ["h", "e"].map(|n| p.symbols.get_predicate(n).unwrap());
+    let hrel = m.rel_of_pred[&h];
+    assert!(m.rels[hrel].is_live(0), "h(a) keeps its row id");
+    assert_eq!(m.rels[hrel].num_rows(), 1, "and nothing is appended");
+    let mut restored = Materialization::from_bytes(&m.to_bytes()).unwrap();
+    for m in [&mut m, &mut restored] {
+        assert_eq!(m.retract_facts(e, &[vec![a]]), 1);
+        assert!(m.idb_database().sorted_models().iter().all(|(_, rows)| rows.is_empty()));
+    }
+    assert_eq!(restored.to_bytes(), m.to_bytes());
+}
+
+/// A rule add that merges two components: after
+/// [`saved_through_a_newer_row`], `b(X) :- h(X), k(X)` puts `h` and `b`
+/// in one component, and `k(a)` derives `b(a)` again through `h(a)`,
+/// which is recorded through `b(a)`. Retracting `e(a)` must not save
+/// `b(a)` through `h(a)`: the two would support only each other. Then
+/// `k(a)` goes too. `b(X) :- h(X)` is the same add with a derivation as
+/// long as `b(a)`'s recorded one, which only the age test refuses (`k`
+/// is then untracked and its rounds change nothing). The model equals
+/// the specification's every round.
+#[test]
+fn a_rule_add_that_merges_components_saves_no_cycle() {
+    for added in [3, 4] {
+        let (p, mut m, mut db, a) = saved_through_a_newer_row();
+        let [e, k] = ["e", "k"].map(|n| p.symbols.get_predicate(n).unwrap());
+        let mut prog = p.clone();
+        prog.rules = [&p.rules[..3], &p.rules[added..=added]].concat();
+        m.add_rule(p.rules[added].clone());
+        assert_eq!(m.idb_database().sorted_models(), spec_idb(&prog, &db));
+        let rounds = [
+            UpdateRound::new().insert(k, vec![a]),
+            UpdateRound::new().retract(e, vec![a]),
+            UpdateRound::new().retract(k, vec![a]),
+        ];
+        for round in &rounds {
+            m.apply(round);
+            for (pred, t) in &round.inserts {
+                db.insert(*pred, t.clone());
+            }
+            for (pred, t) in &round.retracts {
+                db.remove(*pred, t);
+            }
+            assert_eq!(m.idb_database().sorted_models(), spec_idb(&prog, &db), "rule {added}");
+            m.provenance().check(&prog).expect("valid after every round");
         }
     }
 }

@@ -208,8 +208,8 @@ const PINNED_RETRACT: [(&str, bool, [RoundCost; 3], [RoundCost; 3]); 18] = [
         [[112, 2, 2, 40, 2], [40, 0, 0, 14, 0], [7, 0, 0, 37, 0]]),
     ("program_c", false, [[323, 5, 5, 62, 5], [57, 0, 0, 51, 0], [15, 6, 6, 7, 6]],
         [[365, 5, 5, 63, 5], [52, 0, 0, 50, 0], [15, 6, 6, 7, 6]]),
-    ("program_c", true, [[177, 2, 2, 49, 2], [41, 0, 0, 50, 0], [2, 0, 0, 3, 0]],
-        [[183, 2, 2, 49, 2], [44, 0, 0, 50, 0], [2, 0, 0, 3, 0]]),
+    ("program_c", true, [[177, 2, 2, 47, 2], [41, 0, 0, 49, 0], [2, 0, 0, 3, 0]],
+        [[183, 2, 2, 47, 2], [44, 0, 0, 49, 0], [2, 0, 0, 3, 0]]),
     ("balanced", false, [[34, 0, 0, 12, 0], [32, 0, 0, 2, 0], [5, 1, 1, 8, 1]],
         [[40, 0, 0, 12, 0], [43, 0, 0, 2, 0], [5, 1, 1, 8, 1]]),
     ("balanced", true, [[69, 0, 0, 29, 0], [0, 0, 0, 0, 0], [2, 0, 0, 10, 0]],
@@ -678,9 +678,9 @@ fn a_save_only_churn_loop_sheds_stale_edges_without_compacting() {
     assert_matches_reference(&m, &p, &db);
 }
 
-/// A view's rows are saved in place too — through the magic row, of
-/// another relation, that only the template store's merge log orders —
-/// and still after the store starts over on a base compaction. The view
+/// A view's rows are saved in place too — through the magic row, of a
+/// relation in a lower component of the template's rule graph — and
+/// still after the store starts over on a base compaction. The view
 /// `anc(john, Y)` over a diamond `john → b, c → d` loses one `par(_, d)`
 /// edge, gets it back, then loses the other, synced after every round:
 /// one of the two retractions reaches the `anc(john, d)` row through

@@ -330,12 +330,12 @@ fn a_golden_version_4_snapshot_restores_and_reencodes_identically() {
     assert_eq!(restored.database().sorted_models(), fresh.database().sorted_models());
 }
 
-/// A restored store keeps no merge log, so a deletion walk's age test
-/// reads row order within a relation, which every justification a store
-/// writes follows: a body row in the head's own relation sits below the
-/// head. The decoder refuses a file where one does not — here the golden
-/// snapshot with one recursive `anc` row's `anc` body row set to the
-/// row itself — through `from_bytes` and `Server::restore` alike.
+/// A deletion walk's age test reads row order within a relation, which
+/// every justification a store writes follows: a body row in the head's
+/// own relation sits below the head. The decoder refuses a file where
+/// one does not — here the golden snapshot with one recursive `anc`
+/// row's `anc` body row set to the row itself — through `from_bytes`
+/// and `Server::restore` alike.
 #[test]
 fn a_justification_through_a_later_row_of_its_own_relation_is_refused() {
     let golden = include_bytes!("data/program_a_v4.snap");

@@ -32,7 +32,9 @@ use proptest::prelude::*;
 use selprop_core::gallery::gallery;
 use selprop_datalog::db::Tuple;
 use selprop_datalog::eval::Strategy;
-use selprop_datalog::{Database, Materialization, OrderMode, Pred, Program, RuleId, UpdateRound};
+use selprop_datalog::{
+    Database, Materialization, OrderMode, Pred, Program, RoundReport, RuleId, UpdateRound,
+};
 
 /// The order modes every case runs under.
 fn modes(seed: u64) -> [OrderMode; 2] {
@@ -58,11 +60,33 @@ enum Op {
     Retract(Pred, Tuple),
 }
 
+/// What one round cost a store: its report, the growth of its work
+/// counters `[iterations, rule_firings, tuples_derived, join_probes]`
+/// and the reverse edges its deletion walk read.
+fn round_cost(m: &mut Materialization, round: &UpdateRound) -> (RoundReport, [u64; 4], u64) {
+    let (before, reads) = (m.stats(), m.dred_reads());
+    let report = m.apply(round);
+    let after = m.stats();
+    let work = [
+        (after.iterations - before.iterations) as u64,
+        after.rule_firings - before.rule_firings,
+        after.tuples_derived - before.tuples_derived,
+        after.join_probes - before.join_probes,
+    ];
+    (report, work, m.dred_reads() - reads)
+}
+
 /// Batched mixed round vs a seed-shuffled order of the equivalent
-/// single-fact calls (restored from a snapshot halfway): identical
+/// single-fact rounds (restored from a snapshot halfway): identical
 /// stores, identical report counts, valid justifications on both sides.
-/// Then the batched store, restored, takes the inverse round back to
-/// `db0`.
+/// A twin that is never restored takes the same single-fact rounds: a
+/// restored store makes the live store's decisions, so every round
+/// reports the same counts and leaves the same rows at the same ids
+/// under the same justifications. It also costs the same work and
+/// reverse-edge reads, if the twin's reverse index held no edge the
+/// restore dropped — the edges of dead rows and those saves left stale,
+/// which the twin's walks still read. Then the batched store, restored,
+/// takes the inverse round back to `db0`.
 fn assert_batch_matches_sequential(
     program: &Program,
     db0: &Database,
@@ -115,17 +139,23 @@ fn assert_batch_matches_sequential(
         .collect();
     shuffle(&mut ops, order_seed);
     let mut sequential = Materialization::from_database_with(program, db0, strategy, order);
+    let mut twin = Materialization::from_database_with(program, db0, strategy, order);
+    let mut same_edges = true;
     for (i, op) in ops.iter().enumerate() {
         if i == ops.len() / 2 {
             sequential = restored(&sequential);
+            same_edges = sequential.mem_stats().rev_words == twin.mem_stats().rev_words;
         }
-        match op {
-            Op::Insert(p, t) => {
-                assert_eq!(sequential.insert_facts(*p, std::slice::from_ref(t)), 1);
-            }
-            Op::Retract(p, t) => {
-                assert_eq!(sequential.retract_facts(*p, std::slice::from_ref(t)), 1);
-            }
+        let round = match op {
+            Op::Insert(p, t) => UpdateRound::new().insert(*p, t.clone()),
+            Op::Retract(p, t) => UpdateRound::new().retract(*p, t.clone()),
+        };
+        let (cost, twin_cost) = (round_cost(&mut sequential, &round), round_cost(&mut twin, &round));
+        assert_eq!(cost.0.inserted + cost.0.retracted, 1);
+        assert_eq!(cost.0, twin_cost.0, "op {i}: the never-restored twin's report");
+        assert!(sequential.provenance() == twin.provenance(), "op {i}: the twin's rows");
+        if same_edges {
+            assert_eq!(cost, twin_cost, "op {i}: the never-restored twin's work");
         }
     }
 
