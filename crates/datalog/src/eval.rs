@@ -128,7 +128,7 @@ pub fn evaluate_cfg(
     strategy: Strategy,
     order: OrderMode,
 ) -> EvalResult {
-    Materialization::batch(program, db, strategy, false, order).into_result()
+    Materialization::batch(program, db, strategy, false, order).0.into_result()
 }
 
 /// Evaluates and applies the goal: the answer relation (arity = number of
@@ -138,7 +138,7 @@ pub fn evaluate_cfg(
 /// [`Database`]: the goal's selection/projection runs directly over the
 /// columnar rows of the goal predicate.
 pub fn answer(program: &Program, db: &Database, strategy: Strategy) -> (Relation, EvalStats) {
-    let m = Materialization::batch(program, db, strategy, false, OrderMode::Planned);
+    let m = Materialization::batch(program, db, strategy, false, OrderMode::Planned).0;
     (m.goal_answer(&program.goal), m.stats())
 }
 
@@ -188,7 +188,7 @@ pub fn evaluate_with_provenance_cfg(
     strategy: Strategy,
     order: OrderMode,
 ) -> ProvenanceResult {
-    Materialization::batch(program, db, strategy, true, order).into_provenance_result()
+    Materialization::batch(program, db, strategy, true, order).0.into_provenance_result()
 }
 
 // ---------------------------------------------------------------------
@@ -278,9 +278,7 @@ pub fn apply_goal(goal: &Atom, rel: &Relation) -> Relation {
 /// round-by-round count at a fraction of the cost. The parallel engine
 /// produces the same per-stage deltas as the sequential one.
 pub(crate) fn seminaive_profile(program: &Program, db: &Database, strategy: Strategy) -> Vec<u64> {
-    Materialization::batch(program, db, strategy, false, OrderMode::Planned)
-        .profile()
-        .to_vec()
+    Materialization::batch(program, db, strategy, false, OrderMode::Planned).1
 }
 
 #[cfg(test)]

@@ -141,13 +141,13 @@ impl RelJust {
         self.off.len() + self.buf.len()
     }
 
-    /// The packed `(offsets, buffer)` pair (serialization).
-    fn parts(&self) -> (&[u32], &[u32]) {
-        (&self.off, &self.buf)
+    /// The packed entries (serialization; the offsets are not written).
+    fn buf(&self) -> &[u32] {
+        &self.buf
     }
 
-    /// Reassembles a store from its serialized parts. The caller
-    /// validates shape (monotone offsets, entry bounds) before use.
+    /// Reassembles a store from its buffer and the entry offsets the
+    /// decoder worked out while it validated the buffer.
     fn from_parts(off: Vec<u32>, buf: Vec<u32>) -> Self {
         Self { off, buf }
     }
@@ -316,9 +316,6 @@ pub struct Materialization {
     /// previous iteration's `old` snapshot, `[old_hi, len)` the delta.
     /// At fixpoint (between updates) `old_hi == num_rows` everywhere.
     old_hi: Vec<usize>,
-    /// New facts appended per productive iteration of the build (its
-    /// convergence profile; update rounds add nothing).
-    profile: Vec<u64>,
     /// Per-relation justification stores when provenance recording is
     /// on (`Some` even if a relation never derives — empty is fine).
     prov: Option<Vec<RelJust>>,
@@ -408,7 +405,7 @@ impl Materialization {
     /// [`crate::eval::evaluate`] — then stands ready to absorb updates.
     /// Justifications are recorded, so retraction is available.
     pub fn from_database(program: &Program, db: &Database, strategy: Strategy) -> Self {
-        Self::batch(program, db, strategy, true, OrderMode::Planned)
+        Self::batch(program, db, strategy, true, OrderMode::Planned).0
     }
 
     /// [`Materialization::from_database`] under an explicit
@@ -421,7 +418,7 @@ impl Materialization {
         strategy: Strategy,
         order: OrderMode,
     ) -> Self {
-        Self::batch(program, db, strategy, true, order)
+        Self::batch(program, db, strategy, true, order).0
     }
 
     /// The batch entry point the thin `eval` wrappers use: `record`
@@ -429,20 +426,21 @@ impl Materialization {
     /// callers immediately read the result out and drop the state).
     /// The build is the store's first update round: the loaded EDB is
     /// settled, every rule is seeded as an added one is, and the resume
-    /// runs every later round exactly as an update's.
+    /// runs every later round exactly as an update's. Returns the store
+    /// and the build's convergence profile — the rows each productive
+    /// round appended, in order — which no store keeps.
     pub(crate) fn batch(
         program: &Program,
         db: &Database,
         strategy: Strategy,
         record: bool,
         order: OrderMode,
-    ) -> Self {
+    ) -> (Self, Vec<u64>) {
         let mut m = Self::build(program, db, strategy, record, order, None);
         let mut staging = Staging::default();
         m.seed_rules(0, &mut staging);
         m.run_fixpoint(&mut staging);
-        m.profile = staging.profile;
-        m
+        (m, staging.profile)
     }
 
     /// The one store every other starts from — a build's, a template
@@ -459,7 +457,6 @@ impl Materialization {
             pred_of_rel: Vec::new(),
             rel_of_pred: FxHashMap::default(),
             old_hi: Vec::new(),
-            profile: Vec::new(),
             prov: None,
             stats: EvalStats::default(),
             strategy,
@@ -766,7 +763,7 @@ impl Materialization {
     /// variable does not occur in the body — in each case before the
     /// store is touched.
     pub fn add_rule(&mut self, rule: Rule) -> RuleId {
-        let id = RuleId(id32(self.plans.len()));
+        let id = self.next_rule_id();
         self.apply(&UpdateRound::new().add_rule(rule));
         id
     }
@@ -1084,9 +1081,15 @@ impl Materialization {
     }
 
     /// Total number of rule slots ever allocated (dropped ones
-    /// included); the next added rule gets this id.
+    /// included).
     pub fn num_rule_slots(&self) -> usize {
         self.plans.len()
+    }
+
+    /// The id the next added rule gets: the first slot past every one
+    /// ever allocated.
+    pub(crate) fn next_rule_id(&self) -> RuleId {
+        RuleId(id32(self.plans.len()))
     }
 
     /// Whether `id` names an active rule.
@@ -1242,12 +1245,6 @@ impl Materialization {
     /// predicate (no intermediate `Database`).
     pub(crate) fn goal_answer(&self, goal: &Atom) -> Relation {
         self.select(goal, true, None)
-    }
-
-    /// Per-iteration appended-fact counts of the build (the convergence
-    /// profile).
-    pub(crate) fn profile(&self) -> &[u64] {
-        &self.profile
     }
 
     pub(crate) fn into_result(self) -> EvalResult {

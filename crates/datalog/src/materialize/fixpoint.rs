@@ -21,7 +21,7 @@ use std::sync::Mutex;
 /// shared by the rounds of one build or update, its seeding round
 /// included: they keep the capacity the largest round grew them to.
 /// Also the rows each productive round appended, in order: a build
-/// keeps them as its convergence profile, an update drops them.
+/// returns them as its convergence profile, an update drops them.
 #[derive(Default)]
 pub(super) struct Staging {
     scratch: Scratch,

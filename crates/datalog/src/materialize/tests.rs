@@ -268,9 +268,9 @@ fn insert_resumes_instead_of_recomputing() {
     m.provenance().check(&p).expect("justifications stay valid");
 }
 
-/// The convergence profile is the build's: update rounds, a template
-/// store's syncs among them, add no word to it, and a snapshot carries
-/// the build's profile alone.
+/// The convergence profile is the build's: a recording build and the
+/// one-shot build behind `seminaive_profile` hand back the same rows per
+/// productive round, and no store keeps it.
 #[test]
 fn update_rounds_leave_the_build_profile_alone() {
     let mut p = parse_program(SRC_A).unwrap();
@@ -280,17 +280,9 @@ fn update_rounds_leave_the_build_profile_alone() {
     for e in &edges[..4] {
         db.insert(par, e.clone());
     }
-    let mut m = Materialization::from_database(&p, &db, Strategy::SemiNaive);
-    let built = m.profile().to_vec();
+    let built = Materialization::batch(&p, &db, Strategy::SemiNaive, true, OrderMode::Planned).1;
     assert_eq!(built, crate::eval::seminaive_profile(&p, &db, Strategy::SemiNaive));
     assert_eq!(built.iter().sum::<u64>(), 4 * 5 / 2, "every anc row of the build");
-    for e in &edges[4..] {
-        assert_eq!(m.insert_facts(par, std::slice::from_ref(e)), 1);
-    }
-    m.retract_facts(par, &edges[6..7]);
-    assert_eq!(m.profile(), built);
-    let back = Materialization::from_bytes(&m.to_bytes()).unwrap();
-    assert_eq!(back.profile(), built);
 }
 
 #[test]
@@ -1324,7 +1316,7 @@ fn a_one_shot_store_builds_through_the_plans_a_recording_store_does() {
     let db = dense_db(&mut magic);
     let [b1, b2] = ["b1", "b2"].map(|n| magic.symbols.get_predicate(n).unwrap());
     let one_shot =
-        Materialization::batch(&magic, &db, Strategy::SemiNaive, false, OrderMode::Planned);
+        Materialization::batch(&magic, &db, Strategy::SemiNaive, false, OrderMode::Planned).0;
     let recording = Materialization::from_database(&magic, &db, Strategy::SemiNaive);
     assert!(one_shot.rederive.is_empty());
     let mut expected = registry(&one_shot);
@@ -1355,7 +1347,7 @@ fn a_store_registers_its_rescue_index_at_construction() {
     for e in &edges {
         db.insert(par, e.clone());
     }
-    let one_shot = Materialization::batch(&p, &db, Strategy::SemiNaive, false, OrderMode::Planned);
+    let one_shot = Materialization::batch(&p, &db, Strategy::SemiNaive, false, OrderMode::Planned).0;
     let mut m = Materialization::from_database(&p, &db, Strategy::SemiNaive);
     assert_eq!(registry_beyond(&m, &one_shot), [(m.rel_of_pred[&par], vec![1])]);
     let (keys, before) = (registry(&m), m.planner_report().index_rows);
@@ -1465,8 +1457,7 @@ fn snapshot_round_trip_is_bit_for_bit_and_update_equivalent() {
     let mut m = Materialization::from_database(&p, &db, Strategy::SemiNaive);
     m.set_compaction_policy(None);
     // Leave interesting state behind: tombstones (live dead bitset +
-    // stale justifications), a dropped rule slot, a convergence
-    // profile, nonzero counters.
+    // stale justifications), nonzero counters.
     m.retract_facts(par, &edges[10..12]);
 
     let bytes = m.to_bytes();
@@ -1512,8 +1503,11 @@ fn snapshot_round_trips_rule_slots_and_epoch_state() {
     assert!(!m2.is_rule_active(RuleId(1)));
     assert!(m2.is_rule_active(RuleId(0)));
     assert_eq!(m2.num_rule_slots(), 2, "dropped slots persist");
-    // The pinned-epoch view survives: a reader pinned at epoch 3
-    // still sees rows tombstoned at epoch > 3.
+    // No pin survives a restart, so the tags stay behind: the restored
+    // store holds none, and reads as the live one at the current epoch.
+    assert!(m.tagged_tombstones() > 0);
+    assert_eq!(m2.tagged_tombstones(), 0);
+    assert_eq!(m2.epoch(), 3);
     let f = m2.frontiers();
     assert_eq!(
         m.database_at(&f, 3).sorted_models(),

@@ -6,7 +6,7 @@
 //! No external dependencies: the codec is a hand-rolled little-endian
 //! writer/reader pair, the checksum is FNV-1a 64.
 //!
-//! # File format (version 4)
+//! # File format (version 5)
 //!
 //! All integers are little-endian. The file is one self-delimiting
 //! container:
@@ -14,7 +14,7 @@
 //! | offset        | bytes | contents                                      |
 //! |---------------|-------|-----------------------------------------------|
 //! | `0`           | 8     | magic `b"SPROPMAT"`                           |
-//! | `8`           | 4     | format version (`u32`, currently 4)           |
+//! | `8`           | 4     | format version (`u32`, currently 5)           |
 //! | `12`          | 8     | total file length (`u64`, magic → checksum)   |
 //! | `20`          | n     | payload (below)                               |
 //! | `len - 8`     | 8     | checksum of bytes `[0, len - 8)` (`fnv1a64`,
@@ -30,9 +30,9 @@
 //!
 //! ## Payload
 //!
-//! Eleven sections, from the strategy tag (0 naive, 1 semi-naive,
-//! 2 parallel) to the packed justifications, specified where they are
-//! written and parsed:
+//! Nine sections, from the strategy tag (1 semi-naive, 2 parallel) to
+//! the relations — rows, tombstones and justifications — specified
+//! where they are written and parsed:
 //! [`Materialization::to_bytes`](crate::materialize::Materialization::to_bytes).
 //! This module is the container around them: the framing above, the
 //! `Enc`/`Dec` primitives, and the atomic write.
@@ -48,9 +48,13 @@ pub(crate) const MAGIC: [u8; 8] = *b"SPROPMAT";
 /// The current format version. Bumped to 2 when the planner
 /// configuration, per-rule body orders and the cardinality snapshot
 /// joined the payload; to 3 when a storage-layout flag joined the
-/// planner bytes; to 4 when the planner bytes shrank to the order tag,
-/// so that an older file is refused instead of mis-parsed.
-pub(crate) const VERSION: u32 = 4;
+/// planner bytes; to 4 when the planner bytes shrank to the order tag;
+/// to 5 when the payload shrank to what a restore reads (body
+/// permutations, convergence profile, death-epoch tags and two constant
+/// words dropped; watermarks, tombstone counts, relation epochs and
+/// justification offsets worked out on decode) — so that an older file
+/// is refused instead of mis-parsed.
+pub(crate) const VERSION: u32 = 5;
 /// Container overhead before the payload: magic + version + length.
 const HEADER_LEN: usize = 8 + 4 + 8;
 /// Trailing checksum bytes.

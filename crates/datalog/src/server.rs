@@ -224,8 +224,9 @@ impl Server {
     /// (or [`Materialization::save`]): the store comes back at its
     /// persisted fixpoint and the server republishes the persisted
     /// epoch, so rounds applied after the restart keep numbering where
-    /// the saved process left off. No reader survives a restart, so
-    /// every retained tombstone tag is reclaimed on the way in.
+    /// the saved process left off. No reader survives a restart, and a
+    /// snapshot holds no tombstone tag: every dead row is dead at every
+    /// epoch a new reader can pin.
     ///
     /// The query cache is built as [`Server::from_database`] builds it:
     /// it reads the store's rules at once, so the first bound query —
@@ -233,9 +234,8 @@ impl Server {
     /// included — already gets a view. Views are derived state and were
     /// not persisted; each is rebuilt by its first query.
     pub fn restore<P: AsRef<Path>>(path: P) -> Result<Self, PersistError> {
-        let mut store = Materialization::restore(path)?;
+        let store = Materialization::restore(path)?;
         let epoch = store.epoch();
-        store.reclaim_epochs(epoch);
         let cache = QueryCache::serving(&store);
         Ok(Self {
             shared: Arc::new(Shared {
@@ -350,7 +350,7 @@ impl Server {
             let epochs = self.shared.epochs();
             epochs.current + 1
         };
-        let first_added = RuleId(state.store.num_rule_slots() as u32);
+        let first_added = state.store.next_rule_id();
         let report = {
             let ServerState { store, cache } = &mut *state;
             // Tombstones of this round are tagged `next`: dead at

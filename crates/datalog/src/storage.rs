@@ -283,6 +283,12 @@ impl ColumnarRelation {
         self.tomb_at.retain(|_, te| *te > min_epoch);
     }
 
+    /// The death-epoch tags still held (serving-layer metadata).
+    #[cfg(test)]
+    pub(crate) fn tomb_tags(&self) -> &FxHashMap<u32, u64> {
+        &self.tomb_at
+    }
+
     fn hash_row_slice(row: &[Const]) -> u64 {
         hash_ids(row.iter().map(|c| c.0))
     }
@@ -524,42 +530,24 @@ impl ColumnarRelation {
         &self.dead
     }
 
-    /// The epoch new tombstones are tagged with (0 = epoch mode off).
-    pub(crate) fn current_epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// The death-epoch tags still held (serving-layer metadata).
-    pub(crate) fn tomb_tags(&self) -> &FxHashMap<u32, u64> {
-        &self.tomb_at
-    }
-
-    /// Reassembles a relation from its serialized parts. The dedup table
-    /// (slot layout is probe-history dependent and is not persisted) is
-    /// **not** rebuilt here: it is write-path state, so the rebuild is
-    /// deferred to the first mutating touch
+    /// Reassembles a relation from its serialized parts: `rows` rows of
+    /// `data` and the tombstone bitset `dead`, whose popcount is the
+    /// tombstoned-row count. It comes back out of epoch mode and with no
+    /// death-epoch tags — a snapshot holds none, as no reader pinned
+    /// before a restart survives it; the store sets its epoch. The dedup
+    /// table (slot layout is probe-history dependent and is not
+    /// persisted) is **not** rebuilt here: it is write-path state, so the
+    /// rebuild is deferred to the first mutating touch
     /// ([`ColumnarRelation::ensure_slots`]) — a restored store that only
-    /// serves reads never pays the O(rows) rehash. `dead_rows` must
-    /// equal the popcount of `dead`.
-    pub(crate) fn from_persist(
-        arity: usize,
-        data: Vec<Const>,
-        rows: usize,
-        dead: Vec<u64>,
-        dead_rows: usize,
-        epoch: u64,
-        tomb_at: FxHashMap<u32, u64>,
-    ) -> Self {
+    /// serves reads never pays the O(rows) rehash.
+    pub(crate) fn from_persist(arity: usize, data: Vec<Const>, rows: usize, dead: Vec<u64>) -> Self {
         Self {
-            arity,
             data,
             rows,
-            slots: Vec::new(),
             slots_stale: rows > 0,
+            dead_rows: dead.iter().map(|w| w.count_ones() as usize).sum(),
             dead,
-            dead_rows,
-            epoch,
-            tomb_at,
+            ..Self::new(arity)
         }
     }
 

@@ -171,9 +171,9 @@ fn restamped(bytes: &[u8], version: u32) -> Vec<u8> {
     out
 }
 
-/// Version 4 dropped bytes from the middle of the payload. A version-3
-/// file — intact framing, valid checksum — must be refused by its
-/// version, never handed to the version-4 decoder to be mis-parsed.
+/// Every version bump dropped bytes from the middle of the payload. A
+/// version-3 file — intact framing, valid checksum — must be refused by
+/// its version, never handed to the current decoder to be mis-parsed.
 #[test]
 fn a_version_3_container_is_refused_not_misparsed() {
     let bytes = interesting_snapshot();
@@ -231,39 +231,6 @@ fn a_strategy_tag_0_container_is_refused_as_corrupt() {
     ));
 }
 
-/// Section 11's presence byte is always 1: every store that can be
-/// saved records justifications. A container carrying 0 there — intact
-/// framing, valid checksum — decoded to a store without them, which
-/// panicked on its first over-deleting round, inside a restored
-/// server's write lock. It is refused, by the store and by the server.
-#[test]
-fn a_provenance_tag_0_container_is_refused_as_corrupt() {
-    let p = parse_program(SRC).unwrap();
-    let bytes = Materialization::new(&p, Strategy::SemiNaive).to_bytes();
-    // The payload (before the 8-byte checksum) ends with the presence
-    // byte and, per relation (`anc`, `par`), two empty `u32` runs.
-    let tail = bytes.len() - 8 - 33;
-    assert_eq!(bytes[tail], 1);
-    assert!(bytes[tail + 1..bytes.len() - 8].iter().all(|&b| b == 0));
-    let mut forged = bytes[..tail].to_vec();
-    forged.push(0);
-    forged.extend_from_slice(&[0; 8]);
-    let current = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    let forged = restamped(&forged, current);
-    assert!(matches!(
-        Materialization::from_bytes(&forged),
-        Err(PersistError::Corrupt("unknown provenance tag"))
-    ));
-    let dir = scratch_dir("prov-tag");
-    let path = dir.join("forged.snap");
-    std::fs::write(&path, &forged).unwrap();
-    assert!(matches!(
-        Server::restore(&path),
-        Err(PersistError::Corrupt("unknown provenance tag"))
-    ));
-    std::fs::remove_dir_all(&dir).ok();
-}
-
 /// A relation's row count is bounded by the bytes its rows take — except
 /// a 0-ary one's, whose rows take none. A forged count there, behind a
 /// valid checksum, decoded to a store whose first read walked 2^40 rows
@@ -278,13 +245,9 @@ fn a_forged_row_count_on_a_0_ary_relation_is_refused_as_corrupt() {
     db.insert(e, vec![selprop_datalog::Const(0)]);
     db.insert(flag, Vec::new());
     let bytes = Materialization::from_database(&p, &db, Strategy::SemiNaive).to_bytes();
-    // Section 10's entry for `flag`: predicate, EDB, arity 0, one row,
-    // watermark 1.
-    let entry: Vec<u8> = [&flag.0.to_le_bytes()[..], &[0], &0u64.to_le_bytes()]
-        .concat()
-        .into_iter()
-        .chain([1u64, 1].iter().flat_map(|n| n.to_le_bytes()))
-        .collect();
+    // Section 9's entry for `flag`: predicate, EDB, arity 0, one row.
+    let entry: Vec<u8> =
+        [&flag.0.to_le_bytes()[..], &[0], &0u64.to_le_bytes(), &1u64.to_le_bytes()].concat();
     let at: Vec<usize> = (0..bytes.len() - entry.len())
         .filter(|&i| bytes[i..i + entry.len()] == entry[..])
         .collect();
@@ -305,16 +268,14 @@ fn a_forged_row_count_on_a_0_ary_relation_is_refused_as_corrupt() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `tests/data/program_a_v4.snap` was written by the commit before the
-/// payload codec moved into `materialize/codec.rs`: program A over the
-/// chain `john → c1 → … → c4`, then `par(c3, c4)` retracted. It must
-/// restore, answer like a from-scratch build of the same store, and
-/// re-encode to the identical bytes — the codec's move changed no byte,
-/// and its section 9 (the body permutations `[0]` and `[0, 1]`) is what
-/// each rule's plan `[0]` re-encodes to.
+/// `tests/data/program_a_v5.snap` holds program A over the chain
+/// `john → c1 → … → c4`, then `par(c3, c4)` retracted: the store of
+/// `program_a_v4.snap`, re-encoded when version 5 dropped every field no
+/// restore reads. It must restore, answer like a from-scratch build of
+/// the same store, and re-encode to the identical bytes.
 #[test]
-fn a_golden_version_4_snapshot_restores_and_reencodes_identically() {
-    let golden = include_bytes!("data/program_a_v4.snap");
+fn a_golden_version_5_snapshot_restores_and_reencodes_identically() {
+    let golden = include_bytes!("data/program_a_v5.snap");
     assert_eq!(golden[20], 1, "a semi-naive store");
     let restored = Materialization::from_bytes(golden).expect("the golden snapshot restores");
     assert_eq!(restored.to_bytes(), golden, "re-encoding changed a byte");
@@ -330,6 +291,35 @@ fn a_golden_version_4_snapshot_restores_and_reencodes_identically() {
     assert_eq!(restored.database().sorted_models(), fresh.database().sorted_models());
 }
 
+/// `tests/data/program_a_v4.snap` is the same store in the version-4
+/// layout, whose payload held fields version 5 dropped. Intact framing,
+/// valid checksum — and refused by its version, by the store and by the
+/// server.
+#[test]
+fn a_golden_version_4_snapshot_is_refused_by_its_version() {
+    let golden = include_bytes!("data/program_a_v4.snap");
+    assert!(matches!(Materialization::from_bytes(golden), Err(PersistError::BadVersion(4))));
+    let dir = scratch_dir("v4");
+    let path = dir.join("program_a_v4.snap");
+    std::fs::write(&path, golden).unwrap();
+    assert!(matches!(Server::restore(&path), Err(PersistError::BadVersion(4))));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `from_bytes` and `Server::restore` of `forged` (restamped with the
+/// current version) both fail with `Corrupt(what)`.
+fn assert_refused(forged: &[u8], what: &str, tag: &str) {
+    let current = u32::from_le_bytes(forged[8..12].try_into().unwrap());
+    let forged = restamped(forged, current);
+    let refused = |r: Result<_, PersistError>| matches!(r, Err(PersistError::Corrupt(w)) if w == what);
+    assert!(refused(Materialization::from_bytes(&forged).map(|m| m.answer())), "{what}");
+    let dir = scratch_dir(tag);
+    let path = dir.join("forged.snap");
+    std::fs::write(&path, &forged).unwrap();
+    assert!(refused(Server::restore(&path).map(|s| s.answer())), "{what}, through the server");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A deletion walk's age test reads row order within a relation, which
 /// every justification a store writes follows: a body row in the head's
 /// own relation sits below the head. The decoder refuses a file where
@@ -338,99 +328,87 @@ fn a_golden_version_4_snapshot_restores_and_reencodes_identically() {
 /// and `Server::restore` alike.
 #[test]
 fn a_justification_through_a_later_row_of_its_own_relation_is_refused() {
-    let golden = include_bytes!("data/program_a_v4.snap");
+    let golden = include_bytes!("data/program_a_v5.snap");
+    let p = parse_program(SRC).unwrap();
+    let anc = p.symbols.get_predicate("anc").unwrap();
     let word = |at: usize| u64::from_le_bytes(golden[at..at + 8].try_into().unwrap()) as usize;
     let u32_at = |at: usize| u32::from_le_bytes(golden[at..at + 4].try_into().unwrap());
-    // The payload ends with the justification section — per relation
-    // its offsets, then its buffer, each a length and `u32`s — and the
-    // checksum. `par` (EDB, last) stores two empty runs; `anc`'s buffer
-    // and offsets are the runs before them whose length words match.
-    let run_before = |end: usize| {
-        (0..end / 4)
-            .find(|&n| end >= 8 + 4 * n && word(end - 8 - 4 * n) == n)
-            .map(|n| (end - 4 * n, n))
-            .expect("a length-prefixed run ends here")
-    };
-    let par_end = golden.len() - 8;
-    assert_eq!((word(par_end - 16), word(par_end - 8)), (0, 0), "par records nothing");
-    let (buf_at, buf_len) = run_before(par_end - 16);
-    let (off_at, rows) = run_before(buf_at - 8);
-    let entry = |row: usize| u32_at(off_at + 4 * row) as usize;
-    let head = (0..rows)
-        .find(|&row| u32_at(buf_at + 4 * entry(row)) == 1)
-        .expect("a row recorded through the recursive rule");
-    assert!(entry(head) + 3 <= buf_len);
-    let body_at = buf_at + 4 * (entry(head) + 1);
+    // Section 9's entry for `anc`: predicate, IDB, arity 2, its ten
+    // rows, then their cells, the tombstone bitset (a length and
+    // words) and the justification buffer (a length and `u32`s).
+    let entry: Vec<u8> =
+        [&anc.0.to_le_bytes()[..], &[1], &2u64.to_le_bytes(), &10u64.to_le_bytes()].concat();
+    let at: Vec<usize> = (0..golden.len() - entry.len())
+        .filter(|&i| golden[i..i + entry.len()] == entry[..])
+        .collect();
+    assert_eq!(at.len(), 1, "anc's entry found once");
+    let dead_at = at[0] + entry.len() + 10 * 2 * 4;
+    let buf_at = dead_at + 8 + 8 * word(dead_at) + 8;
+    // Entries are `[rule, body rows]`: rule 0 has one body atom, the
+    // recursive rule 1 two, `anc` first.
+    let (mut lo, mut head) = (0, 0);
+    while u32_at(buf_at + 4 * lo) != 1 {
+        lo += 2;
+        head += 1;
+    }
+    let body_at = buf_at + 4 * (lo + 1);
+    assert!(lo + 3 <= word(buf_at - 8), "a row recorded through the recursive rule");
     assert!((u32_at(body_at) as usize) < head, "the golden file keeps the order");
     let mut forged = golden.to_vec();
     forged[body_at..body_at + 4].copy_from_slice(&(head as u32).to_le_bytes());
-    let current = u32::from_le_bytes(golden[8..12].try_into().unwrap());
-    let forged = restamped(&forged, current);
-    let refused = |r: Result<_, PersistError>| {
-        matches!(r, Err(PersistError::Corrupt("justification body row not below its head row")))
-    };
-    assert!(refused(Materialization::from_bytes(&forged).map(|m| m.answer())));
-    let dir = scratch_dir("own-relation-order");
-    let path = dir.join("forged.snap");
-    std::fs::write(&path, &forged).unwrap();
-    assert!(refused(Server::restore(&path).map(|s| s.answer())));
-    std::fs::remove_dir_all(&dir).ok();
+    assert_refused(&forged, "justification body row not below its head row", "own-relation-order");
 }
 
-/// Section 9 holds one body permutation per rule, which a reader only
-/// checks to be a permutation. It is written from the rule's plan `[0]`.
-/// Files written while a build ran each rule on the plan of the atom the
-/// greedy order picks first hold that plan's permutation instead: for
-/// Section 7's recursive rule the empty IDB atom `p(X1, Y1)` first,
-/// step depths `[1, 0, 2]` where plan `[0]` writes `[0, 1, 2]`. Such a
-/// file restores to the same store and re-encodes to what the store
-/// writes now.
-#[test]
-fn a_snapshot_holding_the_greedy_body_order_restores_and_reencodes() {
-    let mut p = parse_program(
-        "?- p(c, Y).\n\
-         p(X, Y) :- b1(X, X1), b2(X1, Y).\n\
-         p(X, Y) :- b1(X, X1), p(X1, Y1), b2(Y1, Y).",
-    )
-    .unwrap();
-    let [b1, b2] = ["b1", "b2"].map(|n| p.symbols.get_predicate(n).unwrap());
-    let n: Vec<_> = ["c", "n1", "n2", "n3", "n4", "n5"].map(|c| p.symbols.constant(c)).into();
+/// A snapshot of `p(X) :- e(X)` and `q(X) :- e(X)` over three `e`
+/// facts, and where `p`'s justification buffer starts: its length 6,
+/// then one entry `[rule 0, e row]` per row, the `e` rows 0, 1 and 2 in
+/// some order.
+fn two_heads_snapshot() -> (Vec<u8>, usize) {
+    let mut p = parse_program("?- p(X).\np(X) :- e(X).\nq(X) :- e(X).").unwrap();
+    let e = p.symbols.get_predicate("e").unwrap();
     let mut db = selprop_datalog::Database::new();
-    for i in 0..2 {
-        db.insert(b1, vec![n[i], n[i + 1]]);
+    for c in ["a", "b", "c"] {
+        db.insert(e, vec![p.symbols.constant(c)]);
     }
-    for i in 2..5 {
-        db.insert(b2, vec![n[i], n[i + 1]]);
-    }
-    let m = Materialization::from_database(&p, &db, Strategy::SemiNaive);
-    assert_eq!(m.answer().len(), 1, "p(c, n4)");
-    let bytes = m.to_bytes();
-
-    // The order-mode tag (1, planned), then per rule its permutation as a
-    // count and the step depth of each body atom.
-    let section_9 = |recursive: [u32; 3]| {
-        let mut s = vec![1u8];
-        s.extend(2u64.to_le_bytes());
-        s.extend([0u32, 1].iter().flat_map(|d| d.to_le_bytes()));
-        s.extend(3u64.to_le_bytes());
-        s.extend(recursive.iter().flat_map(|d| d.to_le_bytes()));
-        s
+    let bytes = Materialization::from_database(&p, &db, Strategy::SemiNaive).to_bytes();
+    let p_buffer = |at: usize| {
+        let word = |k: usize| u32::from_le_bytes(bytes[at + 8 + 4 * k..][..4].try_into().unwrap());
+        let mut rows: Vec<u32> = (0..3).map(|k| word(2 * k + 1)).collect();
+        rows.sort_unstable();
+        bytes[at..at + 8] == 6u64.to_le_bytes() && (0..3).all(|k| word(2 * k) == 0) && rows == [0, 1, 2]
     };
-    let written = section_9([0, 1, 2]);
-    let at: Vec<usize> = (0..bytes.len() - written.len())
-        .filter(|&i| bytes[i..i + written.len()] == written[..])
-        .collect();
-    assert_eq!(at.len(), 1, "section 9 found once");
-    let mut forged = bytes.clone();
-    forged[at[0]..at[0] + written.len()].copy_from_slice(&section_9([1, 0, 2]));
-    let current = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    let forged = restamped(&forged, current);
-    assert!(forged != bytes, "the greedy order is not plan [0]'s");
+    let at: Vec<usize> = (0..bytes.len() - 32).filter(|&i| p_buffer(i)).collect();
+    assert_eq!(at.len(), 1, "p's justification buffer found once");
+    (bytes, at[0])
+}
 
-    let back = Materialization::from_bytes(&forged).expect("the greedy order is a permutation");
-    assert_eq!(back.database().sorted_models(), m.database().sorted_models());
-    assert_eq!(back.answer().sorted(), m.answer().sorted());
-    assert_eq!(back.to_bytes(), bytes, "re-encoded from plan [0]");
+/// A justification names the rule that derived its row, and that rule
+/// heads the row's relation. A file in which a `p` row names `q`'s rule
+/// decoded to a store whose `Provenance::check` failed; it is refused,
+/// by the store and by the server.
+#[test]
+fn a_justification_through_a_rule_of_another_relation_is_refused() {
+    let (mut forged, at) = two_heads_snapshot();
+    forged[at + 8..at + 12].copy_from_slice(&1u32.to_le_bytes());
+    assert_refused(&forged, "justification rule heads another relation", "rule-head");
+}
+
+/// A justification buffer is its rows' entries and nothing else: one
+/// the rule lengths leave a word of, or end inside an entry, is refused.
+#[test]
+fn a_justification_buffer_the_rules_do_not_consume_exactly_is_refused() {
+    let (bytes, at) = two_heads_snapshot();
+    let uneven = "justification buffer not consumed exactly";
+    let resized = |words: u64, keep: usize, extra: &[u8]| {
+        let mut forged = bytes[..at].to_vec();
+        forged.extend_from_slice(&words.to_le_bytes());
+        forged.extend_from_slice(&bytes[at + 8..at + 8 + 4 * keep]);
+        forged.extend_from_slice(extra);
+        forged.extend_from_slice(&bytes[at + 8 + 4 * 6..]);
+        forged
+    };
+    assert_refused(&resized(7, 6, &[0; 4]), uneven, "buffer-long");
+    assert_refused(&resized(5, 5, &[]), uneven, "buffer-short");
 }
 
 #[test]
