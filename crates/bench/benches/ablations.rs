@@ -3,14 +3,21 @@
 //! - **Hopcroft minimization on/off** in the rewrite pipeline (monadic
 //!   rewrite size = one IDB per DFA state);
 //! - **envelope tightness**: Mohri–Nederhof envelope vs exact DFA when
-//!   both are available (strongly regular grammars).
+//!   both are available (strongly regular grammars);
+//! - **the floor under a derived tuple**: program A's closure by the
+//!   engine's `answer` against a semi-naive loop over a hash set of
+//!   pairs, on the same layered DAG, in ns per candidate head.
+
+use std::hint::black_box;
+use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use selprop_bench::run;
 use selprop_core::chain::ChainProgram;
 use selprop_core::rewrite::monadic_rewrite;
 use selprop_core::workload;
-use selprop_datalog::eval::Strategy;
+use selprop_datalog::eval::{answer, Strategy};
+use selprop_datalog::hash::{FxHashMap, FxHashSet};
 use selprop_grammar::regular::approximate;
 use selprop_automata::minimize::minimize;
 
@@ -71,6 +78,64 @@ fn bench(c: &mut Criterion) {
             a.exact
         );
     }
+
+    // 3. the floor under a derived tuple: both run the same semi-naive
+    // rounds over the same edges, so they enumerate the same candidate
+    // heads; the engine's cost over the floor's is the constant factor
+    // left to remove
+    let mut program = chain.program;
+    let db = workload::layered_dag(&mut program, "par", "c", 32, 16);
+    let par = program.symbols.get_predicate("par").unwrap();
+    let edges: Vec<(u32, u32)> =
+        db.relation(par).unwrap().iter().map(|t| (t[0].0, t[1].0)).collect();
+    let (closure, candidates) = floor_closure(&edges);
+    let (_, stats) = answer(&program, &db, Strategy::SemiNaive);
+    assert_eq!(closure.len() as u64, stats.tuples_derived, "the floor's closure is the engine's");
+    let per_candidate = |f: &dyn Fn()| {
+        let best = (0..7)
+            .map(|_| {
+                let start = Instant::now();
+                f();
+                start.elapsed()
+            })
+            .min()
+            .unwrap();
+        best.as_nanos() as f64 / candidates as f64
+    };
+    let engine = per_candidate(&|| drop(black_box(answer(&program, &db, Strategy::SemiNaive))));
+    let floor = per_candidate(&|| drop(black_box(floor_closure(black_box(&edges)))));
+    println!(
+        "derived-tuple floor on layered_dag(32, 16): {} tuples, {candidates} candidate heads; \
+         answer {engine:.1} ns, hash-set loop {floor:.1} ns a candidate ({:.1}x)",
+        closure.len(),
+        engine / floor
+    );
+}
+
+/// Program A's closure of `par` by semi-naive iteration over a hash set
+/// of pairs, and the number of candidate heads it enumerated: the floor
+/// a derived tuple's probe and insert cost.
+fn floor_closure(par: &[(u32, u32)]) -> (FxHashSet<(u32, u32)>, u64) {
+    let mut succ: FxHashMap<u32, Vec<u32>> = FxHashMap::default();
+    for &(x, y) in par {
+        succ.entry(x).or_default().push(y);
+    }
+    let mut anc: FxHashSet<(u32, u32)> = par.iter().copied().collect();
+    let mut candidates = par.len() as u64;
+    let mut delta: Vec<(u32, u32)> = anc.iter().copied().collect();
+    while !delta.is_empty() {
+        let mut next = Vec::new();
+        for &(x, z) in &delta {
+            for &y in succ.get(&z).map_or(&[][..], Vec::as_slice) {
+                candidates += 1;
+                if anc.insert((x, y)) {
+                    next.push((x, y));
+                }
+            }
+        }
+        delta = next;
+    }
+    (anc, candidates)
 }
 
 criterion_group!(benches, bench);

@@ -20,7 +20,10 @@
 //!   is the store and its round; each phase of a round is a file under
 //!   `materialize/`, named for the `materialize.*` (and `eval.*`)
 //!   per-layer metrics of `BENCHMARK.json` it answers to: `join.rs`
-//!   (one rule pass), `fixpoint.rs` (rounds, depth-0-sharded over one
+//!   (one rule pass, which asks its own staged heads whether a candidate
+//!   head is a duplicate before it asks the store: the store is frozen
+//!   for the pass, so a staged head is one the store does not hold),
+//!   `fixpoint.rs` (rounds, depth-0-sharded over one
 //!   [`std::thread::scope`] each, and the merge), `dred.rs`
 //!   (over-delete and rescue), `compact.rs`, `codec.rs` (the snapshot
 //!   payload) and `template.rs` (the query cache's view stores);

@@ -153,10 +153,10 @@ impl RelJust {
     }
 }
 
-/// A relation or row id as the justification and reverse-index buffers
-/// hold it: checked, as they are `u32`.
+/// A relation, rule or row id as the staging, justification and
+/// reverse-index buffers hold it: checked, as they are `u32`.
 fn id32(n: usize) -> u32 {
-    u32::try_from(n).expect("relation or row id overflows u32")
+    u32::try_from(n).expect("relation, rule or row id overflows u32")
 }
 
 /// Stable identifier of a rule inside a [`Materialization`]: the rule's

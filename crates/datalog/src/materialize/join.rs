@@ -6,7 +6,7 @@
 //! reads the store, so the passes of a round run concurrently.
 //! `BENCHMARK.json`: `eval.join_probes.*`, `plan.tc_hits`, `plan.tc_rows`.
 
-use super::Materialization;
+use super::{id32, Materialization};
 use crate::ast::Const;
 use crate::plan::{Action, KeyOp, Out, RulePlan, Step, NO_INDEX};
 use crate::storage::{ColumnarRelation, IncrementalIndex, NO_ROW};
@@ -28,8 +28,8 @@ pub(super) struct Scratch {
     pub(super) rows: Vec<u32>,
     /// Per-shard staged-head filter: head tuples already staged by this
     /// `(rule, delta, shard)` evaluation. Reset at every evaluation
-    /// entry; purely suppresses duplicate staging — the merge would drop
-    /// the copies anyway — and never affects counters or merge order.
+    /// entry; [`stage_head`] asks it before the head relation, and it
+    /// never affects counters or merge order.
     staged: StagedSet,
 }
 
@@ -50,6 +50,13 @@ struct StagedSlot {
 /// every entry) and carry the staged copy's memoized row hash — so the
 /// filter re-hashes nothing and clones nothing.
 /// Generation stamping makes the per-evaluation reset O(1).
+///
+/// It is the first dedup check a candidate head meets: a pass reads a
+/// frozen store, and every entry was absent from that store when it was
+/// staged, so an entry found here is a head the store cannot hold. The
+/// set is small and hot where the head relation's dedup table is large
+/// and cold, and most candidates of a dense closure repeat a head their
+/// pass already staged.
 #[derive(Default)]
 struct StagedSet {
     slots: Vec<StagedSlot>,
@@ -72,11 +79,12 @@ impl StagedSet {
         self.len = 0;
     }
 
-    /// Inserts `head` (with its memoized hash) unless an equal head was
-    /// already staged this generation; returns whether it was new. The
-    /// caller appends `head` at `data.len()` right after a successful
-    /// insert — `data` is the staging buffer earlier entries point into.
-    fn insert_if_new(&mut self, head: &[Const], hash: u64, data: &[Const]) -> bool {
+    /// The empty slot `head` (with its memoized hash) would take, or
+    /// `None` if an equal head was already staged this generation.
+    /// `data` is the staging buffer earlier entries point into. The slot
+    /// stays valid for [`claim`](Self::claim) while nothing else touches
+    /// the set; the table grows here, so a claim never has to.
+    fn vacancy(&mut self, head: &[Const], hash: u64, data: &[Const]) -> Option<usize> {
         if (self.len + 1) * 2 > self.slots.len() {
             self.grow();
         }
@@ -85,19 +93,22 @@ impl StagedSet {
         loop {
             let s = self.slots[i];
             if s.gen != self.gen {
-                self.slots[i] = StagedSlot {
-                    gen: self.gen,
-                    hash,
-                    off: u32::try_from(data.len()).expect("staging buffer overflow"),
-                };
-                self.len += 1;
-                return true;
+                return Some(i);
             }
             if s.hash == hash && &data[s.off as usize..s.off as usize + head.len()] == head {
-                return false;
+                return None;
             }
             i = (i + 1) & mask;
         }
+    }
+
+    /// Stages the head [`vacancy`](Self::vacancy) found `slot` for: its
+    /// hash, and the offset `off` the caller appends it at in the staging
+    /// buffer.
+    fn claim(&mut self, slot: usize, hash: u64, off: usize) {
+        let off = u32::try_from(off).expect("staging buffer overflow");
+        self.slots[slot] = StagedSlot { gen: self.gen, hash, off };
+        self.len += 1;
     }
 
     /// Doubles the table, re-seating the current generation's entries by
@@ -350,11 +361,15 @@ pub(super) fn build_head(plan: &RulePlan, scratch: &mut Scratch) {
     }
 }
 
-/// The firing point: stages the fully-instantiated head (unless it
-/// already exists, or the per-shard staged-head filter has seen it).
-/// With provenance recording on, the matched row ids are staged in
-/// **original rule-body order** via [`RulePlan::step_of_body`], whatever
-/// order the steps ran in.
+/// The firing point: stages the fully-instantiated head unless the
+/// per-shard staged-head filter has seen it or the head relation holds
+/// it, asked in that order. The filter comes first because it is small
+/// and hot, and sound first because the store is frozen for the pass:
+/// a staged head was absent from it when staged, and still is. A head
+/// the relation holds is not entered in the filter, so its repeats probe
+/// the relation again. With provenance recording on, the matched row ids
+/// are staged in **original rule-body order** via
+/// [`RulePlan::step_of_body`], whatever order the steps ran in.
 fn stage_head(
     plan: &RulePlan,
     ctx: &JoinCtx<'_>,
@@ -362,25 +377,29 @@ fn stage_head(
     pending: &mut PendingTuples,
 ) {
     build_head(plan, scratch);
-    // One hash serves the existence probe, the staged filter, and — via
+    // One hash serves the staged filter, the existence probe, and — via
     // the staging buffer — the merge's insert.
     let hash = ColumnarRelation::hash_row(&scratch.head);
-    // Only buffer tuples not already in the relation (the merge dedups
-    // again; this keeps the pending buffer small) — but an existential
-    // pass stages one head at most, and leaves that probe to the merge.
-    if !plan.existential
-        && (ctx.rels[plan.head_rel].contains_hashed(&scratch.head, hash)
-            || !scratch.staged.insert_if_new(&scratch.head, hash, &pending.data))
-    {
-        return;
+    // Only buffer tuples new to the pass and to the relation (the merge
+    // dedups again; this keeps the pending buffer small) — but an
+    // existential pass stages one head at most, and leaves both checks
+    // to the merge.
+    if !plan.existential {
+        let Some(slot) = scratch.staged.vacancy(&scratch.head, hash, &pending.data) else {
+            return;
+        };
+        if ctx.rels[plan.head_rel].contains_hashed(&scratch.head, hash) {
+            return;
+        }
+        scratch.staged.claim(slot, hash, pending.data.len());
     }
     pending.data.extend_from_slice(&scratch.head);
-    pending.rels.push(plan.head_rel as u32);
+    pending.rels.push(id32(plan.head_rel));
     pending.hash.push(hash);
     if ctx.record {
         // The justification, packed: this rule, then the row matched
         // for each body atom in rule-text order.
-        pending.just.push(ctx.rule as u32);
+        pending.just.push(id32(ctx.rule));
         for &d in plan.step_of_body.iter() {
             pending.just.push(scratch.rows[d]);
         }
@@ -581,5 +600,109 @@ fn tc_kernel(
                 stage_head(plan, ctx, scratch, pending);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{PendingTuples, StagedSet};
+    use crate::ast::Const;
+    use crate::storage::ColumnarRelation;
+
+    /// Stages `head` the way [`super::stage_head`] does, minus the store
+    /// probe: returns whether it was new.
+    fn stage(set: &mut StagedSet, pending: &mut PendingTuples, head: &[Const]) -> bool {
+        let hash = ColumnarRelation::hash_row(head);
+        let Some(slot) = set.vacancy(head, hash, &pending.data) else {
+            return false;
+        };
+        set.claim(slot, hash, pending.data.len());
+        pending.data.extend_from_slice(head);
+        true
+    }
+
+    /// Whether `head` probes as staged (the probe may grow the table,
+    /// never stage).
+    fn staged(set: &mut StagedSet, pending: &PendingTuples, head: &[Const]) -> bool {
+        let hash = ColumnarRelation::hash_row(head);
+        set.vacancy(head, hash, &pending.data).is_none()
+    }
+
+    fn head(a: u32, b: u32) -> [Const; 2] {
+        [Const(a), Const(b)]
+    }
+
+    #[test]
+    fn a_vacancy_is_only_staged_once_claimed() {
+        let mut set = StagedSet::default();
+        let mut pending = PendingTuples::default();
+        set.begin();
+        let h = head(1, 2);
+        assert!(!staged(&mut set, &pending, &h), "a new head is a vacancy");
+        assert_eq!(set.len, 0, "probing stages nothing");
+        assert!(stage(&mut set, &mut pending, &h));
+        assert!(staged(&mut set, &pending, &h), "after the claim it is staged");
+        assert!(!stage(&mut set, &mut pending, &h), "and is not staged twice");
+        assert!(!staged(&mut set, &pending, &head(2, 1)), "another head is still a vacancy");
+        assert_eq!(set.len, 1);
+    }
+
+    #[test]
+    fn begin_empties_the_set_without_touching_its_slots() {
+        let mut set = StagedSet::default();
+        let mut pending = PendingTuples::default();
+        set.begin();
+        for a in 0..5 {
+            assert!(stage(&mut set, &mut pending, &head(a, a)));
+        }
+        let stamps = |set: &StagedSet| -> Vec<_> {
+            set.slots.iter().map(|s| (s.gen, s.hash, s.off)).collect()
+        };
+        let before = stamps(&set);
+        set.begin();
+        assert_eq!(set.len, 0);
+        assert_eq!(stamps(&set), before, "the reset is a generation bump, not a clear");
+        for a in 0..5 {
+            assert!(!staged(&mut set, &pending, &head(a, a)), "last generation's head {a}");
+        }
+    }
+
+    #[test]
+    fn growth_reseats_every_entry() {
+        let mut set = StagedSet::default();
+        let mut pending = PendingTuples::default();
+        set.begin();
+        let heads: Vec<_> = (0..1_000).map(|i| head(i / 7, i % 7 + 100)).collect();
+        for h in &heads {
+            assert!(stage(&mut set, &mut pending, h));
+        }
+        assert!(set.slots.len() > 16, "the table grew past its first size");
+        assert_eq!(set.len, heads.len());
+        for h in &heads {
+            assert!(staged(&mut set, &pending, h), "{h:?} survives every growth");
+            assert!(!stage(&mut set, &mut pending, h));
+        }
+        assert_eq!(pending.data.len(), 2 * heads.len(), "no head was staged twice");
+    }
+
+    #[test]
+    fn a_wrapped_generation_sees_no_stale_slot() {
+        let mut set = StagedSet::default();
+        let mut pending = PendingTuples::default();
+        // Generation 1 stages `old`; its slot keeps the stamp 1.
+        set.begin();
+        let old = head(3, 4);
+        assert!(stage(&mut set, &mut pending, &old));
+        // The last generation before the counter wraps.
+        set.gen = u32::MAX;
+        set.len = 0;
+        assert!(stage(&mut set, &mut pending, &head(5, 6)));
+        // Wrapping restarts at generation 1: the stamp `old` carries.
+        set.begin();
+        assert_eq!(set.gen, 1);
+        assert!(set.slots.iter().all(|s| s.gen == 0), "the wrap clears every slot");
+        assert!(!staged(&mut set, &pending, &old), "a stale slot aliased the new generation");
+        assert!(!staged(&mut set, &pending, &head(5, 6)));
+        assert!(stage(&mut set, &mut pending, &old));
     }
 }

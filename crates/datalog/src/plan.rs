@@ -53,9 +53,15 @@
 //!   marks the first join depth at which every head position is bound;
 //!   when that is before the last step, the join probes the head
 //!   relation's dedup table there and prunes the entire remaining
-//!   suffix for heads that already exist. A per-shard staged-head
-//!   filter additionally suppresses re-staging duplicates within a
-//!   round. `rule_firings` therefore counts **productive** firings —
+//!   suffix for heads that already exist. At the firing point a
+//!   candidate head is looked up first in a per-shard staged-head
+//!   filter, which suppresses re-staging duplicates within a pass, and
+//!   only on a miss in the head relation's dedup table. The order is
+//!   sound because a pass reads a frozen store and a staged head was
+//!   absent from it when staged; it is fast because the filter is small
+//!   and hot and, in a dense closure, most candidates repeat a head
+//!   their pass already staged. `rule_firings` therefore counts
+//!   **productive** firings —
 //!   head tuples actually added, at merge time — which are shard- and
 //!   order-invariant where completed body instantiations are not.
 //! - **Transitive-closure kernel recognition** (`RulePlan::tc`): the

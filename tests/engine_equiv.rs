@@ -727,6 +727,35 @@ fn a_view_row_is_saved_in_place_before_and_after_its_store_starts_over() {
     assert_eq!(cache.stats().invalidations, 1);
 }
 
+/// A complete layered DAG makes every pass stage mostly heads it staged
+/// already (each node reaches the next rank through every node of its
+/// own), the regime `build_db`'s shapes never reach. The staged-head
+/// filter decides those candidates before the store does, so the
+/// engines must still agree with the specification, row ids and
+/// justifications included, at every thread count and under both
+/// orders. Program A's counters on `layered_dag(6, 4)` are pinned.
+#[test]
+fn a_dense_closure_of_repeated_heads_agrees_across_engines() {
+    for (layers, width) in [(6usize, 4usize), (4, 8)] {
+        for name in ["program_a", "program_b", "program_c"] {
+            let entry = gallery().into_iter().find(|e| e.name == name).expect("gallery program");
+            let mut program = entry.chain().program;
+            let db = workload::layered_dag(&mut program, "par", "john", layers, width);
+            assert_engines_agree(&program, &db, 7);
+            assert_provenance_contract(&program, &db);
+        }
+    }
+    let entry = gallery().into_iter().find(|e| e.name == "program_a").expect("program A");
+    let mut program = entry.chain().program;
+    let db = workload::layered_dag(&mut program, "par", "john", 6, 4);
+    let want =
+        EvalStats { iterations: 8, rule_firings: 364, tuples_derived: 364, join_probes: 372 };
+    for order in [OrderMode::Planned, OrderMode::Shuffled(5)] {
+        let got = eval::evaluate_cfg(&program, &db, Strategy::SemiNaive, order).stats;
+        assert_eq!(got, want, "program A on layered_dag(6, 4), {order:?}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
