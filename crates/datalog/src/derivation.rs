@@ -214,7 +214,7 @@ const METRIC_CAP: u64 = u64::MAX - 2;
 pub struct Provenance {
     rels: Vec<ColumnarRelation>,
     pred_of_rel: Vec<Pred>,
-    rel_of_pred: FxHashMap<Pred, usize>,
+    rel_of_pred: FxHashMap<Pred, u32>,
     /// Per relation: whether it is an IDB of the program (has
     /// justifications; EDB rows are leaves).
     idb: Vec<bool>,
@@ -227,14 +227,14 @@ impl Provenance {
     pub(crate) fn from_engine(
         rels: Vec<ColumnarRelation>,
         pred_of_rel: Vec<Pred>,
-        rel_of_pred: FxHashMap<Pred, usize>,
-        idb_rels: Vec<usize>,
+        rel_of_pred: FxHashMap<Pred, u32>,
+        idb_rels: Vec<u32>,
         body_rels: Vec<Vec<u32>>,
         just: Vec<RelJust>,
     ) -> Self {
         let mut idb = vec![false; rels.len()];
         for r in idb_rels {
-            idb[r] = true;
+            idb[r as usize] = true;
         }
         debug_assert!(idb
             .iter()
@@ -262,7 +262,7 @@ impl Provenance {
 
     /// Locates an atom in the row store.
     fn rel_row(&self, atom: &GroundAtom) -> Option<(usize, u32)> {
-        let &rel = self.rel_of_pred.get(&atom.pred)?;
+        let rel = *self.rel_of_pred.get(&atom.pred)? as usize;
         if self.rels[rel].arity() != atom.args.len() {
             return None;
         }
@@ -274,7 +274,7 @@ impl Provenance {
     fn atom_at(&self, rel: usize, row: u32) -> GroundAtom {
         GroundAtom {
             pred: self.pred_of_rel[rel],
-            args: self.rels[rel].row(row as usize).to_vec(),
+            args: self.rels[rel].row(row).to_vec(),
         }
     }
 
@@ -284,7 +284,7 @@ impl Provenance {
         if !self.idb[rel] {
             return None;
         }
-        Some(self.just[rel].entry(row as usize))
+        Some(self.just[rel].entry(row))
     }
 
     /// The justification of a derived fact: the rule index and the body
@@ -310,9 +310,9 @@ impl Provenance {
             .enumerate()
             .filter(|&(r, _)| self.idb[r])
             .flat_map(move |(r, rel)| {
-                (0..rel.num_rows())
+                rel.row_ids(..)
                     .filter(move |&row| rel.is_live(row))
-                    .map(move |row| self.atom_at(r, row as u32))
+                    .map(move |row| self.atom_at(r, row))
             })
     }
 
@@ -429,13 +429,11 @@ impl Provenance {
         let Some(&rel) = self.rel_of_pred.get(&pred) else {
             return Vec::new();
         };
+        let (rel, cr) = (rel as usize, &self.rels[rel as usize]);
         let mut ctx = MetricCtx::new(self, true);
-        (0..self.rels[rel].num_rows())
-            .filter(|&row| self.rels[rel].is_live(row))
-            .map(|row| {
-                ctx.get(rel, row as u32)
-                    .expect("engine provenance is acyclic")
-            })
+        cr.row_ids(..)
+            .filter(|&row| cr.is_live(row))
+            .map(|row| ctx.get(rel, row).expect("engine provenance is acyclic"))
             .collect()
     }
 
@@ -449,14 +447,11 @@ impl Provenance {
             if !self.idb[rel] {
                 continue;
             }
-            for row in 0..cr.num_rows() {
+            for row in cr.row_ids(..) {
                 if !cr.is_live(row) {
                     continue;
                 }
-                max = max.max(
-                    ctx.get(rel, row as u32)
-                        .expect("engine provenance is acyclic"),
-                );
+                max = max.max(ctx.get(rel, row).expect("engine provenance is acyclic"));
             }
         }
         max
@@ -481,12 +476,12 @@ impl Provenance {
                 }
                 continue;
             }
-            for row in 0..cr.num_rows() {
+            for row in cr.row_ids(..) {
                 if !cr.is_live(row) {
                     continue; // retracted rows keep stale, unread entries
                 }
                 let (rule_i, body) = self
-                    .just_of(rel, row as u32)
+                    .just_of(rel, row)
                     .expect("IDB rows carry justifications");
                 let rule = program
                     .rules
@@ -511,12 +506,12 @@ impl Provenance {
                     if brow as usize >= self.rels[brel].num_rows() {
                         return Err(format!("row {rel}/{row}: body {k} row {brow} out of range"));
                     }
-                    if !self.rels[brel].is_live(brow as usize) {
+                    if !self.rels[brel].is_live(brow) {
                         return Err(format!(
                             "row {rel}/{row}: body {k} row {brow} was retracted"
                         ));
                     }
-                    let tuple = self.rels[brel].row(brow as usize);
+                    let tuple = self.rels[brel].row(brow);
                     if atom.args.len() != tuple.len()
                         || !atom
                             .args
@@ -548,9 +543,9 @@ impl Provenance {
         let mut ctx = MetricCtx::new(self, true);
         for (rel, cr) in self.rels.iter().enumerate() {
             if self.idb[rel] {
-                for row in 0..cr.num_rows() {
+                for row in cr.row_ids(..) {
                     if cr.is_live(row) {
-                        ctx.get(rel, row as u32)?;
+                        ctx.get(rel, row)?;
                     }
                 }
             }

@@ -113,21 +113,26 @@ impl RelJust {
 
     /// Overwrites row `r`'s entry with `(rule, body)`, a body as long as
     /// the one it replaces (a deletion walk's save).
-    fn replace(&mut self, r: usize, rule: u32, body: &[u32]) {
+    fn replace(&mut self, r: u32, rule: u32, body: &[u32]) {
         debug_assert_eq!(self.entry(r).1.len(), body.len(), "a save keeps the entry length");
-        let lo = self.off[r] as usize;
+        let lo = self.off[r as usize] as usize;
         self.buf[lo] = rule;
         self.buf[lo + 1..lo + 1 + body.len()].copy_from_slice(body);
     }
 
     /// The `(rule, body row ids)` entry of row `r`.
-    pub(crate) fn entry(&self, r: usize) -> (u32, &[u32]) {
+    pub(crate) fn entry(&self, r: u32) -> (u32, &[u32]) {
+        let r = r as usize;
         let lo = self.off[r] as usize;
-        let hi = self
-            .off
-            .get(r + 1)
-            .map_or(self.buf.len(), |&o| o as usize);
+        let hi = self.off.get(r + 1).map_or(self.buf.len(), |&o| o as usize);
         (self.buf[lo], &self.buf[lo + 1..hi])
+    }
+
+    /// Every row's entry, in row order.
+    fn entries(&self) -> impl Iterator<Item = (u32, &[u32])> {
+        let starts = self.off.iter().map(|&o| o as usize);
+        let ends = starts.clone().skip(1).chain([self.buf.len()]);
+        starts.zip(ends).map(|(lo, hi)| (self.buf[lo], &self.buf[lo + 1..hi]))
     }
 
     /// Number of rows with entries (= the relation's row count for IDB
@@ -151,12 +156,6 @@ impl RelJust {
     fn from_parts(off: Vec<u32>, buf: Vec<u32>) -> Self {
         Self { off, buf }
     }
-}
-
-/// A relation, rule or row id as the staging, justification and
-/// reverse-index buffers hold it: checked, as they are `u32`.
-fn id32(n: usize) -> u32 {
-    u32::try_from(n).expect("relation, rule or row id overflows u32")
 }
 
 /// Stable identifier of a rule inside a [`Materialization`]: the rule's
@@ -306,12 +305,13 @@ pub struct Materialization {
     /// store never deep-copies them (only a rule add ever writes,
     /// through `Arc::make_mut`).
     plans: Arc<Vec<Vec<RulePlan>>>,
-    /// Dense relation ids of the program's IDB predicates.
-    idb_rels: Vec<usize>,
+    /// Dense relation ids of the program's IDB predicates. A relation id
+    /// is a `u32` from `intern_new_rel` (or the decoder) on.
+    idb_rels: Vec<u32>,
     /// Per relation: whether it is an IDB of the program.
     idb_flag: Vec<bool>,
     pred_of_rel: Vec<Pred>,
-    rel_of_pred: FxHashMap<Pred, usize>,
+    rel_of_pred: FxHashMap<Pred, u32>,
     /// Per relation: the semi-naive watermark — rows `[0, old_hi)` are the
     /// previous iteration's `old` snapshot, `[old_hi, len)` the delta.
     /// At fixpoint (between updates) `old_hi == num_rows` everywhere.
@@ -529,7 +529,7 @@ impl Materialization {
             if idbs.contains(&p) {
                 continue;
             }
-            if let Some(&rid) = m.rel_of_pred.get(&p) {
+            if let Some(rid) = m.rel_of_pred.get(&p).map(|&r| r as usize) {
                 // The input size is known up front: size the dedup
                 // table once instead of growing it through every
                 // doubling.
@@ -555,7 +555,7 @@ impl Materialization {
     /// The program's IDB predicates, as the rescue-plan compiler (and
     /// the query cache's routing) take them.
     pub(crate) fn idb_preds(&self) -> Vec<Pred> {
-        self.idb_rels.iter().map(|&r| self.pred_of_rel[r]).collect()
+        self.idb_rels.iter().map(|&r| self.pred_of_rel[r as usize]).collect()
     }
 
     /// Compiles the plans of every rule slot that has none yet (all of
@@ -570,15 +570,17 @@ impl Materialization {
         let idbs = self.idb_preds();
         let record = self.prov.is_some();
         let (rel_of_pred, planned_card) = (&self.rel_of_pred, &self.planned_card);
-        let mut card = |p: Pred| rel_of_pred.get(&p).map_or(0, |&r| planned_card[r]);
+        let mut card = |p: Pred| rel_of_pred.get(&p).map_or(0, |&r| planned_card[r as usize]);
         let plans = Arc::make_mut(&mut self.plans);
         for (i, rule) in self.rules.iter().enumerate().skip(plans.len()) {
+            // A rule id is a `u32` from the slot that allocates it on.
+            let id = u32::try_from(i).expect("rule ids are u32");
             let order_by = order_by.map_or(rule, |o| &o[i]);
             let (idxs, idx_of) = (&mut self.idxs, &mut self.idx_of);
             let rule_plans = plan_rule(
                 rule,
                 order_by,
-                i,
+                id,
                 rel_of_pred,
                 idxs,
                 idx_of,
@@ -589,7 +591,7 @@ impl Materialization {
                 self.rederive.push(plan_rescue(
                     rule,
                     order_by,
-                    i,
+                    id,
                     &idbs,
                     rel_of_pred,
                     idxs,
@@ -681,10 +683,10 @@ impl Materialization {
     /// relations interned after the pin are invisible.
     fn select(&self, goal: &Atom, idb_only: bool, pin: Option<(&[usize], u64)>) -> Relation {
         let (ops, nvars) = eval::goal_plan(goal);
-        let rid = self.rel_of_pred.get(&goal.pred).filter(|&&r| !idb_only || self.idb_flag[r]);
-        match (rid, pin) {
-            (Some(&r), None) => eval::select_project(&ops, nvars, self.rels[r].rows_iter()),
-            (Some(&r), Some((frontier, epoch))) if r < frontier.len() => {
+        let rid = self.rel_of_pred.get(&goal.pred).map(|&r| r as usize);
+        match (rid.filter(|&r| !idb_only || self.idb_flag[r]), pin) {
+            (Some(r), None) => eval::select_project(&ops, nvars, self.rels[r].rows_iter()),
+            (Some(r), Some((frontier, epoch))) if r < frontier.len() => {
                 eval::select_project(&ops, nvars, self.rels[r].rows_iter_at(frontier[r], epoch))
             }
             _ => Relation::new(nvars),
@@ -696,7 +698,7 @@ impl Materialization {
     pub fn num_facts(&self, pred: Pred) -> usize {
         self.rel_of_pred
             .get(&pred)
-            .map_or(0, |&r| self.rels[r].num_live())
+            .map_or(0, |&r| self.rels[r as usize].num_live())
     }
 
     /// A snapshot of the recorded provenance (one justification per
@@ -894,11 +896,10 @@ impl Materialization {
                 .expect("Materialization always records justifications");
             let mut seeds: Vec<(u32, u32)> = Vec::new();
             for &hrel in &self.idb_rels {
-                for hrow in 0..self.rels[hrel].num_rows() {
-                    if self.rels[hrel].is_live(hrow)
-                        && dropped.contains(&prov[hrel].entry(hrow).0)
-                    {
-                        seeds.push((id32(hrel), id32(hrow)));
+                let (rel, just) = (&self.rels[hrel as usize], &prov[hrel as usize]);
+                for hrow in rel.row_ids(..) {
+                    if rel.is_live(hrow) && dropped.contains(&just.entry(hrow).0) {
+                        seeds.push((hrel, hrow));
                     }
                 }
             }
@@ -917,13 +918,14 @@ impl Materialization {
             let Some(&rid) = self.rel_of_pred.get(pred) else {
                 continue;
             };
-            if self.idb_flag[rid] {
+            if self.idb_flag[rid as usize] {
                 continue;
             }
-            let r = self.rels[rid].find_row(t);
-            if r != NO_ROW && self.rels[rid].tombstone(r as usize) {
-                worklist.push((id32(rid), r));
-                self.last_retracted.push((id32(rid), r));
+            let rel = &mut self.rels[rid as usize];
+            let r = rel.find_row(t);
+            if r != NO_ROW && rel.tombstone(r as usize) {
+                worklist.push((rid, r));
+                self.last_retracted.push((rid, r));
                 report.retracted += 1;
             }
         }
@@ -940,10 +942,10 @@ impl Materialization {
             let Some(&rid) = self.rel_of_pred.get(pred) else {
                 continue;
             };
-            if self.idb_flag[rid] {
+            if self.idb_flag[rid as usize] {
                 continue;
             }
-            if self.rels[rid].insert(t) {
+            if self.rels[rid as usize].insert(t) {
                 report.inserted += 1;
             }
         }
@@ -992,7 +994,7 @@ impl Materialization {
         // The relations the round's rules will intern: (pred, arity, idb).
         let mut fresh: Vec<(Pred, usize, bool)> = Vec::new();
         let known = |fresh: &[(Pred, usize, bool)], p: Pred| match self.rel_of_pred.get(&p) {
-            Some(&r) => Some((self.rels[r].arity(), self.idb_flag[r])),
+            Some(&r) => Some((self.rels[r as usize].arity(), self.idb_flag[r as usize])),
             None => fresh.iter().find(|f| f.0 == p).map(|f| (f.1, f.2)),
         };
         let mismatch = |got: usize, arity: usize| {
@@ -1043,7 +1045,8 @@ impl Materialization {
     /// Interns a relation for a predicate the store does not track yet
     /// (at construction, or first seen in an added rule).
     fn intern_new_rel(&mut self, pred: Pred, arity: usize, idb: bool) {
-        let r = self.rels.len();
+        // A relation id is a `u32` from the slot that allocates it on.
+        let r = u32::try_from(self.rels.len()).expect("relation ids are u32");
         let mut rel = ColumnarRelation::new(arity);
         if self.epoch > 0 {
             rel.set_epoch(self.epoch);
@@ -1072,12 +1075,8 @@ impl Materialization {
     /// that order, dropped ones included) aligns with the recorded
     /// justifications for [`Provenance::check`].
     pub fn active_rules(&self) -> Vec<(RuleId, &Rule)> {
-        self.rules
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| self.rule_active[i])
-            .map(|(i, r)| (RuleId(id32(i)), r))
-            .collect()
+        let slots = self.plans.iter().zip(&self.rules).zip(&self.rule_active);
+        slots.filter(|&(_, &active)| active).map(|((p, r), _)| (RuleId(p[0].rule), r)).collect()
     }
 
     /// Total number of rule slots ever allocated (dropped ones
@@ -1089,7 +1088,7 @@ impl Materialization {
     /// The id the next added rule gets: the first slot past every one
     /// ever allocated.
     pub(crate) fn next_rule_id(&self) -> RuleId {
-        RuleId(id32(self.plans.len()))
+        RuleId(self.plans.last().map_or(0, |p| p[0].rule + 1))
     }
 
     /// Whether `id` names an active rule.
@@ -1167,8 +1166,8 @@ impl Materialization {
     /// [`Materialization::num_facts`] as of a pinned snapshot.
     pub(crate) fn num_facts_at(&self, pred: Pred, frontier: &[usize], epoch: u64) -> usize {
         match self.rel_of_pred.get(&pred) {
-            Some(&r) if r < frontier.len() => {
-                self.rels[r].rows_iter_at(frontier[r], epoch).count()
+            Some(&r) if (r as usize) < frontier.len() => {
+                self.rels[r as usize].rows_iter_at(frontier[r as usize], epoch).count()
             }
             _ => 0,
         }
@@ -1258,7 +1257,7 @@ impl Materialization {
     /// rule-text order — what a justification's body row ids index
     /// into, whatever order the plan runs the steps in.
     fn body_rels(&self) -> Vec<Vec<u32>> {
-        self.plans.iter().map(|p| p[0].body_rels.iter().map(|&r| id32(r)).collect()).collect()
+        self.plans.iter().map(|p| p[0].body_rels.to_vec()).collect()
     }
 
     pub(crate) fn into_provenance_result(self) -> ProvenanceResult {

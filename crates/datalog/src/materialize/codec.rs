@@ -4,13 +4,13 @@
 //! `materialize.encode_ms`, `materialize.decode_ms`,
 //! `materialize.snapshot_bytes`.
 
-use super::{id32, CompactionPolicy, Materialization, RelJust};
+use super::{CompactionPolicy, Materialization, RelJust};
 use crate::ast::{Atom, Const, Pred, Rule, Term, Var};
 use crate::eval::{EvalStats, Strategy};
 use crate::hash::FxHashMap;
 use crate::persist::{self, Dec, Enc, PersistError};
 use crate::plan::OrderMode;
-use crate::storage::ColumnarRelation;
+use crate::storage::{ColumnarRelation, MAX_ROWS};
 use std::path::Path;
 
 impl Materialization {
@@ -44,7 +44,8 @@ impl Materialization {
     ///    `u64` seed), then the per-relation build-time cardinalities
     ///    (count + `u64`s) every plan breaks ties by.
     /// 9. **Relations** — count, then per dense relation id: predicate
-    ///    `u32`, IDB flag `u8`, arity `u64`, row count `u64`, the flat
+    ///    `u32`, IDB flag `u8`, arity `u64`, row count `u64` (at most
+    ///    [`MAX_ROWS`], the ceiling a relation's append enforces), the flat
     ///    row-major tuple data (`rows × arity` × `u32`), the tombstone
     ///    bitset (word count + `u64` words) and the justification buffer
     ///    (count + `u32`s): per row, in row order, its rule slot and then
@@ -233,12 +234,18 @@ impl Materialization {
         if planned_card.len() != nrels {
             return Err(PersistError::Corrupt("cardinality snapshot length mismatch"));
         }
+        // Relation ids are `u32` from here on, as a store interns them.
+        let nrels32 = u32::try_from(nrels).map_err(|_| PersistError::Corrupt("too many relations"))?;
         let mut rels: Vec<ColumnarRelation> = Vec::with_capacity(nrels);
         let mut pred_of_rel: Vec<Pred> = Vec::with_capacity(nrels);
-        let mut rel_of_pred: FxHashMap<Pred, usize> = FxHashMap::default();
+        let mut rel_of_pred: FxHashMap<Pred, u32> = FxHashMap::default();
         let mut idb_flag: Vec<bool> = Vec::with_capacity(nrels);
+        // Relation ids of IDB predicates, in increasing order — matching
+        // construction, where IDB relations are interned first and added
+        // rules only ever append.
+        let mut idb_rels: Vec<u32> = Vec::new();
         let mut bufs: Vec<Vec<u32>> = Vec::with_capacity(nrels);
-        for rid in 0..nrels {
+        for rid in 0..nrels32 {
             let pred = Pred(d.u32()?);
             if rel_of_pred.insert(pred, rid).is_some() {
                 return Err(PersistError::Corrupt("duplicate predicate"));
@@ -250,6 +257,10 @@ impl Materialization {
             };
             let arity = d.usize()?;
             let rows = d.usize()?;
+            // The row ceiling a relation's append enforces.
+            if rows > MAX_ROWS {
+                return Err(PersistError::Corrupt("relation row count above the row ceiling"));
+            }
             let ncells = rows
                 .checked_mul(arity)
                 .filter(|n| n.checked_mul(4).is_some_and(|b| b <= d.remaining()))
@@ -275,41 +286,35 @@ impl Materialization {
             rels.push(rel);
             pred_of_rel.push(pred);
             idb_flag.push(idb);
+            if idb {
+                idb_rels.push(rid);
+            }
             bufs.push(d.u32s()?);
         }
         d.finish()?;
 
         // ------------- shape validation + derived-state rebuild -------------
 
-        // Relation ids of IDB predicates, in increasing order — matching
-        // construction, where IDB relations are interned first and added
-        // rules only ever append.
-        let idb_rels: Vec<usize> = idb_flag
-            .iter()
-            .enumerate()
-            .filter_map(|(r, &f)| f.then_some(r))
-            .collect();
-
         // Every rule must type-check against the relations before plan
         // compilation (which asserts rather than returns); per rule, the
         // relation of its head and those of its body atoms in rule-text
         // order.
-        let mut shapes: Vec<(usize, Vec<usize>)> = Vec::with_capacity(nrules);
+        let mut shapes: Vec<(u32, Vec<u32>)> = Vec::with_capacity(nrules);
         for rule in &rules {
             let head_rel = *rel_of_pred
                 .get(&rule.head.pred)
                 .ok_or(PersistError::Corrupt("rule head over unknown relation"))?;
-            if !idb_flag[head_rel] {
+            if !idb_flag[head_rel as usize] {
                 return Err(PersistError::Corrupt("rule head over an EDB relation"));
             }
-            if rels[head_rel].arity() != rule.head.arity() {
+            if rels[head_rel as usize].arity() != rule.head.arity() {
                 return Err(PersistError::Corrupt("rule head arity mismatch"));
             }
             for a in &rule.body {
                 let brel = *rel_of_pred
                     .get(&a.pred)
                     .ok_or(PersistError::Corrupt("rule body over unknown relation"))?;
-                if rels[brel].arity() != a.arity() {
+                if rels[brel as usize].arity() != a.arity() {
                     return Err(PersistError::Corrupt("rule body arity mismatch"));
                 }
             }
@@ -324,37 +329,37 @@ impl Materialization {
         // `RelJust::entry` is panic-free for every persisted row.
         const UNEVEN: PersistError = PersistError::Corrupt("justification buffer not consumed exactly");
         let mut prov = Vec::with_capacity(nrels);
-        for (r, buf) in bufs.into_iter().enumerate() {
+        for (r, (buf, rel)) in bufs.into_iter().zip(&rels).enumerate() {
             if !idb_flag[r] && !buf.is_empty() {
                 return Err(PersistError::Corrupt("justifications on an EDB relation"));
             }
-            let rows = if idb_flag[r] { rels[r].num_rows() } else { 0 };
-            let mut off = Vec::with_capacity(rows);
+            let rows = if idb_flag[r] { rel.row_ids(..) } else { 0..0 };
+            let mut off = Vec::with_capacity(rows.len());
             let mut lo = 0;
-            for row in 0..rows {
+            for row in rows {
                 let &rule = buf.get(lo).ok_or(UNEVEN)?;
                 let Some((head_rel, brels)) = shapes.get(rule as usize) else {
                     return Err(PersistError::Corrupt("justification names unknown rule"));
                 };
-                if *head_rel != r {
+                if *head_rel as usize != r {
                     return Err(PersistError::Corrupt("justification rule heads another relation"));
                 }
                 let hi = lo + 1 + brels.len();
                 let body = buf.get(lo + 1..hi).ok_or(UNEVEN)?;
                 for (&brel, &brow) in brels.iter().zip(body) {
-                    if brow as usize >= rels[brel].num_rows() {
+                    if brow as usize >= rels[brel as usize].num_rows() {
                         return Err(PersistError::Corrupt("justification references nonexistent row"));
                     }
                     // A deletion walk's age test reads row order within
                     // a relation, which every justification a store
                     // writes follows.
-                    if brel == r && brow as usize >= row {
+                    if brel as usize == r && brow >= row {
                         return Err(PersistError::Corrupt(
                             "justification body row not below its head row",
                         ));
                     }
                 }
-                off.push(id32(lo));
+                off.push(u32::try_from(lo).map_err(|_| PersistError::Corrupt("justification buffer too long"))?);
                 lo = hi;
             }
             if lo != buf.len() {

@@ -4,7 +4,7 @@
 //! `materialize.compactions`, `materialize.dead_rows_peak` and the
 //! `materialize.*_words` counts ([`MemStats`]).
 
-use super::{id32, Materialization, RelJust};
+use super::{Materialization, RelJust};
 use crate::storage::NO_ROW;
 
 /// When [`Materialization::apply`] triggers an automatic
@@ -143,21 +143,16 @@ impl Materialization {
         if let Some(prov) = &mut self.prov {
             let mut body_scratch: Vec<u32> = Vec::new();
             for &hrel in &self.idb_rels {
+                let hrel = hrel as usize;
                 let old = std::mem::take(&mut prov[hrel]);
                 let mut new = RelJust::default();
-                for hrow in 0..old.len() {
-                    let new_id = match &remaps[hrel] {
-                        Some(m) => m[hrow],
-                        None => id32(hrow),
-                    };
-                    if new_id == NO_ROW {
+                for (hrow, (rule, body)) in old.entries().enumerate() {
+                    if remaps[hrel].as_ref().is_some_and(|m| m[hrow] == NO_ROW) {
                         continue;
                     }
-                    let (rule, body) = old.entry(hrow);
                     body_scratch.clear();
-                    for (k, &brow) in body.iter().enumerate() {
-                        let brel = self.plans[rule as usize][0].body_rels[k];
-                        let nb = match &remaps[brel] {
+                    for (&brel, &brow) in self.plans[rule as usize][0].body_rels.iter().zip(body) {
+                        let nb = match &remaps[brel as usize] {
                             Some(m) => m[brow as usize],
                             None => brow,
                         };

@@ -42,7 +42,7 @@
 //! `materialize.rows_killed_per_round`, `materialize.rederive_ratio`.
 
 use super::join::{build_head, join, Counters, Delta, PendingTuples, Scratch};
-use super::{id32, Materialization};
+use super::Materialization;
 use crate::ast::Const;
 use crate::hash::FxHashMap;
 use crate::plan::{Out, RulePlan};
@@ -123,12 +123,13 @@ enum Chains {
 impl RevIndex {
     /// Records that head row `(hrel, hrow)`'s justification uses body
     /// row `body[k]` of relation `body_rels[k]`, for every `k`.
-    pub(super) fn add_row(&mut self, hrel: u32, hrow: u32, body_rels: &[usize], body: &[u32]) {
+    pub(super) fn add_row(&mut self, hrel: u32, hrow: u32, body_rels: &[u32], body: &[u32]) {
         let first = u32::try_from(self.edges.len()).expect("reverse-index edge overflow");
         if !body.is_empty() && self.runs.last().is_none_or(|&(_, r)| r != hrel) {
             self.runs.push((first, hrel));
         }
         for (&brel, &brow) in body_rels.iter().zip(body) {
+            let brel = brel as usize;
             if self.head.len() <= brel {
                 self.head.resize(brel + 1, Chains::Dense(Vec::new()));
             }
@@ -154,8 +155,8 @@ impl RevIndex {
     }
 
     /// The newest edge id of `(brel, brow)`'s chain.
-    fn chain(&self, brel: usize, brow: u32) -> u32 {
-        match self.head.get(brel) {
+    fn chain(&self, brel: u32, brow: u32) -> u32 {
+        match self.head.get(brel as usize) {
             Some(Chains::Dense(chain)) => chain.get(brow as usize).copied(),
             Some(Chains::Sparse(chain)) => chain.get(&brow).copied(),
             None => None,
@@ -188,7 +189,7 @@ pub(super) fn components(n: usize, plans: &[Vec<RulePlan>]) -> Vec<u32> {
     const UNSEEN: u32 = u32::MAX;
     let mut reads: Vec<Vec<usize>> = vec![Vec::new(); n];
     for plan in plans.iter().map(|p| &p[0]) {
-        reads[plan.head_rel].extend(&plan.body_rels);
+        reads[plan.head_rel as usize].extend(plan.body_rels.iter().map(|&b| b as usize));
     }
     let (mut index, mut low, mut comp) = (vec![UNSEEN; n], vec![0; n], vec![UNSEEN; n]);
     let (mut open, mut calls, mut next, mut done) = (Vec::new(), Vec::new(), 0, 0);
@@ -254,13 +255,14 @@ impl Materialization {
             stale: 0,
         };
         for &hrel in &self.idb_rels {
-            for hrow in 0..self.rels[hrel].num_rows() {
-                if !self.rels[hrel].is_live(hrow) {
+            let rel = &self.rels[hrel as usize];
+            for hrow in rel.row_ids(..) {
+                if !rel.is_live(hrow) {
                     continue;
                 }
-                let (rule, body) = prov[hrel].entry(hrow);
+                let (rule, body) = prov[hrel as usize].entry(hrow);
                 let body_rels = &self.plans[rule as usize][0].body_rels;
-                rev.add_row(id32(hrel), id32(hrow), body_rels, body);
+                rev.add_row(hrel, hrow, body_rels, body);
             }
         }
         rev
@@ -307,13 +309,13 @@ impl Materialization {
         while i < worklist.len() {
             let (drel, drow) = worklist[i];
             i += 1;
-            let mut e = self.rev.chain(drel as usize, drow);
+            let mut e = self.rev.chain(drel, drow);
             while e != NO_EDGE {
                 let RevEdge { hrow, next } = self.rev.edges[e as usize];
                 let h = (self.rev.head_rel(e), hrow);
                 e = next;
                 self.dred_reads += 1;
-                if !self.rels[h.0 as usize].is_live(hrow as usize) {
+                if !self.rels[h.0 as usize].is_live(hrow) {
                     continue;
                 }
                 if let Some(candidates) = candidates.as_deref_mut() {
@@ -354,15 +356,14 @@ impl Materialization {
         let (rule, body) = (just[0], &just[1..]);
         let body_rels = &plans[rule as usize][0].body_rels;
         let h = hrel as usize;
-        let below = |(&brel, &brow): (&usize, &u32)| {
-            !idb_flag[brel] || (brel == h && brow < hrow) || comp[brel] != comp[h]
+        let below = |(&brel, &brow): (&u32, &u32)| {
+            let b = brel as usize;
+            !idb_flag[b] || (brel == hrel && brow < hrow) || comp[b] != comp[h]
         };
-        if prov[h].entry(hrow as usize).1.len() != body.len()
-            || !body_rels.iter().zip(body).all(below)
-        {
+        if prov[h].entry(hrow).1.len() != body.len() || !body_rels.iter().zip(body).all(below) {
             return false;
         }
-        prov[h].replace(hrow as usize, rule, body);
+        prov[h].replace(hrow, rule, body);
         rev.add_row(hrel, hrow, body_rels, body);
         rev.stale += body.len();
         true
@@ -382,9 +383,9 @@ impl Materialization {
         pending: &mut PendingTuples,
         counters: &mut Counters,
     ) -> bool {
-        let tuple = self.rels[crel as usize].row(crow as usize);
+        let tuple = self.rels[crel as usize].row(crow);
         for (rule, plan) in self.rederive.iter().enumerate() {
-            if plan.head_rel != crel as usize || !self.rule_active[rule] {
+            if plan.head_rel != crel || !self.rule_active[rule] {
                 continue;
             }
             scratch.env.resize(plan.num_slots, Const(0));
@@ -397,7 +398,7 @@ impl Materialization {
             if scratch.head != tuple {
                 continue;
             }
-            let ctx = self.join_ctx(rule, Delta::Full, None);
+            let ctx = self.join_ctx(Delta::Full, None);
             if join(plan, &ctx, scratch, pending, counters) {
                 return true;
             }
@@ -445,7 +446,7 @@ mod tests {
         let m = Materialization::new(&p, crate::eval::Strategy::SemiNaive);
         let comp = components(m.rels.len(), &m.plans);
         assert_eq!(comp, m.comp, "the store keeps what the rule graph gives");
-        let c = |n: &str| comp[m.rel_of_pred[&p.symbols.get_predicate(n).unwrap()]];
+        let c = |n: &str| comp[m.rel_of_pred[&p.symbols.get_predicate(n).unwrap()] as usize];
         assert_eq!(c("p"), c("q"));
         assert!(c("e") < c("p") && c("p") < c("r"));
     }

@@ -9,7 +9,7 @@
 //! `eval.par2_speedup`, `materialize.rows_appended_per_round`.
 
 use super::join::{snapshot_range, Counters, Delta, Pass, PendingTuples, Scratch, ShardTask};
-use super::{id32, Materialization};
+use super::Materialization;
 use crate::ast::Pred;
 use crate::eval::{Strategy, OVERSHARD};
 use crate::hash::FxHashMap;
@@ -40,7 +40,7 @@ impl Materialization {
         self.extend_indexes();
         let Staging { scratch, pending, profile } = staging;
         for rule in from..self.plans.len() {
-            let mut live = |p: Pred| self.rels[self.rel_of_pred[&p]].num_live() as u64;
+            let mut live = |p: Pred| self.rels[self.rel_of_pred[&p] as usize].num_live() as u64;
             let plan = match seed_atom(&self.rules[rule], &mut live) {
                 None => 0,
                 Some(k) if live(self.rules[rule].body[k].pred) == 0 => continue,
@@ -119,6 +119,7 @@ impl Materialization {
                 continue;
             }
             for (k, &rel) in plans[0].body_rels.iter().enumerate() {
+                let rel = rel as usize;
                 if self.rels[rel].num_rows() > self.old_hi[rel] {
                     items.push(Pass { rule, plan: k, delta: Delta::Atom(k) });
                 }
@@ -236,7 +237,7 @@ impl Materialization {
                 for (&rid, &hash) in pending.rels.iter().zip(&pending.hash) {
                     let rel = &mut rels[rid as usize];
                     let ar = rel.arity();
-                    if rel.insert_hashed(&pending.data[off..off + ar], hash) {
+                    if rel.insert_hashed(&pending.data[off..off + ar], hash).is_some() {
                         appended += 1;
                     }
                     off += ar;
@@ -250,10 +251,9 @@ impl Materialization {
                     let rule = pending.just[joff];
                     let body_rels = &plans[rule as usize][0].body_rels;
                     let blen = body_rels.len();
-                    if rel.insert_hashed(&pending.data[off..off + ar], hash) {
+                    if let Some(row) = rel.insert_hashed(&pending.data[off..off + ar], hash) {
                         appended += 1;
                         let body = &pending.just[joff + 1..joff + 1 + blen];
-                        let row = id32(rel.num_rows() - 1);
                         prov[rid as usize].push(rule, body);
                         rev.add_row(rid, row, body_rels, body);
                     }

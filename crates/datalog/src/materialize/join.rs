@@ -6,7 +6,7 @@
 //! reads the store, so the passes of a round run concurrently.
 //! `BENCHMARK.json`: `eval.join_probes.*`, `plan.tc_hits`, `plan.tc_rows`.
 
-use super::{id32, Materialization};
+use super::Materialization;
 use crate::ast::Const;
 use crate::plan::{Action, KeyOp, Out, RulePlan, Step, NO_INDEX};
 use crate::storage::{ColumnarRelation, IncrementalIndex, NO_ROW};
@@ -247,24 +247,18 @@ impl Materialization {
         pending: &mut PendingTuples,
         counters: &mut Counters,
     ) {
-        let ctx = self.join_ctx(pass.rule, pass.delta, shard0);
+        let ctx = self.join_ctx(pass.delta, shard0);
         join(&self.plans[pass.rule][pass.plan], &ctx, scratch, pending, counters);
     }
 
-    /// The engine state one pass of rule slot `rule` reads.
-    pub(super) fn join_ctx(
-        &self,
-        rule: usize,
-        delta: Delta,
-        shard0: Option<(usize, usize)>,
-    ) -> JoinCtx<'_> {
+    /// The engine state one pass reads.
+    pub(super) fn join_ctx(&self, delta: Delta, shard0: Option<(usize, usize)>) -> JoinCtx<'_> {
         JoinCtx {
             rels: &self.rels,
             idxs: &self.idxs,
             old_hi: &self.old_hi,
             delta,
             shard0,
-            rule,
             record: self.prov.is_some(),
         }
     }
@@ -302,8 +296,6 @@ pub(super) struct JoinCtx<'a> {
     /// Row-range restriction of the **first** join step (one shard of
     /// the parallel engine's depth-0 partition; `None` sequentially).
     shard0: Option<(usize, usize)>,
-    /// The rule slot being evaluated (recorded in justifications).
-    rule: usize,
     /// Whether to stage justifications alongside derived tuples.
     record: bool,
 }
@@ -388,18 +380,18 @@ fn stage_head(
         let Some(slot) = scratch.staged.vacancy(&scratch.head, hash, &pending.data) else {
             return;
         };
-        if ctx.rels[plan.head_rel].contains_hashed(&scratch.head, hash) {
+        if ctx.rels[plan.head_rel as usize].contains_hashed(&scratch.head, hash) {
             return;
         }
         scratch.staged.claim(slot, hash, pending.data.len());
     }
     pending.data.extend_from_slice(&scratch.head);
-    pending.rels.push(id32(plan.head_rel));
+    pending.rels.push(plan.head_rel);
     pending.hash.push(hash);
     if ctx.record {
         // The justification, packed: this rule, then the row matched
         // for each body atom in rule-text order.
-        pending.just.push(id32(ctx.rule));
+        pending.just.push(plan.rule);
         for &d in plan.step_of_body.iter() {
             pending.just.push(scratch.rows[d]);
         }
@@ -431,7 +423,7 @@ fn descend(
     // counts stay identical at every thread and shard count.
     if depth == plan.head_ready_depth {
         build_head(plan, scratch);
-        if ctx.rels[plan.head_rel].contains(&scratch.head) {
+        if ctx.rels[plan.head_rel as usize].contains(&scratch.head) {
             return false;
         }
     }
@@ -453,7 +445,7 @@ fn descend(
         // descending id order, so scan the range directly — no index
         // traversal, and (for a sharded first step) no walking through
         // other shards' rows to reach this shard's.
-        return (lo..hi)
+        return rel.row_ids(lo..hi)
             .rev()
             .any(|r| match_row(plan, step, rel, r, depth, ctx, scratch, pending, counters));
     }
@@ -462,8 +454,8 @@ fn descend(
         // A full-key step: the dedup table holds the key's one live row,
         // if any (rows staged since the range was taken are not in it).
         fill_key(step, scratch);
-        let r = rel.find_row(&scratch.key) as usize;
-        return (lo..hi).contains(&r)
+        let r = rel.find_row(&scratch.key);
+        return (lo..hi).contains(&(r as usize))
             && match_row(plan, step, rel, r, depth, ctx, scratch, pending, counters);
     }
 
@@ -481,7 +473,7 @@ fn descend(
         if row == NO_ROW {
             return false;
         }
-        if match_row(plan, step, rel, row as usize, depth, ctx, scratch, pending, counters) {
+        if match_row(plan, step, rel, row, depth, ctx, scratch, pending, counters) {
             return true;
         }
     }
@@ -511,7 +503,7 @@ fn match_row(
     plan: &RulePlan,
     step: &Step,
     rel: &ColumnarRelation,
-    r: usize,
+    r: u32,
     depth: usize,
     ctx: &JoinCtx<'_>,
     scratch: &mut Scratch,
@@ -533,7 +525,7 @@ fn match_row(
     }
     // Derivation coordinate for provenance staging (one word; cheaper
     // than branching on the recording flag here).
-    scratch.rows[depth] = r as u32;
+    scratch.rows[depth] = r;
     descend(plan, depth + 1, ctx, scratch, pending, counters)
 }
 
@@ -576,13 +568,13 @@ fn tc_kernel(
     };
 
     counters.pre += 1;
-    for r in (lo0..hi0).rev() {
+    for r in rel0.row_ids(lo0..hi0).rev() {
         if !rel0.is_live(r) {
             continue;
         }
         scratch.env[aslot] = rel0.value(r, apos);
         scratch.env[bslot] = rel0.value(r, bpos);
-        scratch.rows[0] = r as u32;
+        scratch.rows[0] = r;
         counters.post += 1;
         // `tc_shape` guarantees a single-column key: raw-value probe,
         // no key buffer.
@@ -592,10 +584,9 @@ fn tc_kernel(
             if row == NO_ROW {
                 break;
             }
-            let rr = row as usize;
-            if rel1.is_live(rr) {
-                scratch.env[cslot] = rel1.value(rr, cpos);
-                scratch.rows[1] = rr as u32;
+            if rel1.is_live(row) {
+                scratch.env[cslot] = rel1.value(row, cpos);
+                scratch.rows[1] = row;
                 counters.tc_rows += 1;
                 stage_head(plan, ctx, scratch, pending);
             }

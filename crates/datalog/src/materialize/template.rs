@@ -39,7 +39,7 @@
 //! ids the pass does not move.
 
 use super::fixpoint::Staging;
-use super::{id32, Materialization, RelJust};
+use super::{Materialization, RelJust};
 use crate::ast::{Atom, Const, Pred, Program, Rule, Symbols};
 use crate::db::{Database, Relation};
 use crate::eval::{self, Strategy};
@@ -52,7 +52,7 @@ use crate::storage::{ColumnarRelation, IncrementalIndex, NO_ROW};
 #[derive(Clone, Debug, Default)]
 pub(crate) struct ExtLinks {
     /// `(template rel id, base rel id)` per external relation.
-    rels: Vec<(usize, usize)>,
+    rels: Vec<(u32, u32)>,
     /// `(template idx slot, base idx slot, template rel id, base rel id)`
     /// per shared index over an external relation.
     idxs: Vec<(usize, usize, usize, usize)>,
@@ -119,7 +119,7 @@ impl Materialization {
     /// half of [`Materialization::link_external`], and how the cache
     /// gets the index it reads a view through.
     pub(crate) fn ensure_index(&mut self, pred: Pred, mask: Vec<usize>) -> usize {
-        let rel = self.rel_of_pred[&pred];
+        let rel = self.rel_of_pred[&pred] as usize;
         let idxs = &mut self.idxs;
         let id = *self.idx_of.entry((rel, mask.clone())).or_insert_with(|| {
             idxs.push(IncrementalIndex::new(rel, mask));
@@ -143,26 +143,27 @@ impl Materialization {
         let mut links = ExtLinks::default();
         let mut ext = vec![false; self.rels.len()];
         let mut base_of_rel = vec![usize::MAX; self.rels.len()];
-        for vr in 0..self.rels.len() {
-            if self.idb_flag[vr] {
+        for (vr, &pred) in (0u32..).zip(&self.pred_of_rel) {
+            let v = vr as usize;
+            if self.idb_flag[v] {
                 continue;
             }
-            let pred = self.pred_of_rel[vr];
             let Some(&br) = base.rel_of_pred.get(&pred) else {
                 continue;
             };
-            if base.idb_flag[br] {
+            let b = br as usize;
+            if base.idb_flag[b] {
                 return Err(
                     "view treats a base IDB predicate as external EDB (program mismatch)"
                         .to_owned(),
                 );
             }
-            if self.rels[vr].arity() != base.rels[br].arity() {
+            if self.rels[v].arity() != base.rels[b].arity() {
                 return Err("view/base arity mismatch on shared relation".to_owned());
             }
-            ext[vr] = true;
-            base_of_rel[vr] = br;
-            self.old_hi[vr] = base.rels[br].num_rows();
+            ext[v] = true;
+            base_of_rel[v] = b;
+            self.old_hi[v] = base.rels[b].num_rows();
             links.rels.push((vr, br));
         }
         for vi in 0..self.idxs.len() {
@@ -199,7 +200,7 @@ impl Materialization {
         self.rev = self.build_rev_index();
         self.old_hi.fill(0);
         for &(vr, br) in &links.rels {
-            self.old_hi[vr] = base.rels[br].num_rows();
+            self.old_hi[vr as usize] = base.rels[br as usize].num_rows();
         }
     }
 
@@ -208,7 +209,7 @@ impl Materialization {
     /// the operation is an involution.
     fn swap_external(&mut self, base: &mut Materialization, links: &ExtLinks) {
         for &(vr, br) in &links.rels {
-            std::mem::swap(&mut self.rels[vr], &mut base.rels[br]);
+            std::mem::swap(&mut self.rels[vr as usize], &mut base.rels[br as usize]);
         }
         for &(vi, bi, vr, br) in &links.idxs {
             std::mem::swap(&mut self.idxs[vi], &mut base.idxs[bi]);
@@ -257,15 +258,15 @@ impl Materialization {
         self.swap_external(base, links);
         if let Some((pred, row)) = seed {
             let rid = self.rel_of_pred[&pred];
-            self.rels[rid].insert(row);
+            self.rels[rid as usize].insert(row);
         }
         // Dead already, in the base's numbering.
         let retracted = if last_round { &base.last_retracted[..] } else { &[] };
         let worklist = retracted
             .iter()
             .filter_map(|&(br, row)| {
-                let &(vr, _) = links.rels.iter().find(|&&(_, b)| b == br as usize)?;
-                Some((id32(vr), row))
+                let &(vr, _) = links.rels.iter().find(|&&(_, b)| b == br)?;
+                Some((vr, row))
             })
             .collect();
         let mut candidates: Vec<(u32, u32)> = Vec::new();
@@ -298,9 +299,9 @@ impl Materialization {
     ) {
         let index = &self.idxs[idx];
         let rel = &self.rels[index.rel()];
-        let killed = killed.iter().filter(|k| k.0 as usize == index.rel()).map(|k| k.1 as usize);
+        let killed = killed.iter().filter(|k| k.0 as usize == index.rel()).map(|k| k.1);
         let mut key = Vec::with_capacity(index.mask().len());
-        for row in (from..rel.num_rows()).chain(killed) {
+        for row in rel.row_ids(from..).chain(killed) {
             key.clear();
             key.extend(index.mask().iter().map(|&col| rel.value(row, col)));
             f(&key);
@@ -314,9 +315,9 @@ impl Materialization {
     /// a saved row's stale edges lead to rows of the same tag.
     pub(crate) fn drop_tag(&mut self, seed_pred: Pred, seed: &[Const]) {
         let rid = self.rel_of_pred[&seed_pred];
-        let row = self.rels[rid].find_row(seed);
-        if row != NO_ROW && self.rels[rid].tombstone(row as usize) {
-            self.over_delete(vec![(id32(rid), row)], None);
+        let row = self.rels[rid as usize].find_row(seed);
+        if row != NO_ROW && self.rels[rid as usize].tombstone(row as usize) {
+            self.over_delete(vec![(rid, row)], None);
         }
     }
 
@@ -349,7 +350,6 @@ impl Materialization {
             if r == NO_ROW {
                 return None;
             }
-            let r = r as usize;
             let visible = match pin {
                 Some((_, epoch)) => rel.visible_at(r, epoch),
                 None => rel.is_live(r),

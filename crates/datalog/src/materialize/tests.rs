@@ -550,7 +550,7 @@ fn saved_through_a_newer_row() -> (Program, Materialization, Database, Const) {
 fn a_row_saved_through_a_newer_row_of_a_lower_component_keeps_its_id() {
     let (p, mut m, _, a) = saved_through_a_newer_row();
     let [h, e] = ["h", "e"].map(|n| p.symbols.get_predicate(n).unwrap());
-    let hrel = m.rel_of_pred[&h];
+    let hrel = m.rel_of_pred[&h] as usize;
     assert!(m.rels[hrel].is_live(0), "h(a) keeps its row id");
     assert_eq!(m.rels[hrel].num_rows(), 1, "and nothing is appended");
     let mut restored = Materialization::from_bytes(&m.to_bytes()).unwrap();
@@ -1326,8 +1326,8 @@ fn a_one_shot_store_builds_through_the_plans_a_recording_store_does() {
     expected.sort();
     expected.dedup();
     assert_eq!(registry(&recording), expected);
-    assert_eq!(registry_beyond(&recording, &one_shot), [(recording.rel_of_pred[&b2], vec![1])]);
-    assert!(registry(&one_shot).contains(&(one_shot.rel_of_pred[&b1], vec![1])));
+    assert_eq!(registry_beyond(&recording, &one_shot), [(recording.rel_of_pred[&b2] as usize, vec![1])]);
+    assert!(registry(&one_shot).contains(&(one_shot.rel_of_pred[&b1] as usize, vec![1])));
     assert_eq!(recording.stats(), one_shot.stats(), "the same plans ran");
     assert_eq!(recording.idb_database().sorted_models(), one_shot.idb_database().sorted_models());
 }
@@ -1349,7 +1349,7 @@ fn a_store_registers_its_rescue_index_at_construction() {
     }
     let one_shot = Materialization::batch(&p, &db, Strategy::SemiNaive, false, OrderMode::Planned).0;
     let mut m = Materialization::from_database(&p, &db, Strategy::SemiNaive);
-    assert_eq!(registry_beyond(&m, &one_shot), [(m.rel_of_pred[&par], vec![1])]);
+    assert_eq!(registry_beyond(&m, &one_shot), [(m.rel_of_pred[&par] as usize, vec![1])]);
     let (keys, before) = (registry(&m), m.planner_report().index_rows);
     assert_eq!(m.retract_facts(par, &edges[15..]), 1);
     assert_eq!(registry(&m), keys);
@@ -1373,7 +1373,7 @@ fn a_restored_store_registers_what_the_live_one_had() {
     assert_eq!(m.retract_facts(par, &edges[7..]), 1);
     let restored = Materialization::from_bytes(&m.to_bytes()).unwrap();
     assert_eq!(registry(&restored), registry(&m));
-    assert!(registry(&restored).contains(&(restored.rel_of_pred[&par], vec![1])));
+    assert!(registry(&restored).contains(&(restored.rel_of_pred[&par] as usize, vec![1])));
 }
 
 /// A round that adds a rule deriving a tuple it also over-deletes:

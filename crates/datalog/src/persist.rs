@@ -34,6 +34,8 @@
 //! the relations — rows, tombstones and justifications — specified
 //! where they are written and parsed:
 //! [`Materialization::to_bytes`](crate::materialize::Materialization::to_bytes).
+//! A relation's row count is at most [`crate::storage::MAX_ROWS`], the
+//! ceiling a relation's append enforces; a larger one is corrupt.
 //! This module is the container around them: the framing above, the
 //! `Enc`/`Dec` primitives, and the atomic write.
 

@@ -170,14 +170,16 @@ pub(crate) struct Step {
 /// A rule compiled to a flat join plan, steps in **planner order**.
 #[derive(Clone, Debug)]
 pub(crate) struct RulePlan {
-    pub(crate) head_rel: usize,
+    /// The rule slot this plan belongs to (recorded in justifications).
+    pub(crate) rule: u32,
+    pub(crate) head_rel: u32,
     pub(crate) head: Box<[Out]>,
     pub(crate) steps: Box<[Step]>,
     pub(crate) num_slots: usize,
     /// Dense relation id of each **original** body atom — the decode
     /// order of recorded justifications, invariant under reordering, so
     /// the same in every plan of a rule.
-    pub(crate) body_rels: Box<[usize]>,
+    pub(crate) body_rels: Box<[u32]>,
     /// `step_of_body[k]` = the step depth that runs original body atom
     /// `k`. Staging permutes the per-depth matched rows through this
     /// map so justifications are always recorded in rule-text order.
@@ -297,9 +299,9 @@ fn rederive_order(rule: &Rule, idbs: &[Pred], card: &mut dyn FnMut(Pred) -> u64)
 /// finalizer first: the first draw's low bit — the whole choice for a
 /// two-atom tail — would otherwise read one bit of the seed, and every
 /// seed below 128 would give the same order.
-fn shuffle(atoms: &mut [usize], seed: u64, rule_idx: usize, salt: usize) {
+fn shuffle(atoms: &mut [usize], seed: u64, rule_idx: u32, salt: usize) {
     let mut s = seed
-        ^ (rule_idx as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        ^ (u64::from(rule_idx) + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
         ^ (salt as u64).wrapping_mul(0xD1B5_4A32_D192_ED03);
     s = (s ^ (s >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     s = (s ^ (s >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -320,7 +322,7 @@ fn shuffle(atoms: &mut [usize], seed: u64, rule_idx: usize, salt: usize) {
 /// from `(seed, rule_idx, purpose)`.
 fn body_order(
     rule: &Rule,
-    rule_idx: usize,
+    rule_idx: u32,
     purpose: Purpose,
     mode: OrderMode,
     card: &mut dyn FnMut(Pred) -> u64,
@@ -491,7 +493,8 @@ fn tc_shape(head: &[Out], steps: &[Step]) -> bool {
 /// counter, which the test suites pin on fixed inputs.
 fn compile_rule(
     rule: &Rule,
-    rel_of_pred: &FxHashMap<Pred, usize>,
+    rule_idx: u32,
+    rel_of_pred: &FxHashMap<Pred, u32>,
     idxs: &mut Vec<IncrementalIndex>,
     idx_of: &mut FxHashMap<(usize, Vec<usize>), usize>,
     order: &[usize],
@@ -511,7 +514,7 @@ fn compile_rule(
     for (d, &ai) in order.iter().enumerate() {
         let atom = &rule.body[ai];
         step_of_body[ai] = d;
-        let rel = rel_of_pred[&atom.pred];
+        let rel = rel_of_pred[&atom.pred] as usize;
         steps.push(compile_step(atom, rel, &mut slots, &mut bound_slots, head_input, idxs, idx_of));
     }
     let head: Box<[Out]> = rule
@@ -523,10 +526,11 @@ fn compile_rule(
             Term::Var(v) => Out::Slot(*slots.get(v).expect("safe rule binds head slots")),
         })
         .collect();
-    let body_rels: Box<[usize]> = rule.body.iter().map(|a| rel_of_pred[&a.pred]).collect();
+    let body_rels: Box<[u32]> = rule.body.iter().map(|a| rel_of_pred[&a.pred]).collect();
     let hrd = if head_input { steps.len() } else { head_ready_depth(&head, &steps) };
     let tc = !head_input && tc_shape(&head, &steps);
     RulePlan {
+        rule: rule_idx,
         head_rel: rel_of_pred[&rule.head.pred],
         head,
         steps: steps.into_boxed_slice(),
@@ -560,8 +564,8 @@ fn compile_rule(
 pub(crate) fn plan_rule(
     rule: &Rule,
     order_by: &Rule,
-    rule_idx: usize,
-    rel_of_pred: &FxHashMap<Pred, usize>,
+    rule_idx: u32,
+    rel_of_pred: &FxHashMap<Pred, u32>,
     idxs: &mut Vec<IncrementalIndex>,
     idx_of: &mut FxHashMap<(usize, Vec<usize>), usize>,
     mode: OrderMode,
@@ -570,7 +574,7 @@ pub(crate) fn plan_rule(
     (0..rule.body.len().max(1))
         .map(|k| {
             let order = body_order(order_by, rule_idx, Purpose::Lead(k), mode, card);
-            compile_rule(rule, rel_of_pred, idxs, idx_of, &order, false)
+            compile_rule(rule, rule_idx, rel_of_pred, idxs, idx_of, &order, false)
         })
         .collect()
 }
@@ -594,16 +598,16 @@ pub(crate) fn seed_atom(rule: &Rule, rows: &mut dyn FnMut(Pred) -> u64) -> Optio
 pub(crate) fn plan_rescue(
     rule: &Rule,
     order_by: &Rule,
-    rule_idx: usize,
+    rule_idx: u32,
     idbs: &[Pred],
-    rel_of_pred: &FxHashMap<Pred, usize>,
+    rel_of_pred: &FxHashMap<Pred, u32>,
     idxs: &mut Vec<IncrementalIndex>,
     idx_of: &mut FxHashMap<(usize, Vec<usize>), usize>,
     mode: OrderMode,
     card: &mut dyn FnMut(Pred) -> u64,
 ) -> RulePlan {
     let order = body_order(order_by, rule_idx, Purpose::Rescue(idbs), mode, card);
-    compile_rule(rule, rel_of_pred, idxs, idx_of, &order, true)
+    compile_rule(rule, rule_idx, rel_of_pred, idxs, idx_of, &order, true)
 }
 
 #[cfg(test)]
@@ -617,10 +621,10 @@ mod tests {
     }
 
     /// Dense relation ids for every predicate appearing in the program.
-    fn rel_table(p: &crate::ast::Program) -> FxHashMap<Pred, usize> {
-        let mut rel_of: FxHashMap<Pred, usize> = FxHashMap::default();
-        let intern = |pr: Pred, rel_of: &mut FxHashMap<Pred, usize>| {
-            let next = rel_of.len();
+    fn rel_table(p: &crate::ast::Program) -> FxHashMap<Pred, u32> {
+        let mut rel_of: FxHashMap<Pred, u32> = FxHashMap::default();
+        let intern = |pr: Pred, rel_of: &mut FxHashMap<Pred, u32>| {
+            let next = u32::try_from(rel_of.len()).unwrap();
             rel_of.entry(pr).or_insert(next);
         };
         for r in &p.rules {
@@ -662,7 +666,8 @@ mod tests {
         let mut idx_of = FxHashMap::default();
         let mut card = |pr: Pred| if idbs.contains(&pr) { 0 } else { 1000 };
         let r = &p.rules[rule];
-        let plans = plan_rule(r, r, rule, &rel_of, &mut idxs, &mut idx_of, mode, &mut card);
+        let id = u32::try_from(rule).unwrap();
+        let plans = plan_rule(r, r, id, &rel_of, &mut idxs, &mut idx_of, mode, &mut card);
         let registered = idxs.iter().map(|i| (i.rel(), i.mask().to_vec())).collect();
         (p, plans, registered)
     }
@@ -698,7 +703,7 @@ mod tests {
         assert_eq!(orders, [&[0, 1, 2][..], &[1, 0, 2], &[2, 1, 0]]);
         // The b2-led plan is the one that needs p indexed on column 1.
         let rel_of = rel_table(&p);
-        let p_rel = rel_of[&p.rules[1].head.pred];
+        let p_rel = rel_of[&p.rules[1].head.pred] as usize;
         assert!(registered.contains(&(p_rel, vec![1])), "{registered:?}");
         assert!(registered.contains(&(p_rel, vec![0])), "{registered:?}");
     }
@@ -855,7 +860,7 @@ mod tests {
         seen.sort_unstable();
         assert_eq!(seen, vec![0, 1, 2]);
         for (k, &d) in plan.step_of_body.iter().enumerate() {
-            assert_eq!(plan.steps[d].rel, plan.body_rels[k]);
+            assert_eq!(plan.steps[d].rel, plan.body_rels[k] as usize);
         }
     }
 }

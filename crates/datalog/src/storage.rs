@@ -54,19 +54,59 @@
 //!
 //! The [`Posting`] cursor hides the layouts, so the join machinery never
 //! sees where a row is stored.
+//!
+//! # Row ids
+//!
+//! A row id is a `u32` from the moment the append behind
+//! [`ColumnarRelation::insert`] makes it, and a relation holds at most
+//! [`MAX_ROWS`] rows: the one ceiling, checked by that append before it
+//! writes and by the snapshot decoder. Everything else only widens an id
+//! to index a slice, and walks a row range by `ColumnarRelation::row_ids`.
+//! The ceiling is `2^31 - 1` because an index tags a key's one inline row
+//! with the top bit (`INLINE | row`); below it, every sentinel lies
+//! outside the id range (asserted at compile time).
 
 use crate::ast::Const;
 use crate::hash::{hash_ids, FxHashMap};
-use std::ops::Range;
+use std::ops::Bound::{Excluded, Included, Unbounded};
+use std::ops::{Range, RangeBounds};
 
 /// Sentinel row id: "no row" / end of an index chain.
 pub const NO_ROW: u32 = u32::MAX;
 
+/// The most rows a relation holds (module docs, "Row ids").
+pub const MAX_ROWS: usize = (1 << 31) - 1;
+
 /// Dedup-table sentinel for a slot whose row was tombstoned. Probes
 /// continue past it (the slot may sit mid-chain); inserts may reuse it.
-/// Never a valid row id ([`ColumnarRelation::insert`] asserts ids stay
-/// below it).
 const TOMB_SLOT: u32 = u32::MAX - 1;
+
+/// Sentinel key-record id: "no key" in an index's key table.
+const NO_KEY: u32 = u32::MAX;
+
+/// Tag bit of a key-table slot that holds its key's one row inline
+/// (`INLINE | row`) rather than a key-record id.
+const INLINE: u32 = 1 << 31;
+
+// No row id is a sentinel or carries the tag, and no inline slot is
+// `NO_KEY`: one ceiling serves all four sentinels.
+const _: () = assert!(NO_ROW as usize >= MAX_ROWS && TOMB_SLOT as usize >= MAX_ROWS);
+const _: () = assert!(INLINE as usize >= MAX_ROWS && (INLINE | (MAX_ROWS as u32 - 1)) < NO_KEY);
+
+/// The id of the row a relation of `rows` rows appends next: the one
+/// check of the ceiling, which panics at [`MAX_ROWS`] rows.
+fn next_row_id(rows: usize) -> u32 {
+    assert!(rows < MAX_ROWS, "a relation holds at most {MAX_ROWS} rows");
+    id(rows)
+}
+
+/// A row id, key-record id or pool offset as storage holds it. Each is
+/// at most a relation's row count, which [`next_row_id`] bounded.
+#[inline]
+fn id(n: usize) -> u32 {
+    debug_assert!(n <= MAX_ROWS, "row-id ceiling");
+    n as u32
+}
 
 /// Partitions the row range `[lo, hi)` into `shards` contiguous
 /// subranges for the parallel evaluator, returned **top-down**: the
@@ -214,14 +254,24 @@ impl ColumnarRelation {
 
     /// Row `r` as a slice.
     #[inline]
-    pub fn row(&self, r: usize) -> &[Const] {
-        &self.data[r * self.arity..r * self.arity + self.arity]
+    pub fn row(&self, r: u32) -> &[Const] {
+        let lo = r as usize * self.arity;
+        &self.data[lo..lo + self.arity]
     }
 
     /// The value at row `r`, column `col`.
     #[inline]
-    pub fn value(&self, r: usize, col: usize) -> Const {
-        self.data[r * self.arity + col]
+    pub fn value(&self, r: u32, col: usize) -> Const {
+        self.data[r as usize * self.arity + col]
+    }
+
+    /// The ids of the rows in `range`, clipped to the relation (`..` for
+    /// every row): how the crate walks a row range by id.
+    #[inline]
+    pub(crate) fn row_ids(&self, range: impl RangeBounds<usize>) -> Range<u32> {
+        let lo = match range.start_bound() { Included(&n) => n, Excluded(&n) => n + 1, Unbounded => 0 };
+        let hi = match range.end_bound() { Included(&n) => n + 1, Excluded(&n) => n, Unbounded => self.rows };
+        id(lo.min(self.rows))..id(hi.min(self.rows))
     }
 
     /// Number of live (non-tombstoned) rows.
@@ -234,8 +284,8 @@ impl ColumnarRelation {
     /// when the relation has never been tombstoned (the bitset is empty,
     /// and rows appended after a tombstone may also lie past its end).
     #[inline]
-    pub fn is_live(&self, r: usize) -> bool {
-        match self.dead.get(r >> 6) {
+    pub fn is_live(&self, r: u32) -> bool {
+        match self.dead.get(r as usize >> 6) {
             None => true,
             Some(w) => (w >> (r & 63)) & 1 == 0,
         }
@@ -243,7 +293,7 @@ impl ColumnarRelation {
 
     /// Iterates over the **live** rows in insertion order.
     pub fn rows_iter(&self) -> impl Iterator<Item = &[Const]> {
-        (0..self.rows)
+        self.row_ids(..)
             .filter(move |&r| self.is_live(r))
             .map(move |r| self.row(r))
     }
@@ -262,8 +312,8 @@ impl ColumnarRelation {
     /// died). Rows at ids `>= frontier` of the reader's pinned snapshot
     /// must be excluded by the caller — this checks liveness only.
     #[inline]
-    pub fn visible_at(&self, r: usize, epoch: u64) -> bool {
-        self.is_live(r) || self.tomb_at.get(&(r as u32)).is_some_and(|&te| te > epoch)
+    pub fn visible_at(&self, r: u32, epoch: u64) -> bool {
+        self.is_live(r) || self.tomb_at.get(&r).is_some_and(|&te| te > epoch)
     }
 
     /// Iterates the rows of the pinned snapshot `(frontier, epoch)`:
@@ -271,7 +321,7 @@ impl ColumnarRelation {
     /// snapshot was pinned) that are visible at `epoch`, in insertion
     /// order.
     pub fn rows_iter_at(&self, frontier: usize, epoch: u64) -> impl Iterator<Item = &[Const]> {
-        (0..frontier.min(self.rows))
+        self.row_ids(..frontier)
             .filter(move |&r| self.visible_at(r, epoch))
             .map(move |r| self.row(r))
     }
@@ -289,10 +339,6 @@ impl ColumnarRelation {
         &self.tomb_at
     }
 
-    fn hash_row_slice(row: &[Const]) -> u64 {
-        hash_ids(row.iter().map(|c| c.0))
-    }
-
     /// The dedup hash of a tuple — the one [`ColumnarRelation::insert`]
     /// probes with. Callers that test membership first and insert later
     /// compute it **once** and pass it to the `_hashed` variants,
@@ -300,7 +346,7 @@ impl ColumnarRelation {
     /// path.
     #[inline]
     pub(crate) fn hash_row(row: &[Const]) -> u64 {
-        Self::hash_row_slice(row)
+        hash_ids(row.iter().map(|c| c.0))
     }
 
     /// Membership test (O(1) expected).
@@ -319,7 +365,7 @@ impl ColumnarRelation {
     /// Row ids are dense and stable: the provenance subsystem uses them
     /// as node identities of the justification DAG.
     pub fn find_row(&self, row: &[Const]) -> u32 {
-        self.find_row_hashed(row, Self::hash_row_slice(row))
+        self.find_row_hashed(row, Self::hash_row(row))
     }
 
     fn find_row_hashed(&self, row: &[Const], hash: u64) -> u32 {
@@ -339,7 +385,7 @@ impl ColumnarRelation {
             if s == NO_ROW {
                 return NO_ROW;
             }
-            if s != TOMB_SLOT && self.row(s as usize) == row {
+            if s != TOMB_SLOT && self.row(s) == row {
                 return s;
             }
             i = (i + 1) & mask;
@@ -354,11 +400,7 @@ impl ColumnarRelation {
         self.ensure_slots();
         let want = self.rows + additional;
         if (want + 1) * 2 > self.slots.len() {
-            let mut cap = self.slots.len().max(8);
-            while (want + 1) * 2 > cap {
-                cap *= 2;
-            }
-            self.grow_to(cap);
+            self.grow_to(table_cap(want + 1));
         }
     }
 
@@ -366,17 +408,24 @@ impl ColumnarRelation {
     /// whether it was new. Row ids are dense and assigned in insertion
     /// order; re-inserting a tombstoned tuple appends a fresh row id
     /// (the dead row stays dead).
+    ///
+    /// # Panics
+    ///
+    /// If the tuple's arity is not the relation's, or if the row would be
+    /// past the ceiling: a relation holds at most [`MAX_ROWS`] rows, and
+    /// the append refuses the next one before it writes anything.
     pub fn insert(&mut self, row: &[Const]) -> bool {
-        self.insert_hashed(row, Self::hash_row_slice(row))
+        self.insert_hashed(row, Self::hash_row(row)).is_some()
     }
 
     /// [`ColumnarRelation::insert`] with a memoized
-    /// [`ColumnarRelation::hash_row`] hash.
-    pub(crate) fn insert_hashed(&mut self, row: &[Const], hash: u64) -> bool {
+    /// [`ColumnarRelation::hash_row`] hash: the append, which returns the
+    /// new row's id (`None` if the tuple is present).
+    pub(crate) fn insert_hashed(&mut self, row: &[Const], hash: u64) -> Option<u32> {
         assert_eq!(row.len(), self.arity, "tuple arity mismatch");
         self.ensure_slots();
         if (self.rows + 1) * 2 > self.slots.len() {
-            self.grow();
+            self.grow_to((self.slots.len() * 2).max(8));
         }
         let mask = self.slots.len() - 1;
         let mut i = (hash as usize) & mask;
@@ -385,17 +434,16 @@ impl ColumnarRelation {
         loop {
             let s = self.slots[i];
             if s == NO_ROW {
-                let id = u32::try_from(self.rows).expect("relation row-id overflow");
-                assert!(id < TOMB_SLOT, "relation row-id overflow");
+                let id = next_row_id(self.rows);
                 self.slots[reuse.unwrap_or(i)] = id;
                 self.data.extend_from_slice(row);
                 self.rows += 1;
-                return true;
+                return Some(id);
             }
             if s == TOMB_SLOT {
                 reuse.get_or_insert(i);
-            } else if self.row(s as usize) == row {
-                return false;
+            } else if self.row(s) == row {
+                return None;
             }
             i = (i + 1) & mask;
         }
@@ -407,28 +455,28 @@ impl ColumnarRelation {
     /// addressing it; only [`ColumnarRelation::is_live`] flips.
     pub fn tombstone(&mut self, r: usize) -> bool {
         assert!(r < self.rows, "tombstone of nonexistent row");
+        let r = id(r);
         if !self.is_live(r) {
             return false;
         }
         self.ensure_slots();
-        if self.dead.is_empty() {
-            self.dead = vec![0; self.rows.div_ceil(64)];
-        } else if self.dead.len() < self.rows.div_ceil(64) {
-            self.dead.resize(self.rows.div_ceil(64), 0);
+        let words = self.rows.div_ceil(64);
+        if self.dead.len() < words {
+            self.dead.resize(words, 0);
         }
-        self.dead[r >> 6] |= 1 << (r & 63);
+        self.dead[r as usize >> 6] |= 1 << (r & 63);
         self.dead_rows += 1;
         if self.epoch > 0 {
-            self.tomb_at.insert(r as u32, self.epoch);
+            self.tomb_at.insert(r, self.epoch);
         }
         // Unlink from the dedup table (the slot may sit mid-probe-chain,
         // so it becomes TOMB_SLOT, not NO_ROW).
         let mask = self.slots.len() - 1;
-        let mut i = (Self::hash_row_slice(self.row(r)) as usize) & mask;
+        let mut i = (Self::hash_row(self.row(r)) as usize) & mask;
         loop {
             let s = self.slots[i];
             debug_assert_ne!(s, NO_ROW, "live row must be in the dedup table");
-            if s == r as u32 {
+            if s == r {
                 self.slots[i] = TOMB_SLOT;
                 return true;
             }
@@ -436,23 +484,20 @@ impl ColumnarRelation {
         }
     }
 
-    fn grow(&mut self) {
-        self.grow_to((self.slots.len() * 2).max(8));
-    }
-
+    /// Re-slots every live row into a fresh dedup table of `cap` slots.
     fn grow_to(&mut self, cap: usize) {
         debug_assert!(cap.is_power_of_two());
         self.slots = vec![NO_ROW; cap];
         let mask = cap - 1;
-        for r in 0..self.rows {
+        for r in self.row_ids(..) {
             if !self.is_live(r) {
                 continue; // tombstoned rows stay out of the dedup table
             }
-            let mut i = (Self::hash_row_slice(self.row(r)) as usize) & mask;
+            let mut i = (Self::hash_row(self.row(r)) as usize) & mask;
             while self.slots[i] != NO_ROW {
                 i = (i + 1) & mask;
             }
-            self.slots[i] = r as u32;
+            self.slots[i] = r;
         }
     }
 
@@ -466,22 +511,7 @@ impl ColumnarRelation {
             self.slots = Vec::new();
             return;
         }
-        let mut cap = 8usize;
-        while (self.rows + 1) * 2 > cap {
-            cap *= 2;
-        }
-        self.slots = vec![NO_ROW; cap];
-        let mask = cap - 1;
-        for r in 0..self.rows {
-            if !self.is_live(r) {
-                continue;
-            }
-            let mut i = (Self::hash_row_slice(self.row(r)) as usize) & mask;
-            while self.slots[i] != NO_ROW {
-                i = (i + 1) & mask;
-            }
-            self.slots[i] = r as u32;
-        }
+        self.grow_to(table_cap(self.rows + 1));
     }
 
     /// Number of tombstoned rows.
@@ -504,7 +534,7 @@ impl ColumnarRelation {
         let mut remap = vec![NO_ROW; self.rows];
         let mut data = Vec::with_capacity((self.rows - self.dead_rows) * self.arity.max(1));
         let mut next = 0u32;
-        for (r, slot) in remap.iter_mut().enumerate() {
+        for (r, slot) in self.row_ids(..).zip(&mut remap) {
             if self.is_live(r) {
                 *slot = next;
                 data.extend_from_slice(self.row(r));
@@ -541,6 +571,7 @@ impl ColumnarRelation {
     /// ([`ColumnarRelation::ensure_slots`]) — a restored store that only
     /// serves reads never pays the O(rows) rehash.
     pub(crate) fn from_persist(arity: usize, data: Vec<Const>, rows: usize, dead: Vec<u64>) -> Self {
+        debug_assert!(rows <= MAX_ROWS, "the decoder checks the row ceiling");
         Self {
             data,
             rows,
@@ -562,38 +593,13 @@ impl ColumnarRelation {
     }
 }
 
-/// Sentinel key-record id: "no key" in an index's key table.
-const NO_KEY: u32 = u32::MAX;
-
-/// Tag bit of a key-table slot that holds its key's one row inline
-/// (`INLINE | row`) rather than a key-record id.
-const INLINE: u32 = 1 << 31;
-
-/// The row-id ceiling of an [`IncrementalIndex`]: it covers at most
-/// this many rows, so every row id is below `INLINE - 1` — an inline
-/// slot is never [`NO_KEY`] — and every row id, key-record id and pool
-/// offset, each at most the row count, is untagged and below [`NO_ROW`].
-const MAX_ROWS: usize = (INLINE - 1) as usize;
-
-/// Checks the row-id ceiling for an index over `rows` rows — once per
-/// [`IncrementalIndex::extend`], after which [`id`] is a plain cast.
-fn check_ceiling(rows: usize) {
-    assert!(rows <= MAX_ROWS, "an index covers at most {MAX_ROWS} rows, not {rows}");
-}
-
-/// A row id, key-record id or pool offset as an index stores it. Each is
-/// at most the row count, which [`check_ceiling`] bounded.
-#[inline]
-fn id(n: usize) -> u32 {
-    debug_assert!(n <= MAX_ROWS, "row-id ceiling");
-    n as u32
-}
-
 /// Rows a bulk build samples to size its key table
 /// ([`IncrementalIndex::estimate_keys`]).
 const KEY_SAMPLE: usize = 1024;
 
-/// The key-table size for `keys` keys: a power of two, at most half full.
+/// The size of an open-addressing table — an index's key table, a
+/// relation's dedup table — for `keys` entries: a power of two, at most
+/// half full.
 fn table_cap(keys: usize) -> usize {
     (2 * keys).next_power_of_two().max(8)
 }
@@ -614,12 +620,12 @@ fn hash1(v: u32) -> u64 {
 }
 
 /// The hash of row `r`'s key under `mask`.
-fn key_hash(mask: &[usize], rel: &ColumnarRelation, r: usize) -> u64 {
+fn key_hash(mask: &[usize], rel: &ColumnarRelation, r: u32) -> u64 {
     hash_ids(mask.iter().map(|&p| rel.value(r, p).0))
 }
 
 /// Whether rows `a` and `b` agree on `mask`.
-fn keys_equal(mask: &[usize], rel: &ColumnarRelation, a: usize, b: usize) -> bool {
+fn keys_equal(mask: &[usize], rel: &ColumnarRelation, a: u32, b: u32) -> bool {
     mask.iter().all(|&p| rel.value(a, p) == rel.value(b, p))
 }
 
@@ -641,15 +647,15 @@ fn slot_value(krecs: &[KeyRec], data: &[Const], arity: usize, col: usize, s: u32
 /// A row with the key of occupied slot `s` of a multi-column key table:
 /// the inline row, or the key record's representative.
 #[inline]
-fn slot_row(krecs: &[KeyRec], s: u32) -> usize {
-    (if s & INLINE != 0 { s & !INLINE } else { krecs[s as usize].key }) as usize
+fn slot_row(krecs: &[KeyRec], s: u32) -> u32 {
+    if s & INLINE != 0 { s & !INLINE } else { krecs[s as usize].key }
 }
 
 /// The key of occupied slot `s` as a [`KeyRec::key`] holds it.
 fn slot_key(mask: &[usize], krecs: &[KeyRec], rel: &ColumnarRelation, s: u32) -> u32 {
     match *mask {
         [col] => slot_value(krecs, rel.data(), rel.arity(), col, s),
-        _ => id(slot_row(krecs, s)),
+        _ => slot_row(krecs, s),
     }
 }
 
@@ -673,7 +679,7 @@ fn find1(slots: &[u32], krecs: &[KeyRec], data: &[Const], arity: usize, col: usi
 /// The slot of row `r`'s key in an open-addressing key table, and what
 /// it holds: where the key sits, or the empty slot it would take.
 #[inline]
-fn find(mask: &[usize], slots: &[u32], krecs: &[KeyRec], rel: &ColumnarRelation, r: usize) -> (usize, u32) {
+fn find(mask: &[usize], slots: &[u32], krecs: &[KeyRec], rel: &ColumnarRelation, r: u32) -> (usize, u32) {
     if let [col] = *mask {
         return find1(slots, krecs, rel.data(), rel.arity(), col, rel.value(r, col).0);
     }
@@ -841,22 +847,17 @@ impl IncrementalIndex {
     /// sized from the key count; otherwise the delta is chained row by
     /// row, and outgrown hot chains may be frozen into segments. Probes
     /// are unaffected either way (same rows, same order).
-    ///
-    /// # Panics
-    ///
-    /// If `rel` holds more rows than an index can address (`2^31 - 1`).
     pub fn extend(&mut self, rel: &ColumnarRelation) {
         let upto = rel.num_rows();
         if upto == self.watermark {
             return;
         }
-        check_ceiling(upto);
         if self.watermark == 0 {
             self.build(rel, upto);
             return;
         }
         self.next.resize(upto - self.frozen, NO_ROW);
-        for r in self.watermark..upto {
+        for r in rel.row_ids(self.watermark..upto) {
             if (self.keys + 1) * 2 > self.slots.len() {
                 self.rehash(rel, self.slots.len() * 2);
             }
@@ -887,7 +888,7 @@ impl IncrementalIndex {
                 self.rehash(rel, self.slots.len() * 2);
                 continue;
             }
-            self.count_rows(rel, r..n.min(r + room), &mut rec_of);
+            self.count_rows(rel, rel.row_ids(r..n.min(r + room)), &mut rec_of);
             r = n.min(r + room);
         }
         // `head` is each segment's fill cursor, from its end down.
@@ -898,11 +899,11 @@ impl IncrementalIndex {
             krec.head = end;
         }
         self.pool = vec![0; end as usize];
-        for (r, &k) in rec_of.iter().enumerate() {
+        for (r, &k) in rel.row_ids(..).zip(&rec_of) {
             if k != INLINE {
                 let krec = &mut self.krecs[k as usize];
                 krec.head -= 1;
-                self.pool[krec.head as usize] = id(r);
+                self.pool[krec.head as usize] = r;
             }
         }
         for krec in &mut self.krecs {
@@ -924,21 +925,21 @@ impl IncrementalIndex {
     /// empty until the first key record, so a build whose keys all have
     /// one row never fills it; the first record makes it one `INLINE` per
     /// row of `rel`, written in place from then on.
-    fn count_rows(&mut self, rel: &ColumnarRelation, rows: Range<usize>, rec_of: &mut Vec<u32>) {
+    fn count_rows(&mut self, rel: &ColumnarRelation, rows: Range<u32>, rec_of: &mut Vec<u32>) {
         let Self { mask, slots, keys, krecs, .. } = self;
         let (data, arity) = (rel.data(), rel.arity());
         let col = if let [col] = **mask { Some(col) } else { None };
         let mut new_keys = 0;
         for r in rows {
             let (i, s) = match col {
-                Some(col) => find1(slots, krecs, data, arity, col, data[r * arity + col].0),
+                Some(col) => find1(slots, krecs, data, arity, col, data[r as usize * arity + col].0),
                 None => find(mask, slots, krecs, rel, r),
             };
             if s & INLINE == 0 {
                 krecs[s as usize].seg_len += 1;
-                rec_of[r] = s;
+                rec_of[r as usize] = s;
             } else if s == NO_KEY {
-                slots[i] = INLINE | id(r);
+                slots[i] = INLINE | r;
                 new_keys += 1;
             } else {
                 let k = id(krecs.len());
@@ -949,7 +950,7 @@ impl IncrementalIndex {
                     *rec_of = vec![INLINE; rel.num_rows()];
                 }
                 rec_of[(s & !INLINE) as usize] = k;
-                rec_of[r] = k;
+                rec_of[r as usize] = k;
             }
         }
         *keys += new_keys;
@@ -977,12 +978,12 @@ impl IncrementalIndex {
         let m = seen.len() - 1;
         for j in 0..s {
             let draw = ((hash_ids([id(j)]) >> 32) as usize * stratum) >> 32;
-            let r = j * stratum + draw;
+            let r = id(j * stratum + draw);
             let mut i = (key_hash(&self.mask, rel, r) as usize) & m;
-            while seen[i].0 != NO_ROW && !keys_equal(&self.mask, rel, seen[i].0 as usize, r) {
+            while seen[i].0 != NO_ROW && !keys_equal(&self.mask, rel, seen[i].0, r) {
                 i = (i + 1) & m;
             }
-            seen[i] = (id(r), seen[i].1 + 1);
+            seen[i] = (r, seen[i].1 + 1);
         }
         let (mut d, mut f1, mut f2) = (0, 0, 0);
         for &(_, c) in &seen {
@@ -1004,28 +1005,28 @@ impl IncrementalIndex {
     /// Chains row `r` under its key: a new key goes inline; a key's
     /// second row promotes it, its first row moving to the chain or, if
     /// already below `frozen`, to a one-row segment at the pool's end.
-    fn add_row(&mut self, rel: &ColumnarRelation, r: usize) {
+    fn add_row(&mut self, rel: &ColumnarRelation, r: u32) {
         let (i, s) = find(&self.mask, &self.slots, &self.krecs, rel, r);
         match s {
             NO_KEY => {
-                self.slots[i] = INLINE | id(r);
+                self.slots[i] = INLINE | r;
                 self.keys += 1;
             }
             _ if s & INLINE != 0 => {
                 let r0 = s & !INLINE;
                 if r0 as usize >= self.frozen {
-                    self.next[r - self.frozen] = r0;
-                    self.promote(rel, i, id(r), 0, 0);
+                    self.next[r as usize - self.frozen] = r0;
+                    self.promote(rel, i, r, 0, 0);
                 } else {
-                    self.promote(rel, i, id(r), self.pool.len(), 1);
+                    self.promote(rel, i, r, self.pool.len(), 1);
                     self.pool.push(r0);
                 }
             }
             _ => {
                 // newest-first chaining keeps row ids strictly decreasing
                 let krec = &mut self.krecs[s as usize];
-                self.next[r - self.frozen] = krec.head;
-                krec.head = id(r);
+                self.next[r as usize - self.frozen] = krec.head;
+                krec.head = r;
             }
         }
     }

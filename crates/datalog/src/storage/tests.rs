@@ -195,7 +195,7 @@ fn rows_appended_after_a_tombstone_are_live() {
     rel.tombstone(0);
     for i in 1..200u32 {
         rel.insert(&[c(i)]);
-        assert!(rel.is_live(i as usize), "{i}");
+        assert!(rel.is_live(i), "{i}");
     }
 }
 
@@ -348,8 +348,8 @@ fn from_persist_round_trips_contents_and_liveness() {
         let t = [c(i), c(i * 2)];
         assert_eq!(rebuilt.contains(&t), rel.contains(&t), "{i}");
         assert_eq!(rebuilt.find_row(&t), rel.find_row(&t), "{i}");
-        assert_eq!(rebuilt.is_live(i as usize), rel.is_live(i as usize));
-        assert_eq!(rebuilt.visible_at(i as usize, 3), rel.visible_at(i as usize, 3));
+        assert_eq!(rebuilt.is_live(i), rel.is_live(i));
+        assert_eq!(rebuilt.visible_at(i, 3), rel.visible_at(i, 3));
     }
 }
 
@@ -434,10 +434,10 @@ fn segmented_and_chained_layouts_enumerate_identically() {
         let rows = rel.num_rows();
         for key in &keys {
             for (lo, hi) in [(0, rows), (0, 97), (97, rows), (200, 450), (rows, rows)] {
-                let scan: Vec<u32> = (lo..hi)
+                let scan: Vec<u32> = rel
+                    .row_ids(lo..hi)
                     .rev()
                     .filter(|&r| mask.iter().zip(key).all(|(&p, &k)| rel.value(r, p) == k))
-                    .map(|r| r as u32)
                     .collect();
                 assert_eq!(
                     collect_range(&idx, &rel, key, lo, hi),
@@ -539,23 +539,24 @@ fn footprint_counts_segment_pool() {
     assert!(idx.seg_pool_words() > 0);
 }
 
-/// The row-id ceiling, at its boundary and without 2^31 rows: an index
-/// takes `MAX_ROWS` rows, its last row id still encodes as an inline
-/// slot that is not `NO_KEY`, and every id it stores stays below
-/// `NO_ROW`.
+/// The row ceiling at its boundary, without 2^31 rows: the append's
+/// check gives a relation of `MAX_ROWS - 1` rows its last row id, which
+/// still encodes as an inline slot that is not `NO_KEY`, and stays below
+/// every sentinel.
 #[test]
 fn the_row_id_ceiling_keeps_inline_slots_and_ids_apart_from_the_sentinels() {
-    check_ceiling(MAX_ROWS);
-    let last = id(MAX_ROWS - 1);
+    let last = next_row_id(MAX_ROWS - 1);
+    assert_eq!(last as usize, MAX_ROWS - 1);
     assert_ne!(INLINE | last, NO_KEY);
     assert_eq!((INLINE | last) & !INLINE, last);
-    assert!(id(MAX_ROWS) < NO_ROW && id(MAX_ROWS) < INLINE, "no id carries the tag bit");
+    assert!(last < INLINE, "no id carries the tag bit, so none is a sentinel");
 }
 
+/// A relation of `MAX_ROWS` rows refuses the next one at the append.
 #[test]
-#[should_panic(expected = "an index covers at most")]
+#[should_panic(expected = "a relation holds at most")]
 fn a_row_past_the_ceiling_is_refused() {
-    check_ceiling(MAX_ROWS + 1);
+    next_row_id(MAX_ROWS);
 }
 
 /// One row per key costs the key-table slot alone: at most half full,
@@ -622,8 +623,8 @@ fn check_postings(
 ) -> Result<(), String> {
     let n = rel.num_rows();
     let mask = idxs[0].mask().to_vec();
-    let key_of = |r: usize| mask.iter().map(|&p| rel.value(r, p)).collect::<Vec<_>>();
-    let mut keys: Vec<Vec<Const>> = (0..n).map(key_of).collect();
+    let key_of = |r: u32| mask.iter().map(|&p| rel.value(r, p)).collect::<Vec<_>>();
+    let mut keys: Vec<Vec<Const>> = rel.row_ids(..).map(key_of).collect();
     keys.sort();
     keys.dedup();
     for idx in idxs {
@@ -640,7 +641,7 @@ fn check_postings(
             windows.push((a.min(b), a.max(b)));
         }
         for (lo, hi) in windows {
-            let scan: Vec<u32> = (lo..hi).rev().filter(|&r| key_of(r) == *key).map(|r| r as u32).collect();
+            let scan: Vec<u32> = rel.row_ids(lo..hi).rev().filter(|&r| key_of(r) == *key).collect();
             for idx in idxs {
                 let got = collect_range(idx, rel, key, lo, hi);
                 if got != scan {
@@ -657,11 +658,11 @@ fn check_postings(
 /// the chain or, if its row lies below `frozen`, into a one-row segment.
 fn extend_counting(idx: &mut IncrementalIndex, rel: &ColumnarRelation, seen: &mut Promotions) {
     if idx.watermark() > 0 {
-        let delta: Vec<usize> = (idx.watermark()..rel.num_rows()).collect();
+        let delta: Vec<u32> = rel.row_ids(idx.watermark()..).collect();
         for s in idx.slots.iter().copied().filter(|&s| s != NO_KEY && s & INLINE != 0) {
-            let r0 = (s & !INLINE) as usize;
+            let r0 = s & !INLINE;
             if delta.iter().any(|&r| keys_equal(&idx.mask, rel, r0, r)) {
-                if r0 < idx.frozen {
+                if (r0 as usize) < idx.frozen {
                     seen.frozen += 1;
                 } else {
                     seen.chained += 1;

@@ -16,6 +16,7 @@
 //!   behaves identically under subsequent updates.
 
 use selprop_datalog::eval::Strategy;
+use selprop_datalog::storage::MAX_ROWS;
 use selprop_datalog::{
     parse_program, Materialization, PersistError, Program, RuleId, Server,
 };
@@ -231,14 +232,10 @@ fn a_strategy_tag_0_container_is_refused_as_corrupt() {
     ));
 }
 
-/// A relation's row count is bounded by the bytes its rows take — except
-/// a 0-ary one's, whose rows take none. A forged count there, behind a
-/// valid checksum, decoded to a store whose first read walked 2^40 rows
-/// and whose first write sized a dedup table by them. `()` has one live
-/// row at most; any other count is refused, by the store and by the
-/// server.
-#[test]
-fn a_forged_row_count_on_a_0_ary_relation_is_refused_as_corrupt() {
+/// A snapshot of `q(X) :- e(X), flag.` whose 0-ary relation `flag`
+/// claims `count` rows behind a valid checksum, with an empty tombstone
+/// bitset — every one of them live.
+fn nullary_forgery(count: u64) -> (Vec<u8>, selprop_datalog::Pred) {
     let p = parse_program("?- q(X).\nq(X) :- e(X), flag.").unwrap();
     let [e, flag] = ["e", "flag"].map(|n| p.symbols.get_predicate(n).unwrap());
     let mut db = selprop_datalog::Database::new();
@@ -254,18 +251,44 @@ fn a_forged_row_count_on_a_0_ary_relation_is_refused_as_corrupt() {
     assert_eq!(at.len(), 1, "flag's entry found once");
     let rows_at = at[0] + 4 + 1 + 8;
     let mut forged = bytes.clone();
-    forged[rows_at..rows_at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+    forged[rows_at..rows_at + 8].copy_from_slice(&count.to_le_bytes());
     let current = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    let forged = restamped(&forged, current);
-    let refused = |r: Result<_, PersistError>| {
-        matches!(r, Err(PersistError::Corrupt("0-ary relation with more than one live row")))
-    };
-    assert!(refused(Materialization::from_bytes(&forged).map(|m| m.num_facts(flag))));
+    (restamped(&forged, current), flag)
+}
+
+/// Asserts that `forged` is refused as `Corrupt(why)` by the store and
+/// by the server.
+fn assert_refused_as(forged: &[u8], flag: selprop_datalog::Pred, why: &str) {
+    let refused = |r: Result<_, PersistError>| matches!(r, Err(PersistError::Corrupt(w)) if w == why);
+    assert!(refused(Materialization::from_bytes(forged).map(|m| m.num_facts(flag))));
     let dir = scratch_dir("nullary");
     let path = dir.join("forged.snap");
-    std::fs::write(&path, &forged).unwrap();
+    std::fs::write(&path, forged).unwrap();
     assert!(refused(Server::restore(&path).map(|s| s.snapshot().num_facts(flag))));
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A relation's row count is bounded by the bytes its rows take — except
+/// a 0-ary one's, whose rows take none. A forged count there, behind a
+/// valid checksum, decoded to a store whose first read walked every row
+/// and whose first write sized a dedup table by them. `()` has one live
+/// row at most; any other count the row ceiling admits is refused, by
+/// the store and by the server.
+#[test]
+fn a_forged_row_count_on_a_0_ary_relation_is_refused_as_corrupt() {
+    let (forged, flag) = nullary_forgery(MAX_ROWS as u64);
+    assert_refused_as(&forged, flag, "0-ary relation with more than one live row");
+}
+
+/// A relation holds at most `MAX_ROWS` rows, the ceiling its append
+/// checks. A snapshot claiming more is refused by its row count, before
+/// the relation is assembled: on a 0-ary relation the cheapest forgery,
+/// a count of `MAX_ROWS + 1` over an empty tombstone bitset, takes no
+/// byte of row data.
+#[test]
+fn a_row_count_above_the_ceiling_is_refused_as_corrupt() {
+    let (forged, flag) = nullary_forgery(MAX_ROWS as u64 + 1);
+    assert_refused_as(&forged, flag, "relation row count above the row ceiling");
 }
 
 /// `tests/data/program_a_v5.snap` holds program A over the chain
