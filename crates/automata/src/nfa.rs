@@ -271,25 +271,6 @@ impl Nfa {
         }
         nfa
     }
-
-    /// States reachable from the start states (following both labeled and
-    /// ε-transitions).
-    pub fn reachable_states(&self) -> BTreeSet<StateId> {
-        let mut seen = self.starts.clone();
-        let mut queue: VecDeque<StateId> = seen.iter().copied().collect();
-        while let Some(q) = queue.pop_front() {
-            let nexts = self.transitions[q]
-                .values()
-                .flat_map(|s| s.iter().copied())
-                .chain(self.epsilon[q].iter().copied());
-            for r in nexts {
-                if seen.insert(r) {
-                    queue.push_back(r);
-                }
-            }
-        }
-        seen
-    }
 }
 
 #[cfg(test)]

@@ -54,8 +54,10 @@
 //! An all-free goal, a goal on an EDB (or untracked) predicate, and a
 //! goal whose bound positions are repeated variables (`p(X, X)`) go
 //! **direct** — filtered off the base store's full model, which the
-//! base maintains anyway. Everything else gets a view. Answers are
-//! therefore always exact; the cache only changes *cost*.
+//! base maintains anyway. Everything else gets a view, while view tags
+//! last: a cache hands out 2³² − 1 of them in its lifetime, and a goal
+//! that would need a new view after the last goes direct too. Answers
+//! are therefore always exact; the cache only changes *cost*.
 //!
 //! # Coherence
 //!
@@ -205,7 +207,8 @@ pub struct CacheStats {
     /// layer's write round.
     pub syncs: u64,
     /// Queries routed to base-store filtering (all-free patterns, EDB
-    /// predicates, repeated-variable bindings).
+    /// predicates, repeated-variable bindings, and goals that would need
+    /// a new view once every view tag is spent).
     pub direct: u64,
     /// Views dropped by LRU/size pressure.
     pub evictions: u64,
@@ -490,7 +493,8 @@ pub struct QueryCache {
     pinned_epochs: Vec<u64>,
     seen_version: u64,
     seen_compactions: u64,
-    /// The next view's tag (cache-wide, so that tags order views by age).
+    /// The next view's tag (cache-wide, so that tags order views by
+    /// age); `u32::MAX` once every tag is spent.
     next_tag: u32,
     clock: AtomicU64,
     hits: AtomicU64,
@@ -926,7 +930,8 @@ impl QueryCache {
 
     /// Makes sure an up-to-date view of `tkey` (a goal of `arity`
     /// arguments) bound to `consts` exists; `None` means the pattern
-    /// has no usable template and the caller must go direct.
+    /// has no usable template, or the view would be new and every tag
+    /// is spent, and the caller must go direct.
     fn ensure_view(
         &mut self,
         base: &mut Materialization,
@@ -954,8 +959,10 @@ impl QueryCache {
         }
         // A new view is a fresh tag: one seed row, and the update
         // fixpoint it sets off (which also catches a stale store up).
+        // `u32::MAX` is never a tag, so `next_tag` stays above every
+        // view's for the pins that compare against it.
         let tag = Const(self.next_tag);
-        self.next_tag = self.next_tag.checked_add(1).expect("view tag overflow");
+        self.next_tag = self.next_tag.checked_add(1)?;
         let seed: Vec<Const> = std::iter::once(tag).chain(consts.iter().copied()).collect();
         t.catch_up(base, Some(&seed));
         let view = CachedView {
@@ -1034,6 +1041,13 @@ mod tests {
     const SRC: &str = "?- anc(john, Y).\n\
                        anc(X, Y) :- par(X, Y).\n\
                        anc(X, Y) :- anc(X, Z), par(Z, Y).";
+
+    impl QueryCache {
+        /// Starts the view tags at `tag`, so a test can spend them.
+        pub(crate) fn start_tags_at(&mut self, tag: u32) {
+            self.next_tag = tag;
+        }
+    }
 
     fn chain(p: &mut Program, n: usize) -> Vec<Tuple> {
         let mut prev = p.symbols.constant("john");

@@ -142,24 +142,17 @@ pub fn answer(program: &Program, db: &Database, strategy: Strategy) -> (Relation
     (m.goal_answer(&program.goal), m.stats())
 }
 
-/// The result of a provenance-recording fixpoint evaluation.
-///
-/// The IDB model is not eagerly materialized: the provenance owns the
-/// columnar rows, and [`Provenance::idb_database`] converts on demand —
-/// provenance-only consumers (tree metrics, boundedness measurements)
-/// skip that O(model) copy entirely.
-#[derive(Clone, Debug)]
-pub struct ProvenanceResult {
-    /// Work counters — bit-for-bit identical to a plain [`evaluate`]
-    /// with the same strategy (recording adds no probes or firings).
-    pub stats: EvalStats,
-    /// One justification per derived row, over the columnar row ids.
-    pub provenance: Provenance,
-}
-
 /// Evaluates `program` on `db` while recording **one first-found
 /// justification per derived row**: the rule index and the body row ids
 /// that instantiated it, captured at staging time inside the join.
+///
+/// The returned [`Provenance`] holds the evaluated store itself. Its
+/// [`Provenance::stats`] are the store's work counters, bit-for-bit
+/// those of a plain [`evaluate`] with the same strategy (recording adds
+/// no probes or firings). The IDB model is not read out eagerly:
+/// [`Provenance::idb_database`] converts on demand, so provenance-only
+/// consumers (tree metrics, boundedness measurements) skip that
+/// O(model) copy.
 ///
 /// Justifications are deterministic and **thread-count independent**:
 /// the sequential engine's staging order is the lexicographic-descending
@@ -173,7 +166,7 @@ pub fn evaluate_with_provenance(
     program: &Program,
     db: &Database,
     strategy: Strategy,
-) -> ProvenanceResult {
+) -> Provenance {
     evaluate_with_provenance_cfg(program, db, strategy, OrderMode::Planned)
 }
 
@@ -187,8 +180,8 @@ pub fn evaluate_with_provenance_cfg(
     db: &Database,
     strategy: Strategy,
     order: OrderMode,
-) -> ProvenanceResult {
-    Materialization::batch(program, db, strategy, true, order).0.into_provenance_result()
+) -> Provenance {
+    Provenance::new(Materialization::batch(program, db, strategy, true, order).0)
 }
 
 // ---------------------------------------------------------------------

@@ -27,12 +27,14 @@
 //!   [`std::thread::scope`] each, and the merge), `dred.rs`
 //!   (over-delete and rescue), `compact.rs`, `codec.rs` (the snapshot
 //!   payload) and `template.rs` (the query cache's view stores);
+//!   `provenance.rs`, no phase, reads derivation trees off the store;
 //! - [`eval`] — minimum-model semantics via instrumented
 //!   **semi-naive** and **parallel semi-naive** bottom-up fixpoints
 //!   (work counters power the experiment harness). Batch evaluation is
 //!   a special case of the incremental engine: the entry points are
 //!   thin wrappers that build a materialization, run its first round to
-//!   fixpoint and read the result out. Of [`eval::EvalStats`], iterations, firings
+//!   fixpoint and read the result out (the recording store itself, as a
+//!   [`derivation::Provenance`]). Of [`eval::EvalStats`], iterations, firings
 //!   and derived tuples equal the specification's under every strategy,
 //!   order and thread count; join probes, the plan's own, are pinned on
 //!   fixed inputs;
@@ -63,9 +65,11 @@
 //!   Section 8). [`eval::evaluate_with_provenance`] records one
 //!   first-found justification (rule + body row ids) per derived row
 //!   inside the columnar join — deterministic at every thread and shard
-//!   count — and [`derivation::Provenance`] reconstructs trees and
-//!   computes size/height **iteratively**, so the 10⁵-deep proofs of
-//!   the chain workloads cannot overflow the stack;
+//!   count — and [`derivation::Provenance`], a read-only view that holds
+//!   the recording store and reads its rows, justifications and rule
+//!   slots (no second copy), reconstructs trees and computes
+//!   size/height **iteratively**, so the 10⁵-deep proofs of the chain
+//!   workloads cannot overflow the stack;
 //! - [`magic`] — adornments and the generalized magic-sets rewriting (ref.\[5\]),
 //!   which Section 7 of the paper interprets as language quotients; a
 //!   [`magic::MagicTemplate`] is the constant-free form compiled once
@@ -123,7 +127,7 @@ pub use db::{Database, Relation};
 pub use derivation::{DerivationTree, GroundAtom, Provenance};
 pub use eval::{
     answer, evaluate, evaluate_cfg, evaluate_with_provenance, evaluate_with_provenance_cfg,
-    EvalStats, ProvenanceResult, Strategy,
+    EvalStats, Strategy,
 };
 pub use materialize::{
     CompactionPolicy, Materialization, MemStats, RoundReport, RuleId, UpdateRound,

@@ -68,11 +68,13 @@
 //! `materialize/` — `join.rs`, `fixpoint.rs`, `dred.rs`, `compact.rs`,
 //! `codec.rs`, and the query cache's `template.rs` — whose header names
 //! the `BENCHMARK.json` per-layer metrics it answers to.
+//! `provenance.rs` is no phase: it reads [`Provenance`]'s trees and
+//! metrics off a store's fields.
 
 use crate::ast::{Atom, Pred, Program, Rule};
 use crate::db::{Database, Relation, Tuple};
 use crate::derivation::Provenance;
-use crate::eval::{self, EvalResult, EvalStats, ProvenanceResult, Strategy};
+use crate::eval::{self, EvalResult, EvalStats, Strategy};
 use crate::hash::FxHashMap;
 use crate::plan::{plan_rescue, plan_rule, OrderMode, RulePlan};
 use crate::storage::{ColumnarRelation, IncrementalIndex, NO_ROW};
@@ -83,6 +85,7 @@ mod compact;
 mod dred;
 mod fixpoint;
 mod join;
+pub(crate) mod provenance;
 mod template;
 pub use compact::{CompactionPolicy, MemStats};
 use dred::{components, RevIndex};
@@ -96,7 +99,7 @@ pub(crate) use template::ExtLinks;
 /// tombstoned rows linger but are never read: every consumer skips dead
 /// rows.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub(crate) struct RelJust {
+struct RelJust {
     /// Entry start offset per row.
     off: Vec<u32>,
     /// Flat entries: `[rule, body row ids...]` per row.
@@ -121,7 +124,7 @@ impl RelJust {
     }
 
     /// The `(rule, body row ids)` entry of row `r`.
-    pub(crate) fn entry(&self, r: u32) -> (u32, &[u32]) {
+    fn entry(&self, r: u32) -> (u32, &[u32]) {
         let r = r as usize;
         let lo = self.off[r] as usize;
         let hi = self.off.get(r + 1).map_or(self.buf.len(), |&o| o as usize);
@@ -133,12 +136,6 @@ impl RelJust {
         let starts = self.off.iter().map(|&o| o as usize);
         let ends = starts.clone().skip(1).chain([self.buf.len()]);
         starts.zip(ends).map(|(lo, hi)| (self.buf[lo], &self.buf[lo + 1..hi]))
-    }
-
-    /// Number of rows with entries (= the relation's row count for IDB
-    /// relations under recording).
-    pub(crate) fn len(&self) -> usize {
-        self.off.len()
     }
 
     /// Words held (memory accounting).
@@ -704,18 +701,11 @@ impl Materialization {
     /// A snapshot of the recorded provenance (one justification per
     /// derived live row), valid for the current state — justifications
     /// recorded before an update stay valid afterwards because row ids
-    /// never move. O(store) clone.
+    /// never move. The [`Provenance`] holds a clone of this whole store:
+    /// rows, justifications, join indexes and the reverse index, with
+    /// the plans shared behind their `Arc` — O(store) time and memory.
     pub fn provenance(&self) -> Provenance {
-        Provenance::from_engine(
-            self.rels.clone(),
-            self.pred_of_rel.clone(),
-            self.rel_of_pred.clone(),
-            self.idb_rels.clone(),
-            self.body_rels(),
-            self.prov
-                .clone()
-                .expect("Materialization always records justifications"),
-        )
+        Provenance::new(self.clone())
     }
 
     // -----------------------------------------------------------------
@@ -1250,29 +1240,6 @@ impl Materialization {
         EvalResult {
             idb: self.idb_database(),
             stats: self.stats,
-        }
-    }
-
-    /// Per rule slot: the dense relation id of each body atom, in
-    /// rule-text order — what a justification's body row ids index
-    /// into, whatever order the plan runs the steps in.
-    fn body_rels(&self) -> Vec<Vec<u32>> {
-        self.plans.iter().map(|p| p[0].body_rels.to_vec()).collect()
-    }
-
-    pub(crate) fn into_provenance_result(self) -> ProvenanceResult {
-        let body_rels = self.body_rels();
-        let provenance = Provenance::from_engine(
-            self.rels,
-            self.pred_of_rel,
-            self.rel_of_pred,
-            self.idb_rels,
-            body_rels,
-            self.prov.expect("provenance recording was on"),
-        );
-        ProvenanceResult {
-            stats: self.stats,
-            provenance,
         }
     }
 }

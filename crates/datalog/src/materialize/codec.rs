@@ -50,7 +50,8 @@ impl Materialization {
     ///    bitset (word count + `u64` words) and the justification buffer
     ///    (count + `u32`s): per row, in row order, its rule slot and then
     ///    its body row ids in rule-text order — empty for an EDB
-    ///    relation.
+    ///    relation. A live row's entry names an active rule and live
+    ///    body rows; a dead row's is stale and unread.
     ///
     /// Deliberately **not** serialized (rebuilt on restore): the dedup
     /// tables (probe-history-dependent slot layout; write-path state, so
@@ -326,7 +327,12 @@ impl Materialization {
         // body row ids as the rule has body atoms, each in range and below
         // the head's in its own relation, the entries consuming the buffer
         // exactly. The offsets fall out of the walk. After this,
-        // `RelJust::entry` is panic-free for every persisted row.
+        // `RelJust::entry` is panic-free for every persisted row. A live
+        // row's entry is its current derivation, as DRed keeps it: an
+        // active rule over live body rows (compaction remaps body rows
+        // through it, and a walk that never reaches a row justified only
+        // by a dropped rule would keep a row outside the model). A dead
+        // row keeps its stale entry, unchecked.
         const UNEVEN: PersistError = PersistError::Corrupt("justification buffer not consumed exactly");
         let mut prov = Vec::with_capacity(nrels);
         for (r, (buf, rel)) in bufs.into_iter().zip(&rels).enumerate() {
@@ -344,11 +350,18 @@ impl Materialization {
                 if *head_rel as usize != r {
                     return Err(PersistError::Corrupt("justification rule heads another relation"));
                 }
+                let live = rel.is_live(row);
+                if live && !rule_active[rule as usize] {
+                    return Err(PersistError::Corrupt("live row justified by a dropped rule"));
+                }
                 let hi = lo + 1 + brels.len();
                 let body = buf.get(lo + 1..hi).ok_or(UNEVEN)?;
                 for (&brel, &brow) in brels.iter().zip(body) {
                     if brow as usize >= rels[brel as usize].num_rows() {
                         return Err(PersistError::Corrupt("justification references nonexistent row"));
+                    }
+                    if live && !rels[brel as usize].is_live(brow) {
+                        return Err(PersistError::Corrupt("live row justified through a dead row"));
                     }
                     // A deletion walk's age test reads row order within
                     // a relation, which every justification a store

@@ -205,6 +205,35 @@ fn delta_delta_combinations_are_not_lost() {
     }
 }
 
+/// Provenance equality compares justification entries, not only rows:
+/// two stores with the same rows, one `p` row justified through the
+/// other rule in the second, compare unequal — though both
+/// justifications are valid.
+#[test]
+fn provenances_with_one_different_justification_compare_unequal() {
+    let mut p = parse_program("?- p(X).\np(X) :- a(X).\np(X) :- b(X).").unwrap();
+    let [a, b] = ["a", "b"].map(|n| p.symbols.get_predicate(n).unwrap());
+    let one = p.symbols.constant("one");
+    let mut db = Database::new();
+    db.insert(a, vec![one]);
+    db.insert(b, vec![one]);
+    let m = Materialization::from_database(&p, &db, Strategy::SemiNaive);
+    let mut other = m.clone();
+    assert_eq!(other.provenance(), m.provenance(), "a clone's provenance is equal");
+    // `p(one)` is row 0 of its relation, and `one` row 0 of `a` and `b`.
+    let prel = other.rel_of_pred[&p.goal.pred] as usize;
+    let just = &mut other.prov.as_mut().unwrap()[prel];
+    let rule = just.entry(0).0;
+    just.replace(0, 1 - rule, &[0]);
+
+    let p_one = crate::derivation::GroundAtom { pred: p.goal.pred, args: vec![one] };
+    let via = |m: &Materialization| m.provenance().justification(&p_one).unwrap().0;
+    assert_eq!(via(&other), 1 - via(&m));
+    other.provenance().check(&p).expect("the other rule derives p(one) too");
+    assert_eq!(other.database().sorted_models(), m.database().sorted_models());
+    assert_ne!(other.provenance(), m.provenance());
+}
+
 /// A new root over a chain closure derives one row per round: one
 /// task, fewer than the workers a round may start, so it runs inline —
 /// and still reproduces the sequential engine row id for row id.
@@ -1468,6 +1497,11 @@ fn snapshot_round_trip_is_bit_for_bit_and_update_equivalent() {
     assert_eq!(m2.database().sorted_models(), m.database().sorted_models());
     assert_eq!(m2.answer().sorted(), m.answer().sorted());
     m2.provenance().check(&p).expect("restored justifications valid");
+    // A restored store's provenance looks atoms up as the live one's.
+    let anc = p.symbols.get_predicate("anc").unwrap();
+    let deepest = crate::derivation::GroundAtom { pred: anc, args: vec![edges[0][0], edges[9][1]] };
+    assert_eq!(m2.provenance().tree(&deepest), m.provenance().tree(&deepest));
+    assert_eq!(m2.provenance().tree_height(&deepest), Some(11));
 
     // The same mixed round lands identically on both stores.
     let round = UpdateRound::new()

@@ -471,8 +471,9 @@ impl Server {
         self.shared.read().store.answer()
     }
 
-    /// A provenance snapshot of the current model (O(store) clone; see
-    /// [`Materialization::provenance`]).
+    /// A provenance snapshot of the current model: a clone of the whole
+    /// store, indexes included, taken under the read lock — O(store)
+    /// time and memory (see [`Materialization::provenance`]).
     pub fn provenance(&self) -> Provenance {
         self.shared.read().store.provenance()
     }
@@ -1288,6 +1289,46 @@ mod tests {
         assert_eq!(server.current_epoch(), 2, "the initial insert, then this round");
         assert_eq!(server.query(&goal).len(), 2, "chain cut at edge 2");
         assert_eq!(server.query(&goal), server.answer());
+    }
+
+    /// The view cache has 2³² − 1 tags. Spending the last used to panic
+    /// under the write lock and poison it for every later client; now a
+    /// goal that needs a new view once none is left is answered
+    /// directly, and the views already built keep serving.
+    #[test]
+    fn when_view_tags_run_out_new_goals_are_answered_directly() {
+        let mut p = parse_program(SRC).unwrap();
+        let par = p.symbols.get_predicate("par").unwrap();
+        let anc = p.symbols.get_predicate("anc").unwrap();
+        let y = Term::Var(p.symbols.variable("Y"));
+        let edges = chain(&mut p, 6);
+        let mut db = Database::new();
+        for e in &edges {
+            db.insert(par, e.clone());
+        }
+        let server = Server::from_database(&p, &db, Strategy::SemiNaive);
+        server.shared.write().cache.start_tags_at(u32::MAX - 1);
+        let goal = |i: usize| Atom::new(anc, vec![Term::Const(edges[i][0]), y]);
+        let oracle = |goal: &Atom| {
+            let q = Program { goal: goal.clone(), ..p.clone() };
+            crate::eval::answer(&q, &db, Strategy::SemiNaive).0.sorted()
+        };
+
+        // The last tag builds a view; the next new goal finds none left.
+        assert_eq!(server.query(&goal(1)).sorted(), oracle(&goal(1)));
+        let built = server.cache_stats();
+        assert_eq!((built.views, built.misses), (1, 1));
+        assert_eq!(server.query(&goal(2)).sorted(), oracle(&goal(2)));
+        let spent = server.cache_stats();
+        assert_eq!((spent.views, spent.misses, spent.direct), (1, 1, built.direct + 1));
+        // The old goal is still answered by its view.
+        assert_eq!(server.query(&goal(1)).sorted(), oracle(&goal(1)));
+        assert_eq!((server.cache_stats().misses, server.cache_stats().hits), (1, spent.hits + 1));
+
+        // Another client is served afterwards: no lock was poisoned.
+        let g3 = goal(3);
+        let answer = std::thread::spawn(move || server.query(&g3)).join().expect("served");
+        assert_eq!(answer.sorted(), oracle(&goal(3)));
     }
 
     #[test]

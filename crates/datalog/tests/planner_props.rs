@@ -478,8 +478,8 @@ proptest! {
         for cfg in configs(seed) {
             let baseline =
                 evaluate_with_provenance_cfg(&p, &db, EvalStrategy::SemiNaive, cfg);
-            baseline.provenance.check(&p).map_err(TestCaseError::fail)?;
-            let want = baseline.provenance.idb_database().sorted_models();
+            baseline.check(&p).map_err(TestCaseError::fail)?;
+            let want = baseline.idb_database().sorted_models();
             let spec = reference::evaluate(&p, &db, EvalStrategy::SemiNaive);
             prop_assert_eq!(&want, &spec.idb.sorted_models());
             for threads in [2usize, 4] {
@@ -489,9 +489,9 @@ proptest! {
                     EvalStrategy::SemiNaiveParallel { threads },
                     cfg,
                 );
-                prop_assert_eq!(par.stats, baseline.stats);
-                par.provenance.check(&p).map_err(TestCaseError::fail)?;
-                prop_assert_eq!(&par.provenance.idb_database().sorted_models(), &want);
+                prop_assert_eq!(par.stats(), baseline.stats());
+                par.check(&p).map_err(TestCaseError::fail)?;
+                prop_assert_eq!(&par.idb_database().sorted_models(), &want);
             }
         }
     }

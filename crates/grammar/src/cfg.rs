@@ -38,21 +38,6 @@ pub enum Sym {
     N(NonTerminal),
 }
 
-impl Sym {
-    /// Whether this is a terminal.
-    pub fn is_terminal(self) -> bool {
-        matches!(self, Sym::T(_))
-    }
-
-    /// The nonterminal inside, if any.
-    pub fn as_nonterminal(self) -> Option<NonTerminal> {
-        match self {
-            Sym::N(n) => Some(n),
-            Sym::T(_) => None,
-        }
-    }
-}
-
 /// A production `head → body`.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Production {

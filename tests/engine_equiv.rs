@@ -336,25 +336,24 @@ fn assert_provenance_contract(program: &Program, db: &Database) {
     let plain = eval::evaluate(program, db, Strategy::SemiNaive);
     let seq = eval::evaluate_with_provenance(program, db, Strategy::SemiNaive);
     assert_eq!(
-        seq.stats, plain.stats,
+        seq.stats(), plain.stats,
         "recording justifications must not change the work counters"
     );
-    seq.provenance
-        .check(program)
+    seq.check(program)
         .expect("engine justifications are valid rule instantiations over EDB leaves");
 
     // the recorded derived set IS the IDB model, and matches the
     // executable specification
     let spec = reference::Provenance::compute(program, db);
     spec.check(program).expect("spec justifications are valid");
-    let mut engine_facts: Vec<_> = seq.provenance.derived().collect();
+    let mut engine_facts: Vec<_> = seq.derived().collect();
     engine_facts.sort();
     engine_facts.dedup();
     let mut spec_facts: Vec<_> = spec.derived().cloned().collect();
     spec_facts.sort();
     assert_eq!(engine_facts, spec_facts, "derived sets agree with the spec");
     assert_eq!(
-        seq.provenance.num_derived() as u64,
+        seq.num_derived() as u64,
         plain.stats.tuples_derived,
         "one justification per derived tuple"
     );
@@ -368,9 +367,9 @@ fn assert_provenance_contract(program: &Program, db: &Database) {
         Strategy::SemiNaiveParallel { threads: 4 },
     ] {
         let par = eval::evaluate_with_provenance(program, db, strategy);
-        assert_eq!(par.stats, seq.stats, "{strategy:?} counters");
+        assert_eq!(par.stats(), seq.stats(), "{strategy:?} counters");
         assert_eq!(
-            par.provenance, seq.provenance,
+            par, seq,
             "{strategy:?}: justifications must be identical at every thread/shard count"
         );
     }

@@ -18,7 +18,7 @@
 use selprop_datalog::eval::Strategy;
 use selprop_datalog::storage::MAX_ROWS;
 use selprop_datalog::{
-    parse_program, Materialization, PersistError, Program, RuleId, Server,
+    parse_program, Materialization, PersistError, Pred, Program, RuleId, Server,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -356,17 +356,7 @@ fn a_justification_through_a_later_row_of_its_own_relation_is_refused() {
     let anc = p.symbols.get_predicate("anc").unwrap();
     let word = |at: usize| u64::from_le_bytes(golden[at..at + 8].try_into().unwrap()) as usize;
     let u32_at = |at: usize| u32::from_le_bytes(golden[at..at + 4].try_into().unwrap());
-    // Section 9's entry for `anc`: predicate, IDB, arity 2, its ten
-    // rows, then their cells, the tombstone bitset (a length and
-    // words) and the justification buffer (a length and `u32`s).
-    let entry: Vec<u8> =
-        [&anc.0.to_le_bytes()[..], &[1], &2u64.to_le_bytes(), &10u64.to_le_bytes()].concat();
-    let at: Vec<usize> = (0..golden.len() - entry.len())
-        .filter(|&i| golden[i..i + entry.len()] == entry[..])
-        .collect();
-    assert_eq!(at.len(), 1, "anc's entry found once");
-    let dead_at = at[0] + entry.len() + 10 * 2 * 4;
-    let buf_at = dead_at + 8 + 8 * word(dead_at) + 8;
+    let (_, buf_at) = golden_relation(golden, anc, true, 10);
     // Entries are `[rule, body rows]`: rule 0 has one body atom, the
     // recursive rule 1 two, `anc` first.
     let (mut lo, mut head) = (0, 0);
@@ -380,6 +370,94 @@ fn a_justification_through_a_later_row_of_its_own_relation_is_refused() {
     let mut forged = golden.to_vec();
     forged[body_at..body_at + 4].copy_from_slice(&(head as u32).to_le_bytes());
     assert_refused(&forged, "justification body row not below its head row", "own-relation-order");
+}
+
+/// Section 9's entry of `pred`, a binary relation of `rows` rows, in the
+/// golden snapshot: predicate, IDB flag, arity, row count, then the
+/// cells, the tombstone bitset (a length and words) and the
+/// justification buffer (a length and `u32`s). Returns the bitset's
+/// words and where the buffer's words start.
+fn golden_relation(golden: &[u8], pred: Pred, idb: bool, rows: usize) -> (Vec<u64>, usize) {
+    let word = |at: usize| u64::from_le_bytes(golden[at..at + 8].try_into().unwrap());
+    let entry: Vec<u8> = [
+        &pred.0.to_le_bytes()[..],
+        &[u8::from(idb)],
+        &2u64.to_le_bytes(),
+        &(rows as u64).to_le_bytes(),
+    ]
+    .concat();
+    let at: Vec<usize> = (0..golden.len() - entry.len())
+        .filter(|&i| golden[i..i + entry.len()] == entry[..])
+        .collect();
+    assert_eq!(at.len(), 1, "the relation's entry found once");
+    let dead_at = at[0] + entry.len() + rows * 2 * 4;
+    let words = word(dead_at) as usize;
+    let dead = (0..words).map(|k| word(dead_at + 8 + 8 * k)).collect();
+    (dead, dead_at + 8 + 8 * words + 8)
+}
+
+/// A live row's justification is its current derivation: DRed keeps its
+/// body rows live, and compaction remaps them through it — a dead body
+/// row has no new id. The decoder refuses a file where a live row's
+/// does not — here the golden snapshot with a live `anc` row derived by
+/// `anc(X, Y) :- par(X, Y)` pointed at the dead `par(c3, c4)` row —
+/// through `from_bytes` and `Server::restore` alike.
+#[test]
+fn a_live_row_justified_through_a_dead_row_is_refused() {
+    let golden = include_bytes!("data/program_a_v5.snap");
+    let p = parse_program(SRC).unwrap();
+    let [anc, par] = ["anc", "par"].map(|n| p.symbols.get_predicate(n).unwrap());
+    let u32_at = |at: usize| u32::from_le_bytes(golden[at..at + 4].try_into().unwrap());
+    let (par_dead, _) = golden_relation(golden, par, false, 4);
+    assert_eq!(par_dead.iter().map(|w| w.count_ones()).sum::<u32>(), 1, "one dead par row");
+    let dead_par = par_dead[0].trailing_zeros();
+    let (anc_dead, buf_at) = golden_relation(golden, anc, true, 10);
+    assert_eq!(anc_dead.iter().map(|w| w.count_ones()).sum::<u32>(), 4, "four dead anc rows");
+    // Entries are `[rule, body rows]`: rule 0 has one body atom, `par`,
+    // the recursive rule 1 two. Find a live row of rule 0.
+    let (mut lo, mut head) = (0, 0);
+    while u32_at(buf_at + 4 * lo) != 0 || anc_dead[0] >> head & 1 == 1 {
+        lo += if u32_at(buf_at + 4 * lo) == 0 { 2 } else { 3 };
+        head += 1;
+        assert!(head < 10, "a live anc row recorded through rule 0");
+    }
+    let body_at = buf_at + 4 * (lo + 1);
+    let mut forged = golden.to_vec();
+    forged[body_at..body_at + 4].copy_from_slice(&dead_par.to_le_bytes());
+    assert_refused(&forged, "live row justified through a dead row", "dead-body-row");
+}
+
+/// A live row's justification names an active rule: a deletion walk
+/// never reaches a row justified only by a dropped rule, so a restored
+/// store would keep a row outside the model. The golden snapshot with
+/// rule 1's activity byte cleared — its live `anc` rows still recorded
+/// through it — is refused, through `from_bytes` and `Server::restore`
+/// alike.
+#[test]
+fn a_live_row_justified_by_a_dropped_rule_is_refused() {
+    let golden = include_bytes!("data/program_a_v5.snap");
+    let word = |at: usize| u64::from_le_bytes(golden[at..at + 8].try_into().unwrap()) as usize;
+    // An atom is a predicate, an argument count and a tagged `u32` per
+    // argument. The payload opens with the strategy tag, the goal and
+    // the rules (a count, then per rule its head, a count and its body);
+    // the rule activity follows, a count and one byte per slot.
+    assert_eq!(golden[20], 1, "a semi-naive store");
+    let atom_end = |at: usize| at + 4 + 8 + 5 * word(at + 4);
+    let mut at = atom_end(21);
+    let rules = word(at);
+    at += 8;
+    for _ in 0..rules {
+        at = atom_end(at);
+        let body = word(at);
+        at += 8;
+        for _ in 0..body {
+            at = atom_end(at);
+        }
+    }
+    assert_eq!((word(at), &golden[at + 8..at + 10]), (2, &[1, 1][..]), "two active rules");
+    let mut forged = golden.to_vec();
+    forged[at + 9] = 0;
+    assert_refused(&forged, "live row justified by a dropped rule", "dropped-rule");
 }
 
 /// A snapshot of `p(X) :- e(X)` and `q(X) :- e(X)` over three `e`
