@@ -138,6 +138,11 @@ impl RelJust {
         starts.zip(ends).map(|(lo, hi)| (self.buf[lo], &self.buf[lo + 1..hi]))
     }
 
+    /// Body row ids held, over every row's entry.
+    fn body_len(&self) -> usize {
+        self.buf.len() - self.off.len()
+    }
+
     /// Words held (memory accounting).
     fn footprint_words(&self) -> usize {
         self.off.len() + self.buf.len()

@@ -332,7 +332,8 @@ impl Materialization {
         // active rule over live body rows (compaction remaps body rows
         // through it, and a walk that never reaches a row justified only
         // by a dropped rule would keep a row outside the model). A dead
-        // row keeps its stale entry, unchecked.
+        // row keeps its stale entry, unchecked. The rule is checked here;
+        // the body rows' liveness on the rebuilt reverse index, below.
         const UNEVEN: PersistError = PersistError::Corrupt("justification buffer not consumed exactly");
         let mut prov = Vec::with_capacity(nrels);
         for (r, (buf, rel)) in bufs.into_iter().zip(&rels).enumerate() {
@@ -350,8 +351,7 @@ impl Materialization {
                 if *head_rel as usize != r {
                     return Err(PersistError::Corrupt("justification rule heads another relation"));
                 }
-                let live = rel.is_live(row);
-                if live && !rule_active[rule as usize] {
+                if !rule_active[rule as usize] && rel.is_live(row) {
                     return Err(PersistError::Corrupt("live row justified by a dropped rule"));
                 }
                 let hi = lo + 1 + brels.len();
@@ -359,9 +359,6 @@ impl Materialization {
                 for (&brel, &brow) in brels.iter().zip(body) {
                     if brow as usize >= rels[brel as usize].num_rows() {
                         return Err(PersistError::Corrupt("justification references nonexistent row"));
-                    }
-                    if live && !rels[brel as usize].is_live(brow) {
-                        return Err(PersistError::Corrupt("live row justified through a dead row"));
                     }
                     // A deletion walk's age test reads row order within
                     // a relation, which every justification a store
@@ -405,6 +402,14 @@ impl Materialization {
         // and filled by the first round (or view link).
         m.compile_plans(None);
         m.rev = m.build_rev_index();
+        // The rebuilt index holds the live rows' edges only, so a live
+        // row justified through a dead row is a dead row with an edge:
+        // a walk over the tombstones, not over every body row id.
+        for (r, rel) in (0..nrels32).zip(&m.rels) {
+            if rel.dead_row_ids().any(|row| m.rev.has_dependents(r, row)) {
+                return Err(PersistError::Corrupt("live row justified through a dead row"));
+            }
+        }
         Ok(m)
     }
 

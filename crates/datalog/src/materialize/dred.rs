@@ -42,7 +42,7 @@
 //! `materialize.rows_killed_per_round`, `materialize.rederive_ratio`.
 
 use super::join::{build_head, join, Counters, Delta, PendingTuples, Scratch};
-use super::Materialization;
+use super::{Materialization, RelJust};
 use crate::ast::Const;
 use crate::hash::FxHashMap;
 use crate::plan::{Out, RulePlan};
@@ -148,6 +148,12 @@ impl RevIndex {
         }
     }
 
+    /// Whether an edge leaves `(brel, brow)`: after a rebuild, whether a
+    /// live row's justification uses it.
+    pub(super) fn has_dependents(&self, brel: u32, brow: u32) -> bool {
+        self.chain(brel, brow) != NO_EDGE
+    }
+
     /// The head relation of edge `e`: that of the last run starting at or
     /// before it.
     fn head_rel(&self, e: u32) -> u32 {
@@ -234,7 +240,9 @@ pub(super) fn components(n: usize, plans: &[Vec<RulePlan>]) -> Vec<u32> {
 impl Materialization {
     /// Builds the reverse-dependency index from every live recorded
     /// justification: one full pass over the packed buffers, chains
-    /// sparse over external relations.
+    /// sparse over external relations. The edge pool and the dense
+    /// chains are allocated once, for every recorded body row id and
+    /// every row: no vector grows during the pass.
     pub(super) fn build_rev_index(&self) -> RevIndex {
         let prov = self
             .prov
@@ -246,11 +254,11 @@ impl Materialization {
                     if self.is_external(i) {
                         Chains::Sparse(FxHashMap::default())
                     } else {
-                        Chains::Dense(Vec::new())
+                        Chains::Dense(Vec::with_capacity(self.rels[i].num_rows()))
                     }
                 })
                 .collect(),
-            edges: Vec::new(),
+            edges: Vec::with_capacity(prov.iter().map(RelJust::body_len).sum()),
             runs: Vec::new(),
             stale: 0,
         };

@@ -291,6 +291,21 @@ impl ColumnarRelation {
         }
     }
 
+    /// The tombstoned rows' ids, ascending: one step per dead row and
+    /// per bitset word.
+    pub(crate) fn dead_row_ids(&self) -> impl Iterator<Item = u32> + '_ {
+        (0u32..).step_by(64).zip(&self.dead).flat_map(|(base, &w)| {
+            let mut w = w;
+            std::iter::from_fn(move || {
+                (w != 0).then(|| {
+                    let bit = w.trailing_zeros();
+                    w &= w - 1;
+                    base + bit
+                })
+            })
+        })
+    }
+
     /// Iterates over the **live** rows in insertion order.
     pub fn rows_iter(&self) -> impl Iterator<Item = &[Const]> {
         self.row_ids(..)

@@ -58,6 +58,23 @@ fn find_row_returns_dense_insertion_ids() {
 }
 
 #[test]
+fn dead_row_ids_are_the_rows_that_are_not_live() {
+    let mut rel = ColumnarRelation::new(1);
+    for i in 0..200u32 {
+        rel.insert(&[c(i)]);
+    }
+    assert_eq!(rel.dead_row_ids().count(), 0);
+    for r in [0, 5, 63, 64, 127, 130, 199] {
+        rel.tombstone(r);
+    }
+    // Rows appended after the last tombstone lie past the bitset.
+    rel.insert(&[c(500)]);
+    let want: Vec<u32> = rel.row_ids(..).filter(|&r| !rel.is_live(r)).collect();
+    assert_eq!(rel.dead_row_ids().collect::<Vec<_>>(), want);
+    assert_eq!(want, [0, 5, 63, 64, 127, 130, 199]);
+}
+
+#[test]
 fn zero_arity_relation_holds_at_most_one_row() {
     let mut rel = ColumnarRelation::new(0);
     assert!(!rel.contains(&[]));
