@@ -25,15 +25,15 @@
 //! for. Justifications are deterministic and identical at every thread
 //! and shard count of the parallel engine.
 //!
-//! Because the paper's own workloads produce proofs that are deep, not
-//! just big (a chain program's derivation is as deep as the chain is
-//! long), **every** tree operation here is iterative: reconstruction
-//! ([`Provenance::tree`]), the metrics ([`DerivationTree::size`],
-//! [`DerivationTree::height`], [`Provenance::tree_size`],
-//! [`Provenance::tree_height`]), node iteration
-//! ([`DerivationTree::nodes`]), and even `Drop` (the derive'd drop glue
-//! would recurse through 10⁵ nested nodes and overflow the stack of a
-//! default test thread).
+//! The paper's own workloads produce proofs that are deep, not just big
+//! (a chain program's derivation is as deep as the chain is long). A
+//! [`DerivationTree`] is therefore one flat array of [`Node`]s in
+//! breadth-first order, each naming its children by an index range:
+//! no value nests inside another, so cloning, comparing, printing and
+//! dropping a 10⁵-deep tree take no more stack than a leaf, and
+//! [`Provenance::tree`] fills the array from a queue. The metrics
+//! [`Provenance::tree_size`] and [`Provenance::tree_height`] read the
+//! justifications without building a tree.
 //!
 //! The specification's justifications, read off its fixpoint, are
 //! [`crate::reference::Provenance`]; the equivalence suite checks both
@@ -42,6 +42,7 @@
 use crate::ast::{Pred, Program};
 use crate::db::{Database, Tuple};
 pub use crate::materialize::provenance::Provenance;
+use std::ops::Range;
 
 /// A ground atom `pred(c1, ..., ck)`.
 #[derive(Clone, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -52,152 +53,51 @@ pub struct GroundAtom {
     pub args: Tuple,
 }
 
-/// A derivation tree for a ground atom.
-///
-/// All operations — size, height, node iteration, clone, equality, and
-/// drop — are iterative, so trees hundreds of thousands of nodes deep
-/// are safe on default-size thread stacks. (The one exception is the
-/// derived `Debug` formatting, whose output is inherently nested — do
-/// not debug-print ultra-deep trees.)
-#[derive(Debug, Eq)]
+/// A derivation tree for a ground atom: its nodes in breadth-first
+/// order, the root first. A node's children are the contiguous range
+/// of the array that the node's rule body fills, in rule-text order,
+/// placed after every node before them; the shape of a tree fixes its
+/// array, so the derived equality is structural. The array nests no
+/// value in another, so every operation on a tree, derived ones
+/// included, is a walk over a slice.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DerivationTree {
-    /// The derived ground atom at this node.
+    pub(crate) nodes: Vec<Node>,
+}
+
+/// One node of a [`DerivationTree`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Node {
+    /// The ground atom derived at this node.
     pub atom: GroundAtom,
-    /// `None` for database facts (leaves); otherwise the rule index used
-    /// and the subtrees deriving the body atoms.
-    pub via: Option<(usize, Vec<DerivationTree>)>,
+    /// The index of the rule that derived it; `None` for a database fact
+    /// (a leaf).
+    pub rule: Option<usize>,
+    /// Where the node's children sit in the tree's array, one per body
+    /// atom of its rule in rule-text order; empty for a leaf.
+    pub children: Range<usize>,
 }
 
 impl DerivationTree {
-    /// Number of nodes (iterative; deep chains do not overflow).
+    /// Number of nodes.
     pub fn size(&self) -> usize {
-        self.nodes().count()
+        self.nodes.len()
     }
 
-    /// Height (a leaf has height 1; iterative).
+    /// Height (a leaf has height 1): one pass from the last node back to
+    /// the root, every child sitting after its parent.
     pub fn height(&self) -> usize {
-        let mut max = 0usize;
-        let mut stack: Vec<(&DerivationTree, usize)> = vec![(self, 1)];
-        while let Some((t, h)) = stack.pop() {
-            max = max.max(h);
-            if let Some((_, kids)) = &t.via {
-                stack.extend(kids.iter().map(|k| (k, h + 1)));
-            }
+        let mut h = vec![0; self.nodes.len()];
+        for (i, node) in self.nodes.iter().enumerate().rev() {
+            h[i] = 1 + h[node.children.clone()].iter().max().unwrap_or(&0);
         }
-        max
+        h[0]
     }
 
-    /// Iterates over all nodes (pre-order, iterative).
-    pub fn nodes(&self) -> impl Iterator<Item = &DerivationTree> {
-        let mut stack = vec![self];
-        std::iter::from_fn(move || {
-            let t = stack.pop()?;
-            if let Some((_, kids)) = &t.via {
-                stack.extend(kids.iter());
-            }
-            Some(t)
-        })
-    }
-}
-
-impl Clone for DerivationTree {
-    /// Iterative clone: the derived clone glue recurses per nested
-    /// node, which overflows the stack on the ≥10⁵-deep proofs the
-    /// chain workloads produce.
-    fn clone(&self) -> Self {
-        let Some((rule0, kids0)) = &self.via else {
-            return DerivationTree {
-                atom: self.atom.clone(),
-                via: None,
-            };
-        };
-        struct Frame<'a> {
-            atom: &'a GroundAtom,
-            rule: usize,
-            src: &'a [DerivationTree],
-            kids: Vec<DerivationTree>,
-        }
-        let mut stack = vec![Frame {
-            atom: &self.atom,
-            rule: *rule0,
-            src: kids0,
-            kids: Vec::with_capacity(kids0.len()),
-        }];
-        loop {
-            let (src, built) = {
-                let f = stack.last().expect("non-empty until the root completes");
-                (f.src, f.kids.len())
-            };
-            if built < src.len() {
-                let child = &src[built];
-                match &child.via {
-                    None => stack
-                        .last_mut()
-                        .expect("frame exists")
-                        .kids
-                        .push(DerivationTree {
-                            atom: child.atom.clone(),
-                            via: None,
-                        }),
-                    Some((crule, ckids)) => stack.push(Frame {
-                        atom: &child.atom,
-                        rule: *crule,
-                        src: ckids,
-                        kids: Vec::with_capacity(ckids.len()),
-                    }),
-                }
-            } else {
-                let f = stack.pop().expect("frame exists");
-                let node = DerivationTree {
-                    atom: f.atom.clone(),
-                    via: Some((f.rule, f.kids)),
-                };
-                match stack.last_mut() {
-                    None => return node,
-                    Some(parent) => parent.kids.push(node),
-                }
-            }
-        }
-    }
-}
-
-impl PartialEq for DerivationTree {
-    /// Iterative structural equality (the derived impl recurses).
-    fn eq(&self, other: &Self) -> bool {
-        let mut stack = vec![(self, other)];
-        while let Some((a, b)) = stack.pop() {
-            if a.atom != b.atom {
-                return false;
-            }
-            match (&a.via, &b.via) {
-                (None, None) => {}
-                (Some((ra, ka)), Some((rb, kb))) => {
-                    if ra != rb || ka.len() != kb.len() {
-                        return false;
-                    }
-                    stack.extend(ka.iter().zip(kb.iter()));
-                }
-                _ => return false,
-            }
-        }
-        true
-    }
-}
-
-impl Drop for DerivationTree {
-    /// Iterative drop: the derived drop glue recurses through nested
-    /// nodes, which overflows the stack on the ≥10⁵-deep proofs the
-    /// chain workloads produce.
-    fn drop(&mut self) {
-        if let Some((_, kids)) = self.via.take() {
-            let mut stack = kids;
-            while let Some(mut t) = stack.pop() {
-                if let Some((_, mut k)) = t.via.take() {
-                    stack.append(&mut k);
-                    // `t` drops here with `via == None`: no recursion.
-                }
-            }
-        }
+    /// All nodes in breadth-first order, the root first: a node's
+    /// children are `&tree.nodes()[node.children.clone()]`.
+    pub fn nodes(&self) -> &[Node] {
+        &self.nodes
     }
 }
 
@@ -287,7 +187,7 @@ mod tests {
         // The DAG metrics agree with the materialized tree.
         assert_eq!(prov.tree_height(&atom), Some(tree.height() as u64));
         assert_eq!(prov.tree_size(&atom), Some(tree.size() as u64));
-        assert_eq!(tree.nodes().count(), tree.size());
+        assert_eq!(tree.nodes().len(), tree.size());
     }
 
     #[test]
@@ -306,7 +206,8 @@ mod tests {
         let edbs = p.edb_predicates();
         assert!(tree
             .nodes()
-            .filter(|t| t.via.is_none())
+            .iter()
+            .filter(|t| t.rule.is_none())
             .all(|t| edbs.contains(&t.atom.pred)));
         prov.check(&p).expect("engine provenance is valid");
     }
@@ -362,43 +263,42 @@ mod tests {
         }
     }
 
-    /// Satellite regression: a ≥200k-deep manually-built chain tree.
-    /// Must pass in the default (dev) test profile, where thread stacks
-    /// are smallest — recursion in size/height/drop would overflow.
+    /// A 200k-deep chain tree built by hand, in the breadth-first
+    /// layout: node `i` derives `p(0, DEPTH - i)` from node `i + 1`, the
+    /// last node a database fact. Must pass in the default (dev) test
+    /// profile, where thread stacks are smallest — a tree type that
+    /// nests its subtrees recurses in clone, equality and drop.
     #[test]
     fn deep_chain_tree_metrics_are_iterative_200k() {
         const DEPTH: usize = 200_000;
-        let mut t = DerivationTree {
-            atom: GroundAtom {
-                pred: Pred(1),
-                args: vec![Const(0), Const(1)],
-            },
-            via: None,
-        };
-        for i in 1..DEPTH {
-            t = DerivationTree {
-                atom: GroundAtom {
-                    pred: Pred(0),
-                    args: vec![Const(0), Const(i as u32 + 1)],
-                },
-                via: Some((0, vec![t])),
-            };
-        }
+        let nodes = (0..DEPTH)
+            .map(|i| {
+                let leaf = i + 1 == DEPTH;
+                Node {
+                    atom: GroundAtom {
+                        pred: Pred(u32::from(leaf)),
+                        args: vec![Const(0), Const((DEPTH - i) as u32)],
+                    },
+                    rule: (!leaf).then_some(0),
+                    children: if leaf { DEPTH..DEPTH } else { i + 1..i + 2 },
+                }
+            })
+            .collect();
+        let t = DerivationTree { nodes };
         assert_eq!(t.height(), DEPTH);
         assert_eq!(t.size(), DEPTH);
-        assert_eq!(t.nodes().count(), DEPTH);
-        // Clone and structural equality are iterative too.
+        assert_eq!(t.nodes().len(), DEPTH);
+        // Clone and structural equality walk the array.
         let c = t.clone();
         assert_eq!(c.height(), DEPTH);
-        assert!(c == t, "iterative eq on the deep clone");
-        // The implicit drops of `t` and `c` here complete the test:
-        // derive'd drop glue would recurse 200k frames deep.
+        assert!(c == t, "eq on the deep clone");
+        // The implicit drops of `t` and `c` here complete the test: a
+        // nested tree's drop glue would recurse 200k frames deep.
     }
 
-    /// Satellite regression: a ≥200k-deep proof produced by the engine,
-    /// reconstructed and measured through the columnar provenance. Uses
-    /// the monadic Program D (linear model) so the fixpoint itself stays
-    /// O(n).
+    /// A ≥200k-deep proof produced by the engine, reconstructed and
+    /// measured through the columnar provenance. Uses the monadic
+    /// Program D (linear model) so the fixpoint itself stays O(n).
     #[test]
     fn deep_chain_provenance_reconstruction_200k() {
         const N: usize = 200_000;
@@ -428,8 +328,8 @@ mod tests {
         assert_eq!(prov.tree_height(&deepest), Some(N as u64 + 1));
         assert_eq!(prov.tree_size(&deepest), Some(2 * N as u64));
         assert_eq!(prov.max_height(), N as u64 + 1);
-        // Full iterative reconstruction of the 400k-node tree — and its
-        // iterative drop at scope end.
+        // Full reconstruction of the 400k-node tree — and its drop at
+        // scope end.
         let tree = prov.tree(&deepest).expect("deepest fact derivable");
         assert_eq!(tree.height(), N + 1);
         assert_eq!(tree.size(), 2 * N);

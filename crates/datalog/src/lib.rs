@@ -67,9 +67,10 @@
 //!   inside the columnar join — deterministic at every thread and shard
 //!   count — and [`derivation::Provenance`], a read-only view that holds
 //!   the recording store and reads its rows, justifications and rule
-//!   slots (no second copy), reconstructs trees and computes
-//!   size/height **iteratively**, so the 10⁵-deep proofs of the chain
-//!   workloads cannot overflow the stack;
+//!   slots (no second copy), reconstructs trees and computes their
+//!   size and height. A [`DerivationTree`] is one flat node array, so
+//!   the 10⁵-deep proofs of the chain workloads cannot overflow the
+//!   stack;
 //! - [`magic`] — adornments and the generalized magic-sets rewriting (ref.\[5\]),
 //!   which Section 7 of the paper interprets as language quotients; a
 //!   [`magic::MagicTemplate`] is the constant-free form compiled once

@@ -51,7 +51,8 @@ impl Materialization {
     ///    (count + `u32`s): per row, in row order, its rule slot and then
     ///    its body row ids in rule-text order — empty for an EDB
     ///    relation. A live row's entry names an active rule and live
-    ///    body rows; a dead row's is stale and unread.
+    ///    body rows, and no chain of live entries leads back to its
+    ///    row; a dead row's is stale and unread.
     ///
     /// Deliberately **not** serialized (rebuilt on restore): the dedup
     /// tables (probe-history-dependent slot layout; write-path state, so
@@ -409,6 +410,19 @@ impl Materialization {
             if rel.dead_row_ids().any(|row| m.rev.has_dependents(r, row)) {
                 return Err(PersistError::Corrupt("live row justified through a dead row"));
             }
+        }
+        // A rule reads its own component of the rule graph or a lower
+        // one, and a body row of the head's own relation sits below it,
+        // so a justification cycle stays in one component and crosses
+        // its relations: only the live rows of components of two or
+        // more relations are walked, none for most programs.
+        let mut span = vec![0u32; nrels];
+        for &c in &m.comp {
+            span[c as usize] += 1;
+        }
+        let tangled: Vec<usize> = (0..nrels).filter(|&r| span[m.comp[r] as usize] > 1).collect();
+        if !tangled.is_empty() {
+            m.well_founded(tangled).map_err(|_| PersistError::Corrupt("justifications form a cycle"))?;
         }
         Ok(m)
     }

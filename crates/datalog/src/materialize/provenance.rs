@@ -3,12 +3,15 @@
 //! store's rows, justifications and rule slots — there is no second
 //! copy to keep in step. Trees, metrics and the validity check are read
 //! here; the tree type and the module story are `crate::derivation`'s.
-//! No `BENCHMARK.json` metric runs this file.
+//! The decoder walks a restored store's justifications for cycles with
+//! the same metric code, but only in a rule-graph component of two or
+//! more relations, which no `BENCHMARK.json` workload's program has: no
+//! metric runs this file.
 
 use super::{Materialization, RelJust};
 use crate::ast::{Const, Pred, Program, Term, Var};
 use crate::db::Database;
-use crate::derivation::{DerivationTree, GroundAtom};
+use crate::derivation::{DerivationTree, GroundAtom, Node};
 use crate::eval::{EvalStats, Strategy};
 use crate::hash::FxHashMap;
 use crate::storage::{ColumnarRelation, NO_ROW};
@@ -90,33 +93,16 @@ impl Provenance {
         }
     }
 
-    /// The recorded justification of a row: `None` for EDB rows
-    /// (leaves), `Some((rule, body row ids))` for derived rows.
-    fn just_of(&self, rel: usize, row: u32) -> Option<(u32, &[u32])> {
-        if !self.store.idb_flag[rel] {
-            return None;
-        }
-        let just: &[RelJust] = self.store.prov.as_deref().expect("a provenance's store records justifications");
-        Some(just[rel].entry(row))
-    }
-
-    /// The relation of body atom `k` of rule slot `rule`, in rule-text
-    /// order — what a justification's body row ids index into, whatever
-    /// order the slot's plans run the steps in.
-    fn body_rel(&self, rule: u32, k: usize) -> usize {
-        self.store.plans[rule as usize][0].body_rels[k] as usize
-    }
-
     /// The justification of a derived fact: the rule index and the body
     /// ground atoms of its first-found derivation. `None` if the atom is
     /// not a derived IDB fact in the model.
     pub fn justification(&self, atom: &GroundAtom) -> Option<(usize, Vec<GroundAtom>)> {
         let (rel, row) = self.rel_row(atom)?;
-        let (rule, body) = self.just_of(rel, row)?;
+        let (rule, body) = self.store.just_of(rel, row)?;
         let atoms = body
             .iter()
             .enumerate()
-            .map(|(k, &b)| self.atom_at(self.body_rel(rule, k), b))
+            .map(|(k, &b)| self.atom_at(self.store.body_rel(rule, k), b))
             .collect();
         Some((rule as usize, atoms))
     }
@@ -148,65 +134,22 @@ impl Provenance {
     }
 
     /// Builds the derivation tree of a ground atom, if it is in the
-    /// model (a leaf for database facts). Iterative: proof depth is
-    /// bounded by memory, not stack.
+    /// model (a single leaf for a database fact), breadth-first: a node's
+    /// justification queues its body rows behind every row already
+    /// queued, and node `i` is the `i`-th row of the queue.
     pub fn tree(&self, atom: &GroundAtom) -> Option<DerivationTree> {
-        let (rel0, row0) = self.rel_row(atom)?;
-        let Some((rule0, _)) = self.just_of(rel0, row0) else {
-            return Some(DerivationTree {
-                atom: self.atom_at(rel0, row0),
-                via: None,
-            });
-        };
-        struct Frame {
-            rel: usize,
-            row: u32,
-            rule: u32,
-            kids: Vec<DerivationTree>,
-        }
-        let mut stack = vec![Frame {
-            rel: rel0,
-            row: row0,
-            rule: rule0,
-            kids: Vec::new(),
-        }];
-        loop {
-            let (frel, frow, frule, built) = {
-                let f = stack.last().expect("non-empty until the root completes");
-                (f.rel, f.row, f.rule, f.kids.len())
-            };
-            let body = self.just_of(frel, frow).expect("frames are derived rows").1;
-            if built < body.len() {
-                let crel = self.body_rel(frule, built);
-                let crow = body[built];
-                match self.just_of(crel, crow) {
-                    None => stack
-                        .last_mut()
-                        .expect("frame exists")
-                        .kids
-                        .push(DerivationTree {
-                            atom: self.atom_at(crel, crow),
-                            via: None,
-                        }),
-                    Some((crule, _)) => stack.push(Frame {
-                        rel: crel,
-                        row: crow,
-                        rule: crule,
-                        kids: Vec::new(),
-                    }),
-                }
-            } else {
-                let f = stack.pop().expect("frame exists");
-                let node = DerivationTree {
-                    atom: self.atom_at(f.rel, f.row),
-                    via: Some((f.rule as usize, f.kids)),
-                };
-                match stack.last_mut() {
-                    None => return Some(node),
-                    Some(parent) => parent.kids.push(node),
-                }
+        let mut queue = vec![self.rel_row(atom)?];
+        let mut nodes = Vec::new();
+        while let Some(&(rel, row)) = queue.get(nodes.len()) {
+            let just = self.store.just_of(rel, row);
+            let start = queue.len();
+            if let Some((rule, body)) = just {
+                queue.extend(body.iter().enumerate().map(|(k, &b)| (self.store.body_rel(rule, k), b)));
             }
+            let rule = just.map(|(rule, _)| rule as usize);
+            nodes.push(Node { atom: self.atom_at(rel, row), rule, children: start..queue.len() });
         }
+        Some(DerivationTree { nodes })
     }
 
     /// Number of nodes of the atom's derivation tree, without
@@ -215,7 +158,7 @@ impl Provenance {
     /// occurrence, as the tree semantics demands; values saturate).
     pub fn tree_size(&self, atom: &GroundAtom) -> Option<u64> {
         let (rel, row) = self.rel_row(atom)?;
-        let mut ctx = MetricCtx::new(self, false);
+        let mut ctx = MetricCtx::new(&self.store, false);
         Some(ctx.get(rel, row).expect("engine provenance is acyclic"))
     }
 
@@ -223,7 +166,7 @@ impl Provenance {
     /// without materializing it.
     pub fn tree_height(&self, atom: &GroundAtom) -> Option<u64> {
         let (rel, row) = self.rel_row(atom)?;
-        let mut ctx = MetricCtx::new(self, true);
+        let mut ctx = MetricCtx::new(&self.store, true);
         Some(ctx.get(rel, row).expect("engine provenance is acyclic"))
     }
 
@@ -234,7 +177,7 @@ impl Provenance {
             return Vec::new();
         };
         let (rel, cr) = (rel as usize, &self.store.rels[rel as usize]);
-        let mut ctx = MetricCtx::new(self, true);
+        let mut ctx = MetricCtx::new(&self.store, true);
         cr.row_ids(..)
             .filter(|&row| cr.is_live(row))
             .map(|row| ctx.get(rel, row).expect("engine provenance is acyclic"))
@@ -245,7 +188,7 @@ impl Provenance {
     /// (0 if nothing was derived) — the executable form of the Section 8
     /// boundedness measure.
     pub fn max_height(&self) -> u64 {
-        let mut ctx = MetricCtx::new(self, true);
+        let mut ctx = MetricCtx::new(&self.store, true);
         let mut max = 0;
         for (rel, cr) in self.idb_rels() {
             for row in cr.row_ids(..) {
@@ -281,9 +224,7 @@ impl Provenance {
                 if !cr.is_live(row) {
                     continue; // retracted rows keep stale, unread entries
                 }
-                let (rule_i, body) = self
-                    .just_of(rel, row)
-                    .expect("IDB rows carry justifications");
+                let (rule_i, body) = self.store.just_of(rel, row).expect("IDB rows carry justifications");
                 let rule = program
                     .rules
                     .get(rule_i as usize)
@@ -300,7 +241,7 @@ impl Provenance {
                     Term::Var(v) => *env.entry(*v).or_insert(c) == c,
                 };
                 for (k, (atom, &brow)) in rule.body.iter().zip(body).enumerate() {
-                    let brel = self.body_rel(rule_i, k);
+                    let brel = self.store.body_rel(rule_i, k);
                     if pred_of_rel[brel] != atom.pred {
                         return Err(format!("row {rel}/{row}: body {k} wrong predicate"));
                     }
@@ -338,15 +279,38 @@ impl Provenance {
                 }
             }
         }
-        // Well-foundedness: height computation visits every chain and
-        // fails on a cycle (a cycle would mean a "justification" that
-        // never reaches EDB leaves).
+        self.store.well_founded(self.idb_rels().map(|(rel, _)| rel))
+    }
+}
+
+impl Materialization {
+    /// The recorded justification of a row: `None` for EDB rows
+    /// (leaves), `Some((rule, body row ids))` for derived rows.
+    fn just_of(&self, rel: usize, row: u32) -> Option<(u32, &[u32])> {
+        if !self.idb_flag[rel] {
+            return None;
+        }
+        let just: &[RelJust] = self.prov.as_deref().expect("a store read for justifications records them");
+        Some(just[rel].entry(row))
+    }
+
+    /// The relation of body atom `k` of rule slot `rule`, in rule-text
+    /// order — what a justification's body row ids index into, whatever
+    /// order the slot's plans run the steps in.
+    fn body_rel(&self, rule: u32, k: usize) -> usize {
+        self.plans[rule as usize][0].body_rels[k] as usize
+    }
+
+    /// Well-foundedness of the live rows of `rels`: every justification
+    /// chain from them bottoms out in EDB rows. The height computation
+    /// visits every chain and fails on a cycle, a "justification" that
+    /// never reaches a leaf.
+    pub(super) fn well_founded(&self, rels: impl IntoIterator<Item = usize>) -> Result<(), String> {
         let mut ctx = MetricCtx::new(self, true);
-        for (rel, cr) in self.idb_rels() {
-            for row in cr.row_ids(..) {
-                if cr.is_live(row) {
-                    ctx.get(rel, row)?;
-                }
+        for rel in rels {
+            let cr = &self.rels[rel];
+            for row in cr.row_ids(..).filter(|&row| cr.is_live(row)) {
+                ctx.get(rel, row)?;
             }
         }
         Ok(())
@@ -356,16 +320,16 @@ impl Provenance {
 /// Shared-memo iterative DP over the justification DAG: size or height
 /// per row. Detects cycles (corrupt stores) instead of hanging.
 struct MetricCtx<'a> {
-    prov: &'a Provenance,
+    store: &'a Materialization,
     memo: Vec<Vec<u64>>,
     height: bool,
 }
 
 impl<'a> MetricCtx<'a> {
-    fn new(prov: &'a Provenance, height: bool) -> Self {
+    fn new(store: &'a Materialization, height: bool) -> Self {
         Self {
-            prov,
-            memo: prov.store.rels.iter().map(|r| vec![UNSET; r.num_rows()]).collect(),
+            store,
+            memo: store.rels.iter().map(|r| vec![UNSET; r.num_rows()]).collect(),
             height,
         }
     }
@@ -377,14 +341,14 @@ impl<'a> MetricCtx<'a> {
             if cur != UNSET && cur != PENDING {
                 continue;
             }
-            let Some((rule, body)) = self.prov.just_of(rel, row) else {
+            let Some((rule, body)) = self.store.just_of(rel, row) else {
                 self.memo[rel][row as usize] = 1; // EDB leaf
                 continue;
             };
             if expanded {
                 let mut acc = 0u64;
                 for (k, &b) in body.iter().enumerate() {
-                    let brel = self.prov.body_rel(rule, k);
+                    let brel = self.store.body_rel(rule, k);
                     let v = self.memo[brel][b as usize];
                     debug_assert!(v != UNSET && v != PENDING, "children computed first");
                     acc = if self.height {
@@ -398,7 +362,7 @@ impl<'a> MetricCtx<'a> {
                 self.memo[rel][row as usize] = PENDING;
                 stack.push((rel, row, true));
                 for (k, &b) in body.iter().enumerate() {
-                    let brel = self.prov.body_rel(rule, k);
+                    let brel = self.store.body_rel(rule, k);
                     match self.memo[brel][b as usize] {
                         PENDING => {
                             return Err(format!(

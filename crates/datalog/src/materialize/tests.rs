@@ -1500,8 +1500,9 @@ fn snapshot_round_trip_is_bit_for_bit_and_update_equivalent() {
     // A restored store's provenance looks atoms up as the live one's.
     let anc = p.symbols.get_predicate("anc").unwrap();
     let deepest = crate::derivation::GroundAtom { pred: anc, args: vec![edges[0][0], edges[9][1]] };
-    assert_eq!(m2.provenance().tree(&deepest), m.provenance().tree(&deepest));
-    assert_eq!(m2.provenance().tree_height(&deepest), Some(11));
+    let tree = m2.provenance().tree(&deepest).expect("a derived atom has a tree");
+    assert_eq!(Some(&tree), m.provenance().tree(&deepest).as_ref());
+    assert_eq!((tree.height(), m2.provenance().tree_height(&deepest)), (11, Some(11)));
 
     // The same mixed round lands identically on both stores.
     let round = UpdateRound::new()

@@ -126,6 +126,8 @@ fn main() {
         .expect("nonempty model");
     let deepest = prov.derived().nth(deepest_row).expect("row exists");
     let tree = prov.tree(&deepest).expect("derived fact has a tree");
+    let par = program.symbols.get_predicate("par").unwrap();
+    assert!(tree.nodes().iter().filter(|n| n.rule.is_none()).all(|n| n.atom.pred == par));
     println!(
         "deepest proof: {}({}, {}) — tree height {} with {} nodes, all leaves par facts",
         program.symbols.pred_name(deepest.pred),

@@ -755,6 +755,41 @@ fn a_dense_closure_of_repeated_heads_agrees_across_engines() {
     }
 }
 
+/// Program C's recursive rule reads two `anc` atoms, so its trees
+/// branch: a node's children are two subtrees, each a range further down
+/// the node array. On a small layered DAG, every derived atom's tree has
+/// the size and height its justifications give, each internal node's
+/// children are its justification's body atoms in rule-text order,
+/// every leaf is a database fact, and a clone equals its original.
+#[test]
+fn branching_trees_follow_their_justifications() {
+    let entry = gallery().into_iter().find(|e| e.name == "program_c").expect("program C");
+    let mut program = entry.chain().program;
+    let db = workload::layered_dag(&mut program, "par", "john", 3, 2);
+    let prov = eval::evaluate_with_provenance(&program, &db, Strategy::SemiNaive);
+    let edbs = program.edb_predicates();
+    let mut branching = 0;
+    for atom in prov.derived() {
+        let tree = prov.tree(&atom).expect("a derived atom has a tree");
+        assert_eq!(tree.nodes().first().map(|root| &root.atom), Some(&atom));
+        assert_eq!(Some(tree.size() as u64), prov.tree_size(&atom), "{atom:?}");
+        assert_eq!(Some(tree.height() as u64), prov.tree_height(&atom), "{atom:?}");
+        for node in tree.nodes() {
+            let kids = &tree.nodes()[node.children.clone()];
+            match node.rule {
+                None => assert!(edbs.contains(&node.atom.pred) && kids.is_empty(), "{node:?}"),
+                Some(rule) => {
+                    let body = kids.iter().map(|k| k.atom.clone()).collect();
+                    assert_eq!(prov.justification(&node.atom), Some((rule, body)));
+                }
+            }
+            branching += usize::from(kids.iter().filter(|k| k.rule.is_some()).count() == 2);
+        }
+        assert_eq!(tree.clone(), tree);
+    }
+    assert!(branching > 0, "some node has two derived children");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 

@@ -494,6 +494,32 @@ fn a_justification_through_a_rule_of_another_relation_is_refused() {
     assert_refused(&forged, "justification rule heads another relation", "rule-head");
 }
 
+/// A live row's justifications bottom out in database facts. Over
+/// `e(a)`, `p(X) :- q(X)`, `q(X) :- p(X)` and `q(X) :- e(X)` record
+/// `q(a)` through rule 2; a file naming rule 1 instead has `q(a)` read
+/// `p(a)` and `p(a)` read `q(a)`, every entry well-shaped. Its restored
+/// store still answered `p(a)` once `e(a)` was retracted. It is refused,
+/// by the store and by the server.
+#[test]
+fn a_justification_cycle_across_relations_is_refused() {
+    let mut p = parse_program("?- p(X).\np(X) :- q(X).\nq(X) :- p(X).\nq(X) :- e(X).").unwrap();
+    let e = p.symbols.get_predicate("e").unwrap();
+    let mut db = selprop_datalog::Database::new();
+    db.insert(e, vec![p.symbols.constant("a")]);
+    let bytes = Materialization::from_database(&p, &db, Strategy::SemiNaive).to_bytes();
+    // q's empty tombstone bitset, then its justification buffer: its
+    // length 2 and `[rule 2, e row 0]`.
+    let entry: Vec<u8> =
+        [&0u64.to_le_bytes()[..], &2u64.to_le_bytes(), &2u32.to_le_bytes(), &0u32.to_le_bytes()].concat();
+    let at: Vec<usize> = (0..bytes.len() - entry.len())
+        .filter(|&i| bytes[i..i + entry.len()] == entry[..])
+        .collect();
+    assert_eq!(at.len(), 1, "q's justification buffer found once");
+    let mut forged = bytes;
+    forged[at[0] + 16..at[0] + 20].copy_from_slice(&1u32.to_le_bytes());
+    assert_refused(&forged, "justifications form a cycle", "cycle");
+}
+
 /// A justification buffer is its rows' entries and nothing else: one
 /// the rule lengths leave a word of, or end inside an entry, is refused.
 #[test]
