@@ -12,12 +12,14 @@
 //! form*: a nonrecursive union-of-conjunctive-queries program, plus the
 //! numeric depth bound; in the unbounded case, a pumping certificate.
 
+use selprop_automata::{Alphabet, Symbol};
 use selprop_datalog::ast::{Atom, Program, Rule, Term};
 use selprop_datalog::db::Database;
 use selprop_datalog::derivation::{ConvergenceProfile, Provenance};
 use selprop_grammar::analysis::{finiteness, Finiteness, PumpWitness};
 
 use crate::chain::ChainProgram;
+use crate::rewrite::word_path;
 
 /// The boundedness decision.
 #[derive(Clone, Debug)]
@@ -33,7 +35,7 @@ pub enum Boundedness {
         /// leaves).
         depth_bound: usize,
         /// The words of `L(H)`.
-        words: Vec<Vec<selprop_automata::Symbol>>,
+        words: Vec<Vec<Symbol>>,
     },
     /// `L(H)` is infinite: unbounded, not FO-expressible.
     Unbounded {
@@ -52,9 +54,10 @@ impl Boundedness {
 /// Decides boundedness of a chain program (Prop. 8.2, effective by
 /// reduction to CFL finiteness).
 pub fn boundedness(chain: &ChainProgram) -> Boundedness {
-    match finiteness(&chain.grammar()) {
+    let grammar = chain.grammar();
+    match finiteness(&grammar) {
         Finiteness::Finite(words) => {
-            let fo_program = fo_form(chain, &words);
+            let fo_program = fo_form(chain, &grammar.alphabet, &words);
             let depth_bound = words.iter().map(Vec::len).max().unwrap_or(0) + 1;
             Boundedness::Bounded {
                 fo_program,
@@ -66,43 +69,23 @@ pub fn boundedness(chain: &ChainProgram) -> Boundedness {
     }
 }
 
-/// The FO (nonrecursive) form: `p_fo(X, Y) :- b_{w[0]}(X, Z1), ...` per
-/// word `w ∈ L(H)`, with the original goal's selection re-applied.
-fn fo_form(chain: &ChainProgram, words: &[Vec<selprop_automata::Symbol>]) -> Program {
-    let grammar = chain.grammar();
-    let edbs = chain.edbs();
-    let pred_of_symbol = |s: selprop_automata::Symbol| {
-        let name = grammar.alphabet.name(s);
-        *edbs
-            .iter()
-            .find(|&&p| chain.program.symbols.pred_name(p) == name)
-            .expect("alphabet symbol names an EDB")
-    };
+/// The FO (nonrecursive) form: `p_fo(X, Y) :- b_{w[0]}(X, Z0), ...` per
+/// word `w ∈ L(H)` (the path [`crate::rewrite`] builds for its tableaux,
+/// ending at `Y`), with the original goal's selection re-applied.
+fn fo_form(chain: &ChainProgram, alphabet: &Alphabet, words: &[Vec<Symbol>]) -> Program {
+    let edge = chain.edb_preds(alphabet);
     let mut symbols = chain.program.symbols.clone();
     let p_fo = symbols.fresh_predicate("p_fo");
-    let x = symbols.fresh_variable("X");
-    let y = symbols.fresh_variable("Y");
-    let mut rules = Vec::new();
-    for w in words {
-        let mut body = Vec::new();
-        let mut prev = Term::Var(x);
-        for (i, &s) in w.iter().enumerate() {
-            let next = if i == w.len() - 1 {
-                Term::Var(y)
-            } else {
-                Term::Var(symbols.fresh_variable(&format!("Z{i}")))
-            };
-            body.push(Atom::new(pred_of_symbol(s), vec![prev, next]));
-            prev = next;
-        }
-        rules.push(Rule::new(Atom::new(p_fo, vec![Term::Var(x), Term::Var(y)]), body));
-    }
+    let x = Term::Var(symbols.fresh_variable("X"));
+    let y = Term::Var(symbols.fresh_variable("Y"));
+    let head = Atom::new(p_fo, vec![x, y]);
+    let mut rules: Vec<Rule> = words
+        .iter()
+        .map(|w| Rule::new(head.clone(), word_path(&mut symbols, &edge, w, x, y)))
+        .collect();
     if rules.is_empty() {
         // empty language: p_fo(X, Y) :- p_fo(X, Y). derives nothing
-        rules.push(Rule::new(
-            Atom::new(p_fo, vec![Term::Var(x), Term::Var(y)]),
-            vec![Atom::new(p_fo, vec![Term::Var(x), Term::Var(y)])],
-        ));
+        rules.push(Rule::new(head.clone(), vec![head]));
     }
     // reapply the original goal's selection, with predicate renamed
     let goal = Atom::new(p_fo, chain.program.goal.args.clone());

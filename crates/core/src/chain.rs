@@ -14,6 +14,7 @@
 //! terminals, rules by productions, and the goal predicate by the start
 //! symbol; `L(H) = L(G(H))`.
 
+use selprop_automata::{Alphabet, Symbol};
 use selprop_datalog::ast::{Atom, Pred, Program, Term, Var};
 use selprop_grammar::cfg::{Cfg, Sym};
 
@@ -82,19 +83,29 @@ impl ChainProgram {
         self.program.edb_predicates()
     }
 
+    /// The terminal alphabet `Σ` of `G(H)`: one symbol per EDB name, in
+    /// [`ChainProgram::edbs`] order.
+    pub(crate) fn alphabet(&self) -> Alphabet {
+        Alphabet::from_names(self.edbs().iter().map(|&p| self.program.symbols.pred_name(p)))
+    }
+
+    /// The EDB predicate each symbol of `alphabet` names, indexed by
+    /// [`Symbol::index`] — the one lookup of a letter's predicate.
+    pub(crate) fn edb_preds(&self, alphabet: &Alphabet) -> Vec<Pred> {
+        let (edbs, names) = (self.edbs(), &self.program.symbols);
+        let named = |s: Symbol| edbs.iter().find(|&&p| names.pred_name(p) == alphabet.name(s));
+        alphabet.symbols().map(|s| *named(s).expect("alphabet symbol names an EDB")).collect()
+    }
+
     /// The grammar `G(H)` of Section 3. Terminals are EDB names,
     /// nonterminals IDB names, the start symbol is the goal predicate.
     pub fn grammar(&self) -> Cfg {
         let idbs = self.program.idb_predicates();
-        let edbs = self.edbs();
-        let alphabet = selprop_automata::Alphabet::from_names(
-            edbs.iter().map(|&p| self.program.symbols.pred_name(p)),
-        );
         // start must be the goal predicate: list it first
         let goal = self.goal_pred();
         let mut order: Vec<Pred> = vec![goal];
         order.extend(idbs.iter().copied().filter(|&p| p != goal));
-        let mut cfg = Cfg::new(alphabet, self.program.symbols.pred_name(goal));
+        let mut cfg = Cfg::new(self.alphabet(), self.program.symbols.pred_name(goal));
         for &p in &order[1..] {
             cfg.add_nonterminal(self.program.symbols.pred_name(p));
         }
@@ -121,7 +132,7 @@ impl ChainProgram {
     }
 
     /// Words of `L(H)` up to a length bound (via the grammar).
-    pub fn language_words(&self, max_len: usize) -> Vec<Vec<selprop_automata::Symbol>> {
+    pub fn language_words(&self, max_len: usize) -> Vec<Vec<Symbol>> {
         selprop_grammar::analysis::words_up_to(&self.grammar(), max_len)
     }
 

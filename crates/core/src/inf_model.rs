@@ -14,11 +14,9 @@
 //! [`check_proposition_3_1`] verifies against the grammar-side
 //! enumeration of `L(H)`.
 
-use std::collections::HashMap;
-
-use selprop_automata::Symbol;
-use selprop_datalog::ast::{Const, Pred};
-use selprop_datalog::db::Database;
+use selprop_automata::{Alphabet, Symbol};
+use selprop_datalog::ast::{Const, Pred, Symbols};
+use selprop_datalog::db::{Database, Relation};
 use selprop_datalog::eval::{answer, Strategy};
 
 use crate::chain::{ChainProgram, GoalForm};
@@ -36,66 +34,71 @@ pub struct IgTruncation {
 
 /// Builds `IG_n` for the chain program's EDB alphabet, naming the root
 /// after the goal's constant (so the program's `p(c, Y)` goal applies
-/// directly). Node count is `(kⁿ⁺¹-1)/(k-1)` for `k` EDBs — keep `n`
-/// small for multi-letter alphabets.
+/// directly). The nodes are interned into the returned program's
+/// symbols, by the builder [`monadic_on_ig`] uses too. Node count is
+/// `(kⁿ⁺¹-1)/(k-1)` for `k` EDBs — keep `n` small for multi-letter
+/// alphabets.
 pub fn ig_truncation(chain: &ChainProgram, depth: usize) -> (ChainProgram, IgTruncation) {
     let origin = match &chain.goal_form {
-        GoalForm::BoundFirst(c) => c.clone(),
-        GoalForm::BoundBoth(c, _) => c.clone(),
-        _ => "c".to_owned(),
+        GoalForm::BoundFirst(c) | GoalForm::BoundBoth(c, _) => c.as_str(),
+        _ => "c",
     };
-    let mut chain = chain.clone();
-    let edbs = chain.edbs();
-    let grammar_alphabet = chain.grammar().alphabet;
-    let pred_of: HashMap<Symbol, Pred> = grammar_alphabet
-        .symbols()
-        .map(|s| {
-            let name = grammar_alphabet.name(s).to_owned();
-            let p = *edbs
-                .iter()
-                .find(|&&p| chain.program.symbols.pred_name(p) == name)
-                .expect("alphabet symbol names an EDB");
-            (s, p)
-        })
-        .collect();
-
-    let mut db = Database::new();
-    let root = chain.program.symbols.constant(&origin);
-    let mut nodes: Vec<(Const, Vec<Symbol>)> = vec![(root, Vec::new())];
-    let mut frontier: Vec<(Const, Vec<Symbol>)> = nodes.clone();
-    for _ in 0..depth {
-        let mut next = Vec::new();
-        for (parent, word) in &frontier {
-            for s in grammar_alphabet.symbols() {
-                let mut w2 = word.clone();
-                w2.push(s);
-                let name = render_node(&grammar_alphabet, &w2);
-                let child = chain.program.symbols.constant(&name);
-                db.insert(pred_of[&s], vec![*parent, child]);
-                next.push((child, w2));
-            }
-        }
-        nodes.extend(next.iter().cloned());
-        frontier = next;
-    }
-    (
-        chain,
-        IgTruncation {
-            db,
-            depth,
-            nodes,
-        },
-    )
+    let alphabet = chain.alphabet();
+    let edge = chain.edb_preds(&alphabet);
+    let mut out = chain.clone();
+    let (db, nodes) = ig(&mut out.program.symbols, &alphabet, &edge, origin, depth);
+    (out, IgTruncation { db, depth, nodes })
 }
 
+/// `IG_n` over `alphabet`: the complete labeled tree of depth `depth`
+/// rooted at the constant `origin`, the node of word `w` named
+/// `n_{w[0]}_…_{w[last]}`, one `edge[s]` fact ([`ChainProgram::edb_preds`])
+/// per tree edge labeled `s`. Returns the database and the nodes with
+/// their words in BFS order, root first.
+fn ig(
+    symbols: &mut Symbols,
+    alphabet: &Alphabet,
+    edge: &[Pred],
+    origin: &str,
+    depth: usize,
+) -> (Database, Vec<(Const, Vec<Symbol>)>) {
+    let mut db = Database::new();
+    let mut nodes = vec![(symbols.constant(origin), Vec::new())];
+    let mut parent = 0;
+    while parent < nodes.len() && nodes[parent].1.len() < depth {
+        for s in alphabet.symbols() {
+            let mut word = nodes[parent].1.clone();
+            word.push(s);
+            let name = word.iter().fold("n".to_owned(), |n, &a| n + "_" + alphabet.name(a));
+            let child = symbols.constant(&name);
+            db.insert(edge[s.index()], vec![nodes[parent].0, child]);
+            nodes.push((child, word));
+        }
+        parent += 1;
+    }
+    (db, nodes)
+}
+
+/// The words of the nodes `ans` holds, shortest first, then in
+/// lexicographic order.
+fn answer_words(ans: &Relation, nodes: &[(Const, Vec<Symbol>)]) -> Vec<Vec<Symbol>> {
+    let mut out: Vec<Vec<Symbol>> = nodes
+        .iter()
+        .filter(|(c, _)| ans.contains(std::slice::from_ref(c)))
+        .map(|(_, w)| w.clone())
+        .collect();
+    out.sort_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
+    out
+}
 
 /// Section 4 meets Section 5: evaluates an arbitrary **monadic** program
 /// `h` (chain EDBs, origin constant, unary goal) on the truncation
-/// `IG_n` and returns the answer nodes as label strings — a finite
-/// approximation of `h(IG)`, which Lemma 4.1 proves regular via the
-/// corridor/pigeonhole automaton. The test suite cross-checks this
-/// against the independent WS1S route (`selprop_ws1s::encode`): both
-/// must agree on `h(IG) ∩ Σ^{≤n}`.
+/// `IG_n` — built as [`ig_truncation`] builds it, over the alphabet of
+/// `edb_names` — and returns the answer nodes as label strings, as
+/// [`h_of_ig`] reads them: a finite approximation of `h(IG)`, which
+/// Lemma 4.1 proves regular via the corridor/pigeonhole automaton. The
+/// test suite cross-checks this against the independent WS1S route
+/// (`selprop_ws1s::encode`): both must agree on `h(IG) ∩ Σ^{≤n}`.
 pub fn monadic_on_ig(
     h: &selprop_datalog::Program,
     origin: &str,
@@ -106,47 +109,14 @@ pub fn monadic_on_ig(
         return Err("Lemma 4.1 concerns monadic programs".to_owned());
     }
     let mut h = h.clone();
-    let alphabet = selprop_automata::Alphabet::from_names(edb_names.iter().copied());
-    let preds: Vec<Pred> = edb_names.iter().map(|n| h.symbols.predicate(n)).collect();
-    let mut db = Database::new();
-    let root = h.symbols.constant(origin);
-    let mut nodes: Vec<(Const, Vec<Symbol>)> = vec![(root, Vec::new())];
-    let mut frontier = nodes.clone();
-    for _ in 0..depth {
-        let mut next = Vec::new();
-        for (parent, word) in &frontier {
-            for (i, s) in alphabet.symbols().enumerate() {
-                let mut w2 = word.clone();
-                w2.push(s);
-                let name = render_node(&alphabet, &w2);
-                let child = h.symbols.constant(&name);
-                db.insert(preds[i], vec![*parent, child]);
-                next.push((child, w2));
-            }
-        }
-        nodes.extend(next.iter().cloned());
-        frontier = next;
-    }
+    let alphabet = Alphabet::from_names(edb_names.iter().copied());
+    let edge: Vec<Pred> = edb_names.iter().map(|n| h.symbols.predicate(n)).collect();
+    let (db, nodes) = ig(&mut h.symbols, &alphabet, &edge, origin, depth);
     let (ans, _) = answer(&h, &db, Strategy::SemiNaive);
     if ans.arity() != 1 {
         return Err("expected a unary goal".to_owned());
     }
-    let mut out: Vec<Vec<Symbol>> = nodes
-        .iter()
-        .filter(|(c, _)| ans.contains(std::slice::from_ref(c)))
-        .map(|(_, w)| w.clone())
-        .collect();
-    out.sort_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
-    Ok(out)
-}
-
-fn render_node(al: &selprop_automata::Alphabet, word: &[Symbol]) -> String {
-    let mut s = String::from("n");
-    for &sym in word {
-        s.push('_');
-        s.push_str(al.name(sym));
-    }
-    s
+    Ok(answer_words(&ans, &nodes))
 }
 
 /// Evaluates `H` on `IG_n` and returns the answer nodes as label strings
@@ -154,14 +124,7 @@ fn render_node(al: &selprop_automata::Alphabet, word: &[Symbol]) -> String {
 pub fn h_of_ig(chain: &ChainProgram, depth: usize) -> Vec<Vec<Symbol>> {
     let (chain, trunc) = ig_truncation(chain, depth);
     let (ans, _) = answer(&chain.program, &trunc.db, Strategy::SemiNaive);
-    let mut out: Vec<Vec<Symbol>> = trunc
-        .nodes
-        .iter()
-        .filter(|(c, _)| ans.contains(std::slice::from_ref(c)))
-        .map(|(_, w)| w.clone())
-        .collect();
-    out.sort_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
-    out
+    answer_words(&ans, &trunc.nodes)
 }
 
 /// Proposition 3.1, checked on the truncation: `H(IG_n)` equals

@@ -22,6 +22,7 @@ use selprop_automata::dfa::Dfa;
 use selprop_automata::minimize::minimize;
 use selprop_automata::ops;
 use selprop_automata::regex::Regex;
+use selprop_datalog::ast::{Atom, Rule};
 use selprop_datalog::db::Database;
 use selprop_datalog::eval::{answer, evaluate, Strategy};
 use selprop_datalog::magic::{magic_transform, MagicProgram};
@@ -30,6 +31,7 @@ use selprop_grammar::quotient::right_quotient;
 use selprop_grammar::regular::approximate;
 
 use crate::chain::{ChainProgram, GoalForm};
+use crate::rewrite::automaton_marking;
 
 /// Per-rule quotient analysis.
 #[derive(Clone, Debug)]
@@ -140,20 +142,8 @@ pub fn magic_extension_vs_language(
 
     // reachability with label strings in prefix_language, by BFS over
     // (node, dfa state) pairs
-    let grammar = chain.grammar();
-    let edbs = chain.edbs();
-    let sym_of_pred: Vec<(selprop_datalog::ast::Pred, selprop_automata::Symbol)> = edbs
-        .iter()
-        .map(|&p| {
-            (
-                p,
-                grammar
-                    .alphabet
-                    .get(chain.program.symbols.pred_name(p))
-                    .expect("edb in alphabet"),
-            )
-        })
-        .collect();
+    let alphabet = chain.alphabet();
+    let edges: Vec<_> = alphabet.symbols().zip(chain.edb_preds(&alphabet)).collect();
     let origin_const = chain
         .program
         .symbols
@@ -165,7 +155,7 @@ pub fn magic_extension_vs_language(
     reach.insert((origin_const, prefix_language.start()));
     queue.push_back((origin_const, prefix_language.start()));
     while let Some((node, q)) = queue.pop_front() {
-        for &(pred, sym) in &sym_of_pred {
+        for &(sym, pred) in &edges {
             let Some(rel) = db.relation(pred) else { continue };
             for t in rel.iter() {
                 if t[0] == node {
@@ -191,78 +181,31 @@ pub fn magic_extension_vs_language(
 /// Section 7's "quotients correspond to monadic programs" made literal:
 /// instead of the syntactic magic rewriting, guard the original rules
 /// with a *monadic automaton marking*. The prefix language
-/// `Pref(R(H))` of the regular envelope is compiled to a DFA; monadic
-/// rules `m_q(Y) :- m_p(Z), b(Z, Y)` mark each node with the DFA states
-/// reachable from `c`; every original rule gets the guard "the rule's
-/// first variable is marked with a live state". Answers are preserved
-/// (the guard accepts every useful prefix) and work shrinks on noisy
-/// databases like the magic transformation's.
+/// `Pref(R(H))` of the regular envelope is compiled to a DFA; the
+/// marking Theorem 3.3's rewrite builds (`rewrite.rs`'s
+/// `automaton_marking`), here `useful_q(Gy) :- useful_p(Gz), b(Gz, Gy)`
+/// with answer `useful`, marks each node with the DFA states reachable
+/// from `c`; every original rule gets the guard "the rule's first
+/// variable is `useful`". Answers are preserved (the guard accepts every
+/// useful prefix) and work shrinks on noisy databases like the magic
+/// transformation's.
 pub fn envelope_guarded_program(chain: &ChainProgram) -> Result<selprop_datalog::Program, String> {
     let GoalForm::BoundFirst(origin) = &chain.goal_form else {
         return Err("envelope guarding assumes the goal form p(c, Y)".to_owned());
     };
-    let grammar = chain.grammar();
-    let envelope = minimize(&approximate(&grammar).dfa());
+    let envelope = minimize(&approximate(&chain.grammar()).dfa());
     let prefix_dfa = minimize(&ops::prefixes(&envelope));
-
     let mut program = chain.program.clone();
-    let edbs = chain.edbs();
-    let live = prefix_dfa.live_states();
-    // marking predicates per live state
-    let m_pred: Vec<Option<selprop_datalog::ast::Pred>> = (0..prefix_dfa.num_states())
-        .map(|q| {
-            live.contains(&q)
-                .then(|| program.symbols.fresh_predicate(&format!("useful{q}")))
-        })
-        .collect();
-    let guard_pred = program.symbols.fresh_predicate("useful");
-    let c = program.symbols.constant(origin);
-    let vy = program.symbols.fresh_variable("Gy");
-    let vz = program.symbols.fresh_variable("Gz");
-    let mut new_rules: Vec<selprop_datalog::ast::Rule> = Vec::new();
-    use selprop_datalog::ast::{Atom, Rule, Term};
-    if let Some(p0) = m_pred[prefix_dfa.start()] {
-        new_rules.push(Rule::new(Atom::new(p0, vec![Term::Const(c)]), Vec::new()));
-    }
-    for q in live.iter().copied() {
-        for s in prefix_dfa.alphabet.symbols() {
-            let q2 = prefix_dfa.step(q, s);
-            let (Some(pq), Some(pq2)) = (m_pred[q], m_pred[q2]) else {
-                continue;
-            };
-            let name = prefix_dfa.alphabet.name(s);
-            let edge = *edbs
-                .iter()
-                .find(|&&p| program.symbols.pred_name(p) == name)
-                .expect("alphabet symbol names an EDB");
-            new_rules.push(Rule::new(
-                Atom::new(pq2, vec![Term::Var(vy)]),
-                vec![
-                    Atom::new(pq, vec![Term::Var(vz)]),
-                    Atom::new(edge, vec![Term::Var(vz), Term::Var(vy)]),
-                ],
-            ));
-        }
-    }
-    // useful(Y) :- m_q(Y) for accepting (prefix) states
-    for q in live.iter().copied() {
-        if prefix_dfa.is_accept(q) {
-            if let Some(pq) = m_pred[q] {
-                new_rules.push(Rule::new(
-                    Atom::new(guard_pred, vec![Term::Var(vy)]),
-                    vec![Atom::new(pq, vec![Term::Var(vy)])],
-                ));
-            }
-        }
-    }
+    let names = ["useful", "useful", "Gy", "Gz"];
+    let (mut rules, useful) =
+        automaton_marking(chain, &mut program.symbols, &prefix_dfa, origin, names, false, None);
     // guard every original rule on its head's first variable
-    for rule in &program.rules {
-        let first = rule.head.args[0];
-        let mut body = vec![Atom::new(guard_pred, vec![first])];
+    rules.extend(program.rules.iter().map(|rule| {
+        let mut body = vec![Atom::new(useful.pred, vec![rule.head.args[0]])];
         body.extend(rule.body.iter().cloned());
-        new_rules.push(Rule::new(rule.head.clone(), body));
-    }
-    program.rules = new_rules;
+        Rule::new(rule.head.clone(), body)
+    }));
+    program.rules = rules;
     program.validate()?;
     Ok(program)
 }

@@ -47,13 +47,10 @@ impl RegularityCertificate {
     pub fn dfa(&self, chain: &ChainProgram) -> Dfa {
         match self {
             RegularityCertificate::FiniteLanguage(words) => {
-                let grammar = chain.grammar();
-                let mut nfa = selprop_automata::Nfa::empty(grammar.alphabet.clone());
+                let alphabet = chain.alphabet();
+                let mut nfa = selprop_automata::Nfa::empty(alphabet.clone());
                 for w in words {
-                    nfa = nfa.union(&selprop_automata::Nfa::from_word(
-                        grammar.alphabet.clone(),
-                        w,
-                    ));
+                    nfa = nfa.union(&selprop_automata::Nfa::from_word(alphabet.clone(), w));
                 }
                 minimize(&Dfa::from_nfa(&nfa))
             }
@@ -198,67 +195,65 @@ pub fn propagate_with(
             }
         }
         GoalForm::BoundFirst(_) | GoalForm::BoundSecond(_) | GoalForm::BoundBoth(_, _) => {
-            // 1. finite ⇒ regular
-            if let Finiteness::Finite(words) = finiteness(&grammar) {
-                let certificate = RegularityCertificate::FiniteLanguage(words);
-                let dfa = certificate.dfa(chain);
-                let program = monadic_rewrite(chain, &dfa)?;
-                debug_assert!(program.is_monadic());
-                return Ok(Propagation::Propagated {
-                    program,
-                    certificate,
-                });
+            match regularity(&grammar) {
+                Ok(certificate) => {
+                    let program = monadic_rewrite(chain, &certificate.dfa(chain))?;
+                    debug_assert!(program.is_monadic());
+                    Ok(Propagation::Propagated {
+                        program,
+                        certificate,
+                    })
+                }
+                Err(se) => Ok(Propagation::Unknown(Box::new(evidence(&grammar, se, budget)))),
             }
-            // 2. strongly regular ⇒ exact compilation
-            if is_strongly_regular(&grammar) {
-                let dfa = minimize(&approximate(&grammar).dfa());
-                let program = monadic_rewrite(chain, &dfa)?;
-                return Ok(Propagation::Propagated {
-                    program,
-                    certificate: RegularityCertificate::StronglyRegular(dfa),
-                });
-            }
-            // 3. non-self-embedding ⇒ regular (Chomsky). After cleaning,
-            // NSE implies strongly regular, so this arm fires only in the
-            // (rare) gap where cleaning exposed it; keep it for the
-            // certificate's sake.
-            let se = self_embedding(&grammar);
-            if se.is_non_self_embedding() {
-                let dfa = minimize(&approximate(&grammar).dfa());
-                let program = monadic_rewrite(chain, &dfa)?;
-                return Ok(Propagation::Propagated {
-                    program,
-                    certificate: RegularityCertificate::NonSelfEmbedding(dfa),
-                });
-            }
-            // 4. unary alphabet ⇒ regular (Parikh), decidable within the
-            // size cap of the periodic-length-set construction.
-            if let Some(u) = selprop_grammar::unary::unary_regularity(&grammar) {
-                let dfa = u.dfa;
-                let program = monadic_rewrite(chain, &dfa)?;
-                return Ok(Propagation::Propagated {
-                    program,
-                    certificate: RegularityCertificate::UnaryPeriodic(dfa),
-                });
-            }
-            // 5. undecidable region: gather evidence.
-            let envelope = minimize(&approximate(&grammar).dfa());
-            let mut rec = CnfGrammar::from_cfg(&grammar).recognizer();
-            let symbols: Vec<Symbol> = grammar.alphabet.symbols().collect();
-            let nerode = nerode_bound(&mut rec, &symbols, budget.nerode_max_len);
-            let envelope_tight_on_sample =
-                envelope_tight(&envelope, &mut rec, budget.envelope_sample_len);
-            let se_name = match se {
-                SelfEmbedding::Yes { nonterminal } => Some(nonterminal),
-                SelfEmbedding::No => None,
-            };
-            Ok(Propagation::Unknown(Box::new(UndecidedEvidence {
-                self_embedding_nonterminal: se_name,
-                envelope,
-                nerode_lower_bound: nerode,
-                envelope_tight_on_sample,
-            })))
         }
+    }
+}
+
+/// Steps 1–4 of the decision for a constant goal: the certificate of the
+/// first sufficient condition for regularity of `L(G)` that holds, or,
+/// when none does, the self-embedding analysis step 5 reports.
+fn regularity(grammar: &Cfg) -> Result<RegularityCertificate, SelfEmbedding> {
+    // 1. finite ⇒ regular
+    if let Finiteness::Finite(words) = finiteness(grammar) {
+        return Ok(RegularityCertificate::FiniteLanguage(words));
+    }
+    // 2. strongly regular ⇒ exact compilation
+    let exact = || minimize(&approximate(grammar).dfa());
+    if is_strongly_regular(grammar) {
+        return Ok(RegularityCertificate::StronglyRegular(exact()));
+    }
+    // 3. non-self-embedding ⇒ regular (Chomsky). After cleaning, NSE
+    // implies strongly regular, so this arm fires only in the (rare) gap
+    // where cleaning exposed it; keep it for the certificate's sake.
+    let se = self_embedding(grammar);
+    if se.is_non_self_embedding() {
+        return Ok(RegularityCertificate::NonSelfEmbedding(exact()));
+    }
+    // 4. unary alphabet ⇒ regular (Parikh), decidable within the size
+    // cap of the periodic-length-set construction.
+    match selprop_grammar::unary::unary_regularity(grammar) {
+        Some(u) => Ok(RegularityCertificate::UnaryPeriodic(u.dfa)),
+        None => Err(se),
+    }
+}
+
+/// Step 5, the undecidable region: the evidence gathered on `grammar`,
+/// whose self-embedding analysis is `se`.
+fn evidence(grammar: &Cfg, se: SelfEmbedding, budget: PropagationBudget) -> UndecidedEvidence {
+    let envelope = minimize(&approximate(grammar).dfa());
+    let mut rec = CnfGrammar::from_cfg(grammar).recognizer();
+    let symbols: Vec<Symbol> = grammar.alphabet.symbols().collect();
+    let nerode = nerode_bound(&mut rec, &symbols, budget.nerode_max_len);
+    let envelope_tight_on_sample = envelope_tight(&envelope, &mut rec, budget.envelope_sample_len);
+    UndecidedEvidence {
+        self_embedding_nonterminal: match se {
+            SelfEmbedding::Yes { nonterminal } => Some(nonterminal),
+            SelfEmbedding::No => None,
+        },
+        envelope,
+        nerode_lower_bound: nerode,
+        envelope_tight_on_sample,
     }
 }
 

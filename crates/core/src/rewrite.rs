@@ -13,10 +13,17 @@
 //! For the diagonal goal `p(X, X)` with *finite* `L(H)`, the rewrite is a
 //! union of tagged tableaux (one nonrecursive rule per word, Section 3's
 //! "if (part 2)").
+//!
+//! Two builders make every such program in this crate:
+//! `automaton_marking` turns a DFA into monadic marking rules (the
+//! rewrite above, and Section 7's envelope guard,
+//! [`crate::magic_chain::envelope_guarded_program`]), and `word_path`
+//! turns a word into a chain of EDB atoms (the tableaux, and the FO form
+//! of [`crate::bounded::boundedness`]).
 
 use selprop_automata::dfa::Dfa;
 use selprop_automata::Symbol;
-use selprop_datalog::ast::{Atom, Program, Rule, Term};
+use selprop_datalog::ast::{Atom, Pred, Program, Rule, Symbols, Term, Var};
 
 use crate::chain::{ChainProgram, GoalForm};
 
@@ -29,168 +36,129 @@ use crate::chain::{ChainProgram, GoalForm};
 ///   marking backwards from `c`; answers `ans(X)`.
 /// - `p(c, c1)` / `p(c, c)`: forward marking from `c`, 0-ary answer
 ///   `ans :- n_f(c1)`.
+///
+/// An empty `L(dfa)` leaves `ans` no rule; it gets one over `never`,
+/// which derives nothing.
 pub fn monadic_rewrite(chain: &ChainProgram, dfa: &Dfa) -> Result<Program, String> {
-    let edbs = chain.edbs();
-    let alphabet = &dfa.alphabet;
-    // map alphabet symbols back to EDB predicates by name
-    let pred_of_symbol = |s: Symbol| -> selprop_datalog::ast::Pred {
-        let name = alphabet.name(s);
-        *edbs
-            .iter()
-            .find(|&&p| chain.program.symbols.pred_name(p) == name)
-            .expect("alphabet symbol names an EDB")
-    };
-
-    match &chain.goal_form {
-        GoalForm::BoundFirst(c) => {
-            Ok(forward_marking(chain, dfa, c, &pred_of_symbol, Answer::Var))
-        }
+    let reversed;
+    let (dfa, origin, backwards, at) = match &chain.goal_form {
+        GoalForm::BoundFirst(c) => (dfa, c, false, None),
         GoalForm::BoundSecond(c) => {
-            // reverse the automaton and the edge direction
-            let rev = Dfa::from_nfa(&dfa.to_nfa().reversed());
-            Ok(forward_marking_impl(
-                chain,
-                &rev,
-                c,
-                &pred_of_symbol,
-                Answer::Var,
-                true,
-            ))
+            reversed = Dfa::from_nfa(&dfa.to_nfa().reversed());
+            (&reversed, c, true, None)
         }
-        GoalForm::BoundBoth(c, c1) => Ok(forward_marking(
-            chain,
-            dfa,
-            c,
-            &pred_of_symbol,
-            Answer::At(c1.clone()),
-        )),
-        GoalForm::Free => Err("goal p(X, Y) carries no selection to propagate".to_owned()),
-        GoalForm::Diagonal => Err(
-            "diagonal goals rewrite via finite tableaux, not a DFA — use tableaux_rewrite"
-                .to_owned(),
-        ),
-    }
-}
-
-enum Answer {
-    /// `ans(Y) :- n_f(Y)` for accepting `f`.
-    Var,
-    /// `ans :- n_f(c1)` (0-ary answer).
-    At(String),
-}
-
-fn forward_marking(
-    chain: &ChainProgram,
-    dfa: &Dfa,
-    origin: &str,
-    pred_of_symbol: &dyn Fn(Symbol) -> selprop_datalog::ast::Pred,
-    answer: Answer,
-) -> Program {
-    forward_marking_impl(chain, dfa, origin, pred_of_symbol, answer, false)
-}
-
-fn forward_marking_impl(
-    chain: &ChainProgram,
-    dfa: &Dfa,
-    origin: &str,
-    pred_of_symbol: &dyn Fn(Symbol) -> selprop_datalog::ast::Pred,
-    answer: Answer,
-    reversed_edges: bool,
-) -> Program {
-    let mut symbols = chain.program.symbols.clone();
-    let live = dfa.live_states();
-    let n_pred: Vec<Option<selprop_datalog::ast::Pred>> = (0..dfa.num_states())
-        .map(|q| {
-            live.contains(&q)
-                .then(|| symbols.fresh_predicate(&format!("n{q}")))
-        })
-        .collect();
-    let ans = symbols.fresh_predicate("ans");
-    let c = symbols.constant(origin);
-    let y = symbols.fresh_variable("Y");
-    let z = symbols.fresh_variable("Z");
-
-    let mut rules = Vec::new();
-    // seed: n_{q0}(c)
-    if let Some(p0) = n_pred[dfa.start()] {
-        rules.push(Rule::new(Atom::new(p0, vec![Term::Const(c)]), Vec::new()));
-    }
-    // step: n_{q'}(Y) :- n_q(Z), b(Z, Y)   (or b(Y, Z) when reversed)
-    for q in live.iter().copied() {
-        for s in dfa.alphabet.symbols() {
-            let q2 = dfa.step(q, s);
-            let (Some(pq), Some(pq2)) = (n_pred[q], n_pred[q2]) else {
-                continue;
-            };
-            let edge_pred = pred_of_symbol(s);
-            let edge = if reversed_edges {
-                Atom::new(edge_pred, vec![Term::Var(y), Term::Var(z)])
-            } else {
-                Atom::new(edge_pred, vec![Term::Var(z), Term::Var(y)])
-            };
-            rules.push(Rule::new(
-                Atom::new(pq2, vec![Term::Var(y)]),
-                vec![Atom::new(pq, vec![Term::Var(z)]), edge],
-            ));
-        }
-    }
-    // answers
-    let goal = match answer {
-        Answer::Var => {
-            for q in live.iter().copied() {
-                if dfa.is_accept(q) {
-                    if let Some(pq) = n_pred[q] {
-                        rules.push(Rule::new(
-                            Atom::new(ans, vec![Term::Var(y)]),
-                            vec![Atom::new(pq, vec![Term::Var(y)])],
-                        ));
-                    }
-                }
-            }
-            Atom::new(ans, vec![Term::Var(y)])
-        }
-        Answer::At(c1) => {
-            let c1 = symbols.constant(&c1);
-            for q in live.iter().copied() {
-                if dfa.is_accept(q) {
-                    if let Some(pq) = n_pred[q] {
-                        rules.push(Rule::new(
-                            Atom::new(ans, Vec::new()),
-                            vec![Atom::new(pq, vec![Term::Const(c1)])],
-                        ));
-                    }
-                }
-            }
-            Atom::new(ans, Vec::new())
+        GoalForm::BoundBoth(c, c1) => (dfa, c, false, Some(c1.as_str())),
+        GoalForm::Free => return Err("goal p(X, Y) carries no selection to propagate".to_owned()),
+        GoalForm::Diagonal => {
+            return Err(
+                "diagonal goals rewrite via finite tableaux, not a DFA — use tableaux_rewrite"
+                    .to_owned(),
+            )
         }
     };
-    // Degenerate case: empty language — keep the program valid by giving
-    // `ans` an unsatisfiable rule over a fresh EDB-free guard. Simplest:
-    // a rule requiring membership in an (always empty) IDB `never`.
-    if !rules.iter().any(|r| r.head.pred == ans) {
-        let never = symbols.fresh_predicate("never");
+    let mut symbols = chain.program.symbols.clone();
+    let names = ["n", "ans", "Y", "Z"];
+    let (mut rules, goal) =
+        automaton_marking(chain, &mut symbols, dfa, origin, names, backwards, at);
+    if !rules.iter().any(|r| r.head.pred == goal.pred) {
         let x = symbols.fresh_variable("X0");
-        // never(X) :- never(X)  — safe, derives nothing
-        rules.push(Rule::new(
-            Atom::new(never, vec![Term::Var(x)]),
-            vec![Atom::new(never, vec![Term::Var(x)])],
-        ));
-        match goal.arity() {
-            0 => rules.push(Rule::new(
-                Atom::new(ans, Vec::new()),
-                vec![Atom::new(never, vec![Term::Var(x)])],
-            )),
-            _ => rules.push(Rule::new(
-                Atom::new(ans, vec![Term::Var(x)]),
-                vec![Atom::new(never, vec![Term::Var(x)])],
-            )),
-        }
+        rules.extend(never_rules(&mut symbols, &goal, x));
     }
-    Program {
+    Ok(Program {
         rules,
         goal,
         symbols,
+    })
+}
+
+/// The monadic marking of `dfa` from the constant `origin` (Theorem
+/// 3.3's "if" construction), interned into `symbols`:
+/// - a predicate `{state}{q}` per live state `q`;
+/// - the seed fact `{state}{q0}(origin)`;
+/// - per live transition `q → q'` on `b`, `{state}{q'}(Y) :- {state}{q}(Z),
+///   b(Z, Y)`, the edge read backwards, `b(Y, Z)`, when `backwards`;
+/// - per live accepting `f`, `{answer}(Y) :- {state}{f}(Y)`, or with `at`
+///   the 0-ary `{answer} :- {state}{f}(at)`.
+///
+/// `names` are the hints `[state, answer, Y, Z]`. Returns the rules and
+/// the answer atom they define.
+pub(crate) fn automaton_marking(
+    chain: &ChainProgram,
+    symbols: &mut Symbols,
+    dfa: &Dfa,
+    origin: &str,
+    [state, answer, y, z]: [&str; 4],
+    backwards: bool,
+    at: Option<&str>,
+) -> (Vec<Rule>, Atom) {
+    let edge = chain.edb_preds(&dfa.alphabet);
+    let live = dfa.live_states();
+    let n_pred: Vec<Option<Pred>> = (0..dfa.num_states())
+        .map(|q| live.contains(&q).then(|| symbols.fresh_predicate(&format!("{state}{q}"))))
+        .collect();
+    let ans = symbols.fresh_predicate(answer);
+    let c = symbols.constant(origin);
+    let (y, z) = (Term::Var(symbols.fresh_variable(y)), Term::Var(symbols.fresh_variable(z)));
+    let mut rules = Vec::new();
+    if let Some(p0) = n_pred[dfa.start()] {
+        rules.push(Rule::new(Atom::new(p0, vec![Term::Const(c)]), Vec::new()));
     }
+    for q in live.iter().copied() {
+        for s in dfa.alphabet.symbols() {
+            let (Some(pq), Some(pq2)) = (n_pred[q], n_pred[dfa.step(q, s)]) else {
+                continue;
+            };
+            let hop = if backwards { vec![y, z] } else { vec![z, y] };
+            rules.push(Rule::new(
+                Atom::new(pq2, vec![y]),
+                vec![Atom::new(pq, vec![z]), Atom::new(edge[s.index()], hop)],
+            ));
+        }
+    }
+    let (goal, arg) = match at {
+        None => (Atom::new(ans, vec![y]), y),
+        Some(c1) => (Atom::new(ans, Vec::new()), Term::Const(symbols.constant(c1))),
+    };
+    for q in live.iter().copied().filter(|&q| dfa.is_accept(q)) {
+        if let Some(pq) = n_pred[q] {
+            rules.push(Rule::new(goal.clone(), vec![Atom::new(pq, vec![arg])]));
+        }
+    }
+    (rules, goal)
+}
+
+/// The rules of a rewrite whose language is empty: `never(X) :-
+/// never(X)`, which derives nothing, and `goal`'s predicate over it —
+/// `ans(X) :- never(X)`, or `ans :- never(X)` for a 0-ary goal.
+fn never_rules(symbols: &mut Symbols, goal: &Atom, x: Var) -> [Rule; 2] {
+    let never = Atom::new(symbols.fresh_predicate("never"), vec![Term::Var(x)]);
+    let head = Atom::new(goal.pred, goal.args.iter().map(|_| Term::Var(x)).collect());
+    [Rule::new(never.clone(), vec![never.clone()]), Rule::new(head, vec![never])]
+}
+
+/// The path a word labels, `b_{w[0]}(from, Z0), …, b_{w[last]}(Z, to)`:
+/// one atom per letter, over `edge` ([`ChainProgram::edb_preds`]), a
+/// fresh variable `Z{i}` between consecutive letters.
+pub(crate) fn word_path(
+    symbols: &mut Symbols,
+    edge: &[Pred],
+    word: &[Symbol],
+    from: Term,
+    to: Term,
+) -> Vec<Atom> {
+    assert!(!word.is_empty(), "chain languages are ε-free");
+    let mut prev = from;
+    let mut atoms = Vec::with_capacity(word.len());
+    for (i, s) in word.iter().enumerate() {
+        let next = if i + 1 == word.len() {
+            to
+        } else {
+            Term::Var(symbols.fresh_variable(&format!("Z{i}")))
+        };
+        atoms.push(Atom::new(edge[s.index()], vec![prev, next]));
+        prev = next;
+    }
+    atoms
 }
 
 /// The diagonal rewrite (Theorem 3.3(2), "if"): for finite
@@ -203,48 +171,21 @@ pub fn tableaux_rewrite(
     if chain.goal_form != GoalForm::Diagonal {
         return Err("tableaux rewrite applies to the p(X, X) goal".to_owned());
     }
-    let grammar = chain.grammar();
-    let edbs = chain.edbs();
-    let pred_of_symbol = |s: Symbol| -> selprop_datalog::ast::Pred {
-        let name = grammar.alphabet.name(s);
-        *edbs
-            .iter()
-            .find(|&&p| chain.program.symbols.pred_name(p) == name)
-            .expect("alphabet symbol names an EDB")
-    };
+    let edge = chain.edb_preds(&chain.alphabet());
     let mut symbols = chain.program.symbols.clone();
     let ans = symbols.fresh_predicate("ans");
     let x = symbols.fresh_variable("X");
-    let mut rules = Vec::new();
-    for w in words {
-        assert!(!w.is_empty(), "chain languages are ε-free");
-        let mut body = Vec::new();
-        let mut prev = Term::Var(x);
-        for (i, &s) in w.iter().enumerate() {
-            let next = if i == w.len() - 1 {
-                Term::Var(x)
-            } else {
-                Term::Var(symbols.fresh_variable(&format!("Z{i}")))
-            };
-            body.push(Atom::new(pred_of_symbol(s), vec![prev, next]));
-            prev = next;
-        }
-        rules.push(Rule::new(Atom::new(ans, vec![Term::Var(x)]), body));
-    }
+    let goal = Atom::new(ans, vec![Term::Var(x)]);
+    let mut rules: Vec<Rule> = words
+        .iter()
+        .map(|w| Rule::new(goal.clone(), word_path(&mut symbols, &edge, w, Term::Var(x), Term::Var(x))))
+        .collect();
     if rules.is_empty() {
-        let never = symbols.fresh_predicate("never");
-        rules.push(Rule::new(
-            Atom::new(never, vec![Term::Var(x)]),
-            vec![Atom::new(never, vec![Term::Var(x)])],
-        ));
-        rules.push(Rule::new(
-            Atom::new(ans, vec![Term::Var(x)]),
-            vec![Atom::new(never, vec![Term::Var(x)])],
-        ));
+        rules.extend(never_rules(&mut symbols, &goal, x));
     }
     Ok(Program {
         rules,
-        goal: Atom::new(ans, vec![Term::Var(x)]),
+        goal,
         symbols,
     })
 }

@@ -165,7 +165,6 @@ pub fn layered_dag(
 pub fn cycles(program: &mut Program, edb: &str, lengths: &[usize]) -> Database {
     let pred = program.symbols.predicate(edb);
     let mut db = Database::new();
-    let mut base = 0usize;
     for (ci, &len) in lengths.iter().enumerate() {
         let ids: Vec<Const> = (0..len)
             .map(|i| program.symbols.constant(&format!("c{ci}_{i}")))
@@ -173,9 +172,7 @@ pub fn cycles(program: &mut Program, edb: &str, lengths: &[usize]) -> Database {
         for i in 0..len {
             db.insert(pred, vec![ids[i], ids[(i + 1) % len]]);
         }
-        base += len;
     }
-    let _ = base;
     db
 }
 

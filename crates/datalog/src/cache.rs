@@ -472,9 +472,9 @@ fn tag_template(tpl: &mut MagicTemplate) {
 /// [`QueryCache::disabled`].
 #[derive(Default)]
 pub struct QueryCache {
-    /// The base's IDB predicates — the goals that can get a view.
-    /// Re-read from the store whenever `seen_rules` moves.
-    idb: Vec<Pred>,
+    /// The base's IDB predicates and their arities — the goals that can
+    /// get a view. Re-read from the store whenever `seen_rules` moves.
+    idb: Vec<(Pred, usize)>,
     /// The base's (rule slots, active rules) at the last validation;
     /// `(0, 0)` before the first.
     seen_rules: (usize, usize),
@@ -520,7 +520,13 @@ impl QueryCache {
     /// a store, and keeps nothing: names the caller interns into
     /// `program` afterwards stay the caller's own.
     pub fn with_config(program: &Program, config: CacheConfig) -> Self {
-        Self { idb: program.idb_predicates(), config, ..Self::default() }
+        let mut idb: Vec<(Pred, usize)> = Vec::new();
+        for head in program.rules.iter().map(|r| &r.head) {
+            if !idb.iter().any(|&(p, _)| p == head.pred) {
+                idb.push((head.pred, head.arity()));
+            }
+        }
+        Self { idb, config, ..Self::default() }
     }
 
     /// An empty cache with default eviction limits that has not looked
@@ -859,7 +865,7 @@ impl QueryCache {
         let rules = base.rule_shape();
         if rules != self.seen_rules {
             self.seen_rules = rules;
-            self.idb = base.idb_preds();
+            self.idb = base.idb_arities();
             self.clear_views();
         } else if base.version() < self.seen_version {
             self.clear_views();
@@ -892,16 +898,19 @@ impl QueryCache {
     /// position, all of whose bound positions are constants, get views
     /// — `Some` of the template and, collected into `buf`, the bound
     /// constants in positional order; everything else — EDB/untracked
-    /// predicates, all-free patterns, repeated-variable bindings (their
-    /// seed would need domain enumeration), more than [`MAX_ARITY`]
-    /// arguments — filters the base model directly.
+    /// predicates, goals of another arity than their predicate's (which
+    /// match no fact, and must never compile a template), all-free
+    /// patterns, repeated-variable bindings (their seed would need
+    /// domain enumeration), more than [`MAX_ARITY`] arguments — filters
+    /// the base model directly.
     /// Nothing is allocated: a view is looked up by the borrowed key.
     fn route<'a>(
         &self,
         goal: &Atom,
         buf: &'a mut [Const; MAX_ARITY],
     ) -> Option<(TemplateKey, &'a [Const])> {
-        if !self.idb.contains(&goal.pred) || goal.arity() > MAX_ARITY {
+        let arity = self.idb.iter().find(|&&(p, _)| p == goal.pred).map(|&(_, a)| a);
+        if arity != Some(goal.arity()) || goal.arity() > MAX_ARITY {
             return None;
         }
         let mut bound = 0u64;

@@ -258,9 +258,13 @@ pub(crate) fn select_project<'a>(
 
 /// Applies a goal atom as a selection + projection: keeps tuples matching
 /// the goal's constants and repeated variables, projected onto the
-/// distinct variables in first-occurrence order.
+/// distinct variables in first-occurrence order. A goal of another
+/// arity than `rel` matches no tuple.
 pub fn apply_goal(goal: &Atom, rel: &Relation) -> Relation {
     let (ops, nvars) = goal_plan(goal);
+    if rel.arity() != goal.arity() {
+        return Relation::new(nvars);
+    }
     select_project(&ops, nvars, rel.iter().map(Vec::as_slice))
 }
 

@@ -554,10 +554,17 @@ impl Materialization {
         m
     }
 
-    /// The program's IDB predicates, as the rescue-plan compiler (and
-    /// the query cache's routing) take them.
+    /// The program's IDB predicates, as the rescue-plan compiler takes
+    /// them.
     pub(crate) fn idb_preds(&self) -> Vec<Pred> {
         self.idb_rels.iter().map(|&r| self.pred_of_rel[r as usize]).collect()
+    }
+
+    /// The program's IDB predicates with their relations' arities, as
+    /// the query cache routes goals by them.
+    pub(crate) fn idb_arities(&self) -> Vec<(Pred, usize)> {
+        let arity = |r: u32| self.rels[r as usize].arity();
+        self.idb_rels.iter().map(|&r| (self.pred_of_rel[r as usize], arity(r))).collect()
     }
 
     /// Compiles the plans of every rule slot that has none yet (all of
@@ -682,10 +689,12 @@ impl Materialization {
     /// relation, or (`idb_only`) of the program's IDB relations alone,
     /// as the batch entry points read a model — live now, or as of the
     /// snapshot `pin = (per-relation frontier, epoch)`, to which
-    /// relations interned after the pin are invisible.
+    /// relations interned after the pin are invisible. A goal of another
+    /// arity than its predicate's relation matches no row.
     fn select(&self, goal: &Atom, idb_only: bool, pin: Option<(&[usize], u64)>) -> Relation {
         let (ops, nvars) = eval::goal_plan(goal);
         let rid = self.rel_of_pred.get(&goal.pred).map(|&r| r as usize);
+        let rid = rid.filter(|&r| self.rels[r].arity() == goal.arity());
         match (rid.filter(|&r| !idb_only || self.idb_flag[r]), pin) {
             (Some(r), None) => eval::select_project(&ops, nvars, self.rels[r].rows_iter()),
             (Some(r), Some((frontier, epoch))) if r < frontier.len() => {
@@ -1195,8 +1204,9 @@ impl Materialization {
 
     /// Applies an arbitrary goal atom over the current live rows of its
     /// predicate — EDB or IDB. Unlike [`Materialization::answer`] this
-    /// is not tied to the program's own goal; an untracked predicate
-    /// yields the empty relation.
+    /// is not tied to the program's own goal; an untracked predicate,
+    /// or a goal of another arity than its predicate's relation, yields
+    /// the empty relation.
     pub fn answer_goal(&self, goal: &Atom) -> Relation {
         self.select(goal, false, None)
     }

@@ -297,6 +297,11 @@ impl Materialization {
 
         // ------------- shape validation + derived-state rebuild -------------
 
+        // The goal is read over its predicate's relation.
+        if rel_of_pred.get(&goal.pred).is_some_and(|&r| rels[r as usize].arity() != goal.arity()) {
+            return Err(PersistError::Corrupt("goal atom does not match its relation"));
+        }
+
         // Every rule must type-check against the relations before plan
         // compilation (which asserts rather than returns); per rule, the
         // relation of its head and those of its body atoms in rule-text

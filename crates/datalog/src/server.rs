@@ -986,6 +986,43 @@ mod tests {
     // The magic-set query cache through the server
     // ------------------------------------------------------------------
 
+    /// A goal whose arity differs from its predicate's relation matches
+    /// no fact, on every read path: it used to index past a row (and
+    /// poison the lock for every caller after), answer off the wrong
+    /// view, or cache a failed template for its binding pattern.
+    #[test]
+    fn a_goal_of_the_wrong_arity_answers_nothing_and_breaks_nothing() {
+        let mut p = parse_program(SRC).unwrap();
+        let par = p.symbols.get_predicate("par").unwrap();
+        let anc = p.symbols.get_predicate("anc").unwrap();
+        let edges = chain(&mut p, 5);
+        let server = Server::new(&p, Strategy::SemiNaive);
+        server.insert_facts(par, &edges);
+        let john = Term::Const(p.symbols.constant("john"));
+        let [y, z] = ["Y", "Z"].map(|v| Term::Var(p.symbols.variable(v)));
+        let short = Atom::new(anc, vec![john]);
+        let long = Atom::new(anc, vec![john, y, z]);
+        let bad_edb = Atom::new(par, vec![john]);
+        let good = Atom::new(anc, vec![john, y]);
+        for goal in [&short, &long, &bad_edb] {
+            assert!(server.query(goal).is_empty(), "{goal:?} before any view");
+        }
+        assert_eq!(server.cache_stats().template_compiles, 0, "no template for a malformed goal");
+        assert_eq!(server.query(&good).len(), 5);
+        let stats = server.cache_stats();
+        assert_eq!((stats.template_compiles, stats.views), (1, 1), "the pattern still gets a view");
+        let snap = server.snapshot();
+        for goal in [&short, &long, &bad_edb] {
+            assert!(server.query(goal).is_empty(), "{goal:?} beside the view");
+            assert!(snap.query(goal).is_empty(), "{goal:?} through a snapshot");
+        }
+        assert_eq!(snap.query(&good).len(), 5);
+        assert_eq!(server.query(&good).len(), 5);
+        assert_eq!(server.cache_stats().template_compiles, 1);
+        let model = snap.idb_database();
+        assert!(crate::eval::apply_goal(&short, model.relation(anc).unwrap()).is_empty());
+    }
+
     #[test]
     fn query_serves_bound_goals_through_views() {
         let mut p = parse_program(SRC).unwrap();

@@ -343,6 +343,24 @@ fn assert_refused(forged: &[u8], what: &str, tag: &str) {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A goal is read over its predicate's relation, so the decoder refuses
+/// a goal atom of another arity — here the golden snapshot's
+/// `anc(john, Y)` given a third argument — through `from_bytes` and
+/// `Server::restore` alike. Such a file used to restore, and its first
+/// `answer()` indexed past the end of a row.
+#[test]
+fn a_goal_of_another_arity_than_its_relation_is_refused() {
+    let golden = include_bytes!("data/program_a_v5.snap");
+    let word = |at: usize| u64::from_le_bytes(golden[at..at + 8].try_into().unwrap());
+    // The payload opens with the strategy tag and the goal: a predicate,
+    // an argument count and five bytes (a tag, a `u32`) per argument.
+    assert_eq!((golden[20], word(25)), (1, 2), "a semi-naive store with a binary goal");
+    let mut forged = golden.to_vec();
+    forged[25..33].copy_from_slice(&3u64.to_le_bytes());
+    forged.splice(43..43, golden[38..43].iter().copied());
+    assert_refused(&forged, "goal atom does not match its relation", "goal-arity");
+}
+
 /// A deletion walk's age test reads row order within a relation, which
 /// every justification a store writes follows: a body row in the head's
 /// own relation sits below the head. The decoder refuses a file where

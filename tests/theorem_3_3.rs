@@ -226,3 +226,156 @@ fn rewrites_validate_on_ig_truncations() {
     assert_eq!(names1, names2, "rewrite disagrees with H on IG_5");
     let _ = rewrite_chain_view;
 }
+
+/// One program's text and symbol counts, the form the golden test pins.
+fn pinned(program: &selprop_datalog::Program) -> String {
+    format!(
+        "{}[{} predicates, {} variables]\n",
+        program.render(),
+        program.symbols.num_predicates(),
+        program.symbols.num_variables()
+    )
+}
+
+/// Golden text of every program and database `selprop-core` constructs:
+/// the monadic rewrite for each constant goal form and for the empty
+/// language, the diagonal tableaux (also for no words), the FO form of a
+/// bounded program, the envelope-guarded program and `IG_3`. A change to
+/// a construction's rules, their order, names or interned symbols shows
+/// here.
+#[test]
+fn constructions_are_pinned() {
+    use selprop_automata::dfa::Dfa;
+    use selprop_automata::minimize::minimize;
+    use selprop_automata::Nfa;
+    use selprop_core::bounded::{boundedness, Boundedness};
+    use selprop_core::gallery::gallery;
+    use selprop_core::inf_model::ig_truncation;
+    use selprop_core::magic_chain::envelope_guarded_program;
+    use selprop_core::rewrite::{monadic_rewrite, tableaux_rewrite};
+    use selprop_grammar::regular::approximate;
+
+    let source = |name: &str| {
+        let entry = gallery().into_iter().find(|e| e.name == name);
+        entry.expect("gallery entry").source
+    };
+    let entry = |name: &str| ChainProgram::parse(source(name)).unwrap();
+    let mut out = String::new();
+    for goal in ["anc(john, Y)", "anc(X, john)", "anc(john, mary)"] {
+        let text = source("program_a").replacen("anc(john, Y)", goal, 1);
+        let chain = ChainProgram::parse(&text).unwrap();
+        let dfa = minimize(&approximate(&chain.grammar()).dfa());
+        out += &pinned(&monadic_rewrite(&chain, &dfa).unwrap());
+    }
+    let b1_b2star = entry("b1_b2star");
+    let empty = Dfa::from_nfa(&Nfa::empty(b1_b2star.grammar().alphabet));
+    out += &pinned(&monadic_rewrite(&b1_b2star, &empty).unwrap());
+    let finite_diagonal = entry("finite_diagonal");
+    let words = finite_diagonal.language_words(4);
+    out += &pinned(&tableaux_rewrite(&finite_diagonal, &words).unwrap());
+    out += &pinned(&tableaux_rewrite(&finite_diagonal, &[]).unwrap());
+    let Boundedness::Bounded { fo_program, .. } = boundedness(&entry("finite_two_words")) else {
+        panic!("a finite language is bounded");
+    };
+    out += &pinned(&fo_program);
+    out += &pinned(&envelope_guarded_program(&entry("balanced")).unwrap());
+    let (chain, trunc) = ig_truncation(&b1_b2star, 3);
+    let names = &chain.program.symbols;
+    let alphabet = b1_b2star.grammar().alphabet;
+    for (c, word) in &trunc.nodes {
+        out += &format!("{} = [{}]\n", names.const_name(*c), alphabet.render_word(word));
+    }
+    let mut facts: Vec<String> = trunc
+        .db
+        .iter()
+        .flat_map(|(pred, rel)| {
+            rel.iter().map(move |t| {
+                format!(
+                    "{}({}, {})",
+                    names.pred_name(pred),
+                    names.const_name(t[0]),
+                    names.const_name(t[1])
+                )
+            })
+        })
+        .collect();
+    facts.sort();
+    out += &facts.join("\n");
+    assert_eq!(out, GOLDEN);
+}
+
+const GOLDEN: &str = r"?- ans(Y_0).
+n0(john).
+n1(Y_0) :- n0(Z_0), par(Z_0, Y_0).
+n1(Y_0) :- n1(Z_0), par(Z_0, Y_0).
+ans(Y_0) :- n1(Y_0).
+[5 predicates, 5 variables]
+?- ans(Y_0).
+n0(john).
+n1(Y_0) :- n0(Z_0), par(Y_0, Z_0).
+n1(Y_0) :- n1(Z_0), par(Y_0, Z_0).
+ans(Y_0) :- n1(Y_0).
+[5 predicates, 5 variables]
+?- ans.
+n0(john).
+n1(Y_0) :- n0(Z_0), par(Z_0, Y_0).
+n1(Y_0) :- n1(Z_0), par(Z_0, Y_0).
+ans :- n1(mary).
+[5 predicates, 5 variables]
+?- ans(Y_0).
+never(X0) :- never(X0).
+ans(X0) :- never(X0).
+[5 predicates, 6 variables]
+?- ans(X_0).
+ans(X_0) :- b(X_0, X_0).
+ans(X_0) :- b(X_0, Z0), b(Z0, Z1_0), b(Z1_0, X_0).
+[3 predicates, 7 variables]
+?- ans(X_0).
+never(X_0) :- never(X_0).
+ans(X_0) :- never(X_0).
+[4 predicates, 5 variables]
+?- p_fo(c, Y).
+p_fo(X_0, Y_0) :- b1(X_0, Y_0).
+p_fo(X_0, Y_0) :- b1(X_0, Z0), b2(Z0, Y_0).
+[4 predicates, 6 variables]
+?- p(c, Y).
+useful0(c).
+useful1(Gy) :- useful0(Gz), b1(Gz, Gy).
+useful1(Gy) :- useful1(Gz), b1(Gz, Gy).
+useful3(Gy) :- useful1(Gz), b2(Gz, Gy).
+useful3(Gy) :- useful3(Gz), b2(Gz, Gy).
+useful(Gy) :- useful0(Gy).
+useful(Gy) :- useful1(Gy).
+useful(Gy) :- useful3(Gy).
+p(X, Y) :- useful(X), b1(X, X1), b2(X1, Y).
+p(X, Y) :- useful(X), b1(X, X1), p(X1, X2), b2(X2, Y).
+[7 predicates, 6 variables]
+c = [ε]
+n_b1 = [b1]
+n_b2 = [b2]
+n_b1_b1 = [b1 b1]
+n_b1_b2 = [b1 b2]
+n_b2_b1 = [b2 b1]
+n_b2_b2 = [b2 b2]
+n_b1_b1_b1 = [b1 b1 b1]
+n_b1_b1_b2 = [b1 b1 b2]
+n_b1_b2_b1 = [b1 b2 b1]
+n_b1_b2_b2 = [b1 b2 b2]
+n_b2_b1_b1 = [b2 b1 b1]
+n_b2_b1_b2 = [b2 b1 b2]
+n_b2_b2_b1 = [b2 b2 b1]
+n_b2_b2_b2 = [b2 b2 b2]
+b1(c, n_b1)
+b1(n_b1, n_b1_b1)
+b1(n_b1_b1, n_b1_b1_b1)
+b1(n_b1_b2, n_b1_b2_b1)
+b1(n_b2, n_b2_b1)
+b1(n_b2_b1, n_b2_b1_b1)
+b1(n_b2_b2, n_b2_b2_b1)
+b2(c, n_b2)
+b2(n_b1, n_b1_b2)
+b2(n_b1_b1, n_b1_b1_b2)
+b2(n_b1_b2, n_b1_b2_b2)
+b2(n_b2, n_b2_b2)
+b2(n_b2_b1, n_b2_b1_b2)
+b2(n_b2_b2, n_b2_b2_b2)";
