@@ -22,15 +22,13 @@
 //! - [`regex`] — expressions, parsing, Thompson construction, and DFA →
 //!   regex certificates, including Section 7's `* t1 * t2 ... *` patterns;
 //! - [`linear`] — left-/right-linear grammars ⇄ automata, the bridge the
-//!   Theorem 3.3 "if" direction walks to build monadic programs;
-//! - [`dot`] — Graphviz export for auditing certificate automata.
+//!   Theorem 3.3 "if" direction walks to build monadic programs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod alphabet;
 pub mod dfa;
-pub mod dot;
 pub mod equiv;
 pub mod linear;
 pub mod minimize;

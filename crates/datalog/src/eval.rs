@@ -53,6 +53,13 @@ use crate::plan::OrderMode;
 /// [`EvalStats`] stays bit-for-bit identical at any thread count.
 pub const OVERSHARD: usize = 4;
 
+/// The most threads a [`Strategy::SemiNaiveParallel`] round runs on:
+/// a larger `threads` runs as this many. A count can arrive from a
+/// snapshot, where it is any `u64`; capped, `OVERSHARD × threads` cannot
+/// overflow. Row ids, justifications and [`EvalStats`] do not depend on
+/// the thread count, and the strategy is kept (and saved) as given.
+pub const MAX_THREADS: usize = 256;
+
 /// Evaluation strategy. Both are semi-naive — each derivation uses at
 /// least one last-iteration fact — and compute the same rows, row ids,
 /// justifications and [`EvalStats`]; they differ in the threads a round
@@ -72,7 +79,8 @@ pub enum Strategy {
     /// oversharded ([`OVERSHARD`]` × threads` shards) for load balance.
     /// `threads <= 1` degenerates to the sequential code path.
     SemiNaiveParallel {
-        /// Threads per round, the caller's among them (`0`, `1`: sequential).
+        /// Threads per round, the caller's among them (`0`, `1`:
+        /// sequential; at most [`MAX_THREADS`] run).
         threads: usize,
     },
 }

@@ -11,7 +11,7 @@
 use super::join::{snapshot_range, Counters, Delta, Pass, PendingTuples, Scratch, ShardTask};
 use super::Materialization;
 use crate::ast::Pred;
-use crate::eval::{Strategy, OVERSHARD};
+use crate::eval::{Strategy, MAX_THREADS, OVERSHARD};
 use crate::hash::FxHashMap;
 use crate::plan::seed_atom;
 use crate::storage::shard_ranges;
@@ -69,7 +69,7 @@ impl Materialization {
     /// at every thread count.
     pub(super) fn run_fixpoint(&mut self, staging: &mut Staging) {
         let threads = match self.strategy {
-            Strategy::SemiNaiveParallel { threads } if threads >= 2 => threads,
+            Strategy::SemiNaiveParallel { threads } if threads >= 2 => threads.min(MAX_THREADS),
             _ => 1,
         };
         // Recycled task slots: merged-out staging buffers and scratch

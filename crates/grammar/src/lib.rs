@@ -36,7 +36,6 @@ pub mod clean;
 pub mod cnf;
 pub mod quotient;
 pub mod regular;
-pub mod sample;
 pub mod self_embedding;
 pub mod sentential;
 pub mod unary;

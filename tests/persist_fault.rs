@@ -232,6 +232,46 @@ fn a_strategy_tag_0_container_is_refused_as_corrupt() {
     ));
 }
 
+/// A parallel store's thread count is any `u64` in a snapshot. A count
+/// of 2⁶² or more used to overflow the shard count (`OVERSHARD ×
+/// threads`) in the first round after a restore, a panic under the
+/// server's write lock that poisoned it for every reader. A round runs
+/// on at most `MAX_THREADS` threads; the store keeps the count as given,
+/// so the forged file still re-encodes byte for byte.
+#[test]
+fn a_thread_count_past_the_cap_runs_capped() {
+    let mut p = parse_program(SRC).unwrap();
+    let par = p.symbols.get_predicate("par").unwrap();
+    let edges = chain_edges(&mut p, 6);
+    let mut seq = Materialization::new(&p, Strategy::SemiNaive);
+    seq.insert_facts(par, &edges);
+    let expect = seq.answer().sorted();
+
+    let mut wide = Materialization::new(&p, Strategy::SemiNaiveParallel { threads: usize::MAX });
+    wide.insert_facts(par, &edges);
+    assert_eq!(wide.answer().sorted(), expect);
+
+    let mut two = Materialization::new(&p, Strategy::SemiNaiveParallel { threads: 2 });
+    two.insert_facts(par, &edges[..3]);
+    let mut forged = two.to_bytes();
+    // The payload opens with the strategy: tag 2, then `threads`.
+    assert_eq!((forged[20], &forged[21..29]), (2, &2u64.to_le_bytes()[..]));
+    forged[21..29].copy_from_slice(&(1u64 << 62).to_le_bytes());
+    let current = u32::from_le_bytes(forged[8..12].try_into().unwrap());
+    let forged = restamped(&forged, current);
+    let restored = Materialization::from_bytes(&forged).expect("the forged count restores");
+    assert_eq!(restored.to_bytes(), forged, "re-encoding changed a byte");
+
+    let dir = scratch_dir("threads");
+    let path = dir.join("forged.snap");
+    std::fs::write(&path, &forged).unwrap();
+    let server = Server::restore(&path).unwrap();
+    server.insert_facts(par, &edges[3..]);
+    assert_eq!(server.answer().sorted(), expect);
+    assert_eq!(server.query(&p.goal).sorted(), expect, "the server still answers");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A snapshot of `q(X) :- e(X), flag.` whose 0-ary relation `flag`
 /// claims `count` rows behind a valid checksum, with an empty tombstone
 /// bitset — every one of them live.
