@@ -1,15 +1,17 @@
 //! E4 — Corollary 3.4: the decision pipeline on the program gallery.
 //!
-//! Expected shape: the decidable certificates (finiteness, strong
-//! regularity, self-embedding) cost microseconds; the undecidable
-//! region's evidence gathering costs what its sampling budget says (one
+//! The per-program group times the verdict, `propagate`: the decidable
+//! certificates (finiteness, strong regularity, self-embedding) cost
+//! microseconds, and an `Unknown` costs steps 1–4 and nothing more. The
+//! `balanced_budget_{4,6}` sweep times the undecidable region's evidence,
+//! `Undecided::evidence`, which costs what its sampling budget says (one
 //! CYK column per trie node: prefixes × suffix-trie nodes for the Nerode
-//! bound, the envelope's live paths for the tightness check); and
-//! the trichotomy lands exactly where ground truth puts it.
+//! bound, the envelope's live paths for the tightness check). The
+//! trichotomy lands exactly where ground truth puts it.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use selprop_core::chain::ChainProgram;
-use selprop_core::propagate::{propagate, propagate_with, Propagation, PropagationBudget};
+use selprop_core::propagate::{propagate, Propagation, PropagationBudget};
 
 const GALLERY: [(&str, &str, &str); 7] = [
     ("left_linear", "propagated",
@@ -24,9 +26,9 @@ const GALLERY: [(&str, &str, &str); 7] = [
      "?- p(c, Y).\np(X, Y) :- b1(X, X1), b2(X1, Y).\np(X, Y) :- b1(X, X1), p(X1, X2), b2(X2, Y)."),
     ("diagonal_infinite", "impossible",
      "?- p(X, X).\np(X, Y) :- b(X, Y).\np(X, Y) :- p(X, Z), b(Z, Y)."),
-    // L = Σ⁺ over four letters through a self-embedding grammar: the
-    // envelope is exact, so the tightness check walks all 4 + … + 4¹⁰
-    // of its words up to the sample length.
+    // L = Σ⁺ over four letters through a self-embedding grammar: its
+    // evidence's tightness check would walk all 4 + … + 4¹⁰ words of the
+    // exact envelope; the verdict walks none.
     ("wide_self_embedding", "unknown",
      "?- p(c, Y).\np(X, Y) :- p(X, Z), p(Z, Y).\np(X, Y) :- e0(X, Y).\np(X, Y) :- e1(X, Y).\np(X, Y) :- e2(X, Y).\np(X, Y) :- e3(X, Y)."),
 ];
@@ -54,20 +56,18 @@ fn bench(c: &mut Criterion) {
         let chain = ChainProgram::parse(src).unwrap();
         group.bench_function(name, |b| b.iter(|| propagate(&chain).unwrap()));
     }
-    // budget sweep for the undecidable region
+    // budget sweep for the undecidable region's evidence
     let balanced = ChainProgram::parse(GALLERY[4].2).unwrap();
+    let Propagation::Unknown(balanced) = propagate(&balanced).unwrap() else {
+        unreachable!("the trichotomy check above found balanced unknown");
+    };
     for nerode in [4usize, 6] {
+        let budget = PropagationBudget {
+            nerode_max_len: nerode,
+            envelope_sample_len: 8,
+        };
         group.bench_function(format!("balanced_budget_{nerode}"), |b| {
-            b.iter(|| {
-                propagate_with(
-                    &balanced,
-                    PropagationBudget {
-                        nerode_max_len: nerode,
-                        envelope_sample_len: 8,
-                    },
-                )
-                .unwrap()
-            })
+            b.iter(|| balanced.evidence(budget))
         });
     }
     group.finish();

@@ -21,7 +21,9 @@
 //! - [`chain`] — chain programs, goal classification, the grammar `G(H)`;
 //! - [`propagate`](mod@propagate) — the decision engine: `Propagated` with a
 //!   machine-checkable certificate, `Impossible` with a pumping witness,
-//!   or `Unknown` with evidence (the undecidability made visible);
+//!   or `Unknown` with what steps 1–4 found; the evidence (the
+//!   undecidability made visible) is sampled on request by
+//!   [`Undecided::evidence`](propagate::Undecided::evidence);
 //! - [`rewrite`] — the constructive direction: DFA → monadic program
 //!   (Example 1.1's Program A → Program D, generalized), and the finite
 //!   tableaux rewrite for `p(X,X)`;

@@ -6,9 +6,14 @@
 //! is finite** (decidable). The engine therefore returns a *trichotomy*
 //! for constant goals — `Propagated` with a machine-checkable regularity
 //! certificate, `Impossible` with a finiteness/pumping certificate where
-//! applicable, or `Unknown` with the evidence gathered — and a genuine
-//! decision for diagonal goals. `Unknown` is not a weakness of the
-//! implementation: Corollary 3.4 proves no complete procedure can exist.
+//! applicable, or `Unknown` — and a genuine decision for diagonal goals.
+//! `Unknown` is not a weakness of the implementation: Corollary 3.4
+//! proves no complete procedure can exist.
+//!
+//! [`propagate`] returns the verdict alone: `Unknown` carries what steps
+//! 1–4 found, an [`Undecided`] (the grammar `G(H)` and its self-embedding
+//! nonterminal), and step 5's evidence is computed on request by
+//! [`Undecided::evidence`].
 
 use selprop_automata::dfa::Dfa;
 use selprop_automata::minimize::minimize;
@@ -81,8 +86,20 @@ impl RegularityCertificate {
     }
 }
 
-/// Evidence gathered when the engine cannot decide (the undecidable
-/// region of Corollary 3.4).
+/// What steps 1–4 found for a constant goal none of them decided (the
+/// undecidable region of Corollary 3.4); [`Undecided::evidence`] reads
+/// it.
+#[derive(Clone, Debug)]
+pub struct Undecided {
+    /// The grammar `G(H)`.
+    grammar: Cfg,
+    /// A self-embedding nonterminal of `G(H)` (why the decidable
+    /// sufficient conditions did not fire).
+    self_embedding_nonterminal: String,
+}
+
+/// Step 5's evidence on an [`Undecided`] program
+/// ([`Undecided::evidence`]).
 #[derive(Clone, Debug)]
 pub struct UndecidedEvidence {
     /// A self-embedding nonterminal of `G(H)` (why the decidable
@@ -123,7 +140,7 @@ pub enum Propagation {
     },
     /// The engine could not decide (possible only for constant goals —
     /// Corollary 3.4).
-    Unknown(Box<UndecidedEvidence>),
+    Unknown(Undecided),
 }
 
 impl Propagation {
@@ -133,22 +150,8 @@ impl Propagation {
     }
 }
 
-/// Tuning knobs for the undecidable region's evidence gathering.
-///
-/// Step 5 builds one CNF of `G(H)` and walks word tries with one
-/// incremental CYK [`Recognizer`], one pushed symbol — one table column —
-/// per trie edge. Its cost model, in pushes:
-///
-/// - the Nerode bound costs prefixes × suffix-trie nodes: both are the
-///   first `min(256, Σ_{i ≤ nerode_max_len} |Σ|ⁱ)` words, so at most
-///   256 × 255 (see [`nerode_lower_bound`]);
-/// - the envelope check costs `Σ_{i ≤ envelope_sample_len} |Σ|ⁱ` over
-///   live paths, the envelope's words and their live prefixes, and stops
-///   at the first envelope word outside `L(H)`. An exact `Σ⁺` envelope
-///   over four letters at the default 10 is 1.4 M pushes; that term, not
-///   the Nerode one, is the one that grows with the alphabet.
-///
-/// A push at depth `d` fills `d` cells from at most `d` splits each.
+/// The sampling budget of [`Undecided::evidence`] (its cost model is
+/// there).
 #[derive(Clone, Copy, Debug)]
 pub struct PropagationBudget {
     /// Maximum prefix length sampled for the Nerode lower bound.
@@ -169,14 +172,6 @@ impl Default for PropagationBudget {
 
 /// Runs the propagation decision for `chain` (see [`Propagation`]).
 pub fn propagate(chain: &ChainProgram) -> Result<Propagation, String> {
-    propagate_with(chain, PropagationBudget::default())
-}
-
-/// [`propagate`] with an explicit evidence budget.
-pub fn propagate_with(
-    chain: &ChainProgram,
-    budget: PropagationBudget,
-) -> Result<Propagation, String> {
     let grammar = chain.grammar();
     match &chain.goal_form {
         GoalForm::Free => Err("goal p(X, Y) carries no selection to propagate".to_owned()),
@@ -204,7 +199,10 @@ pub fn propagate_with(
                         certificate,
                     })
                 }
-                Err(se) => Ok(Propagation::Unknown(Box::new(evidence(&grammar, se, budget)))),
+                Err(self_embedding_nonterminal) => Ok(Propagation::Unknown(Undecided {
+                    grammar,
+                    self_embedding_nonterminal,
+                })),
             }
         }
     }
@@ -212,8 +210,8 @@ pub fn propagate_with(
 
 /// Steps 1–4 of the decision for a constant goal: the certificate of the
 /// first sufficient condition for regularity of `L(G)` that holds, or,
-/// when none does, the self-embedding analysis step 5 reports.
-fn regularity(grammar: &Cfg) -> Result<RegularityCertificate, SelfEmbedding> {
+/// when none does, the self-embedding nonterminal step 3 found.
+fn regularity(grammar: &Cfg) -> Result<RegularityCertificate, String> {
     // 1. finite ⇒ regular
     if let Finiteness::Finite(words) = finiteness(grammar) {
         return Ok(RegularityCertificate::FiniteLanguage(words));
@@ -226,34 +224,49 @@ fn regularity(grammar: &Cfg) -> Result<RegularityCertificate, SelfEmbedding> {
     // 3. non-self-embedding ⇒ regular (Chomsky). After cleaning, NSE
     // implies strongly regular, so this arm fires only in the (rare) gap
     // where cleaning exposed it; keep it for the certificate's sake.
-    let se = self_embedding(grammar);
-    if se.is_non_self_embedding() {
+    let SelfEmbedding::Yes { nonterminal } = self_embedding(grammar) else {
         return Ok(RegularityCertificate::NonSelfEmbedding(exact()));
-    }
+    };
     // 4. unary alphabet ⇒ regular (Parikh), decidable within the size
     // cap of the periodic-length-set construction.
     match selprop_grammar::unary::unary_regularity(grammar) {
         Some(u) => Ok(RegularityCertificate::UnaryPeriodic(u.dfa)),
-        None => Err(se),
+        None => Err(nonterminal),
     }
 }
 
-/// Step 5, the undecidable region: the evidence gathered on `grammar`,
-/// whose self-embedding analysis is `se`.
-fn evidence(grammar: &Cfg, se: SelfEmbedding, budget: PropagationBudget) -> UndecidedEvidence {
-    let envelope = minimize(&approximate(grammar).dfa());
-    let mut rec = CnfGrammar::from_cfg(grammar).recognizer();
-    let symbols: Vec<Symbol> = grammar.alphabet.symbols().collect();
-    let nerode = nerode_bound(&mut rec, &symbols, budget.nerode_max_len);
-    let envelope_tight_on_sample = envelope_tight(&envelope, &mut rec, budget.envelope_sample_len);
-    UndecidedEvidence {
-        self_embedding_nonterminal: match se {
-            SelfEmbedding::Yes { nonterminal } => Some(nonterminal),
-            SelfEmbedding::No => None,
-        },
-        envelope,
-        nerode_lower_bound: nerode,
-        envelope_tight_on_sample,
+impl Undecided {
+    /// Step 5, the undecidable region's evidence, sampled within `budget`.
+    ///
+    /// Builds one CNF of `G(H)` and walks word tries with one incremental
+    /// CYK [`Recognizer`], one pushed symbol — one table column — per
+    /// trie edge. Its cost model, in pushes:
+    ///
+    /// - the Nerode bound costs prefixes × suffix-trie nodes: both are
+    ///   the first `min(256, Σ_{i ≤ nerode_max_len} |Σ|ⁱ)` words, so at
+    ///   most 256 × 255 (see [`nerode_lower_bound`]);
+    /// - the envelope check costs `Σ_{i ≤ envelope_sample_len} |Σ|ⁱ` over
+    ///   live paths, the envelope's words and their live prefixes, and
+    ///   stops at the first envelope word outside `L(H)`. An exact `Σ⁺`
+    ///   envelope over four letters at the default 10 is 1.4 M pushes;
+    ///   that term, not the Nerode one, is the one that grows with the
+    ///   alphabet.
+    ///
+    /// A push at depth `d` fills `d` cells from at most `d` splits each.
+    pub fn evidence(&self, budget: PropagationBudget) -> UndecidedEvidence {
+        let grammar = &self.grammar;
+        let envelope = minimize(&approximate(grammar).dfa());
+        let mut rec = CnfGrammar::from_cfg(grammar).recognizer();
+        let symbols: Vec<Symbol> = grammar.alphabet.symbols().collect();
+        let nerode = nerode_bound(&mut rec, &symbols, budget.nerode_max_len);
+        let envelope_tight_on_sample =
+            envelope_tight(&envelope, &mut rec, budget.envelope_sample_len);
+        UndecidedEvidence {
+            self_embedding_nonterminal: Some(self.self_embedding_nonterminal.clone()),
+            envelope,
+            nerode_lower_bound: nerode,
+            envelope_tight_on_sample,
+        }
     }
 }
 
@@ -479,26 +492,31 @@ mod tests {
         }
     }
 
+    /// `b1ⁿ b2ⁿ`, n ≥ 1.
+    const BALANCED: &str = "?- p(c, Y).\n\
+        p(X, Y) :- b1(X, X1), b2(X1, Y).\n\
+        p(X, Y) :- b1(X, X1), p(X1, X2), b2(X2, Y).";
+
+    /// `p → p p | e0 | e1 | e2 | e3`: `L = Σ⁺` through a self-embedding
+    /// grammar over four letters.
+    const WIDE: &str = "?- p(c, Y).\n\
+        p(X, Y) :- p(X, Z), p(Z, Y).\n\
+        p(X, Y) :- e0(X, Y).\n\
+        p(X, Y) :- e1(X, Y).\n\
+        p(X, Y) :- e2(X, Y).\n\
+        p(X, Y) :- e3(X, Y).";
+
     #[test]
     fn balanced_pairs_is_unknown_with_growing_nerode_bound() {
-        let chain = ChainProgram::parse(
-            "?- p(c, Y).\n\
-             p(X, Y) :- b1(X, X1), b2(X1, Y).\n\
-             p(X, Y) :- b1(X, X1), p(X1, X2), b2(X2, Y).",
-        )
-        .unwrap();
-        match propagate_with(
-            &chain,
-            PropagationBudget {
-                nerode_max_len: 7,
-                envelope_sample_len: 8,
-            },
-        )
-        .unwrap()
-        {
-            Propagation::Unknown(ev) => {
+        let chain = ChainProgram::parse(BALANCED).unwrap();
+        match propagate(&chain).unwrap() {
+            Propagation::Unknown(undecided) => {
                 // b1^n b2^n is not regular: the bound grows with budget
                 // and the envelope (b1+ b2+) is visibly not tight.
+                let ev = undecided.evidence(PropagationBudget {
+                    nerode_max_len: 7,
+                    envelope_sample_len: 8,
+                });
                 assert!(ev.nerode_lower_bound >= 6, "got {}", ev.nerode_lower_bound);
                 assert!(!ev.envelope_tight_on_sample);
             }
@@ -512,18 +530,7 @@ mod tests {
         // is self-embedding over four letters, so step 5 gathers evidence.
         // Its envelope Σ⁺ is exact, and the tightness check walks all of
         // its 4 + 4² + … + 4¹⁰ words.
-        let chain = ChainProgram::parse(
-            "?- p(c, Y).\n\
-             p(X, Y) :- p(X, Z), p(Z, Y).\n\
-             p(X, Y) :- e0(X, Y).\n\
-             p(X, Y) :- e1(X, Y).\n\
-             p(X, Y) :- e2(X, Y).\n\
-             p(X, Y) :- e3(X, Y).",
-        )
-        .unwrap();
-        let Propagation::Unknown(ev) = propagate(&chain).unwrap() else {
-            panic!("a self-embedding grammar over four letters is undecided");
-        };
+        let ev = evidence_of(WIDE);
         assert_eq!(ev.self_embedding_nonterminal.as_deref(), Some("p"));
         assert_eq!(ev.nerode_lower_bound, 2);
         assert!(ev.envelope_tight_on_sample);
@@ -533,6 +540,81 @@ mod tests {
         assert_eq!(ev.envelope.transition_table(), [[1, 1, 1, 1], [1, 1, 1, 1]]);
         assert_eq!(ev.envelope.start(), 0);
         assert_eq!(ev.envelope.accepting(), [false, true]);
+    }
+
+    /// What `propagate` leaves undecided on `source`.
+    fn undecided(source: &str) -> Undecided {
+        let chain = ChainProgram::parse(source).unwrap();
+        let Propagation::Unknown(undecided) = propagate(&chain).unwrap() else {
+            panic!("undecided: {source}");
+        };
+        undecided
+    }
+
+    /// The evidence on `source`, an undecided program, at the default
+    /// budget.
+    fn evidence_of(source: &str) -> UndecidedEvidence {
+        undecided(source).evidence(PropagationBudget::default())
+    }
+
+    #[test]
+    fn undecided_evidence_is_pinned() {
+        use crate::gallery::{gallery, ExpectedOutcome};
+        let entries = gallery();
+        let source = |name| entries.iter().find(|e| e.name == name).unwrap().source;
+        let unknown = entries.iter().filter(|e| e.expected == ExpectedOutcome::Unknown);
+        assert_eq!(unknown.map(|e| e.name).collect::<Vec<_>>(), ["balanced", "palindromic"]);
+        // The balanced-pairs test's program is the gallery's `balanced`.
+        assert_eq!(source("balanced"), BALANCED);
+        // (program, Nerode bound, envelope tight on sample, the envelope's
+        // accepting states and transitions); every grammar self-embeds at
+        // `p` and every envelope starts in state 0.
+        type Pin = (&'static str, usize, bool, &'static [bool], &'static [&'static [usize]]);
+        let pinned: [Pin; 3] = [
+            (
+                BALANCED,
+                13,
+                false,
+                &[false, false, false, true],
+                &[&[1, 2], &[1, 3], &[2, 2], &[2, 3]],
+            ),
+            (
+                source("palindromic"),
+                127,
+                false,
+                &[false, false, false, true],
+                &[&[1, 2], &[3, 2], &[1, 3], &[3, 3]],
+            ),
+            (WIDE, 2, true, &[false, true], &[&[1, 1, 1, 1], &[1, 1, 1, 1]]),
+        ];
+        for (source, nerode, tight, accepting, transitions) in pinned {
+            let ev = evidence_of(source);
+            assert_eq!(ev.self_embedding_nonterminal.as_deref(), Some("p"), "{source}");
+            assert_eq!(ev.nerode_lower_bound, nerode, "{source}");
+            assert_eq!(ev.envelope_tight_on_sample, tight, "{source}");
+            assert_eq!(ev.envelope.start(), 0, "{source}");
+            assert_eq!(ev.envelope.accepting(), accepting, "{source}");
+            assert_eq!(ev.envelope.transition_table(), transitions, "{source}");
+        }
+    }
+
+    #[test]
+    fn the_decision_over_eight_letters_runs_no_step_5() {
+        // p -> p p | e0 | … | e7: step 5 at the default budget walks
+        // Σ_{i ≤ 10} 8ⁱ ≈ 1.2 · 10⁹ envelope paths; the verdict walks none.
+        let mut source = String::from("?- p(c, Y).\np(X, Y) :- p(X, Z), p(Z, Y).\n");
+        for i in 0..8 {
+            source.push_str(&format!("p(X, Y) :- e{i}(X, Y).\n"));
+        }
+        let undecided = undecided(&source);
+        assert_eq!(undecided.self_embedding_nonterminal, "p");
+        let ev = undecided.evidence(PropagationBudget {
+            nerode_max_len: 2,
+            envelope_sample_len: 3,
+        });
+        assert_eq!(ev.self_embedding_nonterminal.as_deref(), Some("p"));
+        assert_eq!(ev.nerode_lower_bound, 2);
+        assert!(ev.envelope_tight_on_sample);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! ```
 
 use selprop_core::chain::ChainProgram;
-use selprop_core::propagate::{propagate, Propagation};
+use selprop_core::propagate::{propagate, Propagation, PropagationBudget};
 
 const GALLERY: [(&str, &str); 7] = [
     (
@@ -72,8 +72,9 @@ fn main() {
                     show(&pump.word(2)),
                 );
             }
-            Propagation::Unknown(ev) => {
+            Propagation::Unknown(undecided) => {
                 println!("    UNKNOWN — the undecidable region (Corollary 3.4)");
+                let ev = undecided.evidence(PropagationBudget::default());
                 if let Some(nt) = &ev.self_embedding_nonterminal {
                     println!("    grammar self-embeds at '{nt}'");
                 }

@@ -277,6 +277,18 @@ const GUARDS: &[Guard] = &[
         example: "        let next = dfa.step(q, s);",
         ..ROW
     },
+    // The decision returns its verdict: `propagate` stops after steps
+    // 1–4, and an `Unknown` carries what they found. Step 5's evidence
+    // runs only through `Undecided::evidence`, the one call its budget
+    // reaches. A budgeted second entry, or an `Unknown` that boxes the
+    // evidence, is the eager decision growing back.
+    Guard {
+        name: "The decision runs no step 5",
+        paths: &["crates/core/src", "crates/bench/benches", "examples"],
+        needles: &["propagate_with", "Box<UndecidedEvidence>"],
+        example: "    Unknown(Box<UndecidedEvidence>),",
+        ..ROW
+    },
     // Membership has one CYK: `CnfGrammar::accepts` pushes the word onto
     // a `Recognizer`, whose table is one flat column-major triangle of
     // nonterminal bitsets. A per-call n × n × m table of bools is the
