@@ -105,28 +105,28 @@
 //! the view alone — its variables are distinct, or it would have gone
 //! direct — so the memo is not keyed by goal.
 //!
-//! Validity goes by a **per-view change stamp**. A sync appends rows to
-//! the template's goal relation and kills rows of it; each such row
-//! starts with the columns of a seed row, so reading those columns off
-//! the rows the sync touched — the appended range, and the deletion
-//! pass's casualties, rescued ones included — names the views whose
-//! answers may have moved, in O(Δ) and without looking at any other
-//! view. Their stamps are bumped; a memo is current while the stamp it
-//! was read at is the view's. The stamp counts syncs, not server
-//! epochs (a standalone cache has none); the epoch of the change is
-//! recorded beside it for pinned readers.
-//!
-//! A memo also carries the epochs `[from, to)` over which it *is* the
+//! A memo carries the epochs `[from, to)` over which it *is* the
 //! view's answer: `from` is the epoch of the view's last change when
-//! the memo was read, and `to` the epoch of its next one, written by the
-//! sync that bumps the stamp of a view whose memo is current — one
-//! store, through `Mutex::get_mut`, under the write lock the sync holds
-//! anyway. A snapshot pinned at or after a view's last change reads the
-//! live answer, memo and all. One pinned before it takes whichever of
-//! the view's memos covers its epoch: the stale one no reader has
-//! replaced yet, or one a reader displaced and **retained**, because a
-//! pinned epoch lay in its interval. Only when none does is the answer
-//! read off the rows at the pinned frontier; it is retained as a memo of
+//! the memo was read, and `to` the epoch of its next one. A memo is
+//! **current while its interval is open** (`to` is `u64::MAX`). A sync
+//! appends rows to the template's goal relation and kills rows of it;
+//! each such row starts with the columns of a seed row, so reading
+//! those columns off the rows the sync touched — the appended range,
+//! and the deletion pass's casualties, rescued ones included — names
+//! the views whose answers may have moved, in O(Δ) and without looking
+//! at any other view. Of each, the sync closes the current memo at the
+//! round's epoch and records that epoch as the view's last change, for
+//! pinned readers — one store each, the first through
+//! `Mutex::get_mut`, under the write lock the sync holds anyway. A
+//! standalone cache has no epochs: its syncs write `to = 0`, which
+//! closes the memo all the same.
+//!
+//! A snapshot pinned at or after a view's last change reads the live
+//! answer, memo and all. One pinned before it takes whichever of the
+//! view's memos covers its epoch: the stale one no reader has replaced
+//! yet, or one a reader displaced and **retained**, because a pinned
+//! epoch lay in its interval. Only when none does is the answer read
+//! off the rows at the pinned frontier; it is retained as a memo of
 //! that epoch alone, so a pin costs one build per view at most, never
 //! one per read. The epochs snapshots are pinned at reach the cache from
 //! the server's deferred-maintenance drain, which copies them in and
@@ -294,10 +294,10 @@ impl Template {
     }
 
     /// Brings the store to the base's current fixpoint in one sync,
-    /// storing `seed` — a new view's seed row — on the way, and stamps
-    /// the views whose answers the sync changed (module docs,
-    /// "Answers"): it reads the key of each goal-relation row it
-    /// appended or killed and touches nothing else of any view.
+    /// storing `seed` — a new view's seed row — on the way, and closes
+    /// the current memo of each view whose answer the sync changed
+    /// (module docs, "Answers"): it reads the key of each goal-relation
+    /// row it appended or killed and touches nothing else of any view.
     fn catch_up(&mut self, base: &mut Materialization, seed: Option<&[Const]>) {
         debug_assert!(!self.missed_a_retraction(base), "validate starts such a store over");
         let last_round = self.synced_version.wrapping_add(1) == base.version();
@@ -323,10 +323,9 @@ impl Template {
                 // A current memo answers up to this epoch: one store, no
                 // lock (the sync holds the view exclusively).
                 let memos = v.memos.get_mut().unwrap_or_else(PoisonError::into_inner);
-                if let Some(m) = memos.current.as_mut().filter(|m| m.stamp == v.changed) {
+                if let Some(m) = memos.current.as_mut().filter(|m| m.to == u64::MAX) {
                     m.to = epoch;
                 }
-                v.changed += 1;
                 v.changed_epoch = epoch;
             }
         });
@@ -368,13 +367,11 @@ struct CachedView {
     seed: Vec<Const>,
     /// LRU stamp (atomic so read-path hits can touch it).
     last_used: AtomicU64,
-    /// The change stamp: bumped by every sync that appended or killed a
-    /// goal-relation row of this view ([`Template::catch_up`]). Counts
-    /// syncs, not epochs — a standalone cache has no epochs.
-    changed: u64,
-    /// `base.epoch()` at the last such sync (at the view's build before
-    /// the first): a snapshot pinned at or after it reads what a live
-    /// query reads, and a memo read now answers from this epoch on.
+    /// `base.epoch()` at the last sync that appended or killed a
+    /// goal-relation row of this view ([`Template::catch_up`]; at the
+    /// view's build before the first): a snapshot pinned at or after it
+    /// reads what a live query reads, and a memo read now answers from
+    /// this epoch on.
     changed_epoch: u64,
     /// The answers materialised from the view's rows: filled and
     /// replaced by readers, under the cache's read lock or its write
@@ -386,14 +383,12 @@ struct CachedView {
 /// An answer of one view and the epochs `[from, to)` over which it *is*
 /// the view's answer (module docs, "Answers").
 struct Memo {
-    /// The view's `changed` when the answer was read: it is current
-    /// while the two agree.
-    stamp: u64,
     /// The view's `changed_epoch` when the answer was read (the pinned
     /// epoch, for one read at a pinned frontier).
     from: u64,
     /// The epoch of the view's first change after the read, written by
-    /// that sync; `u64::MAX` until then.
+    /// that sync; `u64::MAX` until then, which is what makes the memo
+    /// current.
     to: u64,
     answer: Relation,
 }
@@ -692,7 +687,7 @@ impl QueryCache {
     /// pin can ask for any more are released on the way.
     fn answer(&self, t: &Template, view: &CachedView, goal: &Atom) -> Relation {
         let mut memos = view.lock_memos();
-        if let Some(m) = memos.current.as_ref().filter(|m| m.stamp == view.changed) {
+        if let Some(m) = memos.current.as_ref().filter(|m| m.to == u64::MAX) {
             let answer = m.answer.clone();
             if !memos.retained.is_empty() {
                 let released = self.release(&mut memos);
@@ -717,7 +712,6 @@ impl QueryCache {
         let answer = t.read(view, goal, None);
         self.answer_builds.fetch_add(1, Ordering::Relaxed);
         let fresh = Memo {
-            stamp: view.changed,
             from: view.changed_epoch,
             to: u64::MAX,
             answer: answer.clone(),
@@ -834,7 +828,6 @@ impl QueryCache {
                 let answer = t.read(v, goal, Some((frontier, epoch)));
                 self.answer_builds.fetch_add(1, Ordering::Relaxed);
                 memos.retained.push(Memo {
-                    stamp: v.changed,
                     from: epoch,
                     to: epoch + 1,
                     answer: answer.clone(),
@@ -977,7 +970,6 @@ impl QueryCache {
         let view = CachedView {
             seed,
             last_used: AtomicU64::new(0),
-            changed: 0,
             changed_epoch: base.epoch(),
             memos: Mutex::default(),
         };
@@ -1045,6 +1037,7 @@ mod tests {
     use crate::db::{Database, Tuple};
     use crate::eval::Strategy;
     use crate::magic::magic_transform;
+    use crate::materialize::{RuleId, UpdateRound};
     use crate::parser::parse_program;
 
     const SRC: &str = "?- anc(john, Y).\n\
@@ -1126,13 +1119,13 @@ mod tests {
         for (op, r) in script {
             match *op {
                 "ins" => {
-                    base.insert_facts(par, &edges[r.clone()]);
+                    base.apply(&UpdateRound::new().insert_all(par, &edges[r.clone()]));
                     for e in &edges[r.clone()] {
                         edb.insert(par, e.clone());
                     }
                 }
                 "ret" => {
-                    base.retract_facts(par, &edges[r.clone()]);
+                    base.apply(&UpdateRound::new().retract_all(par, &edges[r.clone()]));
                     for e in &edges[r.clone()] {
                         edb.remove(par, e);
                     }
@@ -1289,7 +1282,7 @@ mod tests {
             Atom::new(anc, vec![s, t]),
             vec![Atom::new(par, vec![u, s]), Atom::new(anc, vec![u, t])],
         );
-        let id = base.add_rule(up);
+        let id = base.apply(&UpdateRound::new().add_rule(up)).first_rule;
         for _ in 0..2 {
             assert_eq!(cache.query(&mut base, &goal).sorted(), base.answer().sorted());
         }
@@ -1297,7 +1290,8 @@ mod tests {
         assert_eq!((st.template_compiles, st.misses, st.invalidations, st.views), (2, 2, 1, 1));
 
         // The same for drops: only the direct parent is left.
-        assert!(base.drop_rule(id) && base.drop_rule(crate::materialize::RuleId(1)));
+        let drops = UpdateRound::new().drop_rule(id).drop_rule(RuleId(1));
+        assert_eq!(base.apply(&drops).rules_dropped, 2);
         assert_eq!(cache.query(&mut base, &goal).len(), 1);
         assert_eq!(cache.stats().template_compiles, 3);
     }
@@ -1322,7 +1316,7 @@ mod tests {
 
         // Heavy retraction triggers a base compaction, which remaps the
         // row ids the view's justifications reference.
-        base.retract_facts(par, &edges[6..]);
+        base.apply(&UpdateRound::new().retract_all(par, &edges[6..]));
         for e in &edges[6..] {
             edb.remove(par, e);
         }
@@ -1357,7 +1351,7 @@ mod tests {
         let other = Atom::new(goal.pred, vec![c3, goal.args[1]]);
         cache.query(&mut base, &goal);
         cache.query(&mut base, &other);
-        base.insert_facts(par, &edges[10..11]);
+        base.apply(&UpdateRound::new().insert_all(par, &edges[10..11]));
         edb.insert(par, edges[10].clone());
         assert_eq!(cache.query(&mut base, &goal).len(), 11);
         assert_eq!(shape(&cache), (0, 1, 2), "two views of one template");
@@ -1367,10 +1361,10 @@ mod tests {
         assert!(cache.lookup(&restored, &goal).is_none(), "a view of another store");
         assert_eq!(cache.query(&mut restored, &goal).sorted(), oracle(&p, &goal, &edb));
         assert_eq!(shape(&cache), (1, 2, 1));
-        restored.retract_facts(par, &edges[4..5]);
+        restored.apply(&UpdateRound::new().retract_all(par, &edges[4..5]));
         edb.remove(par, &edges[4]);
         assert_eq!(cache.query(&mut restored, &goal).sorted(), oracle(&p, &goal, &edb));
-        restored.insert_facts(par, &edges[11..12]);
+        restored.apply(&UpdateRound::new().insert_all(par, &edges[11..12]));
         edb.insert(par, edges[11].clone());
         assert_eq!(cache.query(&mut restored, &goal).sorted(), oracle(&p, &goal, &edb));
         assert_eq!(shape(&cache), (1, 2, 1), "maintained from there on");
@@ -1415,7 +1409,7 @@ mod tests {
         }
         let edges = chain(&mut p, 12);
         let mut base = Materialization::from_database(&p, &edb, Strategy::SemiNaive);
-        base.insert_facts(par, &edges);
+        base.apply(&UpdateRound::new().insert_all(par, &edges));
         let goals: Vec<Atom> = ["john", "c1", "c2", "c3"]
             .iter()
             .map(|c| Atom::new(p.goal.pred, vec![Term::Const(p.symbols.constant(c)), p.goal.args[1]]))
@@ -1433,8 +1427,8 @@ mod tests {
         sized_by_own_rows(&mut cache, &mut base);
         // Two retracting rounds the cache does not see: its store starts
         // over, and every view is built again.
-        base.retract_facts(par, &edges[10..11]);
-        base.retract_facts(par, &edges[11..12]);
+        base.apply(&UpdateRound::new().retract_all(par, &edges[10..11]));
+        base.apply(&UpdateRound::new().retract_all(par, &edges[11..12]));
         sized_by_own_rows(&mut cache, &mut base);
         assert_eq!(cache.stats().invalidations, 1, "the store started over");
     }

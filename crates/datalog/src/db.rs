@@ -15,8 +15,9 @@
 
 use std::sync::Arc;
 
-use crate::ast::{Const, Pred, Symbols};
+use crate::ast::{Const, Pred, Symbols, Term};
 use crate::hash::{FxHashMap, FxHashSet};
+use crate::parser::parse_atom_str;
 
 /// A tuple of constants.
 pub type Tuple = Vec<Const>;
@@ -212,27 +213,40 @@ impl Database {
         v
     }
 
-    /// Parses facts in `pred(c1, c2).` form (constants only), interning
-    /// into `symbols`.
+    /// Parses facts in `pred(c1, c2).` form, one a line, interning into
+    /// `symbols`. Blank lines and lines starting with `%` or `#` are
+    /// skipped; every other line is read by the program parser's atom
+    /// reader ([`crate::parser::parse_atom_str`]), its trailing `.`
+    /// optional (so `p.` is a fact of a nullary `p`). A variable
+    /// argument (a name starting with an uppercase letter or `_`), an
+    /// arity that differs from an earlier fact of the same predicate, or
+    /// a line the atom reader refuses is an `Err` naming the line; no
+    /// input panics.
     pub fn parse_facts(text: &str, symbols: &mut Symbols) -> Result<Database, String> {
         let mut db = Database::new();
         for (lineno, raw) in text.lines().enumerate() {
-            let line = raw.trim().trim_end_matches('.');
+            let line = raw.trim();
             if line.is_empty() || line.starts_with('%') || line.starts_with('#') {
                 continue;
             }
-            let (name, rest) = line
-                .split_once('(')
-                .ok_or_else(|| format!("line {}: expected fact", lineno + 1))?;
-            let args = rest
-                .strip_suffix(')')
-                .ok_or_else(|| format!("line {}: missing ')'", lineno + 1))?;
-            let pred = symbols.predicate(name.trim());
-            let tuple: Tuple = args
-                .split(',')
-                .map(|c| symbols.constant(c.trim()))
-                .collect();
-            db.insert(pred, tuple);
+            let at = |e: &str| format!("line {}: {e}", lineno + 1);
+            let atom = parse_atom_str(line.strip_suffix('.').unwrap_or(line), symbols)
+                .map_err(|e| at(&e))?;
+            let tuple = atom
+                .args
+                .iter()
+                .map(|t| match t {
+                    Term::Const(c) => Ok(*c),
+                    Term::Var(_) => Err(at("a fact holds constants only")),
+                })
+                .collect::<Result<Tuple, String>>()?;
+            if let Some(rel) = db.relation(atom.pred) {
+                if rel.arity() != tuple.len() {
+                    let (got, arity) = (tuple.len(), rel.arity());
+                    return Err(at(&format!("{got} arguments, an earlier fact has {arity}")));
+                }
+            }
+            db.insert(atom.pred, tuple);
         }
         Ok(db)
     }
@@ -273,6 +287,19 @@ mod tests {
         let john = sy.get_constant("john").unwrap();
         let mary = sy.get_constant("mary").unwrap();
         assert!(db.relation(par).unwrap().contains(&[john, mary]));
+    }
+
+    #[test]
+    fn malformed_facts_are_refused_not_stored() {
+        let mut sy = Symbols::new();
+        let arity = Database::parse_facts("p(a).\np(a, b).\n", &mut sy);
+        assert_eq!(arity.unwrap_err(), "line 2: 2 arguments, an earlier fact has 1");
+        let var = Database::parse_facts("p(X).\n", &mut sy);
+        assert_eq!(var.unwrap_err(), "line 1: a fact holds constants only");
+        assert!(Database::parse_facts("p().\n", &mut sy).is_err(), "no empty constant");
+        // Names the benchmark's renderer writes still parse.
+        let db = Database::parse_facts("e(l3_5, f2_0).\ne(z1, l3_5)\n", &mut sy).unwrap();
+        assert_eq!(db.num_facts(), 2);
     }
 
     #[test]

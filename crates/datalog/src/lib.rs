@@ -12,14 +12,14 @@
 //! - [`db`] — databases as finite structures;
 //! - [`materialize`] — the **persistent incremental materialization
 //!   layer**: a [`materialize::Materialization`] keeps a program's
-//!   minimum model at fixpoint across updates —
-//!   [`materialize::Materialization::insert_facts`] resumes semi-naive
-//!   evaluation with the new rows as the delta (no recompute), and
-//!   [`materialize::Materialization::retract_facts`] removes facts by
-//!   delete–rederive over the recorded justifications. `materialize.rs`
-//!   is the store and its round; each phase of a round is a file under
-//!   `materialize/`, named for the `materialize.*` (and `eval.*`)
-//!   per-layer metrics of `BENCHMARK.json` it answers to: `join.rs`
+//!   minimum model at fixpoint across updates. Its one write,
+//!   [`materialize::Materialization::apply`], takes an
+//!   [`materialize::UpdateRound`]: inserted facts resume semi-naive
+//!   evaluation as the delta (no recompute), and retracted facts are
+//!   removed by delete–rederive over the recorded justifications.
+//!   `materialize.rs` is the store and its round; each phase of a round
+//!   is a file under `materialize/`, named for the `materialize.*` (and
+//!   `eval.*`) per-layer metrics of `BENCHMARK.json` it answers to: `join.rs`
 //!   (one rule pass, which asks its own staged heads whether a candidate
 //!   head is a duplicate before it asks the store: the store is frozen
 //!   for the pass, so a staged head is one the store does not hold),

@@ -5,34 +5,34 @@
 //! [`IncrementalIndex`]es, compiled rule plans, semi-naive watermarks
 //! and work counters, held as one value:
 //!
-//! - [`Materialization::insert_facts`] appends novel EDB rows and
-//!   resumes semi-naive evaluation with those rows as the next delta —
-//!   semi-naive *is* an incremental algorithm, so an update costs work
-//!   proportional to the delta and its new derivations, not the store.
-//!   Every round treats every body atom over a grown relation (EDB
-//!   included) as a delta position and runs it through the rule's plan
-//!   that atom leads ([`crate::plan`]), under the "last delta
-//!   occurrence" convention in rule-text order.
-//! - [`Materialization::retract_facts`] removes EDB rows by
-//!   **delete–rederive** (DRed): tombstone the rows
-//!   ([`ColumnarRelation::tombstone`]), then walk the derived rows whose
-//!   recorded justification transitively uses a deleted row. Each one
-//!   the walk reaches first asks for another derivation (a goal-directed
-//!   per-tuple join pass of selectivity-ordered re-derivation plans,
-//!   compiled with the update plans, stopping at the first derivation):
-//!   one through rows that rank below it — EDB rows, lower rows of its
-//!   relation, rows of a lower component of the rule graph — saves it
-//!   in place, and the walk goes no further there; otherwise it dies.
-//!   Rows with a derivation the age test refused are re-derived from
-//!   the remaining store after the walk, and the rescues propagate
-//!   through the normal insert machinery.
-//! - [`Materialization::apply`] batches a whole mixed round — EDB
-//!   inserts, retracts, **rule adds** and **rule drops** — into one
-//!   DRed pass (a single walk of the persistent reverse-dependency
-//!   index, however much the round mixes) plus one semi-naive resume.
-//!   `insert_facts`, `retract_facts`, [`Materialization::add_rule`] and
-//!   [`Materialization::drop_rule`] are thin single-phase wrappers.
-//!   Rule hot-swap works at fixpoint: an added rule seeds its delta
+//! - [`Materialization::apply`] is the one write: it applies an
+//!   [`UpdateRound`] — EDB inserts, retracts, **rule adds** and **rule
+//!   drops** — as one DRed pass (a single walk of the persistent
+//!   reverse-dependency index, however much the round mixes) plus one
+//!   semi-naive resume, and returns a [`RoundReport`] of what it did. A
+//!   single insert is a round holding just that insert.
+//! - An insert appends novel EDB rows and resumes semi-naive
+//!   evaluation with those rows as the next delta — semi-naive *is* an
+//!   incremental algorithm, so an update costs work proportional to
+//!   the delta and its new derivations, not the store. Every round
+//!   treats every body atom over a grown relation (EDB included) as a
+//!   delta position and runs it through the rule's plan that atom leads
+//!   ([`crate::plan`]), under the "last delta occurrence" convention in
+//!   rule-text order.
+//! - A retract removes EDB rows by **delete–rederive** (DRed):
+//!   tombstone the rows ([`ColumnarRelation::tombstone`]), then walk
+//!   the derived rows whose recorded justification transitively uses a
+//!   deleted row. Each one the walk reaches first asks for another
+//!   derivation (a goal-directed per-tuple join pass of
+//!   selectivity-ordered re-derivation plans, compiled with the update
+//!   plans, stopping at the first derivation): one through rows that
+//!   rank below it — EDB rows, lower rows of its relation, rows of a
+//!   lower component of the rule graph — saves it in place, and the
+//!   walk goes no further there; otherwise it dies. Rows with a
+//!   derivation the age test refused are re-derived from the remaining
+//!   store after the walk, and the rescues propagate through the normal
+//!   insert machinery.
+//! - Rule hot-swap works at fixpoint: an added rule seeds its delta
 //!   from the existing rows; a dropped rule's derivations are found by
 //!   their recorded justification rule ids and over-deleted like any
 //!   retraction. Rule ids ([`RuleId`]) are stable plan slots, never
@@ -165,7 +165,7 @@ impl RelJust {
 /// in [`UpdateRound::add_rule`] order, and are **never reused** — a
 /// dropped rule leaves its slot behind (recorded justifications index
 /// rule slots, so reindexing would corrupt provenance).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RuleId(pub u32);
 
 /// A batched update round: EDB inserts and retracts plus rule adds and
@@ -248,12 +248,17 @@ impl UpdateRound {
 pub struct RoundReport {
     /// Novel EDB rows stored (duplicates and untracked predicates skip).
     pub inserted: usize,
-    /// EDB rows actually removed (absent tuples skip).
+    /// EDB rows actually removed: a tuple never inserted, already
+    /// retracted or reclaimed by [`Materialization::compact`] skips.
     pub retracted: usize,
     /// Rules compiled in (= `rule_adds.len()`).
     pub rules_added: usize,
     /// Rules deactivated (unknown or already-dropped ids skip).
     pub rules_dropped: usize,
+    /// The slot the round's first added rule got; later adds follow it
+    /// consecutively. A round that adds no rule reports the slot the
+    /// next add will get.
+    pub first_rule: RuleId,
 }
 
 /// Runtime planner observability (see
@@ -288,10 +293,11 @@ pub struct PlannerReport {
 /// # Contract
 ///
 /// - Only facts of **EDB predicates the program's rule bodies mention**
-///   are stored; [`Materialization::insert_facts`] /
-///   [`Materialization::retract_facts`] on any other predicate (unknown,
-///   or an IDB of the program) are no-ops returning 0 — exactly as both
-///   evaluators ignore database facts under IDB predicates.
+///   are stored; a round's inserts and retracts of any other predicate
+///   (unknown, or an IDB of the program) are skipped and counted in
+///   neither [`RoundReport::inserted`] nor [`RoundReport::retracted`] —
+///   exactly as both evaluators ignore database facts under IDB
+///   predicates.
 /// - [`EvalStats`] accumulate over the materialization's lifetime (the
 ///   initial fixpoint plus every update), so the *difference* between
 ///   two [`Materialization::stats`] readings is the work an update cost.
@@ -396,7 +402,7 @@ pub struct Materialization {
 
 impl Materialization {
     /// Materializes `program` over an empty database (seed rules fire;
-    /// everything else waits for [`Materialization::insert_facts`]).
+    /// everything else waits for [`Materialization::apply`]).
     /// Justifications are recorded, so retraction is available.
     pub fn new(program: &Program, strategy: Strategy) -> Self {
         Self::from_database(program, &Database::new(), strategy)
@@ -726,70 +732,18 @@ impl Materialization {
     // Updates
     // -----------------------------------------------------------------
 
-    /// Inserts EDB facts and incrementally maintains the model: novel
-    /// rows become the next semi-naive delta and evaluation resumes from
-    /// the current fixpoint — no recompute. Returns the number of novel
-    /// rows stored. No-op (0) for predicates the program's rule bodies
-    /// do not mention, and for IDB predicates (both evaluators ignore
-    /// database facts under IDB predicates). Panics on arity mismatch,
-    /// before anything is stored.
-    ///
-    /// A thin wrapper over [`Materialization::apply`] — one call is one
-    /// single-phase round.
-    pub fn insert_facts(&mut self, pred: Pred, rows: &[Tuple]) -> usize {
-        self.apply(&UpdateRound::new().insert_all(pred, rows)).inserted
-    }
-
-    /// Retracts EDB facts by delete–rederive (DRed) and incrementally
-    /// maintains the model. Returns the number of rows **actually
-    /// removed**: retracting a fact that was never inserted, was already
-    /// retracted (double-retract), or whose row was reclaimed by
-    /// [`Materialization::compact`] is a guaranteed no-op — it
-    /// contributes 0 to the count and leaves the store untouched.
-    /// Likewise a no-op (0) for untracked or IDB predicates.
-    ///
-    /// A thin wrapper over [`Materialization::apply`] — one call is one
-    /// single-phase round, O(affected rows) via the persistent
-    /// reverse-dependency index (batch mixed work into one
-    /// [`UpdateRound`] to share the fixpoint resume). Panics on arity
-    /// mismatch, before anything is retracted.
-    pub fn retract_facts(&mut self, pred: Pred, rows: &[Tuple]) -> usize {
-        self.apply(&UpdateRound::new().retract_all(pred, rows)).retracted
-    }
-
-    /// Adds one rule at fixpoint and seeds its derivations from the
-    /// existing rows; returns its stable [`RuleId`]. A thin wrapper over
-    /// [`Materialization::apply`].
-    ///
-    /// # Panics
-    ///
-    /// If the rule's head predicate is a stored EDB relation of this
-    /// materialization (the IDB/EDB partition is fixed at construction),
-    /// on an arity mismatch with an existing relation, or if a head
-    /// variable does not occur in the body — in each case before the
-    /// store is touched.
-    pub fn add_rule(&mut self, rule: Rule) -> RuleId {
-        let id = self.next_rule_id();
-        self.apply(&UpdateRound::new().add_rule(rule));
-        id
-    }
-
-    /// Drops a rule at fixpoint: every row whose recorded justification
-    /// names it is over-deleted and then re-derived through the
-    /// surviving rules where possible. Returns whether `id` named an
-    /// active rule. A thin wrapper over [`Materialization::apply`].
-    pub fn drop_rule(&mut self, id: RuleId) -> bool {
-        self.apply(&UpdateRound::new().drop_rule(id)).rules_dropped == 1
-    }
-
     /// Applies one batched update round — EDB inserts and retracts plus
     /// rule adds and drops — as a single mixed batch: **one** deletion
     /// walk of the persistent reverse-dependency index, one rescue pass,
     /// one semi-naive resume to fixpoint. Equivalent to any
-    /// sequential order of the corresponding single-item calls whenever
+    /// sequential order of the corresponding single-item rounds whenever
     /// the round's insert and retract sets don't overlap (a tuple both
     /// retracted and inserted in one round ends up present: retracts
-    /// apply first).
+    /// apply first). This is the store's one write: a single insert or
+    /// rule drop is a round holding just that item, and the returned
+    /// [`RoundReport`] says what the round did — the novel rows stored,
+    /// the rows actually removed, the rules dropped and the slot the
+    /// first added rule got.
     ///
     /// The phases, in order:
     ///
@@ -879,9 +833,11 @@ impl Materialization {
             }
         }
 
-        // 2. Rule adds: compile to fresh stable slots. Seeding waits
-        // until the round's EDB changes have settled (phase 5).
+        // 2. Rule adds: compile to fresh stable slots, the first at the
+        // slot past every one ever allocated. Seeding waits until the
+        // round's EDB changes have settled (phase 5).
         let first_new_plan = self.plans.len();
+        report.first_rule = RuleId(self.plans.last().map_or(0, |p| p[0].rule + 1));
         for rule in &round.rule_adds {
             self.compile_added_rule(rule);
             report.rules_added += 1;
@@ -1087,12 +1043,6 @@ impl Materialization {
     /// included).
     pub fn num_rule_slots(&self) -> usize {
         self.plans.len()
-    }
-
-    /// The id the next added rule gets: the first slot past every one
-    /// ever allocated.
-    pub(crate) fn next_rule_id(&self) -> RuleId {
-        RuleId(self.plans.last().map_or(0, |p| p[0].rule + 1))
     }
 
     /// Whether `id` names an active rule.

@@ -188,8 +188,8 @@ fn delta_delta_combinations_are_not_lost() {
     let want = spec_idb(&p, &mirror);
     let run = |strategy: Strategy| {
         let mut m = Materialization::new(&p, strategy);
-        m.insert_facts(par, &edges[..5]);
-        m.insert_facts(par, &edges[5..]);
+        m.apply(&UpdateRound::new().insert_all(par, &edges[..5]));
+        m.apply(&UpdateRound::new().insert_all(par, &edges[5..]));
         m
     };
     let seq = run(Strategy::SemiNaive);
@@ -246,9 +246,9 @@ fn rounds_with_fewer_tasks_than_workers_match_sequential() {
     let roots: Vec<Tuple> = (0..6).map(|i| vec![p.symbols.constant(&format!("r{i}")), john]).collect();
     let run = |strategy: Strategy| {
         let mut m = Materialization::new(&p, strategy);
-        m.insert_facts(par, &edges);
+        m.apply(&UpdateRound::new().insert_all(par, &edges));
         for root in &roots {
-            m.insert_facts(par, std::slice::from_ref(root));
+            m.apply(&UpdateRound::new().insert(par, root.clone()));
         }
         m
     };
@@ -278,7 +278,7 @@ fn insert_resumes_instead_of_recomputing() {
     let mut mirror = db.clone();
     let mut recompute_work = 0u64;
     for e in &edges[3..] {
-        assert_eq!(m.insert_facts(par, std::slice::from_ref(e)), 1);
+        assert_eq!(m.apply(&UpdateRound::new().insert(par, e.clone())).inserted, 1);
         mirror.insert(par, e.clone());
         assert_eq!(m.idb_database().sorted_models(), spec_idb(&p, &mirror));
         recompute_work += crate::eval::evaluate(&p, &mirror, Strategy::SemiNaive)
@@ -293,7 +293,7 @@ fn insert_resumes_instead_of_recomputing() {
         "update cost {update_work} should undercut per-update recomputes {recompute_work}"
     );
     // Duplicate inserts are no-ops.
-    assert_eq!(m.insert_facts(par, &edges), 0);
+    assert_eq!(m.apply(&UpdateRound::new().insert_all(par, &edges)).inserted, 0);
     m.provenance().check(&p).expect("justifications stay valid");
 }
 
@@ -323,12 +323,20 @@ fn insert_on_idb_or_unknown_predicates_is_a_noop() {
     let a = p.symbols.constant("a");
     let b = p.symbols.constant("b");
     let mut m = Materialization::new(&p, Strategy::SemiNaive);
-    assert_eq!(m.insert_facts(anc, &[vec![a, b]]), 0, "IDB facts ignored");
-    assert_eq!(m.insert_facts(stranger, &[vec![a, b]]), 0, "untracked pred");
-    assert_eq!(m.retract_facts(anc, &[vec![a, b]]), 0);
-    assert_eq!(m.retract_facts(stranger, &[vec![a, b]]), 0);
+    assert_eq!(
+        m.apply(&UpdateRound::new().insert(anc, vec![a, b])).inserted,
+        0,
+        "IDB facts ignored"
+    );
+    assert_eq!(
+        m.apply(&UpdateRound::new().insert(stranger, vec![a, b])).inserted,
+        0,
+        "untracked pred"
+    );
+    assert_eq!(m.apply(&UpdateRound::new().retract(anc, vec![a, b])).retracted, 0);
+    assert_eq!(m.apply(&UpdateRound::new().retract(stranger, vec![a, b])).retracted, 0);
     assert_eq!(m.num_facts(anc), 0);
-    assert_eq!(m.insert_facts(par, &[vec![a, b]]), 1);
+    assert_eq!(m.apply(&UpdateRound::new().insert(par, vec![a, b])).inserted, 1);
     assert_eq!(m.num_facts(anc), 1);
     assert_eq!(m.num_facts(par), 1);
 }
@@ -345,14 +353,14 @@ fn retract_cascades_through_derived_facts() {
     let mut m = Materialization::from_database(&p, &db, Strategy::SemiNaive);
     assert_eq!(m.answer().len(), 5);
     // Cut the chain in the middle: everything past c2 is gone.
-    assert_eq!(m.retract_facts(par, std::slice::from_ref(&edges[2])), 1);
+    assert_eq!(m.apply(&UpdateRound::new().retract(par, edges[2].clone())).retracted, 1);
     let mut mirror = db.clone();
     mirror.remove(par, &edges[2]);
     assert_eq!(m.idb_database().sorted_models(), spec_idb(&p, &mirror));
     assert_eq!(m.answer().len(), 2);
     m.provenance().check(&p).expect("surviving justifications valid");
     // Retracting an absent fact is a no-op.
-    assert_eq!(m.retract_facts(par, std::slice::from_ref(&edges[2])), 0);
+    assert_eq!(m.apply(&UpdateRound::new().retract(par, edges[2].clone())).retracted, 0);
 }
 
 #[test]
@@ -383,7 +391,7 @@ fn retract_rescues_facts_with_alternative_derivations() {
     let pa = crate::derivation::GroundAtom { pred: pp, args: vec![a] };
     assert_eq!(prov.justification(&pa).map(|(r, _)| r), Some(0), "via e");
 
-    assert_eq!(m.retract_facts(e, &[vec![a]]), 1);
+    assert_eq!(m.apply(&UpdateRound::new().retract(e, vec![a])).retracted, 1);
     let mut mirror = db.clone();
     mirror.remove(e, &[a]);
     assert_eq!(m.idb_database().sorted_models(), spec_idb(&p, &mirror));
@@ -395,7 +403,7 @@ fn retract_rescues_facts_with_alternative_derivations() {
     assert_eq!(prov.justification(&pa).map(|(r, _)| r), Some(1), "now via f");
 
     // Retract the second support: now everything goes.
-    assert_eq!(m.retract_facts(f, &[vec![a]]), 1);
+    assert_eq!(m.apply(&UpdateRound::new().retract(f, vec![a])).retracted, 1);
     mirror.remove(f, &[a]);
     assert_eq!(m.idb_database().sorted_models(), spec_idb(&p, &mirror));
     assert_eq!(m.num_facts(pp), 0);
@@ -413,9 +421,9 @@ fn insert_then_retract_restores_the_store() {
     }
     let mut m = Materialization::from_database(&p, &db, Strategy::SemiNaive);
     let snapshot = m.database().sorted_models();
-    m.insert_facts(par, &edges[4..]);
+    m.apply(&UpdateRound::new().insert_all(par, &edges[4..]));
     assert_ne!(m.database().sorted_models(), snapshot);
-    m.retract_facts(par, &edges[4..]);
+    m.apply(&UpdateRound::new().retract_all(par, &edges[4..]));
     assert_eq!(
         m.database().sorted_models(),
         snapshot,
@@ -438,9 +446,9 @@ fn update_sequences_are_strategy_independent() {
     }
     let run = |strategy: Strategy| {
         let mut m = Materialization::from_database(&p, &db, strategy);
-        m.insert_facts(par, &edges[5..]);
-        m.retract_facts(par, &edges[2..4]);
-        m.insert_facts(par, &edges[2..3]);
+        m.apply(&UpdateRound::new().insert_all(par, &edges[5..]));
+        m.apply(&UpdateRound::new().retract_all(par, &edges[2..4]));
+        m.apply(&UpdateRound::new().insert_all(par, &edges[2..3]));
         m
     };
     let seq = run(Strategy::SemiNaive);
@@ -536,7 +544,7 @@ fn rows_that_support_only_each_other_die_together() {
         mirror.remove(e, &gone);
         for mut m in [m, restored] {
             let before = m.idb_database().sorted_models();
-            assert_eq!(m.retract_facts(e, std::slice::from_ref(&gone)), 1);
+            assert_eq!(m.apply(&UpdateRound::new().retract(e, gone.clone())).retracted, 1);
             let after = m.idb_database().sorted_models();
             assert_eq!(after, spec_idb(&p, &mirror), "{src}");
             assert_ne!(after, before, "{src}: two rows went");
@@ -561,9 +569,9 @@ fn saved_through_a_newer_row() -> (Program, Materialization, Database, Const) {
     let mut first = p.clone();
     first.rules.truncate(3);
     let mut m = Materialization::new(&first, Strategy::SemiNaive);
-    m.insert_facts(g, &[vec![a]]);
-    m.insert_facts(e, &[vec![a]]);
-    assert_eq!(m.retract_facts(g, &[vec![a]]), 1);
+    m.apply(&UpdateRound::new().insert(g, vec![a]));
+    m.apply(&UpdateRound::new().insert(e, vec![a]));
+    assert_eq!(m.apply(&UpdateRound::new().retract(g, vec![a])).retracted, 1);
     let mut db = Database::new();
     db.insert(e, vec![a]);
     assert_eq!(m.idb_database().sorted_models(), spec_idb(&first, &db));
@@ -584,7 +592,7 @@ fn a_row_saved_through_a_newer_row_of_a_lower_component_keeps_its_id() {
     assert_eq!(m.rels[hrel].num_rows(), 1, "and nothing is appended");
     let mut restored = Materialization::from_bytes(&m.to_bytes()).unwrap();
     for m in [&mut m, &mut restored] {
-        assert_eq!(m.retract_facts(e, &[vec![a]]), 1);
+        assert_eq!(m.apply(&UpdateRound::new().retract(e, vec![a])).retracted, 1);
         assert!(m.idb_database().sorted_models().iter().all(|(_, rows)| rows.is_empty()));
     }
     assert_eq!(restored.to_bytes(), m.to_bytes());
@@ -606,7 +614,7 @@ fn a_rule_add_that_merges_components_saves_no_cycle() {
         let [e, k] = ["e", "k"].map(|n| p.symbols.get_predicate(n).unwrap());
         let mut prog = p.clone();
         prog.rules = [&p.rules[..3], &p.rules[added..=added]].concat();
-        m.add_rule(p.rules[added].clone());
+        m.apply(&UpdateRound::new().add_rule(p.rules[added].clone()));
         assert_eq!(m.idb_database().sorted_models(), spec_idb(&prog, &db));
         let rounds = [
             UpdateRound::new().insert(k, vec![a]),
@@ -647,10 +655,10 @@ fn batched_mixed_round_matches_sequential_calls() {
 
     let mut sequential = Materialization::from_database(&p, &db, Strategy::SemiNaive);
     for e in &edges[6..] {
-        sequential.insert_facts(par, std::slice::from_ref(e));
+        sequential.apply(&UpdateRound::new().insert(par, e.clone()));
     }
     for e in &edges[2..4] {
-        sequential.retract_facts(par, std::slice::from_ref(e));
+        sequential.apply(&UpdateRound::new().retract(par, e.clone()));
     }
     assert_eq!(
         batched.database().sorted_models(),
@@ -694,9 +702,13 @@ fn drop_rule_overdeletes_and_rescues_via_surviving_rules() {
     let mut m = Materialization::from_database(&p, &db, Strategy::SemiNaive);
     assert!(m.is_rule_active(RuleId(0)));
 
-    assert!(m.drop_rule(RuleId(0)));
+    assert_eq!(m.apply(&UpdateRound::new().drop_rule(RuleId(0))).rules_dropped, 1);
     assert!(!m.is_rule_active(RuleId(0)));
-    assert!(!m.drop_rule(RuleId(0)), "double drop is a no-op");
+    assert_eq!(
+        m.apply(&UpdateRound::new().drop_rule(RuleId(0))).rules_dropped,
+        0,
+        "double drop is a no-op"
+    );
     assert_eq!(m.num_facts(pp), 1, "p(a) rescued via rule 1");
     assert_eq!(m.num_facts(q), 1, "q(a) survives");
     let prov = m.provenance();
@@ -707,7 +719,7 @@ fn drop_rule_overdeletes_and_rescues_via_surviving_rules() {
 
     // The edited program is the spec: dropping the last support of
     // p kills everything derived.
-    assert!(m.drop_rule(RuleId(1)));
+    assert_eq!(m.apply(&UpdateRound::new().drop_rule(RuleId(1))).rules_dropped, 1);
     assert_eq!(m.num_facts(pp), 0);
     assert_eq!(m.num_facts(q), 0);
     // e/f/g facts are untouched.
@@ -748,7 +760,7 @@ fn add_rule_seeds_from_existing_rows() {
     };
     p_plus.rules.push(rule.clone());
 
-    let id = m.add_rule(rule);
+    let id = m.apply(&UpdateRound::new().add_rule(rule)).first_rule;
     assert_eq!(id, RuleId(2));
     assert!(m.is_rule_active(id));
     assert_eq!(m.active_rules().len(), 3);
@@ -770,7 +782,7 @@ fn add_rule_seeds_from_existing_rows() {
     // New facts keep flowing through the added rule.
     let john = p.symbols.get_constant("john").unwrap();
     let x = p_plus.symbols.constant("x");
-    m.insert_facts(par, &[vec![john, x]]);
+    m.apply(&UpdateRound::new().insert(par, vec![john, x]));
     assert_eq!(m.num_facts(sib), 5 + 3, "sib(c1,x), sib(x,c1) and sib(x,x)");
     let _ = anc;
 }
@@ -785,10 +797,10 @@ fn add_rule_rejects_edb_heads() {
     let par = p.symbols.get_predicate("par").unwrap();
     let anc = p.symbols.get_predicate("anc").unwrap();
     let args = vec![Term::Var(Var(0)), Term::Var(Var(1))];
-    m.add_rule(Rule {
+    m.apply(&UpdateRound::new().add_rule(Rule {
         head: Atom { pred: par, args: args.clone() },
         body: vec![Atom { pred: anc, args }],
-    });
+    }));
 }
 
 #[test]
@@ -799,8 +811,8 @@ fn a_malformed_round_panics_before_the_first_mutation() {
     let q = p.symbols.predicate("q");
     let edges = chain_edges(&mut p, 4);
     let mut m = Materialization::new(&p, Strategy::SemiNaive);
-    m.insert_facts(par, &edges);
-    m.retract_facts(par, &edges[3..]); // the rescue plans are compiled
+    m.apply(&UpdateRound::new().insert_all(par, &edges));
+    m.apply(&UpdateRound::new().retract_all(par, &edges[3..])); // the rescue plans are compiled
 
     let [x, y, z] = [0, 1, 2].map(|v| Term::Var(Var(v)));
     let atom = |pred, args: &[Term]| Atom::new(pred, args.to_vec());
@@ -834,9 +846,10 @@ fn a_malformed_round_panics_before_the_first_mutation() {
 
     // Facts of untracked and IDB predicates are skipped, whatever their length.
     let skipped = UpdateRound::new().insert(q, vec![john]).insert(anc, vec![john]);
-    assert_eq!(m.apply(&skipped), RoundReport::default());
+    let nothing = RoundReport { first_rule: RuleId(2), ..RoundReport::default() };
+    assert_eq!(m.apply(&skipped), nothing, "no fact counted, no rule slot taken");
     // And the store still takes a well-formed round.
-    assert_eq!(m.insert_facts(par, &edges[3..]), 1);
+    assert_eq!(m.apply(&UpdateRound::new().insert_all(par, &edges[3..])).inserted, 1);
     assert_eq!(m.num_facts(anc), 10, "the closure of the 4-chain");
 }
 
@@ -900,7 +913,7 @@ fn empty_materialization_fires_seed_rules() {
     let d = p.symbols.constant("d");
     let mut m = Materialization::new(&p, Strategy::SemiNaive);
     assert_eq!(m.num_facts(seed), 1, "seed(c) fired on the empty store");
-    assert_eq!(m.insert_facts(e, &[vec![c, d]]), 1);
+    assert_eq!(m.apply(&UpdateRound::new().insert(e, vec![c, d])).inserted, 1);
     assert_eq!(m.answer().len(), 1);
     m.provenance().check(&p).expect("valid");
 }
@@ -922,7 +935,7 @@ fn compact_preserves_model_provenance_and_update_behavior() {
     m.set_compaction_policy(None); // manual compaction for this test
 
     // Churn: cut the chain tail, then reattach a shorter one.
-    m.retract_facts(par, &edges[8..]);
+    m.apply(&UpdateRound::new().retract_all(par, &edges[8..]));
     let mut mirror = db.clone();
     for e in &edges[8..] {
         mirror.remove(par, e);
@@ -951,11 +964,11 @@ fn compact_preserves_model_provenance_and_update_behavior() {
 
     // Updates keep working against the renumbered store: retract
     // deeper (exercising the rebuilt reverse index), then insert.
-    m.retract_facts(par, &edges[4..8]);
+    m.apply(&UpdateRound::new().retract_all(par, &edges[4..8]));
     for e in &edges[4..8] {
         mirror.remove(par, e);
     }
-    assert_eq!(m.insert_facts(par, &edges[4..6]), 2);
+    assert_eq!(m.apply(&UpdateRound::new().insert_all(par, &edges[4..6])).inserted, 2);
     for e in &edges[4..6] {
         mirror.insert(par, e.clone());
     }
@@ -979,7 +992,7 @@ fn policy_triggers_automatic_compaction() {
     }));
     // Cutting the chain at edge 20 tombstones half the closure: far
     // past the 10% threshold, so the apply round compacts itself.
-    m.retract_facts(par, std::slice::from_ref(&edges[20]));
+    m.apply(&UpdateRound::new().retract(par, edges[20].clone()));
     assert!(m.compactions() >= 1, "policy breach compacts automatically");
     let mem = m.mem_stats();
     assert_eq!(mem.total_rows, mem.live_rows);
@@ -1007,12 +1020,12 @@ fn retract_is_a_counted_no_op_on_absent_and_double_retracts() {
     let baseline = m.database().sorted_models();
 
     // Never-inserted fact: count 0, store untouched.
-    assert_eq!(m.retract_facts(par, std::slice::from_ref(&never)), 0);
+    assert_eq!(m.apply(&UpdateRound::new().retract(par, never)).retracted, 0);
     assert_eq!(m.database().sorted_models(), baseline);
 
     // Real retract counts once; the immediate double-retract counts 0.
-    assert_eq!(m.retract_facts(par, std::slice::from_ref(&edges[5])), 1);
-    assert_eq!(m.retract_facts(par, std::slice::from_ref(&edges[5])), 0);
+    assert_eq!(m.apply(&UpdateRound::new().retract(par, edges[5].clone())).retracted, 1);
+    assert_eq!(m.apply(&UpdateRound::new().retract(par, edges[5].clone())).retracted, 0);
     let mut mirror = db.clone();
     mirror.remove(par, &edges[5]);
     assert_eq!(m.idb_database().sorted_models(), spec_idb(&p, &mirror));
@@ -1020,7 +1033,7 @@ fn retract_is_a_counted_no_op_on_absent_and_double_retracts() {
     // Retract-after-compact: the row is gone entirely, still a
     // clean counted no-op.
     assert!(m.compact() > 0);
-    assert_eq!(m.retract_facts(par, std::slice::from_ref(&edges[5])), 0);
+    assert_eq!(m.apply(&UpdateRound::new().retract(par, edges[5].clone())).retracted, 0);
     // And a mixed round counts only the rows actually removed.
     let r = m.apply(&UpdateRound::new().retract_all(par, &edges[3..6]));
     assert_eq!(r.retracted, 2, "edges[5] is already gone");
@@ -1176,7 +1189,7 @@ fn rescued_justification_reads_in_rule_text_order() {
     let via = |m: &Materialization| m.provenance().justification(&anc_ad).unwrap();
     let through_b = via(&m).1 == [ga(anc, a, b), ga(par, b, d)];
     let (first, second) = if through_b { (b, c) } else { (c, b) };
-    assert_eq!(m.retract_facts(par, &[vec![first, d]]), 1);
+    assert_eq!(m.apply(&UpdateRound::new().retract(par, vec![first, d])).retracted, 1);
     assert_eq!(via(&m), (1, vec![ga(anc, a, second), ga(par, second, d)]));
     m.provenance().check(&p).expect("valid after the rescue");
 }
@@ -1270,7 +1283,11 @@ fn a_dedup_step_never_rescues_through_a_row_that_died_this_round() {
         // anc(john, c2) is over-deleted with anc(john, c1); its other
         // derivation — par(Z, c2), then anc(john, c1) in the table —
         // needs exactly that dead row.
-        assert_eq!(m.retract_facts(par, &edges[..1]), 1, "{what}");
+        assert_eq!(
+            m.apply(&UpdateRound::new().retract_all(par, &edges[..1])).retracted,
+            1,
+            "{what}"
+        );
         assert_eq!(rescue_shapes(&m)[1].1, [Some(vec![1]), None], "{what}");
         assert_eq!(m.idb_database().sorted_models(), spec_idb(&p, &mirror), "{what}");
         assert_eq!(m.num_facts(anc), 1, "{what}: only anc(c1, c2) is left");
@@ -1380,7 +1397,7 @@ fn a_store_registers_its_rescue_index_at_construction() {
     let mut m = Materialization::from_database(&p, &db, Strategy::SemiNaive);
     assert_eq!(registry_beyond(&m, &one_shot), [(m.rel_of_pred[&par] as usize, vec![1])]);
     let (keys, before) = (registry(&m), m.planner_report().index_rows);
-    assert_eq!(m.retract_facts(par, &edges[15..]), 1);
+    assert_eq!(m.apply(&UpdateRound::new().retract_all(par, &edges[15..])).retracted, 1);
     assert_eq!(registry(&m), keys);
     assert_eq!(m.planner_report().index_rows - before, 0);
 }
@@ -1399,7 +1416,7 @@ fn a_restored_store_registers_what_the_live_one_had() {
         db.insert(par, e.clone());
     }
     let mut m = Materialization::from_database(&p, &db, Strategy::SemiNaive);
-    assert_eq!(m.retract_facts(par, &edges[7..]), 1);
+    assert_eq!(m.apply(&UpdateRound::new().retract_all(par, &edges[7..])).retracted, 1);
     let restored = Materialization::from_bytes(&m.to_bytes()).unwrap();
     assert_eq!(registry(&restored), registry(&m));
     assert!(registry(&restored).contains(&(restored.rel_of_pred[&par] as usize, vec![1])));
@@ -1459,7 +1476,7 @@ fn a_rescue_scans_a_body_atom_nothing_binds() {
     let other = vec![if named[0] == b1 { b2 } else { b1 }];
     for (gone, left) in [(named, 1), (other, 0)] {
         let probes = m.stats().join_probes;
-        assert_eq!(m.retract_facts(r, std::slice::from_ref(&gone)), 1);
+        assert_eq!(m.apply(&UpdateRound::new().retract(r, gone.clone())).retracted, 1);
         db.remove(r, &gone);
         assert!(m.stats().join_probes > probes, "the rescue ran");
         assert_eq!(m.num_facts(pp), left);
@@ -1487,7 +1504,7 @@ fn snapshot_round_trip_is_bit_for_bit_and_update_equivalent() {
     m.set_compaction_policy(None);
     // Leave interesting state behind: tombstones (live dead bitset +
     // stale justifications), nonzero counters.
-    m.retract_facts(par, &edges[10..12]);
+    m.apply(&UpdateRound::new().retract_all(par, &edges[10..12]));
 
     let bytes = m.to_bytes();
     let m2 = Materialization::from_bytes(&bytes).expect("intact snapshot restores");
@@ -1569,7 +1586,7 @@ fn save_restore_via_file_is_atomic_and_faithful() {
     assert_eq!(m2.to_bytes(), m.to_bytes());
 
     // Overwrite with new state; the file is replaced atomically.
-    m.retract_facts(par, &edges[8..]);
+    m.apply(&UpdateRound::new().retract_all(par, &edges[8..]));
     m.save(&path).expect("second save");
     let m3 = Materialization::restore(&path).expect("restore updated");
     assert_eq!(m3.to_bytes(), m.to_bytes());

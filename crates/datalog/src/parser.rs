@@ -270,11 +270,12 @@ mod tests {
     }
 
     mod fuzz {
-        //! `parse_program` must return `Err`, never panic, on arbitrary
-        //! input. Three generators: raw byte soup (lossily decoded, so
-        //! invalid UTF-8 becomes replacement characters), soup built
-        //! from the parser's own token vocabulary (reaches deep states
-        //! that random bytes rarely hit), and mutated valid programs
+        //! `parse_program`, `parse_atom_str` and `Database::parse_facts`
+        //! must return `Err`, never panic, on arbitrary input. Three
+        //! generators: raw byte soup (lossily decoded, so invalid UTF-8
+        //! becomes replacement characters), soup built from the
+        //! parser's own token vocabulary (reaches deep states that
+        //! random bytes rarely hit), and mutated valid programs
         //! (near-misses around every position).
 
         use super::*;
@@ -291,10 +292,12 @@ mod tests {
         const SEED: &str = "?- anc(john, Y).\nanc(X, Y) :- par(X, Y).\nanc(X, Y) :- anc(X, Z), par(Z, Y).";
 
         fn never_panics(text: &str) {
-            // Both entry points: whole programs and single atoms.
+            // Every entry point: whole programs, single atoms and fact
+            // lists.
             let _ = parse_program(text);
             let mut sy = Symbols::new();
             let _ = parse_atom_str(text, &mut sy);
+            let _ = crate::db::Database::parse_facts(text, &mut sy);
         }
 
         proptest! {

@@ -79,14 +79,12 @@ use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use crate::ast::{Atom, Pred, Program, Rule};
+use crate::ast::{Atom, Pred, Program};
 use crate::cache::{CacheConfig, CacheStats, QueryCache, ViewPins};
-use crate::db::{Database, Relation, Tuple};
+use crate::db::{Database, Relation};
 use crate::derivation::Provenance;
 use crate::eval::{EvalStats, Strategy};
-use crate::materialize::{
-    CompactionPolicy, Materialization, MemStats, RoundReport, RuleId, UpdateRound,
-};
+use crate::materialize::{CompactionPolicy, Materialization, MemStats, RoundReport, UpdateRound};
 use crate::persist::PersistError;
 
 /// Everything guarded by the server's writer lock: the base store and
@@ -323,7 +321,12 @@ impl Server {
     /// cache and looks at no view.
     ///
     /// Writer calls are serialized by the write lock; each applied
-    /// round increments the published epoch by one.
+    /// round increments the published epoch by one. This is the
+    /// server's one write: a single insert or rule add is a round
+    /// holding just that item. The report's
+    /// [`RoundReport::first_rule`] is written under the same lock the
+    /// round runs under, so concurrent callers that add rules each
+    /// learn their own slots.
     ///
     /// # Panics
     ///
@@ -332,14 +335,6 @@ impl Server {
     /// the store, the epoch and the cached views are as they were and
     /// no other client notices.
     pub fn apply(&self, round: &UpdateRound) -> RoundReport {
-        self.apply_locked(round).0
-    }
-
-    /// [`Server::apply`], also returning the id the round's first added
-    /// rule was given (later ones follow consecutively) — read under
-    /// the same write lock the round runs under, so concurrent callers
-    /// never see each other's slots.
-    fn apply_locked(&self, round: &UpdateRound) -> (RoundReport, RuleId) {
         let mut state = self.shared.write();
         if let Err(e) = state.store.check_round(round) {
             // Unwinding with the guard held would poison it for everyone.
@@ -350,7 +345,6 @@ impl Server {
             let epochs = self.shared.epochs();
             epochs.current + 1
         };
-        let first_added = state.store.next_rule_id();
         let report = {
             let ServerState { store, cache } = &mut *state;
             // Tombstones of this round are tagged `next`: dead at
@@ -373,29 +367,7 @@ impl Server {
         epochs.current = next;
         epochs.drain(&mut state);
         drop(state);
-        (report, first_added)
-    }
-
-    /// Convenience single-phase rounds (each one applied round).
-    pub fn insert_facts(&self, pred: Pred, rows: &[Tuple]) -> usize {
-        self.apply(&UpdateRound::new().insert_all(pred, rows)).inserted
-    }
-
-    /// See [`Server::insert_facts`].
-    pub fn retract_facts(&self, pred: Pred, rows: &[Tuple]) -> usize {
-        self.apply(&UpdateRound::new().retract_all(pred, rows)).retracted
-    }
-
-    /// Adds one rule as a round of its own; returns its stable id.
-    /// Panics as [`Server::apply`] does on a rule the store rejects.
-    pub fn add_rule(&self, rule: Rule) -> RuleId {
-        self.apply_locked(&UpdateRound::new().add_rule(rule)).1
-    }
-
-    /// Drops one rule as a round of its own; returns whether it was
-    /// active.
-    pub fn drop_rule(&self, id: RuleId) -> bool {
-        self.apply(&UpdateRound::new().drop_rule(id)).rules_dropped == 1
+        report
     }
 
     /// Answers an ad-hoc `goal` over the current model, through the
@@ -590,7 +562,9 @@ impl Drop for Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::Term;
+    use crate::ast::{Rule, Term};
+    use crate::db::Tuple;
+    use crate::materialize::RuleId;
     use crate::parser::parse_program;
 
     const SRC: &str = "?- anc(john, Y).\n\
@@ -616,15 +590,15 @@ mod tests {
         let edges = chain(&mut p, 6);
         let server = Server::new(&p, Strategy::SemiNaive);
 
-        assert_eq!(server.insert_facts(par, &edges[..3]), 3);
+        assert_eq!(server.apply(&UpdateRound::new().insert_all(par, &edges[..3])).inserted, 3);
         assert_eq!(server.current_epoch(), 1);
         let pinned = server.snapshot();
         assert_eq!(pinned.epoch(), 1);
         assert_eq!(pinned.answer().len(), 3);
 
         // Churn after the pin: grow, then cut the chain at the root.
-        server.insert_facts(par, &edges[3..]);
-        server.retract_facts(par, &edges[..1]);
+        server.apply(&UpdateRound::new().insert_all(par, &edges[3..]));
+        server.apply(&UpdateRound::new().retract_all(par, &edges[..1]));
         assert_eq!(server.current_epoch(), 3);
 
         // The pinned snapshot still serves its exact state...
@@ -639,7 +613,7 @@ mod tests {
 
         // After the unpin the next round reclaims; the current state is
         // unaffected.
-        server.insert_facts(par, &edges[..1]);
+        server.apply(&UpdateRound::new().insert_all(par, &edges[..1]));
         assert_eq!(server.answer().len(), 6);
     }
 
@@ -695,18 +669,18 @@ mod tests {
         let anc = p.symbols.get_predicate("anc").unwrap();
         let edges = chain(&mut p, 4);
         let server = Server::new(&p, Strategy::SemiNaive);
-        server.insert_facts(par, &edges);
+        server.apply(&UpdateRound::new().insert_all(par, &edges));
         let pinned = server.snapshot();
         assert_eq!(pinned.num_facts(anc), 10, "4+3+2+1 ancestor pairs");
 
         // Drop the transitive rule: only direct parents remain.
-        assert!(server.drop_rule(RuleId(1)));
+        assert_eq!(server.apply(&UpdateRound::new().drop_rule(RuleId(1))).rules_dropped, 1);
         assert_eq!(server.snapshot().num_facts(anc), 4);
         assert_eq!(pinned.num_facts(anc), 10, "pinned view unaffected");
 
         // Re-add it (fresh slot) — the model is restored.
         let readd = p.rules[1].clone();
-        let id = server.add_rule(readd);
+        let id = server.apply(&UpdateRound::new().add_rule(readd)).first_rule;
         assert_eq!(id, RuleId(2));
         assert_eq!(server.snapshot().num_facts(anc), 10);
         assert_eq!(pinned.num_facts(anc), 10);
@@ -717,7 +691,7 @@ mod tests {
         let sib = p.symbols.predicate("sib");
         let xy = vec![Term::Var(p.symbols.variable("X")), Term::Var(p.symbols.variable("Y"))];
         let sib_rule = Rule::new(Atom::new(sib, xy.clone()), vec![Atom::new(par, xy)]);
-        server.add_rule(sib_rule.clone());
+        server.apply(&UpdateRound::new().add_rule(sib_rule.clone()));
         let mut db = Database::new();
         for e in &edges {
             db.insert(par, e.clone());
@@ -742,9 +716,9 @@ mod tests {
         );
     }
 
-    /// `add_rule` takes its id under the write lock its round runs
-    /// under: two threads adding rules at once are never handed the
-    /// same id, nor each other's — dropping by the returned id removes
+    /// A round's `first_rule` is read under the write lock the round
+    /// runs under: two threads adding rules at once are never handed the
+    /// same id, nor each other's — dropping by the reported id removes
     /// exactly the caller's rule.
     #[test]
     fn concurrent_add_rule_calls_get_their_own_ids() {
@@ -758,7 +732,7 @@ mod tests {
             .map(|t| (0..PER_THREAD).map(|i| p.symbols.predicate(&format!("h_{t}_{i}"))).collect())
             .collect();
         let server = Server::new(&p, Strategy::SemiNaive);
-        server.insert_facts(par, &edges);
+        server.apply(&UpdateRound::new().insert_all(par, &edges));
         let rule_for = move |head: Pred| {
             let args = vec![Term::Var(x), Term::Var(y)];
             Rule::new(Atom::new(head, args.clone()), vec![Atom::new(par, args)])
@@ -769,7 +743,8 @@ mod tests {
             .map(|mine| {
                 let server = server.clone();
                 std::thread::spawn(move || {
-                    mine.iter().map(|&h| (h, server.add_rule(rule_for(h)))).collect::<Vec<_>>()
+                    let add = |h| server.apply(&UpdateRound::new().add_rule(rule_for(h)));
+                    mine.iter().map(|&h| (h, add(h).first_rule)).collect::<Vec<_>>()
                 })
             })
             .collect();
@@ -782,9 +757,45 @@ mod tests {
         assert_eq!(ids.len(), 2 * PER_THREAD, "every call got an id of its own");
         for &(head, id) in &added {
             assert_eq!(server.snapshot().num_facts(head), 2);
-            assert!(server.drop_rule(id));
+            assert_eq!(server.apply(&UpdateRound::new().drop_rule(id)).rules_dropped, 1);
             assert_eq!(server.snapshot().num_facts(head), 0, "the id named the caller's rule");
         }
+    }
+
+    /// A round that adds rules reports the slot of its first; the rest
+    /// follow it. A round that adds none reports the slot the next add
+    /// gets, and leaves it free.
+    #[test]
+    fn a_round_reports_the_slot_of_its_first_added_rule() {
+        let mut p = parse_program(SRC).unwrap();
+        let par = p.symbols.get_predicate("par").unwrap();
+        let edges = chain(&mut p, 3);
+        let (x, y) = (p.symbols.variable("X"), p.symbols.variable("Y"));
+        let [h0, h1, h2] = ["h0", "h1", "h2"].map(|n| p.symbols.predicate(n));
+        let rule_for = |head: Pred| {
+            let args = vec![Term::Var(x), Term::Var(y)];
+            Rule::new(Atom::new(head, args.clone()), vec![Atom::new(par, args)])
+        };
+        let server = Server::new(&p, Strategy::SemiNaive);
+        let next = RuleId(2); // past the program's two rules
+
+        let facts = server.apply(&UpdateRound::new().insert_all(par, &edges));
+        assert_eq!((facts.inserted, facts.rules_added, facts.first_rule), (3, 0, next));
+
+        let two = server.apply(&UpdateRound::new().add_rule(rule_for(h0)).add_rule(rule_for(h1)));
+        assert_eq!((two.rules_added, two.first_rule), (2, next));
+        let second = RuleId(next.0 + 1);
+        assert_eq!(server.apply(&UpdateRound::new().drop_rule(second)).rules_dropped, 1);
+        assert_eq!(server.snapshot().num_facts(h1), 0, "the second add got the next slot");
+        assert_eq!(server.snapshot().num_facts(h0), 3);
+
+        let empty = server.apply(&UpdateRound::new());
+        assert_eq!(empty.first_rule, RuleId(next.0 + 2));
+        let one = server.apply(&UpdateRound::new().add_rule(rule_for(h2)));
+        assert_eq!(one.first_rule, empty.first_rule, "a round with no add consumed no slot");
+        assert_eq!(server.snapshot().num_facts(h2), 3);
+        assert_eq!(server.apply(&UpdateRound::new().drop_rule(one.first_rule)).rules_dropped, 1);
+        assert_eq!(server.snapshot().num_facts(h2), 0, "the reported slot holds the rule");
     }
 
     #[test]
@@ -793,7 +804,7 @@ mod tests {
         let par = p.symbols.get_predicate("par").unwrap();
         let edges = chain(&mut p, 32);
         let server = Server::new(&p, Strategy::SemiNaive);
-        server.insert_facts(par, &edges[..1]);
+        server.apply(&UpdateRound::new().insert_all(par, &edges[..1]));
 
         let readers: Vec<_> = (0..3)
             .map(|_| {
@@ -815,7 +826,7 @@ mod tests {
             })
             .collect();
         for e in &edges[1..8] {
-            server.insert_facts(par, std::slice::from_ref(e));
+            server.apply(&UpdateRound::new().insert(par, e.clone()));
         }
         for r in readers {
             assert!(r.join().expect("reader thread") > 0);
@@ -839,9 +850,9 @@ mod tests {
         let par = p.symbols.get_predicate("par").unwrap();
         let edges = chain(&mut p, 4);
         let server = Server::new(&p, Strategy::SemiNaive);
-        server.insert_facts(par, &edges);
+        server.apply(&UpdateRound::new().insert_all(par, &edges));
         let pinned = server.snapshot();
-        server.retract_facts(par, &edges[..1]);
+        server.apply(&UpdateRound::new().retract_all(par, &edges[..1]));
         assert!(tags(&server) > 0, "tags retained for the pinned reader");
         // The store is idle: the unpinning Drop reclaims on the spot —
         // no later round needed.
@@ -855,9 +866,10 @@ mod tests {
         let par = p.symbols.get_predicate("par").unwrap();
         let edges = chain(&mut p, 4);
         let server = Server::new(&p, Strategy::SemiNaive);
-        server.insert_facts(par, &edges); // epoch 1
+        server.apply(&UpdateRound::new().insert_all(par, &edges)); // epoch 1
         let pinned = server.snapshot(); // pins epoch 1
-        server.retract_facts(par, &edges[..1]); // epoch 2: tags kept for the pin
+        // Epoch 2: its tags are kept for the pin.
+        server.apply(&UpdateRound::new().retract_all(par, &edges[..1]));
         assert!(tags(&server) > 0);
 
         // A writer holds the state's write lock while the last unpin
@@ -892,7 +904,10 @@ mod tests {
         let [par, anc] = ["par", "anc"].map(|n| p.symbols.get_predicate(n).unwrap());
         let [john, b, c, d] = ["john", "b", "c", "d"].map(|n| p.symbols.constant(n));
         let server = Server::new(&p, Strategy::SemiNaive);
-        server.insert_facts(par, &[vec![john, b], vec![john, c], vec![b, d], vec![c, d]]);
+        server.apply(
+            &UpdateRound::new()
+                .insert_all(par, &[vec![john, b], vec![john, c], vec![b, d], vec![c, d]]),
+        );
         let goal = p.goal;
         let live = server.query(&goal).sorted();
         assert_eq!(live.len(), 3, "anc(john, Y) for Y in b, c, d");
@@ -901,7 +916,8 @@ mod tests {
         let anc_d = crate::derivation::GroundAtom { pred: anc, args: vec![john, d] };
         let (_, body) = server.provenance().justification(&anc_d).expect("derived");
         let (rows, derived) = (server.mem_stats().total_rows, server.stats().tuples_derived);
-        assert_eq!(server.retract_facts(par, &[body[1].args.clone()]), 1);
+        let cut = UpdateRound::new().retract(par, body[1].args.clone());
+        assert_eq!(server.apply(&cut).retracted, 1);
         assert_eq!(server.stats().tuples_derived, derived, "anc(john, d) saved, not re-derived");
         assert_eq!(server.mem_stats().total_rows, rows, "nothing re-appended");
         assert_eq!(server.query(&goal).sorted(), live);
@@ -919,13 +935,13 @@ mod tests {
             min_dead_rows: 1,
             dead_percent: 1,
         }));
-        server.insert_facts(par, &edges);
+        server.apply(&UpdateRound::new().insert_all(par, &edges));
         let pinned = server.snapshot();
         let pinned_len = pinned.answer().len();
 
         // Heavy churn far past the policy bounds: compaction would clear
         // the tags and remap the rows the pin relies on, so it queues.
-        server.retract_facts(par, &edges[8..]);
+        server.apply(&UpdateRound::new().retract_all(par, &edges[8..]));
         assert_eq!(server.compactions(), 0, "compaction deferred under a pin");
         assert!(server.shared.epochs.lock().unwrap().compact_pending);
         assert_eq!(pinned.answer().len(), pinned_len, "pinned view intact");
@@ -939,7 +955,7 @@ mod tests {
 
         // The pin machinery still works over the rebuilt store.
         let snap = server.snapshot();
-        server.insert_facts(par, &edges[8..10]);
+        server.apply(&UpdateRound::new().insert_all(par, &edges[8..10]));
         assert_eq!(snap.answer().len(), live);
         assert_eq!(server.answer().len(), live + 2);
     }
@@ -954,8 +970,8 @@ mod tests {
         let par = p.symbols.get_predicate("par").unwrap();
         let edges = chain(&mut p, 8);
         let server = Server::new(&p, Strategy::SemiNaive);
-        server.insert_facts(par, &edges); // epoch 1
-        server.retract_facts(par, &edges[4..5]); // epoch 2
+        server.apply(&UpdateRound::new().insert_all(par, &edges)); // epoch 1
+        server.apply(&UpdateRound::new().retract_all(par, &edges[4..5])); // epoch 2
         assert_eq!(server.current_epoch(), 2);
         server.save(&path).unwrap();
 
@@ -970,9 +986,9 @@ mod tests {
 
         // Rounds keep numbering where the saved process left off, and
         // incremental maintenance picks up without re-evaluation.
-        restored.insert_facts(par, &edges[4..5]);
+        restored.apply(&UpdateRound::new().insert_all(par, &edges[4..5]));
         assert_eq!(restored.current_epoch(), 3);
-        server.insert_facts(par, &edges[4..5]);
+        server.apply(&UpdateRound::new().insert_all(par, &edges[4..5]));
         assert_eq!(
             restored.snapshot().database().sorted_models(),
             server.snapshot().database().sorted_models(),
@@ -997,7 +1013,7 @@ mod tests {
         let anc = p.symbols.get_predicate("anc").unwrap();
         let edges = chain(&mut p, 5);
         let server = Server::new(&p, Strategy::SemiNaive);
-        server.insert_facts(par, &edges);
+        server.apply(&UpdateRound::new().insert_all(par, &edges));
         let john = Term::Const(p.symbols.constant("john"));
         let [y, z] = ["Y", "Z"].map(|v| Term::Var(p.symbols.variable(v)));
         let short = Atom::new(anc, vec![john]);
@@ -1030,7 +1046,7 @@ mod tests {
         let anc = p.symbols.get_predicate("anc").unwrap();
         let edges = chain(&mut p, 12);
         let server = Server::new(&p, Strategy::SemiNaive);
-        server.insert_facts(par, &edges);
+        server.apply(&UpdateRound::new().insert_all(par, &edges));
 
         // The program goal, asked ad hoc: the cached view must agree
         // with the store's own full-model answer.
@@ -1074,17 +1090,17 @@ mod tests {
         let par = p.symbols.get_predicate("par").unwrap();
         let edges = chain(&mut p, 10);
         let server = Server::new(&p, Strategy::SemiNaive);
-        server.insert_facts(par, &edges[..6]);
+        server.apply(&UpdateRound::new().insert_all(par, &edges[..6]));
 
         let goal = p.goal.clone();
         assert_eq!(server.query(&goal).len(), 6);
 
         // Growth, then a cut, each a round of its own: the view is
         // caught up inside `apply`, so these are read-path hits.
-        server.insert_facts(par, &edges[6..]);
+        server.apply(&UpdateRound::new().insert_all(par, &edges[6..]));
         let hits_before = server.cache_stats().hits;
         assert_eq!(server.query(&goal).len(), 10);
-        server.retract_facts(par, &edges[4..5]);
+        server.apply(&UpdateRound::new().retract_all(par, &edges[4..5]));
         assert_eq!(server.query(&goal).len(), 4, "chain cut at edge 4");
         let s = server.cache_stats();
         assert_eq!(s.misses, 1, "the view was built exactly once");
@@ -1101,7 +1117,7 @@ mod tests {
         let par = p.symbols.get_predicate("par").unwrap();
         let edges = chain(&mut p, 5);
         let server = Server::new(&p, Strategy::SemiNaive);
-        server.insert_facts(par, &edges);
+        server.apply(&UpdateRound::new().insert_all(par, &edges));
 
         let goal = p.goal.clone();
         // Pinned before any view exists: queries filter the pinned base.
@@ -1110,7 +1126,7 @@ mod tests {
         // Pinned with the view live.
         let pinned = server.snapshot();
 
-        server.retract_facts(par, &edges[..1]);
+        server.apply(&UpdateRound::new().retract_all(par, &edges[..1]));
         assert_eq!(server.query(&goal).len(), 0, "current model: root cut");
         assert_eq!(early.query(&goal).len(), 5, "pre-view pin: base fallback");
         assert_eq!(pinned.query(&goal).len(), 5, "pinned view answer");
@@ -1127,18 +1143,18 @@ mod tests {
         let par = p.symbols.get_predicate("par").unwrap();
         let edges = chain(&mut p, 4);
         let server = Server::new(&p, Strategy::SemiNaive);
-        server.insert_facts(par, &edges);
+        server.apply(&UpdateRound::new().insert_all(par, &edges));
 
         let goal = p.goal.clone();
         assert_eq!(server.query(&goal).len(), 4);
 
         // Dropping the transitive rule invalidates the view; the next
         // query recompiles against the surviving rules.
-        assert!(server.drop_rule(RuleId(1)));
+        assert_eq!(server.apply(&UpdateRound::new().drop_rule(RuleId(1))).rules_dropped, 1);
         assert_eq!(server.query(&goal).len(), 1, "only the direct parent");
 
         // Re-adding it (fresh slot) recompiles again.
-        let id = server.add_rule(p.rules[1].clone());
+        let id = server.apply(&UpdateRound::new().add_rule(p.rules[1].clone())).first_rule;
         assert_eq!(id, RuleId(2));
         assert_eq!(server.query(&goal).len(), 4, "closure restored");
         let s = server.cache_stats();
@@ -1157,23 +1173,28 @@ mod tests {
         let anc = p.symbols.get_predicate("anc").unwrap();
         let edges = chain(&mut p, 3);
         let server = Server::new(&p, Strategy::SemiNaive);
-        server.insert_facts(par, &edges);
+        server.apply(&UpdateRound::new().insert_all(par, &edges));
         let goal = p.goal.clone();
         assert_eq!(server.query(&goal).len(), 3);
 
         let hop = p.symbols.predicate("hop");
         let [s, t, u, w] = ["S", "T", "U", "W"].map(|n| Term::Var(p.symbols.variable(n)));
         let hops = |v: [Term; 4]| v.windows(2).map(|e| Atom::new(hop, e.to_vec())).collect();
-        let id = server.add_rule(Rule::new(Atom::new(anc, vec![s, w]), hops([s, t, u, w])));
+        let id = server
+            .apply(
+                &UpdateRound::new()
+                    .add_rule(Rule::new(Atom::new(anc, vec![s, w]), hops([s, t, u, w]))),
+            )
+            .first_rule;
         let far = p.symbols.constant("far");
         let rows = [edges[0].clone(), edges[1].clone(), vec![edges[1][1], far]];
-        server.insert_facts(hop, &rows);
+        server.apply(&UpdateRound::new().insert_all(hop, &rows));
         assert_eq!(server.query(&goal).len(), 4, "anc(john, far), three hops away");
-        server.retract_facts(hop, &rows[1..2]);
+        server.apply(&UpdateRound::new().retract_all(hop, &rows[1..2]));
         assert_eq!(server.query(&goal).sorted(), server.answer().sorted());
-        server.insert_facts(hop, &rows[1..2]);
+        server.apply(&UpdateRound::new().insert_all(hop, &rows[1..2]));
         assert_eq!(server.query(&goal).sorted(), server.answer().sorted());
-        assert!(server.drop_rule(id));
+        assert_eq!(server.apply(&UpdateRound::new().drop_rule(id)).rules_dropped, 1);
         assert_eq!(server.query(&goal).len(), 3);
     }
 
@@ -1190,15 +1211,15 @@ mod tests {
         let par = p.symbols.get_predicate("par").unwrap();
         let edges = chain(&mut p, 5);
         let server = Server::new(&p, Strategy::SemiNaive);
-        server.insert_facts(par, &edges);
+        server.apply(&UpdateRound::new().insert_all(par, &edges));
         // Swap the transitive rule for one that stops at grandchildren.
         let anc = p.goal.pred;
         let [x, y, z] = ["X", "Y", "Z"].map(|n| Term::Var(p.symbols.variable(n)));
         let body = vec![Atom::new(par, vec![x, z]), Atom::new(par, vec![z, y])];
         let mut swapped = p.clone();
         swapped.rules[1] = Rule::new(Atom::new(anc, vec![x, y]), body);
-        assert!(server.drop_rule(RuleId(1)));
-        server.add_rule(swapped.rules[1].clone());
+        assert_eq!(server.apply(&UpdateRound::new().drop_rule(RuleId(1))).rules_dropped, 1);
+        server.apply(&UpdateRound::new().add_rule(swapped.rules[1].clone()));
         server.save(&path).unwrap();
 
         let restored = Server::restore(&path).unwrap();
@@ -1231,8 +1252,8 @@ mod tests {
         let [x, y, z] = ["X", "Y", "Z"].map(|n| Term::Var(p.symbols.variable(n)));
         let two_hops = vec![Atom::new(par, vec![x, z]), Atom::new(par, vec![z, y])];
         let server = Server::new(&p, Strategy::SemiNaive);
-        server.insert_facts(par, &edges);
-        server.add_rule(Rule::new(Atom::new(via, vec![x, y]), two_hops));
+        server.apply(&UpdateRound::new().insert_all(par, &edges));
+        server.apply(&UpdateRound::new().add_rule(Rule::new(Atom::new(via, vec![x, y]), two_hops)));
         server.save(&path).unwrap();
 
         let restored = Server::restore(&path).unwrap();
@@ -1260,7 +1281,7 @@ mod tests {
         let par = p.symbols.get_predicate("par").unwrap();
         let edges = chain(&mut p, 6);
         let server = Server::new(&p, Strategy::SemiNaive);
-        server.insert_facts(par, &edges);
+        server.apply(&UpdateRound::new().insert_all(par, &edges));
         let goal = p.goal.clone();
         assert_eq!(server.query(&goal).len(), 6, "views live before the save");
         server.save(&path).unwrap();
@@ -1271,7 +1292,7 @@ mod tests {
         assert_eq!((s.misses, s.direct), (1, 0), "a view, built by the first query");
         assert_eq!(restored.query(&goal).len(), 6);
         assert_eq!(restored.cache_stats().hits, 1);
-        restored.retract_facts(par, &edges[2..3]);
+        restored.apply(&UpdateRound::new().retract_all(par, &edges[2..3]));
         assert_eq!(restored.query(&goal).len(), 2, "chain cut at edge 2");
         assert_eq!(restored.query(&goal).sorted(), restored.answer().sorted());
         assert_eq!(restored.cache_stats().misses, 1, "maintained, never rebuilt");
@@ -1286,7 +1307,7 @@ mod tests {
         let anc = p.symbols.get_predicate("anc").unwrap();
         let edges = chain(&mut p, 6);
         let server = Server::new(&p, Strategy::SemiNaive);
-        server.insert_facts(par, &edges);
+        server.apply(&UpdateRound::new().insert_all(par, &edges));
         let goal = p.goal.clone();
         assert_eq!(server.query(&goal).len(), 6, "view built up front");
 
@@ -1322,7 +1343,7 @@ mod tests {
 
         // The server is open for business: the next well-formed round
         // lands, publishes, and reaches the cached view.
-        assert_eq!(reader.retract_facts(par, &edges[2..3]), 1);
+        assert_eq!(reader.apply(&UpdateRound::new().retract_all(par, &edges[2..3])).retracted, 1);
         assert_eq!(server.current_epoch(), 2, "the initial insert, then this round");
         assert_eq!(server.query(&goal).len(), 2, "chain cut at edge 2");
         assert_eq!(server.query(&goal), server.answer());
@@ -1374,7 +1395,7 @@ mod tests {
         let par = p.symbols.get_predicate("par").unwrap();
         let edges = chain(&mut p, 16);
         let server = Server::new(&p, Strategy::SemiNaive);
-        server.insert_facts(par, &edges[..1]);
+        server.apply(&UpdateRound::new().insert_all(par, &edges[..1]));
         let goal = p.goal.clone();
         assert_eq!(server.query(&goal).len(), 1, "view built up front");
 
@@ -1396,7 +1417,7 @@ mod tests {
             })
             .collect();
         for e in &edges[1..8] {
-            server.insert_facts(par, std::slice::from_ref(e));
+            server.apply(&UpdateRound::new().insert(par, e.clone()));
         }
         for r in readers {
             r.join().expect("reader thread");

@@ -423,12 +423,18 @@ proptest! {
                     prop_assert_eq!(m.to_bytes(), bytes);
                 }
                 if insert {
-                    prop_assert_eq!(m.insert_facts(par, facts), facts.len());
+                    prop_assert_eq!(
+                        m.apply(&UpdateRound::new().insert_all(par, facts)).inserted,
+                        facts.len()
+                    );
                     for t in facts {
                         db.insert(par, t.clone());
                     }
                 } else {
-                    prop_assert_eq!(m.retract_facts(par, facts), facts.len());
+                    prop_assert_eq!(
+                        m.apply(&UpdateRound::new().retract_all(par, facts)).retracted,
+                        facts.len()
+                    );
                     for t in facts {
                         db.remove(par, t);
                     }

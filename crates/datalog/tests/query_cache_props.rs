@@ -117,14 +117,14 @@ proptest! {
                 0 => {
                     if !present[ei] {
                         present[ei] = true;
-                        base.insert_facts(par, std::slice::from_ref(&edge));
+                        base.apply(&UpdateRound::new().insert(par, edge.clone()));
                         edb.insert(par, edge);
                     }
                 }
                 1 => {
                     if present[ei] {
                         present[ei] = false;
-                        base.retract_facts(par, std::slice::from_ref(&edge));
+                        base.apply(&UpdateRound::new().retract(par, edge.clone()));
                         edb.remove(par, &edge);
                     }
                 }
@@ -267,24 +267,29 @@ proptest! {
                 0..=7 => {
                     if !present[ei] {
                         present[ei] = true;
-                        base.insert_facts(par, std::slice::from_ref(&edge));
+                        base.apply(&UpdateRound::new().insert(par, edge.clone()));
                         edb.insert(par, edge);
                     }
                 }
                 8..=12 => {
                     if present[ei] {
                         present[ei] = false;
-                        base.retract_facts(par, std::slice::from_ref(&edge));
+                        base.apply(&UpdateRound::new().retract(par, edge.clone()));
                         edb.remove(par, &edge);
                     }
                 }
                 13 => match extra_slot.take() {
                     None => {
-                        extra_slot = Some(base.add_rule(extra.clone()));
+                        extra_slot = Some(
+                            base.apply(&UpdateRound::new().add_rule(extra.clone())).first_rule,
+                        );
                         current.rules.push(extra.clone());
                     }
                     Some(id) => {
-                        prop_assert!(base.drop_rule(id));
+                        prop_assert_eq!(
+                            base.apply(&UpdateRound::new().drop_rule(id)).rules_dropped,
+                            1
+                        );
                         current.rules.pop();
                     }
                 },
@@ -374,21 +379,26 @@ proptest! {
             match kind {
                 0..=6 if !present[ei] => {
                     present[ei] = true;
-                    base.insert_facts(par, std::slice::from_ref(&edge));
+                    base.apply(&UpdateRound::new().insert(par, edge.clone()));
                     edb.insert(par, edge);
                 }
                 0..=13 if present[ei] => {
                     present[ei] = false;
-                    base.retract_facts(par, std::slice::from_ref(&edge));
+                    base.apply(&UpdateRound::new().retract(par, edge.clone()));
                     edb.remove(par, &edge);
                 }
                 14 => match extra_slot.take() {
                     None => {
-                        extra_slot = Some(base.add_rule(extra.clone()));
+                        extra_slot = Some(
+                            base.apply(&UpdateRound::new().add_rule(extra.clone())).first_rule,
+                        );
                         current.rules.push(extra.clone());
                     }
                     Some(id) => {
-                        prop_assert!(base.drop_rule(id));
+                        prop_assert_eq!(
+                            base.apply(&UpdateRound::new().drop_rule(id)).rules_dropped,
+                            1
+                        );
                         current.rules.pop();
                     }
                 },
@@ -454,7 +464,7 @@ fn an_evicted_goal_never_sees_its_old_rows() {
     cache.query(&mut base, &g1); // evicts c0's view
     assert_eq!(cache.stats().evictions, 1);
     // Its rows are dead; make them wrong as well.
-    base.retract_facts(par, &edges[4..5]);
+    base.apply(&UpdateRound::new().retract_all(par, &edges[4..5]));
     edb.remove(par, &edges[4]);
     assert_eq!(cache.query(&mut base, &g0).sorted(), oracle(&p, &g0, &edb));
     assert_eq!(cache.query(&mut base, &g0).len(), 4);
@@ -483,10 +493,10 @@ fn views_of_one_template_never_see_each_others_rows() {
     check(&mut cache, &mut base, &edb);
     // c0's view alone holds the closure of the whole chain.
     assert!(cache.view_rows() > 10 * 11 / 2);
-    base.retract_facts(par, &edges[6..7]);
+    base.apply(&UpdateRound::new().retract_all(par, &edges[6..7]));
     edb.remove(par, &edges[6]);
     check(&mut cache, &mut base, &edb);
-    base.insert_facts(par, &edges[6..7]);
+    base.apply(&UpdateRound::new().insert_all(par, &edges[6..7]));
     edb.insert(par, edges[6].clone());
     check(&mut cache, &mut base, &edb);
     let s = cache.stats();
@@ -522,7 +532,7 @@ fn a_template_store_sheds_the_rows_of_dropped_views() {
             }
         }
         // Churn between the sweeps goes through the compacted store.
-        base.retract_facts(par, &edges[30 + round..31 + round]);
+        base.apply(&UpdateRound::new().retract_all(par, &edges[30 + round..31 + round]));
         edb.remove(par, &edges[30 + round]);
     }
     assert!(cache.view_words() < 3 * two_views, "24 builds through two slots");
@@ -550,19 +560,19 @@ fn a_cache_that_missed_a_retracting_round_starts_its_views_over() {
         // Two rounds; the second cuts the last two edges off, or
         // extends the chain by one.
         let aside = vec![p.symbols.constant("x"), p.symbols.constant("y")];
-        base.insert_facts(par, std::slice::from_ref(&aside));
+        base.apply(&UpdateRound::new().insert(par, aside.clone()));
         edb.insert(par, aside);
         if !lag {
             cache.query(&mut base, &goal);
         }
         if retract {
-            base.retract_facts(par, &edges[14..]);
+            base.apply(&UpdateRound::new().retract_all(par, &edges[14..]));
             for e in &edges[14..] {
                 edb.remove(par, e);
             }
         } else {
             let next = vec![edges[15][1], p.symbols.constant("c17")];
-            base.insert_facts(par, std::slice::from_ref(&next));
+            base.apply(&UpdateRound::new().insert(par, next.clone()));
             edb.insert(par, next);
         }
         let (before, reads) = (cache.stats(), cache.retract_reads());
@@ -681,7 +691,7 @@ fn hits_between_rounds_cost_one_build_per_changed_view() {
     sync_and_check(&mut cache, &mut base, &edb);
     assert_eq!(cache.answer_builds(), 3);
 
-    base.insert_facts(par, std::slice::from_ref(&tail));
+    base.apply(&UpdateRound::new().insert(par, tail.clone()));
     edb.insert(par, tail);
     let before = cache.answer_builds();
     sync_and_check(&mut cache, &mut base, &edb);
@@ -690,10 +700,10 @@ fn hits_between_rounds_cost_one_build_per_changed_view() {
 
     for mend in [false, true] {
         if mend {
-            base.insert_facts(par, &edges[2..3]);
+            base.apply(&UpdateRound::new().insert_all(par, &edges[2..3]));
             edb.insert(par, edges[2].clone());
         } else {
-            base.retract_facts(par, &edges[2..3]);
+            base.apply(&UpdateRound::new().retract_all(par, &edges[2..3]));
             edb.remove(par, &edges[2]);
         }
         let before = cache.answer_builds();
@@ -702,7 +712,7 @@ fn hits_between_rounds_cost_one_build_per_changed_view() {
         assert_eq!(hits(&cache, &base, &goals, 5), 0);
     }
 
-    base.insert_facts(par, std::slice::from_ref(&strangers));
+    base.apply(&UpdateRound::new().insert(par, strangers.clone()));
     edb.insert(par, strangers);
     let before = cache.answer_builds();
     sync_and_check(&mut cache, &mut base, &edb);
@@ -734,7 +744,7 @@ fn a_rescued_row_does_not_keep_a_stale_memo_alive() {
 
     // Cut c0 → a: a and e go, d is over-deleted with them if it was
     // recorded through a, and comes back through b.
-    base.retract_facts(par, &edges[..1]);
+    base.apply(&UpdateRound::new().retract_all(par, &edges[..1]));
     edb.remove(par, &edges[0]);
     for _ in 0..2 {
         assert_eq!(cache.query(&mut base, &goal).sorted(), oracle(&p, &goal, &edb));
@@ -895,11 +905,18 @@ fn pinned_script(
                 // Either drops every template, and its views with it.
                 match recursive.take() {
                     Some(id) => {
-                        prop_assert!(server.drop_rule(id));
+                        prop_assert_eq!(
+                            server.apply(&UpdateRound::new().drop_rule(id)).rules_dropped,
+                            1
+                        );
                         rules.rules.pop();
                     }
                     None => {
-                        recursive = Some(server.add_rule(p.rules[1].clone()));
+                        recursive = Some(
+                            server
+                                .apply(&UpdateRound::new().add_rule(p.rules[1].clone()))
+                                .first_rule,
+                        );
                         rules.rules.push(p.rules[1].clone());
                     }
                 }

@@ -35,13 +35,6 @@ pub enum SelfEmbedding {
     },
 }
 
-impl SelfEmbedding {
-    /// Whether the grammar was found non-self-embedding.
-    pub fn is_non_self_embedding(&self) -> bool {
-        matches!(self, SelfEmbedding::No)
-    }
-}
-
 /// Decides whether (the cleaned form of) `g` is self-embedding.
 pub fn self_embedding(g: &Cfg) -> SelfEmbedding {
     let (clean, _eps) = normalize(g);

@@ -8,16 +8,16 @@
 //! The batch evaluator (`selprop::datalog::eval::evaluate`) recomputes
 //! the least fixpoint from scratch on every call; a live workload that
 //! trickles in facts wants the fixpoint to be a *value* that updates
-//! resume from. That is `Materialization`: build once, then
-//! `insert_facts` makes the new rows the next semi-naive delta, and
-//! `retract_facts` removes facts by delete–rederive over the recorded
-//! justifications.
+//! resume from. That is `Materialization`: build once, then `apply` an
+//! `UpdateRound`: its inserts make the new rows the next semi-naive
+//! delta, and its retracts remove facts by delete–rederive over the
+//! recorded justifications.
 
 use std::time::Instant;
 
 use selprop_datalog::db::Tuple;
 use selprop_datalog::eval::{evaluate, Strategy};
-use selprop_datalog::{parse_program, Database, Materialization};
+use selprop_datalog::{parse_program, Database, Materialization, UpdateRound};
 
 fn main() {
     // The classic ancestor program (Example 1.1's Program A).
@@ -63,7 +63,7 @@ fn main() {
     }
     let t0 = Instant::now();
     for edge in &stream {
-        m.insert_facts(par, std::slice::from_ref(edge));
+        m.apply(&UpdateRound::new().insert(par, edge.clone()));
     }
     let elapsed = t0.elapsed();
     println!(
@@ -91,7 +91,7 @@ fn main() {
     // Retract the whole new branch: delete-rederive restores the
     // pre-stream store.
     let t0 = Instant::now();
-    let removed = m.retract_facts(par, &stream);
+    let removed = m.apply(&UpdateRound::new().retract_all(par, &stream)).retracted;
     println!(
         "retracted {} edges in {:.2?}; answers back to {}",
         removed,

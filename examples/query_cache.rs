@@ -25,7 +25,7 @@ use selprop_datalog::ast::{Atom, Term};
 use selprop_datalog::db::Tuple;
 use selprop_datalog::eval::{answer, Strategy};
 use selprop_datalog::magic::magic_transform;
-use selprop_datalog::{parse_program, Database, Server};
+use selprop_datalog::{parse_program, Database, Server, UpdateRound};
 
 /// Chain length; the base closure is quadratic in it, the bound views
 /// linear.
@@ -87,7 +87,7 @@ fn main() {
     println!("3 more consts: template compiles still {}", s.template_compiles);
 
     // --- Churn rounds: views advance inside the writer's round. -----
-    server.retract_facts(par, &edges[99..100]); // cut at c99 -> c100
+    server.apply(&UpdateRound::new().retract_all(par, &edges[99..100])); // cut at c99 -> c100
     for e in &edges[99..100] {
         edb.remove(par, e);
     }
@@ -99,7 +99,7 @@ fn main() {
         server.cache_stats().hits > hits_before,
         "the round caught the view up: this query was a read-path hit"
     );
-    server.insert_facts(par, &edges[99..100]);
+    server.apply(&UpdateRound::new().insert_all(par, &edges[99..100]));
     for e in &edges[99..100] {
         edb.insert(par, e.clone());
     }
@@ -108,7 +108,7 @@ fn main() {
 
     // --- Snapshot pinning composes with cached queries. -------------
     let pinned = server.snapshot();
-    server.retract_facts(par, &edges[..1]); // cut the root
+    server.apply(&UpdateRound::new().retract_all(par, &edges[..1])); // cut the root
     assert_eq!(server.query(&goal).len(), 0, "current model: root cut");
     assert_eq!(pinned.query(&goal).len(), N, "pinned snapshot: full chain");
     assert_eq!(
@@ -117,7 +117,7 @@ fn main() {
         "pinned view route == pinned base filter"
     );
     drop(pinned);
-    server.insert_facts(par, &edges[..1]);
+    server.apply(&UpdateRound::new().insert_all(par, &edges[..1]));
     println!("snapshot:      pinned query answered as of its pin");
 
     // --- The point of it all: views are small. ----------------------

@@ -149,11 +149,15 @@ fn main() {
     // answer collapses to direct children; re-add it, the full model is
     // restored — the pinned snapshot never moves.
     let full = server.answer().len();
-    assert!(server.drop_rule(RuleId(1)), "transitive rule was active");
+    assert_eq!(
+        server.apply(&UpdateRound::new().drop_rule(RuleId(1))).rules_dropped,
+        1,
+        "transitive rule was active"
+    );
     let direct = server.answer().len();
     assert!(direct < full, "dropping the closure rule shrinks the answer");
     assert_eq!(held_snap.answer().len(), expected[held_epoch as usize]);
-    let readded = server.add_rule(p.rules[1].clone());
+    let readded = server.apply(&UpdateRound::new().add_rule(p.rules[1].clone())).first_rule;
     assert_eq!(server.answer().len(), full, "re-added rule restores the model");
     println!(
         "rule hot-swap: {full} answers -> drop closure rule -> {direct} -> re-add \

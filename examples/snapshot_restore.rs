@@ -44,7 +44,7 @@ fn main() {
         .collect();
 
     let server = Server::new(&p, Strategy::SemiNaive);
-    server.insert_facts(par, &edges);
+    server.apply(&UpdateRound::new().insert_all(par, &edges));
     server.set_compaction_policy(Some(CompactionPolicy {
         min_dead_rows: 16,
         dead_percent: 20,
@@ -116,7 +116,8 @@ fn main() {
     // The restored server is fully live: apply the same round to both
     // and they stay equivalent.
     let round = UpdateRound::new().retract(par, edges[30].clone());
-    server.insert_facts(par, &edges[31..32]); // undo the post-save edit first
+    // Undo the post-save edit first.
+    server.apply(&UpdateRound::new().insert_all(par, &edges[31..32]));
     server.apply(&round);
     restored.apply(&round);
     assert_eq!(

@@ -289,6 +289,25 @@ const GUARDS: &[Guard] = &[
         example: "    Unknown(Box<UndecidedEvidence>),",
         ..ROW
     },
+    // A write is a round: `Materialization::apply` and `Server::apply`
+    // take an `UpdateRound` and report what it did, the slot of its first
+    // added rule included. A single-phase wrapper beside them, a second
+    // write-lock path or a separate next-slot query is the second write
+    // vocabulary growing back.
+    Guard {
+        name: "A write is a round",
+        paths: &["crates/datalog/src", "crates/datalog/tests", "examples"],
+        needles: &[
+            "fn insert_facts",
+            "fn retract_facts",
+            "fn add_rule(&",
+            "fn drop_rule(&",
+            "apply_locked",
+            "next_rule_id",
+        ],
+        example: "    pub fn insert_facts(&mut self, pred: Pred, rows: &[Tuple]) -> usize {",
+        ..ROW
+    },
     // Membership has one CYK: `CnfGrammar::accepts` pushes the word onto
     // a `Recognizer`, whose table is one flat column-major triangle of
     // nonterminal bitsets. A per-call n × n × m table of bools is the

@@ -414,7 +414,7 @@ fn assert_update_sequence_matches_reference(
     for (pred, tuples) in &pool_facts {
         let half = &tuples[..tuples.len() / 2];
         let novel = half.iter().filter(|t| !mirror.relation(*pred).is_some_and(|r| r.contains(t))).count();
-        assert_eq!(m.insert_facts(*pred, half), novel);
+        assert_eq!(m.apply(&UpdateRound::new().insert_all(*pred, half)).inserted, novel);
         for t in half {
             mirror.insert(*pred, t.clone());
         }
@@ -436,7 +436,10 @@ fn assert_update_sequence_matches_reference(
         }
     }
     for (pred, victims) in &retractions {
-        assert_eq!(m.retract_facts(*pred, victims), victims.len());
+        assert_eq!(
+            m.apply(&UpdateRound::new().retract_all(*pred, victims)).retracted,
+            victims.len()
+        );
         for t in victims {
             assert!(mirror.remove(*pred, t));
         }
@@ -447,13 +450,13 @@ fn assert_update_sequence_matches_reference(
     // retracted victim, exercising resurrection at a fresh row id).
     for (pred, tuples) in &pool_facts {
         let rest = &tuples[tuples.len() / 2..];
-        m.insert_facts(*pred, rest);
+        m.apply(&UpdateRound::new().insert_all(*pred, rest));
         for t in rest {
             mirror.insert(*pred, t.clone());
         }
     }
     if let Some((pred, victims)) = retractions.first() {
-        m.insert_facts(*pred, &victims[..1]);
+        m.apply(&UpdateRound::new().insert_all(*pred, &victims[..1]));
         mirror.insert(*pred, victims[0].clone());
     }
     assert_matches_reference(&m, program, &mirror);
@@ -480,7 +483,7 @@ fn assert_churn_compact_churn_matches_reference(
         pool.iter().map(|(p, r)| (p, r.sorted())).collect();
     pool_facts.sort_by_key(|(p, _)| p.0);
     for (pred, tuples) in &pool_facts {
-        m.insert_facts(*pred, tuples);
+        m.apply(&UpdateRound::new().insert_all(*pred, tuples));
         for t in tuples {
             mirror.insert(*pred, t.clone());
         }
@@ -490,7 +493,7 @@ fn assert_churn_compact_churn_matches_reference(
     let mut churned = 0usize;
     for (pred, tuples) in &all {
         let victims: Vec<Tuple> = tuples.iter().step_by(2).cloned().collect();
-        churned += m.retract_facts(*pred, &victims);
+        churned += m.apply(&UpdateRound::new().retract_all(*pred, &victims)).retracted;
         for t in &victims {
             mirror.remove(*pred, t);
         }
@@ -514,7 +517,7 @@ fn assert_churn_compact_churn_matches_reference(
     }));
     for (pred, tuples) in &all {
         let victims: Vec<Tuple> = tuples.iter().step_by(2).cloned().collect();
-        m.insert_facts(*pred, &victims);
+        m.apply(&UpdateRound::new().insert_all(*pred, &victims));
         for t in &victims {
             mirror.insert(*pred, t.clone());
         }
@@ -523,7 +526,7 @@ fn assert_churn_compact_churn_matches_reference(
     let mut churned2 = 0usize;
     for (pred, tuples) in &all {
         let victims: Vec<Tuple> = tuples.iter().skip(1).step_by(2).cloned().collect();
-        churned2 += m.retract_facts(*pred, &victims);
+        churned2 += m.apply(&UpdateRound::new().retract_all(*pred, &victims)).retracted;
         for t in &victims {
             mirror.remove(*pred, t);
         }
@@ -541,7 +544,7 @@ fn assert_churn_compact_churn_matches_reference(
     // Updates keep working over the twice-compacted store.
     if let Some((pred, tuples)) = all.first() {
         let back: Vec<Tuple> = tuples.iter().skip(1).step_by(2).cloned().collect();
-        m.insert_facts(*pred, &back);
+        m.apply(&UpdateRound::new().insert_all(*pred, &back));
         for t in &back {
             mirror.insert(*pred, t.clone());
         }
@@ -582,8 +585,16 @@ fn compaction_bounds_memory_under_churn_and_its_absence_does_not() {
             let mut peak = 0;
             for i in 0..ROUNDS {
                 let victim = &edges[edges.len() - 1 - i % 4..][..1];
-                assert_eq!(m.retract_facts(par, victim), 1, "round {i}");
-                assert_eq!(m.insert_facts(par, victim), 1, "round {i}");
+                assert_eq!(
+                    m.apply(&UpdateRound::new().retract_all(par, victim)).retracted,
+                    1,
+                    "round {i}"
+                );
+                assert_eq!(
+                    m.apply(&UpdateRound::new().insert_all(par, victim)).inserted,
+                    1,
+                    "round {i}"
+                );
                 peak = peak.max(m.mem_stats().total_words());
             }
             (m, peak)
@@ -943,12 +954,15 @@ proptest! {
                 .filter(|t| !db0.relation(pred).is_some_and(|r| r.contains(t)))
                 .collect();
             if !novel.is_empty() {
-                m.insert_facts(pred, &novel);
+                m.apply(&UpdateRound::new().insert_all(pred, &novel));
                 inserted.push((pred, novel));
             }
         }
         for (pred, novel) in &inserted {
-            prop_assert_eq!(m.retract_facts(*pred, novel), novel.len());
+            prop_assert_eq!(
+                m.apply(&UpdateRound::new().retract_all(*pred, novel)).retracted,
+                novel.len()
+            );
         }
         prop_assert_eq!(
             m.database().sorted_models(),

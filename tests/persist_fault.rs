@@ -18,7 +18,7 @@
 use selprop_datalog::eval::Strategy;
 use selprop_datalog::storage::MAX_ROWS;
 use selprop_datalog::{
-    parse_program, Materialization, PersistError, Pred, Program, RuleId, Server,
+    parse_program, Materialization, PersistError, Pred, Program, RuleId, Server, UpdateRound,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -61,12 +61,12 @@ fn interesting_snapshot() -> Vec<u8> {
     let par = p.symbols.get_predicate("par").unwrap();
     let edges = chain_edges(&mut p, 12);
     let server = Server::new(&p, Strategy::SemiNaive);
-    server.insert_facts(par, &edges);
+    server.apply(&UpdateRound::new().insert_all(par, &edges));
     // Pin a snapshot so the retraction's tombstone tags are *retained*
     // in the saved image (reclamation is deferred past the save).
     let pin = server.snapshot();
-    server.retract_facts(par, &edges[6..8]);
-    assert!(server.drop_rule(RuleId(1)));
+    server.apply(&UpdateRound::new().retract_all(par, &edges[6..8]));
+    assert_eq!(server.apply(&UpdateRound::new().drop_rule(RuleId(1))).rules_dropped, 1);
     let dir = scratch_dir("fault");
     let path = dir.join("interesting.snap");
     server.save(&path).unwrap();
@@ -197,7 +197,7 @@ fn a_strategy_tag_3_container_is_refused_as_corrupt() {
     let par = p.symbols.get_predicate("par").unwrap();
     let edges = chain_edges(&mut p, 4);
     let mut m = Materialization::new(&p, Strategy::SemiNaiveParallel { threads: 2 });
-    m.insert_facts(par, &edges);
+    m.apply(&UpdateRound::new().insert_all(par, &edges));
     let bytes = m.to_bytes();
     // The payload opens with the strategy: tag 2, then `threads`.
     assert_eq!((bytes[20], &bytes[21..29]), (2, &2u64.to_le_bytes()[..]));
@@ -221,7 +221,7 @@ fn a_strategy_tag_0_container_is_refused_as_corrupt() {
     let par = p.symbols.get_predicate("par").unwrap();
     let edges = chain_edges(&mut p, 4);
     let mut m = Materialization::new(&p, Strategy::SemiNaive);
-    m.insert_facts(par, &edges);
+    m.apply(&UpdateRound::new().insert_all(par, &edges));
     let mut bytes = m.to_bytes();
     assert_eq!(bytes[20], 1, "the payload opens with the strategy tag");
     bytes[20] = 0;
@@ -244,15 +244,15 @@ fn a_thread_count_past_the_cap_runs_capped() {
     let par = p.symbols.get_predicate("par").unwrap();
     let edges = chain_edges(&mut p, 6);
     let mut seq = Materialization::new(&p, Strategy::SemiNaive);
-    seq.insert_facts(par, &edges);
+    seq.apply(&UpdateRound::new().insert_all(par, &edges));
     let expect = seq.answer().sorted();
 
     let mut wide = Materialization::new(&p, Strategy::SemiNaiveParallel { threads: usize::MAX });
-    wide.insert_facts(par, &edges);
+    wide.apply(&UpdateRound::new().insert_all(par, &edges));
     assert_eq!(wide.answer().sorted(), expect);
 
     let mut two = Materialization::new(&p, Strategy::SemiNaiveParallel { threads: 2 });
-    two.insert_facts(par, &edges[..3]);
+    two.apply(&UpdateRound::new().insert_all(par, &edges[..3]));
     let mut forged = two.to_bytes();
     // The payload opens with the strategy: tag 2, then `threads`.
     assert_eq!((forged[20], &forged[21..29]), (2, &2u64.to_le_bytes()[..]));
@@ -266,7 +266,7 @@ fn a_thread_count_past_the_cap_runs_capped() {
     let path = dir.join("forged.snap");
     std::fs::write(&path, &forged).unwrap();
     let server = Server::restore(&path).unwrap();
-    server.insert_facts(par, &edges[3..]);
+    server.apply(&UpdateRound::new().insert_all(par, &edges[3..]));
     assert_eq!(server.answer().sorted(), expect);
     assert_eq!(server.query(&p.goal).sorted(), expect, "the server still answers");
     std::fs::remove_dir_all(&dir).ok();
@@ -347,8 +347,8 @@ fn a_golden_version_5_snapshot_restores_and_reencodes_identically() {
     let par = p.symbols.get_predicate("par").unwrap();
     let edges = chain_edges(&mut p, 4);
     let mut fresh = Materialization::new(&p, Strategy::SemiNaive);
-    fresh.insert_facts(par, &edges);
-    fresh.retract_facts(par, &edges[3..]);
+    fresh.apply(&UpdateRound::new().insert_all(par, &edges));
+    fresh.apply(&UpdateRound::new().retract_all(par, &edges[3..]));
     assert_eq!(restored.answer().sorted(), fresh.answer().sorted());
     assert_eq!(restored.answer().len(), 3, "anc(john, Y) for Y in c1, c2, c3");
     assert_eq!(restored.database().sorted_models(), fresh.database().sorted_models());
@@ -606,8 +606,8 @@ fn sampled_faults_on_a_large_closure_snapshot() {
     let par = p.symbols.get_predicate("par").unwrap();
     let edges = chain_edges(&mut p, 100);
     let mut m = Materialization::new(&p, Strategy::SemiNaive);
-    m.insert_facts(par, &edges);
-    m.retract_facts(par, &edges[40..42]);
+    m.apply(&UpdateRound::new().insert_all(par, &edges));
+    m.apply(&UpdateRound::new().retract_all(par, &edges[40..42]));
     let bytes = m.to_bytes();
     assert!(bytes.len() > 50_000, "expected a large snapshot, got {}", bytes.len());
 
@@ -636,8 +636,8 @@ fn sampled_faults_on_a_large_closure_snapshot() {
         m.database().sorted_models(),
         m2.database().sorted_models()
     );
-    m.insert_facts(par, &edges[40..41]);
-    m2.insert_facts(par, &edges[40..41]);
+    m.apply(&UpdateRound::new().insert_all(par, &edges[40..41]));
+    m2.apply(&UpdateRound::new().insert_all(par, &edges[40..41]));
     assert_eq!(
         m.database().sorted_models(),
         m2.database().sorted_models(),
@@ -655,13 +655,13 @@ fn crash_before_rename_preserves_the_previous_snapshot() {
     let par = p.symbols.get_predicate("par").unwrap();
     let edges = chain_edges(&mut p, 8);
     let mut m = Materialization::new(&p, Strategy::SemiNaive);
-    m.insert_facts(par, &edges[..4]);
+    m.apply(&UpdateRound::new().insert_all(par, &edges[..4]));
     m.save(&path).unwrap();
     let saved = m.to_bytes();
 
     // The store moves on and a second save "crashes" partway: the temp
     // file holds a torn prefix, the rename never happened.
-    m.insert_facts(par, &edges[4..]);
+    m.apply(&UpdateRound::new().insert_all(par, &edges[4..]));
     let newer = m.to_bytes();
     let tmp = dir.join("store.snap.tmp");
     std::fs::write(&tmp, &newer[..newer.len() / 2]).unwrap();

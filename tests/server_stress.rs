@@ -639,7 +639,7 @@ fn a_pinned_read_takes_the_memo_that_covers_its_epoch() {
     let goal = |i: usize| Atom::new(p.goal.pred, vec![Term::Const(node[i]), Term::Var(y)]);
     let (up, down) = (goal(0), goal(5));
     let server = Server::new(&p, Strategy::SemiNaive);
-    server.insert_facts(par, &edges);
+    server.apply(&UpdateRound::new().insert_all(par, &edges));
     let built = |since: u64| server.cache_answer_builds() - since;
 
     assert_eq!((server.query(&up).len(), server.query(&down).len()), (8, 3));
@@ -649,7 +649,7 @@ fn a_pinned_read_takes_the_memo_that_covers_its_epoch() {
 
     // Cut c2 → c3: upstream of c0's view, not of c5's.
     let mark = server.cache_answer_builds();
-    server.retract_facts(par, &edges[2..3]);
+    server.apply(&UpdateRound::new().retract_all(par, &edges[2..3]));
     assert_eq!(built(mark), 0, "the round stamped a view and built nothing");
     assert_eq!(pin.query(&down), at_pin.1);
     assert_eq!(built(mark), 0, "unchanged since the pin: the live memo");
@@ -669,9 +669,9 @@ fn a_pinned_read_takes_the_memo_that_covers_its_epoch() {
     // stale at the pin, covering the epochs before the mend only. Then
     // cut c6 → c7, below both views; `down`'s memo, current at the pin,
     // covers the epochs up to this cut.
-    server.insert_facts(par, &edges[2..3]);
+    server.apply(&UpdateRound::new().insert_all(par, &edges[2..3]));
     let blind = server.snapshot();
-    server.retract_facts(par, &edges[6..7]);
+    server.apply(&UpdateRound::new().retract_all(par, &edges[6..7]));
     let mark = server.cache_answer_builds();
     assert_eq!(blind.query(&down).len(), 3);
     assert_eq!(built(mark), 0, "`down`'s memo, stale now, covers the pin");
@@ -707,13 +707,13 @@ fn the_writer_builds_and_frees_no_answer() {
         .map(|i| Atom::new(p.goal.pred, vec![Term::Const(node[i]), Term::Var(y)]))
         .collect();
     let server = Server::new(&p, Strategy::SemiNaive);
-    server.insert_facts(par, &edges[..12]);
+    server.apply(&UpdateRound::new().insert_all(par, &edges[..12]));
     let held: Vec<_> = goals.iter().map(|g| server.query(g)).collect();
     assert_eq!(server.cache_answer_builds(), VIEWS as u64);
     let words = server.cache_view_words();
 
     // One more edge at the tail: every view's closure grows by a tuple.
-    server.insert_facts(par, &edges[12..13]);
+    server.apply(&UpdateRound::new().insert_all(par, &edges[12..13]));
     assert_eq!(server.cache_answer_builds(), VIEWS as u64, "six stale memos, none rebuilt");
     assert!(server.cache_view_words() > words, "the stale answers still count, next to the new rows");
     for (i, g) in goals.iter().enumerate() {
@@ -727,13 +727,13 @@ fn the_writer_builds_and_frees_no_answer() {
     // for the pin, next to the new ones. The round after that stamps the
     // new ones and leaves every memo where it is.
     let pin = server.snapshot();
-    server.insert_facts(par, &edges[13..14]);
+    server.apply(&UpdateRound::new().insert_all(par, &edges[13..14]));
     for (i, g) in goals.iter().enumerate() {
         assert_eq!(server.query(g).len(), 14 - i);
     }
     let (builds, words) = (server.cache_answer_builds(), server.cache_view_words());
     assert_eq!(builds, 3 * VIEWS as u64);
-    server.insert_facts(par, &edges[14..]);
+    server.apply(&UpdateRound::new().insert_all(par, &edges[14..]));
     assert_eq!(server.cache_answer_builds(), builds, "twelve memos outstanding, none rebuilt");
     assert!(server.cache_view_words() > words, "none freed, next to the new rows");
     for (i, g) in goals.iter().enumerate() {
@@ -773,7 +773,7 @@ fn a_view_retains_one_memo_per_live_pin_and_none_after_the_last_unpin() {
     let memo_words = |e: u64| (0..goals.len()).map(|i| len(i, e) * 5).sum::<usize>();
     let [plain, pinned] = [(); 2].map(|()| {
         let s = Server::new(&p, Strategy::SemiNaive);
-        s.insert_facts(par, &edges[..8]);
+        s.apply(&UpdateRound::new().insert_all(par, &edges[..8]));
         goals.iter().for_each(|g| drop(s.query(g)));
         s
     });
@@ -786,7 +786,7 @@ fn a_view_retains_one_memo_per_live_pin_and_none_after_the_last_unpin() {
             pins.push_back(pinned.snapshot());
         }
         for s in [&plain, &pinned] {
-            s.insert_facts(par, &edges[8 + r..9 + r]);
+            s.apply(&UpdateRound::new().insert_all(par, &edges[8 + r..9 + r]));
             for (i, g) in goals.iter().enumerate() {
                 assert_eq!(s.query(g).len(), len(i, s.current_epoch()));
             }

@@ -149,7 +149,7 @@ fn a_leaf_retract_under_the_root_costs_the_same_at_every_store_size() {
         db.insert(par, leaf.clone());
         let mut m = Materialization::from_database(&p, &db, Strategy::SemiNaive);
         let before = m.stats();
-        assert_eq!(m.retract_facts(par, &[leaf]), 1);
+        assert_eq!(m.apply(&UpdateRound::new().retract(par, leaf)).retracted, 1);
         spent(before, m.stats())
     };
     let small = round_cost(1_000);
@@ -247,10 +247,10 @@ fn retracting_a_chain_costs_at_most_four_times_the_probes_of_inserting_it() {
         assert_eq!(model, reference::evaluate(&p, edb, Strategy::SemiNaive).idb.sorted_models());
     };
     let start = m.stats();
-    assert_eq!(m.insert_facts(par, &chain), n);
+    assert_eq!(m.apply(&UpdateRound::new().insert_all(par, &chain)).inserted, n);
     let inserted = m.stats();
     model_is(&m, &db_with);
-    assert_eq!(m.retract_facts(par, &chain), n);
+    assert_eq!(m.apply(&UpdateRound::new().retract_all(par, &chain)).retracted, n);
     model_is(&m, &db);
     assert_eq!(m.database().relation(par), db.relation(par), "the stored EDB is the input again");
 
@@ -287,7 +287,7 @@ fn a_rescue_stops_at_its_first_derivation() {
         let p_a = GroundAtom { pred: pp, args: vec![a] };
         let recorded = m.provenance().justification(&p_a).expect("p(a) derived").1[0].clone();
         let (before, rows) = (m.stats(), m.mem_stats().total_rows);
-        assert_eq!(m.retract_facts(e, &[recorded.args]), 1);
+        assert_eq!(m.apply(&UpdateRound::new().retract(e, recorded.args)).retracted, 1);
         assert_eq!(spent(before, m.stats()), (2, 0, 0), "k = {k}: (probes, firings, derived)");
         assert_eq!(m.num_facts(pp), 1, "k = {k}: p(a) is saved");
         assert_eq!(m.mem_stats().total_rows, rows, "k = {k}: at its old row id");

@@ -6,9 +6,8 @@
 //!
 //! - **Batch ≡ any sequential order.** One mixed
 //!   [`UpdateRound`] (disjoint inserts ∉ store, retracts ⊆ store) must
-//!   leave exactly the store that the equivalent single-fact
-//!   `insert_facts`/`retract_facts` calls leave in a seed-shuffled
-//!   order — sorted-relation equality on the full database plus
+//!   leave exactly the store that the equivalent single-fact rounds
+//!   leave in a seed-shuffled order — sorted-relation equality on the full database plus
 //!   [`Provenance::check`] — across strategies × threads ∈ {1, 2, 4};
 //!   a second round then undoes the first.
 //! - **Hot-swap ≡ from-scratch on the edited program.** Dropping a
@@ -229,7 +228,7 @@ fn assert_hot_swap_matches_reference(
     let mut m = restored(&m);
     let mut p_check = program.clone(); // rule slots 0..n, re-adds appended
     for &i in &dropped {
-        let id = m.add_rule(program.rules[i].clone());
+        let id = m.apply(&UpdateRound::new().add_rule(program.rules[i].clone())).first_rule;
         assert!(m.is_rule_active(id));
         p_check.rules.push(program.rules[i].clone());
     }
