@@ -118,8 +118,9 @@
 //! round's epoch and records that epoch as the view's last change, for
 //! pinned readers — one store each, the first through
 //! `Mutex::get_mut`, under the write lock the sync holds anyway. A
-//! standalone cache has no epochs: its syncs write `to = 0`, which
-//! closes the memo all the same.
+//! standalone cache has no pins: its syncs write the store's epoch (0
+//! unless a server once ran the store), which closes the memo all the
+//! same.
 //!
 //! A snapshot pinned at or after a view's last change reads the live
 //! answer, memo and all. One pinned before it takes whichever of the
@@ -158,11 +159,16 @@
 //! Dropped views and retracted derivations leave tombstoned rows
 //! behind. A template store a quarter of whose rows are dead (and at
 //! least 64 of them) is compacted — its own relations only; the base
-//! rows its justifications address do not move. A standalone cache
-//! does this at the end of the query that tipped the balance; under a
-//! server, where a pinned [`crate::server::Snapshot`] reads views by
-//! row frontier, it rides the server's deferred-maintenance drain and
-//! waits for the last unpin, exactly like the base store's compaction.
+//! rows its justifications address do not move. [`QueryCache::query`]
+//! does this at its end. A server, where a pinned
+//! [`crate::server::Snapshot`] reads views by row frontier, runs the
+//! query without that step and compacts in its deferred-maintenance
+//! drain, after the last unpin, exactly like the base store.
+//!
+//! Only the syncs a server runs inside its rounds tag the rows they kill
+//! with the round's epoch, as the base's are. A query's sync kills
+//! nothing under a server, which syncs every template each round, and a
+//! pinned reader finds an evicted view gone and reads the base instead.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -298,20 +304,16 @@ impl Template {
     /// the current memo of each view whose answer the sync changed
     /// (module docs, "Answers"): it reads the key of each goal-relation
     /// row it appended or killed and touches nothing else of any view.
-    fn catch_up(&mut self, base: &mut Materialization, seed: Option<&[Const]>) {
+    /// The rows it kills carry `epoch`, that of the server round it runs in.
+    fn catch_up(&mut self, base: &mut Materialization, seed: Option<&[Const]>, epoch: Option<u64>) {
         debug_assert!(!self.missed_a_retraction(base), "validate starts such a store over");
         let last_round = self.synced_version.wrapping_add(1) == base.version();
-        // Tombstones are tagged with the round's epoch for pinned
-        // readers (0 = epoch mode off).
-        if base.epoch() > 0 {
-            self.store.set_epoch(base.epoch());
-        }
         let seed = seed.map(|row| (self.seed_pred, row));
         let rows_before = self.store.index_frontier(self.goal_idx);
-        let killed = self.store.sync_external(base, &self.links, seed, last_round);
+        let killed = self.store.sync_external(base, &self.links, seed, last_round, epoch);
         self.synced_version = base.version();
         self.synced_retracts = base.edb_retracts();
-        let (views, epoch) = (&mut self.views, base.epoch());
+        let (views, published) = (&mut self.views, base.epoch());
         self.store.for_each_touched_key(self.goal_idx, rows_before, &killed, |key| {
             // A view's answer is the rows filed under its whole seed
             // row. Its tag also marks rows under other constants (a
@@ -324,9 +326,9 @@ impl Template {
                 // lock (the sync holds the view exclusively).
                 let memos = v.memos.get_mut().unwrap_or_else(PoisonError::into_inner);
                 if let Some(m) = memos.current.as_mut().filter(|m| m.to == u64::MAX) {
-                    m.to = epoch;
+                    m.to = published;
                 }
-                v.changed_epoch = epoch;
+                v.changed_epoch = published;
             }
         });
     }
@@ -478,10 +480,6 @@ pub struct QueryCache {
     /// transform failure).
     templates: FxHashMap<TemplateKey, Option<Template>>,
     config: CacheConfig,
-    /// Set by the serving layer: dead-heavy template stores are then
-    /// compacted by [`QueryCache::compact`] from the server's drain, not
-    /// by the query that made them so (see the module docs).
-    compaction_deferred: bool,
     /// The epochs snapshots were pinned at, ascending, when the serving
     /// layer's drain last published them (empty in a standalone cache):
     /// a displaced memo is kept while one of them lies in its interval.
@@ -534,21 +532,13 @@ impl QueryCache {
         Self::default()
     }
 
-    /// A cache for the serving layer, over `base`: template-store
-    /// compaction is left to the server's [`QueryCache::compact`] calls
-    /// (it knows when no snapshot is pinned), and the store's rules are
-    /// read at once — reads go through [`QueryCache::lookup`], which
-    /// cannot, so a first bound query would otherwise be routed direct
-    /// until some write made the cache look.
-    pub(crate) fn serving(base: &Materialization) -> Self {
-        let mut c = Self { compaction_deferred: true, ..Self::default() };
-        c.validate(base);
-        c
-    }
-
     /// Drops every template and its views, as a rule change does, and
     /// reconciles with `base`. Tags go on counting, so a snapshot pinned
-    /// before the call takes no view built after it for its own.
+    /// before the call takes no view built after it for its own. On an
+    /// empty cache this is how the serving layer arms it: the store's
+    /// rules are read at once — reads go through [`QueryCache::lookup`],
+    /// which cannot, so a first bound query would otherwise be routed
+    /// direct until some write made the cache look.
     pub(crate) fn start_over(&mut self, base: &Materialization) {
         self.clear_views();
         self.validate(base);
@@ -633,8 +623,18 @@ impl QueryCache {
 
     /// Answers `goal` against `base`, through a view when the goal has
     /// usable bindings (building the view or catching its template up
-    /// as needed), directly off the base model otherwise.
+    /// as needed), directly off the base model otherwise; then compacts
+    /// the template stores the query left dead-heavy (module docs, "Dead
+    /// rows").
     pub fn query(&mut self, base: &mut Materialization, goal: &Atom) -> Relation {
+        let answer = self.serve(base, goal);
+        self.compact();
+        answer
+    }
+
+    /// [`QueryCache::query`] without the compaction: the server's slow
+    /// path, which compacts in its drain once no snapshot is pinned.
+    pub(crate) fn serve(&mut self, base: &mut Materialization, goal: &Atom) -> Relation {
         self.validate(base);
         let mut buf = [Const(0); MAX_ARITY];
         if let Some((tkey, consts)) = self.route(goal, &mut buf) {
@@ -644,9 +644,6 @@ impl QueryCache {
                 let (t, v) = self.view(tkey, consts).expect("just ensured");
                 let answer = self.answer(t, v, goal);
                 self.evict();
-                if !self.compaction_deferred {
-                    self.compact();
-                }
                 return answer;
             }
         }
@@ -745,12 +742,12 @@ impl QueryCache {
     /// its new fixpoint, before the round's epoch is published), so a
     /// pinned epoch always sees base facts and cached answers from the
     /// same fixpoint. One sync per template, whatever the number of
-    /// live views.
-    pub(crate) fn sync_all(&mut self, base: &mut Materialization) {
+    /// live views. The rows the syncs kill carry the round's `epoch`.
+    pub(crate) fn sync_all(&mut self, base: &mut Materialization, epoch: u64) {
         self.validate(base);
         for t in self.templates.values_mut().flatten() {
             if t.synced_version != base.version() {
-                t.catch_up(base, None);
+                t.catch_up(base, None, Some(epoch));
                 self.syncs += 1;
             }
         }
@@ -951,7 +948,7 @@ impl QueryCache {
         let t = self.templates.get_mut(&tkey)?.as_mut()?;
         if t.views.contains_key(consts) {
             if t.synced_version != base.version() {
-                t.catch_up(base, None);
+                t.catch_up(base, None, None);
                 self.syncs += 1;
             } else {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -966,7 +963,7 @@ impl QueryCache {
         let tag = Const(self.next_tag);
         self.next_tag = self.next_tag.checked_add(1)?;
         let seed: Vec<Const> = std::iter::once(tag).chain(consts.iter().copied()).collect();
-        t.catch_up(base, Some(&seed));
+        t.catch_up(base, Some(&seed), None);
         let view = CachedView {
             seed,
             last_used: AtomicU64::new(0),
@@ -1071,6 +1068,51 @@ mod tests {
         let m = magic_transform(&pg).expect("transformable");
         let (ans, _) = crate::eval::answer(&m.program, edb, Strategy::SemiNaive);
         ans.sorted()
+    }
+
+    /// A store restored from a server's save is a plain store: it
+    /// compacts on its policy and tags no tombstone, exactly as one
+    /// restored from a bare save, and so does a standalone cache over
+    /// it. Each round retracts and re-inserts one of edges 1–5 of a
+    /// 400-edge chain, so dead rows pile up until a compaction.
+    #[test]
+    fn a_store_restored_from_a_server_save_churns_as_a_bare_one() {
+        let dir = std::env::temp_dir().join(format!("selprop-bare-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (served_path, bare_path) = (dir.join("served.snap"), dir.join("bare.snap"));
+
+        let mut p = parse_program(SRC).unwrap();
+        let par = p.symbols.get_predicate("par").unwrap();
+        let edges = chain(&mut p, 400);
+        let load = UpdateRound::new().insert_all(par, &edges);
+        let server = crate::server::Server::new(&p, Strategy::SemiNaive);
+        server.apply(&load);
+        server.save(&served_path).unwrap();
+        let mut bare = Materialization::new(&p, Strategy::SemiNaive);
+        bare.apply(&load);
+        bare.save(&bare_path).unwrap();
+
+        let mut served = Materialization::restore(&served_path).unwrap();
+        let mut bare = Materialization::restore(&bare_path).unwrap();
+        assert_eq!((served.epoch(), bare.epoch()), (1, 0), "the server's epoch is persisted");
+        let mut cache = QueryCache::new(&p);
+        let goal = p.goal.clone();
+        let before = cache.query(&mut served, &goal);
+        for i in 0..120 {
+            let e = edges[1 + i % 5].clone();
+            let round = UpdateRound::new().retract(par, e.clone()).insert(par, e);
+            assert_eq!(served.apply(&round), bare.apply(&round), "round {i}");
+            assert_eq!(cache.query(&mut served, &goal), before, "round {i}");
+        }
+        assert!(bare.compactions() > 0, "the churn trips the policy");
+        assert_eq!(served.compactions(), bare.compactions());
+        assert_eq!(served.mem_stats(), bare.mem_stats());
+        assert_eq!(served.database().sorted_models(), bare.database().sorted_models());
+        assert_eq!((served.tagged_tombstones(), bare.tagged_tombstones()), (0, 0));
+        let view_tags: usize = cache.stores().map(Materialization::tagged_tombstones).sum();
+        assert_eq!(view_tags, 0, "the view's store tags nothing either");
+
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Interleaved inserts, retracts and queries; at every query the live

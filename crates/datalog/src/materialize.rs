@@ -346,8 +346,11 @@ pub struct Materialization {
     /// their plan (justification rule ids index plan slots) but stop
     /// firing, rescuing and appearing in update items.
     rule_active: Vec<bool>,
-    /// The serving layer's epoch (0 = epoch mode off): forwarded to
-    /// every relation so tombstones are tagged for snapshot readers.
+    /// The epoch of the last round a server ran on this store (0 if
+    /// none): the server's published epoch, and the one copy of it.
+    /// Persisted, so a restored server numbers on. It switches nothing:
+    /// a round's tombstones carry the epoch the round is given
+    /// ([`Materialization::apply_checked`]), not this field.
     epoch: u64,
     /// The persistent reverse-dependency index, extended by every merge
     /// of a recording store (see [`RevIndex`]; empty in the one-shot
@@ -792,9 +795,11 @@ impl Materialization {
     /// 7. One semi-naive resume propagates every delta — inserted,
     ///    seeded and rescued rows — to the new fixpoint. The reverse
     ///    index sheds the edges saves left stale once they are a tenth
-    ///    of it, whatever the compaction policy, without moving a row
-    ///    ([`Materialization::compact`], which may run first, rebuilds
-    ///    it anyway).
+    ///    of it, whatever the compaction policy, without moving a row.
+    /// 8. The store **compacts** ([`Materialization::compact`]) if the
+    ///    policy holds at the new fixpoint. A round a
+    ///    [`crate::server::Server`] runs stops before this phase: the
+    ///    server compacts once no snapshot is pinned.
     ///
     /// # Panics
     ///
@@ -806,13 +811,26 @@ impl Materialization {
         if let Err(e) = self.check_round(round) {
             panic!("{e}");
         }
-        self.apply_checked(round)
+        let report = self.apply_checked(round, None);
+        // The store compacts itself at the new fixpoint when the policy
+        // trips; a server defers that to the last unpin instead.
+        if self.needs_compaction() {
+            self.compact();
+        }
+        report
     }
 
-    /// [`Materialization::apply`] minus the check: `round` has passed
-    /// [`Materialization::check_round`] against this very store.
-    pub(crate) fn apply_checked(&mut self, round: &UpdateRound) -> RoundReport {
+    /// [`Materialization::apply`] minus the check and the compaction:
+    /// `round` has passed [`Materialization::check_round`] against this
+    /// very store. With `epoch`, the round is the one a server publishes
+    /// as that epoch: the store records it ([`Materialization::epoch`])
+    /// and the round's tombstones carry it, for the readers pinned
+    /// before it. Without, they carry no tag.
+    pub(crate) fn apply_checked(&mut self, round: &UpdateRound, epoch: Option<u64>) -> RoundReport {
         let mut report = RoundReport::default();
+        if let Some(epoch) = epoch {
+            self.epoch = epoch;
+        }
 
         // Restore fast path: a just-restored store defers the O(rows)
         // dedup-table rebuild to here, its first write — the staging
@@ -864,7 +882,7 @@ impl Materialization {
                 }
             }
             for &(srel, srow) in &seeds {
-                if self.rels[srel as usize].tombstone(srow as usize) {
+                if self.rels[srel as usize].tombstone_at(srow as usize, epoch) {
                     worklist.push((srel, srow));
                     candidates.push((srel, srow));
                 }
@@ -883,7 +901,7 @@ impl Materialization {
             }
             let rel = &mut self.rels[rid as usize];
             let r = rel.find_row(t);
-            if r != NO_ROW && rel.tombstone(r as usize) {
+            if r != NO_ROW && rel.tombstone_at(r as usize, epoch) {
                 worklist.push((rid, r));
                 self.last_retracted.push((rid, r));
                 report.retracted += 1;
@@ -894,7 +912,7 @@ impl Materialization {
         // uses a seed: a row with a derivation through rows that rank
         // below it is saved, the rest die; those with a refused
         // derivation are rescue candidates.
-        self.over_delete(worklist, Some(&mut candidates));
+        self.over_delete(worklist, Some(&mut candidates), epoch);
 
         // 4. EDB inserts: novel rows land above the watermarks (the
         // fixpoint's row counts), i.e. in the delta ranges.
@@ -930,13 +948,6 @@ impl Materialization {
         // 7. Propagate every delta — inserted, seeded and rescued rows —
         // through the normal update machinery to the new fixpoint.
         self.run_fixpoint(&mut staging);
-
-        // Plain (non-serving) stores compact themselves at fixpoint when
-        // the policy trips. In epoch mode (`epoch > 0`) the server owns
-        // the trigger — it must defer while snapshots are pinned.
-        if self.epoch == 0 && self.needs_compaction() {
-            self.compact();
-        }
         self.shed_stale_edges();
         self.version = self.version.wrapping_add(1);
         self.edb_retracts += report.retracted as u64;
@@ -1007,11 +1018,7 @@ impl Materialization {
     fn intern_new_rel(&mut self, pred: Pred, arity: usize, idb: bool) {
         // A relation id is a `u32` from the slot that allocates it on.
         let r = u32::try_from(self.rels.len()).expect("relation ids are u32");
-        let mut rel = ColumnarRelation::new(arity);
-        if self.epoch > 0 {
-            rel.set_epoch(self.epoch);
-        }
-        self.rels.push(rel);
+        self.rels.push(ColumnarRelation::new(arity));
         self.pred_of_rel.push(pred);
         self.rel_of_pred.insert(pred, r);
         self.idb_flag.push(idb);
@@ -1058,18 +1065,6 @@ impl Materialization {
         (self.rule_active.len(), self.rule_active.iter().filter(|&&a| a).count())
     }
 
-    /// Moves the store into epoch mode for the serving layer: tombstones
-    /// from now on are tagged `epoch` so readers pinned at earlier
-    /// epochs keep seeing the rows (see
-    /// [`ColumnarRelation::set_epoch`]). Called by the server before
-    /// each round, with the epoch the round will publish.
-    pub(crate) fn set_epoch(&mut self, epoch: u64) {
-        self.epoch = epoch;
-        for rel in &mut self.rels {
-            rel.set_epoch(epoch);
-        }
-    }
-
     /// Drops tombstone tags at or below `min_epoch` (no reader pinned
     /// there any more) — compaction-free reclamation.
     pub(crate) fn reclaim_epochs(&mut self, min_epoch: u64) {
@@ -1078,8 +1073,10 @@ impl Materialization {
         }
     }
 
-    /// The epoch of the last applied round (0 until the serving layer
-    /// moves the store into epoch mode).
+    /// The epoch of the last round a [`crate::server::Server`] ran on
+    /// this store — the epoch it published — or the one it was restored
+    /// at; 0 for a store no server has written. A round through
+    /// [`Materialization::apply`] leaves it as it is.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }

@@ -67,10 +67,10 @@ impl Materialization {
     /// reverse dependency index (rebuilt from the live justifications by
     /// every restore). Worked out on restore instead of stored: each
     /// relation's watermark (its row count — a store is saved at
-    /// fixpoint), tombstoned-row count (the bitset's popcount) and epoch
-    /// (the store's), and the justification offsets (each entry is 1 plus
-    /// its rule's body length). Dropped: the death-epoch tags, which only
-    /// a pinned snapshot reads, and no pin survives a restart. Restore
+    /// fixpoint) and tombstoned-row count (the bitset's popcount), and
+    /// the justification offsets (each entry is 1 plus its rule's body
+    /// length). Dropped: the death-epoch tags, which only a pinned
+    /// snapshot reads, and no pin survives a restart. Restore
     /// therefore returns at the exact persisted fixpoint without any
     /// re-evaluation: the expensive state is the rows and
     /// justifications, which round-trip bit-for-bit.
@@ -395,12 +395,12 @@ impl Materialization {
             rules,
             rule_active,
             policy,
+            epoch,
             compactions,
             planned_card,
             ..Self::empty(strategy, goal, order)
         };
         m.old_hi = m.frontiers();
-        m.set_epoch(epoch);
         // The update and rescue plans, from the inputs construction
         // compiled them from: rules, order mode, persisted build-time
         // cardinalities. Their indexes are write-path state, like the

@@ -301,11 +301,13 @@ impl Materialization {
     /// rescued, as plain DRed would. Without,
     /// every live row reached dies: the walk of a dropped view, whose
     /// rows have no derivation left by construction
-    /// ([`Materialization::drop_tag`]).
+    /// ([`Materialization::drop_tag`]). The rows killed carry `epoch`,
+    /// that of the server round the walk runs in, if any.
     pub(super) fn over_delete(
         &mut self,
         mut worklist: Vec<(u32, u32)>,
         mut candidates: Option<&mut Vec<(u32, u32)>>,
+        epoch: Option<u64>,
     ) -> Vec<(u32, u32)> {
         let mut killed = Vec::new();
         if worklist.is_empty() {
@@ -337,7 +339,7 @@ impl Materialization {
                         candidates.push(h);
                     }
                 }
-                self.rels[h.0 as usize].tombstone(hrow as usize);
+                self.rels[h.0 as usize].tombstone_at(hrow as usize, epoch);
                 worklist.push(h);
                 killed.push(h);
             }

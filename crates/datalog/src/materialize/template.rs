@@ -242,11 +242,12 @@ impl Materialization {
     /// base's relations are EDB here, so a derivation through them needs
     /// no age test.
     ///
-    /// Returns the own rows the deletion walk killed, as `(relation,
-    /// row)` — the rescued ones included: they live on under a new row
-    /// id. A row the walk saved is not among them: it keeps its id and
-    /// its tuple, so no answer changed. With the row counts from before
-    /// the call that is everything the sync changed
+    /// The rows the walk kills carry `epoch`, that of the server round
+    /// the sync runs in, if any. Returns them, as `(relation, row)` —
+    /// the rescued ones included: they live on under a new row id. A
+    /// row the walk saved is not among them: it keeps its id and its
+    /// tuple, so no answer changed. With the row counts from before the
+    /// call that is everything the sync changed
     /// ([`Materialization::for_each_touched_key`]).
     pub(crate) fn sync_external(
         &mut self,
@@ -254,6 +255,7 @@ impl Materialization {
         links: &ExtLinks,
         seed: Option<(Pred, &[Const])>,
         last_round: bool,
+        epoch: Option<u64>,
     ) -> Vec<(u32, u32)> {
         self.swap_external(base, links);
         if let Some((pred, row)) = seed {
@@ -270,7 +272,7 @@ impl Materialization {
             })
             .collect();
         let mut candidates: Vec<(u32, u32)> = Vec::new();
-        let killed = self.over_delete(worklist, Some(&mut candidates));
+        let killed = self.over_delete(worklist, Some(&mut candidates), epoch);
         self.rescue(&candidates);
         // Readers go through an index: the resume's last round, which
         // appends nothing, indexed every row before it.
@@ -312,12 +314,13 @@ impl Materialization {
     /// recorded through it — by construction every row carrying the
     /// seed's tag, and nothing else. A kill-only walk, and no rescue
     /// pass: without the seed, no rule derives a row with that tag, and
-    /// a saved row's stale edges lead to rows of the same tag.
+    /// a saved row's stale edges lead to rows of the same tag. No pinned
+    /// reader reads a dropped view, so the tombstones carry no epoch.
     pub(crate) fn drop_tag(&mut self, seed_pred: Pred, seed: &[Const]) {
         let rid = self.rel_of_pred[&seed_pred];
         let row = self.rels[rid as usize].find_row(seed);
         if row != NO_ROW && self.rels[rid as usize].tombstone(row as usize) {
-            self.over_delete(vec![(rid, row)], None);
+            self.over_delete(vec![(rid, row)], None, None);
         }
     }
 

@@ -1271,11 +1271,7 @@ fn a_dedup_step_never_rescues_through_a_row_that_died_this_round() {
         db.insert(par, e.clone());
     }
     let fresh = Materialization::from_database(&p, &db, Strategy::SemiNaive);
-    let pinned = {
-        let mut m = fresh.clone();
-        m.set_epoch(3);
-        m
-    };
+    let pinned = fresh.clone();
     let restored = Materialization::from_bytes(&fresh.to_bytes()).unwrap();
     let mut mirror = db.clone();
     mirror.remove(par, &edges[0]);
@@ -1283,11 +1279,10 @@ fn a_dedup_step_never_rescues_through_a_row_that_died_this_round() {
         // anc(john, c2) is over-deleted with anc(john, c1); its other
         // derivation — par(Z, c2), then anc(john, c1) in the table —
         // needs exactly that dead row.
-        assert_eq!(
-            m.apply(&UpdateRound::new().retract_all(par, &edges[..1])).retracted,
-            1,
-            "{what}"
-        );
+        // The pinned store's round is one a server publishes as epoch 3.
+        let round = UpdateRound::new().retract_all(par, &edges[..1]);
+        let epoch = (what == "pinned").then_some(3);
+        assert_eq!(m.apply_checked(&round, epoch).retracted, 1, "{what}");
         assert_eq!(rescue_shapes(&m)[1].1, [Some(vec![1]), None], "{what}");
         assert_eq!(m.idb_database().sorted_models(), spec_idb(&p, &mirror), "{what}");
         assert_eq!(m.num_facts(anc), 1, "{what}: only anc(c1, c2) is left");
@@ -1544,10 +1539,9 @@ fn snapshot_round_trips_rule_slots_and_epoch_state() {
         db.insert(par, e.clone());
     }
     let mut m = Materialization::from_database(&p, &db, Strategy::SemiNaive);
-    // Epoch mode with a live tombstone tag, plus a dropped rule.
-    m.set_epoch(3);
-    m.apply(&UpdateRound::new().retract(par, edges[6].clone()));
-    m.apply(&UpdateRound::new().drop_rule(RuleId(1)));
+    // A server's epoch-3 round with a live tombstone tag, plus a dropped rule.
+    m.apply_checked(&UpdateRound::new().retract(par, edges[6].clone()), Some(3));
+    m.apply_checked(&UpdateRound::new().drop_rule(RuleId(1)), Some(3));
 
     let bytes = m.to_bytes();
     let m2 = Materialization::from_bytes(&bytes).unwrap();

@@ -10,6 +10,9 @@
 //! uppercase letter or `_` are variables; everything else (identifiers
 //! starting lowercase or digits) are constants. The goal line starts with
 //! `?-` or `?` and may appear anywhere (first, in the paper's examples).
+//!
+//! The reader walks the input `&str` in place: a name is a slice of it,
+//! never a copy, and an error's position is a byte offset into the text.
 
 use crate::ast::{Atom, Program, Rule, Symbols, Term};
 
@@ -86,7 +89,7 @@ fn parse_atom(p: &mut Tokens, symbols: &mut Symbols) -> Result<Atom, String> {
     let name = p
         .ident()
         .ok_or_else(|| format!("expected predicate name at position {}", p.pos))?;
-    let pred = symbols.predicate(&name);
+    let pred = symbols.predicate(name);
     let mut args = Vec::new();
     if p.try_consume("(") {
         loop {
@@ -100,9 +103,9 @@ fn parse_atom(p: &mut Tokens, symbols: &mut Symbols) -> Result<Atom, String> {
                 .next()
                 .ok_or_else(|| format!("empty term at position {}", p.pos))?;
             let term = if first.is_uppercase() || first == '_' {
-                Term::Var(symbols.variable(&tok))
+                Term::Var(symbols.variable(tok))
             } else {
-                Term::Const(symbols.constant(&tok))
+                Term::Const(symbols.constant(tok))
             };
             args.push(term);
             if !p.try_consume(",") {
@@ -116,30 +119,29 @@ fn parse_atom(p: &mut Tokens, symbols: &mut Symbols) -> Result<Atom, String> {
     Ok(Atom::new(pred, args))
 }
 
-struct Tokens {
-    chars: Vec<char>,
+/// The unread rest of the input is `text[pos..]`; `pos` is a byte
+/// offset, and always on a character boundary.
+struct Tokens<'a> {
+    text: &'a str,
     pos: usize,
 }
 
-impl Tokens {
-    fn new(text: &str) -> Self {
-        Self {
-            chars: text.chars().collect(),
-            pos: 0,
-        }
+impl<'a> Tokens<'a> {
+    fn new(text: &'a str) -> Self {
+        Self { text, pos: 0 }
+    }
+
+    fn rest(&self) -> &'a str {
+        &self.text[self.pos..]
     }
 
     fn skip_ws(&mut self) {
         loop {
-            while self.pos < self.chars.len() && self.chars[self.pos].is_whitespace() {
-                self.pos += 1;
-            }
+            let rest = self.rest().trim_start();
+            self.pos = self.text.len() - rest.len();
             // comments: % or # to end of line
-            if self.pos < self.chars.len() && (self.chars[self.pos] == '%' || self.chars[self.pos] == '#')
-            {
-                while self.pos < self.chars.len() && self.chars[self.pos] != '\n' {
-                    self.pos += 1;
-                }
+            if rest.starts_with(['%', '#']) {
+                self.pos += rest.find('\n').unwrap_or(rest.len());
             } else {
                 break;
             }
@@ -148,39 +150,27 @@ impl Tokens {
 
     fn eof(&mut self) -> bool {
         self.skip_ws();
-        self.pos >= self.chars.len()
+        self.pos >= self.text.len()
     }
 
     fn try_consume(&mut self, what: &str) -> bool {
         self.skip_ws();
-        let w: Vec<char> = what.chars().collect();
-        // `get` instead of indexing: a slice `self.chars[self.pos..]`
-        // would panic if `pos` ever passed the end, and this must hold
-        // for arbitrary (fuzzed) input, not just for inputs that keep
-        // today's position invariant.
-        if self.chars.get(self.pos..).is_some_and(|rest| rest.starts_with(&w)) {
-            // avoid matching "?" as prefix of "?-": handled by caller order;
-            // avoid matching ":" alone etc. — fixed token set keeps it simple.
-            self.pos += w.len();
+        // avoid matching "?" as prefix of "?-": handled by caller order;
+        // avoid matching ":" alone etc. — fixed token set keeps it simple.
+        if self.rest().starts_with(what) {
+            self.pos += what.len();
             true
         } else {
             false
         }
     }
 
-    fn ident(&mut self) -> Option<String> {
+    fn ident(&mut self) -> Option<&'a str> {
         self.skip_ws();
-        let start = self.pos;
-        while self.pos < self.chars.len()
-            && (self.chars[self.pos].is_alphanumeric() || self.chars[self.pos] == '_')
-        {
-            self.pos += 1;
-        }
-        if self.pos == start {
-            None
-        } else {
-            Some(self.chars[start..self.pos].iter().collect())
-        }
+        let rest = self.rest();
+        let len = rest.find(|c: char| !(c.is_alphanumeric() || c == '_')).unwrap_or(rest.len());
+        self.pos += len;
+        (len > 0).then(|| &rest[..len])
     }
 }
 

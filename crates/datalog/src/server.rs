@@ -8,18 +8,22 @@
 //! `tests/server_stress.rs` and `tests/query_cache_props.rs`:
 //!
 //! - **No mid-round reads.** A round is applied under the store's write
-//!   lock and its epoch is published only after the round reaches
-//!   fixpoint, so every read observes the result of a whole *prefix* of
-//!   the applied rounds — never a half-propagated state (linearizable
-//!   at round granularity).
+//!   lock and its epoch is published — it is the store's
+//!   [`Materialization::epoch`], the one copy — as the lock is released,
+//!   after the round reaches fixpoint, so every read observes the result
+//!   of a whole *prefix* of the applied rounds — never a half-propagated
+//!   state (linearizable at round granularity).
 //! - **Epoch-pinned snapshot reads.** [`Server::snapshot`] pins the
 //!   current epoch with a cheap handle: a per-relation live-row
 //!   **frontier** (the append-only store's row counts) plus the pinned
 //!   epoch number. Later rounds keep appending rows (above every
 //!   pinned frontier) and tombstoning rows (tagged with the round's
-//!   epoch — see [`crate::storage::ColumnarRelation::set_epoch`]), so a
+//!   epoch, which the server passes down to the round and to its view
+//!   syncs — see [`crate::storage::ColumnarRelation::visible_at`]), so a
 //!   pinned [`Snapshot`] keeps reading its exact state-as-of-pin for as
-//!   long as it lives, without cloning any data.
+//!   long as it lives, without cloning any data. A bare
+//!   [`Materialization`] or [`QueryCache`] — a restored one included —
+//!   tags nothing and compacts on its own policy.
 //! - **Coherent cached queries.** [`Server::query`] routes bound goals
 //!   through a [`QueryCache`] of incrementally-maintained magic-set
 //!   views (see [`crate::cache`]). Views are caught up *inside* the
@@ -60,7 +64,9 @@
 //! validation and rebuilds on demand (templates survive). The cache's
 //! own template stores shed their dead rows in the same drain, under
 //! the same condition: a pinned snapshot reads views by row frontier
-//! too.
+//! too. So a server's round and slow-path query run the store's and
+//! the cache's work without the compaction step that
+//! [`Materialization::apply`] and [`QueryCache::query`] end with.
 //!
 //! Lock order is `state → epochs` everywhere that takes both (the
 //! unpinning path takes `epochs` first but only ever *tries* the state
@@ -101,7 +107,7 @@ struct Shared {
     /// The store + cache pair. Readers pin and query under the read
     /// lock; the writer applies whole rounds under the write lock.
     state: RwLock<ServerState>,
-    /// The epoch table: the published epoch plus reader pin counts.
+    /// The epoch table: reader pin counts and the queued compaction.
     epochs: Mutex<EpochTable>,
 }
 
@@ -122,11 +128,10 @@ impl Shared {
     }
 }
 
-/// The published epoch, the readers pinned per epoch, and the deferred
-/// maintenance ledger (see the module docs).
+/// The readers pinned per epoch, and the deferred maintenance ledger
+/// (see the module docs). The published epoch is the store's.
+#[derive(Default)]
 struct EpochTable {
-    /// The epoch of the last published round (0 = the initial fixpoint).
-    current: u64,
     /// Pin count per pinned epoch (absent = zero). A `BTreeMap` so the
     /// minimum pinned epoch — the reclamation horizon — is the first
     /// key.
@@ -139,20 +144,12 @@ struct EpochTable {
 
 impl EpochTable {
     /// The reclamation horizon: every tombstone tag at or below this
-    /// epoch is unobservable. With no pins that is the published epoch
-    /// itself (tags are never issued above it). It never decreases (see
-    /// the module docs), so the pin table alone carries an unpin's
+    /// epoch is unobservable. With no pins that is the `published`
+    /// epoch itself (tags are never issued above it). It never decreases
+    /// (see the module docs), so the pin table alone carries an unpin's
     /// horizon to whoever drains next.
-    fn min_observable(&self) -> u64 {
-        self.pins.keys().next().copied().unwrap_or(self.current)
-    }
-
-    fn new(current: u64) -> Self {
-        EpochTable {
-            current,
-            pins: BTreeMap::new(),
-            compact_pending: false,
-        }
+    fn min_observable(&self, published: u64) -> u64 {
+        self.pins.keys().next().copied().unwrap_or(published)
     }
 
     /// Applies all deferred maintenance to a write-locked state:
@@ -164,7 +161,7 @@ impl EpochTable {
     /// dropped inside the critical section — so no horizon recorded by
     /// a contending unpin can slip between the drain and the release.
     fn drain(&mut self, state: &mut ServerState) {
-        let horizon = self.min_observable();
+        let horizon = self.min_observable(state.store.epoch());
         state.store.reclaim_epochs(horizon);
         state.cache.reclaim_epochs(horizon, self.pins.keys().copied());
         if self.pins.is_empty() {
@@ -198,12 +195,17 @@ impl Server {
     /// fixpoint (epoch 0), then stands ready for readers and rounds.
     /// The query cache is armed from the start.
     pub fn from_database(program: &Program, db: &Database, strategy: Strategy) -> Self {
-        let store = Materialization::from_database(program, db, strategy);
-        let cache = QueryCache::serving(&store);
+        Self::serving(Materialization::from_database(program, db, strategy))
+    }
+
+    /// Serves `store` at its epoch, with the query cache armed.
+    fn serving(store: Materialization) -> Self {
+        let mut cache = QueryCache::default();
+        cache.start_over(&store);
         Self {
             shared: Arc::new(Shared {
                 state: RwLock::new(ServerState { store, cache }),
-                epochs: Mutex::new(EpochTable::new(0)),
+                epochs: Mutex::default(),
             }),
         }
     }
@@ -232,15 +234,7 @@ impl Server {
     /// included — already gets a view. Views are derived state and were
     /// not persisted; each is rebuilt by its first query.
     pub fn restore<P: AsRef<Path>>(path: P) -> Result<Self, PersistError> {
-        let store = Materialization::restore(path)?;
-        let epoch = store.epoch();
-        let cache = QueryCache::serving(&store);
-        Ok(Self {
-            shared: Arc::new(Shared {
-                state: RwLock::new(ServerState { store, cache }),
-                epochs: Mutex::new(EpochTable::new(epoch)),
-            }),
-        })
+        Ok(Self::serving(Materialization::restore(path)?))
     }
 
     /// Starts the query cache over: every view and template is dropped,
@@ -341,30 +335,27 @@ impl Server {
             drop(state);
             panic!("{e}");
         }
-        let next = {
-            let epochs = self.shared.epochs();
-            epochs.current + 1
-        };
         let report = {
             let ServerState { store, cache } = &mut *state;
-            // Tombstones of this round are tagged `next`: dead at
-            // `next`, still visible to every reader pinned at `< next`.
-            store.set_epoch(next);
-            let report = store.apply_checked(round);
+            // The round records `next` as the store's epoch, and its
+            // tombstones are tagged `next`: dead at `next`, still
+            // visible to every reader pinned at `< next`.
+            let next = store.epoch() + 1;
+            let report = store.apply_checked(round, Some(next));
             // Catch every template store up with the new fixpoint (a
             // round that changed the rules drops them instead: the
             // cache reads the store's rule slots, see `crate::cache`).
-            cache.sync_all(store);
+            cache.sync_all(store, next);
             report
         };
-        // Publish, then drain deferred maintenance (tag reclamation and
-        // any queued compaction). The state guard is released *inside*
-        // the epochs critical section: an unpin that lost the
-        // `try_write` race against this round has either recorded its
-        // horizon already (we drain it here) or is still waiting on the
-        // epochs lock and will retry the idle store right after.
+        // Drain deferred maintenance (tag reclamation and any queued
+        // compaction); releasing the state guard publishes the round.
+        // The guard is released *inside* the epochs critical section:
+        // an unpin that lost the `try_write` race against this round has
+        // either recorded its horizon already (we drain it here) or is
+        // still waiting on the epochs lock and will retry the idle store
+        // right after.
         let mut epochs = self.shared.epochs();
-        epochs.current = next;
         epochs.drain(&mut state);
         drop(state);
         report
@@ -397,7 +388,7 @@ impl Server {
         }
         let mut state = self.shared.write();
         let ServerState { store, cache } = &mut *state;
-        cache.query(store, goal)
+        cache.serve(store, goal)
     }
 
     /// Pins the current epoch and returns a read handle on it: a
@@ -408,14 +399,10 @@ impl Server {
     pub fn snapshot(&self) -> Snapshot {
         // Hold the read lock across the pin: the writer can neither be
         // mid-round (the frontier is a published fixpoint) nor publish
-        // and reclaim between reading `current` and pinning it.
+        // and reclaim between reading the epoch and pinning it.
         let state = self.shared.read();
-        let epoch = {
-            let mut epochs = self.shared.epochs();
-            let current = epochs.current;
-            *epochs.pins.entry(current).or_insert(0) += 1;
-            current
-        };
+        let epoch = state.store.epoch();
+        *self.shared.epochs().pins.entry(epoch).or_insert(0) += 1;
         let frontier = state.store.frontiers();
         let views = state.cache.view_pins();
         drop(state);
@@ -429,7 +416,7 @@ impl Server {
 
     /// The published epoch (= number of rounds applied so far).
     pub fn current_epoch(&self) -> u64 {
-        self.shared.epochs().current
+        self.shared.read().store.epoch()
     }
 
     /// Work counters accumulated by the underlying materialization.
@@ -880,7 +867,8 @@ mod tests {
         {
             let epochs = server.shared.epochs.lock().unwrap();
             assert!(epochs.pins.is_empty(), "unpinned despite the contention");
-            assert_eq!(epochs.min_observable(), 2, "horizon handed off via the pin table");
+            let published = writer.store.epoch();
+            assert_eq!(epochs.min_observable(published), 2, "horizon handed off via the pin table");
         }
 
         // The write-lock holder drains on its way out — the exact
@@ -1404,8 +1392,12 @@ mod tests {
                 let server = server.clone();
                 let goal = goal.clone();
                 std::thread::spawn(move || {
-                    let mut last = 0;
+                    let (mut last, start) = (0, std::time::Instant::now());
                     while last < 8 {
+                        // A view the rounds never reach fails here
+                        // instead of spinning for ever.
+                        let waited = start.elapsed();
+                        assert!(waited.as_secs() < 60, "waited {waited:?} for 8 rows, saw {last}");
                         // Each query sees some whole round prefix; the
                         // writer only grows the chain, so lengths are
                         // monotone in real time.
@@ -1420,7 +1412,8 @@ mod tests {
             server.apply(&UpdateRound::new().insert(par, e.clone()));
         }
         for r in readers {
-            r.join().expect("reader thread");
+            // A reader's panic is the test's failure.
+            r.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
         }
         // All that concurrency built exactly one view.
         assert_eq!(server.cache_stats().misses, 1);

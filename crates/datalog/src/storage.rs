@@ -156,13 +156,14 @@ pub fn shard_ranges(lo: usize, hi: usize, shards: usize) -> Vec<(usize, usize)> 
 /// The serving layer ([`crate::server`]) needs point-in-time reads while
 /// the writer keeps mutating. Append-only row ids make the *insert* side
 /// of a snapshot free — a per-relation row-count frontier bounds what a
-/// reader may see — but tombstones mutate in place. So a relation can be
-/// moved into **epoch mode** ([`ColumnarRelation::set_epoch`] with a
-/// nonzero epoch): from then on each tombstone records the epoch it died
-/// in, and [`ColumnarRelation::visible_at`] resurrects rows that died
-/// *after* a reader's pinned epoch. Relations that never enter epoch mode
-/// (every plain [`crate::materialize::Materialization`]) pay nothing: the
-/// side table stays empty and untouched.
+/// reader may see — but tombstones mutate in place. So a round a server
+/// runs passes its epoch to every tombstone it writes (the crate's
+/// `ColumnarRelation::tombstone_at`), which records the epoch the row
+/// died in, and [`ColumnarRelation::visible_at`] resurrects rows that
+/// died *after* a reader's pinned epoch. A plain
+/// [`ColumnarRelation::tombstone`] — every round of a bare
+/// [`crate::materialize::Materialization`] — tags nothing, and the side
+/// table stays empty and untouched.
 ///
 /// Reclamation is compaction-free: once no reader is pinned below epoch
 /// `e`, [`ColumnarRelation::reclaim_tombstones`] drops the tags `<= e` —
@@ -189,9 +190,8 @@ pub struct ColumnarRelation {
     dead: Vec<u64>,
     /// Number of tombstoned rows.
     dead_rows: usize,
-    /// The epoch new tombstones are tagged with; 0 = epoch mode off.
-    epoch: u64,
-    /// Death epoch per tombstoned row, populated only in epoch mode. A
+    /// Death epoch per tombstoned row, for the tombstones a server's
+    /// rounds wrote ([`ColumnarRelation::tombstone_at`]). A
     /// dead row absent from this table died "before memory": invisible
     /// at every epoch still pinnable.
     tomb_at: FxHashMap<u32, u64>,
@@ -211,7 +211,6 @@ impl PartialEq for ColumnarRelation {
             && self.rows == other.rows
             && self.dead == other.dead
             && self.dead_rows == other.dead_rows
-            && self.epoch == other.epoch
             && self.tomb_at == other.tomb_at
     }
 }
@@ -229,7 +228,6 @@ impl ColumnarRelation {
             slots_stale: false,
             dead: Vec::new(),
             dead_rows: 0,
-            epoch: 0,
             tomb_at: FxHashMap::default(),
         }
     }
@@ -311,15 +309,6 @@ impl ColumnarRelation {
         self.row_ids(..)
             .filter(move |&r| self.is_live(r))
             .map(move |r| self.row(r))
-    }
-
-    /// Enters (or advances) epoch mode: tombstones created from now on
-    /// are tagged with `epoch`, so [`ColumnarRelation::visible_at`] can
-    /// serve reads pinned at earlier epochs. Epochs must be nonzero and
-    /// non-decreasing across calls (the serving layer's round counter).
-    pub fn set_epoch(&mut self, epoch: u64) {
-        debug_assert!(epoch >= self.epoch, "epochs never go backwards");
-        self.epoch = epoch;
     }
 
     /// Whether row `r` is visible to a reader pinned at `epoch`: live, or
@@ -469,6 +458,14 @@ impl ColumnarRelation {
     /// stay in place — index chains and recorded justifications keep
     /// addressing it; only [`ColumnarRelation::is_live`] flips.
     pub fn tombstone(&mut self, r: usize) -> bool {
+        self.tombstone_at(r, None)
+    }
+
+    /// [`ColumnarRelation::tombstone`] in a round that publishes
+    /// `epoch` (`None`: a round no server runs): the row, if it dies
+    /// here, is tagged with the epoch, so readers pinned before it keep
+    /// seeing it ([`ColumnarRelation::visible_at`]).
+    pub(crate) fn tombstone_at(&mut self, r: usize, epoch: Option<u64>) -> bool {
         assert!(r < self.rows, "tombstone of nonexistent row");
         let r = id(r);
         if !self.is_live(r) {
@@ -481,8 +478,8 @@ impl ColumnarRelation {
         }
         self.dead[r as usize >> 6] |= 1 << (r & 63);
         self.dead_rows += 1;
-        if self.epoch > 0 {
-            self.tomb_at.insert(r, self.epoch);
+        if let Some(epoch) = epoch {
+            self.tomb_at.insert(r, epoch);
         }
         // Unlink from the dedup table (the slot may sit mid-probe-chain,
         // so it becomes TOMB_SLOT, not NO_ROW).
@@ -544,7 +541,6 @@ impl ColumnarRelation {
     /// Epoch tags are cleared: compaction is only legal when no reader
     /// is pinned below the current epoch (the serving layer defers it
     /// until the last unpin), at which point every tag is unobservable.
-    /// The epoch itself is preserved.
     pub fn compact(&mut self) -> Vec<u32> {
         let mut remap = vec![NO_ROW; self.rows];
         let mut data = Vec::with_capacity((self.rows - self.dead_rows) * self.arity.max(1));
@@ -577,12 +573,12 @@ impl ColumnarRelation {
 
     /// Reassembles a relation from its serialized parts: `rows` rows of
     /// `data` and the tombstone bitset `dead`, whose popcount is the
-    /// tombstoned-row count. It comes back out of epoch mode and with no
-    /// death-epoch tags — a snapshot holds none, as no reader pinned
-    /// before a restart survives it; the store sets its epoch. The dedup
-    /// table (slot layout is probe-history dependent and is not
-    /// persisted) is **not** rebuilt here: it is write-path state, so the
-    /// rebuild is deferred to the first mutating touch
+    /// tombstoned-row count. It comes back with no death-epoch tags — a
+    /// snapshot holds none, as no reader pinned before a restart
+    /// survives it. The dedup table (slot layout is probe-history
+    /// dependent and is not persisted) is **not** rebuilt here: it is
+    /// write-path state, so the rebuild is deferred to the first
+    /// mutating touch
     /// ([`ColumnarRelation::ensure_slots`]) — a restored store that only
     /// serves reads never pays the O(rows) rehash.
     pub(crate) fn from_persist(arity: usize, data: Vec<Const>, rows: usize, dead: Vec<u64>) -> Self {

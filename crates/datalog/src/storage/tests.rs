@@ -221,13 +221,10 @@ fn epoch_tags_resurrect_rows_for_pinned_readers() {
     let mut rel = ColumnarRelation::new(1);
     rel.insert(&[c(0)]); // row 0, alive from epoch 0
     // Round producing epoch 1: insert row 1.
-    rel.set_epoch(1);
     rel.insert(&[c(1)]);
     // Round producing epoch 2: retract row 0.
-    rel.set_epoch(2);
-    rel.tombstone(0);
+    rel.tombstone_at(0, Some(2));
     // Round producing epoch 3: re-insert the tuple (fresh row id 2).
-    rel.set_epoch(3);
     rel.insert(&[c(0)]);
 
     // A reader pinned at epoch 1 (frontier 2) sees rows 0 and 1: row
@@ -253,12 +250,9 @@ fn reclaim_drops_only_unpinnable_tags() {
     for i in 0..4u32 {
         rel.insert(&[c(i)]);
     }
-    rel.set_epoch(1);
-    rel.tombstone(0);
-    rel.set_epoch(2);
-    rel.tombstone(1);
-    rel.set_epoch(3);
-    rel.tombstone(2);
+    rel.tombstone_at(0, Some(1));
+    rel.tombstone_at(1, Some(2));
+    rel.tombstone_at(2, Some(3));
     // Readers pinned at >= 1 remain: tags <= 1 are reclaimable.
     rel.reclaim_tombstones(1);
     // The epoch-1 death (row 0) lost its tag — dead at every epoch.
@@ -278,7 +272,8 @@ fn reclaim_drops_only_unpinnable_tags() {
 fn plain_relations_never_populate_the_epoch_table() {
     let mut rel = ColumnarRelation::new(1);
     rel.insert(&[c(7)]);
-    rel.tombstone(0); // epoch mode off: no tag
+    rel.tombstone(0); // no epoch given: no tag
+    assert!(rel.tomb_tags().is_empty());
     assert!(!rel.visible_at(0, 0), "dead without a tag is just dead");
     assert_eq!(rel.rows_iter_at(1, 0).count(), 0);
 }
@@ -319,19 +314,17 @@ fn compact_renumbers_survivors_and_rebuilds_dedup() {
 }
 
 #[test]
-fn compact_clears_epoch_tags_but_keeps_the_epoch() {
+fn compact_clears_epoch_tags() {
     let mut rel = ColumnarRelation::new(1);
     rel.insert(&[c(0)]);
     rel.insert(&[c(1)]);
-    rel.set_epoch(5);
-    rel.tombstone(0);
+    rel.tombstone_at(0, Some(5));
     assert_eq!(rel.tomb_tags().len(), 1);
     let remap = rel.compact();
     assert_eq!(remap, vec![NO_ROW, 0]);
     assert_eq!(rel.tomb_tags().len(), 0);
-    assert_eq!(rel.epoch, 5);
-    // New tombstones keep getting tagged with the preserved epoch.
-    rel.tombstone(0);
+    // Later tombstones are tagged with the epoch their round passes.
+    rel.tombstone_at(0, Some(5));
     assert_eq!(rel.tomb_tags().get(&0), Some(&5));
 }
 
@@ -341,9 +334,8 @@ fn from_persist_round_trips_contents_and_liveness() {
     for i in 0..100u32 {
         rel.insert(&[c(i), c(i * 2)]);
     }
-    rel.set_epoch(3);
     for i in (0..100).step_by(7) {
-        rel.tombstone(i);
+        rel.tombstone_at(i, Some(3));
     }
     let mut rebuilt = ColumnarRelation::from_persist(
         rel.arity(),
@@ -352,10 +344,9 @@ fn from_persist_round_trips_contents_and_liveness() {
         rel.dead_words().to_vec(),
     );
     // The tombstoned-row count is the bitset's popcount; the relation
-    // comes back out of epoch mode, with no tags.
+    // comes back with no tags.
     assert_eq!(rebuilt.num_dead(), rel.num_dead());
-    assert_eq!((rebuilt.epoch, rebuilt.tomb_tags().len()), (0, 0));
-    rebuilt.set_epoch(3);
+    assert_eq!(rebuilt.tomb_tags().len(), 0);
     // The dedup table comes back lazily: stale until the first
     // mutating touch, then bit-equivalent in behavior.
     rebuilt.ensure_slots();

@@ -308,6 +308,24 @@ const GUARDS: &[Guard] = &[
         example: "    pub fn insert_facts(&mut self, pred: Pred, rows: &[Tuple]) -> usize {",
         ..ROW
     },
+    // The epoch is the server's: a server passes each round's epoch to
+    // the store's round and to its view syncs, and the store's
+    // `epoch()` is the one copy of the published epoch. An epoch a
+    // relation, a store or a cache keeps as a mode — the tags it writes,
+    // the compaction it skips — or a second copy in the pin table is
+    // the spread growing back.
+    Guard {
+        name: "The epoch is the server's",
+        needles: &[
+            "set_epoch",
+            "compaction_deferred",
+            "epochs.current",
+            "self.epoch > 0",
+            "self.epoch == 0",
+        ],
+        example: "    pub fn set_epoch(&mut self, epoch: u64) {",
+        ..ROW
+    },
     // Membership has one CYK: `CnfGrammar::accepts` pushes the word onto
     // a `Recognizer`, whose table is one flat column-major triangle of
     // nonterminal bitsets. A per-call n × n × m table of bools is the

@@ -34,6 +34,7 @@
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
+use std::time::{Duration, Instant};
 
 use selprop_datalog::db::Tuple;
 use selprop_datalog::eval::{answer, Strategy};
@@ -47,6 +48,9 @@ use selprop_datalog::{
 const ROUNDS: usize = 24;
 const READERS: usize = 4;
 const MIN_READS_PER_READER: usize = 100;
+/// How long the writer waits on its readers before it fails instead of
+/// hanging.
+const WAIT: Duration = Duration::from_secs(60);
 
 /// Deterministic xorshift64* stream for the churn schedule.
 struct Rng(u64);
@@ -593,18 +597,28 @@ fn an_answer_a_client_keeps_outlives_the_rounds_that_replace_it() {
             })
         })
         .collect();
-    for round in &rounds {
+    let (start, mut applied) = (Instant::now(), 0);
+    'rounds: for round in &rounds {
         let so_far = answered.load(Ordering::Acquire);
         while answered.load(Ordering::Acquire) < so_far + 6 {
+            // Readers run until the writer is done: one that finished
+            // has panicked.
+            if start.elapsed() > WAIT || readers.iter().any(|r| r.is_finished()) {
+                break 'rounds;
+            }
             thread::yield_now();
         }
         server.apply(round);
+        applied += 1;
     }
     writer_done.store(true, Ordering::Release);
+    // A reader's panic is the test's failure.
     let (reads, outlived) = readers
         .into_iter()
-        .map(|r| r.join().expect("reader thread panicked"))
+        .map(|r| r.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
         .fold((0, 0), |(a, b), (c, d)| (a + c, b + d));
+    let waited = start.elapsed();
+    assert_eq!(applied, rounds.len(), "waited {waited:?} for six more answers before a round");
 
     // Idle: every goal's view is live, nothing a reader wrote got back
     // into the cache, and the memos did most of the answering.
