@@ -532,23 +532,20 @@ impl Materialization {
             }
         }
 
-        // Load EDB facts as settled rows: below the watermarks, like the
-        // facts of a store at fixpoint. Facts the database holds for IDB
-        // predicates are ignored, exactly as in the reference evaluator
-        // (IDB body atoms only ever read the derived snapshots).
+        // Load EDB facts as settled rows, as a restore loads a relation:
+        // below the watermarks, like the facts of a store at fixpoint, and
+        // with no dedup table until the first write (a set holds no
+        // duplicate). Facts the database holds for IDB predicates are
+        // ignored, as in the reference evaluator.
         for (p, r) in db.iter() {
             if idbs.contains(&p) {
                 continue;
             }
             if let Some(rid) = m.rel_of_pred.get(&p).map(|&r| r as usize) {
-                // The input size is known up front: size the dedup
-                // table once instead of growing it through every
-                // doubling.
-                m.rels[rid].reserve_rows(r.len());
-                for t in r.iter() {
-                    m.rels[rid].insert(t);
-                }
-                m.old_hi[rid] = m.rels[rid].num_rows();
+                let mut data = Vec::with_capacity(r.len() * r.arity());
+                r.iter().for_each(|t| data.extend_from_slice(t));
+                m.rels[rid] = ColumnarRelation::from_settled(r.arity(), data, r.len(), Vec::new());
+                m.old_hi[rid] = r.len();
             }
         }
 
@@ -832,8 +829,8 @@ impl Materialization {
             self.epoch = epoch;
         }
 
-        // Restore fast path: a just-restored store defers the O(rows)
-        // dedup-table rebuild to here, its first write — the staging
+        // A just-built or just-restored store defers the O(rows)
+        // dedup-table builds to here, its first write — the staging
         // existence probes below consult those tables.
         self.ensure_dedup();
 
@@ -1168,7 +1165,7 @@ impl Materialization {
         self.ext_flag.get(rel).copied().unwrap_or(false)
     }
 
-    /// Rebuilds any dedup table a restore left stale
+    /// Rebuilds any dedup table a build or restore left stale
     /// ([`ColumnarRelation::ensure_slots`]). Called at the head of every
     /// mutating entry point (all single mutators funnel through
     /// [`Materialization::apply`]); one branch per relation when fresh.

@@ -56,7 +56,7 @@ impl Materialization {
     ///
     /// Deliberately **not** serialized (rebuilt on restore): the dedup
     /// tables (probe-history-dependent slot layout; write-path state, so
-    /// the rebuild is deferred to the first mutating round after restore),
+    /// the rebuild waits for the first mutating round, as after a build),
     /// the join indexes and index registry (registered at restore, and
     /// re-hashed from the rows, frozen posting segments included, by the
     /// first round or view link that needs them, so a restored store that
@@ -259,7 +259,7 @@ impl Materialization {
             };
             let arity = d.usize()?;
             let rows = d.usize()?;
-            // The row ceiling a relation's append enforces.
+            // The row ceiling, an error here before the constructor panics.
             if rows > MAX_ROWS {
                 return Err(PersistError::Corrupt("relation row count above the row ceiling"));
             }
@@ -278,7 +278,7 @@ impl Materialization {
                     return Err(PersistError::Corrupt("tombstone bit beyond row count"));
                 }
             }
-            let rel = ColumnarRelation::from_persist(arity, data, rows, dead);
+            let rel = ColumnarRelation::from_settled(arity, data, rows, dead);
             // A 0-ary relation's rows hold no cells, so only this bounds
             // their count by the bytes of the file (its tombstone bitset):
             // `()` has one live row at most.

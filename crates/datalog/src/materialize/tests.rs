@@ -4,6 +4,7 @@ use crate::parser::parse_program;
 use crate::persist::PersistError;
 use crate::plan::{Step, NO_INDEX};
 use crate::reference;
+use crate::server::Server;
 
 const SRC_A: &str = "?- anc(john, Y).\n\
                      anc(X, Y) :- par(X, Y).\n\
@@ -1258,14 +1259,17 @@ fn a_rescue_checks_repeated_head_variables_and_head_constants() {
 /// A tuple whose only other derivation runs through a row tombstoned
 /// in the same round is not rescued: the dedup table a full-key step
 /// reads holds live rows only — also with the tombstones tagged for
-/// a pinned epoch, and in the first round of a restored store, whose
-/// tables are rebuilt on that first write.
+/// a pinned epoch, through a server, and in the first round of a freshly
+/// built or restored store, whose tables are built on that first write.
+/// The same round inserts a loaded fact again, which those tables must
+/// find, and a new one: every store reports one insert and one retract.
 #[test]
 fn a_dedup_step_never_rescues_through_a_row_that_died_this_round() {
     let mut p = parse_program(SRC_A).unwrap();
     let par = p.symbols.get_predicate("par").unwrap();
     let anc = p.symbols.get_predicate("anc").unwrap();
     let edges = chain_edges(&mut p, 2);
+    let new_edge = vec![p.symbols.constant("x"), p.symbols.constant("y")];
     let mut db = Database::new();
     for e in &edges {
         db.insert(par, e.clone());
@@ -1273,22 +1277,64 @@ fn a_dedup_step_never_rescues_through_a_row_that_died_this_round() {
     let fresh = Materialization::from_database(&p, &db, Strategy::SemiNaive);
     let pinned = fresh.clone();
     let restored = Materialization::from_bytes(&fresh.to_bytes()).unwrap();
+    // anc(john, c2) is over-deleted with anc(john, c1); its other
+    // derivation — par(Z, c2), then anc(john, c1) in the table — needs
+    // exactly that dead row. par(c1, c2) is loaded already.
+    let round = UpdateRound::new()
+        .retract_all(par, &edges[..1])
+        .insert(par, edges[1].clone())
+        .insert(par, new_edge.clone());
     let mut mirror = db.clone();
     mirror.remove(par, &edges[0]);
+    mirror.insert(par, new_edge);
+    let served = Server::from_database(&p, &db, Strategy::SemiNaive);
+    let report = served.apply(&round);
+    assert_eq!((report.inserted, report.retracted), (1, 1));
+    assert_eq!(served.snapshot().idb_database().sorted_models(), spec_idb(&p, &mirror));
+    let mut bytes = Vec::new();
     for (what, mut m) in [("fresh", fresh), ("pinned", pinned), ("restored", restored)] {
-        // anc(john, c2) is over-deleted with anc(john, c1); its other
-        // derivation — par(Z, c2), then anc(john, c1) in the table —
-        // needs exactly that dead row.
         // The pinned store's round is one a server publishes as epoch 3.
-        let round = UpdateRound::new().retract_all(par, &edges[..1]);
-        let epoch = (what == "pinned").then_some(3);
-        assert_eq!(m.apply_checked(&round, epoch).retracted, 1, "{what}");
+        if what == "pinned" {
+            assert_eq!(m.apply_checked(&round, Some(3)), report, "{what}");
+        } else {
+            assert_eq!(m.apply(&round), report, "{what}");
+            bytes.push(m.to_bytes());
+        }
         assert_eq!(rescue_shapes(&m)[1].1, [Some(vec![1]), None], "{what}");
         assert_eq!(m.idb_database().sorted_models(), spec_idb(&p, &mirror), "{what}");
-        assert_eq!(m.num_facts(anc), 1, "{what}: only anc(c1, c2) is left");
+        assert_eq!(m.num_facts(anc), 2, "{what}: only anc(c1, c2) and anc(x, y) are left");
         assert_eq!(m.tagged_tombstones() > 0, what == "pinned");
         m.provenance().check(&p).expect("valid");
     }
+    assert_eq!(bytes[0], bytes[1], "the fresh and the restored store end alike");
+}
+
+/// A build loads its EDB facts as a restore loads a relation, and the
+/// dedup tables wait for the first write: after a batch evaluation —
+/// the store `eval::answer` and `evaluate` read out — and after a
+/// recording build, no loaded relation has one; after the first round,
+/// every relation does.
+#[test]
+fn a_build_leaves_the_edb_dedup_tables_to_the_first_write() {
+    let mut p = parse_program(SRC_S7).unwrap();
+    let db = dense_db(&mut p);
+    let loaded = |m: &Materialization| -> Vec<usize> {
+        let edb = (0..m.rels.len()).filter(|r| !m.idb_rels.contains(&(*r as u32)));
+        edb.filter(|&r| m.rels[r].num_rows() > 0).collect()
+    };
+    let planned = OrderMode::Planned;
+    let (batch, _) = Materialization::batch(&p, &db, Strategy::SemiNaive, false, planned);
+    let mut m = Materialization::from_database(&p, &db, Strategy::SemiNaive);
+    for m in [&batch, &m] {
+        assert!(!loaded(m).is_empty());
+        assert!(loaded(m).iter().all(|&r| !m.rels[r].dedup_built()));
+    }
+    let (pred, row) = db.iter().find_map(|(p, r)| Some((p, r.iter().next()?.clone()))).unwrap();
+    let mut mirror = db;
+    mirror.remove(pred, &row);
+    assert_eq!(m.apply(&UpdateRound::new().retract(pred, row)).retracted, 1);
+    assert!(m.rels.iter().all(ColumnarRelation::dedup_built));
+    assert_eq!(m.idb_database().sorted_models(), spec_idb(&p, &mirror));
 }
 
 /// [`OrderMode::Shuffled`] changes orders and nothing else: a recording

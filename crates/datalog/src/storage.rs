@@ -60,8 +60,9 @@
 //! A row id is a `u32` from the moment the append behind
 //! [`ColumnarRelation::insert`] makes it, and a relation holds at most
 //! [`MAX_ROWS`] rows: the one ceiling, checked by that append before it
-//! writes and by the snapshot decoder. Everything else only widens an id
-//! to index a slice, and walks a row range by `ColumnarRelation::row_ids`.
+//! writes and by `ColumnarRelation::from_settled` (a build's EDB load, a
+//! restore). Everything else only widens an id to index a slice, and
+//! walks a row range by `ColumnarRelation::row_ids`.
 //! The ceiling is `2^31 - 1` because an index tags a key's one inline row
 //! with the top bit (`INLINE | row`); below it, every sentinel lies
 //! outside the id range (asserted at compile time).
@@ -178,12 +179,12 @@ pub struct ColumnarRelation {
     /// Open-addressing dedup table over row ids (capacity is a power of
     /// two; `NO_ROW` marks an empty slot, [`TOMB_SLOT`] a deleted one).
     slots: Vec<u32>,
-    /// Restore fast path: the dedup table is **write-path** state (only
-    /// insert/retract/merge probe it — reads go through the rows and
-    /// the join indexes), so [`ColumnarRelation::from_persist`] defers
-    /// its O(rows) rebuild until the first mutating touch instead of
-    /// charging it to every restart. While stale, `slots` is empty and
-    /// must not be consulted; the mutating entry points rebuild first.
+    /// Settled-rows fast path: the dedup table is **write-path** state
+    /// (only insert/retract/merge probe it — reads go through the rows
+    /// and the join indexes), so [`ColumnarRelation::from_settled`]
+    /// defers its O(rows) build until the first mutating touch instead
+    /// of charging it to every build and restart. While stale, `slots`
+    /// is empty and must not be consulted; mutators rebuild first.
     slots_stale: bool,
     /// Tombstone bitset, allocated lazily on the first
     /// [`ColumnarRelation::tombstone`]; empty means every row is live.
@@ -343,6 +344,12 @@ impl ColumnarRelation {
         &self.tomb_at
     }
 
+    /// Whether the dedup table is built (not stale).
+    #[cfg(test)]
+    pub(crate) fn dedup_built(&self) -> bool {
+        !self.slots_stale
+    }
+
     /// The dedup hash of a tuple — the one [`ColumnarRelation::insert`]
     /// probes with. Callers that test membership first and insert later
     /// compute it **once** and pass it to the `_hashed` variants,
@@ -376,8 +383,8 @@ impl ColumnarRelation {
         debug_assert_eq!(row.len(), self.arity);
         debug_assert!(
             !self.slots_stale,
-            "dedup probe on a freshly restored relation: a mutating entry \
-             point skipped Materialization::ensure_dedup"
+            "dedup probe on a freshly built or restored relation: a mutating \
+             entry point skipped Materialization::ensure_dedup"
         );
         if self.slots.is_empty() {
             return NO_ROW;
@@ -513,10 +520,9 @@ impl ColumnarRelation {
         }
     }
 
-    /// Rebuilds the dedup table from scratch over the live rows, sized
-    /// for the current row count (used after compaction and on the first
-    /// write after restore — the probe-history-dependent slot layout is
-    /// not serialized).
+    /// Rebuilds the dedup table over the live rows, sized for the row
+    /// count: after a compaction, and at the first write after a build or
+    /// restore (the probe-history-dependent slot layout is not saved).
     fn rebuild_slots(&mut self) {
         self.slots_stale = false;
         if self.rows == 0 {
@@ -562,7 +568,7 @@ impl ColumnarRelation {
     }
 
     // -----------------------------------------------------------------
-    // Serialization support (crate::persist)
+    // Settled rows (a build's EDB load, crate::persist)
     // -----------------------------------------------------------------
 
     /// The tombstone bitset words (may be shorter than `rows/64`; missing
@@ -571,18 +577,16 @@ impl ColumnarRelation {
         &self.dead
     }
 
-    /// Reassembles a relation from its serialized parts: `rows` rows of
-    /// `data` and the tombstone bitset `dead`, whose popcount is the
-    /// tombstoned-row count. It comes back with no death-epoch tags — a
-    /// snapshot holds none, as no reader pinned before a restart
-    /// survives it. The dedup table (slot layout is probe-history
-    /// dependent and is not persisted) is **not** rebuilt here: it is
-    /// write-path state, so the rebuild is deferred to the first
-    /// mutating touch
-    /// ([`ColumnarRelation::ensure_slots`]) — a restored store that only
-    /// serves reads never pays the O(rows) rehash.
-    pub(crate) fn from_persist(arity: usize, data: Vec<Const>, rows: usize, dead: Vec<u64>) -> Self {
-        debug_assert!(rows <= MAX_ROWS, "the decoder checks the row ceiling");
+    /// A relation of settled rows — a build's EDB facts, a snapshot's
+    /// relation: `rows` rows of `data` and the tombstone bitset `dead`,
+    /// whose popcount is the tombstoned-row count, with no death-epoch
+    /// tags (no reader pinned before a restart survives it). The dedup
+    /// table is **not** built here: it is write-path state, so the
+    /// O(rows) build waits for the first mutating touch
+    /// ([`ColumnarRelation::ensure_slots`]) — a store that only serves
+    /// reads never pays it. Panics past [`MAX_ROWS`] rows, the ceiling.
+    pub(crate) fn from_settled(arity: usize, data: Vec<Const>, rows: usize, dead: Vec<u64>) -> Self {
+        assert!(rows <= MAX_ROWS, "a relation holds at most {MAX_ROWS} rows");
         Self {
             data,
             rows,
@@ -593,10 +597,9 @@ impl ColumnarRelation {
         }
     }
 
-    /// Rebuilds the dedup table if a restore left it stale. Cheap when
-    /// fresh (one branch); the mutating entry points of
-    /// [`crate::materialize::Materialization`] call it before any code
-    /// path can probe the table.
+    /// Rebuilds the dedup table if [`ColumnarRelation::from_settled`]
+    /// left it stale; one branch when fresh. Every mutating entry point
+    /// calls it before any code path can probe the table.
     pub(crate) fn ensure_slots(&mut self) {
         if self.slots_stale {
             self.rebuild_slots();

@@ -337,7 +337,7 @@ fn from_persist_round_trips_contents_and_liveness() {
     for i in (0..100).step_by(7) {
         rel.tombstone_at(i, Some(3));
     }
-    let mut rebuilt = ColumnarRelation::from_persist(
+    let mut rebuilt = ColumnarRelation::from_settled(
         rel.arity(),
         rel.data().to_vec(),
         rel.num_rows(),
@@ -367,7 +367,7 @@ fn stale_dedup_rebuilds_on_first_write() {
     for i in 0..50u32 {
         rel.insert(&[c(i), c(i + 1)]);
     }
-    let mut restored = ColumnarRelation::from_persist(
+    let mut restored = ColumnarRelation::from_settled(
         rel.arity(),
         rel.data().to_vec(),
         rel.num_rows(),
@@ -565,6 +565,14 @@ fn the_row_id_ceiling_keeps_inline_slots_and_ids_apart_from_the_sentinels() {
 #[should_panic(expected = "a relation holds at most")]
 fn a_row_past_the_ceiling_is_refused() {
     next_row_id(MAX_ROWS);
+}
+
+/// Settled rows meet the ceiling the append holds: at arity 0 they take
+/// no memory, so the count alone passes it.
+#[test]
+#[should_panic(expected = "a relation holds at most")]
+fn settled_rows_past_the_ceiling_are_refused() {
+    ColumnarRelation::from_settled(0, Vec::new(), MAX_ROWS + 1, Vec::new());
 }
 
 /// One row per key costs the key-table slot alone: at most half full,

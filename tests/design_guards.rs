@@ -326,6 +326,17 @@ const GUARDS: &[Guard] = &[
         example: "    pub fn set_epoch(&mut self, epoch: u64) {",
         ..ROW
     },
+    // EDB facts load as settled rows: a build copies each relation of
+    // the database into its row buffer, as a restore decodes one, and the
+    // dedup table waits for the first write. A per-fact insert, or a
+    // reserved table for it, is the load paying that table up front.
+    Guard {
+        name: "EDB facts load as settled rows",
+        paths: &["crates/datalog/src/materialize.rs"],
+        needles: &["reserve_rows(r.len())", "m.rels[rid].insert("],
+        example: "                    m.rels[rid].insert(t);",
+        ..ROW
+    },
     // Membership has one CYK: `CnfGrammar::accepts` pushes the word onto
     // a `Recognizer`, whose table is one flat column-major triangle of
     // nonterminal bitsets. A per-call n × n × m table of bools is the
