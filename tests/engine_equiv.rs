@@ -264,17 +264,29 @@ fn retract_counters_are_pinned_on_the_gallery() {
 #[test]
 fn cache_retract_counters_are_pinned_on_program_a() {
     let want = [[92, 1, 1, 21], [-158, -22, -22, -21], [14, 2, 2, 0]];
-    assert_eq!(cache_retract_script(), want);
+    assert_eq!(cache_retract_script("program_a"), want);
 }
 
-/// The retract script's rounds on a base store of program A, each
-/// followed by a query of four views (`anc(root, Y)`, `anc(v1, Y)`,
-/// `anc(v2, Y)`, `anc(v3, Y)`) that syncs them; per round, what the
-/// cache's template stores spent, `[join_probes, rule_firings,
-/// tuples_derived, retract_reads]`. A rule change drops the stores and
-/// their counts with them, so a delta may be negative.
-fn cache_retract_script() -> [[i64; 4]; 3] {
-    let entry = gallery().into_iter().find(|e| e.name == "program_a").expect("in the gallery");
+/// The same counts on programs B and C: the right-linear and the
+/// nonlinear `anc`, whose templates the magic rewrite reshapes — B's
+/// magic set grows along `par`, C's rules join two adorned atoms.
+#[test]
+fn cache_retract_counters_are_pinned_on_programs_b_and_c() {
+    let want_b = [[417, 2, 2, 209], [-816, -133, -133, -209], [-6, -2, -2, 0]];
+    assert_eq!(cache_retract_script("program_b"), want_b);
+    let want_c = [[569, 2, 2, 248], [-1213, -138, -138, -248], [28, 3, 3, 0]];
+    assert_eq!(cache_retract_script("program_c"), want_c);
+}
+
+/// The retract script's rounds on a base store of gallery program
+/// `name` (an `anc` over `par`), each followed by a query of four views
+/// (`anc(root, Y)`, `anc(v1, Y)`, `anc(v2, Y)`, `anc(v3, Y)`) that
+/// syncs them; per round, what the cache's template stores spent,
+/// `[join_probes, rule_firings, tuples_derived, retract_reads]`. A rule
+/// change drops the stores and their counts with them, so a delta may be
+/// negative.
+fn cache_retract_script(name: &str) -> [[i64; 4]; 3] {
+    let entry = gallery().into_iter().find(|e| e.name == name).expect("in the gallery");
     let mut program = entry.chain().program;
     let db = build_db(&mut program, 0, 12, 1);
     let goals: Vec<_> = ["v1", "v2", "v3"]
