@@ -90,7 +90,7 @@ mod template;
 pub use compact::{CompactionPolicy, MemStats};
 use dred::{components, RevIndex};
 use fixpoint::Staging;
-pub(crate) use template::ExtLinks;
+use template::ExtLinks;
 
 /// Per-relation justification store: one packed `[rule, body row ids...]`
 /// entry per row, parallel to the relation's row ids, in **one flat
@@ -383,12 +383,12 @@ pub struct Materialization {
     /// Reverse edges the deletion walks have read (runtime-only
     /// observability).
     dred_reads: u64,
-    /// Per relation: `true` if the relation is *external* — owned by a
-    /// base store and only swapped in for maintenance rounds (see
-    /// [`Materialization::link_external`]). Empty in ordinary stores.
-    /// The reverse-dependency index keys the chains of external rows
-    /// sparsely (`Chains::Sparse` in `dred.rs`).
-    ext_flag: Vec<bool>,
+    /// A template store's *external* slots: relations and indexes owned
+    /// by its base store, empty placeholders here, which the passes of a
+    /// sync read off the base ([`Materialization::link_external`]). Empty
+    /// in ordinary stores. The reverse-dependency index keys the chains
+    /// of external rows sparsely (`Chains::Sparse` in `dred.rs`).
+    ext: ExtLinks,
     /// The body-order mode plans were compiled under (fixed at
     /// construction; persisted).
     order: OrderMode,
@@ -450,7 +450,7 @@ impl Materialization {
         let mut m = Self::build(program, db, strategy, record, order, None);
         let mut staging = Staging::default();
         m.seed_rules(0, &mut staging);
-        m.run_fixpoint(&mut staging);
+        m.run_fixpoint(&mut staging, None);
         (m, staging.profile)
     }
 
@@ -485,7 +485,7 @@ impl Materialization {
             edb_retracts: 0,
             last_retracted: Vec::new(),
             dred_reads: 0,
-            ext_flag: Vec::new(),
+            ext: ExtLinks::default(),
             order,
             planned_card: Vec::new(),
             tc_hits: 0,
@@ -909,7 +909,7 @@ impl Materialization {
         // uses a seed: a row with a derivation through rows that rank
         // below it is saved, the rest die; those with a refused
         // derivation are rescue candidates.
-        self.over_delete(worklist, Some(&mut candidates), epoch);
+        self.over_delete(worklist, Some(&mut candidates), epoch, None);
 
         // 4. EDB inserts: novel rows land above the watermarks (the
         // fixpoint's row counts), i.e. in the delta ranges.
@@ -940,11 +940,11 @@ impl Materialization {
         // of those that an indexed step misses, the resume finds. The
         // watermarks still sit at the old fixpoint, so every rescued
         // insert lands in the delta range and phase 7 propagates it.
-        self.rescue(&candidates);
+        self.rescue(&candidates, None);
 
         // 7. Propagate every delta — inserted, seeded and rescued rows —
         // through the normal update machinery to the new fixpoint.
-        self.run_fixpoint(&mut staging);
+        self.run_fixpoint(&mut staging, None);
         self.shed_stale_edges();
         self.version = self.version.wrapping_add(1);
         self.edb_retracts += report.retracted as u64;
@@ -1162,7 +1162,7 @@ impl Materialization {
 
     /// Whether relation `rel` is an external placeholder.
     fn is_external(&self, rel: usize) -> bool {
-        self.ext_flag.get(rel).copied().unwrap_or(false)
+        self.ext.rels.get(rel).is_some_and(Option::is_some)
     }
 
     /// Rebuilds any dedup table a build or restore left stale
@@ -1179,6 +1179,8 @@ impl Materialization {
     /// became visible at the last merge (incremental: only the delta
     /// rows are hashed). Unkeyed steps have no index at all
     /// ([`crate::plan::NO_INDEX`]): the join scans their row range directly.
+    /// A template store's external slots hold empty placeholders, so
+    /// only its own indexes grow; the base keeps its own current.
     fn extend_indexes(&mut self) {
         for idx in &mut self.idxs {
             idx.extend(&self.rels[idx.rel()]);

@@ -41,7 +41,7 @@
 //! row. `BENCHMARK.json`: `materialize.probes_per_retract_round`,
 //! `materialize.rows_killed_per_round`, `materialize.rederive_ratio`.
 
-use super::join::{build_head, join, Counters, Delta, PendingTuples, Scratch};
+use super::join::{build_head, join, Counters, Delta, JoinCtx, PendingTuples, Scratch};
 use super::{Materialization, RelJust};
 use crate::ast::Const;
 use crate::hash::FxHashMap;
@@ -302,12 +302,14 @@ impl Materialization {
     /// every live row reached dies: the walk of a dropped view, whose
     /// rows have no derivation left by construction
     /// ([`Materialization::drop_tag`]). The rows killed carry `epoch`,
-    /// that of the server round the walk runs in, if any.
+    /// that of the server round the walk runs in, if any. A template
+    /// store's checks read its `base`.
     pub(super) fn over_delete(
         &mut self,
         mut worklist: Vec<(u32, u32)>,
         mut candidates: Option<&mut Vec<(u32, u32)>>,
         epoch: Option<u64>,
+        base: Option<&Materialization>,
     ) -> Vec<(u32, u32)> {
         let mut killed = Vec::new();
         if worklist.is_empty() {
@@ -329,7 +331,7 @@ impl Materialization {
                     continue;
                 }
                 if let Some(candidates) = candidates.as_deref_mut() {
-                    let found = self.derive(h, &mut scratch, &mut pending, &mut counters);
+                    let found = self.derive(h, &mut scratch, &mut pending, &mut counters, base);
                     let saved = found && self.save_row(h, &pending.just);
                     pending.clear();
                     if saved {
@@ -392,6 +394,7 @@ impl Materialization {
         scratch: &mut Scratch,
         pending: &mut PendingTuples,
         counters: &mut Counters,
+        base: Option<&Materialization>,
     ) -> bool {
         let tuple = self.rels[crel as usize].row(crow);
         for (rule, plan) in self.rederive.iter().enumerate() {
@@ -408,7 +411,7 @@ impl Materialization {
             if scratch.head != tuple {
                 continue;
             }
-            let ctx = self.join_ctx(Delta::Full, None);
+            let ctx = JoinCtx { slots: self.slots(base), delta: Delta::Full, shard0: None };
             if join(plan, &ctx, scratch, pending, counters) {
                 return true;
             }
@@ -425,7 +428,7 @@ impl Materialization {
     /// pass sees a row another rescued, whatever step kinds the planner
     /// chose; the resume derives whatever this misses from the rescued
     /// rows.
-    pub(super) fn rescue(&mut self, candidates: &[(u32, u32)]) {
+    pub(super) fn rescue(&mut self, candidates: &[(u32, u32)], base: Option<&Materialization>) {
         if candidates.is_empty() {
             return;
         }
@@ -433,7 +436,7 @@ impl Materialization {
         let mut pending = PendingTuples::default();
         let mut counters = Counters::default();
         for &c in candidates {
-            self.derive(c, &mut scratch, &mut pending, &mut counters);
+            self.derive(c, &mut scratch, &mut pending, &mut counters, base);
         }
         self.stats.join_probes += counters.pre + counters.post;
         self.merge_pending(&mut pending);

@@ -46,7 +46,7 @@ impl Materialization {
                 Some(k) if live(self.rules[rule].body[k].pred) == 0 => continue,
                 Some(k) => k,
             };
-            self.eval_rule(Pass { rule, plan, delta: Delta::Full }, scratch, pending);
+            self.eval_rule(Pass { rule, plan, delta: Delta::Full }, scratch, pending, None);
         }
         let appended = self.merge_pending(pending);
         if appended > 0 {
@@ -66,8 +66,9 @@ impl Materialization {
     /// scoped threads otherwise ([`Materialization::eval_sharded`]); the
     /// staged rows merge in the inline staging order either way, so row
     /// ids, justifications and [`crate::eval::EvalStats`] are identical
-    /// at every thread count.
-    pub(super) fn run_fixpoint(&mut self, staging: &mut Staging) {
+    /// at every thread count. A template store reads its `base`: an
+    /// external slot's delta is the base rows above its watermark.
+    pub(super) fn run_fixpoint(&mut self, staging: &mut Staging, base: Option<&Materialization>) {
         let threads = match self.strategy {
             Strategy::SemiNaiveParallel { threads } if threads >= 2 => threads.min(MAX_THREADS),
             _ => 1,
@@ -76,23 +77,23 @@ impl Materialization {
         // space return here and are reused next round.
         let mut spare: Vec<ShardTask> = Vec::new();
         let Staging { scratch, pending, profile } = staging;
-        while self.rels.iter().zip(&self.old_hi).any(|(rel, &old)| rel.num_rows() > old) {
+        while (0..self.rels.len()).any(|r| self.slots(base).rel(r).num_rows() > self.old_hi[r]) {
             self.stats.iterations += 1;
             self.extend_indexes();
-            let items = self.round_items();
+            let items = self.round_items(base);
             let mut tasks = if threads == 1 {
                 for &pass in &items {
-                    self.eval_rule(pass, scratch, pending);
+                    self.eval_rule(pass, scratch, pending, base);
                 }
                 Vec::new()
             } else {
-                self.eval_sharded(threads, &mut spare, &items)
+                self.eval_sharded(threads, &mut spare, &items, base)
             };
 
             // Merge: advance the watermarks to the current length, then
             // append this round's new tuples — they become the delta.
             for r in 0..self.rels.len() {
-                self.old_hi[r] = self.rels[r].num_rows();
+                self.old_hi[r] = self.slots(base).rel(r).num_rows();
             }
             let mut appended = self.merge_pending(pending);
             for t in &mut tasks {
@@ -112,7 +113,7 @@ impl Materialization {
     /// on the plan atom `k` leads, with atom `k` as the delta under the
     /// "last delta occurrence" convention in rule-text order. Dropped
     /// rules never fire again.
-    fn round_items(&self) -> Vec<Pass> {
+    fn round_items(&self, base: Option<&Materialization>) -> Vec<Pass> {
         let mut items = Vec::new();
         for (rule, plans) in self.plans.iter().enumerate() {
             if !self.rule_active[rule] {
@@ -120,7 +121,7 @@ impl Materialization {
             }
             for (k, &rel) in plans[0].body_rels.iter().enumerate() {
                 let rel = rel as usize;
-                if self.rels[rel].num_rows() > self.old_hi[rel] {
+                if self.slots(base).rel(rel).num_rows() > self.old_hi[rel] {
                     items.push(Pass { rule, plan: k, delta: Delta::Atom(k) });
                 }
             }
@@ -148,12 +149,13 @@ impl Materialization {
         threads: usize,
         spare: &mut Vec<ShardTask>,
         items: &[Pass],
+        base: Option<&Materialization>,
     ) -> Vec<ShardTask> {
         let shards = OVERSHARD * threads;
         let mut tasks: Vec<ShardTask> = Vec::new();
         for &pass in items {
             let plan = &self.plans[pass.rule][pass.plan];
-            let (slo, shi) = snapshot_range(&self.rels, &self.old_hi, plan, 0, pass.delta);
+            let (slo, shi) = snapshot_range(self.slots(base), plan, 0, pass.delta);
             for (si, &(lo, hi)) in shard_ranges(slo, shi, shards).iter().enumerate() {
                 // The lead shard always runs (it accounts the depth-0
                 // probe even over an empty range, exactly like the
@@ -187,6 +189,7 @@ impl Materialization {
                     &mut t.scratch,
                     &mut t.pending,
                     &mut t.counters,
+                    base,
                 );
             };
             std::thread::scope(|s| {

@@ -226,9 +226,10 @@ impl Materialization {
         pass: Pass,
         scratch: &mut Scratch,
         pending: &mut PendingTuples,
+        base: Option<&Materialization>,
     ) {
         let mut counters = Counters::default();
-        self.eval_rule_shard(pass, None, scratch, pending, &mut counters);
+        self.eval_rule_shard(pass, None, scratch, pending, &mut counters, base);
         self.stats.join_probes += counters.pre + counters.post;
         self.tc_hits += counters.tc_hits;
         self.tc_rows += counters.tc_rows;
@@ -246,21 +247,16 @@ impl Materialization {
         scratch: &mut Scratch,
         pending: &mut PendingTuples,
         counters: &mut Counters,
+        base: Option<&Materialization>,
     ) {
-        let ctx = self.join_ctx(pass.delta, shard0);
+        let ctx = JoinCtx { slots: self.slots(base), delta: pass.delta, shard0 };
         join(&self.plans[pass.rule][pass.plan], &ctx, scratch, pending, counters);
     }
 
-    /// The engine state one pass reads.
-    pub(super) fn join_ctx(&self, delta: Delta, shard0: Option<(usize, usize)>) -> JoinCtx<'_> {
-        JoinCtx {
-            rels: &self.rels,
-            idxs: &self.idxs,
-            old_hi: &self.old_hi,
-            delta,
-            shard0,
-            record: self.prov.is_some(),
-        }
+    /// The relations and indexes a pass reads: the store's own, and a
+    /// template store's external ones off its `base`.
+    pub(super) fn slots<'a>(&'a self, base: Option<&'a Materialization>) -> Slots<'a> {
+        Slots { store: self, base }
     }
 }
 
@@ -286,18 +282,43 @@ pub(super) fn join(
     }
 }
 
+/// The one table a pass reads relations and indexes through, by the
+/// store's slot ids: own slots from `store`, a template store's external
+/// ones from `base`, as the store's links map them
+/// (`materialize/template.rs`). A head relation is IDB, so always the
+/// store's own.
+#[derive(Clone, Copy)]
+pub(super) struct Slots<'a> {
+    store: &'a Materialization,
+    base: Option<&'a Materialization>,
+}
+
+impl<'a> Slots<'a> {
+    #[inline]
+    pub(super) fn rel(self, r: usize) -> &'a ColumnarRelation {
+        match (self.base, self.store.ext.rels.get(r)) {
+            (Some(base), Some(&Some(b))) => &base.rels[b as usize],
+            _ => &self.store.rels[r],
+        }
+    }
+
+    #[inline]
+    fn idx(self, i: usize) -> &'a IncrementalIndex {
+        match (self.base, self.store.ext.idxs.get(i)) {
+            (Some(base), Some(&Some(b))) => &base.idxs[b],
+            _ => &self.store.idxs[i],
+        }
+    }
+}
+
 /// Borrowed engine state for one rule-evaluation pass.
 pub(super) struct JoinCtx<'a> {
-    rels: &'a [ColumnarRelation],
-    idxs: &'a [IncrementalIndex],
-    old_hi: &'a [usize],
+    pub(super) slots: Slots<'a>,
     /// The delta atom of this pass (and with it the range convention).
-    delta: Delta,
+    pub(super) delta: Delta,
     /// Row-range restriction of the **first** join step (one shard of
     /// the parallel engine's depth-0 partition; `None` sequentially).
-    shard0: Option<(usize, usize)>,
-    /// Whether to stage justifications alongside derived tuples.
-    record: bool,
+    pub(super) shard0: Option<(usize, usize)>,
 }
 
 impl JoinCtx<'_> {
@@ -308,7 +329,7 @@ impl JoinCtx<'_> {
     fn step_range(&self, plan: &RulePlan, depth: usize) -> (usize, usize) {
         match self.shard0 {
             Some(r) if depth == 0 => r,
-            _ => snapshot_range(self.rels, self.old_hi, plan, depth, self.delta),
+            _ => snapshot_range(self.slots, plan, depth, self.delta),
         }
     }
 }
@@ -325,16 +346,15 @@ impl JoinCtx<'_> {
 /// step depth `anc(X,Z), anc(Z,Y)` — both plans delta-first — would
 /// read the old part on both sides and lose every (Δ, Δ) combination.
 pub(super) fn snapshot_range(
-    rels: &[ColumnarRelation],
-    old_hi: &[usize],
+    slots: Slots<'_>,
     plan: &RulePlan,
     depth: usize,
     delta: Delta,
 ) -> (usize, usize) {
     let step = &plan.steps[depth];
-    let rows = rels[step.rel].num_rows();
+    let rows = slots.rel(step.rel).num_rows();
     let Delta::Atom(k) = delta else { return (0, rows) };
-    let old = old_hi[step.rel];
+    let old = slots.store.old_hi[step.rel];
     match plan.body_of_step[depth].cmp(&k) {
         std::cmp::Ordering::Less => (0, rows),
         std::cmp::Ordering::Equal => (old, rows),
@@ -380,7 +400,7 @@ fn stage_head(
         let Some(slot) = scratch.staged.vacancy(&scratch.head, hash, &pending.data) else {
             return;
         };
-        if ctx.rels[plan.head_rel as usize].contains_hashed(&scratch.head, hash) {
+        if ctx.slots.store.rels[plan.head_rel as usize].contains_hashed(&scratch.head, hash) {
             return;
         }
         scratch.staged.claim(slot, hash, pending.data.len());
@@ -388,7 +408,7 @@ fn stage_head(
     pending.data.extend_from_slice(&scratch.head);
     pending.rels.push(plan.head_rel);
     pending.hash.push(hash);
-    if ctx.record {
+    if ctx.slots.store.prov.is_some() {
         // The justification, packed: this rule, then the row matched
         // for each body atom in rule-text order.
         pending.just.push(plan.rule);
@@ -423,12 +443,12 @@ fn descend(
     // counts stay identical at every thread and shard count.
     if depth == plan.head_ready_depth {
         build_head(plan, scratch);
-        if ctx.rels[plan.head_rel as usize].contains(&scratch.head) {
+        if ctx.slots.store.rels[plan.head_rel as usize].contains(&scratch.head) {
             return false;
         }
     }
     let step = &plan.steps[depth];
-    let rel = &ctx.rels[step.rel];
+    let rel = ctx.slots.rel(step.rel);
     let (lo, hi) = ctx.step_range(plan, depth);
 
     // The depth-0 probe is identical in every shard (`pre`, accounted
@@ -459,7 +479,7 @@ fn descend(
             && match_row(plan, step, rel, r, depth, ctx, scratch, pending, counters);
     }
 
-    let idx = &ctx.idxs[step.idx];
+    let idx = ctx.slots.idx(step.idx);
     // Single-column keys (one key op ⇔ one mask column) take the raw-
     // value fast path: no key buffer, no slice hash.
     let mut cur = if let &[op] = &*step.key {
@@ -549,9 +569,9 @@ fn tc_kernel(
     counters.tc_hits += 1;
     let step0 = &plan.steps[0];
     let step1 = &plan.steps[1];
-    let rel0 = &ctx.rels[step0.rel];
-    let rel1 = &ctx.rels[step1.rel];
-    let idx1 = &ctx.idxs[step1.idx];
+    let rel0 = ctx.slots.rel(step0.rel);
+    let rel1 = ctx.slots.rel(step1.rel);
+    let idx1 = ctx.slots.idx(step1.idx);
     let (lo0, hi0) = ctx.step_range(plan, 0);
     let (lo1, hi1) = ctx.step_range(plan, 1);
     // `tc_shape` guarantees exactly these shapes.

@@ -369,7 +369,9 @@ impl Server {
     ///
     /// The fast path (an up-to-date view, or a direct route) runs under
     /// the read lock and blocks no readers. Only a query that must
-    /// build or catch up a view takes the write lock.
+    /// build or catch up a view takes the write lock, for the template
+    /// store it writes (a sync only reads the base; a new template
+    /// registers its indexes on the base).
     ///
     /// A hit on a view no round has changed since it was last read is a
     /// reference count: the view keeps its last answer, and the

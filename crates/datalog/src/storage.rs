@@ -810,19 +810,12 @@ impl IncrementalIndex {
         }
     }
 
-    /// The relation id this index covers.
+    /// The relation id this index covers, fixed at creation: an index
+    /// belongs to one store, which numbers its relations (a template
+    /// store reads its base's indexes by the base's numbering).
     #[inline]
     pub fn rel(&self) -> usize {
         self.rel
-    }
-
-    /// Re-targets the index at a different relation id without touching
-    /// its contents. Used when an index object is swapped between two
-    /// engines that share the underlying relation but number it
-    /// differently (the query cache's external-relation swap); the rows
-    /// it describes must be the same on both sides.
-    pub(crate) fn set_rel(&mut self, rel: usize) {
-        self.rel = rel;
     }
 
     /// The indexed column positions.

@@ -337,6 +337,22 @@ const GUARDS: &[Guard] = &[
         example: "                    m.rels[rid].insert(t);",
         ..ROW
     },
+    // A template store reads its base: a view sync borrows the base
+    // store and reads each external relation and index in place, through
+    // the one table every pass reads its slots from. Moving the base's
+    // objects into the template store for a sync — and re-numbering an
+    // index's relation on the way — is the swap growing back.
+    Guard {
+        name: "A template store reads its base",
+        needles: &[
+            "swap_external",
+            "set_rel(",
+            "mem::swap(&mut self.rels",
+            "mem::swap(&mut self.idxs",
+        ],
+        example: "            self.idxs[vi].set_rel(vr);",
+        ..ROW
+    },
     // Membership has one CYK: `CnfGrammar::accepts` pushes the word onto
     // a `Recognizer`, whose table is one flat column-major triangle of
     // nonterminal bitsets. A per-call n × n × m table of bools is the
