@@ -15,7 +15,7 @@
 use selprop_automata::{Alphabet, Symbol};
 use selprop_datalog::ast::{Atom, Program, Rule, Term};
 use selprop_datalog::db::Database;
-use selprop_datalog::derivation::{ConvergenceProfile, Provenance};
+use selprop_datalog::{derivation::Provenance, eval::{answer, Strategy}};
 use selprop_grammar::analysis::{finiteness, Finiteness, PumpWitness};
 
 use crate::chain::ChainProgram;
@@ -96,12 +96,12 @@ fn fo_form(chain: &ChainProgram, alphabet: &Alphabet, words: &[Vec<Symbol>]) -> 
     }
 }
 
-/// Empirical side of Prop. 8.2: iterations-to-fixpoint of the semi-naive
-/// evaluation on the given databases. For a bounded program the profile
-/// length is constant; for an unbounded one it grows with the data.
+/// Empirical side of Prop. 8.2: the semi-naive stages that derive a fact
+/// on each database. For a bounded program the count is constant; for an
+/// unbounded one it grows with the data.
 pub fn convergence_iterations(chain: &ChainProgram, dbs: &[Database]) -> Vec<usize> {
     dbs.iter()
-        .map(|db| ConvergenceProfile::measure(&chain.program, db).iterations())
+        .map(|db| answer(&chain.program, db, Strategy::SemiNaive).1.iterations - 1)
         .collect()
 }
 
@@ -123,7 +123,6 @@ pub fn derivation_heights(chain: &ChainProgram, dbs: &[Database]) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use selprop_datalog::eval::{answer, Strategy};
 
     fn chain_db(program: &mut Program, n: usize) -> Database {
         let edb = program.edb_predicates()[0];

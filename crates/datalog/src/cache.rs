@@ -60,6 +60,12 @@
 //! that would need a new view after the last goes direct too. Answers
 //! are therefore always exact; the cache only changes *cost*.
 //!
+//! Whether a predicate is IDB, and at what arity, is read off the base
+//! store on every route — a scan of its IDB relations, nothing hashed
+//! or allocated — so the cache keeps no list of its own: a fresh cache,
+//! a restored store and a hot-swapped rule route alike from the first
+//! lookup on.
+//!
 //! # Coherence
 //!
 //! Every [`Materialization::apply`] bumps the base's update-round
@@ -89,10 +95,8 @@
 //! store's (rule slots, active rules) pair with the one it last saw:
 //! slots are never reused and a dropped rule never returns, so the pair
 //! moves with every rule change, whoever made it. A moved pair drops
-//! the templates — the next bound query recompiles — and re-reads the
-//! IDB predicates routing goes by. The program a cache is created with
-//! supplies the IDB list until the store has been looked at, and
-//! nothing else.
+//! the templates — the next bound query recompiles. The program a cache
+//! is created with is not read.
 //!
 //! # Answers
 //!
@@ -468,9 +472,6 @@ fn tag_template(tpl: &mut MagicTemplate) {
 /// [`QueryCache::disabled`].
 #[derive(Default)]
 pub struct QueryCache {
-    /// The base's IDB predicates and their arities — the goals that can
-    /// get a view. Re-read from the store whenever `seen_rules` moves.
-    idb: Vec<(Pred, usize)>,
     /// The base's (rule slots, active rules) at the last validation;
     /// `(0, 0)` before the first.
     seen_rules: (usize, usize),
@@ -500,47 +501,25 @@ pub struct QueryCache {
 }
 
 impl QueryCache {
-    /// A cache with default eviction limits for a base store built from
-    /// `program`. The rules are read from the store (see the module docs,
-    /// "Coherence"): `program` need not list them all, or only them.
+    /// A cache with default eviction limits. `program` is not read:
+    /// rules and IDB predicates are read off the store (module docs,
+    /// "Routing" and "Coherence").
     pub fn new(program: &Program) -> Self {
         Self::with_config(program, CacheConfig::default())
     }
 
-    /// A cache with explicit eviction limits. Of `program` it reads the
-    /// IDB predicates, which route goals until the cache first looks at
-    /// a store, and keeps nothing: names the caller interns into
-    /// `program` afterwards stay the caller's own.
-    pub fn with_config(program: &Program, config: CacheConfig) -> Self {
-        let mut idb: Vec<(Pred, usize)> = Vec::new();
-        for head in program.rules.iter().map(|r| &r.head) {
-            if !idb.iter().any(|&(p, _)| p == head.pred) {
-                idb.push((head.pred, head.arity()));
-            }
-        }
-        Self { idb, config, ..Self::default() }
+    /// A cache with explicit eviction limits. `program` is not read.
+    pub fn with_config(_program: &Program, config: CacheConfig) -> Self {
+        Self { config, ..Self::default() }
     }
 
-    /// An empty cache with default eviction limits that has not looked
-    /// at a store yet: its first query reads the rules off the store,
-    /// and views follow as for any other cache. The name outlived the
+    /// An empty cache with default eviction limits, as
+    /// [`QueryCache::new`] makes for any program. The name outlived the
     /// state it named — a cache that never cached, for a store whose
     /// names were not known — because callers still use it as a
-    /// placeholder; templates need no names any more.
+    /// placeholder; templates need no names and routing no program.
     pub fn disabled() -> Self {
         Self::default()
-    }
-
-    /// Drops every template and its views, as a rule change does, and
-    /// reconciles with `base`. Tags go on counting, so a snapshot pinned
-    /// before the call takes no view built after it for its own. On an
-    /// empty cache this is how the serving layer arms it: the store's
-    /// rules are read at once — reads go through [`QueryCache::lookup`],
-    /// which cannot, so a first bound query would otherwise be routed
-    /// direct until some write made the cache look.
-    pub(crate) fn start_over(&mut self, base: &Materialization) {
-        self.clear_views();
-        self.validate(base);
     }
 
     /// Current counters (see [`CacheStats`]).
@@ -636,7 +615,7 @@ impl QueryCache {
     pub(crate) fn serve(&mut self, base: &mut Materialization, goal: &Atom) -> Relation {
         self.validate(base);
         let mut buf = [Const(0); MAX_ARITY];
-        if let Some((tkey, consts)) = self.route(goal, &mut buf) {
+        if let Some((tkey, consts)) = Self::route(base, goal, &mut buf) {
             if self.ensure_view(base, goal.arity(), tkey, consts).is_some() {
                 // Answer before evicting: under `max_views: 0` even the
                 // view just built is dropped again.
@@ -658,7 +637,7 @@ impl QueryCache {
     /// sync) is needed.
     pub fn lookup(&self, base: &Materialization, goal: &Atom) -> Option<Relation> {
         let mut buf = [Const(0); MAX_ARITY];
-        let Some((tkey, consts)) = self.route(goal, &mut buf) else {
+        let Some((tkey, consts)) = Self::route(base, goal, &mut buf) else {
             self.direct.fetch_add(1, Ordering::Relaxed);
             return Some(base.answer_goal(goal));
         };
@@ -810,7 +789,7 @@ impl QueryCache {
         epoch: u64,
     ) -> Relation {
         let mut buf = [Const(0); MAX_ARITY];
-        if let Some((tkey, consts)) = self.route(goal, &mut buf) {
+        if let Some((tkey, consts)) = Self::route(base, goal, &mut buf) {
             let pinned = self.view(tkey, consts).filter(|(_, v)| v.seed[0].0 < pins.before);
             if let (Some((t, v)), Some(&frontier)) = (pinned, pins.frontiers.get(&tkey)) {
                 if v.changed_epoch <= epoch {
@@ -840,12 +819,12 @@ impl QueryCache {
 
     /// Reconciles cached state with the base store's observable shape.
     /// Tiers: a rule change (module docs, "Coherence") makes every
-    /// template stale — drop them and re-read the IDB list; a version
-    /// that went *backwards* means a different (e.g. restored) store
-    /// whose row ids and index slots we never saw — clear everything; a
-    /// compaction remapped base row ids that the template stores'
-    /// justifications reference — drop the views and empty the stores
-    /// (the compiled templates survive: they hold no row ids); and a
+    /// template stale — drop them; a version that went *backwards*
+    /// means a different (e.g. restored) store whose row ids and index
+    /// slots we never saw — clear everything; a compaction remapped
+    /// base row ids that the template stores' justifications reference
+    /// — drop the views and empty the stores (the compiled templates
+    /// survive: they hold no row ids); and a
     /// template that missed a base round which retracted rows no longer
     /// knows which of its rows died — drop its views and empty its store
     /// the same way. A view's memoised answer goes with the view in
@@ -854,7 +833,6 @@ impl QueryCache {
         let rules = base.rule_shape();
         if rules != self.seen_rules {
             self.seen_rules = rules;
-            self.idb = base.idb_arities();
             self.clear_views();
         } else if base.version() < self.seen_version {
             self.clear_views();
@@ -875,31 +853,33 @@ impl QueryCache {
         self.seen_compactions = base.compactions();
     }
 
-    /// Forgets every template, and its views with it.
-    fn clear_views(&mut self) {
+    /// Forgets every template, and its views with it — as a rule change
+    /// does; the next bound query of each goal compiles its template
+    /// again. Tags go on counting, so a snapshot pinned before the call
+    /// takes no view built after it for its own.
+    pub(crate) fn clear_views(&mut self) {
         if !self.templates.is_empty() {
             self.invalidations += 1;
         }
         self.templates.clear();
     }
 
-    /// Classifies a goal. Only IDB goals with at least one bound
-    /// position, all of whose bound positions are constants, get views
-    /// — `Some` of the template and, collected into `buf`, the bound
-    /// constants in positional order; everything else — EDB/untracked
-    /// predicates, goals of another arity than their predicate's (which
-    /// match no fact, and must never compile a template), all-free
-    /// patterns, repeated-variable bindings (their seed would need
-    /// domain enumeration), more than [`MAX_ARITY`] arguments — filters
-    /// the base model directly.
+    /// Classifies a goal. Only goals on an IDB predicate of `base`,
+    /// with at least one bound position, all of whose bound positions
+    /// are constants, get views — `Some` of the template and, collected
+    /// into `buf`, the bound constants in positional order; everything
+    /// else — EDB/untracked predicates, goals of another arity than
+    /// their predicate's (which match no fact, and must never compile a
+    /// template), all-free patterns, repeated-variable bindings (their
+    /// seed would need domain enumeration), more than [`MAX_ARITY`]
+    /// arguments — filters the base model directly.
     /// Nothing is allocated: a view is looked up by the borrowed key.
     fn route<'a>(
-        &self,
+        base: &Materialization,
         goal: &Atom,
         buf: &'a mut [Const; MAX_ARITY],
     ) -> Option<(TemplateKey, &'a [Const])> {
-        let arity = self.idb.iter().find(|&&(p, _)| p == goal.pred).map(|&(_, a)| a);
-        if arity != Some(goal.arity()) || goal.arity() > MAX_ARITY {
+        if base.idb_arity(goal.pred) != Some(goal.arity()) || goal.arity() > MAX_ARITY {
             return None;
         }
         let mut bound = 0u64;
@@ -1409,6 +1389,26 @@ mod tests {
         edb.insert(par, edges[11].clone());
         assert_eq!(cache.query(&mut restored, &goal).sorted(), oracle(&p, &goal, &edb));
         assert_eq!(shape(&cache), (1, 2, 1), "maintained from there on");
+    }
+
+    /// Routing reads the store, not a list the cache was given: a cache
+    /// made with no program sends a bound goal on one of the store's IDB
+    /// predicates to the slow path from its first lookup, and that
+    /// query builds a view.
+    #[test]
+    fn a_cache_routes_by_its_store_from_the_first_lookup() {
+        let mut p = parse_program(SRC).unwrap();
+        let par = p.symbols.get_predicate("par").unwrap();
+        let mut edb = Database::new();
+        for e in chain(&mut p, 5) {
+            edb.insert(par, e);
+        }
+        let mut base = Materialization::from_database(&p, &edb, Strategy::SemiNaive);
+        let mut cache = QueryCache::disabled();
+        assert!(cache.lookup(&base, &p.goal).is_none(), "a view to build, not a direct answer");
+        assert_eq!(cache.query(&mut base, &p.goal).sorted(), base.answer().sorted());
+        let s = cache.stats();
+        assert_eq!((s.misses, s.direct, s.views), (1, 0, 1));
     }
 
     /// A sync joins through the base's indexes and extends none of them,

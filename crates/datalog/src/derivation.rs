@@ -1,13 +1,13 @@
-//! Derivation trees and convergence profiling.
+//! Derivation trees.
 //!
 //! Section 2.1 of the paper gives the operational semantics of Datalog via
 //! derivation trees: a ground atom is in the minimum model iff it has a
 //! tree whose leaves are database facts and whose internal nodes are rule
-//! instantiations. This module exposes one such tree per derived fact,
-//! and measures the **convergence profile** (new facts per iteration)
-//! used by the boundedness experiments: a program is bounded w.r.t. its
-//! goal iff derivation-tree size — equivalently, iterations to fixpoint —
-//! is bounded independently of the database (Section 8).
+//! instantiations. This module exposes one such tree per derived fact.
+//! A program is bounded w.r.t. its goal iff derivation-tree size —
+//! equivalently, iterations to fixpoint, which
+//! [`crate::eval::EvalStats::iterations`] counts — is bounded
+//! independently of the database (Section 8).
 //!
 //! # Provenance at scale
 //!
@@ -39,8 +39,8 @@
 //! [`crate::reference::Provenance`]; the equivalence suite checks both
 //! and asserts they derive the same facts.
 
-use crate::ast::{Pred, Program};
-use crate::db::{Database, Tuple};
+use crate::ast::Pred;
+use crate::db::Tuple;
 pub use crate::materialize::provenance::Provenance;
 use std::ops::Range;
 
@@ -101,54 +101,12 @@ impl DerivationTree {
     }
 }
 
-/// The convergence profile of a program on a database: `new_facts[i]` is
-/// the number of facts first derived at iteration `i+1` of the semi-naive
-/// fixpoint; `iterations` is its length. Prop. 8.2: for a chain program,
-/// the profile length is bounded independently of the input iff `L(H)` is
-/// finite.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ConvergenceProfile {
-    /// New facts per iteration.
-    pub new_facts: Vec<u64>,
-}
-
-impl ConvergenceProfile {
-    /// Measures the profile in one semi-naive run: the engine's watermark
-    /// deltas *are* the per-stage new-fact counts. Semi-naive with the
-    /// last-delta-occurrence convention is stage-exact — iteration `k`
-    /// derives precisely the facts first derivable at stage `k` of the
-    /// immediate-consequence operator — so this equals the naive
-    /// round-by-round count without re-running rounds against snapshots.
-    pub fn measure(program: &Program, db: &Database) -> ConvergenceProfile {
-        Self::measure_with(program, db, crate::eval::Strategy::SemiNaive)
-    }
-
-    /// [`ConvergenceProfile::measure`] with an explicit strategy, so the
-    /// thread count of [`crate::eval::Strategy::SemiNaiveParallel`] can
-    /// flow through. The parallel engine's per-iteration deltas are
-    /// identical to the sequential engine's, so the measured profile
-    /// does not depend on the thread count.
-    pub fn measure_with(
-        program: &Program,
-        db: &Database,
-        strategy: crate::eval::Strategy,
-    ) -> ConvergenceProfile {
-        ConvergenceProfile {
-            new_facts: crate::eval::seminaive_profile(program, db, strategy),
-        }
-    }
-
-    /// Number of iterations to fixpoint.
-    pub fn iterations(&self) -> usize {
-        self.new_facts.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::Const;
-    use crate::eval::{evaluate_with_provenance, Strategy};
+    use crate::ast::{Const, Program};
+    use crate::db::Database;
+    use crate::eval::{answer, evaluate_with_provenance, Strategy};
     use crate::parser::parse_program;
 
     fn setup(n: usize) -> (Program, Database) {
@@ -338,12 +296,12 @@ mod tests {
     #[test]
     fn convergence_profile_grows_with_chain() {
         let (p, db) = setup(6);
-        let prof = ConvergenceProfile::measure(&p, &db);
-        // transitive closure of a 6-chain: 6 rounds of new facts
-        assert_eq!(prof.iterations(), 6);
-        let total: u64 = prof.new_facts.iter().sum();
+        let stats = answer(&p, &db, Strategy::SemiNaive).1;
+        // transitive closure of a 6-chain: 6 rounds of new facts, then
+        // the empty one
+        assert_eq!(stats.iterations - 1, 6);
         // all anc pairs on a 6-chain: 6+5+4+3+2+1 = 21
-        assert_eq!(total, 21);
+        assert_eq!(stats.tuples_derived, 21);
     }
 
     #[test]
@@ -363,8 +321,8 @@ mod tests {
                 db.insert(par, vec![prev, c]);
                 prev = c;
             }
-            let prof = ConvergenceProfile::measure(&p, &db);
-            assert_eq!(prof.iterations(), 1, "nonrecursive program is bounded");
+            let stages = answer(&p, &db, Strategy::SemiNaive).1.iterations - 1;
+            assert_eq!(stages, 1, "nonrecursive program is bounded");
         }
     }
 }

@@ -88,7 +88,11 @@ pub enum Strategy {
 /// Work counters accumulated during evaluation.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EvalStats {
-    /// Number of fixpoint iterations until convergence.
+    /// Number of fixpoint iterations until convergence, the final empty
+    /// one included. Semi-naive rounds are stage-exact — round `k`
+    /// derives precisely the facts first derivable at stage `k` — so a
+    /// batch build's `iterations - 1` is the number of stages that
+    /// derive a fact: Section 8's boundedness measure.
     pub iterations: usize,
     /// Productive firings: head rows appended at a round's merge (or
     /// restored by a DRed rescue); re-deriving a stored row is not one.
@@ -136,7 +140,7 @@ pub fn evaluate_cfg(
     strategy: Strategy,
     order: OrderMode,
 ) -> EvalResult {
-    Materialization::batch(program, db, strategy, false, order).0.into_result()
+    Materialization::batch(program, db, strategy, false, order).into_result()
 }
 
 /// Evaluates and applies the goal: the answer relation (arity = number of
@@ -146,7 +150,7 @@ pub fn evaluate_cfg(
 /// [`Database`]: the goal's selection/projection runs directly over the
 /// columnar rows of the goal predicate.
 pub fn answer(program: &Program, db: &Database, strategy: Strategy) -> (Relation, EvalStats) {
-    let m = Materialization::batch(program, db, strategy, false, OrderMode::Planned).0;
+    let m = Materialization::batch(program, db, strategy, false, OrderMode::Planned);
     (m.goal_answer(&program.goal), m.stats())
 }
 
@@ -189,7 +193,7 @@ pub fn evaluate_with_provenance_cfg(
     strategy: Strategy,
     order: OrderMode,
 ) -> Provenance {
-    Provenance::new(Materialization::batch(program, db, strategy, true, order).0)
+    Provenance::new(Materialization::batch(program, db, strategy, true, order))
 }
 
 // ---------------------------------------------------------------------
@@ -274,16 +278,6 @@ pub fn apply_goal(goal: &Atom, rel: &Relation) -> Relation {
         return Relation::new(nvars);
     }
     select_project(&ops, nvars, rel.iter().map(Vec::as_slice))
-}
-
-/// Semi-naive convergence profile: new facts per productive iteration
-/// (the executable form of Section 8's boundedness measure). Stage-exact:
-/// iteration `k` derives precisely the facts first derivable at stage `k`
-/// of the immediate-consequence operator, so this equals the naive
-/// round-by-round count at a fraction of the cost. The parallel engine
-/// produces the same per-stage deltas as the sequential one.
-pub(crate) fn seminaive_profile(program: &Program, db: &Database, strategy: Strategy) -> Vec<u64> {
-    Materialization::batch(program, db, strategy, false, OrderMode::Planned).1
 }
 
 #[cfg(test)]
@@ -625,10 +619,6 @@ mod tests {
         let (par_ans, par_stats) = answer(&p, &db, Strategy::SemiNaiveParallel { threads: 3 });
         assert_eq!(par_ans.sorted(), seq_ans.sorted());
         assert_eq!(par_stats, seq_stats);
-        assert_eq!(
-            seminaive_profile(&p, &db, Strategy::SemiNaive),
-            seminaive_profile(&p, &db, Strategy::SemiNaiveParallel { threads: 3 }),
-        );
     }
 
     #[test]

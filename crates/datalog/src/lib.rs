@@ -60,10 +60,11 @@
 //!   the engine. One loop yields the model, the goal answer and one
 //!   first-found justification per fact ([`reference::Provenance`], the
 //!   spec for the engine's recorded justifications);
-//! - [`derivation`] — the operational semantics: derivation trees and
-//!   convergence profiles (the executable form of boundedness,
-//!   Section 8). [`eval::evaluate_with_provenance`] records one
-//!   first-found justification (rule + body row ids) per derived row
+//! - [`derivation`] — the operational semantics: derivation trees
+//!   (boundedness, Section 8, is counted in a build's
+//!   [`eval::EvalStats::iterations`]).
+//!   [`eval::evaluate_with_provenance`] records one first-found
+//!   justification (rule + body row ids) per derived row
 //!   inside the columnar join — deterministic at every thread and shard
 //!   count — and [`derivation::Provenance`], a read-only view that holds
 //!   the recording store and reads its rows, justifications and rule

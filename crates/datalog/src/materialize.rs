@@ -416,7 +416,7 @@ impl Materialization {
     /// [`crate::eval::evaluate`] — then stands ready to absorb updates.
     /// Justifications are recorded, so retraction is available.
     pub fn from_database(program: &Program, db: &Database, strategy: Strategy) -> Self {
-        Self::batch(program, db, strategy, true, OrderMode::Planned).0
+        Self::batch(program, db, strategy, true, OrderMode::Planned)
     }
 
     /// [`Materialization::from_database`] under an explicit
@@ -429,7 +429,7 @@ impl Materialization {
         strategy: Strategy,
         order: OrderMode,
     ) -> Self {
-        Self::batch(program, db, strategy, true, order).0
+        Self::batch(program, db, strategy, true, order)
     }
 
     /// The batch entry point the thin `eval` wrappers use: `record`
@@ -437,21 +437,19 @@ impl Materialization {
     /// callers immediately read the result out and drop the state).
     /// The build is the store's first update round: the loaded EDB is
     /// settled, every rule is seeded as an added one is, and the resume
-    /// runs every later round exactly as an update's. Returns the store
-    /// and the build's convergence profile — the rows each productive
-    /// round appended, in order — which no store keeps.
+    /// runs every later round exactly as an update's.
     pub(crate) fn batch(
         program: &Program,
         db: &Database,
         strategy: Strategy,
         record: bool,
         order: OrderMode,
-    ) -> (Self, Vec<u64>) {
+    ) -> Self {
         let mut m = Self::build(program, db, strategy, record, order, None);
         let mut staging = Staging::default();
         m.seed_rules(0, &mut staging);
         m.run_fixpoint(&mut staging, None);
-        (m, staging.profile)
+        m
     }
 
     /// The one store every other starts from — a build's, a template
@@ -566,11 +564,12 @@ impl Materialization {
         self.idb_rels.iter().map(|&r| self.pred_of_rel[r as usize]).collect()
     }
 
-    /// The program's IDB predicates with their relations' arities, as
-    /// the query cache routes goals by them.
-    pub(crate) fn idb_arities(&self) -> Vec<(Pred, usize)> {
-        let arity = |r: u32| self.rels[r as usize].arity();
-        self.idb_rels.iter().map(|&r| (self.pred_of_rel[r as usize], arity(r))).collect()
+    /// The arity of `pred`'s relation if `pred` is one of the program's
+    /// IDB predicates, as the query cache routes goals by it: a scan of
+    /// the IDB relations, which hashes and allocates nothing.
+    pub(crate) fn idb_arity(&self, pred: Pred) -> Option<usize> {
+        let r = *self.idb_rels.iter().find(|&&r| self.pred_of_rel[r as usize] == pred)?;
+        Some(self.rels[r as usize].arity())
     }
 
     /// Compiles the plans of every rule slot that has none yet (all of

@@ -20,13 +20,10 @@ use std::sync::Mutex;
 /// The scratch space and staging buffer of the passes that run inline,
 /// shared by the rounds of one build or update, its seeding round
 /// included: they keep the capacity the largest round grew them to.
-/// Also the rows each productive round appended, in order: a build
-/// returns them as its convergence profile, an update drops them.
 #[derive(Default)]
 pub(super) struct Staging {
     scratch: Scratch,
     pending: PendingTuples,
-    pub(super) profile: Vec<u64>,
 }
 
 impl Materialization {
@@ -38,7 +35,7 @@ impl Materialization {
     pub(super) fn seed_rules(&mut self, from: usize, staging: &mut Staging) {
         self.stats.iterations += 1;
         self.extend_indexes();
-        let Staging { scratch, pending, profile } = staging;
+        let Staging { scratch, pending } = staging;
         for rule in from..self.plans.len() {
             let mut live = |p: Pred| self.rels[self.rel_of_pred[&p] as usize].num_live() as u64;
             let plan = match seed_atom(&self.rules[rule], &mut live) {
@@ -48,10 +45,7 @@ impl Materialization {
             };
             self.eval_rule(Pass { rule, plan, delta: Delta::Full }, scratch, pending, None);
         }
-        let appended = self.merge_pending(pending);
-        if appended > 0 {
-            profile.push(appended);
-        }
+        self.merge_pending(pending);
     }
 
     /// Runs rounds to fixpoint: while a relation holds rows above its
@@ -76,7 +70,7 @@ impl Materialization {
         // Recycled task slots: merged-out staging buffers and scratch
         // space return here and are reused next round.
         let mut spare: Vec<ShardTask> = Vec::new();
-        let Staging { scratch, pending, profile } = staging;
+        let Staging { scratch, pending } = staging;
         while (0..self.rels.len()).any(|r| self.slots(base).rel(r).num_rows() > self.old_hi[r]) {
             self.stats.iterations += 1;
             self.extend_indexes();
@@ -95,14 +89,11 @@ impl Materialization {
             for r in 0..self.rels.len() {
                 self.old_hi[r] = self.slots(base).rel(r).num_rows();
             }
-            let mut appended = self.merge_pending(pending);
+            self.merge_pending(pending);
             for t in &mut tasks {
-                appended += self.merge_pending(&mut t.pending);
+                self.merge_pending(&mut t.pending);
             }
             spare.append(&mut tasks);
-            if appended > 0 {
-                profile.push(appended);
-            }
         }
     }
 
@@ -211,8 +202,8 @@ impl Materialization {
     }
 
     /// Merges one staging buffer into the relations, deduplicating;
-    /// returns how many rows were actually appended, each one productive
-    /// rule firing and derived tuple of [`crate::eval::EvalStats`]. With
+    /// each row actually appended counts as one productive rule firing
+    /// and derived tuple of [`crate::eval::EvalStats`]. With
     /// provenance recording on, the staged justification of each tuple
     /// that actually inserts (the first staged copy in merge order) is
     /// appended to the head relation's justification store, and one
@@ -221,7 +212,7 @@ impl Materialization {
     /// enters the store here — a round's, a seeding round's, a DRed
     /// rescue's; `compact` and `build_rev_index` only rebuild what it
     /// appended.
-    pub(super) fn merge_pending(&mut self, pending: &mut PendingTuples) -> u64 {
+    pub(super) fn merge_pending(&mut self, pending: &mut PendingTuples) {
         let Self { rels, prov, rev, plans, stats, .. } = self;
         // Pre-size each target's dedup table from the staged count (an
         // upper bound on what actually appends), so the batch never
@@ -268,6 +259,5 @@ impl Materialization {
         pending.clear();
         stats.rule_firings += appended;
         stats.tuples_derived += appended;
-        appended
     }
 }

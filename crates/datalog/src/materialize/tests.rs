@@ -298,23 +298,6 @@ fn insert_resumes_instead_of_recomputing() {
     m.provenance().check(&p).expect("justifications stay valid");
 }
 
-/// The convergence profile is the build's: a recording build and the
-/// one-shot build behind `seminaive_profile` hand back the same rows per
-/// productive round, and no store keeps it.
-#[test]
-fn update_rounds_leave_the_build_profile_alone() {
-    let mut p = parse_program(SRC_A).unwrap();
-    let par = p.symbols.get_predicate("par").unwrap();
-    let edges = chain_edges(&mut p, 8);
-    let mut db = Database::new();
-    for e in &edges[..4] {
-        db.insert(par, e.clone());
-    }
-    let built = Materialization::batch(&p, &db, Strategy::SemiNaive, true, OrderMode::Planned).1;
-    assert_eq!(built, crate::eval::seminaive_profile(&p, &db, Strategy::SemiNaive));
-    assert_eq!(built.iter().sum::<u64>(), 4 * 5 / 2, "every anc row of the build");
-}
-
 #[test]
 fn insert_on_idb_or_unknown_predicates_is_a_noop() {
     let mut p = parse_program(SRC_A).unwrap();
@@ -1323,7 +1306,7 @@ fn a_build_leaves_the_edb_dedup_tables_to_the_first_write() {
         edb.filter(|&r| m.rels[r].num_rows() > 0).collect()
     };
     let planned = OrderMode::Planned;
-    let (batch, _) = Materialization::batch(&p, &db, Strategy::SemiNaive, false, planned);
+    let batch = Materialization::batch(&p, &db, Strategy::SemiNaive, false, planned);
     let mut m = Materialization::from_database(&p, &db, Strategy::SemiNaive);
     for m in [&batch, &m] {
         assert!(!loaded(m).is_empty());
@@ -1403,7 +1386,7 @@ fn a_one_shot_store_builds_through_the_plans_a_recording_store_does() {
     let db = dense_db(&mut magic);
     let [b1, b2] = ["b1", "b2"].map(|n| magic.symbols.get_predicate(n).unwrap());
     let one_shot =
-        Materialization::batch(&magic, &db, Strategy::SemiNaive, false, OrderMode::Planned).0;
+        Materialization::batch(&magic, &db, Strategy::SemiNaive, false, OrderMode::Planned);
     let recording = Materialization::from_database(&magic, &db, Strategy::SemiNaive);
     assert!(one_shot.rederive.is_empty());
     let mut expected = registry(&one_shot);
@@ -1434,7 +1417,7 @@ fn a_store_registers_its_rescue_index_at_construction() {
     for e in &edges {
         db.insert(par, e.clone());
     }
-    let one_shot = Materialization::batch(&p, &db, Strategy::SemiNaive, false, OrderMode::Planned).0;
+    let one_shot = Materialization::batch(&p, &db, Strategy::SemiNaive, false, OrderMode::Planned);
     let mut m = Materialization::from_database(&p, &db, Strategy::SemiNaive);
     assert_eq!(registry_beyond(&m, &one_shot), [(m.rel_of_pred[&par] as usize, vec![1])]);
     let (keys, before) = (registry(&m), m.planner_report().index_rows);

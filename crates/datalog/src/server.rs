@@ -193,18 +193,18 @@ impl Server {
 
     /// Serves `program` materialized over `db`: runs the initial batch
     /// fixpoint (epoch 0), then stands ready for readers and rounds.
-    /// The query cache is armed from the start.
+    /// The query cache routes by the store's IDB predicates from the
+    /// first query on.
     pub fn from_database(program: &Program, db: &Database, strategy: Strategy) -> Self {
         Self::serving(Materialization::from_database(program, db, strategy))
     }
 
-    /// Serves `store` at its epoch, with the query cache armed.
+    /// Serves `store` at its epoch, with an empty query cache: it reads
+    /// all it needs off the store, so there is nothing to set up.
     fn serving(store: Materialization) -> Self {
-        let mut cache = QueryCache::default();
-        cache.start_over(&store);
         Self {
             shared: Arc::new(Shared {
-                state: RwLock::new(ServerState { store, cache }),
+                state: RwLock::new(ServerState { store, cache: QueryCache::default() }),
                 epochs: Mutex::default(),
             }),
         }
@@ -229,10 +229,10 @@ impl Server {
     /// epoch a new reader can pin.
     ///
     /// The query cache is built as [`Server::from_database`] builds it:
-    /// it reads the store's rules at once, so the first bound query —
-    /// on any predicate the store holds as IDB, hot-swapped ones
-    /// included — already gets a view. Views are derived state and were
-    /// not persisted; each is rebuilt by its first query.
+    /// it routes by the IDB predicates the store holds, so the first
+    /// bound query — on any of them, hot-swapped ones included —
+    /// already gets a view. Views are derived state and were not
+    /// persisted; each is rebuilt by its first query.
     pub fn restore<P: AsRef<Path>>(path: P) -> Result<Self, PersistError> {
         Ok(Self::serving(Materialization::restore(path)?))
     }
@@ -245,9 +245,7 @@ impl Server {
     /// the parameter stays for the callers written when a restored
     /// server's cache waited for it.
     pub fn enable_query_cache(&self, _program: &Program) {
-        let mut state = self.shared.write();
-        let ServerState { store, cache } = &mut *state;
-        cache.start_over(store);
+        self.shared.write().cache.clear_views();
     }
 
     /// The query cache's observability counters.

@@ -353,6 +353,25 @@ const GUARDS: &[Guard] = &[
         example: "            self.idxs[vi].set_rel(vr);",
         ..ROW
     },
+    // Read off the store: the query cache routes a goal by asking the
+    // base store whether its predicate is IDB, and Section 8's stage
+    // count is a build's `EvalStats::iterations` less one. A cache-side
+    // IDB list (and the arming that filled it) or a per-round profile
+    // carried out of a build is a second copy of what the store knows.
+    Guard {
+        name: "Read off the store",
+        paths: &["crates/datalog/src", "crates/core/src"],
+        needles: &[
+            "idb_arities",
+            "fn start_over",
+            "idb: Vec<(Pred, usize)>",
+            "seminaive_profile",
+            "ConvergenceProfile",
+            "profile: Vec<u64>",
+        ],
+        example: "    idb: Vec<(Pred, usize)>,",
+        ..ROW
+    },
     // Membership has one CYK: `CnfGrammar::accepts` pushes the word onto
     // a `Recognizer`, whose table is one flat column-major triangle of
     // nonterminal bitsets. A per-call n × n × m table of bools is the
