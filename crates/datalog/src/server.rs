@@ -1125,6 +1125,56 @@ mod tests {
         );
     }
 
+    /// The memos a view keeps, step by step: the answers built so far and
+    /// the words they hold next to the template store's. `V` is
+    /// `anc(john, Y)` and `W` is `anc(c3, Y)` over a nine-node chain; a
+    /// memo of `n` tuples holds `5n` words (a constant, a `Vec` header and
+    /// a set slot a tuple).
+    #[test]
+    fn the_memo_ledger_through_two_pins() {
+        let mut p = parse_program(SRC).unwrap();
+        let par = p.symbols.get_predicate("par").unwrap();
+        let edges = chain(&mut p, 8);
+        let (v, mut w) = (p.goal.clone(), p.goal.clone());
+        w.args[0] = Term::Const(edges[3][0]);
+        let server = Server::new(&p, Strategy::SemiNaive);
+        server.apply(&UpdateRound::new().insert_all(par, &edges));
+        let ledger = |builds: u64, memo_tuples: &[usize], step: &str| {
+            let stores = server.shared.read().cache.store_words();
+            assert_eq!(server.cache_answer_builds(), builds, "{step}: answers built");
+            let memos: usize = memo_tuples.iter().map(|n| 5 * n).sum();
+            assert_eq!(server.cache_view_words(), stores + memos, "{step}: words held");
+        };
+        assert_eq!((server.query(&v).len(), server.query(&w).len()), (8, 5));
+        ledger(2, &[8, 5], "both views read");
+
+        // Cut c6 → c7: V drops to 6 tuples, W to 3. The round builds and
+        // frees nothing.
+        let first = server.snapshot();
+        server.apply(&UpdateRound::new().retract_all(par, &edges[6..7]));
+        ledger(2, &[8, 5], "a round changed both");
+        assert_eq!(server.query(&v).len(), 6);
+        ledger(3, &[6, 8, 5], "V read live: its displaced memo is kept for the pin");
+        assert_eq!(first.query(&v).len(), 8);
+        ledger(3, &[6, 8, 5], "V read pinned: the kept memo");
+
+        // W is still unread, so no memo covers a pin taken now. Mend the
+        // cut: both views change again.
+        let second = server.snapshot();
+        server.apply(&UpdateRound::new().insert_all(par, &edges[6..7]));
+        ledger(3, &[6, 8, 5], "a round changed both again");
+        assert_eq!(second.query(&w).len(), 3);
+        ledger(4, &[6, 8, 5, 3], "W read pinned: one answer at the frontier, kept");
+        assert_eq!(second.query(&w).len(), 3);
+        ledger(4, &[6, 8, 5, 3], "W read pinned again: the kept memo");
+
+        // No pin is left: the next live read of V frees V's closed memos.
+        drop((first, second));
+        ledger(4, &[6, 8, 5, 3], "the unpins looked at no view");
+        assert_eq!(server.query(&v).len(), 8);
+        ledger(5, &[8, 5, 3], "V read live: its kept memos released");
+    }
+
     #[test]
     fn rule_changes_rebuild_cached_views() {
         let mut p = parse_program(SRC).unwrap();
