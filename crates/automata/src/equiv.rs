@@ -10,7 +10,7 @@
 //! validation of every rewrite the propagation engine produces, and the
 //! `Language(φ) = L(H)` checks of the WS1S experiments (Lemma 5.1).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::alphabet::Symbol;
 use crate::dfa::Dfa;
@@ -80,31 +80,6 @@ pub fn equivalent_hk(a: &Dfa, b: &Dfa) -> bool {
     true
 }
 
-/// Memoized two-way inclusion testing for batches of pairs; useful in the
-/// containment experiments (E10) where many grammar-derived DFAs are
-/// compared pairwise.
-#[derive(Default)]
-pub struct InclusionCache {
-    cache: HashMap<(usize, usize), bool>,
-}
-
-impl InclusionCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Tests `L(dfas[i]) ⊆ L(dfas[j])`, memoizing on the index pair.
-    pub fn included(&mut self, dfas: &[Dfa], i: usize, j: usize) -> bool {
-        if let Some(&r) = self.cache.get(&(i, j)) {
-            return r;
-        }
-        let r = included(&dfas[i], &dfas[j]);
-        self.cache.insert((i, j), r);
-        r
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,17 +144,5 @@ mod tests {
         let d2 = Dfa::from_nfa(&Nfa::from_word(al, &[a, a]));
         assert!(!equivalent_hk(&d1, &d2));
         assert!(!equivalent(&d1, &d2));
-    }
-
-    #[test]
-    fn inclusion_cache_memoizes() {
-        let (al, a, _) = setup();
-        let d1 = Dfa::from_nfa(&Nfa::from_word(al.clone(), &[a]));
-        let d2 = Dfa::from_nfa(&Nfa::from_word(al, &[a]).star());
-        let dfas = vec![d1, d2];
-        let mut cache = InclusionCache::new();
-        assert!(cache.included(&dfas, 0, 1));
-        assert!(cache.included(&dfas, 0, 1));
-        assert!(!cache.included(&dfas, 1, 0));
     }
 }

@@ -35,7 +35,8 @@ impl Materialization {
     ///    ones included — justifications index rule slots) as head atom +
     ///    body atoms.
     /// 4. **Rule activity** — one `u8` per slot (0 = dropped).
-    /// 5. **Counters** — serving epoch, compactions (`u64` each).
+    /// 5. **Counters** — serving epoch, compactions (`u64` each). An
+    ///    epoch of `u64::MAX` is [`PersistError::Corrupt`].
     /// 6. **EvalStats** — iterations, rule firings, tuples derived, join
     ///    probes (`u64` each).
     /// 7. **Compaction policy** — presence `u8`, then `min_dead_rows u64`,
@@ -210,6 +211,10 @@ impl Materialization {
             rule_active.push(d.u8()? != 0);
         }
         let epoch = d.u64()?;
+        // A server's next round publishes `epoch + 1`.
+        if epoch == u64::MAX {
+            return Err(PersistError::Corrupt("serving epoch at its ceiling"));
+        }
         let compactions = d.u64()?;
         let stats = EvalStats {
             iterations: d.usize()?,
@@ -242,10 +247,6 @@ impl Materialization {
         let mut pred_of_rel: Vec<Pred> = Vec::with_capacity(nrels);
         let mut rel_of_pred: FxHashMap<Pred, u32> = FxHashMap::default();
         let mut idb_flag: Vec<bool> = Vec::with_capacity(nrels);
-        // Relation ids of IDB predicates, in increasing order — matching
-        // construction, where IDB relations are interned first and added
-        // rules only ever append.
-        let mut idb_rels: Vec<u32> = Vec::new();
         let mut bufs: Vec<Vec<u32>> = Vec::with_capacity(nrels);
         for rid in 0..nrels32 {
             let pred = Pred(d.u32()?);
@@ -288,9 +289,6 @@ impl Materialization {
             rels.push(rel);
             pred_of_rel.push(pred);
             idb_flag.push(idb);
-            if idb {
-                idb_rels.push(rid);
-            }
             bufs.push(d.u32s()?);
         }
         d.finish()?;
@@ -386,7 +384,6 @@ impl Materialization {
 
         let mut m = Self {
             rels,
-            idb_rels,
             idb_flag,
             pred_of_rel,
             rel_of_pred,

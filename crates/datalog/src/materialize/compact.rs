@@ -142,8 +142,7 @@ impl Materialization {
         // row ids, because the remap is order-preserving.
         if let Some(prov) = &mut self.prov {
             let mut body_scratch: Vec<u32> = Vec::new();
-            for &hrel in &self.idb_rels {
-                let hrel = hrel as usize;
+            for hrel in (0..self.rels.len()).filter(|&r| self.idb_flag[r]) {
                 let old = std::mem::take(&mut prov[hrel]);
                 let mut new = RelJust::default();
                 for (hrow, (rule, body)) in old.entries().enumerate() {

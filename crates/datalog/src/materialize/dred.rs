@@ -262,7 +262,7 @@ impl Materialization {
             runs: Vec::new(),
             stale: 0,
         };
-        for &hrel in &self.idb_rels {
+        for hrel in self.idb_rels() {
             let rel = &self.rels[hrel as usize];
             for hrow in rel.row_ids(..) {
                 if !rel.is_live(hrow) {

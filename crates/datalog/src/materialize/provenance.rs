@@ -71,7 +71,7 @@ impl Provenance {
 
     /// The program's IDB relations, by relation id.
     fn idb_rels(&self) -> impl Iterator<Item = (usize, &ColumnarRelation)> {
-        self.store.idb_rels.iter().map(|&r| (r as usize, &self.store.rels[r as usize]))
+        self.store.idb_rels().map(|r| (r as usize, &self.store.rels[r as usize]))
     }
 
     /// Locates an atom in the row store.

@@ -1302,7 +1302,7 @@ fn a_build_leaves_the_edb_dedup_tables_to_the_first_write() {
     let mut p = parse_program(SRC_S7).unwrap();
     let db = dense_db(&mut p);
     let loaded = |m: &Materialization| -> Vec<usize> {
-        let edb = (0..m.rels.len()).filter(|r| !m.idb_rels.contains(&(*r as u32)));
+        let edb = (0..m.rels.len()).filter(|&r| !m.idb_flag[r]);
         edb.filter(|&r| m.rels[r].num_rows() > 0).collect()
     };
     let planned = OrderMode::Planned;

@@ -383,6 +383,24 @@ const GUARDS: &[Guard] = &[
         example: "    let mut table = vec![vec![vec![false; m]; n]; n];",
         ..ROW
     },
+    // A view keeps its answers in one list, the open memo first, and one
+    // rule says which closed ones stay: a snapshot is pinned in their
+    // interval. A current slot beside a retained list, a reader that
+    // keeps the memo it displaces by a test of its own, or a wrapper
+    // around `answer_tag` is the second copy of that rule growing back.
+    Guard {
+        name: "A view keeps its answers in one list",
+        paths: &["crates/datalog/src/cache.rs"],
+        needles: &[
+            "struct Memos",
+            "memos.retained",
+            "memos.current",
+            "fn replace(",
+            "fn read(&self, view",
+        ],
+        example: "struct Memos {",
+        ..ROW
+    },
 ];
 
 /// Whether `line` holds `needle`, followed by no identifier character

@@ -383,6 +383,45 @@ fn assert_refused(forged: &[u8], what: &str, tag: &str) {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A server's next round publishes its store's epoch plus one, so a
+/// snapshot whose epoch is `u64::MAX` restored to a server whose first
+/// round overflowed: a panic under the write lock in the dev profile,
+/// which poisoned it for every later call, and in release an epoch
+/// wrapped to 0, whose tombstones a reader pinned at `u64::MAX` took for
+/// rows dead before its pin. The decoder refuses that epoch, through
+/// `from_bytes` and `Server::restore` alike. Two saves around an empty
+/// round differ in the epoch word and the checksum alone, which locates
+/// the field.
+#[test]
+fn an_epoch_at_the_ceiling_is_refused_as_corrupt() {
+    let mut p = parse_program(SRC).unwrap();
+    let par = p.symbols.get_predicate("par").unwrap();
+    let server = Server::new(&p, Strategy::SemiNaive);
+    server.apply(&UpdateRound::new().insert_all(par, &chain_edges(&mut p, 4)));
+    let dir = scratch_dir("epoch");
+    let path = dir.join("served.snap");
+    let save = || {
+        server.save(&path).unwrap();
+        std::fs::read(&path).unwrap()
+    };
+    let before = save();
+    server.apply(&UpdateRound::new());
+    let after = save();
+    std::fs::remove_dir_all(&dir).ok();
+
+    assert_eq!(before.len(), after.len());
+    let differ: Vec<usize> = (0..before.len()).filter(|&i| before[i] != after[i]).collect();
+    let at = differ[0];
+    let word = |bytes: &[u8]| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+    assert_eq!((word(&before), word(&after)), (1, 2), "the epoch, one round on");
+    let checksum = before.len() - 8;
+    assert!(differ.iter().all(|&i| i < at + 8 || i >= checksum), "{differ:?}");
+
+    let mut forged = after;
+    forged[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+    assert_refused(&forged, "serving epoch at its ceiling", "epoch");
+}
+
 /// A goal is read over its predicate's relation, so the decoder refuses
 /// a goal atom of another arity — here the golden snapshot's
 /// `anc(john, Y)` given a third argument — through `from_bytes` and
