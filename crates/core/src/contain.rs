@@ -17,6 +17,7 @@
 use selprop_automata::equiv;
 use selprop_automata::minimize::minimize;
 use selprop_grammar::analysis::{finiteness, words_up_to, Finiteness};
+use selprop_grammar::cfg::Cfg;
 use selprop_grammar::cnf::CnfGrammar;
 use selprop_grammar::regular::approximate;
 
@@ -45,45 +46,7 @@ pub fn contained(h1: &ChainProgram, h2: &ChainProgram, search_len: usize) -> Con
         g1.alphabet, g2.alphabet,
         "containment requires a shared EDB alphabet"
     );
-    // decidable: L1 finite — check each word
-    if let Finiteness::Finite(words) = finiteness(&g1) {
-        let cnf2 = CnfGrammar::from_cfg(&g2);
-        for w in words {
-            if !cnf2.accepts(&w) {
-                return Containment::NotContained(w);
-            }
-        }
-        return Containment::Contained;
-    }
-    // decidable: both compile exactly to DFAs
-    let a1 = approximate(&g1);
-    let a2 = approximate(&g2);
-    if a1.exact && a2.exact {
-        let d1 = minimize(&a1.dfa());
-        let d2 = minimize(&a2.dfa());
-        // inclusion via difference emptiness, with a shortest witness
-        return match d1.difference(&d2).find_accepted_word() {
-            None => Containment::Contained,
-            Some(w) => Containment::NotContained(w),
-        };
-    }
-    // sound refutation: L1-words up to the bound not in L2
-    let cnf2 = CnfGrammar::from_cfg(&g2);
-    for w in words_up_to(&g1, search_len) {
-        if !cnf2.accepts(&w) {
-            return Containment::NotContained(w);
-        }
-    }
-    // one-sided decidable case: envelope of g1 inside an exact g2
-    if a2.exact {
-        let d2 = minimize(&a2.dfa());
-        let env1 = minimize(&a1.dfa());
-        if equiv::included(&env1, &d2) {
-            // L1 ⊆ R(H1) ⊆ L2
-            return Containment::Contained;
-        }
-    }
-    Containment::Unknown
+    cfg_contained(&g1, &g2, search_len)
 }
 
 /// Equivalence via two containments.
@@ -94,6 +57,42 @@ pub fn equivalent(h1: &ChainProgram, h2: &ChainProgram, search_len: usize) -> Co
     }
 }
 
+/// Tests `L(G1) ⊆ L(G2)` over a shared alphabet: the decidable
+/// fragments exactly, then a bounded refutation search, then the one
+/// one-sided certificate; `Unknown` if none decides.
+fn cfg_contained(g1: &Cfg, g2: &Cfg, search_len: usize) -> Containment {
+    // decidable: L1 finite — check each word
+    if let Finiteness::Finite(words) = finiteness(g1) {
+        let cnf2 = CnfGrammar::from_cfg(g2);
+        return match words.into_iter().find(|w| !cnf2.accepts(w)) {
+            None => Containment::Contained,
+            Some(w) => Containment::NotContained(w),
+        };
+    }
+    // decidable: both compile exactly to DFAs
+    let a1 = approximate(g1);
+    let a2 = approximate(g2);
+    if a1.exact && a2.exact {
+        let d1 = minimize(&a1.dfa());
+        let d2 = minimize(&a2.dfa());
+        // inclusion via difference emptiness, with a shortest witness
+        return match d1.difference(&d2).find_accepted_word() {
+            None => Containment::Contained,
+            Some(w) => Containment::NotContained(w),
+        };
+    }
+    // sound refutation: L1-words up to the bound not in L2
+    let cnf2 = CnfGrammar::from_cfg(g2);
+    if let Some(w) = words_up_to(g1, search_len).into_iter().find(|w| !cnf2.accepts(w)) {
+        return Containment::NotContained(w);
+    }
+    // one-sided decidable case: envelope of g1 inside an exact g2
+    // (L1 ⊆ R(G1) ⊆ L2)
+    if a2.exact && equiv::included(&minimize(&a1.dfa()), &minimize(&a2.dfa())) {
+        return Containment::Contained;
+    }
+    Containment::Unknown
+}
 
 /// The Prop. 8.1 reduction object: containment of **uniform** chain
 /// programs is interreducible with containment of *sentential-form
@@ -115,40 +114,7 @@ pub fn sentential_contained(
         s1.alphabet, s2.alphabet,
         "sentential comparison requires equal EDBs and equally named IDBs"
     );
-    // decidable fragments on the sentential-form grammars
-    if let Finiteness::Finite(words) = finiteness(&s1) {
-        let cnf2 = CnfGrammar::from_cfg(&s2);
-        for w in words {
-            if !cnf2.accepts(&w) {
-                return Containment::NotContained(w);
-            }
-        }
-        return Containment::Contained;
-    }
-    let a1 = approximate(&s1);
-    let a2 = approximate(&s2);
-    if a1.exact && a2.exact {
-        let d1 = minimize(&a1.dfa());
-        let d2 = minimize(&a2.dfa());
-        return match d1.difference(&d2).find_accepted_word() {
-            None => Containment::Contained,
-            Some(w) => Containment::NotContained(w),
-        };
-    }
-    let cnf2 = CnfGrammar::from_cfg(&s2);
-    for w in words_up_to(&s1, search_len) {
-        if !cnf2.accepts(&w) {
-            return Containment::NotContained(w);
-        }
-    }
-    if a2.exact {
-        let env1 = minimize(&a1.dfa());
-        let d2 = minimize(&a2.dfa());
-        if equiv::included(&env1, &d2) {
-            return Containment::Contained;
-        }
-    }
-    Containment::Unknown
+    cfg_contained(&s1, &s2, search_len)
 }
 
 /// Whether the chain program is **uniform**: every IDB `p` has a

@@ -69,20 +69,22 @@
 //! # Coherence
 //!
 //! Every [`Materialization::apply`] bumps the base's update-round
-//! `version`. A template store answers from cache only while its synced
-//! version matches; otherwise the next query (or the serving layer's
-//! write round) runs one catch-up sync for the whole template. A sync
-//! exactly one round behind — every sync of a [`crate::server::Server`]
-//! — takes its deletion seeds from the rows that round retracted. A
-//! standalone cache queried every few rounds may miss rounds: over
-//! insert-only rounds it just catches up, but a template that missed a
-//! round which retracted rows no longer knows which of its rows died,
-//! so its views are dropped and its store emptied — the next query of
-//! each view builds it again. Base compactions and restores remap or
-//! forget row ids that the template stores' justifications and index
-//! links reference, so they empty the stores too (the compiled
-//! templates survive a compaction or a missed round — they hold no row
-//! ids).
+//! `version`. A template store answers from cache only while it is at
+//! the base's version; otherwise the next query of one of its views (or
+//! the serving layer's write round) runs one catch-up sync for the
+//! whole template, and the store decides what that sync does
+//! (`materialize/template.rs`). One round behind — every sync of a
+//! [`crate::server::Server`] — it seeds its deletion walk from the rows
+//! that round retracted; behind insert-only rounds it just catches up.
+//! A store that missed a retracting round, or is behind a compaction of
+//! the base (whose row ids its justifications hold), notices at that
+//! sync: it empties itself and starts over, and only its template's
+//! views go — the next query of each builds it again. Until then a view
+//! answers from its own rows, which a base compaction does not move
+//! (under a server, the round after the compaction syncs). A restored
+//! base starts its version at 0: a version that went backwards drops
+//! every template (the compiled templates survive a compaction or a
+//! missed round — they hold no row ids).
 //!
 //! The cache keeps no copy of the rules, and no names. A template is
 //! compiled from the rules the base store holds at that moment, by id —
@@ -218,7 +220,8 @@ pub struct CacheStats {
     pub misses: u64,
     /// Catch-up syncs run, one per stale template: by a query that
     /// found its view's template behind the base, or by the serving
-    /// layer's write round.
+    /// layer's write round. One that starts its store over, or builds a
+    /// view (a miss), is not counted.
     pub syncs: u64,
     /// Queries routed to base-store filtering (all-free patterns, EDB
     /// predicates, repeated-variable bindings, and goals that would need
@@ -226,9 +229,9 @@ pub struct CacheStats {
     pub direct: u64,
     /// Views dropped by LRU/size pressure.
     pub evictions: u64,
-    /// Times the live views were cleared, all of them or a template's:
-    /// by a base-store shape change (compaction, restore, rule change),
-    /// or because a template missed a base round that retracted rows.
+    /// Times live views were cleared: all of them, by a rule change or a
+    /// restored base, or one template's, whose store started over at a
+    /// sync after a base compaction or a missed retracting round.
     pub invalidations: u64,
     /// Magic templates compiled — one per (predicate, binding pattern),
     /// however many constant vectors instantiate it (the memoization
@@ -268,11 +271,6 @@ struct Template {
     /// through: on the tag column, then the goal's bound positions —
     /// the columns of a seed row, in order.
     goal_idx: usize,
-    /// `base.version()` the store last synced at.
-    synced_version: u64,
-    /// `base.edb_retracts()` at last sync — moved, while the store lags
-    /// by more than one round, means it missed a retracting round.
-    synced_retracts: u64,
     /// The live views, by their bound constants in positional order —
     /// a seed row without its tag, and the key columns (tag dropped)
     /// under which `goal_idx` files a view's rows.
@@ -299,8 +297,6 @@ impl Template {
             seed_pred: tpl.seed_pred,
             store,
             goal_idx,
-            synced_version: base.version(),
-            synced_retracts: base.edb_retracts(),
             views: FxHashMap::default(),
         })
     }
@@ -311,14 +307,24 @@ impl Template {
     /// (module docs, "Answers"): it reads the key of each goal-relation
     /// row it appended or killed and touches nothing else of any view.
     /// The rows it kills carry `epoch`, that of the server round it runs in.
-    fn catch_up(&mut self, base: &Materialization, seed: Option<&[Const]>, epoch: Option<u64>) {
-        debug_assert!(!self.missed_a_retraction(base), "validate starts such a store over");
-        let last_round = self.synced_version.wrapping_add(1) == base.version();
+    /// Returns `false` if the store started over instead: its views go
+    /// with its rows, counted in `invalidations` if there were any.
+    fn catch_up(
+        &mut self,
+        base: &Materialization,
+        seed: Option<&[Const]>,
+        epoch: Option<u64>,
+        invalidations: &mut u64,
+    ) -> bool {
         let seed = seed.map(|row| (self.seed_pred, row));
         let rows_before = self.store.index_frontier(self.goal_idx);
-        let killed = self.store.sync_external(base, seed, last_round, epoch);
-        self.synced_version = base.version();
-        self.synced_retracts = base.edb_retracts();
+        let Some(killed) = self.store.sync_external(base, seed, epoch) else {
+            if !self.views.is_empty() {
+                self.views.clear();
+                *invalidations += 1;
+            }
+            return false;
+        };
         let (views, published) = (&mut self.views, base.epoch());
         self.store.for_each_touched_key(self.goal_idx, rows_before, &killed, |key| {
             // A view's answer is the rows filed under its whole seed
@@ -337,27 +343,7 @@ impl Template {
                 v.changed_epoch = published;
             }
         });
-    }
-
-    /// Whether the store missed a base round that retracted rows: it lags
-    /// by more than one round, and the base's retraction count moved.
-    /// Which rows died in between is not recorded, so it cannot catch
-    /// up.
-    fn missed_a_retraction(&self, base: &Materialization) -> bool {
-        self.synced_retracts != base.edb_retracts()
-            && self.synced_version.wrapping_add(1) != base.version()
-    }
-
-    /// Starts the store over after a base compaction — the base row ids
-    /// its justifications hold have moved — or when it missed a
-    /// retracting round. The compiled plans hold no row ids, and the
-    /// base relation and index slots the links name survive either, so
-    /// only the rows — and the views that were made of them — go.
-    fn reset(&mut self, base: &Materialization) {
-        self.views.clear();
-        self.store.clear_rows(base);
-        self.synced_version = base.version();
-        self.synced_retracts = base.edb_retracts();
+        true
     }
 }
 
@@ -471,7 +457,6 @@ pub struct QueryCache {
     /// a displaced memo is kept while one of them lies in its interval.
     pinned_epochs: Vec<u64>,
     seen_version: u64,
-    seen_compactions: u64,
     /// The next view's tag (cache-wide, so that tags order views by
     /// age); `u32::MAX` once every tag is spent.
     next_tag: u32,
@@ -630,7 +615,7 @@ impl QueryCache {
         let (t, v) = self.view(tkey, consts)?;
         // A version that went backwards means a different store (e.g.
         // restored); hand off to the slow path's validate.
-        if base.version() < self.seen_version || t.synced_version != base.version() {
+        if base.version() < self.seen_version || !t.store.at_base_version(base) {
             return None;
         }
         v.touch(&self.clock);
@@ -696,8 +681,9 @@ impl QueryCache {
     pub(crate) fn sync_all(&mut self, base: &Materialization, epoch: u64) {
         self.validate(base);
         for t in self.templates.values_mut().flatten() {
-            if t.synced_version != base.version() {
-                t.catch_up(base, None, Some(epoch));
+            if !t.store.at_base_version(base)
+                && t.catch_up(base, None, Some(epoch), &mut self.invalidations)
+            {
                 self.syncs += 1;
             }
         }
@@ -788,40 +774,17 @@ impl QueryCache {
     // Internals
     // -----------------------------------------------------------------
 
-    /// Reconciles cached state with the base store's observable shape.
-    /// Tiers: a rule change (module docs, "Coherence") makes every
-    /// template stale — drop them; a version that went *backwards*
-    /// means a different (e.g. restored) store whose row ids and index
-    /// slots we never saw — clear everything; a compaction remapped
-    /// base row ids that the template stores' justifications reference
-    /// — drop the views and empty the stores (the compiled templates
-    /// survive: they hold no row ids); and a
-    /// template that missed a base round which retracted rows no longer
-    /// knows which of its rows died — drop its views and empty its store
-    /// the same way. A view's memoised answer goes with the view in
-    /// every tier.
+    /// Drops every template, and each view's memos, when the base's rules
+    /// changed (module docs, "Coherence") or its version went *backwards*:
+    /// another store (e.g. restored), whose row ids the templates never
+    /// saw. Each template store meets a compaction at its own next sync.
     fn validate(&mut self, base: &Materialization) {
         let rules = base.rule_shape();
-        if rules != self.seen_rules {
+        if rules != self.seen_rules || base.version() < self.seen_version {
             self.seen_rules = rules;
             self.clear_views();
-        } else if base.version() < self.seen_version {
-            self.clear_views();
-        } else {
-            let compacted = base.compactions() != self.seen_compactions;
-            let mut live = false;
-            for t in self.templates.values_mut().flatten() {
-                if compacted || t.missed_a_retraction(base) {
-                    live |= !t.views.is_empty();
-                    t.reset(base);
-                }
-            }
-            if live {
-                self.invalidations += 1;
-            }
         }
         self.seen_version = base.version();
-        self.seen_compactions = base.compactions();
     }
 
     /// Forgets every template, and its views with it — as a rule change
@@ -897,14 +860,16 @@ impl QueryCache {
         }
         let t = self.templates.get_mut(&tkey)?.as_mut()?;
         if t.views.contains_key(consts) {
-            if t.synced_version != base.version() {
-                t.catch_up(base, None, None);
-                self.syncs += 1;
-            } else {
+            if t.store.at_base_version(base) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
+            } else if t.catch_up(base, None, None, &mut self.invalidations) {
+                self.syncs += 1;
             }
-            t.views[consts].touch(&self.clock);
-            return Some(());
+            // A store that started over took the view with it.
+            if let Some(v) = t.views.get(consts) {
+                v.touch(&self.clock);
+                return Some(());
+            }
         }
         // A new view is a fresh tag: one seed row, and the update
         // fixpoint it sets off (which also catches a stale store up).
@@ -913,7 +878,7 @@ impl QueryCache {
         let tag = Const(self.next_tag);
         self.next_tag = self.next_tag.checked_add(1)?;
         let seed: Vec<Const> = std::iter::once(tag).chain(consts.iter().copied()).collect();
-        t.catch_up(base, Some(&seed), None);
+        t.catch_up(base, Some(&seed), None, &mut self.invalidations);
         let view = CachedView {
             seed,
             last_used: AtomicU64::new(0),
@@ -1407,7 +1372,7 @@ mod tests {
         cache.query(&mut base, &p.goal);
         let restored = Materialization::from_bytes(&base.to_bytes()).unwrap();
         for t in cache.templates.values_mut().flatten() {
-            t.store.sync_external(&restored, None, false, None);
+            t.store.sync_external(&restored, None, None);
         }
     }
 

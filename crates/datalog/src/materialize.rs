@@ -371,8 +371,8 @@ pub struct Materialization {
     /// links into this store are stale.
     version: u64,
     /// Cumulative count of EDB rows actually retracted (runtime-only).
-    /// Tells the query cache whether a template store that missed rounds
-    /// missed a retraction.
+    /// Tells a template store that missed rounds whether it missed a
+    /// retraction.
     edb_retracts: u64,
     /// The EDB rows the last [`Materialization::apply`] tombstoned, as
     /// `(relation, row)` (runtime-only): what a template store one
@@ -1128,12 +1128,6 @@ impl Materialization {
     /// runtime-only, so a restored store restarts at 0).
     pub fn version(&self) -> u64 {
         self.version
-    }
-
-    /// Cumulative EDB rows actually retracted over this store's lifetime
-    /// (runtime-only, like [`Materialization::version`]).
-    pub fn edb_retracts(&self) -> u64 {
-        self.edb_retracts
     }
 
     /// Rows the deletion walks of this store have read so far to find

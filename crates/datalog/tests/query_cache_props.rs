@@ -837,7 +837,7 @@ fn pinned_script(
 
     let mut pins: VecDeque<Pin> = VecDeque::new();
     let (mut live, mut drops, mut changes) = ([false; 3], 0u64, 0u64);
-    // A base compaction drops the views at the cache's next validation,
+    // A base compaction drops the views at their template's next sync,
     // which the next round runs for certain; until then no query is
     // known to leave a view behind.
     let mut compactions = server.compactions();

@@ -401,6 +401,24 @@ const GUARDS: &[Guard] = &[
         example: "struct Memos {",
         ..ROW
     },
+    // A template store decides its own catch-up: it keeps the base's
+    // counts as of its last sync and works out whether to seed its walk,
+    // resume or start over. Stamps of the base in the cache, a per-template
+    // tier in `validate` or a flag telling the sync what round it is in
+    // is that decision split over two modules again.
+    Guard {
+        name: "A template store decides its own catch-up",
+        paths: &["crates/datalog/src/cache.rs", "crates/datalog/src/materialize/template.rs"],
+        needles: &[
+            "synced_version",
+            "synced_retracts",
+            "seen_compactions",
+            "fn missed_a_retraction",
+            "last_round: bool",
+        ],
+        example: "    synced_version: u64,",
+        ..ROW
+    },
 ];
 
 /// Whether `line` holds `needle`, followed by no identifier character

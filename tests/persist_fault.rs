@@ -388,10 +388,14 @@ fn assert_refused(forged: &[u8], what: &str, tag: &str) {
 /// round overflowed: a panic under the write lock in the dev profile,
 /// which poisoned it for every later call, and in release an epoch
 /// wrapped to 0, whose tombstones a reader pinned at `u64::MAX` took for
-/// rows dead before its pin. The decoder refuses that epoch, through
+/// rows dead before its pin. One at `u64::MAX - 1` published the open
+/// memo's epoch, so a view its first round changed kept serving the
+/// answer from before it; and the compaction count and the four
+/// `EvalStats` words, which every round adds to, overflowed the same
+/// way. The decoder refuses each of the six at or above 2^63, through
 /// `from_bytes` and `Server::restore` alike. Two saves around an empty
 /// round differ in the epoch word and the checksum alone, which locates
-/// the field.
+/// the field; the five counter words follow it, in codec order.
 #[test]
 fn an_epoch_at_the_ceiling_is_refused_as_corrupt() {
     let mut p = parse_program(SRC).unwrap();
@@ -417,9 +421,20 @@ fn an_epoch_at_the_ceiling_is_refused_as_corrupt() {
     let checksum = before.len() - 8;
     assert!(differ.iter().all(|&i| i < at + 8 || i >= checksum), "{differ:?}");
 
-    let mut forged = after;
-    forged[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-    assert_refused(&forged, "serving epoch at its ceiling", "epoch");
+    let forge = |word: usize, value: u64| {
+        let mut forged = after.clone();
+        forged[at + 8 * word..at + 8 * word + 8].copy_from_slice(&value.to_le_bytes());
+        forged
+    };
+    for epoch in [u64::MAX, u64::MAX - 1, 1 << 63] {
+        assert_refused(&forge(0, epoch), "serving epoch at its ceiling", "epoch");
+    }
+    for word in 1..=5 {
+        assert_refused(&forge(word, 1 << 63), "counter at its ceiling", "counter");
+    }
+    let version = u32::from_le_bytes(after[8..12].try_into().unwrap());
+    let below = restamped(&forge(0, (1 << 63) - 1), version);
+    assert!(Materialization::from_bytes(&below).is_ok(), "the last epoch below the bound");
 }
 
 /// A goal is read over its predicate's relation, so the decoder refuses
