@@ -1333,6 +1333,98 @@ mod tests {
         assert_eq!(shape(&cache), (1, 2, 1), "maintained from there on");
     }
 
+    /// What a rule add, a rule drop and a restored base cost two
+    /// templates, `anc(john, Y)` and `anc(X, c3)`, each with a live view:
+    /// after each event both goals are asked through the write path, which
+    /// builds each view again, and then through the read path, a hit.
+    /// Each template dropped for another base counts one invalidation.
+    #[test]
+    fn two_templates_through_a_rule_add_a_rule_drop_and_a_restore() {
+        let mut p = parse_program(SRC).unwrap();
+        let par = p.symbols.get_predicate("par").unwrap();
+        let anc = p.symbols.get_predicate("anc").unwrap();
+        let mut edb = Database::new();
+        for e in chain(&mut p, 6) {
+            edb.insert(par, e);
+        }
+        let mut base = Materialization::from_database(&p, &edb, Strategy::SemiNaive);
+        let mut cache = QueryCache::new(&p);
+        let c3 = Term::Const(p.symbols.constant("c3"));
+        let goals = [p.goal.clone(), Atom::new(anc, vec![Term::Var(p.symbols.variable("X")), c3])];
+        let ask = |cache: &mut QueryCache, base: &mut Materialization| {
+            for goal in &goals {
+                let want = base.answer_goal(goal).sorted();
+                assert_eq!(cache.query(base, goal).sorted(), want);
+                assert_eq!(cache.lookup(base, goal).map(|a| a.sorted()), Some(want));
+            }
+        };
+        let stats = |hits, misses, invalidations, template_compiles| CacheStats {
+            hits,
+            misses,
+            syncs: 0,
+            direct: 0,
+            evictions: 0,
+            invalidations,
+            template_compiles,
+            views: 2,
+        };
+        ask(&mut cache, &mut base);
+        assert_eq!(cache.stats(), stats(2, 2, 0, 2), "two templates, a view each");
+
+        let [s, t, u] = ["S", "T", "U"].map(|n| Term::Var(p.symbols.variable(n)));
+        let up = Rule::new(
+            Atom::new(anc, vec![s, t]),
+            vec![Atom::new(par, vec![u, s]), Atom::new(anc, vec![u, t])],
+        );
+        let id = base.apply(&UpdateRound::new().add_rule(up)).first_rule;
+        ask(&mut cache, &mut base);
+        assert_eq!(cache.stats(), stats(4, 4, 1, 4), "a rule add");
+
+        assert_eq!(base.apply(&UpdateRound::new().drop_rule(id)).rules_dropped, 1);
+        ask(&mut cache, &mut base);
+        assert_eq!(cache.stats(), stats(6, 6, 2, 6), "a rule drop");
+
+        let mut restored = Materialization::from_bytes(&base.to_bytes()).unwrap();
+        assert!(base.version() > restored.version());
+        ask(&mut cache, &mut restored);
+        assert_eq!(cache.stats(), stats(8, 8, 3, 8), "a restored base");
+    }
+
+    /// A pattern whose template fails to compile goes direct, and is
+    /// tried again after the next rule change and not before. With both
+    /// rules dropped `anc` stays IDB, so `anc(john, Y)` routes to a view,
+    /// but the magic rewrite finds no rule heading it.
+    #[test]
+    fn a_failed_compile_is_retried_after_a_rule_change() {
+        let mut p = parse_program(SRC).unwrap();
+        let par = p.symbols.get_predicate("par").unwrap();
+        let mut edb = Database::new();
+        for e in chain(&mut p, 5) {
+            edb.insert(par, e);
+        }
+        let mut base = Materialization::from_database(&p, &edb, Strategy::SemiNaive);
+        let mut cache = QueryCache::new(&p);
+        let goal = p.goal.clone();
+        let counts = |cache: &QueryCache| {
+            let s = cache.stats();
+            (s.direct, s.template_compiles, s.misses, s.hits)
+        };
+        let drops = UpdateRound::new().drop_rule(RuleId(0)).drop_rule(RuleId(1));
+        assert_eq!(base.apply(&drops).rules_dropped, 2);
+        for direct in 1..=2 {
+            assert_eq!(cache.query(&mut base, &goal).len(), 0);
+            assert_eq!(counts(&cache), (direct, 0, 0, 0), "no template, and no view");
+            assert_eq!((cache.templates.len(), cache.stores().count()), (1, 0), "one failure kept");
+        }
+
+        let adds = UpdateRound::new().add_rule(p.rules[0].clone()).add_rule(p.rules[1].clone());
+        base.apply(&adds);
+        assert_eq!(cache.query(&mut base, &goal).len(), 5);
+        assert_eq!(counts(&cache), (2, 1, 1, 0), "compiled under the new rules");
+        assert_eq!(cache.query(&mut base, &goal).len(), 5);
+        assert_eq!(counts(&cache), (2, 1, 1, 1));
+    }
+
     /// Routing reads the store, not a list the cache was given: a cache
     /// made with no program sends a bound goal on one of the store's IDB
     /// predicates to the slow path from its first lookup, and that
