@@ -68,23 +68,35 @@
 //!
 //! # Coherence
 //!
-//! Every [`Materialization::apply`] bumps the base's update-round
-//! `version`. A template store answers from cache only while it is at
-//! the base's version; otherwise the next query of one of its views (or
-//! the serving layer's write round) runs one catch-up sync for the
-//! whole template, and the store decides what that sync does
-//! (`materialize/template.rs`). One round behind — every sync of a
+//! The cache keeps no mark of its base; each template store keeps its
+//! own (`materialize/template.rs`): the base's rule shape, its (rule
+//! slots, active rules) pair, at the compile, and its round, EDB
+//! retraction and compaction counts at the last sync. Every
+//! [`Materialization::apply`], a rule change too, bumps the base's
+//! `version`, so a hit makes one compare, the store's round with the
+//! base's. Anything else goes the slow way, where (as in a server's
+//! write round) a store behind its base is either stale or foreign.
+//!
+//! A **stale** store, behind the base's rounds under its own rules, is
+//! caught up by one sync for the whole template, and the store decides
+//! what that sync does. One round behind — every sync of a
 //! [`crate::server::Server`] — it seeds its deletion walk from the rows
 //! that round retracted; behind insert-only rounds it just catches up.
-//! A store that missed a retracting round, or is behind a compaction of
-//! the base (whose row ids its justifications hold), notices at that
-//! sync: it empties itself and starts over, and only its template's
-//! views go — the next query of each builds it again. Until then a view
-//! answers from its own rows, which a base compaction does not move
-//! (under a server, the round after the compaction syncs). A restored
-//! base starts its version at 0: a version that went backwards drops
-//! every template (the compiled templates survive a compaction or a
-//! missed round — they hold no row ids).
+//! Behind a retracting round it missed, or a compaction of the base
+//! (whose row ids its justifications hold), it empties itself and starts
+//! over, and only its template's views go; the next query of each builds
+//! it again. Until then a view answers from its own rows, which a base
+//! compaction does not move (under a server, the round after it syncs).
+//!
+//! A **foreign** store was compiled for another base: the rule shape
+//! moved (slots are never reused and a dropped rule never returns), or
+//! the base's version is below the store's mark, as a restored store's
+//! is. Every slow-path query and every round drops each foreign template
+//! — all of them: a restored store climbs back to an old template's
+//! round, and from there on nothing tells the two apart — and the next
+//! bound query of its pattern compiles it again, as it retries a failed
+//! compile once the rule shape moves. Reading the shape scans the rule
+//! slots: once a query or round, never on a hit.
 //!
 //! The cache keeps no copy of the rules, and no names. A template is
 //! compiled from the rules the base store holds at that moment, by id —
@@ -93,12 +105,7 @@
 //! take ids past every one the store uses, from a name table of the
 //! template's own (`materialize/template.rs`). So a store restored from
 //! a snapshot, which persists its rules by id and no name, gets views
-//! like any other. Every entry point that may write compares the
-//! store's (rule slots, active rules) pair with the one it last saw:
-//! slots are never reused and a dropped rule never returns, so the pair
-//! moves with every rule change, whoever made it. A moved pair drops
-//! the templates — the next bound query recompiles. The program a cache
-//! is created with is not read.
+//! like any other. The program a cache is created with is not read.
 //!
 //! # Answers
 //!
@@ -183,7 +190,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use crate::ast::{Atom, Const, Pred, Program, Rule, Term};
+use crate::ast::{Atom, Const, Pred, Program, Term};
 use crate::db::Relation;
 use crate::eval::EvalStats;
 use crate::hash::FxHashMap;
@@ -229,9 +236,9 @@ pub struct CacheStats {
     pub direct: u64,
     /// Views dropped by LRU/size pressure.
     pub evictions: u64,
-    /// Times live views were cleared: all of them, by a rule change or a
-    /// restored base, or one template's, whose store started over at a
-    /// sync after a base compaction or a missed retracting round.
+    /// Templates dropped for another base (rule change, restore), views or
+    /// not; stores that started over with live views (base compaction,
+    /// missed retracting round); caches emptied by `enable_query_cache`.
     pub invalidations: u64,
     /// Magic templates compiled — one per (predicate, binding pattern),
     /// however many constant vectors instantiate it (the memoization
@@ -278,27 +285,27 @@ struct Template {
 }
 
 impl Template {
-    /// Builds the (empty) store of the tagged template `tpl` for binding
-    /// pattern `bound` and links it to `base`; `None` if the template
-    /// does not fit the base store. `untagged` are the template's rules
-    /// as [`magic_template`] wrote them, which the planner orders
-    /// bodies by.
-    fn new(
-        tpl: &MagicTemplate,
-        untagged: &[Rule],
-        bound: u64,
+    /// Compiles the tagged magic template for one (predicate, binding
+    /// pattern) — the memoized unit — from the rules `base` holds now, of
+    /// rule shape `rules`, and builds its empty store linked to `base`;
+    /// `None` if the rewrite fails or the template does not fit the base
+    /// store. The planner orders bodies by the rules as [`magic_template`]
+    /// wrote them, untagged.
+    fn compile(
+        (pred, bound): TemplateKey,
+        arity: usize,
         base: &mut Materialization,
+        rules: (usize, usize),
     ) -> Option<Self> {
-        let mut store = Materialization::new_view(&tpl.program, untagged, base.order_mode());
+        let adn = (0..arity).map(|i| bound >> i & 1 == 1).collect();
+        let mut tpl = magic_template(&base.active_program(pred), pred, &adn).ok()?;
+        let untagged = tpl.program.rules.clone();
+        tag_template(&mut tpl);
+        let mut store = Materialization::new_view(&tpl.program, &untagged, base.order_mode());
         let goal_mask = (0..64).filter(|i| bound >> i & 1 == 1).map(|i| i + 1);
         let goal_idx = store.ensure_index(tpl.goal_pred, std::iter::once(0).chain(goal_mask).collect());
-        store.link_external(base).ok()?;
-        Some(Self {
-            seed_pred: tpl.seed_pred,
-            store,
-            goal_idx,
-            views: FxHashMap::default(),
-        })
+        store.link_external(base, rules).ok()?;
+        Some(Self { seed_pred: tpl.seed_pred, store, goal_idx, views: FxHashMap::default() })
     }
 
     /// Brings the store to the base's current fixpoint in one sync,
@@ -438,25 +445,22 @@ fn tag_template(tpl: &mut MagicTemplate) {
 /// [`Materialization`]. See the module docs for semantics; see
 /// [`crate::server::Server::query`] for the concurrent serving wrapper.
 ///
-/// A cache is bound to the base store it first queried: using it
-/// against a different store is a logic error (detected only when the
-/// stores' shapes diverge). `QueryCache::default()` is
+/// A cache keeps no mark of its base, and follows its store through
+/// rule changes and restores (module docs, "Coherence"). Using it against
+/// a second store at or above a template's round, under the same rule
+/// shape, is a logic error nothing detects. `QueryCache::default()` is
 /// [`QueryCache::disabled`].
 #[derive(Default)]
 pub struct QueryCache {
-    /// The base's (rule slots, active rules) at the last validation;
-    /// `(0, 0)` before the first.
-    seen_rules: (usize, usize),
     /// One template per (predicate, binding pattern), holding its live
-    /// views; `None` caches "this pattern has no usable template" (e.g.
-    /// transform failure).
-    templates: FxHashMap<TemplateKey, Option<Template>>,
+    /// views; `Err(rules)` caches "no usable template under rule shape
+    /// `rules`" (e.g. transform failure) for the pattern.
+    templates: FxHashMap<TemplateKey, Result<Template, (usize, usize)>>,
     config: CacheConfig,
     /// The epochs snapshots were pinned at, ascending, when the serving
     /// layer's drain last published them (empty in a standalone cache):
     /// a displaced memo is kept while one of them lies in its interval.
     pinned_epochs: Vec<u64>,
-    seen_version: u64,
     /// The next view's tag (cache-wide, so that tags order views by
     /// age); `u32::MAX` once every tag is spent.
     next_tag: u32,
@@ -485,10 +489,8 @@ impl QueryCache {
     }
 
     /// An empty cache with default eviction limits, as
-    /// [`QueryCache::new`] makes for any program. The name outlived the
-    /// state it named — a cache that never cached, for a store whose
-    /// names were not known — because callers still use it as a
-    /// placeholder; templates need no names and routing no program.
+    /// [`QueryCache::new`] makes for any program: a name callers still
+    /// use as a placeholder.
     pub fn disabled() -> Self {
         Self::default()
     }
@@ -516,7 +518,7 @@ impl QueryCache {
     }
 
     /// Replaces the eviction limits (enforced from the next query on).
-    pub fn set_config(&mut self, config: CacheConfig) {
+    pub(crate) fn set_config(&mut self, config: CacheConfig) {
         self.config = config;
     }
 
@@ -584,10 +586,11 @@ impl QueryCache {
     /// [`QueryCache::query`] without the compaction: the server's slow
     /// path, which compacts in its drain once no snapshot is pinned.
     pub(crate) fn serve(&mut self, base: &mut Materialization, goal: &Atom) -> Relation {
-        self.validate(base);
+        let rules = base.rule_shape();
+        self.drop_foreign(base, rules);
         let mut buf = [Const(0); MAX_ARITY];
         if let Some((tkey, consts)) = Self::route(base, goal, &mut buf) {
-            if self.ensure_view(base, goal.arity(), tkey, consts).is_some() {
+            if self.ensure_view(base, goal.arity(), tkey, consts, rules).is_some() {
                 // Answer before evicting: under `max_views: 0` even the
                 // view just built is dropped again.
                 let (t, v) = self.view(tkey, consts).expect("just ensured");
@@ -613,9 +616,9 @@ impl QueryCache {
             return Some(base.answer_goal(goal));
         };
         let (t, v) = self.view(tkey, consts)?;
-        // A version that went backwards means a different store (e.g.
-        // restored); hand off to the slow path's validate.
-        if base.version() < self.seen_version || !t.store.at_base_version(base) {
+        // A rule change or a restore moves the version too: the slow
+        // path tells a foreign template from a stale one.
+        if !t.store.at_base_version(base) {
             return None;
         }
         v.touch(&self.clock);
@@ -679,7 +682,7 @@ impl QueryCache {
     /// same fixpoint. One sync per template, whatever the number of
     /// live views. The rows the syncs kill carry the round's `epoch`.
     pub(crate) fn sync_all(&mut self, base: &Materialization, epoch: u64) {
-        self.validate(base);
+        self.drop_foreign(base, base.rule_shape());
         for t in self.templates.values_mut().flatten() {
             if !t.store.at_base_version(base)
                 && t.catch_up(base, None, Some(epoch), &mut self.invalidations)
@@ -722,10 +725,7 @@ impl QueryCache {
             frontiers: self
                 .templates
                 .iter()
-                .filter_map(|(&k, t)| {
-                    let t = t.as_ref()?;
-                    Some((k, t.store.index_frontier(t.goal_idx)))
-                })
+                .filter_map(|(&k, t)| t.as_ref().ok().map(|t| (k, t.store.index_frontier(t.goal_idx))))
                 .collect(),
         }
     }
@@ -774,27 +774,27 @@ impl QueryCache {
     // Internals
     // -----------------------------------------------------------------
 
-    /// Drops every template, and each view's memos, when the base's rules
-    /// changed (module docs, "Coherence") or its version went *backwards*:
-    /// another store (e.g. restored), whose row ids the templates never
-    /// saw. Each template store meets a compaction at its own next sync.
-    fn validate(&mut self, base: &Materialization) {
-        let rules = base.rule_shape();
-        if rules != self.seen_rules || base.version() < self.seen_version {
-            self.seen_rules = rules;
-            self.clear_views();
-        }
-        self.seen_version = base.version();
+    /// Drops every template compiled for another base than `base`, of
+    /// rule shape `rules`, and every compile that failed under another
+    /// rule shape (module docs, "Coherence"): queries and rounds first.
+    fn drop_foreign(&mut self, base: &Materialization, rules: (usize, usize)) {
+        let invalidations = &mut self.invalidations;
+        self.templates.retain(|_, t| match t {
+            Ok(t) if t.store.is_foreign(base, rules) => {
+                *invalidations += 1;
+                false
+            }
+            Ok(_) => true,
+            Err(failed_under) => *failed_under == rules,
+        });
     }
 
-    /// Forgets every template, and its views with it — as a rule change
-    /// does; the next bound query of each goal compiles its template
-    /// again. Tags go on counting, so a snapshot pinned before the call
-    /// takes no view built after it for its own.
+    /// Forgets every template, and its views with it: one invalidation
+    /// if there were any. The next bound query of each goal compiles its
+    /// template again. Tags go on counting, so a snapshot pinned before
+    /// the call takes no view built after it for its own.
     pub(crate) fn clear_views(&mut self) {
-        if !self.templates.is_empty() {
-            self.invalidations += 1;
-        }
+        self.invalidations += u64::from(!self.templates.is_empty());
         self.templates.clear();
     }
 
@@ -836,29 +836,29 @@ impl QueryCache {
     /// The view of `tkey` bound to `consts`, and the template whose
     /// store holds it.
     fn view(&self, tkey: TemplateKey, consts: &[Const]) -> Option<(&Template, &CachedView)> {
-        let t = self.templates.get(&tkey)?.as_ref()?;
+        let t = self.templates.get(&tkey)?.as_ref().ok()?;
         Some((t, t.views.get(consts)?))
     }
 
     /// Makes sure an up-to-date view of `tkey` (a goal of `arity`
     /// arguments) bound to `consts` exists; `None` means the pattern
     /// has no usable template, or the view would be new and every tag
-    /// is spent, and the caller must go direct.
+    /// is spent, and the caller must go direct. `rules` is the base's
+    /// rule shape.
     fn ensure_view(
         &mut self,
         base: &mut Materialization,
         arity: usize,
         tkey: TemplateKey,
         consts: &[Const],
+        rules: (usize, usize),
     ) -> Option<()> {
         if !self.templates.contains_key(&tkey) {
-            let t = Self::build_template(tkey, arity, base);
-            if t.is_some() {
-                self.template_compiles += 1;
-            }
+            let t = Template::compile(tkey, arity, base, rules).ok_or(rules);
+            self.template_compiles += u64::from(t.is_ok());
             self.templates.insert(tkey, t);
         }
-        let t = self.templates.get_mut(&tkey)?.as_mut()?;
+        let t = self.templates.get_mut(&tkey)?.as_mut().ok()?;
         if t.views.contains_key(consts) {
             if t.store.at_base_version(base) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -891,26 +891,10 @@ impl QueryCache {
         Some(())
     }
 
-    /// Compiles the tagged magic template for one (predicate, binding
-    /// pattern) — the memoized unit — from the rules the base store
-    /// holds now, and builds its empty store.
-    fn build_template(
-        (pred, bound): TemplateKey,
-        arity: usize,
-        base: &mut Materialization,
-    ) -> Option<Template> {
-        let active = base.active_program(pred);
-        let adn = (0..arity).map(|i| bound >> i & 1 == 1).collect();
-        let mut tpl = magic_template(&active, pred, &adn).ok()?;
-        let untagged = tpl.program.rules.clone();
-        tag_template(&mut tpl);
-        Template::new(&tpl, &untagged, bound, base)
-    }
-
     /// Drops the view of `tkey` bound to `consts`: its rows are
     /// tombstoned, its memoised answer goes with it.
     fn drop_view(&mut self, tkey: TemplateKey, consts: &[Const]) {
-        let Some(Some(t)) = self.templates.get_mut(&tkey) else {
+        let Some(Ok(t)) = self.templates.get_mut(&tkey) else {
             return;
         };
         if let Some(v) = t.views.remove(consts) {
@@ -931,7 +915,7 @@ impl QueryCache {
             let (tkey, consts) = self
                 .templates
                 .iter()
-                .filter_map(|(&tkey, t)| Some((tkey, t.as_ref()?)))
+                .filter_map(|(&tkey, t)| Some((tkey, t.as_ref().ok()?)))
                 .flat_map(|(tkey, t)| t.views.iter().map(move |(consts, v)| (tkey, consts, v)))
                 .min_by_key(|(_, _, v)| v.last_used.load(Ordering::Relaxed))
                 .map(|(tkey, consts, _)| (tkey, consts.clone()))
@@ -945,7 +929,7 @@ impl QueryCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::Program;
+    use crate::ast::{Program, Rule};
     use crate::db::{Database, Tuple};
     use crate::eval::Strategy;
     use crate::magic::magic_transform;
@@ -1378,16 +1362,48 @@ mod tests {
         );
         let id = base.apply(&UpdateRound::new().add_rule(up)).first_rule;
         ask(&mut cache, &mut base);
-        assert_eq!(cache.stats(), stats(4, 4, 1, 4), "a rule add");
+        assert_eq!(cache.stats(), stats(4, 4, 2, 4), "a rule add");
 
         assert_eq!(base.apply(&UpdateRound::new().drop_rule(id)).rules_dropped, 1);
         ask(&mut cache, &mut base);
-        assert_eq!(cache.stats(), stats(6, 6, 2, 6), "a rule drop");
+        assert_eq!(cache.stats(), stats(6, 6, 4, 6), "a rule drop");
 
         let mut restored = Materialization::from_bytes(&base.to_bytes()).unwrap();
         assert!(base.version() > restored.version());
         ask(&mut cache, &mut restored);
-        assert_eq!(cache.stats(), stats(8, 8, 3, 8), "a restored base");
+        assert_eq!(cache.stats(), stats(8, 8, 6, 8), "a restored base");
+    }
+
+    /// A template compiled for the store before a restore goes at the
+    /// first query of the restored store, whatever pattern that query
+    /// has: the restored store climbs back to the template's round, and
+    /// by then nothing could tell the template from one of its own.
+    #[test]
+    fn a_restore_drops_every_template_at_the_first_query() {
+        let mut p = parse_program(SRC).unwrap();
+        let par = p.symbols.get_predicate("par").unwrap();
+        let anc = p.symbols.get_predicate("anc").unwrap();
+        let edges = chain(&mut p, 6);
+        let mut base = Materialization::new(&p, Strategy::SemiNaive);
+        base.apply(&UpdateRound::new().insert_all(par, &edges));
+        let mut cache = QueryCache::new(&p);
+        let c3 = Term::Const(p.symbols.constant("c3"));
+        let fb = Atom::new(anc, vec![Term::Var(p.symbols.variable("X")), c3]);
+        let snapshot = base.to_bytes();
+        base.apply(&UpdateRound::new().retract(par, edges[1].clone()));
+        assert_eq!(cache.query(&mut base, &fb).len(), 1, "c2 alone reaches c3");
+        assert_eq!(cache.query(&mut base, &p.goal).len(), 1);
+
+        let mut restored = Materialization::from_bytes(&snapshot).unwrap();
+        assert_eq!(cache.query(&mut restored, &p.goal).len(), 6);
+        assert_eq!(cache.stats().invalidations, 2, "both templates went");
+        for e in &edges[..2] {
+            restored.apply(&UpdateRound::new().insert(par, e.clone()));
+        }
+        assert_eq!(restored.version(), 2, "the round the first store's templates synced at");
+        assert!(cache.lookup(&restored, &fb).is_none(), "no view of the first store");
+        assert_eq!(cache.query(&mut restored, &fb).sorted(), restored.answer_goal(&fb).sorted());
+        assert_eq!(cache.query(&mut restored, &fb).len(), 3);
     }
 
     /// A pattern whose template fails to compile goes direct, and is

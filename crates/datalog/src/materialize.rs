@@ -637,7 +637,7 @@ impl Materialization {
     }
 
     /// The body-order mode this store's plans were compiled under.
-    pub fn order_mode(&self) -> OrderMode {
+    pub(crate) fn order_mode(&self) -> OrderMode {
         self.order
     }
 
@@ -1036,15 +1036,9 @@ impl Materialization {
     /// [`Program`] whose `rules` vector lists every rule ever held (in
     /// that order, dropped ones included) aligns with the recorded
     /// justifications for [`Provenance::check`].
-    pub fn active_rules(&self) -> Vec<(RuleId, &Rule)> {
+    pub(crate) fn active_rules(&self) -> Vec<(RuleId, &Rule)> {
         let slots = self.plans.iter().zip(&self.rules).zip(&self.rule_active);
         slots.filter(|&(_, &active)| active).map(|((p, r), _)| (RuleId(p[0].rule), r)).collect()
-    }
-
-    /// Total number of rule slots ever allocated (dropped ones
-    /// included).
-    pub fn num_rule_slots(&self) -> usize {
-        self.plans.len()
     }
 
     /// Whether `id` names an active rule.
@@ -1052,10 +1046,10 @@ impl Materialization {
         (id.0 as usize) < self.rule_active.len() && self.rule_active[id.0 as usize]
     }
 
-    /// `(rule slots, active rules)`. Slots are never reused and a
-    /// dropped rule never returns, so the pair moves with every rule
-    /// change: the query cache watches it instead of keeping a copy of
-    /// the rules.
+    /// `(rule slots, active rules)`, dropped slots included in the first.
+    /// Slots are never reused and a dropped rule never returns, so the
+    /// pair moves with every rule change: a template store of the query
+    /// cache keeps the pair it was compiled under, not the rules.
     pub(crate) fn rule_shape(&self) -> (usize, usize) {
         (self.rule_active.len(), self.rule_active.iter().filter(|&&a| a).count())
     }

@@ -93,7 +93,7 @@ impl Materialization {
     /// Whether the policy says a compaction pass is due: some relation's
     /// tombstone count reaches both policy bounds. The serving layer
     /// polls this and defers the pass while snapshots are pinned.
-    pub fn needs_compaction(&self) -> bool {
+    pub(crate) fn needs_compaction(&self) -> bool {
         let Some(p) = self.policy else {
             return false;
         };

@@ -25,7 +25,10 @@
 //! its last sync ([`ExtLinks`]): behind insert-only rounds it resumes;
 //! behind a retracting round it missed (which of its rows lost their
 //! support is not recorded) or a base compaction (the base row ids it
-//! holds have moved), it empties itself and starts over.
+//! holds have moved), it empties itself and starts over. A base of
+//! another rule shape than the store was compiled under, or below its
+//! round (a restored store), is **foreign**, and no sync mends that
+//! ([`Materialization::is_foreign`]): the cache compiles it again.
 //!
 //! Nothing here knows what a tag means. A view is created by inserting
 //! its seed row, which is an EDB insert; it is dropped by over-deleting
@@ -51,7 +54,7 @@ use crate::storage::{ColumnarRelation, IncrementalIndex, NO_ROW};
 /// [`Materialization::link_external`]: the base slot each external slot
 /// stands for — every pass of a [`Materialization::sync_external`] reads
 /// the external relations and indexes off the base through them — and
-/// the base as of the last sync.
+/// the base as of the compile and the last sync.
 #[derive(Clone, Debug, Default)]
 pub(super) struct ExtLinks {
     /// Per relation: the base relation it stands for, if external.
@@ -59,22 +62,25 @@ pub(super) struct ExtLinks {
     /// Per index slot: the base index slot it stands for, if its
     /// relation is external.
     pub(super) idxs: Vec<Option<usize>>,
-    /// The base at the link or the last sync.
+    /// The base at the compile, and at the link or the last sync.
     base_at: BaseMark,
 }
 
-/// A base's round, EDB retraction and compaction counts: how far behind
-/// it a template store is.
+/// A base's rule shape at the compile, and its round, EDB retraction and
+/// compaction counts at the link or the last sync: which base a template
+/// store was compiled for, and how far behind it the store is.
 #[derive(Clone, Copy, Debug, Default)]
 struct BaseMark {
+    rules: (usize, usize),
     version: u64,
     retracts: u64,
     compactions: u64,
 }
 
 impl BaseMark {
-    fn of(base: &Materialization) -> Self {
-        Self { version: base.version, retracts: base.edb_retracts, compactions: base.compactions }
+    fn of(base: &Materialization, rules: (usize, usize)) -> Self {
+        let (version, retracts, compactions) = (base.version, base.edb_retracts, base.compactions);
+        Self { rules, version, retracts, compactions }
     }
 }
 
@@ -150,12 +156,17 @@ impl Materialization {
     /// included, is an update. Relations the base does not track
     /// (notably the template's seed predicate) stay store-owned. The
     /// reverse index is set up here, its chains over external relations
-    /// sparse: dense ones would be sized by base row ids.
-    pub(crate) fn link_external(&mut self, base: &mut Materialization) -> Result<(), String> {
+    /// sparse: dense ones would be sized by base row ids. `rules` is the
+    /// base's rule shape.
+    pub(crate) fn link_external(
+        &mut self,
+        base: &mut Materialization,
+        rules: (usize, usize),
+    ) -> Result<(), String> {
         let mut links = ExtLinks {
             rels: vec![None; self.rels.len()],
             idxs: vec![None; self.idxs.len()],
-            base_at: BaseMark::of(base),
+            base_at: BaseMark::of(base, rules),
         };
         for (v, &pred) in self.pred_of_rel.iter().enumerate() {
             if self.idb_flag[v] {
@@ -210,12 +221,19 @@ impl Materialization {
         for (old, link) in self.old_hi.iter_mut().zip(&self.ext.rels) {
             *old = link.map_or(0, |br| base.rels[br as usize].num_rows());
         }
-        self.ext.base_at = BaseMark::of(base);
+        self.ext.base_at = BaseMark::of(base, self.ext.base_at.rules);
     }
 
     /// Whether the store has synced since `base`'s last round.
     pub(crate) fn at_base_version(&self, base: &Materialization) -> bool {
         self.ext.base_at.version == base.version
+    }
+
+    /// Whether the store was compiled for another base than `base`, of
+    /// rule shape `rules`: other rules, or a version below the store's
+    /// mark, as a restored store's is. No sync mends that.
+    pub(crate) fn is_foreign(&self, base: &Materialization, rules: (usize, usize)) -> bool {
+        self.ext.base_at.rules != rules || base.version < self.ext.base_at.version
     }
 
     /// Catches a template store up with its base, which it only reads:
@@ -269,7 +287,7 @@ impl Materialization {
         if start_over {
             self.clear_rows(base);
         }
-        self.ext.base_at = BaseMark::of(base);
+        self.ext.base_at = BaseMark::of(base, at.rules);
         if let Some((pred, row)) = seed {
             let rid = self.rel_of_pred[&pred];
             self.rels[rid as usize].insert(row);

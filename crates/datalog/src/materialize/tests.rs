@@ -721,7 +721,7 @@ fn add_rule_seeds_from_existing_rows() {
         db.insert(par, e.clone());
     }
     let mut m = Materialization::from_database(&p, &db, Strategy::SemiNaive);
-    assert_eq!(m.num_rule_slots(), 2);
+    assert_eq!(m.rule_shape().0, 2);
 
     // Hot-add: sib(X, Y) :- par(Z, X), par(Z, Y) over a new IDB.
     let extra = parse_program(
@@ -819,7 +819,7 @@ fn a_malformed_round_panics_before_the_first_mutation() {
     ];
     let seen = |m: &Materialization| {
         let rules: Vec<RuleId> = m.active_rules().iter().map(|&(id, _)| id).collect();
-        (m.database().sorted_models(), rules, m.num_rule_slots(), m.version(), m.stats())
+        (m.database().sorted_models(), rules, m.rule_shape().0, m.version(), m.stats())
     };
     for (i, round) in bad_rounds.iter().enumerate() {
         let before = seen(&m);
@@ -1577,7 +1577,7 @@ fn snapshot_round_trips_rule_slots_and_epoch_state() {
     assert_eq!(m2.to_bytes(), bytes);
     assert!(!m2.is_rule_active(RuleId(1)));
     assert!(m2.is_rule_active(RuleId(0)));
-    assert_eq!(m2.num_rule_slots(), 2, "dropped slots persist");
+    assert_eq!(m2.rule_shape().0, 2, "dropped slots persist");
     // No pin survives a restart, so the tags stay behind: the restored
     // store holds none, and reads as the live one at the current epoch.
     assert!(m.tagged_tombstones() > 0);

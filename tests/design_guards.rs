@@ -419,6 +419,18 @@ const GUARDS: &[Guard] = &[
         example: "    synced_version: u64,",
         ..ROW
     },
+    // The cache keeps no mark of its base: each template store keeps the
+    // rule shape it was compiled under beside the base's counts, and tells
+    // a foreign template from a stale one itself. Cache-wide copies of the
+    // base's rule shape or version, and a pass that drops every template
+    // when they move, are that mark held twice again.
+    Guard {
+        name: "The cache keeps no mark of its base",
+        paths: &["crates/datalog/src/cache.rs"],
+        needles: &["seen_rules", "seen_version", "fn validate"],
+        example: "    seen_version: u64,",
+        ..ROW
+    },
 ];
 
 /// Whether `line` holds `needle`, followed by no identifier character
