@@ -489,8 +489,10 @@ impl QueryCache {
     }
 
     /// An empty cache with default eviction limits, as
-    /// [`QueryCache::new`] makes for any program: a name callers still
-    /// use as a placeholder.
+    /// [`QueryCache::new`] makes for any program. The name outlived the
+    /// state it named — a cache that never cached, for a store whose
+    /// names were not known — because callers still use it as a
+    /// placeholder; templates need no names and routing no program.
     pub fn disabled() -> Self {
         Self::default()
     }
@@ -776,7 +778,8 @@ impl QueryCache {
 
     /// Drops every template compiled for another base than `base`, of
     /// rule shape `rules`, and every compile that failed under another
-    /// rule shape (module docs, "Coherence"): queries and rounds first.
+    /// rule shape: the first step of every query and round that may
+    /// write (module docs, "Coherence").
     fn drop_foreign(&mut self, base: &Materialization, rules: (usize, usize)) {
         let invalidations = &mut self.invalidations;
         self.templates.retain(|_, t| match t {
