@@ -422,8 +422,8 @@ const GUARDS: &[Guard] = &[
     // The cache keeps no mark of its base: each template store keeps the
     // rule shape it was compiled under beside the base's counts, and tells
     // a foreign template from a stale one itself. Cache-wide copies of the
-    // base's rule shape or version, and a pass that drops every template
-    // when they move, are that mark held twice again.
+    // base's rule shape or version, and a pass that drops all templates
+    // when such a copy moves, are that mark held twice again.
     Guard {
         name: "The cache keeps no mark of its base",
         paths: &["crates/datalog/src/cache.rs"],
